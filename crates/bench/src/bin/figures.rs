@@ -3,7 +3,7 @@
 //! repository's extra ablations.
 //!
 //! ```text
-//! cargo run --release -p quark-bench --bin figures -- [fig17|fig18|fig22|fig23|fig24|compile|cardinality|sessions|restart|ablations|all] [--quick] [--full-ungrouped] [--check BASELINE --tolerance F]
+//! cargo run --release -p quark-bench --bin figures -- [fig17|fig18|fig22|fig23|fig24|compile|cardinality|sessions|wire|restart|ablations|all] [--quick] [--full-ungrouped] [--check BASELINE --tolerance F]
 //! ```
 //!
 //! `--quick` scales the workload down (CI-friendly); `--full-ungrouped`

@@ -24,7 +24,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use quark_relational::expr::BinOp;
 use quark_relational::wire::{Dec, Enc};
 use quark_relational::{Error, Event, Result, SqlTrigger, Value};
 
@@ -112,41 +111,6 @@ fn event_from_tag(t: u8) -> Result<Event> {
         1 => Event::Update,
         2 => Event::Delete,
         t => return Err(bad(&format!("unknown event tag {t}"))),
-    })
-}
-
-fn binop_tag(op: &BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Eq => 4,
-        BinOp::Ne => 5,
-        BinOp::Lt => 6,
-        BinOp::Le => 7,
-        BinOp::Gt => 8,
-        BinOp::Ge => 9,
-        BinOp::And => 10,
-        BinOp::Or => 11,
-    }
-}
-
-fn binop_from_tag(t: u8) -> Result<BinOp> {
-    Ok(match t {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Eq,
-        5 => BinOp::Ne,
-        6 => BinOp::Lt,
-        7 => BinOp::Le,
-        8 => BinOp::Gt,
-        9 => BinOp::Ge,
-        10 => BinOp::And,
-        11 => BinOp::Or,
-        t => return Err(bad(&format!("unknown binop tag {t}"))),
     })
 }
 
@@ -274,7 +238,7 @@ fn encode_condition(enc: &mut Enc, c: &Condition) -> Result<()> {
         Condition::Cmp { left, op, right } => {
             enc.u8(1);
             encode_cond_value(enc, left)?;
-            enc.u8(binop_tag(op));
+            enc.binop(*op);
             encode_cond_value(enc, right)
         }
         Condition::Exists(p) => {
@@ -303,7 +267,7 @@ fn decode_condition(dec: &mut Dec) -> Result<Condition> {
         0 => Condition::True,
         1 => {
             let left = decode_cond_value(dec)?;
-            let op = binop_from_tag(dec.u8()?)?;
+            let op = dec.binop()?;
             let right = decode_cond_value(dec)?;
             Condition::Cmp { left, op, right }
         }
@@ -765,6 +729,7 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use crate::spec::{Action, TriggerSpec, XmlEvent};
+    use quark_relational::expr::BinOp;
     use quark_relational::Database;
 
     fn catalog_path(db: &Database) -> PathGraph {
@@ -867,6 +832,14 @@ mod tests {
         let blob_a = encode_core(&demo()).unwrap();
         let blob_b = encode_core(&demo()).unwrap();
         assert_eq!(blob_a, blob_b);
+        // Golden bytes: the blob embeds `BinOp`, `JoinKind` and optional-
+        // expression tags from `quark_relational::wire`; a change to any
+        // tag table is a persisted-format change and must bump `VERSION`.
+        assert_eq!(
+            (blob_a.len(), quark_storage::crc::crc32(&blob_a)),
+            (34_825, 0x2220_f8b4),
+            "core blob bytes changed"
+        );
     }
 
     #[test]

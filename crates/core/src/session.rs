@@ -818,7 +818,6 @@ impl Session {
                     ),
                     ("latch_shared_acquisitions", s.latch_shared_acquisitions),
                     ("latch_waits", s.latch_waits),
-                    ("pages_evicted", s.pages_evicted),
                     ("recovery_ms", s.recovery_ms),
                     ("rows_scanned", s.rows_scanned),
                     ("statements", s.statements),

@@ -265,7 +265,7 @@ impl Quark {
     ///
     /// A fresh directory starts an empty system with durability attached;
     /// an existing one is recovered to its last committed statement
-    /// boundary: base tables are rebuilt from the checkpointed page store,
+    /// boundary: base tables are rebuilt from the checkpointed table images,
     /// the committed WAL tail is replayed on top (torn or corrupt trailing
     /// records are discarded), and every registered view, trigger group and
     /// compile-cache entry is re-armed from its persisted rendering — no
@@ -340,7 +340,7 @@ impl Quark {
     }
 
     /// Checkpoint the durable store (no-op without one): every table is
-    /// written to the page store, the full view/trigger/compile-cache state
+    /// written to its image file, the full view/trigger/compile-cache state
     /// is serialized into the catalog, and the WAL is truncated. The caller
     /// must be at a statement boundary (the session layer checkpoints at
     /// global commits).
@@ -459,7 +459,7 @@ impl Quark {
     /// `build_cache_hits` observability counters — the probe-not-scan
     /// evidence behind the flat firing-latency curves. When a durable
     /// store is attached, its counters (`wal_bytes_written`, `wal_fsyncs`,
-    /// `checkpoints`, `pages_evicted`, `recovery_ms`) are merged in.
+    /// `checkpoints`, `recovery_ms`) are merged in.
     pub fn stats(&self) -> quark_relational::Stats {
         let mut stats = self.db.stats();
         if let Some(engine) = &self.storage {
@@ -467,7 +467,6 @@ impl Quark {
             stats.wal_fsyncs = engine.wal_fsyncs();
             stats.group_commit_batches = engine.group_commit_batches();
             stats.checkpoints = engine.checkpoints();
-            stats.pages_evicted = engine.pages_evicted();
             stats.recovery_ms = engine.recovery_ms();
         }
         stats

@@ -176,8 +176,6 @@ pub struct Stats {
     pub group_commit_batches: u64,
     /// Checkpoints taken by the storage engine.
     pub checkpoints: u64,
-    /// Buffer-pool pages evicted by the clock sweep.
-    pub pages_evicted: u64,
     /// Wall-clock milliseconds the last recovery (warm open) took.
     pub recovery_ms: u64,
     /// Table accesses the `footprint-oracle` feature caught outside the
@@ -577,7 +575,6 @@ impl Database {
             wal_fsyncs: 0,
             group_commit_batches: 0,
             checkpoints: 0,
-            pages_evicted: 0,
             recovery_ms: 0,
         }
     }

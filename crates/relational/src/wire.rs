@@ -191,7 +191,7 @@ impl Enc {
             }
             Expr::Binary { op, left, right } => {
                 self.u8(2);
-                self.u8(binop_tag(*op));
+                self.binop(*op);
                 self.expr(left)?;
                 self.expr(right)?;
             }
@@ -373,7 +373,7 @@ impl Enc {
                 self.child_id(right, ids);
                 self.exprs(left_keys)?;
                 self.exprs(right_keys)?;
-                self.u8(join_kind_tag(*kind));
+                self.join_kind(*kind);
                 self.opt_expr(filter)?;
             }
             PhysicalPlan::IndexJoin {
@@ -393,7 +393,7 @@ impl Enc {
                     self.u32(*col as u32);
                     self.expr(e)?;
                 }
-                self.u8(join_kind_tag(*kind));
+                self.join_kind(*kind);
                 self.opt_expr(filter)?;
             }
             PhysicalPlan::NestedLoopJoin {
@@ -406,7 +406,7 @@ impl Enc {
                 self.child_id(left, ids);
                 self.child_id(right, ids);
                 self.opt_expr(predicate)?;
-                self.u8(join_kind_tag(*kind));
+                self.join_kind(*kind);
             }
             PhysicalPlan::HashAggregate {
                 input,
@@ -450,15 +450,40 @@ impl Enc {
         Ok(())
     }
 
-    fn opt_expr(&mut self, e: &Option<Expr>) -> Result<()> {
-        match e {
-            None => self.u8(0),
-            Some(e) => {
-                self.u8(1);
-                self.expr(e)?;
-            }
-        }
-        Ok(())
+    /// Write an optional expression: a presence byte (0/1), then the
+    /// expression when present.
+    pub fn opt_expr(&mut self, e: &Option<Expr>) -> Result<()> {
+        self.bool(e.is_some());
+        e.as_ref().map_or(Ok(()), |e| self.expr(e))
+    }
+
+    /// Write a binary-operator tag. The one `BinOp` tag table: every
+    /// codec layered on this one (XQGM graphs, the core blob) calls it.
+    pub fn binop(&mut self, op: BinOp) {
+        self.u8(match op {
+            BinOp::Add => 0,
+            BinOp::Sub => 1,
+            BinOp::Mul => 2,
+            BinOp::Div => 3,
+            BinOp::Eq => 4,
+            BinOp::Ne => 5,
+            BinOp::Lt => 6,
+            BinOp::Le => 7,
+            BinOp::Gt => 8,
+            BinOp::Ge => 9,
+            BinOp::And => 10,
+            BinOp::Or => 11,
+        });
+    }
+
+    /// Write a join-kind tag (the one `JoinKind` tag table).
+    pub fn join_kind(&mut self, k: JoinKind) {
+        self.u8(match k {
+            JoinKind::Inner => 0,
+            JoinKind::LeftOuter => 1,
+            JoinKind::LeftSemi => 2,
+            JoinKind::LeftAnti => 3,
+        });
     }
 }
 
@@ -499,36 +524,10 @@ fn column_type_tag(t: ColumnType) -> u8 {
     }
 }
 
-fn binop_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Eq => 4,
-        BinOp::Ne => 5,
-        BinOp::Lt => 6,
-        BinOp::Le => 7,
-        BinOp::Gt => 8,
-        BinOp::Ge => 9,
-        BinOp::And => 10,
-        BinOp::Or => 11,
-    }
-}
-
 fn epoch_tag(e: TableEpoch) -> u8 {
     match e {
         TableEpoch::Current => 0,
         TableEpoch::Old => 1,
-    }
-}
-
-fn join_kind_tag(k: JoinKind) -> u8 {
-    match k {
-        JoinKind::Inner => 0,
-        JoinKind::LeftOuter => 1,
-        JoinKind::LeftSemi => 2,
-        JoinKind::LeftAnti => 3,
     }
 }
 
@@ -719,7 +718,8 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    fn binop(&mut self) -> Result<BinOp> {
+    /// Read a binary-operator tag written by [`Enc::binop`].
+    pub fn binop(&mut self) -> Result<BinOp> {
         Ok(match self.u8()? {
             0 => BinOp::Add,
             1 => BinOp::Sub,
@@ -941,7 +941,8 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn join_kind(&mut self) -> Result<JoinKind> {
+    /// Read a join-kind tag written by [`Enc::join_kind`].
+    pub fn join_kind(&mut self) -> Result<JoinKind> {
         Ok(match self.u8()? {
             0 => JoinKind::Inner,
             1 => JoinKind::LeftOuter,
@@ -951,12 +952,9 @@ impl<'a> Dec<'a> {
         })
     }
 
-    fn opt_expr(&mut self) -> Result<Option<Expr>> {
-        Ok(match self.u8()? {
-            0 => None,
-            1 => Some(self.expr()?),
-            other => return Err(bad(format!("bad option tag {other}"))),
-        })
+    /// Read an optional expression written by [`Enc::opt_expr`].
+    pub fn opt_expr(&mut self) -> Result<Option<Expr>> {
+        self.bool()?.then(|| self.expr()).transpose()
     }
 }
 
@@ -964,6 +962,52 @@ impl<'a> Dec<'a> {
 mod tests {
     use super::*;
     use crate::value::row;
+
+    /// The tag tables other codecs share through `Enc`/`Dec`, byte for
+    /// byte: these values are on disk in every catalog and WAL segment.
+    #[test]
+    fn shared_tag_tables_are_pinned() {
+        use BinOp::*;
+        let mut enc = Enc::new();
+        for op in [Add, Sub, Mul, Div, Eq, Ne, Lt, Le, Gt, Ge, And, Or] {
+            enc.binop(op);
+        }
+        for kind in [
+            JoinKind::Inner,
+            JoinKind::LeftOuter,
+            JoinKind::LeftSemi,
+            JoinKind::LeftAnti,
+        ] {
+            enc.join_kind(kind);
+        }
+        enc.opt_expr(&None).unwrap();
+        enc.opt_expr(&Some(Expr::Col(7))).unwrap();
+        let bytes = enc.into_bytes();
+        assert_eq!(
+            bytes,
+            [
+                0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, // BinOp
+                0, 1, 2, 3, // JoinKind
+                0, // None
+                1, 0, 7, 0, 0, 0, // Some(Col(7))
+            ]
+        );
+        let mut dec = Dec::new(&bytes);
+        assert_eq!(dec.binop().unwrap(), Add);
+        for _ in 1..12 {
+            dec.binop().unwrap();
+        }
+        assert_eq!(dec.join_kind().unwrap(), JoinKind::Inner);
+        for _ in 1..4 {
+            dec.join_kind().unwrap();
+        }
+        assert_eq!(dec.opt_expr().unwrap(), None);
+        assert_eq!(dec.opt_expr().unwrap(), Some(Expr::Col(7)));
+        dec.finish().unwrap();
+        assert!(Dec::new(&[12]).binop().is_err());
+        assert!(Dec::new(&[4]).join_kind().is_err());
+        assert!(Dec::new(&[2]).opt_expr().is_err());
+    }
 
     #[test]
     fn scalar_values_round_trip() {

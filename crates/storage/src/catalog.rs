@@ -1,33 +1,27 @@
 //! The durable catalog: the root record of a checkpointed database image.
 //!
 //! `catalog.bin` names everything else: the checkpoint LSN, the active WAL
-//! segment (anything earlier is pre-checkpoint garbage), page-allocation
-//! state (high-water mark and free list), one entry per table (schema,
-//! secondary-index columns, mutation version, page chain of the row
-//! stream), and an opaque **core blob** — the engine layers above
-//! serialize their own state (views, trigger groups, compile cache) into
-//! it without the storage layer knowing its shape.
+//! segment (anything earlier is pre-checkpoint garbage), one entry per
+//! table (schema, secondary-index columns, the id of the image file
+//! holding its row stream), and an opaque **core blob** — the engine
+//! layers above serialize their own state (views, trigger groups, compile
+//! cache) into it without the storage layer knowing its shape.
 //!
-//! The catalog is replaced atomically: encode to `catalog.tmp`, fsync,
-//! rename over `catalog.bin`. A crash mid-checkpoint therefore leaves the
-//! previous complete catalog in place, and the stale-but-intact pages and
-//! WAL segments it points at — classic shadow-root recovery.
+//! The catalog is replaced atomically (`framed::publish`): written to
+//! `catalog.tmp`, fsynced, renamed over `catalog.bin`. A crash
+//! mid-checkpoint therefore leaves the previous complete catalog in place,
+//! and the stale-but-intact images and WAL segments it points at — classic
+//! shadow-root recovery.
 
-use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::Path;
 
 use quark_relational::wire::{Dec, Enc};
 use quark_relational::{Error, Result, TableSchema};
 
-use crate::crc::crc32;
+use crate::framed;
 
 const MAGIC: &[u8; 4] = b"QRKC";
-const VERSION: u32 = 1;
-
-fn io_err(what: &str, e: std::io::Error) -> Error {
-    Error::Storage(format!("{what}: {e}"))
-}
+const VERSION: u32 = 2;
 
 /// One table's durable metadata.
 #[derive(Debug, Clone)]
@@ -36,11 +30,9 @@ pub struct TableEntry {
     pub schema: TableSchema,
     /// Columns carrying a secondary index, rebuilt at recovery.
     pub indexes: Vec<usize>,
-    /// The in-memory [`quark_relational::Table`] version at checkpoint
-    /// time; lets the next checkpoint skip tables that never changed.
-    pub version: u64,
-    /// Page chain holding the encoded row stream.
-    pub pages: Vec<u64>,
+    /// Id of the image file `tables/<id>.img` holding the encoded row
+    /// stream; `None` for a table that was empty at the checkpoint.
+    pub image: Option<u64>,
 }
 
 /// The decoded catalog.
@@ -50,10 +42,6 @@ pub struct Catalog {
     pub checkpoint_lsn: u64,
     /// First WAL segment that postdates the checkpoint.
     pub wal_seq: u64,
-    /// Page-allocation high-water mark.
-    pub next_page: u64,
-    /// Free page list.
-    pub free: Vec<u64>,
     /// All tables in creation order.
     pub tables: Vec<TableEntry>,
     /// Opaque engine-layer state (views, triggers, compile cache).
@@ -64,32 +52,15 @@ impl Catalog {
     /// Load the catalog, or `None` when the file does not exist yet (a
     /// fresh database directory).
     pub fn load(path: &Path) -> Result<Option<Catalog>> {
-        let mut file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(io_err("open catalog", e)),
+        let Some(payload) = framed::load(path, MAGIC)? else {
+            return Ok(None);
         };
-        let mut data = Vec::new();
-        file.read_to_end(&mut data)
-            .map_err(|e| io_err("read catalog", e))?;
-        if data.len() < 8 || &data[0..4] != MAGIC {
-            return Err(Error::Storage("catalog is not a quark catalog".into()));
-        }
-        let crc = u32::from_le_bytes(data[4..8].try_into().unwrap());
-        let payload = &data[8..];
-        if crc32(payload) != crc {
-            return Err(Error::Storage("catalog checksum mismatch".into()));
-        }
-        let mut dec = Dec::new(payload);
+        let mut dec = Dec::new(&payload);
         if dec.u32()? != VERSION {
             return Err(Error::Storage("unsupported catalog version".into()));
         }
         let checkpoint_lsn = dec.u64()?;
         let wal_seq = dec.u64()?;
-        let next_page = dec.u64()?;
-        let free = (0..dec.u32()?)
-            .map(|_| dec.u64())
-            .collect::<Result<Vec<_>>>()?;
         let n_tables = dec.u32()?;
         let mut tables = Vec::with_capacity(n_tables as usize);
         for _ in 0..n_tables {
@@ -97,28 +68,18 @@ impl Catalog {
             let indexes = (0..dec.u32()?)
                 .map(|_| dec.u32().map(|c| c as usize))
                 .collect::<Result<Vec<_>>>()?;
-            let version = dec.u64()?;
-            let pages = (0..dec.u32()?)
-                .map(|_| dec.u64())
-                .collect::<Result<Vec<_>>>()?;
+            let image = dec.bool()?.then(|| dec.u64()).transpose()?;
             tables.push(TableEntry {
                 schema,
                 indexes,
-                version,
-                pages,
+                image,
             });
         }
-        let core_blob = if dec.bool()? {
-            Some(dec.bytes()?)
-        } else {
-            None
-        };
+        let core_blob = dec.bool()?.then(|| dec.bytes()).transpose()?;
         dec.finish()?;
         Ok(Some(Catalog {
             checkpoint_lsn,
             wal_seq,
-            next_page,
-            free,
             tables,
             core_blob,
         }))
@@ -131,11 +92,6 @@ impl Catalog {
         enc.u32(VERSION);
         enc.u64(self.checkpoint_lsn);
         enc.u64(self.wal_seq);
-        enc.u64(self.next_page);
-        enc.u32(self.free.len() as u32);
-        for &p in &self.free {
-            enc.u64(p);
-        }
         enc.u32(self.tables.len() as u32);
         for t in &self.tables {
             enc.schema(&t.schema);
@@ -143,47 +99,16 @@ impl Catalog {
             for &c in &t.indexes {
                 enc.u32(c as u32);
             }
-            enc.u64(t.version);
-            enc.u32(t.pages.len() as u32);
-            for &p in &t.pages {
-                enc.u64(p);
+            enc.bool(t.image.is_some());
+            if let Some(id) = t.image {
+                enc.u64(id);
             }
         }
-        match &self.core_blob {
-            Some(blob) => {
-                enc.bool(true);
-                enc.bytes(blob);
-            }
-            None => enc.bool(false),
+        enc.bool(self.core_blob.is_some());
+        if let Some(blob) = &self.core_blob {
+            enc.bytes(blob);
         }
-        let payload = enc.into_bytes();
-        let mut out = Vec::with_capacity(8 + payload.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-
-        let tmp = path.with_extension("tmp");
-        let mut file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| io_err("open catalog tmp", e))?;
-        file.write_all(&out)
-            .map_err(|e| io_err("write catalog", e))?;
-        if sync {
-            file.sync_data().map_err(|e| io_err("fsync catalog", e))?;
-        }
-        drop(file);
-        fs::rename(&tmp, path).map_err(|e| io_err("rename catalog", e))?;
-        if sync {
-            if let Some(dir) = path.parent() {
-                if let Ok(d) = File::open(dir) {
-                    let _ = d.sync_data();
-                }
-            }
-        }
-        Ok(())
+        framed::publish(path, MAGIC, &enc.into_bytes(), sync)
     }
 }
 
@@ -218,13 +143,10 @@ mod tests {
         Catalog {
             checkpoint_lsn: 42,
             wal_seq: 3,
-            next_page: 17,
-            free: vec![4, 9],
             tables: vec![TableEntry {
                 schema,
                 indexes: vec![1],
-                version: 88,
-                pages: vec![0, 1, 2],
+                image: Some(7),
             }],
             core_blob: Some(vec![1, 2, 3, 4]),
         }
@@ -237,13 +159,10 @@ mod tests {
         let back = Catalog::load(&path).unwrap().unwrap();
         assert_eq!(back.checkpoint_lsn, 42);
         assert_eq!(back.wal_seq, 3);
-        assert_eq!(back.next_page, 17);
-        assert_eq!(back.free, vec![4, 9]);
         assert_eq!(back.tables.len(), 1);
         assert_eq!(back.tables[0].schema.name, "vendor");
         assert_eq!(back.tables[0].indexes, vec![1]);
-        assert_eq!(back.tables[0].version, 88);
-        assert_eq!(back.tables[0].pages, vec![0, 1, 2]);
+        assert_eq!(back.tables[0].image, Some(7));
         assert_eq!(back.core_blob.as_deref(), Some(&[1u8, 2, 3, 4][..]));
         let _ = std::fs::remove_file(&path);
     }
@@ -252,6 +171,19 @@ mod tests {
     fn missing_file_is_a_fresh_database() {
         let path = tmp_file("missing");
         assert!(Catalog::load(&path).unwrap().is_none());
+    }
+
+    #[test]
+    fn other_catalog_versions_are_rejected() {
+        let path = tmp_file("version");
+        let mut enc = Enc::new();
+        enc.u32(1); // the paged-store layout this version replaced
+        framed::publish(&path, MAGIC, &enc.into_bytes(), false).unwrap();
+        assert!(matches!(
+            Catalog::load(&path),
+            Err(Error::Storage(m)) if m.contains("unsupported catalog version")
+        ));
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

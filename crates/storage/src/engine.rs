@@ -1,6 +1,7 @@
-//! The storage engine: one directory holding a WAL, a page file, and a
-//! catalog, with the recovery and checkpoint protocols that tie them
-//! together.
+//! The storage engine: one directory holding a WAL (`wal/<seq>.wal`),
+//! per-table image files (`tables/<id>.img`) and a catalog
+//! (`catalog.bin`), with the recovery and checkpoint protocols that tie
+//! them together.
 //!
 //! **Logging.** Every latched statement (with its full trigger cascade)
 //! becomes one WAL batch + commit record pair via [`StorageEngine::
@@ -9,20 +10,23 @@
 //!
 //! **Checkpointing.** [`StorageEngine::checkpoint`] writes a complete
 //! image: dirty tables (per-table version changed since the last
-//! checkpoint) get fresh page chains, clean tables keep their chains, the
-//! engine layers' opaque core blob is rewritten, and the WAL is truncated.
-//! The ordering is shadow-root safe: new chains only allocate pages that
-//! were free in the **durable** catalog, pages are flushed, old chains are
-//! freed, and only then is the new catalog renamed into place — a crash at
-//! any point leaves either the old or the new image fully intact.
+//! checkpoint) get a fresh image file under an unused id, clean tables
+//! keep theirs, the engine layers' opaque core blob is rewritten, and the
+//! WAL is truncated. The ordering is shadow-root safe: new images are
+//! written (and fsynced) beside the old ones, the new catalog is renamed
+//! into place, the WAL is truncated, and only then are the images the new
+//! catalog no longer names unlinked — a crash at any point leaves the old
+//! or the new catalog with every image it names.
 //!
 //! **Recovery.** [`StorageEngine::open`] loads the catalog, reads every
-//! table's page chain back into rows, and replays committed WAL batches
-//! (ARIES redo-only: there is nothing to undo, because only committed
-//! statement boundaries are ever logged). The caller rebuilds the
-//! in-memory database from the returned [`Recovered`] image.
+//! table's image back into rows (verifying its CRC), unlinks image files
+//! the catalog does not name (left by a crash before the rename), and
+//! replays committed WAL batches (ARIES redo-only: there is nothing to
+//! undo, because only committed statement boundaries are ever logged).
+//! The caller rebuilds the in-memory database from the returned
+//! [`Recovered`] image.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,10 +34,10 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use quark_relational::wire::{Dec, Enc};
-use quark_relational::{Database, Error, RedoOp, Result, Row, TableSchema};
+use quark_relational::{Database, Error, RedoOp, Result, Row, Table, TableSchema};
 
 use crate::catalog::{Catalog, TableEntry};
-use crate::pager::Pager;
+use crate::framed;
 use crate::wal::{SyncMode, Wal};
 
 /// One table reconstructed from the checkpoint image.
@@ -60,21 +64,21 @@ pub struct Recovered {
     pub core_blob: Option<Vec<u8>>,
 }
 
+/// One entry of the durable catalog as this engine last wrote or read it.
+#[derive(Debug)]
 struct StoredTable {
     /// The in-memory table version at the last checkpoint **this engine
     /// performed**. `None` right after open: persisted version counters
     /// are meaningless across a restart (a recovered `Database` restarts
     /// its counters, so a stale equality could keep a dirty table's old
-    /// chain and lose its WAL-truncated changes), so the first checkpoint
+    /// image and lose its WAL-truncated changes), so the first checkpoint
     /// rewrites every table once.
     version: Option<u64>,
-    schema: TableSchema,
-    pages: Vec<u64>,
+    entry: TableEntry,
 }
 
-struct Store {
-    pager: Pager,
-    tables: HashMap<String, StoredTable>,
+fn image_path(dir: &Path, id: u64) -> PathBuf {
+    dir.join("tables").join(format!("{id:010}.img"))
 }
 
 /// How long a group-commit leader waits for sibling commits to finish
@@ -92,7 +96,7 @@ const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(200);
 /// highest ticket known durable. The leader flag makes fsyncs single-file:
 /// one caller syncs on behalf of every ticket appended at that moment,
 /// the rest wait on the condvar until `synced` covers them.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct GcState {
     appended: u64,
     synced: u64,
@@ -104,11 +108,13 @@ struct GcState {
 }
 
 /// Handle to one durable database directory.
+#[derive(Debug)]
 pub struct StorageEngine {
     dir: PathBuf,
     sync: SyncMode,
     wal: Mutex<Wal>,
-    store: Mutex<Store>,
+    /// Mirror of the durable catalog's table entries, by table name.
+    store: Mutex<BTreeMap<String, StoredTable>>,
     gc: Mutex<GcState>,
     gc_synced: Condvar,
     /// `log_statement` calls currently in flight — the leader only pays
@@ -121,20 +127,11 @@ pub struct StorageEngine {
     recovery_ms: AtomicU64,
 }
 
-impl std::fmt::Debug for StorageEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StorageEngine")
-            .field("dir", &self.dir)
-            .field("sync", &self.sync)
-            .finish()
-    }
-}
-
-fn encode_rows(rows: impl Iterator<Item = Row>, count: usize) -> Result<Vec<u8>> {
+fn encode_rows(table: &Table) -> Result<Vec<u8>> {
     let mut enc = Enc::new();
-    enc.u32(count as u32);
-    for row in rows {
-        enc.row(&row)?;
+    enc.u32(table.len() as u32);
+    for row in table.iter() {
+        enc.row(row)?;
     }
     Ok(enc.into_bytes())
 }
@@ -152,42 +149,48 @@ impl StorageEngine {
     /// the last durable image: checkpointed tables plus committed WAL
     /// batches. `sync` governs all subsequent logging and checkpointing.
     pub fn open(dir: &Path, sync: SyncMode) -> Result<(StorageEngine, Recovered)> {
-        fs::create_dir_all(dir).map_err(|e| Error::Storage(format!("create database dir: {e}")))?;
+        let images = dir.join("tables");
+        fs::create_dir_all(&images)
+            .map_err(|e| Error::Storage(format!("create database dir: {e}")))?;
         let catalog = Catalog::load(&dir.join("catalog.bin"))?.unwrap_or_default();
-        let mut pager = Pager::open(
-            &dir.join("data.pages"),
-            catalog.next_page,
-            catalog.free.clone(),
-        )?;
         let mut tables = Vec::with_capacity(catalog.tables.len());
-        let mut stored = HashMap::new();
-        for entry in &catalog.tables {
-            let rows = decode_rows(&pager.read_chain(&entry.pages)?)?;
+        let mut stored = BTreeMap::new();
+        let mut live = HashSet::new();
+        for entry in catalog.tables {
+            let mut rows = Vec::new();
+            if let Some(id) = entry.image {
+                let path = image_path(dir, id);
+                let image = framed::load(&path, &[])?
+                    .ok_or_else(|| Error::Storage(format!("{} is missing", path.display())))?;
+                rows = decode_rows(&image)?;
+                live.insert(path);
+            }
             tables.push(RecoveredTable {
                 schema: entry.schema.clone(),
                 indexes: entry.indexes.clone(),
                 rows,
             });
-            stored.insert(
-                entry.schema.name.clone(),
-                StoredTable {
-                    version: None,
-                    schema: entry.schema.clone(),
-                    pages: entry.pages.clone(),
-                },
-            );
+            let version = None;
+            stored.insert(entry.schema.name.clone(), StoredTable { version, entry });
         }
-        let replay = Wal::replay(&dir.join("wal"), catalog.wal_seq)?;
+        // Whatever else sits under `tables/` was written by a checkpoint
+        // that crashed before its catalog rename: garbage, not state.
+        let listing =
+            fs::read_dir(&images).map_err(|e| Error::Storage(format!("list tables dir: {e}")))?;
+        for file in listing.flatten() {
+            if !live.contains(&file.path()) {
+                let _ = fs::remove_file(file.path());
+            }
+        }
+        let wal_dir = dir.join("wal");
+        let replay = Wal::replay(&wal_dir, catalog.wal_seq)?;
         let next_lsn = replay.next_lsn.max(catalog.checkpoint_lsn + 1);
-        let wal = Wal::open(&dir.join("wal"), replay.last_seq, next_lsn)?;
+        let wal = Wal::open(&wal_dir, replay.last_seq, replay.clean_len, next_lsn)?;
         let engine = StorageEngine {
             dir: dir.to_path_buf(),
             sync,
             wal: Mutex::new(wal),
-            store: Mutex::new(Store {
-                pager,
-                tables: stored,
-            }),
+            store: Mutex::new(stored),
             gc: Mutex::new(GcState::default()),
             gc_synced: Condvar::new(),
             active_commits: AtomicU64::new(0),
@@ -205,11 +208,6 @@ impl StorageEngine {
                 core_blob: catalog.core_blob,
             },
         ))
-    }
-
-    /// The sync policy this engine was opened with.
-    pub fn sync_mode(&self) -> SyncMode {
-        self.sync
     }
 
     /// Append one committed statement's redo ops to the WAL. Statements
@@ -311,82 +309,63 @@ impl StorageEngine {
 
     /// Write a complete checkpoint of `db` (plus the engine layers'
     /// `core_blob`) and truncate the WAL. Tables whose version is
-    /// unchanged since the last checkpoint keep their page chains.
+    /// unchanged since the last checkpoint keep their image file.
     pub fn checkpoint(&self, db: &Database, core_blob: Vec<u8>) -> Result<()> {
         let mut store = self.store.lock().expect("store poisoned");
         let mut wal = self.wal.lock().expect("wal poisoned");
         let checkpoint_lsn = wal.next_lsn();
+        let sync = self.sync == SyncMode::Always;
 
-        let mut names: Vec<String> = db.table_names().map(str::to_string).collect();
+        // Ids grow, so a new image never overwrites one the durable
+        // catalog still names.
+        let used = store.values().filter_map(|t| t.entry.image).max();
+        let mut next_image = used.map_or(0, |id| id + 1);
+        let mut names: Vec<&str> = db.table_names().collect();
         names.sort();
-        let mut entries = Vec::with_capacity(names.len());
-        // Chains replaced or dropped in this checkpoint are freed only
-        // after every new chain is written: pages referenced by the
-        // durable catalog must never be overwritten before the new
-        // catalog is renamed into place (shadow-root rule).
-        let mut dead_chains: Vec<Vec<u64>> = Vec::new();
-        for name in &names {
+        let mut stored = BTreeMap::new();
+        for name in names {
             let t = db.table(name)?;
-            let version = t.version();
-            let schema = t.schema().clone();
-            let indexes = t.indexed_columns();
-            let reusable = store
-                .tables
-                .get(name)
-                .is_some_and(|s| s.version == Some(version) && s.schema == schema);
-            let pages = if reusable {
-                store.tables[name].pages.clone()
-            } else {
-                let bytes = encode_rows(t.iter().cloned(), t.len())?;
-                drop(t);
-                if let Some(old) = store.tables.get(name) {
-                    dead_chains.push(old.pages.clone());
-                }
-                store.pager.write_chain(&bytes, checkpoint_lsn)?
+            let version = Some(t.version());
+            let mut entry = TableEntry {
+                schema: t.schema().clone(),
+                indexes: t.indexed_columns(),
+                image: None,
             };
-            entries.push(TableEntry {
-                schema: schema.clone(),
-                indexes,
-                version,
-                pages: pages.clone(),
-            });
-            store.tables.insert(
-                name.clone(),
-                StoredTable {
-                    version: Some(version),
-                    schema,
-                    pages,
-                },
-            );
-        }
-        // Dropped tables: free their chains too.
-        let dropped: Vec<String> = store
-            .tables
-            .keys()
-            .filter(|n| !names.iter().any(|m| m == *n))
-            .cloned()
-            .collect();
-        for name in dropped {
-            if let Some(old) = store.tables.remove(&name) {
-                dead_chains.push(old.pages);
+            match store.get(name) {
+                Some(s) if s.version == version && s.entry.schema == entry.schema => {
+                    entry.image = s.entry.image;
+                }
+                _ if t.is_empty() => {}
+                _ => {
+                    let bytes = encode_rows(&t)?;
+                    drop(t);
+                    framed::publish(&image_path(&self.dir, next_image), &[], &bytes, sync)?;
+                    entry.image = Some(next_image);
+                    next_image += 1;
+                }
             }
-        }
-        store.pager.flush(self.sync == SyncMode::Always)?;
-        for chain in dead_chains {
-            store.pager.free_chain(&chain);
+            stored.insert(name.to_string(), StoredTable { version, entry });
         }
 
         let new_seq = wal.seq() + 1;
         let catalog = Catalog {
             checkpoint_lsn,
             wal_seq: new_seq,
-            next_page: store.pager.next_page(),
-            free: store.pager.free_list().to_vec(),
-            tables: entries,
+            tables: stored.values().map(|t| t.entry.clone()).collect(),
             core_blob: Some(core_blob),
         };
-        catalog.save(&self.dir.join("catalog.bin"), self.sync == SyncMode::Always)?;
+        catalog.save(&self.dir.join("catalog.bin"), sync)?;
+        let replaced = std::mem::replace(&mut *store, stored);
         wal.truncate_to(new_seq)?;
+        // Images of rewritten and dropped tables are unlinked only now that
+        // the catalog naming their successors is durable (shadow-root
+        // rule). A failed unlink leaves garbage the next `open` sweeps.
+        let live: HashSet<u64> = store.values().filter_map(|t| t.entry.image).collect();
+        for id in replaced.values().filter_map(|t| t.entry.image) {
+            if !live.contains(&id) {
+                let _ = fs::remove_file(image_path(&self.dir, id));
+            }
+        }
         self.checkpoints.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -410,15 +389,6 @@ impl StorageEngine {
     /// Checkpoints completed since open.
     pub fn checkpoints(&self) -> u64 {
         self.checkpoints.load(Ordering::Relaxed)
-    }
-
-    /// Buffer-pool evictions since open.
-    pub fn pages_evicted(&self) -> u64 {
-        self.store
-            .lock()
-            .expect("store poisoned")
-            .pager
-            .pages_evicted()
     }
 
     /// Wall-clock milliseconds the last recovery took (stored by the
@@ -518,9 +488,63 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every file under `tables/`, sorted (ids are zero-padded, so name
+    /// order is id order).
+    fn image_files(dir: &Path) -> Vec<PathBuf> {
+        let mut files: Vec<PathBuf> = fs::read_dir(dir.join("tables"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn image_of(engine: &StorageEngine, table: &str) -> Option<u64> {
+        engine.store.lock().unwrap()[table].entry.image
+    }
+
+    fn product_schema() -> TableSchema {
+        TableSchema::new(
+            "product",
+            vec![
+                ColumnDef::new("pid", ColumnType::Str),
+                ColumnDef::new("pname", ColumnType::Str),
+            ],
+            &["pid"],
+        )
+        .unwrap()
+    }
+
     #[test]
-    fn clean_tables_keep_their_chains_across_checkpoints() {
-        let dir = tmp_dir("clean");
+    fn multi_megabyte_image_round_trips() {
+        let dir = tmp_dir("big");
+        let (engine, _) = StorageEngine::open(&dir, SyncMode::Always).unwrap();
+        let db = fresh_db();
+        let rows: Vec<Vec<Value>> = (0..40_000)
+            .map(|i| {
+                vec![
+                    Value::str(format!("vendor-{i:08}")),
+                    Value::Double(i as f64),
+                ]
+            })
+            .collect();
+        db.insert("vendor", rows.clone()).unwrap();
+        engine.checkpoint(&db, Vec::new()).unwrap();
+        drop(engine);
+        assert!(fs::metadata(&image_files(&dir)[0]).unwrap().len() > 1 << 20);
+        let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        let got: Vec<Vec<Value>> = recovered.tables[0]
+            .rows
+            .iter()
+            .map(|r| r.to_vec())
+            .collect();
+        assert_eq!(got, rows);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_image_byte_fails_open() {
+        let dir = tmp_dir("corrupt");
         let (engine, _) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
         let db = fresh_db();
         db.insert(
@@ -529,34 +553,128 @@ mod tests {
         )
         .unwrap();
         engine.checkpoint(&db, Vec::new()).unwrap();
-        let pages_before = {
-            let store = engine.store.lock().unwrap();
-            store.tables["vendor"].pages.clone()
-        };
-        engine.checkpoint(&db, Vec::new()).unwrap();
-        let store = engine.store.lock().unwrap();
-        assert_eq!(store.tables["vendor"].pages, pages_before);
-        drop(store);
-        assert_eq!(engine.checkpoints(), 2);
+        drop(engine);
+        let image = image_files(&dir).pop().expect("one image");
+        let mut data = fs::read(&image).unwrap();
+        let n = data.len();
+        data[n - 2] ^= 0x01;
+        fs::write(&image, &data).unwrap();
+        assert!(matches!(
+            StorageEngine::open(&dir, SyncMode::Never),
+            Err(Error::Storage(m)) if m.contains("corrupt")
+        ));
+        // A missing image is just as fatal: the catalog names it.
+        fs::remove_file(&image).unwrap();
+        assert!(matches!(
+            StorageEngine::open(&dir, SyncMode::Never),
+            Err(Error::Storage(m)) if m.contains("missing")
+        ));
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// What a checkpoint that crashed before its catalog rename leaves
+    /// behind: image files nobody names and a half-written `catalog.tmp`.
     #[test]
-    fn dropped_tables_leave_the_catalog_and_pages_recycle() {
-        let dir = tmp_dir("drop");
+    fn crashed_checkpoint_leftovers_are_swept_on_open() {
+        let dir = tmp_dir("orphan");
         let (engine, _) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        let mut db = fresh_db();
+        let db = fresh_db();
         db.insert(
             "vendor",
             vec![vec![Value::str("Amazon"), Value::Double(10.0)]],
         )
         .unwrap();
+        engine.checkpoint(&db, vec![1, 2, 3]).unwrap();
+        drop(engine);
+        let named = image_files(&dir);
+        assert_eq!(named.len(), 1);
+        fs::write(image_path(&dir, 9_999), b"half an image").unwrap();
+        fs::write(dir.join("tables").join("0000009999.tmp"), b"torn").unwrap();
+        fs::write(dir.join("catalog.tmp"), b"torn catalog").unwrap();
+
+        let (engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(recovered.tables.len(), 1);
+        assert_eq!(recovered.tables[0].rows.len(), 1);
+        assert_eq!(recovered.core_blob.as_deref(), Some(&[1u8, 2, 3][..]));
+        assert_eq!(image_files(&dir), named, "orphans must be removed");
+        // The stale tmp does not get in the next checkpoint's way.
+        engine.checkpoint(&db, vec![4]).unwrap();
+        assert!(!dir.join("catalog.tmp").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// (A table's "chain" is now a single image file.) A clean table keeps
+    /// its image id, a dirty one gets a fresh id and its old file is gone.
+    #[test]
+    fn clean_tables_keep_their_chains_across_checkpoints() {
+        let dir = tmp_dir("clean");
+        let (engine, _) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        let mut db = fresh_db();
+        db.create_table(product_schema()).unwrap();
+        db.insert(
+            "vendor",
+            vec![vec![Value::str("Amazon"), Value::Double(10.0)]],
+        )
+        .unwrap();
+        db.insert("product", vec![vec![Value::str("P1"), Value::str("CRT")]])
+            .unwrap();
         engine.checkpoint(&db, Vec::new()).unwrap();
+        let (vendor, product) = (image_of(&engine, "vendor"), image_of(&engine, "product"));
+        assert!(vendor.is_some() && product.is_some() && vendor != product);
+
+        db.insert("product", vec![vec![Value::str("P2"), Value::str("LCD")]])
+            .unwrap();
+        engine.checkpoint(&db, Vec::new()).unwrap();
+        assert_eq!(image_of(&engine, "vendor"), vendor, "clean table rewritten");
+        let product2 = image_of(&engine, "product");
+        assert!(product2 > product, "dirty table must get a fresh id");
+        assert_eq!(
+            image_files(&dir),
+            vec![
+                image_path(&dir, vendor.unwrap()),
+                image_path(&dir, product2.unwrap())
+            ],
+            "the replaced image must be unlinked"
+        );
+        assert_eq!(engine.checkpoints(), 2);
+        drop(engine);
+
+        // After a restart remembered versions are void: everything is
+        // rewritten once, under ids no live file uses.
+        let (engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(recovered.tables.len(), 2);
+        engine.checkpoint(&db, Vec::new()).unwrap();
+        assert!(image_of(&engine, "vendor") > product2);
+        assert_eq!(image_files(&dir).len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Dropped and emptied tables leave no image file behind.
+    #[test]
+    fn dropped_tables_leave_the_catalog_and_pages_recycle() {
+        let dir = tmp_dir("drop");
+        let (engine, _) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        let mut db = fresh_db();
+        db.create_table(product_schema()).unwrap();
+        db.insert(
+            "vendor",
+            vec![vec![Value::str("Amazon"), Value::Double(10.0)]],
+        )
+        .unwrap();
+        db.insert("product", vec![vec![Value::str("P1"), Value::str("CRT")]])
+            .unwrap();
+        engine.checkpoint(&db, Vec::new()).unwrap();
+        assert_eq!(image_files(&dir).len(), 2);
+
         db.drop_table("vendor").unwrap();
+        db.delete_where("product", |_| true).unwrap();
         engine.checkpoint(&db, Vec::new()).unwrap();
+        assert!(image_files(&dir).is_empty());
         drop(engine);
         let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert!(recovered.tables.is_empty());
+        assert_eq!(recovered.tables.len(), 1);
+        assert_eq!(recovered.tables[0].schema.name, "product");
+        assert!(recovered.tables[0].rows.is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -9,10 +9,11 @@
 //! * a [**write-ahead log**](wal) of statement-granular, CRC-framed redo
 //!   records — one batch + commit pair per latched statement and its
 //!   whole trigger cascade, fsync policy selectable per database,
-//! * a [**paged table store**](pager) — 4 KiB pages with header CRCs and
-//!   LSNs behind a pinning buffer pool with clock eviction,
+//! * **table images** — one immutable, CRC-framed file per non-empty
+//!   table per checkpoint (`tables/<id>.img`), read whole at open and
+//!   replaced, never modified, when the table changes,
 //! * a [**catalog**](catalog) replaced atomically at each checkpoint,
-//!   carrying table schemas, secondary-index columns, page chains, and an
+//!   carrying table schemas, secondary-index columns, image ids, and an
 //!   opaque blob in which the engine layers persist views, trigger
 //!   groups, and the compile cache,
 //! * an [**engine**](engine) combining them: redo-only ARIES-style
@@ -29,7 +30,7 @@
 pub mod catalog;
 pub mod crc;
 pub mod engine;
-pub mod pager;
+mod framed;
 pub mod wal;
 
 pub use engine::{Recovered, RecoveredTable, StorageEngine};

@@ -14,6 +14,8 @@
 //! committed list when it sees the commit record. A torn or corrupt tail
 //! (truncated frame, CRC mismatch, batch without commit) is discarded,
 //! landing recovery exactly on the last committed statement boundary.
+//! [`Wal::open`] then cuts the segment back to that boundary, so no later
+//! commit lands behind damaged bytes that the next replay cannot cross.
 //!
 //! Segments rotate at [`SEGMENT_LIMIT`] bytes (checked at commit
 //! boundaries, so one statement never spans segments' commit framing).
@@ -52,6 +54,9 @@ const KIND_COMMIT: u8 = 2;
 pub struct Wal {
     dir: PathBuf,
     seq: u64,
+    /// Oldest segment that may still exist on disk; truncation removes
+    /// `[oldest, new_seq)` instead of probing every number since 0.
+    oldest: u64,
     file: File,
     segment_bytes: u64,
     next_lsn: u64,
@@ -73,8 +78,11 @@ pub struct Replay {
     pub batches: Vec<Vec<RedoOp>>,
     /// First LSN not seen in the log.
     pub next_lsn: u64,
-    /// Last segment that exists (where appends should resume).
+    /// The segment replay stopped in (where appends should resume).
     pub last_seq: u64,
+    /// Length of the prefix of segment `last_seq` ending on its last commit
+    /// record; [`Wal::open`] cuts off the torn or uncommitted rest.
+    pub clean_len: u64,
 }
 
 fn segment_path(dir: &Path, seq: u64) -> PathBuf {
@@ -85,26 +93,46 @@ fn io_err(what: &str, e: std::io::Error) -> Error {
     Error::Storage(format!("{what}: {e}"))
 }
 
+/// Open (creating if absent) segment `seq` for appending after its first
+/// `len` bytes; whatever it held beyond them is cut off.
+fn open_segment(dir: &Path, seq: u64, len: u64) -> Result<File> {
+    let file = OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(segment_path(dir, seq))
+        .map_err(|e| io_err("open wal segment", e))?;
+    file.set_len(len)
+        .map_err(|e| io_err("trim wal segment", e))?;
+    Ok(file)
+}
+
 impl Wal {
-    /// Open (creating if absent) the segment `seq` for appending, with the
-    /// given first LSN to hand out.
-    pub fn open(dir: &Path, seq: u64, next_lsn: u64) -> Result<Wal> {
+    /// Resume appending to segment `seq` where [`Wal::replay`] ended: the
+    /// segment is cut back to its first `clean_len` bytes and every later
+    /// segment is removed, so the log on disk is exactly the committed
+    /// statements replay returned (`0, 0` for a fresh log). `next_lsn` is
+    /// the first LSN to hand out.
+    pub fn open(dir: &Path, seq: u64, clean_len: u64, next_lsn: u64) -> Result<Wal> {
         fs::create_dir_all(dir).map_err(|e| io_err("create wal dir", e))?;
-        let path = segment_path(dir, seq);
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("open wal segment", e))?;
-        let segment_bytes = file
-            .metadata()
-            .map_err(|e| io_err("stat wal segment", e))?
-            .len();
+        // Segment numbers on disk are contiguous. Walk down to the oldest
+        // (below `seq` only when a crash cut the last truncation short)
+        // and remove the ones above, which replay never reached.
+        let mut oldest = seq;
+        while oldest > 0 && segment_path(dir, oldest - 1).exists() {
+            oldest -= 1;
+        }
+        let mut stale = seq + 1;
+        while segment_path(dir, stale).exists() {
+            fs::remove_file(segment_path(dir, stale))
+                .map_err(|e| io_err("remove stale wal segment", e))?;
+            stale += 1;
+        }
         Ok(Wal {
             dir: dir.to_path_buf(),
             seq,
-            file,
-            segment_bytes,
+            oldest,
+            file: open_segment(dir, seq, clean_len)?,
+            segment_bytes: clean_len,
             next_lsn,
         })
     }
@@ -160,7 +188,7 @@ impl Wal {
                 self.sync()?;
                 fsyncs = 1;
             }
-            self.rotate()?;
+            self.start_segment(self.seq + 1)?;
         }
         Ok(Append {
             bytes: buf.len() as u64,
@@ -173,38 +201,26 @@ impl Wal {
         self.file.sync_data().map_err(|e| io_err("fsync wal", e))
     }
 
-    fn rotate(&mut self) -> Result<()> {
-        self.seq += 1;
-        let path = segment_path(&self.dir, self.seq);
-        self.file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("rotate wal segment", e))?;
+    /// Make an empty segment `seq` the live one.
+    fn start_segment(&mut self, seq: u64) -> Result<()> {
+        self.file = open_segment(&self.dir, seq, 0)?;
+        self.seq = seq;
         self.segment_bytes = 0;
         Ok(())
     }
 
     /// Start a fresh segment sequence after a checkpoint: segments before
-    /// `new_seq` are deleted (they are already reflected in the pages) and
+    /// `new_seq` are deleted (the table images already reflect them) and
     /// an empty segment `new_seq` becomes the live one.
     pub fn truncate_to(&mut self, new_seq: u64) -> Result<()> {
-        for seq in 0..new_seq {
+        for seq in self.oldest..new_seq {
             let path = segment_path(&self.dir, seq);
             if path.exists() {
                 fs::remove_file(&path).map_err(|e| io_err("remove wal segment", e))?;
             }
         }
-        self.seq = new_seq;
-        let path = segment_path(&self.dir, new_seq);
-        self.file = OpenOptions::new()
-            .create(true)
-            .write(true)
-            .truncate(true)
-            .open(&path)
-            .map_err(|e| io_err("truncate wal", e))?;
-        self.segment_bytes = 0;
-        Ok(())
+        self.oldest = new_seq;
+        self.start_segment(new_seq)
     }
 
     /// Replay every committed statement from segment `from_seq` onward.
@@ -215,6 +231,7 @@ impl Wal {
         let mut next_lsn = 1u64;
         let mut seq = from_seq;
         let mut last_seq = from_seq;
+        let mut clean_len = 0;
         loop {
             let path = segment_path(dir, seq);
             let Ok(mut file) = File::open(&path) else {
@@ -225,9 +242,13 @@ impl Wal {
             file.read_to_end(&mut data)
                 .map_err(|e| io_err("read wal segment", e))?;
             let mut pos = 0usize;
+            clean_len = 0;
             let clean = loop {
                 if pos == data.len() {
-                    break true;
+                    // A segment is only ever left behind at a commit
+                    // boundary (rotation follows a commit), so a trailing
+                    // batch without its commit is a tear like any other.
+                    break pending.is_empty();
                 }
                 if pos + 8 > data.len() {
                     break false; // torn frame header
@@ -244,6 +265,7 @@ impl Wal {
                 let kind = payload[0];
                 let lsn = u64::from_le_bytes(payload[1..9].try_into().unwrap());
                 next_lsn = next_lsn.max(lsn + 1);
+                pos += 8 + len;
                 match kind {
                     KIND_BATCH => {
                         let mut dec = Dec::new(&payload[9..]);
@@ -257,24 +279,23 @@ impl Wal {
                     }
                     KIND_COMMIT => {
                         batches.append(&mut pending);
+                        clean_len = pos as u64;
                     }
                     _ => break false, // unknown record kind
                 }
-                pos += 8 + len;
             };
             if !clean {
                 // A damaged segment ends replay: anything after the tear
                 // (in this or later segments) is not known committed.
-                pending.clear();
                 break;
             }
             seq += 1;
         }
-        // Batch without commit at the very end: uncommitted, discard.
         Ok(Replay {
             batches,
             next_lsn,
             last_seq,
+            clean_len,
         })
     }
 }
@@ -303,7 +324,7 @@ mod tests {
     #[test]
     fn committed_statements_replay_in_order() {
         let dir = tmp_dir("order");
-        let mut wal = Wal::open(&dir, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.append_statement(&[put("t", 2), put("t", 3)], SyncMode::Never)
@@ -319,7 +340,7 @@ mod tests {
     #[test]
     fn torn_tail_discards_only_the_last_statement() {
         let dir = tmp_dir("torn");
-        let mut wal = Wal::open(&dir, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.append_statement(&[put("t", 2)], SyncMode::Never)
@@ -339,7 +360,7 @@ mod tests {
     #[test]
     fn corrupt_byte_in_tail_detected_by_crc() {
         let dir = tmp_dir("crc");
-        let mut wal = Wal::open(&dir, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.append_statement(&[put("t", 2)], SyncMode::Never)
@@ -355,10 +376,48 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The lost-acknowledged-write scenario: a lone torn statement, then a
+    /// reopen that appends. Without trimming, the new commit would sit
+    /// behind the tear and the next replay would never reach it.
+    #[test]
+    fn reopening_after_a_tear_trims_it_so_later_commits_replay() {
+        type Damage = fn(&mut Vec<u8>);
+        let damages: [Damage; 3] = [
+            |data| data.truncate(data.len() - 5),     // torn commit record
+            |data| *data.last_mut().unwrap() ^= 0x40, // corrupt commit record
+            |data| data.truncate(data.len() - 17),    // intact batch, no commit
+        ];
+        for (i, damage) in damages.into_iter().enumerate() {
+            let dir = tmp_dir(&format!("trim{i}"));
+            let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+            wal.append_statement(&[put("t", 1)], SyncMode::Never)
+                .unwrap();
+            drop(wal);
+            let path = segment_path(&dir, 0);
+            let mut data = fs::read(&path).unwrap();
+            damage(&mut data);
+            fs::write(&path, &data).unwrap();
+            // A stale later segment must not survive the reopen either.
+            fs::write(segment_path(&dir, 1), b"stale").unwrap();
+
+            let replay = Wal::replay(&dir, 0).unwrap();
+            assert!(replay.batches.is_empty());
+            assert_eq!((replay.last_seq, replay.clean_len), (0, 0));
+            let mut wal = Wal::open(&dir, 0, replay.clean_len, replay.next_lsn).unwrap();
+            assert!(!segment_path(&dir, 1).exists());
+            wal.append_statement(&[put("t", 2)], SyncMode::Never)
+                .unwrap();
+            let replay = Wal::replay(&dir, 0).unwrap();
+            assert_eq!(replay.batches, vec![vec![put("t", 2)]], "damage {i}");
+            assert_eq!(replay.clean_len, fs::metadata(&path).unwrap().len());
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
     #[test]
     fn rotation_splits_segments_and_replay_spans_them() {
         let dir = tmp_dir("rotate");
-        let mut wal = Wal::open(&dir, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
         // Each op is ~30 bytes; push well past SEGMENT_LIMIT to rotate
         // at least once.
         let big: Vec<RedoOp> = (0..2000).map(|i| put("t", i)).collect();
@@ -375,7 +434,7 @@ mod tests {
     #[test]
     fn truncate_to_starts_a_fresh_sequence() {
         let dir = tmp_dir("trunc");
-        let mut wal = Wal::open(&dir, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.truncate_to(1).unwrap();
@@ -386,6 +445,14 @@ mod tests {
             .unwrap();
         let replay = Wal::replay(&dir, 1).unwrap();
         assert_eq!(replay.batches, vec![vec![put("t", 2)]]);
+        // A reopened log finds its oldest segment on disk (here one a
+        // crash left below the live one) and the next truncation takes it.
+        drop(wal);
+        fs::write(segment_path(&dir, 0), b"left by a crash").unwrap();
+        let mut wal = Wal::open(&dir, 1, replay.clean_len, replay.next_lsn).unwrap();
+        wal.truncate_to(2).unwrap();
+        assert!(!segment_path(&dir, 0).exists() && !segment_path(&dir, 1).exists());
+        assert!(segment_path(&dir, 2).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -48,25 +48,6 @@ fn decode_source(dec: &mut Dec) -> Result<TableSource> {
     })
 }
 
-fn join_tag(kind: JoinKind) -> u8 {
-    match kind {
-        JoinKind::Inner => 0,
-        JoinKind::LeftOuter => 1,
-        JoinKind::LeftSemi => 2,
-        JoinKind::LeftAnti => 3,
-    }
-}
-
-fn join_from_tag(tag: u8) -> Result<JoinKind> {
-    Ok(match tag {
-        0 => JoinKind::Inner,
-        1 => JoinKind::LeftOuter,
-        2 => JoinKind::LeftSemi,
-        3 => JoinKind::LeftAnti,
-        t => return Err(bad(&format!("unknown join kind tag {t}"))),
-    })
-}
-
 /// Serialize the whole arena of `graph` plus one distinguished `root`.
 pub fn encode_graph(enc: &mut Enc, graph: &Graph, root: OpId) -> Result<()> {
     enc.u32(graph.len() as u32);
@@ -91,14 +72,8 @@ pub fn encode_graph(enc: &mut Enc, graph: &Graph, root: OpId) -> Result<()> {
             }
             OpKind::Join { kind, predicate } => {
                 enc.u8(3);
-                enc.u8(join_tag(*kind));
-                match predicate {
-                    Some(p) => {
-                        enc.bool(true);
-                        enc.expr(p)?;
-                    }
-                    None => enc.bool(false),
-                }
+                enc.join_kind(*kind);
+                enc.opt_expr(predicate)?;
             }
             OpKind::GroupBy {
                 group_cols,
@@ -168,11 +143,7 @@ pub fn decode_graph(dec: &mut Dec) -> Result<(Graph, OpId)> {
                 }
                 Payload::Project(exprs, names)
             }
-            3 => {
-                let kind = join_from_tag(dec.u8()?)?;
-                let predicate = if dec.bool()? { Some(dec.expr()?) } else { None };
-                Payload::Join(kind, predicate)
-            }
+            3 => Payload::Join(dec.join_kind()?, dec.opt_expr()?),
             4 => {
                 let group_cols = (0..dec.u32()?)
                     .map(|_| dec.u32().map(|c| c as usize))
@@ -266,6 +237,15 @@ mod tests {
         let db = fixtures::product_vendor_db();
         let mut g = Graph::new();
         let (top, _) = fixtures::catalog_path_graph(&mut g);
+        // Golden bytes (FNV-1a) of the Figure-3 graph: operator, join-kind,
+        // binop and optional-predicate tags are a persisted format.
+        let mut enc = Enc::new();
+        encode_graph(&mut enc, &g, top).unwrap();
+        let bytes = enc.into_bytes();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (340, 0x5688_3e75_f65e_c7fe));
         let (decoded, new_root) = round_trip(&g, top);
         // Same rendering, same structure.
         assert_eq!(g.explain(top, &db), decoded.explain(new_root, &db));

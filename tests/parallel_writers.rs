@@ -188,13 +188,17 @@ fn overlapping_readers_match_serial_replay_without_contention() {
 #[test]
 fn overlapping_writers_serialize_without_losing_updates() {
     const WRITERS: usize = 4;
-    const UPDATES: usize = 40;
+    const UPDATES: usize = 400;
     let spec = ShardSpec::quick(1, Mode::Grouped);
     let w = build_sharded(spec).expect("sharded workload");
-    // Disjoint per-writer price ranges, strictly changing per statement:
-    // no interleaving can produce a value-level no-op UPDATE (whose empty
-    // Δ would legitimately fire nothing and skew the firing count).
-    let price = |t: usize, i: usize| 50.0 + t as f64 + i as f64 / 53.0;
+    // Disjoint per-writer price ranges (i / 530 < 1 for every i below
+    // UPDATES), strictly changing per statement: no interleaving can
+    // produce a value-level no-op UPDATE (whose empty Δ would legitimately
+    // fire nothing and skew the firing count). 400 updates per writer keep
+    // the writers overlapping for tens of milliseconds — with 40 the whole
+    // test fit inside one scheduler slice in release builds on two cores
+    // and the contention assertion below failed most runs.
+    let price = |t: usize, i: usize| 50.0 + t as f64 + i as f64 / 530.0;
     let pool = SessionPool::new(w.session);
     let barrier = Arc::new(Barrier::new(WRITERS));
     let threads: Vec<_> = (0..WRITERS)
@@ -231,7 +235,7 @@ fn overlapping_writers_serialize_without_losing_updates() {
         (0..WRITERS).any(|t| price(t, UPDATES - 1) == final_price),
         "final price {final_price} is not any writer's last write"
     );
-    // Four writers × 40 trigger-bearing updates on one latch set cannot
+    // Four writers × 400 trigger-bearing updates on one latch set cannot
     // all have slipped past each other.
     assert!(
         session.quark().stats().latch_conflicts > 0,
