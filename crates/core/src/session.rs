@@ -95,7 +95,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use quark_relational::sql::{self, SqlOutcome, Statement};
-use quark_relational::{Database, Error, Result, Value};
+use quark_relational::{Counter, Database, Error, Result, Value};
 use quark_xml::XmlNodeRef;
 
 use crate::latch::LatchManager;
@@ -653,39 +653,23 @@ impl Session {
     /// serialize on the session's write lock (see the [module
     /// docs](self)).
     pub fn execute(&self, text: &str) -> Result<StatementResult, StatementError> {
-        // Route on the first two keywords, past any leading whitespace and
-        // `--` line comments (the whole surface accepts them, including the
-        // frontend statements — the frontend parser sees the trimmed text,
-        // and its error spans are shifted back into the original).
-        let stripped = strip_leading_trivia(text);
-        let offset = text.len() - stripped.len();
-        let mut words = stripped.split_whitespace().map(|w| w.to_ascii_lowercase());
-        let first = words.next().unwrap_or_default();
-        let second = words.next().unwrap_or_default();
-        if first == "create" && (second == "view" || second == "trigger") {
+        // The frontend parser sees the text past leading whitespace and
+        // `--` comments; its error spans are shifted back into the original.
+        if let Some((kind, stripped)) = frontend_statement(text) {
+            let offset = text.len() - stripped.len();
             let Some(frontend) = self.shared.frontend.as_deref() else {
                 return Err(StatementError::Db(Error::Plan(format!(
                     "CREATE {} requires a session frontend \
                      (open the session via quark_xquery::session)",
-                    second.to_ascii_uppercase()
+                    kind.to_string().to_ascii_uppercase()
                 ))));
             };
             let result = self.with_write(|quark| {
-                if second == "view" {
-                    frontend
-                        .create_view(quark, stripped)
-                        .map(|name| StatementResult::Created {
-                            kind: ObjectKind::View,
-                            name,
-                        })
-                } else {
-                    frontend
-                        .create_trigger(quark, stripped)
-                        .map(|name| StatementResult::Created {
-                            kind: ObjectKind::Trigger,
-                            name,
-                        })
+                match kind {
+                    ObjectKind::View => frontend.create_view(quark, stripped),
+                    _ => frontend.create_trigger(quark, stripped),
                 }
+                .map(|name| StatementResult::Created { kind, name })
             })?;
             return result.map_err(|e| shift_span(e, offset));
         }
@@ -717,11 +701,7 @@ impl Session {
             // Frontend statements (CREATE VIEW / CREATE TRIGGER) are not
             // part of the relational grammar; route them through
             // `execute` unchanged.
-            let stripped = strip_leading_trivia(text);
-            let mut words = stripped.split_whitespace().map(|w| w.to_ascii_lowercase());
-            let first = words.next().unwrap_or_default();
-            let second = words.next().unwrap_or_default();
-            if first == "create" && (second == "view" || second == "trigger") {
+            if frontend_statement(text).is_some() {
                 parsed.push(Err(text));
             } else {
                 parsed.push(Ok(sql::parse(text)?));
@@ -753,7 +733,9 @@ impl Session {
                         rows: merged,
                     };
                     self.execute_parsed(&batched)?;
-                    self.quark().database().note_batched((end - i) as u64);
+                    self.quark()
+                        .database()
+                        .bump(Counter::BatchedStatements, (end - i) as u64);
                     results.extend(counts.into_iter().map(StatementResult::RowsAffected));
                     i = end;
                     continue;
@@ -798,34 +780,9 @@ impl Session {
             Statement::Stats => {
                 let snap = self.snapshot();
                 let s = snap.stats();
-                let mut counters = vec![
-                    ("active_connections", s.active_connections),
-                    ("backpressure_stalls", s.backpressure_stalls),
-                    ("batched_statements", s.batched_statements),
-                    ("build_cache_hits", s.build_cache_hits),
-                    ("frames_received", s.frames_received),
-                    ("frames_rejected", s.frames_rejected),
-                    ("pipelined_batches", s.pipelined_batches),
-                    ("checkpoints", s.checkpoints),
-                    ("compile_cache_hits", snap.compile_cache_hits()),
-                    ("footprint_violations", s.footprint_violations),
-                    ("group_commit_batches", s.group_commit_batches),
-                    ("index_probes", s.index_probes),
-                    ("latch_conflicts", s.latch_conflicts),
-                    (
-                        "latch_exclusive_acquisitions",
-                        s.latch_exclusive_acquisitions,
-                    ),
-                    ("latch_shared_acquisitions", s.latch_shared_acquisitions),
-                    ("latch_waits", s.latch_waits),
-                    ("recovery_ms", s.recovery_ms),
-                    ("rows_scanned", s.rows_scanned),
-                    ("statements", s.statements),
-                    ("translations", snap.translations()),
-                    ("triggers_fired", s.triggers_fired),
-                    ("wal_bytes_written", s.wal_bytes_written),
-                    ("wal_fsyncs", s.wal_fsyncs),
-                ];
+                let mut counters = s.rows();
+                counters.push(("compile_cache_hits", snap.compile_cache_hits()));
+                counters.push(("translations", snap.translations()));
                 counters.sort_by_key(|&(name, _)| name);
                 let rows = counters
                     .into_iter()
@@ -915,10 +872,11 @@ impl Session {
                 {
                     let db = state.database();
                     if latch.contended() {
-                        db.note_latch_conflict();
+                        db.bump(Counter::LatchConflicts, 1);
                     }
-                    db.note_latch_waits(latch.waits());
-                    db.note_latch_acquisitions(latch.shared_count(), latch.exclusive_count());
+                    db.bump(Counter::LatchWaits, latch.waits());
+                    db.bump(Counter::LatchSharedAcquisitions, latch.shared_count());
+                    db.bump(Counter::LatchExclusiveAcquisitions, latch.exclusive_count());
                 }
                 // Capture the statement's physical effects — cascade
                 // included — and append them to the write-ahead log as one
@@ -974,6 +932,27 @@ impl Session {
             }
         }
     }
+}
+
+/// `CREATE VIEW` / `CREATE TRIGGER` — the statements the session frontend
+/// parses instead of the [`sql`] grammar — as the object kind and the text
+/// past leading whitespace and `--` line comments (the whole surface
+/// accepts them). `None` for every other statement.
+fn frontend_statement(text: &str) -> Option<(ObjectKind, &str)> {
+    let stripped = strip_leading_trivia(text);
+    let mut words = stripped.split_whitespace();
+    if !words.next()?.eq_ignore_ascii_case("create") {
+        return None;
+    }
+    let second = words.next()?;
+    let kind = if second.eq_ignore_ascii_case("view") {
+        ObjectKind::View
+    } else if second.eq_ignore_ascii_case("trigger") {
+        ObjectKind::Trigger
+    } else {
+        return None;
+    };
+    Some((kind, stripped))
 }
 
 /// Skip leading whitespace and `--` line comments.

@@ -1096,7 +1096,7 @@ impl Quark {
             if let Some(ct) = ct {
                 let set_id = record.set_id;
                 self.db
-                    .unload_where(&ct, move |r| r[0] == Value::Int(set_id))?;
+                    .unload_where(&ct, &Expr::eq(Expr::col(0), Expr::lit(set_id)))?;
             }
         }
         Ok(())

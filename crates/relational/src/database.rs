@@ -119,12 +119,13 @@ pub struct Stats {
     /// Trigger bodies evaluated.
     pub triggers_fired: u64,
     /// Rows visited by full table scans — `TableScan` operators plus the
-    /// statement-level scan fallbacks of `update_expr`/`delete_expr`.
-    /// Together with [`Stats::index_probes`] this lets tests assert
-    /// probe-not-scan instead of inferring it from wall-clock time.
+    /// scan fallback of the statement row selection (`SELECT`, `UPDATE`,
+    /// `DELETE` whose predicate is not an indexed equality). Together with
+    /// [`Stats::index_probes`] this lets tests assert probe-not-scan
+    /// instead of inferring it from wall-clock time.
     pub rows_scanned: u64,
-    /// Primary-key and secondary-index equality probes (index joins and
-    /// keyed statement fast paths).
+    /// Primary-key and secondary-index equality probes (index joins, keyed
+    /// statements and indexed-equality row selections).
     pub index_probes: u64,
     /// Join build sides / stable subplan results served from the
     /// cross-firing executor cache instead of being rebuilt.
@@ -188,76 +189,80 @@ pub struct Stats {
     pub footprint_violations: u64,
 }
 
-/// Execution counters. They are bumped during statement and plan
-/// execution, where only `&Database` is available (the data-change surface
-/// is interior-mutable), so they live behind relaxed atomics and are
-/// folded into [`Stats`] snapshots by [`Database::stats`].
-#[derive(Debug, Default)]
-pub(crate) struct ExecCounters {
-    pub(crate) statements: AtomicU64,
-    pub(crate) triggers_fired: AtomicU64,
-    pub(crate) rows_scanned: AtomicU64,
-    pub(crate) index_probes: AtomicU64,
-    pub(crate) build_cache_hits: AtomicU64,
-    pub(crate) latch_waits: AtomicU64,
-    pub(crate) latch_conflicts: AtomicU64,
-    pub(crate) latch_shared_acquisitions: AtomicU64,
-    pub(crate) latch_exclusive_acquisitions: AtomicU64,
-    pub(crate) batched_statements: AtomicU64,
-    pub(crate) frames_received: AtomicU64,
-    pub(crate) frames_rejected: AtomicU64,
-    pub(crate) pipelined_batches: AtomicU64,
-    pub(crate) backpressure_stalls: AtomicU64,
-    pub(crate) active_connections: AtomicU64,
-    pub(crate) footprint_violations: AtomicU64,
+impl Stats {
+    /// Every counter as a `(name, value)` pair, in field order — what the
+    /// `STATS` statement prints.
+    pub fn rows(&self) -> Vec<(&'static str, u64)> {
+        vec![
+            ("statements", self.statements),
+            ("triggers_fired", self.triggers_fired),
+            ("rows_scanned", self.rows_scanned),
+            ("index_probes", self.index_probes),
+            ("build_cache_hits", self.build_cache_hits),
+            ("latch_waits", self.latch_waits),
+            ("latch_conflicts", self.latch_conflicts),
+            ("latch_shared_acquisitions", self.latch_shared_acquisitions),
+            (
+                "latch_exclusive_acquisitions",
+                self.latch_exclusive_acquisitions,
+            ),
+            ("batched_statements", self.batched_statements),
+            ("frames_received", self.frames_received),
+            ("frames_rejected", self.frames_rejected),
+            ("pipelined_batches", self.pipelined_batches),
+            ("backpressure_stalls", self.backpressure_stalls),
+            ("active_connections", self.active_connections),
+            ("wal_bytes_written", self.wal_bytes_written),
+            ("wal_fsyncs", self.wal_fsyncs),
+            ("group_commit_batches", self.group_commit_batches),
+            ("checkpoints", self.checkpoints),
+            ("recovery_ms", self.recovery_ms),
+            ("footprint_violations", self.footprint_violations),
+        ]
+    }
 }
 
-impl ExecCounters {
-    fn add_statement(&self) {
-        self.statements.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn add_fired(&self) {
-        self.triggers_fired.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_scanned(&self, n: u64) {
-        self.rows_scanned.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_probes(&self, n: u64) {
-        self.index_probes.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub(crate) fn add_build_hit(&self) {
-        self.build_cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn snapshot(&self) -> ExecCounters {
-        ExecCounters {
-            statements: AtomicU64::new(self.statements.load(Ordering::Relaxed)),
-            triggers_fired: AtomicU64::new(self.triggers_fired.load(Ordering::Relaxed)),
-            rows_scanned: AtomicU64::new(self.rows_scanned.load(Ordering::Relaxed)),
-            index_probes: AtomicU64::new(self.index_probes.load(Ordering::Relaxed)),
-            build_cache_hits: AtomicU64::new(self.build_cache_hits.load(Ordering::Relaxed)),
-            latch_waits: AtomicU64::new(self.latch_waits.load(Ordering::Relaxed)),
-            latch_conflicts: AtomicU64::new(self.latch_conflicts.load(Ordering::Relaxed)),
-            latch_shared_acquisitions: AtomicU64::new(
-                self.latch_shared_acquisitions.load(Ordering::Relaxed),
-            ),
-            latch_exclusive_acquisitions: AtomicU64::new(
-                self.latch_exclusive_acquisitions.load(Ordering::Relaxed),
-            ),
-            batched_statements: AtomicU64::new(self.batched_statements.load(Ordering::Relaxed)),
-            frames_received: AtomicU64::new(self.frames_received.load(Ordering::Relaxed)),
-            frames_rejected: AtomicU64::new(self.frames_rejected.load(Ordering::Relaxed)),
-            pipelined_batches: AtomicU64::new(self.pipelined_batches.load(Ordering::Relaxed)),
-            backpressure_stalls: AtomicU64::new(self.backpressure_stalls.load(Ordering::Relaxed)),
-            active_connections: AtomicU64::new(self.active_connections.load(Ordering::Relaxed)),
-            footprint_violations: AtomicU64::new(self.footprint_violations.load(Ordering::Relaxed)),
-        }
-    }
+/// The counters a [`Database`] keeps itself (the [`Stats`] fields of the
+/// same names; the storage counters live in the storage engine). Every
+/// layer reports through [`Database::bump`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Counter {
+    /// [`Stats::statements`].
+    Statements,
+    /// [`Stats::triggers_fired`].
+    TriggersFired,
+    /// [`Stats::rows_scanned`].
+    RowsScanned,
+    /// [`Stats::index_probes`].
+    IndexProbes,
+    /// [`Stats::build_cache_hits`].
+    BuildCacheHits,
+    /// [`Stats::latch_waits`].
+    LatchWaits,
+    /// [`Stats::latch_conflicts`].
+    LatchConflicts,
+    /// [`Stats::latch_shared_acquisitions`].
+    LatchSharedAcquisitions,
+    /// [`Stats::latch_exclusive_acquisitions`].
+    LatchExclusiveAcquisitions,
+    /// [`Stats::batched_statements`].
+    BatchedStatements,
+    /// [`Stats::frames_received`].
+    FramesReceived,
+    /// [`Stats::frames_rejected`].
+    FramesRejected,
+    /// [`Stats::pipelined_batches`].
+    PipelinedBatches,
+    /// [`Stats::backpressure_stalls`].
+    BackpressureStalls,
+    /// [`Stats::active_connections`] — a gauge: see [`Database::lower`].
+    ActiveConnections,
+    /// [`Stats::footprint_violations`].
+    FootprintViolations,
 }
+
+/// Number of [`Counter`] variants (`FootprintViolations` is the last).
+const COUNTERS: usize = Counter::FootprintViolations as usize + 1;
 
 /// One table's slot in the catalog: the per-table **latch** of the
 /// two-level lock hierarchy. Row data sits behind it as a copy-on-write
@@ -310,7 +315,9 @@ pub struct Database {
     /// shadows must not log (their fresh `db_id` could not reach the
     /// buffer anyway, but the flag stays off for clarity).
     redo_capture: bool,
-    pub(crate) counters: ExecCounters,
+    /// Indexed by [`Counter`]. Bumped during statement and plan execution,
+    /// where only `&Database` is available, hence relaxed atomics.
+    counters: [AtomicU64; COUNTERS],
     pub(crate) exec_cache: ExecCache,
 }
 
@@ -323,7 +330,7 @@ impl Default for Database {
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
             schema_generation: 0,
             redo_capture: false,
-            counters: ExecCounters::default(),
+            counters: Default::default(),
             exec_cache: ExecCache::default(),
         }
     }
@@ -345,7 +352,9 @@ impl Clone for Database {
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
             schema_generation: self.schema_generation,
             redo_capture: false,
-            counters: self.counters.snapshot(),
+            counters: std::array::from_fn(|i| {
+                AtomicU64::new(self.counters[i].load(Ordering::Relaxed))
+            }),
             exec_cache: ExecCache::new(self.exec_cache.is_enabled()),
         }
     }
@@ -455,13 +464,14 @@ impl Drop for FootprintScope {
 /// RAII handle suppressing the oracle's panic-on-violation on this thread
 /// while alive (the `footprint_violations` counter still counts). Obtained
 /// from [`Database::tolerate_footprint_violations`].
+#[cfg(feature = "footprint-oracle")]
 pub struct FootprintTolerance {
     _private: (),
 }
 
+#[cfg(feature = "footprint-oracle")]
 impl Drop for FootprintTolerance {
     fn drop(&mut self) {
-        #[cfg(feature = "footprint-oracle")]
         ORACLE_TOLERANCE.with(|c| c.set(c.get() - 1));
     }
 }
@@ -551,24 +561,24 @@ impl Database {
     /// the executor's scan/probe/cache observability counters and the
     /// session layer's latch/batching contention counters.
     pub fn stats(&self) -> Stats {
-        let c = &self.counters;
+        let c = |k: Counter| self.counters[k as usize].load(Ordering::Relaxed);
         Stats {
-            statements: c.statements.load(Ordering::Relaxed),
-            triggers_fired: c.triggers_fired.load(Ordering::Relaxed),
-            rows_scanned: c.rows_scanned.load(Ordering::Relaxed),
-            index_probes: c.index_probes.load(Ordering::Relaxed),
-            build_cache_hits: c.build_cache_hits.load(Ordering::Relaxed),
-            latch_waits: c.latch_waits.load(Ordering::Relaxed),
-            latch_conflicts: c.latch_conflicts.load(Ordering::Relaxed),
-            latch_shared_acquisitions: c.latch_shared_acquisitions.load(Ordering::Relaxed),
-            latch_exclusive_acquisitions: c.latch_exclusive_acquisitions.load(Ordering::Relaxed),
-            batched_statements: c.batched_statements.load(Ordering::Relaxed),
-            frames_received: c.frames_received.load(Ordering::Relaxed),
-            frames_rejected: c.frames_rejected.load(Ordering::Relaxed),
-            pipelined_batches: c.pipelined_batches.load(Ordering::Relaxed),
-            backpressure_stalls: c.backpressure_stalls.load(Ordering::Relaxed),
-            active_connections: c.active_connections.load(Ordering::Relaxed),
-            footprint_violations: c.footprint_violations.load(Ordering::Relaxed),
+            statements: c(Counter::Statements),
+            triggers_fired: c(Counter::TriggersFired),
+            rows_scanned: c(Counter::RowsScanned),
+            index_probes: c(Counter::IndexProbes),
+            build_cache_hits: c(Counter::BuildCacheHits),
+            latch_waits: c(Counter::LatchWaits),
+            latch_conflicts: c(Counter::LatchConflicts),
+            latch_shared_acquisitions: c(Counter::LatchSharedAcquisitions),
+            latch_exclusive_acquisitions: c(Counter::LatchExclusiveAcquisitions),
+            batched_statements: c(Counter::BatchedStatements),
+            frames_received: c(Counter::FramesReceived),
+            frames_rejected: c(Counter::FramesRejected),
+            pipelined_batches: c(Counter::PipelinedBatches),
+            backpressure_stalls: c(Counter::BackpressureStalls),
+            active_connections: c(Counter::ActiveConnections),
+            footprint_violations: c(Counter::FootprintViolations),
             // Storage counters live in the storage engine; `Quark::stats`
             // merges them in when the system was opened durably.
             wal_bytes_written: 0,
@@ -579,90 +589,17 @@ impl Database {
         }
     }
 
-    /// Record one blocking wait during a footprint-latch acquisition
-    /// (bumped by the session layer's latch manager).
-    pub fn note_latch_wait(&self) {
-        self.counters.latch_waits.fetch_add(1, Ordering::Relaxed);
+    /// Add `n` to one counter. The executor, the session layer's latch
+    /// manager and batcher, and the `quark-server` front door all report
+    /// through here.
+    pub fn bump(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` blocking waits observed by one footprint-latch
-    /// acquisition (bumped by the session layer's latch manager).
-    pub fn note_latch_waits(&self, n: u64) {
-        self.counters.latch_waits.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record the per-mode table counts of one admitted footprint-latch
-    /// acquisition: `shared` read-set tables and `exclusive` write-set
-    /// tables.
-    pub fn note_latch_acquisitions(&self, shared: u64, exclusive: u64) {
-        self.counters
-            .latch_shared_acquisitions
-            .fetch_add(shared, Ordering::Relaxed);
-        self.counters
-            .latch_exclusive_acquisitions
-            .fetch_add(exclusive, Ordering::Relaxed);
-    }
-
-    /// Record one contended footprint-latch acquisition (bumped by the
-    /// session layer's latch manager).
-    pub fn note_latch_conflict(&self) {
-        self.counters
-            .latch_conflicts
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record `n` statements executed as part of one coalesced batch
-    /// (bumped by `Session::execute_batch`).
-    pub fn note_batched(&self, n: u64) {
-        self.counters
-            .batched_statements
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record `n` well-formed request frames decoded off the wire
-    /// (bumped by the `quark-server` front door).
-    pub fn note_frames_received(&self, n: u64) {
-        self.counters
-            .frames_received
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Record one rejected frame or connection: a torn/oversized/CRC-bad
-    /// frame, an unknown request tag, or a busy-rejected connection.
-    pub fn note_frame_rejected(&self) {
-        self.counters
-            .frames_rejected
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one pipelined `INSERT` run coalesced into a batched
-    /// execution by the server.
-    pub fn note_pipelined_batch(&self) {
-        self.counters
-            .pipelined_batches
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one backpressure stall: a connection's pipeline window
-    /// filled and the server stopped reading until it drained.
-    pub fn note_backpressure_stall(&self) {
-        self.counters
-            .backpressure_stalls
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adjust the served-connection gauge by ±1 (worker picks a
-    /// connection up / finishes with it).
-    pub fn note_connection(&self, open: bool) {
-        if open {
-            self.counters
-                .active_connections
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters
-                .active_connections
-                .fetch_sub(1, Ordering::Relaxed);
-        }
+    /// Subtract `n` from a gauge ([`Counter::ActiveConnections`]: a worker
+    /// finished with a connection).
+    pub fn lower(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_sub(n, Ordering::Relaxed);
     }
 
     // ------------------------------------------------------------------
@@ -723,8 +660,8 @@ impl Database {
     /// while the returned guard lives — the `footprint_violations`
     /// counter still counts, so a test can provoke an intentional
     /// violation and assert it was detected without unwinding.
+    #[cfg(feature = "footprint-oracle")]
     pub fn tolerate_footprint_violations() -> FootprintTolerance {
-        #[cfg(feature = "footprint-oracle")]
         ORACLE_TOLERANCE.with(|c| c.set(c.get() + 1));
         FootprintTolerance { _private: () }
     }
@@ -745,9 +682,7 @@ impl Database {
                 },
             );
         if !covered {
-            self.counters
-                .footprint_violations
-                .fetch_add(1, Ordering::Relaxed);
+            self.bump(Counter::FootprintViolations, 1);
             if ORACLE_TOLERANCE.with(|c| c.get()) == 0 {
                 panic!(
                     "footprint oracle: {} of table `{name}` outside the latched footprint",
@@ -822,27 +757,24 @@ impl Database {
 
     /// Record one statement's physical effects (all deletions by
     /// pre-image key, then all insertions by full row — matching the
-    /// two-phase apply order of `update_expr`, so key-reshuffling updates
+    /// two-phase order of [`Database::apply`], so key-reshuffling updates
     /// replay correctly). No-op unless capture is enabled.
-    fn capture_redo(&self, table: &str, inserted: &[Row], deleted: &[Row]) {
+    fn capture_redo(&self, schema: &TableSchema, inserted: &[Row], deleted: &[Row]) {
         if !self.redo_capture || (inserted.is_empty() && deleted.is_empty()) {
             return;
         }
-        let Ok(t) = self.table(table) else { return };
-        let schema = t.schema_ref();
-        drop(t);
         REDO_BUF.with(|m| {
             let mut m = m.borrow_mut();
             let buf = m.entry(self.db_id).or_default();
             for old in deleted {
                 buf.push(RedoOp::Del {
-                    table: table.to_string(),
+                    table: schema.name.clone(),
                     key: schema.key_of(old).into_vec(),
                 });
             }
             for new in inserted {
                 buf.push(RedoOp::Put {
-                    table: table.to_string(),
+                    table: schema.name.clone(),
                     row: Arc::clone(new),
                 });
             }
@@ -955,28 +887,16 @@ impl Database {
     // ------------------------------------------------------------------
     // Statements (each fires AFTER triggers once)
     // ------------------------------------------------------------------
+    //
+    // Every entry point selects its target rows — by key, or through
+    // `select_rows` — and hands them to `apply`, the one place a statement
+    // changes rows, logs and fires.
 
-    /// `INSERT INTO table VALUES rows…` as one statement.
+    /// `INSERT INTO table VALUES rows…` as one statement: on a duplicate
+    /// key or an ill-typed row, no row is inserted and no trigger fires.
     pub fn insert(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let n = rows.len();
-        let mut inserted = Vec::with_capacity(n);
-        {
-            let mut t = self.table_write(table)?;
-            for r in rows {
-                inserted.push(t.insert(r)?);
-            }
-        }
-        self.counters.add_statement();
-        self.capture_redo(table, &inserted, &[]);
-        if !inserted.is_empty() {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Insert,
-                inserted,
-                deleted: vec![],
-            })?;
-        }
-        Ok(n)
+        let t = self.table_write(table)?;
+        self.apply(t, Some(Event::Insert), Vec::new(), rows)
     }
 
     /// Single-row insert convenience.
@@ -993,78 +913,18 @@ impl Database {
         key: &[Value],
         assignments: &[(usize, Value)],
     ) -> Result<bool> {
-        self.counters.add_probes(1);
-        let (old, new) = {
-            let mut t = self.table_write(table)?;
-            let Some(existing) = t.get(key) else {
-                return Ok(false);
-            };
-            let mut next: Vec<Value> = existing.to_vec();
-            for (col, v) in assignments {
-                if *col >= next.len() {
-                    return Err(Error::UnknownColumn(table.to_string(), col.to_string()));
-                }
-                next[*col] = v.clone();
-            }
-            t.update(key, next)?
-        };
-        self.counters.add_statement();
-        self.capture_redo(
-            table,
-            std::slice::from_ref(&new),
-            std::slice::from_ref(&old),
-        );
-        self.after_statement(TransitionTables {
-            table: table.to_string(),
-            event: Event::Update,
-            inserted: vec![new],
-            deleted: vec![old],
-        })?;
-        Ok(true)
-    }
-
-    /// `UPDATE table SET row = f(row) WHERE pred(row)` as one statement.
-    pub fn update_where(
-        &self,
-        table: &str,
-        pred: impl Fn(&Row) -> bool,
-        f: impl Fn(&Row) -> Vec<Value>,
-    ) -> Result<usize> {
-        let (deleted, inserted) = {
-            let mut t = self.table_write(table)?;
-            let keys: Vec<_> = t
-                .iter()
-                .filter(|r| pred(r))
-                .map(|r| t.schema().key_of(r))
-                .collect();
-            let mut deleted = Vec::with_capacity(keys.len());
-            let mut inserted = Vec::with_capacity(keys.len());
-            for k in keys {
-                let existing = t.get(&k).expect("key collected from scan").clone();
-                let next = f(&existing);
-                let (old, new) = t.update(&k, next)?;
-                deleted.push(old);
-                inserted.push(new);
-            }
-            (deleted, inserted)
-        };
-        self.counters.add_statement();
-        self.capture_redo(table, &inserted, &deleted);
-        let n = inserted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Update,
-                inserted,
-                deleted,
-            })?;
-        }
-        Ok(n)
+        let t = self.table_write(table)?;
+        let old = self.row_by_key(&t, key);
+        let assignments: Vec<(usize, Expr)> = assignments
+            .iter()
+            .map(|(col, v)| (*col, Expr::Lit(v.clone())))
+            .collect();
+        Ok(self.update_rows(t, old, &assignments)? > 0)
     }
 
     /// `UPDATE table SET col = expr, … WHERE pred` as one statement, with
     /// both the predicate and the assignment right-hand sides as
-    /// [`Expr`](crate::expr::Expr)essions over the *pre-update* row.
+    /// [`Expr`]essions over the *pre-update* row.
     ///
     /// Updates apply *simultaneously* (standard SQL statement semantics):
     /// all affected rows are removed, then all replacements inserted, so a
@@ -1074,259 +934,158 @@ impl Database {
     pub fn update_expr(
         &self,
         table: &str,
-        pred: Option<&crate::expr::Expr>,
-        assignments: &[(usize, crate::expr::Expr)],
+        pred: Option<&Expr>,
+        assignments: &[(usize, Expr)],
     ) -> Result<usize> {
-        let mut probed = 0u64;
-        let mut scanned = 0u64;
-        let (deleted, inserted) = {
-            let mut t = self.table_write(table)?;
-            let arity = t.schema().arity();
-            for (col, _) in assignments {
-                if *col >= arity {
-                    return Err(Error::UnknownColumn(table.to_string(), col.to_string()));
-                }
-            }
-            let mut targets: Vec<(Box<[Value]>, Vec<Value>)> = Vec::new();
-            // Keyed fast path: a predicate that is an equality on the
-            // primary key or an indexed column probes the affected rows
-            // directly (the probe is exactly the predicate, so no residual
-            // evaluation is needed); anything else scans.
-            match pred.and_then(|p| probe_keys(&t, p)) {
-                Some(keys) => {
-                    probed = 1;
-                    for k in keys {
-                        let r = t.get(&k).expect("probed key exists");
-                        let mut next: Vec<Value> = r.to_vec();
-                        for (col, e) in assignments {
-                            next[*col] = e.eval(r)?;
-                        }
-                        targets.push((k, next));
-                    }
-                }
-                None => {
-                    scanned = t.len() as u64;
-                    for r in t.iter() {
-                        let keep = match pred {
-                            Some(p) => p.eval(r)?.is_true(),
-                            None => true,
-                        };
-                        if !keep {
-                            continue;
-                        }
-                        let mut next: Vec<Value> = r.to_vec();
-                        for (col, e) in assignments {
-                            next[*col] = e.eval(r)?;
-                        }
-                        targets.push((t.schema().key_of(r), next));
-                    }
-                }
-            }
-            // Phase 1: remove every affected row.
-            let mut deleted = Vec::with_capacity(targets.len());
-            for (k, _) in &targets {
-                deleted.push(t.delete(k).expect("key collected from scan"));
-            }
-            // Phase 2: insert the replacements; on failure (duplicate key
-            // against an untouched row or another replacement, or a type
-            // mismatch) roll everything back and report the error.
-            let mut inserted = Vec::with_capacity(targets.len());
-            let mut failure = None;
-            for (_, next) in targets {
-                match t.insert(next) {
-                    Ok(new) => inserted.push(new),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
-            }
-            if let Some(e) = failure {
-                for new in &inserted {
-                    let k = t.schema().key_of(new);
-                    t.delete(&k).expect("rollback removes inserted row");
-                }
-                for old in deleted {
-                    t.insert(old.to_vec()).expect("rollback restores prior row");
-                }
-                return Err(e);
-            }
-            (deleted, inserted)
-        };
-        self.note_access(probed, scanned);
-        self.counters.add_statement();
-        self.capture_redo(table, &inserted, &deleted);
-        let n = inserted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Update,
-                inserted,
-                deleted,
-            })?;
+        let t = self.table_write(table)?;
+        let old = self.select_rows(&t, pred)?;
+        self.update_rows(t, old, assignments)
+    }
+
+    /// Replace each of `old` by itself with `assignments` evaluated over it.
+    fn update_rows(
+        &self,
+        t: TableWrite<'_>,
+        old: Vec<Row>,
+        assignments: &[(usize, Expr)],
+    ) -> Result<usize> {
+        let schema = t.schema();
+        if let Some((col, _)) = assignments.iter().find(|(c, _)| *c >= schema.arity()) {
+            return Err(Error::UnknownColumn(schema.name.clone(), col.to_string()));
         }
-        Ok(n)
+        let mut new = Vec::with_capacity(old.len());
+        for r in &old {
+            let mut next: Vec<Value> = r.to_vec();
+            for (col, e) in assignments {
+                next[*col] = e.eval(r)?;
+            }
+            new.push(next);
+        }
+        self.apply(t, Some(Event::Update), old, new)
     }
 
     /// `DELETE FROM table WHERE pred` as one statement, with the predicate
-    /// as an [`Expr`](crate::expr::Expr)ession. Evaluation errors abort the
-    /// statement before any row changes. Indexed-equality predicates probe
-    /// the affected rows instead of scanning (see [`Database::update_expr`]).
-    pub fn delete_expr(&self, table: &str, pred: Option<&crate::expr::Expr>) -> Result<usize> {
-        let mut probed = 0u64;
-        let mut scanned = 0u64;
-        let deleted = {
-            let mut t = self.table_write(table)?;
-            let keys = match pred.and_then(|p| probe_keys(&t, p)) {
-                Some(keys) => {
-                    probed = 1;
-                    keys
-                }
-                None => {
-                    scanned = t.len() as u64;
-                    let mut keys = Vec::new();
-                    for r in t.iter() {
-                        let hit = match pred {
-                            Some(p) => p.eval(r)?.is_true(),
-                            None => true,
-                        };
-                        if hit {
-                            keys.push(t.schema().key_of(r));
-                        }
-                    }
-                    keys
-                }
-            };
-            let mut deleted = Vec::with_capacity(keys.len());
-            for k in keys {
-                if let Some(row) = t.delete(&k) {
-                    deleted.push(row);
-                }
-            }
-            deleted
-        };
-        self.note_access(probed, scanned);
-        self.counters.add_statement();
-        self.capture_redo(table, &[], &deleted);
-        let n = deleted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Delete,
-                inserted: vec![],
-                deleted,
-            })?;
-        }
-        Ok(n)
+    /// as an [`Expr`]ession. Evaluation errors abort the statement before
+    /// any row changes.
+    pub fn delete_expr(&self, table: &str, pred: Option<&Expr>) -> Result<usize> {
+        let t = self.table_write(table)?;
+        let old = self.select_rows(&t, pred)?;
+        self.apply(t, Some(Event::Delete), old, Vec::new())
     }
 
     /// `DELETE FROM table WHERE pk = key` as one statement.
     pub fn delete_by_key(&self, table: &str, key: &[Value]) -> Result<bool> {
-        self.counters.add_probes(1);
-        let old = self.table_write(table)?.delete(key);
-        self.counters.add_statement();
-        match old {
-            None => Ok(false),
-            Some(row) => {
-                self.capture_redo(table, &[], std::slice::from_ref(&row));
-                self.after_statement(TransitionTables {
-                    table: table.to_string(),
-                    event: Event::Delete,
-                    inserted: vec![],
-                    deleted: vec![row],
-                })?;
-                Ok(true)
-            }
-        }
-    }
-
-    /// `DELETE FROM table WHERE pred(row)` as one statement.
-    pub fn delete_where(&self, table: &str, pred: impl Fn(&Row) -> bool) -> Result<usize> {
-        let deleted = {
-            let mut t = self.table_write(table)?;
-            let keys: Vec<_> = t
-                .iter()
-                .filter(|r| pred(r))
-                .map(|r| t.schema().key_of(r))
-                .collect();
-            let mut deleted = Vec::with_capacity(keys.len());
-            for k in keys {
-                if let Some(row) = t.delete(&k) {
-                    deleted.push(row);
-                }
-            }
-            deleted
-        };
-        self.counters.add_statement();
-        self.capture_redo(table, &[], &deleted);
-        let n = deleted.len();
-        if n > 0 {
-            self.after_statement(TransitionTables {
-                table: table.to_string(),
-                event: Event::Delete,
-                inserted: vec![],
-                deleted,
-            })?;
-        }
-        Ok(n)
+        let t = self.table_write(table)?;
+        let old = self.row_by_key(&t, key);
+        Ok(self.apply(t, Some(Event::Delete), old, Vec::new())? > 0)
     }
 
     /// Bulk load without firing triggers (initial data population, like
-    /// loading a warehouse before enabling triggers).
+    /// loading a warehouse before enabling triggers). All-or-nothing like
+    /// [`Database::insert`].
     pub fn load(&self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
-        let mut t = self.table_write(table)?;
-        let n = rows.len();
-        let mut loaded = Vec::new();
-        for r in rows {
-            let row = t.insert(r)?;
-            if self.redo_capture {
-                loaded.push(row);
-            }
-        }
-        drop(t);
-        self.capture_redo(table, &loaded, &[]);
-        Ok(n)
+        let t = self.table_write(table)?;
+        self.apply(t, None, Vec::new(), rows)
     }
 
     /// Maintenance deletion without firing triggers — the mirror of
     /// [`Database::load`], used for internal bookkeeping tables (e.g.
     /// removing a stale constants-table row when a grouped trigger leaves
     /// its set). Returns the number of rows removed.
-    pub fn unload_where(&self, table: &str, pred: impl Fn(&Row) -> bool) -> Result<usize> {
-        let mut t = self.table_write(table)?;
-        let keys: Vec<_> = t
-            .iter()
-            .filter(|r| pred(r))
-            .map(|r| t.schema().key_of(r))
-            .collect();
-        let n = keys.len();
-        let mut removed = Vec::new();
-        for k in keys {
-            if let Some(row) = t.delete(&k) {
-                if self.redo_capture {
-                    removed.push(row);
+    pub fn unload_where(&self, table: &str, pred: &Expr) -> Result<usize> {
+        let t = self.table_write(table)?;
+        let old = self.select_rows(&t, Some(pred))?;
+        self.apply(t, None, old, Vec::new())
+    }
+
+    /// The row with primary key `key`, if any, as a selection of one probe.
+    fn row_by_key(&self, t: &Table, key: &[Value]) -> Vec<Row> {
+        self.bump(Counter::IndexProbes, 1);
+        t.get(key).cloned().into_iter().collect()
+    }
+
+    /// The one row selection behind `SELECT`, `UPDATE` and `DELETE`: the
+    /// rows of `t` satisfying `pred` (`None` = all), in primary-key order.
+    /// A predicate that is an equality on the whole primary key or on one
+    /// indexed column is answered by a probe — the probe is exactly the
+    /// predicate, so no residual evaluation is needed; anything else scans.
+    pub(crate) fn select_rows(&self, t: &Table, pred: Option<&Expr>) -> Result<Vec<Row>> {
+        if let Some(rows) = pred.and_then(|p| probe(t, p)) {
+            self.bump(Counter::IndexProbes, 1);
+            return Ok(rows);
+        }
+        self.bump(Counter::RowsScanned, t.len() as u64);
+        let mut rows = Vec::new();
+        for r in t.iter() {
+            let keep = match pred {
+                Some(p) => p.eval(r)?.is_true(),
+                None => true,
+            };
+            if keep {
+                rows.push(Arc::clone(r));
+            }
+        }
+        Ok(rows)
+    }
+
+    /// The one place a statement changes rows: remove every row of `old`
+    /// (selected from `t` under this same guard), then insert every row of
+    /// `new`. If an insertion fails — duplicate key against an untouched
+    /// row or another new row, or a type mismatch — everything is rolled
+    /// back and the error returned: a statement applies whole or not at
+    /// all. Then, once per statement: the statement counter, the redo
+    /// capture, and AFTER-trigger dispatch with the statement's transition
+    /// tables. `event: None` is maintenance (`load`/`unload_where`): logged,
+    /// but neither counted nor fired. Returns the number of rows affected.
+    fn apply(
+        &self,
+        mut t: TableWrite<'_>,
+        event: Option<Event>,
+        old: Vec<Row>,
+        new: Vec<Vec<Value>>,
+    ) -> Result<usize> {
+        let schema = t.schema_ref();
+        for row in &old {
+            t.delete(&schema.key_of(row)).expect("selected row exists");
+        }
+        let mut inserted = Vec::with_capacity(new.len());
+        for values in new {
+            match t.insert(values) {
+                Ok(row) => inserted.push(row),
+                Err(e) => {
+                    for row in &inserted {
+                        t.delete(&schema.key_of(row))
+                            .expect("rollback removes inserted row");
+                    }
+                    for row in &old {
+                        t.insert(row.to_vec()).expect("rollback restores prior row");
+                    }
+                    return Err(e);
                 }
             }
         }
+        // Triggers run against the post-statement state and may change
+        // this very table: the latch is released before they fire.
         drop(t);
-        self.capture_redo(table, &[], &removed);
-        Ok(n)
+        let affected = old.len().max(inserted.len());
+        self.capture_redo(&schema, &inserted, &old);
+        if let Some(event) = event {
+            self.bump(Counter::Statements, 1);
+            if affected > 0 {
+                self.after_statement(TransitionTables {
+                    table: schema.name.clone(),
+                    event,
+                    inserted,
+                    deleted: old,
+                })?;
+            }
+        }
+        Ok(affected)
     }
 
     // ------------------------------------------------------------------
     // Trigger dispatch
     // ------------------------------------------------------------------
-
-    /// Fold `(probes, scanned-row)` deltas from the statement fast paths
-    /// into the executor counters.
-    fn note_access(&self, probed: u64, scanned: u64) {
-        if probed > 0 {
-            self.counters.add_probes(probed);
-        }
-        if scanned > 0 {
-            self.counters.add_scanned(scanned);
-        }
-    }
 
     fn after_statement(&self, trans: TransitionTables) -> Result<()> {
         let matching: Vec<Arc<SqlTrigger>> = self
@@ -1359,7 +1118,7 @@ impl Database {
 
     fn fire_all(&self, triggers: &[Arc<SqlTrigger>], trans: &TransitionTables) -> Result<()> {
         for t in triggers {
-            self.counters.add_fired();
+            self.bump(Counter::TriggersFired, 1);
             match &t.body {
                 TriggerBody::Query { plan, handler } => {
                     let rows: Vec<Row> = {
@@ -1413,9 +1172,8 @@ fn equality_pairs(pred: &Expr, out: &mut Vec<(usize, Value)>) -> bool {
 /// when its type lines up with the column's declared type (numerics are
 /// interchangeable: storage order and hashing unify `Int`/`Double`).
 /// Cross-kind comparisons like `str_col = 5` atomize in SQL but would
-/// miss under key equality, so they fall back to the scan path. Shared
-/// with the textual layer's keyed fast path ([`crate::sql`]).
-pub(crate) fn probe_compatible(lit: &Value, ty: ColumnType) -> bool {
+/// miss under key equality, so they fall back to the scan path.
+fn probe_compatible(lit: &Value, ty: ColumnType) -> bool {
     matches!(
         (lit, ty),
         (
@@ -1426,11 +1184,11 @@ pub(crate) fn probe_compatible(lit: &Value, ty: ColumnType) -> bool {
     )
 }
 
-/// Primary keys of the rows matching an indexed-equality predicate: the
-/// equalities cover the full primary key (one PK probe) or a single
+/// The rows matching an indexed-equality predicate, in primary-key order:
+/// the equalities cover the full primary key (one PK probe) or a single
 /// secondary-indexed column (one index probe). `None` when the predicate
-/// is not probeable — callers fall back to the full scan.
-fn probe_keys(t: &Table, pred: &Expr) -> Option<Vec<Key>> {
+/// is not probeable — the caller scans.
+fn probe(t: &Table, pred: &Expr) -> Option<Vec<Row>> {
     let mut pairs = Vec::new();
     if !equality_pairs(pred, &mut pairs) {
         return None;
@@ -1443,24 +1201,19 @@ fn probe_keys(t: &Table, pred: &Expr) -> Option<Vec<Key>> {
         return None;
     }
     let pk = &schema.primary_key;
-    if pairs.len() == pk.len() && pk.iter().all(|c| pairs.iter().any(|(pc, _)| pc == c)) {
-        let key: Key = pk
+    if pairs.len() == pk.len() {
+        let key: Option<Key> = pk
             .iter()
-            .map(|c| {
-                pairs
-                    .iter()
-                    .find(|(pc, _)| pc == c)
-                    .expect("coverage checked")
-                    .1
-                    .clone()
-            })
+            .map(|c| pairs.iter().find(|(pc, _)| pc == c).map(|(_, v)| v.clone()))
             .collect();
-        return Some(t.get(&key).map(|r| schema.key_of(r)).into_iter().collect());
+        if let Some(key) = key {
+            return Some(t.get(&key).cloned().into_iter().collect());
+        }
     }
     if let [(col, value)] = pairs.as_slice() {
         if t.has_index(*col) {
             let rows = t.index_lookup(*col, value).ok()?;
-            return Some(rows.iter().map(|r| schema.key_of(r)).collect());
+            return Some(rows.into_iter().cloned().collect());
         }
     }
     None
@@ -1494,6 +1247,21 @@ mod tests {
 
     fn vrow(vid: &str, pid: &str, price: f64) -> Vec<Value> {
         vec![Value::str(vid), Value::str(pid), Value::Double(price)]
+    }
+
+    /// `SELECT * FROM table WHERE pred`, with the index probes and the
+    /// scanned rows it cost.
+    fn select(db: &Database, table: &str, pred: &Expr) -> (Vec<Row>, u64, u64) {
+        let before = db.stats();
+        let rows = db
+            .select_rows(&db.table(table).unwrap(), Some(pred))
+            .unwrap();
+        let after = db.stats();
+        (
+            rows,
+            after.index_probes - before.index_probes,
+            after.rows_scanned - before.rows_scanned,
+        )
     }
 
     #[test]
@@ -1668,14 +1436,15 @@ mod tests {
         let db = db_with_vendor();
         db.load("vendor", vec![vrow("a", "P1", 1.0), vrow("b", "P1", 2.0)])
             .unwrap();
-        let before = db.stats();
-        // price = price * 2 is a non-literal assignment, so the sql-layer
-        // keyed fast path does not apply; the expr layer must still probe.
         let pred = Expr::bin(
             BinOp::And,
             Expr::eq(Expr::col(0), Expr::lit("a")),
             Expr::eq(Expr::col(1), Expr::lit("P1")),
         );
+        let (rows, probes, scanned) = select(&db, "vendor", &pred);
+        assert_eq!(rows, vec![crate::row(vrow("a", "P1", 1.0))]);
+        assert_eq!((probes, scanned), (1, 0), "SELECT probes, no scan");
+        let before = db.stats();
         let double = Expr::bin(BinOp::Mul, Expr::col(2), Expr::lit(2.0));
         let n = db
             .update_expr("vendor", Some(&pred), &[(2, double)])
@@ -1706,8 +1475,18 @@ mod tests {
             ],
         )
         .unwrap();
-        let before = db.stats();
         let pred = Expr::eq(Expr::col(1), Expr::lit("P1"));
+        let (rows, probes, scanned) = select(&db, "vendor", &pred);
+        assert_eq!(
+            rows,
+            vec![
+                crate::row(vrow("a", "P1", 1.0)),
+                crate::row(vrow("b", "P1", 2.0))
+            ],
+            "key order"
+        );
+        assert_eq!((probes, scanned), (1, 0), "SELECT probes, no scan");
+        let before = db.stats();
         let n = db.delete_expr("vendor", Some(&pred)).unwrap();
         assert_eq!(n, 2);
         let after = db.stats();
@@ -1728,6 +1507,7 @@ mod tests {
             Expr::eq(Expr::col(0), Expr::lit(Value::Null)),
             Expr::eq(Expr::col(1), Expr::lit("P1")),
         );
+        assert_eq!(select(&db, "vendor", &pred), (vec![], 0, 1));
         assert_eq!(db.delete_expr("vendor", Some(&pred)).unwrap(), 0);
         // A numeric literal against a string key column falls back to the
         // scan path, where SQL atomization applies.
@@ -1736,6 +1516,7 @@ mod tests {
             Expr::eq(Expr::col(0), Expr::lit(5i64)),
             Expr::eq(Expr::col(1), Expr::lit("P1")),
         );
+        assert_eq!(select(&db, "vendor", &pred), (vec![], 0, 1));
         assert_eq!(db.delete_expr("vendor", Some(&pred)).unwrap(), 0);
         let after = db.stats();
         assert!(
@@ -1754,11 +1535,12 @@ mod tests {
             vec![vrow("a", "P1", f64::NAN), vrow("b", "P1", 2.0)],
         )
         .unwrap();
-        let before = db.stats();
         // SQL comparison: `NaN = NaN` is unknown, so nothing matches. A key
         // probe through the index would use total equality (NaN == NaN) and
         // wrongly delete the row — the NaN literal must force the scan.
         let pred = Expr::eq(Expr::col(2), Expr::lit(f64::NAN));
+        assert_eq!(select(&db, "vendor", &pred), (vec![], 0, 2));
+        let before = db.stats();
         assert_eq!(db.delete_expr("vendor", Some(&pred)).unwrap(), 0);
         let after = db.stats();
         assert!(
@@ -1775,11 +1557,15 @@ mod tests {
         db.create_index("vendor", "pid").unwrap();
         db.load("vendor", vec![vrow("a", "5", 1.0), vrow("b", "P1", 2.0)])
             .unwrap();
-        let before = db.stats();
         // `pid = 5` compares an Int literal against a TEXT column: SQL
         // atomization matches the row whose pid is '5', which an index
         // probe keyed on Int(5) would miss (probe-miss, not 1 row).
         let pred = Expr::eq(Expr::col(1), Expr::lit(5i64));
+        assert_eq!(
+            select(&db, "vendor", &pred),
+            (vec![crate::row(vrow("a", "5", 1.0))], 0, 2)
+        );
+        let before = db.stats();
         assert_eq!(db.delete_expr("vendor", Some(&pred)).unwrap(), 1);
         let after = db.stats();
         assert!(
@@ -1815,17 +1601,231 @@ mod tests {
         })
         .unwrap();
         let n = db
-            .update_where(
+            .update_expr(
                 "vendor",
-                |r| r[1] == Value::str("P1"),
-                |r| {
-                    let mut v = r.to_vec();
-                    v[2] = Value::Double(99.0);
-                    v
-                },
+                Some(&Expr::eq(Expr::col(1), Expr::lit("P1"))),
+                &[(2, Expr::lit(99.0))],
             )
             .unwrap();
         assert_eq!(n, 2);
         assert_eq!(*firings.lock().unwrap(), vec![2]);
+    }
+
+    #[test]
+    fn failed_multi_row_insert_and_load_change_nothing() {
+        let mut db = db_with_vendor();
+        db.set_redo_capture(true);
+        db.load("vendor", vec![vrow("a", "P1", 1.0)]).unwrap();
+        db.take_redo();
+        let fired = Arc::new(Mutex::new(0u32));
+        let fired2 = Arc::clone(&fired);
+        db.create_trigger(SqlTrigger {
+            name: "t".into(),
+            table: "vendor".into(),
+            event: Event::Insert,
+            body: TriggerBody::Native(Arc::new(move |_, _| {
+                *fired2.lock().unwrap() += 1;
+                Ok(())
+            })),
+        })
+        .unwrap();
+        // A new row followed by a duplicate of an existing one, and a new
+        // row twice: the statement fails as a whole.
+        for rows in [
+            vec![vrow("b", "P1", 2.0), vrow("a", "P1", 3.0)],
+            vec![vrow("c", "P1", 2.0), vrow("c", "P1", 3.0)],
+        ] {
+            let before = db.stats().statements;
+            let err = db.insert("vendor", rows.clone()).unwrap_err();
+            assert!(matches!(err, Error::DuplicateKey { .. }));
+            assert!(matches!(
+                db.load("vendor", rows),
+                Err(Error::DuplicateKey { .. })
+            ));
+            assert_eq!(db.table("vendor").unwrap().len(), 1, "no row stays");
+            assert_eq!(db.stats().statements, before, "not counted");
+        }
+        assert_eq!(*fired.lock().unwrap(), 0, "no trigger fired");
+        assert!(db.take_redo().is_empty(), "nothing logged");
+    }
+
+    mod selection_proptest {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// `t(id INT, grp TEXT, x DOUBLE)`: primary key `id` or
+        /// `(id, grp)`, optionally a secondary index on `grp` or `x`.
+        fn table(composite_pk: bool, index: Option<&str>, rows: &[Vec<Value>]) -> Database {
+            let mut db = Database::new();
+            let pk: &[&str] = if composite_pk {
+                &["id", "grp"]
+            } else {
+                &["id"]
+            };
+            db.create_table(
+                TableSchema::new(
+                    "t",
+                    vec![
+                        ColumnDef::new("id", ColumnType::Int),
+                        ColumnDef::new("grp", ColumnType::Str),
+                        ColumnDef::new("x", ColumnType::Double),
+                    ],
+                    pk,
+                )
+                .unwrap(),
+            )
+            .unwrap();
+            if let Some(col) = index {
+                db.create_index("t", col).unwrap();
+            }
+            for r in rows {
+                let _ = db.load("t", vec![r.clone()]); // duplicates dropped
+            }
+            db
+        }
+
+        fn arb_row() -> impl Strategy<Value = Vec<Value>> {
+            (
+                0..4i64,
+                prop::sample::select(vec![Value::str("g0"), Value::str("g1"), Value::str("5")]),
+                prop::sample::select(vec![
+                    Value::Double(1.0),
+                    Value::Double(3.0),
+                    Value::Double(f64::NAN),
+                    Value::Null,
+                ]),
+            )
+                .prop_map(|(id, grp, x)| vec![Value::Int(id), grp, x])
+        }
+
+        /// `col op literal` (either operand order): per column, literals
+        /// that hit, that miss, NULL/NaN, and of another type than the
+        /// column's (numeric cross-type, and text-vs-number).
+        fn arb_comparison() -> impl Strategy<Value = Expr> {
+            let on = |col: usize, literals: Vec<Value>| {
+                let op = prop::sample::select(vec![
+                    BinOp::Eq,
+                    BinOp::Eq,
+                    BinOp::Eq,
+                    BinOp::Lt,
+                    BinOp::Ge,
+                ]);
+                (op, prop::sample::select(literals), any::<bool>()).prop_map(
+                    move |(op, lit, flip)| {
+                        if flip {
+                            Expr::bin(op, Expr::lit(lit), Expr::col(col))
+                        } else {
+                            Expr::bin(op, Expr::col(col), Expr::lit(lit))
+                        }
+                    },
+                )
+            };
+            let ids = (0..4).map(Value::Int);
+            prop_oneof![
+                on(
+                    0,
+                    ids.chain([Value::Double(3.0), Value::str("5"), Value::Null])
+                        .collect()
+                ),
+                on(
+                    1,
+                    vec![
+                        Value::str("g0"),
+                        Value::str("g1"),
+                        Value::str("5"),
+                        Value::Int(5),
+                        Value::Null
+                    ]
+                ),
+                on(
+                    2,
+                    vec![
+                        Value::Double(1.0),
+                        Value::Int(3),
+                        Value::Double(f64::NAN),
+                        Value::Null
+                    ]
+                ),
+            ]
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 1024, ..ProptestConfig::default() })]
+
+            /// SELECT, UPDATE and DELETE all pick exactly the rows a plain
+            /// `Expr::eval` filter over `t.iter()` picks, in key order —
+            /// whether the selection probed or scanned.
+            #[test]
+            fn statements_select_what_a_plain_filter_selects(
+                composite_pk in any::<bool>(),
+                index in prop::sample::select(vec![None, Some("grp"), Some("x")]),
+                rows in prop::collection::vec(arb_row(), 0..16usize),
+                conjuncts in prop::collection::vec(arb_comparison(), 1..3usize),
+            ) {
+                let pred = Expr::and_all(conjuncts);
+                let mut db = table(composite_pk, index, &rows);
+                let seen = Arc::new(Mutex::new(Vec::<Vec<Row>>::new()));
+                for event in [Event::Update, Event::Delete] {
+                    let seen = Arc::clone(&seen);
+                    db.create_trigger(SqlTrigger {
+                        name: event.to_string(),
+                        table: "t".into(),
+                        event,
+                        body: TriggerBody::Native(Arc::new(move |_, trans| {
+                            seen.lock().unwrap().push(trans.deleted.clone());
+                            Ok(())
+                        })),
+                    })
+                    .unwrap();
+                }
+                let before: Vec<Row> = db.table("t").unwrap().iter().cloned().collect();
+                let hits: Vec<bool> = before
+                    .iter()
+                    .map(|r| pred.eval(r).unwrap().is_true())
+                    .collect();
+                let expected: Vec<Row> = before
+                    .iter()
+                    .zip(&hits)
+                    .filter(|(_, hit)| **hit)
+                    .map(|(r, _)| Arc::clone(r))
+                    .collect();
+
+                let selected = db.select_rows(&db.table("t").unwrap(), Some(&pred)).unwrap();
+                prop_assert_eq!(&selected, &expected);
+
+                let updated = db.clone();
+                let n = updated.update_expr("t", Some(&pred), &[(2, Expr::lit(9.0))]).unwrap();
+                prop_assert_eq!(n, expected.len());
+                let after: Vec<Row> = updated.table("t").unwrap().iter().cloned().collect();
+                let want: Vec<Row> = before
+                    .iter()
+                    .zip(&hits)
+                    .map(|(r, hit)| {
+                        let mut v = r.to_vec();
+                        if *hit {
+                            v[2] = Value::Double(9.0);
+                        }
+                        crate::row(v)
+                    })
+                    .collect();
+                prop_assert_eq!(after, want);
+
+                let n = db.delete_expr("t", Some(&pred)).unwrap();
+                prop_assert_eq!(n, expected.len());
+                let after: Vec<Row> = db.table("t").unwrap().iter().cloned().collect();
+                let want: Vec<Row> = before
+                    .iter()
+                    .zip(&hits)
+                    .filter(|(_, hit)| !**hit)
+                    .map(|(r, _)| Arc::clone(r))
+                    .collect();
+                prop_assert_eq!(after, want);
+
+                // Both statements handed their trigger the selected rows,
+                // in key order (no firing when nothing matched).
+                let fired = if expected.is_empty() { vec![] } else { vec![expected.clone(); 2] };
+                prop_assert_eq!(&*seen.lock().unwrap(), &fired);
+            }
+        }
     }
 }

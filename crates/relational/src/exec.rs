@@ -15,7 +15,7 @@ use crate::expr::{eval_all, AggState, Expr};
 use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::table::Table;
 use crate::value::{Row, Value};
-use crate::{Database, Error, Event, Result, TransitionTables};
+use crate::{Counter, Database, Error, Event, Result, TransitionTables};
 
 /// Shared, memoized result of one plan node.
 pub type RowsRef = Arc<Vec<Row>>;
@@ -241,7 +241,7 @@ fn cached_or(
 ) -> Result<Cached> {
     match ctx.db.exec_cache.lookup(cache_key, plan, key_exprs, ctx.db) {
         CacheLookup::Hit(v) => {
-            ctx.db.counters.add_build_hit();
+            ctx.db.bump(Counter::BuildCacheHits, 1);
             Ok(v)
         }
         CacheLookup::Unstable => build(),
@@ -492,7 +492,7 @@ fn scan_table(table: &str, epoch: TableEpoch, ctx: &ExecContext<'_>) -> Result<V
             }
         }
     };
-    ctx.db.counters.add_scanned(out.len() as u64);
+    ctx.db.bump(Counter::RowsScanned, out.len() as u64);
     Ok(out)
 }
 
@@ -644,7 +644,7 @@ fn index_join(
         for (_, e) in probe {
             probe_vals.push(e.eval(l)?);
         }
-        ctx.db.counters.add_probes(1);
+        ctx.db.bump(Counter::IndexProbes, 1);
         // Collect matching inner rows for this probe. Probes yield rows in
         // primary-key order already (ordered storage / ordered index
         // buckets); only the Old-epoch reconstruction, which splices in ∇

@@ -36,9 +36,11 @@ mod table;
 mod value;
 pub mod wire;
 
+#[cfg(feature = "footprint-oracle")]
+pub use database::FootprintTolerance;
 pub use database::{
-    Database, Event, FootprintScope, FootprintTolerance, NativeTriggerFn, RowsHandler, SqlTrigger,
-    Stats, TransitionTables, TriggerBody,
+    Counter, Database, Event, FootprintScope, NativeTriggerFn, RowsHandler, SqlTrigger, Stats,
+    TransitionTables, TriggerBody,
 };
 pub use error::{Error, Result};
 pub use schema::{ColumnDef, RowSet, TableSchema};

@@ -38,6 +38,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use quark_core::relational::Counter;
 use quark_core::{Session, SessionPool};
 
 use crate::protocol::{
@@ -235,7 +236,7 @@ fn listen_loop(
 /// answered with one retriable `Busy` frame and closed without ever
 /// reaching a worker.
 fn busy_reject(stream: TcpStream, session: &Session) {
-    session.database().note_frame_rejected();
+    session.database().bump(Counter::FramesRejected, 1);
     let payload = encode_error(
         WireErrorKind::Busy,
         "server at connection capacity; retry later",
@@ -268,9 +269,9 @@ fn worker_loop(
             busy_reject(stream, &session);
             continue;
         }
-        session.database().note_connection(true);
+        session.database().bump(Counter::ActiveConnections, 1);
         let _ = serve_connection(&session, stream, shutdown, config);
-        session.database().note_connection(false);
+        session.database().lower(Counter::ActiveConnections, 1);
     }
 }
 
@@ -388,7 +389,7 @@ fn serve_connection(
     loop {
         let (frames, end) = gather_frames(&mut stream, &mut buf, shutdown, config);
         if matches!(end, GatherEnd::Stalled) {
-            session.database().note_backpressure_stall();
+            session.database().bump(Counter::BackpressureStalls, 1);
         }
         if !frames.is_empty() && !process_window(session, &mut writer, frames, shutdown)? {
             return Ok(()); // protocol error or shutdown mid-window; closed politely
@@ -397,11 +398,11 @@ fn serve_connection(
             GatherEnd::More | GatherEnd::Stalled => {}
             GatherEnd::Eof | GatherEnd::Io => return Ok(()),
             GatherEnd::TornEof => {
-                session.database().note_frame_rejected();
+                session.database().bump(Counter::FramesRejected, 1);
                 return Ok(());
             }
             GatherEnd::Bad(msg) => {
-                session.database().note_frame_rejected();
+                session.database().bump(Counter::FramesRejected, 1);
                 write_frame(
                     &mut writer,
                     &encode_error(WireErrorKind::Protocol, &msg, None),
@@ -460,7 +461,9 @@ fn process_window(
             }
         }
     }
-    session.database().note_frames_received(stmts.len() as u64);
+    session
+        .database()
+        .bump(Counter::FramesReceived, stmts.len() as u64);
 
     let mut i = 0;
     let mut drained = false;
@@ -488,7 +491,7 @@ fn process_window(
             if j - i >= 2 {
                 match session.execute_batch(stmts[i..j].iter().map(|s| s.as_str())) {
                     Ok(results) => {
-                        session.database().note_pipelined_batch();
+                        session.database().bump(Counter::PipelinedBatches, 1);
                         for r in &results {
                             write_frame(writer, &encode_result(r))?;
                         }
@@ -515,7 +518,7 @@ fn process_window(
     }
 
     if let Some(msg) = violation {
-        session.database().note_frame_rejected();
+        session.database().bump(Counter::FramesRejected, 1);
         write_frame(writer, &encode_error(WireErrorKind::Protocol, &msg, None))?;
         writer.flush()?;
         return Ok(false);

@@ -667,7 +667,7 @@ mod tests {
         assert_eq!(image_files(&dir).len(), 2);
 
         db.drop_table("vendor").unwrap();
-        db.delete_where("product", |_| true).unwrap();
+        db.delete_expr("product", None).unwrap();
         engine.checkpoint(&db, Vec::new()).unwrap();
         assert!(image_files(&dir).is_empty());
         drop(engine);

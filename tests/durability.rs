@@ -225,6 +225,40 @@ fn crashed_session_recovers_to_last_committed_boundary() {
     }
 }
 
+/// A multi-row `INSERT` — written as one statement, or coalesced from a
+/// batch — that hits a duplicate key part-way is all-or-nothing: the rows
+/// ahead of the duplicate are not inserted, nothing fires, nothing is
+/// logged, and a crash-reopen finds the table as it was.
+#[test]
+fn failed_multi_row_insert_leaves_no_trace() {
+    for mode in all_modes() {
+        let dir = tmp_dir("atomic-insert");
+        let log = Log::default();
+        let session = open(&dir, mode, SyncMode::Always);
+        install(&session, &log);
+        let before = dump(&session);
+        // The first row alone would succeed and fire NotifyP1 (it changes
+        // the 'CRT 15' product node); the second duplicates a stored key.
+        let err = session
+            .execute("INSERT INTO vendor VALUES ('Newegg', 'P1', 90.0), ('Amazon', 'P1', 1.0)")
+            .expect_err("duplicate key");
+        assert!(err.to_string().contains("duplicate"), "{mode:?}: {err}");
+        session
+            .execute_batch([
+                "INSERT INTO vendor VALUES ('Newegg', 'P1', 90.0)",
+                "INSERT INTO vendor VALUES ('Amazon', 'P1', 1.0)",
+            ])
+            .expect_err("duplicate key in a coalesced run");
+        assert_eq!(dump(&session), before, "{mode:?}: no row stays");
+        assert_eq!(firings(&log), vec![], "{mode:?}: no trigger fired");
+        drop(session); // crash: no close, no final checkpoint
+
+        let session = open(&dir, mode, SyncMode::Always);
+        assert_eq!(dump(&session), before, "{mode:?}: recovered state");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// A panic in the middle of a trigger cascade: the panicking statement
 /// never reaches its commit record, so recovery lands exactly on the
 /// boundary *before* it — partial in-memory effects are not durable.

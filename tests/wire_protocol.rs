@@ -389,6 +389,30 @@ fn pipelined_inserts_coalesce_into_batched_statements() {
         after.frames_received >= before.frames_received + ROWS as u64,
         "every request frame is counted"
     );
+
+    // A coalesced run with a duplicate key in the middle fails as a unit
+    // and leaves no trace: every frame reports the error and none of the
+    // run's rows — not even the ones ahead of the duplicate — is inserted.
+    let mut burst = Vec::new();
+    for id in [ROWS, 0, ROWS + 1] {
+        burst.extend_from_slice(&raw_execute_frame(&format!(
+            "INSERT INTO ingest VALUES ({id}, 'again')"
+        )));
+    }
+    client.send_raw(&burst).expect("burst");
+    for _ in 0..3 {
+        let err = client
+            .read_response()
+            .expect("burst response")
+            .expect_err("the run fails as a unit");
+        assert!(err.message.contains("duplicate"), "{err:?}");
+    }
+    let WireResult::Rows { rows, .. } =
+        client.execute("SELECT id FROM ingest").expect("count rows")
+    else {
+        panic!("expected rows");
+    };
+    assert_eq!(rows.len(), ROWS, "the failed run inserted nothing");
     server.shutdown();
 }
 
