@@ -1082,6 +1082,11 @@ mod tests {
         let mut enc = Enc::new();
         enc.redo_ops(&ops).unwrap();
         let bytes = enc.into_bytes();
+        // Golden bytes: this is the body of every WAL batch record.
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), (65, 0x980d_3c69_afb9_6322));
         assert_eq!(Dec::new(&bytes).redo_ops().unwrap(), ops);
     }
 

@@ -594,6 +594,91 @@ mod tests {
         }
     }
 
+    /// A sample of every `StatementResult` variant; the `Rows` case has an
+    /// XML cell (downgraded to text on the wire).
+    fn sample_results() -> Vec<StatementResult> {
+        use quark_core::relational::row;
+        use quark_core::xml::{element, text};
+        let node = element(
+            "product",
+            vec![("name".into(), "CRT 15".into())],
+            vec![text("x")],
+        );
+        vec![
+            StatementResult::RowsAffected(7),
+            StatementResult::Rows {
+                columns: vec!["a".into(), "b".into()],
+                rows: vec![
+                    row([Value::Int(1), Value::str("x")]),
+                    row([Value::Null, Value::Double(2.5)]),
+                    row([Value::Bool(true), Value::Xml(node.clone())]),
+                ],
+            },
+            StatementResult::Created {
+                kind: ObjectKind::View,
+                name: "v".into(),
+            },
+            StatementResult::Dropped {
+                kind: ObjectKind::Trigger,
+                name: "t".into(),
+            },
+            StatementResult::Explain("plan".into()),
+            StatementResult::Xml(vec![node, element("empty", vec![], vec![])]),
+            StatementResult::Analysis(AnalysisReport {
+                groups: 3,
+                errors: 1,
+                warnings: 2,
+                cycles_bounded: 1,
+                cycles_unbounded: 0,
+                commuting_pairs: 2,
+                conflicting_pairs: 1,
+                text: "trigger program analysis".into(),
+            }),
+        ]
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Golden bytes (length, FNV-1a) of one payload per frame tag: deployed
+    /// clients and servers of different builds must keep understanding each
+    /// other, so a change here is a protocol change.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        let mut payloads: Vec<Vec<u8>> = sample_results().iter().map(encode_result).collect();
+        payloads.push(encode_error(WireErrorKind::Busy, "queue full", None));
+        payloads.push(encode_error(
+            WireErrorKind::Parse,
+            "oops",
+            Some(Span::new(3, 9)),
+        ));
+        payloads.push(encode_request("UPDATE t SET a = 1 WHERE k = 'x'"));
+        let tags: Vec<u8> = payloads.iter().map(|p| p[0]).collect();
+        assert_eq!(
+            tags,
+            [0x80, 0x81, 0x82, 0x83, 0x84, 0x85, 0x86, 0xE0, 0xE0, 0x01]
+        );
+        let got: Vec<(usize, u64)> = payloads.iter().map(|p| (p.len(), fnv1a(p))).collect();
+        assert_eq!(
+            got,
+            [
+                (9, 0xc253_bfc5_2580_2c58),
+                (97, 0xc9d4_a4cc_b987_8ddd),
+                (7, 0x57eb_698d_a2ac_1496),
+                (7, 0xfcd6_876a_8704_3f82),
+                (9, 0xff5a_7358_b3d7_9a00),
+                (55, 0x8865_3b85_b7c6_bf68),
+                (85, 0x037a_08d0_4025_430d),
+                (17, 0xd8de_b14b_ed07_38e5),
+                (27, 0xaf76_6770_e418_0093),
+                (37, 0x3413_831c_ed38_9bfb),
+            ]
+        );
+    }
+
     #[test]
     fn errors_round_trip_with_spans() {
         let payload = encode_error(WireErrorKind::Parse, "oops", Some(Span::new(3, 9)));

@@ -156,6 +156,13 @@ mod tests {
     fn round_trips_through_disk() {
         let path = tmp_file("roundtrip");
         sample().save(&path, false).unwrap();
+        // Golden bytes of the file (magic, CRC, version-2 payload): a
+        // catalog written by an earlier build must keep loading.
+        let data = std::fs::read(&path).unwrap();
+        let fnv = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((data.len(), fnv), (98, 0xf35d_5d0c_f660_4008));
         let back = Catalog::load(&path).unwrap().unwrap();
         assert_eq!(back.checkpoint_lsn, 42);
         assert_eq!(back.wal_seq, 3);

@@ -455,6 +455,12 @@ mod tests {
         .unwrap();
         engine.checkpoint(&db, vec![7, 7, 7]).unwrap();
         drop(engine);
+        // Golden bytes of the table image (CRC, row count, tagged values).
+        let image = fs::read(&image_files(&dir)[0]).unwrap();
+        let fnv = image.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!((image.len(), fnv), (57, 0x7173_939c_e3ca_86e1));
 
         let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
         assert_eq!(recovered.tables.len(), 1);

@@ -321,6 +321,12 @@ mod tests {
         }
     }
 
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
     #[test]
     fn committed_statements_replay_in_order() {
         let dir = tmp_dir("order");
@@ -334,6 +340,10 @@ mod tests {
         assert_eq!(replay.batches[0], vec![put("t", 1)]);
         assert_eq!(replay.batches[1], vec![put("t", 2), put("t", 3)]);
         assert_eq!(replay.next_lsn, wal.next_lsn());
+        // Golden bytes of the segment (frame header, kind, LSN, redo batch,
+        // commit record): what a directory written by an earlier build holds.
+        let data = fs::read(segment_path(&dir, 0)).unwrap();
+        assert_eq!((data.len(), fnv1a(&data)), (151, 0xe3c5_def8_93aa_398b));
         let _ = fs::remove_dir_all(&dir);
     }
 
