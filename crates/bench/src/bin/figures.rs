@@ -3,7 +3,7 @@
 //! repository's extra ablations.
 //!
 //! ```text
-//! cargo run --release -p quark-bench --bin figures -- [fig17|fig18|fig22|fig23|fig24|compile|cardinality|sessions|wire|restart|ablations|all] [--quick] [--full-ungrouped] [--check BASELINE --tolerance F]
+//! cargo run --release -p quark-bench --bin figures -- [fig17|fig18|fig22|fig23|fig24|compile|cardinality|restart|ablations|all] [--quick] [--full-ungrouped] [--out PATH]
 //! ```
 //!
 //! `--quick` scales the workload down (CI-friendly); `--full-ungrouped`
@@ -12,22 +12,16 @@
 //!
 //! Besides the human-readable tables, every run writes the measurements as
 //! machine-readable JSON to `BENCH_figures.json` in the working directory
-//! (override with `--out PATH`), so perf trajectories can be tracked
-//! across commits.
+//! (override with `--out PATH`).
 //!
-//! `--check BASELINE` turns the run into a regression gate: after
-//! measuring, every series is compared against the committed baseline JSON
-//! by the geometric mean of its per-point fresh/baseline ratios, and the
-//! process exits non-zero when any series regressed by more than
-//! `--tolerance` (default 0.5, i.e. 50 %). The CI `bench-regression` job
-//! runs `figures --quick --check BENCH_figures.json`.
+//! This binary reproduces the *shapes* of the paper's figures; it is not a
+//! regression gate. The repository's performance gate is `quarkbench
+//! compare` (see `BENCHMARK.json`), and the shapes themselves are asserted
+//! on engine counters in `tests/large_scale.rs`.
 
 use std::time::{Duration, Instant};
 
-use quark_bench::{
-    build, build_sharded, build_shared_read, trigger_statement, watched_name, ShardSpec,
-    WorkloadSpec,
-};
+use quark_bench::{build, trigger_statement, watched_name, WorkloadSpec};
 use quark_core::Mode;
 
 struct Args {
@@ -36,8 +30,6 @@ struct Args {
     full_ungrouped: bool,
     updates: usize,
     out: String,
-    check: Option<String>,
-    tolerance: f64,
 }
 
 /// One measurement: `figure` / `series` identify the curve, `x` the point
@@ -111,14 +103,11 @@ impl Report {
 const USAGE: &str = "\
 Regenerates the paper's measurement figures.
 
-Usage: figures [fig17|fig18|fig22|fig23|fig24|compile|cardinality|sessions|wire|restart|ablations|all] [--quick] [--full-ungrouped] [--out PATH] [--check BASELINE] [--tolerance F]
+Usage: figures [fig17|fig18|fig22|fig23|fig24|compile|cardinality|restart|ablations|all] [--quick] [--full-ungrouped] [--out PATH]
 
   --quick           scale workloads down to CI-friendly sizes
   --full-ungrouped  extend Fig. 17's UNGROUPED sweep beyond 1000 triggers (slow)
-  --out PATH        where to write the JSON measurements (default BENCH_figures.json)
-  --check BASELINE  compare against a baseline JSON (same format); exit 1 when
-                    any series regresses beyond the tolerance
-  --tolerance F     allowed fractional slowdown per series (default 0.5 = 50%)";
+  --out PATH        where to write the JSON measurements (default BENCH_figures.json)";
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -130,8 +119,6 @@ fn main() {
     let mut out = "BENCH_figures.json".to_string();
     let mut quick = false;
     let mut full_ungrouped = false;
-    let mut check: Option<String> = None;
-    let mut tolerance = 0.5f64;
     let mut i = 0;
     while i < argv.len() {
         match argv[i].as_str() {
@@ -144,29 +131,6 @@ fn main() {
                 };
                 out = path.clone();
                 i += 1; // consume the value
-            }
-            "--check" => {
-                // A missing value must not silently skip the gate.
-                let Some(path) = argv.get(i + 1) else {
-                    eprintln!("error: --check expects a baseline path\n\n{USAGE}");
-                    std::process::exit(2);
-                };
-                check = Some(path.clone());
-                i += 1;
-            }
-            "--tolerance" => {
-                let Some(v) = argv.get(i + 1) else {
-                    eprintln!("error: --tolerance expects a non-negative number\n\n{USAGE}");
-                    std::process::exit(2);
-                };
-                match v.parse::<f64>() {
-                    Ok(f) if f >= 0.0 => tolerance = f,
-                    _ => {
-                        eprintln!("error: --tolerance expects a non-negative number, got {v:?}");
-                        std::process::exit(2);
-                    }
-                }
-                i += 1;
             }
             flag if flag.starts_with("--") => {
                 eprintln!("error: unknown flag {flag:?}\n\n{USAGE}");
@@ -186,8 +150,6 @@ fn main() {
         full_ungrouped,
         updates: if quick { 20 } else { 100 },
         out,
-        check,
-        tolerance,
     };
 
     type Figure<'a> = (&'a str, &'a dyn Fn(&Args, &mut Report));
@@ -199,8 +161,6 @@ fn main() {
         ("fig24", &fig24),
         ("fig23", &fig23),
         ("cardinality", &cardinality),
-        ("sessions", &sessions_sweep),
-        ("wire", &wire_sweep),
         ("restart", &restart_sweep),
         ("ablations", &ablations),
     ];
@@ -223,155 +183,6 @@ fn main() {
         ),
         Err(e) => eprintln!("\nerror: could not write {}: {e}", args.out),
     }
-
-    if let Some(baseline_path) = &args.check {
-        let baseline = match std::fs::read_to_string(baseline_path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: could not read baseline {baseline_path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        if !check_against_baseline(&report, &baseline, args.tolerance) {
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Parse a baseline produced by this binary: one entry object per line,
-/// `{"figure": "…", "series": "…", "<x label>": X, "ms": M}`.
-fn parse_baseline(text: &str) -> Vec<(String, String, f64, f64)> {
-    fn field_str(line: &str, key: &str) -> Option<String> {
-        let tag = format!("\"{key}\": \"");
-        let start = line.find(&tag)? + tag.len();
-        let end = line[start..].find('"')? + start;
-        Some(line[start..end].to_string())
-    }
-    fn num_after(line: &str, from: usize) -> Option<f64> {
-        let rest = &line[from..];
-        let s: String = rest
-            .chars()
-            .skip_while(|c| !c.is_ascii_digit() && *c != '-')
-            .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-' || *c == 'e')
-            .collect();
-        s.parse().ok()
-    }
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let (Some(figure), Some(series)) = (field_str(line, "figure"), field_str(line, "series"))
-        else {
-            continue;
-        };
-        // The x field name varies per figure; it is the field right after
-        // "series" and before "ms".
-        let Some(series_end) = line.find("\"series\"") else {
-            continue;
-        };
-        let after_series = series_end + line[series_end..].find(',').unwrap_or(0);
-        let Some(ms_pos) = line.find("\"ms\"") else {
-            continue;
-        };
-        let Some(x) = num_after(line, after_series) else {
-            continue;
-        };
-        let Some(ms) = num_after(line, ms_pos + 4) else {
-            continue;
-        };
-        out.push((figure, series, x, ms));
-    }
-    out
-}
-
-/// Compare the fresh measurements against a committed baseline. A series
-/// regresses when the geometric mean of its per-point `fresh/baseline`
-/// ratios exceeds `1 + tolerance`; per-point jitter on sub-millisecond
-/// series averages out across the series. Points only present on one side
-/// (new depths, retired sweeps) are reported but never fail the check.
-/// Every series prints its geo-mean ratio; a regressed series additionally
-/// dumps its per-point ratios so the offending sweep point is visible in
-/// the CI log, and series present only in the baseline are listed at the
-/// end (stale baseline, or a sweep that silently stopped running).
-fn check_against_baseline(report: &Report, baseline: &str, tolerance: f64) -> bool {
-    use std::collections::BTreeMap;
-    let base = parse_baseline(baseline);
-    if base.is_empty() {
-        eprintln!("error: baseline contains no entries (wrong file?)");
-        return false;
-    }
-    let mut base_map: BTreeMap<(String, String), Vec<(f64, f64)>> = BTreeMap::new();
-    for (figure, series, x, ms) in base {
-        base_map.entry((figure, series)).or_default().push((x, ms));
-    }
-
-    println!(
-        "\n== Regression check (tolerance {:.0}%) ==",
-        tolerance * 100.0
-    );
-    println!(
-        "{:<14} {:<36} {:>8} {:>12}",
-        "figure", "series", "points", "geo-mean ×"
-    );
-    let mut ok = true;
-    let mut fresh_map: BTreeMap<(String, String), Vec<(f64, f64)>> = BTreeMap::new();
-    for e in &report.entries {
-        fresh_map
-            .entry((e.figure.to_string(), e.series.clone()))
-            .or_default()
-            .push((e.x, e.ms));
-    }
-    for ((figure, series), fresh_points) in &fresh_map {
-        let Some(base_points) = base_map.get(&(figure.clone(), series.clone())) else {
-            println!("{figure:<14} {series:<36} {:>8} {:>12}", "new", "-");
-            continue;
-        };
-        let mut log_sum = 0.0f64;
-        let mut ratios: Vec<(f64, f64)> = Vec::new();
-        for (x, ms) in fresh_points {
-            let Some((_, base_ms)) = base_points.iter().find(|(bx, _)| (bx - x).abs() < 1e-9)
-            else {
-                continue;
-            };
-            if *base_ms > 0.0 && *ms > 0.0 {
-                log_sum += (ms / base_ms).ln();
-                ratios.push((*x, ms / base_ms));
-            }
-        }
-        let n = ratios.len();
-        if n == 0 {
-            println!("{figure:<14} {series:<36} {:>8} {:>12}", "0", "-");
-            continue;
-        }
-        let gm = (log_sum / n as f64).exp();
-        let verdict = if gm > 1.0 + tolerance {
-            ok = false;
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        println!("{figure:<14} {series:<36} {n:>8} {gm:>12.3}{verdict}");
-        if !verdict.is_empty() {
-            // Per-point triage so the CI log pins the offending sweep point.
-            for (x, ratio) in &ratios {
-                println!("{:<14} {:<36} x={x:<10} {ratio:>10.3}×", "", "");
-            }
-        }
-    }
-    let missing: Vec<_> = base_map
-        .keys()
-        .filter(|key| !fresh_map.contains_key(*key))
-        .collect();
-    if !missing.is_empty() {
-        println!("baseline-only series (not measured this run — stale baseline?):");
-        for (figure, series) in missing {
-            println!("  {figure} / {series}");
-        }
-    }
-    if ok {
-        println!("regression check passed");
-    } else {
-        eprintln!("regression check FAILED: at least one series slowed beyond tolerance");
-    }
-    ok
 }
 
 fn base_spec(args: &Args, mode: Mode) -> WorkloadSpec {
@@ -662,261 +473,6 @@ fn cardinality(args: &Args, report: &mut Report) {
             report.push("cardinality", mode_name(mode), "leaves", n as f64, ms(avg));
         }
         println!("{row}");
-    }
-}
-
-/// Multi-session read throughput (no paper counterpart): a fixed count of
-/// `SELECT` statements split across 1/2/4/8 concurrent session handles of
-/// one [`SessionPool`](quark_core::SessionPool). Read statements evaluate
-/// lock-free against the shared published snapshot, so total wall time
-/// should *fall* as handles are added (up to the core count) — the
-/// concurrent-session counterpart of the paper's "many clients, one
-/// trigger corpus" scenario. The trigger corpus is installed but idle:
-/// the sweep isolates the read path. On a single-core host the expected
-/// shape is *flat* — adding sessions must at least not add contention;
-/// the speedup shows on multi-core hardware.
-///
-/// A second, mixed read/write sweep measures the footprint-latched write
-/// path: k handles over the sharded workload ([`build_sharded`]), each
-/// interleaving trigger-bearing UPDATEs with SELECTs, once with
-/// pairwise-disjoint shard footprints (writers parallel) and once with
-/// every handle on one shard (writers serialized — the old
-/// one-global-lock behavior, now scoped to the contended tables only).
-fn sessions_sweep(args: &Args, report: &mut Report) {
-    use std::thread;
-    let mut spec = base_spec(args, Mode::Grouped);
-    spec.depth = 2;
-    spec.triggers = 200;
-    spec.satisfied = 5;
-    let w = build(spec).expect("workload");
-    banner("Sessions: concurrent read throughput", &spec, args);
-    let total_reads: usize = if args.quick { 4_000 } else { 40_000 };
-    let pool = quark_core::SessionPool::new(w.session);
-    // Warm the published snapshot once so every point measures
-    // steady-state reads rather than the first post-build clone.
-    pool.session()
-        .execute("SELECT name FROM t0 WHERE id = 0")
-        .expect("warmup read");
-    println!("{:<10} {:>16} {:>14}", "sessions", "total (ms)", "reads/s");
-    for &k in &[1usize, 2, 4, 8] {
-        let per = total_reads / k;
-        let start = Instant::now();
-        let threads: Vec<_> = (0..k)
-            .map(|t| {
-                let session = pool.session();
-                thread::spawn(move || {
-                    for i in 0..per {
-                        let id = (t * per + i) % 64;
-                        session
-                            .execute(&format!("SELECT name FROM t0 WHERE id = {id}"))
-                            .expect("read");
-                    }
-                })
-            })
-            .collect();
-        for th in threads {
-            th.join().expect("reader thread");
-        }
-        let elapsed = start.elapsed();
-        let throughput = (per * k) as f64 / elapsed.as_secs_f64();
-        println!("{k:<10} {:>16.3} {:>14.0}", ms(elapsed), throughput);
-        report.push("sessions", "READ-TOTAL", "sessions", k as f64, ms(elapsed));
-    }
-
-    // Mixed read/write sweep over the sharded multi-writer workload: k
-    // handles each interleave keyed UPDATEs (full trigger cascades into
-    // the shard's audit table) with keyed SELECTs. DISJOINT: handle t
-    // writes shard t — pairwise-disjoint footprints, so writers hold
-    // non-overlapping latch sets and the wall time should not grow with
-    // k (falling on multi-core hosts). OVERLAP: every handle writes
-    // shard 0 — all writers serialize on one latch set, the floor the
-    // per-table refactor lifts the disjoint case above. OVERLAP-READ:
-    // handle t writes shard t of the shared-hub workload
-    // ([`build_shared_read`]) — write sets disjoint but every cascade
-    // reads the common `hub` table, so this series separates shared read
-    // latches (parallel) from exclusive-only latching (serialized).
-    let total_ops: usize = if args.quick { 2_000 } else { 20_000 };
-    for (series, overlap) in [
-        ("MIXED-DISJOINT", false),
-        ("MIXED-OVERLAP", true),
-        ("MIXED-OVERLAP-READ", false),
-    ] {
-        println!(
-            "\n{series}: {total_ops} mixed ops (50% keyed UPDATE w/ triggers, 50% keyed SELECT)"
-        );
-        println!(
-            "{:<10} {:>16} {:>14} {:>12}",
-            "sessions", "total (ms)", "ops/s", "conflicts"
-        );
-        for &k in &[1usize, 2, 4, 8] {
-            let spec = ShardSpec::quick(8, Mode::Grouped);
-            let w = if series == "MIXED-OVERLAP-READ" {
-                build_shared_read(spec).expect("shared-read workload")
-            } else {
-                build_sharded(spec).expect("sharded workload")
-            };
-            let pool = quark_core::SessionPool::new(w.session);
-            pool.session()
-                .execute("SELECT name FROM m0 WHERE id = 0")
-                .expect("warmup read");
-            let per = total_ops / k;
-            let start = Instant::now();
-            let threads: Vec<_> = (0..k)
-                .map(|t| {
-                    let session = pool.session();
-                    let shard = if overlap { 0 } else { t };
-                    thread::spawn(move || {
-                        for i in 0..per {
-                            if i % 2 == 0 {
-                                let price = 50.0 + (i % 1000) as f64 / 7.0;
-                                session
-                                    .execute(&format!(
-                                        "UPDATE m{shard} SET price = {price:?} WHERE id = 0"
-                                    ))
-                                    .expect("mixed write");
-                            } else {
-                                let id = i % 256;
-                                session
-                                    .execute(&format!("SELECT name FROM m{shard} WHERE id = {id}"))
-                                    .expect("mixed read");
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for th in threads {
-                th.join().expect("mixed thread");
-            }
-            let elapsed = start.elapsed();
-            let conflicts = pool.session().quark().stats().latch_conflicts;
-            let throughput = (per * k) as f64 / elapsed.as_secs_f64();
-            println!(
-                "{k:<10} {:>16.3} {:>14.0} {:>12}",
-                ms(elapsed),
-                throughput,
-                conflicts
-            );
-            report.push("sessions", series, "sessions", k as f64, ms(elapsed));
-        }
-    }
-}
-
-/// Wire-protocol sweep (no paper counterpart): the [`sessions_sweep`]
-/// scenarios replayed over TCP through `quark-server`, 1/2/4/8 client
-/// connections against one server on the sharded workload. READ-ONLY:
-/// keyed SELECTs, one shard per connection (lock-free snapshot reads plus
-/// framing/codec cost). DISJOINT-WRITE: keyed trigger-bearing UPDATEs,
-/// connection t writing shard t — pairwise-disjoint footprints, so the
-/// wall time should not grow 1→8 (falling on multi-core hosts; the
-/// headline scaling claim of the network front door). MIXED-OVERLAP-READ:
-/// the same keyed-UPDATE loop over the shared-hub workload
-/// ([`build_shared_read`]) — write sets disjoint, every cascade reading
-/// the common `hub` table, so scaling here requires the shared read
-/// latches to admit the overlapping readers concurrently over the wire
-/// too. PIPELINED-INGEST:
-/// each connection creates a private table over the wire and streams
-/// single-row INSERTs via the pipelined client path; the server coalesces
-/// consecutive same-table INSERTs into batched statements, so this series
-/// measures how much of the in-process batched-ingest speedup survives
-/// the socket.
-fn wire_sweep(args: &Args, report: &mut Report) {
-    use quark_server::{Client, Server, ServerConfig, WireResult};
-    use std::thread;
-
-    let total_ops: usize = if args.quick { 2_000 } else { 20_000 };
-    println!("\n== Wire: remote sessions over the TCP front door ==");
-    println!("   shards=8 ops={total_ops} workers=8");
-
-    for series in [
-        "READ-ONLY",
-        "DISJOINT-WRITE",
-        "MIXED-OVERLAP-READ",
-        "PIPELINED-INGEST",
-    ] {
-        println!("\n{series}:");
-        println!("{:<12} {:>16} {:>14}", "connections", "total (ms)", "ops/s");
-        for &k in &[1usize, 2, 4, 8] {
-            let spec = ShardSpec::quick(8, Mode::Grouped);
-            let w = if series == "MIXED-OVERLAP-READ" {
-                build_shared_read(spec).expect("shared-read workload")
-            } else {
-                build_sharded(spec).expect("sharded workload")
-            };
-            let pool = quark_core::SessionPool::new(w.session);
-            pool.session()
-                .execute("SELECT name FROM m0 WHERE id = 0")
-                .expect("warmup read");
-            let server = Server::start(
-                pool,
-                "127.0.0.1:0",
-                ServerConfig {
-                    workers: 8,
-                    ..ServerConfig::default()
-                },
-            )
-            .expect("start server");
-            let addr = server.addr();
-            let per = total_ops / k;
-            let start = Instant::now();
-            let threads: Vec<_> = (0..k)
-                .map(|t| {
-                    thread::spawn(move || {
-                        let mut client = Client::connect(addr).expect("connect");
-                        match series {
-                            "READ-ONLY" => {
-                                for i in 0..per {
-                                    let id = i % 256;
-                                    client
-                                        .execute(&format!("SELECT name FROM m{t} WHERE id = {id}"))
-                                        .expect("wire read");
-                                }
-                            }
-                            "DISJOINT-WRITE" | "MIXED-OVERLAP-READ" => {
-                                for i in 0..per {
-                                    let price = 50.0 + (i % 1000) as f64 / 7.0;
-                                    client
-                                        .execute(&format!(
-                                            "UPDATE m{t} SET price = {price:?} WHERE id = 0"
-                                        ))
-                                        .expect("wire write");
-                                }
-                            }
-                            _ => {
-                                client
-                                    .execute(&format!(
-                                        "CREATE TABLE wire_ingest_{t} (id INT PRIMARY KEY, payload TEXT)"
-                                    ))
-                                    .expect("create ingest table");
-                                let stmts: Vec<String> = (0..per)
-                                    .map(|i| {
-                                        format!(
-                                            "INSERT INTO wire_ingest_{t} VALUES ({i}, 'p{i}')"
-                                        )
-                                    })
-                                    .collect();
-                                let results = client
-                                    .execute_pipelined(stmts.iter().map(|s| s.as_str()))
-                                    .expect("pipelined ingest");
-                                for r in results {
-                                    match r.expect("ingest insert") {
-                                        WireResult::RowsAffected(1) => {}
-                                        other => panic!("unexpected ingest result {other:?}"),
-                                    }
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            for th in threads {
-                th.join().expect("wire client thread");
-            }
-            let elapsed = start.elapsed();
-            server.shutdown();
-            let throughput = (per * k) as f64 / elapsed.as_secs_f64();
-            println!("{k:<12} {:>16.3} {:>14.0}", ms(elapsed), throughput);
-            report.push("wire", series, "connections", k as f64, ms(elapsed));
-        }
     }
 }
 

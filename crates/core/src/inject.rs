@@ -288,10 +288,7 @@ fn build(
                         };
                         out_map.push(Some(glen + new_aggs.len()));
                         new_aggs.push((
-                            quark_relational::expr::AggExpr {
-                                func: a.func.clone(),
-                                arg,
-                            },
+                            quark_relational::expr::AggExpr { func: a.func, arg },
                             n.clone(),
                         ));
                     }

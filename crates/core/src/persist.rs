@@ -1,6 +1,8 @@
 //! Core-blob serialization: the view/trigger layer of a [`Quark`] system,
 //! persisted into the storage catalog at every checkpoint and decoded by
-//! [`Quark::open`] on restart.
+//! [`Quark::open`] on restart. The byte format is the [`Encode`]/[`Decode`]
+//! impls below, over the one codec in [`quark_relational::wire`] (its
+//! module docs state the rules every format follows).
 //!
 //! What round-trips: the translation mode and options, every registered
 //! view (anchor path graphs via [`quark_xqgm::wire`]), every trigger group
@@ -18,21 +20,23 @@
 //! a codec drift or corruption that slipped past the storage CRCs fails
 //! recovery instead of firing a silently wrong plan.
 //!
-//! Encoding iterates every map in sorted order, so equal systems produce
-//! byte-equal blobs.
+//! Every map is written in key order, so equal systems produce byte-equal
+//! blobs.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-use quark_relational::wire::{Dec, Enc};
-use quark_relational::{Error, Event, Result, SqlTrigger, Value};
+use quark_relational::wire::{Dec, Decode, Enc, Encode, WireTag};
+use quark_relational::{Error, Result, SqlTrigger, Value};
+use quark_xqgm::wire::{decode_graph, encode_graph};
 
 use crate::angraph::{AffectedLayout, AffectedNodePlan, AnOptions};
 use crate::condition::{CondValue, Condition, NodePath, NodeRef, Step};
 use crate::events::SourceEvent;
+use crate::session::ObjectKind;
 use crate::spec::{ActionParam, PathGraph, XmlView};
 
-use super::{CacheEntry, Group, Member, Members, Mode, Quark, SqlTriggerMeta, TriggerRecord};
+use super::{CacheEntry, Group, Member, Mode, Quark, SqlTriggerMeta, TriggerRecord};
 
 /// Blob format version; bumped on any layout change.
 const VERSION: u8 = 1;
@@ -42,326 +46,427 @@ fn bad(msg: &str) -> Error {
 }
 
 // ---------------------------------------------------------------------
-// Leaf codecs
+// Tag tables
 // ---------------------------------------------------------------------
 
-fn opt_str(enc: &mut Enc, s: Option<&str>) {
-    match s {
-        Some(s) => {
-            enc.bool(true);
-            enc.str(s);
-        }
-        None => enc.bool(false),
-    }
+impl WireTag for Mode {
+    const TAGS: &'static [(Self, u8)] = &[
+        (Mode::Ungrouped, 0),
+        (Mode::Grouped, 1),
+        (Mode::GroupedAgg, 2),
+    ];
 }
 
-fn opt_str_dec(dec: &mut Dec) -> Result<Option<String>> {
-    Ok(if dec.bool()? { Some(dec.str()?) } else { None })
+impl WireTag for NodeRef {
+    const TAGS: &'static [(Self, u8)] =
+        &[(NodeRef::Old, 0), (NodeRef::New, 1), (NodeRef::Context, 2)];
 }
 
-fn opt_col(enc: &mut Enc, c: Option<usize>) {
-    match c {
-        Some(c) => {
-            enc.bool(true);
-            enc.u32(c as u32);
-        }
-        None => enc.bool(false),
-    }
+/// Not part of the blob: the wire protocol's `CREATED`/`DROPPED` frames
+/// carry it, and a tag table lives in the crate that owns the enum.
+impl WireTag for ObjectKind {
+    const TAGS: &'static [(Self, u8)] = &[
+        (ObjectKind::Table, 0),
+        (ObjectKind::Index, 1),
+        (ObjectKind::View, 2),
+        (ObjectKind::Trigger, 3),
+    ];
 }
 
-fn opt_col_dec(dec: &mut Dec) -> Result<Option<usize>> {
-    Ok(if dec.bool()? {
-        Some(dec.u32()? as usize)
-    } else {
-        None
-    })
-}
+// ---------------------------------------------------------------------
+// Conditions, action parameters, source events, layouts
+// ---------------------------------------------------------------------
 
-fn attr_map(enc: &mut Enc, m: &HashMap<String, usize>) {
-    let mut entries: Vec<(&String, &usize)> = m.iter().collect();
-    entries.sort();
-    enc.u32(entries.len() as u32);
-    for (name, &col) in entries {
-        enc.str(name);
-        enc.u32(col as u32);
-    }
-}
-
-fn attr_map_dec(dec: &mut Dec) -> Result<HashMap<String, usize>> {
-    let n = dec.u32()?;
-    let mut m = HashMap::with_capacity(n as usize);
-    for _ in 0..n {
-        let name = dec.str()?;
-        m.insert(name, dec.u32()? as usize);
-    }
-    Ok(m)
-}
-
-fn event_tag(e: Event) -> u8 {
-    match e {
-        Event::Insert => 0,
-        Event::Update => 1,
-        Event::Delete => 2,
-    }
-}
-
-fn event_from_tag(t: u8) -> Result<Event> {
-    Ok(match t {
-        0 => Event::Insert,
-        1 => Event::Update,
-        2 => Event::Delete,
-        t => return Err(bad(&format!("unknown event tag {t}"))),
-    })
-}
-
-fn node_ref_tag(r: NodeRef) -> u8 {
-    match r {
-        NodeRef::Old => 0,
-        NodeRef::New => 1,
-        NodeRef::Context => 2,
-    }
-}
-
-fn node_ref_from_tag(t: u8) -> Result<NodeRef> {
-    Ok(match t {
-        0 => NodeRef::Old,
-        1 => NodeRef::New,
-        2 => NodeRef::Context,
-        t => return Err(bad(&format!("unknown node-ref tag {t}"))),
-    })
-}
-
-fn encode_opt_cond(enc: &mut Enc, c: &Option<Box<Condition>>) -> Result<()> {
-    match c {
-        Some(c) => {
-            enc.bool(true);
-            encode_condition(enc, c)
-        }
-        None => {
-            enc.bool(false);
-            Ok(())
-        }
-    }
-}
-
-fn decode_opt_cond(dec: &mut Dec) -> Result<Option<Box<Condition>>> {
-    Ok(if dec.bool()? {
-        Some(Box::new(decode_condition(dec)?))
-    } else {
-        None
-    })
-}
-
-fn encode_path(enc: &mut Enc, p: &NodePath) -> Result<()> {
-    enc.u8(node_ref_tag(p.base));
-    enc.u32(p.steps.len() as u32);
-    for step in &p.steps {
-        match step {
+impl Encode for Step {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
             Step::Child(name, pred) => {
                 enc.u8(0);
-                enc.str(name);
-                encode_opt_cond(enc, pred)?;
+                enc.put(name);
+                enc.put(pred);
             }
             Step::Descendant(name, pred) => {
                 enc.u8(1);
-                enc.str(name);
-                encode_opt_cond(enc, pred)?;
+                enc.put(name);
+                enc.put(pred);
             }
             Step::Attr(name) => {
                 enc.u8(2);
-                enc.str(name);
+                enc.put(name);
             }
         }
     }
-    Ok(())
 }
 
-fn decode_path(dec: &mut Dec) -> Result<NodePath> {
-    let base = node_ref_from_tag(dec.u8()?)?;
-    let n = dec.u32()?;
-    let mut steps = Vec::with_capacity(n as usize);
-    for _ in 0..n {
-        steps.push(match dec.u8()? {
-            0 => {
-                let name = dec.str()?;
-                Step::Child(name, decode_opt_cond(dec)?)
-            }
-            1 => {
-                let name = dec.str()?;
-                Step::Descendant(name, decode_opt_cond(dec)?)
-            }
-            2 => Step::Attr(dec.str()?),
+impl Decode for Step {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => Step::Child(dec.get()?, dec.get()?),
+            1 => Step::Descendant(dec.get()?, dec.get()?),
+            2 => Step::Attr(dec.get()?),
             t => return Err(bad(&format!("unknown path-step tag {t}"))),
-        });
-    }
-    Ok(NodePath { base, steps })
-}
-
-fn encode_cond_value(enc: &mut Enc, v: &CondValue) -> Result<()> {
-    match v {
-        CondValue::Path(p) => {
-            enc.u8(0);
-            encode_path(enc, p)
-        }
-        CondValue::Const(c) => {
-            enc.u8(1);
-            enc.value(c)
-        }
-        CondValue::Param(i) => {
-            enc.u8(2);
-            enc.u32(*i as u32);
-            Ok(())
-        }
-        CondValue::Count(p) => {
-            enc.u8(3);
-            encode_path(enc, p)
-        }
+        })
     }
 }
 
-fn decode_cond_value(dec: &mut Dec) -> Result<CondValue> {
-    Ok(match dec.u8()? {
-        0 => CondValue::Path(decode_path(dec)?),
-        1 => CondValue::Const(dec.value()?),
-        2 => CondValue::Param(dec.u32()? as usize),
-        3 => CondValue::Count(decode_path(dec)?),
-        t => return Err(bad(&format!("unknown cond-value tag {t}"))),
-    })
-}
-
-fn encode_condition(enc: &mut Enc, c: &Condition) -> Result<()> {
-    match c {
-        Condition::True => {
-            enc.u8(0);
-            Ok(())
-        }
-        Condition::Cmp { left, op, right } => {
-            enc.u8(1);
-            encode_cond_value(enc, left)?;
-            enc.binop(*op);
-            encode_cond_value(enc, right)
-        }
-        Condition::Exists(p) => {
-            enc.u8(2);
-            encode_path(enc, p)
-        }
-        Condition::And(a, b) => {
-            enc.u8(3);
-            encode_condition(enc, a)?;
-            encode_condition(enc, b)
-        }
-        Condition::Or(a, b) => {
-            enc.u8(4);
-            encode_condition(enc, a)?;
-            encode_condition(enc, b)
-        }
-        Condition::Not(a) => {
-            enc.u8(5);
-            encode_condition(enc, a)
-        }
+impl Encode for NodePath {
+    fn encode(&self, enc: &mut Enc) {
+        enc.tag(self.base);
+        enc.put(&self.steps);
     }
 }
 
-fn decode_condition(dec: &mut Dec) -> Result<Condition> {
-    Ok(match dec.u8()? {
-        0 => Condition::True,
-        1 => {
-            let left = decode_cond_value(dec)?;
-            let op = dec.binop()?;
-            let right = decode_cond_value(dec)?;
-            Condition::Cmp { left, op, right }
-        }
-        2 => Condition::Exists(decode_path(dec)?),
-        3 => Condition::And(
-            Box::new(decode_condition(dec)?),
-            Box::new(decode_condition(dec)?),
-        ),
-        4 => Condition::Or(
-            Box::new(decode_condition(dec)?),
-            Box::new(decode_condition(dec)?),
-        ),
-        5 => Condition::Not(Box::new(decode_condition(dec)?)),
-        t => return Err(bad(&format!("unknown condition tag {t}"))),
-    })
-}
-
-fn encode_param(enc: &mut Enc, p: &ActionParam) -> Result<()> {
-    match p {
-        ActionParam::OldNode => {
-            enc.u8(0);
-            Ok(())
-        }
-        ActionParam::NewNode => {
-            enc.u8(1);
-            Ok(())
-        }
-        ActionParam::Const(v) => {
-            enc.u8(2);
-            enc.value(v)
-        }
+impl Decode for NodePath {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(NodePath {
+            base: dec.tag()?,
+            steps: dec.get()?,
+        })
     }
 }
 
-fn decode_param(dec: &mut Dec) -> Result<ActionParam> {
-    Ok(match dec.u8()? {
-        0 => ActionParam::OldNode,
-        1 => ActionParam::NewNode,
-        2 => ActionParam::Const(dec.value()?),
-        t => return Err(bad(&format!("unknown action-param tag {t}"))),
-    })
-}
-
-fn encode_source_event(enc: &mut Enc, s: &SourceEvent) {
-    enc.str(&s.table);
-    enc.u8(event_tag(s.event));
-    match &s.relevant_cols {
-        Some(cols) => {
-            enc.bool(true);
-            enc.u32(cols.len() as u32);
-            for &c in cols {
-                enc.u32(c as u32);
+impl Encode for CondValue {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            CondValue::Path(p) => {
+                enc.u8(0);
+                enc.put(p);
+            }
+            CondValue::Const(c) => {
+                enc.u8(1);
+                enc.put(c);
+            }
+            CondValue::Param(i) => {
+                enc.u8(2);
+                enc.put(i);
+            }
+            CondValue::Count(p) => {
+                enc.u8(3);
+                enc.put(p);
             }
         }
-        None => enc.bool(false),
     }
 }
 
-fn decode_source_event(dec: &mut Dec) -> Result<SourceEvent> {
-    let table = dec.str()?;
-    let event = event_from_tag(dec.u8()?)?;
-    let relevant_cols = if dec.bool()? {
-        let n = dec.u32()?;
-        let mut cols = BTreeSet::new();
-        for _ in 0..n {
-            cols.insert(dec.u32()? as usize);
+impl Decode for CondValue {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => CondValue::Path(dec.get()?),
+            1 => CondValue::Const(dec.get()?),
+            2 => CondValue::Param(dec.get()?),
+            3 => CondValue::Count(dec.get()?),
+            t => return Err(bad(&format!("unknown cond-value tag {t}"))),
+        })
+    }
+}
+
+impl Encode for Condition {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            Condition::True => {
+                enc.u8(0);
+            }
+            Condition::Cmp { left, op, right } => {
+                enc.u8(1);
+                enc.put(left);
+                enc.tag(*op);
+                enc.put(right);
+            }
+            Condition::Exists(p) => {
+                enc.u8(2);
+                enc.put(p);
+            }
+            Condition::And(a, b) => {
+                enc.u8(3);
+                enc.put(a);
+                enc.put(b);
+            }
+            Condition::Or(a, b) => {
+                enc.u8(4);
+                enc.put(a);
+                enc.put(b);
+            }
+            Condition::Not(a) => {
+                enc.u8(5);
+                enc.put(a);
+            }
         }
-        Some(cols)
-    } else {
-        None
-    };
-    Ok(SourceEvent {
-        table,
-        event,
-        relevant_cols,
-    })
+    }
 }
 
-fn encode_layout(enc: &mut Enc, l: &AffectedLayout) {
-    enc.u32(l.key_len as u32);
-    opt_col(enc, l.old_node);
-    opt_col(enc, l.new_node);
-    attr_map(enc, &l.old_attrs);
-    attr_map(enc, &l.new_attrs);
+impl Decode for Condition {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => Condition::True,
+            1 => Condition::Cmp {
+                left: dec.get()?,
+                op: dec.tag()?,
+                right: dec.get()?,
+            },
+            2 => Condition::Exists(dec.get()?),
+            3 => Condition::And(dec.get()?, dec.get()?),
+            4 => Condition::Or(dec.get()?, dec.get()?),
+            5 => Condition::Not(dec.get()?),
+            t => return Err(bad(&format!("unknown condition tag {t}"))),
+        })
+    }
 }
 
-fn decode_layout(dec: &mut Dec) -> Result<AffectedLayout> {
-    Ok(AffectedLayout {
-        key_len: dec.u32()? as usize,
-        old_node: opt_col_dec(dec)?,
-        new_node: opt_col_dec(dec)?,
-        old_attrs: attr_map_dec(dec)?,
-        new_attrs: attr_map_dec(dec)?,
-    })
+impl Encode for ActionParam {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            ActionParam::OldNode => enc.u8(0),
+            ActionParam::NewNode => enc.u8(1),
+            ActionParam::Const(v) => {
+                enc.u8(2);
+                enc.put(v);
+            }
+        }
+    }
+}
+
+impl Decode for ActionParam {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => ActionParam::OldNode,
+            1 => ActionParam::NewNode,
+            2 => ActionParam::Const(dec.get()?),
+            t => return Err(bad(&format!("unknown action-param tag {t}"))),
+        })
+    }
+}
+
+impl Encode for SourceEvent {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.table);
+        enc.tag(self.event);
+        enc.put(&self.relevant_cols);
+    }
+}
+
+impl Decode for SourceEvent {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(SourceEvent {
+            table: dec.get()?,
+            event: dec.tag()?,
+            relevant_cols: dec.get()?,
+        })
+    }
+}
+
+impl Encode for AffectedLayout {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.key_len);
+        enc.put(&self.old_node);
+        enc.put(&self.new_node);
+        enc.put(&self.old_attrs);
+        enc.put(&self.new_attrs);
+    }
+}
+
+impl Decode for AffectedLayout {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(AffectedLayout {
+            key_len: dec.get()?,
+            old_node: dec.get()?,
+            new_node: dec.get()?,
+            old_attrs: dec.get()?,
+            new_attrs: dec.get()?,
+        })
+    }
+}
+
+impl Encode for AffectedNodePlan {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.plan);
+        enc.put(&self.layout);
+    }
+}
+
+impl Decode for AffectedNodePlan {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(AffectedNodePlan {
+            plan: dec.get()?,
+            layout: dec.get()?,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------
+// Views, groups, registries
+// ---------------------------------------------------------------------
+
+/// Decoding needs the database (see `decode_core`), so views only encode.
+impl Encode for PathGraph {
+    fn encode(&self, enc: &mut Enc) {
+        encode_graph(enc, &self.kg.graph, self.root);
+        enc.put(&self.node_col);
+        enc.put(&self.attr_cols);
+    }
+}
+
+impl Encode for XmlView {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.name);
+        enc.put(&self.anchors);
+    }
+}
+
+impl Encode for Member {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.trigger);
+        enc.put(&self.function);
+        enc.put(&self.params);
+    }
+}
+
+impl Decode for Member {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(Member {
+            trigger: dec.get()?,
+            function: dec.get()?,
+            params: dec.get()?,
+        })
+    }
+}
+
+impl Encode for SqlTriggerMeta {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.name);
+        enc.put(&self.table);
+        enc.tag(self.event);
+        enc.put(&self.plan);
+        enc.put(&self.plan_ref);
+        enc.put(&self.residual);
+        enc.put(&self.src);
+    }
+}
+
+impl Decode for SqlTriggerMeta {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        let t = SqlTriggerMeta {
+            name: dec.get()?,
+            table: dec.get()?,
+            event: dec.tag()?,
+            plan: dec.get()?,
+            plan_ref: dec.get()?,
+            residual: dec.get()?,
+            src: dec.get()?,
+        };
+        // Verify the decoded plan against its persisted rendering: a codec
+        // drift (or corruption past the storage CRCs) must fail recovery,
+        // not fire a silently different plan.
+        if t.plan_ref.explain() != t.plan {
+            return Err(bad(&format!(
+                "re-armed plan for SQL trigger `{}` does not match its persisted rendering",
+                t.name
+            )));
+        }
+        Ok(t)
+    }
+}
+
+impl Group {
+    /// Constants arity: every set of a group has the same width (the
+    /// group signature fixes the condition shape).
+    fn n_consts(&self) -> usize {
+        self.sets.keys().next().map_or(0, |k| k.len())
+    }
+}
+
+impl Encode for Group {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.signature);
+        enc.put(&self.constants_table);
+        enc.put(&self.n_consts());
+        let mut sets: Vec<(i64, &Vec<Value>)> = self.sets.iter().map(|(k, &id)| (id, k)).collect();
+        sets.sort_by_key(|&(id, _)| id);
+        enc.put(&sets);
+        enc.put(&self.next_set);
+        enc.put(&*self.members.lock().expect("members"));
+        enc.put(&self.sql_triggers);
+        enc.put(&self.footprint);
+        enc.put(&self.trigger_count);
+        enc.put(&self.cache_key);
+    }
+}
+
+impl Decode for Group {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        let signature = dec.get()?;
+        let constants_table = dec.get()?;
+        let n_consts: usize = dec.get()?;
+        let by_id: Vec<(i64, Vec<Value>)> = dec.get()?;
+        let ordered = by_id.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        let sets: HashMap<Vec<Value>, i64> = by_id.into_iter().map(|(id, k)| (k, id)).collect();
+        let group = Group {
+            signature,
+            constants_table,
+            sets,
+            next_set: dec.get()?,
+            members: Arc::new(Mutex::new(dec.get()?)),
+            sql_triggers: dec.get()?,
+            footprint: dec.get()?,
+            trigger_count: dec.get()?,
+            cache_key: dec.get()?,
+        };
+        if !ordered || group.n_consts() != n_consts {
+            return Err(bad("constants sets out of order or of the wrong width"));
+        }
+        Ok(group)
+    }
+}
+
+impl Encode for TriggerRecord {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.group_signature);
+        enc.put(&self.set_id);
+    }
+}
+
+impl Decode for TriggerRecord {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(TriggerRecord {
+            group_signature: dec.get()?,
+            set_id: dec.get()?,
+        })
+    }
+}
+
+impl Encode for CacheEntry {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.refs);
+        enc.put(&self.plans);
+    }
+}
+
+impl Decode for CacheEntry {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(CacheEntry {
+            refs: dec.get()?,
+            plans: dec.get()?,
+        })
+    }
+}
+
+/// The values of a registry keyed by its values' own names, in name order
+/// (the name is written once, as the value's first field).
+fn by_name<T>(registry: &HashMap<String, T>) -> Vec<&T> {
+    let mut entries: Vec<(&String, &T)> = registry.iter().collect();
+    entries.sort_by_key(|&(name, _)| name);
+    entries.into_iter().map(|(_, value)| value).collect()
+}
+
+/// The inverse of [`by_name`]: names must ascend strictly.
+fn keyed<T>(values: Vec<T>, name: impl Fn(&T) -> &String) -> Result<Arc<HashMap<String, T>>> {
+    if !values
+        .windows(2)
+        .all(|pair| name(&pair[0]) < name(&pair[1]))
+    {
+        return Err(bad("registry names out of order"));
+    }
+    let entries = values.into_iter().map(|v| (name(&v).clone(), v));
+    Ok(Arc::new(entries.collect()))
 }
 
 // ---------------------------------------------------------------------
@@ -373,11 +478,7 @@ fn decode_layout(dec: &mut Dec) -> Result<AffectedLayout> {
 pub(crate) fn encode_core(q: &Quark) -> Result<Vec<u8>> {
     let mut enc = Enc::new();
     enc.u8(VERSION);
-    enc.u8(match q.mode {
-        Mode::Ungrouped => 0,
-        Mode::Grouped => 1,
-        Mode::GroupedAgg => 2,
-    });
+    enc.tag(q.mode);
     let o = q.options;
     enc.bool(o.pruned_transitions);
     enc.bool(o.injective_opt);
@@ -391,119 +492,11 @@ pub(crate) fn encode_core(q: &Quark) -> Result<Vec<u8>> {
     enc.i64(q.db.schema_generation() as i64 - q.internal_ddl);
     enc.u64(q.compile_cache_hits);
     enc.bool(q.compile_cache_enabled);
-
-    // Views.
-    let mut views: Vec<&XmlView> = q.views.values().collect();
-    views.sort_by(|a, b| a.name.cmp(&b.name));
-    enc.u32(views.len() as u32);
-    for v in views {
-        enc.str(&v.name);
-        let mut anchors: Vec<(&String, &PathGraph)> = v.anchors.iter().collect();
-        anchors.sort_by(|a, b| a.0.cmp(b.0));
-        enc.u32(anchors.len() as u32);
-        for (name, pg) in anchors {
-            enc.str(name);
-            quark_xqgm::wire::encode_graph(&mut enc, &pg.kg.graph, pg.root)?;
-            enc.u32(pg.node_col as u32);
-            attr_map(&mut enc, &pg.attr_cols);
-        }
-    }
-
-    // Groups.
-    let mut groups: Vec<&Group> = q.groups.values().collect();
-    groups.sort_by(|a, b| a.signature.cmp(&b.signature));
-    enc.u32(groups.len() as u32);
-    for g in groups {
-        enc.str(&g.signature);
-        opt_str(&mut enc, g.constants_table.as_deref());
-        // Constants arity: every set of a group has the same width (the
-        // group signature fixes the condition shape).
-        let n_consts = g.sets.keys().next().map_or(0, |k| k.len());
-        enc.u32(n_consts as u32);
-        let mut sets: Vec<(&Vec<Value>, i64)> = g.sets.iter().map(|(k, &v)| (k, v)).collect();
-        sets.sort_by_key(|&(_, id)| id);
-        enc.u32(sets.len() as u32);
-        for (consts, id) in sets {
-            enc.i64(id);
-            enc.values(consts)?;
-        }
-        enc.i64(g.next_set);
-        {
-            let members = g.members.lock().expect("members");
-            let mut by_set: Vec<(&i64, &Vec<Member>)> = members.iter().collect();
-            by_set.sort_by_key(|(id, _)| **id);
-            enc.u32(by_set.len() as u32);
-            for (&id, list) in by_set {
-                enc.i64(id);
-                enc.u32(list.len() as u32);
-                for m in list {
-                    enc.str(&m.trigger);
-                    enc.str(&m.function);
-                    enc.u32(m.params.len() as u32);
-                    for p in &m.params {
-                        encode_param(&mut enc, p)?;
-                    }
-                }
-            }
-        }
-        enc.u32(g.sql_triggers.len() as u32);
-        for t in &g.sql_triggers {
-            enc.str(&t.name);
-            enc.str(&t.table);
-            enc.u8(event_tag(t.event));
-            enc.str(&t.plan);
-            enc.plan(&t.plan_ref)?;
-            match &t.residual {
-                Some(c) => {
-                    enc.bool(true);
-                    encode_condition(&mut enc, c)?;
-                }
-                None => enc.bool(false),
-            }
-            encode_source_event(&mut enc, &t.src);
-        }
-        enc.u32(g.footprint.len() as u32);
-        for table in &g.footprint {
-            enc.str(table);
-        }
-        enc.u32(g.trigger_count as u32);
-        opt_str(&mut enc, g.cache_key.as_deref());
-    }
-
-    // XML-trigger registry.
-    let mut triggers: Vec<(&String, &TriggerRecord)> = q.triggers.iter().collect();
-    triggers.sort_by(|a, b| a.0.cmp(b.0));
-    enc.u32(triggers.len() as u32);
-    for (name, r) in triggers {
-        enc.str(name);
-        enc.str(&r.group_signature);
-        enc.i64(r.set_id);
-    }
-
-    // Compile cache.
-    let mut cache: Vec<(&String, &CacheEntry)> = q.compile_cache.iter().collect();
-    cache.sort_by(|a, b| a.0.cmp(b.0));
-    enc.u32(cache.len() as u32);
-    for (key, entry) in cache {
-        enc.str(key);
-        enc.u32(entry.refs as u32);
-        let mut plans: Vec<(&String, &Option<AffectedNodePlan>)> = entry.plans.iter().collect();
-        plans.sort_by(|a, b| a.0.cmp(b.0));
-        enc.u32(plans.len() as u32);
-        for (table, plan) in plans {
-            enc.str(table);
-            match plan {
-                Some(anp) => {
-                    enc.bool(true);
-                    enc.plan(&anp.plan)?;
-                    encode_layout(&mut enc, &anp.layout);
-                }
-                None => enc.bool(false),
-            }
-        }
-    }
-
-    Ok(enc.into_bytes())
+    enc.put(&by_name(&q.views));
+    enc.put(&by_name(&q.groups));
+    enc.put(&*q.triggers);
+    enc.put(&*q.compile_cache);
+    enc.into_bytes()
 }
 
 /// Decode a blob written by [`encode_core`] into `q` (a fresh system whose
@@ -515,12 +508,7 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
     if version != VERSION {
         return Err(bad(&format!("unsupported core-blob version {version}")));
     }
-    q.mode = match dec.u8()? {
-        0 => Mode::Ungrouped,
-        1 => Mode::Grouped,
-        2 => Mode::GroupedAgg,
-        t => return Err(bad(&format!("unknown mode tag {t}"))),
-    };
+    q.mode = dec.tag()?;
     q.options = AnOptions {
         pruned_transitions: dec.bool()?,
         injective_opt: dec.bool()?,
@@ -532,123 +520,46 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
     q.compile_cache_hits = dec.u64()?;
     q.compile_cache_enabled = dec.bool()?;
 
-    // Views.
-    let n_views = dec.u32()?;
-    let mut views = HashMap::with_capacity(n_views as usize);
-    for _ in 0..n_views {
-        let name = dec.str()?;
-        let n_anchors = dec.u32()?;
-        let mut anchors = HashMap::with_capacity(n_anchors as usize);
-        for _ in 0..n_anchors {
-            let anchor = dec.str()?;
-            let (graph, root) = quark_xqgm::wire::decode_graph(&mut dec)?;
+    let db = &q.db;
+    let views = dec.seq(|dec, _| {
+        let name: String = dec.get()?;
+        let anchors = dec.seq(|dec, _| {
+            let anchor: String = dec.get()?;
+            let (graph, root) = decode_graph(dec)?;
             // Persisted graphs are already normalized, so re-deriving keys
             // is idempotent: no columns are appended and the persisted
             // node/attr column indices stay valid.
-            let (kg, root) = quark_xqgm::KeyedGraph::normalize(&graph, root, &q.db)?;
-            let node_col = dec.u32()? as usize;
-            let attr_cols = attr_map_dec(&mut dec)?;
-            anchors.insert(
-                anchor,
-                PathGraph {
-                    kg,
-                    root,
-                    node_col,
-                    attr_cols,
-                },
-            );
-        }
-        views.insert(name.clone(), XmlView { name, anchors });
-    }
-    q.views = Arc::new(views);
-
-    // Groups — decode, verify, re-arm.
-    let n_groups = dec.u32()?;
-    let mut groups = HashMap::with_capacity(n_groups as usize);
-    for _ in 0..n_groups {
-        let signature = dec.str()?;
-        let constants_table = opt_str_dec(&mut dec)?;
-        let n_consts = dec.u32()? as usize;
-        let n_sets = dec.u32()?;
-        let mut sets = HashMap::with_capacity(n_sets as usize);
-        for _ in 0..n_sets {
-            let id = dec.i64()?;
-            sets.insert(dec.values()?, id);
-        }
-        let next_set = dec.i64()?;
-        let n_member_sets = dec.u32()?;
-        let mut by_set: HashMap<i64, Vec<Member>> = HashMap::with_capacity(n_member_sets as usize);
-        for _ in 0..n_member_sets {
-            let id = dec.i64()?;
-            let n = dec.u32()?;
-            let mut list = Vec::with_capacity(n as usize);
-            for _ in 0..n {
-                let trigger = dec.str()?;
-                let function = dec.str()?;
-                let n_params = dec.u32()?;
-                let mut params = Vec::with_capacity(n_params as usize);
-                for _ in 0..n_params {
-                    params.push(decode_param(&mut dec)?);
-                }
-                list.push(Member {
-                    trigger,
-                    function,
-                    params,
-                });
-            }
-            by_set.insert(id, list);
-        }
-        let members: Members = Arc::new(Mutex::new(by_set));
-        let n_triggers = dec.u32()?;
-        let mut sql_triggers = Vec::with_capacity(n_triggers as usize);
-        for _ in 0..n_triggers {
-            let name = dec.str()?;
-            let table = dec.str()?;
-            let event = event_from_tag(dec.u8()?)?;
-            let plan = dec.str()?;
-            let plan_ref = dec.plan()?;
-            let residual = if dec.bool()? {
-                Some(decode_condition(&mut dec)?)
-            } else {
-                None
+            let (kg, root) = quark_xqgm::KeyedGraph::normalize(&graph, root, db)?;
+            let path = PathGraph {
+                kg,
+                root,
+                node_col: dec.get()?,
+                attr_cols: dec.get()?,
             };
-            let src = decode_source_event(&mut dec)?;
-            // Verify the decoded plan against its persisted rendering: a
-            // codec drift (or corruption past the storage CRCs) must fail
-            // recovery, not fire a silently different plan.
-            if plan_ref.explain() != plan {
-                return Err(bad(&format!(
-                    "re-armed plan for SQL trigger `{name}` does not match \
-                     its persisted rendering"
-                )));
-            }
-            sql_triggers.push(SqlTriggerMeta {
-                name,
-                table,
-                event,
-                plan,
-                plan_ref,
-                residual,
-                src,
-            });
+            Ok((anchor, path))
+        })?;
+        if !anchors.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            return Err(bad("view anchors out of order"));
         }
-        let n_footprint = dec.u32()?;
-        let mut footprint = BTreeSet::new();
-        for _ in 0..n_footprint {
-            footprint.insert(dec.str()?);
-        }
-        let trigger_count = dec.u32()? as usize;
-        let cache_key = opt_str_dec(&mut dec)?;
+        let anchors = anchors.into_iter().collect();
+        Ok(XmlView { name, anchors })
+    })?;
+    q.views = keyed(views, |v| &v.name)?;
+    q.groups = keyed(dec.get()?, |g: &Group| &g.signature)?;
+    q.triggers = Arc::new(dec.get()?);
+    q.compile_cache = Arc::new(dec.get()?);
+    dec.finish()?;
 
-        // Re-arm: rebuild each handler from its persisted ingredients and
-        // install it on the recovered database — no translation runs.
-        for t in &sql_triggers {
+    // Re-arm: rebuild each handler from its persisted ingredients and
+    // install it on the recovered database — no translation runs.
+    for g in by_name(&q.groups) {
+        for t in &g.sql_triggers {
             let body = q.make_handler(
                 Arc::clone(&t.plan_ref),
                 t.residual.clone(),
                 t.src.clone(),
-                Arc::clone(&members),
-                n_consts,
+                Arc::clone(&g.members),
+                g.n_consts(),
             );
             q.db.create_trigger(SqlTrigger {
                 name: t.name.clone(),
@@ -657,65 +568,7 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
                 body,
             })?;
         }
-
-        groups.insert(
-            signature.clone(),
-            Group {
-                signature,
-                constants_table,
-                members,
-                sets,
-                next_set,
-                sql_triggers,
-                footprint,
-                trigger_count,
-                cache_key,
-            },
-        );
     }
-    q.groups = Arc::new(groups);
-
-    // XML-trigger registry.
-    let n_records = dec.u32()?;
-    let mut triggers = HashMap::with_capacity(n_records as usize);
-    for _ in 0..n_records {
-        let name = dec.str()?;
-        let group_signature = dec.str()?;
-        let set_id = dec.i64()?;
-        triggers.insert(
-            name,
-            TriggerRecord {
-                group_signature,
-                set_id,
-            },
-        );
-    }
-    q.triggers = Arc::new(triggers);
-
-    // Compile cache.
-    let n_entries = dec.u32()?;
-    let mut cache = HashMap::with_capacity(n_entries as usize);
-    for _ in 0..n_entries {
-        let key = dec.str()?;
-        let refs = dec.u32()? as usize;
-        let n_plans = dec.u32()?;
-        let mut plans = HashMap::with_capacity(n_plans as usize);
-        for _ in 0..n_plans {
-            let table = dec.str()?;
-            let plan = if dec.bool()? {
-                let plan = dec.plan()?;
-                let layout = decode_layout(&mut dec)?;
-                Some(AffectedNodePlan { plan, layout })
-            } else {
-                None
-            };
-            plans.insert(table, plan);
-        }
-        cache.insert(key, CacheEntry { plans, refs });
-    }
-    q.compile_cache = Arc::new(cache);
-
-    dec.finish()?;
 
     // All recovery DDL has run (tables and indexes in `Quark::open`, the
     // trigger re-arms above don't bump the generation): re-base the
@@ -855,6 +708,24 @@ mod tests {
         let mut q2 = Quark::new(db, Mode::Grouped);
         let err = decode_core(&mut q2, &blob).unwrap_err();
         assert!(err.to_string().contains("version"), "{err}");
+    }
+
+    /// View and anchor counts larger than the bytes left are refused by
+    /// `Dec::seq` before anything is reserved.
+    #[test]
+    fn oversized_counts_are_refused_before_reserving() {
+        let q = demo();
+        let blob = encode_core(&q).unwrap();
+        // version, mode, four option flags, three 8-byte counters, one flag.
+        let views = 1 + 1 + 4 + 3 * 8 + 1;
+        let anchors = views + 4 + 4 + "catalog".len();
+        for count in [views, anchors] {
+            let mut blob = blob.clone();
+            blob[count..count + 4].fill(0xFF);
+            let mut q2 = Quark::new(q.database().clone(), Mode::Grouped);
+            let err = decode_core(&mut q2, &blob).unwrap_err();
+            assert!(err.to_string().contains("sequence of 4294967295 items"));
+        }
     }
 
     #[test]

@@ -417,7 +417,7 @@ fn eval_func(f: &ScalarFunc, args: Vec<Value>) -> Result<Value> {
 }
 
 /// Aggregate functions for `HashAggregate`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AggFunc {
     /// `COUNT(*)`.
     CountStar,

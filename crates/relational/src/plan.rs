@@ -404,7 +404,7 @@ impl PhysicalPlan {
     }
 
     /// Input plans of this node, in rendering order.
-    fn children(&self) -> Vec<&PlanRef> {
+    pub(crate) fn children(&self) -> Vec<&PlanRef> {
         match self {
             PhysicalPlan::TableScan { .. }
             | PhysicalPlan::TransitionScan { .. }

@@ -1,11 +1,28 @@
-//! Binary wire codecs for durable storage.
+//! The one binary codec: every persisted and wire type of the workspace is
+//! written through [`Encode`] and read back through [`Decode`].
 //!
-//! The storage layer persists rows, schemas, compiled plans and redo
-//! records as flat byte strings; this module is the single place that
-//! defines those encodings. The format is deliberately dumb: fixed-width
-//! little-endian integers, length-prefixed strings, one tag byte per enum
-//! variant. No versioning scheme beyond the catalog-level format version —
-//! a format change is a new catalog version, not an in-band negotiation.
+//! The format is deliberately dumb — fixed-width little-endian integers,
+//! `u32`-length-prefixed strings — and every compound type follows one of
+//! three rules, each implemented exactly once in this module:
+//!
+//! * **sequence** (`[T]`, `Vec<T>`, `Arc<[T]>`, `BTreeSet<T>`, and
+//!   `HashMap<K, V>` as key-ordered pairs): a `u32` count, then the items.
+//!   [`Dec::seq`] is the only reader; it rejects a count larger than the
+//!   bytes remaining *before* reserving (every item is at least one byte),
+//!   so a length field from outside the program never sizes an allocation.
+//!   Sets and maps must arrive strictly ascending, so equal values have
+//!   equal bytes.
+//! * **option** (`Option<T>`; `Box<T>` is transparent): a presence byte
+//!   (0/1), then the item when present.
+//! * **enum**: one tag byte per variant. Enums without payload pair their
+//!   variants with tag bytes in one [`WireTag::TAGS`] table that both
+//!   [`Enc::tag`] and [`Dec::tag`] read.
+//!
+//! A type implements the pair in the crate that owns it (`quark-xqgm`'s
+//! `wire`, `quark-core`'s `persist`, `quark-server`'s `protocol`); this
+//! module holds the relational types. There is no versioning beyond the
+//! catalog-level format version — a format change is a new catalog
+//! version, not an in-band negotiation.
 //!
 //! Two deliberate restrictions:
 //!
@@ -18,14 +35,15 @@
 //!   subplan feeding both OLD and NEW branches) survives a round trip:
 //!   decode rebuilds each shared node once and reuses the `Arc`.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::expr::{AggExpr, AggFunc, BinOp, Expr, ScalarFunc};
 use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::{ColumnType, Row, Value};
-use crate::{Error, Result};
+use crate::{Error, Event, Result};
 
 /// One physical redo operation, captured at the mutation entry points of
 /// [`Database`](crate::Database) and replayed verbatim — no trigger firing,
@@ -54,11 +72,33 @@ fn bad(msg: impl Into<String>) -> Error {
     Error::Storage(msg.into())
 }
 
+/// A value with a byte encoding.
+pub trait Encode {
+    /// Append the encoding of `self` to `enc`.
+    fn encode(&self, enc: &mut Enc);
+}
+
+/// A value that can be read back from its [`Encode`] bytes.
+pub trait Decode: Sized {
+    /// Read one value, consuming exactly the bytes `encode` wrote.
+    fn decode(dec: &mut Dec<'_>) -> Result<Self>;
+}
+
+/// An enum without payload: its one table pairing each variant with its
+/// tag byte, read by both [`Enc::tag`] and [`Dec::tag`].
+pub trait WireTag: Copy + PartialEq + 'static {
+    /// `(variant, tag byte)`, one row per variant.
+    const TAGS: &'static [(Self, u8)];
+}
+
 /// Byte-string encoder. All integers are little-endian; strings and byte
-/// strings are `u32` length + payload.
+/// strings are `u32` length + payload. Writes cannot fail one by one: a
+/// value without an encoding marks the encoder failed, and
+/// [`Enc::into_bytes`] reports it — one check where the bytes are taken.
 #[derive(Default)]
 pub struct Enc {
     buf: Vec<u8>,
+    failed: Option<&'static str>,
 }
 
 impl Enc {
@@ -67,19 +107,13 @@ impl Enc {
         Enc::default()
     }
 
-    /// Consume the encoder, returning the bytes written so far.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` if nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+    /// Consume the encoder, returning the bytes written, or the reason a
+    /// value put into it has no encoding.
+    pub fn into_bytes(self) -> Result<Vec<u8>> {
+        match self.failed {
+            None => Ok(self.buf),
+            Some(why) => Err(bad(why)),
+        }
     }
 
     /// Write one byte.
@@ -124,410 +158,18 @@ impl Enc {
         self.buf.extend_from_slice(b);
     }
 
-    /// Write a scalar [`Value`]. XML values are rejected — stored rows and
-    /// persisted plan literals never contain them.
-    pub fn value(&mut self, v: &Value) -> Result<()> {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Bool(b) => {
-                self.u8(1);
-                self.bool(*b);
-            }
-            Value::Int(i) => {
-                self.u8(2);
-                self.i64(*i);
-            }
-            Value::Double(d) => {
-                self.u8(3);
-                self.f64(*d);
-            }
-            Value::Str(s) => {
-                self.u8(4);
-                self.str(s);
-            }
-            Value::Xml(_) => return Err(bad("cannot serialize an XML value")),
-        }
-        Ok(())
+    /// Write any [`Encode`] value.
+    pub fn put<T: Encode + ?Sized>(&mut self, v: &T) {
+        v.encode(self)
     }
 
-    /// Write a slice of values with a length prefix.
-    pub fn values(&mut self, vals: &[Value]) -> Result<()> {
-        self.u32(vals.len() as u32);
-        for v in vals {
-            self.value(v)?;
-        }
-        Ok(())
-    }
-
-    /// Write a full row.
-    pub fn row(&mut self, row: &Row) -> Result<()> {
-        self.values(row)
-    }
-
-    /// Write a table schema (name, columns, primary-key column indices).
-    pub fn schema(&mut self, s: &TableSchema) {
-        self.str(&s.name);
-        self.u32(s.columns.len() as u32);
-        for c in &s.columns {
-            self.str(&c.name);
-            self.u8(column_type_tag(c.ty));
-        }
-        self.u32(s.primary_key.len() as u32);
-        for &i in &s.primary_key {
-            self.u32(i as u32);
-        }
-    }
-
-    /// Write a scalar expression.
-    pub fn expr(&mut self, e: &Expr) -> Result<()> {
-        match e {
-            Expr::Col(i) => {
-                self.u8(0);
-                self.u32(*i as u32);
-            }
-            Expr::Lit(v) => {
-                self.u8(1);
-                self.value(v)?;
-            }
-            Expr::Binary { op, left, right } => {
-                self.u8(2);
-                self.binop(*op);
-                self.expr(left)?;
-                self.expr(right)?;
-            }
-            Expr::Not(inner) => {
-                self.u8(3);
-                self.expr(inner)?;
-            }
-            Expr::IsNull(inner) => {
-                self.u8(4);
-                self.expr(inner)?;
-            }
-            Expr::Func(f, args) => {
-                self.u8(5);
-                self.scalar_func(f);
-                self.u32(args.len() as u32);
-                for a in args {
-                    self.expr(a)?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Write a slice of expressions with a length prefix.
-    pub fn exprs(&mut self, es: &[Expr]) -> Result<()> {
-        self.u32(es.len() as u32);
-        for e in es {
-            self.expr(e)?;
-        }
-        Ok(())
-    }
-
-    fn scalar_func(&mut self, f: &ScalarFunc) {
-        match f {
-            ScalarFunc::XmlElement { name, attrs } => {
-                self.u8(0);
-                self.str(name);
-                self.u32(attrs.len() as u32);
-                for a in attrs {
-                    self.str(a);
-                }
-            }
-            ScalarFunc::XmlWrap(n) => {
-                self.u8(1);
-                self.str(n);
-            }
-            ScalarFunc::XmlAttr(n) => {
-                self.u8(2);
-                self.str(n);
-            }
-            ScalarFunc::XmlChildren(n) => {
-                self.u8(3);
-                self.str(n);
-            }
-            ScalarFunc::XmlDescendants(n) => {
-                self.u8(4);
-                self.str(n);
-            }
-            ScalarFunc::NodeCount => self.u8(5),
-            ScalarFunc::XmlString => self.u8(6),
-            ScalarFunc::Concat => self.u8(7),
-            ScalarFunc::Coalesce => self.u8(8),
-        }
-    }
-
-    /// Write an aggregate column.
-    pub fn agg_expr(&mut self, a: &AggExpr) -> Result<()> {
-        self.u8(match a.func {
-            AggFunc::CountStar => 0,
-            AggFunc::Count => 1,
-            AggFunc::Sum => 2,
-            AggFunc::Min => 3,
-            AggFunc::Max => 4,
-            AggFunc::XmlAgg => 5,
-        });
-        match &a.arg {
-            None => self.u8(0),
-            Some(e) => {
-                self.u8(1);
-                self.expr(e)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Write one redo operation.
-    pub fn redo_op(&mut self, op: &RedoOp) -> Result<()> {
-        match op {
-            RedoOp::Put { table, row } => {
-                self.u8(0);
-                self.str(table);
-                self.row(row)?;
-            }
-            RedoOp::Del { table, key } => {
-                self.u8(1);
-                self.str(table);
-                self.values(key)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Write a batch of redo operations with a length prefix.
-    pub fn redo_ops(&mut self, ops: &[RedoOp]) -> Result<()> {
-        self.u32(ops.len() as u32);
-        for op in ops {
-            self.redo_op(op)?;
-        }
-        Ok(())
-    }
-
-    /// Write a plan DAG as a node table in children-first order. Shared
-    /// nodes (by `Arc` identity) are emitted once and referenced by index,
-    /// so sharing survives the round trip.
-    pub fn plan(&mut self, root: &PlanRef) -> Result<()> {
-        let mut ids: HashMap<usize, u64> = HashMap::new();
-        let mut order: Vec<PlanRef> = Vec::new();
-        visit_plan(root, &mut ids, &mut order);
-        self.u32(order.len() as u32);
-        for node in &order {
-            self.plan_node(node, &ids)?;
-        }
-        Ok(())
-    }
-
-    fn child_id(&mut self, p: &PlanRef, ids: &HashMap<usize, u64>) {
-        let id = ids[&(Arc::as_ptr(p) as usize)];
-        self.u32(id as u32);
-    }
-
-    fn plan_node(&mut self, node: &PhysicalPlan, ids: &HashMap<usize, u64>) -> Result<()> {
-        match node {
-            PhysicalPlan::TableScan { table, epoch } => {
-                self.u8(0);
-                self.str(table);
-                self.u8(epoch_tag(*epoch));
-            }
-            PhysicalPlan::TransitionScan {
-                table,
-                side,
-                pruned,
-            } => {
-                self.u8(1);
-                self.str(table);
-                self.u8(match side {
-                    TransitionSide::Delta => 0,
-                    TransitionSide::Nabla => 1,
-                });
-                self.bool(*pruned);
-            }
-            PhysicalPlan::Values { arity, rows } => {
-                self.u8(2);
-                self.u32(*arity as u32);
-                self.u32(rows.len() as u32);
-                for r in rows {
-                    self.row(r)?;
-                }
-            }
-            PhysicalPlan::Filter { input, predicate } => {
-                self.u8(3);
-                self.child_id(input, ids);
-                self.expr(predicate)?;
-            }
-            PhysicalPlan::Project { input, exprs } => {
-                self.u8(4);
-                self.child_id(input, ids);
-                self.exprs(exprs)?;
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                kind,
-                filter,
-            } => {
-                self.u8(5);
-                self.child_id(left, ids);
-                self.child_id(right, ids);
-                self.exprs(left_keys)?;
-                self.exprs(right_keys)?;
-                self.join_kind(*kind);
-                self.opt_expr(filter)?;
-            }
-            PhysicalPlan::IndexJoin {
-                outer,
-                table,
-                epoch,
-                probe,
-                kind,
-                filter,
-            } => {
-                self.u8(6);
-                self.child_id(outer, ids);
-                self.str(table);
-                self.u8(epoch_tag(*epoch));
-                self.u32(probe.len() as u32);
-                for (col, e) in probe {
-                    self.u32(*col as u32);
-                    self.expr(e)?;
-                }
-                self.join_kind(*kind);
-                self.opt_expr(filter)?;
-            }
-            PhysicalPlan::NestedLoopJoin {
-                left,
-                right,
-                predicate,
-                kind,
-            } => {
-                self.u8(7);
-                self.child_id(left, ids);
-                self.child_id(right, ids);
-                self.opt_expr(predicate)?;
-                self.join_kind(*kind);
-            }
-            PhysicalPlan::HashAggregate {
-                input,
-                group_exprs,
-                aggs,
-            } => {
-                self.u8(8);
-                self.child_id(input, ids);
-                self.exprs(group_exprs)?;
-                self.u32(aggs.len() as u32);
-                for a in aggs {
-                    self.agg_expr(a)?;
-                }
-            }
-            PhysicalPlan::UnionAll { inputs } => {
-                self.u8(9);
-                self.u32(inputs.len() as u32);
-                for i in inputs {
-                    self.child_id(i, ids);
-                }
-            }
-            PhysicalPlan::Distinct { input } => {
-                self.u8(10);
-                self.child_id(input, ids);
-            }
-            PhysicalPlan::Sort { input, keys } => {
-                self.u8(11);
-                self.child_id(input, ids);
-                self.u32(keys.len() as u32);
-                for k in keys {
-                    self.expr(&k.expr)?;
-                    self.bool(k.desc);
-                }
-            }
-            PhysicalPlan::Unnest { input, expr } => {
-                self.u8(12);
-                self.child_id(input, ids);
-                self.expr(expr)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Write an optional expression: a presence byte (0/1), then the
-    /// expression when present.
-    pub fn opt_expr(&mut self, e: &Option<Expr>) -> Result<()> {
-        self.bool(e.is_some());
-        e.as_ref().map_or(Ok(()), |e| self.expr(e))
-    }
-
-    /// Write a binary-operator tag. The one `BinOp` tag table: every
-    /// codec layered on this one (XQGM graphs, the core blob) calls it.
-    pub fn binop(&mut self, op: BinOp) {
-        self.u8(match op {
-            BinOp::Add => 0,
-            BinOp::Sub => 1,
-            BinOp::Mul => 2,
-            BinOp::Div => 3,
-            BinOp::Eq => 4,
-            BinOp::Ne => 5,
-            BinOp::Lt => 6,
-            BinOp::Le => 7,
-            BinOp::Gt => 8,
-            BinOp::Ge => 9,
-            BinOp::And => 10,
-            BinOp::Or => 11,
-        });
-    }
-
-    /// Write a join-kind tag (the one `JoinKind` tag table).
-    pub fn join_kind(&mut self, k: JoinKind) {
-        self.u8(match k {
-            JoinKind::Inner => 0,
-            JoinKind::LeftOuter => 1,
-            JoinKind::LeftSemi => 2,
-            JoinKind::LeftAnti => 3,
-        });
-    }
-}
-
-/// Post-order DFS assigning node-table ids (children before parents).
-fn visit_plan(p: &PlanRef, ids: &mut HashMap<usize, u64>, order: &mut Vec<PlanRef>) {
-    let key = Arc::as_ptr(p) as usize;
-    if ids.contains_key(&key) {
-        return;
-    }
-    let children: Vec<&PlanRef> = match &**p {
-        PhysicalPlan::TableScan { .. }
-        | PhysicalPlan::TransitionScan { .. }
-        | PhysicalPlan::Values { .. } => vec![],
-        PhysicalPlan::Filter { input, .. }
-        | PhysicalPlan::Project { input, .. }
-        | PhysicalPlan::HashAggregate { input, .. }
-        | PhysicalPlan::Distinct { input }
-        | PhysicalPlan::Sort { input, .. }
-        | PhysicalPlan::Unnest { input, .. } => vec![input],
-        PhysicalPlan::HashJoin { left, right, .. }
-        | PhysicalPlan::NestedLoopJoin { left, right, .. } => vec![left, right],
-        PhysicalPlan::IndexJoin { outer, .. } => vec![outer],
-        PhysicalPlan::UnionAll { inputs } => inputs.iter().collect(),
-    };
-    for c in children {
-        visit_plan(c, ids, order);
-    }
-    ids.insert(key, order.len() as u64);
-    order.push(Arc::clone(p));
-}
-
-fn column_type_tag(t: ColumnType) -> u8 {
-    match t {
-        ColumnType::Bool => 0,
-        ColumnType::Int => 1,
-        ColumnType::Double => 2,
-        ColumnType::Str => 3,
-    }
-}
-
-fn epoch_tag(e: TableEpoch) -> u8 {
-    match e {
-        TableEpoch::Current => 0,
-        TableEpoch::Old => 1,
+    /// Write the tag byte of a payload-free enum variant.
+    pub fn tag<T: WireTag>(&mut self, v: T) {
+        let (_, byte) = T::TAGS
+            .iter()
+            .find(|(variant, _)| *variant == v)
+            .expect("every variant has a row in its tag table");
+        self.u8(*byte);
     }
 }
 
@@ -620,57 +262,351 @@ impl<'a> Dec<'a> {
         Ok(self.take(n)?.to_vec())
     }
 
-    /// Read a scalar [`Value`].
-    pub fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.bool()?),
-            2 => Value::Int(self.i64()?),
-            3 => Value::Double(self.f64()?),
-            4 => Value::Str(Arc::from(self.str()?.as_str())),
-            other => return Err(bad(format!("bad value tag {other}"))),
-        })
+    /// Read any [`Decode`] value.
+    pub fn get<T: Decode>(&mut self) -> Result<T> {
+        T::decode(self)
     }
 
-    /// Read a length-prefixed list of values.
-    pub fn values(&mut self) -> Result<Vec<Value>> {
+    /// Read a payload-free enum variant from its tag byte.
+    pub fn tag<T: WireTag>(&mut self) -> Result<T> {
+        let byte = self.u8()?;
+        match T::TAGS.iter().find(|(_, tag)| *tag == byte) {
+            Some((variant, _)) => Ok(*variant),
+            None => Err(bad(format!(
+                "bad {} tag {byte}",
+                std::any::type_name::<T>()
+            ))),
+        }
+    }
+
+    /// Read a `u32` count and that many items — the one sequence reader.
+    /// `item` also sees the items read so far (a plan node refers to
+    /// earlier nodes of its table). Every item is at least one byte, so a
+    /// count larger than the bytes remaining is refused before anything is
+    /// reserved: a length field from outside never sizes an allocation.
+    pub fn seq<T>(&mut self, mut item: impl FnMut(&mut Self, &[T]) -> Result<T>) -> Result<Vec<T>> {
         let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
+        if n > self.remaining() {
+            return Err(bad(format!(
+                "sequence of {n} items in {} remaining bytes",
+                self.remaining()
+            )));
+        }
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            out.push(self.value()?);
+            out.push(item(self, &out)?);
         }
         Ok(out)
     }
+}
 
-    /// Read a full row.
-    pub fn row(&mut self) -> Result<Row> {
-        Ok(self.values()?.into())
+// ---------------------------------------------------------------------
+// The three rules, once each.
+// ---------------------------------------------------------------------
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, enc: &mut Enc) {
+        (**self).encode(enc)
     }
+}
 
-    /// Read a table schema.
-    pub fn schema(&mut self) -> Result<TableSchema> {
-        let name = self.str()?;
-        let n_cols = self.u32()? as usize;
-        let mut columns = Vec::with_capacity(n_cols.min(1 << 12));
-        for _ in 0..n_cols {
-            let cname = self.str()?;
-            let ty = match self.u8()? {
-                0 => ColumnType::Bool,
-                1 => ColumnType::Int,
-                2 => ColumnType::Double,
-                3 => ColumnType::Str,
-                other => return Err(bad(format!("bad column type tag {other}"))),
-            };
-            columns.push(ColumnDef::new(cname, ty));
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, enc: &mut Enc) {
+        enc.u32(self.len() as u32);
+        self.iter().for_each(|item| item.encode(enc));
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, enc: &mut Enc) {
+        self[..].encode(enc)
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        dec.seq(|dec, _| T::decode(dec))
+    }
+}
+
+impl<T: Encode> Encode for Arc<[T]> {
+    fn encode(&self, enc: &mut Enc) {
+        self[..].encode(enc)
+    }
+}
+
+impl<T: Decode> Decode for Arc<[T]> {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(Vec::decode(dec)?.into())
+    }
+}
+
+/// Sets and maps are written in ascending key order and must be read back
+/// strictly ascending, so a decoded value re-encodes to the bytes it came
+/// from.
+impl<T: Encode> Encode for BTreeSet<T> {
+    fn encode(&self, enc: &mut Enc) {
+        self.iter().collect::<Vec<_>>().encode(enc)
+    }
+}
+
+impl<T: Decode + Ord> Decode for BTreeSet<T> {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        let items = Vec::<T>::decode(dec)?;
+        if !items.windows(2).all(|pair| pair[0] < pair[1]) {
+            return Err(bad("set items out of order"));
         }
-        let n_pk = self.u32()? as usize;
-        let mut primary_key = Vec::with_capacity(n_pk.min(1 << 8));
-        for _ in 0..n_pk {
-            let i = self.u32()? as usize;
-            if i >= columns.len() {
-                return Err(bad(format!("primary-key column {i} out of range")));
+        Ok(items.into_iter().collect())
+    }
+}
+
+impl<K: Encode + Ord, V: Encode> Encode for HashMap<K, V> {
+    fn encode(&self, enc: &mut Enc) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.encode(enc)
+    }
+}
+
+impl<K: Decode + Ord + Hash, V: Decode> Decode for HashMap<K, V> {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        let entries = Vec::<(K, V)>::decode(dec)?;
+        if !entries.windows(2).all(|pair| pair[0].0 < pair[1].0) {
+            return Err(bad("map keys out of order"));
+        }
+        Ok(entries.into_iter().collect())
+    }
+}
+
+impl<A: Encode, B: Encode> Encode for (A, B) {
+    fn encode(&self, enc: &mut Enc) {
+        self.0.encode(enc);
+        self.1.encode(enc);
+    }
+}
+
+impl<A: Decode, B: Decode> Decode for (A, B) {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok((dec.get()?, dec.get()?))
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, enc: &mut Enc) {
+        enc.bool(self.is_some());
+        if let Some(item) = self {
+            item.encode(enc);
+        }
+    }
+}
+
+impl<T: Decode> Decode for Option<T> {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        dec.bool()?.then(|| T::decode(dec)).transpose()
+    }
+}
+
+impl<T: Encode> Encode for Box<T> {
+    fn encode(&self, enc: &mut Enc) {
+        (**self).encode(enc)
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        T::decode(dec).map(Box::new)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Leaves
+// ---------------------------------------------------------------------
+
+impl Encode for String {
+    fn encode(&self, enc: &mut Enc) {
+        enc.str(self);
+    }
+}
+
+impl Decode for String {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        dec.str()
+    }
+}
+
+/// Column indices, node ids and counts travel as `u32`.
+impl Encode for usize {
+    fn encode(&self, enc: &mut Enc) {
+        enc.u32(*self as u32);
+    }
+}
+
+impl Decode for usize {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(dec.u32()? as usize)
+    }
+}
+
+impl Encode for u64 {
+    fn encode(&self, enc: &mut Enc) {
+        enc.u64(*self);
+    }
+}
+
+impl Decode for u64 {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        dec.u64()
+    }
+}
+
+impl Encode for i64 {
+    fn encode(&self, enc: &mut Enc) {
+        enc.i64(*self);
+    }
+}
+
+impl Decode for i64 {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        dec.i64()
+    }
+}
+
+// ---------------------------------------------------------------------
+// Tag tables of the relational enums
+// ---------------------------------------------------------------------
+
+impl WireTag for BinOp {
+    const TAGS: &'static [(Self, u8)] = &[
+        (BinOp::Add, 0),
+        (BinOp::Sub, 1),
+        (BinOp::Mul, 2),
+        (BinOp::Div, 3),
+        (BinOp::Eq, 4),
+        (BinOp::Ne, 5),
+        (BinOp::Lt, 6),
+        (BinOp::Le, 7),
+        (BinOp::Gt, 8),
+        (BinOp::Ge, 9),
+        (BinOp::And, 10),
+        (BinOp::Or, 11),
+    ];
+}
+
+impl WireTag for JoinKind {
+    const TAGS: &'static [(Self, u8)] = &[
+        (JoinKind::Inner, 0),
+        (JoinKind::LeftOuter, 1),
+        (JoinKind::LeftSemi, 2),
+        (JoinKind::LeftAnti, 3),
+    ];
+}
+
+impl WireTag for ColumnType {
+    const TAGS: &'static [(Self, u8)] = &[
+        (ColumnType::Bool, 0),
+        (ColumnType::Int, 1),
+        (ColumnType::Double, 2),
+        (ColumnType::Str, 3),
+    ];
+}
+
+impl WireTag for TableEpoch {
+    const TAGS: &'static [(Self, u8)] = &[(TableEpoch::Current, 0), (TableEpoch::Old, 1)];
+}
+
+impl WireTag for TransitionSide {
+    const TAGS: &'static [(Self, u8)] = &[(TransitionSide::Delta, 0), (TransitionSide::Nabla, 1)];
+}
+
+impl WireTag for AggFunc {
+    const TAGS: &'static [(Self, u8)] = &[
+        (AggFunc::CountStar, 0),
+        (AggFunc::Count, 1),
+        (AggFunc::Sum, 2),
+        (AggFunc::Min, 3),
+        (AggFunc::Max, 4),
+        (AggFunc::XmlAgg, 5),
+    ];
+}
+
+impl WireTag for Event {
+    const TAGS: &'static [(Self, u8)] =
+        &[(Event::Insert, 0), (Event::Update, 1), (Event::Delete, 2)];
+}
+
+// ---------------------------------------------------------------------
+// Values, schemas, expressions, redo
+// ---------------------------------------------------------------------
+
+/// XML values are rejected — stored rows and persisted plan literals
+/// never contain them.
+impl Encode for Value {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            Value::Null => enc.u8(0),
+            Value::Bool(b) => {
+                enc.u8(1);
+                enc.bool(*b);
             }
-            primary_key.push(i);
+            Value::Int(i) => {
+                enc.u8(2);
+                enc.i64(*i);
+            }
+            Value::Double(d) => {
+                enc.u8(3);
+                enc.f64(*d);
+            }
+            Value::Str(s) => {
+                enc.u8(4);
+                enc.str(s);
+            }
+            Value::Xml(_) => enc.failed = Some("cannot serialize an XML value"),
+        }
+    }
+}
+
+impl Decode for Value {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => Value::Null,
+            1 => Value::Bool(dec.bool()?),
+            2 => Value::Int(dec.i64()?),
+            3 => Value::Double(dec.f64()?),
+            4 => Value::Str(Arc::from(dec.str()?.as_str())),
+            other => return Err(bad(format!("bad value tag {other}"))),
+        })
+    }
+}
+
+impl Encode for ColumnDef {
+    fn encode(&self, enc: &mut Enc) {
+        enc.str(&self.name);
+        enc.tag(self.ty);
+    }
+}
+
+impl Decode for ColumnDef {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(ColumnDef::new(dec.str()?, dec.tag()?))
+    }
+}
+
+/// Name, columns, primary-key column indices.
+impl Encode for TableSchema {
+    fn encode(&self, enc: &mut Enc) {
+        enc.str(&self.name);
+        enc.put(&self.columns);
+        enc.put(&self.primary_key);
+    }
+}
+
+impl Decode for TableSchema {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        let name = dec.str()?;
+        let columns: Vec<ColumnDef> = dec.get()?;
+        let primary_key: Vec<usize> = dec.get()?;
+        if let Some(i) = primary_key.iter().find(|&&i| i >= columns.len()) {
+            return Err(bad(format!("primary-key column {i} out of range")));
         }
         if primary_key.is_empty() {
             return Err(bad(format!("schema `{name}` has no primary key")));
@@ -681,77 +617,103 @@ impl<'a> Dec<'a> {
             primary_key,
         })
     }
+}
 
-    /// Read a scalar expression.
-    pub fn expr(&mut self) -> Result<Expr> {
-        Ok(match self.u8()? {
-            0 => Expr::Col(self.u32()? as usize),
-            1 => Expr::Lit(self.value()?),
-            2 => {
-                let op = self.binop()?;
-                let left = Box::new(self.expr()?);
-                let right = Box::new(self.expr()?);
-                Expr::Binary { op, left, right }
+impl Encode for Expr {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            Expr::Col(i) => {
+                enc.u8(0);
+                enc.put(i);
             }
-            3 => Expr::Not(Box::new(self.expr()?)),
-            4 => Expr::IsNull(Box::new(self.expr()?)),
-            5 => {
-                let f = self.scalar_func()?;
-                let n = self.u32()? as usize;
-                let mut args = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    args.push(self.expr()?);
-                }
-                Expr::Func(f, args)
+            Expr::Lit(v) => {
+                enc.u8(1);
+                enc.put(v);
             }
+            Expr::Binary { op, left, right } => {
+                enc.u8(2);
+                enc.tag(*op);
+                enc.put(left);
+                enc.put(right);
+            }
+            Expr::Not(inner) => {
+                enc.u8(3);
+                enc.put(inner);
+            }
+            Expr::IsNull(inner) => {
+                enc.u8(4);
+                enc.put(inner);
+            }
+            Expr::Func(f, args) => {
+                enc.u8(5);
+                enc.put(f);
+                enc.put(args);
+            }
+        }
+    }
+}
+
+impl Decode for Expr {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => Expr::Col(dec.get()?),
+            1 => Expr::Lit(dec.get()?),
+            2 => Expr::Binary {
+                op: dec.tag()?,
+                left: dec.get()?,
+                right: dec.get()?,
+            },
+            3 => Expr::Not(dec.get()?),
+            4 => Expr::IsNull(dec.get()?),
+            5 => Expr::Func(dec.get()?, dec.get()?),
             other => return Err(bad(format!("bad expr tag {other}"))),
         })
     }
+}
 
-    /// Read a length-prefixed list of expressions.
-    pub fn exprs(&mut self) -> Result<Vec<Expr>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 12));
-        for _ in 0..n {
-            out.push(self.expr()?);
-        }
-        Ok(out)
-    }
-
-    /// Read a binary-operator tag written by [`Enc::binop`].
-    pub fn binop(&mut self) -> Result<BinOp> {
-        Ok(match self.u8()? {
-            0 => BinOp::Add,
-            1 => BinOp::Sub,
-            2 => BinOp::Mul,
-            3 => BinOp::Div,
-            4 => BinOp::Eq,
-            5 => BinOp::Ne,
-            6 => BinOp::Lt,
-            7 => BinOp::Le,
-            8 => BinOp::Gt,
-            9 => BinOp::Ge,
-            10 => BinOp::And,
-            11 => BinOp::Or,
-            other => return Err(bad(format!("bad binop tag {other}"))),
-        })
-    }
-
-    fn scalar_func(&mut self) -> Result<ScalarFunc> {
-        Ok(match self.u8()? {
-            0 => {
-                let name = self.str()?;
-                let n = self.u32()? as usize;
-                let mut attrs = Vec::with_capacity(n.min(1 << 8));
-                for _ in 0..n {
-                    attrs.push(self.str()?);
-                }
-                ScalarFunc::XmlElement { name, attrs }
+impl Encode for ScalarFunc {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            ScalarFunc::XmlElement { name, attrs } => {
+                enc.u8(0);
+                enc.str(name);
+                enc.put(attrs);
             }
-            1 => ScalarFunc::XmlWrap(self.str()?),
-            2 => ScalarFunc::XmlAttr(self.str()?),
-            3 => ScalarFunc::XmlChildren(self.str()?),
-            4 => ScalarFunc::XmlDescendants(self.str()?),
+            ScalarFunc::XmlWrap(n) => {
+                enc.u8(1);
+                enc.str(n);
+            }
+            ScalarFunc::XmlAttr(n) => {
+                enc.u8(2);
+                enc.str(n);
+            }
+            ScalarFunc::XmlChildren(n) => {
+                enc.u8(3);
+                enc.str(n);
+            }
+            ScalarFunc::XmlDescendants(n) => {
+                enc.u8(4);
+                enc.str(n);
+            }
+            ScalarFunc::NodeCount => enc.u8(5),
+            ScalarFunc::XmlString => enc.u8(6),
+            ScalarFunc::Concat => enc.u8(7),
+            ScalarFunc::Coalesce => enc.u8(8),
+        }
+    }
+}
+
+impl Decode for ScalarFunc {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => ScalarFunc::XmlElement {
+                name: dec.str()?,
+                attrs: dec.get()?,
+            },
+            1 => ScalarFunc::XmlWrap(dec.str()?),
+            2 => ScalarFunc::XmlAttr(dec.str()?),
+            3 => ScalarFunc::XmlChildren(dec.str()?),
+            4 => ScalarFunc::XmlDescendants(dec.str()?),
             5 => ScalarFunc::NodeCount,
             6 => ScalarFunc::XmlString,
             7 => ScalarFunc::Concat,
@@ -759,203 +721,298 @@ impl<'a> Dec<'a> {
             other => return Err(bad(format!("bad scalar-func tag {other}"))),
         })
     }
+}
 
-    /// Read an aggregate column.
-    pub fn agg_expr(&mut self) -> Result<AggExpr> {
-        let func = match self.u8()? {
-            0 => AggFunc::CountStar,
-            1 => AggFunc::Count,
-            2 => AggFunc::Sum,
-            3 => AggFunc::Min,
-            4 => AggFunc::Max,
-            5 => AggFunc::XmlAgg,
-            other => return Err(bad(format!("bad agg-func tag {other}"))),
-        };
-        let arg = match self.u8()? {
-            0 => None,
-            1 => Some(self.expr()?),
-            other => return Err(bad(format!("bad option tag {other}"))),
-        };
-        Ok(AggExpr { func, arg })
+impl Encode for AggExpr {
+    fn encode(&self, enc: &mut Enc) {
+        enc.tag(self.func);
+        enc.put(&self.arg);
     }
+}
 
-    /// Read one redo operation.
-    pub fn redo_op(&mut self) -> Result<RedoOp> {
-        Ok(match self.u8()? {
+impl Decode for AggExpr {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(AggExpr {
+            func: dec.tag()?,
+            arg: dec.get()?,
+        })
+    }
+}
+
+impl Encode for SortKey {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.expr);
+        enc.bool(self.desc);
+    }
+}
+
+impl Decode for SortKey {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(SortKey {
+            expr: dec.get()?,
+            desc: dec.bool()?,
+        })
+    }
+}
+
+impl Encode for RedoOp {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            RedoOp::Put { table, row } => {
+                enc.u8(0);
+                enc.str(table);
+                enc.put(row);
+            }
+            RedoOp::Del { table, key } => {
+                enc.u8(1);
+                enc.str(table);
+                enc.put(key);
+            }
+        }
+    }
+}
+
+impl Decode for RedoOp {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
             0 => RedoOp::Put {
-                table: self.str()?,
-                row: self.row()?,
+                table: dec.str()?,
+                row: dec.get()?,
             },
             1 => RedoOp::Del {
-                table: self.str()?,
-                key: self.values()?,
+                table: dec.str()?,
+                key: dec.get()?,
             },
             other => return Err(bad(format!("bad redo-op tag {other}"))),
         })
     }
+}
 
-    /// Read a length-prefixed batch of redo operations.
-    pub fn redo_ops(&mut self) -> Result<Vec<RedoOp>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            out.push(self.redo_op()?);
+// ---------------------------------------------------------------------
+// Plan DAGs
+// ---------------------------------------------------------------------
+
+/// Node-table index per node, keyed by `Arc` identity.
+type NodeIds = HashMap<*const PhysicalPlan, usize>;
+
+/// Post-order numbering (children before parents); a shared node is
+/// numbered once.
+fn number<'p>(plan: &'p PlanRef, ids: &mut NodeIds, order: &mut Vec<&'p PhysicalPlan>) {
+    if ids.contains_key(&Arc::as_ptr(plan)) {
+        return;
+    }
+    for child in plan.children() {
+        number(child, ids, order);
+    }
+    ids.insert(Arc::as_ptr(plan), order.len());
+    order.push(plan);
+}
+
+/// A plan DAG is a node table in children-first order. Shared nodes (by
+/// `Arc` identity) are written once and referenced by index, so sharing
+/// survives the round trip; the root is the last node.
+impl Encode for PlanRef {
+    fn encode(&self, enc: &mut Enc) {
+        let (mut ids, mut order) = (NodeIds::new(), Vec::new());
+        number(self, &mut ids, &mut order);
+        let nodes: Vec<Node<'_>> = order.iter().map(|plan| Node { plan, ids: &ids }).collect();
+        enc.put(&nodes);
+    }
+}
+
+impl Decode for PlanRef {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        dec.seq(|dec, nodes| Ok(decode_node(dec, nodes)?.into_ref()))?
+            .pop()
+            .ok_or_else(|| bad("empty plan node table"))
+    }
+}
+
+/// One row of the node table: children are indices of earlier rows.
+struct Node<'p> {
+    plan: &'p PhysicalPlan,
+    ids: &'p NodeIds,
+}
+
+impl Encode for Node<'_> {
+    fn encode(&self, enc: &mut Enc) {
+        let id = |child: &PlanRef| self.ids[&Arc::as_ptr(child)];
+        match self.plan {
+            PhysicalPlan::TableScan { table, epoch } => {
+                enc.u8(0);
+                enc.str(table);
+                enc.tag(*epoch);
+            }
+            PhysicalPlan::TransitionScan {
+                table,
+                side,
+                pruned,
+            } => {
+                enc.u8(1);
+                enc.str(table);
+                enc.tag(*side);
+                enc.bool(*pruned);
+            }
+            PhysicalPlan::Values { arity, rows } => {
+                enc.u8(2);
+                enc.put(arity);
+                enc.put(rows);
+            }
+            PhysicalPlan::Filter { input, predicate } => {
+                enc.u8(3);
+                enc.put(&id(input));
+                enc.put(predicate);
+            }
+            PhysicalPlan::Project { input, exprs } => {
+                enc.u8(4);
+                enc.put(&id(input));
+                enc.put(exprs);
+            }
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                kind,
+                filter,
+            } => {
+                enc.u8(5);
+                enc.put(&id(left));
+                enc.put(&id(right));
+                enc.put(left_keys);
+                enc.put(right_keys);
+                enc.tag(*kind);
+                enc.put(filter);
+            }
+            PhysicalPlan::IndexJoin {
+                outer,
+                table,
+                epoch,
+                probe,
+                kind,
+                filter,
+            } => {
+                enc.u8(6);
+                enc.put(&id(outer));
+                enc.str(table);
+                enc.tag(*epoch);
+                enc.put(probe);
+                enc.tag(*kind);
+                enc.put(filter);
+            }
+            PhysicalPlan::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+                kind,
+            } => {
+                enc.u8(7);
+                enc.put(&id(left));
+                enc.put(&id(right));
+                enc.put(predicate);
+                enc.tag(*kind);
+            }
+            PhysicalPlan::HashAggregate {
+                input,
+                group_exprs,
+                aggs,
+            } => {
+                enc.u8(8);
+                enc.put(&id(input));
+                enc.put(group_exprs);
+                enc.put(aggs);
+            }
+            PhysicalPlan::UnionAll { inputs } => {
+                enc.u8(9);
+                enc.put(&inputs.iter().map(id).collect::<Vec<_>>());
+            }
+            PhysicalPlan::Distinct { input } => {
+                enc.u8(10);
+                enc.put(&id(input));
+            }
+            PhysicalPlan::Sort { input, keys } => {
+                enc.u8(11);
+                enc.put(&id(input));
+                enc.put(keys);
+            }
+            PhysicalPlan::Unnest { input, expr } => {
+                enc.u8(12);
+                enc.put(&id(input));
+                enc.put(expr);
+            }
         }
-        Ok(out)
     }
+}
 
-    /// Read a plan DAG written by [`Enc::plan`]. The root is the last node
-    /// of the table.
-    pub fn plan(&mut self) -> Result<PlanRef> {
-        let n = self.u32()? as usize;
-        let mut nodes: Vec<PlanRef> = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let node = self.plan_node(&nodes)?;
-            nodes.push(node.into_ref());
-        }
-        nodes.pop().ok_or_else(|| bad("empty plan node table"))
-    }
-
-    fn child(&mut self, nodes: &[PlanRef]) -> Result<PlanRef> {
-        let id = self.u32()? as usize;
-        nodes
-            .get(id)
-            .cloned()
-            .ok_or_else(|| bad(format!("plan node reference {id} out of range")))
-    }
-
-    fn plan_node(&mut self, nodes: &[PlanRef]) -> Result<PhysicalPlan> {
-        Ok(match self.u8()? {
-            0 => PhysicalPlan::TableScan {
-                table: self.str()?,
-                epoch: self.epoch()?,
-            },
-            1 => PhysicalPlan::TransitionScan {
-                table: self.str()?,
-                side: match self.u8()? {
-                    0 => TransitionSide::Delta,
-                    1 => TransitionSide::Nabla,
-                    other => return Err(bad(format!("bad transition side {other}"))),
-                },
-                pruned: self.bool()?,
-            },
-            2 => {
-                let arity = self.u32()? as usize;
-                let n = self.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    rows.push(self.row()?);
-                }
-                PhysicalPlan::Values { arity, rows }
-            }
-            3 => PhysicalPlan::Filter {
-                input: self.child(nodes)?,
-                predicate: self.expr()?,
-            },
-            4 => PhysicalPlan::Project {
-                input: self.child(nodes)?,
-                exprs: self.exprs()?,
-            },
-            5 => PhysicalPlan::HashJoin {
-                left: self.child(nodes)?,
-                right: self.child(nodes)?,
-                left_keys: self.exprs()?,
-                right_keys: self.exprs()?,
-                kind: self.join_kind()?,
-                filter: self.opt_expr()?,
-            },
-            6 => {
-                let outer = self.child(nodes)?;
-                let table = self.str()?;
-                let epoch = self.epoch()?;
-                let n = self.u32()? as usize;
-                let mut probe = Vec::with_capacity(n.min(1 << 8));
-                for _ in 0..n {
-                    let col = self.u32()? as usize;
-                    probe.push((col, self.expr()?));
-                }
-                PhysicalPlan::IndexJoin {
-                    outer,
-                    table,
-                    epoch,
-                    probe,
-                    kind: self.join_kind()?,
-                    filter: self.opt_expr()?,
-                }
-            }
-            7 => PhysicalPlan::NestedLoopJoin {
-                left: self.child(nodes)?,
-                right: self.child(nodes)?,
-                predicate: self.opt_expr()?,
-                kind: self.join_kind()?,
-            },
-            8 => {
-                let input = self.child(nodes)?;
-                let group_exprs = self.exprs()?;
-                let n = self.u32()? as usize;
-                let mut aggs = Vec::with_capacity(n.min(1 << 8));
-                for _ in 0..n {
-                    aggs.push(self.agg_expr()?);
-                }
-                PhysicalPlan::HashAggregate {
-                    input,
-                    group_exprs,
-                    aggs,
-                }
-            }
-            9 => {
-                let n = self.u32()? as usize;
-                let mut inputs = Vec::with_capacity(n.min(1 << 8));
-                for _ in 0..n {
-                    inputs.push(self.child(nodes)?);
-                }
-                PhysicalPlan::UnionAll { inputs }
-            }
-            10 => PhysicalPlan::Distinct {
-                input: self.child(nodes)?,
-            },
-            11 => {
-                let input = self.child(nodes)?;
-                let n = self.u32()? as usize;
-                let mut keys = Vec::with_capacity(n.min(1 << 8));
-                for _ in 0..n {
-                    let expr = self.expr()?;
-                    let desc = self.bool()?;
-                    keys.push(SortKey { expr, desc });
-                }
-                PhysicalPlan::Sort { input, keys }
-            }
-            12 => PhysicalPlan::Unnest {
-                input: self.child(nodes)?,
-                expr: self.expr()?,
-            },
-            other => return Err(bad(format!("bad plan node tag {other}"))),
-        })
-    }
-
-    fn epoch(&mut self) -> Result<TableEpoch> {
-        Ok(match self.u8()? {
-            0 => TableEpoch::Current,
-            1 => TableEpoch::Old,
-            other => return Err(bad(format!("bad table epoch {other}"))),
-        })
-    }
-
-    /// Read a join-kind tag written by [`Enc::join_kind`].
-    pub fn join_kind(&mut self) -> Result<JoinKind> {
-        Ok(match self.u8()? {
-            0 => JoinKind::Inner,
-            1 => JoinKind::LeftOuter,
-            2 => JoinKind::LeftSemi,
-            3 => JoinKind::LeftAnti,
-            other => return Err(bad(format!("bad join kind {other}"))),
-        })
-    }
-
-    /// Read an optional expression written by [`Enc::opt_expr`].
-    pub fn opt_expr(&mut self) -> Result<Option<Expr>> {
-        self.bool()?.then(|| self.expr()).transpose()
-    }
+fn decode_node(dec: &mut Dec<'_>, nodes: &[PlanRef]) -> Result<PhysicalPlan> {
+    let child = |dec: &mut Dec<'_>| -> Result<PlanRef> {
+        let id: usize = dec.get()?;
+        let node = nodes.get(id).cloned();
+        node.ok_or_else(|| bad(format!("plan node reference {id} out of range")))
+    };
+    Ok(match dec.u8()? {
+        0 => PhysicalPlan::TableScan {
+            table: dec.str()?,
+            epoch: dec.tag()?,
+        },
+        1 => PhysicalPlan::TransitionScan {
+            table: dec.str()?,
+            side: dec.tag()?,
+            pruned: dec.bool()?,
+        },
+        2 => PhysicalPlan::Values {
+            arity: dec.get()?,
+            rows: dec.get()?,
+        },
+        3 => PhysicalPlan::Filter {
+            input: child(dec)?,
+            predicate: dec.get()?,
+        },
+        4 => PhysicalPlan::Project {
+            input: child(dec)?,
+            exprs: dec.get()?,
+        },
+        5 => PhysicalPlan::HashJoin {
+            left: child(dec)?,
+            right: child(dec)?,
+            left_keys: dec.get()?,
+            right_keys: dec.get()?,
+            kind: dec.tag()?,
+            filter: dec.get()?,
+        },
+        6 => PhysicalPlan::IndexJoin {
+            outer: child(dec)?,
+            table: dec.str()?,
+            epoch: dec.tag()?,
+            probe: dec.get()?,
+            kind: dec.tag()?,
+            filter: dec.get()?,
+        },
+        7 => PhysicalPlan::NestedLoopJoin {
+            left: child(dec)?,
+            right: child(dec)?,
+            predicate: dec.get()?,
+            kind: dec.tag()?,
+        },
+        8 => PhysicalPlan::HashAggregate {
+            input: child(dec)?,
+            group_exprs: dec.get()?,
+            aggs: dec.get()?,
+        },
+        9 => PhysicalPlan::UnionAll {
+            inputs: dec.seq(|dec, _| child(dec))?,
+        },
+        10 => PhysicalPlan::Distinct { input: child(dec)? },
+        11 => PhysicalPlan::Sort {
+            input: child(dec)?,
+            keys: dec.get()?,
+        },
+        12 => PhysicalPlan::Unnest {
+            input: child(dec)?,
+            expr: dec.get()?,
+        },
+        other => return Err(bad(format!("bad plan node tag {other}"))),
+    })
 }
 
 #[cfg(test)]
@@ -970,7 +1027,7 @@ mod tests {
         use BinOp::*;
         let mut enc = Enc::new();
         for op in [Add, Sub, Mul, Div, Eq, Ne, Lt, Le, Gt, Ge, And, Or] {
-            enc.binop(op);
+            enc.tag(op);
         }
         for kind in [
             JoinKind::Inner,
@@ -978,11 +1035,11 @@ mod tests {
             JoinKind::LeftSemi,
             JoinKind::LeftAnti,
         ] {
-            enc.join_kind(kind);
+            enc.tag(kind);
         }
-        enc.opt_expr(&None).unwrap();
-        enc.opt_expr(&Some(Expr::Col(7))).unwrap();
-        let bytes = enc.into_bytes();
+        enc.put(&None::<Expr>);
+        enc.put(&Some(Expr::Col(7)));
+        let bytes = enc.into_bytes().unwrap();
         assert_eq!(
             bytes,
             [
@@ -993,20 +1050,20 @@ mod tests {
             ]
         );
         let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.binop().unwrap(), Add);
+        assert_eq!(dec.tag::<BinOp>().unwrap(), Add);
         for _ in 1..12 {
-            dec.binop().unwrap();
+            dec.tag::<BinOp>().unwrap();
         }
-        assert_eq!(dec.join_kind().unwrap(), JoinKind::Inner);
+        assert_eq!(dec.tag::<JoinKind>().unwrap(), JoinKind::Inner);
         for _ in 1..4 {
-            dec.join_kind().unwrap();
+            dec.tag::<JoinKind>().unwrap();
         }
-        assert_eq!(dec.opt_expr().unwrap(), None);
-        assert_eq!(dec.opt_expr().unwrap(), Some(Expr::Col(7)));
+        assert_eq!(dec.get::<Option<Expr>>().unwrap(), None);
+        assert_eq!(dec.get::<Option<Expr>>().unwrap(), Some(Expr::Col(7)));
         dec.finish().unwrap();
-        assert!(Dec::new(&[12]).binop().is_err());
-        assert!(Dec::new(&[4]).join_kind().is_err());
-        assert!(Dec::new(&[2]).opt_expr().is_err());
+        assert!(Dec::new(&[12]).tag::<BinOp>().is_err());
+        assert!(Dec::new(&[4]).tag::<JoinKind>().is_err());
+        assert!(Dec::new(&[2]).get::<Option<Expr>>().is_err());
     }
 
     #[test]
@@ -1019,10 +1076,10 @@ mod tests {
             Value::str("héllo"),
         ];
         let mut enc = Enc::new();
-        enc.values(&vals).unwrap();
-        let bytes = enc.into_bytes();
+        enc.put(&vals);
+        let bytes = enc.into_bytes().unwrap();
         let mut dec = Dec::new(&bytes);
-        assert_eq!(dec.values().unwrap(), vals);
+        assert_eq!(dec.get::<Vec<Value>>().unwrap(), vals);
         dec.finish().unwrap();
     }
 
@@ -1030,7 +1087,8 @@ mod tests {
     fn xml_values_refuse_to_serialize() {
         let v = Value::Xml(quark_xml::element("a", vec![], vec![]));
         let mut enc = Enc::new();
-        assert!(matches!(enc.value(&v), Err(Error::Storage(_))));
+        enc.put(&v);
+        assert!(matches!(enc.into_bytes(), Err(Error::Storage(_))));
     }
 
     #[test]
@@ -1046,9 +1104,9 @@ mod tests {
         )
         .unwrap();
         let mut enc = Enc::new();
-        enc.schema(&s);
-        let bytes = enc.into_bytes();
-        assert_eq!(Dec::new(&bytes).schema().unwrap(), s);
+        enc.put(&s);
+        let bytes = enc.into_bytes().unwrap();
+        assert_eq!(Dec::new(&bytes).get::<TableSchema>().unwrap(), s);
     }
 
     #[test]
@@ -1062,9 +1120,9 @@ mod tests {
             Expr::Not(Box::new(Expr::IsNull(Box::new(Expr::col(0))))),
         );
         let mut enc = Enc::new();
-        enc.expr(&e).unwrap();
-        let bytes = enc.into_bytes();
-        assert_eq!(Dec::new(&bytes).expr().unwrap(), e);
+        enc.put(&e);
+        let bytes = enc.into_bytes().unwrap();
+        assert_eq!(Dec::new(&bytes).get::<Expr>().unwrap(), e);
     }
 
     #[test]
@@ -1080,14 +1138,38 @@ mod tests {
             },
         ];
         let mut enc = Enc::new();
-        enc.redo_ops(&ops).unwrap();
-        let bytes = enc.into_bytes();
+        enc.put(&ops);
+        let bytes = enc.into_bytes().unwrap();
         // Golden bytes: this is the body of every WAL batch record.
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
         });
         assert_eq!((bytes.len(), fnv), (65, 0x980d_3c69_afb9_6322));
-        assert_eq!(Dec::new(&bytes).redo_ops().unwrap(), ops);
+        assert_eq!(Dec::new(&bytes).get::<Vec<RedoOp>>().unwrap(), ops);
+    }
+
+    /// `Dec::seq` refuses a count larger than the bytes left — at the top
+    /// of a redo batch and inside one of its rows — before reserving.
+    #[test]
+    fn oversized_counts_are_refused_before_reserving() {
+        let mut nested = Enc::new();
+        nested.u32(1); // one op
+        nested.u8(0); // Put
+        nested.str("t");
+        nested.u32(u32::MAX); // row arity
+        let nested = nested.into_bytes().unwrap();
+        for bytes in [&[0xFF; 4][..], &nested] {
+            let err = Dec::new(bytes).get::<Vec<RedoOp>>().unwrap_err();
+            assert!(err.to_string().contains("sequence of 4294967295 items"));
+        }
+        // The bound is the bytes that remain, not a fixed cap.
+        let two = Dec::new(&[2, 0, 0, 0, 7, 9]).seq(|dec, _| dec.u8());
+        assert_eq!(two.unwrap(), [7, 9]);
+        let three = Dec::new(&[3, 0, 0, 0, 7, 9]).seq(|dec, _| dec.u8());
+        assert!(three
+            .unwrap_err()
+            .to_string()
+            .contains("sequence of 3 items"));
     }
 
     #[test]
@@ -1113,9 +1195,9 @@ mod tests {
         .into_ref();
 
         let mut enc = Enc::new();
-        enc.plan(&root).unwrap();
-        let bytes = enc.into_bytes();
-        let decoded = Dec::new(&bytes).plan().unwrap();
+        enc.put(&root);
+        let bytes = enc.into_bytes().unwrap();
+        let decoded: PlanRef = Dec::new(&bytes).get().unwrap();
         assert_eq!(*decoded, *root);
         // Sharing survives: both branches point at one scan node.
         let PhysicalPlan::UnionAll { inputs } = &*decoded else {

@@ -14,10 +14,9 @@
 //! configured maximum frame size; an oversized header is rejected *before*
 //! buffering, so a malicious length cannot make the server allocate.
 //!
-//! Payloads reuse the storage layer's byte codecs
-//! ([`Enc`]/[`Dec`]): little-endian
-//! integers, `u32`-length-prefixed UTF-8 strings, one tag byte per enum
-//! variant. The first payload byte is the frame tag:
+//! Payloads go through the same codec as everything persisted
+//! ([`quark_core::relational::wire`], whose module docs state the rules
+//! every format follows). The first payload byte is the frame tag:
 //!
 //! | tag | direction | body |
 //! |---|---|---|
@@ -41,8 +40,8 @@
 use std::fmt;
 use std::io::{self, Write};
 
-use quark_core::relational::wire::{Dec, Enc};
-use quark_core::relational::{Row, Value};
+use quark_core::relational::wire::{Dec, Enc, WireTag};
+use quark_core::relational::{self, Row, Value};
 use quark_core::storage::crc::crc32;
 use quark_core::{AnalysisReport, ObjectKind, Span, StatementError, StatementResult};
 
@@ -133,28 +132,17 @@ pub enum WireErrorKind {
     Busy,
 }
 
+impl WireTag for WireErrorKind {
+    const TAGS: &'static [(Self, u8)] = &[
+        (WireErrorKind::Parse, 0),
+        (WireErrorKind::Db, 1),
+        (WireErrorKind::Protocol, 2),
+        (WireErrorKind::ShuttingDown, 3),
+        (WireErrorKind::Busy, 4),
+    ];
+}
+
 impl WireErrorKind {
-    fn to_u8(self) -> u8 {
-        match self {
-            WireErrorKind::Parse => 0,
-            WireErrorKind::Db => 1,
-            WireErrorKind::Protocol => 2,
-            WireErrorKind::ShuttingDown => 3,
-            WireErrorKind::Busy => 4,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        Some(match v {
-            0 => WireErrorKind::Parse,
-            1 => WireErrorKind::Db,
-            2 => WireErrorKind::Protocol,
-            3 => WireErrorKind::ShuttingDown,
-            4 => WireErrorKind::Busy,
-            _ => return None,
-        })
-    }
-
     /// `true` if the statement was provably never executed and can be
     /// resent verbatim ([`ShuttingDown`](WireErrorKind::ShuttingDown) /
     /// [`Busy`](WireErrorKind::Busy)).
@@ -187,23 +175,14 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-fn object_kind_u8(kind: ObjectKind) -> u8 {
-    match kind {
-        ObjectKind::Table => 0,
-        ObjectKind::Index => 1,
-        ObjectKind::View => 2,
-        ObjectKind::Trigger => 3,
-    }
+fn malformed(msg: String) -> relational::Error {
+    relational::Error::Storage(msg)
 }
 
-fn object_kind_from(v: u8) -> Result<ObjectKind, String> {
-    Ok(match v {
-        0 => ObjectKind::Table,
-        1 => ObjectKind::Index,
-        2 => ObjectKind::View,
-        3 => ObjectKind::Trigger,
-        other => return Err(format!("bad object kind byte 0x{other:02x}")),
-    })
+/// The bytes of a finished payload. Only an XML value has no encoding, and
+/// result rows are flattened before they are put.
+fn payload(enc: Enc) -> Vec<u8> {
+    enc.into_bytes().expect("wire payloads hold no XML value")
 }
 
 // ----------------------------------------------------------------------
@@ -263,23 +242,22 @@ pub fn encode_request(statement: &str) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.u8(REQ_EXECUTE);
     enc.str(statement);
-    enc.into_bytes()
+    payload(enc)
 }
 
 /// Decode a request payload (CRC already verified by the framing layer, so
 /// any failure here is a protocol violation, not line noise).
 pub fn decode_request(payload: &[u8]) -> Result<Request, String> {
-    let mut dec = Dec::new(payload);
-    let tag = dec.u8().map_err(|e| e.to_string())?;
-    match tag {
-        REQ_EXECUTE => {
-            let text = dec.str().map_err(|e| format!("bad statement text: {e}"))?;
-            dec.finish()
-                .map_err(|_| "trailing bytes after request".to_string())?;
-            Ok(Request::Execute(text))
-        }
-        other => Err(format!("unknown request tag 0x{other:02x}")),
-    }
+    let decode = || {
+        let mut dec = Dec::new(payload);
+        let request = match dec.u8()? {
+            REQ_EXECUTE => Request::Execute(dec.str()?),
+            other => return Err(malformed(format!("unknown request tag 0x{other:02x}"))),
+        };
+        dec.finish()?;
+        Ok(request)
+    };
+    decode().map_err(|e| e.to_string())
 }
 
 // ----------------------------------------------------------------------
@@ -299,34 +277,27 @@ pub fn encode_result(result: &StatementResult) -> Vec<u8> {
         }
         StatementResult::Rows { columns, rows } => {
             enc.u8(RESP_ROWS);
-            enc.u32(columns.len() as u32);
-            for c in columns {
-                enc.str(c);
-            }
-            enc.u32(rows.len() as u32);
-            for row in rows {
-                enc.u32(row.len() as u32);
-                for v in row.iter() {
-                    let flat;
-                    let v = match v {
-                        Value::Xml(x) => {
-                            flat = Value::str(x.to_xml());
-                            &flat
-                        }
-                        other => other,
-                    };
-                    enc.value(v).expect("non-XML value always encodes");
-                }
+            enc.put(columns);
+            let is_xml = |v: &Value| matches!(v, Value::Xml(_));
+            if rows.iter().any(|row| row.iter().any(is_xml)) {
+                let flat = |v: &Value| match v {
+                    Value::Xml(x) => Value::str(x.to_xml()),
+                    other => other.clone(),
+                };
+                let rows = rows.iter().map(|row| row.iter().map(flat).collect());
+                enc.put(&rows.collect::<Vec<Row>>());
+            } else {
+                enc.put(rows);
             }
         }
         StatementResult::Created { kind, name } => {
             enc.u8(RESP_CREATED);
-            enc.u8(object_kind_u8(*kind));
+            enc.tag(*kind);
             enc.str(name);
         }
         StatementResult::Dropped { kind, name } => {
             enc.u8(RESP_DROPPED);
-            enc.u8(object_kind_u8(*kind));
+            enc.tag(*kind);
             enc.str(name);
         }
         StatementResult::Explain(text) => {
@@ -335,10 +306,7 @@ pub fn encode_result(result: &StatementResult) -> Vec<u8> {
         }
         StatementResult::Xml(nodes) => {
             enc.u8(RESP_XML);
-            enc.u32(nodes.len() as u32);
-            for n in nodes {
-                enc.str(&n.to_xml());
-            }
+            enc.put(&nodes.iter().map(|n| n.to_xml()).collect::<Vec<_>>());
         }
         StatementResult::Analysis(report) => {
             enc.u8(RESP_ANALYSIS);
@@ -352,24 +320,17 @@ pub fn encode_result(result: &StatementResult) -> Vec<u8> {
             enc.str(&report.text);
         }
     }
-    enc.into_bytes()
+    payload(enc)
 }
 
 /// Encode an ERROR response payload.
 pub fn encode_error(kind: WireErrorKind, message: &str, span: Option<Span>) -> Vec<u8> {
     let mut enc = Enc::new();
     enc.u8(RESP_ERROR);
-    enc.u8(kind.to_u8());
+    enc.tag(kind);
     enc.str(message);
-    match span {
-        Some(span) => {
-            enc.u8(1);
-            enc.u64(span.start as u64);
-            enc.u64(span.end as u64);
-        }
-        None => enc.u8(0),
-    }
-    enc.into_bytes()
+    enc.put(&span.map(|s| (s.start as u64, s.end as u64)));
+    payload(enc)
 }
 
 /// Encode a [`StatementError`] (parse errors keep their span).
@@ -386,80 +347,47 @@ pub fn encode_statement_error(e: &StatementError) -> Vec<u8> {
 /// (malformed payload); the inner `Err` is a well-formed ERROR frame.
 #[allow(clippy::type_complexity)]
 pub fn decode_response(payload: &[u8]) -> Result<Result<WireResult, WireError>, String> {
-    let mut dec = Dec::new(payload);
-    let tag = dec.u8().map_err(|e| e.to_string())?;
-    let strerr = |e: quark_core::relational::Error| e.to_string();
-    let ok = match tag {
-        RESP_ROWS_AFFECTED => WireResult::RowsAffected(dec.u64().map_err(strerr)?),
-        RESP_ROWS => {
-            let ncols = dec.u32().map_err(strerr)? as usize;
-            let mut columns = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                columns.push(dec.str().map_err(strerr)?);
-            }
-            let nrows = dec.u32().map_err(strerr)? as usize;
-            let mut rows = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                let arity = dec.u32().map_err(strerr)? as usize;
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    row.push(dec.value().map_err(strerr)?);
-                }
-                rows.push(quark_core::relational::row(row));
-            }
-            WireResult::Rows { columns, rows }
-        }
-        RESP_CREATED => WireResult::Created {
-            kind: object_kind_from(dec.u8().map_err(strerr)?)?,
-            name: dec.str().map_err(strerr)?,
-        },
-        RESP_DROPPED => WireResult::Dropped {
-            kind: object_kind_from(dec.u8().map_err(strerr)?)?,
-            name: dec.str().map_err(strerr)?,
-        },
-        RESP_EXPLAIN => WireResult::Explain(dec.str().map_err(strerr)?),
-        RESP_XML => {
-            let n = dec.u32().map_err(strerr)? as usize;
-            let mut out = Vec::with_capacity(n);
-            for _ in 0..n {
-                out.push(dec.str().map_err(strerr)?);
-            }
-            WireResult::Xml(out)
-        }
-        RESP_ANALYSIS => WireResult::Analysis(AnalysisReport {
-            groups: dec.u64().map_err(strerr)?,
-            errors: dec.u64().map_err(strerr)?,
-            warnings: dec.u64().map_err(strerr)?,
-            cycles_bounded: dec.u64().map_err(strerr)?,
-            cycles_unbounded: dec.u64().map_err(strerr)?,
-            commuting_pairs: dec.u64().map_err(strerr)?,
-            conflicting_pairs: dec.u64().map_err(strerr)?,
-            text: dec.str().map_err(strerr)?,
-        }),
-        RESP_ERROR => {
-            let kind = WireErrorKind::from_u8(dec.u8().map_err(strerr)?)
-                .ok_or_else(|| "bad error kind byte".to_string())?;
-            let message = dec.str().map_err(strerr)?;
-            let span = match dec.u8().map_err(strerr)? {
-                0 => None,
-                _ => Some(Span::new(
-                    dec.u64().map_err(strerr)? as usize,
-                    dec.u64().map_err(strerr)? as usize,
-                )),
-            };
-            dec.finish()
-                .map_err(|_| "trailing bytes after response".to_string())?;
-            return Ok(Err(WireError {
-                kind,
-                message,
-                span,
-            }));
-        }
-        other => return Err(format!("unknown response tag 0x{other:02x}")),
+    let decode = || {
+        let mut dec = Dec::new(payload);
+        let response = match dec.u8()? {
+            RESP_ROWS_AFFECTED => Ok(WireResult::RowsAffected(dec.u64()?)),
+            RESP_ROWS => Ok(WireResult::Rows {
+                columns: dec.get()?,
+                rows: dec.get()?,
+            }),
+            RESP_CREATED => Ok(WireResult::Created {
+                kind: dec.tag()?,
+                name: dec.str()?,
+            }),
+            RESP_DROPPED => Ok(WireResult::Dropped {
+                kind: dec.tag()?,
+                name: dec.str()?,
+            }),
+            RESP_EXPLAIN => Ok(WireResult::Explain(dec.str()?)),
+            RESP_XML => Ok(WireResult::Xml(dec.get()?)),
+            RESP_ANALYSIS => Ok(WireResult::Analysis(AnalysisReport {
+                groups: dec.u64()?,
+                errors: dec.u64()?,
+                warnings: dec.u64()?,
+                cycles_bounded: dec.u64()?,
+                cycles_unbounded: dec.u64()?,
+                commuting_pairs: dec.u64()?,
+                conflicting_pairs: dec.u64()?,
+                text: dec.str()?,
+            })),
+            RESP_ERROR => Err(WireError {
+                kind: dec.tag()?,
+                message: dec.str()?,
+                span: dec
+                    .get::<Option<(u64, u64)>>()?
+                    .map(|(start, end)| Span::new(start as usize, end as usize)),
+            }),
+            other => return Err(malformed(format!("unknown response tag 0x{other:02x}"))),
+        };
+        dec.finish()?;
+        Ok(response)
     };
-    dec.finish()
-        .map_err(|_| "trailing bytes after response".to_string())?;
-    Ok(Ok(ok))
+    decode().map_err(|e: relational::Error| e.to_string())
 }
 
 #[cfg(test)]
@@ -677,6 +605,22 @@ mod tests {
                 (37, 0x3413_831c_ed38_9bfb),
             ]
         );
+    }
+
+    /// A count from the peer never sizes an allocation: one larger than the
+    /// bytes that follow is refused by `Dec::seq` before anything is reserved
+    /// (before it existed, the first payload asked for 103 GB).
+    #[test]
+    fn oversized_counts_are_refused_before_reserving() {
+        let payloads: [&[u8]; 3] = [
+            &[0x81, 0xFF, 0xFF, 0xFF, 0xFF],             // ROWS: column count
+            &[0x81, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF], // ROWS: row count
+            &[0x85, 0xFF, 0xFF, 0xFF, 0xFF],             // XML: fragment count
+        ];
+        for payload in payloads {
+            let err = decode_response(payload).unwrap_err();
+            assert!(err.contains("sequence of 4294967295 items"), "{err}");
+        }
     }
 
     #[test]

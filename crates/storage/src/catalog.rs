@@ -15,7 +15,7 @@
 
 use std::path::Path;
 
-use quark_relational::wire::{Dec, Enc};
+use quark_relational::wire::{Dec, Decode, Enc, Encode};
 use quark_relational::{Error, Result, TableSchema};
 
 use crate::framed;
@@ -48,6 +48,24 @@ pub struct Catalog {
     pub core_blob: Option<Vec<u8>>,
 }
 
+impl Encode for TableEntry {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.schema);
+        enc.put(&self.indexes);
+        enc.put(&self.image);
+    }
+}
+
+impl Decode for TableEntry {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(TableEntry {
+            schema: dec.get()?,
+            indexes: dec.get()?,
+            image: dec.get()?,
+        })
+    }
+}
+
 impl Catalog {
     /// Load the catalog, or `None` when the file does not exist yet (a
     /// fresh database directory).
@@ -61,20 +79,7 @@ impl Catalog {
         }
         let checkpoint_lsn = dec.u64()?;
         let wal_seq = dec.u64()?;
-        let n_tables = dec.u32()?;
-        let mut tables = Vec::with_capacity(n_tables as usize);
-        for _ in 0..n_tables {
-            let schema = dec.schema()?;
-            let indexes = (0..dec.u32()?)
-                .map(|_| dec.u32().map(|c| c as usize))
-                .collect::<Result<Vec<_>>>()?;
-            let image = dec.bool()?.then(|| dec.u64()).transpose()?;
-            tables.push(TableEntry {
-                schema,
-                indexes,
-                image,
-            });
-        }
+        let tables = dec.get()?;
         let core_blob = dec.bool()?.then(|| dec.bytes()).transpose()?;
         dec.finish()?;
         Ok(Some(Catalog {
@@ -92,23 +97,12 @@ impl Catalog {
         enc.u32(VERSION);
         enc.u64(self.checkpoint_lsn);
         enc.u64(self.wal_seq);
-        enc.u32(self.tables.len() as u32);
-        for t in &self.tables {
-            enc.schema(&t.schema);
-            enc.u32(t.indexes.len() as u32);
-            for &c in &t.indexes {
-                enc.u32(c as u32);
-            }
-            enc.bool(t.image.is_some());
-            if let Some(id) = t.image {
-                enc.u64(id);
-            }
-        }
+        enc.put(&self.tables);
         enc.bool(self.core_blob.is_some());
         if let Some(blob) = &self.core_blob {
             enc.bytes(blob);
         }
-        framed::publish(path, MAGIC, &enc.into_bytes(), sync)
+        framed::publish(path, MAGIC, &enc.into_bytes()?, sync)
     }
 }
 
@@ -185,11 +179,38 @@ mod tests {
         let path = tmp_file("version");
         let mut enc = Enc::new();
         enc.u32(1); // the paged-store layout this version replaced
-        framed::publish(&path, MAGIC, &enc.into_bytes(), false).unwrap();
+        framed::publish(&path, MAGIC, &enc.into_bytes().unwrap(), false).unwrap();
         assert!(matches!(
             Catalog::load(&path),
             Err(Error::Storage(m)) if m.contains("unsupported catalog version")
         ));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Table, column and index counts larger than the bytes left are
+    /// refused by `Dec::seq` before anything is reserved.
+    #[test]
+    fn oversized_counts_are_refused_before_reserving() {
+        let path = tmp_file("counts");
+        let header = |enc: &mut Enc, tables: u32| {
+            enc.u32(VERSION);
+            enc.u64(42); // checkpoint LSN
+            enc.u64(3); // WAL segment
+            enc.u32(tables);
+        };
+        let mut tables = Enc::new();
+        header(&mut tables, u32::MAX);
+        let mut columns = Enc::new();
+        header(&mut columns, 1);
+        columns.str("vendor");
+        columns.u32(u32::MAX);
+        for enc in [tables, columns] {
+            framed::publish(&path, MAGIC, &enc.into_bytes().unwrap(), false).unwrap();
+            assert!(matches!(
+                Catalog::load(&path),
+                Err(Error::Storage(m)) if m.contains("sequence of 4294967295 items")
+            ));
+        }
         let _ = std::fs::remove_file(&path);
     }
 

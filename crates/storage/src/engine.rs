@@ -129,17 +129,13 @@ pub struct StorageEngine {
 
 fn encode_rows(table: &Table) -> Result<Vec<u8>> {
     let mut enc = Enc::new();
-    enc.u32(table.len() as u32);
-    for row in table.iter() {
-        enc.row(row)?;
-    }
-    Ok(enc.into_bytes())
+    enc.put(&table.iter().collect::<Vec<_>>());
+    enc.into_bytes()
 }
 
 fn decode_rows(bytes: &[u8]) -> Result<Vec<Row>> {
     let mut dec = Dec::new(bytes);
-    let n = dec.u32()?;
-    let rows = (0..n).map(|_| dec.row()).collect::<Result<Vec<_>>>()?;
+    let rows = dec.get()?;
     dec.finish()?;
     Ok(rows)
 }

@@ -174,8 +174,8 @@ impl Wal {
     /// the live one.
     pub fn append_statement(&mut self, ops: &[RedoOp], sync: SyncMode) -> Result<Append> {
         let mut enc = Enc::new();
-        enc.redo_ops(ops)?;
-        let body = enc.into_bytes();
+        enc.put(ops);
+        let body = enc.into_bytes()?;
         let mut buf = self.frame(KIND_BATCH, &body);
         buf.extend_from_slice(&self.frame(KIND_COMMIT, &[]));
         self.file
@@ -269,7 +269,7 @@ impl Wal {
                 match kind {
                     KIND_BATCH => {
                         let mut dec = Dec::new(&payload[9..]);
-                        let Ok(ops) = dec.redo_ops() else {
+                        let Ok(ops) = dec.get() else {
                             break false;
                         };
                         if dec.finish().is_err() {

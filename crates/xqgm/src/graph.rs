@@ -170,7 +170,7 @@ impl Graph {
         self.ops.iter().enumerate()
     }
 
-    fn push(&mut self, op: Operator) -> OpId {
+    pub(crate) fn push(&mut self, op: Operator) -> OpId {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         op.hash(&mut hasher);
         for &i in &op.inputs {

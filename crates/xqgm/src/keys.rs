@@ -88,6 +88,33 @@ impl KeyedGraph {
             return Ok(hit.clone());
         }
         let op = src.op(id).clone();
+        // The arms below index column maps with the columns the operator
+        // names; a graph decoded from damaged bytes can name one its inputs
+        // lack, which is an error to report, not an index to trust.
+        let mut named = Vec::new();
+        match &op.kind {
+            OpKind::Table { .. } | OpKind::Union => {}
+            OpKind::Select { predicate } => predicate.columns(&mut named),
+            OpKind::Project { exprs, .. } => exprs.iter().for_each(|e| e.columns(&mut named)),
+            OpKind::Join { predicate, .. } => predicate.iter().for_each(|p| p.columns(&mut named)),
+            OpKind::GroupBy {
+                group_cols, aggs, ..
+            } => {
+                named.extend(group_cols);
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                args.for_each(|e| e.columns(&mut named));
+            }
+            OpKind::Unnest { expr, .. } => expr.columns(&mut named),
+        }
+        let mut width = 0;
+        for &input in &op.inputs {
+            width += src.arity(input, db)?;
+        }
+        if let Some(c) = named.iter().find(|&&c| c >= width) {
+            return Err(Error::Plan(format!(
+                "operator {id} names column {c} of a {width}-column input"
+            )));
+        }
         let (new_id, colmap) = match &op.kind {
             OpKind::Table { table, source } => {
                 let new_id = self.table_from(table.clone(), *source, db)?;
@@ -155,7 +182,7 @@ impl KeyedGraph {
                 let aggs: Vec<AggExpr> = aggs
                     .iter()
                     .map(|a| AggExpr {
-                        func: a.func.clone(),
+                        func: a.func,
                         arg: a.arg.as_ref().map(|e| e.remap_columns(&|c| m[c])),
                     })
                     .collect();

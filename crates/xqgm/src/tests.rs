@@ -148,6 +148,23 @@ fn unnest_is_not_trigger_specifiable() {
     assert!(check_trigger_specifiable(&g, product, &db).is_ok());
 }
 
+/// A graph decoded from damaged bytes can name a column its input lacks;
+/// normalization reports it (it used to index a column map with it).
+#[test]
+fn normalization_refuses_columns_the_input_lacks() {
+    let db = product_vendor_db();
+    let mut g = Graph::new();
+    let product = g.table("product");
+    let select = g.select(product, Expr::eq(Expr::col(99), Expr::lit("x")));
+    let err = KeyedGraph::normalize(&g, select, &db).unwrap_err();
+    assert!(err.to_string().contains("names column 99"), "{err}");
+    let vendor = g.table("vendor");
+    let width = g.arity(product, &db).unwrap() + g.arity(vendor, &db).unwrap();
+    let on = Expr::eq(Expr::col(0), Expr::col(width));
+    let join = g.join(JoinKind::LeftSemi, product, vendor, Some(on));
+    assert!(KeyedGraph::normalize(&g, join, &db).is_err());
+}
+
 /// Unnest still *evaluates* (it is only barred from trigger paths).
 #[test]
 fn unnest_evaluates_fragments() {

@@ -1,79 +1,79 @@
-//! Binary serialization of XQGM graphs, built on
-//! [`quark_relational::wire`].
+//! Byte format of XQGM graphs: [`Encode`]/[`Decode`] impls for the graph
+//! types over the one codec in [`quark_relational::wire`] (its module docs
+//! state the rules every format follows).
 //!
 //! The storage catalog persists each registered view's normalized path
 //! graph so a reopened database can re-arm triggers without re-running
-//! view composition. The arena is append-only and every operator's inputs
-//! point at earlier ids, so encoding is a single in-order walk. Decoding
-//! re-pushes operators through [`Graph`]'s typed builders; hash-consing
-//! may assign different (smaller) ids than the source arena, so decoded
-//! ids are remapped — including the returned root.
+//! view composition. The arena is append-only, hash-consed and every
+//! operator's inputs point at earlier ids, so a graph is the sequence of
+//! its operators in id order plus one distinguished root. Decoding pushes
+//! the operators back through the hash-consing arena; an operator that
+//! refers forward or repeats an earlier one is corruption.
 
 use quark_relational::plan::TableEpoch;
-use quark_relational::wire::{Dec, Enc};
+use quark_relational::wire::{Dec, Decode, Enc, Encode};
 use quark_relational::{Error, Result};
 
-use crate::graph::{Graph, JoinKind, OpId, OpKind, TableSource};
+use crate::graph::{Graph, OpId, OpKind, Operator, TableSource};
 
 fn bad(msg: &str) -> Error {
     Error::Storage(format!("xqgm decode: {msg}"))
 }
 
-fn encode_source(enc: &mut Enc, source: &TableSource) {
-    match source {
-        TableSource::Base(TableEpoch::Current) => enc.u8(0),
-        TableSource::Base(TableEpoch::Old) => enc.u8(1),
-        TableSource::Delta { pruned } => {
-            enc.u8(2);
-            enc.bool(*pruned);
-        }
-        TableSource::Nabla { pruned } => {
-            enc.u8(3);
-            enc.bool(*pruned);
+impl Encode for TableSource {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
+            TableSource::Base(TableEpoch::Current) => enc.u8(0),
+            TableSource::Base(TableEpoch::Old) => enc.u8(1),
+            TableSource::Delta { pruned } => {
+                enc.u8(2);
+                enc.bool(*pruned);
+            }
+            TableSource::Nabla { pruned } => {
+                enc.u8(3);
+                enc.bool(*pruned);
+            }
         }
     }
 }
 
-fn decode_source(dec: &mut Dec) -> Result<TableSource> {
-    Ok(match dec.u8()? {
-        0 => TableSource::Base(TableEpoch::Current),
-        1 => TableSource::Base(TableEpoch::Old),
-        2 => TableSource::Delta {
-            pruned: dec.bool()?,
-        },
-        3 => TableSource::Nabla {
-            pruned: dec.bool()?,
-        },
-        t => return Err(bad(&format!("unknown table source tag {t}"))),
-    })
+impl Decode for TableSource {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => TableSource::Base(TableEpoch::Current),
+            1 => TableSource::Base(TableEpoch::Old),
+            2 => TableSource::Delta {
+                pruned: dec.bool()?,
+            },
+            3 => TableSource::Nabla {
+                pruned: dec.bool()?,
+            },
+            t => return Err(bad(&format!("unknown table source tag {t}"))),
+        })
+    }
 }
 
-/// Serialize the whole arena of `graph` plus one distinguished `root`.
-pub fn encode_graph(enc: &mut Enc, graph: &Graph, root: OpId) -> Result<()> {
-    enc.u32(graph.len() as u32);
-    for (_, op) in graph.iter() {
-        match &op.kind {
+impl Encode for OpKind {
+    fn encode(&self, enc: &mut Enc) {
+        match self {
             OpKind::Table { table, source } => {
                 enc.u8(0);
                 enc.str(table);
-                encode_source(enc, source);
+                enc.put(source);
             }
             OpKind::Select { predicate } => {
                 enc.u8(1);
-                enc.expr(predicate)?;
+                enc.put(predicate);
             }
             OpKind::Project { exprs, names } => {
                 enc.u8(2);
-                enc.exprs(exprs)?;
-                enc.u32(names.len() as u32);
-                for n in names {
-                    enc.str(n);
-                }
+                enc.put(exprs);
+                enc.put(names);
             }
             OpKind::Join { kind, predicate } => {
                 enc.u8(3);
-                enc.join_kind(*kind);
-                enc.opt_expr(predicate)?;
+                enc.tag(*kind);
+                enc.put(predicate);
             }
             OpKind::GroupBy {
                 group_cols,
@@ -81,138 +81,104 @@ pub fn encode_graph(enc: &mut Enc, graph: &Graph, root: OpId) -> Result<()> {
                 agg_names,
             } => {
                 enc.u8(4);
-                enc.u32(group_cols.len() as u32);
-                for &c in group_cols {
-                    enc.u32(c as u32);
-                }
-                enc.u32(aggs.len() as u32);
-                for (a, n) in aggs.iter().zip(agg_names) {
-                    enc.agg_expr(a)?;
-                    enc.str(n);
-                }
+                enc.put(group_cols);
+                enc.put(&aggs.iter().zip(agg_names).collect::<Vec<_>>());
             }
-            OpKind::Union => enc.u8(5),
+            OpKind::Union => {
+                enc.u8(5);
+            }
             OpKind::Unnest { expr, name } => {
                 enc.u8(6);
-                enc.expr(expr)?;
-                enc.str(name);
+                enc.put(expr);
+                enc.put(name);
             }
-        }
-        enc.u32(op.inputs.len() as u32);
-        for &i in &op.inputs {
-            enc.u32(i as u32);
         }
     }
-    enc.u32(root as u32);
-    Ok(())
 }
 
-/// Decode a graph serialized by [`encode_graph`], returning the rebuilt
-/// arena and the remapped root id.
-pub fn decode_graph(dec: &mut Dec) -> Result<(Graph, OpId)> {
-    let n = dec.u32()? as usize;
-    let mut graph = Graph::new();
-    // Hash-consing may renumber: source id → rebuilt id.
-    let mut remap: Vec<OpId> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tag = dec.u8()?;
-        // Payload first (tag-dependent), inputs after — mirror the encoder.
-        enum Payload {
-            Table(String, TableSource),
-            Select(quark_relational::expr::Expr),
-            Project(Vec<quark_relational::expr::Expr>, Vec<String>),
-            Join(JoinKind, Option<quark_relational::expr::Expr>),
-            GroupBy(Vec<usize>, Vec<(quark_relational::expr::AggExpr, String)>),
-            Union,
-            Unnest(quark_relational::expr::Expr, String),
-        }
-        let payload = match tag {
-            0 => {
-                let table = dec.str()?;
-                let source = decode_source(dec)?;
-                Payload::Table(table, source)
-            }
-            1 => Payload::Select(dec.expr()?),
+impl Decode for OpKind {
+    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
+        Ok(match dec.u8()? {
+            0 => OpKind::Table {
+                table: dec.str()?,
+                source: dec.get()?,
+            },
+            1 => OpKind::Select {
+                predicate: dec.get()?,
+            },
             2 => {
-                let exprs = dec.exprs()?;
-                let names = (0..dec.u32()?)
-                    .map(|_| dec.str())
-                    .collect::<Result<Vec<_>>>()?;
+                let (exprs, names): (Vec<_>, Vec<_>) = dec.get()?;
                 if names.len() != exprs.len() {
                     return Err(bad("project name/expr arity mismatch"));
                 }
-                Payload::Project(exprs, names)
+                OpKind::Project { exprs, names }
             }
-            3 => Payload::Join(dec.join_kind()?, dec.opt_expr()?),
+            3 => OpKind::Join {
+                kind: dec.tag()?,
+                predicate: dec.get()?,
+            },
             4 => {
-                let group_cols = (0..dec.u32()?)
-                    .map(|_| dec.u32().map(|c| c as usize))
-                    .collect::<Result<Vec<_>>>()?;
-                let aggs = (0..dec.u32()?)
-                    .map(|_| Ok((dec.agg_expr()?, dec.str()?)))
-                    .collect::<Result<Vec<_>>>()?;
-                Payload::GroupBy(group_cols, aggs)
-            }
-            5 => Payload::Union,
-            6 => {
-                let expr = dec.expr()?;
-                let name = dec.str()?;
-                Payload::Unnest(expr, name)
-            }
-            t => return Err(bad(&format!("unknown operator tag {t}"))),
-        };
-        let inputs = (0..dec.u32()?)
-            .map(|_| {
-                let i = dec.u32()? as usize;
-                remap
-                    .get(i)
-                    .copied()
-                    .ok_or_else(|| bad("operator input refers forward"))
-            })
-            .collect::<Result<Vec<OpId>>>()?;
-        let arity = |want: usize| -> Result<()> {
-            if inputs.len() == want {
-                Ok(())
-            } else {
-                Err(bad("operator input arity mismatch"))
-            }
-        };
-        let id = match payload {
-            Payload::Table(table, source) => {
-                arity(0)?;
-                graph.table_from(table, source)
-            }
-            Payload::Select(pred) => {
-                arity(1)?;
-                graph.select(inputs[0], pred)
-            }
-            Payload::Project(exprs, names) => {
-                arity(1)?;
-                graph.project(inputs[0], exprs, names)
-            }
-            Payload::Join(kind, pred) => {
-                arity(2)?;
-                graph.join(kind, inputs[0], inputs[1], pred)
-            }
-            Payload::GroupBy(group_cols, aggs) => {
-                arity(1)?;
-                graph.group_by(inputs[0], group_cols, aggs)
-            }
-            Payload::Union => {
-                if inputs.is_empty() {
-                    return Err(bad("union with no inputs"));
+                let group_cols = dec.get()?;
+                let (aggs, agg_names) = dec.get::<Vec<(_, _)>>()?.into_iter().unzip();
+                OpKind::GroupBy {
+                    group_cols,
+                    aggs,
+                    agg_names,
                 }
-                graph.union(inputs)
             }
-            Payload::Unnest(expr, name) => {
-                arity(1)?;
-                graph.unnest(inputs[0], expr, name)
-            }
-        };
-        remap.push(id);
+            5 => OpKind::Union,
+            6 => OpKind::Unnest {
+                expr: dec.get()?,
+                name: dec.get()?,
+            },
+            t => return Err(bad(&format!("unknown operator tag {t}"))),
+        })
     }
-    let root = dec.u32()? as usize;
-    let root = *remap.get(root).ok_or_else(|| bad("root out of range"))?;
+}
+
+/// Kind payload first, input ids after.
+impl Encode for Operator {
+    fn encode(&self, enc: &mut Enc) {
+        enc.put(&self.kind);
+        enc.put(&self.inputs);
+    }
+}
+
+/// Serialize the whole arena of `graph` plus one distinguished `root`.
+pub fn encode_graph(enc: &mut Enc, graph: &Graph, root: OpId) {
+    enc.put(&graph.iter().map(|(_, op)| op).collect::<Vec<_>>());
+    enc.put(&root);
+}
+
+/// Decode a graph serialized by [`encode_graph`], returning the rebuilt
+/// arena and its root id.
+pub fn decode_graph(dec: &mut Dec) -> Result<(Graph, OpId)> {
+    let mut graph = Graph::new();
+    let ops = dec.seq(|dec, earlier| {
+        let (kind, inputs): (OpKind, Vec<OpId>) = dec.get()?;
+        if inputs.iter().any(|&i| i >= earlier.len()) {
+            return Err(bad("operator input refers forward"));
+        }
+        let arity_ok = match kind {
+            OpKind::Table { .. } => inputs.is_empty(),
+            OpKind::Join { .. } => inputs.len() == 2,
+            OpKind::Union => !inputs.is_empty(),
+            _ => inputs.len() == 1,
+        };
+        if !arity_ok {
+            return Err(bad("operator input arity mismatch"));
+        }
+        // A hash-consed arena holds no two equal operators, so each push
+        // must append.
+        match graph.push(Operator { kind, inputs }) {
+            id if id == earlier.len() => Ok(id),
+            _ => Err(bad("duplicate operator")),
+        }
+    })?;
+    let root: OpId = dec.get()?;
+    if root >= ops.len() {
+        return Err(bad("root out of range"));
+    }
     Ok((graph, root))
 }
 
@@ -224,8 +190,8 @@ mod tests {
 
     fn round_trip(graph: &Graph, root: OpId) -> (Graph, OpId) {
         let mut enc = Enc::new();
-        encode_graph(&mut enc, graph, root).unwrap();
-        let bytes = enc.into_bytes();
+        encode_graph(&mut enc, graph, root);
+        let bytes = enc.into_bytes().unwrap();
         let mut dec = Dec::new(&bytes);
         let out = decode_graph(&mut dec).unwrap();
         dec.finish().unwrap();
@@ -240,8 +206,8 @@ mod tests {
         // Golden bytes (FNV-1a) of the Figure-3 graph: operator, join-kind,
         // binop and optional-predicate tags are a persisted format.
         let mut enc = Enc::new();
-        encode_graph(&mut enc, &g, top).unwrap();
-        let bytes = enc.into_bytes();
+        encode_graph(&mut enc, &g, top);
+        let bytes = enc.into_bytes().unwrap();
         let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
         });
@@ -287,12 +253,27 @@ mod tests {
         assert_eq!(g.explain(u, &db), decoded.explain(new_root, &db));
     }
 
+    /// Operator, expression and input counts larger than the bytes left are
+    /// refused by `Dec::seq` before anything is reserved.
+    #[test]
+    fn oversized_counts_are_refused_before_reserving() {
+        let payloads: [&[u8]; 3] = [
+            &[0xFF, 0xFF, 0xFF, 0xFF],                // operator count
+            &[1, 0, 0, 0, 2, 0xFF, 0xFF, 0xFF, 0xFF], // Project: expression count
+            &[1, 0, 0, 0, 5, 0xFF, 0xFF, 0xFF, 0xFF], // Union: input count
+        ];
+        for payload in payloads {
+            let err = decode_graph(&mut Dec::new(payload)).unwrap_err();
+            assert!(err.to_string().contains("sequence of 4294967295 items"));
+        }
+    }
+
     #[test]
     fn corrupt_tags_are_rejected() {
         let mut enc = Enc::new();
         enc.u32(1);
         enc.u8(99); // no such operator tag
-        let bytes = enc.into_bytes();
+        let bytes = enc.into_bytes().unwrap();
         assert!(decode_graph(&mut Dec::new(&bytes)).is_err());
     }
 }

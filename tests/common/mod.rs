@@ -34,6 +34,43 @@ impl Log {
     }
 }
 
+/// The Figure-2 schema and data, as statements (the durability suite runs exactly
+/// this text on a durable session and on its in-memory oracle).
+#[allow(dead_code)] // each test binary compiles this module separately
+pub const SETUP: &[&str] = &[
+    "CREATE TABLE product (pid TEXT PRIMARY KEY, pname TEXT, mfr TEXT)",
+    "CREATE TABLE vendor (vid TEXT, pid TEXT, price DOUBLE, \
+     PRIMARY KEY (vid, pid))",
+    "INSERT INTO product VALUES ('P1', 'CRT 15', 'Samsung'), \
+     ('P2', 'LCD 19', 'LG'), ('P3', 'OLED 42', 'LG')",
+    "INSERT INTO vendor VALUES ('Amazon', 'P1', 100.0), \
+     ('Bestbuy', 'P1', 120.0), ('Amazon', 'P2', 250.0), \
+     ('Buy.com', 'P2', 240.0), ('Bestbuy', 'P3', 899.0)",
+];
+
+/// The paper's Figure-3 view, through the XQuery frontend.
+#[allow(dead_code)]
+pub const CATALOG_VIEW: &str = r#"
+    create view catalog as {
+      <catalog>{
+        for $prodname in distinct(view("default")/product/row/pname)
+        let $products := view("default")/product/row[./pname = $prodname]
+        let $vendors := view("default")/vendor/row[./pid = $products/pid]
+        where count($vendors) >= 2
+        return <product name={$prodname}>
+          { for $vendor in $vendors return <vendor>{$vendor/*}</vendor> }
+        </product>
+      }</catalog>
+    }"#;
+
+#[allow(dead_code)]
+pub const TRIGGERS: &[&str] = &[
+    "CREATE TRIGGER NotifyP1 AFTER Update ON view('catalog')/product \
+     WHERE OLD_NODE/@name = 'CRT 15' DO notify(NEW_NODE)",
+    "CREATE TRIGGER NotifyGone AFTER Delete ON view('catalog')/product \
+     DO notify(OLD_NODE)",
+];
+
 /// Build the catalog Path graph (`view('catalog')/product`) over `db`.
 #[allow(dead_code)] // each test binary compiles this module separately
 pub fn catalog_path(db: &Database) -> PathGraph {

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use common::{all_modes, Log};
+use common::{all_modes, Log, CATALOG_VIEW, SETUP, TRIGGERS};
 use proptest::prelude::*;
 use quark_core::relational::{Database, Value};
 use quark_core::storage::SyncMode;
@@ -35,40 +35,6 @@ fn tmp_dir(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
-
-/// The Figure-2 schema and data, as statements (both the durable session
-/// and the in-memory oracle execute exactly this text).
-const SETUP: &[&str] = &[
-    "CREATE TABLE product (pid TEXT PRIMARY KEY, pname TEXT, mfr TEXT)",
-    "CREATE TABLE vendor (vid TEXT, pid TEXT, price DOUBLE, \
-     PRIMARY KEY (vid, pid))",
-    "INSERT INTO product VALUES ('P1', 'CRT 15', 'Samsung'), \
-     ('P2', 'LCD 19', 'LG'), ('P3', 'OLED 42', 'LG')",
-    "INSERT INTO vendor VALUES ('Amazon', 'P1', 100.0), \
-     ('Bestbuy', 'P1', 120.0), ('Amazon', 'P2', 250.0), \
-     ('Buy.com', 'P2', 240.0), ('Bestbuy', 'P3', 899.0)",
-];
-
-/// The paper's Figure-3 view, through the XQuery frontend.
-const CATALOG_VIEW: &str = r#"
-    create view catalog as {
-      <catalog>{
-        for $prodname in distinct(view("default")/product/row/pname)
-        let $products := view("default")/product/row[./pname = $prodname]
-        let $vendors := view("default")/vendor/row[./pid = $products/pid]
-        where count($vendors) >= 2
-        return <product name={$prodname}>
-          { for $vendor in $vendors return <vendor>{$vendor/*}</vendor> }
-        </product>
-      }</catalog>
-    }"#;
-
-const TRIGGERS: &[&str] = &[
-    "CREATE TRIGGER NotifyP1 AFTER Update ON view('catalog')/product \
-     WHERE OLD_NODE/@name = 'CRT 15' DO notify(NEW_NODE)",
-    "CREATE TRIGGER NotifyGone AFTER Delete ON view('catalog')/product \
-     DO notify(OLD_NODE)",
-];
 
 /// Register the recording `notify` action **with a declared (empty) write
 /// set**, so trigger-bearing DML stays on the footprint-latched path —

@@ -1,13 +1,17 @@
 //! Large-cardinality correctness and O(affected) firing.
 //!
-//! The committed figure sweeps demonstrate *flat* per-firing latency as the
-//! base tables grow; this suite pins the same property down semantically:
+//! The `figures` sweeps show *flat* per-firing latency as the base tables
+//! and the trigger count grow; this suite pins the same shapes down on
+//! counters, where no wall clock can blur them:
 //!
 //! * a ≥10k-row base table behaves byte-identically to the
 //!   materialize-and-diff oracle in every translation mode,
 //! * a firing at that scale performs index probes, not scans — asserted on
 //!   the executor's `rows_scanned`/`index_probes` counters rather than
 //!   inferred from wall-clock time,
+//! * Fig. 17 and the §6 compile-time table: grouped work per update is
+//!   identical at 10 and 1 000 installed triggers, ungrouped work is
+//!   linear in them, and only the first trigger of a shape is translated,
 //! * ordered storage and the cross-firing executor cache change nothing
 //!   observable: a caching session and an uncached one produce identical
 //!   statement results and identical firing sequences (proptest).
@@ -18,6 +22,7 @@ use std::collections::BTreeSet;
 
 use common::{catalog_path, Log};
 use proptest::prelude::*;
+use quark_bench::{build, WorkloadSpec};
 use quark_core::oracle::changes_of;
 use quark_core::relational::{sql, Database, Error, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
@@ -188,6 +193,68 @@ fn firing_at_10k_rows_probes_instead_of_scanning() {
             "{mode:?}: scanned {scanned} rows per firing at a \
              {LARGE_PRODUCTS}-row base table — O(table), not O(affected)"
         );
+    }
+}
+
+/// Work one keyed `UPDATE` of the bench hierarchy costs with `triggers`
+/// XML triggers installed (five of them satisfied), from the engine's
+/// counters: `(SQL trigger bodies run, index probes, rows scanned)`.
+fn work_per_update(mode: Mode, triggers: usize) -> (u64, u64, u64) {
+    let mut spec = WorkloadSpec::quick(mode);
+    spec.triggers = triggers;
+    let mut workload = build(spec).expect("workload");
+    workload
+        .one_update()
+        .expect("warm-up fills the executor cache");
+    let before = workload.quark().stats();
+    workload.one_update().expect("measured update");
+    let after = workload.quark().stats();
+    assert_eq!(
+        workload.temp_rows(),
+        2 * spec.satisfied,
+        "{mode:?}/{triggers}"
+    );
+    (
+        after.triggers_fired - before.triggers_fired,
+        after.index_probes - before.index_probes,
+        after.rows_scanned - before.rows_scanned,
+    )
+}
+
+/// The shape of Fig. 17 and of the §6 compile-time table, on counters
+/// (wall-clock versions: `figures fig17|compile`). Grouped translation
+/// makes the work per update independent of the number of installed
+/// triggers; ungrouped work grows with it. And only the first trigger of a
+/// shape is translated: the rest join its group, or — ungrouped, one group
+/// each — take their plans from the compile cache.
+#[test]
+fn work_per_update_is_flat_in_trigger_count_only_when_grouped() {
+    for mode in [Mode::Grouped, Mode::GroupedAgg] {
+        let few = work_per_update(mode, 10);
+        assert_eq!(few, work_per_update(mode, 1_000), "{mode:?}");
+        assert!(few.0 > 0 && few.1 > 0, "{mode:?}: {few:?}");
+    }
+    let (few, many) = (
+        work_per_update(Mode::Ungrouped, 10),
+        work_per_update(Mode::Ungrouped, 100),
+    );
+    assert_eq!(many.0, 10 * few.0, "one SQL trigger set per XML trigger");
+    assert!(many.1 > 5 * few.1, "probes {few:?} -> {many:?}");
+
+    for (mode, cache_hits) in [(Mode::Grouped, 0), (Mode::Ungrouped, 99)] {
+        let mut spec = WorkloadSpec::quick(mode);
+        (spec.triggers, spec.satisfied) = (1, 1);
+        let first = build(spec).expect("workload").quark().translations();
+        spec.triggers = 100;
+        let workload = build(spec).expect("workload");
+        let quark = workload.quark();
+        assert!(first > 0);
+        assert_eq!(
+            quark.translations(),
+            first,
+            "{mode:?}: 99 more translate nothing"
+        );
+        assert_eq!(quark.compile_cache_hits(), cache_hits, "{mode:?}");
     }
 }
 
