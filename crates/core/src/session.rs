@@ -57,12 +57,13 @@
 //!   run lock-free against an immutable [`Quark`] snapshot behind an
 //!   `Arc`, republished by the *writers* at commit: a latched writer folds
 //!   exactly its write-set tables into the current snapshot (an `Arc`
-//!   swap per table), a global writer republishes a full copy-on-write
-//!   clone. Publication only happens while readers are active — an
-//!   unobserved write stream pays no snapshot maintenance at all. Readers
-//!   therefore always observe some *statement-boundary* state, never a
-//!   mid-cascade one, and the first read after a write no longer pays the
-//!   clone.
+//!   swap per table), a global writer republishes a clone of the system.
+//!   Either is refcount bumps — tables are persistent trees, a clone of
+//!   one copies no row — so once the first read has asked for a snapshot
+//!   every commit keeps it current, and a system nobody ever reads from
+//!   publishes nothing. Readers therefore always observe some
+//!   *statement-boundary* state, never a mid-cascade one, and never wait
+//!   for a writer.
 //!
 //! [`Session::execute_batch`] adds batched ingestion on top: consecutive
 //! `INSERT`s into the same table coalesce into one statement, so
@@ -91,7 +92,6 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use quark_relational::sql::{self, SqlOutcome, Statement};
@@ -212,21 +212,11 @@ struct Shared {
     latches: LatchManager,
     /// Frontend for the XQuery-bodied DDL, shared by all handles.
     frontend: Option<Box<dyn StatementFrontend>>,
-    /// Commit counter, bumped under the `published` mutex by every write
-    /// commit; the published snapshot is stamped with the version of the
-    /// last commit it contains.
-    version: AtomicU64,
-    /// Last published read snapshot, maintained by writers at commit:
-    /// `None` means demoted — either no write has ever been observed or
-    /// the write stream ran without reader demand, in which case the next
-    /// read rebuilds it from the authoritative state. Kept fresh
-    /// incrementally while readers are active (see `commit_tables` /
-    /// `commit_global`).
-    published: Mutex<Option<(u64, Arc<Quark>)>>,
-    /// Set by every [`Session::snapshot`] call, consumed by the next
-    /// commit: publication work is only paid when somebody read since the
-    /// last commit.
-    reader_seen: AtomicBool,
+    /// The published read snapshot: `None` until the first
+    /// [`Session::snapshot`] call builds it, and from then on replaced by
+    /// every commit (see `commit_tables` / `commit_global`), so whenever
+    /// it is there it is the state as of the last commit.
+    published: Mutex<Option<Arc<Quark>>>,
     /// Memoized per-target-table footprints. Valid between global writes:
     /// only trigger DDL, schema DDL, action registration or raw database
     /// access can change a footprint, and all of those take the global
@@ -235,53 +225,42 @@ struct Shared {
 }
 
 impl Shared {
-    /// Commit a footprint-latched write: bump the commit version and keep
-    /// the published snapshot coherent. Runs with the level-1 lock held
-    /// *shared* and the writer's footprint latches still held, so the
-    /// adopted tables cannot move underneath the fold; commits serialize
-    /// on the `published` mutex, which makes the version stamp exact.
-    ///
-    /// Publication policy: if readers showed demand since the last commit,
-    /// fold exactly `tables` into the current snapshot (a copy-on-write
-    /// system clone plus an `Arc` swap per table — never a row walk);
-    /// otherwise *demote* to `None`, dropping the snapshot's table
-    /// references so an unobserved write stream pays neither publication
-    /// nor copy-on-write table copies.
+    /// Commit a footprint-latched write: if a snapshot is published, fold
+    /// exactly `tables` into it (a system clone plus an `Arc` swap per
+    /// table — refcount bumps, never a row walk). Runs with the level-1
+    /// lock held *shared* and the writer's footprint latches still held,
+    /// so the adopted tables cannot move underneath the fold; commits
+    /// serialize on the `published` mutex.
     fn commit_tables(&self, state: &Quark, tables: &BTreeSet<String>) {
         let mut cell = self.published.lock().unwrap_or_else(|e| e.into_inner());
-        let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
-        *cell = match cell.take() {
-            Some((_, snap)) if self.reader_seen.swap(false, Ordering::AcqRel) => {
-                // The previous snapshot contains every commit before this
-                // one (any commit that didn't fold would have demoted), so
-                // previous + this writer's tables = the boundary state of
-                // commit `version` exactly.
-                let mut next = (*snap).clone();
-                next.adopt_tables_from(state, tables.iter());
-                Some((version, Arc::new(next)))
-            }
-            _ => None,
-        };
+        // Taken, so that a panic below leaves no stale snapshot behind:
+        // the next read rebuilds it.
+        let Some(previous) = cell.take() else { return };
+        // The previous snapshot contains every commit before this one, so
+        // previous + this writer's tables = the boundary state of this
+        // commit exactly.
+        let mut next = (*previous).clone();
+        next.adopt_tables_from(state, tables.iter());
+        *cell = Some(Arc::new(next));
+        // Readers queue on this mutex: whatever `previous` was the last
+        // holder of is freed after it is released.
+        drop(cell);
     }
 
     /// Commit a global-mode write: anything may have changed (schema,
     /// trigger topology, action registry), so the footprint cache is
-    /// cleared and publication — under the same demand policy as
-    /// [`Shared::commit_tables`] — is a full copy-on-write clone of the
-    /// authoritative state. Runs with the level-1 lock held exclusively.
+    /// cleared and a published snapshot is replaced by a clone of the
+    /// whole authoritative state. Runs with the level-1 lock held
+    /// exclusively.
     fn commit_global(&self, state: &Quark) {
         self.footprints
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clear();
         let mut cell = self.published.lock().unwrap_or_else(|e| e.into_inner());
-        let version = self.version.fetch_add(1, Ordering::AcqRel) + 1;
-        *cell = match cell.take() {
-            Some(_) if self.reader_seen.swap(false, Ordering::AcqRel) => {
-                Some((version, Arc::new(state.clone())))
-            }
-            _ => None,
-        };
+        if cell.take().is_some() {
+            *cell = Some(Arc::new(state.clone()));
+        }
     }
 }
 
@@ -349,8 +328,8 @@ impl Deref for QuarkRead<'_> {
 }
 
 /// Exclusive write guard over the session's [`Quark`]; dropping it
-/// commits in global mode — the published read snapshot is republished or
-/// demoted, and the footprint cache cleared (see [`Session::quark_mut`]).
+/// commits in global mode — the published read snapshot is replaced and
+/// the footprint cache cleared (see [`Session::quark_mut`]).
 pub struct QuarkWrite<'a> {
     guard: RwLockWriteGuard<'a, Quark>,
     shared: &'a Shared,
@@ -475,9 +454,7 @@ impl Session {
                 state: RwLock::new(quark),
                 latches: LatchManager::default(),
                 frontend,
-                version: AtomicU64::new(0),
                 published: Mutex::new(None),
-                reader_seen: AtomicBool::new(false),
                 footprints: Mutex::new(HashMap::new()),
             }),
         }
@@ -588,57 +565,35 @@ impl Session {
         Ok(out)
     }
 
-    /// The current read snapshot. While writers keep committing with
-    /// reader demand, the snapshot is maintained *by the writers* (an
-    /// `Arc` swap per committed footprint table) and this is one atomic
-    /// load plus a mutex-protected pointer clone. After a demotion — the
-    /// write stream ran unobserved — the first read rebuilds it: it takes
-    /// the state lock **exclusively** (draining in-flight latched writers,
-    /// so the clone sits on a statement boundary) and republishes.
-    /// Returning an `Arc` means execution against it holds no lock at all.
+    /// The current read snapshot: the state as of the last commit. The
+    /// snapshot is maintained *by the writers* (an `Arc` swap per
+    /// committed footprint table), so this is a mutex-protected pointer
+    /// clone, and it never waits for a writer. Only the first call on a
+    /// system builds the snapshot itself: it takes the state lock
+    /// **exclusively** (draining in-flight latched writers, so the clone
+    /// sits on a statement boundary) and publishes it; every commit after
+    /// that keeps it current. Returning an `Arc` means execution against
+    /// it holds no lock at all.
     pub fn snapshot(&self) -> Arc<Quark> {
-        // Record demand first: a commit racing this read either sees the
-        // flag (and folds its tables into the snapshot we then return) or
-        // consumed it before our fast-path check (and then either kept the
-        // snapshot fresh or demoted it, sending us to the rebuild path).
-        self.shared.reader_seen.store(true, Ordering::Release);
-        let version = self.shared.version.load(Ordering::Acquire);
-        {
-            let cell = self
-                .shared
+        let published = || {
+            self.shared
                 .published
                 .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            if let Some((published, snap)) = cell.as_ref() {
-                // `>=`: a commit that folded between our version load and
-                // this check published a *newer* boundary state — equally
-                // valid to serve.
-                if *published >= version {
-                    return Arc::clone(snap);
-                }
-            }
+                .unwrap_or_else(|e| e.into_inner())
+        };
+        if let Some(snap) = published().as_ref() {
+            return Arc::clone(snap);
         }
-        // Demoted (or stale after a panicked writer): rebuild from the
-        // authoritative state. Exclusive access, so no latched writer is
-        // mid-statement during the clone; the clone is copy-on-write
-        // (refcount bumps), not a row-storage walk.
+        // Never published (or a commit panicked mid-fold): build it from
+        // the authoritative state. Exclusive access, so no latched writer
+        // is mid-statement during the clone — which is refcount bumps, not
+        // a row-storage walk — and, with both locks held, no commit runs
+        // between the clone and its publication.
         let state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
-        let mut cell = self
-            .shared
-            .published
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        // Holding both locks: no commit can run concurrently, so the
-        // version read here is exactly the clone's.
-        let version = self.shared.version.load(Ordering::Acquire);
-        if let Some((published, existing)) = cell.as_ref() {
-            if *published >= version {
-                return Arc::clone(existing);
-            }
-        }
-        let snap = Arc::new(state.clone());
-        *cell = Some((version, Arc::clone(&snap)));
-        snap
+        let mut cell = published();
+        // `get_or_insert_with`: another first reader may have won the race
+        // for the state lock.
+        Arc::clone(cell.get_or_insert_with(|| Arc::new(state.clone())))
     }
 
     /// Parse and execute one statement.
@@ -902,7 +857,7 @@ impl Session {
                 };
                 // Commit even on a statement error: partial effects (a
                 // cascade failing mid-way) are visible in the
-                // authoritative state and must reach/demote the snapshot.
+                // authoritative state and must reach the snapshot.
                 // Only the write set can have changed, so only it is
                 // folded; shared-latched read tables are untouched.
                 self.shared.commit_tables(&state, &write);

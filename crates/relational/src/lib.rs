@@ -6,7 +6,9 @@
 //! interface, which this crate implements from scratch:
 //!
 //! * typed tables with **primary keys** (required for trigger-specifiable
-//!   views, Theorem 1) and secondary hash indices,
+//!   views, Theorem 1) and single-column secondary indices, all stored in
+//!   one persistent B+tree — cloning a table, and so publishing a read
+//!   snapshot of it, copies no row,
 //! * data-change **statements** (INSERT/UPDATE/DELETE) that each produce Δ
 //!   and ∇ **transition tables** (§2.3),
 //! * statement-level **AFTER triggers** whose bodies are declarative query
@@ -30,6 +32,7 @@ mod error;
 pub mod exec;
 pub mod expr;
 pub mod plan;
+mod pmap;
 mod schema;
 pub mod sql;
 mod table;

@@ -15,8 +15,9 @@ mod common;
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 use common::catalog_path;
 use quark_core::relational::{Database, Event, SqlTrigger, TriggerBody, Value};
@@ -266,6 +267,62 @@ fn forks_read_concurrently_while_a_writer_runs() {
     for t in threads {
         assert!(t.join().expect("reader") > 0);
     }
+}
+
+/// Once the first read has published a snapshot, every commit keeps it
+/// current, so a read never has to take the level-1 lock — not even after
+/// commits nobody read in between. (Publication used to lapse after one
+/// unobserved commit, and the next read then rebuilt the snapshot under the
+/// *exclusive* level-1 lock: it waited for every latched writer in flight.
+/// This test hangs there, so it runs against a channel timeout.)
+#[test]
+fn a_read_after_unobserved_commits_does_not_wait_for_a_latched_writer() {
+    // No triggers: the UPDATEs below are footprint-latched, not global.
+    let session = Session::new(Quark::new(product_vendor_db(), Mode::Grouped));
+    let price = "SELECT price FROM vendor WHERE vid = 'Amazon' AND pid = 'P1'";
+    session.execute(price).expect("first read publishes");
+
+    // Stand-in for a latched writer in the middle of a long cascade: it
+    // holds the level-1 lock shared, which is what `quark()` takes.
+    let (held_tx, held_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let holder = {
+        let session = session.fork();
+        thread::spawn(move || {
+            let guard = session.quark();
+            held_tx.send(()).expect("main thread waits");
+            let _ = release_rx.recv();
+            drop(guard);
+        })
+    };
+    held_rx.recv().expect("holder took the lock");
+
+    let (done_tx, done_rx) = mpsc::channel();
+    let worker = {
+        let session = session.fork();
+        thread::spawn(move || {
+            // Two commits with no read in between, then a read.
+            session.execute(&write_statement(1)).expect("first write");
+            session.execute(&write_statement(2)).expect("second write");
+            let seen = observe(session.snapshot().database()).0;
+            let selected = session.execute(price).expect("select");
+            let _ = done_tx.send((seen, selected));
+        })
+    };
+    let outcome = done_rx.recv_timeout(Duration::from_secs(5));
+    // Release before judging, so both threads end either way.
+    drop(release_tx);
+    holder.join().expect("holder");
+    worker.join().expect("worker");
+    let (seen, selected) = outcome.expect("the read waited for the level-1 lock");
+    assert_eq!(seen, "52", "snapshot holds both updates");
+    let StatementResult::Rows { rows, .. } = selected else {
+        panic!("expected rows");
+    };
+    assert_eq!(
+        rows,
+        vec![quark_core::relational::row([Value::Double(52.0)])]
+    );
 }
 
 /// The compile-time gate the CI `-D warnings` check rides on: the whole
