@@ -63,7 +63,7 @@ impl WorkloadSpec {
         }
     }
 
-    /// Scaled-down defaults for CI / criterion runs.
+    /// Scaled-down defaults for CI and `figures --quick` runs.
     pub fn quick(mode: Mode) -> Self {
         WorkloadSpec {
             depth: 2,
@@ -202,8 +202,8 @@ pub fn build(spec: WorkloadSpec) -> Result<Workload> {
     let full = spec.full_action;
     let counter = std::sync::Arc::new(std::sync::Mutex::new(0i64));
     // Declared write set: lets the workload's updates keep a bounded
-    // footprint and run on the session's latched write path instead of
-    // falling back to global mode.
+    // footprint and latch only the tables they touch instead of every
+    // table of the database.
     session.register_action_with_writes("insertTemp", ["__temp"], move |db, call| {
         let mut c = counter.lock().expect("temp counter");
         *c += 1;

@@ -4,21 +4,24 @@
 //! Since the footprint-latched write path landed, the whole concurrency
 //! story rests on one claim: the [`Footprint`](super::Footprint) a session
 //! latches for a write statement covers every table the statement and its
-//! trigger cascade can touch. This module re-derives that claim from first
-//! principles — the compiled plan DAGs ([`PhysicalPlan::table_footprint`])
-//! and the declared action write sets — instead of trusting the footprint
-//! recorded at translation time, and layers two classic active-database
-//! analyses (termination and commutativity of the trigger set) on the same
-//! graph. Three passes:
+//! trigger cascade can touch. Which tables a cascade *writes* and which
+//! groups it reaches is one computation, shared with the scheduler (the
+//! cascade closure in [`system`](super), over declared action write sets);
+//! what this module re-derives is the *read* side — from the compiled plan
+//! DAGs ([`PhysicalPlan::table_footprint`]) instead of the footprint
+//! recorded at translation time — and it layers two classic
+//! active-database analyses (termination and commutativity of the trigger
+//! set) on the same facts. Three passes:
 //!
 //! 1. **Footprint soundness** — for every group, the recorded latch-time
 //!    footprint is compared against the union of its compiled plans' table
-//!    walks; for every trigger-bearing table, the statement-level
-//!    [`Quark::write_footprint`] is compared against an independently
-//!    recomputed reachable read/write set. A table a plan can touch that
-//!    the latch analysis misses is an **error** (a silent data race); a
-//!    table latched but unreachable is a **warning** (needless
-//!    serialization).
+//!    walks; for every trigger-bearing table, what
+//!    [`Quark::write_footprint`] would latch is compared against the reads
+//!    of the same closure's groups, recomputed from their plans. A table a
+//!    plan can touch that the latch analysis misses is an **error** (a
+//!    silent data race); a table latched but unreachable is a **warning**
+//!    (needless serialization). An unbounded closure (opaque action, raw
+//!    SQL trigger) claims nothing: the session latches every table for it.
 //! 2. **Cascade termination** — the trigger dependency graph (group →
 //!    tables written → groups affected) is checked for cycles. A cycle
 //!    whose writes can only change what reachable groups *read* — never a
@@ -36,9 +39,9 @@
 //! at run time that every table access is covered by the installed latch
 //! scope.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use super::{Footprint, Group, Quark};
+use super::{Group, Quark};
 
 /// How bad one soundness finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -438,7 +441,7 @@ impl Quark {
         let facts = self.group_facts();
         let mut findings = Vec::new();
         self.check_group_soundness(&facts, &mut findings);
-        self.check_statement_soundness(&facts, &mut findings);
+        self.check_statement_soundness(&mut findings);
         findings.sort_by_key(|f| (f.severity == Severity::Warning, f.subject.clone()));
         TriggerAnalysis {
             cycles: detect_cycles(&facts),
@@ -470,31 +473,12 @@ impl Quark {
                     1..=3 => members.join("+"),
                     n => format!("{}+{}more", members[..2].join("+"), n - 2),
                 };
-                let mut plan_reads: BTreeSet<String> = group
-                    .sql_triggers
-                    .iter()
-                    .flat_map(|t| t.plan_ref.table_footprint())
-                    .collect();
-                if let Some(ct) = &group.constants_table {
-                    plan_reads.insert(ct.clone());
-                }
-                let mut declared_writes = Some(BTreeSet::new());
-                for m in group.members.lock().expect("members").values().flatten() {
-                    match actions.get(&m.function).and_then(|e| e.writes.as_ref()) {
-                        Some(ws) => {
-                            if let Some(acc) = declared_writes.as_mut() {
-                                acc.extend(ws.iter().cloned());
-                            }
-                        }
-                        None => declared_writes = None,
-                    }
-                }
                 GroupFacts {
                     label,
                     trigger_tables: group.sql_triggers.iter().map(|t| t.table.clone()).collect(),
-                    plan_reads,
+                    plan_reads: plan_reads(group),
                     recorded_footprint: group.footprint.clone(),
-                    declared_writes,
+                    declared_writes: group.declared_writes(&actions),
                 }
             })
             .collect();
@@ -540,125 +524,47 @@ impl Quark {
         }
     }
 
-    /// Pass 1b: per trigger-bearing table, the statement-level latch
-    /// footprint ([`Quark::write_footprint`]) vs an independently
-    /// recomputed reachable read/write set.
-    fn check_statement_soundness(&self, facts: &[GroupFacts], findings: &mut Vec<Finding>) {
-        // Which groups' triggers sit on each table, and which tables carry
-        // triggers the group registry does not know (raw SQL triggers).
-        let group_triggers: BTreeSet<&str> = self
-            .groups
-            .values()
-            .flat_map(|g| g.sql_triggers.iter().map(|t| t.name.as_str()))
-            .collect();
-        let group_of_meta: HashMap<&str, usize> = self
-            .groups
-            .values()
-            .flat_map(|g| {
-                // Map through the *facts* index so recomputed sets line up.
-                let label_facts = facts;
-                g.sql_triggers.iter().filter_map(move |t| {
-                    label_facts
-                        .iter()
-                        .position(|f| f.trigger_tables.contains(&t.table) && group_matches(f, g))
-                        .map(|idx| (t.name.as_str(), idx))
-                })
-            })
-            .collect();
-        let mut targets: Vec<String> = self.db.triggers().map(|t| t.table.clone()).collect();
-        targets.sort();
-        targets.dedup();
+    /// Pass 1b: per trigger-bearing table, what a write to it would latch
+    /// ([`Quark::write_footprint`]: the cascade closure's written tables
+    /// plus the reached groups' *recorded* footprints) vs what the reached
+    /// groups' *recomputed* plan walks can read.
+    fn check_statement_soundness(&self, findings: &mut Vec<Finding>) {
+        let targets: BTreeSet<&str> = self.db.triggers().map(|t| t.table.as_str()).collect();
         for target in targets {
+            let Some((written, reached)) = self.cascade_closure(target) else {
+                continue;
+            };
             let subject = format!("writes to `{target}`");
-            // Recompute the true reachable write/read sets from scratch.
-            let mut written: BTreeSet<String> = BTreeSet::new();
-            let mut reached: BTreeSet<usize> = BTreeSet::new();
-            let mut opaque = false;
-            let mut queue = vec![target.clone()];
-            while let Some(t) = queue.pop() {
-                if !written.insert(t.clone()) {
-                    continue;
-                }
-                for trig in self.db.triggers().filter(|tr| tr.table == t) {
-                    if !group_triggers.contains(trig.name.as_str()) {
-                        opaque = true; // raw SQL trigger: arbitrary closure
-                        continue;
-                    }
-                    let Some(&idx) = group_of_meta.get(trig.name.as_str()) else {
-                        opaque = true;
-                        continue;
-                    };
-                    reached.insert(idx);
-                    match &facts[idx].declared_writes {
-                        Some(ws) => queue.extend(ws.iter().cloned()),
-                        None => opaque = true,
-                    }
-                }
+            let latched: BTreeSet<&String> = written
+                .iter()
+                .chain(reached.iter().flat_map(|g| &g.footprint))
+                .collect();
+            let true_read: BTreeSet<String> = reached
+                .iter()
+                .flat_map(|g| plan_reads(g))
+                .filter(|t| !written.contains(t))
+                .collect();
+            let missing: Vec<&String> = true_read.iter().filter(|t| !latched.contains(t)).collect();
+            if !missing.is_empty() {
+                findings.push(Finding {
+                    severity: Severity::Error,
+                    subject: subject.clone(),
+                    message: format!("cascade can read {missing:?} but they are not latched"),
+                });
             }
-            let latch = self.write_footprint(&target);
-            match (&latch, opaque) {
-                (Footprint::Global, true) => {} // both sides agree: serialize
-                (Footprint::Global, false) => findings.push(Finding {
+            let excess: Vec<&String> = latched
+                .into_iter()
+                .filter(|t| !written.contains(*t) && !true_read.contains(*t))
+                .collect();
+            if !excess.is_empty() {
+                findings.push(Finding {
                     severity: Severity::Warning,
                     subject,
-                    message: "latch analysis degrades to global mode though every \
-                              reachable trigger is bounded"
-                        .into(),
-                }),
-                (Footprint::Tables { .. }, true) => findings.push(Finding {
-                    severity: Severity::Error,
-                    subject,
-                    message: "latch analysis claims a bounded footprint but an \
-                              opaque trigger or action is reachable"
-                        .into(),
-                }),
-                (Footprint::Tables { write, read }, false) => {
-                    let true_read: BTreeSet<&String> = reached
-                        .iter()
-                        .flat_map(|&i| facts[i].plan_reads.iter())
-                        .filter(|t| !written.contains(*t))
-                        .collect();
-                    let latched: BTreeSet<&String> = write.union(read).collect();
-                    let missing_w: Vec<&String> =
-                        written.iter().filter(|t| !write.contains(*t)).collect();
-                    if !missing_w.is_empty() {
-                        findings.push(Finding {
-                            severity: Severity::Error,
-                            subject: subject.clone(),
-                            message: format!(
-                                "cascade can mutate {missing_w:?} but they are not \
-                                 latched exclusive"
-                            ),
-                        });
-                    }
-                    let missing_r: Vec<&&String> = true_read
-                        .iter()
-                        .filter(|t| !latched.contains(**t))
-                        .collect();
-                    if !missing_r.is_empty() {
-                        findings.push(Finding {
-                            severity: Severity::Error,
-                            subject: subject.clone(),
-                            message: format!(
-                                "cascade can read {missing_r:?} but they are not latched"
-                            ),
-                        });
-                    }
-                    let excess: Vec<&&String> = latched
-                        .iter()
-                        .filter(|t| !written.contains(**t) && !true_read.contains(**t))
-                        .collect();
-                    if !excess.is_empty() {
-                        findings.push(Finding {
-                            severity: Severity::Warning,
-                            subject,
-                            message: format!(
-                                "latches {excess:?} which the cascade can neither \
-                                 read nor write (needless serialization)"
-                            ),
-                        });
-                    }
-                }
+                    message: format!(
+                        "latches {excess:?} which the cascade can neither \
+                         read nor write (needless serialization)"
+                    ),
+                });
             }
         }
     }
@@ -683,11 +589,13 @@ impl Quark {
     }
 }
 
-/// `true` if `facts` describes `group` (labels are derived from member
-/// trigger names, so compare via the sql-trigger name set instead).
-fn group_matches(facts: &GroupFacts, group: &Group) -> bool {
-    facts.trigger_tables == group.sql_triggers.iter().map(|t| t.table.clone()).collect()
-        && facts.recorded_footprint == group.footprint
+/// Every table `group`'s compiled plans can read, recomputed by walking
+/// the plan DAGs, plus the constants table its triggers join on.
+fn plan_reads(group: &Group) -> BTreeSet<String> {
+    let plans = group.sql_triggers.iter();
+    let mut reads: BTreeSet<String> = plans.flat_map(|t| t.plan_ref.table_footprint()).collect();
+    reads.extend(group.constants_table.clone());
+    reads
 }
 
 #[cfg(test)]

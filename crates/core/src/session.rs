@@ -36,24 +36,31 @@
 //! [`SessionPool`]) hands out additional handles onto the same system, and
 //! the statement surface splits in three:
 //!
-//! * **Footprint-latched writes** — `INSERT`/`UPDATE`/`DELETE` whose
-//!   trigger [`Footprint`] is statically bounded —
-//!   acquire exactly the per-table latches of that footprint and run the
-//!   whole statement, cascade included, under them. The footprint's
+//! * **Footprint-latched writes** — every `INSERT`/`UPDATE`/`DELETE` —
+//!   hold the level-1 lock *shared*, acquire the per-table latches of the
+//!   statement's trigger [`Footprint`] and run the whole statement,
+//!   cascade included, under them. The footprint's
 //!   *write set* (the target table plus every table a reachable cascade
 //!   can mutate) latches **exclusive**; its *read set* (view sources,
 //!   constants tables, join build sides the firing only scans) latches
 //!   **shared**. Writers with disjoint write sets run in parallel even
 //!   when their read sets overlap; a writer mutating a table other
-//!   cascades read still serializes against them. Latch admission is
+//!   cascades read still serializes against them. A statement whose
+//!   cascade can reach an opaque body (a raw SQL trigger, or an action
+//!   registered without a declared write set) has no bounded footprint
+//!   and latches **every table exclusive** instead: it serializes against
+//!   every other writer, on the same path. Latch admission is
 //!   all-or-nothing — a writer waits holding *no* latches until its whole
 //!   footprint is admissible — so the hierarchy is deadlock-free by
-//!   construction (see [`crate::latch`]).
-//! * **Global writes** — DDL, trigger creation/drop, and any DML whose
-//!   cascade can reach an opaque body (a raw SQL trigger, or an action
-//!   registered without a declared write set) — take the exclusive level
-//!   above the latches, draining every in-flight latched writer first.
-//! * **Read statements** — `SELECT`, `EXPLAIN TRIGGER`, `MATERIALIZE` —
+//!   construction (see [`crate::latch`]). Each statement's redo is
+//!   appended to the write-ahead log as one batch plus a commit record.
+//! * **Global writes** — DDL, trigger creation/drop, action registration
+//!   and the `quark_mut`/`database_mut` escape hatches: whatever can
+//!   change schema, trigger topology or the action registry — take the
+//!   exclusive level above the latches, draining every in-flight latched
+//!   writer first, and commit by checkpoint.
+//! * **Read statements** — `SELECT`, `EXPLAIN TRIGGER`, `MATERIALIZE`,
+//!   `ANALYZE TRIGGERS` —
 //!   run lock-free against an immutable [`Quark`] snapshot behind an
 //!   `Arc`, republished by the *writers* at commit: a latched writer folds
 //!   exactly its write-set tables into the current snapshot (an `Arc`
@@ -200,11 +207,10 @@ pub trait StatementFrontend: Send + Sync {
 /// latch manager only admits writers that can take their *whole* footprint
 /// at once, so the hierarchy cannot deadlock.
 struct Shared {
-    /// Level 1, the authoritative system. Footprint-latched writers hold
-    /// it *shared* (their mutual exclusion is per-table, via `latches`);
-    /// global writers — DDL, trigger DDL, unbounded-footprint DML, the
-    /// `quark_mut`/`database_mut` escape hatches — hold it exclusively for
-    /// their full duration (statement + every trigger cascade).
+    /// Level 1, the authoritative system. DML holds it *shared* (writers'
+    /// mutual exclusion is per-table, via `latches`); global writers —
+    /// DDL, trigger DDL, action registration, the `quark_mut` /
+    /// `database_mut` escape hatches — hold it exclusively.
     state: RwLock<Quark>,
     /// Level 2: the per-table latches footprint-scoped writers hold while
     /// the level-1 lock is only shared — read-set tables shared, write-set
@@ -328,8 +334,9 @@ impl Deref for QuarkRead<'_> {
 }
 
 /// Exclusive write guard over the session's [`Quark`]; dropping it
-/// commits in global mode — the published read snapshot is replaced and
-/// the footprint cache cleared (see [`Session::quark_mut`]).
+/// commits in global mode — the published read snapshot is replaced, the
+/// footprint cache cleared and a durable store checkpointed, as after DDL
+/// (see [`Session::quark_mut`]).
 pub struct QuarkWrite<'a> {
     guard: RwLockWriteGuard<'a, Quark>,
     shared: &'a Shared,
@@ -521,10 +528,10 @@ impl Session {
 
     /// Register an action function callable from trigger DO clauses
     /// (delegates to [`Quark::register_action`]). The action's write set
-    /// is undeclared, so any DML whose cascade can reach it takes the
-    /// global write mode; declare the writes with
-    /// [`Session::register_action_with_writes`] to keep such writers
-    /// footprint-latched.
+    /// is undeclared, so any DML whose cascade can reach it latches every
+    /// table and serializes against all other writers; declare the writes
+    /// with [`Session::register_action_with_writes`] to let such writers
+    /// run in parallel with disjoint ones.
     pub fn register_action(
         &self,
         name: impl Into<String>,
@@ -546,17 +553,16 @@ impl Session {
 
     /// Run `f` against the authoritative state in **global mode** — the
     /// exclusive level of the lock hierarchy, which drains every in-flight
-    /// footprint-latched writer first — then commit. Every write-side path
-    /// that can touch schema, trigger topology or unbounded footprints
-    /// funnels through here.
+    /// footprint-latched writer first — then commit. Everything that needs
+    /// `&mut Quark` funnels through here: DDL, trigger DDL and action
+    /// registration. No DML does.
     ///
     /// A global commit is also the durable commit point for everything the
     /// write-ahead log does not cover: when a storage engine is attached,
     /// the whole system (schema, data, views, trigger groups, compile
     /// cache) is checkpointed before the call returns, and the WAL is
-    /// truncated. Global writes are rare — DDL, trigger DDL, registration
-    /// — so paying a full checkpoint keeps the recovery protocol redo-only
-    /// over plain base-table DML.
+    /// truncated. Global writes are rare, so paying a full checkpoint
+    /// keeps the recovery protocol redo-only over base-table DML.
     fn with_write<R>(&self, f: impl FnOnce(&mut Quark) -> R) -> Result<R, Error> {
         let mut guard = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
         let out = f(&mut guard);
@@ -603,10 +609,13 @@ impl Session {
     /// statements (`DROP TRIGGER`, `EXPLAIN TRIGGER`, `MATERIALIZE`)
     /// interpreted against this session's trigger and view registries.
     ///
-    /// Read statements (`SELECT`, `EXPLAIN TRIGGER`, `MATERIALIZE`)
-    /// evaluate lock-free against the published snapshot; all others
-    /// serialize on the session's write lock (see the [module
-    /// docs](self)).
+    /// Read statements (`SELECT`, `EXPLAIN TRIGGER`, `MATERIALIZE`,
+    /// `ANALYZE TRIGGERS`) evaluate lock-free against the published
+    /// snapshot; writes take the two-level lock hierarchy of the [module
+    /// docs](self). `STATS` reads the authoritative system's counters (a
+    /// snapshot's copy stops at the commit that published it): atomic
+    /// loads under the shared level-1 lock, so it waits for DDL but never
+    /// for a latched writer.
     pub fn execute(&self, text: &str) -> Result<StatementResult, StatementError> {
         // The frontend parser sees the text past leading whitespace and
         // `--` comments; its error spans are shifted back into the original.
@@ -732,12 +741,13 @@ impl Session {
             Statement::AnalyzeTriggers => Ok(StatementResult::Analysis(
                 self.snapshot().analyze_triggers().report(),
             )),
+            // ---- counters: the authoritative system, not the snapshot --
             Statement::Stats => {
-                let snap = self.snapshot();
-                let s = snap.stats();
-                let mut counters = s.rows();
-                counters.push(("compile_cache_hits", snap.compile_cache_hits()));
-                counters.push(("translations", snap.translations()));
+                let quark = self.quark();
+                let mut counters = quark.stats().rows();
+                counters.push(("compile_cache_hits", quark.compile_cache_hits()));
+                counters.push(("translations", quark.translations()));
+                drop(quark);
                 counters.sort_by_key(|&(name, _)| name);
                 let rows = counters
                     .into_iter()
@@ -750,7 +760,7 @@ impl Session {
                     rows,
                 })
             }
-            // ---- data changes: footprint-latched when bounded ---------
+            // ---- data changes: footprint-latched ----------------------
             Statement::Insert { table, .. }
             | Statement::Update { table, .. }
             | Statement::Delete { table, .. } => {
@@ -797,75 +807,61 @@ impl Session {
         }
     }
 
-    /// Execute one data-change statement on the write path of the module
-    /// docs: compute the statement's [`Footprint`], and either latch
-    /// exactly those tables under the shared level-1 lock (bounded case —
-    /// disjoint writers run in parallel) or fall back to global mode
-    /// (unbounded case — exact single-writer semantics).
+    /// Execute one data-change statement — the one DML path of the module
+    /// docs: latch the statement's [`Footprint`] under the *shared* level-1
+    /// lock, run statement and cascade, log, fold. An unbounded footprint
+    /// ([`Footprint::Global`]) latches **every table exclusive**, which
+    /// covers whatever an opaque body does: it only ever receives
+    /// `&Database`, and every catalog change needs `&mut` (i.e. global
+    /// mode). All-or-nothing admission makes that writer drain and
+    /// exclude every other one — exact single-writer semantics — and its
+    /// ticket keeps it from starving.
     fn execute_dml(&self, table: &str, stmt: &Statement) -> Result<SqlOutcome, StatementError> {
         let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
-        match self.footprint_of(&state, table) {
-            Footprint::Global => {
-                drop(state);
-                // The global commit checkpoints the full state, which
-                // subsumes WAL logging; the redo buffer is still drained
-                // so captured ops cannot leak into the next statement.
-                self.with_write(|quark| {
-                    let db = quark.database();
-                    // Under the `footprint-oracle` feature, record that this
-                    // statement holds global exclusive access: any table
-                    // access is in bounds.
-                    let _scope = db.oracle_scope_global();
-                    db.begin_redo();
-                    let out = sql::execute_dml(db, stmt);
-                    let _ = db.take_redo();
-                    out
-                })?
-            }
-            Footprint::Tables { write, read } => {
-                let latch = self.shared.latches.acquire(&read, &write);
-                {
-                    let db = state.database();
-                    if latch.contended() {
-                        db.bump(Counter::LatchConflicts, 1);
-                    }
-                    db.bump(Counter::LatchWaits, latch.waits());
-                    db.bump(Counter::LatchSharedAcquisitions, latch.shared_count());
-                    db.bump(Counter::LatchExclusiveAcquisitions, latch.exclusive_count());
-                }
-                // Capture the statement's physical effects — cascade
-                // included — and append them to the write-ahead log as one
-                // batch closed by a commit record: the statement boundary
-                // is the durability boundary.
-                state.database().begin_redo();
-                let out = {
-                    // Under the `footprint-oracle` feature, assert that the
-                    // statement and its whole cascade stay inside the
-                    // footprint just latched: any access to a table outside
-                    // `write` ∪ `read` is a proven hole in the static
-                    // analysis and bumps `footprint_violations`.
-                    let _scope = state.database().oracle_scope(&write, &read);
-                    sql::execute_dml(state.database(), stmt)
-                };
-                let ops = state.database().take_redo();
-                // Logged even when the statement erred: partial cascade
-                // effects stay committed in the authoritative state (see
-                // below) and recovery must reproduce them.
-                let logged = match state.storage() {
-                    Some(engine) => engine.log_statement(&ops),
-                    None => Ok(()),
-                };
-                // Commit even on a statement error: partial effects (a
-                // cascade failing mid-way) are visible in the
-                // authoritative state and must reach the snapshot.
-                // Only the write set can have changed, so only it is
-                // folded; shared-latched read tables are untouched.
-                self.shared.commit_tables(&state, &write);
-                let outcome = out?;
-                logged?;
-                Ok(outcome)
-            }
+        let db = state.database();
+        let (write, read) = match self.footprint_of(&state, table) {
+            Footprint::Tables { write, read } => (write, read),
+            Footprint::Global => (
+                db.table_names().map(String::from).collect(),
+                BTreeSet::new(),
+            ),
+        };
+        let latch = self.shared.latches.acquire(&read, &write);
+        if latch.contended() {
+            db.bump(Counter::LatchConflicts, 1);
         }
+        db.bump(Counter::LatchWaits, latch.waits());
+        db.bump(Counter::LatchSharedAcquisitions, latch.shared_count());
+        db.bump(Counter::LatchExclusiveAcquisitions, latch.exclusive_count());
+        // Capture the statement's physical effects — cascade included —
+        // and append them to the write-ahead log as one batch closed by a
+        // commit record: the statement boundary is the durability boundary.
+        db.begin_redo();
+        let out = {
+            // Under the `footprint-oracle` feature, assert that the
+            // statement and its whole cascade stay inside the footprint
+            // just latched: any access to a table outside `write` ∪ `read`
+            // is a proven hole in the static analysis and bumps
+            // `footprint_violations`.
+            let _scope = db.oracle_scope(&write, &read);
+            sql::execute_dml(db, stmt)
+        };
+        let ops = db.take_redo();
+        // Logged even when the statement erred: partial cascade effects
+        // stay committed in the authoritative state (see below) and
+        // recovery must reproduce them.
+        let logged = match state.storage() {
+            Some(engine) => engine.log_statement(&ops),
+            None => Ok(()),
+        };
+        // Commit even on a statement error: partial effects (a cascade
+        // failing mid-way) are visible in the authoritative state and must
+        // reach the snapshot. Only the write set can have changed, so only
+        // it is folded; shared-latched read tables are untouched.
+        self.shared.commit_tables(&state, &write);
+        let outcome = out?;
+        logged?;
+        Ok(outcome)
     }
 
     /// Memoized [`Quark::write_footprint`]. The cache is cleared by every

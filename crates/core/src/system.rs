@@ -30,7 +30,7 @@
 //!   the groups using them and evicted when the last such group is
 //!   dropped.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use quark_relational::expr::{BinOp, Expr};
@@ -88,8 +88,8 @@ struct ActionEntry {
     f: ActionFn,
     /// Tables the action may write, if declared
     /// ([`Quark::register_action_with_writes`]). `None` means the body is
-    /// opaque: any write whose cascade can reach this action must take the
-    /// session's global exclusive mode ([`Footprint::Global`]).
+    /// opaque: any write whose cascade can reach this action has an
+    /// unbounded footprint ([`Footprint::Global`]).
     writes: Option<BTreeSet<String>>,
 }
 
@@ -117,8 +117,8 @@ pub enum Footprint {
         read: BTreeSet<String>,
     },
     /// Not statically boundable: a raw SQL trigger (opaque body) or an
-    /// action without a declared write set is reachable, so the write must
-    /// serialize in the session's global exclusive mode.
+    /// action without a declared write set is reachable, so the session
+    /// latches every table of the database exclusive for the write.
     Global,
 }
 
@@ -149,6 +149,26 @@ struct Group {
     trigger_count: usize,
     /// Compile-cache entry this group holds a reference on.
     cache_key: Option<String>,
+}
+
+impl Group {
+    /// Union of the member actions' declared write sets; `None` if any
+    /// member action is unregistered or undeclared (opaque). Distinct
+    /// action names first: a group's 10 000 members mostly share one
+    /// action, which then costs one registry lookup and one set union.
+    fn declared_writes(&self, actions: &HashMap<String, ActionEntry>) -> Option<BTreeSet<String>> {
+        let members = self.members.lock().expect("members");
+        let functions: BTreeSet<&str> = members
+            .values()
+            .flatten()
+            .map(|m| m.function.as_str())
+            .collect();
+        let mut writes = BTreeSet::new();
+        for function in functions {
+            writes.extend(actions.get(function)?.writes.as_ref()?.iter().cloned());
+        }
+        Some(writes)
+    }
 }
 
 /// One compile-cache entry: the affected-node plan per source table for one
@@ -412,9 +432,9 @@ impl Quark {
     /// Register an action that declares the tables it may write. Writes
     /// whose cascades reach only declared actions keep a bounded
     /// [`Footprint`] and can run in parallel with disjoint writers; an
-    /// undeclared action ([`Quark::register_action`]) forces such writes
-    /// into the global exclusive mode instead. The declaration is a
-    /// *promise*: writing outside it is not checked.
+    /// undeclared action ([`Quark::register_action`]) makes such writes
+    /// latch every table instead. The declaration is a *promise*: writing
+    /// outside it is not checked.
     pub fn register_action_with_writes(
         &mut self,
         name: impl Into<String>,
@@ -1084,7 +1104,6 @@ impl Quark {
                     }
                 }
             }
-            let _ = group.signature;
         } else if remove_set {
             let ct = {
                 let group = Arc::make_mut(&mut self.groups)
@@ -1147,30 +1166,11 @@ impl Quark {
             "read footprint: {:?} (latched shared)",
             group.footprint
         );
-        let mut writes: Option<BTreeSet<String>> = Some(BTreeSet::new());
-        let actions = self.actions.lock().expect("action registry");
-        for m in group.members.lock().expect("members").values().flatten() {
-            match actions.get(&m.function).and_then(|e| e.writes.as_ref()) {
-                Some(ws) => {
-                    if let Some(acc) = writes.as_mut() {
-                        acc.extend(ws.iter().cloned());
-                    }
-                }
-                None => writes = None,
-            }
-        }
-        drop(actions);
-        match writes {
-            Some(ws) => {
-                let _ = writeln!(out, "write footprint: {ws:?} (latched exclusive)");
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "write footprint: global (member action has no declared write set)"
-                );
-            }
-        }
+        let writes = match group.declared_writes(&self.actions.lock().expect("action registry")) {
+            Some(ws) => format!("{ws:?} (latched exclusive)"),
+            None => "global (member action has no declared write set)".to_string(),
+        };
+        let _ = writeln!(out, "write footprint: {writes}");
         let _ = writeln!(out, "SQL triggers ({}):", group.sql_triggers.len());
         for t in &group.sql_triggers {
             let _ = writeln!(out, "  {} AFTER {} ON {}", t.name, t.event, t.table);
@@ -1199,20 +1199,13 @@ impl Quark {
         Ok(keyed.into_iter().map(|(_, n)| n).collect())
     }
 
-    /// Compute the latch [`Footprint`] of a write statement targeting
-    /// `table`.
-    ///
-    /// Starting from the target, the analysis chases every table the
-    /// cascade can *write* (declared action write sets), because writes
-    /// fire further triggers; tables a reachable group merely *reads*
-    /// (its compiled plans' sources and its constants table) join the
-    /// footprint's shared `read` side without being chased, while the
-    /// chased tables form the exclusive `write` side. The result degrades to
-    /// [`Footprint::Global`] as soon as anything opaque is reachable — a
-    /// raw SQL trigger installed directly on the database (its body is an
-    /// arbitrary closure) or a group member whose action did not declare
-    /// its writes — since nothing bounds what such a body touches.
-    pub fn write_footprint(&self, table: &str) -> Footprint {
+    /// What a write to `target` can set off: every table the cascade can
+    /// *mutate* — the target plus declared action write sets, chased
+    /// because writes fire further triggers — and every group it can fire
+    /// on the way. `None` as soon as anything opaque is reachable: a raw SQL
+    /// trigger installed directly on the database (an arbitrary closure) or
+    /// a group with an undeclared member action.
+    fn cascade_closure(&self, target: &str) -> Option<(BTreeSet<String>, Vec<&Group>)> {
         // Group-generated SQL triggers are transparent: map them back to
         // their groups. Anything else on a reachable table is opaque.
         let group_of: HashMap<&str, &Group> = self
@@ -1221,36 +1214,41 @@ impl Quark {
             .flat_map(|g| g.sql_triggers.iter().map(move |t| (t.name.as_str(), g)))
             .collect();
         let actions = self.actions.lock().expect("action registry");
-        let mut read: BTreeSet<String> = BTreeSet::new();
         let mut written: BTreeSet<String> = BTreeSet::new();
-        let mut queue: Vec<String> = vec![table.to_string()];
+        let mut reached: BTreeMap<&str, &Group> = BTreeMap::new();
+        let mut queue: Vec<String> = vec![target.to_string()];
         while let Some(t) = queue.pop() {
             if !written.insert(t.clone()) {
                 continue;
             }
             for trig in self.db.triggers().filter(|tr| tr.table == t) {
-                let Some(group) = group_of.get(trig.name.as_str()) else {
-                    return Footprint::Global;
-                };
-                read.extend(group.footprint.iter().cloned());
-                for members in group.members.lock().expect("members").values() {
-                    for m in members {
-                        match actions.get(&m.function).and_then(|e| e.writes.as_ref()) {
-                            // Unregistered or undeclared action: opaque.
-                            None => return Footprint::Global,
-                            Some(ws) => queue.extend(ws.iter().cloned()),
-                        }
-                    }
+                let group = *group_of.get(trig.name.as_str())?;
+                if reached.insert(&group.signature, group).is_none() {
+                    queue.extend(group.declared_writes(&actions)?);
                 }
             }
         }
+        Some((written, reached.into_values().collect()))
+    }
+
+    /// Compute the latch [`Footprint`] of a write statement targeting
+    /// `table`: the tables its cascade can mutate form the exclusive `write`
+    /// side, the recorded footprints of the groups it can fire (plan
+    /// sources, constants tables) the shared `read` side — or
+    /// [`Footprint::Global`] when nothing bounds what the cascade touches.
+    pub fn write_footprint(&self, table: &str) -> Footprint {
+        let Some((write, reached)) = self.cascade_closure(table) else {
+            return Footprint::Global;
+        };
         // A table both scanned and mutated needs the exclusive latch; keep
         // the sets disjoint so the latch manager sees one mode per table.
-        read.retain(|t| !written.contains(t));
-        Footprint::Tables {
-            write: written,
-            read,
-        }
+        let read = reached
+            .iter()
+            .flat_map(|g| &g.footprint)
+            .filter(|t| !write.contains(*t))
+            .cloned()
+            .collect();
+        Footprint::Tables { write, read }
     }
 
     /// Replace this system's versions of `tables` with `from`'s current

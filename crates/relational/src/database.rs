@@ -16,9 +16,8 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::exec::{execute, ExecCache, ExecContext};
+use crate::exec::ExecCache;
 use crate::expr::{BinOp, Expr};
-use crate::plan::PlanRef;
 use crate::schema::TableSchema;
 use crate::table::{Key, Table};
 use crate::value::{ColumnType, Row, Value};
@@ -60,41 +59,28 @@ pub struct TransitionTables {
     pub deleted: Vec<Row>,
 }
 
-/// Callback receiving the rows produced by a query-bodied trigger.
+/// Callback for a trigger body.
 ///
 /// Takes `&Database`: every data-change entry point is interior-mutable
 /// (per-table latches), so a cascade can run while the session layer holds
 /// only a shared reference — the requirement behind footprint-scoped
 /// parallel writers.
-pub type RowsHandler = dyn Fn(&Database, Vec<Row>) -> Result<()> + Send + Sync;
-
-/// Callback for a native-bodied trigger (same `&Database` contract as
-/// [`RowsHandler`]).
 pub type NativeTriggerFn = dyn Fn(&Database, &TransitionTables) -> Result<()> + Send + Sync;
 
 /// Body of a registered statement trigger.
 #[derive(Clone)]
 pub enum TriggerBody {
-    /// Evaluate `plan` with the statement's transition tables bound, then
-    /// pass the result rows to `handler`. This is the form every translated
-    /// XML trigger takes (the plan is the paper's generated SQL query).
-    Query {
-        /// The trigger body query.
-        plan: PlanRef,
-        /// Consumer of the query result.
-        handler: Arc<RowsHandler>,
-    },
-    /// Arbitrary native logic over the transition tables (used by the
-    /// materialized-view oracle baseline).
+    /// Native logic over the statement's transition tables. Every
+    /// translated XML trigger takes this form — its closure evaluates the
+    /// generated plan (the paper's SQL trigger query) through
+    /// [`crate::exec::execute_with_transitions`] and activates the actions
+    /// — as do the materialized-view baseline and hand-written triggers.
     Native(Arc<NativeTriggerFn>),
 }
 
 impl fmt::Debug for TriggerBody {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TriggerBody::Query { plan, .. } => write!(f, "Query({})", plan.explain().trim()),
-            TriggerBody::Native(_) => f.write_str("Native(..)"),
-        }
+        f.write_str("Native(..)")
     }
 }
 
@@ -405,17 +391,12 @@ thread_local! {
 }
 
 /// What latch coverage the current statement's scope promises (see
-/// [`Database::oracle_scope`]).
+/// [`Database::oracle_scope`]): `write` tables are latched exclusive,
+/// `read` tables shared.
 #[cfg(feature = "footprint-oracle")]
-enum OracleState {
-    /// Global exclusive mode: every table is covered.
-    Global,
-    /// Footprint-latched mode: `write` tables are latched exclusive,
-    /// `read` tables shared.
-    Latched {
-        write: BTreeSet<String>,
-        read: BTreeSet<String>,
-    },
+struct LatchedScope {
+    write: BTreeSet<String>,
+    read: BTreeSet<String>,
 }
 
 #[cfg(feature = "footprint-oracle")]
@@ -424,7 +405,7 @@ thread_local! {
     /// rationale as `FIRE_DEPTH`: a statement and its whole cascade run on
     /// one thread, and one thread may drive several instances). A stack so
     /// scope installation composes; in practice one scope per statement.
-    static ORACLE_SCOPES: RefCell<HashMap<u64, Vec<OracleState>>> =
+    static ORACLE_SCOPES: RefCell<HashMap<u64, Vec<LatchedScope>>> =
         RefCell::new(HashMap::new());
 
     /// When nonzero, an oracle violation bumps the counter but does not
@@ -433,10 +414,9 @@ thread_local! {
     static ORACLE_TOLERANCE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// RAII handle for a latch scope installed by [`Database::oracle_scope`] /
-/// [`Database::oracle_scope_global`]; uninstalls the scope on drop (panic
-/// unwind included). A zero-sized no-op unless the crate is built with the
-/// `footprint-oracle` feature.
+/// RAII handle for a latch scope installed by [`Database::oracle_scope`];
+/// uninstalls the scope on drop (panic unwind included). A zero-sized
+/// no-op unless the crate is built with the `footprint-oracle` feature.
 pub struct FootprintScope {
     #[cfg(feature = "footprint-oracle")]
     db_id: u64,
@@ -623,28 +603,10 @@ impl Database {
                 m.borrow_mut()
                     .entry(self.db_id)
                     .or_default()
-                    .push(OracleState::Latched {
+                    .push(LatchedScope {
                         write: write.clone(),
                         read: read.clone(),
                     })
-            });
-            FootprintScope { db_id: self.db_id }
-        }
-        #[cfg(not(feature = "footprint-oracle"))]
-        FootprintScope {}
-    }
-
-    /// Install a **global** oracle scope: the session holds the level-1
-    /// lock exclusively, so every table is covered. See
-    /// [`Database::oracle_scope`].
-    pub fn oracle_scope_global(&self) -> FootprintScope {
-        #[cfg(feature = "footprint-oracle")]
-        {
-            ORACLE_SCOPES.with(|m| {
-                m.borrow_mut()
-                    .entry(self.db_id)
-                    .or_default()
-                    .push(OracleState::Global)
             });
             FootprintScope { db_id: self.db_id }
         }
@@ -665,14 +627,20 @@ impl Database {
     /// Assert that accessing `name` (mutating or reading) is covered by
     /// the innermost oracle scope installed on this thread for this
     /// database instance. Outside any scope — programmatic access, oracle
-    /// shadow clones, recovery replay — nothing is checked.
+    /// shadow clones, recovery replay — nothing is checked; nor is a table
+    /// that does not exist (the access fails with `UnknownTable`, and no
+    /// scope — not even an unbounded statement's "every table" — can name
+    /// it).
     #[cfg(feature = "footprint-oracle")]
     fn oracle_check(&self, name: &str, mutating: bool) {
+        if !self.tables.contains_key(name) {
+            return;
+        }
         let covered =
             ORACLE_SCOPES.with(
                 |m| match m.borrow().get(&self.db_id).and_then(|s| s.last()) {
-                    None | Some(OracleState::Global) => true,
-                    Some(OracleState::Latched { write, read }) => {
+                    None => true,
+                    Some(LatchedScope { write, read }) => {
                         write.contains(name) || (!mutating && read.contains(name))
                     }
                 },
@@ -701,11 +669,6 @@ impl Database {
     /// clones — snapshots and oracle shadows never log.
     pub fn set_redo_capture(&mut self, enabled: bool) {
         self.redo_capture = enabled;
-    }
-
-    /// `true` when the mutation entry points record redo operations.
-    pub fn redo_capture_enabled(&self) -> bool {
-        self.redo_capture
     }
 
     /// Clear this thread's redo buffer for this database. The session
@@ -1119,16 +1082,8 @@ impl Database {
     fn fire_all(&self, triggers: &[Arc<SqlTrigger>], trans: &TransitionTables) -> Result<()> {
         for t in triggers {
             self.bump(Counter::TriggersFired, 1);
-            match &t.body {
-                TriggerBody::Query { plan, handler } => {
-                    let rows: Vec<Row> = {
-                        let ctx = ExecContext::new(self, Some(trans));
-                        execute(plan, &ctx)?.iter().cloned().collect()
-                    };
-                    handler(self, rows)?;
-                }
-                TriggerBody::Native(f) => f(self, trans)?,
-            }
+            let TriggerBody::Native(f) = &t.body;
+            f(self, trans)?;
         }
         Ok(())
     }
@@ -1351,15 +1306,12 @@ mod tests {
             name: "log_inserts".into(),
             table: "vendor".into(),
             event: Event::Insert,
-            body: TriggerBody::Query {
-                plan,
-                handler: Arc::new(|db, rows| {
-                    for r in rows {
-                        db.insert_row("log", r.to_vec())?;
-                    }
-                    Ok(())
-                }),
-            },
+            body: TriggerBody::Native(Arc::new(move |db, trans| {
+                for r in crate::exec::execute_with_transitions(db, &plan, trans)? {
+                    db.insert_row("log", r.to_vec())?;
+                }
+                Ok(())
+            })),
         })
         .unwrap();
         db.insert("vendor", vec![vrow("a", "P1", 1.0), vrow("b", "P2", 2.0)])

@@ -42,8 +42,8 @@ pub mod wire;
 #[cfg(feature = "footprint-oracle")]
 pub use database::FootprintTolerance;
 pub use database::{
-    Counter, Database, Event, FootprintScope, NativeTriggerFn, RowsHandler, SqlTrigger, Stats,
-    TransitionTables, TriggerBody,
+    Counter, Database, Event, FootprintScope, NativeTriggerFn, SqlTrigger, Stats, TransitionTables,
+    TriggerBody,
 };
 pub use error::{Error, Result};
 pub use schema::{ColumnDef, RowSet, TableSchema};

@@ -7,7 +7,8 @@
 //! table expression in the paper's Figure 16, and the executor memoizes
 //! shared nodes so they run once.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -206,11 +207,11 @@ pub enum PhysicalPlan {
     },
 }
 
-/// Rendering state for [`PhysicalPlan::explain`]: reference counts from the
-/// pre-pass, plus labels assigned to shared nodes in render order.
+/// Rendering state for [`PhysicalPlan::explain`]: the nodes referenced from
+/// more than one parent (by identity), each with the `[shared N]` label it
+/// was given once rendered.
 struct ExplainState {
-    refs: HashMap<usize, usize>,
-    labels: HashMap<usize, usize>,
+    labels: HashMap<*const PhysicalPlan, Option<usize>>,
     next_label: usize,
 }
 
@@ -220,73 +221,83 @@ impl PhysicalPlan {
         Arc::new(self)
     }
 
-    /// Number of output columns, resolved against `db` for table scans.
-    ///
+    /// The one memoized walk over a plan DAG: `f(node, kid)` computes a
+    /// node's value, asking `kid(input)` for the value of each input it
+    /// needs — computed first, and once per distinct node (`Arc` identity).
     /// Plans are DAGs with heavy sharing (the affected-key subplan feeds
-    /// both the OLD and NEW branches), so the recursion memoizes shared
-    /// nodes by identity — a naive tree walk would revisit a shared node
-    /// once per *path*, which is exponential in view depth.
-    pub fn arity(&self, db: &Database) -> Result<usize> {
-        self.arity_memo(db, &mut HashMap::new())
+    /// both the OLD and NEW branches), so a naive tree walk would revisit a
+    /// shared node once per *path*, which is exponential in view depth. An
+    /// input `f` does not ask for is not visited.
+    pub(crate) fn fold<'p, T, F>(&'p self, f: &F) -> T
+    where
+        T: Clone,
+        F: Fn(&'p PhysicalPlan, &mut dyn FnMut(&'p PlanRef) -> T) -> T,
+    {
+        fn visit<'p, T, F>(
+            node: &'p PhysicalPlan,
+            f: &F,
+            memo: &mut HashMap<*const PhysicalPlan, T>,
+        ) -> T
+        where
+            T: Clone,
+            F: Fn(&'p PhysicalPlan, &mut dyn FnMut(&'p PlanRef) -> T) -> T,
+        {
+            f(node, &mut |input| {
+                let key = Arc::as_ptr(input);
+                if let Some(hit) = memo.get(&key) {
+                    return hit.clone();
+                }
+                let value = visit(input, f, memo);
+                memo.insert(key, value.clone());
+                value
+            })
+        }
+        visit(self, f, &mut HashMap::new())
     }
 
-    fn arity_memo(&self, db: &Database, memo: &mut HashMap<usize, usize>) -> Result<usize> {
-        let child =
-            |p: &PlanRef, db: &Database, memo: &mut HashMap<usize, usize>| -> Result<usize> {
-                let key = Arc::as_ptr(p) as usize;
-                if let Some(&hit) = memo.get(&key) {
-                    return Ok(hit);
+    /// Number of output columns, resolved against `db` for table scans.
+    pub fn arity(&self, db: &Database) -> Result<usize> {
+        self.fold(&|node, kid| {
+            Ok(match node {
+                PhysicalPlan::TableScan { table, .. }
+                | PhysicalPlan::TransitionScan { table, .. } => db.table(table)?.schema().arity(),
+                PhysicalPlan::Values { arity, .. } => *arity,
+                PhysicalPlan::Filter { input, .. }
+                | PhysicalPlan::Distinct { input }
+                | PhysicalPlan::Sort { input, .. } => kid(input)?,
+                PhysicalPlan::Project { exprs, .. } => exprs.len(),
+                PhysicalPlan::HashJoin {
+                    left, right, kind, ..
                 }
-                let a = p.arity_memo(db, memo)?;
-                memo.insert(key, a);
-                Ok(a)
-            };
-        Ok(match self {
-            PhysicalPlan::TableScan { table, .. } | PhysicalPlan::TransitionScan { table, .. } => {
-                db.table(table)?.schema().arity()
-            }
-            PhysicalPlan::Values { arity, .. } => *arity,
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Sort { input, .. } => child(input, db, memo)?,
-            PhysicalPlan::Project { exprs, .. } => exprs.len(),
-            PhysicalPlan::HashJoin {
-                left, right, kind, ..
-            } => {
-                if kind.keeps_right() {
-                    child(left, db, memo)? + child(right, db, memo)?
-                } else {
-                    child(left, db, memo)?
+                | PhysicalPlan::NestedLoopJoin {
+                    left, right, kind, ..
+                } => {
+                    if kind.keeps_right() {
+                        kid(left)? + kid(right)?
+                    } else {
+                        kid(left)?
+                    }
                 }
-            }
-            PhysicalPlan::IndexJoin {
-                outer, table, kind, ..
-            } => {
-                if kind.keeps_right() {
-                    child(outer, db, memo)? + db.table(table)?.schema().arity()
-                } else {
-                    child(outer, db, memo)?
+                PhysicalPlan::IndexJoin {
+                    outer, table, kind, ..
+                } => {
+                    if kind.keeps_right() {
+                        kid(outer)? + db.table(table)?.schema().arity()
+                    } else {
+                        kid(outer)?
+                    }
                 }
-            }
-            PhysicalPlan::NestedLoopJoin {
-                left, right, kind, ..
-            } => {
-                if kind.keeps_right() {
-                    child(left, db, memo)? + child(right, db, memo)?
-                } else {
-                    child(left, db, memo)?
+                PhysicalPlan::HashAggregate {
+                    group_exprs, aggs, ..
+                } => group_exprs.len() + aggs.len(),
+                PhysicalPlan::UnionAll { inputs } => {
+                    let first = inputs
+                        .first()
+                        .ok_or_else(|| Error::Plan("UnionAll with no inputs".into()))?;
+                    kid(first)?
                 }
-            }
-            PhysicalPlan::HashAggregate {
-                group_exprs, aggs, ..
-            } => group_exprs.len() + aggs.len(),
-            PhysicalPlan::UnionAll { inputs } => {
-                let first = inputs
-                    .first()
-                    .ok_or_else(|| Error::Plan("UnionAll with no inputs".into()))?;
-                child(first, db, memo)?
-            }
-            PhysicalPlan::Unnest { input, .. } => child(input, db, memo)? + 1,
+                PhysicalPlan::Unnest { input, .. } => kid(input)? + 1,
+            })
         })
     }
 
@@ -301,43 +312,24 @@ impl PhysicalPlan {
     /// sides over such subplans can be reused across firings instead of
     /// being re-hashed each time.
     pub fn stable_tables(&self) -> Option<BTreeSet<String>> {
-        self.stable_memo(&mut HashMap::new())
-    }
-
-    fn stable_memo(
-        &self,
-        memo: &mut HashMap<usize, Option<BTreeSet<String>>>,
-    ) -> Option<BTreeSet<String>> {
-        let mut out = BTreeSet::new();
-        match self {
-            PhysicalPlan::TransitionScan { .. } => return None,
-            PhysicalPlan::TableScan { table, epoch } => {
-                if *epoch == TableEpoch::Old {
-                    return None;
+        self.fold(&|node, kid| {
+            let mut out = BTreeSet::new();
+            match node {
+                PhysicalPlan::TransitionScan { .. } => return None,
+                PhysicalPlan::TableScan { table, epoch }
+                | PhysicalPlan::IndexJoin { table, epoch, .. } => {
+                    if *epoch == TableEpoch::Old {
+                        return None;
+                    }
+                    out.insert(table.clone());
                 }
-                out.insert(table.clone());
+                _ => {}
             }
-            PhysicalPlan::IndexJoin { table, epoch, .. } => {
-                if *epoch == TableEpoch::Old {
-                    return None;
-                }
-                out.insert(table.clone());
+            for input in node.children() {
+                out.extend(kid(input)?);
             }
-            _ => {}
-        }
-        for c in self.children() {
-            let key = Arc::as_ptr(c) as usize;
-            let child = match memo.get(&key) {
-                Some(hit) => hit.clone(),
-                None => {
-                    let computed = c.stable_memo(memo);
-                    memo.insert(key, computed.clone());
-                    computed
-                }
-            };
-            out.extend(child?);
-        }
-        Some(out)
+            Some(out)
+        })
     }
 
     /// Every stored table this plan can read, regardless of epoch: current
@@ -351,26 +343,17 @@ impl PhysicalPlan {
     /// per-table latches instead of the global write lock, in parallel with
     /// writers whose footprints are disjoint.
     pub fn table_footprint(&self) -> BTreeSet<String> {
-        let mut out = BTreeSet::new();
-        self.footprint_memo(&mut HashSet::new(), &mut out);
-        out
-    }
-
-    fn footprint_memo(&self, seen: &mut HashSet<usize>, out: &mut BTreeSet<String>) {
-        match self {
-            PhysicalPlan::TableScan { table, .. }
+        let out = RefCell::new(BTreeSet::new());
+        self.fold(&|node, kid| {
+            if let PhysicalPlan::TableScan { table, .. }
             | PhysicalPlan::TransitionScan { table, .. }
-            | PhysicalPlan::IndexJoin { table, .. } => {
-                out.insert(table.clone());
+            | PhysicalPlan::IndexJoin { table, .. } = node
+            {
+                out.borrow_mut().insert(table.clone());
             }
-            _ => {}
-        }
-        for c in self.children() {
-            let key = Arc::as_ptr(c) as usize;
-            if seen.insert(key) {
-                c.footprint_memo(seen, out);
-            }
-        }
+            node.children().into_iter().for_each(kid);
+        });
+        out.into_inner()
     }
 
     /// Multi-line EXPLAIN-style rendering. Subplans referenced from more
@@ -379,28 +362,22 @@ impl PhysicalPlan {
     /// deeply shared DAG expands every path — hundreds of megabytes for a
     /// depth-5 view's trigger plan.
     pub fn explain(&self) -> String {
-        let mut refs: HashMap<usize, usize> = HashMap::new();
-        self.count_refs(&mut refs);
-        let mut out = String::new();
+        // How many parents reference each node (by identity).
+        let parents = RefCell::new(HashMap::new());
+        self.fold(&|node, kid| {
+            for input in node.children() {
+                *parents.borrow_mut().entry(Arc::as_ptr(input)).or_insert(0) += 1;
+                kid(input);
+            }
+        });
+        let shared = parents.into_inner().into_iter().filter(|&(_, n)| n > 1);
         let mut st = ExplainState {
-            refs,
-            labels: HashMap::new(),
+            labels: shared.map(|(node, _)| (node, None)).collect(),
             next_label: 1,
         };
+        let mut out = String::new();
         self.explain_into(&mut out, 0, &mut st);
         out
-    }
-
-    /// Count how many parents reference each node (by identity).
-    fn count_refs(&self, refs: &mut HashMap<usize, usize>) {
-        for c in self.children() {
-            let key = Arc::as_ptr(c) as usize;
-            let n = refs.entry(key).or_insert(0);
-            *n += 1;
-            if *n == 1 {
-                c.count_refs(refs);
-            }
-        }
     }
 
     /// Input plans of this node, in rendering order.
@@ -425,19 +402,18 @@ impl PhysicalPlan {
     /// Render one child reference: shared nodes get a `[shared N]` label on
     /// first visit and a one-line back-pointer afterwards.
     fn explain_ref(p: &PlanRef, out: &mut String, depth: usize, st: &mut ExplainState) {
-        let key = Arc::as_ptr(p) as usize;
-        if st.refs.get(&key).copied().unwrap_or(0) < 2 {
+        let Some(label) = st.labels.get_mut(&Arc::as_ptr(p)) else {
             return p.explain_into(out, depth, st);
-        }
+        };
         let pad = "  ".repeat(depth);
-        match st.labels.get(&key) {
-            Some(&n) => {
+        match *label {
+            Some(n) => {
                 let _ = writeln!(out, "{pad}[shared {n}] (see above)");
             }
             None => {
                 let n = st.next_label;
                 st.next_label += 1;
-                st.labels.insert(key, n);
+                *label = Some(n);
                 let _ = writeln!(out, "{pad}[shared {n}]");
                 p.explain_into(out, depth, st);
             }

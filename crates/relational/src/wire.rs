@@ -35,6 +35,7 @@
 //!   subplan feeding both OLD and NEW branches) survives a round trip:
 //!   decode rebuilds each shared node once and reuses the `Arc`.
 
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
 use std::sync::Arc;
@@ -792,31 +793,19 @@ impl Decode for RedoOp {
 // Plan DAGs
 // ---------------------------------------------------------------------
 
-/// Node-table index per node, keyed by `Arc` identity.
-type NodeIds = HashMap<*const PhysicalPlan, usize>;
-
-/// Post-order numbering (children before parents); a shared node is
-/// numbered once.
-fn number<'p>(plan: &'p PlanRef, ids: &mut NodeIds, order: &mut Vec<&'p PhysicalPlan>) {
-    if ids.contains_key(&Arc::as_ptr(plan)) {
-        return;
-    }
-    for child in plan.children() {
-        number(child, ids, order);
-    }
-    ids.insert(Arc::as_ptr(plan), order.len());
-    order.push(plan);
-}
-
 /// A plan DAG is a node table in children-first order. Shared nodes (by
 /// `Arc` identity) are written once and referenced by index, so sharing
 /// survives the round trip; the root is the last node.
 impl Encode for PlanRef {
     fn encode(&self, enc: &mut Enc) {
-        let (mut ids, mut order) = (NodeIds::new(), Vec::new());
-        number(self, &mut ids, &mut order);
-        let nodes: Vec<Node<'_>> = order.iter().map(|plan| Node { plan, ids: &ids }).collect();
-        enc.put(&nodes);
+        let nodes = RefCell::new(Vec::new());
+        self.fold(&|plan, kid| {
+            let kids: Vec<usize> = plan.children().into_iter().map(kid).collect();
+            let mut nodes = nodes.borrow_mut();
+            nodes.push(Node { plan, kids });
+            nodes.len() - 1
+        });
+        enc.put(&nodes.into_inner());
     }
 }
 
@@ -828,15 +817,16 @@ impl Decode for PlanRef {
     }
 }
 
-/// One row of the node table: children are indices of earlier rows.
+/// One row of the node table, with the indices of its inputs' (earlier)
+/// rows in [`PhysicalPlan::children`] order.
 struct Node<'p> {
     plan: &'p PhysicalPlan,
-    ids: &'p NodeIds,
+    kids: Vec<usize>,
 }
 
 impl Encode for Node<'_> {
     fn encode(&self, enc: &mut Enc) {
-        let id = |child: &PlanRef| self.ids[&Arc::as_ptr(child)];
+        let kid = |i: usize| self.kids[i];
         match self.plan {
             PhysicalPlan::TableScan { table, epoch } => {
                 enc.u8(0);
@@ -858,42 +848,41 @@ impl Encode for Node<'_> {
                 enc.put(arity);
                 enc.put(rows);
             }
-            PhysicalPlan::Filter { input, predicate } => {
+            PhysicalPlan::Filter { predicate, .. } => {
                 enc.u8(3);
-                enc.put(&id(input));
+                enc.put(&kid(0));
                 enc.put(predicate);
             }
-            PhysicalPlan::Project { input, exprs } => {
+            PhysicalPlan::Project { exprs, .. } => {
                 enc.u8(4);
-                enc.put(&id(input));
+                enc.put(&kid(0));
                 enc.put(exprs);
             }
             PhysicalPlan::HashJoin {
-                left,
-                right,
                 left_keys,
                 right_keys,
                 kind,
                 filter,
+                ..
             } => {
                 enc.u8(5);
-                enc.put(&id(left));
-                enc.put(&id(right));
+                enc.put(&kid(0));
+                enc.put(&kid(1));
                 enc.put(left_keys);
                 enc.put(right_keys);
                 enc.tag(*kind);
                 enc.put(filter);
             }
             PhysicalPlan::IndexJoin {
-                outer,
                 table,
                 epoch,
                 probe,
                 kind,
                 filter,
+                ..
             } => {
                 enc.u8(6);
-                enc.put(&id(outer));
+                enc.put(&kid(0));
                 enc.str(table);
                 enc.tag(*epoch);
                 enc.put(probe);
@@ -901,43 +890,38 @@ impl Encode for Node<'_> {
                 enc.put(filter);
             }
             PhysicalPlan::NestedLoopJoin {
-                left,
-                right,
-                predicate,
-                kind,
+                predicate, kind, ..
             } => {
                 enc.u8(7);
-                enc.put(&id(left));
-                enc.put(&id(right));
+                enc.put(&kid(0));
+                enc.put(&kid(1));
                 enc.put(predicate);
                 enc.tag(*kind);
             }
             PhysicalPlan::HashAggregate {
-                input,
-                group_exprs,
-                aggs,
+                group_exprs, aggs, ..
             } => {
                 enc.u8(8);
-                enc.put(&id(input));
+                enc.put(&kid(0));
                 enc.put(group_exprs);
                 enc.put(aggs);
             }
-            PhysicalPlan::UnionAll { inputs } => {
+            PhysicalPlan::UnionAll { .. } => {
                 enc.u8(9);
-                enc.put(&inputs.iter().map(id).collect::<Vec<_>>());
+                enc.put(&self.kids);
             }
-            PhysicalPlan::Distinct { input } => {
+            PhysicalPlan::Distinct { .. } => {
                 enc.u8(10);
-                enc.put(&id(input));
+                enc.put(&kid(0));
             }
-            PhysicalPlan::Sort { input, keys } => {
+            PhysicalPlan::Sort { keys, .. } => {
                 enc.u8(11);
-                enc.put(&id(input));
+                enc.put(&kid(0));
                 enc.put(keys);
             }
-            PhysicalPlan::Unnest { input, expr } => {
+            PhysicalPlan::Unnest { expr, .. } => {
                 enc.u8(12);
-                enc.put(&id(input));
+                enc.put(&kid(0));
                 enc.put(expr);
             }
         }

@@ -5,8 +5,8 @@
 //!
 //! * **One listener thread** accepts connections and hands each to the
 //!   worker pool over a *bounded* queue. A full queue is answered with a
-//!   retriable `Busy` error frame and an immediate close — admission
-//!   control, not unbounded buffering.
+//!   retriable `Busy` error frame and a close — admission control, not
+//!   unbounded buffering.
 //! * **`workers` pooled threads**, each holding one forked [`Session`]
 //!   onto the shared [`SessionPool`]. A worker serves one connection at a
 //!   time to completion, then takes the next. The engine side already
@@ -31,12 +31,12 @@
 //!   the pool via [`Session::close`]).
 
 use std::io::{self, BufWriter, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use quark_core::relational::Counter;
 use quark_core::{Session, SessionPool};
@@ -59,13 +59,14 @@ pub struct ServerConfig {
     /// be queued ahead of execution before the server stops reading the
     /// socket. Default 64.
     pub max_pipeline: usize,
-    /// Maximum accepted payload size in bytes; larger length headers are a
-    /// protocol error. Default 16 MiB.
-    pub max_frame: usize,
-    /// How often blocked reads and the accept loop re-check the shutdown
-    /// flag. Default 25 ms.
-    pub poll_interval: Duration,
 }
+
+/// Error text of the retriable `ShuttingDown` refusal.
+const REFUSED: &str = "server shutting down; statement not executed — retry";
+
+/// How often a connection's blocked read re-checks the shutdown flag, and
+/// how long a rejected connection is given to go quiet before it is closed.
+const POLL_INTERVAL: Duration = Duration::from_millis(25);
 
 impl Default for ServerConfig {
     fn default() -> Self {
@@ -73,8 +74,6 @@ impl Default for ServerConfig {
             workers: 4,
             accept_queue: 8,
             max_pipeline: 64,
-            max_frame: MAX_FRAME_DEFAULT,
-            poll_interval: Duration::from_millis(25),
         }
     }
 }
@@ -94,7 +93,6 @@ impl Server {
     ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(config.accept_queue.max(1));
         let rx = Arc::new(Mutex::new(rx));
@@ -112,8 +110,7 @@ impl Server {
         let listener_thread = {
             let session = pool.session();
             let shutdown = Arc::clone(&shutdown);
-            let poll = config.poll_interval;
-            std::thread::spawn(move || listen_loop(&listener, &tx, &session, &shutdown, poll))
+            std::thread::spawn(move || listen_loop(&listener, &tx, &session, &shutdown))
         };
 
         Ok(ServerHandle {
@@ -157,7 +154,11 @@ impl ServerHandle {
     fn drain(&mut self) {
         self.shutdown.store(true, Ordering::Release);
         if let Some(t) = self.listener_thread.take() {
-            let _ = t.join();
+            // The listener is blocked in `accept`: one connection to ourselves
+            // wakes it. Should even that fail, the thread ends with the process.
+            if TcpStream::connect(self.addr).is_ok() || t.is_finished() {
+                let _ = t.join();
+            }
         }
         for t in self.workers.drain(..) {
             let _ = t.join();
@@ -213,19 +214,20 @@ fn listen_loop(
     tx: &SyncSender<TcpStream>,
     session: &Session,
     shutdown: &AtomicBool,
-    poll: Duration,
 ) {
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => match tx.try_send(stream) {
+    for accepted in listener.incoming() {
+        if shutdown.load(Ordering::Acquire) {
+            break; // woken by `ServerHandle::drain` (or raced by a last client)
+        }
+        match accepted {
+            Ok(stream) => match tx.try_send(stream) {
                 Ok(()) => {}
                 Err(TrySendError::Full(stream)) => busy_reject(stream, session),
                 Err(TrySendError::Disconnected(_)) => break,
             },
-            Err(e) if e.kind() == ErrorKind::WouldBlock => std::thread::sleep(poll),
             // Transient accept failures (e.g. the peer reset before we
-            // got to it) must not kill the listener.
-            Err(_) => std::thread::sleep(poll),
+            // got to it) must not kill the listener — nor spin it.
+            Err(_) => std::thread::sleep(POLL_INTERVAL),
         }
     }
     // Dropping `tx` (by returning) closes the queue; idle workers see the
@@ -235,16 +237,22 @@ fn listen_loop(
 /// Admission control: the handoff queue is full, so this connection is
 /// answered with one retriable `Busy` frame and closed without ever
 /// reaching a worker.
-fn busy_reject(stream: TcpStream, session: &Session) {
+fn busy_reject(mut stream: TcpStream, session: &Session) {
     session.database().bump(Counter::FramesRejected, 1);
     let payload = encode_error(
         WireErrorKind::Busy,
         "server at connection capacity; retry later",
         None,
     );
-    let mut stream = stream;
     let _ = write_frame(&mut stream, &payload);
-    let _ = stream.flush();
+    // Half-close, then swallow what the peer sent until it hangs up or
+    // goes quiet: dropping a socket with the client's request still unread
+    // makes the kernel answer with an RST, which can overtake the frame.
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
+    let deadline = Instant::now() + 4 * POLL_INTERVAL;
+    let mut scratch = [0u8; 4096];
+    while Instant::now() < deadline && matches!(stream.read(&mut scratch), Ok(n) if n > 0) {}
 }
 
 fn worker_loop(
@@ -310,7 +318,7 @@ fn gather_frames(
     loop {
         // Drain complete frames out of the buffer first.
         while frames.len() < config.max_pipeline {
-            match decode_frame(buf, config.max_frame) {
+            match decode_frame(buf, MAX_FRAME_DEFAULT) {
                 Framing::Frame(p) => frames.push(p),
                 Framing::Need => break,
                 Framing::Bad(msg) => return (frames, GatherEnd::Bad(msg)),
@@ -383,7 +391,7 @@ fn serve_connection(
     config: &ServerConfig,
 ) -> io::Result<()> {
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(config.poll_interval))?;
+    stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut buf: Vec<u8> = Vec::new();
     loop {
@@ -424,12 +432,8 @@ fn serve_connection(
                         buf.extend_from_slice(&scratch[..n]);
                     }
                 }
-                let payload = encode_error(
-                    WireErrorKind::ShuttingDown,
-                    "server shutting down; statement not executed — retry",
-                    None,
-                );
-                while let Framing::Frame(_) = decode_frame(&mut buf, config.max_frame) {
+                let payload = encode_error(WireErrorKind::ShuttingDown, REFUSED, None);
+                while let Framing::Frame(_) = decode_frame(&mut buf, MAX_FRAME_DEFAULT) {
                     write_frame(&mut writer, &payload)?;
                 }
                 writer.flush()?;
@@ -471,11 +475,7 @@ fn process_window(
         if shutdown.load(Ordering::Acquire) {
             // In-flight statements (everything before `i`) completed and
             // responded; the queued tail gets a retriable refusal.
-            let payload = encode_error(
-                WireErrorKind::ShuttingDown,
-                "server shutting down; statement not executed — retry",
-                None,
-            );
+            let payload = encode_error(WireErrorKind::ShuttingDown, REFUSED, None);
             for _ in i..stmts.len() {
                 write_frame(writer, &payload)?;
             }

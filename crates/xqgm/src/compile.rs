@@ -57,7 +57,6 @@ pub struct Compiler<'a> {
     full: HashMap<OpId, PlanRef>,
     restricted: HashMap<(OpId, Vec<usize>, u64, Vec<usize>), PlanRef>,
     transition_cache: HashMap<OpId, bool>,
-    overrides: HashMap<OpId, PlanRef>,
     compensations: HashMap<OpId, AggCompensation>,
     /// Structural fingerprint per plan node, memoized by allocation.
     plan_fp: HashMap<usize, u64>,
@@ -92,7 +91,6 @@ impl<'a> Compiler<'a> {
             full: HashMap::new(),
             restricted: HashMap::new(),
             transition_cache: HashMap::new(),
-            overrides: HashMap::new(),
             compensations: HashMap::new(),
             plan_fp: HashMap::new(),
             plan_intern: HashMap::new(),
@@ -236,19 +234,8 @@ impl<'a> Compiler<'a> {
         self.compensations.insert(old_op, recipe);
     }
 
-    /// Register a replacement plan for an operator. Both full and
-    /// restricted compilation return the override verbatim — the caller
-    /// guarantees it already embodies any required restriction (used by the
-    /// GROUPED-AGG old-aggregate compensation, §5.2).
-    pub fn override_op(&mut self, op: OpId, plan: PlanRef) {
-        self.overrides.insert(op, plan);
-    }
-
     /// Compile the subgraph rooted at `op` without restriction.
     pub fn compile(&mut self, op: OpId) -> Result<PlanRef> {
-        if let Some(hit) = self.overrides.get(&op) {
-            return Ok(Arc::clone(hit));
-        }
         if let Some(hit) = self.full.get(&op) {
             return Ok(Arc::clone(hit));
         }
@@ -397,9 +384,6 @@ impl<'a> Compiler<'a> {
         driver: &Driver,
     ) -> Result<PlanRef> {
         debug_assert_eq!(cols.len(), driver.cols.len());
-        if let Some(hit) = self.overrides.get(&id) {
-            return Ok(Arc::clone(hit));
-        }
         // Keyed on the driver's *structure*, not its allocation: the
         // recursion derives equivalent drivers along many paths, and each
         // must map to one compiled subplan.

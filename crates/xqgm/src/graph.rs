@@ -378,43 +378,6 @@ impl Graph {
         })
     }
 
-    /// If output column `col` of `op` is a pass-through of an input column,
-    /// return `(input position, input column)`.
-    pub fn passthrough(
-        &self,
-        id: OpId,
-        col: usize,
-        db: &Database,
-    ) -> Result<Option<(usize, usize)>> {
-        let op = self.op(id);
-        Ok(match &op.kind {
-            OpKind::Table { .. } => None,
-            OpKind::Select { .. } => Some((0, col)),
-            OpKind::Project { exprs, .. } => match exprs.get(col) {
-                Some(Expr::Col(i)) => Some((0, *i)),
-                _ => None,
-            },
-            OpKind::Join { .. } => {
-                let left_arity = self.arity(op.inputs[0], db)?;
-                if col < left_arity {
-                    Some((0, col))
-                } else {
-                    Some((1, col - left_arity))
-                }
-            }
-            OpKind::GroupBy { group_cols, .. } => group_cols.get(col).map(|&c| (0, c)),
-            OpKind::Union => None, // positionally shared across inputs
-            OpKind::Unnest { .. } => {
-                let input_arity = self.arity(op.inputs[0], db)?;
-                if col < input_arity {
-                    Some((0, col))
-                } else {
-                    None
-                }
-            }
-        })
-    }
-
     /// Human-readable rendering of the subgraph under `root` (box-numbered
     /// like the paper's figures).
     pub fn explain(&self, root: OpId, db: &Database) -> String {

@@ -24,7 +24,7 @@ use common::{all_modes, Log, CATALOG_VIEW, SETUP, TRIGGERS};
 use proptest::prelude::*;
 use quark_core::relational::{Database, Value};
 use quark_core::storage::SyncMode;
-use quark_core::{Mode, Session, SessionPool, StatementResult};
+use quark_core::{Footprint, Mode, Session, SessionPool, StatementResult};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::AtomicU64;
@@ -189,6 +189,92 @@ fn crashed_session_recovers_to_last_committed_boundary() {
         assert_eq!(session.quark().translations(), 0, "{mode:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The opaque-action shape, as statements: a `watch` table behind a flat
+/// view whose trigger calls `audit` — an action registered *without* a
+/// declared write set (see [`arm_audit`]) that itself inserts into a
+/// second table. A write to `watch` therefore has an unbounded footprint.
+const WATCH_SETUP: &[&str] = &[
+    "CREATE TABLE watch (id INT PRIMARY KEY, name TEXT, price DOUBLE)",
+    "CREATE TABLE audit (seq INT PRIMARY KEY, trigger TEXT)",
+    "INSERT INTO watch VALUES (0, 'w0', 1.0), (1, 'w1', 1.0), (2, 'w2', 1.0)",
+    r#"create view watched as {
+      <watched>{
+        for $w in view("default")/watch/row
+        return <item name={$w/name}><price>{$w/price}</price></item>
+      }</watched>
+    }"#,
+];
+
+const WATCH_TRIGGER: &str =
+    "CREATE TRIGGER Audit AFTER Update ON view('watched')/item DO audit(NEW_NODE)";
+
+/// Register the opaque `audit` action: one `audit` row per firing, numbered
+/// by the table's size so a recovered system continues the sequence.
+fn arm_audit(session: &Session) {
+    session
+        .register_action("audit", |db, call| {
+            let seq = db.table("audit")?.len() as i64;
+            db.insert_row("audit", vec![Value::Int(seq), Value::str(&call.trigger)])
+        })
+        .expect("register audit");
+}
+
+fn install_watch(session: &Session) {
+    for s in WATCH_SETUP {
+        session.execute(s).expect("watch setup");
+    }
+    arm_audit(session);
+    session.execute(WATCH_TRIGGER).expect("create trigger");
+}
+
+fn dump_watch(session: &Session) -> Vec<StatementResult> {
+    ["SELECT * FROM watch", "SELECT * FROM audit"]
+        .iter()
+        .map(|s| session.execute(s).expect("dump"))
+        .collect()
+}
+
+/// DML with an unbounded footprint commits like any other DML: through
+/// the WAL, never by checkpoint — and a crash recovers the statement's
+/// own rows *and* the rows its opaque action wrote.
+#[test]
+fn opaque_action_dml_commits_through_the_wal_and_recovers() {
+    const N: usize = 5;
+    let dir = tmp_dir("opaque");
+    let session = open(&dir, Mode::Grouped, SyncMode::Always);
+    install_watch(&session);
+    assert_eq!(
+        session.quark().write_footprint("watch"),
+        Footprint::Global,
+        "the fixture must be on the unbounded side"
+    );
+    let before = session.quark().stats();
+    for i in 0..N {
+        let n = session
+            .execute(&format!(
+                "UPDATE watch SET price = {}.5 WHERE id = 1",
+                i + 2
+            ))
+            .expect("update");
+        assert_eq!(n, StatementResult::RowsAffected(1));
+    }
+    let after = session.quark().stats();
+    assert_eq!(after.checkpoints, before.checkpoints, "no DML checkpoints");
+    assert!(after.wal_bytes_written > before.wal_bytes_written);
+    let committed = dump_watch(&session);
+    drop(session); // crash: no close, no final checkpoint
+
+    let session = open(&dir, Mode::Grouped, SyncMode::Always);
+    arm_audit(&session);
+    assert_eq!(session.quark().translations(), 0);
+    assert_eq!(dump_watch(&session), committed);
+    let StatementResult::Rows { rows, .. } = &committed[1] else {
+        panic!("expected rows")
+    };
+    assert_eq!(rows.len(), N, "one audit row per update");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A multi-row `INSERT` — written as one statement, or coalesced from a
@@ -574,6 +660,8 @@ enum Op {
     DropVendor(usize, usize),
     /// Rename product pid (cycling through a name pool).
     Rename(usize, usize),
+    /// Reprice watch row id: the opaque-action shape (see [`WATCH_SETUP`]).
+    Watch(usize, u32),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -581,6 +669,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..3usize, 0..3usize, 1..400u32).prop_map(|(v, p, c)| Op::SetVendor(v, p, c)),
         (0..3usize, 0..3usize).prop_map(|(v, p)| Op::DropVendor(v, p)),
         (0..3usize, 0..4usize).prop_map(|(p, n)| Op::Rename(p, n)),
+        (0..3usize, 1..400u32).prop_map(|(id, c)| Op::Watch(id, c)),
     ]
 }
 
@@ -609,6 +698,10 @@ fn statement_for(db: &Database, op: &Op) -> String {
             "UPDATE product SET pname = '{}' WHERE pid = '{}'",
             NAMES[*n], PIDS[*p]
         ),
+        Op::Watch(id, cents) => format!(
+            "UPDATE watch SET price = {:?} WHERE id = {id}",
+            *cents as f64 / 2.0
+        ),
     }
 }
 
@@ -633,10 +726,12 @@ proptest! {
             let oracle = quark_xquery::session(Database::new(), mode);
             let oracle_log = Log::default();
             install(&oracle, &oracle_log);
+            install_watch(&oracle);
 
             let mut log = Log::default();
             let mut session = open(&dir, mode, SyncMode::Never);
             install(&session, &log);
+            install_watch(&session);
 
             for op in &ops {
                 let stmt = statement_for(&oracle.database(), op);
@@ -654,8 +749,11 @@ proptest! {
                 prop_assert_eq!(session.quark().translations(), 0);
                 log = Log::default();
                 arm(&session, &log);
+                arm_audit(&session);
                 prop_assert_eq!(dump(&session), dump(&oracle),
                     "{:?}: recovered prefix differs after `{}`", mode, &stmt);
+                prop_assert_eq!(dump_watch(&session), dump_watch(&oracle),
+                    "{:?}: recovered audit trail differs after `{}`", mode, &stmt);
             }
             let _ = std::fs::remove_dir_all(&dir);
         }

@@ -5,18 +5,19 @@
 //! trigger footprints are pairwise disjoint run in parallel and produce a
 //! final state identical to *some* serial order of the same statements;
 //! writers with overlapping footprints serialize on the contended latches
-//! without losing updates; a panic inside a trigger cascade — on either
-//! the latched or the global write path — must not wedge the system for
-//! other writers; and `Session::execute_batch` coalescing is semantically
-//! exact at statement-trigger granularity.
+//! without losing updates; a writer with an unbounded footprint latches
+//! every table and so serializes against all of them, on the same path; a
+//! panic inside a trigger cascade — bounded footprint or not — must not
+//! wedge the system for other writers; and `Session::execute_batch`
+//! coalescing is semantically exact at statement-trigger granularity.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::thread;
 
 use quark_bench::{build_sharded, build_shared_read, ShardSpec};
-use quark_core::relational::{Row, Value};
-use quark_core::{Mode, Session, SessionPool, StatementResult};
+use quark_core::relational::{Database, Row, Value};
+use quark_core::{ActionCall, Footprint, Mode, Session, SessionPool, StatementResult};
 use quark_xquery::viewtree::{LevelSpec, TopBinding, ViewSpec};
 
 /// All rows of `table`, in primary-key order.
@@ -89,6 +90,125 @@ fn disjoint_writers_match_serial_replay() {
             serial.audit_rows(h),
             spec.triggers * UPDATES as usize,
             "every update fires every shard trigger"
+        );
+    }
+}
+
+/// The disjoint-shard corpus plus one **opaque** shard: table `mo`, whose
+/// trigger's action is registered without a write set and appends to
+/// `audito` after calling `gate` (inside the cascade, latches held).
+fn opaque_shard(session: &Session, gate: impl Fn() + Send + Sync + 'static) {
+    session
+        .execute("CREATE TABLE audito (seq INT PRIMARY KEY, trigger TEXT)")
+        .expect("create audit table");
+    action_shard(session, "mo", false, move |db, call| {
+        gate();
+        let seq = db.table("audito")?.len() as i64;
+        db.insert_row("audito", vec![Value::Int(seq), Value::str(&call.trigger)])
+    });
+    assert_eq!(session.quark().write_footprint("mo"), Footprint::Global);
+}
+
+/// A writer with an unbounded footprint runs on the same latched path as
+/// everyone else, holding *every* table exclusive: while its cascade is
+/// in flight no other writer — however disjoint — completes a statement,
+/// the waiters show up as latch conflicts, and since the shards are still
+/// disjoint in what they touch, the final state equals a serial replay
+/// with no update or firing lost. Under `--features footprint-oracle` the
+/// opaque cascade is checked against its scope, the whole table set.
+#[test]
+fn opaque_shard_serializes_against_disjoint_writers_and_matches_serial_replay() {
+    const WRITERS: usize = 3;
+    const UPDATES: i64 = 20;
+    let spec = ShardSpec::quick(WRITERS, Mode::Grouped);
+    let concurrent = build_sharded(spec).expect("sharded workload");
+    let stmts: Vec<Vec<String>> = (0..WRITERS)
+        .map(|t| (0..UPDATES).map(|i| concurrent.update_stmt(t, i)).collect())
+        .collect();
+    let opaque_stmts: Vec<String> = (0..UPDATES)
+        .map(|i| format!("UPDATE mo SET price = {}.5 WHERE id = 0", i + 2))
+        .collect();
+
+    // The opaque cascade's first firing reports in and parks until told.
+    let (inside_tx, inside_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let park = Mutex::new(Some((inside_tx, release_rx)));
+    opaque_shard(&concurrent.session, move || {
+        if let Some((inside, release)) = park.lock().expect("gate").take() {
+            inside.send(()).expect("report in");
+            release.recv().expect("released");
+        }
+    });
+    let pool = SessionPool::new(concurrent.session);
+
+    let opaque_writer = {
+        let (session, stmts) = (pool.session(), opaque_stmts.clone());
+        thread::spawn(move || {
+            for s in &stmts {
+                session.execute(s).expect("opaque write");
+            }
+        })
+    };
+    inside_rx.recv().expect("opaque cascade in flight");
+    // Every latch is now held. Disjoint writers start — and wait.
+    let started = Arc::new(Barrier::new(WRITERS + 1));
+    let completed = Arc::new(AtomicUsize::new(0));
+    let threads: Vec<_> = stmts
+        .iter()
+        .map(|writer_stmts| {
+            let (session, writer_stmts) = (pool.session(), writer_stmts.clone());
+            let (started, completed) = (Arc::clone(&started), Arc::clone(&completed));
+            thread::spawn(move || {
+                started.wait();
+                for s in &writer_stmts {
+                    session.execute(s).expect("disjoint write");
+                    completed.fetch_add(1, Ordering::SeqCst);
+                }
+            })
+        })
+        .collect();
+    started.wait();
+    thread::sleep(std::time::Duration::from_millis(100));
+    assert_eq!(
+        completed.load(Ordering::SeqCst),
+        0,
+        "a writer got past a cascade that holds every table exclusive"
+    );
+    release_tx.send(()).expect("release the opaque cascade");
+    opaque_writer.join().expect("opaque writer");
+    for th in threads {
+        th.join().expect("writer thread");
+    }
+    let concurrent = pool.session();
+    let stats = concurrent.quark().stats();
+    assert!(
+        stats.latch_conflicts > 0,
+        "the parked writers must register as contention: {stats:?}"
+    );
+    assert_eq!(stats.footprint_violations, 0, "{stats:?}");
+
+    // Serial replay on an identically built system.
+    let serial = build_sharded(spec).expect("replay workload");
+    opaque_shard(&serial.session, || {});
+    for s in stmts.iter().flatten().chain(&opaque_stmts) {
+        serial.session.execute(s).expect("serial replay");
+    }
+    let tables = (0..WRITERS)
+        .flat_map(|h| [format!("m{h}"), format!("audit{h}")])
+        .chain(["mo".to_string(), "audito".to_string()]);
+    for table in tables {
+        assert_eq!(
+            dump(&concurrent, &table),
+            dump(&serial.session, &table),
+            "`{table}` diverged from serial replay"
+        );
+    }
+    assert_eq!(dump(&concurrent, "audito").len(), UPDATES as usize);
+    for h in 0..WRITERS {
+        assert_eq!(
+            dump(&concurrent, &format!("audit{h}")).len(),
+            spec.triggers * UPDATES as usize,
+            "shard {h} lost a firing"
         );
     }
 }
@@ -243,16 +363,16 @@ fn overlapping_writers_serialize_without_losing_updates() {
     );
 }
 
-/// A one-table shard with a panic-injectable action. `declared` picks the
-/// write path the cascade runs on: a declared write set keeps the
-/// footprint bounded (latched path); an undeclared action forces the
-/// global-exclusive path.
-fn panicky_shard(
+/// A one-table shard `name` (a `hot` and a `cold` row) behind a flat view,
+/// whose trigger on the hot row calls `body`. `declared` picks the shape
+/// of the footprint: a declared (empty) write set keeps it bounded, so
+/// the writer latches its own tables only; an undeclared action makes it
+/// unbounded, so the writer latches every table.
+fn action_shard(
     session: &Session,
     name: &str,
     declared: bool,
-    panic_flag: Arc<AtomicBool>,
-    log: Arc<Mutex<Vec<String>>>,
+    body: impl Fn(&Database, &ActionCall) -> quark_core::relational::Result<()> + Send + Sync + 'static,
 ) {
     session
         .execute(&format!(
@@ -281,14 +401,6 @@ fn panicky_shard(
     let xml_view = view.build(&session.database()).expect("build view");
     session.quark_mut().register_view(xml_view);
     let action = format!("act_{name}");
-    let tag = name.to_string();
-    let body = move |_db: &quark_core::relational::Database, _call: &quark_core::ActionCall| {
-        if panic_flag.load(Ordering::SeqCst) {
-            panic!("injected cascade panic in {tag}");
-        }
-        log.lock().expect("log").push(tag.clone());
-        Ok(())
-    };
     if declared {
         session
             .register_action_with_writes(action.clone(), Vec::<String>::new(), body)
@@ -304,6 +416,25 @@ fn panicky_shard(
              where OLD_NODE/@name = 'hot' do {action}(NEW_NODE)"
         ))
         .expect("create trigger");
+}
+
+/// An [`action_shard`] with a panic-injectable action that otherwise logs
+/// its shard's name.
+fn panicky_shard(
+    session: &Session,
+    name: &str,
+    declared: bool,
+    panic_flag: Arc<AtomicBool>,
+    log: Arc<Mutex<Vec<String>>>,
+) {
+    let tag = name.to_string();
+    action_shard(session, name, declared, move |_db, _call| {
+        if panic_flag.load(Ordering::SeqCst) {
+            panic!("injected cascade panic in {tag}");
+        }
+        log.lock().expect("log").push(tag.clone());
+        Ok(())
+    });
 }
 
 /// A panic inside a *latched* cascade (bounded footprint, shared lock
@@ -357,16 +488,17 @@ fn panicking_latched_cascade_does_not_wedge_other_writers() {
     assert_eq!(rows[0][0], Value::Double(4.0));
 }
 
-/// A panic inside a *global-mode* cascade poisons the exclusive state
-/// lock; every lock site recovers via `into_inner`, so the system keeps
-/// accepting statements. Pins the poisoning-recovery behavior end to end
-/// (state lock, publication mutex, latch manager).
+/// A panic inside an *unbounded* cascade — every table latched exclusive
+/// under the shared level-1 lock — unwinds through the latch guard like
+/// any other latched writer's: all the latches come back, nothing is
+/// poisoned (a shared `RwLock` guard does not poison), and the system
+/// keeps accepting statements, reads included.
 #[test]
-fn panicking_global_cascade_recovers_from_poison() {
+fn panicking_unbounded_cascade_releases_every_latch() {
     let session = quark_xquery::session(Default::default(), Mode::Grouped);
     let flag = Arc::new(AtomicBool::new(false));
     let log = Arc::new(Mutex::new(Vec::new()));
-    // Undeclared action ⇒ unbounded footprint ⇒ global write path.
+    // Undeclared action ⇒ unbounded footprint ⇒ every table latched.
     panicky_shard(&session, "pg", false, Arc::clone(&flag), Arc::clone(&log));
     let pool = SessionPool::new(session);
 
@@ -384,11 +516,11 @@ fn panicking_global_cascade_recovers_from_poison() {
     let session = pool.session();
     session
         .execute("UPDATE pg SET price = 5.0 WHERE id = 0")
-        .expect("global writer after poison");
+        .expect("unbounded writer after the panic");
     assert_eq!(log.lock().unwrap().as_slice(), ["pg"]);
     let StatementResult::Rows { rows, .. } = session
         .execute("SELECT price FROM pg WHERE id = 0")
-        .expect("read after poison")
+        .expect("read after the panic")
     else {
         panic!("expected rows")
     };

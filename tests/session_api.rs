@@ -29,6 +29,44 @@ fn catalog_session() -> Session {
 // StatementResult variants
 // ---------------------------------------------------------------------
 
+/// One counter out of a `STATS` result.
+fn stat(session: &Session, counter: &str) -> i64 {
+    let StatementResult::Rows { rows, .. } = session.execute("STATS").unwrap() else {
+        panic!("STATS returns rows")
+    };
+    let row = rows.iter().find(|r| r[0] == Value::str(counter));
+    match row.unwrap_or_else(|| panic!("no counter `{counter}`"))[1] {
+        Value::Int(n) => n,
+        ref other => panic!("counter `{counter}` is {other:?}"),
+    }
+}
+
+/// `STATS` reads the live counters, not the copy frozen into the read
+/// snapshot when it was first published: every `STATS` sees every
+/// statement committed before it.
+#[test]
+fn stats_follow_the_writes_after_the_first_read() {
+    let session = catalog_session();
+    let before = stat(&session, "statements");
+    session
+        .execute("INSERT INTO vendor VALUES ('Newegg', 'P2', 60.0)")
+        .unwrap();
+    assert_eq!(stat(&session, "statements"), before + 1);
+    for i in 0..5 {
+        session
+            .execute(&format!(
+                "UPDATE vendor SET price = {}.0 WHERE vid = 'Newegg' AND pid = 'P2'",
+                61 + i
+            ))
+            .unwrap();
+    }
+    assert_eq!(stat(&session, "statements"), before + 6);
+    assert_eq!(
+        stat(&session, "statements") as u64,
+        session.quark().stats().statements
+    );
+}
+
 #[test]
 fn created_table_index_view_and_trigger() {
     let session = catalog_session();

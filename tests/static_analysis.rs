@@ -130,6 +130,97 @@ fn shared_read_corpus_analyzes_clean() {
     assert!(report.text.contains("hub"), "{}", report.text);
 }
 
+/// The full `ANALYZE TRIGGERS` rendering of the shared-read corpus, pinned
+/// byte for byte: group facts, the clean pass-1 line, the acyclic pass-2
+/// line and the three `hub` write/write conflicts of pass 3.
+#[test]
+fn shared_read_corpus_report_text_is_pinned() {
+    let workload = build_shared_read(ShardSpec::quick(3, Mode::Grouped)).expect("shared read");
+    assert_eq!(
+        analyze(&workload.session).text,
+        r#"trigger program analysis: 3 group(s)
+  group sr0_t0+sr0_t1+6more: triggers on {"hub", "m0"}, reads {"__quark_const_0", "hub", "m0"}, writes {"audit0"}
+  group sr1_t0+sr1_t1+6more: triggers on {"hub", "m1"}, reads {"__quark_const_1", "hub", "m1"}, writes {"audit1"}
+  group sr2_t0+sr2_t1+6more: triggers on {"hub", "m2"}, reads {"__quark_const_2", "hub", "m2"}, writes {"audit2"}
+[1] footprint soundness: 0 error(s), 0 warning(s)
+  every latched footprint covers its compiled plans
+[2] cascade termination: 0 cycle(s)
+  the trigger dependency graph is acyclic
+[3] commutativity: 0 of 3 pair(s) commute
+  sr0_t0+sr0_t1+6more >< sr1_t0+sr1_t1+6more: write/write overlap on ["hub"]
+  sr0_t0+sr0_t1+6more >< sr2_t0+sr2_t1+6more: write/write overlap on ["hub"]
+  sr1_t0+sr1_t1+6more >< sr2_t0+sr2_t1+6more: write/write overlap on ["hub"]
+"#
+    );
+}
+
+/// `Quark::write_footprint` of every trigger-bearing table of the three
+/// bench corpora, against the values recorded before the scheduler, `EXPLAIN`
+/// and `ANALYZE` were moved onto one cascade closure.
+#[test]
+fn bench_corpora_write_footprints_are_pinned() {
+    fn footprints(session: &Session) -> Vec<(String, Footprint)> {
+        let mut tables: Vec<String> = session
+            .database()
+            .triggers()
+            .map(|t| t.table.clone())
+            .collect();
+        tables.sort();
+        tables.dedup();
+        let quark = session.quark();
+        tables
+            .into_iter()
+            .map(|t| {
+                let fp = quark.write_footprint(&t);
+                (t, fp)
+            })
+            .collect()
+    }
+    fn tables(target: &str, write: &[&str], read: &[&str]) -> (String, Footprint) {
+        let set = |names: &[&str]| names.iter().map(|t| t.to_string()).collect();
+        let (write, read) = (set(write), set(read));
+        (target.to_string(), Footprint::Tables { write, read })
+    }
+    let hierarchy = build(WorkloadSpec::quick(Mode::Grouped)).expect("bench workload");
+    assert_eq!(
+        footprints(&hierarchy.session),
+        [
+            tables("t0", &["__temp", "t0"], &["__quark_const_0", "t1"]),
+            tables("t1", &["__temp", "t1"], &["__quark_const_0", "t0"]),
+        ]
+    );
+    let sharded = build_sharded(ShardSpec::quick(3, Mode::Grouped)).expect("sharded");
+    assert_eq!(
+        footprints(&sharded.session),
+        [
+            tables("m0", &["audit0", "m0"], &["__quark_const_0"]),
+            tables("m1", &["audit1", "m1"], &["__quark_const_1"]),
+            tables("m2", &["audit2", "m2"], &["__quark_const_2"]),
+        ]
+    );
+    let shared = build_shared_read(ShardSpec::quick(3, Mode::Grouped)).expect("shared read");
+    assert_eq!(
+        footprints(&shared.session),
+        [
+            tables(
+                "hub",
+                &["audit0", "audit1", "audit2", "hub"],
+                &[
+                    "__quark_const_0",
+                    "__quark_const_1",
+                    "__quark_const_2",
+                    "m0",
+                    "m1",
+                    "m2"
+                ]
+            ),
+            tables("m0", &["audit0", "m0"], &["__quark_const_0", "hub"]),
+            tables("m1", &["audit1", "m1"], &["__quark_const_1", "hub"]),
+            tables("m2", &["audit2", "m2"], &["__quark_const_2", "hub"]),
+        ]
+    );
+}
+
 /// The `footprint_violations` counter is part of `STATS` and stays zero
 /// on a sound program (it can only move under the `footprint-oracle`
 /// feature, and then only on a proven soundness hole).
@@ -282,10 +373,17 @@ fn self_feeding_trigger_is_classified_unbounded() {
     assert_eq!(report.errors, 0, "{}", report.text);
     assert_eq!(report.cycles_unbounded, 1, "{}", report.text);
     assert_eq!(report.cycles_bounded, 0, "{}", report.text);
-    assert!(
-        report.text.contains("POTENTIALLY NON-TERMINATING"),
-        "{}",
-        report.text
+    // The whole rendering, pinned byte for byte.
+    assert_eq!(
+        report.text,
+        r#"trigger program analysis: 1 group(s)
+  group L: triggers on {"looped"}, reads {"__quark_const_0", "looped"}, writes {"looped"}
+[1] footprint soundness: 0 error(s), 0 warning(s)
+  every latched footprint covers its compiled plans
+[2] cascade termination: 1 cycle(s)
+  POTENTIALLY NON-TERMINATING [L]: writes reach tables bearing cycle members' triggers; only the runtime cascade depth cap bounds re-firing
+[3] commutativity: 0 of 0 pair(s) commute
+"#
     );
 }
 
@@ -317,9 +415,18 @@ fn tampered_footprint_is_caught_statically() {
     );
     let report = analyze(&session);
     assert!(report.errors >= 1, "{}", report.text);
+    // Both halves of pass 1 name the missing table: the per-group check
+    // (recorded footprint vs plan walk) and the per-statement check (what
+    // a write to `m0` would latch vs what its cascade can read). A write
+    // to `hub` itself latches it exclusive, so it stays covered.
     assert!(
-        report.text.contains("hub"),
-        "the error must name the missing table:\n{}",
+        report.text.contains(
+            r#"[1] footprint soundness: 2 error(s), 0 warning(s)
+  ERROR group sr0_t0+sr0_t1+6more: compiled plans can read ["hub"] but the recorded footprint does not latch them
+  ERROR writes to `m0`: cascade can read ["hub"] but they are not latched
+[2]"#
+        ),
+        "{}",
         report.text
     );
 }
@@ -381,6 +488,28 @@ fn under_declared_action_write_is_caught_by_the_runtime_oracle() {
         session.database().stats().footprint_violations > 0,
         "the oracle must flag the undeclared `undeclared` write"
     );
+}
+
+/// An unbounded statement's scope is every table that *exists*. A body
+/// probing one that does not gets `UnknownTable`, as it always did — not a
+/// violation: nothing can be raced on a table that is not there.
+#[cfg(feature = "footprint-oracle")]
+#[test]
+fn opaque_body_probing_a_missing_table_is_an_error_not_a_violation() {
+    let session = quark_xquery::session(quark_core::relational::Database::new(), Mode::Grouped);
+    create_table(&session, "src");
+    register_flat_view(&session, "v", "src");
+    session
+        .register_action("probe", |db, _| db.table("nowhere").map(|_| ()))
+        .unwrap();
+    session
+        .execute("create trigger P after update on view('v')/item do probe(NEW_NODE)")
+        .unwrap();
+    let err = session
+        .execute("UPDATE src SET price = 2.0 WHERE id = 0")
+        .expect_err("the action's probe fails");
+    assert!(err.to_string().contains("nowhere"), "{err}");
+    assert_eq!(session.database().stats().footprint_violations, 0);
 }
 
 /// Commutativity is visible end to end: two disjoint flat trigger systems

@@ -195,6 +195,31 @@ fn statement_results_round_trip_over_the_wire() {
         }
     );
 
+    // `STATS` over the wire reads the live counters — engine and server —
+    // not the copy frozen into the read snapshot the SELECT above
+    // published: N writes later both have advanced by at least N.
+    let wire_stat = |client: &mut Client, counter: &str| -> i64 {
+        let WireResult::Rows { rows, .. } = client.execute("STATS").expect("stats") else {
+            panic!("expected rows");
+        };
+        let row = rows.iter().find(|r| r[0] == Value::str(counter));
+        match row.expect("counter listed")[1] {
+            Value::Int(n) => n,
+            ref other => panic!("counter `{counter}` is {other:?}"),
+        }
+    };
+    let statements = wire_stat(&mut client, "statements");
+    let frames = wire_stat(&mut client, "frames_received");
+    const N: i64 = 4;
+    for i in 0..N {
+        let price = 130.0 + i as f64;
+        let update = format!("UPDATE vendor SET price = {price:?} WHERE vid = 'Bestbuy'");
+        let updated = client.execute(&update).expect("update");
+        assert_eq!(updated, WireResult::RowsAffected(1));
+    }
+    assert!(wire_stat(&mut client, "statements") >= statements + N);
+    assert!(wire_stat(&mut client, "frames_received") >= frames + N);
+
     server.shutdown();
 }
 
