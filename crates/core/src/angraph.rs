@@ -255,15 +255,20 @@ pub fn build_affected(
         db,
     )?;
 
-    assemble(
+    let mut affected = assemble(
         event,
         new_side,
         old_side,
         &key,
         injective && opts.injective_opt,
         db,
-    )
-    .map(Some)
+    )?;
+    // The affected-key branches compile whole AK graphs (XML constructors
+    // and `aggXMLFrag` included) only to keep their key columns: drop the
+    // expressions nobody reads, once, before the plan is cached, shared
+    // between groups, persisted and explained.
+    affected.plan = PhysicalPlan::prune_dead_columns(&affected.plan, db)?;
+    Ok(Some(affected))
 }
 
 /// Normalize an affected-keys result to a plan producing distinct full

@@ -13,7 +13,6 @@ use std::sync::{Arc, Mutex, Weak};
 
 use crate::expr::{eval_all, AggState, Expr};
 use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
-use crate::table::Table;
 use crate::value::{Row, Value};
 use crate::{Counter, Database, Error, Event, Result, TransitionTables};
 
@@ -808,6 +807,3 @@ pub fn transitions(
         deleted,
     }
 }
-
-#[allow(dead_code)]
-fn _assert_table_used(_: &Table) {}

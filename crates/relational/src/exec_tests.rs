@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use crate::exec::{execute, execute_query, execute_with_transitions, transitions, ExecContext};
-use crate::expr::{AggExpr, AggFunc, BinOp, Expr};
-use crate::plan::{JoinKind, PhysicalPlan, SortKey, TableEpoch, TransitionSide};
+use crate::expr::{AggExpr, AggFunc, BinOp, Expr, ScalarFunc};
+use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::value::row;
-use crate::{ColumnDef, ColumnType, Database, Event, Row, TableSchema, Value};
+use crate::{ColumnDef, ColumnType, Database, Event, Row, TableSchema, TransitionTables, Value};
 
 fn setup() -> Database {
     let mut db = Database::new();
@@ -853,4 +853,314 @@ fn unstable_marker_invalidated_by_drop_recreate() {
         0,
         "unstable plans never serve cached builds"
     );
+}
+
+// ---------------------------------------------------------------------
+// Dead-column elimination (`PhysicalPlan::prune_dead_columns`)
+// ---------------------------------------------------------------------
+
+fn xml_wrap(name: &str, arg: Expr) -> Expr {
+    Expr::Func(ScalarFunc::XmlWrap(name.into()), vec![arg])
+}
+
+fn null() -> Expr {
+    Expr::lit(Value::Null)
+}
+
+fn project(input: PlanRef, exprs: Vec<Expr>) -> PlanRef {
+    PhysicalPlan::Project { input, exprs }.into_ref()
+}
+
+fn project_exprs(plan: &PhysicalPlan) -> &[Expr] {
+    match plan {
+        PhysicalPlan::Project { exprs, .. } => exprs,
+        other => panic!("expected a Project, got {}", other.explain()),
+    }
+}
+
+fn first_input(plan: &PhysicalPlan) -> &PlanRef {
+    plan.children()[0]
+}
+
+/// Prune `plan` and check what every case must hold: the same rows on
+/// every root column (on a fresh executor memo, under `trans`), the same
+/// `explain` text, and a second pass that changes nothing.
+fn prune_checked(db: &Database, plan: &PlanRef, trans: Option<&TransitionTables>) -> PlanRef {
+    let out = PhysicalPlan::prune_dead_columns(plan, db).unwrap();
+    let run = |p: &PlanRef| execute(p, &ExecContext::new(db, trans)).unwrap();
+    assert_eq!(run(&out), run(plan));
+    assert_eq!(out.explain(), plan.explain());
+    let again = PhysicalPlan::prune_dead_columns(&out, db).unwrap();
+    assert!(Arc::ptr_eq(&again, &out), "the pass is idempotent");
+    out
+}
+
+#[test]
+fn prune_keeps_a_plan_with_nothing_dead() {
+    let db = setup();
+    let plan = project(
+        PhysicalPlan::Filter {
+            input: scan("vendor").into_ref(),
+            predicate: Expr::bin(BinOp::Gt, Expr::col(2), Expr::lit(150.0)),
+        }
+        .into_ref(),
+        vec![Expr::col(0), xml_wrap("price", Expr::col(2))],
+    );
+    assert!(Arc::ptr_eq(&prune_checked(&db, &plan, None), &plan));
+}
+
+/// `Distinct` compares whole rows, so every column under it is live even
+/// when nothing above reads it: nulling `pid` here would merge vendors.
+#[test]
+fn prune_distinct_pins_every_input_column() {
+    let db = setup();
+    let inner = project(
+        scan("vendor").into_ref(),
+        vec![Expr::col(0), xml_wrap("pid", Expr::col(1))],
+    );
+    let plan = project(
+        PhysicalPlan::Distinct { input: inner }.into_ref(),
+        vec![Expr::col(0)],
+    );
+    assert!(Arc::ptr_eq(&prune_checked(&db, &plan, None), &plan));
+}
+
+/// A semi join outputs its left row only: of the right side, only the
+/// join keys and the residual filter's columns survive.
+#[test]
+fn prune_semi_join_right_side_keeps_its_keys() {
+    let db = setup();
+    let right = project(
+        scan("vendor").into_ref(),
+        vec![Expr::col(1), xml_wrap("vid", Expr::col(0)), Expr::col(2)],
+    );
+    let plan = PhysicalPlan::HashJoin {
+        left: scan("product").into_ref(),
+        right,
+        left_keys: vec![Expr::col(0)],
+        right_keys: vec![Expr::col(0)],
+        kind: JoinKind::LeftSemi,
+        // (product ++ right): right column 2 is row column 5.
+        filter: Some(Expr::bin(BinOp::Gt, Expr::col(5), Expr::lit(130.0))),
+    }
+    .into_ref();
+    let out = prune_checked(&db, &plan, None);
+    assert_eq!(
+        project_exprs(out.children()[1]),
+        [Expr::col(1), null(), Expr::col(2)]
+    );
+    assert!(Arc::ptr_eq(out.children()[0], plan.children()[0]));
+}
+
+#[test]
+fn prune_dead_aggregate_becomes_count_star() {
+    let db = setup();
+    let agg = PhysicalPlan::HashAggregate {
+        input: scan("vendor").into_ref(),
+        group_exprs: vec![Expr::col(1)],
+        aggs: vec![
+            AggExpr::over(AggFunc::XmlAgg, xml_wrap("vid", Expr::col(0))),
+            AggExpr::over(AggFunc::Count, Expr::col(2)),
+            AggExpr::over(AggFunc::Max, Expr::col(2)),
+        ],
+    }
+    .into_ref();
+    // Reads the group key and the live COUNT(price).
+    let plan = project(agg, vec![Expr::col(0), Expr::col(2)]);
+    let out = prune_checked(&db, &plan, None);
+    let PhysicalPlan::HashAggregate { aggs, .. } = &**first_input(&out) else {
+        panic!("expected the aggregate")
+    };
+    assert_eq!(
+        aggs,
+        &[
+            AggExpr::count_star(),
+            AggExpr::over(AggFunc::Count, Expr::col(2)),
+            AggExpr::count_star(),
+        ]
+    );
+}
+
+/// `Unnest` always evaluates its expression and `Sort` its keys, whether or
+/// not a consumer reads the columns they use.
+#[test]
+fn prune_unnest_and_sort_keep_their_expressions() {
+    let db = setup();
+    let inner = project(
+        scan("vendor").into_ref(),
+        vec![
+            Expr::col(0),
+            Expr::col(1),
+            Expr::col(2),
+            xml_wrap("price", Expr::col(2)),
+        ],
+    );
+    let unnest = PhysicalPlan::Unnest {
+        input: inner,
+        expr: Expr::col(1),
+    }
+    .into_ref();
+    let sort = PhysicalPlan::Sort {
+        input: unnest,
+        keys: vec![SortKey {
+            expr: Expr::col(2),
+            desc: true,
+        }],
+    }
+    .into_ref();
+    // Column 4 is the unnested item.
+    let plan = project(sort, vec![Expr::col(0), Expr::col(4)]);
+    let out = prune_checked(&db, &plan, None);
+    let inner = first_input(first_input(first_input(&out)));
+    assert_eq!(
+        project_exprs(inner),
+        [Expr::col(0), Expr::col(1), Expr::col(2), null()]
+    );
+}
+
+/// A node read by two consumers needs the union of their columns; it is
+/// rebuilt once, both consumers point at the one copy, and the executor
+/// memo runs it once.
+#[test]
+fn prune_shared_node_is_rebuilt_once_and_stays_shared() {
+    let db = setup();
+    let shared = project(
+        scan("vendor").into_ref(),
+        vec![
+            Expr::col(0),
+            Expr::col(1),
+            xml_wrap("price", Expr::col(2)),
+            xml_wrap("vid", Expr::col(0)),
+        ],
+    );
+    let a = project(Arc::clone(&shared), vec![Expr::col(0), Expr::col(2)]);
+    let b = project(shared, vec![Expr::col(1), Expr::col(1)]);
+    let plan = PhysicalPlan::UnionAll { inputs: vec![a, b] }.into_ref();
+    let out = prune_checked(&db, &plan, None);
+
+    let kids = out.children();
+    let (a, b) = (first_input(kids[0]), first_input(kids[1]));
+    assert!(Arc::ptr_eq(a, b), "one rebuilt copy, shared");
+    assert_eq!(
+        project_exprs(a),
+        [
+            Expr::col(0),
+            Expr::col(1),
+            xml_wrap("price", Expr::col(2)),
+            null()
+        ]
+    );
+    let before = db.stats().rows_scanned;
+    execute(&out, &ExecContext::new(&db, None)).unwrap();
+    assert_eq!(
+        db.stats().rows_scanned - before,
+        db.table("vendor").unwrap().len() as u64,
+        "the shared scan ran once"
+    );
+}
+
+/// The affected-key shape: keys computed from a subplan that also builds
+/// XML, feeding current- and old-epoch probes whose aggregates are only
+/// partly read — under a real update's transition tables.
+#[test]
+fn prune_matches_the_original_under_transitions() {
+    let db = setup();
+    let old_row = row([Value::str("Amazon"), Value::str("P1"), Value::Double(100.0)]);
+    let new_row = row([Value::str("Amazon"), Value::str("P1"), Value::Double(75.0)]);
+    db.update_by_key(
+        "vendor",
+        &[Value::str("Amazon"), Value::str("P1")],
+        &[(2, Value::Double(75.0))],
+    )
+    .unwrap();
+    let trans = transitions("vendor", Event::Update, vec![new_row], vec![old_row]);
+
+    let delta = PhysicalPlan::TransitionScan {
+        table: "vendor".into(),
+        side: TransitionSide::Delta,
+        pruned: true,
+    }
+    .into_ref();
+    let built = project(
+        delta,
+        vec![
+            Expr::col(1),
+            xml_wrap("vid", Expr::col(0)),
+            xml_wrap("price", Expr::col(2)),
+        ],
+    );
+    let keys = PhysicalPlan::Distinct {
+        input: project(built, vec![Expr::col(0)]),
+    }
+    .into_ref();
+    let side = |epoch| {
+        PhysicalPlan::HashAggregate {
+            input: PhysicalPlan::IndexJoin {
+                outer: Arc::clone(&keys),
+                table: "vendor".into(),
+                epoch,
+                probe: vec![(1, Expr::col(0))],
+                kind: JoinKind::Inner,
+                filter: None,
+            }
+            .into_ref(),
+            group_exprs: vec![Expr::col(0)],
+            aggs: vec![
+                AggExpr::over(AggFunc::XmlAgg, xml_wrap("vendor", Expr::col(3))),
+                AggExpr::count_star(),
+            ],
+        }
+        .into_ref()
+    };
+    let joined = PhysicalPlan::HashJoin {
+        left: side(TableEpoch::Current),
+        right: side(TableEpoch::Old),
+        left_keys: vec![Expr::col(0)],
+        right_keys: vec![Expr::col(0)],
+        kind: JoinKind::Inner,
+        filter: None,
+    }
+    .into_ref();
+    // [key, new fragment, old count]: the old fragment is dead.
+    let plan = project(joined, vec![Expr::col(0), Expr::col(1), Expr::col(5)]);
+    let out = prune_checked(&db, &plan, Some(&trans));
+
+    let joined = first_input(&out);
+    let [new_side, old_side] = joined.children()[..] else {
+        panic!("a join has two inputs")
+    };
+    let aggs = |p: &PhysicalPlan| match p {
+        PhysicalPlan::HashAggregate { aggs, .. } => aggs.clone(),
+        _ => panic!("expected an aggregate"),
+    };
+    assert_eq!(aggs(new_side)[0].func, AggFunc::XmlAgg);
+    assert_eq!(aggs(old_side)[0], AggExpr::count_star());
+    // Both sides still probe from the one key subplan, now without XML.
+    let keys = first_input(first_input(new_side));
+    assert!(Arc::ptr_eq(keys, first_input(first_input(old_side))));
+    let built = first_input(first_input(keys));
+    assert_eq!(project_exprs(built), [Expr::col(1), null(), null()]);
+}
+
+/// A dead expression is not evaluated, so its evaluation error is gone; a
+/// live one still raises.
+#[test]
+fn prune_drops_the_errors_of_dead_expressions_only() {
+    let db = setup();
+    let failing = project(
+        scan("vendor").into_ref(),
+        vec![
+            Expr::col(0),
+            Expr::bin(BinOp::Div, Expr::lit(1i64), Expr::lit(0i64)),
+        ],
+    );
+    let dead = project(Arc::clone(&failing), vec![Expr::col(0)]);
+    assert!(execute_query(&db, &dead).is_err());
+    let pruned = PhysicalPlan::prune_dead_columns(&dead, &db).unwrap();
+    assert_eq!(execute_query(&db, &pruned).unwrap().len(), 7);
+
+    let live = project(failing, vec![Expr::col(0), Expr::col(1)]);
+    let pruned = PhysicalPlan::prune_dead_columns(&live, &db).unwrap();
+    assert!(Arc::ptr_eq(&pruned, &live));
+    assert!(execute_query(&db, &pruned).is_err());
 }

@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 
 use crate::expr::{AggExpr, Expr};
-use crate::value::Row;
+use crate::value::{Row, Value};
 use crate::{Database, Error, Result};
 
 /// Shared plan handle; sharing a node means its result is computed once per
@@ -257,48 +257,278 @@ impl PhysicalPlan {
 
     /// Number of output columns, resolved against `db` for table scans.
     pub fn arity(&self, db: &Database) -> Result<usize> {
-        self.fold(&|node, kid| {
-            Ok(match node {
-                PhysicalPlan::TableScan { table, .. }
-                | PhysicalPlan::TransitionScan { table, .. } => db.table(table)?.schema().arity(),
-                PhysicalPlan::Values { arity, .. } => *arity,
-                PhysicalPlan::Filter { input, .. }
-                | PhysicalPlan::Distinct { input }
-                | PhysicalPlan::Sort { input, .. } => kid(input)?,
-                PhysicalPlan::Project { exprs, .. } => exprs.len(),
-                PhysicalPlan::HashJoin {
-                    left, right, kind, ..
+        self.fold(&|node, kid| node.arity_step(db, kid))
+    }
+
+    /// One node's arity, given its inputs' through `kid` ([`Self::fold`]).
+    fn arity_step<'p>(
+        &'p self,
+        db: &Database,
+        kid: &mut dyn FnMut(&'p PlanRef) -> Result<usize>,
+    ) -> Result<usize> {
+        Ok(match self {
+            PhysicalPlan::TableScan { table, .. } | PhysicalPlan::TransitionScan { table, .. } => {
+                db.table(table)?.schema().arity()
+            }
+            PhysicalPlan::Values { arity, .. } => *arity,
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Distinct { input }
+            | PhysicalPlan::Sort { input, .. } => kid(input)?,
+            PhysicalPlan::Project { exprs, .. } => exprs.len(),
+            PhysicalPlan::HashJoin {
+                left, right, kind, ..
+            }
+            | PhysicalPlan::NestedLoopJoin {
+                left, right, kind, ..
+            } => {
+                if kind.keeps_right() {
+                    kid(left)? + kid(right)?
+                } else {
+                    kid(left)?
                 }
-                | PhysicalPlan::NestedLoopJoin {
-                    left, right, kind, ..
-                } => {
-                    if kind.keeps_right() {
-                        kid(left)? + kid(right)?
-                    } else {
-                        kid(left)?
-                    }
+            }
+            PhysicalPlan::IndexJoin {
+                outer, table, kind, ..
+            } => {
+                if kind.keeps_right() {
+                    kid(outer)? + db.table(table)?.schema().arity()
+                } else {
+                    kid(outer)?
                 }
-                PhysicalPlan::IndexJoin {
-                    outer, table, kind, ..
-                } => {
-                    if kind.keeps_right() {
-                        kid(outer)? + db.table(table)?.schema().arity()
-                    } else {
-                        kid(outer)?
-                    }
-                }
-                PhysicalPlan::HashAggregate {
-                    group_exprs, aggs, ..
-                } => group_exprs.len() + aggs.len(),
-                PhysicalPlan::UnionAll { inputs } => {
-                    let first = inputs
-                        .first()
-                        .ok_or_else(|| Error::Plan("UnionAll with no inputs".into()))?;
-                    kid(first)?
-                }
-                PhysicalPlan::Unnest { input, .. } => kid(input)? + 1,
-            })
+            }
+            PhysicalPlan::HashAggregate {
+                group_exprs, aggs, ..
+            } => group_exprs.len() + aggs.len(),
+            PhysicalPlan::UnionAll { inputs } => {
+                let first = inputs
+                    .first()
+                    .ok_or_else(|| Error::Plan("UnionAll with no inputs".into()))?;
+                kid(first)?
+            }
+            PhysicalPlan::Unnest { input, .. } => kid(input)? + 1,
         })
+    }
+
+    /// Dead-column elimination: the same plan, with every `Project`
+    /// expression and every aggregate whose output column no consumer
+    /// reads replaced by a constant (`Lit(Null)`, `COUNT(*)`).
+    ///
+    /// Trigger plans are built from whole XQGM graphs and then narrowed:
+    /// the affected-key branches of `quark_core::angraph`'s plans compile
+    /// the view — element constructors and `aggXMLFrag` included — only to
+    /// keep its key columns, so without this pass every firing builds XML
+    /// that nobody reads (§5.2's "do not compute what the trigger does not
+    /// need", carried down to the physical plan).
+    ///
+    /// Two walks over the distinct nodes (`Arc` identity): parents first,
+    /// each node's *needed* columns are the union of what its consumers
+    /// read (every root column is needed; `Distinct` needs all of its
+    /// input; a join's keys and residual filter are split at the left
+    /// arity; an aggregate needs its group expressions and the arguments
+    /// of live aggregates only); then children first, a node is rebuilt
+    /// when an input or a dead expression changed, and otherwise keeps its
+    /// `Arc`, so sharing survives and a plan with nothing dead comes back
+    /// pointer-equal. Only expressions change, never nodes, arity or column
+    /// numbering: row counts, table footprints and [`Self::explain`] text
+    /// are those of the input plan, and the pass is idempotent.
+    ///
+    /// One observable difference: a dead expression is no longer
+    /// evaluated, so an evaluation error it would have raised (a division
+    /// by zero in a column nobody reads) no longer fails the plan. A live
+    /// expression still raises.
+    pub fn prune_dead_columns(plan: &PlanRef, db: &Database) -> Result<PlanRef> {
+        // The distinct nodes children first (so the root is last), with
+        // their arities; a node's place in `order` is its id.
+        let order = RefCell::new(Vec::new());
+        plan.fold(&|node, kid| {
+            for input in node.children() {
+                kid(input)?;
+            }
+            let arity = node.arity_step(db, kid)?;
+            order.borrow_mut().push((node, arity));
+            Ok(arity)
+        })?;
+        let order = order.into_inner();
+        let ids: HashMap<*const PhysicalPlan, usize> = (order.iter().enumerate())
+            .map(|(i, &(node, _))| (node as *const PhysicalPlan, i))
+            .collect();
+        let id = |p: &PlanRef| ids[&Arc::as_ptr(p)];
+        let arity_of = |p: &PlanRef| order[id(p)].1;
+
+        // Parents first: once a node is reached, every consumer has added
+        // its reads to the node's needs.
+        let mut needs: Vec<Vec<bool>> = order.iter().map(|&(_, a)| vec![false; a]).collect();
+        needs.last_mut().expect("the root").fill(true);
+        for (i, &(node, _)) in order.iter().enumerate().rev() {
+            let need = std::mem::take(&mut needs[i]);
+            for (input, cols) in node.input_needs(&need, &arity_of) {
+                let slot = &mut needs[id(input)];
+                for c in cols {
+                    if let Some(s) = slot.get_mut(c) {
+                        *s = true;
+                    }
+                }
+            }
+            needs[i] = need;
+        }
+
+        // Children first: rebuild only what changed.
+        let mut rebuilt: Vec<Option<PlanRef>> = Vec::with_capacity(order.len());
+        for (&(node, _), need) in order.iter().zip(&needs) {
+            let new = node.without_dead(need, &|input| rebuilt[id(input)].as_ref());
+            rebuilt.push(new.map(PhysicalPlan::into_ref));
+        }
+        Ok(rebuilt.pop().flatten().unwrap_or_else(|| Arc::clone(plan)))
+    }
+
+    /// For each input, the columns (input numbering, unsorted, possibly
+    /// repeated) this node reads to produce the output columns marked in
+    /// `need` — the need rules of [`Self::prune_dead_columns`].
+    fn input_needs(
+        &self,
+        need: &[bool],
+        arity_of: &dyn Fn(&PlanRef) -> usize,
+    ) -> Vec<(&PlanRef, Vec<usize>)> {
+        /// `cols` plus every column `exprs` read.
+        fn reads<'e>(
+            mut cols: Vec<usize>,
+            exprs: impl IntoIterator<Item = &'e Expr>,
+        ) -> Vec<usize> {
+            for e in exprs {
+                e.columns(&mut cols);
+            }
+            cols
+        }
+        /// Columns of a concatenated (left ++ right) row, split at `at`.
+        fn split(cols: Vec<usize>, at: usize) -> (Vec<usize>, Vec<usize>) {
+            let (l, r): (Vec<usize>, Vec<usize>) = cols.into_iter().partition(|&c| c < at);
+            (l, r.into_iter().map(|c| c - at).collect())
+        }
+        let needed = || (0..need.len()).filter(|&i| need[i]).collect::<Vec<usize>>();
+        match self {
+            PhysicalPlan::TableScan { .. }
+            | PhysicalPlan::TransitionScan { .. }
+            | PhysicalPlan::Values { .. } => vec![],
+            PhysicalPlan::Filter { input, predicate } => {
+                vec![(input, reads(needed(), [predicate]))]
+            }
+            PhysicalPlan::Project { input, exprs } => {
+                vec![(
+                    input,
+                    reads(vec![], needed().into_iter().map(|i| &exprs[i])),
+                )]
+            }
+            PhysicalPlan::HashJoin {
+                left,
+                right,
+                left_keys,
+                right_keys,
+                filter,
+                ..
+            } => {
+                let (l, r) = split(reads(needed(), filter), arity_of(left));
+                vec![(left, reads(l, left_keys)), (right, reads(r, right_keys))]
+            }
+            PhysicalPlan::NestedLoopJoin {
+                left,
+                right,
+                predicate,
+                ..
+            } => {
+                let (l, r) = split(reads(needed(), predicate), arity_of(left));
+                vec![(left, l), (right, r)]
+            }
+            PhysicalPlan::IndexJoin {
+                outer,
+                probe,
+                filter,
+                ..
+            } => {
+                let probes = probe.iter().map(|(_, e)| e);
+                let (o, _inner) = split(reads(needed(), probes.chain(filter)), arity_of(outer));
+                vec![(outer, o)]
+            }
+            PhysicalPlan::HashAggregate {
+                input,
+                group_exprs,
+                aggs,
+            } => {
+                let live_args = aggs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| need[group_exprs.len() + i])
+                    .filter_map(|(_, a)| a.arg.as_ref());
+                vec![(input, reads(vec![], group_exprs.iter().chain(live_args)))]
+            }
+            PhysicalPlan::UnionAll { inputs } => inputs.iter().map(|i| (i, needed())).collect(),
+            PhysicalPlan::Distinct { input } => vec![(input, (0..arity_of(input)).collect())],
+            PhysicalPlan::Sort { input, keys } => {
+                vec![(input, reads(needed(), keys.iter().map(|k| &k.expr)))]
+            }
+            PhysicalPlan::Unnest { input, expr } => {
+                // The last output column is the unnested item, not an input's.
+                let (from_input, _item) = split(needed(), arity_of(input));
+                vec![(input, reads(from_input, [expr]))]
+            }
+        }
+    }
+
+    /// This node over the rebuilt versions of its inputs (`rebuilt(input)`,
+    /// `None` for an input that did not change), with the expressions of
+    /// output columns not marked in `need` replaced by constants; `None`
+    /// when that changes nothing.
+    fn without_dead<'r>(
+        &self,
+        need: &[bool],
+        rebuilt: &dyn Fn(&PlanRef) -> Option<&'r PlanRef>,
+    ) -> Option<PhysicalPlan> {
+        let null = Expr::Lit(Value::Null);
+        let count_star = AggExpr::count_star();
+        let prunes = match self {
+            PhysicalPlan::Project { exprs, .. } => {
+                exprs.iter().zip(need).any(|(e, &n)| !n && *e != null)
+            }
+            PhysicalPlan::HashAggregate {
+                group_exprs, aggs, ..
+            } => aggs
+                .iter()
+                .zip(&need[group_exprs.len()..])
+                .any(|(a, &n)| !n && *a != count_star),
+            _ => false,
+        };
+        if !prunes && self.children().into_iter().all(|p| rebuilt(p).is_none()) {
+            return None;
+        }
+        let mut node = match self {
+            PhysicalPlan::Project { input, exprs } => PhysicalPlan::Project {
+                input: Arc::clone(input),
+                exprs: exprs
+                    .iter()
+                    .zip(need)
+                    .map(|(e, &n)| if n { e.clone() } else { null.clone() })
+                    .collect(),
+            },
+            PhysicalPlan::HashAggregate {
+                input,
+                group_exprs,
+                aggs,
+            } => PhysicalPlan::HashAggregate {
+                input: Arc::clone(input),
+                group_exprs: group_exprs.clone(),
+                aggs: aggs
+                    .iter()
+                    .zip(&need[group_exprs.len()..])
+                    .map(|(a, &n)| if n { a.clone() } else { count_star.clone() })
+                    .collect(),
+            },
+            other => other.clone(),
+        };
+        for input in node.children_mut() {
+            if let Some(new) = rebuilt(input) {
+                *input = Arc::clone(new);
+            }
+        }
+        Some(node)
     }
 
     /// The stored tables this plan's result is a pure function of, or
@@ -381,7 +611,7 @@ impl PhysicalPlan {
     }
 
     /// Input plans of this node, in rendering order.
-    pub(crate) fn children(&self) -> Vec<&PlanRef> {
+    pub fn children(&self) -> Vec<&PlanRef> {
         match self {
             PhysicalPlan::TableScan { .. }
             | PhysicalPlan::TransitionScan { .. }
@@ -396,6 +626,25 @@ impl PhysicalPlan {
             | PhysicalPlan::NestedLoopJoin { left, right, .. } => vec![left, right],
             PhysicalPlan::IndexJoin { outer, .. } => vec![outer],
             PhysicalPlan::UnionAll { inputs } => inputs.iter().collect(),
+        }
+    }
+
+    /// [`Self::children`], mutably and in the same order.
+    fn children_mut(&mut self) -> Vec<&mut PlanRef> {
+        match self {
+            PhysicalPlan::TableScan { .. }
+            | PhysicalPlan::TransitionScan { .. }
+            | PhysicalPlan::Values { .. } => vec![],
+            PhysicalPlan::Filter { input, .. }
+            | PhysicalPlan::Project { input, .. }
+            | PhysicalPlan::HashAggregate { input, .. }
+            | PhysicalPlan::Distinct { input }
+            | PhysicalPlan::Sort { input, .. }
+            | PhysicalPlan::Unnest { input, .. } => vec![input],
+            PhysicalPlan::HashJoin { left, right, .. }
+            | PhysicalPlan::NestedLoopJoin { left, right, .. } => vec![left, right],
+            PhysicalPlan::IndexJoin { outer, .. } => vec![outer],
+            PhysicalPlan::UnionAll { inputs } => inputs.iter_mut().collect(),
         }
     }
 

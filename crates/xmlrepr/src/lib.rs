@@ -22,7 +22,7 @@ mod node;
 mod parse;
 mod serialize;
 
-pub use node::{element, text, XmlNode, XmlNodeRef};
+pub use node::{element, text, Serialized, XmlNode, XmlNodeRef};
 pub use parse::{parse, ParseError};
 
 #[cfg(test)]

@@ -1,5 +1,6 @@
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Shared handle to an immutable XML node.
 ///
@@ -25,9 +26,46 @@ pub enum XmlNode {
         attrs: Vec<(String, String)>,
         /// Child nodes in document order.
         children: Vec<XmlNodeRef>,
+        /// This element's compact serialization, filled by its first
+        /// [`XmlNode::to_xml`] and reused after; start it empty
+        /// (`Serialized::default()`).
+        serialized: Serialized,
     },
     /// Character data (stored unescaped).
     Text(String),
+}
+
+/// The once-filled compact serialization of an element node.
+///
+/// A firing hands the same `NEW_NODE` `Arc` to every action it activates,
+/// and each action serializes it; nodes are never mutated after
+/// construction, so the first [`XmlNode::to_xml`] can keep its string for
+/// all the others. The cache is invisible to the node's value: every
+/// `Serialized` equals every other and hashes to nothing (so `XmlNode`
+/// keeps its derived equality and hashing), and a clone starts empty.
+///
+/// Memory: 24 bytes per node (`XmlNode` grows from 72 to 96 bytes, so text
+/// nodes pay it too), plus the string of a node that was itself
+/// serialized — writing a parent does not fill its children.
+#[derive(Default)]
+pub struct Serialized(OnceLock<Box<str>>);
+
+impl Clone for Serialized {
+    fn clone(&self) -> Self {
+        Serialized::default()
+    }
+}
+
+impl PartialEq for Serialized {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl Eq for Serialized {}
+
+impl Hash for Serialized {
+    fn hash<H: Hasher>(&self, _: &mut H) {}
 }
 
 /// Convenience constructor for an element node.
@@ -40,6 +78,7 @@ pub fn element(
         name: name.into(),
         attrs,
         children,
+        serialized: Serialized::default(),
     })
 }
 
@@ -133,11 +172,20 @@ impl XmlNode {
         n
     }
 
-    /// Serialize to a compact single-line XML string.
+    /// Serialize to a compact single-line XML string. An element is written
+    /// once; later calls copy its cached string ([`Serialized`]).
     pub fn to_xml(&self) -> String {
-        let mut buf = String::new();
-        crate::serialize::write_node(self, &mut buf, None, 0);
-        buf
+        let write = || {
+            let mut buf = String::new();
+            crate::serialize::write_node(self, &mut buf, None, 0);
+            buf
+        };
+        match self {
+            XmlNode::Element { serialized, .. } => {
+                serialized.0.get_or_init(|| write().into()).to_string()
+            }
+            XmlNode::Text(_) => write(),
+        }
     }
 
     /// Serialize with 2-space indentation, for human consumption.
@@ -223,5 +271,59 @@ mod tests {
     fn element_count_counts_elements_only() {
         // product + 2 vendor + 2 vid = 5; text nodes excluded.
         assert_eq!(sample().element_count(), 5);
+    }
+
+    const SAMPLE_XML: &str = "<product name=\"CRT 15\"><vendor><vid>Amazon</vid></vendor>\
+                              <vendor><vid>Bestbuy</vid></vendor></product>";
+
+    fn hash_of(node: &XmlNode) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        node.hash(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn serialization_cache_is_invisible_to_equality_and_hashing() {
+        let serialized = sample();
+        assert_eq!(serialized.to_xml(), SAMPLE_XML);
+        let clone = (*serialized).clone();
+        let fresh = sample();
+        for other in [&clone, &*fresh] {
+            assert_eq!(*serialized, *other);
+            assert_eq!(hash_of(&serialized), hash_of(other));
+        }
+        let set: std::collections::HashSet<XmlNodeRef> =
+            [serialized, Arc::new(clone), fresh].into_iter().collect();
+        assert_eq!(set.len(), 1);
+    }
+
+    #[test]
+    fn to_xml_is_written_once_and_identical_on_every_call() {
+        let node = sample();
+        let first = node.to_xml();
+        assert_eq!(first, SAMPLE_XML);
+        assert_eq!(node.to_xml(), first);
+        // A cold node serialized by 8 threads at once: one string for all.
+        let cold = sample();
+        let outs: Vec<String> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..8).map(|_| s.spawn(|| cold.to_xml())).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(outs.iter().all(|o| *o == first));
+    }
+
+    #[test]
+    fn pretty_debug_and_display_are_unchanged_by_the_cache() {
+        let node = sample();
+        let pretty = "<product name=\"CRT 15\">\n  <vendor>\n    <vid>Amazon</vid>\n  \
+                      </vendor>\n  <vendor>\n    <vid>Bestbuy</vid>\n  </vendor>\n</product>\n";
+        for _ in 0..2 {
+            // Before the first `to_xml` and after it.
+            assert_eq!(node.to_pretty_xml(), pretty);
+            assert_eq!(format!("{node:?}"), SAMPLE_XML);
+            assert_eq!(format!("{node}"), SAMPLE_XML);
+            node.to_xml();
+        }
+        assert_eq!(text("a<b").to_xml(), "a&lt;b");
     }
 }

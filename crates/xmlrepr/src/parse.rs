@@ -9,7 +9,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use crate::node::{XmlNode, XmlNodeRef};
+use crate::node::{element, XmlNode, XmlNodeRef};
 
 /// Error raised by [`parse`], with a byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,11 +143,7 @@ impl<'a> Parser<'a> {
                 Some(b'/') => {
                     self.pos += 1;
                     self.eat(b'>')?;
-                    return Ok(Arc::new(XmlNode::Element {
-                        name,
-                        attrs,
-                        children: vec![],
-                    }));
+                    return Ok(element(name, attrs, vec![]));
                 }
                 Some(b'>') => {
                     self.pos += 1;
@@ -163,11 +159,7 @@ impl<'a> Parser<'a> {
             }
         }
         let children = self.parse_content(&name)?;
-        Ok(Arc::new(XmlNode::Element {
-            name,
-            attrs,
-            children,
-        }))
+        Ok(element(name, attrs, children))
     }
 
     /// Parse children until the matching close tag of `open_name` (consumed).

@@ -45,6 +45,7 @@ pub(crate) fn write_node(node: &XmlNode, buf: &mut String, indent: Option<usize>
             name,
             attrs,
             children,
+            ..
         } => {
             pad(buf, indent, depth);
             buf.push('<');

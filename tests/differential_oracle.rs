@@ -1,7 +1,8 @@
 //! Differential testing: random statement sequences against the catalog
-//! view, comparing the translated triggers' firings (all three modes) with
-//! the materialize-and-diff oracle's Definitions-2/3 semantics — including
-//! the full `OLD_NODE`/`NEW_NODE` values.
+//! view and against the benchmark's depth-3 chain view, comparing the
+//! translated triggers' firings (all three modes) with the
+//! materialize-and-diff oracle's Definitions-2/3 semantics — including the
+//! full `OLD_NODE`/`NEW_NODE` values.
 //!
 //! Every operation is rendered as SQL text once and executed verbatim
 //! against all three sessions *and* (via the relational `sql` module) the
@@ -13,6 +14,7 @@ use std::collections::BTreeSet;
 
 use common::{catalog_path, Log};
 use proptest::prelude::*;
+use quark_bench::chain_view_spec;
 use quark_core::oracle::changes_of;
 use quark_core::relational::{sql, Database, Error, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
@@ -237,6 +239,208 @@ proptest! {
             prop_assert_eq!(&got_u, &expected, "UNGROUPED vs oracle on {:?}", op);
             prop_assert_eq!(&got_g, &expected, "GROUPED vs oracle on {:?}", op);
             prop_assert_eq!(&got_a, &expected, "GROUPED-AGG vs oracle on {:?}", op);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The benchmark's view shape: `quark_bench::chain_view_spec(3)`
+// ---------------------------------------------------------------------
+
+/// One statement against the depth-3 hierarchy `t0 ← t1 ← t2` behind
+/// `chain_view_spec(3)`: `e0` per `t0` row, nesting `e1` elements that keep
+/// only those with at least two `e2` leaves.
+#[derive(Debug, Clone)]
+enum ChainOp {
+    /// `UPDATE t{level} SET name = … WHERE id = …` (may match no row).
+    Name(usize, i64, usize),
+    /// `UPDATE t{level} SET price = … WHERE id = …`: visible at the leaf only.
+    Price(usize, i64, u32),
+    /// Insert leaf `id` under `t1` row `parent` (skipped if `id` exists).
+    InsertLeaf(i64, i64),
+    /// Delete leaf `id` (may match no row).
+    DeleteLeaf(i64),
+    /// Move leaf `id` under `t1` row `parent`: between top elements, and
+    /// across the `count ≥ 2` threshold.
+    MoveLeaf(i64, i64),
+}
+
+/// Rows per level: 4 tops, 6 middles (`parent = id % 4`), 9 leaves
+/// (`parent = id % 6`). Middles 3–5 start with one leaf each, below the
+/// threshold, so top 3 starts outside the view.
+const CHAIN_ROWS: [i64; 3] = [4, 6, 9];
+/// Leaf ids drawn from here, so inserts find free ones.
+const CHAIN_LEAF_IDS: i64 = 13;
+
+fn chain_op_strategy() -> impl Strategy<Value = ChainOp> {
+    let parents = CHAIN_ROWS[1];
+    prop_oneof![
+        (0..3usize, 0..CHAIN_LEAF_IDS, 0..4usize).prop_map(|(l, k, n)| ChainOp::Name(l, k, n)),
+        (0..3usize, 0..CHAIN_LEAF_IDS, 1..400u32).prop_map(|(l, k, c)| ChainOp::Price(l, k, c)),
+        (0..CHAIN_LEAF_IDS, 0..parents).prop_map(|(k, p)| ChainOp::InsertLeaf(k, p)),
+        (0..CHAIN_LEAF_IDS).prop_map(ChainOp::DeleteLeaf),
+        (0..CHAIN_LEAF_IDS, 0..parents).prop_map(|(k, p)| ChainOp::MoveLeaf(k, p)),
+    ]
+}
+
+fn chain_statement(db: &Database, op: &ChainOp) -> Option<String> {
+    Some(match op {
+        ChainOp::Name(level, id, n) => format!("UPDATE t{level} SET name = 'n{n}' WHERE id = {id}"),
+        ChainOp::Price(level, id, cents) => format!(
+            "UPDATE t{level} SET price = {:?} WHERE id = {id}",
+            *cents as f64 / 2.0
+        ),
+        ChainOp::InsertLeaf(id, parent) => {
+            if db
+                .table("t2")
+                .expect("leaf table")
+                .get(&[Value::Int(*id)])
+                .is_some()
+            {
+                return None;
+            }
+            format!("INSERT INTO t2 VALUES ({id}, {parent}, 'leaf_{id}', 1.5)")
+        }
+        ChainOp::DeleteLeaf(id) => format!("DELETE FROM t2 WHERE id = {id}"),
+        ChainOp::MoveLeaf(id, parent) => format!("UPDATE t2 SET parent = {parent} WHERE id = {id}"),
+    })
+}
+
+/// A session over the chain hierarchy with a recording trigger for each XML
+/// event on `view('bench')/e0`.
+fn watch_chain(mode: Mode) -> (Session, Log) {
+    let session = quark_xquery::session(Database::new(), mode);
+    for (level, &rows) in CHAIN_ROWS.iter().enumerate() {
+        let parent = if level > 0 { "parent INT, " } else { "" };
+        session
+            .execute(&format!(
+                "CREATE TABLE t{level} (id INT PRIMARY KEY, {parent}name TEXT, price DOUBLE)"
+            ))
+            .expect("table");
+        if level > 0 {
+            session
+                .execute(&format!("CREATE INDEX ON t{level} (parent)"))
+                .expect("index");
+        }
+        let values: Vec<String> = (0..rows)
+            .map(|k| match level {
+                0 => format!("({k}, 'top_{k}', 10.0)"),
+                _ => format!(
+                    "({k}, {}, 'row_{level}_{k}', 20.0)",
+                    k % CHAIN_ROWS[level - 1]
+                ),
+            })
+            .collect();
+        session
+            .execute(&format!(
+                "INSERT INTO t{level} VALUES {}",
+                values.join(", ")
+            ))
+            .expect("rows");
+    }
+    let view = chain_view_spec(3).build(&session.database()).expect("view");
+    session.quark_mut().register_view(view);
+    let log = Log::default();
+    for (event, name) in [
+        (XmlEvent::Insert, "ins"),
+        (XmlEvent::Update, "upd"),
+        (XmlEvent::Delete, "del"),
+    ] {
+        let sink = log.clone();
+        session
+            .register_action(format!("record_{name}"), move |_db, call| {
+                sink.0
+                    .lock()
+                    .unwrap()
+                    .push((call.trigger.clone(), call.params.clone()));
+                Ok(())
+            })
+            .expect("action");
+        session
+            .execute(&format!(
+                "create trigger watch_{name} after {event} on view('bench')/e0 \
+                 do record_{name}(OLD_NODE, NEW_NODE)"
+            ))
+            .expect("trigger");
+    }
+    (session, log)
+}
+
+/// `(event, old serialization, new serialization)`, one per firing, sorted:
+/// a multiset, so a duplicated firing is a mismatch too.
+type ChainObserved = Vec<(String, String, String)>;
+
+fn chain_observed(log: &Log) -> ChainObserved {
+    let render = |v: &Value| match v {
+        Value::Xml(x) => x.to_xml(),
+        _ => String::new(),
+    };
+    let mut out: ChainObserved = log
+        .take()
+        .into_iter()
+        .map(|(trigger, params)| {
+            let event = trigger.trim_start_matches("watch_").to_string();
+            (event, render(&params[0]), render(&params[1]))
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+proptest! {
+    // Pinned seed and case count; nightly raises the count with
+    // PROPTEST_CASES (the seed stays pinned either way).
+    #![proptest_config(ProptestConfig {
+        cases: std::env::var("PROPTEST_CASES").ok().and_then(|c| c.parse().ok()).unwrap_or(24),
+        rng_seed: Some(0x1cde_2005_0022),
+        ..ProptestConfig::default()
+    })]
+
+    /// The benchmark's view shape — nested `aggXMLFrag`, the `count ≥ 2`
+    /// child predicate, three levels of keys — fires exactly the oracle's
+    /// events with byte-identical OLD/NEW nodes in every mode, under keyed
+    /// updates at every level, leaf inserts and deletes, and leaf moves.
+    #[test]
+    fn chain_view_triggers_match_oracle(
+        ops in proptest::collection::vec(chain_op_strategy(), 1..12),
+    ) {
+        let (ungrouped, log_u) = watch_chain(Mode::Ungrouped);
+        let (grouped, log_g) = watch_chain(Mode::Grouped);
+        let (agg, log_a) = watch_chain(Mode::GroupedAgg);
+        let pg = ungrouped.quark().view("bench").expect("view").anchors["e0"].clone();
+
+        for op in &ops {
+            let Some(stmt) = chain_statement(&ungrouped.database(), op) else {
+                continue;
+            };
+            let mut expected: ChainObserved = changes_of(&pg, &ungrouped.database(), |db| {
+                sql::run(db, &stmt).map(|_| ()).map_err(Error::from)
+            })
+            .expect("oracle")
+            .into_iter()
+            .map(|c| {
+                let event = match c.event {
+                    XmlEvent::Insert => "ins",
+                    XmlEvent::Update => "upd",
+                    XmlEvent::Delete => "del",
+                };
+                let old = c.old.map(|x| x.to_xml()).unwrap_or_default();
+                let new = c.new.map(|x| x.to_xml()).unwrap_or_default();
+                (event.to_string(), old, new)
+            })
+            .collect();
+            expected.sort();
+            // The oracle's shadow copy carries the session's SQL triggers:
+            // drop what they recorded.
+            log_u.take();
+
+            ungrouped.execute(&stmt).expect("apply ungrouped");
+            grouped.execute(&stmt).expect("apply grouped");
+            agg.execute(&stmt).expect("apply agg");
+
+            prop_assert_eq!(&chain_observed(&log_u), &expected, "UNGROUPED vs oracle on {}", stmt);
+            prop_assert_eq!(&chain_observed(&log_g), &expected, "GROUPED vs oracle on {}", stmt);
+            prop_assert_eq!(&chain_observed(&log_a), &expected, "GROUPED-AGG vs oracle on {}", stmt);
         }
     }
 }

@@ -12,21 +12,27 @@
 //! * Fig. 17 and the §6 compile-time table: grouped work per update is
 //!   identical at 10 and 1 000 installed triggers, ungrouped work is
 //!   linear in them, and only the first trigger of a shape is translated,
+//! * the bench hierarchy's trigger plan constructs XML for the OLD and NEW
+//!   nodes it delivers and for nothing else (dead-column elimination),
 //! * ordered storage and the cross-firing executor cache change nothing
 //!   observable: a caching session and an uncached one produce identical
 //!   statement results and identical firing sequences (proptest).
 
 mod common;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
+use std::sync::Arc;
 
 use common::{catalog_path, Log};
 use proptest::prelude::*;
 use quark_bench::{build, WorkloadSpec};
+use quark_core::angraph::build_affected;
 use quark_core::oracle::changes_of;
+use quark_core::relational::expr::{AggFunc, Expr, ScalarFunc};
+use quark_core::relational::plan::{PhysicalPlan, PlanRef};
 use quark_core::relational::{sql, Database, Error, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
-use quark_core::{Mode, Quark, Session, XmlEvent, XmlView};
+use quark_core::{Mode, Needs, Quark, Session, SideNeeds, XmlEvent, XmlView};
 use quark_xquery::XQueryFrontend;
 
 /// `(event, key, old serialization, new serialization)`.
@@ -256,6 +262,77 @@ fn work_per_update_is_flat_in_trigger_count_only_when_grouped() {
         );
         assert_eq!(quark.compile_cache_hits(), cache_hits, "{mode:?}");
     }
+}
+
+/// XML constructors a plan evaluates per row, over its distinct nodes (a
+/// shared subplan counts once): `(XmlElement + XmlWrap calls in Project
+/// columns, XmlAgg aggregates)`. A column dead-column elimination has
+/// neutralized holds `NULL` / `COUNT(*)` and counts nothing.
+fn xml_constructors(plan: &PlanRef) -> (usize, usize) {
+    fn calls(e: &Expr) -> usize {
+        match e {
+            Expr::Func(f, args) => {
+                let own = matches!(f, ScalarFunc::XmlElement { .. } | ScalarFunc::XmlWrap(_));
+                usize::from(own) + args.iter().map(calls).sum::<usize>()
+            }
+            Expr::Binary { left, right, .. } => calls(left) + calls(right),
+            Expr::Not(e) | Expr::IsNull(e) => calls(e),
+            Expr::Col(_) | Expr::Lit(_) => 0,
+        }
+    }
+    let (mut seen, mut stack, mut counts) = (HashSet::new(), vec![plan], (0, 0));
+    while let Some(p) = stack.pop() {
+        if !seen.insert(Arc::as_ptr(p)) {
+            continue;
+        }
+        match &**p {
+            PhysicalPlan::Project { exprs, .. } => {
+                counts.0 += exprs.iter().map(calls).sum::<usize>()
+            }
+            PhysicalPlan::HashAggregate { aggs, .. } => {
+                counts.1 += aggs.iter().filter(|a| a.func == AggFunc::XmlAgg).count()
+            }
+            _ => {}
+        }
+        stack.extend(p.children());
+    }
+    counts
+}
+
+/// The affected-node plan of the bench trigger (`… where OLD_NODE/@name =
+/// … do insertTemp(NEW_NODE)`) for an UPDATE of the leaf table `t2` of the
+/// depth-3 chain view builds exactly one OLD and one NEW `e0` node per
+/// affected key — per node, 7 constructors (`e0`, `e1`, `e2` and `e2`'s four
+/// column wraps) and 2 `aggXMLFrag`s — and nothing for the affected-key
+/// branches. (The installed SQL trigger stacks the constants probe,
+/// condition, projection and sort on this plan; none of them constructs
+/// XML.)
+#[test]
+fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
+    let mut spec = WorkloadSpec::quick(Mode::Grouped);
+    (spec.depth, spec.leaf_count, spec.fanout) = (3, 512, 16);
+    (spec.triggers, spec.satisfied) = (1, 1);
+    let workload = build(spec).expect("workload");
+    let quark = workload.quark();
+    let mut pg = quark.view("bench").expect("bench view").anchors["e0"].clone();
+    let needs = Needs {
+        old: SideNeeds { node: false },
+        new: SideNeeds { node: true },
+    };
+    let affected = build_affected(
+        &mut pg,
+        "t2",
+        XmlEvent::Update,
+        needs,
+        quark.options(),
+        quark.database(),
+    )
+    .expect("translation")
+    .expect("t2 affects e0");
+    // Before dead-column elimination the same plan held (50, 10): the Δ
+    // and ∇ affected-key branches compiled the view's constructors and
+    // `aggXMLFrag`s (18 and 3 each) only to project the keys.
+    assert_eq!(xml_constructors(&affected.plan), (2 * 7, 2 * 2));
 }
 
 // ---------------------------------------------------------------------
