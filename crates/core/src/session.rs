@@ -468,8 +468,8 @@ impl Session {
     }
 
     /// A new handle onto the same system. Forks share everything: the
-    /// write lock, the trigger corpus, the compile and executor caches,
-    /// and the published read snapshot.
+    /// write lock, the trigger corpus, the compile cache, and the
+    /// published read snapshot.
     pub fn fork(&self) -> Session {
         Session {
             shared: Arc::clone(&self.shared),

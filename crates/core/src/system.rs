@@ -475,9 +475,9 @@ impl Quark {
     }
 
     /// Execution-counter snapshot of the underlying database: statement and
-    /// firing counts plus the executor's `rows_scanned` / `index_probes` /
-    /// `build_cache_hits` observability counters — the probe-not-scan
-    /// evidence behind the flat firing-latency curves. When a durable
+    /// firing counts plus the executor's `rows_scanned` / `index_probes`
+    /// observability counters — the probe-not-scan evidence behind the
+    /// flat firing-latency curves. When a durable
     /// store is attached, its counters (`wal_bytes_written`, `wal_fsyncs`,
     /// `checkpoints`, `recovery_ms`) are merged in.
     pub fn stats(&self) -> quark_relational::Stats {

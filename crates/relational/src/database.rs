@@ -16,7 +16,6 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use crate::exec::ExecCache;
 use crate::expr::{BinOp, Expr};
 use crate::schema::TableSchema;
 use crate::table::{Key, Table};
@@ -113,8 +112,10 @@ pub struct Stats {
     /// Primary-key and secondary-index equality probes (index joins, keyed
     /// statements and indexed-equality row selections).
     pub index_probes: u64,
-    /// Join build sides / stable subplan results served from the
-    /// cross-firing executor cache instead of being rebuilt.
+    /// Always 0: the cross-firing executor cache it counted is gone, and
+    /// no [`Counter`] or `STATS` row feeds it. Kept only because the frozen
+    /// benchmark harness still reads the field; its next revision removes
+    /// it.
     pub build_cache_hits: u64,
     /// Footprint-latch acquisitions that had to block because another
     /// writer held part of the requested footprint (one per blocking wait;
@@ -184,7 +185,6 @@ impl Stats {
             ("triggers_fired", self.triggers_fired),
             ("rows_scanned", self.rows_scanned),
             ("index_probes", self.index_probes),
-            ("build_cache_hits", self.build_cache_hits),
             ("latch_waits", self.latch_waits),
             ("latch_conflicts", self.latch_conflicts),
             ("latch_shared_acquisitions", self.latch_shared_acquisitions),
@@ -221,8 +221,6 @@ pub enum Counter {
     RowsScanned,
     /// [`Stats::index_probes`].
     IndexProbes,
-    /// [`Stats::build_cache_hits`].
-    BuildCacheHits,
     /// [`Stats::latch_waits`].
     LatchWaits,
     /// [`Stats::latch_conflicts`].
@@ -276,9 +274,7 @@ fn new_cell(table: Arc<Table>) -> TableCell {
 /// **copy-on-write** behind `Arc`, and so are the trees inside them
 /// (see [`Table`]): a clone is a refcount bump per table, and a write
 /// after one copies the tree path it walks — neither publishing a
-/// snapshot nor the next write walks row storage. A clone gets a **fresh
-/// executor cache**: the copy's tables diverge independently while reusing
-/// the same version counters, so build sides must never cross instances.
+/// snapshot nor the next write walks row storage.
 pub struct Database {
     tables: HashMap<String, TableCell>,
     /// `Arc`-shared so publishing a read snapshot clones a pointer, not
@@ -300,7 +296,6 @@ pub struct Database {
     /// Indexed by [`Counter`]. Bumped during statement and plan execution,
     /// where only `&Database` is available, hence relaxed atomics.
     counters: [AtomicU64; COUNTERS],
-    pub(crate) exec_cache: ExecCache,
 }
 
 impl Default for Database {
@@ -313,7 +308,6 @@ impl Default for Database {
             schema_generation: 0,
             redo_capture: false,
             counters: Default::default(),
-            exec_cache: ExecCache::default(),
         }
     }
 }
@@ -337,7 +331,6 @@ impl Clone for Database {
             counters: std::array::from_fn(|i| {
                 AtomicU64::new(self.counters[i].load(Ordering::Relaxed))
             }),
-            exec_cache: ExecCache::new(self.exec_cache.is_enabled()),
         }
     }
 }
@@ -534,7 +527,7 @@ impl Database {
     }
 
     /// Snapshot of the execution counters: statement/trigger counts plus
-    /// the executor's scan/probe/cache observability counters and the
+    /// the executor's scan/probe observability counters and the
     /// session layer's latch/batching contention counters.
     pub fn stats(&self) -> Stats {
         let c = |k: Counter| self.counters[k as usize].load(Ordering::Relaxed);
@@ -543,7 +536,6 @@ impl Database {
             triggers_fired: c(Counter::TriggersFired),
             rows_scanned: c(Counter::RowsScanned),
             index_probes: c(Counter::IndexProbes),
-            build_cache_hits: c(Counter::BuildCacheHits),
             latch_waits: c(Counter::LatchWaits),
             latch_conflicts: c(Counter::LatchConflicts),
             latch_shared_acquisitions: c(Counter::LatchSharedAcquisitions),
@@ -555,6 +547,7 @@ impl Database {
             backpressure_stalls: c(Counter::BackpressureStalls),
             active_connections: c(Counter::ActiveConnections),
             footprint_violations: c(Counter::FootprintViolations),
+            build_cache_hits: 0,
             // Storage counters live in the storage engine; `Quark::stats`
             // merges them in when the system was opened durably.
             wal_bytes_written: 0,
@@ -738,18 +731,6 @@ impl Database {
                 });
             }
         });
-    }
-
-    /// Enable or disable the cross-firing executor cache (on by default).
-    /// Disabling clears existing entries; differential tests compare a
-    /// caching database against an uncached one.
-    pub fn set_exec_cache_enabled(&mut self, enabled: bool) {
-        self.exec_cache.set_enabled(enabled);
-    }
-
-    /// Number of live executor-cache entries (tests and leak checks).
-    pub fn exec_cache_len(&self) -> usize {
-        self.exec_cache.len()
     }
 
     /// Look up a table, taking its latch in shared mode for the guard's
@@ -1007,7 +988,7 @@ impl Database {
         let schema = t.schema_ref();
         // The undo is O(1) for any row count — a refcount bump now, a pointer
         // swap on failure, `version()` included (safe: `t` is held throughout,
-        // so no plan or cache saw a version in between) — but while it is
+        // so no checkpoint saw a version in between) — but while it is
         // held every write copies its tree path (a keyed update measured
         // 9 µs against 2). So it is held only if an insertion can fail after a
         // row changed: not when nothing is inserted, not for a lone insertion

@@ -2,14 +2,15 @@
 //!
 //! [`execute`] evaluates a [`PhysicalPlan`] DAG against a database state
 //! plus (optionally) the transition tables of the statement being
-//! processed. Results of shared subplans are memoized by node identity, so
-//! a plan that reuses `AffectedKeys` in four places (like Fig. 16 of the
-//! paper) computes it once.
+//! processed. Results of shared subplans are memoized by node identity
+//! within one [`ExecContext`], so a plan that reuses `AffectedKeys` in four
+//! places (like Fig. 16 of the paper) computes it once. Nothing outlives
+//! the context: every execution reads its inputs afresh, and no lock is
+//! shared between executions.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::Arc;
 
 use crate::expr::{eval_all, AggState, Expr};
 use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
@@ -21,248 +22,6 @@ pub type RowsRef = Arc<Vec<Row>>;
 
 /// A hash-join build side materialized for probing: key tuple → rows.
 type BuildSide = HashMap<Box<[Value]>, Vec<Row>>;
-
-/// What one executor-cache entry holds.
-enum Cached {
-    /// A hash-join build side.
-    Build(Arc<BuildSide>),
-    /// A stable subplan's materialized rows (nested-loop inner sides).
-    Rows(RowsRef),
-}
-
-impl Cached {
-    fn share(&self) -> Cached {
-        match self {
-            Cached::Build(b) => Cached::Build(Arc::clone(b)),
-            Cached::Rows(r) => Cached::Rows(Arc::clone(r)),
-        }
-    }
-}
-
-/// Cache key: the inner plan node's identity plus a discriminator for the
-/// join-key expressions a build side was hashed on (`None` for plain row
-/// results).
-type CacheKey = (usize, Option<u64>);
-
-struct CacheEntry {
-    /// A hit requires this weak handle to still point at the very plan
-    /// node being executed — guarding against allocator address reuse
-    /// after a plan is dropped.
-    plan: Weak<PhysicalPlan>,
-    /// Schema generation at build time: a dropped-and-recreated table
-    /// resets its version counter, so version checks alone are not enough.
-    schema_gen: u64,
-    /// `(table, version)` pairs the cached value was built from.
-    deps: Vec<(String, u64)>,
-    /// The exact join-key expressions a build side was hashed on. The
-    /// cache *key* only carries their 64-bit fingerprint; a hit verifies
-    /// against these so a fingerprint collision can never serve one
-    /// join's build side to another. Empty for row results and markers.
-    key_exprs: Vec<Expr>,
-    /// `None` marks a plan known to be *unstable* (it reads transition
-    /// tables), so hot firing paths skip both the cache and the
-    /// stability analysis. Stability is a property of the plan alone, so
-    /// the marker needs no per-table version validation — but it is still
-    /// discarded when `schema_gen` moves (DROP/CREATE churn must not leave
-    /// markers recorded against a schema that no longer exists).
-    value: Option<Cached>,
-}
-
-/// Outcome of an executor-cache probe.
-enum CacheLookup {
-    /// A still-valid cached value.
-    Hit(Cached),
-    /// The plan is known-unstable: execute normally, skip the analysis.
-    Unstable,
-    /// Nothing cached (or a stale entry was evicted): execute, analyze,
-    /// and store.
-    Miss,
-}
-
-/// Cross-firing executor cache, owned by a [`Database`].
-///
-/// Repeated trigger firings execute the same plan DAGs against mostly
-/// unchanged stored tables. Join build sides whose inner subplan is
-/// *stable* — a pure function of stored tables, see
-/// [`PhysicalPlan::stable_tables`] — are kept here keyed on plan-node
-/// identity and validated against the per-table
-/// [`version`](crate::Table::version) counters, so a firing probes a
-/// prebuilt hash table instead of re-hashing an unchanged input (the
-/// constants tables of §5.1 being the canonical case).
-pub struct ExecCache {
-    enabled: AtomicBool,
-    entries: Mutex<HashMap<CacheKey, CacheEntry>>,
-}
-
-impl Default for ExecCache {
-    fn default() -> Self {
-        ExecCache::new(true)
-    }
-}
-
-impl ExecCache {
-    pub(crate) fn new(enabled: bool) -> Self {
-        ExecCache {
-            enabled: AtomicBool::new(enabled),
-            entries: Mutex::new(HashMap::new()),
-        }
-    }
-
-    pub(crate) fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Toggle caching; disabling clears all entries so no stale value can
-    /// ever be served after re-enabling.
-    pub(crate) fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-        if !enabled {
-            self.entries.lock().expect("exec cache").clear();
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.lock().expect("exec cache").len()
-    }
-
-    fn lookup(
-        &self,
-        key: CacheKey,
-        plan: &PlanRef,
-        key_exprs: Option<&[Expr]>,
-        db: &Database,
-    ) -> CacheLookup {
-        if !self.is_enabled() {
-            return CacheLookup::Unstable; // skip analysis and storage too
-        }
-        let mut entries = self.entries.lock().expect("exec cache");
-        let Some(e) = entries.get(&key) else {
-            return CacheLookup::Miss;
-        };
-        if !e.plan.upgrade().is_some_and(|p| Arc::ptr_eq(&p, plan))
-            || e.key_exprs != key_exprs.unwrap_or(&[])
-        {
-            entries.remove(&key);
-            return CacheLookup::Miss;
-        }
-        let Some(value) = &e.value else {
-            // Negative (unstable) markers also key on the schema
-            // generation: a DROP/CREATE cycle can recreate a same-shaped
-            // table behind an entry recorded against the old schema, and a
-            // marker must never outlive the world it was analyzed in.
-            if e.schema_gen != db.schema_generation() {
-                entries.remove(&key);
-                return CacheLookup::Miss;
-            }
-            return CacheLookup::Unstable;
-        };
-        let fresh = e.schema_gen == db.schema_generation()
-            && e.deps
-                .iter()
-                .all(|(t, v)| db.table(t).map(|tb| tb.version() == *v).unwrap_or(false));
-        if !fresh {
-            entries.remove(&key);
-            return CacheLookup::Miss;
-        }
-        CacheLookup::Hit(value.share())
-    }
-
-    /// Record the outcome of a miss: the built value for a stable plan, or
-    /// the unstable marker so subsequent firings skip the stability
-    /// analysis entirely (trigger plans mostly join transition-derived
-    /// sides, and re-walking the subplan per firing is pure overhead).
-    fn store(
-        &self,
-        key: CacheKey,
-        plan: &PlanRef,
-        key_exprs: Option<&[Expr]>,
-        db: &Database,
-        value: Cached,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        let key_exprs = key_exprs.unwrap_or(&[]).to_vec();
-        let entry = match plan.stable_tables() {
-            Some(deps) => {
-                let mut versions = Vec::with_capacity(deps.len());
-                for t in deps {
-                    let Ok(table) = db.table(&t) else {
-                        return; // dependency vanished mid-flight: do not cache
-                    };
-                    let v = table.version();
-                    versions.push((t, v));
-                }
-                CacheEntry {
-                    plan: Arc::downgrade(plan),
-                    schema_gen: db.schema_generation(),
-                    deps: versions,
-                    key_exprs,
-                    value: Some(value),
-                }
-            }
-            None => CacheEntry {
-                plan: Arc::downgrade(plan),
-                schema_gen: db.schema_generation(),
-                deps: Vec::new(),
-                key_exprs,
-                value: None,
-            },
-        };
-        let mut entries = self.entries.lock().expect("exec cache");
-        // Bound growth under trigger churn: an entry whose plan was
-        // dropped can never be hit again (its exact key is never looked
-        // up, and the Weak both fails to upgrade and pins the dropped
-        // plan's allocation). Sweep dead entries whenever the map
-        // outgrows its live working set.
-        if entries.len() >= SWEEP_THRESHOLD && !entries.contains_key(&key) {
-            entries.retain(|_, e| e.plan.strong_count() > 0);
-        }
-        entries.insert(key, entry);
-    }
-}
-
-/// Entry count past which [`ExecCache::store`] sweeps entries whose plans
-/// have been dropped. Sized above any realistic live-plan working set, so
-/// steady-state stores never pay the O(len) sweep.
-const SWEEP_THRESHOLD: usize = 1024;
-
-/// The lookup → build → store protocol shared by every cached join inner
-/// side: serve a fresh cached value, or run `build` and record the
-/// outcome (the built value for a stable plan, the unstable marker
-/// otherwise) when the plan was a genuine cache miss.
-fn cached_or(
-    cache_key: CacheKey,
-    plan: &PlanRef,
-    key_exprs: Option<&[Expr]>,
-    ctx: &ExecContext<'_>,
-    build: impl FnOnce() -> Result<Cached>,
-) -> Result<Cached> {
-    match ctx.db.exec_cache.lookup(cache_key, plan, key_exprs, ctx.db) {
-        CacheLookup::Hit(v) => {
-            ctx.db.bump(Counter::BuildCacheHits, 1);
-            Ok(v)
-        }
-        CacheLookup::Unstable => build(),
-        CacheLookup::Miss => {
-            let v = build()?;
-            ctx.db
-                .exec_cache
-                .store(cache_key, plan, key_exprs, ctx.db, v.share());
-            Ok(v)
-        }
-    }
-}
-
-/// Fingerprint of the join-key expressions a build side was hashed on
-/// (two joins sharing an inner plan but joining on different keys must
-/// not share a build).
-fn hash_exprs(exprs: &[Expr]) -> u64 {
-    use std::hash::{Hash, Hasher};
-    let mut h = std::collections::hash_map::DefaultHasher::new();
-    exprs.hash(&mut h);
-    h.finish()
-}
 
 /// Execution context: database state + optional transition tables.
 pub struct ExecContext<'a> {
@@ -524,25 +283,15 @@ fn hash_join(
     let right_arity = right.arity(ctx.db)?;
 
     // Build on the right, probe from the left (generated plans put the
-    // small transition-derived side on the left). Stable build sides are
-    // served from the cross-firing cache instead of being re-hashed.
-    let cache_key = (Arc::as_ptr(right) as usize, Some(hash_exprs(right_keys)));
-    let cached = cached_or(cache_key, right, Some(right_keys), ctx, || {
-        let rrows = execute(right, ctx)?;
-        let mut build: BuildSide = HashMap::with_capacity(rrows.len());
-        for r in rrows.iter() {
-            build
-                .entry(key_values(right_keys, r)?)
-                .or_default()
-                .push(Arc::clone(r));
-        }
-        Ok(Cached::Build(Arc::new(build)))
-    })?;
-    let Cached::Build(build) = cached else {
-        // Impossible: the fingerprint component of the key separates
-        // build-side entries from plain row results.
-        return Err(Error::Plan("exec cache variant mismatch".into()));
-    };
+    // small transition-derived side on the left).
+    let rrows = execute(right, ctx)?;
+    let mut build: BuildSide = HashMap::with_capacity(rrows.len());
+    for r in rrows.iter() {
+        build
+            .entry(key_values(right_keys, r)?)
+            .or_default()
+            .push(Arc::clone(r));
+    }
 
     let null_fill = nulls(right_arity);
     let mut out = Vec::new();
@@ -684,15 +433,7 @@ fn nl_join(
 ) -> Result<Vec<Row>> {
     let lrows = execute(left, ctx)?;
     let right_arity = right.arity(ctx.db)?;
-    // Stable inner sides (constants tables joined without a pushable
-    // equality) are materialized once and reused across firings.
-    let cache_key = (Arc::as_ptr(right) as usize, None);
-    let cached = cached_or(cache_key, right, None, ctx, || {
-        Ok(Cached::Rows(execute(right, ctx)?))
-    })?;
-    let Cached::Rows(rrows) = cached else {
-        return Err(Error::Plan("exec cache variant mismatch".into()));
-    };
+    let rrows = execute(right, ctx)?;
     let null_fill = nulls(right_arity);
     let mut out = Vec::new();
     for l in lrows.iter() {

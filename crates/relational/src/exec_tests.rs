@@ -591,133 +591,6 @@ fn row_alias_is_arc_slice() {
 }
 
 #[test]
-fn stable_tables_classifies_plans() {
-    let current = scan("product").into_ref();
-    let stable = current.stable_tables().unwrap();
-    assert!(stable.contains("product"));
-
-    let old = PhysicalPlan::TableScan {
-        table: "product".into(),
-        epoch: TableEpoch::Old,
-    }
-    .into_ref();
-    assert_eq!(old.stable_tables(), None);
-
-    let trans = PhysicalPlan::TransitionScan {
-        table: "vendor".into(),
-        side: TransitionSide::Delta,
-        pruned: false,
-    }
-    .into_ref();
-    assert_eq!(trans.stable_tables(), None);
-
-    // Stability is infectious: one unstable input poisons the join.
-    let join = PhysicalPlan::HashJoin {
-        left: trans,
-        right: current,
-        left_keys: vec![Expr::col(1)],
-        right_keys: vec![Expr::col(0)],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
-    .into_ref();
-    assert_eq!(join.stable_tables(), None);
-}
-
-/// A hash join whose build side reads only stored tables reuses the build
-/// across executions until the table changes.
-#[test]
-fn hash_join_build_side_cached_until_table_changes() {
-    let db = setup();
-    let probe = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::str("P1")])],
-    }
-    .into_ref();
-    let plan = PhysicalPlan::HashJoin {
-        left: probe,
-        right: scan("product").into_ref(),
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(0)],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
-    .into_ref();
-
-    assert_eq!(execute_query(&db, &plan).unwrap().len(), 1);
-    assert_eq!(db.stats().build_cache_hits, 0, "first run builds");
-    assert_eq!(db.exec_cache_len(), 1);
-
-    assert_eq!(execute_query(&db, &plan).unwrap().len(), 1);
-    assert_eq!(
-        db.stats().build_cache_hits,
-        1,
-        "second run probes the cache"
-    );
-
-    // Mutating the build-side table invalidates the entry.
-    db.load(
-        "product",
-        vec![vec![Value::str("P9"), Value::str("New"), Value::str("LG")]],
-    )
-    .unwrap();
-    assert_eq!(execute_query(&db, &plan).unwrap().len(), 1);
-    assert_eq!(db.stats().build_cache_hits, 1, "rebuild after mutation");
-    assert_eq!(execute_query(&db, &plan).unwrap().len(), 1);
-    assert_eq!(db.stats().build_cache_hits, 2);
-}
-
-#[test]
-fn exec_cache_disabled_never_hits_and_clears() {
-    let mut db = setup();
-    let plan = PhysicalPlan::NestedLoopJoin {
-        left: PhysicalPlan::Values {
-            arity: 1,
-            rows: vec![row([Value::Int(1)])],
-        }
-        .into_ref(),
-        right: scan("product").into_ref(),
-        predicate: None,
-        kind: JoinKind::Inner,
-    }
-    .into_ref();
-    execute_query(&db, &plan).unwrap();
-    assert_eq!(db.exec_cache_len(), 1);
-    db.set_exec_cache_enabled(false);
-    assert_eq!(db.exec_cache_len(), 0, "disabling clears entries");
-    execute_query(&db, &plan).unwrap();
-    execute_query(&db, &plan).unwrap();
-    assert_eq!(db.stats().build_cache_hits, 0);
-    assert_eq!(db.exec_cache_len(), 0);
-}
-
-/// A database clone never shares cached results with its original: the
-/// copies' tables diverge while their version counters march in step.
-#[test]
-fn cloned_database_gets_fresh_exec_cache() {
-    let db = setup();
-    let plan = PhysicalPlan::HashJoin {
-        left: PhysicalPlan::Values {
-            arity: 1,
-            rows: vec![row([Value::str("P1")])],
-        }
-        .into_ref(),
-        right: scan("product").into_ref(),
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(0)],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
-    .into_ref();
-    execute_query(&db, &plan).unwrap();
-    assert_eq!(db.exec_cache_len(), 1);
-    let clone = db.clone();
-    assert_eq!(clone.exec_cache_len(), 0);
-    execute_query(&clone, &plan).unwrap();
-    assert_eq!(clone.stats().build_cache_hits, 0, "clone rebuilds");
-}
-
-#[test]
 fn counters_separate_scans_from_probes() {
     let db = setup();
     let before = db.stats();
@@ -750,109 +623,6 @@ fn counters_separate_scans_from_probes() {
     let after_probe = db.stats();
     assert_eq!(after_probe.index_probes - after_scan.index_probes, 2);
     assert_eq!(after_probe.rows_scanned, after_scan.rows_scanned);
-}
-
-/// Entries for dropped plans are swept once the cache outgrows its live
-/// working set — trigger churn cannot grow the cache without bound.
-#[test]
-fn exec_cache_sweeps_entries_of_dropped_plans() {
-    let db = setup();
-    for i in 0..1100i64 {
-        // A fresh plan every iteration, dropped at the end of it: the
-        // lookup key (the plan's address) is never revisited.
-        let plan = PhysicalPlan::NestedLoopJoin {
-            left: PhysicalPlan::Values {
-                arity: 1,
-                rows: vec![row([Value::Int(i)])],
-            }
-            .into_ref(),
-            right: scan("product").into_ref(),
-            predicate: None,
-            kind: JoinKind::Inner,
-        }
-        .into_ref();
-        execute_query(&db, &plan).unwrap();
-    }
-    assert!(
-        db.exec_cache_len() < 1024,
-        "dead entries kept: {}",
-        db.exec_cache_len()
-    );
-}
-
-/// Negative (unstable) markers are keyed on the schema generation too: a
-/// DROP/CREATE cycle of a same-shaped table invalidates markers recorded
-/// against the old schema, and the plan re-analyzes against the recreated
-/// world with correct results. (Positive entries already catch this via
-/// their own `schema_gen` check; the marker path used to skip it.)
-#[test]
-fn unstable_marker_invalidated_by_drop_recreate() {
-    let mut db = setup();
-    // Build side reads the Δ transition table: unstable, negatively cached.
-    let plan = PhysicalPlan::HashJoin {
-        left: scan("product").into_ref(),
-        right: PhysicalPlan::TransitionScan {
-            table: "vendor".into(),
-            side: TransitionSide::Delta,
-            pruned: false,
-        }
-        .into_ref(),
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(1)],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
-    .into_ref();
-    let trans = transitions(
-        "vendor",
-        Event::Insert,
-        vec![row([
-            Value::str("Newegg"),
-            Value::str("P1"),
-            Value::Double(1.0),
-        ])],
-        vec![],
-    );
-    assert_eq!(
-        execute_with_transitions(&db, &plan, &trans).unwrap().len(),
-        1
-    );
-    assert_eq!(db.exec_cache_len(), 1, "unstable marker stored");
-    let gen_before = db.schema_generation();
-
-    // Same-shaped drop/recreate of the monitored table moves the schema
-    // generation; the stale marker must be discarded and re-recorded.
-    db.drop_table("vendor").unwrap();
-    db.create_table(
-        TableSchema::new(
-            "vendor",
-            vec![
-                ColumnDef::new("vid", ColumnType::Str),
-                ColumnDef::new("pid", ColumnType::Str),
-                ColumnDef::new("price", ColumnType::Double),
-            ],
-            &["vid", "pid"],
-        )
-        .unwrap(),
-    )
-    .unwrap();
-    assert!(db.schema_generation() > gen_before);
-
-    // Still correct (product row P1 joins the Δ row), marker re-armed.
-    assert_eq!(
-        execute_with_transitions(&db, &plan, &trans).unwrap().len(),
-        1
-    );
-    assert_eq!(db.exec_cache_len(), 1);
-    assert_eq!(
-        execute_with_transitions(&db, &plan, &trans).unwrap().len(),
-        1
-    );
-    assert_eq!(
-        db.stats().build_cache_hits,
-        0,
-        "unstable plans never serve cached builds"
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -531,44 +531,11 @@ impl PhysicalPlan {
         Some(node)
     }
 
-    /// The stored tables this plan's result is a pure function of, or
-    /// `None` when the result also depends on the firing statement (a
-    /// transition-table scan or a reconstructed `Old`-epoch access).
-    ///
-    /// This is the cacheability analysis behind the executor's
-    /// cross-firing caches: a subplan with `Some(tables)` produces
-    /// identical rows for as long as every named table's
-    /// [`version`](crate::Table::version) stands still, so join build
-    /// sides over such subplans can be reused across firings instead of
-    /// being re-hashed each time.
-    pub fn stable_tables(&self) -> Option<BTreeSet<String>> {
-        self.fold(&|node, kid| {
-            let mut out = BTreeSet::new();
-            match node {
-                PhysicalPlan::TransitionScan { .. } => return None,
-                PhysicalPlan::TableScan { table, epoch }
-                | PhysicalPlan::IndexJoin { table, epoch, .. } => {
-                    if *epoch == TableEpoch::Old {
-                        return None;
-                    }
-                    out.insert(table.clone());
-                }
-                _ => {}
-            }
-            for input in node.children() {
-                out.extend(kid(input)?);
-            }
-            Some(out)
-        })
-    }
-
     /// Every stored table this plan can read, regardless of epoch: current
     /// scans and index probes, reconstructed `Old`-epoch accesses, and the
     /// base tables named by transition scans all count.
     ///
-    /// Where [`PhysicalPlan::stable_tables`] answers "what must stand still
-    /// for a cached result to stay valid" (and bails on statement-dependent
-    /// inputs), this is the *footprint* analysis behind write scheduling: a
+    /// This is the *footprint* analysis behind write scheduling: a
     /// writer whose trigger plans only touch these tables can run under
     /// per-table latches instead of the global write lock, in parallel with
     /// writers whose footprints are disjoint.

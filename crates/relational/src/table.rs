@@ -28,9 +28,9 @@
 //! measured 9 µs right after a clone against 2 µs in place — a clone is
 //! worth holding only while it is used.
 //!
-//! Every mutation bumps a per-table **version**; executor-level caches
-//! (join build sides, stable subplan results) key on it so a cached
-//! structure is reused exactly until the data it was built from changes.
+//! Every mutation bumps a per-table **version**. A checkpoint keeps a
+//! table's image file while its version stands still, and a failed
+//! statement's rollback restores the version along with the rows.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -88,8 +88,8 @@ impl Table {
         self.len() == 0
     }
 
-    /// Monotonic per-table mutation counter. Any cache derived from this
-    /// table's contents is valid exactly while the version stands still.
+    /// Monotonic per-table mutation counter: the checkpoint's clean-table
+    /// test (an unchanged version keeps the last image file).
     pub fn version(&self) -> u64 {
         self.version
     }

@@ -63,22 +63,9 @@ pub use viewtree::{LevelSpec, TopBinding, ViewSpec};
 pub struct XQueryFrontend;
 
 fn spanned(e: ParseError, text: &str) -> StatementError {
-    // Clamp to the statement text (`at` sits at text.len() for
-    // end-of-input errors) and snap both ends to UTF-8 char boundaries:
-    // spans are byte offsets that callers slice back out of the text, so
-    // they must cover whole characters even when the error lands on (or
-    // just before) a multibyte one.
-    let mut start = e.at.min(text.len());
-    while start > 0 && !text.is_char_boundary(start) {
-        start -= 1;
-    }
-    let mut end = (start + 1).min(text.len()).max(start);
-    while end < text.len() && !text.is_char_boundary(end) {
-        end += 1;
-    }
     StatementError::Parse {
         message: e.message,
-        span: Span::new(start, end),
+        span: Span::around(text, e.at),
     }
 }
 

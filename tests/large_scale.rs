@@ -14,17 +14,16 @@
 //!   linear in them, and only the first trigger of a shape is translated,
 //! * the bench hierarchy's trigger plan constructs XML for the OLD and NEW
 //!   nodes it delivers and for nothing else (dead-column elimination),
-//! * ordered storage and the cross-firing executor cache change nothing
-//!   observable: a caching session and an uncached one produce identical
-//!   statement results and identical firing sequences (proptest).
+//! * a grouped condition with no pushable equality scans its constants
+//!   table once per firing, warm or not: the executor keeps no state
+//!   across firings.
 
 mod common;
 
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
-use common::{catalog_path, Log};
-use proptest::prelude::*;
+use common::{catalog_path, catalog_system, Log};
 use quark_bench::{build, WorkloadSpec};
 use quark_core::angraph::build_affected;
 use quark_core::oracle::changes_of;
@@ -178,7 +177,7 @@ fn large_cardinality_matches_oracle_in_all_modes() {
 fn firing_at_10k_rows_probes_instead_of_scanning() {
     for mode in [Mode::Ungrouped, Mode::Grouped, Mode::GroupedAgg] {
         let (session, log) = watch_large(mode);
-        // Warm up (first firing may build caches), then measure the next.
+        // Warm up, then measure the next firing.
         session
             .execute("UPDATE vendor SET price = 1.5 WHERE vid = 'V3' AND pid = 'Q00010'")
             .expect("warmup");
@@ -209,9 +208,7 @@ fn work_per_update(mode: Mode, triggers: usize) -> (u64, u64, u64) {
     let mut spec = WorkloadSpec::quick(mode);
     spec.triggers = triggers;
     let mut workload = build(spec).expect("workload");
-    workload
-        .one_update()
-        .expect("warm-up fills the executor cache");
+    workload.one_update().expect("warm-up");
     let before = workload.quark().stats();
     workload.one_update().expect("measured update");
     let after = workload.quark().stats();
@@ -335,175 +332,63 @@ fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
     assert_eq!(xml_constructors(&affected.plan), (2 * 7, 2 * 2));
 }
 
-// ---------------------------------------------------------------------
-// Cached vs uncached differential proptest
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-enum Op {
-    SetVendor(usize, usize, u32),
-    DropVendor(usize, usize),
-    Rename(usize, usize),
-}
-
-const VIDS: [&str; 4] = ["Amazon", "Bestbuy", "Circuitcity", "Buy.com"];
-const PIDS: [&str; 4] = ["P1", "P2", "P3", "P4"];
-const NAMES: [&str; 4] = ["CRT 15", "LCD 19", "OLED 42", "Plasma 50"];
-
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (0..4usize, 0..4usize, 1..400u32).prop_map(|(v, p, c)| Op::SetVendor(v, p, c)),
-        (0..4usize, 0..4usize).prop_map(|(v, p)| Op::DropVendor(v, p)),
-        (0..4usize, 0..4usize).prop_map(|(p, n)| Op::Rename(p, n)),
-    ]
-}
-
-/// Render an op as SQL decided against the current state (identical in
-/// both sessions at this point).
-fn statements_for(db: &Database, op: &Op) -> Vec<String> {
-    match op {
-        Op::SetVendor(v, p, cents) => {
-            let (vid, pid) = (VIDS[*v], PIDS[*p]);
-            let key = [Value::str(vid), Value::str(pid)];
-            let price = *cents as f64 / 2.0;
-            let mut stmts = Vec::new();
-            if db.table("vendor").unwrap().get(&key).is_some() {
-                stmts.push(format!(
-                    "UPDATE vendor SET price = {price:?} WHERE vid = '{vid}' AND pid = '{pid}'"
-                ));
-            } else {
-                if db
-                    .table("product")
-                    .unwrap()
-                    .get(&[Value::str(pid)])
-                    .is_none()
-                {
-                    stmts.push(format!(
-                        "INSERT INTO product VALUES ('{pid}', '{}', 'Acme')",
-                        NAMES[*p]
-                    ));
-                }
-                stmts.push(format!(
-                    "INSERT INTO vendor VALUES ('{vid}', '{pid}', {price:?})"
-                ));
-            }
-            stmts
-        }
-        Op::DropVendor(v, p) => vec![format!(
-            "DELETE FROM vendor WHERE vid = '{}' AND pid = '{}'",
-            VIDS[*v], PIDS[*p]
-        )],
-        Op::Rename(p, n) => {
-            let pid = PIDS[*p];
-            if db
-                .table("product")
-                .unwrap()
-                .get(&[Value::str(pid)])
-                .is_none()
-            {
-                return vec![];
-            }
-            vec![format!(
-                "UPDATE product SET pname = '{}' WHERE pid = '{pid}'",
-                NAMES[*n]
-            )]
-        }
-    }
-}
-
-/// One watched session over the Figure-2 catalog; `cached` toggles the
-/// executor cache.
-fn watched_session(mode: Mode, cached: bool) -> (Session, Log) {
-    let db = product_vendor_db();
-    let pg = catalog_path(&db);
-    let mut quark = Quark::new(db, mode);
-    quark.register_view(XmlView::new("catalog").with_anchor("product", pg));
-    let session = Session::with_frontend(quark, Box::new(XQueryFrontend));
-    session.database_mut().set_exec_cache_enabled(cached);
-    let log = Log::default();
-    for (event, name) in [
-        (XmlEvent::Insert, "ins"),
-        (XmlEvent::Update, "upd"),
-        (XmlEvent::Delete, "del"),
-    ] {
-        let sink = log.clone();
-        session
-            .register_action(format!("record_{name}"), move |_db, call| {
-                sink.0
-                    .lock()
-                    .unwrap()
-                    .push((call.trigger.clone(), call.params.clone()));
-                Ok(())
-            })
-            .expect("action");
+/// A session over the Figure-2 catalog with `triggers` grouped XML triggers
+/// `where NEW_NODE/vendor/price > C_i`, none of which fires: one group, one
+/// constants table with a row per trigger, and a comparison against it that
+/// no index can answer.
+fn price_threshold_session(mode: Mode, triggers: usize) -> (Session, Log) {
+    let (session, log) = catalog_system(mode);
+    for i in 0..triggers {
         session
             .execute(&format!(
-                "create trigger watch_{name} after {event} on view('catalog')/product \
-                 do record_{name}(OLD_NODE, NEW_NODE)"
+                "create trigger above_{i} after update on view('catalog')/product \
+                 where NEW_NODE/vendor/price > {}.0 do notify(NEW_NODE)",
+                10_000 + i
             ))
             .expect("trigger");
     }
     (session, log)
 }
 
-/// Firings rendered as a byte-comparable *sequence* (order matters).
-fn rendered_firings(log: &Log) -> Vec<String> {
-    log.take()
-        .into_iter()
-        .map(|(trigger, params)| {
-            let mut s = trigger;
-            for p in params {
-                s.push('|');
-                s.push_str(&p.to_string());
-            }
-            s
-        })
-        .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig {
-        cases: 32,
-        rng_seed: Some(0x1cde_2005_0004),
-        ..ProptestConfig::default()
-    })]
-
-    /// Ordered storage plus the cross-firing executor cache are invisible:
-    /// a caching session and an uncached one return byte-identical
-    /// statement results and fire in byte-identical order, in both grouped
-    /// modes.
-    #[test]
-    fn cached_execution_is_byte_identical(
-        ops in proptest::collection::vec(op_strategy(), 1..12),
-        agg_mode in 0..2usize,
-    ) {
-        let mode = if agg_mode == 1 { Mode::GroupedAgg } else { Mode::Grouped };
-        let (cached, log_c) = watched_session(mode, true);
-        let (uncached, log_p) = watched_session(mode, false);
-        for op in &ops {
-            // Hoist: the guard must drop before `execute` takes the write
-            // lock, or the loop would self-deadlock.
-            let stmts = statements_for(&cached.database(), op);
-            for stmt in stmts {
-                let a = cached.execute(&stmt);
-                let b = uncached.execute(&stmt);
-                prop_assert_eq!(
-                    format!("{a:?}"),
-                    format!("{b:?}"),
-                    "result mismatch on {}",
-                    stmt
-                );
-                prop_assert_eq!(
-                    rendered_firings(&log_c),
-                    rendered_firings(&log_p),
-                    "firing mismatch on {}",
-                    stmt
-                );
-            }
+/// The one firing shape that reads a whole stored table. A grouped
+/// condition with no pushable equality (`>` against the §5.1 constants)
+/// joins the constants table by a nested loop, so every firing scans it
+/// once: exactly its row count lands in `rows_scanned`, while the index
+/// probes that locate the affected node stay independent of the trigger
+/// count. The executor keeps no result across firings, so a warm firing
+/// pays the same scan as the first.
+#[test]
+fn non_pushable_grouped_condition_scans_its_constants_table_per_firing() {
+    for mode in [Mode::Grouped, Mode::GroupedAgg] {
+        let mut probes = Vec::new();
+        for triggers in [10, 1_000] {
+            let (session, log) = price_threshold_session(mode, triggers);
+            let constants: Vec<u64> = {
+                let db = session.database();
+                db.table_names()
+                    .filter(|t| t.starts_with("__quark_const_"))
+                    .map(|t| db.table(t).unwrap().len() as u64)
+                    .collect()
+            };
+            assert_eq!(constants, [triggers as u64], "{mode:?}/{triggers}");
+            session
+                .execute("UPDATE vendor SET price = 101.0 WHERE vid = 'Amazon' AND pid = 'P1'")
+                .expect("warm-up");
+            let before = session.quark().stats();
+            session
+                .execute("UPDATE vendor SET price = 102.0 WHERE vid = 'Amazon' AND pid = 'P1'")
+                .expect("measured update");
+            let after = session.quark().stats();
+            assert!(log.is_empty(), "{mode:?}/{triggers}: no threshold is met");
+            assert_eq!(after.triggers_fired - before.triggers_fired, 1);
+            assert_eq!(
+                after.rows_scanned - before.rows_scanned,
+                constants[0],
+                "{mode:?}/{triggers}: one constants-table scan per firing"
+            );
+            probes.push(after.index_probes - before.index_probes);
         }
-        // The cached session actually cached something at least once in a
-        // while; assert nothing here (plans may be all-unstable), but the
-        // cache must never grow without bound.
-        prop_assert!(cached.database().exec_cache_len() < 1024);
+        assert!(probes[0] > 0, "{mode:?}: {probes:?}");
+        assert_eq!(probes[0], probes[1], "{mode:?}: probes flat in N");
     }
 }
