@@ -265,7 +265,10 @@ pub fn chain_view_spec(levels: usize) -> ViewSpec {
             attrs: vec![("name".into(), "name".into())],
             // The leaf exposes every column (`{$vendor/*}` in Fig. 3),
             // making the view injective w.r.t. the leaf table so the
-            // Appendix-F optimizations apply, as in the paper's setup.
+            // Appendix-F optimizations apply, as in the paper's setup: a
+            // leaf UPDATE skips the `OLD_NODE ≠ NEW_NODE` guard and builds
+            // no OLD node for a trigger that does not read it. The upper
+            // levels expose only `name`, so their tables are not injective.
             scalars: if leaf {
                 vec![("*".into(), "*".into())]
             } else {

@@ -19,14 +19,16 @@
 //! ignores it) evaluates the *skeleton* graph instead, and — in
 //! GROUPED-AGG mode — old-epoch group-bys over the skeleton are replaced
 //! by `old = new ∓ transition` compensation instead of re-aggregating the
-//! old children.
+//! old children. Compensation needs the group-by's input to be linear in
+//! the table (every input row from exactly one table row); a group-by above
+//! a nested aggregate and its `count ≥ 2` selection is re-aggregated.
 
 use std::collections::HashMap;
 
 use quark_relational::expr::{AggFunc, Expr};
 use quark_relational::plan::{JoinKind, PhysicalPlan, PlanRef};
 use quark_relational::{Database, Result, Value};
-use quark_xqgm::{AggCompensation, Compiler, Driver, OpId, OpKind, TableSource};
+use quark_xqgm::{AggCompensation, Compiler, Driver, KeyedGraph, OpId, OpKind, TableSource};
 
 use crate::akgraph::{create_ak_graph, AkOptions, AkResult, AkSide};
 use crate::inject::{is_injective, skeleton, SkeletonMap};
@@ -147,53 +149,12 @@ pub fn build_affected(
             ((o, map.clone()), m)
         });
 
-    // GROUPED-AGG compensation recipes for distributive old group-bys.
-    let mut recipes: Vec<(OpId, AggCompensation)> = Vec::new();
-    if opts.agg_compensation {
-        if let Some(((skel_old_root, _), mirror)) = &skel_old {
-            let source_delta = TableSource::Delta {
-                pruned: opts.pruned_transitions,
-            };
-            let source_nabla = TableSource::Nabla {
-                pruned: opts.pruned_transitions,
-            };
-            // Pair each mirrored (old) GroupBy with its new counterpart.
-            let pairs: Vec<(OpId, OpId)> = mirror
-                .iter()
-                .filter(|(new_id, old_id)| new_id != old_id)
-                .map(|(&new_id, &old_id)| (new_id, old_id))
-                .collect();
-            let _ = skel_old_root;
-            for (gb_new, gb_old) in pairs {
-                let op = pg.kg.graph.op(gb_new).clone();
-                let OpKind::GroupBy { aggs, .. } = &op.kind else {
-                    continue;
-                };
-                let distributive = aggs.iter().all(|a| {
-                    matches!(a.func, AggFunc::CountStar)
-                        || (a.func == AggFunc::Sum && a.arg.is_some())
-                });
-                if !distributive {
-                    continue;
-                }
-                let existence_agg = aggs
-                    .iter()
-                    .position(|a| matches!(a.func, AggFunc::CountStar));
-                let input = op.inputs[0];
-                let delta_input = pg.kg.variant_with_source(input, table, source_delta);
-                let nabla_input = pg.kg.variant_with_source(input, table, source_nabla);
-                recipes.push((
-                    gb_old,
-                    AggCompensation {
-                        new_op: gb_new,
-                        delta_input,
-                        nabla_input,
-                        existence_agg,
-                    },
-                ));
-            }
+    let recipes = match &skel_old {
+        Some((_, mirror)) if opts.agg_compensation => {
+            compensation_recipes(&mut pg.kg, mirror, table, opts.pruned_transitions)
         }
-    }
+        _ => Vec::new(),
+    };
 
     let ak_new = create_ak_graph(&mut pg.kg, root, table, AkSide::Delta, ak_opts, db)?;
     let ak_old = create_ak_graph(&mut pg.kg, old_root, table, AkSide::Nabla, ak_opts, db)?;
@@ -269,6 +230,78 @@ pub fn build_affected(
     // between groups, persisted and explained.
     affected.plan = PhysicalPlan::prune_dead_columns(&affected.plan, db)?;
     Ok(Some(affected))
+}
+
+/// GROUPED-AGG compensation recipes (§5.2): pair each old-epoch group-by of
+/// the skeleton (`mirror` maps the skeleton's operators to their `G_old`
+/// mirrors, identity where `table` is not read) with its current-epoch
+/// twin, so the old aggregates come out as `old = new − Δ + ∇` instead of
+/// re-aggregating the old children. Only distributive aggregates qualify,
+/// and only over an input linear in `table` ([`linear_in`]): the identity
+/// needs every input row to stem from exactly one `table` row. Above a
+/// nested group-by and its `count ≥ 2` selection it does not hold — a moved
+/// leaf lifting a group over the threshold changes the input by more than
+/// its own Δ/∇ rows, and the compensated old count would be wrong.
+fn compensation_recipes(
+    kg: &mut KeyedGraph,
+    mirror: &HashMap<OpId, OpId>,
+    table: &str,
+    pruned: bool,
+) -> Vec<(OpId, AggCompensation)> {
+    let reads = |id: OpId| mirror.get(&id).is_some_and(|&old| old != id);
+    let mut recipes = Vec::new();
+    for (&gb_new, &gb_old) in mirror {
+        if gb_new == gb_old {
+            continue;
+        }
+        let op = kg.graph.op(gb_new).clone();
+        let OpKind::GroupBy { aggs, .. } = &op.kind else {
+            continue;
+        };
+        let distributive = aggs.iter().all(|a| {
+            matches!(a.func, AggFunc::CountStar) || (a.func == AggFunc::Sum && a.arg.is_some())
+        });
+        if !distributive || !linear_in(kg, op.inputs[0], table, &reads) {
+            continue;
+        }
+        let existence_agg = aggs
+            .iter()
+            .position(|a| matches!(a.func, AggFunc::CountStar));
+        let input = op.inputs[0];
+        let delta_input = kg.variant_with_source(input, table, TableSource::Delta { pruned });
+        let nabla_input = kg.variant_with_source(input, table, TableSource::Nabla { pruned });
+        recipes.push((
+            gb_old,
+            AggCompensation {
+                new_op: gb_new,
+                delta_input,
+                nabla_input,
+                existence_agg,
+            },
+        ));
+    }
+    recipes
+}
+
+/// Does every row of `id` stem from exactly one `table` row, reached through
+/// Select, Project and inner joins whose other side does not read `table`
+/// (`reads`)? Then `id` over `B_old` is `id` over `B`, minus `id` over `ΔB`,
+/// plus `id` over `∇B`, row for row.
+fn linear_in(kg: &KeyedGraph, id: OpId, table: &str, reads: &dyn Fn(OpId) -> bool) -> bool {
+    let op = kg.graph.op(id);
+    match &op.kind {
+        OpKind::Table { table: t, .. } => t == table,
+        OpKind::Select { .. } | OpKind::Project { .. } => linear_in(kg, op.inputs[0], table, reads),
+        OpKind::Join {
+            kind: JoinKind::Inner,
+            ..
+        } => match (reads(op.inputs[0]), reads(op.inputs[1])) {
+            (true, false) => linear_in(kg, op.inputs[0], table, reads),
+            (false, true) => linear_in(kg, op.inputs[1], table, reads),
+            _ => false,
+        },
+        _ => false,
+    }
 }
 
 /// Normalize an affected-keys result to a plan producing distinct full
@@ -499,4 +532,42 @@ fn assemble(
         plan: projected,
         layout,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::inject::tests::chain_view;
+
+    /// GROUPED-AGG compensates the chain view's leaf-level group-by, whose
+    /// input is the leaf table through a projection, and not the top-level
+    /// one, whose input reaches the leaf table through the nested group-by
+    /// and its `count ≥ 2` selection.
+    #[test]
+    fn compensation_stops_at_nested_aggregates() {
+        let (db, mut kg, root) = chain_view(3);
+        let (skel, _) = skeleton(&mut kg, root, &db).unwrap().expect("prunable");
+        let (_, mirror) = kg.old_version_mapped(skel, "t2");
+        let is_group_by =
+            |kg: &KeyedGraph, id: OpId| matches!(kg.graph.op(id).kind, OpKind::GroupBy { .. });
+        let mirrored = mirror
+            .iter()
+            .filter(|&(&new, &old)| new != old && is_group_by(&kg, new))
+            .count();
+        assert_eq!(mirrored, 2, "both group-bys read t2");
+
+        let recipes = compensation_recipes(&mut kg, &mirror, "t2", true);
+        let [(old_op, recipe)] = recipes.as_slice() else {
+            panic!("expected one recipe, got {}", recipes.len());
+        };
+        assert_eq!(*old_op, mirror[&recipe.new_op]);
+        let input = kg.graph.op(recipe.new_op).inputs[0];
+        assert!(matches!(kg.graph.op(input).kind, OpKind::Project { .. }));
+        let base = kg.graph.op(input).inputs[0];
+        assert!(
+            matches!(&kg.graph.op(base).kind, OpKind::Table { table, .. } if table == "t2"),
+            "{:?}",
+            kg.graph.op(base).kind
+        );
+    }
 }

@@ -6,7 +6,11 @@
 //! element construction, `aggXMLFrag`). For such views, pruned transition
 //! tables guarantee no spurious UPDATE events, so the generated trigger can
 //! skip the `OLD_NODE ≠ NEW_NODE` comparison (Theorem 3). The sufficient
-//! conditions implemented here are those of §F.2.
+//! conditions implemented here are those of §F.2. The trace keeps, per
+//! table column, the *set* of output columns carrying it (its carriers): a
+//! column projected both bare and inside an element survives a group-by
+//! that keeps only the element's `aggXMLFrag`, as every leaf column of the
+//! §6.1 benchmark hierarchy does.
 //!
 //! *Skeleton pruning* supports the §5.2 optimization of not computing what
 //! the trigger does not need: when the condition touches only scalar
@@ -27,10 +31,14 @@ use quark_xqgm::{KeyedGraph, OpId, OpKind, TableSource};
 enum Image {
     /// Subtree does not read the table.
     Absent,
-    /// The table's columns inject into these output columns.
-    Cols(BTreeSet<usize>),
-    /// Injectivity broken (column dropped or folded through a lossy
-    /// aggregate).
+    /// Per table column, its *carriers*: every output column that holds it
+    /// injectively (never empty). A column reached both bare and inside an
+    /// element keeps both, so an operator that drops one of them does not
+    /// lose it. A self-join appends the right side's copies as entries of
+    /// their own, so each copy needs a carrier.
+    Cols(Vec<BTreeSet<usize>>),
+    /// Injectivity broken (a column lost its last carrier, or was folded
+    /// through a lossy aggregate).
     Broken,
 }
 
@@ -41,96 +49,85 @@ pub fn is_injective(kg: &KeyedGraph, root: OpId, table: &str, db: &Database) -> 
     Ok(matches!(image(kg, root, table, db)?, Image::Cols(_)))
 }
 
+/// Carry every tracked column through one operator: `out` maps a column's
+/// input carriers to its output carriers. Broken once a column has none.
+fn survive(
+    carriers: Vec<BTreeSet<usize>>,
+    out: impl Fn(&BTreeSet<usize>) -> BTreeSet<usize>,
+) -> Image {
+    let next: Vec<BTreeSet<usize>> = carriers.iter().map(out).collect();
+    if next.iter().any(BTreeSet::is_empty) {
+        Image::Broken
+    } else {
+        Image::Cols(next)
+    }
+}
+
 fn image(kg: &KeyedGraph, id: OpId, table: &str, db: &Database) -> Result<Image> {
     let op = kg.graph.op(id);
+    let input = |i: usize| image(kg, op.inputs[i], table, db);
+    let carried = |e: &Expr, cs: &BTreeSet<usize>| cs.iter().any(|&c| carries_injectively(e, c));
     Ok(match &op.kind {
         OpKind::Table {
             table: t,
             source: TableSource::Base(_),
         } if t == table => {
             let arity = db.table(t)?.schema().arity();
-            Image::Cols((0..arity).collect())
+            Image::Cols((0..arity).map(|c| BTreeSet::from([c])).collect())
         }
         OpKind::Table { .. } => Image::Absent,
-        OpKind::Select { .. } => image(kg, op.inputs[0], table, db)?,
-        OpKind::Project { exprs, .. } => match image(kg, op.inputs[0], table, db)? {
-            Image::Absent => Image::Absent,
-            Image::Broken => Image::Broken,
-            Image::Cols(cols) => {
-                let mut out = BTreeSet::new();
-                for c in cols {
-                    match exprs.iter().position(|e| carries_injectively(e, c)) {
-                        Some(pos) => {
-                            out.insert(pos);
-                        }
-                        None => return Ok(Image::Broken),
-                    }
-                }
-                Image::Cols(out)
-            }
+        OpKind::Select { .. } => input(0)?,
+        OpKind::Project { exprs, .. } => match input(0)? {
+            Image::Cols(cols) => survive(cols, |cs| {
+                (0..exprs.len())
+                    .filter(|&p| carried(&exprs[p], cs))
+                    .collect()
+            }),
+            other => other,
         },
         OpKind::Join { kind, .. } => {
             let left_arity = kg.graph.arity(op.inputs[0], db)?;
-            let li = image(kg, op.inputs[0], table, db)?;
-            let ri = image(kg, op.inputs[1], table, db)?;
-            if !kind.keeps_right() {
+            let shift = |r: Vec<BTreeSet<usize>>| -> Vec<BTreeSet<usize>> {
+                r.into_iter()
+                    .map(|cs| cs.into_iter().map(|c| c + left_arity).collect())
+                    .collect()
+            };
+            match (input(0)?, input(1)?) {
                 // Semi/anti joins drop the right side entirely.
-                return Ok(match ri {
-                    Image::Absent => li,
-                    _ => Image::Broken,
-                });
-            }
-            match (li, ri) {
+                (li, Image::Absent) => li,
+                _ if !kind.keeps_right() => Image::Broken,
                 (Image::Broken, _) | (_, Image::Broken) => Image::Broken,
-                (Image::Absent, Image::Absent) => Image::Absent,
-                (Image::Cols(l), Image::Absent) => Image::Cols(l),
-                (Image::Absent, Image::Cols(r)) => {
-                    Image::Cols(r.into_iter().map(|c| c + left_arity).collect())
+                (Image::Absent, Image::Cols(r)) => Image::Cols(shift(r)),
+                // A self-join: the two sides come from different rows, so
+                // each side's copy of a column needs its own carrier.
+                (Image::Cols(l), Image::Cols(r)) => {
+                    Image::Cols(l.into_iter().chain(shift(r)).collect())
                 }
-                (Image::Cols(l), Image::Cols(r)) => Image::Cols(
-                    l.into_iter()
-                        .chain(r.into_iter().map(|c| c + left_arity))
-                        .collect(),
-                ),
             }
         }
         OpKind::GroupBy {
             group_cols, aggs, ..
-        } => {
-            match image(kg, op.inputs[0], table, db)? {
-                Image::Absent => Image::Absent,
-                Image::Broken => Image::Broken,
-                Image::Cols(cols) => {
-                    let glen = group_cols.len();
-                    let mut out = BTreeSet::new();
-                    'cols: for c in cols {
-                        if let Some(pos) = group_cols.iter().position(|&g| g == c) {
-                            out.insert(pos);
-                            continue;
-                        }
-                        // aggXMLFrag preserves its argument injectively
-                        // (§F.2); every other aggregate is lossy.
-                        for (i, a) in aggs.iter().enumerate() {
-                            if a.func == AggFunc::XmlAgg {
-                                if let Some(arg) = &a.arg {
-                                    if carries_injectively(arg, c) {
-                                        out.insert(glen + i);
-                                        continue 'cols;
-                                    }
-                                }
-                            }
-                        }
-                        return Ok(Image::Broken);
+        } => match input(0)? {
+            // A grouping column survives at its group position; aggXMLFrag
+            // preserves its argument injectively (§F.2); every other
+            // aggregate is lossy.
+            Image::Cols(cols) => survive(cols, |cs| {
+                let groups = (0..group_cols.len()).filter(|&p| cs.contains(&group_cols[p]));
+                let frags = aggs.iter().enumerate().filter_map(|(i, a)| match &a.arg {
+                    Some(arg) if a.func == AggFunc::XmlAgg && carried(arg, cs) => {
+                        Some(group_cols.len() + i)
                     }
-                    Image::Cols(out)
-                }
-            }
-        }
+                    _ => None,
+                });
+                groups.chain(frags).collect()
+            }),
+            other => other,
+        },
         OpKind::Union => {
             // Duplicate elimination may merge tuples from different
             // branches; require every branch to inject at identical
             // positions (cf. proof case 4 of Lemma 3).
-            let mut common: Option<BTreeSet<usize>> = None;
+            let mut common: Option<Vec<BTreeSet<usize>>> = None;
             for &i in &op.inputs {
                 match image(kg, i, table, db)? {
                     Image::Absent => continue,
@@ -349,7 +346,7 @@ fn remap(e: &Expr, map: &SkeletonMap) -> Option<Expr> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use quark_xqgm::fixtures::{catalog_path_graph, minprice_path_graph, product_vendor_db};
     use quark_xqgm::Graph;
@@ -362,6 +359,180 @@ mod tests {
         let top = build_graph(&mut g);
         let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
         (db, kg, root)
+    }
+
+    /// The §6.1 benchmark hierarchy `t0 ← t1 ← … ← t{levels-1}` (`t0(id,
+    /// name, price)`, `ti(id, parent, name, price)`) behind the chain view
+    /// the XQuery crate's row-bound view trees build: per level `[id,
+    /// parent?, e{i}, attr_name]`, `e{i}` carrying the `name` attribute and
+    /// its children's `aggXMLFrag`, the leaf element wrapping every leaf
+    /// column, and `count ≥ 2` on the leaf's parent. The path graph's
+    /// output is `[id, e0, attr_name]`.
+    pub(crate) fn chain_view(levels: usize) -> (Database, KeyedGraph, OpId) {
+        use quark_relational::expr::{AggExpr, BinOp};
+        use quark_relational::{ColumnDef, ColumnType, TableSchema};
+        use quark_xqgm::JoinKind;
+
+        fn level(g: &mut Graph, i: usize, levels: usize) -> OpId {
+            let columns: &[&str] = if i == 0 {
+                &["id", "name", "price"]
+            } else {
+                &["id", "parent", "name", "price"]
+            };
+            let arity = columns.len();
+            let base = g.table(format!("t{i}"));
+            let (input, frag) = if i + 1 < levels {
+                // Child level rows are [id, parent, e{i+1}, attr_name].
+                let child = level(g, i + 1, levels);
+                let agg = g.group_by(
+                    child,
+                    vec![1],
+                    vec![
+                        (
+                            AggExpr::over(AggFunc::XmlAgg, Expr::col(2)),
+                            "children".into(),
+                        ),
+                        (AggExpr::count_star(), "cnt".into()),
+                    ],
+                );
+                let join = g.equi_join(JoinKind::Inner, base, agg, &[(0, 0)], arity);
+                let input = if i + 2 == levels {
+                    g.select(
+                        join,
+                        Expr::bin(BinOp::Ge, Expr::col(arity + 2), Expr::lit(2i64)),
+                    )
+                } else {
+                    join
+                };
+                (input, Some(arity + 1))
+            } else {
+                (base, None)
+            };
+            let name = arity - 2;
+            let mut args = vec![Expr::col(name)];
+            if frag.is_none() {
+                args.extend(columns.iter().enumerate().map(|(c, n)| {
+                    Expr::Func(ScalarFunc::XmlWrap((*n).into()), vec![Expr::col(c)])
+                }));
+            }
+            args.extend(frag.map(Expr::col));
+            let element = ScalarFunc::XmlElement {
+                name: format!("e{i}"),
+                attrs: vec!["name".into()],
+            };
+            let mut exprs = vec![Expr::col(0)];
+            exprs.extend((i > 0).then(|| Expr::col(1)));
+            exprs.push(Expr::Func(element, args));
+            exprs.push(Expr::col(name));
+            let names = (0..exprs.len()).map(|c| format!("c{c}")).collect();
+            g.project(input, exprs, names)
+        }
+
+        let mut db = Database::new();
+        for i in 0..levels {
+            let mut columns = vec![ColumnDef::new("id", ColumnType::Int)];
+            if i > 0 {
+                columns.push(ColumnDef::new("parent", ColumnType::Int));
+            }
+            columns.push(ColumnDef::new("name", ColumnType::Str));
+            columns.push(ColumnDef::new("price", ColumnType::Double));
+            let schema = TableSchema::new(format!("t{i}"), columns, &["id"]).unwrap();
+            db.create_table(schema).unwrap();
+        }
+        let mut g = Graph::new();
+        let top = level(&mut g, 0, levels);
+        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
+        (db, kg, root)
+    }
+
+    /// The benchmark view is injective w.r.t. its leaf table at every depth
+    /// — each leaf column reaches `e0` inside the leaf element, although the
+    /// leaf's group-by drops its bare `id` — and not w.r.t. the upper
+    /// tables, whose `price` never reaches the view.
+    #[test]
+    fn chain_view_injective_wrt_leaf_only() {
+        for levels in 2..=4 {
+            let (db, kg, root) = chain_view(levels);
+            for i in 0..levels {
+                let leaf = i == levels - 1;
+                let injective = is_injective(&kg, root, &format!("t{i}"), &db).unwrap();
+                assert_eq!(injective, leaf, "depth {levels}, t{i}");
+            }
+        }
+    }
+
+    /// A column projected both bare and inside an element survives a
+    /// group-by that keeps only the element's `aggXMLFrag`: one carrier is
+    /// enough.
+    #[test]
+    fn column_survives_through_its_element_when_the_bare_copy_drops() {
+        let (db, kg, root) = normalized(|g| {
+            let vendor = g.table("vendor"); // vid, pid, price
+            let el = Expr::Func(
+                ScalarFunc::XmlElement {
+                    name: "vendor".into(),
+                    attrs: vec![],
+                },
+                (0..3).map(Expr::col).collect(),
+            );
+            let p = g.project(
+                vendor,
+                vec![Expr::col(1), Expr::col(0), el],
+                vec!["pid".into(), "vid".into(), "vendor".into()],
+            );
+            g.group_by(
+                p,
+                vec![0],
+                vec![(
+                    quark_relational::expr::AggExpr::over(AggFunc::XmlAgg, Expr::col(2)),
+                    "vendors".into(),
+                )],
+            )
+        });
+        assert!(is_injective(&kg, root, "vendor", &db).unwrap());
+    }
+
+    /// `vendor v1 JOIN vendor v2 ON v1.pid = v2.pid`: the two sides are
+    /// different rows, so each side's columns need a carrier of their own.
+    /// Projecting only v1's element is not injective (a v2-only update
+    /// leaves the output unchanged); projecting both elements is.
+    #[test]
+    fn self_join_needs_a_carrier_per_side() {
+        let self_join = |sides: &'static [usize]| {
+            normalized(move |g| {
+                let v1 = g.table("vendor"); // vid, pid, price
+                let v2 = g.table("vendor");
+                let j = g.equi_join(quark_xqgm::JoinKind::Inner, v1, v2, &[(1, 1)], 3);
+                let mut exprs = vec![Expr::col(0)];
+                let mut names = vec!["vid".to_string()];
+                for &side in sides {
+                    exprs.push(Expr::Func(
+                        ScalarFunc::XmlElement {
+                            name: "vendor".into(),
+                            attrs: vec![],
+                        },
+                        (3 * side..3 * side + 3).map(Expr::col).collect(),
+                    ));
+                    names.push(format!("v{side}"));
+                }
+                g.project(j, exprs, names)
+            })
+        };
+        let (db, kg, root) = self_join(&[0]);
+        assert!(!is_injective(&kg, root, "vendor", &db).unwrap());
+        let (db, kg, root) = self_join(&[0, 1]);
+        assert!(is_injective(&kg, root, "vendor", &db).unwrap());
+    }
+
+    /// The chain view's skeleton keeps the key and the `name` attribute and
+    /// drops the `e0` element.
+    #[test]
+    fn chain_skeleton_maps_key_and_attr() {
+        let (db, mut kg, root) = chain_view(3);
+        let (_, map) = skeleton(&mut kg, root, &db).unwrap().expect("prunable");
+        assert_eq!(map[0], Some(0));
+        assert_eq!(map[1], None);
+        assert_eq!(map[2], Some(1));
     }
 
     /// §F.1: the catalog view is injective w.r.t. vendor — every vendor

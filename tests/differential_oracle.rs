@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use common::{catalog_path, Log};
 use proptest::prelude::*;
 use quark_bench::chain_view_spec;
-use quark_core::oracle::changes_of;
+use quark_core::oracle::{changes_of, ViewChange};
 use quark_core::relational::{sql, Database, Error, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
 use quark_core::{Mode, Quark, Session, XmlEvent, XmlView};
@@ -306,8 +306,20 @@ fn chain_statement(db: &Database, op: &ChainOp) -> Option<String> {
     })
 }
 
-/// A session over the chain hierarchy with a recording trigger for each XML
-/// event on `view('bench')/e0`.
+/// Top-element names the benchmark-shaped UPDATE triggers watch: the
+/// initial names and two that `ChainOp::Name` renames to.
+const WATCHED: [&str; 6] = ["top_0", "top_1", "top_2", "top_3", "n0", "n1"];
+
+/// A session over the chain hierarchy with two trigger sets on
+/// `view('bench')/e0`:
+///
+/// * `watch_{ins,upd,del}` record both nodes of every event;
+/// * the benchmark's shape, which reads one side only (so the other side
+///   may be a skeleton, and GROUPED-AGG may compensate its aggregates):
+///   `bench_upd_{name}` — `where OLD_NODE/@name = name`, delivering
+///   `NEW_NODE` — for every name in [`WATCHED`], grouped on one constants
+///   table; `bench_ins` delivering `NEW_NODE`; `bench_del` delivering
+///   `OLD_NODE`.
 fn watch_chain(mode: Mode) -> (Session, Log) {
     let session = quark_xquery::session(Database::new(), mode);
     for (level, &rows) in CHAIN_ROWS.iter().enumerate() {
@@ -363,11 +375,31 @@ fn watch_chain(mode: Mode) -> (Session, Log) {
             ))
             .expect("trigger");
     }
+    let mut bench_triggers: Vec<String> = WATCHED
+        .iter()
+        .map(|w| {
+            format!(
+                "create trigger bench_upd_{w} after update on view('bench')/e0 \
+                 where OLD_NODE/@name = '{w}' do record_upd(NEW_NODE)"
+            )
+        })
+        .collect();
+    bench_triggers.push(
+        "create trigger bench_ins after insert on view('bench')/e0 do record_ins(NEW_NODE)".into(),
+    );
+    bench_triggers.push(
+        "create trigger bench_del after delete on view('bench')/e0 do record_del(OLD_NODE)".into(),
+    );
+    for t in &bench_triggers {
+        session.execute(t).expect("trigger");
+    }
     (session, log)
 }
 
-/// `(event, old serialization, new serialization)`, one per firing, sorted:
-/// a multiset, so a duplicated firing is a mismatch too.
+/// `(label, old serialization, new serialization)`, one per firing, sorted:
+/// a multiset, so a duplicated firing is a mismatch too. The label is the
+/// event for `watch_*` and the trigger name for `bench_*`, whose one
+/// delivered node lands on its side and leaves the other empty.
 type ChainObserved = Vec<(String, String, String)>;
 
 fn chain_observed(log: &Log) -> ChainObserved {
@@ -378,13 +410,45 @@ fn chain_observed(log: &Log) -> ChainObserved {
     let mut out: ChainObserved = log
         .take()
         .into_iter()
-        .map(|(trigger, params)| {
-            let event = trigger.trim_start_matches("watch_").to_string();
-            (event, render(&params[0]), render(&params[1]))
+        .map(|(trigger, params)| match trigger.strip_prefix("watch_") {
+            Some(event) => (event.to_string(), render(&params[0]), render(&params[1])),
+            None if trigger == "bench_del" => (trigger, render(&params[0]), String::new()),
+            None => (trigger, String::new(), render(&params[0])),
         })
         .collect();
     out.sort();
     out
+}
+
+/// What both trigger sets of [`watch_chain`] must record for one oracle
+/// change.
+fn chain_expected(c: ViewChange) -> ChainObserved {
+    let old = c.old.as_ref().map(|x| x.to_xml()).unwrap_or_default();
+    let new = c.new.as_ref().map(|x| x.to_xml()).unwrap_or_default();
+    let (event, bench) = match c.event {
+        XmlEvent::Insert => (
+            "ins",
+            Some(("bench_ins".to_string(), String::new(), new.clone())),
+        ),
+        XmlEvent::Delete => (
+            "del",
+            Some(("bench_del".to_string(), old.clone(), String::new())),
+        ),
+        XmlEvent::Update => {
+            let name = c
+                .old
+                .as_ref()
+                .and_then(|x| x.attr("name").map(str::to_string));
+            let watched = name.filter(|n| WATCHED.contains(&n.as_str()));
+            (
+                "upd",
+                watched.map(|n| (format!("bench_upd_{n}"), String::new(), new.clone())),
+            )
+        }
+    };
+    std::iter::once((event.to_string(), old, new))
+        .chain(bench)
+        .collect()
 }
 
 proptest! {
@@ -400,6 +464,11 @@ proptest! {
     /// child predicate, three levels of keys — fires exactly the oracle's
     /// events with byte-identical OLD/NEW nodes in every mode, under keyed
     /// updates at every level, leaf inserts and deletes, and leaf moves.
+    /// The benchmark-shaped set gates the one-sided plans: skeleton sides,
+    /// the elided `OLD_NODE ≠ NEW_NODE` guard on the injective leaf table,
+    /// and GROUPED-AGG's compensation, which must not cross the nested
+    /// aggregate (a leaf moved into a one-leaf middle lifts it over
+    /// `count ≥ 2` and inserts its top).
     #[test]
     fn chain_view_triggers_match_oracle(
         ops in proptest::collection::vec(chain_op_strategy(), 1..12),
@@ -418,16 +487,7 @@ proptest! {
             })
             .expect("oracle")
             .into_iter()
-            .map(|c| {
-                let event = match c.event {
-                    XmlEvent::Insert => "ins",
-                    XmlEvent::Update => "upd",
-                    XmlEvent::Delete => "del",
-                };
-                let old = c.old.map(|x| x.to_xml()).unwrap_or_default();
-                let new = c.new.map(|x| x.to_xml()).unwrap_or_default();
-                (event.to_string(), old, new)
-            })
+            .flat_map(chain_expected)
             .collect();
             expected.sort();
             // The oracle's shadow copy carries the session's SQL triggers:

@@ -12,8 +12,9 @@
 //! * Fig. 17 and the §6 compile-time table: grouped work per update is
 //!   identical at 10 and 1 000 installed triggers, ungrouped work is
 //!   linear in them, and only the first trigger of a shape is translated,
-//! * the bench hierarchy's trigger plan constructs XML for the OLD and NEW
-//!   nodes it delivers and for nothing else (dead-column elimination),
+//! * the bench hierarchy's trigger plan constructs XML for the NEW node it
+//!   delivers and for nothing else (dead-column elimination; the injective
+//!   leaf table drops the `OLD ≠ NEW` guard, so the OLD side is a skeleton),
 //! * a grouped condition with no pushable equality scans its constants
 //!   table once per firing, warm or not: the executor keeps no state
 //!   across firings.
@@ -31,7 +32,7 @@ use quark_core::relational::expr::{AggFunc, Expr, ScalarFunc};
 use quark_core::relational::plan::{PhysicalPlan, PlanRef};
 use quark_core::relational::{sql, Database, Error, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
-use quark_core::{Mode, Needs, Quark, Session, SideNeeds, XmlEvent, XmlView};
+use quark_core::{Mode, Needs, Quark, Session, SideNeeds, StatementResult, XmlEvent, XmlView};
 use quark_xquery::XQueryFrontend;
 
 /// `(event, key, old serialization, new serialization)`.
@@ -298,12 +299,16 @@ fn xml_constructors(plan: &PlanRef) -> (usize, usize) {
 
 /// The affected-node plan of the bench trigger (`… where OLD_NODE/@name =
 /// … do insertTemp(NEW_NODE)`) for an UPDATE of the leaf table `t2` of the
-/// depth-3 chain view builds exactly one OLD and one NEW `e0` node per
-/// affected key — per node, 7 constructors (`e0`, `e1`, `e2` and `e2`'s four
-/// column wraps) and 2 `aggXMLFrag`s — and nothing for the affected-key
-/// branches. (The installed SQL trigger stacks the constants probe,
-/// condition, projection and sort on this plan; none of them constructs
-/// XML.)
+/// depth-3 chain view builds exactly one NEW `e0` node per affected key —
+/// 7 constructors (`e0`, `e1`, `e2` and `e2`'s four column wraps) and 2
+/// `aggXMLFrag`s — and nothing for the OLD side or the affected-key
+/// branches. The view is injective w.r.t. `t2` (every leaf column reaches
+/// `e0` inside the `e2` element), so the installed plan drops the
+/// `OLD_NODE ≠ NEW_NODE` guard (Theorem 3) and the OLD side, which the
+/// trigger never reads, is a skeleton (§5.2). `t0` and `t1` expose only
+/// `name`, so their UPDATE plans keep the guard and both nodes. (The
+/// installed SQL trigger stacks the constants probe, condition, projection
+/// and sort on the affected-node plan; none of them constructs XML.)
 #[test]
 fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
     let mut spec = WorkloadSpec::quick(Mode::Grouped);
@@ -326,10 +331,29 @@ fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
     )
     .expect("translation")
     .expect("t2 affects e0");
-    // Before dead-column elimination the same plan held (50, 10): the Δ
-    // and ∇ affected-key branches compiled the view's constructors and
-    // `aggXMLFrag`s (18 and 3 each) only to project the keys.
-    assert_eq!(xml_constructors(&affected.plan), (2 * 7, 2 * 2));
+    // Without dead-column elimination the Δ and ∇ affected-key branches
+    // would add the view's constructors and `aggXMLFrag`s (18 and 3 each),
+    // compiled only to project the keys; without the `t2` guard elision the
+    // guard would read a full OLD `e0` (7 and 2 more).
+    assert_eq!(xml_constructors(&affected.plan), (7, 2));
+    drop(quark);
+
+    let StatementResult::Explain(text) = workload
+        .session
+        .execute("EXPLAIN TRIGGER xt_0")
+        .expect("explain")
+    else {
+        panic!("expected explain text");
+    };
+    let guard = "Filter Binary { op: Ne";
+    for (table, guarded) in [("t0", true), ("t1", true), ("t2", false)] {
+        let header = format!("AFTER UPDATE ON {table}\n");
+        let plan = text
+            .split("  __quark_g")
+            .find(|section| section.contains(&header))
+            .unwrap_or_else(|| panic!("no UPDATE trigger on {table}:\n{text}"));
+        assert_eq!(plan.contains(guard), guarded, "{table}:\n{plan}");
+    }
 }
 
 /// A session over the Figure-2 catalog with `triggers` grouped XML triggers
