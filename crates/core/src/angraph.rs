@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use quark_relational::expr::{AggFunc, Expr};
-use quark_relational::plan::{JoinKind, PhysicalPlan, PlanRef};
+use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef};
 use quark_relational::{Database, Result, Value};
 use quark_xqgm::{AggCompensation, Compiler, Driver, KeyedGraph, OpId, OpKind, TableSource};
 
@@ -175,13 +175,8 @@ pub fn build_affected(
     if let Some(ak) = &ak_old {
         key_branches.push(full_key_plan(&mut compiler, ak, old_root, &key, db)?);
     }
-    let ou = PhysicalPlan::Distinct {
-        input: PhysicalPlan::UnionAll {
-            inputs: key_branches,
-        }
-        .into_ref(),
-    }
-    .into_ref();
+    let union = PhysicalPlan::new(PlanOp::UnionAll, key_branches).into_ref();
+    let ou = PhysicalPlan::new(PlanOp::Distinct, vec![union]).into_ref();
     let driver = Driver {
         plan: ou,
         cols: (0..key.len()).collect(),
@@ -314,14 +309,7 @@ fn full_key_plan(
     db: &Database,
 ) -> Result<PlanRef> {
     let ak_plan = compiler.compile(ak.op)?;
-    let projected = PhysicalPlan::Distinct {
-        input: PhysicalPlan::Project {
-            input: ak_plan,
-            exprs: ak.cols_in_ak.iter().map(|&c| Expr::col(c)).collect(),
-        }
-        .into_ref(),
-    }
-    .into_ref();
+    let projected = distinct_cols(ak_plan, &ak.cols_in_ak);
     if ak.cols_in_o == key {
         return Ok(projected);
     }
@@ -333,14 +321,14 @@ fn full_key_plan(
     };
     let restricted = compiler.compile_restricted(root, &ak.cols_in_o, &driver)?;
     let _ = db;
-    Ok(PhysicalPlan::Distinct {
-        input: PhysicalPlan::Project {
-            input: restricted,
-            exprs: key.iter().map(|&c| Expr::col(c)).collect(),
-        }
-        .into_ref(),
-    }
-    .into_ref())
+    Ok(distinct_cols(restricted, key))
+}
+
+/// The distinct rows of `plan` projected onto `cols`.
+fn distinct_cols(plan: PlanRef, cols: &[usize]) -> PlanRef {
+    let exprs = cols.iter().map(|&c| Expr::col(c)).collect();
+    let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![plan]).into_ref();
+    PhysicalPlan::new(PlanOp::Distinct, vec![projected]).into_ref()
 }
 
 fn build_side(
@@ -408,8 +396,17 @@ fn assemble(
     db: &Database,
 ) -> Result<AffectedNodePlan> {
     let key_len = key.len();
-    let keyed =
-        |side: &SidePlan| -> Vec<Expr> { side.key_cols.iter().map(|&c| Expr::col(c)).collect() };
+    // The two sides hash-joined on their canonical keys.
+    let join = |left: &SidePlan, right: &SidePlan, kind| {
+        let keyed = |side: &SidePlan| side.key_cols.iter().map(|&c| Expr::col(c)).collect();
+        let op = PlanOp::HashJoin {
+            left_keys: keyed(left),
+            right_keys: keyed(right),
+            kind,
+            filter: None,
+        };
+        PhysicalPlan::new(op, vec![left.plan.clone(), right.plan.clone()]).into_ref()
+    };
 
     // Final layout: [key…, old_node, new_node, old attrs…, new attrs…].
     let mut layout = AffectedLayout {
@@ -423,51 +420,26 @@ fn assemble(
 
     let (plan, old_base, new_base): (PlanRef, Option<usize>, Option<usize>) = match event {
         XmlEvent::Update => {
-            let joined = PhysicalPlan::HashJoin {
-                left: new_side.plan.clone(),
-                right: old_side.plan.clone(),
-                left_keys: keyed(&new_side),
-                right_keys: keyed(&old_side),
-                kind: JoinKind::Inner,
-                filter: None,
-            }
-            .into_ref();
+            let joined = join(&new_side, &old_side, JoinKind::Inner);
             let plan = match (skip_value_check, new_side.node_col, old_side.node_col) {
-                (false, Some(nn), Some(on)) => PhysicalPlan::Filter {
-                    input: joined,
-                    predicate: Expr::bin(
+                (false, Some(nn), Some(on)) => {
+                    let predicate = Expr::bin(
                         quark_relational::expr::BinOp::Ne,
                         Expr::col(nn),
                         Expr::col(new_side.arity + on),
-                    ),
+                    );
+                    PhysicalPlan::new(PlanOp::Filter { predicate }, vec![joined]).into_ref()
                 }
-                .into_ref(),
                 _ => joined,
             };
             (plan, Some(new_side.arity), Some(0))
         }
         XmlEvent::Insert => {
-            let plan = PhysicalPlan::HashJoin {
-                left: new_side.plan.clone(),
-                right: old_side.plan.clone(),
-                left_keys: keyed(&new_side),
-                right_keys: keyed(&old_side),
-                kind: JoinKind::LeftAnti,
-                filter: None,
-            }
-            .into_ref();
+            let plan = join(&new_side, &old_side, JoinKind::LeftAnti);
             (plan, None, Some(0))
         }
         XmlEvent::Delete => {
-            let plan = PhysicalPlan::HashJoin {
-                left: old_side.plan.clone(),
-                right: new_side.plan.clone(),
-                left_keys: keyed(&old_side),
-                right_keys: keyed(&new_side),
-                kind: JoinKind::LeftAnti,
-                filter: None,
-            }
-            .into_ref();
+            let plan = join(&old_side, &new_side, JoinKind::LeftAnti);
             (plan, Some(0), None)
         }
     };
@@ -526,7 +498,7 @@ fn assemble(
         }
     }
 
-    let projected = PhysicalPlan::Project { input: plan, exprs }.into_ref();
+    let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![plan]).into_ref();
     let _ = db;
     Ok(AffectedNodePlan {
         plan: projected,

@@ -34,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use quark_relational::expr::{BinOp, Expr};
-use quark_relational::plan::{PhysicalPlan, PlanRef, SortKey};
+use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch};
 use quark_relational::{
     ColumnDef, ColumnType, Database, Error, Result, Row, SqlTrigger, TableSchema, TriggerBody,
     Value,
@@ -898,11 +898,6 @@ impl Quark {
                     // Join with the constants table (Fig. 14/15): hash-join
                     // on a pushable `path = const` equality when one exists,
                     // else nested-loop.
-                    let const_scan = PhysicalPlan::TableScan {
-                        table: ct.to_string(),
-                        epoch: quark_relational::plan::TableEpoch::Current,
-                    }
-                    .into_ref();
                     let params: Vec<usize> =
                         (0..n_consts).map(|i| affected_arity + 1 + i).collect();
                     let cl = CondLayout {
@@ -919,24 +914,27 @@ impl Quark {
                             // affected nodes, not to the number of XML
                             // triggers (Fig. 17's flat GROUPED curve).
                             let key_expr = compile_cond_value_for_join(cond, layout)?;
-                            let _ = const_scan;
-                            PhysicalPlan::IndexJoin {
-                                outer: affected,
+                            let op = PlanOp::IndexJoin {
                                 table: ct.to_string(),
-                                epoch: quark_relational::plan::TableEpoch::Current,
+                                epoch: TableEpoch::Current,
                                 probe: vec![(1 + param_idx, key_expr)],
-                                kind: quark_relational::plan::JoinKind::Inner,
+                                kind: JoinKind::Inner,
                                 filter: None,
-                            }
-                            .into_ref()
+                            };
+                            PhysicalPlan::new(op, vec![affected]).into_ref()
                         }
-                        None => PhysicalPlan::NestedLoopJoin {
-                            left: affected,
-                            right: const_scan,
-                            predicate: None,
-                            kind: quark_relational::plan::JoinKind::Inner,
+                        None => {
+                            let const_scan = PlanOp::TableScan {
+                                table: ct.to_string(),
+                                epoch: TableEpoch::Current,
+                            };
+                            let const_scan = PhysicalPlan::new(const_scan, vec![]).into_ref();
+                            let op = PlanOp::NestedLoopJoin {
+                                predicate: None,
+                                kind: JoinKind::Inner,
+                            };
+                            PhysicalPlan::new(op, vec![affected, const_scan]).into_ref()
                         }
-                        .into_ref(),
                     };
                     (join, cl, params, Expr::col(affected_arity))
                 }
@@ -954,12 +952,8 @@ impl Quark {
 
         // Apply the full condition relationally when possible.
         let (filtered, residual) = match cond.compile(&base_layout) {
-            Ok(pred) => (
-                PhysicalPlan::Filter {
-                    input: joined,
-                    predicate: pred,
-                }
-                .into_ref(),
+            Ok(predicate) => (
+                PhysicalPlan::new(PlanOp::Filter { predicate }, vec![joined]).into_ref(),
                 None,
             ),
             Err(_) => (joined, Some(cond.clone())),
@@ -968,16 +962,9 @@ impl Quark {
         // Final projection [set_id, old, new, params…], sorted by set id.
         let mut exprs = vec![set_expr, old_expr, new_expr];
         exprs.extend(param_cols.into_iter().map(Expr::col));
-        let projected = PhysicalPlan::Project {
-            input: filtered,
-            exprs,
-        }
-        .into_ref();
-        let sorted = PhysicalPlan::Sort {
-            input: projected,
-            keys: vec![SortKey::asc(0)],
-        }
-        .into_ref();
+        let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![filtered]).into_ref();
+        let keys = vec![SortKey::asc(0)];
+        let sorted = PhysicalPlan::new(PlanOp::Sort { keys }, vec![projected]).into_ref();
         Ok((sorted, residual))
     }
 

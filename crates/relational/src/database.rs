@@ -1158,7 +1158,7 @@ fn probe(t: &Table, pred: &Expr) -> Option<Vec<Row>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{PhysicalPlan, TransitionSide};
+    use crate::plan::{PhysicalPlan, PlanOp, TransitionSide};
     use crate::schema::ColumnDef;
     use crate::value::ColumnType;
     use std::sync::Mutex;
@@ -1273,15 +1273,20 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        let plan = PhysicalPlan::Project {
-            input: PhysicalPlan::TransitionScan {
-                table: "vendor".into(),
-                side: TransitionSide::Delta,
-                pruned: false,
-            }
-            .into_ref(),
-            exprs: vec![crate::expr::Expr::col(0)],
-        }
+        let plan = PhysicalPlan::new(
+            PlanOp::Project {
+                exprs: vec![crate::expr::Expr::col(0)],
+            },
+            vec![PhysicalPlan::new(
+                PlanOp::TransitionScan {
+                    table: "vendor".into(),
+                    side: TransitionSide::Delta,
+                    pruned: false,
+                },
+                vec![],
+            )
+            .into_ref()],
+        )
         .into_ref();
         db.create_trigger(SqlTrigger {
             name: "log_inserts".into(),

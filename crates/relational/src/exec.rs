@@ -13,7 +13,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use crate::expr::{eval_all, AggState, Expr};
-use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
+use crate::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::value::{Row, Value};
 use crate::{Counter, Database, Error, Event, Result, TransitionTables};
 
@@ -78,9 +78,10 @@ pub fn execute(plan: &PlanRef, ctx: &ExecContext<'_>) -> Result<RowsRef> {
 }
 
 fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
-    match plan {
-        PhysicalPlan::TableScan { table, epoch } => scan_table(table, *epoch, ctx),
-        PhysicalPlan::TransitionScan {
+    let input = |i: usize| &plan.inputs[i];
+    match &plan.op {
+        PlanOp::TableScan { table, epoch } => scan_table(table, *epoch, ctx),
+        PlanOp::TransitionScan {
             table,
             side,
             pruned,
@@ -103,9 +104,9 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
                 Ok(main.clone())
             }
         }
-        PhysicalPlan::Values { rows, .. } => Ok(rows.clone()),
-        PhysicalPlan::Filter { input, predicate } => {
-            let rows = execute(input, ctx)?;
+        PlanOp::Values { rows, .. } => Ok(rows.clone()),
+        PlanOp::Filter { predicate } => {
+            let rows = execute(input(0), ctx)?;
             let mut out = Vec::new();
             for r in rows.iter() {
                 if predicate.eval(r)?.is_true() {
@@ -114,61 +115,51 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
             }
             Ok(out)
         }
-        PhysicalPlan::Project { input, exprs } => {
-            let rows = execute(input, ctx)?;
+        PlanOp::Project { exprs } => {
+            let rows = execute(input(0), ctx)?;
             let mut out = Vec::with_capacity(rows.len());
             for r in rows.iter() {
                 out.push(eval_all(exprs, r)?);
             }
             Ok(out)
         }
-        PhysicalPlan::HashJoin {
-            left,
-            right,
+        PlanOp::HashJoin {
             left_keys,
             right_keys,
             kind,
             filter,
         } => hash_join(
-            left,
-            right,
+            input(0),
+            input(1),
             left_keys,
             right_keys,
             *kind,
             filter.as_ref(),
             ctx,
         ),
-        PhysicalPlan::IndexJoin {
-            outer,
+        PlanOp::IndexJoin {
             table,
             epoch,
             probe,
             kind,
             filter,
-        } => index_join(outer, table, *epoch, probe, *kind, filter.as_ref(), ctx),
-        PhysicalPlan::NestedLoopJoin {
-            left,
-            right,
-            predicate,
-            kind,
-        } => nl_join(left, right, predicate.as_ref(), *kind, ctx),
-        PhysicalPlan::HashAggregate {
-            input,
-            group_exprs,
-            aggs,
-        } => {
-            let rows = execute(input, ctx)?;
+        } => index_join(input(0), table, *epoch, probe, *kind, filter.as_ref(), ctx),
+        PlanOp::NestedLoopJoin { predicate, kind } => {
+            nl_join(input(0), input(1), predicate.as_ref(), *kind, ctx)
+        }
+        PlanOp::HashAggregate { group_exprs, aggs } => {
+            let rows = execute(input(0), ctx)?;
             aggregate(&rows, group_exprs, aggs)
         }
-        PhysicalPlan::UnionAll { inputs } => {
+        PlanOp::UnionAll => {
             let mut out = Vec::new();
-            for i in inputs {
+            for i in &plan.inputs {
                 out.extend(execute(i, ctx)?.iter().cloned());
             }
             Ok(out)
         }
-        PhysicalPlan::Distinct { input } => {
-            let rows = execute(input, ctx)?;
+        PlanOp::Distinct => {
+            let rows = execute(input(0), ctx)?;
             let mut seen: HashSet<Row> = HashSet::with_capacity(rows.len());
             let mut out = Vec::new();
             for r in rows.iter() {
@@ -178,12 +169,12 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
             }
             Ok(out)
         }
-        PhysicalPlan::Sort { input, keys } => {
-            let rows = execute(input, ctx)?;
+        PlanOp::Sort { keys } => {
+            let rows = execute(input(0), ctx)?;
             sort_rows(&rows, keys)
         }
-        PhysicalPlan::Unnest { input, expr } => {
-            let rows = execute(input, ctx)?;
+        PlanOp::Unnest { expr } => {
+            let rows = execute(input(0), ctx)?;
             let mut out = Vec::new();
             for r in rows.iter() {
                 match expr.eval(r)? {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::exec::{execute, execute_query, execute_with_transitions, transitions, ExecContext};
 use crate::expr::{AggExpr, AggFunc, BinOp, Expr, ScalarFunc};
-use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
+use crate::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::value::row;
 use crate::{ColumnDef, ColumnType, Database, Event, Row, TableSchema, TransitionTables, Value};
 
@@ -101,23 +101,30 @@ fn setup() -> Database {
 }
 
 fn scan(table: &str) -> PhysicalPlan {
-    PhysicalPlan::TableScan {
-        table: table.into(),
-        epoch: TableEpoch::Current,
-    }
+    PhysicalPlan::new(
+        PlanOp::TableScan {
+            table: table.into(),
+            epoch: TableEpoch::Current,
+        },
+        vec![],
+    )
 }
 
 #[test]
 fn filter_and_project() {
     let db = setup();
-    let plan = PhysicalPlan::Project {
-        input: PhysicalPlan::Filter {
-            input: scan("vendor").into_ref(),
-            predicate: Expr::bin(BinOp::Gt, Expr::col(2), Expr::lit(150.0)),
-        }
-        .into_ref(),
-        exprs: vec![Expr::col(0), Expr::col(2)],
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::Project {
+            exprs: vec![Expr::col(0), Expr::col(2)],
+        },
+        vec![PhysicalPlan::new(
+            PlanOp::Filter {
+                predicate: Expr::bin(BinOp::Gt, Expr::col(2), Expr::lit(150.0)),
+            },
+            vec![scan("vendor").into_ref()],
+        )
+        .into_ref()],
+    )
     .into_ref();
     let mut rows = execute_query(&db, &plan).unwrap();
     rows.sort();
@@ -134,14 +141,15 @@ fn filter_and_project() {
 fn hash_join_inner() {
     let db = setup();
     // vendor ⋈ product on pid.
-    let plan = PhysicalPlan::HashJoin {
-        left: scan("vendor").into_ref(),
-        right: scan("product").into_ref(),
-        left_keys: vec![Expr::col(1)],
-        right_keys: vec![Expr::col(0)],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::HashJoin {
+            left_keys: vec![Expr::col(1)],
+            right_keys: vec![Expr::col(0)],
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![scan("vendor").into_ref(), scan("product").into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows.len(), 7);
@@ -161,14 +169,15 @@ fn hash_join_left_outer_pads_nulls() {
         ]],
     )
     .unwrap();
-    let plan = PhysicalPlan::HashJoin {
-        left: scan("product").into_ref(),
-        right: scan("vendor").into_ref(),
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(1)],
-        kind: JoinKind::LeftOuter,
-        filter: None,
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::HashJoin {
+            left_keys: vec![Expr::col(0)],
+            right_keys: vec![Expr::col(1)],
+            kind: JoinKind::LeftOuter,
+            filter: None,
+        },
+        vec![scan("product").into_ref(), scan("vendor").into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows.len(), 8); // 7 matches + 1 padded row for P4
@@ -188,26 +197,28 @@ fn semi_and_anti_joins() {
         ]],
     )
     .unwrap();
-    let semi = PhysicalPlan::HashJoin {
-        left: scan("product").into_ref(),
-        right: scan("vendor").into_ref(),
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(1)],
-        kind: JoinKind::LeftSemi,
-        filter: None,
-    }
+    let semi = PhysicalPlan::new(
+        PlanOp::HashJoin {
+            left_keys: vec![Expr::col(0)],
+            right_keys: vec![Expr::col(1)],
+            kind: JoinKind::LeftSemi,
+            filter: None,
+        },
+        vec![scan("product").into_ref(), scan("vendor").into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &semi).unwrap();
     assert_eq!(rows.len(), 3); // P1-P3 have vendors; each product once
 
-    let anti = PhysicalPlan::HashJoin {
-        left: scan("product").into_ref(),
-        right: scan("vendor").into_ref(),
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(1)],
-        kind: JoinKind::LeftAnti,
-        filter: None,
-    }
+    let anti = PhysicalPlan::new(
+        PlanOp::HashJoin {
+            left_keys: vec![Expr::col(0)],
+            right_keys: vec![Expr::col(1)],
+            kind: JoinKind::LeftAnti,
+            filter: None,
+        },
+        vec![scan("product").into_ref(), scan("vendor").into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &anti).unwrap();
     assert_eq!(rows.len(), 1);
@@ -217,14 +228,16 @@ fn semi_and_anti_joins() {
 #[test]
 fn group_by_count_per_product() {
     let db = setup();
-    let plan = PhysicalPlan::HashAggregate {
-        input: scan("vendor").into_ref(),
-        group_exprs: vec![Expr::col(1)],
-        aggs: vec![
-            AggExpr::count_star(),
-            AggExpr::over(AggFunc::Min, Expr::col(2)),
-        ],
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::HashAggregate {
+            group_exprs: vec![Expr::col(1)],
+            aggs: vec![
+                AggExpr::count_star(),
+                AggExpr::over(AggFunc::Min, Expr::col(2)),
+            ],
+        },
+        vec![scan("vendor").into_ref()],
+    )
     .into_ref();
     let mut rows = execute_query(&db, &plan).unwrap();
     rows.sort();
@@ -241,18 +254,23 @@ fn group_by_count_per_product() {
 #[test]
 fn scalar_aggregate_over_empty_input_yields_identity_row() {
     let db = setup();
-    let plan = PhysicalPlan::HashAggregate {
-        input: PhysicalPlan::Values {
-            arity: 1,
-            rows: vec![],
-        }
-        .into_ref(),
-        group_exprs: vec![],
-        aggs: vec![
-            AggExpr::count_star(),
-            AggExpr::over(AggFunc::Sum, Expr::col(0)),
-        ],
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::HashAggregate {
+            group_exprs: vec![],
+            aggs: vec![
+                AggExpr::count_star(),
+                AggExpr::over(AggFunc::Sum, Expr::col(0)),
+            ],
+        },
+        vec![PhysicalPlan::new(
+            PlanOp::Values {
+                arity: 1,
+                rows: vec![],
+            },
+            vec![],
+        )
+        .into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows, vec![row([Value::Int(0), Value::Null])]);
@@ -262,18 +280,23 @@ fn scalar_aggregate_over_empty_input_yields_identity_row() {
 fn index_join_probes_secondary_index() {
     let db = setup();
     // Outer: a single P1 key row; inner: vendor by pid index.
-    let outer = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::str("P1")])],
-    };
-    let plan = PhysicalPlan::IndexJoin {
-        outer: outer.into_ref(),
-        table: "vendor".into(),
-        epoch: TableEpoch::Current,
-        probe: vec![(1, Expr::col(0))],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let outer = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::str("P1")])],
+        },
+        vec![],
+    );
+    let plan = PhysicalPlan::new(
+        PlanOp::IndexJoin {
+            table: "vendor".into(),
+            epoch: TableEpoch::Current,
+            probe: vec![(1, Expr::col(0))],
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![outer.into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows.len(), 3);
@@ -283,18 +306,23 @@ fn index_join_probes_secondary_index() {
 #[test]
 fn index_join_probes_primary_key() {
     let db = setup();
-    let outer = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::str("P2")])],
-    };
-    let plan = PhysicalPlan::IndexJoin {
-        outer: outer.into_ref(),
-        table: "product".into(),
-        epoch: TableEpoch::Current,
-        probe: vec![(0, Expr::col(0))],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let outer = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::str("P2")])],
+        },
+        vec![],
+    );
+    let plan = PhysicalPlan::new(
+        PlanOp::IndexJoin {
+            table: "product".into(),
+            epoch: TableEpoch::Current,
+            probe: vec![(0, Expr::col(0))],
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![outer.into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows.len(), 1);
@@ -304,18 +332,23 @@ fn index_join_probes_primary_key() {
 #[test]
 fn index_join_without_index_is_a_plan_error() {
     let db = setup();
-    let outer = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::Double(100.0)])],
-    };
-    let plan = PhysicalPlan::IndexJoin {
-        outer: outer.into_ref(),
-        table: "vendor".into(),
-        epoch: TableEpoch::Current,
-        probe: vec![(2, Expr::col(0))], // price: not indexed
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let outer = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::Double(100.0)])],
+        },
+        vec![],
+    );
+    let plan = PhysicalPlan::new(
+        PlanOp::IndexJoin {
+            table: "vendor".into(),
+            epoch: TableEpoch::Current,
+            probe: vec![(2, Expr::col(0))], // price: not indexed
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![outer.into_ref()],
+    )
     .into_ref();
     assert!(execute_query(&db, &plan).is_err());
 }
@@ -339,32 +372,42 @@ fn old_epoch_reconstructs_pre_statement_state() {
     let trans = transitions("vendor", Event::Update, vec![new_row], vec![old_row]);
 
     // Old-epoch scan sees 100.0 for Amazon.
-    let plan = PhysicalPlan::Filter {
-        input: PhysicalPlan::TableScan {
-            table: "vendor".into(),
-            epoch: TableEpoch::Old,
-        }
-        .into_ref(),
-        predicate: Expr::eq(Expr::col(0), Expr::lit("Amazon")),
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::Filter {
+            predicate: Expr::eq(Expr::col(0), Expr::lit("Amazon")),
+        },
+        vec![PhysicalPlan::new(
+            PlanOp::TableScan {
+                table: "vendor".into(),
+                epoch: TableEpoch::Old,
+            },
+            vec![],
+        )
+        .into_ref()],
+    )
     .into_ref();
     let rows = execute_with_transitions(&db, &plan, &trans).unwrap();
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0][2], Value::Double(100.0));
 
     // Old-epoch index probe by pid sees 3 vendors with the old price.
-    let outer = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::str("P1")])],
-    };
-    let plan = PhysicalPlan::IndexJoin {
-        outer: outer.into_ref(),
-        table: "vendor".into(),
-        epoch: TableEpoch::Old,
-        probe: vec![(1, Expr::col(0))],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let outer = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::str("P1")])],
+        },
+        vec![],
+    );
+    let plan = PhysicalPlan::new(
+        PlanOp::IndexJoin {
+            table: "vendor".into(),
+            epoch: TableEpoch::Old,
+            probe: vec![(1, Expr::col(0))],
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![outer.into_ref()],
+    )
     .into_ref();
     let rows = execute_with_transitions(&db, &plan, &trans).unwrap();
     assert_eq!(rows.len(), 3);
@@ -372,18 +415,23 @@ fn old_epoch_reconstructs_pre_statement_state() {
     assert_eq!(amazon[3], Value::Double(100.0));
 
     // Current-epoch probe sees the new price.
-    let outer = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::str("P1")])],
-    };
-    let plan = PhysicalPlan::IndexJoin {
-        outer: outer.into_ref(),
-        table: "vendor".into(),
-        epoch: TableEpoch::Current,
-        probe: vec![(1, Expr::col(0))],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let outer = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::str("P1")])],
+        },
+        vec![],
+    );
+    let plan = PhysicalPlan::new(
+        PlanOp::IndexJoin {
+            table: "vendor".into(),
+            epoch: TableEpoch::Current,
+            probe: vec![(1, Expr::col(0))],
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![outer.into_ref()],
+    )
     .into_ref();
     let rows = execute_with_transitions(&db, &plan, &trans).unwrap();
     let amazon = rows.iter().find(|r| r[1] == Value::str("Amazon")).unwrap();
@@ -404,10 +452,13 @@ fn old_epoch_after_insert_excludes_new_rows() {
     .unwrap();
     let new_row = row([Value::str("Amazon"), Value::str("P2"), Value::Double(500.0)]);
     let trans = transitions("vendor", Event::Insert, vec![new_row], vec![]);
-    let plan = PhysicalPlan::TableScan {
-        table: "vendor".into(),
-        epoch: TableEpoch::Old,
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::TableScan {
+            table: "vendor".into(),
+            epoch: TableEpoch::Old,
+        },
+        vec![],
+    )
     .into_ref();
     let rows = execute_with_transitions(&db, &plan, &trans).unwrap();
     assert_eq!(rows.len(), 7); // the original 7, not 8
@@ -420,10 +471,13 @@ fn old_epoch_after_delete_restores_rows() {
     let old = db.table("vendor").unwrap().get(&key).unwrap().clone();
     db.delete_by_key("vendor", &key).unwrap();
     let trans = transitions("vendor", Event::Delete, vec![], vec![old]);
-    let plan = PhysicalPlan::TableScan {
-        table: "vendor".into(),
-        epoch: TableEpoch::Old,
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::TableScan {
+            table: "vendor".into(),
+            epoch: TableEpoch::Old,
+        },
+        vec![],
+    )
     .into_ref();
     let rows = execute_with_transitions(&db, &plan, &trans).unwrap();
     assert_eq!(rows.len(), 7);
@@ -441,21 +495,27 @@ fn pruned_transition_scan_drops_noop_updates() {
         vec![Arc::clone(&same), changed_new.clone()],
         vec![Arc::clone(&same), changed_old.clone()],
     );
-    let raw = PhysicalPlan::TransitionScan {
-        table: "vendor".into(),
-        side: TransitionSide::Delta,
-        pruned: false,
-    }
+    let raw = PhysicalPlan::new(
+        PlanOp::TransitionScan {
+            table: "vendor".into(),
+            side: TransitionSide::Delta,
+            pruned: false,
+        },
+        vec![],
+    )
     .into_ref();
     assert_eq!(
         execute_with_transitions(&db, &raw, &trans).unwrap().len(),
         2
     );
-    let pruned = PhysicalPlan::TransitionScan {
-        table: "vendor".into(),
-        side: TransitionSide::Delta,
-        pruned: true,
-    }
+    let pruned = PhysicalPlan::new(
+        PlanOp::TransitionScan {
+            table: "vendor".into(),
+            side: TransitionSide::Delta,
+            pruned: true,
+        },
+        vec![],
+    )
     .into_ref();
     let rows = execute_with_transitions(&db, &pruned, &trans).unwrap();
     assert_eq!(rows, vec![changed_new]);
@@ -464,11 +524,14 @@ fn pruned_transition_scan_drops_noop_updates() {
 #[test]
 fn transition_scan_outside_trigger_context_errors() {
     let db = setup();
-    let plan = PhysicalPlan::TransitionScan {
-        table: "vendor".into(),
-        side: TransitionSide::Delta,
-        pruned: false,
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::TransitionScan {
+            table: "vendor".into(),
+            side: TransitionSide::Delta,
+            pruned: false,
+        },
+        vec![],
+    )
     .into_ref();
     assert!(execute_query(&db, &plan).is_err());
 }
@@ -476,23 +539,32 @@ fn transition_scan_outside_trigger_context_errors() {
 #[test]
 fn union_all_distinct_sort() {
     let db = setup();
-    let a = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::Int(2)]), row([Value::Int(1)])],
-    }
+    let a = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::Int(2)]), row([Value::Int(1)])],
+        },
+        vec![],
+    )
     .into_ref();
-    let b = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::Int(2)])],
-    }
+    let b = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::Int(2)])],
+        },
+        vec![],
+    )
     .into_ref();
-    let plan = PhysicalPlan::Sort {
-        input: PhysicalPlan::Distinct {
-            input: PhysicalPlan::UnionAll { inputs: vec![a, b] }.into_ref(),
-        }
-        .into_ref(),
-        keys: vec![SortKey::asc(0)],
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::Sort {
+            keys: vec![SortKey::asc(0)],
+        },
+        vec![PhysicalPlan::new(
+            PlanOp::Distinct,
+            vec![PhysicalPlan::new(PlanOp::UnionAll, vec![a, b]).into_ref()],
+        )
+        .into_ref()],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows, vec![row([Value::Int(1)]), row([Value::Int(2)])]);
@@ -501,22 +573,27 @@ fn union_all_distinct_sort() {
 #[test]
 fn sort_desc_and_stability() {
     let db = setup();
-    let input = PhysicalPlan::Values {
-        arity: 2,
-        rows: vec![
-            row([Value::Int(1), Value::str("a")]),
-            row([Value::Int(2), Value::str("b")]),
-            row([Value::Int(1), Value::str("c")]),
-        ],
-    }
+    let input = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 2,
+            rows: vec![
+                row([Value::Int(1), Value::str("a")]),
+                row([Value::Int(2), Value::str("b")]),
+                row([Value::Int(1), Value::str("c")]),
+            ],
+        },
+        vec![],
+    )
     .into_ref();
-    let plan = PhysicalPlan::Sort {
-        input,
-        keys: vec![SortKey {
-            expr: Expr::col(0),
-            desc: true,
-        }],
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::Sort {
+            keys: vec![SortKey {
+                expr: Expr::col(0),
+                desc: true,
+            }],
+        },
+        vec![input],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows[0][0], Value::Int(2));
@@ -530,15 +607,18 @@ fn shared_subplans_execute_once() {
     let db = setup();
     // A shared Values node consumed by two branches of a union: memoization
     // must return the identical Arc for both executions.
-    let shared = PhysicalPlan::HashAggregate {
-        input: scan("vendor").into_ref(),
-        group_exprs: vec![Expr::col(1)],
-        aggs: vec![AggExpr::count_star()],
-    }
+    let shared = PhysicalPlan::new(
+        PlanOp::HashAggregate {
+            group_exprs: vec![Expr::col(1)],
+            aggs: vec![AggExpr::count_star()],
+        },
+        vec![scan("vendor").into_ref()],
+    )
     .into_ref();
-    let plan = PhysicalPlan::UnionAll {
-        inputs: vec![Arc::clone(&shared), Arc::clone(&shared)],
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::UnionAll,
+        vec![Arc::clone(&shared), Arc::clone(&shared)],
+    )
     .into_ref();
     let ctx = ExecContext::new(&db, None);
     let rows = execute(&plan, &ctx).unwrap();
@@ -551,22 +631,29 @@ fn shared_subplans_execute_once() {
 #[test]
 fn nested_loop_cross_product() {
     let db = setup();
-    let a = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::Int(1)]), row([Value::Int(2)])],
-    }
+    let a = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::Int(1)]), row([Value::Int(2)])],
+        },
+        vec![],
+    )
     .into_ref();
-    let b = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::str("x")]), row([Value::str("y")])],
-    }
+    let b = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::str("x")]), row([Value::str("y")])],
+        },
+        vec![],
+    )
     .into_ref();
-    let plan = PhysicalPlan::NestedLoopJoin {
-        left: a,
-        right: b,
-        predicate: None,
-        kind: JoinKind::Inner,
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::NestedLoopJoin {
+            predicate: None,
+            kind: JoinKind::Inner,
+        },
+        vec![a, b],
+    )
     .into_ref();
     let rows = execute_query(&db, &plan).unwrap();
     assert_eq!(rows.len(), 4);
@@ -574,10 +661,12 @@ fn nested_loop_cross_product() {
 
 #[test]
 fn explain_renders_tree() {
-    let plan = PhysicalPlan::Filter {
-        input: scan("vendor").into_ref(),
-        predicate: Expr::eq(Expr::col(1), Expr::lit("P1")),
-    };
+    let plan = PhysicalPlan::new(
+        PlanOp::Filter {
+            predicate: Expr::eq(Expr::col(1), Expr::lit("P1")),
+        },
+        vec![scan("vendor").into_ref()],
+    );
     let text = plan.explain();
     assert!(text.contains("Filter"));
     assert!(text.contains("TableScan vendor"));
@@ -605,19 +694,24 @@ fn counters_separate_scans_from_probes() {
     assert_eq!(after_scan.index_probes, before.index_probes);
 
     // Index join: one probe per outer row, no scan of the inner table.
-    let outer = PhysicalPlan::Values {
-        arity: 1,
-        rows: vec![row([Value::str("P1")]), row([Value::str("P2")])],
-    }
+    let outer = PhysicalPlan::new(
+        PlanOp::Values {
+            arity: 1,
+            rows: vec![row([Value::str("P1")]), row([Value::str("P2")])],
+        },
+        vec![],
+    )
     .into_ref();
-    let plan = PhysicalPlan::IndexJoin {
-        outer,
-        table: "vendor".into(),
-        epoch: TableEpoch::Current,
-        probe: vec![(1, Expr::col(0))],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::IndexJoin {
+            table: "vendor".into(),
+            epoch: TableEpoch::Current,
+            probe: vec![(1, Expr::col(0))],
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![outer],
+    )
     .into_ref();
     execute_query(&db, &plan).unwrap();
     let after_probe = db.stats();
@@ -638,18 +732,18 @@ fn null() -> Expr {
 }
 
 fn project(input: PlanRef, exprs: Vec<Expr>) -> PlanRef {
-    PhysicalPlan::Project { input, exprs }.into_ref()
+    PhysicalPlan::new(PlanOp::Project { exprs }, vec![input]).into_ref()
 }
 
 fn project_exprs(plan: &PhysicalPlan) -> &[Expr] {
-    match plan {
-        PhysicalPlan::Project { exprs, .. } => exprs,
-        other => panic!("expected a Project, got {}", other.explain()),
+    match &plan.op {
+        PlanOp::Project { exprs } => exprs,
+        _ => panic!("expected a Project, got {}", plan.explain()),
     }
 }
 
 fn first_input(plan: &PhysicalPlan) -> &PlanRef {
-    plan.children()[0]
+    &plan.inputs[0]
 }
 
 /// Prune `plan` and check what every case must hold: the same rows on
@@ -669,10 +763,12 @@ fn prune_checked(db: &Database, plan: &PlanRef, trans: Option<&TransitionTables>
 fn prune_keeps_a_plan_with_nothing_dead() {
     let db = setup();
     let plan = project(
-        PhysicalPlan::Filter {
-            input: scan("vendor").into_ref(),
-            predicate: Expr::bin(BinOp::Gt, Expr::col(2), Expr::lit(150.0)),
-        }
+        PhysicalPlan::new(
+            PlanOp::Filter {
+                predicate: Expr::bin(BinOp::Gt, Expr::col(2), Expr::lit(150.0)),
+            },
+            vec![scan("vendor").into_ref()],
+        )
         .into_ref(),
         vec![Expr::col(0), xml_wrap("price", Expr::col(2))],
     );
@@ -689,7 +785,7 @@ fn prune_distinct_pins_every_input_column() {
         vec![Expr::col(0), xml_wrap("pid", Expr::col(1))],
     );
     let plan = project(
-        PhysicalPlan::Distinct { input: inner }.into_ref(),
+        PhysicalPlan::new(PlanOp::Distinct, vec![inner]).into_ref(),
         vec![Expr::col(0)],
     );
     assert!(Arc::ptr_eq(&prune_checked(&db, &plan, None), &plan));
@@ -704,41 +800,43 @@ fn prune_semi_join_right_side_keeps_its_keys() {
         scan("vendor").into_ref(),
         vec![Expr::col(1), xml_wrap("vid", Expr::col(0)), Expr::col(2)],
     );
-    let plan = PhysicalPlan::HashJoin {
-        left: scan("product").into_ref(),
-        right,
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(0)],
-        kind: JoinKind::LeftSemi,
-        // (product ++ right): right column 2 is row column 5.
-        filter: Some(Expr::bin(BinOp::Gt, Expr::col(5), Expr::lit(130.0))),
-    }
+    let plan = PhysicalPlan::new(
+        PlanOp::HashJoin {
+            left_keys: vec![Expr::col(0)],
+            right_keys: vec![Expr::col(0)],
+            kind: JoinKind::LeftSemi, // (product ++ right): right column 2 is row column 5.
+            filter: Some(Expr::bin(BinOp::Gt, Expr::col(5), Expr::lit(130.0))),
+        },
+        vec![scan("product").into_ref(), right],
+    )
     .into_ref();
     let out = prune_checked(&db, &plan, None);
     assert_eq!(
-        project_exprs(out.children()[1]),
+        project_exprs(&out.inputs[1]),
         [Expr::col(1), null(), Expr::col(2)]
     );
-    assert!(Arc::ptr_eq(out.children()[0], plan.children()[0]));
+    assert!(Arc::ptr_eq(&out.inputs[0], &plan.inputs[0]));
 }
 
 #[test]
 fn prune_dead_aggregate_becomes_count_star() {
     let db = setup();
-    let agg = PhysicalPlan::HashAggregate {
-        input: scan("vendor").into_ref(),
-        group_exprs: vec![Expr::col(1)],
-        aggs: vec![
-            AggExpr::over(AggFunc::XmlAgg, xml_wrap("vid", Expr::col(0))),
-            AggExpr::over(AggFunc::Count, Expr::col(2)),
-            AggExpr::over(AggFunc::Max, Expr::col(2)),
-        ],
-    }
+    let agg = PhysicalPlan::new(
+        PlanOp::HashAggregate {
+            group_exprs: vec![Expr::col(1)],
+            aggs: vec![
+                AggExpr::over(AggFunc::XmlAgg, xml_wrap("vid", Expr::col(0))),
+                AggExpr::over(AggFunc::Count, Expr::col(2)),
+                AggExpr::over(AggFunc::Max, Expr::col(2)),
+            ],
+        },
+        vec![scan("vendor").into_ref()],
+    )
     .into_ref();
     // Reads the group key and the live COUNT(price).
     let plan = project(agg, vec![Expr::col(0), Expr::col(2)]);
     let out = prune_checked(&db, &plan, None);
-    let PhysicalPlan::HashAggregate { aggs, .. } = &**first_input(&out) else {
+    let PlanOp::HashAggregate { aggs, .. } = &first_input(&out).op else {
         panic!("expected the aggregate")
     };
     assert_eq!(
@@ -765,18 +863,16 @@ fn prune_unnest_and_sort_keep_their_expressions() {
             xml_wrap("price", Expr::col(2)),
         ],
     );
-    let unnest = PhysicalPlan::Unnest {
-        input: inner,
-        expr: Expr::col(1),
-    }
-    .into_ref();
-    let sort = PhysicalPlan::Sort {
-        input: unnest,
-        keys: vec![SortKey {
-            expr: Expr::col(2),
-            desc: true,
-        }],
-    }
+    let unnest = PhysicalPlan::new(PlanOp::Unnest { expr: Expr::col(1) }, vec![inner]).into_ref();
+    let sort = PhysicalPlan::new(
+        PlanOp::Sort {
+            keys: vec![SortKey {
+                expr: Expr::col(2),
+                desc: true,
+            }],
+        },
+        vec![unnest],
+    )
     .into_ref();
     // Column 4 is the unnested item.
     let plan = project(sort, vec![Expr::col(0), Expr::col(4)]);
@@ -805,11 +901,10 @@ fn prune_shared_node_is_rebuilt_once_and_stays_shared() {
     );
     let a = project(Arc::clone(&shared), vec![Expr::col(0), Expr::col(2)]);
     let b = project(shared, vec![Expr::col(1), Expr::col(1)]);
-    let plan = PhysicalPlan::UnionAll { inputs: vec![a, b] }.into_ref();
+    let plan = PhysicalPlan::new(PlanOp::UnionAll, vec![a, b]).into_ref();
     let out = prune_checked(&db, &plan, None);
 
-    let kids = out.children();
-    let (a, b) = (first_input(kids[0]), first_input(kids[1]));
+    let (a, b) = (first_input(&out.inputs[0]), first_input(&out.inputs[1]));
     assert!(Arc::ptr_eq(a, b), "one rebuilt copy, shared");
     assert_eq!(
         project_exprs(a),
@@ -845,11 +940,14 @@ fn prune_matches_the_original_under_transitions() {
     .unwrap();
     let trans = transitions("vendor", Event::Update, vec![new_row], vec![old_row]);
 
-    let delta = PhysicalPlan::TransitionScan {
-        table: "vendor".into(),
-        side: TransitionSide::Delta,
-        pruned: true,
-    }
+    let delta = PhysicalPlan::new(
+        PlanOp::TransitionScan {
+            table: "vendor".into(),
+            side: TransitionSide::Delta,
+            pruned: true,
+        },
+        vec![],
+    )
     .into_ref();
     let built = project(
         delta,
@@ -859,48 +957,51 @@ fn prune_matches_the_original_under_transitions() {
             xml_wrap("price", Expr::col(2)),
         ],
     );
-    let keys = PhysicalPlan::Distinct {
-        input: project(built, vec![Expr::col(0)]),
-    }
-    .into_ref();
+    let keys =
+        PhysicalPlan::new(PlanOp::Distinct, vec![project(built, vec![Expr::col(0)])]).into_ref();
     let side = |epoch| {
-        PhysicalPlan::HashAggregate {
-            input: PhysicalPlan::IndexJoin {
-                outer: Arc::clone(&keys),
-                table: "vendor".into(),
-                epoch,
-                probe: vec![(1, Expr::col(0))],
-                kind: JoinKind::Inner,
-                filter: None,
-            }
-            .into_ref(),
-            group_exprs: vec![Expr::col(0)],
-            aggs: vec![
-                AggExpr::over(AggFunc::XmlAgg, xml_wrap("vendor", Expr::col(3))),
-                AggExpr::count_star(),
-            ],
-        }
+        PhysicalPlan::new(
+            PlanOp::HashAggregate {
+                group_exprs: vec![Expr::col(0)],
+                aggs: vec![
+                    AggExpr::over(AggFunc::XmlAgg, xml_wrap("vendor", Expr::col(3))),
+                    AggExpr::count_star(),
+                ],
+            },
+            vec![PhysicalPlan::new(
+                PlanOp::IndexJoin {
+                    table: "vendor".into(),
+                    epoch,
+                    probe: vec![(1, Expr::col(0))],
+                    kind: JoinKind::Inner,
+                    filter: None,
+                },
+                vec![Arc::clone(&keys)],
+            )
+            .into_ref()],
+        )
         .into_ref()
     };
-    let joined = PhysicalPlan::HashJoin {
-        left: side(TableEpoch::Current),
-        right: side(TableEpoch::Old),
-        left_keys: vec![Expr::col(0)],
-        right_keys: vec![Expr::col(0)],
-        kind: JoinKind::Inner,
-        filter: None,
-    }
+    let joined = PhysicalPlan::new(
+        PlanOp::HashJoin {
+            left_keys: vec![Expr::col(0)],
+            right_keys: vec![Expr::col(0)],
+            kind: JoinKind::Inner,
+            filter: None,
+        },
+        vec![side(TableEpoch::Current), side(TableEpoch::Old)],
+    )
     .into_ref();
     // [key, new fragment, old count]: the old fragment is dead.
     let plan = project(joined, vec![Expr::col(0), Expr::col(1), Expr::col(5)]);
     let out = prune_checked(&db, &plan, Some(&trans));
 
     let joined = first_input(&out);
-    let [new_side, old_side] = joined.children()[..] else {
+    let [new_side, old_side] = &joined.inputs[..] else {
         panic!("a join has two inputs")
     };
-    let aggs = |p: &PhysicalPlan| match p {
-        PhysicalPlan::HashAggregate { aggs, .. } => aggs.clone(),
+    let aggs = |p: &PhysicalPlan| match &p.op {
+        PlanOp::HashAggregate { aggs, .. } => aggs.clone(),
         _ => panic!("expected an aggregate"),
     };
     assert_eq!(aggs(new_side)[0].func, AggFunc::XmlAgg);

@@ -20,7 +20,7 @@ use crate::{Database, Error, Result};
 /// execution.
 pub type PlanRef = Arc<PhysicalPlan>;
 
-/// Which transition table a [`PhysicalPlan::TransitionScan`] reads.
+/// Which transition table a [`PlanOp::TransitionScan`] reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransitionSide {
     /// Δtable — rows *after* the update (a.k.a. `INSERTED` / `NEW_TABLE`).
@@ -79,10 +79,12 @@ impl SortKey {
     }
 }
 
-/// A physical operator. All operators are fully materializing (the engine
-/// targets correctness and index-driven asymptotics, not pipelining).
-#[derive(Debug, Clone, PartialEq)]
-pub enum PhysicalPlan {
+/// A physical operator with its parameters; its inputs live in the
+/// [`PhysicalPlan`] node that carries it. All operators are fully
+/// materializing (the engine targets correctness and index-driven
+/// asymptotics, not pipelining).
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum PlanOp {
     /// Scan a stored table (current or reconstructed-old epoch).
     TableScan {
         /// Table name.
@@ -108,27 +110,19 @@ pub enum PhysicalPlan {
         /// The rows.
         rows: Vec<Row>,
     },
-    /// σ — keep rows where `predicate` is true.
+    /// σ — keep the input rows where `predicate` is true.
     Filter {
-        /// Input plan.
-        input: PlanRef,
         /// Boolean predicate.
         predicate: Expr,
     },
-    /// π — compute one output column per expression.
+    /// π — compute one output column per expression over the input row.
     Project {
-        /// Input plan.
-        input: PlanRef,
         /// Output column expressions.
         exprs: Vec<Expr>,
     },
-    /// Hash join on equi-key expressions, with an optional residual filter
-    /// applied to the concatenated row.
+    /// Hash join of the left and right inputs on equi-key expressions,
+    /// with an optional residual filter applied to the concatenated row.
     HashJoin {
-        /// Build/probe sides.
-        left: PlanRef,
-        /// Right input.
-        right: PlanRef,
         /// Key expressions over the left row.
         left_keys: Vec<Expr>,
         /// Key expressions over the right row (same length).
@@ -138,13 +132,12 @@ pub enum PhysicalPlan {
         /// Residual predicate over (left ++ right).
         filter: Option<Expr>,
     },
-    /// Index nested-loop join: for each outer row, probe `table` by
-    /// equality on `probe` columns (primary key or a secondary index).
-    /// This is what keeps generated triggers O(affected) instead of
-    /// O(database) — see Fig. 23.
+    /// Index nested-loop join: for each row of the one (outer, typically
+    /// transition-derived and small) input, probe `table` by equality on
+    /// `probe` columns (primary key or a secondary index). This is what
+    /// keeps generated triggers O(affected) instead of O(database) — see
+    /// Fig. 23.
     IndexJoin {
-        /// Outer (driving) input — typically transition-derived, small.
-        outer: PlanRef,
         /// Inner stored table.
         table: String,
         /// Probe the current or old epoch of the inner table.
@@ -157,14 +150,10 @@ pub enum PhysicalPlan {
         /// Residual predicate over (outer ++ inner).
         filter: Option<Expr>,
     },
-    /// Cross/theta join evaluated by nested loops (used only where the
-    /// paper's CreateAKGraph requires a genuine cross product, Fig. 8
-    /// lines 36-39).
+    /// Cross/theta join of the left and right inputs evaluated by nested
+    /// loops (used only where the paper's CreateAKGraph requires a genuine
+    /// cross product, Fig. 8 lines 36-39).
     NestedLoopJoin {
-        /// Left input.
-        left: PlanRef,
-        /// Right input.
-        right: PlanRef,
         /// Optional theta predicate over (left ++ right).
         predicate: Option<Expr>,
         /// Join variant.
@@ -173,38 +162,57 @@ pub enum PhysicalPlan {
     /// γ — hash aggregation. Output columns: group expressions then
     /// aggregates. With no group expressions, emits exactly one row.
     HashAggregate {
-        /// Input plan.
-        input: PlanRef,
         /// Grouping expressions.
         group_exprs: Vec<Expr>,
         /// Aggregate columns.
         aggs: Vec<AggExpr>,
     },
-    /// UNION ALL of same-arity inputs.
-    UnionAll {
-        /// Inputs.
-        inputs: Vec<PlanRef>,
-    },
+    /// UNION ALL of one or more same-arity inputs.
+    UnionAll,
     /// Duplicate elimination over whole rows.
-    Distinct {
-        /// Input plan.
-        input: PlanRef,
-    },
+    Distinct,
     /// Stable sort by the given keys.
     Sort {
-        /// Input plan.
-        input: PlanRef,
         /// Sort keys, major first.
         keys: Vec<SortKey>,
     },
     /// XQGM's Unnest: evaluate `expr` per input row (an XML fragment,
     /// element or NULL) and emit `row ++ [item]` once per contained node.
     Unnest {
-        /// Input plan.
-        input: PlanRef,
         /// Expression yielding the sequence to unnest.
         expr: Expr,
     },
+}
+
+impl PlanOp {
+    /// How many inputs the operator reads; `None` for [`PlanOp::UnionAll`],
+    /// which takes one or more.
+    pub fn input_count(&self) -> Option<usize> {
+        match self {
+            PlanOp::TableScan { .. } | PlanOp::TransitionScan { .. } | PlanOp::Values { .. } => {
+                Some(0)
+            }
+            PlanOp::Filter { .. }
+            | PlanOp::Project { .. }
+            | PlanOp::IndexJoin { .. }
+            | PlanOp::HashAggregate { .. }
+            | PlanOp::Distinct
+            | PlanOp::Sort { .. }
+            | PlanOp::Unnest { .. } => Some(1),
+            PlanOp::HashJoin { .. } | PlanOp::NestedLoopJoin { .. } => Some(2),
+            PlanOp::UnionAll => None,
+        }
+    }
+}
+
+/// A plan node: one operator over its inputs. Joins read
+/// `[left, right]`; an [`PlanOp::IndexJoin`] reads its outer side only.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PhysicalPlan {
+    /// The operator and its parameters.
+    pub op: PlanOp,
+    /// Input plans, in the order the operator reads them.
+    pub inputs: Vec<PlanRef>,
 }
 
 /// Rendering state for [`PhysicalPlan::explain`]: the nodes referenced from
@@ -216,6 +224,30 @@ struct ExplainState {
 }
 
 impl PhysicalPlan {
+    /// A node of `op` over `inputs`.
+    ///
+    /// # Panics
+    /// If the input count contradicts [`PlanOp::input_count`]; decoders
+    /// call `try_new` instead.
+    pub fn new(op: PlanOp, inputs: Vec<PlanRef>) -> Self {
+        Self::try_new(op, inputs).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::new`], with a contradicting input count as an error.
+    pub(crate) fn try_new(op: PlanOp, inputs: Vec<PlanRef>) -> Result<Self> {
+        let ok = match op.input_count() {
+            Some(n) => inputs.len() == n,
+            None => !inputs.is_empty(),
+        };
+        if !ok {
+            return Err(Error::Plan(format!(
+                "{op:?} cannot take {} input(s)",
+                inputs.len()
+            )));
+        }
+        Ok(PhysicalPlan { op, inputs })
+    }
+
     /// Wrap into a shared handle.
     pub fn into_ref(self) -> PlanRef {
         Arc::new(self)
@@ -266,46 +298,33 @@ impl PhysicalPlan {
         db: &Database,
         kid: &mut dyn FnMut(&'p PlanRef) -> Result<usize>,
     ) -> Result<usize> {
-        Ok(match self {
-            PhysicalPlan::TableScan { table, .. } | PhysicalPlan::TransitionScan { table, .. } => {
+        Ok(match &self.op {
+            PlanOp::TableScan { table, .. } | PlanOp::TransitionScan { table, .. } => {
                 db.table(table)?.schema().arity()
             }
-            PhysicalPlan::Values { arity, .. } => *arity,
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Sort { input, .. } => kid(input)?,
-            PhysicalPlan::Project { exprs, .. } => exprs.len(),
-            PhysicalPlan::HashJoin {
-                left, right, kind, ..
+            PlanOp::Values { arity, .. } => *arity,
+            PlanOp::Filter { .. } | PlanOp::Distinct | PlanOp::Sort { .. } | PlanOp::UnionAll => {
+                kid(&self.inputs[0])?
             }
-            | PhysicalPlan::NestedLoopJoin {
-                left, right, kind, ..
-            } => {
+            PlanOp::Project { exprs } => exprs.len(),
+            PlanOp::HashJoin { kind, .. } | PlanOp::NestedLoopJoin { kind, .. } => {
+                let left = kid(&self.inputs[0])?;
                 if kind.keeps_right() {
-                    kid(left)? + kid(right)?
+                    left + kid(&self.inputs[1])?
                 } else {
-                    kid(left)?
+                    left
                 }
             }
-            PhysicalPlan::IndexJoin {
-                outer, table, kind, ..
-            } => {
+            PlanOp::IndexJoin { table, kind, .. } => {
+                let outer = kid(&self.inputs[0])?;
                 if kind.keeps_right() {
-                    kid(outer)? + db.table(table)?.schema().arity()
+                    outer + db.table(table)?.schema().arity()
                 } else {
-                    kid(outer)?
+                    outer
                 }
             }
-            PhysicalPlan::HashAggregate {
-                group_exprs, aggs, ..
-            } => group_exprs.len() + aggs.len(),
-            PhysicalPlan::UnionAll { inputs } => {
-                let first = inputs
-                    .first()
-                    .ok_or_else(|| Error::Plan("UnionAll with no inputs".into()))?;
-                kid(first)?
-            }
-            PhysicalPlan::Unnest { input, .. } => kid(input)? + 1,
+            PlanOp::HashAggregate { group_exprs, aggs } => group_exprs.len() + aggs.len(),
+            PlanOp::Unnest { .. } => kid(&self.inputs[0])? + 1,
         })
     }
 
@@ -341,7 +360,7 @@ impl PhysicalPlan {
         // their arities; a node's place in `order` is its id.
         let order = RefCell::new(Vec::new());
         plan.fold(&|node, kid| {
-            for input in node.children() {
+            for input in &node.inputs {
                 kid(input)?;
             }
             let arity = node.arity_step(db, kid)?;
@@ -361,7 +380,7 @@ impl PhysicalPlan {
         needs.last_mut().expect("the root").fill(true);
         for (i, &(node, _)) in order.iter().enumerate().rev() {
             let need = std::mem::take(&mut needs[i]);
-            for (input, cols) in node.input_needs(&need, &arity_of) {
+            for (input, cols) in node.inputs.iter().zip(node.input_needs(&need, &arity_of)) {
                 let slot = &mut needs[id(input)];
                 for c in cols {
                     if let Some(s) = slot.get_mut(c) {
@@ -381,14 +400,10 @@ impl PhysicalPlan {
         Ok(rebuilt.pop().flatten().unwrap_or_else(|| Arc::clone(plan)))
     }
 
-    /// For each input, the columns (input numbering, unsorted, possibly
-    /// repeated) this node reads to produce the output columns marked in
-    /// `need` — the need rules of [`Self::prune_dead_columns`].
-    fn input_needs(
-        &self,
-        need: &[bool],
-        arity_of: &dyn Fn(&PlanRef) -> usize,
-    ) -> Vec<(&PlanRef, Vec<usize>)> {
+    /// For each input in order, the columns (input numbering, unsorted,
+    /// possibly repeated) this node reads to produce the output columns
+    /// marked in `need` — the need rules of [`Self::prune_dead_columns`].
+    fn input_needs(&self, need: &[bool], arity_of: &dyn Fn(&PlanRef) -> usize) -> Vec<Vec<usize>> {
         /// `cols` plus every column `exprs` read.
         fn reads<'e>(
             mut cols: Vec<usize>,
@@ -405,70 +420,48 @@ impl PhysicalPlan {
             (l, r.into_iter().map(|c| c - at).collect())
         }
         let needed = || (0..need.len()).filter(|&i| need[i]).collect::<Vec<usize>>();
-        match self {
-            PhysicalPlan::TableScan { .. }
-            | PhysicalPlan::TransitionScan { .. }
-            | PhysicalPlan::Values { .. } => vec![],
-            PhysicalPlan::Filter { input, predicate } => {
-                vec![(input, reads(needed(), [predicate]))]
+        let left_arity = || arity_of(&self.inputs[0]);
+        match &self.op {
+            PlanOp::TableScan { .. } | PlanOp::TransitionScan { .. } | PlanOp::Values { .. } => {
+                vec![]
             }
-            PhysicalPlan::Project { input, exprs } => {
-                vec![(
-                    input,
-                    reads(vec![], needed().into_iter().map(|i| &exprs[i])),
-                )]
+            PlanOp::Filter { predicate } => vec![reads(needed(), [predicate])],
+            PlanOp::Project { exprs } => {
+                vec![reads(vec![], needed().into_iter().map(|i| &exprs[i]))]
             }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
+            PlanOp::HashJoin {
                 left_keys,
                 right_keys,
                 filter,
                 ..
             } => {
-                let (l, r) = split(reads(needed(), filter), arity_of(left));
-                vec![(left, reads(l, left_keys)), (right, reads(r, right_keys))]
+                let (l, r) = split(reads(needed(), filter), left_arity());
+                vec![reads(l, left_keys), reads(r, right_keys)]
             }
-            PhysicalPlan::NestedLoopJoin {
-                left,
-                right,
-                predicate,
-                ..
-            } => {
-                let (l, r) = split(reads(needed(), predicate), arity_of(left));
-                vec![(left, l), (right, r)]
+            PlanOp::NestedLoopJoin { predicate, .. } => {
+                let (l, r) = split(reads(needed(), predicate), left_arity());
+                vec![l, r]
             }
-            PhysicalPlan::IndexJoin {
-                outer,
-                probe,
-                filter,
-                ..
-            } => {
+            PlanOp::IndexJoin { probe, filter, .. } => {
                 let probes = probe.iter().map(|(_, e)| e);
-                let (o, _inner) = split(reads(needed(), probes.chain(filter)), arity_of(outer));
-                vec![(outer, o)]
+                let (o, _inner) = split(reads(needed(), probes.chain(filter)), left_arity());
+                vec![o]
             }
-            PhysicalPlan::HashAggregate {
-                input,
-                group_exprs,
-                aggs,
-            } => {
+            PlanOp::HashAggregate { group_exprs, aggs } => {
                 let live_args = aggs
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| need[group_exprs.len() + i])
                     .filter_map(|(_, a)| a.arg.as_ref());
-                vec![(input, reads(vec![], group_exprs.iter().chain(live_args)))]
+                vec![reads(vec![], group_exprs.iter().chain(live_args))]
             }
-            PhysicalPlan::UnionAll { inputs } => inputs.iter().map(|i| (i, needed())).collect(),
-            PhysicalPlan::Distinct { input } => vec![(input, (0..arity_of(input)).collect())],
-            PhysicalPlan::Sort { input, keys } => {
-                vec![(input, reads(needed(), keys.iter().map(|k| &k.expr)))]
-            }
-            PhysicalPlan::Unnest { input, expr } => {
+            PlanOp::UnionAll => self.inputs.iter().map(|_| needed()).collect(),
+            PlanOp::Distinct => vec![(0..left_arity()).collect()],
+            PlanOp::Sort { keys } => vec![reads(needed(), keys.iter().map(|k| &k.expr))],
+            PlanOp::Unnest { expr } => {
                 // The last output column is the unnested item, not an input's.
-                let (from_input, _item) = split(needed(), arity_of(input));
-                vec![(input, reads(from_input, [expr]))]
+                let (from_input, _item) = split(needed(), left_arity());
+                vec![reads(from_input, [expr])]
             }
         }
     }
@@ -484,36 +477,26 @@ impl PhysicalPlan {
     ) -> Option<PhysicalPlan> {
         let null = Expr::Lit(Value::Null);
         let count_star = AggExpr::count_star();
-        let prunes = match self {
-            PhysicalPlan::Project { exprs, .. } => {
-                exprs.iter().zip(need).any(|(e, &n)| !n && *e != null)
-            }
-            PhysicalPlan::HashAggregate {
-                group_exprs, aggs, ..
-            } => aggs
+        let prunes = match &self.op {
+            PlanOp::Project { exprs } => exprs.iter().zip(need).any(|(e, &n)| !n && *e != null),
+            PlanOp::HashAggregate { group_exprs, aggs } => aggs
                 .iter()
                 .zip(&need[group_exprs.len()..])
                 .any(|(a, &n)| !n && *a != count_star),
             _ => false,
         };
-        if !prunes && self.children().into_iter().all(|p| rebuilt(p).is_none()) {
+        if !prunes && self.inputs.iter().all(|p| rebuilt(p).is_none()) {
             return None;
         }
-        let mut node = match self {
-            PhysicalPlan::Project { input, exprs } => PhysicalPlan::Project {
-                input: Arc::clone(input),
+        let op = match &self.op {
+            PlanOp::Project { exprs } => PlanOp::Project {
                 exprs: exprs
                     .iter()
                     .zip(need)
                     .map(|(e, &n)| if n { e.clone() } else { null.clone() })
                     .collect(),
             },
-            PhysicalPlan::HashAggregate {
-                input,
-                group_exprs,
-                aggs,
-            } => PhysicalPlan::HashAggregate {
-                input: Arc::clone(input),
+            PlanOp::HashAggregate { group_exprs, aggs } => PlanOp::HashAggregate {
                 group_exprs: group_exprs.clone(),
                 aggs: aggs
                     .iter()
@@ -523,12 +506,10 @@ impl PhysicalPlan {
             },
             other => other.clone(),
         };
-        for input in node.children_mut() {
-            if let Some(new) = rebuilt(input) {
-                *input = Arc::clone(new);
-            }
-        }
-        Some(node)
+        let inputs = (self.inputs.iter())
+            .map(|p| Arc::clone(rebuilt(p).unwrap_or(p)))
+            .collect();
+        Some(PhysicalPlan::new(op, inputs))
     }
 
     /// Every stored table this plan can read, regardless of epoch: current
@@ -542,13 +523,13 @@ impl PhysicalPlan {
     pub fn table_footprint(&self) -> BTreeSet<String> {
         let out = RefCell::new(BTreeSet::new());
         self.fold(&|node, kid| {
-            if let PhysicalPlan::TableScan { table, .. }
-            | PhysicalPlan::TransitionScan { table, .. }
-            | PhysicalPlan::IndexJoin { table, .. } = node
+            if let PlanOp::TableScan { table, .. }
+            | PlanOp::TransitionScan { table, .. }
+            | PlanOp::IndexJoin { table, .. } = &node.op
             {
                 out.borrow_mut().insert(table.clone());
             }
-            node.children().into_iter().for_each(kid);
+            node.inputs.iter().for_each(kid);
         });
         out.into_inner()
     }
@@ -562,7 +543,7 @@ impl PhysicalPlan {
         // How many parents reference each node (by identity).
         let parents = RefCell::new(HashMap::new());
         self.fold(&|node, kid| {
-            for input in node.children() {
+            for input in &node.inputs {
                 *parents.borrow_mut().entry(Arc::as_ptr(input)).or_insert(0) += 1;
                 kid(input);
             }
@@ -575,44 +556,6 @@ impl PhysicalPlan {
         let mut out = String::new();
         self.explain_into(&mut out, 0, &mut st);
         out
-    }
-
-    /// Input plans of this node, in rendering order.
-    pub fn children(&self) -> Vec<&PlanRef> {
-        match self {
-            PhysicalPlan::TableScan { .. }
-            | PhysicalPlan::TransitionScan { .. }
-            | PhysicalPlan::Values { .. } => vec![],
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Unnest { input, .. } => vec![input],
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, .. } => vec![left, right],
-            PhysicalPlan::IndexJoin { outer, .. } => vec![outer],
-            PhysicalPlan::UnionAll { inputs } => inputs.iter().collect(),
-        }
-    }
-
-    /// [`Self::children`], mutably and in the same order.
-    fn children_mut(&mut self) -> Vec<&mut PlanRef> {
-        match self {
-            PhysicalPlan::TableScan { .. }
-            | PhysicalPlan::TransitionScan { .. }
-            | PhysicalPlan::Values { .. } => vec![],
-            PhysicalPlan::Filter { input, .. }
-            | PhysicalPlan::Project { input, .. }
-            | PhysicalPlan::HashAggregate { input, .. }
-            | PhysicalPlan::Distinct { input }
-            | PhysicalPlan::Sort { input, .. }
-            | PhysicalPlan::Unnest { input, .. } => vec![input],
-            PhysicalPlan::HashJoin { left, right, .. }
-            | PhysicalPlan::NestedLoopJoin { left, right, .. } => vec![left, right],
-            PhysicalPlan::IndexJoin { outer, .. } => vec![outer],
-            PhysicalPlan::UnionAll { inputs } => inputs.iter_mut().collect(),
-        }
     }
 
     /// Render one child reference: shared nodes get a `[shared N]` label on
@@ -638,11 +581,11 @@ impl PhysicalPlan {
 
     fn explain_into(&self, out: &mut String, depth: usize, st: &mut ExplainState) {
         let pad = "  ".repeat(depth);
-        match self {
-            PhysicalPlan::TableScan { table, epoch } => {
-                let _ = writeln!(out, "{pad}TableScan {table} [{epoch:?}]");
+        let _ = match &self.op {
+            PlanOp::TableScan { table, epoch } => {
+                writeln!(out, "{pad}TableScan {table} [{epoch:?}]")
             }
-            PhysicalPlan::TransitionScan {
+            PlanOp::TransitionScan {
                 table,
                 side,
                 pruned,
@@ -652,36 +595,23 @@ impl PhysicalPlan {
                     TransitionSide::Nabla => "∇",
                 };
                 let p = if *pruned { " pruned" } else { "" };
-                let _ = writeln!(out, "{pad}TransitionScan {sym}{table}{p}");
+                writeln!(out, "{pad}TransitionScan {sym}{table}{p}")
             }
-            PhysicalPlan::Values { arity, rows } => {
-                let _ = writeln!(out, "{pad}Values arity={arity} rows={}", rows.len());
+            PlanOp::Values { arity, rows } => {
+                writeln!(out, "{pad}Values arity={arity} rows={}", rows.len())
             }
-            PhysicalPlan::Filter { input, predicate } => {
-                let _ = writeln!(out, "{pad}Filter {predicate:?}");
-                Self::explain_ref(input, out, depth + 1, st);
-            }
-            PhysicalPlan::Project { input, exprs } => {
-                let _ = writeln!(out, "{pad}Project [{}]", exprs.len());
-                Self::explain_ref(input, out, depth + 1, st);
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
+            PlanOp::Filter { predicate } => writeln!(out, "{pad}Filter {predicate:?}"),
+            PlanOp::Project { exprs } => writeln!(out, "{pad}Project [{}]", exprs.len()),
+            PlanOp::HashJoin {
                 left_keys,
                 right_keys,
                 kind,
                 ..
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}HashJoin {kind:?} on {left_keys:?} = {right_keys:?}"
-                );
-                Self::explain_ref(left, out, depth + 1, st);
-                Self::explain_ref(right, out, depth + 1, st);
-            }
-            PhysicalPlan::IndexJoin {
-                outer,
+            } => writeln!(
+                out,
+                "{pad}HashJoin {kind:?} on {left_keys:?} = {right_keys:?}"
+            ),
+            PlanOp::IndexJoin {
                 table,
                 epoch,
                 probe,
@@ -689,50 +619,25 @@ impl PhysicalPlan {
                 ..
             } => {
                 let cols: Vec<usize> = probe.iter().map(|(c, _)| *c).collect();
-                let _ = writeln!(
+                writeln!(
                     out,
                     "{pad}IndexJoin {kind:?} -> {table}[{epoch:?}] probe cols {cols:?}"
-                );
-                Self::explain_ref(outer, out, depth + 1, st);
+                )
             }
-            PhysicalPlan::NestedLoopJoin {
-                left, right, kind, ..
-            } => {
-                let _ = writeln!(out, "{pad}NestedLoopJoin {kind:?}");
-                Self::explain_ref(left, out, depth + 1, st);
-                Self::explain_ref(right, out, depth + 1, st);
-            }
-            PhysicalPlan::HashAggregate {
-                input,
-                group_exprs,
-                aggs,
-            } => {
-                let _ = writeln!(
-                    out,
-                    "{pad}HashAggregate groups={} aggs={}",
-                    group_exprs.len(),
-                    aggs.len()
-                );
-                Self::explain_ref(input, out, depth + 1, st);
-            }
-            PhysicalPlan::UnionAll { inputs } => {
-                let _ = writeln!(out, "{pad}UnionAll [{}]", inputs.len());
-                for i in inputs {
-                    Self::explain_ref(i, out, depth + 1, st);
-                }
-            }
-            PhysicalPlan::Distinct { input } => {
-                let _ = writeln!(out, "{pad}Distinct");
-                Self::explain_ref(input, out, depth + 1, st);
-            }
-            PhysicalPlan::Sort { input, keys } => {
-                let _ = writeln!(out, "{pad}Sort [{} keys]", keys.len());
-                Self::explain_ref(input, out, depth + 1, st);
-            }
-            PhysicalPlan::Unnest { input, expr } => {
-                let _ = writeln!(out, "{pad}Unnest {expr:?}");
-                Self::explain_ref(input, out, depth + 1, st);
-            }
+            PlanOp::NestedLoopJoin { kind, .. } => writeln!(out, "{pad}NestedLoopJoin {kind:?}"),
+            PlanOp::HashAggregate { group_exprs, aggs } => writeln!(
+                out,
+                "{pad}HashAggregate groups={} aggs={}",
+                group_exprs.len(),
+                aggs.len()
+            ),
+            PlanOp::UnionAll => writeln!(out, "{pad}UnionAll [{}]", self.inputs.len()),
+            PlanOp::Distinct => writeln!(out, "{pad}Distinct"),
+            PlanOp::Sort { keys } => writeln!(out, "{pad}Sort [{} keys]", keys.len()),
+            PlanOp::Unnest { expr } => writeln!(out, "{pad}Unnest {expr:?}"),
+        };
+        for input in &self.inputs {
+            Self::explain_ref(input, out, depth + 1, st);
         }
     }
 }

@@ -33,7 +33,11 @@
 //! * Plans serialize as an explicit node table in children-first order, so
 //!   the DAG sharing that makes trigger plans compact (the affected-key
 //!   subplan feeding both OLD and NEW branches) survives a round trip:
-//!   decode rebuilds each shared node once and reuses the `Arc`.
+//!   decode rebuilds each shared node once and reuses the `Arc`. A row is
+//!   the op's tag byte, then its inputs' (earlier) row indices — as many
+//!   as [`PlanOp::input_count`] says, or a sequence for the variadic
+//!   `UnionAll` — then the op's fields. A row whose input count
+//!   contradicts its op (a `UnionAll` with none) is a decode error.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
@@ -41,7 +45,7 @@ use std::hash::Hash;
 use std::sync::Arc;
 
 use crate::expr::{AggExpr, AggFunc, BinOp, Expr, ScalarFunc};
-use crate::plan::{JoinKind, PhysicalPlan, PlanRef, SortKey, TableEpoch, TransitionSide};
+use crate::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::value::{ColumnType, Row, Value};
 use crate::{Error, Event, Result};
@@ -800,7 +804,7 @@ impl Encode for PlanRef {
     fn encode(&self, enc: &mut Enc) {
         let nodes = RefCell::new(Vec::new());
         self.fold(&|plan, kid| {
-            let kids: Vec<usize> = plan.children().into_iter().map(kid).collect();
+            let kids: Vec<usize> = plan.inputs.iter().map(kid).collect();
             let mut nodes = nodes.borrow_mut();
             nodes.push(Node { plan, kids });
             nodes.len() - 1
@@ -817,8 +821,9 @@ impl Decode for PlanRef {
     }
 }
 
-/// One row of the node table, with the indices of its inputs' (earlier)
-/// rows in [`PhysicalPlan::children`] order.
+/// One row of the node table: the op's tag, the indices of its inputs'
+/// (earlier) rows — a fixed count, or a length-prefixed sequence for the
+/// variadic `UnionAll` — then the op's fields.
 struct Node<'p> {
     plan: &'p PhysicalPlan,
     kids: Vec<usize>,
@@ -826,102 +831,87 @@ struct Node<'p> {
 
 impl Encode for Node<'_> {
     fn encode(&self, enc: &mut Enc) {
-        let kid = |i: usize| self.kids[i];
-        match self.plan {
-            PhysicalPlan::TableScan { table, epoch } => {
-                enc.u8(0);
+        let op = &self.plan.op;
+        let head = |enc: &mut Enc, tag: u8| {
+            enc.u8(tag);
+            match op.input_count() {
+                Some(_) => self.kids.iter().for_each(|k| enc.put(k)),
+                None => enc.put(&self.kids),
+            }
+        };
+        match op {
+            PlanOp::TableScan { table, epoch } => {
+                head(enc, 0);
                 enc.str(table);
                 enc.tag(*epoch);
             }
-            PhysicalPlan::TransitionScan {
+            PlanOp::TransitionScan {
                 table,
                 side,
                 pruned,
             } => {
-                enc.u8(1);
+                head(enc, 1);
                 enc.str(table);
                 enc.tag(*side);
                 enc.bool(*pruned);
             }
-            PhysicalPlan::Values { arity, rows } => {
-                enc.u8(2);
+            PlanOp::Values { arity, rows } => {
+                head(enc, 2);
                 enc.put(arity);
                 enc.put(rows);
             }
-            PhysicalPlan::Filter { predicate, .. } => {
-                enc.u8(3);
-                enc.put(&kid(0));
+            PlanOp::Filter { predicate } => {
+                head(enc, 3);
                 enc.put(predicate);
             }
-            PhysicalPlan::Project { exprs, .. } => {
-                enc.u8(4);
-                enc.put(&kid(0));
+            PlanOp::Project { exprs } => {
+                head(enc, 4);
                 enc.put(exprs);
             }
-            PhysicalPlan::HashJoin {
+            PlanOp::HashJoin {
                 left_keys,
                 right_keys,
                 kind,
                 filter,
-                ..
             } => {
-                enc.u8(5);
-                enc.put(&kid(0));
-                enc.put(&kid(1));
+                head(enc, 5);
                 enc.put(left_keys);
                 enc.put(right_keys);
                 enc.tag(*kind);
                 enc.put(filter);
             }
-            PhysicalPlan::IndexJoin {
+            PlanOp::IndexJoin {
                 table,
                 epoch,
                 probe,
                 kind,
                 filter,
-                ..
             } => {
-                enc.u8(6);
-                enc.put(&kid(0));
+                head(enc, 6);
                 enc.str(table);
                 enc.tag(*epoch);
                 enc.put(probe);
                 enc.tag(*kind);
                 enc.put(filter);
             }
-            PhysicalPlan::NestedLoopJoin {
-                predicate, kind, ..
-            } => {
-                enc.u8(7);
-                enc.put(&kid(0));
-                enc.put(&kid(1));
+            PlanOp::NestedLoopJoin { predicate, kind } => {
+                head(enc, 7);
                 enc.put(predicate);
                 enc.tag(*kind);
             }
-            PhysicalPlan::HashAggregate {
-                group_exprs, aggs, ..
-            } => {
-                enc.u8(8);
-                enc.put(&kid(0));
+            PlanOp::HashAggregate { group_exprs, aggs } => {
+                head(enc, 8);
                 enc.put(group_exprs);
                 enc.put(aggs);
             }
-            PhysicalPlan::UnionAll { .. } => {
-                enc.u8(9);
-                enc.put(&self.kids);
-            }
-            PhysicalPlan::Distinct { .. } => {
-                enc.u8(10);
-                enc.put(&kid(0));
-            }
-            PhysicalPlan::Sort { keys, .. } => {
-                enc.u8(11);
-                enc.put(&kid(0));
+            PlanOp::UnionAll => head(enc, 9),
+            PlanOp::Distinct => head(enc, 10),
+            PlanOp::Sort { keys } => {
+                head(enc, 11);
                 enc.put(keys);
             }
-            PhysicalPlan::Unnest { expr, .. } => {
-                enc.u8(12);
-                enc.put(&kid(0));
+            PlanOp::Unnest { expr } => {
+                head(enc, 12);
                 enc.put(expr);
             }
         }
@@ -929,74 +919,65 @@ impl Encode for Node<'_> {
 }
 
 fn decode_node(dec: &mut Dec<'_>, nodes: &[PlanRef]) -> Result<PhysicalPlan> {
-    let child = |dec: &mut Dec<'_>| -> Result<PlanRef> {
+    let kid = |dec: &mut Dec<'_>| -> Result<PlanRef> {
         let id: usize = dec.get()?;
         let node = nodes.get(id).cloned();
         node.ok_or_else(|| bad(format!("plan node reference {id} out of range")))
     };
-    Ok(match dec.u8()? {
-        0 => PhysicalPlan::TableScan {
+    let tag = dec.u8()?;
+    let inputs = match tag {
+        0..=2 => vec![],
+        3 | 4 | 6 | 8 | 10..=12 => vec![kid(dec)?],
+        5 | 7 => vec![kid(dec)?, kid(dec)?],
+        9 => dec.seq(|dec, _| kid(dec))?,
+        other => return Err(bad(format!("bad plan node tag {other}"))),
+    };
+    let op = match tag {
+        0 => PlanOp::TableScan {
             table: dec.str()?,
             epoch: dec.tag()?,
         },
-        1 => PhysicalPlan::TransitionScan {
+        1 => PlanOp::TransitionScan {
             table: dec.str()?,
             side: dec.tag()?,
             pruned: dec.bool()?,
         },
-        2 => PhysicalPlan::Values {
+        2 => PlanOp::Values {
             arity: dec.get()?,
             rows: dec.get()?,
         },
-        3 => PhysicalPlan::Filter {
-            input: child(dec)?,
+        3 => PlanOp::Filter {
             predicate: dec.get()?,
         },
-        4 => PhysicalPlan::Project {
-            input: child(dec)?,
-            exprs: dec.get()?,
-        },
-        5 => PhysicalPlan::HashJoin {
-            left: child(dec)?,
-            right: child(dec)?,
+        4 => PlanOp::Project { exprs: dec.get()? },
+        5 => PlanOp::HashJoin {
             left_keys: dec.get()?,
             right_keys: dec.get()?,
             kind: dec.tag()?,
             filter: dec.get()?,
         },
-        6 => PhysicalPlan::IndexJoin {
-            outer: child(dec)?,
+        6 => PlanOp::IndexJoin {
             table: dec.str()?,
             epoch: dec.tag()?,
             probe: dec.get()?,
             kind: dec.tag()?,
             filter: dec.get()?,
         },
-        7 => PhysicalPlan::NestedLoopJoin {
-            left: child(dec)?,
-            right: child(dec)?,
+        7 => PlanOp::NestedLoopJoin {
             predicate: dec.get()?,
             kind: dec.tag()?,
         },
-        8 => PhysicalPlan::HashAggregate {
-            input: child(dec)?,
+        8 => PlanOp::HashAggregate {
             group_exprs: dec.get()?,
             aggs: dec.get()?,
         },
-        9 => PhysicalPlan::UnionAll {
-            inputs: dec.seq(|dec, _| child(dec))?,
-        },
-        10 => PhysicalPlan::Distinct { input: child(dec)? },
-        11 => PhysicalPlan::Sort {
-            input: child(dec)?,
-            keys: dec.get()?,
-        },
-        12 => PhysicalPlan::Unnest {
-            input: child(dec)?,
-            expr: dec.get()?,
-        },
-        other => return Err(bad(format!("bad plan node tag {other}"))),
-    })
+        9 => PlanOp::UnionAll,
+        10 => PlanOp::Distinct,
+        11 => PlanOp::Sort { keys: dec.get()? },
+        12 => PlanOp::Unnest { expr: dec.get()? },
+        _ => unreachable!("tag checked with the inputs"),
+    };
+    PhysicalPlan::try_new(op, inputs).map_err(|e| bad(e.to_string()))
 }
 
 #[cfg(test)]
@@ -1158,25 +1139,29 @@ mod tests {
 
     #[test]
     fn plan_dag_round_trips_preserving_sharing() {
-        let shared = PhysicalPlan::TableScan {
-            table: "t".into(),
-            epoch: TableEpoch::Current,
-        }
+        let shared = PhysicalPlan::new(
+            PlanOp::TableScan {
+                table: "t".into(),
+                epoch: TableEpoch::Current,
+            },
+            vec![],
+        )
         .into_ref();
-        let left = PhysicalPlan::Filter {
-            input: Arc::clone(&shared),
-            predicate: Expr::lit(true),
-        }
+        let left = PhysicalPlan::new(
+            PlanOp::Filter {
+                predicate: Expr::lit(true),
+            },
+            vec![Arc::clone(&shared)],
+        )
         .into_ref();
-        let right = PhysicalPlan::Project {
-            input: Arc::clone(&shared),
-            exprs: vec![Expr::col(0)],
-        }
+        let right = PhysicalPlan::new(
+            PlanOp::Project {
+                exprs: vec![Expr::col(0)],
+            },
+            vec![Arc::clone(&shared)],
+        )
         .into_ref();
-        let root = PhysicalPlan::UnionAll {
-            inputs: vec![left, right],
-        }
-        .into_ref();
+        let root = PhysicalPlan::new(PlanOp::UnionAll, vec![left, right]).into_ref();
 
         let mut enc = Enc::new();
         enc.put(&root);
@@ -1184,16 +1169,30 @@ mod tests {
         let decoded: PlanRef = Dec::new(&bytes).get().unwrap();
         assert_eq!(*decoded, *root);
         // Sharing survives: both branches point at one scan node.
-        let PhysicalPlan::UnionAll { inputs } = &*decoded else {
+        let [a, b] = &decoded.inputs[..] else {
             panic!()
         };
-        let PhysicalPlan::Filter { input: a, .. } = &*inputs[0] else {
-            panic!()
-        };
-        let PhysicalPlan::Project { input: b, .. } = &*inputs[1] else {
-            panic!()
-        };
-        assert!(Arc::ptr_eq(a, b));
+        assert!(Arc::ptr_eq(&a.inputs[0], &b.inputs[0]));
         assert_eq!(decoded.explain(), root.explain());
+    }
+
+    /// A node-table row whose input count contradicts its op is a decode
+    /// error, not a plan: a `UnionAll` row with no inputs.
+    #[test]
+    fn input_counts_contradicting_the_op_are_refused() {
+        // Two rows: a scan of `t`, then a `UnionAll` over a u32 count of
+        // input indices.
+        let table = |union_inputs: &[u32]| {
+            let mut bytes = vec![2, 0, 0, 0, 0, 1, 0, 0, 0, b't', 0, 9];
+            bytes.extend((union_inputs.len() as u32).to_le_bytes());
+            for i in union_inputs {
+                bytes.extend(i.to_le_bytes());
+            }
+            bytes
+        };
+        let err = Dec::new(&table(&[])).get::<PlanRef>().unwrap_err();
+        assert!(err.to_string().contains("UnionAll"), "{err}");
+        let union: PlanRef = Dec::new(&table(&[0])).get().unwrap();
+        assert_eq!(union.inputs.len(), 1);
     }
 }

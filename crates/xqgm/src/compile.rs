@@ -17,22 +17,24 @@
 //! affected-key union feeding OLD and NEW branches) compile to *shared*
 //! plan nodes, which the executor then evaluates once.
 //!
-//! Produced plan nodes are **hash-consed** within one compiler: a node
-//! whose kind and (already-interned) children structurally match an earlier
-//! node reuses that node's `Arc`. Together with restricted-compilation
-//! memoization keyed on the *structural fingerprint* of the driver (not its
-//! allocation identity), this makes the number of distinct compiled
-//! subplans proportional to the number of distinct (operator, restriction)
-//! pairs — the recursion used to rebuild identical driver pipelines at
-//! every join level, which blew compilation up exponentially in view depth.
+//! Produced plan nodes are **hash-consed** within one compiler by value
+//! number: a node's number is its operator plus its inputs' numbers, so
+//! two nodes share a number exactly when they are structurally equal, and
+//! a new node whose number is taken reuses the first node's `Arc`.
+//! Together with restricted-compilation memoization keyed on the driver's
+//! value number (not its allocation identity), this makes the number of
+//! distinct compiled subplans proportional to the number of distinct
+//! (operator, restriction) pairs — the recursion used to rebuild identical
+//! driver pipelines at every join level, which blew compilation up
+//! exponentially in view depth.
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use quark_relational::expr::{BinOp, Expr};
-use quark_relational::plan::{JoinKind, PhysicalPlan, PlanRef, TransitionSide};
+use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, TransitionSide};
 use quark_relational::{Database, Error, Result};
 
 use crate::graph::{Graph, OpId, OpKind, TableSource};
@@ -55,14 +57,35 @@ pub struct Compiler<'a> {
     graph: &'a Graph,
     db: &'a Database,
     full: HashMap<OpId, PlanRef>,
-    restricted: HashMap<(OpId, Vec<usize>, u64, Vec<usize>), PlanRef>,
+    /// Keyed on the driver's value number and columns.
+    restricted: HashMap<(OpId, Vec<usize>, usize, Vec<usize>), PlanRef>,
     transition_cache: HashMap<OpId, bool>,
     compensations: HashMap<OpId, AggCompensation>,
-    /// Structural fingerprint per plan node, memoized by allocation.
-    plan_fp: HashMap<usize, u64>,
-    /// Hash-consing table for produced plan nodes.
-    plan_intern: HashMap<u64, Vec<PlanRef>>,
+    /// Value number per distinct `(op, input numbers)`, keyed by the
+    /// first node that had it.
+    interned: HashMap<Key, usize>,
+    /// Value number per node met, by address. Holding the `Arc` keeps the
+    /// address from being reused while it is numbered.
+    numbered: HashMap<usize, (PlanRef, usize)>,
 }
+
+/// A plan node as a value-numbering key: its op and its inputs' numbers.
+/// Hash and equality read only those, never the inputs themselves.
+struct Key(PlanRef, Vec<usize>);
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (&self.0.op, &self.1).hash(state);
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.op == other.0.op && self.1 == other.1
+    }
+}
+
+impl Eq for Key {}
 
 /// Recipe for the §5.2 GROUPED-AGG optimization: compute a GroupBy's
 /// *old* aggregates from its *new* aggregates plus transition-table
@@ -92,136 +115,55 @@ impl<'a> Compiler<'a> {
             restricted: HashMap::new(),
             transition_cache: HashMap::new(),
             compensations: HashMap::new(),
-            plan_fp: HashMap::new(),
-            plan_intern: HashMap::new(),
+            interned: HashMap::new(),
+            numbered: HashMap::new(),
         }
     }
 
-    /// Structural fingerprint of a plan node, memoized by allocation so a
-    /// shared DAG is walked once, not once per path.
-    fn fp(&mut self, p: &PlanRef) -> u64 {
-        let key = Arc::as_ptr(p) as usize;
-        if let Some(&h) = self.plan_fp.get(&key) {
-            return h;
+    /// Value number of `p`: two nodes get the same number exactly when
+    /// they are structurally equal. A node met for the first time (say, a
+    /// caller's driver) is numbered as it is, not replaced.
+    fn number(&mut self, p: &PlanRef) -> usize {
+        let addr = Arc::as_ptr(p) as usize;
+        if let Some(&(_, n)) = self.numbered.get(&addr) {
+            return n;
         }
-        let mut hasher = DefaultHasher::new();
-        match p.as_ref() {
-            PhysicalPlan::TableScan { table, epoch } => {
-                (0u8, table, epoch).hash(&mut hasher);
-            }
-            PhysicalPlan::TransitionScan {
-                table,
-                side,
-                pruned,
-            } => {
-                (1u8, table, side, pruned).hash(&mut hasher);
-            }
-            PhysicalPlan::Values { arity, rows } => {
-                (2u8, arity, rows).hash(&mut hasher);
-            }
-            PhysicalPlan::Filter { input, predicate } => {
-                (3u8, self.fp(input), predicate).hash(&mut hasher);
-            }
-            PhysicalPlan::Project { input, exprs } => {
-                (4u8, self.fp(input), exprs).hash(&mut hasher);
-            }
-            PhysicalPlan::HashJoin {
-                left,
-                right,
-                left_keys,
-                right_keys,
-                kind,
-                filter,
-            } => {
-                (5u8, self.fp(left), self.fp(right)).hash(&mut hasher);
-                (left_keys, right_keys, kind, filter).hash(&mut hasher);
-            }
-            PhysicalPlan::IndexJoin {
-                outer,
-                table,
-                epoch,
-                probe,
-                kind,
-                filter,
-            } => {
-                (6u8, self.fp(outer), table, epoch).hash(&mut hasher);
-                (probe, kind, filter).hash(&mut hasher);
-            }
-            PhysicalPlan::NestedLoopJoin {
-                left,
-                right,
-                predicate,
-                kind,
-            } => {
-                (7u8, self.fp(left), self.fp(right)).hash(&mut hasher);
-                (predicate, kind).hash(&mut hasher);
-            }
-            PhysicalPlan::HashAggregate {
-                input,
-                group_exprs,
-                aggs,
-            } => {
-                (8u8, self.fp(input), group_exprs, aggs).hash(&mut hasher);
-            }
-            PhysicalPlan::UnionAll { inputs } => {
-                9u8.hash(&mut hasher);
-                for i in inputs {
-                    self.fp(i).hash(&mut hasher);
-                }
-            }
-            PhysicalPlan::Distinct { input } => {
-                (10u8, self.fp(input)).hash(&mut hasher);
-            }
-            PhysicalPlan::Sort { input, keys } => {
-                (11u8, self.fp(input), keys).hash(&mut hasher);
-            }
-            PhysicalPlan::Unnest { input, expr } => {
-                (12u8, self.fp(input), expr).hash(&mut hasher);
-            }
-        }
-        let h = hasher.finish();
-        self.plan_fp.insert(key, h);
-        h
+        let n = self.first(p).0;
+        self.numbered.insert(addr, (Arc::clone(p), n));
+        n
     }
 
-    /// Hash-cons an already-wrapped plan node: if a structurally identical
-    /// node was produced before, return that shared `Arc` instead.
-    fn intern_ref(&mut self, p: PlanRef) -> PlanRef {
-        let h = self.fp(&p);
-        if let Some(candidates) = self.plan_intern.get(&h) {
-            for c in candidates {
-                if Arc::ptr_eq(c, &p) {
-                    return Arc::clone(c);
-                }
-                if shallow_eq(c, &p) {
-                    // `p` is a discarded duplicate about to be freed; its
-                    // fingerprint memo entry must die with it, or a later
-                    // allocation at the same address would inherit the
-                    // wrong fingerprint and poison the restricted memo.
-                    let shared = Arc::clone(c);
-                    self.plan_fp.remove(&(Arc::as_ptr(&p) as usize));
-                    return shared;
-                }
-            }
-        }
-        self.plan_intern.entry(h).or_default().push(Arc::clone(&p));
-        p
-    }
-
-    /// Hash-cons a freshly built node.
+    /// Hash-cons a freshly built node: the first node with its value
+    /// number, which is `plan` itself if none came before.
     fn intern(&mut self, plan: PhysicalPlan) -> PlanRef {
-        self.intern_ref(plan.into_ref())
+        self.first(&plan.into_ref()).1
+    }
+
+    /// The value number of `p` and the first node that had it.
+    fn first(&mut self, p: &PlanRef) -> (usize, PlanRef) {
+        let inputs = p.inputs.iter().map(|i| self.number(i)).collect();
+        let n = self.interned.len();
+        match self.interned.entry(Key(Arc::clone(p), inputs)) {
+            Entry::Occupied(first) => (*first.get(), Arc::clone(&first.key().0)),
+            Entry::Vacant(slot) => {
+                slot.insert(n);
+                self.numbered
+                    .insert(Arc::as_ptr(p) as usize, (Arc::clone(p), n));
+                (n, Arc::clone(p))
+            }
+        }
     }
 
     /// Build the canonical restriction driver over `plan`: distinct
     /// projections of `cols`, hash-consed so identical drivers share one
     /// allocation (and thereby one restricted-memo key).
     fn driver_over(&mut self, plan: &PlanRef, cols: &[usize]) -> Driver {
-        let projected = self.intern(PhysicalPlan::Project {
-            input: Arc::clone(plan),
-            exprs: cols.iter().map(|&c| Expr::col(c)).collect(),
-        });
-        let distinct = self.intern(PhysicalPlan::Distinct { input: projected });
+        let exprs = cols.iter().map(|&c| Expr::col(c)).collect();
+        let projected = self.intern(PhysicalPlan::new(
+            PlanOp::Project { exprs },
+            vec![Arc::clone(plan)],
+        ));
+        let distinct = self.intern(PhysicalPlan::new(PlanOp::Distinct, vec![projected]));
         Driver {
             plan: distinct,
             cols: (0..cols.len()).collect(),
@@ -247,23 +189,24 @@ impl<'a> Compiler<'a> {
     fn compile_uncached(&mut self, id: OpId) -> Result<PlanRef> {
         let op = self.graph.op(id).clone();
         Ok(match &op.kind {
-            OpKind::Table { table, source } => {
-                let plan = table_plan(table, *source);
-                self.intern_ref(plan)
-            }
+            OpKind::Table { table, source } => self.intern(table_plan(table, *source)),
             OpKind::Select { predicate } => {
                 let input = self.compile(op.inputs[0])?;
-                self.intern(PhysicalPlan::Filter {
-                    input,
-                    predicate: predicate.clone(),
-                })
+                self.intern(PhysicalPlan::new(
+                    PlanOp::Filter {
+                        predicate: predicate.clone(),
+                    },
+                    vec![input],
+                ))
             }
             OpKind::Project { exprs, .. } => {
                 let input = self.compile(op.inputs[0])?;
-                self.intern(PhysicalPlan::Project {
-                    input,
-                    exprs: exprs.clone(),
-                })
+                self.intern(PhysicalPlan::new(
+                    PlanOp::Project {
+                        exprs: exprs.clone(),
+                    },
+                    vec![input],
+                ))
             }
             OpKind::Join { kind, predicate } => {
                 if let Some(plan) =
@@ -274,33 +217,40 @@ impl<'a> Compiler<'a> {
                 let left = self.compile(op.inputs[0])?;
                 let right = self.compile(op.inputs[1])?;
                 let left_arity = self.graph.arity(op.inputs[0], self.db)?;
-                let plan = join_plan(left, right, left_arity, *kind, predicate.as_ref());
-                self.intern_ref(plan)
+                self.intern(join_plan(
+                    left,
+                    right,
+                    left_arity,
+                    *kind,
+                    predicate.as_ref(),
+                ))
             }
             OpKind::GroupBy {
                 group_cols, aggs, ..
             } => {
                 let input = self.compile(op.inputs[0])?;
-                self.intern(PhysicalPlan::HashAggregate {
-                    input,
-                    group_exprs: group_cols.iter().map(|&c| Expr::col(c)).collect(),
-                    aggs: aggs.clone(),
-                })
+                self.intern(PhysicalPlan::new(
+                    PlanOp::HashAggregate {
+                        group_exprs: group_cols.iter().map(|&c| Expr::col(c)).collect(),
+                        aggs: aggs.clone(),
+                    },
+                    vec![input],
+                ))
             }
             OpKind::Union => {
                 let mut inputs = Vec::with_capacity(op.inputs.len());
                 for &i in &op.inputs {
                     inputs.push(self.compile(i)?);
                 }
-                let union = self.intern(PhysicalPlan::UnionAll { inputs });
-                self.intern(PhysicalPlan::Distinct { input: union })
+                let union = self.intern(PhysicalPlan::new(PlanOp::UnionAll, inputs));
+                self.intern(PhysicalPlan::new(PlanOp::Distinct, vec![union]))
             }
             OpKind::Unnest { expr, .. } => {
                 let input = self.compile(op.inputs[0])?;
-                self.intern(PhysicalPlan::Unnest {
-                    input,
-                    expr: expr.clone(),
-                })
+                self.intern(PhysicalPlan::new(
+                    PlanOp::Unnest { expr: expr.clone() },
+                    vec![input],
+                ))
             }
         })
     }
@@ -338,7 +288,7 @@ impl<'a> Compiler<'a> {
             let driver = self.driver_over(&small, &lcols);
             let restricted = self.compile_restricted(right, &rcols, &driver)?;
             let plan = join_plan(small, restricted, left_arity, kind, predicate);
-            return Ok(Some(self.intern_ref(plan)));
+            return Ok(Some(self.intern(plan)));
         }
         // Small side on the right: only an inner join lets us restrict the
         // left input without changing semantics.
@@ -351,7 +301,7 @@ impl<'a> Compiler<'a> {
         let driver = self.driver_over(&small, &rcols);
         let restricted = self.compile_restricted(left, &lcols, &driver)?;
         let plan = join_plan(restricted, small, left_arity, kind, predicate);
-        Ok(Some(self.intern_ref(plan)))
+        Ok(Some(self.intern(plan)))
     }
 
     /// Does the subtree under `op` read a transition table?
@@ -390,7 +340,7 @@ impl<'a> Compiler<'a> {
         let memo_key = (
             id,
             cols.to_vec(),
-            self.fp(&driver.plan),
+            self.number(&driver.plan),
             driver.cols.clone(),
         );
         if let Some(hit) = self.restricted.get(&memo_key) {
@@ -422,24 +372,26 @@ impl<'a> Compiler<'a> {
                         if let Some(probe_pairs) = self.index_probe(table, cols, driver)? {
                             let table_arity = self.db.table(table)?.schema().arity();
                             let driver_arity = driver.plan.arity(self.db)?;
-                            let joined = self.intern(PhysicalPlan::IndexJoin {
-                                outer: Arc::clone(&driver.plan),
-                                table: table.clone(),
-                                epoch: *epoch,
-                                probe: probe_pairs,
-                                kind: JoinKind::Inner,
-                                filter: None,
-                            });
+                            let joined = self.intern(PhysicalPlan::new(
+                                PlanOp::IndexJoin {
+                                    table: table.clone(),
+                                    epoch: *epoch,
+                                    probe: probe_pairs,
+                                    kind: JoinKind::Inner,
+                                    filter: None,
+                                },
+                                vec![Arc::clone(&driver.plan)],
+                            ));
                             // Keep only the table's columns. Driver keys are
                             // distinct and probe columns functionally depend
                             // on the key, so no duplicates arise.
                             let exprs = (0..table_arity)
                                 .map(|c| Expr::col(driver_arity + c))
                                 .collect();
-                            return Ok(self.intern(PhysicalPlan::Project {
-                                input: joined,
-                                exprs,
-                            }));
+                            return Ok(self.intern(PhysicalPlan::new(
+                                PlanOp::Project { exprs },
+                                vec![joined],
+                            )));
                         }
                         self.fallback_semi(id, cols, driver)
                     }
@@ -452,10 +404,12 @@ impl<'a> Compiler<'a> {
             }
             OpKind::Select { predicate } => {
                 let input = self.compile_restricted(op.inputs[0], cols, driver)?;
-                Ok(self.intern(PhysicalPlan::Filter {
-                    input,
-                    predicate: predicate.clone(),
-                }))
+                Ok(self.intern(PhysicalPlan::new(
+                    PlanOp::Filter {
+                        predicate: predicate.clone(),
+                    },
+                    vec![input],
+                )))
             }
             OpKind::Project { exprs, .. } => {
                 let mut mapped = Vec::with_capacity(cols.len());
@@ -466,10 +420,12 @@ impl<'a> Compiler<'a> {
                     }
                 }
                 let input = self.compile_restricted(op.inputs[0], &mapped, driver)?;
-                Ok(self.intern(PhysicalPlan::Project {
-                    input,
-                    exprs: exprs.clone(),
-                }))
+                Ok(self.intern(PhysicalPlan::new(
+                    PlanOp::Project {
+                        exprs: exprs.clone(),
+                    },
+                    vec![input],
+                )))
             }
             OpKind::GroupBy {
                 group_cols, aggs, ..
@@ -485,11 +441,13 @@ impl<'a> Compiler<'a> {
                     }
                 }
                 let input = self.compile_restricted(op.inputs[0], &mapped, driver)?;
-                Ok(self.intern(PhysicalPlan::HashAggregate {
-                    input,
-                    group_exprs: group_cols.iter().map(|&c| Expr::col(c)).collect(),
-                    aggs: aggs.clone(),
-                }))
+                Ok(self.intern(PhysicalPlan::new(
+                    PlanOp::HashAggregate {
+                        group_exprs: group_cols.iter().map(|&c| Expr::col(c)).collect(),
+                        aggs: aggs.clone(),
+                    },
+                    vec![input],
+                )))
             }
             OpKind::Join { kind, predicate } => {
                 self.restrict_join(id, &op.inputs, *kind, predicate.as_ref(), cols, driver)
@@ -499,17 +457,17 @@ impl<'a> Compiler<'a> {
                 for &i in &op.inputs {
                     inputs.push(self.compile_restricted(i, cols, driver)?);
                 }
-                let union = self.intern(PhysicalPlan::UnionAll { inputs });
-                Ok(self.intern(PhysicalPlan::Distinct { input: union }))
+                let union = self.intern(PhysicalPlan::new(PlanOp::UnionAll, inputs));
+                Ok(self.intern(PhysicalPlan::new(PlanOp::Distinct, vec![union])))
             }
             OpKind::Unnest { expr, .. } => {
                 let input_arity = self.graph.arity(op.inputs[0], self.db)?;
                 if cols.iter().all(|&c| c < input_arity) {
                     let input = self.compile_restricted(op.inputs[0], cols, driver)?;
-                    Ok(self.intern(PhysicalPlan::Unnest {
-                        input,
-                        expr: expr.clone(),
-                    }))
+                    Ok(self.intern(PhysicalPlan::new(
+                        PlanOp::Unnest { expr: expr.clone() },
+                        vec![input],
+                    )))
                 } else {
                     self.fallback_semi(id, cols, driver)
                 }
@@ -567,36 +525,45 @@ impl<'a> Compiler<'a> {
 
         let new_rows = self.compile_restricted(recipe.new_op, cols, driver)?;
         let delta_input = self.compile(recipe.delta_input)?;
-        let delta_rows = self.intern(PhysicalPlan::Project {
-            input: delta_input,
-            exprs: branch_exprs(true),
-        });
+        let delta_rows = self.intern(PhysicalPlan::new(
+            PlanOp::Project {
+                exprs: branch_exprs(true),
+            },
+            vec![delta_input],
+        ));
         let nabla_input = self.compile(recipe.nabla_input)?;
-        let nabla_rows = self.intern(PhysicalPlan::Project {
-            input: nabla_input,
-            exprs: branch_exprs(false),
-        });
+        let nabla_rows = self.intern(PhysicalPlan::new(
+            PlanOp::Project {
+                exprs: branch_exprs(false),
+            },
+            vec![nabla_input],
+        ));
 
-        let union = self.intern(PhysicalPlan::UnionAll {
-            inputs: vec![new_rows, delta_rows, nabla_rows],
-        });
-        let summed = self.intern(PhysicalPlan::HashAggregate {
-            input: union,
-            group_exprs: (0..glen).map(Expr::col).collect(),
-            aggs: (0..aggs.len())
-                .map(|i| {
-                    quark_relational::expr::AggExpr::over(
-                        quark_relational::expr::AggFunc::Sum,
-                        Expr::col(glen + i),
-                    )
-                })
-                .collect(),
-        });
+        let union = self.intern(PhysicalPlan::new(
+            PlanOp::UnionAll,
+            vec![new_rows, delta_rows, nabla_rows],
+        ));
+        let summed = self.intern(PhysicalPlan::new(
+            PlanOp::HashAggregate {
+                group_exprs: (0..glen).map(Expr::col).collect(),
+                aggs: (0..aggs.len())
+                    .map(|i| {
+                        quark_relational::expr::AggExpr::over(
+                            quark_relational::expr::AggFunc::Sum,
+                            Expr::col(glen + i),
+                        )
+                    })
+                    .collect(),
+            },
+            vec![union],
+        ));
         Ok(match recipe.existence_agg {
-            Some(e) => self.intern(PhysicalPlan::Filter {
-                input: summed,
-                predicate: Expr::bin(BinOp::Gt, Expr::col(glen + e), Expr::lit(0i64)),
-            }),
+            Some(e) => self.intern(PhysicalPlan::new(
+                PlanOp::Filter {
+                    predicate: Expr::bin(BinOp::Gt, Expr::col(glen + e), Expr::lit(0i64)),
+                },
+                vec![summed],
+            )),
             None => summed,
         })
     }
@@ -665,16 +632,13 @@ impl<'a> Compiler<'a> {
                 JoinKind::Inner,
                 swapped_pred.as_ref(),
             );
-            let joined = self.intern_ref(joined);
+            let joined = self.intern(joined);
             // Reorder to (left ++ right).
             let exprs = (0..left_arity)
                 .map(|c| Expr::col(right_arity + c))
                 .chain((0..right_arity).map(Expr::col))
                 .collect();
-            return Ok(self.intern(PhysicalPlan::Project {
-                input: joined,
-                exprs,
-            }));
+            return Ok(self.intern(PhysicalPlan::new(PlanOp::Project { exprs }, vec![joined])));
         }
 
         if kind == JoinKind::Inner {
@@ -690,15 +654,8 @@ impl<'a> Compiler<'a> {
             let left = self.compile_restricted(inputs[0], &lcols, &dl)?;
             let right = self.compile_restricted(inputs[1], &rcols, &dr)?;
             let joined = join_plan(left, right, left_arity, kind, predicate);
-            let joined = self.intern_ref(joined);
-            return Ok(self.intern(PhysicalPlan::HashJoin {
-                left: joined,
-                right: Arc::clone(&driver.plan),
-                left_keys: cols.iter().map(|&c| Expr::col(c)).collect(),
-                right_keys: driver.cols.iter().map(|&c| Expr::col(c)).collect(),
-                kind: JoinKind::LeftSemi,
-                filter: None,
-            }));
+            let joined = self.intern(joined);
+            return Ok(self.semi_join(joined, cols, driver));
         }
 
         self.fallback_semi(id, cols, driver)
@@ -767,14 +724,16 @@ impl<'a> Compiler<'a> {
                         };
                         let epoch = *epoch;
                         let table = table.clone();
-                        return Ok(self.intern(PhysicalPlan::IndexJoin {
-                            outer: left,
-                            table,
-                            epoch,
-                            probe,
-                            kind,
-                            filter,
-                        }));
+                        return Ok(self.intern(PhysicalPlan::new(
+                            PlanOp::IndexJoin {
+                                table,
+                                epoch,
+                                probe,
+                                kind,
+                                filter,
+                            },
+                            vec![left],
+                        )));
                     }
                 }
             }
@@ -791,12 +750,12 @@ impl<'a> Compiler<'a> {
                 let new_driver = self.driver_over(&left, &lcols);
                 let right = self.compile_restricted(right_id, &rcols, &new_driver)?;
                 let plan = join_plan(left, right, left_arity, kind, predicate);
-                return Ok(self.intern_ref(plan));
+                return Ok(self.intern(plan));
             }
         }
         let right = self.compile(right_id)?;
         let plan = join_plan(left, right, left_arity, kind, predicate);
-        Ok(self.intern_ref(plan))
+        Ok(self.intern(plan))
     }
 
     /// Try to derive index-probe pairs for restricting `table` directly on
@@ -830,193 +789,37 @@ impl<'a> Compiler<'a> {
     /// driver.
     fn fallback_semi(&mut self, id: OpId, cols: &[usize], driver: &Driver) -> Result<PlanRef> {
         let full = self.compile(id)?;
-        Ok(self.intern(PhysicalPlan::HashJoin {
-            left: full,
-            right: Arc::clone(&driver.plan),
+        Ok(self.semi_join(full, cols, driver))
+    }
+
+    /// `plan` semi-joined with the driver on `cols`.
+    fn semi_join(&mut self, plan: PlanRef, cols: &[usize], driver: &Driver) -> PlanRef {
+        let op = PlanOp::HashJoin {
             left_keys: cols.iter().map(|&c| Expr::col(c)).collect(),
             right_keys: driver.cols.iter().map(|&c| Expr::col(c)).collect(),
             kind: JoinKind::LeftSemi,
             filter: None,
-        }))
+        };
+        self.intern(PhysicalPlan::new(op, vec![plan, Arc::clone(&driver.plan)]))
     }
 }
 
-/// Structural equality that compares children by allocation identity —
-/// sound for hash-consing because candidates' children are interned, so
-/// structurally equal children are pointer-equal. Falling back to deep
-/// equality would re-walk shared DAGs once per path.
-fn shallow_eq(a: &PhysicalPlan, b: &PhysicalPlan) -> bool {
-    use PhysicalPlan as P;
-    match (a, b) {
-        (
-            P::TableScan {
-                table: ta,
-                epoch: ea,
-            },
-            P::TableScan {
-                table: tb,
-                epoch: eb,
-            },
-        ) => ta == tb && ea == eb,
-        (
-            P::TransitionScan {
-                table: ta,
-                side: sa,
-                pruned: pa,
-            },
-            P::TransitionScan {
-                table: tb,
-                side: sb,
-                pruned: pb,
-            },
-        ) => ta == tb && sa == sb && pa == pb,
-        (
-            P::Values {
-                arity: aa,
-                rows: ra,
-            },
-            P::Values {
-                arity: ab,
-                rows: rb,
-            },
-        ) => aa == ab && ra == rb,
-        (
-            P::Filter {
-                input: ia,
-                predicate: pa,
-            },
-            P::Filter {
-                input: ib,
-                predicate: pb,
-            },
-        ) => Arc::ptr_eq(ia, ib) && pa == pb,
-        (
-            P::Project {
-                input: ia,
-                exprs: ea,
-            },
-            P::Project {
-                input: ib,
-                exprs: eb,
-            },
-        ) => Arc::ptr_eq(ia, ib) && ea == eb,
-        (
-            P::HashJoin {
-                left: la,
-                right: ra,
-                left_keys: lka,
-                right_keys: rka,
-                kind: ka,
-                filter: fa,
-            },
-            P::HashJoin {
-                left: lb,
-                right: rb,
-                left_keys: lkb,
-                right_keys: rkb,
-                kind: kb,
-                filter: fb,
-            },
-        ) => {
-            Arc::ptr_eq(la, lb)
-                && Arc::ptr_eq(ra, rb)
-                && lka == lkb
-                && rka == rkb
-                && ka == kb
-                && fa == fb
-        }
-        (
-            P::IndexJoin {
-                outer: oa,
-                table: ta,
-                epoch: ea,
-                probe: pa,
-                kind: ka,
-                filter: fa,
-            },
-            P::IndexJoin {
-                outer: ob,
-                table: tb,
-                epoch: eb,
-                probe: pb,
-                kind: kb,
-                filter: fb,
-            },
-        ) => Arc::ptr_eq(oa, ob) && ta == tb && ea == eb && pa == pb && ka == kb && fa == fb,
-        (
-            P::NestedLoopJoin {
-                left: la,
-                right: ra,
-                predicate: pa,
-                kind: ka,
-            },
-            P::NestedLoopJoin {
-                left: lb,
-                right: rb,
-                predicate: pb,
-                kind: kb,
-            },
-        ) => Arc::ptr_eq(la, lb) && Arc::ptr_eq(ra, rb) && pa == pb && ka == kb,
-        (
-            P::HashAggregate {
-                input: ia,
-                group_exprs: ga,
-                aggs: aa,
-            },
-            P::HashAggregate {
-                input: ib,
-                group_exprs: gb,
-                aggs: ab,
-            },
-        ) => Arc::ptr_eq(ia, ib) && ga == gb && aa == ab,
-        (P::UnionAll { inputs: ia }, P::UnionAll { inputs: ib }) => {
-            ia.len() == ib.len() && ia.iter().zip(ib).all(|(x, y)| Arc::ptr_eq(x, y))
-        }
-        (P::Distinct { input: ia }, P::Distinct { input: ib }) => Arc::ptr_eq(ia, ib),
-        (
-            P::Sort {
-                input: ia,
-                keys: ka,
-            },
-            P::Sort {
-                input: ib,
-                keys: kb,
-            },
-        ) => Arc::ptr_eq(ia, ib) && ka == kb,
-        (
-            P::Unnest {
-                input: ia,
-                expr: ea,
-            },
-            P::Unnest {
-                input: ib,
-                expr: eb,
-            },
-        ) => Arc::ptr_eq(ia, ib) && ea == eb,
-        _ => false,
-    }
-}
-
-fn table_plan(table: &str, source: TableSource) -> PlanRef {
-    match source {
-        TableSource::Base(epoch) => PhysicalPlan::TableScan {
-            table: table.to_string(),
-            epoch,
-        }
-        .into_ref(),
-        TableSource::Delta { pruned } => PhysicalPlan::TransitionScan {
-            table: table.to_string(),
+fn table_plan(table: &str, source: TableSource) -> PhysicalPlan {
+    let table = table.to_string();
+    let op = match source {
+        TableSource::Base(epoch) => PlanOp::TableScan { table, epoch },
+        TableSource::Delta { pruned } => PlanOp::TransitionScan {
+            table,
             side: TransitionSide::Delta,
             pruned,
-        }
-        .into_ref(),
-        TableSource::Nabla { pruned } => PhysicalPlan::TransitionScan {
-            table: table.to_string(),
+        },
+        TableSource::Nabla { pruned } => PlanOp::TransitionScan {
+            table,
             side: TransitionSide::Nabla,
             pruned,
-        }
-        .into_ref(),
-    }
+        },
+    };
+    PhysicalPlan::new(op, vec![])
 }
 
 /// Build a hash join when the predicate yields equi-pairs, else a nested
@@ -1027,7 +830,7 @@ fn join_plan(
     left_arity: usize,
     kind: JoinKind,
     predicate: Option<&Expr>,
-) -> PlanRef {
+) -> PhysicalPlan {
     if let Some(pred) = predicate {
         let (equi, residual) = split_equi(pred, left_arity);
         if !equi.is_empty() {
@@ -1036,24 +839,20 @@ fn join_plan(
             } else {
                 Some(Expr::and_all(residual))
             };
-            return PhysicalPlan::HashJoin {
-                left,
-                right,
+            let op = PlanOp::HashJoin {
                 left_keys: equi.iter().map(|&(l, _)| Expr::col(l)).collect(),
                 right_keys: equi.iter().map(|&(_, r)| Expr::col(r)).collect(),
                 kind,
                 filter,
-            }
-            .into_ref();
+            };
+            return PhysicalPlan::new(op, vec![left, right]);
         }
     }
-    PhysicalPlan::NestedLoopJoin {
-        left,
-        right,
+    let op = PlanOp::NestedLoopJoin {
         predicate: predicate.cloned(),
         kind,
-    }
-    .into_ref()
+    };
+    PhysicalPlan::new(op, vec![left, right])
 }
 
 /// Split a conjunction into `(left col, right col)` equi-pairs (right cols

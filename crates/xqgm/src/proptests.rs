@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use quark_relational::exec::execute_query;
-use quark_relational::plan::PhysicalPlan;
+use quark_relational::plan::{PhysicalPlan, PlanOp};
 use quark_relational::{row, Database, Value};
 
 use crate::compile::{compile_restricted, Driver};
@@ -89,7 +89,7 @@ proptest! {
             uniq.into_iter().map(|n| row([Value::str(n)])).collect()
         };
         let driver = Driver {
-            plan: PhysicalPlan::Values { arity: 1, rows: driver_rows.clone() }.into_ref(),
+            plan: PhysicalPlan::new(PlanOp::Values { arity: 1, rows: driver_rows.clone() }, vec![]).into_ref(),
             cols: vec![0],
         };
         let key = kg.key(root).to_vec();

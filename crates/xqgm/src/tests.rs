@@ -1,12 +1,14 @@
 //! XQGM-level tests against the paper's running example (Figures 2–5).
 
+use std::sync::Arc;
+
 use quark_relational::exec::transitions;
 use quark_relational::expr::{AggExpr, Expr};
-use quark_relational::plan::PhysicalPlan;
+use quark_relational::plan::{PhysicalPlan, PlanOp};
 use quark_relational::{row, Event, Value};
 use quark_xml::XmlNode;
 
-use crate::compile::{compile_restricted, Driver};
+use crate::compile::{compile_restricted, Compiler, Driver};
 use crate::eval::{evaluate, evaluate_with};
 use crate::fixtures::{catalog_cols, catalog_path_graph, catalog_view_graph, product_vendor_db};
 use crate::graph::{Graph, JoinKind, TableSource};
@@ -205,10 +207,13 @@ fn restricted_compile_matches_filtered_full_eval() {
     let (kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
 
     let driver = Driver {
-        plan: PhysicalPlan::Values {
-            arity: 1,
-            rows: vec![row([Value::str("CRT 15")])],
-        }
+        plan: PhysicalPlan::new(
+            PlanOp::Values {
+                arity: 1,
+                rows: vec![row([Value::str("CRT 15")])],
+            },
+            vec![],
+        )
         .into_ref(),
         cols: vec![0],
     };
@@ -231,6 +236,37 @@ fn restricted_compile_matches_filtered_full_eval() {
     assert_eq!(rows[0], expected[0]);
 }
 
+/// The restricted memo compares drivers by value number, not by address:
+/// two structurally equal drivers built apart get one shared plan, and a
+/// driver one literal away gets its own, even when it is allocated where
+/// a freed earlier driver lived.
+#[test]
+fn restricted_memo_compares_drivers_by_structure() {
+    let db = product_vendor_db();
+    let mut g = Graph::new();
+    let (top, _) = catalog_path_graph(&mut g);
+    let (kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
+    let key = kg.key(new_top).to_vec();
+    let driver = |name: &str| Driver {
+        plan: PhysicalPlan::new(
+            PlanOp::Values {
+                arity: 1,
+                rows: vec![row([Value::str(name)])],
+            },
+            vec![],
+        )
+        .into_ref(),
+        cols: vec![0],
+    };
+    let mut compiler = Compiler::new(&kg.graph, &db);
+    let mut restricted =
+        |name| (compiler.compile_restricted(new_top, &key, &driver(name))).unwrap();
+    let crt = restricted("CRT 15");
+    assert!(Arc::ptr_eq(&crt, &restricted("CRT 15")));
+    let lcd = restricted("LCD 19");
+    assert_ne!(*crt, *lcd);
+}
+
 /// An empty driver yields an empty restricted result without touching data.
 #[test]
 fn restricted_compile_with_empty_driver_is_empty() {
@@ -239,10 +275,13 @@ fn restricted_compile_with_empty_driver_is_empty() {
     let (top, _) = catalog_path_graph(&mut g);
     let (kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
     let driver = Driver {
-        plan: PhysicalPlan::Values {
-            arity: 1,
-            rows: vec![],
-        }
+        plan: PhysicalPlan::new(
+            PlanOp::Values {
+                arity: 1,
+                rows: vec![],
+            },
+            vec![],
+        )
         .into_ref(),
         cols: vec![0],
     };

@@ -15,6 +15,8 @@
 //! * the bench hierarchy's trigger plan constructs XML for the NEW node it
 //!   delivers and for nothing else (dead-column elimination; the injective
 //!   leaf table drops the `OLD ≠ NEW` guard, so the OLD side is a skeleton),
+//! * the depth-4 chain view's affected-node plans keep a fixed number of
+//!   distinct nodes: the compiler shares every structurally equal subplan,
 //! * a grouped condition with no pushable equality scans its constants
 //!   table once per firing, warm or not: the executor keeps no state
 //!   across firings.
@@ -29,7 +31,7 @@ use quark_bench::{build, WorkloadSpec};
 use quark_core::angraph::build_affected;
 use quark_core::oracle::changes_of;
 use quark_core::relational::expr::{AggFunc, Expr, ScalarFunc};
-use quark_core::relational::plan::{PhysicalPlan, PlanRef};
+use quark_core::relational::plan::{PlanOp, PlanRef};
 use quark_core::relational::{sql, Database, Error, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
 use quark_core::{Mode, Needs, Quark, Session, SideNeeds, StatementResult, XmlEvent, XmlView};
@@ -278,23 +280,28 @@ fn xml_constructors(plan: &PlanRef) -> (usize, usize) {
             Expr::Col(_) | Expr::Lit(_) => 0,
         }
     }
-    let (mut seen, mut stack, mut counts) = (HashSet::new(), vec![plan], (0, 0));
-    while let Some(p) = stack.pop() {
-        if !seen.insert(Arc::as_ptr(p)) {
-            continue;
-        }
-        match &**p {
-            PhysicalPlan::Project { exprs, .. } => {
-                counts.0 += exprs.iter().map(calls).sum::<usize>()
-            }
-            PhysicalPlan::HashAggregate { aggs, .. } => {
+    let mut counts = (0, 0);
+    for node in distinct_nodes(plan) {
+        match &node.op {
+            PlanOp::Project { exprs } => counts.0 += exprs.iter().map(calls).sum::<usize>(),
+            PlanOp::HashAggregate { aggs, .. } => {
                 counts.1 += aggs.iter().filter(|a| a.func == AggFunc::XmlAgg).count()
             }
             _ => {}
         }
-        stack.extend(p.children());
     }
     counts
+}
+
+/// The distinct nodes of a plan DAG: a shared subplan appears once.
+fn distinct_nodes(plan: &PlanRef) -> Vec<&PlanRef> {
+    let (mut seen, mut out) = (HashSet::from([Arc::as_ptr(plan)]), vec![plan]);
+    let mut next = 0;
+    while let Some(&p) = out.get(next) {
+        out.extend(p.inputs.iter().filter(|i| seen.insert(Arc::as_ptr(i))));
+        next += 1;
+    }
+    out
 }
 
 /// The affected-node plan of the bench trigger (`… where OLD_NODE/@name =
@@ -354,6 +361,43 @@ fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
             .unwrap_or_else(|| panic!("no UPDATE trigger on {table}:\n{text}"));
         assert_eq!(plan.contains(guard), guarded, "{table}:\n{plan}");
     }
+}
+
+/// Hash-consing gate: the affected-node plans of the depth-4 chain view
+/// (the bench trigger's needs, every event on every table) have a fixed
+/// number of distinct nodes. The key subplan feeds the OLD and NEW sides
+/// at every level, so a compiler that stops sharing structurally equal
+/// nodes moves these counts.
+#[test]
+fn chain_view_trigger_plans_keep_their_distinct_node_counts() {
+    let mut spec = WorkloadSpec::quick(Mode::Grouped);
+    (spec.depth, spec.leaf_count, spec.fanout) = (4, 256, 4);
+    (spec.triggers, spec.satisfied) = (1, 1);
+    let workload = build(spec).expect("workload");
+    let quark = workload.quark();
+    let needs = Needs {
+        old: SideNeeds { node: false },
+        new: SideNeeds { node: true },
+    };
+    let mut counts = vec![];
+    for table in ["t0", "t1", "t2", "t3"] {
+        for event in [XmlEvent::Update, XmlEvent::Insert, XmlEvent::Delete] {
+            let mut pg = quark.view("bench").expect("bench view").anchors["e0"].clone();
+            let affected = build_affected(
+                &mut pg,
+                table,
+                event,
+                needs,
+                quark.options(),
+                quark.database(),
+            )
+            .expect("translation")
+            .expect("every table affects e0");
+            counts.push(distinct_nodes(&affected.plan).len());
+        }
+    }
+    let expected = [100, 108, 108, 163, 162, 162, 191, 190, 190, 202, 202, 202];
+    assert_eq!(counts, expected, "UPDATE/INSERT/DELETE on t0..t3");
 }
 
 /// A session over the Figure-2 catalog with `triggers` grouped XML triggers
