@@ -254,8 +254,7 @@ fn build(
                 }
             }
             if branches.len() == 1 {
-                let b = branches.pop_but_keep();
-                return Ok(Some(b));
+                return Ok(branches.pop());
             }
             let names: Vec<String> = (0..cols.len()).map(|i| format!("ak_{i}")).collect();
             let projected: Vec<OpId> = branches
@@ -280,17 +279,6 @@ fn build(
         OpKind::Unnest { .. } => Err(Error::Plan(
             "Unnest in a Path graph is not trigger-specifiable (Theorem 1)".into(),
         )),
-    }
-}
-
-/// Tiny helper so the single-branch Union case reads naturally.
-trait PopButKeep<T> {
-    fn pop_but_keep(&mut self) -> T;
-}
-
-impl<T> PopButKeep<T> for Vec<T> {
-    fn pop_but_keep(&mut self) -> T {
-        self.pop().expect("non-empty checked by caller")
     }
 }
 
@@ -428,8 +416,6 @@ mod tests {
     #[test]
     fn unrelated_table_yields_none() {
         let (db, mut kg, root) = setup();
-        let mut db2 = quark_relational::Database::new();
-        let _ = &mut db2;
         let ak = create_ak_graph(
             &mut kg,
             root,

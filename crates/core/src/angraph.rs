@@ -5,7 +5,12 @@
 //!
 //! 1. affected keys from the Δ side over `G` and the ∇ side over `G_old`
 //!    ([`crate::akgraph`]), normalized to the full canonical key and
-//!    unioned (`Ou`);
+//!    unioned (`Ou`). A partial key (only one join input changed) is
+//!    *completed* where it can be: a missing key column that the graph's
+//!    own join or select predicates equate with a present one is copied
+//!    from it (Definition 1's "derivable" columns), so the branch stays
+//!    `Distinct(Project(AK))`. Only a key no equality determines is joined
+//!    back with the path graph to read the missing columns;
 //! 2. `O_new = Ou ⋈ G` and `O_old = Ou ⋈ G_old`, compiled *restricted* so
 //!    the join on affected keys is pushed down to index probes (§5.2);
 //! 3. the event-specific join: inner for UPDATE (both nodes exist), left
@@ -25,10 +30,10 @@
 
 use std::collections::HashMap;
 
-use quark_relational::expr::{AggFunc, Expr};
+use quark_relational::expr::{AggFunc, BinOp, Expr};
 use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef};
-use quark_relational::{Database, Result, Value};
-use quark_xqgm::{AggCompensation, Compiler, Driver, KeyedGraph, OpId, OpKind, TableSource};
+use quark_relational::{ColumnType, Database, Result, Value};
+use quark_xqgm::{AggCompensation, Compiler, Driver, Graph, KeyedGraph, OpId, OpKind, TableSource};
 
 use crate::akgraph::{create_ak_graph, AkOptions, AkResult, AkSide};
 use crate::inject::{is_injective, skeleton, SkeletonMap};
@@ -169,11 +174,17 @@ pub fn build_affected(
     }
 
     let mut key_branches: Vec<PlanRef> = Vec::new();
-    if let Some(ak) = &ak_new {
-        key_branches.push(full_key_plan(&mut compiler, ak, root, &key, db)?);
-    }
-    if let Some(ak) = &ak_old {
-        key_branches.push(full_key_plan(&mut compiler, ak, old_root, &key, db)?);
+    for (ak, side_root) in [(&ak_new, root), (&ak_old, old_root)] {
+        if let Some(ak) = ak {
+            let completed = complete_key(&pg.kg.graph, ak, side_root, &key, db)?;
+            key_branches.push(full_key_plan(
+                &mut compiler,
+                ak,
+                side_root,
+                &key,
+                completed.as_deref(),
+            )?);
+        }
     }
     let union = PhysicalPlan::new(PlanOp::UnionAll, key_branches).into_ref();
     let ou = PhysicalPlan::new(PlanOp::Distinct, vec![union]).into_ref();
@@ -217,8 +228,7 @@ pub fn build_affected(
         old_side,
         &key,
         injective && opts.injective_opt,
-        db,
-    )?;
+    );
     // The affected-key branches compile whole AK graphs (XML constructors
     // and `aggXMLFrag` included) only to keep their key columns: drop the
     // expressions nobody reads, once, before the plan is cached, shared
@@ -300,28 +310,177 @@ fn linear_in(kg: &KeyedGraph, id: OpId, table: &str, reads: &dyn Fn(OpId) -> boo
 }
 
 /// Normalize an affected-keys result to a plan producing distinct full
-/// canonical-key rows of the path root.
+/// canonical-key rows of the path root: the affected-keys columns
+/// `completed` names, one per key column ([`complete_key`]), or else the
+/// partial keys joined back with the path graph.
 fn full_key_plan(
     compiler: &mut Compiler<'_>,
     ak: &AkResult,
     root: OpId,
     key: &[usize],
-    db: &Database,
+    completed: Option<&[usize]>,
 ) -> Result<PlanRef> {
     let ak_plan = compiler.compile(ak.op)?;
-    let projected = distinct_cols(ak_plan, &ak.cols_in_ak);
-    if ak.cols_in_o == key {
-        return Ok(projected);
+    if let Some(cols) = completed {
+        return Ok(distinct_cols(ak_plan, cols));
     }
-    // Partial key: join back with the path graph (restricted by the partial
-    // keys) and project the full key.
+    // Join back with the path graph (restricted by the partial keys) and
+    // project the full key.
     let driver = Driver {
-        plan: projected,
+        plan: distinct_cols(ak_plan, &ak.cols_in_ak),
         cols: (0..ak.cols_in_ak.len()).collect(),
     };
     let restricted = compiler.compile_restricted(root, &ak.cols_in_o, &driver)?;
-    let _ = db;
     Ok(distinct_cols(restricted, key))
+}
+
+/// The affected-keys columns that spell out `root`'s full canonical key, in
+/// key order, or `None` when the partial key must be joined back. A key
+/// column the result lacks is read from one it has that every `root` row
+/// holds equal ([`equal_cols`]); then `O ⋈ AK′` on the full key is
+/// `O ⋈ AK` on the partial one. `AK′` may hold a key no `root` row has
+/// (a group whose parent row is missing), which the restricted `O_new` /
+/// `O_old` joins drop. Every affected-keys column must be read, or the
+/// completed key would restrict less than the partial one.
+///
+/// Type guard: the two columns must trace to base-table columns of one
+/// declared type, or of two numeric ones. Joins match by [`Value`]
+/// equality, under which a string never equals a number, while a
+/// predicate's SQL comparison may parse one into the other.
+fn complete_key(
+    graph: &Graph,
+    ak: &AkResult,
+    root: OpId,
+    key: &[usize],
+    db: &Database,
+) -> Result<Option<Vec<usize>>> {
+    if ak.cols_in_o == key {
+        return Ok(Some(ak.cols_in_ak.clone()));
+    }
+    let classes = equal_cols(graph, root, db)?;
+    let mut read = vec![false; ak.cols_in_o.len()];
+    let mut picked = Vec::with_capacity(key.len());
+    let equal = |c: usize, k: usize| {
+        classes[c] == classes[k]
+            && comparable(base_type(graph, root, c, db), base_type(graph, root, k, db))
+    };
+    for &k in key {
+        let cols = &ak.cols_in_o;
+        let found = cols.iter().position(|&c| c == k);
+        let Some(i) = found.or_else(|| cols.iter().position(|&c| equal(c, k))) else {
+            return Ok(None);
+        };
+        read[i] = true;
+        picked.push(ak.cols_in_ak[i]);
+    }
+    Ok(read.iter().all(|&r| r).then_some(picked))
+}
+
+/// Per output column of `id`, a label shared by every column each row holds
+/// equal: `Col = Col` conjuncts of select and inner-join predicates, carried
+/// up through Select, Project and inner Join. Other operators start every
+/// column in a class of its own.
+fn equal_cols(graph: &Graph, id: OpId, db: &Database) -> Result<Vec<usize>> {
+    let op = graph.op(id);
+    let mut classes: Vec<usize> = (0..graph.arity(id, db)?).collect();
+    match &op.kind {
+        OpKind::Select { predicate } => {
+            classes = equal_cols(graph, op.inputs[0], db)?;
+            merge_equalities(&mut classes, predicate);
+        }
+        OpKind::Project { exprs, .. } => {
+            let input = equal_cols(graph, op.inputs[0], db)?;
+            let class_of = |e: &Expr| match e {
+                Expr::Col(c) => Some(input[*c]),
+                _ => None,
+            };
+            // Label each class by its first output position.
+            for (p, e) in exprs.iter().enumerate() {
+                if let Some(class) = class_of(e) {
+                    classes[p] = exprs
+                        .iter()
+                        .position(|f| class_of(f) == Some(class))
+                        .expect("position p itself is in the class");
+                }
+            }
+        }
+        OpKind::Join {
+            kind: JoinKind::Inner,
+            predicate,
+        } => {
+            let left = equal_cols(graph, op.inputs[0], db)?;
+            let shift = left.len();
+            let right = equal_cols(graph, op.inputs[1], db)?;
+            classes = left
+                .into_iter()
+                .chain(right.into_iter().map(|c| c + shift))
+                .collect();
+            if let Some(p) = predicate {
+                merge_equalities(&mut classes, p);
+            }
+        }
+        _ => {}
+    }
+    Ok(classes)
+}
+
+/// Merge the classes of the columns each `Col = Col` conjunct of `e` equates.
+fn merge_equalities(classes: &mut [usize], e: &Expr) {
+    let Expr::Binary { op, left, right } = e else {
+        return;
+    };
+    match (op, left.as_ref(), right.as_ref()) {
+        (BinOp::And, _, _) => {
+            merge_equalities(classes, left);
+            merge_equalities(classes, right);
+        }
+        (BinOp::Eq, Expr::Col(a), Expr::Col(b)) => {
+            let (keep, gone) = (classes[*a], classes[*b]);
+            for class in classes.iter_mut().filter(|c| **c == gone) {
+                *class = keep;
+            }
+        }
+        _ => {}
+    }
+}
+
+/// The declared type of the base-table column that output column `col` of
+/// `id` copies, if it copies one.
+fn base_type(graph: &Graph, id: OpId, col: usize, db: &Database) -> Option<ColumnType> {
+    let op = graph.op(id);
+    match &op.kind {
+        OpKind::Table { table, .. } => {
+            let table = db.table(table).ok()?;
+            Some(table.schema().columns.get(col)?.ty)
+        }
+        OpKind::Select { .. } => base_type(graph, op.inputs[0], col, db),
+        OpKind::Project { exprs, .. } => match exprs.get(col)? {
+            Expr::Col(c) => base_type(graph, op.inputs[0], *c, db),
+            _ => None,
+        },
+        OpKind::Join { kind, .. } => {
+            let left_arity = graph.arity(op.inputs[0], db).ok()?;
+            match col.checked_sub(left_arity) {
+                None => base_type(graph, op.inputs[0], col, db),
+                Some(c) if kind.keeps_right() => base_type(graph, op.inputs[1], c, db),
+                Some(_) => None,
+            }
+        }
+        OpKind::GroupBy { group_cols, .. } => {
+            base_type(graph, op.inputs[0], *group_cols.get(col)?, db)
+        }
+        OpKind::Union | OpKind::Unnest { .. } => None,
+    }
+}
+
+/// Do columns of these declared types compare alike under [`Value`]
+/// equality and under SQL comparison?
+fn comparable(a: Option<ColumnType>, b: Option<ColumnType>) -> bool {
+    let numeric = |t| matches!(t, ColumnType::Int | ColumnType::Double);
+    match (a, b) {
+        (Some(a), Some(b)) => a == b || (numeric(a) && numeric(b)),
+        _ => false,
+    }
 }
 
 /// The distinct rows of `plan` projected onto `cols`.
@@ -393,8 +552,7 @@ fn assemble(
     old_side: SidePlan,
     key: &[usize],
     skip_value_check: bool,
-    db: &Database,
-) -> Result<AffectedNodePlan> {
+) -> AffectedNodePlan {
     let key_len = key.len();
     // The two sides hash-joined on their canonical keys.
     let join = |left: &SidePlan, right: &SidePlan, kind| {
@@ -499,11 +657,10 @@ fn assemble(
     }
 
     let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![plan]).into_ref();
-    let _ = db;
-    Ok(AffectedNodePlan {
+    AffectedNodePlan {
         plan: projected,
         layout,
-    })
+    }
 }
 
 #[cfg(test)]
@@ -541,5 +698,130 @@ mod tests {
             "{:?}",
             kg.graph.op(base).kind
         );
+    }
+
+    /// The affected keys of `table` over `root` (Δ) and over its `G_old`
+    /// mirror (∇), each with the root it completes against.
+    fn both_sides(
+        kg: &mut KeyedGraph,
+        root: OpId,
+        table: &str,
+        db: &Database,
+    ) -> [(AkResult, OpId); 2] {
+        let old_root = kg.old_version(root, table);
+        [(root, AkSide::Delta), (old_root, AkSide::Nabla)].map(|(side_root, side)| {
+            let ak = create_ak_graph(kg, side_root, table, side, AkOptions::default(), db)
+                .unwrap()
+                .expect("table affects the view");
+            (ak, side_root)
+        })
+    }
+
+    /// The depth-3 chain view's key is `[t0.id, parent]` of the top join. A
+    /// leaf change reaches it through the top group-by as `parent` alone,
+    /// and the join's `t0.id = parent` completes it on both key branches:
+    /// one affected-keys column read twice, no join-back.
+    #[test]
+    fn chain_view_completes_both_key_branches() {
+        let (db, mut kg, root) = chain_view(3);
+        let key = kg.key(root).to_vec();
+        assert_eq!(key.len(), 2, "{key:?}");
+        for (ak, side_root) in both_sides(&mut kg, root, "t2", &db) {
+            assert_eq!(ak.cols_in_o, [key[1]], "partial key");
+            let completed = complete_key(&kg.graph, &ak, side_root, &key, &db).unwrap();
+            assert_eq!(completed, Some(vec![ak.cols_in_ak[0]; 2]));
+        }
+    }
+
+    /// `top(id, grp, name) ⋈ GroupBy_parent(leaf(id, parent, name))` on
+    /// `top.#on = parent` (`id` is 0, `grp` 1), with `leaf.parent` declared
+    /// `parent_type`: what completion makes of a leaf change's affected keys.
+    fn two_level(on: usize, parent_type: ColumnType) -> Option<Vec<usize>> {
+        use quark_relational::expr::AggExpr;
+        use quark_relational::{ColumnDef, TableSchema};
+
+        let mut db = Database::new();
+        let columns = |second: &str, ty| {
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new(second, ty),
+                ColumnDef::new("name", ColumnType::Str),
+            ]
+        };
+        for (table, second, ty) in [
+            ("top", "grp", ColumnType::Int),
+            ("leaf", "parent", parent_type),
+        ] {
+            let schema = TableSchema::new(table, columns(second, ty), &["id"]).unwrap();
+            db.create_table(schema).unwrap();
+        }
+        let mut g = Graph::new();
+        let (top, leaf) = (g.table("top"), g.table("leaf"));
+        let groups = g.group_by(leaf, vec![1], vec![(AggExpr::count_star(), "cnt".into())]);
+        let join = g.equi_join(JoinKind::Inner, top, groups, &[(on, 0)], 3);
+        let (mut kg, root) = KeyedGraph::normalize(&g, join, &db).unwrap();
+        let key = kg.key(root).to_vec();
+        assert_eq!(key, [0, 3]);
+        let completions = both_sides(&mut kg, root, "leaf", &db).map(|(ak, side_root)| {
+            assert_eq!(ak.cols_in_o, [3], "partial key");
+            complete_key(&kg.graph, &ak, side_root, &key, &db).unwrap()
+        });
+        assert_eq!(completions[0], completions[1], "Δ and ∇ agree");
+        let [completed, _] = completions;
+        completed
+    }
+
+    /// Completion needs the equality to compare alike under `Value` and SQL
+    /// equality: `Int = Int` completes, `Int = Str` keeps the join-back.
+    #[test]
+    fn mixed_type_equality_keeps_the_join_back() {
+        assert_eq!(two_level(0, ColumnType::Int), Some(vec![0, 0]));
+        assert_eq!(two_level(0, ColumnType::Double), Some(vec![0, 0]));
+        assert_eq!(two_level(0, ColumnType::Str), None);
+    }
+
+    /// Joined on a non-key column, no equality determines `top.id` from
+    /// `parent`: the partial key is joined back.
+    #[test]
+    fn undetermined_partial_key_keeps_the_join_back() {
+        assert_eq!(two_level(1, ColumnType::Int), None);
+    }
+
+    /// The catalog fixture's affected keys are full keys for both tables, so
+    /// completion never engages: every affected-node plan renders byte for
+    /// byte as it did before completion existed.
+    #[test]
+    fn catalog_plans_render_as_before_completion() {
+        use quark_xqgm::fixtures::{catalog_path_graph, product_vendor_db};
+
+        let db = product_vendor_db();
+        let mut g = Graph::new();
+        let (top, _) = catalog_path_graph(&mut g);
+        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
+        let attr_cols = HashMap::from([("name".to_string(), 0)]);
+        let pg = PathGraph {
+            kg,
+            root,
+            node_col: 1,
+            attr_cols,
+        };
+        let mut text = String::new();
+        for table in ["product", "vendor"] {
+            for event in [XmlEvent::Update, XmlEvent::Insert, XmlEvent::Delete] {
+                for old_node in [false, true] {
+                    let needs = Needs {
+                        old: SideNeeds { node: old_node },
+                        new: SideNeeds { node: true },
+                    };
+                    let opts = AnOptions::default();
+                    let affected = build_affected(&mut pg.clone(), table, event, needs, opts, &db)
+                        .unwrap()
+                        .expect("table affects the view");
+                    text += &affected.plan.explain();
+                }
+            }
+        }
+        let crc = quark_storage::crc::crc32(text.as_bytes());
+        assert_eq!((text.len(), crc), (37_489, 0xc73e_6f19), "{text}");
     }
 }

@@ -263,23 +263,37 @@ enum ChainOp {
     /// Move leaf `id` under `t1` row `parent`: between top elements, and
     /// across the `count ≥ 2` threshold.
     MoveLeaf(i64, i64),
+    /// Insert top `id` (skipped if `id` exists); top [`ORPHAN_PARENT`]
+    /// adopts the orphans.
+    InsertTop(i64),
+    /// Delete top `id` (may match no row); its middles become orphans.
+    DeleteTop(i64),
 }
 
 /// Rows per level: 4 tops, 6 middles (`parent = id % 4`), 9 leaves
 /// (`parent = id % 6`). Middles 3–5 start with one leaf each, below the
 /// threshold, so top 3 starts outside the view.
 const CHAIN_ROWS: [i64; 3] = [4, 6, 9];
+/// The top id the orphan middles 6 and 7 name, missing at the start.
+/// Leaves 9 and 10 hang under middle 6, leaf 11 under middle 7: a group
+/// that exists below the top join but has no top row to join. Affected
+/// keys completed through `t0.id = parent` name it; joined back, they
+/// would not.
+const ORPHAN_PARENT: i64 = 4;
+/// Middle ids, orphans included.
+const CHAIN_MIDDLES: i64 = 8;
 /// Leaf ids drawn from here, so inserts find free ones.
-const CHAIN_LEAF_IDS: i64 = 13;
+const CHAIN_LEAF_IDS: i64 = 14;
 
 fn chain_op_strategy() -> impl Strategy<Value = ChainOp> {
-    let parents = CHAIN_ROWS[1];
     prop_oneof![
         (0..3usize, 0..CHAIN_LEAF_IDS, 0..4usize).prop_map(|(l, k, n)| ChainOp::Name(l, k, n)),
         (0..3usize, 0..CHAIN_LEAF_IDS, 1..400u32).prop_map(|(l, k, c)| ChainOp::Price(l, k, c)),
-        (0..CHAIN_LEAF_IDS, 0..parents).prop_map(|(k, p)| ChainOp::InsertLeaf(k, p)),
+        (0..CHAIN_LEAF_IDS, 0..CHAIN_MIDDLES).prop_map(|(k, p)| ChainOp::InsertLeaf(k, p)),
         (0..CHAIN_LEAF_IDS).prop_map(ChainOp::DeleteLeaf),
-        (0..CHAIN_LEAF_IDS, 0..parents).prop_map(|(k, p)| ChainOp::MoveLeaf(k, p)),
+        (0..CHAIN_LEAF_IDS, 0..CHAIN_MIDDLES).prop_map(|(k, p)| ChainOp::MoveLeaf(k, p)),
+        (0..ORPHAN_PARENT + 1).prop_map(ChainOp::InsertTop),
+        (0..ORPHAN_PARENT + 1).prop_map(ChainOp::DeleteTop),
     ]
 }
 
@@ -303,12 +317,24 @@ fn chain_statement(db: &Database, op: &ChainOp) -> Option<String> {
         }
         ChainOp::DeleteLeaf(id) => format!("DELETE FROM t2 WHERE id = {id}"),
         ChainOp::MoveLeaf(id, parent) => format!("UPDATE t2 SET parent = {parent} WHERE id = {id}"),
+        ChainOp::InsertTop(id) => {
+            if db
+                .table("t0")
+                .expect("top table")
+                .get(&[Value::Int(*id)])
+                .is_some()
+            {
+                return None;
+            }
+            format!("INSERT INTO t0 VALUES ({id}, 'top_{id}', 10.0)")
+        }
+        ChainOp::DeleteTop(id) => format!("DELETE FROM t0 WHERE id = {id}"),
     })
 }
 
 /// Top-element names the benchmark-shaped UPDATE triggers watch: the
-/// initial names and two that `ChainOp::Name` renames to.
-const WATCHED: [&str; 6] = ["top_0", "top_1", "top_2", "top_3", "n0", "n1"];
+/// initial names, the orphans' top, and two that `ChainOp::Name` renames to.
+const WATCHED: [&str; 7] = ["top_0", "top_1", "top_2", "top_3", "top_4", "n0", "n1"];
 
 /// A session over the chain hierarchy with two trigger sets on
 /// `view('bench')/e0`:
@@ -349,6 +375,17 @@ fn watch_chain(mode: Mode) -> (Session, Log) {
                 values.join(", ")
             ))
             .expect("rows");
+    }
+    for orphans in [
+        format!(
+            "INSERT INTO t1 VALUES (6, {ORPHAN_PARENT}, 'row_1_6', 20.0), \
+             (7, {ORPHAN_PARENT}, 'row_1_7', 20.0)"
+        ),
+        "INSERT INTO t2 VALUES (9, 6, 'row_2_9', 20.0), (10, 6, 'row_2_10', 20.0), \
+         (11, 7, 'row_2_11', 20.0)"
+            .to_string(),
+    ] {
+        session.execute(&orphans).expect("orphans");
     }
     let view = chain_view_spec(3).build(&session.database()).expect("view");
     session.quark_mut().register_view(view);
@@ -468,7 +505,10 @@ proptest! {
     /// the elided `OLD_NODE ≠ NEW_NODE` guard on the injective leaf table,
     /// and GROUPED-AGG's compensation, which must not cross the nested
     /// aggregate (a leaf moved into a one-leaf middle lifts it over
-    /// `count ≥ 2` and inserts its top).
+    /// `count ≥ 2` and inserts its top). Orphan middles, whose top row is
+    /// missing, gate affected-key completion: their leaves' updates must
+    /// fire nothing, and inserting or deleting their top must fire its
+    /// INSERT or DELETE.
     #[test]
     fn chain_view_triggers_match_oracle(
         ops in proptest::collection::vec(chain_op_strategy(), 1..12),

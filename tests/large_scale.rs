@@ -17,6 +17,8 @@
 //!   leaf table drops the `OLD ≠ NEW` guard, so the OLD side is a skeleton),
 //! * the depth-4 chain view's affected-node plans keep a fixed number of
 //!   distinct nodes: the compiler shares every structurally equal subplan,
+//! * a leaf UPDATE of the bench hierarchy completes its partial affected
+//!   keys through the view's join equality instead of re-joining the view,
 //! * a grouped condition with no pushable equality scans its constants
 //!   table once per firing, warm or not: the executor keeps no state
 //!   across firings.
@@ -396,8 +398,50 @@ fn chain_view_trigger_plans_keep_their_distinct_node_counts() {
             counts.push(distinct_nodes(&affected.plan).len());
         }
     }
-    let expected = [100, 108, 108, 163, 162, 162, 191, 190, 190, 202, 202, 202];
+    // Every table's affected keys reach `e0` as a partial key (`t0.id`
+    // alone, or the top group-by's `parent`), which the top join's
+    // `t0.id = parent` completes: the Δ and ∇ key branches are
+    // `Distinct(Project(AK))`, not the whole view restricted and compiled
+    // a second time (each count was 54–56 nodes higher with the join-back).
+    let expected = [46, 54, 54, 107, 106, 106, 135, 134, 134, 146, 146, 146];
     assert_eq!(counts, expected, "UPDATE/INSERT/DELETE on t0..t3");
+}
+
+/// A leaf UPDATE of the depth-3 bench hierarchy (`fanout-cascade`'s shape)
+/// reads its affected top element's keys without re-joining the view. Its
+/// Δ and ∇ affected keys hold the top group-by's `parent` only; the top
+/// join's `t0.id = parent` completes them, so the `t2` UPDATE plan probes
+/// `t1` by parent and `t0` by key once each, for the NEW side (the OLD
+/// skeleton shares the `t1` probe). Joining the partial keys back with the
+/// view instead puts three of each in the plan and costs 46 index probes
+/// per firing, not 26.
+#[test]
+fn bench_leaf_update_completes_its_affected_keys_without_a_join_back() {
+    let mut spec = WorkloadSpec::quick(Mode::Grouped);
+    (spec.depth, spec.leaf_count, spec.fanout) = (3, 1024, 64);
+    (spec.triggers, spec.satisfied) = (20, 20);
+    let mut workload = build(spec).expect("workload");
+    let StatementResult::Explain(text) = workload
+        .session
+        .execute("EXPLAIN TRIGGER xt_0")
+        .expect("explain")
+    else {
+        panic!("expected explain text");
+    };
+    let plan = text
+        .split("  __quark_g")
+        .find(|section| section.contains("AFTER UPDATE ON t2\n"))
+        .unwrap_or_else(|| panic!("no UPDATE trigger on t2:\n{text}"));
+    let count = |needle: &str| plan.matches(needle).count();
+    assert_eq!(count("-> t1[Current] probe cols [1]"), 1, "{plan}");
+    assert_eq!(count("-> t0["), 1, "{plan}");
+
+    workload.one_update().expect("warm-up");
+    let before = workload.quark().stats();
+    workload.one_update().expect("measured update");
+    let after = workload.quark().stats();
+    assert_eq!(after.triggers_fired - before.triggers_fired, 1);
+    assert_eq!(after.index_probes - before.index_probes, 26);
 }
 
 /// A session over the Figure-2 catalog with `triggers` grouped XML triggers
