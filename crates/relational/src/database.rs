@@ -112,10 +112,10 @@ pub struct Stats {
     /// Primary-key and secondary-index equality probes (index joins, keyed
     /// statements and indexed-equality row selections).
     pub index_probes: u64,
-    /// Always 0: the cross-firing executor cache it counted is gone, and
-    /// no [`Counter`] or `STATS` row feeds it. Kept only because the frozen
-    /// benchmark harness still reads the field; its next revision removes
-    /// it.
+    /// Rows an XML-constructing projection took from its last firing's
+    /// output instead of evaluating them again: one per reused row (the
+    /// constructor reuse slot, `plan::ReuseSlot`). There is no miss
+    /// counter.
     pub build_cache_hits: u64,
     /// Footprint-latch acquisitions that had to block because another
     /// writer held part of the requested footprint (one per blocking wait;
@@ -185,6 +185,7 @@ impl Stats {
             ("triggers_fired", self.triggers_fired),
             ("rows_scanned", self.rows_scanned),
             ("index_probes", self.index_probes),
+            ("build_cache_hits", self.build_cache_hits),
             ("latch_waits", self.latch_waits),
             ("latch_conflicts", self.latch_conflicts),
             ("latch_shared_acquisitions", self.latch_shared_acquisitions),
@@ -221,6 +222,8 @@ pub enum Counter {
     RowsScanned,
     /// [`Stats::index_probes`].
     IndexProbes,
+    /// [`Stats::build_cache_hits`].
+    BuildCacheHits,
     /// [`Stats::latch_waits`].
     LatchWaits,
     /// [`Stats::latch_conflicts`].
@@ -547,7 +550,7 @@ impl Database {
             backpressure_stalls: c(Counter::BackpressureStalls),
             active_connections: c(Counter::ActiveConnections),
             footprint_violations: c(Counter::FootprintViolations),
-            build_cache_hits: 0,
+            build_cache_hits: c(Counter::BuildCacheHits),
             // Storage counters live in the storage engine; `Quark::stats`
             // merges them in when the system was opened durably.
             wal_bytes_written: 0,

@@ -4,9 +4,14 @@
 //! plus (optionally) the transition tables of the statement being
 //! processed. Results of shared subplans are memoized by node identity
 //! within one [`ExecContext`], so a plan that reuses `AffectedKeys` in four
-//! places (like Fig. 16 of the paper) computes it once. Nothing outlives
-//! the context: every execution reads its inputs afresh, and no lock is
-//! shared between executions.
+//! places (like Fig. 16 of the paper) computes it once. Nothing else
+//! outlives the context, with one exception: in a firing (transition
+//! tables present), an XML-constructing `Project` keeps its output rows in
+//! its node's reuse slot (`plan::ReuseSlot`), and the next firing takes
+//! the rows of unchanged input rows from there instead of building their
+//! elements again. The slot's lock is only ever tried: an execution that
+//! finds it held evaluates without it. Every other node reads its inputs
+//! afresh.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -14,7 +19,7 @@ use std::sync::Arc;
 
 use crate::expr::{eval_all, AggState, Expr};
 use crate::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch, TransitionSide};
-use crate::value::{Row, Value};
+use crate::value::{ExactRow, Row, Value};
 use crate::{Counter, Database, Error, Event, Result, TransitionTables};
 
 /// Shared, memoized result of one plan node.
@@ -117,11 +122,13 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
         }
         PlanOp::Project { exprs } => {
             let rows = execute(input(0), ctx)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for r in rows.iter() {
-                out.push(eval_all(exprs, r)?);
+            // A constructor projection reuses its last firing's rows; a
+            // query, or a slot that is held or poisoned, evaluates afresh.
+            let slot = plan.reuse.as_ref().filter(|_| ctx.trans.is_some());
+            if let Some(mut last) = slot.and_then(|s| s.0.try_lock().ok()) {
+                return project_reusing(exprs, &rows, &mut last, ctx.db);
             }
-            Ok(out)
+            rows.iter().map(|r| eval_all(exprs, r)).collect()
         }
         PlanOp::HashJoin {
             left_keys,
@@ -194,6 +201,41 @@ fn run(plan: &PhysicalPlan, ctx: &ExecContext<'_>) -> Result<Vec<Row>> {
 
 fn append(row: &Row, value: Value) -> Row {
     row.iter().cloned().chain(std::iter::once(value)).collect()
+}
+
+/// `Project` through a constructor's reuse slot (`plan::ReuseSlot`),
+/// holding `last`, the rows of the slot's last execution: an input row
+/// exactly equal to one of them gets that output row back, any other row
+/// is evaluated, and a row holding XML is evaluated and not kept.
+/// Afterwards `last` holds this execution's rows only, so the slot never
+/// keeps more than one firing materialized.
+fn project_reusing(
+    exprs: &[Expr],
+    rows: &[Row],
+    last: &mut HashMap<ExactRow, Row>,
+    db: &Database,
+) -> Result<Vec<Row>> {
+    let mut previous = std::mem::replace(last, HashMap::with_capacity(rows.len()));
+    let mut hits = 0;
+    let mut out = Vec::with_capacity(rows.len());
+    for r in rows {
+        if r.iter().any(|v| matches!(v, Value::Xml(_))) {
+            out.push(eval_all(exprs, r)?);
+            continue;
+        }
+        let key = ExactRow(Arc::clone(r));
+        let row = match previous.remove(&key) {
+            Some(kept) => {
+                hits += 1;
+                kept
+            }
+            None => eval_all(exprs, r)?,
+        };
+        last.insert(key, Arc::clone(&row));
+        out.push(row);
+    }
+    db.bump(Counter::BuildCacheHits, hits);
+    Ok(out)
 }
 
 /// Scan the current table, or reconstruct the pre-statement state:

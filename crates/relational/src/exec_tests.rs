@@ -1035,3 +1035,170 @@ fn prune_drops_the_errors_of_dead_expressions_only() {
     assert!(Arc::ptr_eq(&pruned, &live));
     assert!(execute_query(&db, &pruned).is_err());
 }
+
+// ---------------------------------------------------------------------
+// Constructor reuse across firings (`plan::ReuseSlot`)
+// ---------------------------------------------------------------------
+
+/// A constructor projection over the firing's Δvendor rows:
+/// `[vid, <price>price</price>]`.
+fn price_elements() -> PlanRef {
+    let delta = PhysicalPlan::new(
+        PlanOp::TransitionScan {
+            table: "vendor".into(),
+            side: TransitionSide::Delta,
+            pruned: false,
+        },
+        vec![],
+    )
+    .into_ref();
+    project(delta, vec![Expr::col(0), xml_wrap("price", Expr::col(2))])
+}
+
+/// One firing of `plan` whose Δvendor rows carry `prices` (vendor `v{i}`
+/// the `i`-th), and the rows it took from a reuse slot.
+fn fire(db: &Database, plan: &PlanRef, prices: &[Value]) -> (Vec<Row>, u64) {
+    let delta = (prices.iter().enumerate())
+        .map(|(i, p)| row([Value::str(format!("v{i}")), Value::str("P1"), p.clone()]))
+        .collect();
+    let trans = transitions("vendor", Event::Update, delta, vec![]);
+    let before = db.stats().build_cache_hits;
+    let rows = execute_with_transitions(db, plan, &trans).unwrap();
+    (rows, db.stats().build_cache_hits - before)
+}
+
+fn slot_len(plan: &PhysicalPlan) -> usize {
+    let slot = plan
+        .reuse
+        .as_ref()
+        .expect("a constructor projection has a slot");
+    slot.0.lock().unwrap().len()
+}
+
+fn xml(v: &Value) -> &quark_xml::XmlNodeRef {
+    match v {
+        Value::Xml(x) => x,
+        other => panic!("expected XML, got {other:?}"),
+    }
+}
+
+/// Only a projection that builds elements gets a slot.
+#[test]
+fn only_constructor_projections_have_a_reuse_slot() {
+    assert!(price_elements().reuse.is_some());
+    let plain = project(scan("vendor").into_ref(), vec![Expr::col(2)]);
+    assert!(plain.reuse.is_none());
+    assert!(scan("vendor").reuse.is_none());
+}
+
+/// An unchanged input row gets its last firing's output row back, the
+/// same `Arc`; a changed one is built afresh.
+#[test]
+fn reuse_returns_the_last_firings_row_for_an_unchanged_input() {
+    let db = setup();
+    let plan = price_elements();
+    let (first, hits) = fire(&db, &plan, &[Value::Double(1.0), Value::Double(2.0)]);
+    assert_eq!(hits, 0);
+    let (second, hits) = fire(&db, &plan, &[Value::Double(1.0), Value::Double(5.0)]);
+    assert_eq!(hits, 1);
+    assert!(Arc::ptr_eq(&first[0], &second[0]));
+    assert_eq!(xml(&second[1][1]).to_xml(), "<price>5</price>");
+}
+
+/// Keys compare by exact representation. `Int(2^53 + 1) = Double(2^53)`
+/// and `0.0 = −0.0` under `Value`'s `Eq`, but neither pair shares an
+/// entry: the first pair renders differently.
+#[test]
+fn reuse_keys_on_exact_representation() {
+    let db = setup();
+    let plan = price_elements();
+    let big = 1i64 << 53;
+    assert_eq!(Value::Int(big + 1), Value::Double(big as f64));
+    fire(&db, &plan, &[Value::Double(big as f64)]);
+    let (out, hits) = fire(&db, &plan, &[Value::Int(big + 1)]);
+    assert_eq!(hits, 0);
+    assert_eq!(xml(&out[0][1]).to_xml(), "<price>9007199254740993</price>");
+
+    assert_eq!(Value::Double(0.0), Value::Double(-0.0));
+    let (zero, _) = fire(&db, &plan, &[Value::Double(0.0)]);
+    let (negative, hits) = fire(&db, &plan, &[Value::Double(-0.0)]);
+    assert_eq!(hits, 0);
+    assert!(!Arc::ptr_eq(&zero[0], &negative[0]));
+    let (again, hits) = fire(&db, &plan, &[Value::Double(-0.0)]);
+    assert_eq!(hits, 1);
+    assert!(Arc::ptr_eq(&negative[0], &again[0]));
+}
+
+/// After each execution the slot holds that execution's rows only.
+#[test]
+fn reuse_slot_keeps_the_last_execution_only() {
+    let db = setup();
+    let plan = price_elements();
+    let prices: Vec<Value> = (0..5).map(|i| Value::Double(f64::from(i))).collect();
+    fire(&db, &plan, &prices);
+    assert_eq!(slot_len(&plan), 5);
+    let (_, hits) = fire(&db, &plan, &prices[..1]);
+    assert_eq!(hits, 1);
+    assert_eq!(slot_len(&plan), 1);
+}
+
+/// A row that holds XML is evaluated and never stored; the constructor
+/// below it, over plain rows, keeps its row.
+#[test]
+fn reuse_slot_stores_no_row_holding_xml() {
+    let db = setup();
+    let inner = price_elements();
+    let vendor = ScalarFunc::XmlElement {
+        name: "vendor".into(),
+        attrs: vec!["id".into()],
+    };
+    let outer = project(
+        Arc::clone(&inner),
+        vec![Expr::Func(vendor, vec![Expr::col(0), Expr::col(1)])],
+    );
+    let prices = [Value::Double(1.0)];
+    let (first, _) = fire(&db, &outer, &prices);
+    let (second, hits) = fire(&db, &outer, &prices);
+    assert_eq!(hits, 1, "the inner projection's row");
+    assert_eq!((slot_len(&inner), slot_len(&outer)), (1, 0));
+    assert!(!Arc::ptr_eq(&first[0], &second[0]));
+    assert_eq!(
+        xml(&second[0][0]).to_xml(),
+        r#"<vendor id="v0"><price>1</price></vendor>"#
+    );
+}
+
+/// Outside a firing (`execute_query`, `MATERIALIZE`) the slot is neither
+/// read nor filled.
+#[test]
+fn queries_leave_the_reuse_slot_empty() {
+    let db = setup();
+    let plan = project(
+        scan("vendor").into_ref(),
+        vec![xml_wrap("price", Expr::col(2))],
+    );
+    for _ in 0..2 {
+        assert_eq!(execute_query(&db, &plan).unwrap().len(), 7);
+    }
+    assert_eq!(slot_len(&plan), 0);
+    assert_eq!(db.stats().build_cache_hits, 0);
+}
+
+/// An execution that finds the slot held evaluates every row itself and
+/// leaves the slot as it was.
+#[test]
+fn a_held_reuse_slot_falls_back_to_plain_evaluation() {
+    let db = setup();
+    let plan = price_elements();
+    let prices = [Value::Double(1.0), Value::Double(2.0)];
+    let (first, _) = fire(&db, &plan, &prices);
+    let held = plan.reuse.as_ref().unwrap().0.lock().unwrap();
+    let (second, hits) = fire(&db, &plan, &prices[..1]);
+    assert_eq!(hits, 0);
+    assert_eq!(second[0], first[0]);
+    assert!(!Arc::ptr_eq(&second[0], &first[0]));
+    assert_eq!(held.len(), 2, "the held slot is untouched");
+    drop(held);
+    let (_, hits) = fire(&db, &plan, &prices);
+    assert_eq!(hits, 2);
+}

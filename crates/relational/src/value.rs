@@ -230,12 +230,17 @@ impl fmt::Debug for Value {
     }
 }
 
+/// The text a value renders to in XML and in results. Both zeros render as
+/// `0` (XPath 1.0 number-to-string), so a double's text depends only on its
+/// equality class: `0.0 = −0.0`, and transition pruning (Appendix F)
+/// treats an update between them as no change.
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Value::Null => Ok(()),
             Value::Bool(b) => write!(f, "{b}"),
             Value::Int(i) => write!(f, "{i}"),
+            Value::Double(d) if *d == 0.0 => write!(f, "0"),
             Value::Double(d) => write!(f, "{d}"),
             Value::Str(s) => write!(f, "{s}"),
             Value::Xml(x) => write!(f, "{}", x.to_xml()),
@@ -288,6 +293,48 @@ pub fn row(values: impl IntoIterator<Item = Value>) -> Row {
     values.into_iter().collect()
 }
 
+/// A row compared by exact representation instead of by [`Value`]'s
+/// grouping equality: the variant, an `f64`'s bits and a string's bytes
+/// must all match (an XML value matches only its own node). Under `Eq`,
+/// `Int(2^53 + 1) = Double(2^53)` and `0.0 = −0.0`, yet the first pair
+/// renders differently; a key that decides what a row renders to needs
+/// this equality.
+pub(crate) struct ExactRow(pub(crate) Row);
+
+impl PartialEq for ExactRow {
+    fn eq(&self, other: &Self) -> bool {
+        use Value::*;
+        self.0.len() == other.0.len()
+            && self.0.iter().zip(other.0.iter()).all(|pair| match pair {
+                (Null, Null) => true,
+                (Bool(a), Bool(b)) => a == b,
+                (Int(a), Int(b)) => a == b,
+                (Double(a), Double(b)) => a.to_bits() == b.to_bits(),
+                (Str(a), Str(b)) => a == b,
+                (Xml(a), Xml(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            })
+    }
+}
+
+impl Eq for ExactRow {}
+
+impl Hash for ExactRow {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.len().hash(state);
+        for v in self.0.iter() {
+            match v {
+                Value::Null => 0u8.hash(state),
+                Value::Bool(b) => (1u8, b).hash(state),
+                Value::Int(i) => (2u8, i).hash(state),
+                Value::Double(d) => (3u8, d.to_bits()).hash(state),
+                Value::Str(s) => (4u8, &**s).hash(state),
+                Value::Xml(x) => (5u8, Arc::as_ptr(x)).hash(state),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,6 +381,16 @@ mod tests {
         assert_eq!(Value::Double(0.0), Value::Double(-0.0));
         assert_eq!(h(&Value::Double(0.0)), h(&Value::Double(-0.0)));
         assert_eq!(Value::Double(f64::NAN), Value::Double(f64::NAN));
+    }
+
+    /// Equal values render equally: both zeros are `0`, and a whole double
+    /// renders like the integer it equals.
+    #[test]
+    fn both_zeros_render_as_zero() {
+        assert_eq!(Value::Double(-0.0).to_string(), "0");
+        assert_eq!(Value::Double(0.0).to_string(), "0");
+        assert_eq!(Value::Double(3.0).to_string(), Value::Int(3).to_string());
+        assert_eq!(Value::Double(-1.5).to_string(), "-1.5");
     }
 
     #[test]

@@ -256,6 +256,9 @@ enum ChainOp {
     Name(usize, i64, usize),
     /// `UPDATE t{level} SET price = … WHERE id = …`: visible at the leaf only.
     Price(usize, i64, u32),
+    /// `UPDATE t2 SET price = … WHERE id = …` with a price from
+    /// [`EXACT_PRICES`], written verbatim.
+    ExactPrice(i64, usize),
     /// Insert leaf `id` under `t1` row `parent` (skipped if `id` exists).
     InsertLeaf(i64, i64),
     /// Delete leaf `id` (may match no row).
@@ -280,6 +283,20 @@ const CHAIN_ROWS: [i64; 3] = [4, 6, 9];
 /// keys completed through `t0.id = parent` name it; joined back, they
 /// would not.
 const ORPHAN_PARENT: i64 = 4;
+/// Prices that equal another of the list as values, or nearly do: `3` (an
+/// `Int`, which a DOUBLE column stores as is) and `3.0`; 2^53 − 1 and
+/// 2^53 + 1 (integers a double cannot tell from 2^53); `0.0` and `-0.0`
+/// (equal, with different bits). Equal prices must render alike, and a
+/// leaf element reused from an earlier firing must render what the leaf
+/// holds now.
+const EXACT_PRICES: [&str; 6] = [
+    "3",
+    "3.0",
+    "9007199254740991",
+    "9007199254740993",
+    "0.0",
+    "-0.0",
+];
 /// Middle ids, orphans included.
 const CHAIN_MIDDLES: i64 = 8;
 /// Leaf ids drawn from here, so inserts find free ones.
@@ -289,6 +306,7 @@ fn chain_op_strategy() -> impl Strategy<Value = ChainOp> {
     prop_oneof![
         (0..3usize, 0..CHAIN_LEAF_IDS, 0..4usize).prop_map(|(l, k, n)| ChainOp::Name(l, k, n)),
         (0..3usize, 0..CHAIN_LEAF_IDS, 1..400u32).prop_map(|(l, k, c)| ChainOp::Price(l, k, c)),
+        (0..CHAIN_LEAF_IDS, 0..EXACT_PRICES.len()).prop_map(|(k, p)| ChainOp::ExactPrice(k, p)),
         (0..CHAIN_LEAF_IDS, 0..CHAIN_MIDDLES).prop_map(|(k, p)| ChainOp::InsertLeaf(k, p)),
         (0..CHAIN_LEAF_IDS).prop_map(ChainOp::DeleteLeaf),
         (0..CHAIN_LEAF_IDS, 0..CHAIN_MIDDLES).prop_map(|(k, p)| ChainOp::MoveLeaf(k, p)),
@@ -304,6 +322,9 @@ fn chain_statement(db: &Database, op: &ChainOp) -> Option<String> {
             "UPDATE t{level} SET price = {:?} WHERE id = {id}",
             *cents as f64 / 2.0
         ),
+        ChainOp::ExactPrice(id, p) => {
+            format!("UPDATE t2 SET price = {} WHERE id = {id}", EXACT_PRICES[*p])
+        }
         ChainOp::InsertLeaf(id, parent) => {
             if db
                 .table("t2")
@@ -501,6 +522,9 @@ proptest! {
     /// child predicate, three levels of keys — fires exactly the oracle's
     /// events with byte-identical OLD/NEW nodes in every mode, under keyed
     /// updates at every level, leaf inserts and deletes, and leaf moves.
+    /// Prices that are equal values in different representations (`3` and
+    /// `3.0`, `0.0` and `-0.0`) or integers past a double's precision gate
+    /// the leaf constructor's reuse of earlier firings' elements.
     /// The benchmark-shaped set gates the one-sided plans: skeleton sides,
     /// the elided `OLD_NODE ≠ NEW_NODE` guard on the injective leaf table,
     /// and GROUPED-AGG's compensation, which must not cross the nested

@@ -19,9 +19,12 @@
 //!   distinct nodes: the compiler shares every structurally equal subplan,
 //! * a leaf UPDATE of the bench hierarchy completes its partial affected
 //!   keys through the view's join equality instead of re-joining the view,
+//! * the leaf constructor of that UPDATE takes the 63 unchanged `e2` rows
+//!   of its 64 from its last firing, so consecutive `NEW_NODE`s share
+//!   those elements by `Arc`, and ungrouped triggers share the one node,
 //! * a grouped condition with no pushable equality scans its constants
-//!   table once per firing, warm or not: the executor keeps no state
-//!   across firings.
+//!   table once per firing, warm or not: only constructor projections keep
+//!   their last firing's rows.
 
 mod common;
 
@@ -35,6 +38,7 @@ use quark_core::oracle::changes_of;
 use quark_core::relational::expr::{AggFunc, Expr, ScalarFunc};
 use quark_core::relational::plan::{PlanOp, PlanRef};
 use quark_core::relational::{sql, Database, Error, Value};
+use quark_core::xml::XmlNodeRef;
 use quark_core::xqgm::fixtures::product_vendor_db;
 use quark_core::{Mode, Needs, Quark, Session, SideNeeds, StatementResult, XmlEvent, XmlView};
 use quark_xquery::XQueryFrontend;
@@ -444,6 +448,111 @@ fn bench_leaf_update_completes_its_affected_keys_without_a_join_back() {
     assert_eq!(after.index_probes - before.index_probes, 26);
 }
 
+/// `fanout-cascade`'s shape, from the engine's counters: a warm leaf UPDATE
+/// of the depth-3 bench hierarchy (64 leaves per top element, 20 satisfied
+/// grouped triggers) rebuilds the hot `e0`, and its leaf constructor takes
+/// the 63 unchanged `e2` rows from its last firing. Reuse changes no
+/// probe, statement or scan: `(fired, probes, statements, scanned, reused)`
+/// per write.
+#[test]
+fn bench_leaf_update_reuses_63_of_64_leaf_elements() {
+    let mut spec = WorkloadSpec::quick(Mode::Grouped);
+    (spec.depth, spec.leaf_count, spec.fanout) = (3, 1024, 64);
+    (spec.triggers, spec.satisfied) = (20, 20);
+    let mut workload = build(spec).expect("workload");
+    workload.one_update().expect("warm-up");
+    for _ in 0..3 {
+        let before = workload.quark().stats();
+        workload.one_update().expect("measured update");
+        let after = workload.quark().stats();
+        let per_write = (
+            after.triggers_fired - before.triggers_fired,
+            after.index_probes - before.index_probes,
+            after.statements - before.statements,
+            after.rows_scanned - before.rows_scanned,
+            after.build_cache_hits - before.build_cache_hits,
+        );
+        assert_eq!(per_write, (1, 26, 21, 0, 63));
+    }
+}
+
+/// The `e2` leaf elements of a NEW `e0` node, in document order.
+fn leaf_elements(firing: &common::Firing) -> Vec<XmlNodeRef> {
+    let node = common::node_param(firing);
+    node.descendants_named("e2").into_iter().cloned().collect()
+}
+
+/// Two consecutive UPDATEs of different hot leaves deliver `NEW_NODE`s
+/// that share 63 of their 64 `e2` elements by `Arc`; the leaf the second
+/// UPDATE changed is a new node with the new price.
+#[test]
+fn consecutive_leaf_updates_share_the_unchanged_leaf_elements() {
+    let mut spec = WorkloadSpec::quick(Mode::Grouped);
+    (spec.depth, spec.leaf_count, spec.fanout) = (3, 1024, 64);
+    (spec.triggers, spec.satisfied) = (0, 0);
+    let workload = build(spec).expect("workload");
+    let session = &workload.session;
+    let log = Log::default();
+    let sink = log.clone();
+    session
+        .register_action("capture", move |_db, call| {
+            sink.0
+                .lock()
+                .unwrap()
+                .push((call.trigger.clone(), call.params.clone()));
+            Ok(())
+        })
+        .expect("action");
+    session
+        .execute(
+            "create trigger capture after update on view('bench')/e0 \
+             where OLD_NODE/@name = 'name_0_0' do capture(NEW_NODE)",
+        )
+        .expect("trigger");
+    let [a, b, c] = [0, 1, 2].map(|i| workload.hot_leaves[i]);
+    let mut nodes = Vec::new();
+    for (leaf, price) in [(a, 1.5), (b, 2.5), (c, 3.5)] {
+        session
+            .execute(&format!(
+                "UPDATE t2 SET price = {price:?} WHERE id = {leaf}"
+            ))
+            .expect("update");
+        let firings = log.take();
+        assert_eq!(firings.len(), 1);
+        nodes.push(leaf_elements(&firings[0]));
+    }
+    let (second, third) = (&nodes[1], &nodes[2]);
+    assert_eq!((second.len(), third.len()), (64, 64));
+    let fresh: Vec<&XmlNodeRef> = third
+        .iter()
+        .filter(|n| !second.iter().any(|m| Arc::ptr_eq(m, n)))
+        .collect();
+    assert_eq!(fresh.len(), 1, "63 of 64 leaf elements are shared");
+    assert_eq!(fresh[0].attr("name"), Some(format!("name_2_{c}").as_str()));
+    assert!(fresh[0].to_xml().contains("<price>3.5</price>"));
+}
+
+/// `Mode::Ungrouped` gives every XML trigger its own SQL triggers, but the
+/// compile cache hands them one affected-node plan, so they execute one
+/// leaf constructor node and share its reuse slot: after the first trigger
+/// rebuilds the changed leaf, the other nine take all 64 rows.
+#[test]
+fn ungrouped_triggers_share_one_constructor_node() {
+    let mut spec = WorkloadSpec::quick(Mode::Ungrouped);
+    (spec.depth, spec.leaf_count, spec.fanout) = (3, 1024, 64);
+    (spec.triggers, spec.satisfied) = (10, 2);
+    let mut workload = build(spec).expect("workload");
+    workload.one_update().expect("warm-up");
+    let before = workload.quark().stats();
+    workload.one_update().expect("measured update");
+    let after = workload.quark().stats();
+    assert_eq!(after.triggers_fired - before.triggers_fired, 10);
+    assert_eq!(
+        after.build_cache_hits - before.build_cache_hits,
+        63 + 9 * 64
+    );
+}
+
 /// A session over the Figure-2 catalog with `triggers` grouped XML triggers
 /// `where NEW_NODE/vendor/price > C_i`, none of which fires: one group, one
 /// constants table with a row per trigger, and a comparison against it that
@@ -467,8 +576,8 @@ fn price_threshold_session(mode: Mode, triggers: usize) -> (Session, Log) {
 /// joins the constants table by a nested loop, so every firing scans it
 /// once: exactly its row count lands in `rows_scanned`, while the index
 /// probes that locate the affected node stay independent of the trigger
-/// count. The executor keeps no result across firings, so a warm firing
-/// pays the same scan as the first.
+/// count. The executor keeps no join input across firings, so a warm
+/// firing pays the same scan as the first.
 #[test]
 fn non_pushable_grouped_condition_scans_its_constants_table_per_firing() {
     for mode in [Mode::Grouped, Mode::GroupedAgg] {

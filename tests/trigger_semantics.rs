@@ -11,7 +11,7 @@ use common::{all_modes, catalog_system, node_param, update_price, Log};
 use quark_core::relational::Database;
 use quark_core::xqgm::fixtures::{minprice_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
-use quark_core::{Mode, PathGraph, Quark, Session, XmlView};
+use quark_core::{Mode, PathGraph, Quark, Session, StatementResult, XmlView};
 use quark_xquery::XQueryFrontend;
 
 fn minprice_system(mode: Mode) -> (Session, Log) {
@@ -70,6 +70,39 @@ fn non_minimum_price_change_is_suppressed() {
             "50",
             "{mode:?}"
         );
+    }
+}
+
+/// The serialized catalog view (`MATERIALIZE`).
+fn catalog_xml(session: &Session) -> String {
+    let StatementResult::Xml(nodes) = session
+        .execute("MATERIALIZE view('catalog')/product")
+        .unwrap()
+    else {
+        panic!("expected Xml")
+    };
+    nodes.iter().map(|n| n.to_xml()).collect()
+}
+
+/// `0.0 = −0.0`, so Appendix-F pruning sees no change from one to the
+/// other and nothing fires; the view must not change either. Both zeros
+/// render as `0` (XPath number-to-string), not `-0`.
+#[test]
+fn negative_zero_price_changes_neither_the_view_nor_the_firings() {
+    for mode in all_modes() {
+        let (mut session, log) = catalog_system(mode);
+        session
+            .execute(
+                "create trigger All after update on view('catalog')/product do notify(NEW_NODE)",
+            )
+            .unwrap();
+        update_price(&mut session, "Amazon", "P1", 0.0).unwrap();
+        assert_eq!(log.take().len(), 1, "{mode:?}");
+        let before = catalog_xml(&session);
+        assert!(before.contains("<price>0</price>"), "{mode:?}: {before}");
+        update_price(&mut session, "Amazon", "P1", -0.0).unwrap();
+        assert!(log.is_empty(), "{mode:?}: −0.0 equals 0.0");
+        assert_eq!(catalog_xml(&session), before, "{mode:?}");
     }
 }
 
