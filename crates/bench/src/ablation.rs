@@ -7,7 +7,9 @@
 //!   unmaterialized architecture.
 //! * Option toggles on the translated system (injective-check elision,
 //!   skeleton sides) are exercised through
-//!   [`quark_core::Quark::set_options`] by the harness.
+//!   [`quark_core::Quark::set_options`] by the harness. Switching skeletons
+//!   off makes the OLD/NEW node sides full; the affected-key graphs stay
+//!   on the skeleton, because they need only keys.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

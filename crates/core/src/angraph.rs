@@ -5,7 +5,11 @@
 //!
 //! 1. affected keys from the Δ side over `G` and the ∇ side over `G_old`
 //!    ([`crate::akgraph`]), normalized to the full canonical key and
-//!    unioned (`Ou`). A partial key (only one join input changed) is
+//!    unioned (`Ou`). Only keys are read from them, so both run over the
+//!    §5.2 skeleton and its `G_old` mirror whenever the skeleton keeps
+//!    every key column: no element constructor or `aggXMLFrag` is built
+//!    to be dropped (a view without such a skeleton uses the full graphs).
+//!    A partial key (only one join input changed) is
 //!    *completed* where it can be: a missing key column that the graph's
 //!    own join or select predicates equate with a present one is copied
 //!    from it (Definition 1's "derivable" columns), so the branch stays
@@ -21,7 +25,9 @@
 //!
 //! Two §5.2 cost optimizations apply per side: a side whose constructed
 //! node is not needed (condition touches only mapped attributes, action
-//! ignores it) evaluates the *skeleton* graph instead, and — in
+//! ignores it), and an anti-join partner (INSERT's OLD and DELETE's NEW
+//! side, which only establishes qualification), evaluates the *skeleton*
+//! graph instead, and — in
 //! GROUPED-AGG mode — old-epoch group-bys over the skeleton are replaced
 //! by `old = new ∓ transition` compensation instead of re-aggregating the
 //! old children. Compensation needs the group-by's input to be linear in
@@ -46,7 +52,9 @@ pub struct AnOptions {
     pub pruned_transitions: bool,
     /// Elide the `OLD ≠ NEW` check for injective views (Theorem 3).
     pub injective_opt: bool,
-    /// Evaluate skeleton graphs for sides whose node value is unused.
+    /// Evaluate skeleton graphs for sides whose node value is unused and
+    /// for anti-join partner sides. (The affected-key graphs use the
+    /// skeleton under every setting: they need only keys.)
     pub use_skeletons: bool,
     /// GROUPED-AGG: compensate old aggregates from new ones (§5.2).
     pub agg_compensation: bool,
@@ -132,38 +140,35 @@ pub fn build_affected(
 
     // ---------- Phase A: graph construction ----------
     let injective = is_injective(&pg.kg, root, table, db)?;
-    // Skeleton sides are only sound for UPDATE when the injective shortcut
-    // removes the value comparison; INSERT/DELETE need no comparison.
-    let may_skel_old = !needs.old.node
-        && opts.use_skeletons
-        && (event != XmlEvent::Update || (injective && opts.injective_opt));
-    let may_skel_new = !needs.new.node
-        && opts.use_skeletons
-        && (event != XmlEvent::Update || (injective && opts.injective_opt));
-
-    let skel_new: Option<(OpId, SkeletonMap)> = if may_skel_old || may_skel_new {
-        skeleton(&mut pg.kg, root, db)?
-    } else {
-        None
+    // A side whose node nobody reads may be a skeleton. For UPDATE that is
+    // only sound when the injective shortcut removes the value comparison;
+    // an anti-join partner (INSERT's OLD, DELETE's NEW side) reads only
+    // keys, whatever the trigger reads.
+    let may_skel = |side: SideNeeds, partner: bool| {
+        opts.use_skeletons
+            && (partner
+                || !side.node && (event != XmlEvent::Update || (injective && opts.injective_opt)))
     };
+    let may_skel_old = may_skel(needs.old, event == XmlEvent::Insert);
+    let may_skel_new = may_skel(needs.new, event == XmlEvent::Delete);
 
-    let (old_root, _old_map) = pg.kg.old_version_mapped(root, table);
-    let skel_old: Option<((OpId, SkeletonMap), HashMap<OpId, OpId>)> =
-        skel_new.as_ref().map(|(skel_root, map)| {
-            let (o, m) = pg.kg.old_version_mapped(*skel_root, table);
-            ((o, map.clone()), m)
-        });
+    let skel = skeleton(&mut pg.kg, root, db)?;
+    let old_root = pg.kg.old_version(root, table);
+    // The skeleton's `G_old` mirror and its operator map; the mirror keeps
+    // the skeleton's column map.
+    let skel_old: Option<(OpId, HashMap<OpId, OpId>)> = skel
+        .as_ref()
+        .map(|(skel_root, _)| pg.kg.old_version_mapped(*skel_root, table));
 
     let recipes = match &skel_old {
-        Some((_, mirror)) if opts.agg_compensation => {
+        Some((_, mirror)) if opts.agg_compensation && (may_skel_old || may_skel_new) => {
             compensation_recipes(&mut pg.kg, mirror, table, opts.pruned_transitions)
         }
         _ => Vec::new(),
     };
 
-    let ak_new = create_ak_graph(&mut pg.kg, root, table, AkSide::Delta, ak_opts, db)?;
-    let ak_old = create_ak_graph(&mut pg.kg, old_root, table, AkSide::Nabla, ak_opts, db)?;
-    if ak_new.is_none() && ak_old.is_none() {
+    let (aks, ak_key) = key_graphs(&mut pg.kg, root, skel.as_ref(), &key, table, ak_opts, db)?;
+    if aks.iter().all(Option::is_none) {
         return Ok(None);
     }
 
@@ -174,17 +179,15 @@ pub fn build_affected(
     }
 
     let mut key_branches: Vec<PlanRef> = Vec::new();
-    for (ak, side_root) in [(&ak_new, root), (&ak_old, old_root)] {
-        if let Some(ak) = ak {
-            let completed = complete_key(&pg.kg.graph, ak, side_root, &key, db)?;
-            key_branches.push(full_key_plan(
-                &mut compiler,
-                ak,
-                side_root,
-                &key,
-                completed.as_deref(),
-            )?);
-        }
+    for (ak, side_root) in aks.iter().flatten() {
+        let completed = complete_key(&pg.kg.graph, ak, *side_root, &ak_key, db)?;
+        key_branches.push(full_key_plan(
+            &mut compiler,
+            ak,
+            *side_root,
+            &ak_key,
+            completed.as_deref(),
+        )?);
     }
     let union = PhysicalPlan::new(PlanOp::UnionAll, key_branches).into_ref();
     let ou = PhysicalPlan::new(PlanOp::Distinct, vec![union]).into_ref();
@@ -193,48 +196,55 @@ pub fn build_affected(
         cols: (0..key.len()).collect(),
     };
 
-    let new_side = build_side(
-        &mut compiler,
-        pg,
-        root,
-        if may_skel_new {
-            skel_new.as_ref()
-        } else {
-            None
-        },
-        &key,
-        &driver,
-        db,
-    )?;
-    let old_skel_pair: Option<(OpId, SkeletonMap)> =
-        skel_old.as_ref().map(|((r, m), _)| (*r, m.clone()));
-    let old_side = build_side(
-        &mut compiler,
-        pg,
-        old_root,
-        if may_skel_old {
-            old_skel_pair.as_ref()
-        } else {
-            None
-        },
-        &key,
-        &driver,
-        db,
-    )?;
+    let skel_side = |skel_root: Option<OpId>, may: bool| {
+        skel_root
+            .filter(|_| may)
+            .zip(skel.as_ref().map(|(_, map)| map))
+    };
+    let new_skel = skel_side(skel.as_ref().map(|(r, _)| *r), may_skel_new);
+    let old_skel = skel_side(skel_old.map(|(r, _)| r), may_skel_old);
+    let new_side = build_side(&mut compiler, pg, root, new_skel, &key, &driver, db)?;
+    let old_side = build_side(&mut compiler, pg, old_root, old_skel, &key, &driver, db)?;
 
-    let mut affected = assemble(
+    Ok(Some(assemble(
         event,
         new_side,
         old_side,
         &key,
         injective && opts.injective_opt,
-    );
-    // The affected-key branches compile whole AK graphs (XML constructors
-    // and `aggXMLFrag` included) only to keep their key columns: drop the
-    // expressions nobody reads, once, before the plan is cached, shared
-    // between groups, persisted and explained.
-    affected.plan = PhysicalPlan::prune_dead_columns(&affected.plan, db)?;
-    Ok(Some(affected))
+    )))
+}
+
+/// The Δ and ∇ affected keys, each with the root it ran over (`None`: the
+/// table cannot affect that side).
+type KeyGraphs = [Option<(AkResult, OpId)>; 2];
+
+/// `CreateAKGraph` (Fig. 8) for `table`: the Δ side over `root` and the ∇
+/// side over its `G_old` mirror, each with the root it ran over, and `key`
+/// renumbered for those roots. The affected keys are all it yields, so it
+/// runs over the skeleton `skel` (§5.2) whenever that keeps every key
+/// column: no element constructor or `aggXMLFrag` enters a key branch.
+fn key_graphs(
+    kg: &mut KeyedGraph,
+    root: OpId,
+    skel: Option<&(OpId, SkeletonMap)>,
+    key: &[usize],
+    table: &str,
+    opts: AkOptions,
+    db: &Database,
+) -> Result<(KeyGraphs, Vec<usize>)> {
+    let (root, key) = skel
+        .and_then(|(skel_root, map)| Some((*skel_root, mapped(map, key)?)))
+        .unwrap_or_else(|| (root, key.to_vec()));
+    let old_root = kg.old_version(root, table);
+    let mut sides = [None, None];
+    for (slot, (side_root, side)) in sides
+        .iter_mut()
+        .zip([(root, AkSide::Delta), (old_root, AkSide::Nabla)])
+    {
+        *slot = create_ak_graph(kg, side_root, table, side, opts, db)?.map(|ak| (ak, side_root));
+    }
+    Ok((sides, key))
 }
 
 /// GROUPED-AGG compensation recipes (§5.2): pair each old-epoch group-by of
@@ -490,59 +500,49 @@ fn distinct_cols(plan: PlanRef, cols: &[usize]) -> PlanRef {
     PhysicalPlan::new(PlanOp::Distinct, vec![projected]).into_ref()
 }
 
+/// One side restricted to the affected keys: over the skeleton when `skel`
+/// is given and keeps every key and attribute column, else over the full
+/// path graph `side_root`.
 fn build_side(
     compiler: &mut Compiler<'_>,
     pg: &PathGraph,
     side_root: OpId,
-    skel: Option<&(OpId, SkeletonMap)>,
+    skel: Option<(OpId, &SkeletonMap)>,
     key: &[usize],
     driver: &Driver,
     db: &Database,
 ) -> Result<SidePlan> {
-    match skel {
-        Some((skel_root, map)) => {
-            // All key and attribute columns must have survived pruning.
-            let mapped_key: Option<Vec<usize>> =
-                key.iter().map(|&c| map.get(c).cloned().flatten()).collect();
-            let mapped_attrs: Option<HashMap<String, usize>> = pg
-                .attr_cols
-                .iter()
-                .map(|(a, &c)| map.get(c).cloned().flatten().map(|nc| (a.clone(), nc)))
-                .collect();
-            if let (Some(mk), Some(ma)) = (mapped_key, mapped_attrs) {
-                let plan = compiler.compile_restricted(*skel_root, &mk, driver)?;
-                let arity = plan.arity(db)?;
-                return Ok(SidePlan {
-                    plan,
-                    arity,
-                    key_cols: mk,
-                    node_col: None,
-                    attr_cols: ma,
-                });
-            }
-            // Fall through to the full side when pruning lost something.
-            let plan = compiler.compile_restricted(side_root, key, driver)?;
-            let arity = plan.arity(db)?;
-            Ok(SidePlan {
-                plan,
-                arity,
-                key_cols: key.to_vec(),
-                node_col: Some(pg.node_col),
-                attr_cols: pg.attr_cols.clone(),
-            })
-        }
-        None => {
-            let plan = compiler.compile_restricted(side_root, key, driver)?;
-            let arity = plan.arity(db)?;
-            Ok(SidePlan {
-                plan,
-                arity,
-                key_cols: key.to_vec(),
-                node_col: Some(pg.node_col),
-                attr_cols: pg.attr_cols.clone(),
-            })
-        }
-    }
+    let skeleton_side = skel.and_then(|(skel_root, map)| {
+        let attrs: Option<HashMap<String, usize>> = (pg.attr_cols.iter())
+            .map(|(a, &c)| Some((a.clone(), map.get(c).copied().flatten()?)))
+            .collect();
+        Some((skel_root, mapped(map, key)?, attrs?))
+    });
+    let (root, key_cols, node_col, attr_cols) = match skeleton_side {
+        Some((skel_root, key_cols, attrs)) => (skel_root, key_cols, None, attrs),
+        None => (
+            side_root,
+            key.to_vec(),
+            Some(pg.node_col),
+            pg.attr_cols.clone(),
+        ),
+    };
+    let plan = compiler.compile_restricted(root, &key_cols, driver)?;
+    let arity = plan.arity(db)?;
+    Ok(SidePlan {
+        plan,
+        arity,
+        key_cols,
+        node_col,
+        attr_cols,
+    })
+}
+
+/// `cols` renumbered through a skeleton map, `None` if one was dropped.
+fn mapped(map: &SkeletonMap, cols: &[usize]) -> Option<Vec<usize>> {
+    cols.iter()
+        .map(|&c| map.get(c).copied().flatten())
+        .collect()
 }
 
 /// Event-specific join and final projection to [`AffectedLayout`].
@@ -700,6 +700,81 @@ mod tests {
         );
     }
 
+    /// The Δ and ∇ key graphs of the chain and catalog views, for every
+    /// table, construct no element and no `aggXMLFrag`: `CreateAKGraph`
+    /// runs over the skeleton, not the view.
+    #[test]
+    fn key_graphs_construct_no_xml() {
+        use quark_relational::expr::ScalarFunc;
+        use quark_xqgm::fixtures::{catalog_path_graph, product_vendor_db};
+
+        fn constructs(e: &Expr) -> bool {
+            match e {
+                Expr::Func(f, args) => {
+                    matches!(f, ScalarFunc::XmlElement { .. } | ScalarFunc::XmlWrap(_))
+                        || args.iter().any(constructs)
+                }
+                Expr::Binary { left, right, .. } => constructs(left) || constructs(right),
+                Expr::Not(e) | Expr::IsNull(e) => constructs(e),
+                Expr::Col(_) | Expr::Lit(_) => false,
+            }
+        }
+        /// Every operator under `id` that builds XML.
+        fn xml_ops(graph: &Graph, id: OpId, out: &mut Vec<OpId>) {
+            let op = graph.op(id);
+            let builds = match &op.kind {
+                OpKind::Project { exprs, .. } => exprs.iter().any(constructs),
+                OpKind::GroupBy { aggs, .. } => aggs.iter().any(|a| a.func == AggFunc::XmlAgg),
+                _ => false,
+            };
+            if builds {
+                out.push(id);
+            }
+            for &input in &op.inputs {
+                xml_ops(graph, input, out);
+            }
+        }
+
+        let catalog = {
+            let db = product_vendor_db();
+            let mut g = Graph::new();
+            let (top, _) = catalog_path_graph(&mut g);
+            let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
+            (db, kg, root)
+        };
+        for ((db, mut kg, root), tables) in [
+            (chain_view(3), &["t0", "t1", "t2"][..]),
+            (catalog, &["product", "vendor"][..]),
+        ] {
+            let mut full = Vec::new();
+            xml_ops(&kg.graph, root, &mut full);
+            assert!(!full.is_empty(), "the view builds XML");
+            let key = kg.key(root).to_vec();
+            let skel = skeleton(&mut kg, root, &db).unwrap();
+            for table in tables {
+                let (aks, _) = key_graphs(
+                    &mut kg,
+                    root,
+                    skel.as_ref(),
+                    &key,
+                    table,
+                    AkOptions::default(),
+                    &db,
+                )
+                .unwrap();
+                assert!(
+                    aks.iter().all(Option::is_some),
+                    "{table} affects both sides"
+                );
+                for (ak, _) in aks.iter().flatten() {
+                    let mut built = Vec::new();
+                    xml_ops(&kg.graph, ak.op, &mut built);
+                    assert_eq!(built, [], "{table}");
+                }
+            }
+        }
+    }
+
     /// The affected keys of `table` over `root` (Δ) and over its `G_old`
     /// mirror (∇), each with the root it completes against.
     fn both_sides(
@@ -788,8 +863,9 @@ mod tests {
     }
 
     /// The catalog fixture's affected keys are full keys for both tables, so
-    /// completion never engages: every affected-node plan renders byte for
-    /// byte as it did before completion existed.
+    /// completion never engages. The golden pins the rendering of every
+    /// affected-node plan: it moves only when the translator emits other
+    /// plans for this view.
     #[test]
     fn catalog_plans_render_as_before_completion() {
         use quark_xqgm::fixtures::{catalog_path_graph, product_vendor_db};
@@ -822,6 +898,6 @@ mod tests {
             }
         }
         let crc = quark_storage::crc::crc32(text.as_bytes());
-        assert_eq!((text.len(), crc), (37_489, 0xc73e_6f19), "{text}");
+        assert_eq!((text.len(), crc), (39_080, 0x034a_1bfd), "{text}");
     }
 }

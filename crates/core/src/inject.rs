@@ -16,9 +16,14 @@
 //! the trigger does not need: when the condition touches only scalar
 //! attributes of `OLD_NODE` and the action ignores it, the old side only
 //! has to establish *qualification* (was the node in the old view?) and
-//! key/attribute values. [`skeleton`] rebuilds a path graph with every
-//! XML-constructing column and `aggXMLFrag` aggregate removed, keeping
-//! keys, scalar attributes and the aggregates that feed predicates.
+//! key/attribute values. The same holds for an INSERT's OLD and a
+//! DELETE's NEW side, which are only anti-join partners, and for the
+//! affected-key graphs, which need only keys. [`skeleton`] rebuilds a path
+//! graph with every XML-constructing column and `aggXMLFrag` aggregate
+//! removed, keeping keys, scalar attributes and the aggregates that feed
+//! predicates. It keeps every scalar expression, read or not, so a firing
+//! evaluates the view's scalar columns as `MATERIALIZE` does: one that
+//! fails (a division by zero) fails the firing too.
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -689,13 +689,12 @@ mod tests {
         // expression tags from `quark_relational::wire`; a change to any
         // tag table is a persisted-format change and must bump `VERSION`.
         // The blob also carries the compiled plans, so a change to what the
-        // translator emits moves this golden without a format change: dead-
-        // column elimination (`PhysicalPlan::prune_dead_columns`) took it
-        // from 34 825 bytes to 33 245, and a parent's blob still decodes and
-        // runs its unpruned plans.
+        // translator emits moves this golden without a format change: a
+        // blob written by an earlier translator still decodes, and its
+        // plans run and fire as they did.
         assert_eq!(
             (blob_a.len(), quark_storage::crc::crc32(&blob_a)),
-            (33_245, 0xd54b_4428),
+            (33_609, 0x9ac8_276c),
             "core blob bytes changed"
         );
     }

@@ -37,7 +37,7 @@ use std::sync::Arc;
 
 use crate::pmap::PMap;
 use crate::schema::TableSchema;
-use crate::value::{Row, Value};
+use crate::value::{ColumnType, Row, Value};
 use crate::{Error, Result};
 
 /// Primary-key value tuple.
@@ -151,9 +151,17 @@ impl Table {
             .collect())
     }
 
-    /// Insert a row; fails on duplicate primary key.
-    pub fn insert(&mut self, values: Vec<Value>) -> Result<Row> {
+    /// Insert a row; fails on duplicate primary key. An `Int` in a DOUBLE
+    /// column is stored as the `Double` it equals: kept as an `Int` above
+    /// 2^53, it would render digits its equal double does not have, so an
+    /// update that pruning sees as no change would still change the view.
+    pub fn insert(&mut self, mut values: Vec<Value>) -> Result<Row> {
         self.schema.check_row(&values)?;
+        for (v, c) in values.iter_mut().zip(&self.schema.columns) {
+            if let (Value::Int(i), ColumnType::Double) = (&*v, c.ty) {
+                *v = Value::Double(*i as f64);
+            }
+        }
         let key = self.schema.key_of(&values);
         if self.rows.get(&key).is_some() {
             return Err(Error::DuplicateKey {
@@ -185,7 +193,6 @@ impl Table {
 mod tests {
     use super::*;
     use crate::schema::ColumnDef;
-    use crate::value::ColumnType;
 
     fn vendor_table() -> Table {
         let schema = TableSchema::new(

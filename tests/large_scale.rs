@@ -12,9 +12,10 @@
 //! * Fig. 17 and the §6 compile-time table: grouped work per update is
 //!   identical at 10 and 1 000 installed triggers, ungrouped work is
 //!   linear in them, and only the first trigger of a shape is translated,
-//! * the bench hierarchy's trigger plan constructs XML for the NEW node it
-//!   delivers and for nothing else (dead-column elimination; the injective
-//!   leaf table drops the `OLD ≠ NEW` guard, so the OLD side is a skeleton),
+//! * the bench hierarchy's trigger plans construct XML for the nodes they
+//!   deliver and for nothing else (the affected keys and an anti-join's
+//!   partner side come from the skeleton; the injective leaf table drops
+//!   the `OLD ≠ NEW` guard, so the OLD side is a skeleton),
 //! * the depth-4 chain view's affected-node plans keep a fixed number of
 //!   distinct nodes: the compiler shares every structurally equal subplan,
 //! * a leaf UPDATE of the bench hierarchy completes its partial affected
@@ -272,8 +273,7 @@ fn work_per_update_is_flat_in_trigger_count_only_when_grouped() {
 
 /// XML constructors a plan evaluates per row, over its distinct nodes (a
 /// shared subplan counts once): `(XmlElement + XmlWrap calls in Project
-/// columns, XmlAgg aggregates)`. A column dead-column elimination has
-/// neutralized holds `NULL` / `COUNT(*)` and counts nothing.
+/// columns, XmlAgg aggregates)`.
 fn xml_constructors(plan: &PlanRef) -> (usize, usize) {
     fn calls(e: &Expr) -> usize {
         match e {
@@ -319,7 +319,9 @@ fn distinct_nodes(plan: &PlanRef) -> Vec<&PlanRef> {
 /// `e0` inside the `e2` element), so the installed plan drops the
 /// `OLD_NODE ≠ NEW_NODE` guard (Theorem 3) and the OLD side, which the
 /// trigger never reads, is a skeleton (§5.2). `t0` and `t1` expose only
-/// `name`, so their UPDATE plans keep the guard and both nodes. (The
+/// `name`, so their UPDATE plans keep the guard and both nodes. A trigger
+/// that reads both nodes gets exactly the nodes each event delivers, on
+/// every table. (The
 /// installed SQL trigger stacks the constants probe, condition, projection
 /// and sort on the affected-node plan; none of them constructs XML.)
 #[test]
@@ -344,11 +346,41 @@ fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
     )
     .expect("translation")
     .expect("t2 affects e0");
-    // Without dead-column elimination the Δ and ∇ affected-key branches
-    // would add the view's constructors and `aggXMLFrag`s (18 and 3 each),
-    // compiled only to project the keys; without the `t2` guard elision the
-    // guard would read a full OLD `e0` (7 and 2 more).
+    // Over the view instead of the skeleton, the Δ and ∇ affected-key
+    // branches would add the view's constructors and `aggXMLFrag`s (18 and
+    // 3 each), compiled only to project the keys; without the `t2` guard
+    // elision the guard would read a full OLD `e0` (7 and 2 more).
     assert_eq!(xml_constructors(&affected.plan), (7, 2));
+
+    // A trigger reading both nodes: an UPDATE builds the OLD and the NEW
+    // `e0` (`t0`'s two share every level below `e0`, which `t0` does not
+    // reach), an INSERT or DELETE only the node it delivers — its
+    // anti-join partner is a skeleton.
+    let both = Needs {
+        old: SideNeeds { node: true },
+        new: SideNeeds { node: true },
+    };
+    for (table, update) in [("t0", (8, 2)), ("t1", (14, 4)), ("t2", (14, 4))] {
+        for (event, expected) in [
+            (XmlEvent::Update, update),
+            (XmlEvent::Insert, (7, 2)),
+            (XmlEvent::Delete, (7, 2)),
+        ] {
+            let mut pg = quark.view("bench").expect("bench view").anchors["e0"].clone();
+            let affected = build_affected(
+                &mut pg,
+                table,
+                event,
+                both,
+                quark.options(),
+                quark.database(),
+            )
+            .expect("translation")
+            .expect("every table affects e0");
+            let built = xml_constructors(&affected.plan);
+            assert_eq!(built, expected, "{table} {event:?}");
+        }
+    }
     drop(quark);
 
     let StatementResult::Explain(text) = workload
@@ -407,7 +439,10 @@ fn chain_view_trigger_plans_keep_their_distinct_node_counts() {
     // `t0.id = parent` completes: the Δ and ∇ key branches are
     // `Distinct(Project(AK))`, not the whole view restricted and compiled
     // a second time (each count was 54–56 nodes higher with the join-back).
-    let expected = [46, 54, 54, 107, 106, 106, 135, 134, 134, 146, 146, 146];
+    // A DELETE's NEW side is only its anti-join partner, so it is a
+    // skeleton although the trigger reads NEW_NODE: `t0` DELETE has 45
+    // nodes, not the 54 of a full NEW side.
+    let expected = [46, 54, 45, 107, 106, 106, 135, 134, 134, 146, 146, 146];
     assert_eq!(counts, expected, "UPDATE/INSERT/DELETE on t0..t3");
 }
 

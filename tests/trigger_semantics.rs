@@ -106,6 +106,36 @@ fn negative_zero_price_changes_neither_the_view_nor_the_firings() {
     }
 }
 
+/// `2^53 + 1` as an integer equals the double `2^53` it rounds to, so
+/// pruning sees no change from one to the other and nothing fires. The
+/// DOUBLE column stores the integer as that double, so the view does not
+/// change either: it renders `2^53`'s digits, not `2^53 + 1`'s.
+#[test]
+fn integer_above_2_pow_53_in_a_double_column_changes_neither_the_view_nor_the_firings() {
+    for mode in all_modes() {
+        let (mut session, log) = catalog_system(mode);
+        session
+            .execute(
+                "create trigger All after update on view('catalog')/product do notify(NEW_NODE)",
+            )
+            .unwrap();
+        update_price(&mut session, "Amazon", "P1", 9_007_199_254_740_992.0).unwrap();
+        assert_eq!(log.take().len(), 1, "{mode:?}");
+        let before = catalog_xml(&session);
+        assert!(
+            before.contains("<price>9007199254740992</price>"),
+            "{mode:?}: {before}"
+        );
+        session
+            .execute(
+                "UPDATE vendor SET price = 9007199254740993 WHERE vid = 'Amazon' AND pid = 'P1'",
+            )
+            .unwrap();
+        assert!(log.is_empty(), "{mode:?}: 2^53 + 1 equals 2^53 as a double");
+        assert_eq!(catalog_xml(&session), before, "{mode:?}");
+    }
+}
+
 /// Conditions with nested step predicates cannot be pushed relationally and
 /// fall back to value-space evaluation; results must be identical.
 #[test]
