@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use quark_core::oracle::{diff, materialize};
-use quark_core::relational::{Event, Result, SqlTrigger, TriggerBody, Value};
+use quark_core::relational::{Event, Result, SqlTrigger, Value};
 use quark_core::spec::PathGraph;
 use quark_core::{Mode, XmlEvent};
 use rand::rngs::StdRng;
@@ -68,7 +68,7 @@ pub fn materialized_workload(spec: WorkloadSpec) -> Result<MaterializedWorkload>
         name: "materialized_maintainer".into(),
         table: leaf_table.clone(),
         event: Event::Update,
-        body: TriggerBody::Native(Arc::new(move |db, _trans| {
+        body: Arc::new(move |db, _trans| {
             let after = materialize(&pg, db)?;
             let mut guard = state.lock().expect("state");
             let before = guard.take().expect("state present");
@@ -79,7 +79,7 @@ pub fn materialized_workload(spec: WorkloadSpec) -> Result<MaterializedWorkload>
                 .count();
             *guard = Some(after);
             Ok(())
-        })),
+        }),
     })?;
 
     Ok(MaterializedWorkload {

@@ -8,7 +8,7 @@
 //! groups it reaches is one computation, shared with the scheduler (the
 //! cascade closure in [`system`](super), over declared action write sets);
 //! what this module re-derives is the *read* side — from the compiled plan
-//! DAGs ([`PhysicalPlan::table_footprint`]) instead of the footprint
+//! DAGs (`PhysicalPlan::table_footprint`) instead of the footprint
 //! recorded at translation time — and it layers two classic
 //! active-database analyses (termination and commutativity of the trigger
 //! set) on the same facts. Three passes:

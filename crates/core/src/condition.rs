@@ -447,7 +447,8 @@ pub struct CondLayout {
     pub params: Vec<usize>,
 }
 
-fn compile_value(cv: &CondValue, layout: &CondLayout) -> Result<Expr> {
+/// Compile one comparison operand (also grouping's constants-table join key).
+pub(crate) fn compile_value(cv: &CondValue, layout: &CondLayout) -> Result<Expr> {
     Ok(match cv {
         CondValue::Const(v) => Expr::Lit(v.clone()),
         CondValue::Param(i) => Expr::col(
@@ -470,12 +471,6 @@ fn compile_value(cv: &CondValue, layout: &CondLayout) -> Result<Expr> {
             compile_path(p, layout)?
         }
     })
-}
-
-/// Public entry to path compilation (used by the grouping machinery to
-/// turn a `path = const` selection into a constants-table join key).
-pub fn compile_path_public(p: &NodePath, layout: &CondLayout) -> Result<Expr> {
-    compile_path(p, layout)
 }
 
 /// Compile a path to an expression producing a node fragment (or a scalar

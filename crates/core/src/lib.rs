@@ -18,7 +18,8 @@
 //! | [`akgraph`] | §4.2.1 `CreateAKGraph` (Fig. 8) |
 //! | [`angraph`] | §4.2.2 `CreateANGraph` (Fig. 12) + Appendix F |
 //! | [`inject`] | Appendix F injectivity & skeleton pruning |
-//! | [`system`] | §3.2 architecture, §5 grouping & pushdown |
+//! | [`system`] | §3.2 architecture: registry, trigger lifecycle, footprints |
+//! | `system::translate` (private) | §5.1–5.2 grouping & trigger pushdown (Figs. 12, 14–16) |
 //! | [`session`] | the statement front door (`Session::execute`) |
 //! | [`tagger`] | constant-space sorted-outer-union tagger |
 //! | [`oracle`] | §1's materialization strawman (reference semantics) |

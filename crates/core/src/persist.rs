@@ -14,8 +14,9 @@
 //!
 //! Decoding **re-arms** each group: the SQL-trigger handlers are rebuilt
 //! from their persisted plan/residual/source-event ingredients and
-//! installed on the recovered database, so a warm restart performs zero
-//! delta-graph translations ([`Quark::translations`] stays 0). Each
+//! installed on the recovered database through the same function
+//! `CREATE TRIGGER` installs a new group with, so a warm restart performs
+//! zero delta-graph translations ([`Quark::translations`] stays 0). Each
 //! decoded plan is verified against its persisted `EXPLAIN` rendering —
 //! a codec drift or corruption that slipped past the storage CRCs fails
 //! recovery instead of firing a silently wrong plan.
@@ -27,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use quark_relational::wire::{Dec, Decode, Enc, Encode, WireTag};
-use quark_relational::{Error, Result, SqlTrigger, Value};
+use quark_relational::{Error, Result, Value};
 use quark_xqgm::wire::{decode_graph, encode_graph};
 
 use crate::angraph::{AffectedLayout, AffectedNodePlan, AnOptions};
@@ -366,19 +367,11 @@ impl Decode for SqlTriggerMeta {
     }
 }
 
-impl Group {
-    /// Constants arity: every set of a group has the same width (the
-    /// group signature fixes the condition shape).
-    fn n_consts(&self) -> usize {
-        self.sets.keys().next().map_or(0, |k| k.len())
-    }
-}
-
 impl Encode for Group {
     fn encode(&self, enc: &mut Enc) {
         enc.put(&self.signature);
         enc.put(&self.constants_table);
-        enc.put(&self.n_consts());
+        enc.put(&self.n_consts);
         let mut sets: Vec<(i64, &Vec<Value>)> = self.sets.iter().map(|(k, &id)| (id, k)).collect();
         sets.sort_by_key(|&(id, _)| id);
         enc.put(&sets);
@@ -398,10 +391,12 @@ impl Decode for Group {
         let n_consts: usize = dec.get()?;
         let by_id: Vec<(i64, Vec<Value>)> = dec.get()?;
         let ordered = by_id.windows(2).all(|pair| pair[0].0 < pair[1].0);
+        let wide = by_id.iter().all(|(_, k)| k.len() == n_consts);
         let sets: HashMap<Vec<Value>, i64> = by_id.into_iter().map(|(id, k)| (k, id)).collect();
         let group = Group {
             signature,
             constants_table,
+            n_consts,
             sets,
             next_set: dec.get()?,
             members: Arc::new(Mutex::new(dec.get()?)),
@@ -410,7 +405,7 @@ impl Decode for Group {
             trigger_count: dec.get()?,
             cache_key: dec.get()?,
         };
-        if !ordered || group.n_consts() != n_consts {
+        if !ordered || !wide {
             return Err(bad("constants sets out of order or of the wrong width"));
         }
         Ok(group)
@@ -489,7 +484,7 @@ pub(crate) fn encode_core(q: &Quark) -> Result<Vec<u8>> {
     // database counter does not survive recovery (the rebuilt database
     // re-counts only the surviving DDL), so the external generation is the
     // durable clock and `internal_ddl` is re-based against it on decode.
-    enc.i64(q.db.schema_generation() as i64 - q.internal_ddl);
+    enc.i64(q.external_generation());
     enc.u64(q.compile_cache_hits);
     enc.bool(q.compile_cache_enabled);
     enc.put(&by_name(&q.views));
@@ -553,21 +548,7 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
     // Re-arm: rebuild each handler from its persisted ingredients and
     // install it on the recovered database — no translation runs.
     for g in by_name(&q.groups) {
-        for t in &g.sql_triggers {
-            let body = q.make_handler(
-                Arc::clone(&t.plan_ref),
-                t.residual.clone(),
-                t.src.clone(),
-                Arc::clone(&g.members),
-                g.n_consts(),
-            );
-            q.db.create_trigger(SqlTrigger {
-                name: t.name.clone(),
-                table: t.table.clone(),
-                event: t.event,
-                body,
-            })?;
-        }
+        super::translate::install(&mut q.db, &q.actions, g)?;
     }
 
     // All recovery DDL has run (tables and indexes in `Quark::open`, the

@@ -1,49 +1,40 @@
 //! The Quark active-system façade (§3.2, Figure 6).
 //!
 //! `Quark` owns the relational database, the registered XML views, the
-//! action-function registry, and the trigger groups. Creating an XML
-//! trigger runs the full translation pipeline:
+//! action-function registry, and the trigger groups: registration,
+//! creation and drop of triggers, `EXPLAIN TRIGGER`, `MATERIALIZE`, and the
+//! latch footprints of write statements. Creating an XML trigger runs the
+//! translation pipeline of the private `translate` child module:
 //!
 //! ```text
 //! parse → compose path → event pushdown → affected-node graph generation
 //!       → trigger grouping → trigger pushdown → SQL triggers
 //! ```
 //!
-//! In the two grouped modes, a trigger that is structurally similar to an
-//! existing group (§5.1) skips translation entirely: it only inserts its
-//! constants into the group's *constants table* — which is why trigger
-//! creation cost amortizes and why firing cost is independent of the
-//! number of XML triggers (Fig. 17).
-//!
-//! Two further compile-path caches live here:
-//!
-//! * within one group's translation, the affected-node plan is built once
-//!   per source *table* and shared by that table's INSERT/UPDATE/DELETE
-//!   source events ([`build_affected`] depends only on the table, the XML
-//!   event, the needs and the options — not on the relational event);
-//! * across groups and views, a **compile cache** keyed on the canonical
-//!   structure of the monitored path graph (plus event, needs, options and
-//!   the database's schema generation) reuses the per-table plans, so a
-//!   `CREATE TRIGGER` forming a new group over an already-translated view
-//!   shape — or over a structurally equal view under another name — skips
-//!   delta-graph construction entirely. Entries are reference-counted by
-//!   the groups using them and evicted when the last such group is
-//!   dropped.
+//! and commits its result here. In the two grouped modes, a trigger that
+//! is structurally similar to an existing group (§5.1) skips translation
+//! entirely: it only inserts its constants into the group's *constants
+//! table* — which is why trigger creation cost amortizes and why firing
+//! cost is independent of the number of XML triggers (Fig. 17). Groups
+//! hold references on the compile-cache entries their plans came from;
+//! an entry is evicted with its last group.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
-use quark_relational::expr::{BinOp, Expr};
-use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch};
-use quark_relational::{
-    ColumnDef, ColumnType, Database, Error, Result, Row, SqlTrigger, TableSchema, TriggerBody,
-    Value,
-};
+use quark_relational::expr::Expr;
+use quark_relational::plan::PlanRef;
+use quark_relational::{Database, Error, Result, Value};
 
-use crate::angraph::{build_affected, AffectedNodePlan, AnOptions, Needs, SideNeeds};
-use crate::condition::{CondLayout, Condition, NodeRef};
-use crate::events::{source_events, SourceEvent};
-use crate::spec::{Action, ActionParam, PathGraph, TriggerSpec, XmlEvent, XmlView};
+use crate::angraph::{AffectedNodePlan, AnOptions};
+use crate::condition::Condition;
+use crate::events::SourceEvent;
+use crate::spec::{ActionParam, PathGraph, TriggerSpec, XmlView};
+
+/// The translation pipeline (Figs. 12, 14–16; §5.1–5.2). A child module so
+/// it can build this module's private group structures.
+#[path = "translate.rs"]
+mod translate;
 
 /// Serialization of the view/trigger layer (the storage catalog's "core
 /// blob"). A child module so it can reach this module's private group and
@@ -136,6 +127,9 @@ type Members = Arc<Mutex<HashMap<i64, Vec<Member>>>>;
 struct Group {
     signature: String,
     constants_table: Option<String>,
+    /// Constants per set: every set of a group has the same width (the
+    /// group signature fixes the condition shape).
+    n_consts: usize,
     members: Members,
     /// constants vector → set id
     sets: HashMap<Vec<Value>, i64>,
@@ -417,6 +411,16 @@ impl Quark {
         self.views.get(name)
     }
 
+    /// The path graph of `view('view')/anchor`.
+    fn anchor(&self, view: &str, anchor: &str) -> Result<&PathGraph> {
+        self.views
+            .get(view)
+            .ok_or_else(|| Error::Plan(format!("unknown view `{view}`")))?
+            .anchors
+            .get(anchor)
+            .ok_or_else(|| Error::Plan(format!("view `{view}` has no element `{anchor}`")))
+    }
+
     /// Register an action function callable from trigger DO clauses.
     /// Duplicate registrations are rejected with [`Error::ActionExists`]
     /// (silently replacing a closure that installed triggers still
@@ -525,340 +529,116 @@ impl Quark {
         }
     }
 
-    /// Canonical signature of one translation input: an id-independent
-    /// serialization of the monitored path graph plus everything else
-    /// `build_affected` depends on. Structurally equal views under
-    /// different names produce equal signatures — and share compiled plans.
-    fn cache_signature(&self, template: &PathGraph, event: XmlEvent, needs: Needs) -> String {
-        use std::fmt::Write;
-        let mut sig = String::new();
-        let mut seq: HashMap<usize, usize> = HashMap::new();
-        canonical_graph(&template.kg, template.root, &mut seq, &mut sig);
-        let mut attrs: Vec<(&String, &usize)> = template.attr_cols.iter().collect();
-        attrs.sort();
-        let o = self.options;
-        let gen = self.db.schema_generation() as i64 - self.internal_ddl;
-        let _ = write!(
-            sig,
-            "|node={} attrs={attrs:?} key={:?} event={event:?} needs=({},{}) \
-             opts=({},{},{},{}) gen={gen}",
-            template.node_col,
-            template.key(),
-            needs.old.node,
-            needs.new.node,
-            o.pruned_transitions,
-            o.injective_opt,
-            o.use_skeletons,
-            o.agg_compensation,
-        );
-        sig
-    }
-
     /// Create an XML trigger: the paper's `CREATE TRIGGER … AFTER Event ON
     /// view('v')/anchor WHERE Condition DO action(params)`.
+    ///
+    /// The first trigger of a group is translated from borrowed state
+    /// first; only then is the group committed — constants table, SQL
+    /// triggers, registration — so a trigger that fails to translate
+    /// changes nothing. Every trigger, the first included, then joins its
+    /// group.
     pub fn create_trigger(&mut self, spec: TriggerSpec) -> Result<()> {
         if self.triggers.contains_key(&spec.name) {
             return Err(Error::TriggerExists(spec.name));
         }
-        let view = self
-            .views
-            .get(&spec.view)
-            .ok_or_else(|| Error::Plan(format!("unknown view `{}`", spec.view)))?;
-        let template = view
-            .anchors
-            .get(&spec.anchor)
-            .ok_or_else(|| {
-                Error::Plan(format!(
-                    "view `{}` has no element `{}`",
-                    spec.view, spec.anchor
-                ))
-            })?
-            .clone();
+        let template = self.anchor(&spec.view, &spec.anchor)?;
 
-        let grouped = self.mode != Mode::Ungrouped;
-        let (cond, consts) = if grouped {
-            spec.condition.extract_constants()
-        } else {
-            (spec.condition.clone(), Vec::new())
-        };
-        let signature = if grouped {
-            format!(
-                "{}|{}|{}|{:?}|{:?}",
-                spec.view,
-                spec.anchor,
-                spec.event,
-                cond,
-                shape_of(&spec.action)
-            )
-        } else {
-            format!("ungrouped|{}", spec.name)
-        };
-
-        if let Some(group) = Arc::make_mut(&mut self.groups).get_mut(&signature) {
-            // Fast path (§5.1): join an existing group — one constants-table
-            // row, no recompilation.
-            let set_id = match group.sets.get(&consts) {
-                Some(&id) => id,
-                None => {
-                    let id = group.next_set;
-                    group.next_set += 1;
-                    group.sets.insert(consts.clone(), id);
-                    if let Some(ct) = &group.constants_table {
-                        let mut row = vec![Value::Int(id)];
-                        row.extend(consts.iter().cloned());
-                        self.db.load(ct, vec![row])?;
-                    }
-                    id
-                }
+        let (signature, cond, consts) = translate::group_key(&spec, self.mode);
+        if !self.groups.contains_key(&signature) {
+            let cx = translate::Context {
+                db: &self.db,
+                options: self.options,
+                cache: self.compile_cache_enabled.then_some(&*self.compile_cache),
+                generation: self.external_generation(),
+                group_id: self.group_counter,
             };
-            group
-                .members
-                .lock()
-                .expect("members")
-                .entry(set_id)
-                .or_default()
-                .push(Member {
-                    trigger: spec.name.clone(),
-                    function: spec.action.function.clone(),
-                    params: spec.action.params.clone(),
-                });
-            group.trigger_count += 1;
-            Arc::make_mut(&mut self.triggers).insert(
-                spec.name,
-                TriggerRecord {
-                    group_signature: signature,
-                    set_id,
-                },
-            );
-            return Ok(());
+            let new = translate::translate_group(
+                &cx,
+                &spec,
+                template,
+                signature.clone(),
+                &cond,
+                &consts,
+            )?;
+            self.commit_group(new)?;
         }
-
-        self.translate_new_group(spec, template, signature, cond, consts, grouped)
+        self.join_group(spec, signature, consts)
     }
 
-    /// Full translation for the first trigger of a group.
-    fn translate_new_group(
-        &mut self,
-        spec: TriggerSpec,
-        template: PathGraph,
-        signature: String,
-        cond: Condition,
-        consts: Vec<Value>,
-        grouped: bool,
-    ) -> Result<()> {
-        let group_id = self.group_counter;
-        self.group_counter += 1;
-
-        // Which node values does this group actually need?
-        let attr_names: Vec<&str> = template.attr_cols.keys().map(String::as_str).collect();
-        let uses = |p: &ActionParam, which: &ActionParam| {
-            std::mem::discriminant(p) == std::mem::discriminant(which)
-        };
-        let action_old = spec
-            .action
-            .params
-            .iter()
-            .any(|p| uses(p, &ActionParam::OldNode));
-        let action_new = spec
-            .action
-            .params
-            .iter()
-            .any(|p| uses(p, &ActionParam::NewNode));
-        let needs = Needs {
-            old: SideNeeds {
-                node: action_old || cond.needs_node_content(NodeRef::Old, &attr_names),
-            },
-            new: SideNeeds {
-                node: action_new || cond.needs_node_content(NodeRef::New, &attr_names),
-            },
-        };
-
-        // Constants table for the group. Its DDL is internal bookkeeping:
-        // count the schema-generation bumps so the compile cache can key on
-        // the *external* generation, which stays put across group creation.
-        let constants_table = if grouped && !consts.is_empty() {
-            let name = format!("__quark_const_{group_id}");
-            let mut columns = vec![ColumnDef::new("set_id", ColumnType::Int)];
-            for (i, v) in consts.iter().enumerate() {
-                let ty = match v {
-                    Value::Int(_) => ColumnType::Int,
-                    Value::Double(_) => ColumnType::Double,
-                    Value::Bool(_) => ColumnType::Bool,
-                    _ => ColumnType::Str,
-                };
-                columns.push(ColumnDef::new(format!("c{i}"), ty));
-            }
-            self.db
-                .create_table(TableSchema::new(name.clone(), columns, &["set_id"])?)?;
+    /// Commit a translated group with no members: create its constants
+    /// table, install its SQL triggers, take its compile-cache reference
+    /// and register it.
+    fn commit_group(&mut self, new: translate::NewGroup) -> Result<()> {
+        let mut group = new.group;
+        // The constants table's DDL is internal bookkeeping: count the
+        // schema-generation bumps so the compile cache can key on the
+        // *external* generation, which stays put across group creation.
+        if let Some(schema) = new.constants {
+            let name = schema.name.clone();
+            self.db.create_table(schema)?;
             self.internal_ddl += 1;
-            // Every constant column gets an index so the generated trigger
-            // probes instead of scanning (or hashing) all constants rows.
-            for i in 0..consts.len() {
+            for i in 0..group.n_consts {
                 self.db.create_index(&name, &format!("c{i}"))?;
                 self.internal_ddl += 1;
             }
-            Some(name)
-        } else {
-            None
-        };
-
-        let members: Members = Arc::new(Mutex::new(HashMap::new()));
-        let set_id: i64 = 0;
-        members.lock().expect("members").insert(
-            set_id,
-            vec![Member {
-                trigger: spec.name.clone(),
-                function: spec.action.function.clone(),
-                params: spec.action.params.clone(),
-            }],
-        );
-        if let Some(ct) = &constants_table {
-            let mut row = vec![Value::Int(set_id)];
-            row.extend(consts.iter().cloned());
-            self.db.load(ct, vec![row])?;
         }
+        translate::install(&mut self.db, &self.actions, &group)?;
+        self.group_counter += 1;
+        if new.cache_hit {
+            self.compile_cache_hits += 1;
+        } else {
+            self.translations += 1;
+        }
+        if self.compile_cache_enabled {
+            let plans = new.plans;
+            let cache = Arc::make_mut(&mut self.compile_cache);
+            cache
+                .entry(new.cache_key.clone())
+                .or_insert(CacheEntry { plans, refs: 0 })
+                .refs += 1;
+            group.cache_key = Some(new.cache_key);
+        }
+        Arc::make_mut(&mut self.groups).insert(group.signature.clone(), group);
+        Ok(())
+    }
 
-        // Event pushdown on the composed path graph.
-        let events = source_events(&template.kg.graph, template.root, spec.event, &self.db)?;
-
-        // Affected-node plans, one per source *table* — `build_affected`
-        // does not depend on the relational event, so a table's
-        // INSERT/UPDATE/DELETE source events share one plan. Served from
-        // the compile cache when an equal (view structure, event, needs,
-        // options, schema generation) signature was translated before.
-        let cache_key = self.cache_signature(&template, spec.event, needs);
-        let plans: HashMap<String, Option<AffectedNodePlan>> = match self
-            .compile_cache_enabled
-            .then(|| self.compile_cache.get(&cache_key))
-            .flatten()
-        {
-            Some(entry) => {
-                self.compile_cache_hits += 1;
-                entry.plans.clone()
-            }
+    /// Add a trigger to its group (§5.1): a new constants set adds one
+    /// constants-table row; nothing is recompiled.
+    fn join_group(
+        &mut self,
+        spec: TriggerSpec,
+        signature: String,
+        consts: Vec<Value>,
+    ) -> Result<()> {
+        let group = Arc::make_mut(&mut self.groups)
+            .get_mut(&signature)
+            .expect("the group exists or was just committed");
+        let set_id = match group.sets.get(&consts) {
+            Some(&id) => id,
             None => {
-                self.translations += 1;
-                // One shared arena for every table's delta graphs: the
-                // hash-consed graph reuses each (operator, source-variant)
-                // subplan by reference instead of recloning the template
-                // per source-event combination.
-                let mut pg = template;
-                let mut built: HashMap<String, Option<AffectedNodePlan>> = HashMap::new();
-                for src in &events {
-                    if built.contains_key(&src.table) {
-                        continue;
-                    }
-                    let plan = build_affected(
-                        &mut pg,
-                        &src.table,
-                        spec.event,
-                        needs,
-                        self.options,
-                        &self.db,
-                    )?;
-                    built.insert(src.table.clone(), plan);
+                let id = group.next_set;
+                if let Some(ct) = &group.constants_table {
+                    let mut row = vec![Value::Int(id)];
+                    row.extend(consts.iter().cloned());
+                    self.db.load(ct, vec![row])?;
                 }
-                built
+                group.next_set += 1;
+                group.sets.insert(consts, id);
+                id
             }
         };
-
-        // Stack the group-specific condition/constants join, once per
-        // table, and generate one SQL trigger per source event.
-        let mut per_table: HashMap<String, (PlanRef, Option<Condition>, String)> = HashMap::new();
-        let mut sql_triggers = Vec::new();
-        for src in events {
-            let Some(Some(affected)) = plans.get(&src.table) else {
-                continue;
-            };
-            let (plan, residual, plan_explain) = match per_table.get(&src.table) {
-                Some(hit) => hit.clone(),
-                None => {
-                    let (plan, residual) = self.attach_condition(
-                        Arc::clone(&affected.plan),
-                        &affected.layout,
-                        &cond,
-                        constants_table.as_deref(),
-                        consts.len(),
-                        &self.db,
-                    )?;
-                    let explain = plan.explain();
-                    let value = (plan, residual, explain);
-                    per_table.insert(src.table.clone(), value.clone());
-                    value
-                }
-            };
-
-            let trigger_name = format!("__quark_g{group_id}_{}_{}", src.table, src.event);
-            let body = self.make_handler(
-                Arc::clone(&plan),
-                residual.clone(),
-                src.clone(),
-                Arc::clone(&members),
-                consts.len(),
-            );
-            self.db.create_trigger(SqlTrigger {
-                name: trigger_name.clone(),
-                table: src.table.clone(),
-                event: src.event,
-                body,
-            })?;
-            sql_triggers.push(SqlTriggerMeta {
-                name: trigger_name,
-                table: src.table.clone(),
-                event: src.event,
-                plan: plan_explain,
-                plan_ref: plan,
-                residual,
-                src,
+        group
+            .members
+            .lock()
+            .expect("members")
+            .entry(set_id)
+            .or_default()
+            .push(Member {
+                trigger: spec.name.clone(),
+                function: spec.action.function,
+                params: spec.action.params,
             });
-        }
-
-        // The group's source-table footprint: every base table its stacked
-        // plans touch (transitively through shared subplans — the plan walk
-        // deduplicates on subplan identity), plus the constants table the
-        // generated triggers join on every firing.
-        let mut footprint: BTreeSet<String> = BTreeSet::new();
-        for (table, (plan, _, _)) in &per_table {
-            footprint.insert(table.clone());
-            footprint.extend(plan.table_footprint());
-        }
-        if let Some(ct) = &constants_table {
-            footprint.insert(ct.clone());
-        }
-
-        // Take (or create) the group's compile-cache reference.
-        let cache_ref = if self.compile_cache_enabled {
-            match Arc::make_mut(&mut self.compile_cache).get_mut(&cache_key) {
-                Some(entry) => entry.refs += 1,
-                None => {
-                    Arc::make_mut(&mut self.compile_cache)
-                        .insert(cache_key.clone(), CacheEntry { plans, refs: 1 });
-                }
-            }
-            Some(cache_key)
-        } else {
-            None
-        };
-
-        // Register the group and the trigger.
-        let mut sets = HashMap::new();
-        sets.insert(consts, set_id);
-        // For ungrouped mode, make the signature unique per trigger so no
-        // sharing occurs (done by caller via the signature string).
-        Arc::make_mut(&mut self.groups).insert(
-            signature.clone(),
-            Group {
-                signature: signature.clone(),
-                constants_table,
-                members,
-                sets,
-                next_set: 1,
-                sql_triggers,
-                footprint,
-                trigger_count: 1,
-                cache_key: cache_ref,
-            },
-        );
+        group.trigger_count += 1;
         Arc::make_mut(&mut self.triggers).insert(
             spec.name,
             TriggerRecord {
@@ -869,177 +649,11 @@ impl Quark {
         Ok(())
     }
 
-    /// Stack the condition (and constants join) on top of the affected-node
-    /// plan. Output layout: `[set_id, old_node, new_node, c_0 … c_{k-1}]`.
-    /// Returns the plan plus a residual condition to evaluate per row in
-    /// the handler when relational compilation was not possible.
-    fn attach_condition(
-        &self,
-        affected: PlanRef,
-        layout: &crate::angraph::AffectedLayout,
-        cond: &Condition,
-        constants_table: Option<&str>,
-        n_consts: usize,
-        db: &Database,
-    ) -> Result<(PlanRef, Option<Condition>)> {
-        let affected_arity = affected.arity(db)?;
-        let old_expr = layout
-            .old_node
-            .map(Expr::col)
-            .unwrap_or_else(|| Expr::lit(Value::Null));
-        let new_expr = layout
-            .new_node
-            .map(Expr::col)
-            .unwrap_or_else(|| Expr::lit(Value::Null));
-
-        let (joined, base_layout, param_cols, set_expr): (PlanRef, CondLayout, Vec<usize>, Expr) =
-            match constants_table {
-                Some(ct) => {
-                    // Join with the constants table (Fig. 14/15): hash-join
-                    // on a pushable `path = const` equality when one exists,
-                    // else nested-loop.
-                    let params: Vec<usize> =
-                        (0..n_consts).map(|i| affected_arity + 1 + i).collect();
-                    let cl = CondLayout {
-                        old_node: layout.old_node,
-                        new_node: layout.new_node,
-                        old_attrs: layout.old_attrs.clone(),
-                        new_attrs: layout.new_attrs.clone(),
-                        params: params.clone(),
-                    };
-                    let join = match pushable_equality(cond) {
-                        Some((_, param_idx)) => {
-                            // Probe the constants table through its index:
-                            // cost per update stays proportional to the
-                            // affected nodes, not to the number of XML
-                            // triggers (Fig. 17's flat GROUPED curve).
-                            let key_expr = compile_cond_value_for_join(cond, layout)?;
-                            let op = PlanOp::IndexJoin {
-                                table: ct.to_string(),
-                                epoch: TableEpoch::Current,
-                                probe: vec![(1 + param_idx, key_expr)],
-                                kind: JoinKind::Inner,
-                                filter: None,
-                            };
-                            PhysicalPlan::new(op, vec![affected]).into_ref()
-                        }
-                        None => {
-                            let const_scan = PlanOp::TableScan {
-                                table: ct.to_string(),
-                                epoch: TableEpoch::Current,
-                            };
-                            let const_scan = PhysicalPlan::new(const_scan, vec![]).into_ref();
-                            let op = PlanOp::NestedLoopJoin {
-                                predicate: None,
-                                kind: JoinKind::Inner,
-                            };
-                            PhysicalPlan::new(op, vec![affected, const_scan]).into_ref()
-                        }
-                    };
-                    (join, cl, params, Expr::col(affected_arity))
-                }
-                None => {
-                    let cl = CondLayout {
-                        old_node: layout.old_node,
-                        new_node: layout.new_node,
-                        old_attrs: layout.old_attrs.clone(),
-                        new_attrs: layout.new_attrs.clone(),
-                        params: vec![],
-                    };
-                    (affected, cl, vec![], Expr::lit(0i64))
-                }
-            };
-
-        // Apply the full condition relationally when possible.
-        let (filtered, residual) = match cond.compile(&base_layout) {
-            Ok(predicate) => (
-                PhysicalPlan::new(PlanOp::Filter { predicate }, vec![joined]).into_ref(),
-                None,
-            ),
-            Err(_) => (joined, Some(cond.clone())),
-        };
-
-        // Final projection [set_id, old, new, params…], sorted by set id.
-        let mut exprs = vec![set_expr, old_expr, new_expr];
-        exprs.extend(param_cols.into_iter().map(Expr::col));
-        let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![filtered]).into_ref();
-        let keys = vec![SortKey::asc(0)];
-        let sorted = PhysicalPlan::new(PlanOp::Sort { keys }, vec![projected]).into_ref();
-        Ok((sorted, residual))
-    }
-
-    /// Build the SQL-trigger body: relevance check, plan execution,
-    /// residual filtering, and action activation.
-    fn make_handler(
-        &self,
-        plan: PlanRef,
-        residual: Option<Condition>,
-        src: SourceEvent,
-        members: Members,
-        n_consts: usize,
-    ) -> TriggerBody {
-        let actions = Arc::clone(&self.actions);
-        TriggerBody::Native(Arc::new(move |db, trans| {
-            // Column-level relevance (event pushdown's UPDATE(o, C)).
-            if !src.statement_relevant(&trans.inserted, &trans.deleted) {
-                return Ok(());
-            }
-            let rows: Vec<Row> =
-                quark_relational::exec::execute_with_transitions(db, &plan, trans)?;
-            for row in rows {
-                let Value::Int(set_id) = row[0] else {
-                    return Err(Error::Eval("set_id must be an integer".into()));
-                };
-                let old = match &row[1] {
-                    Value::Xml(x) => Some(x.clone()),
-                    _ => None,
-                };
-                let new = match &row[2] {
-                    Value::Xml(x) => Some(x.clone()),
-                    _ => None,
-                };
-                let params: Vec<Value> = row[3..3 + n_consts.min(row.len() - 3)].to_vec();
-                if let Some(cond) = &residual {
-                    if !cond.eval(old.as_ref(), new.as_ref(), &params)? {
-                        continue;
-                    }
-                }
-                let firing: Vec<Member> = members
-                    .lock()
-                    .expect("members")
-                    .get(&set_id)
-                    .cloned()
-                    .unwrap_or_default();
-                for m in firing {
-                    let f = actions
-                        .lock()
-                        .expect("actions")
-                        .get(&m.function)
-                        .map(|e| Arc::clone(&e.f))
-                        .ok_or_else(|| {
-                            Error::Plan(format!("unregistered action `{}`", m.function))
-                        })?;
-                    let call = ActionCall {
-                        trigger: m.trigger.clone(),
-                        params: m
-                            .params
-                            .iter()
-                            .map(|p| match p {
-                                ActionParam::OldNode => {
-                                    old.clone().map(Value::Xml).unwrap_or(Value::Null)
-                                }
-                                ActionParam::NewNode => {
-                                    new.clone().map(Value::Xml).unwrap_or(Value::Null)
-                                }
-                                ActionParam::Const(v) => v.clone(),
-                            })
-                            .collect(),
-                    };
-                    f(db, &call)?;
-                }
-            }
-            Ok(())
-        }))
+    /// The database's schema generation minus this system's own
+    /// bookkeeping DDL: stable across group creation, so compile-cache
+    /// keys embed it and the core blob persists it.
+    fn external_generation(&self) -> i64 {
+        self.db.schema_generation() as i64 - self.internal_ddl
     }
 
     /// Drop an XML trigger. The group's SQL triggers are removed once the
@@ -1173,14 +787,7 @@ impl Quark {
     /// statement of the session surface. Read-only: concurrent sessions run
     /// it against an immutable snapshot.
     pub fn materialize(&self, view: &str, anchor: &str) -> Result<Vec<quark_xml::XmlNodeRef>> {
-        let pg = self
-            .views
-            .get(view)
-            .ok_or_else(|| Error::Plan(format!("unknown view `{view}`")))?
-            .anchors
-            .get(anchor)
-            .ok_or_else(|| Error::Plan(format!("view `{view}` has no element `{anchor}`")))?;
-        let nodes = crate::oracle::materialize(pg, &self.db)?;
+        let nodes = crate::oracle::materialize(self.anchor(view, anchor)?, &self.db)?;
         let mut keyed: Vec<(Vec<Value>, quark_xml::XmlNodeRef)> = nodes.into_iter().collect();
         keyed.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(keyed.into_iter().map(|(_, n)| n).collect())
@@ -1260,85 +867,5 @@ impl Quark {
             .filter_map(|ct| self.db.table(ct).ok())
             .map(|t| t.len())
             .sum()
-    }
-}
-
-/// Serialize the subgraph under `id` with DFS-order numbering, so two
-/// isomorphic graphs built in the same operator order — e.g. two arenas
-/// produced by registering the same view definition twice — serialize
-/// identically regardless of their arena ids. Shared nodes print once and
-/// are back-referenced by sequence number, keeping the output linear in
-/// the DAG size.
-fn canonical_graph(
-    kg: &quark_xqgm::KeyedGraph,
-    id: quark_xqgm::OpId,
-    seq: &mut HashMap<usize, usize>,
-    out: &mut String,
-) {
-    use std::fmt::Write;
-    if let Some(&n) = seq.get(&id) {
-        let _ = write!(out, "#{n};");
-        return;
-    }
-    let n = seq.len();
-    seq.insert(id, n);
-    let op = kg.graph.op(id);
-    let _ = write!(out, "[{n}:{:?}(", op.kind);
-    for &i in &op.inputs {
-        canonical_graph(kg, i, seq, out);
-    }
-    let _ = write!(out, ")]");
-}
-
-fn shape_of(action: &Action) -> Vec<String> {
-    action
-        .params
-        .iter()
-        .map(|p| match p {
-            ActionParam::OldNode => "OLD".to_string(),
-            ActionParam::NewNode => "NEW".to_string(),
-            ActionParam::Const(v) => format!("CONST({v:?})"),
-        })
-        .collect()
-}
-
-/// Find a top-level conjunct of the form `path = Param(i)` usable as a
-/// hash-join key against the constants table (Fig. 14's select→join
-/// conversion).
-fn pushable_equality(cond: &Condition) -> Option<(crate::condition::CondValue, usize)> {
-    match cond {
-        Condition::Cmp {
-            left: l @ crate::condition::CondValue::Path(_),
-            op: BinOp::Eq,
-            right: crate::condition::CondValue::Param(i),
-        } => Some((l.clone(), *i)),
-        Condition::Cmp {
-            left: crate::condition::CondValue::Param(i),
-            op: BinOp::Eq,
-            right: r @ crate::condition::CondValue::Path(_),
-        } => Some((r.clone(), *i)),
-        Condition::And(a, b) => pushable_equality(a).or_else(|| pushable_equality(b)),
-        _ => None,
-    }
-}
-
-/// Compile the pushable equality's path into a join-key expression over the
-/// affected row.
-fn compile_cond_value_for_join(
-    cond: &Condition,
-    layout: &crate::angraph::AffectedLayout,
-) -> Result<Expr> {
-    let (path_value, _) =
-        pushable_equality(cond).ok_or_else(|| Error::Plan("no pushable equality".into()))?;
-    let cl = CondLayout {
-        old_node: layout.old_node,
-        new_node: layout.new_node,
-        old_attrs: layout.old_attrs.clone(),
-        new_attrs: layout.new_attrs.clone(),
-        params: vec![],
-    };
-    match &path_value {
-        crate::condition::CondValue::Path(p) => crate::condition::compile_path_public(p, &cl),
-        _ => Err(Error::Plan("pushable equality must be a path".into())),
     }
 }

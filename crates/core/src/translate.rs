@@ -1,0 +1,585 @@
+//! The translation pipeline: one new trigger group's SQL triggers, computed
+//! from borrowed system state. Nothing here writes; `Quark::create_trigger`
+//! commits what [`translate_group`] returns (constants-table DDL, [`install`],
+//! group registration), so a translation error leaves the system as it was.
+//!
+//! Structure, following the paper:
+//!
+//! 1. [`group_key`] — §5.1 grouping: in the grouped modes the condition's
+//!    constants become parameters, and triggers with equal parameterized
+//!    conditions, views, events and action shapes ([`shape_of`]) share one
+//!    group and one constants table;
+//! 2. [`translate_group`] — for a group's first trigger: which node values
+//!    the action and condition read (the §5.2 needs), event pushdown
+//!    ([`source_events`], §3.3, Appendix C), then one affected-node plan per
+//!    source *table* (`CreateANGraph`, Fig. 12 — `build_affected` does not
+//!    depend on the relational event, so a table's INSERT/UPDATE/DELETE
+//!    share it), taken from the compile cache when an equal
+//!    [`cache_signature`] was translated before ([`canonical_graph`] makes
+//!    the signature independent of arena ids);
+//! 3. [`attach_condition`] — trigger pushdown (Figs. 14–16): the constants
+//!    table is joined to the affected nodes, probed through its index on a
+//!    `path = const` equality over a single-valued path ([`join_key`],
+//!    Fig. 14's select→join conversion) and scanned otherwise, then the
+//!    condition is applied as a filter, or per row by the handler when it
+//!    does not compile relationally;
+//! 4. [`install`] / [`make_handler`] — one statement-level SQL trigger per
+//!    source event, whose body runs the plan over the transition tables and
+//!    activates the actions of every member whose constants set matched.
+//!    Re-arming a recovered group installs through the same function.
+
+use std::collections::{BTreeSet, HashMap};
+use std::sync::{Arc, Mutex};
+
+use quark_relational::expr::{BinOp, Expr};
+use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch};
+use quark_relational::{
+    ColumnDef, ColumnType, Database, Error, NativeTriggerFn, Result, Row, SqlTrigger, TableSchema,
+    Value,
+};
+
+use crate::angraph::{build_affected, AffectedNodePlan, AnOptions, Needs, SideNeeds};
+use crate::condition::{compile_value, CondLayout, CondValue, Condition, NodeRef};
+use crate::events::{source_events, SourceEvent};
+use crate::spec::{Action, ActionParam, PathGraph, TriggerSpec, XmlEvent};
+
+use super::{ActionCall, ActionRegistry, CacheEntry, Group, Member, Members, Mode, SqlTriggerMeta};
+
+/// The system state a translation reads.
+pub(super) struct Context<'a> {
+    pub db: &'a Database,
+    pub options: AnOptions,
+    /// `None` when the compile cache is disabled.
+    pub cache: Option<&'a HashMap<String, CacheEntry>>,
+    /// The external schema generation (see `Quark::external_generation`),
+    /// a compile-cache key component.
+    pub generation: i64,
+    /// Id of the group being translated: it names the constants table and
+    /// the SQL triggers.
+    pub group_id: usize,
+}
+
+/// A translated group, not yet committed.
+pub(super) struct NewGroup {
+    /// The group with no member yet: its first trigger joins it like
+    /// every later one.
+    pub group: Group,
+    /// The constants table to create, when the condition has constants
+    /// and the mode groups.
+    pub constants: Option<TableSchema>,
+    pub cache_key: String,
+    /// The affected-node plan per source table (`None` = the table cannot
+    /// affect the monitored path).
+    pub plans: HashMap<String, Option<AffectedNodePlan>>,
+    /// Whether `plans` came from the compile cache.
+    pub cache_hit: bool,
+}
+
+/// The group a trigger belongs to (§5.1): its signature, its condition
+/// with the constants parameterized, and the constants. Ungrouped, every
+/// trigger is a group of its own and keeps its constants in its condition.
+pub(super) fn group_key(spec: &TriggerSpec, mode: Mode) -> (String, Condition, Vec<Value>) {
+    if mode == Mode::Ungrouped {
+        let signature = format!("ungrouped|{}", spec.name);
+        return (signature, spec.condition.clone(), Vec::new());
+    }
+    let (cond, consts) = spec.condition.extract_constants();
+    let signature = format!(
+        "{}|{}|{}|{:?}|{:?}",
+        spec.view,
+        spec.anchor,
+        spec.event,
+        cond,
+        shape_of(&spec.action)
+    );
+    (signature, cond, consts)
+}
+
+/// Translate the first trigger of group `signature`, whose parameterized
+/// condition is `cond` and whose first constants set is `consts`.
+pub(super) fn translate_group(
+    cx: &Context<'_>,
+    spec: &TriggerSpec,
+    template: &PathGraph,
+    signature: String,
+    cond: &Condition,
+    consts: &[Value],
+) -> Result<NewGroup> {
+    let needs = needs(spec, cond, template);
+    let constants = (!consts.is_empty())
+        .then(|| constants_schema(cx.group_id, consts))
+        .transpose()?;
+    let constants_table = constants.as_ref().map(|schema| schema.name.clone());
+
+    // Event pushdown on the composed path graph.
+    let events = source_events(&template.kg.graph, template.root, spec.event, cx.db)?;
+
+    let cache_key = cache_signature(template, spec.event, needs, cx.options, cx.generation);
+    let (plans, cache_hit) = match cx.cache.and_then(|cache| cache.get(&cache_key)) {
+        Some(entry) => (entry.plans.clone(), true),
+        None => {
+            // One shared arena for every table's delta graphs: the
+            // hash-consed graph reuses each (operator, source-variant)
+            // subplan by reference instead of recloning the template per
+            // source-event combination.
+            let mut pg = template.clone();
+            let mut built: HashMap<String, Option<AffectedNodePlan>> = HashMap::new();
+            for src in &events {
+                if !built.contains_key(&src.table) {
+                    let plan =
+                        build_affected(&mut pg, &src.table, spec.event, needs, cx.options, cx.db)?;
+                    built.insert(src.table.clone(), plan);
+                }
+            }
+            (built, false)
+        }
+    };
+
+    // Stack the group-specific condition/constants join once per table.
+    let mut stacked: HashMap<&str, (String, PlanRef, Option<Condition>)> = HashMap::new();
+    for (table, affected) in &plans {
+        if let Some(affected) = affected {
+            let ct = constants_table.as_deref();
+            let (plan, residual) = attach_condition(affected, cond, ct, consts.len(), cx.db)?;
+            stacked.insert(table, (plan.explain(), plan, residual));
+        }
+    }
+
+    // One SQL trigger per source event.
+    let sql_triggers = events
+        .into_iter()
+        .filter_map(|src| {
+            let (plan, plan_ref, residual) = stacked.get(src.table.as_str())?.clone();
+            Some(SqlTriggerMeta {
+                name: format!("__quark_g{}_{}_{}", cx.group_id, src.table, src.event),
+                table: src.table.clone(),
+                event: src.event,
+                plan,
+                plan_ref,
+                residual,
+                src,
+            })
+        })
+        .collect();
+
+    // The group's source-table footprint: every base table its stacked
+    // plans touch (transitively through shared subplans — the plan walk
+    // deduplicates on subplan identity), plus the constants table the
+    // generated triggers join on every firing.
+    let mut footprint: BTreeSet<String> = BTreeSet::new();
+    for (table, (_, plan, _)) in &stacked {
+        footprint.insert(table.to_string());
+        footprint.extend(plan.table_footprint());
+    }
+    footprint.extend(constants_table.iter().cloned());
+
+    Ok(NewGroup {
+        group: Group {
+            signature,
+            constants_table,
+            n_consts: consts.len(),
+            members: Arc::new(Mutex::new(HashMap::new())),
+            sets: HashMap::new(),
+            next_set: 0,
+            sql_triggers,
+            footprint,
+            trigger_count: 0,
+            cache_key: None,
+        },
+        constants,
+        cache_key,
+        plans,
+        cache_hit,
+    })
+}
+
+/// Which node values the group actually needs: a side's constructed node
+/// is built only when the action receives it or the condition reads into
+/// its content (§5.2).
+fn needs(spec: &TriggerSpec, cond: &Condition, template: &PathGraph) -> Needs {
+    let attr_names: Vec<&str> = template.attr_cols.keys().map(String::as_str).collect();
+    let side = |param: ActionParam, base: NodeRef| SideNeeds {
+        node: spec.action.params.contains(&param) || cond.needs_node_content(base, &attr_names),
+    };
+    Needs {
+        old: side(ActionParam::OldNode, NodeRef::Old),
+        new: side(ActionParam::NewNode, NodeRef::New),
+    }
+}
+
+/// The constants table of group `group_id`: `set_id` plus one column per
+/// constant, typed after the first constants set. Every constant column is
+/// indexed (see `Quark::create_trigger`) so the generated trigger probes
+/// instead of scanning (or hashing) all constants rows.
+fn constants_schema(group_id: usize, consts: &[Value]) -> Result<TableSchema> {
+    let mut columns = vec![ColumnDef::new("set_id", ColumnType::Int)];
+    for (i, v) in consts.iter().enumerate() {
+        let ty = match v {
+            Value::Int(_) => ColumnType::Int,
+            Value::Double(_) => ColumnType::Double,
+            Value::Bool(_) => ColumnType::Bool,
+            _ => ColumnType::Str,
+        };
+        columns.push(ColumnDef::new(format!("c{i}"), ty));
+    }
+    TableSchema::new(format!("__quark_const_{group_id}"), columns, &["set_id"])
+}
+
+/// Canonical signature of one translation input: an id-independent
+/// serialization of the monitored path graph plus everything else
+/// `build_affected` depends on. Structurally equal views under different
+/// names produce equal signatures — and share compiled plans.
+fn cache_signature(
+    template: &PathGraph,
+    event: XmlEvent,
+    needs: Needs,
+    o: AnOptions,
+    gen: i64,
+) -> String {
+    use std::fmt::Write;
+    let mut sig = String::new();
+    let mut seq: HashMap<usize, usize> = HashMap::new();
+    canonical_graph(&template.kg, template.root, &mut seq, &mut sig);
+    let mut attrs: Vec<(&String, &usize)> = template.attr_cols.iter().collect();
+    attrs.sort();
+    let _ = write!(
+        sig,
+        "|node={} attrs={attrs:?} key={:?} event={event:?} needs=({},{}) \
+         opts=({},{},{},{}) gen={gen}",
+        template.node_col,
+        template.key(),
+        needs.old.node,
+        needs.new.node,
+        o.pruned_transitions,
+        o.injective_opt,
+        o.use_skeletons,
+        o.agg_compensation,
+    );
+    sig
+}
+
+/// Serialize the subgraph under `id` with DFS-order numbering, so two
+/// isomorphic graphs built in the same operator order — e.g. two arenas
+/// produced by registering the same view definition twice — serialize
+/// identically regardless of their arena ids. Shared nodes print once and
+/// are back-referenced by sequence number, keeping the output linear in
+/// the DAG size.
+fn canonical_graph(
+    kg: &quark_xqgm::KeyedGraph,
+    id: quark_xqgm::OpId,
+    seq: &mut HashMap<usize, usize>,
+    out: &mut String,
+) {
+    use std::fmt::Write;
+    if let Some(&n) = seq.get(&id) {
+        let _ = write!(out, "#{n};");
+        return;
+    }
+    let n = seq.len();
+    seq.insert(id, n);
+    let op = kg.graph.op(id);
+    let _ = write!(out, "[{n}:{:?}(", op.kind);
+    for &i in &op.inputs {
+        canonical_graph(kg, i, seq, out);
+    }
+    let _ = write!(out, ")]");
+}
+
+fn shape_of(action: &Action) -> Vec<String> {
+    action
+        .params
+        .iter()
+        .map(|p| match p {
+            ActionParam::OldNode => "OLD".to_string(),
+            ActionParam::NewNode => "NEW".to_string(),
+            ActionParam::Const(v) => format!("CONST({v:?})"),
+        })
+        .collect()
+}
+
+/// Stack the condition (and constants join) on top of the affected-node
+/// plan. Output layout: `[set_id, old_node, new_node, c_0 … c_{k-1}]`.
+/// Returns the plan plus a residual condition to evaluate per row in
+/// the handler when relational compilation was not possible.
+fn attach_condition(
+    affected: &AffectedNodePlan,
+    cond: &Condition,
+    constants_table: Option<&str>,
+    n_consts: usize,
+    db: &Database,
+) -> Result<(PlanRef, Option<Condition>)> {
+    let affected_arity = affected.plan.arity(db)?;
+    let layout = &affected.layout;
+    let old_expr = layout
+        .old_node
+        .map(Expr::col)
+        .unwrap_or_else(|| Expr::lit(Value::Null));
+    let new_expr = layout
+        .new_node
+        .map(Expr::col)
+        .unwrap_or_else(|| Expr::lit(Value::Null));
+    // The constants row, if any, follows the affected row's columns.
+    let params: Vec<usize> = (0..n_consts).map(|i| affected_arity + 1 + i).collect();
+    let cond_layout = CondLayout {
+        old_node: layout.old_node,
+        new_node: layout.new_node,
+        old_attrs: layout.old_attrs.clone(),
+        new_attrs: layout.new_attrs.clone(),
+        params: params.clone(),
+    };
+
+    let affected_plan = Arc::clone(&affected.plan);
+    let (joined, set_expr) = match constants_table {
+        Some(ct) => {
+            // Join with the constants table (Fig. 14/15): probe it through
+            // its index when the condition has a join key — cost per update
+            // stays proportional to the affected nodes, not to the number
+            // of XML triggers (Fig. 17's flat GROUPED curve) — else
+            // nested-loop.
+            let join = match join_key(cond, &cond_layout) {
+                Some((key_expr, param_idx)) => {
+                    let op = PlanOp::IndexJoin {
+                        table: ct.to_string(),
+                        epoch: TableEpoch::Current,
+                        probe: vec![(1 + param_idx, key_expr)],
+                        kind: JoinKind::Inner,
+                        filter: None,
+                    };
+                    PhysicalPlan::new(op, vec![affected_plan]).into_ref()
+                }
+                None => {
+                    let const_scan = PlanOp::TableScan {
+                        table: ct.to_string(),
+                        epoch: TableEpoch::Current,
+                    };
+                    let const_scan = PhysicalPlan::new(const_scan, vec![]).into_ref();
+                    let op = PlanOp::NestedLoopJoin {
+                        predicate: None,
+                        kind: JoinKind::Inner,
+                    };
+                    PhysicalPlan::new(op, vec![affected_plan, const_scan]).into_ref()
+                }
+            };
+            (join, Expr::col(affected_arity))
+        }
+        None => (affected_plan, Expr::lit(0i64)),
+    };
+
+    // Apply the full condition relationally when possible.
+    let (filtered, residual) = match cond.compile(&cond_layout) {
+        Ok(predicate) => (
+            PhysicalPlan::new(PlanOp::Filter { predicate }, vec![joined]).into_ref(),
+            None,
+        ),
+        Err(_) => (joined, Some(cond.clone())),
+    };
+
+    // Final projection [set_id, old, new, params…], sorted by set id.
+    let mut exprs = vec![set_expr, old_expr, new_expr];
+    exprs.extend(params.into_iter().map(Expr::col));
+    let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![filtered]).into_ref();
+    let keys = vec![SortKey::asc(0)];
+    let sorted = PhysicalPlan::new(PlanOp::Sort { keys }, vec![projected]).into_ref();
+    Ok((sorted, residual))
+}
+
+/// The probe of the constants table's index (Fig. 14's select→join
+/// conversion): the first top-level conjunct `path = Param(i)` whose path
+/// compiles to one value per node, as `(key over the affected row, i)`. A
+/// path through several nodes compares existentially, which one probe key
+/// cannot.
+fn join_key(cond: &Condition, layout: &CondLayout) -> Option<(Expr, usize)> {
+    match cond {
+        Condition::Cmp {
+            left: path @ CondValue::Path(_),
+            op: BinOp::Eq,
+            right: CondValue::Param(i),
+        }
+        | Condition::Cmp {
+            left: CondValue::Param(i),
+            op: BinOp::Eq,
+            right: path @ CondValue::Path(_),
+        } => Some((compile_value(path, layout).ok()?, *i)),
+        Condition::And(a, b) => join_key(a, layout).or_else(|| join_key(b, layout)),
+        _ => None,
+    }
+}
+
+/// Install `group`'s SQL triggers on `db`, each with a handler built from
+/// its plan, residual and source event.
+pub(super) fn install(db: &mut Database, actions: &ActionRegistry, group: &Group) -> Result<()> {
+    for t in &group.sql_triggers {
+        let body = make_handler(
+            Arc::clone(&t.plan_ref),
+            t.residual.clone(),
+            t.src.clone(),
+            Arc::clone(&group.members),
+            group.n_consts,
+            Arc::clone(actions),
+        );
+        db.create_trigger(SqlTrigger {
+            name: t.name.clone(),
+            table: t.table.clone(),
+            event: t.event,
+            body,
+        })?;
+    }
+    Ok(())
+}
+
+/// Build the SQL-trigger body: relevance check, plan execution,
+/// residual filtering, and action activation.
+fn make_handler(
+    plan: PlanRef,
+    residual: Option<Condition>,
+    src: SourceEvent,
+    members: Members,
+    n_consts: usize,
+    actions: ActionRegistry,
+) -> Arc<NativeTriggerFn> {
+    Arc::new(move |db, trans| {
+        // Column-level relevance (event pushdown's UPDATE(o, C)).
+        if !src.statement_relevant(&trans.inserted, &trans.deleted) {
+            return Ok(());
+        }
+        let rows: Vec<Row> = quark_relational::exec::execute_with_transitions(db, &plan, trans)?;
+        for row in rows {
+            let Value::Int(set_id) = row[0] else {
+                return Err(Error::Eval("set_id must be an integer".into()));
+            };
+            let old = match &row[1] {
+                Value::Xml(x) => Some(x.clone()),
+                _ => None,
+            };
+            let new = match &row[2] {
+                Value::Xml(x) => Some(x.clone()),
+                _ => None,
+            };
+            let params: Vec<Value> = row[3..3 + n_consts.min(row.len() - 3)].to_vec();
+            if let Some(cond) = &residual {
+                if !cond.eval(old.as_ref(), new.as_ref(), &params)? {
+                    continue;
+                }
+            }
+            let firing: Vec<Member> = members
+                .lock()
+                .expect("members")
+                .get(&set_id)
+                .cloned()
+                .unwrap_or_default();
+            for m in firing {
+                let f = actions
+                    .lock()
+                    .expect("actions")
+                    .get(&m.function)
+                    .map(|e| Arc::clone(&e.f))
+                    .ok_or_else(|| Error::Plan(format!("unregistered action `{}`", m.function)))?;
+                let call = ActionCall {
+                    trigger: m.trigger.clone(),
+                    params: m
+                        .params
+                        .iter()
+                        .map(|p| match p {
+                            ActionParam::OldNode => {
+                                old.clone().map(Value::Xml).unwrap_or(Value::Null)
+                            }
+                            ActionParam::NewNode => {
+                                new.clone().map(Value::Xml).unwrap_or(Value::Null)
+                            }
+                            ActionParam::Const(v) => v.clone(),
+                        })
+                        .collect(),
+                };
+                f(db, &call)?;
+            }
+        }
+        Ok(())
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::condition::NodePath;
+    use crate::spec::Action;
+
+    /// The catalog's `NotifyP1` trigger translates from a borrowed database
+    /// alone: one SQL trigger per source event, each probing the constants
+    /// table through its index, and nothing borrowed changes.
+    #[test]
+    fn catalog_trigger_translates_from_borrowed_state() {
+        let db = quark_xqgm::fixtures::product_vendor_db();
+        let mut g = quark_xqgm::Graph::new();
+        let (top, _) = quark_xqgm::fixtures::catalog_path_graph(&mut g);
+        let (kg, root) = quark_xqgm::KeyedGraph::normalize(&g, top, &db).unwrap();
+        let template = PathGraph {
+            kg,
+            root,
+            node_col: 1,
+            attr_cols: HashMap::from([("name".to_string(), 0)]),
+        };
+        let spec = TriggerSpec {
+            name: "NotifyP1".into(),
+            event: XmlEvent::Update,
+            view: "catalog".into(),
+            anchor: "product".into(),
+            condition: Condition::cmp(NodePath::attr(NodeRef::Old, "name"), BinOp::Eq, "CRT 15"),
+            action: Action {
+                function: "notify".into(),
+                params: vec![ActionParam::NewNode],
+            },
+        };
+        let (signature, cond, consts) = group_key(&spec, Mode::Grouped);
+        assert_eq!(consts, [Value::str("CRT 15")]);
+        let generation = db.schema_generation();
+        let cx = Context {
+            db: &db,
+            options: AnOptions::default(),
+            cache: None,
+            generation: 0,
+            group_id: 7,
+        };
+        let new =
+            translate_group(&cx, &spec, &template, signature.clone(), &cond, &consts).unwrap();
+
+        assert!(!new.cache_hit);
+        assert_eq!(
+            new.constants.map(|s| s.name).as_deref(),
+            Some("__quark_const_7")
+        );
+        let group = &new.group;
+        assert_eq!(group.signature, signature);
+        assert_eq!(
+            (group.trigger_count, group.next_set, group.n_consts),
+            (0, 0, 1)
+        );
+        assert!(group.sets.is_empty() && group.members.lock().unwrap().is_empty());
+        let mut names: Vec<&str> = group.sql_triggers.iter().map(|t| t.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            [
+                "__quark_g7_product_DELETE",
+                "__quark_g7_product_INSERT",
+                "__quark_g7_product_UPDATE",
+                "__quark_g7_vendor_DELETE",
+                "__quark_g7_vendor_INSERT",
+                "__quark_g7_vendor_UPDATE",
+            ]
+        );
+        for t in &group.sql_triggers {
+            assert!(
+                t.plan.contains("IndexJoin Inner -> __quark_const_7"),
+                "{}",
+                t.plan
+            );
+            assert!(t.residual.is_none(), "{}", t.name);
+        }
+        let footprint: Vec<&str> = group.footprint.iter().map(String::as_str).collect();
+        assert_eq!(footprint, ["__quark_const_7", "product", "vendor"]);
+
+        assert_eq!(db.schema_generation(), generation);
+        assert_eq!(db.trigger_count(), 0);
+        assert!(db.table("__quark_const_7").is_err());
+    }
+}

@@ -66,25 +66,8 @@ pub struct TransitionTables {
 /// parallel writers.
 pub type NativeTriggerFn = dyn Fn(&Database, &TransitionTables) -> Result<()> + Send + Sync;
 
-/// Body of a registered statement trigger.
-#[derive(Clone)]
-pub enum TriggerBody {
-    /// Native logic over the statement's transition tables. Every
-    /// translated XML trigger takes this form — its closure evaluates the
-    /// generated plan (the paper's SQL trigger query) through
-    /// [`crate::exec::execute_with_transitions`] and activates the actions
-    /// — as do the materialized-view baseline and hand-written triggers.
-    Native(Arc<NativeTriggerFn>),
-}
-
-impl fmt::Debug for TriggerBody {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("Native(..)")
-    }
-}
-
 /// A statement-level AFTER trigger.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SqlTrigger {
     /// Unique trigger name.
     pub name: String,
@@ -92,8 +75,11 @@ pub struct SqlTrigger {
     pub table: String,
     /// Monitored statement kind.
     pub event: Event,
-    /// What to run when fired.
-    pub body: TriggerBody,
+    /// What to run when fired, over the statement's transition tables. A
+    /// translated XML trigger's body evaluates the generated plan (the
+    /// paper's SQL trigger query) through
+    /// [`crate::exec::execute_with_transitions`] and activates the actions.
+    pub body: Arc<NativeTriggerFn>,
 }
 
 /// Simple execution counters, used by benches and tests.
@@ -1066,8 +1052,7 @@ impl Database {
     fn fire_all(&self, triggers: &[Arc<SqlTrigger>], trans: &TransitionTables) -> Result<()> {
         for t in triggers {
             self.bump(Counter::TriggersFired, 1);
-            let TriggerBody::Native(f) = &t.body;
-            f(self, trans)?;
+            (t.body)(self, trans)?;
         }
         Ok(())
     }
@@ -1212,11 +1197,11 @@ mod tests {
             name: "t1".into(),
             table: "vendor".into(),
             event: Event::Insert,
-            body: TriggerBody::Native(Arc::new(move |_db, trans| {
+            body: Arc::new(move |_db, trans| {
                 seen2.lock().unwrap().push(trans.inserted.len());
                 assert!(trans.deleted.is_empty());
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         // One statement inserting two rows -> one firing with |Δ| = 2.
@@ -1243,13 +1228,13 @@ mod tests {
             name: "t".into(),
             table: "vendor".into(),
             event: Event::Update,
-            body: TriggerBody::Native(Arc::new(move |_db, trans| {
+            body: Arc::new(move |_db, trans| {
                 seen2
                     .lock()
                     .unwrap()
                     .push((trans.deleted[0][2].clone(), trans.inserted[0][2].clone()));
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         db.update_by_key(
@@ -1295,12 +1280,12 @@ mod tests {
             name: "log_inserts".into(),
             table: "vendor".into(),
             event: Event::Insert,
-            body: TriggerBody::Native(Arc::new(move |db, trans| {
+            body: Arc::new(move |db, trans| {
                 for r in crate::exec::execute_with_transitions(db, &plan, trans)? {
                     db.insert_row("log", r.to_vec())?;
                 }
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         db.insert("vendor", vec![vrow("a", "P1", 1.0), vrow("b", "P2", 2.0)])
@@ -1317,10 +1302,10 @@ mod tests {
             name: "t".into(),
             table: "vendor".into(),
             event: Event::Insert,
-            body: TriggerBody::Native(Arc::new(move |_, _| {
+            body: Arc::new(move |_, _| {
                 *fired2.lock().unwrap() += 1;
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         db.load("vendor", vec![vrow("a", "P1", 1.0)]).unwrap();
@@ -1339,12 +1324,12 @@ mod tests {
             name: "loop".into(),
             table: "ping".into(),
             event: Event::Insert,
-            body: TriggerBody::Native(Arc::new(|db, trans| {
+            body: Arc::new(|db, trans| {
                 let Value::Int(n) = trans.inserted[0][0] else {
                     unreachable!()
                 };
                 db.insert_row("ping", vec![Value::Int(n + 1)])
-            })),
+            }),
         })
         .unwrap();
         let err = db.insert_row("ping", vec![Value::Int(0)]).unwrap_err();
@@ -1354,7 +1339,7 @@ mod tests {
     #[test]
     fn duplicate_trigger_names_rejected_and_droppable() {
         let mut db = db_with_vendor();
-        let body = TriggerBody::Native(Arc::new(|_, _| Ok(())));
+        let body: Arc<NativeTriggerFn> = Arc::new(|_, _| Ok(()));
         let t = SqlTrigger {
             name: "t".into(),
             table: "vendor".into(),
@@ -1535,10 +1520,10 @@ mod tests {
             name: "t".into(),
             table: "vendor".into(),
             event: Event::Update,
-            body: TriggerBody::Native(Arc::new(move |_, trans| {
+            body: Arc::new(move |_, trans| {
                 f2.lock().unwrap().push(trans.inserted.len());
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         let n = db
@@ -1565,10 +1550,10 @@ mod tests {
             name: "t".into(),
             table: "vendor".into(),
             event: Event::Insert,
-            body: TriggerBody::Native(Arc::new(move |_, _| {
+            body: Arc::new(move |_, _| {
                 *fired2.lock().unwrap() += 1;
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         /// Everything a reader, a plan or a checkpoint can see of the table.
@@ -1769,10 +1754,10 @@ mod tests {
                         name: event.to_string(),
                         table: "t".into(),
                         event,
-                        body: TriggerBody::Native(Arc::new(move |_, trans| {
+                        body: Arc::new(move |_, trans| {
                             seen.lock().unwrap().push(trans.deleted.clone());
                             Ok(())
-                        })),
+                        }),
                     })
                     .unwrap();
                 }

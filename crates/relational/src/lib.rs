@@ -43,7 +43,6 @@ pub mod wire;
 pub use database::FootprintTolerance;
 pub use database::{
     Counter, Database, Event, FootprintScope, NativeTriggerFn, SqlTrigger, Stats, TransitionTables,
-    TriggerBody,
 };
 pub use error::{Error, Result};
 pub use schema::{ColumnDef, RowSet, TableSchema};

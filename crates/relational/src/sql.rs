@@ -1157,7 +1157,7 @@ mod tests {
         run(&mut db, "INSERT INTO t VALUES (1, 0), (2, 0), (3, 0)").unwrap();
         // Every row maps to id 9: duplicate replacement keys must abort
         // with NO partial changes and NO trigger firings.
-        use crate::database::{Event, SqlTrigger, TriggerBody};
+        use crate::database::{Event, SqlTrigger};
         use std::sync::{Arc, Mutex};
         let fired = Arc::new(Mutex::new(0usize));
         let f2 = Arc::clone(&fired);
@@ -1165,10 +1165,10 @@ mod tests {
             name: "t".into(),
             table: "t".into(),
             event: Event::Update,
-            body: TriggerBody::Native(Arc::new(move |_, _| {
+            body: Arc::new(move |_, _| {
                 *f2.lock().unwrap() += 1;
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         let err = run(&mut db, "UPDATE t SET id = 9, v = 99").unwrap_err();
@@ -1342,7 +1342,7 @@ mod tests {
 
     #[test]
     fn statements_fire_triggers_once() {
-        use crate::database::{Event, SqlTrigger, TriggerBody};
+        use crate::database::{Event, SqlTrigger};
         use std::sync::{Arc, Mutex};
         let mut db = vendor_db();
         let firings = Arc::new(Mutex::new(Vec::<usize>::new()));
@@ -1351,10 +1351,10 @@ mod tests {
             name: "t".into(),
             table: "vendor".into(),
             event: Event::Update,
-            body: TriggerBody::Native(Arc::new(move |_, trans| {
+            body: Arc::new(move |_, trans| {
                 f2.lock().unwrap().push(trans.inserted.len());
                 Ok(())
-            })),
+            }),
         })
         .unwrap();
         run(

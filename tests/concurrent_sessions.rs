@@ -20,7 +20,7 @@ use std::thread;
 use std::time::Duration;
 
 use common::catalog_path;
-use quark_core::relational::{Database, Event, SqlTrigger, TriggerBody, Value};
+use quark_core::relational::{Database, Event, SqlTrigger, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
 use quark_core::{Mode, Quark, Session, SessionPool, StatementResult, XmlView};
 use quark_xquery::XQueryFrontend;
@@ -59,12 +59,12 @@ fn cascade_system() -> Session {
                 name: format!("chain_{from}"),
                 table: from.to_string(),
                 event: Event::Insert,
-                body: TriggerBody::Native(Arc::new(move |db, trans| {
+                body: Arc::new(move |db, trans| {
                     for r in &trans.inserted {
                         db.insert_row(&to, r.to_vec())?;
                     }
                     Ok(())
-                })),
+                }),
             })
             .expect("chain trigger");
         }

@@ -17,6 +17,7 @@ use proptest::prelude::*;
 use quark_bench::chain_view_spec;
 use quark_core::oracle::{changes_of, ViewChange};
 use quark_core::relational::{sql, Database, Error, Value};
+use quark_core::xml::XmlNodeRef;
 use quark_core::xqgm::fixtures::product_vendor_db;
 use quark_core::{Mode, Quark, Session, XmlEvent, XmlView};
 use quark_xquery::XQueryFrontend;
@@ -239,6 +240,178 @@ proptest! {
             prop_assert_eq!(&got_u, &expected, "UNGROUPED vs oracle on {:?}", op);
             prop_assert_eq!(&got_g, &expected, "GROUPED vs oracle on {:?}", op);
             prop_assert_eq!(&got_a, &expected, "GROUPED-AGG vs oracle on {:?}", op);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// `path = const` conditions whose path has more than one value per node
+// ---------------------------------------------------------------------
+
+/// `(name, event, condition, delivered node)`: triggers whose condition is
+/// one `path = const` equality over a path through the product's vendors.
+/// Grouping turns it into `path = Param`, the pushable equality of a
+/// constants-table join; such a path is no join key (a step predicate does
+/// not compile, and a path through several vendors compares
+/// existentially), so the grouped modes must scan the constants table and
+/// evaluate the condition per row. The view's `<vendor>` has no `vid`
+/// attribute, so `step_attr` never fires; the others compare `<vid>`.
+const PATH_TRIGGERS: [(&str, &str, &str, &str); 5] = [
+    (
+        "step_attr",
+        "update",
+        "OLD_NODE/vendor[./price > 100]/@vid = 'Amazon'",
+        "NEW_NODE",
+    ),
+    (
+        "step_upd",
+        "update",
+        "OLD_NODE/vendor[./price > 100]/vid = 'Amazon'",
+        "NEW_NODE",
+    ),
+    (
+        "step_ins",
+        "insert",
+        "NEW_NODE/vendor[./price > 100]/vid = 'Amazon'",
+        "NEW_NODE",
+    ),
+    (
+        "step_del",
+        "delete",
+        "OLD_NODE/vendor[./price > 100]/vid = 'Amazon'",
+        "OLD_NODE",
+    ),
+    (
+        "path_upd",
+        "update",
+        "OLD_NODE/vendor/vid = 'Amazon'",
+        "NEW_NODE",
+    ),
+];
+
+fn watch_paths(mode: Mode) -> (Session, Log) {
+    let db = product_vendor_db();
+    let pg = catalog_path(&db);
+    let mut quark = Quark::new(db, mode);
+    quark.register_view(XmlView::new("catalog").with_anchor("product", pg));
+    let session = Session::with_frontend(quark, Box::new(XQueryFrontend));
+    let log = Log::default();
+    let sink = log.clone();
+    session
+        .register_action("record", move |_db, call| {
+            sink.0
+                .lock()
+                .unwrap()
+                .push((call.trigger.clone(), call.params.clone()));
+            Ok(())
+        })
+        .expect("action");
+    for (name, event, condition, node) in PATH_TRIGGERS {
+        session
+            .execute(&format!(
+                "create trigger {name} after {event} on view('catalog')/product \
+                 where {condition} do record({node})"
+            ))
+            .unwrap_or_else(|e| panic!("{mode:?}: {name}: {e}"));
+    }
+    (session, log)
+}
+
+/// `(trigger, serialization of the delivered node)`, sorted: a multiset.
+fn path_observed(log: &Log) -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = log
+        .take()
+        .into_iter()
+        .map(|(trigger, params)| match &params[0] {
+            Value::Xml(x) => (trigger, x.to_xml()),
+            other => panic!("{trigger} delivered {other:?}"),
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// The condition of [`PATH_TRIGGERS`]' `name`, evaluated directly on
+/// `node`: some vendor is Amazon (priced over 100, with a step predicate).
+fn path_condition_holds(name: &str, node: &XmlNodeRef) -> bool {
+    let child_is = |v: &XmlNodeRef, child: &str, test: &dyn Fn(&str) -> bool| {
+        v.children_named(child).any(|c| test(&c.text_content()))
+    };
+    node.children_named("vendor").any(|v| {
+        let over_100 = child_is(v, "price", &|p| p.parse::<f64>().is_ok_and(|p| p > 100.0));
+        let amazon = child_is(v, "vid", &|id| id == "Amazon");
+        match name {
+            "step_attr" => over_100 && v.attr("vid") == Some("Amazon"),
+            "path_upd" => amazon,
+            _ => over_100 && amazon,
+        }
+    })
+}
+
+/// What [`PATH_TRIGGERS`] must record for one oracle change: an INSERT
+/// tests and delivers `NEW_NODE`, a DELETE `OLD_NODE`, and an UPDATE tests
+/// `OLD_NODE` and delivers `NEW_NODE`.
+fn path_expected(c: &ViewChange) -> Vec<(String, String)> {
+    let (event, tested, delivered) = match c.event {
+        XmlEvent::Insert => ("insert", &c.new, &c.new),
+        XmlEvent::Delete => ("delete", &c.old, &c.old),
+        XmlEvent::Update => ("update", &c.old, &c.new),
+    };
+    let (Some(tested), Some(delivered)) = (tested, delivered) else {
+        panic!("{event} without both nodes");
+    };
+    PATH_TRIGGERS
+        .iter()
+        .filter(|&&(name, e, _, _)| e == event && path_condition_holds(name, tested))
+        .map(|(name, ..)| (name.to_string(), delivered.to_xml()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: 32,
+        rng_seed: Some(0x1cde_2005_0031),
+        ..ProptestConfig::default()
+    })]
+
+    /// A condition is part of the trigger, not of its translation: the
+    /// triggers of [`PATH_TRIGGERS`] are accepted in every mode and fire
+    /// exactly where the oracle's changes satisfy them.
+    #[test]
+    fn path_equality_conditions_match_oracle(
+        ops in proptest::collection::vec(op_strategy(), 1..10),
+    ) {
+        let (ungrouped, log_u) = watch_paths(Mode::Ungrouped);
+        let (grouped, log_g) = watch_paths(Mode::Grouped);
+        let (agg, log_a) = watch_paths(Mode::GroupedAgg);
+        let pg = catalog_path(&ungrouped.database());
+
+        for op in &ops {
+            let stmts = statements_for(&ungrouped.database(), op);
+            let mut expected: Vec<(String, String)> = changes_of(&pg, &ungrouped.database(), |db| {
+                for s in &stmts {
+                    sql::run(db, s).map_err(Error::from)?;
+                }
+                Ok(())
+            })
+            .expect("oracle")
+            .iter()
+            .flat_map(path_expected)
+            .collect();
+            expected.sort();
+            // The oracle's shadow copy carries the session's SQL triggers:
+            // drop what they recorded.
+            log_u.take();
+
+            for s in &stmts {
+                ungrouped.execute(s).expect("apply ungrouped");
+                grouped.execute(s).expect("apply grouped");
+                agg.execute(s).expect("apply agg");
+            }
+
+            prop_assert_eq!(&path_observed(&log_u), &expected, "UNGROUPED vs oracle on {:?}", op);
+            prop_assert_eq!(&path_observed(&log_g), &expected, "GROUPED vs oracle on {:?}", op);
+            prop_assert_eq!(&path_observed(&log_a), &expected, "GROUPED-AGG vs oracle on {:?}", op);
         }
     }
 }

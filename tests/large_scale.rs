@@ -26,6 +26,8 @@
 //! * a grouped condition with no pushable equality scans its constants
 //!   table once per firing, warm or not: only constructor projections keep
 //!   their last firing's rows.
+//! * the bench hierarchy's `EXPLAIN TRIGGER` text at depths 2–4, in every
+//!   mode, matches a (length, CRC-32) golden.
 
 mod common;
 
@@ -647,4 +649,45 @@ fn non_pushable_grouped_condition_scans_its_constants_table_per_firing() {
         assert!(probes[0] > 0, "{mode:?}: {probes:?}");
         assert_eq!(probes[0], probes[1], "{mode:?}: probes flat in N");
     }
+}
+
+/// `EXPLAIN TRIGGER` of the bench hierarchy at depths 2–4 in every mode,
+/// concatenated: the `fanout-cascade` trigger (one grouped on a second
+/// constant) plus an INSERT and a DELETE trigger on the top element. The
+/// golden moves only when the translator emits other plans, names or
+/// constants tables for this view.
+#[test]
+fn bench_hierarchy_explain_is_pinned() {
+    let mut text = String::new();
+    for depth in 2..=4 {
+        for mode in [Mode::Ungrouped, Mode::Grouped, Mode::GroupedAgg] {
+            let mut spec = WorkloadSpec::quick(mode);
+            (spec.depth, spec.leaf_count, spec.fanout) = (depth, 64, 4);
+            (spec.triggers, spec.satisfied) = (2, 1);
+            let workload = build(spec).expect("workload");
+            let session = &workload.session;
+            for (name, event, node) in
+                [("ins", "insert", "NEW_NODE"), ("del", "delete", "OLD_NODE")]
+            {
+                session
+                    .execute(&format!(
+                        "create trigger {name} after {event} on view('bench')/e0 \
+                         do insertTemp({node})"
+                    ))
+                    .expect("trigger");
+            }
+            for name in ["xt_0", "xt_1", "ins", "del"] {
+                match session.execute(&format!("EXPLAIN TRIGGER {name}")) {
+                    Ok(StatementResult::Explain(plan)) => text += &plan,
+                    other => panic!("EXPLAIN TRIGGER {name}: {other:?}"),
+                }
+            }
+        }
+    }
+    let crc = quark_core::storage::crc::crc32(text.as_bytes());
+    assert_eq!(
+        (text.len(), crc),
+        (1_958_037, 0x00b4_e97e),
+        "EXPLAIN text changed"
+    );
 }

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use quark_bench::{build, build_sharded, build_shared_read, ShardSpec, WorkloadSpec};
-use quark_core::relational::{Event, SqlTrigger, TriggerBody, Value};
+use quark_core::relational::{Event, SqlTrigger, Value};
 use quark_core::{AnalysisReport, Footprint, Mode, Session, StatementResult};
 use quark_xquery::viewtree::{LevelSpec, TopBinding, ViewSpec};
 
@@ -283,7 +283,7 @@ fn raw_sql_trigger_degrades_to_global_and_analyzer_agrees() {
             name: "raw".into(),
             table: "src".into(),
             event: Event::Update,
-            body: TriggerBody::Native(Arc::new(|_, _| Ok(()))),
+            body: Arc::new(|_, _| Ok(())),
         })
         .unwrap();
     assert_eq!(session.quark().write_footprint("src"), Footprint::Global);

@@ -8,7 +8,10 @@ mod common;
 use std::collections::HashMap;
 
 use common::{all_modes, catalog_system, node_param, update_price, Log};
+use quark_core::relational::expr::{Expr, ScalarFunc};
+use quark_core::relational::plan::JoinKind;
 use quark_core::relational::Database;
+use quark_core::storage::SyncMode;
 use quark_core::xqgm::fixtures::{minprice_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
 use quark_core::{Mode, PathGraph, Quark, Session, StatementResult, XmlView};
@@ -400,4 +403,108 @@ fn shared_set_keeps_row_until_last_member_leaves() {
     session.execute("DROP TRIGGER B").unwrap();
     assert_eq!(session.quark().sql_trigger_count(), 0);
     assert_eq!(session.quark().constants_row_count(), 0);
+}
+
+/// `view('outer')/product`: products left-outer-joined with their vendors.
+/// `CreateAKGraph` supports inner joins only, so every `CREATE TRIGGER` on
+/// it fails in translation, in every mode.
+fn outer_join_path(db: &Database) -> PathGraph {
+    let mut g = Graph::new();
+    let product = g.table("product"); // pid, pname, mfr
+    let vendor = g.table("vendor"); // vid, pid, price
+    let join = g.equi_join(JoinKind::LeftOuter, product, vendor, &[(0, 1)], 3);
+    let element = Expr::Func(
+        ScalarFunc::XmlElement {
+            name: "product".into(),
+            attrs: vec!["name".into()],
+        },
+        vec![Expr::col(1)],
+    );
+    let top = g.project(
+        join,
+        vec![Expr::col(1), element],
+        vec!["pname".into(), "product".into()],
+    );
+    let (kg, root) = KeyedGraph::normalize(&g, top, db).unwrap();
+    PathGraph {
+        kg,
+        root,
+        node_col: 1,
+        attr_cols: HashMap::from([("name".to_string(), 0)]),
+    }
+}
+
+const OUTER_TRIGGER: &str = "create trigger Outer after update on view('outer')/product \
+     where OLD_NODE/@name = 'CRT 15' do notify(NEW_NODE)";
+
+/// What a failed `CREATE TRIGGER` must leave as it found it.
+fn trigger_state(session: &Session) -> (Vec<String>, u64, usize, usize) {
+    let quark = session.quark();
+    let db = quark.database();
+    let mut tables: Vec<String> = db.table_names().map(str::to_string).collect();
+    tables.sort();
+    (
+        tables,
+        db.schema_generation(),
+        quark.group_count(),
+        quark.sql_trigger_count(),
+    )
+}
+
+/// A `CREATE TRIGGER` that fails in translation changes nothing: no
+/// constants table, no schema-generation bump, no group, no SQL trigger,
+/// and no group id used up, so the next trigger translates exactly as on
+/// a system that never saw the failure. A durable session's reopen finds
+/// no constants table either.
+#[test]
+fn failed_create_trigger_leaves_no_trace() {
+    for mode in all_modes() {
+        let (session, _log) = catalog_system(mode);
+        let outer = outer_join_path(&session.database());
+        session
+            .quark_mut()
+            .register_view(XmlView::new("outer").with_anchor("product", outer));
+        let before = trigger_state(&session);
+        for _ in 0..3 {
+            let err = session.execute(OUTER_TRIGGER).unwrap_err();
+            assert!(err.to_string().contains("inner joins"), "{mode:?}: {err}");
+        }
+        assert_eq!(trigger_state(&session), before, "{mode:?}");
+
+        session.execute(&watch("A", "CRT 15")).unwrap();
+        let (fresh, _log) = catalog_system(mode);
+        fresh.execute(&watch("A", "CRT 15")).unwrap();
+        let explain = |s: &Session| s.execute("EXPLAIN TRIGGER A").unwrap();
+        assert_eq!(explain(&session), explain(&fresh), "{mode:?}");
+    }
+
+    for mode in all_modes() {
+        let dir = std::env::temp_dir().join(format!(
+            "quark-failed-create-{mode:?}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = quark_xquery::open_session_with(&dir, mode, SyncMode::Never).unwrap();
+        for s in common::SETUP {
+            session.execute(s).unwrap();
+        }
+        let outer = outer_join_path(&session.database());
+        session
+            .quark_mut()
+            .register_view(XmlView::new("outer").with_anchor("product", outer));
+        session.register_action("notify", |_, _| Ok(())).unwrap();
+        assert!(session.execute(OUTER_TRIGGER).is_err(), "{mode:?}");
+        session.close().unwrap();
+
+        let session = quark_xquery::open_session_with(&dir, mode, SyncMode::Never).unwrap();
+        let leaked: Vec<String> = session
+            .database()
+            .table_names()
+            .filter(|t| t.starts_with("__quark_const_"))
+            .map(str::to_string)
+            .collect();
+        assert!(leaked.is_empty(), "{mode:?}: {leaked:?}");
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
