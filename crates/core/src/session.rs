@@ -52,8 +52,13 @@
 //!   every other writer, on the same path. Latch admission is
 //!   all-or-nothing — a writer waits holding *no* latches until its whole
 //!   footprint is admissible — so the hierarchy is deadlock-free by
-//!   construction (see [`crate::latch`]). Each statement's redo is
-//!   appended to the write-ahead log as one batch plus a commit record.
+//!   construction (see [`crate::latch`]). A statement is atomic, cascade
+//!   included: if it fails anywhere — an action's error or panic, the
+//!   cascade-depth cap, a duplicate key part-way through a multi-row
+//!   `INSERT` — its changes are undone while its latches are still held,
+//!   and nothing is logged or published ([`Database::statement`]). A
+//!   statement that succeeds appends its redo to the write-ahead log as
+//!   one batch plus a commit record.
 //! * **Global writes** — DDL, trigger creation/drop, action registration
 //!   and the `quark_mut`/`database_mut` escape hatches: whatever can
 //!   change schema, trigger topology or the action registry — take the
@@ -655,7 +660,8 @@ impl Session {
     /// `INSERT` reports the rows *it* contributed. All statements are
     /// parsed up front (a parse error fails the batch before anything
     /// runs); an execution error aborts the batch at that statement,
-    /// leaving earlier statements committed.
+    /// which leaves no trace (a coalesced run fails whole), and leaves
+    /// earlier statements committed.
     pub fn execute_batch<'t>(
         &self,
         statements: impl IntoIterator<Item = &'t str>,
@@ -809,7 +815,10 @@ impl Session {
 
     /// Execute one data-change statement — the one DML path of the module
     /// docs: latch the statement's [`Footprint`] under the *shared* level-1
-    /// lock, run statement and cascade, log, fold. An unbounded footprint
+    /// lock, run statement and cascade as one [`Database::statement`], and
+    /// only if it succeeds, log and fold; a failed statement has already
+    /// been undone, so its error is returned with nothing logged or
+    /// folded. An unbounded footprint
     /// ([`Footprint::Global`]) latches **every table exclusive**, which
     /// covers whatever an opaque body does: it only ever receives
     /// `&Database`, and every catalog change needs `&mut` (i.e. global
@@ -833,33 +842,19 @@ impl Session {
         db.bump(Counter::LatchWaits, latch.waits());
         db.bump(Counter::LatchSharedAcquisitions, latch.shared_count());
         db.bump(Counter::LatchExclusiveAcquisitions, latch.exclusive_count());
-        // Capture the statement's physical effects — cascade included —
-        // and append them to the write-ahead log as one batch closed by a
-        // commit record: the statement boundary is the durability boundary.
-        db.begin_redo();
-        let out = {
-            // Under the `footprint-oracle` feature, assert that the
-            // statement and its whole cascade stay inside the footprint
-            // just latched: any access to a table outside `write` ∪ `read`
-            // is a proven hole in the static analysis and bumps
-            // `footprint_violations`.
-            let _scope = db.oracle_scope(&write, &read);
-            sql::execute_dml(db, stmt)
-        };
-        let ops = db.take_redo();
-        // Logged even when the statement erred: partial cascade effects
-        // stay committed in the authoritative state (see below) and
-        // recovery must reproduce them.
+        // Under the `footprint-oracle` feature, a table access outside
+        // `write` ∪ `read` is a proven hole in the static analysis and
+        // bumps `footprint_violations`.
+        let (outcome, redo) = db.statement(&write, &read, || sql::execute_dml(db, stmt))?;
+        // One WAL batch closed by a commit record: the statement boundary
+        // is the durability boundary.
         let logged = match state.storage() {
-            Some(engine) => engine.log_statement(&ops),
+            Some(engine) => engine.log_statement(&redo.ops()),
             None => Ok(()),
         };
-        // Commit even on a statement error: partial effects (a cascade
-        // failing mid-way) are visible in the authoritative state and must
-        // reach the snapshot. Only the write set can have changed, so only
-        // it is folded; shared-latched read tables are untouched.
+        // Only the write set can have changed, so only it is folded;
+        // shared-latched read tables are untouched.
         self.shared.commit_tables(&state, &write);
-        let outcome = out?;
         logged?;
         Ok(outcome)
     }

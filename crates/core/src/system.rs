@@ -333,7 +333,6 @@ impl Quark {
             persist::decode_core(&mut quark, blob)?;
         }
 
-        quark.db.set_redo_capture(true);
         quark.storage = Some(Arc::new(engine));
         // Fold a replayed WAL tail (or a fresh directory) into a checkpoint
         // immediately, so reopening is idempotent and the log stays short.

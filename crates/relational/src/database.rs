@@ -7,9 +7,12 @@
 //! (`INSERTED`) and ∇ (`DELETED`) transition tables of its statement and the
 //! post-statement database state, and may itself execute statements (e.g.
 //! the benchmark action inserts into a temporary table); cascades are capped
-//! at a DB2-like nesting depth of 16.
+//! at a DB2-like nesting depth of 16. A statement is atomic, cascade
+//! included: its row changes are journaled as they happen, become its redo
+//! if it succeeds and are undone if it fails ([`Database::statement`]).
 
 use std::cell::RefCell;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -270,18 +273,11 @@ pub struct Database {
     /// the trigger corpus; trigger DDL copies-on-write via `Arc::make_mut`.
     triggers: Arc<Vec<Arc<SqlTrigger>>>,
     trigger_names: Arc<std::collections::HashSet<String>>,
-    /// Identity for the thread-local cascade-depth bookkeeping: cascades
-    /// never cross threads, but one thread may drive several database
-    /// instances (oracle shadow clones), so depth is keyed on both.
+    /// Identity for the thread-local statement journal: a statement never
+    /// crosses threads, but one thread may drive several database
+    /// instances (oracle shadow clones), so the journal is keyed on both.
     db_id: u64,
     schema_generation: u64,
-    /// When set, the mutation entry points append physical [`RedoOp`]s to
-    /// a thread-local buffer keyed by `db_id`; the session layer drains it
-    /// per statement and hands the batch to the write-ahead log. Off by
-    /// default and **never copied by `Clone`**: snapshot clones and oracle
-    /// shadows must not log (their fresh `db_id` could not reach the
-    /// buffer anyway, but the flag stays off for clarity).
-    redo_capture: bool,
     /// Indexed by [`Counter`]. Bumped during statement and plan execution,
     /// where only `&Database` is available, hence relaxed atomics.
     counters: [AtomicU64; COUNTERS],
@@ -295,7 +291,6 @@ impl Default for Database {
             trigger_names: Arc::new(std::collections::HashSet::new()),
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
             schema_generation: 0,
-            redo_capture: false,
             counters: Default::default(),
         }
     }
@@ -316,7 +311,6 @@ impl Clone for Database {
             trigger_names: Arc::clone(&self.trigger_names),
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
             schema_generation: self.schema_generation,
-            redo_capture: false,
             counters: std::array::from_fn(|i| {
                 AtomicU64::new(self.counters[i].load(Ordering::Relaxed))
             }),
@@ -357,66 +351,108 @@ impl DerefMut for TableWrite<'_> {
 static NEXT_DB_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Cascade depth per database instance on this thread. A cascade runs
-    /// entirely on the thread that executed its root statement, so depth
-    /// needs no cross-thread coordination — but it must not live in the
-    /// (now shared) `Database`, where two threads' concurrent cascades
-    /// would observe each other's nesting.
-    static FIRE_DEPTH: RefCell<HashMap<u64, usize>> = RefCell::new(HashMap::new());
-
-    /// Captured redo operations per database instance on this thread (same
-    /// keying rationale as `FIRE_DEPTH`: a statement and its whole cascade
-    /// run on one thread, so the per-statement redo batch needs no
-    /// cross-thread coordination, but two threads' concurrent latched
-    /// statements must not interleave their batches).
-    static REDO_BUF: RefCell<HashMap<u64, Vec<RedoOp>>> = RefCell::new(HashMap::new());
+    /// The open statement's journal per database instance on this thread.
+    /// A statement and its whole cascade run on the thread that executed
+    /// it, so the journal needs no cross-thread coordination — but it must
+    /// not live in the (shared) `Database`, where two threads' concurrent
+    /// statements would see each other's changes; and one thread may drive
+    /// several instances (oracle shadow clones), hence the key.
+    static JOURNALS: RefCell<HashMap<u64, Journal>> = RefCell::new(HashMap::new());
 }
 
-/// What latch coverage the current statement's scope promises (see
-/// [`Database::oracle_scope`]): `write` tables are latched exclusive,
-/// `read` tables shared.
-#[cfg(feature = "footprint-oracle")]
-struct LatchedScope {
-    write: BTreeSet<String>,
-    read: BTreeSet<String>,
+/// What the open statement has done to one database so far (see
+/// [`Database::statement`]): the one record its redo, its undo, its
+/// cascade depth and its latched footprint are read from.
+#[derive(Default)]
+struct Journal {
+    /// Trigger firings nested inside each other right now.
+    depth: usize,
+    /// One entry per `apply`, in apply order: the table, and its version
+    /// before the `apply`.
+    applies: Vec<(Arc<TableSchema>, u64)>,
+    /// Every row an `apply` removed (`false`) or added (`true`), in the
+    /// order it changed, with the index of its `apply`.
+    rows: Vec<(usize, bool, Row)>,
+    /// The `(write, read)` tables a session statement latched, checked on
+    /// every table access; `None` for a raw [`Database`] caller.
+    #[cfg(feature = "footprint-oracle")]
+    footprint: Option<(BTreeSet<String>, BTreeSet<String>)>,
+}
+
+/// `Put` `row` into `schema`'s table, or `Del` it by key. Replayed in
+/// journal order, a statement's row changes are its redo; with `put`
+/// negated and in reverse order, its undo.
+fn redo_op(schema: &TableSchema, put: bool, row: &Row) -> RedoOp {
+    let table = schema.name.clone();
+    if put {
+        RedoOp::Put {
+            table,
+            row: Arc::clone(row),
+        }
+    } else {
+        RedoOp::Del {
+            table,
+            key: schema.key_of(row).into_vec(),
+        }
+    }
+}
+
+/// A committed statement's row changes, cascade included (see
+/// [`Database::statement`]): what the write-ahead log records.
+pub struct Redo(Journal);
+
+impl Redo {
+    /// The changes as physical redo operations: per `apply`, its removed
+    /// rows by key, then its added rows — the order it made them in, so
+    /// key-reshuffling updates replay correctly.
+    pub fn ops(&self) -> Vec<RedoOp> {
+        let Journal { applies, rows, .. } = &self.0;
+        let op = |(a, put, row): &(usize, bool, Row)| redo_op(&applies[*a].0, *put, row);
+        rows.iter().map(op).collect()
+    }
+}
+
+/// Puts back every change made since `mark` — `(applies, rows)` lengths,
+/// or `None` for the outermost statement, which also closes the journal —
+/// when dropped: on an `Err` and during a panic alike, unless forgotten.
+struct Rollback<'a> {
+    db: &'a Database,
+    mark: Option<(usize, usize)>,
+}
+
+impl Drop for Rollback<'_> {
+    fn drop(&mut self) {
+        // The journal is out of the thread-local while the rows go back,
+        // so a rollback is not footprint-checked. Nothing here can fail,
+        // and `drop` must not panic: a statement holds `&Database`, so no
+        // table it changed can be dropped before this runs, and every row
+        // put back was stored in its table before.
+        let db = self.db;
+        let Some(mut j) = JOURNALS.with(|m| m.borrow_mut().remove(&db.db_id)) else {
+            return;
+        };
+        let (applies, rows) = self.mark.unwrap_or_default();
+        let undo: Vec<RedoOp> = (j.rows.drain(rows..).rev())
+            .map(|(a, put, row)| redo_op(&j.applies[a].0, !put, &row))
+            .collect();
+        let _ = db.apply_redo(&undo);
+        for (schema, version) in j.applies.drain(applies..).rev() {
+            if let Ok(mut t) = db.table_write(&schema.name) {
+                t.restore_version(version);
+            }
+        }
+        if self.mark.is_some() {
+            JOURNALS.with(|m| m.borrow_mut().insert(db.db_id, j));
+        }
+    }
 }
 
 #[cfg(feature = "footprint-oracle")]
 thread_local! {
-    /// Latch scopes per database instance on this thread (same keying
-    /// rationale as `FIRE_DEPTH`: a statement and its whole cascade run on
-    /// one thread, and one thread may drive several instances). A stack so
-    /// scope installation composes; in practice one scope per statement.
-    static ORACLE_SCOPES: RefCell<HashMap<u64, Vec<LatchedScope>>> =
-        RefCell::new(HashMap::new());
-
     /// When nonzero, an oracle violation bumps the counter but does not
     /// panic — the escape hatch tests use to *observe* an intentional
     /// violation (see [`Database::tolerate_footprint_violations`]).
     static ORACLE_TOLERANCE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// RAII handle for a latch scope installed by [`Database::oracle_scope`];
-/// uninstalls the scope on drop (panic unwind included). A zero-sized
-/// no-op unless the crate is built with the `footprint-oracle` feature.
-pub struct FootprintScope {
-    #[cfg(feature = "footprint-oracle")]
-    db_id: u64,
-}
-
-#[cfg(feature = "footprint-oracle")]
-impl Drop for FootprintScope {
-    fn drop(&mut self) {
-        ORACLE_SCOPES.with(|m| {
-            let mut m = m.borrow_mut();
-            if let Some(stack) = m.get_mut(&self.db_id) {
-                stack.pop();
-                if stack.is_empty() {
-                    m.remove(&self.db_id);
-                }
-            }
-        });
-    }
 }
 
 /// RAII handle suppressing the oracle's panic-on-violation on this thread
@@ -431,24 +467,6 @@ pub struct FootprintTolerance {
 impl Drop for FootprintTolerance {
     fn drop(&mut self) {
         ORACLE_TOLERANCE.with(|c| c.set(c.get() - 1));
-    }
-}
-
-/// Decrements the thread-local cascade depth on drop, so a panicking
-/// trigger body cannot leave the depth permanently elevated.
-struct DepthGuard(u64);
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
-        FIRE_DEPTH.with(|m| {
-            let mut m = m.borrow_mut();
-            if let Some(d) = m.get_mut(&self.0) {
-                *d -= 1;
-                if *d == 0 {
-                    m.remove(&self.0);
-                }
-            }
-        });
     }
 }
 
@@ -561,39 +579,68 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Footprint oracle (the `footprint-oracle` feature)
+    // Statements: one journal each
     // ------------------------------------------------------------------
 
-    /// Install a **latched** oracle scope for the current thread: until
-    /// the returned guard drops, every table access on this database from
-    /// this thread must be covered by the declared footprint — mutations
-    /// by `write`, reads by `write ∪ read`. The session layer installs
-    /// this around footprint-latched statement execution with exactly the
-    /// table sets it latched, making the latch claim dynamically checked.
+    /// Run `f` as one statement, cascade included, recording every row
+    /// change in this thread's journal for this database as it happens.
+    /// On `Ok` the journal becomes the statement's [`Redo`]. On `Err` or a
+    /// panic — an action's error, the cascade-depth cap, a duplicate key
+    /// part-way through a multi-row `INSERT` — it is replayed backward,
+    /// leaving every table as the statement found it, version included,
+    /// with nothing to log or publish. Every data-change entry point runs
+    /// itself this way, so a raw [`Database`] caller's statements are
+    /// atomic too.
     ///
-    /// No-op (and zero-cost) unless the crate is built with the
-    /// `footprint-oracle` feature; callers install scopes unconditionally.
+    /// A statement started while one is open here — a cascade's own —
+    /// joins it and returns an empty [`Redo`]; if it fails, it puts back
+    /// only its own changes, before its error reaches the trigger body.
+    ///
+    /// `write` and `read` are the tables the caller latched exclusive and
+    /// shared. Under the `footprint-oracle` feature every table access in
+    /// `f` must be covered by them (a mutation by `write`), which checks
+    /// the session layer's latch claim at run time.
     #[allow(unused_variables)]
-    pub fn oracle_scope(
+    pub fn statement<T, E>(
         &self,
         write: &BTreeSet<String>,
         read: &BTreeSet<String>,
-    ) -> FootprintScope {
-        #[cfg(feature = "footprint-oracle")]
-        {
-            ORACLE_SCOPES.with(|m| {
-                m.borrow_mut()
-                    .entry(self.db_id)
-                    .or_default()
-                    .push(LatchedScope {
-                        write: write.clone(),
-                        read: read.clone(),
-                    })
-            });
-            FootprintScope { db_id: self.db_id }
-        }
-        #[cfg(not(feature = "footprint-oracle"))]
-        FootprintScope {}
+        f: impl FnOnce() -> Result<T, E>,
+    ) -> Result<(T, Redo), E> {
+        self.journaled(f, || Journal {
+            #[cfg(feature = "footprint-oracle")]
+            footprint: Some((write.clone(), read.clone())),
+            ..Journal::default()
+        })
+    }
+
+    /// [`Database::statement`], opening the journal `fresh` builds when
+    /// none is open.
+    fn journaled<T, E>(
+        &self,
+        f: impl FnOnce() -> Result<T, E>,
+        fresh: impl FnOnce() -> Journal,
+    ) -> Result<(T, Redo), E> {
+        let mark = JOURNALS.with(|m| match m.borrow_mut().entry(self.db_id) {
+            Entry::Occupied(open) => Some((open.get().applies.len(), open.get().rows.len())),
+            Entry::Vacant(slot) => {
+                slot.insert(fresh());
+                None
+            }
+        });
+        let rollback = Rollback { db: self, mark };
+        let out = f()?;
+        std::mem::forget(rollback);
+        let redo = match mark {
+            None => JOURNALS.with(|m| m.borrow_mut().remove(&self.db_id)),
+            Some(_) => None,
+        };
+        Ok((out, Redo(redo.unwrap_or_default())))
+    }
+
+    /// Run `edit` on this thread's open journal for this database.
+    fn journal<R>(&self, edit: impl FnOnce(&mut Journal) -> R) -> R {
+        JOURNALS.with(|m| edit(m.borrow_mut().get_mut(&self.db_id).expect("in a statement")))
     }
 
     /// Suppress the oracle's panic-on-violation on the calling thread
@@ -607,26 +654,24 @@ impl Database {
     }
 
     /// Assert that accessing `name` (mutating or reading) is covered by
-    /// the innermost oracle scope installed on this thread for this
-    /// database instance. Outside any scope — programmatic access, oracle
-    /// shadow clones, recovery replay — nothing is checked; nor is a table
-    /// that does not exist (the access fails with `UnknownTable`, and no
-    /// scope — not even an unbounded statement's "every table" — can name
-    /// it).
+    /// the footprint of the statement open on this thread for this
+    /// database instance. Outside a session statement — programmatic
+    /// access, oracle shadow clones, recovery replay, a rollback — nothing
+    /// is checked; nor is a table that does not exist (the access fails
+    /// with `UnknownTable`, and no footprint — not even an unbounded
+    /// statement's "every table" — can name it).
     #[cfg(feature = "footprint-oracle")]
     fn oracle_check(&self, name: &str, mutating: bool) {
         if !self.tables.contains_key(name) {
             return;
         }
-        let covered =
-            ORACLE_SCOPES.with(
-                |m| match m.borrow().get(&self.db_id).and_then(|s| s.last()) {
-                    None => true,
-                    Some(LatchedScope { write, read }) => {
-                        write.contains(name) || (!mutating && read.contains(name))
-                    }
-                },
-            );
+        let covered = JOURNALS.with(|m| {
+            let journal = m.borrow();
+            match journal.get(&self.db_id).and_then(|j| j.footprint.as_ref()) {
+                None => true,
+                Some((write, read)) => write.contains(name) || (!mutating && read.contains(name)),
+            }
+        });
         if !covered {
             self.bump(Counter::FootprintViolations, 1);
             if ORACLE_TOLERANCE.with(|c| c.get()) == 0 {
@@ -643,39 +688,11 @@ impl Database {
     fn oracle_check(&self, _name: &str, _mutating: bool) {}
 
     // ------------------------------------------------------------------
-    // Redo capture (durability hooks for the storage layer)
+    // Redo replay (recovery, and a failed statement's rollback)
     // ------------------------------------------------------------------
 
-    /// Enable or disable redo capture (off by default; the storage layer
-    /// turns it on when a database is opened durably). Not inherited by
-    /// clones — snapshots and oracle shadows never log.
-    pub fn set_redo_capture(&mut self, enabled: bool) {
-        self.redo_capture = enabled;
-    }
-
-    /// Clear this thread's redo buffer for this database. The session
-    /// layer calls it at every statement start so leftovers from a
-    /// panicked or abandoned earlier statement cannot leak into the next
-    /// statement's log batch.
-    pub fn begin_redo(&self) {
-        REDO_BUF.with(|m| {
-            m.borrow_mut().remove(&self.db_id);
-        });
-    }
-
-    /// Drain this thread's redo buffer for this database: every physical
-    /// change the statement and its whole cascade made, in apply order.
-    /// Called once per latched statement — even a statement that returned
-    /// an error is drained, because partial effects stay visible in the
-    /// authoritative state and durability must match it.
-    pub fn take_redo(&self) -> Vec<RedoOp> {
-        REDO_BUF
-            .with(|m| m.borrow_mut().remove(&self.db_id))
-            .unwrap_or_default()
-    }
-
-    /// Apply a batch of redo operations verbatim: no triggers fire, no
-    /// redo is captured, and operations are idempotent (`Put` upserts,
+    /// Apply a batch of redo operations verbatim: no triggers fire,
+    /// nothing is journaled, and operations are idempotent (`Put` upserts,
     /// `Del` of a missing key is a no-op). Recovery replays committed WAL
     /// batches through here — the cascade's effects were logged physically
     /// when it ran, so re-firing triggers would double-apply them.
@@ -694,32 +711,6 @@ impl Database {
             }
         }
         Ok(())
-    }
-
-    /// Record one statement's physical effects (all deletions by
-    /// pre-image key, then all insertions by full row — matching the
-    /// two-phase order of [`Database::apply`], so key-reshuffling updates
-    /// replay correctly). No-op unless capture is enabled.
-    fn capture_redo(&self, schema: &TableSchema, inserted: &[Row], deleted: &[Row]) {
-        if !self.redo_capture || (inserted.is_empty() && deleted.is_empty()) {
-            return;
-        }
-        REDO_BUF.with(|m| {
-            let mut m = m.borrow_mut();
-            let buf = m.entry(self.db_id).or_default();
-            for old in deleted {
-                buf.push(RedoOp::Del {
-                    table: schema.name.clone(),
-                    key: schema.key_of(old).into_vec(),
-                });
-            }
-            for new in inserted {
-                buf.push(RedoOp::Put {
-                    table: schema.name.clone(),
-                    row: Arc::clone(new),
-                });
-            }
-        });
     }
 
     /// Look up a table, taking its latch in shared mode for the guard's
@@ -819,7 +810,7 @@ impl Database {
     //
     // Every entry point selects its target rows — by key, or through
     // `select_rows` — and hands them to `apply`, the one place a statement
-    // changes rows, logs and fires.
+    // changes rows, journals them and fires.
 
     /// `INSERT INTO table VALUES rows…` as one statement: on a duplicate
     /// key or an ill-typed row, no row is inserted and no trigger fires.
@@ -959,14 +950,14 @@ impl Database {
 
     /// The one place a statement changes rows: remove every row of `old`
     /// (selected from `t` under this same guard), then insert every row of
-    /// `new`. If an insertion fails — duplicate key against an untouched
-    /// row or another new row, or a type mismatch — the table is put back
-    /// as the statement found it and the error returned: a statement
-    /// applies whole or not at all. Then, once per statement: the statement
-    /// counter, the redo capture, and AFTER-trigger dispatch with the
-    /// statement's transition tables. `event: None` is maintenance (`load`/
-    /// `unload_where`): logged, but neither counted nor fired. Returns the
-    /// number of rows affected.
+    /// `new`, journaling the rows as they change. Then, once per statement:
+    /// the statement counter and AFTER-trigger dispatch with the
+    /// statement's transition tables. `event: None` is maintenance
+    /// (`load`/`unload_where`): journaled, so logged, but neither counted
+    /// nor fired. A failed insertion — duplicate key against an untouched
+    /// row or another new row, or a type mismatch — fails the statement,
+    /// and [`Database::statement`] puts every row back. Returns the number
+    /// of rows affected.
     fn apply(
         &self,
         mut t: TableWrite<'_>,
@@ -974,46 +965,42 @@ impl Database {
         old: Vec<Row>,
         new: Vec<Vec<Value>>,
     ) -> Result<usize> {
-        let schema = t.schema_ref();
-        // The undo is O(1) for any row count — a refcount bump now, a pointer
-        // swap on failure, `version()` included (safe: `t` is held throughout,
-        // so no checkpoint saw a version in between) — but while it is
-        // held every write copies its tree path (a keyed update measured
-        // 9 µs against 2). So it is held only if an insertion can fail after a
-        // row changed: not when nothing is inserted, not for a lone insertion
-        // (`insert` refuses before changing anything), not when every new row
-        // is well-typed and takes the key of the old row in its place.
-        let keeps_keys = old.len() == new.len()
-            && old.iter().zip(&new).all(|(o, n)| {
-                schema.check_row(n).is_ok() && schema.primary_key.iter().all(|&c| o[c] == n[c])
-            });
-        let undo = new.len() > usize::from(old.is_empty()) && !keeps_keys;
-        let before = undo.then(|| Arc::clone(&t.0));
-        for row in &old {
-            t.delete(&schema.key_of(row)).expect("selected row exists");
-        }
-        let inserted: Result<Vec<Row>> = new.into_iter().map(|v| t.insert(v)).collect();
-        if let (Err(_), Some(before)) = (&inserted, before) {
-            *t.0 = before;
-        }
-        let inserted = inserted?;
-        // Triggers run against the post-statement state and may change
-        // this very table: the latch is released before they fire.
-        drop(t);
-        let affected = old.len().max(inserted.len());
-        self.capture_redo(&schema, &inserted, &old);
-        if let Some(event) = event {
-            self.bump(Counter::Statements, 1);
-            if affected > 0 {
-                self.after_statement(TransitionTables {
-                    table: schema.name.clone(),
-                    event,
-                    inserted,
-                    deleted: old,
-                })?;
+        let body = move || -> Result<usize> {
+            let schema = t.schema_ref();
+            let version = t.version();
+            for row in &old {
+                t.delete(&schema.key_of(row)).expect("selected row exists");
             }
-        }
-        Ok(affected)
+            let mut inserted = Vec::with_capacity(new.len());
+            let failed = new
+                .into_iter()
+                .try_for_each(|v| t.insert(v).map(|row| inserted.push(row)));
+            // Triggers run against the post-statement state and may change
+            // this very table: the latch is released before they fire.
+            drop(t);
+            self.journal(|j| {
+                let at = j.applies.len();
+                j.applies.push((Arc::clone(&schema), version));
+                let removed = old.iter().map(|r| (at, false, Arc::clone(r)));
+                let added = inserted.iter().map(|r| (at, true, Arc::clone(r)));
+                j.rows.extend(removed.chain(added));
+            });
+            failed?;
+            let affected = old.len().max(inserted.len());
+            if let Some(event) = event {
+                self.bump(Counter::Statements, 1);
+                if affected > 0 {
+                    self.after_statement(TransitionTables {
+                        table: schema.name.clone(),
+                        event,
+                        inserted,
+                        deleted: old,
+                    })?;
+                }
+            }
+            Ok(affected)
+        };
+        Ok(self.journaled(body, Journal::default)?.0)
     }
 
     // ------------------------------------------------------------------
@@ -1030,31 +1017,22 @@ impl Database {
         if matching.is_empty() {
             return Ok(());
         }
-        let admitted = FIRE_DEPTH.with(|m| {
-            let mut m = m.borrow_mut();
-            let d = m.entry(self.db_id).or_insert(0);
-            if *d >= MAX_TRIGGER_DEPTH {
-                false
-            } else {
-                *d += 1;
-                true
-            }
+        let admitted = self.journal(|j| {
+            j.depth += 1;
+            j.depth <= MAX_TRIGGER_DEPTH
         });
-        if !admitted {
-            return Err(Error::TriggerDepthExceeded);
-        }
-        // Unwind-safe decrement: a panicking trigger body must not leave
-        // this thread's depth for `db_id` permanently elevated.
-        let _guard = DepthGuard(self.db_id);
-        self.fire_all(&matching, &trans)
-    }
-
-    fn fire_all(&self, triggers: &[Arc<SqlTrigger>], trans: &TransitionTables) -> Result<()> {
-        for t in triggers {
-            self.bump(Counter::TriggersFired, 1);
-            (t.body)(self, trans)?;
-        }
-        Ok(())
+        // A panicking body skips the decrement, but the panic unwinds
+        // through the outermost statement, which drops the journal.
+        let fired = if admitted {
+            matching.iter().try_for_each(|t| {
+                self.bump(Counter::TriggersFired, 1);
+                (t.body)(self, &trans)
+            })
+        } else {
+            Err(Error::TriggerDepthExceeded)
+        };
+        self.journal(|j| j.depth -= 1);
+        fired
     }
 }
 
@@ -1171,6 +1149,11 @@ mod tests {
 
     fn vrow(vid: &str, pid: &str, price: f64) -> Vec<Value> {
         vec![Value::str(vid), Value::str(pid), Value::Double(price)]
+    }
+
+    /// A statement footprint naming `tables`.
+    fn latched(tables: &[&str]) -> BTreeSet<String> {
+        tables.iter().map(|t| t.to_string()).collect()
     }
 
     /// `SELECT * FROM table WHERE pred`, with the index probes and the
@@ -1334,6 +1317,77 @@ mod tests {
         .unwrap();
         let err = db.insert_row("ping", vec![Value::Int(0)]).unwrap_err();
         assert_eq!(err, Error::TriggerDepthExceeded);
+        assert!(
+            db.table("ping").unwrap().is_empty(),
+            "the cascade is undone"
+        );
+    }
+
+    /// A statement and its cascade are undone whole on an `Err` and on a
+    /// panic, versions included; a cascade statement whose error its
+    /// trigger body swallows is undone alone, and the enclosing statement
+    /// commits without it.
+    #[test]
+    fn statements_are_undone_whole_and_joined_ones_alone() {
+        let mut db = db_with_vendor();
+        db.create_table(
+            TableSchema::new("log", vec![ColumnDef::new("n", ColumnType::Int)], &["n"]).unwrap(),
+        )
+        .unwrap();
+        db.load("log", vec![vec![Value::Int(0)]]).unwrap();
+        db.load("vendor", vec![vrow("a", "P1", 1.0)]).unwrap();
+        let mode = Arc::new(Mutex::new("swallow"));
+        let mode2 = Arc::clone(&mode);
+        db.create_trigger(SqlTrigger {
+            name: "t".into(),
+            table: "vendor".into(),
+            event: Event::Update,
+            body: Arc::new(move |db, _| {
+                db.insert_row("log", vec![Value::Int(1)])?;
+                // Row 2 goes in, then the duplicate 0 fails the statement.
+                let dup = db.insert("log", vec![vec![Value::Int(2)], vec![Value::Int(0)]]);
+                let mode = *mode2.lock().unwrap();
+                match mode {
+                    "swallow" => Ok(()),
+                    "err" => dup.map(|_| ()),
+                    _ => panic!("injected"),
+                }
+            }),
+        })
+        .unwrap();
+        let observe = |db: &Database| {
+            ["vendor", "log"].map(|name| {
+                let t = db.table(name).unwrap();
+                (t.version(), t.iter().cloned().collect::<Vec<_>>())
+            })
+        };
+        let key = [Value::str("a"), Value::str("P1")];
+        let update = |price: f64| db.update_by_key("vendor", &key, &[(2, Value::Double(price))]);
+        let start = observe(&db);
+        *mode.lock().unwrap() = "err";
+        assert!(matches!(update(2.0), Err(Error::DuplicateKey { .. })));
+        assert_eq!(observe(&db), start, "undone on an error");
+        *mode.lock().unwrap() = "panic";
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| update(3.0)));
+        assert!(unwound.is_err());
+        assert_eq!(observe(&db), start, "undone on a panic");
+
+        *mode.lock().unwrap() = "swallow";
+        let (_, redo) = db
+            .statement(&latched(&["vendor", "log"]), &BTreeSet::new(), || {
+                update(4.0)
+            })
+            .unwrap();
+        let log: Vec<Row> = db.table("log").unwrap().iter().cloned().collect();
+        assert_eq!(log, [0, 1].map(|n| crate::row(vec![Value::Int(n)])));
+        let ops: Vec<(&str, String)> = (redo.ops().into_iter())
+            .map(|op| match op {
+                RedoOp::Del { table, .. } => ("Del", table),
+                RedoOp::Put { table, .. } => ("Put", table),
+            })
+            .collect();
+        let logged = [("Del", "vendor"), ("Put", "vendor"), ("Put", "log")];
+        assert_eq!(ops, logged.map(|(op, t)| (op, t.to_string())));
     }
 
     #[test]
@@ -1541,9 +1595,7 @@ mod tests {
     fn failed_multi_row_insert_and_load_change_nothing() {
         let mut db = db_with_vendor();
         db.create_index("vendor", "pid").unwrap();
-        db.set_redo_capture(true);
         db.load("vendor", vec![vrow("a", "P1", 1.0)]).unwrap();
-        db.take_redo();
         let fired = Arc::new(Mutex::new(0u32));
         let fired2 = Arc::clone(&fired);
         db.create_trigger(SqlTrigger {
@@ -1586,14 +1638,23 @@ mod tests {
             assert_eq!(db.stats().statements, before, "not counted");
         }
         assert_eq!(*fired.lock().unwrap(), 0, "no trigger fired");
-        assert!(db.take_redo().is_empty(), "nothing logged");
+        let (_, redo) = db
+            .statement(&latched(&["vendor"]), &BTreeSet::new(), || {
+                db.insert("vendor", vec![vrow("d", "P2", 4.0)])
+            })
+            .unwrap();
+        let put = RedoOp::Put {
+            table: "vendor".into(),
+            row: crate::row(vrow("d", "P2", 4.0)),
+        };
+        assert_eq!(redo.ops(), vec![put], "nothing else logged");
     }
 
     /// An UPDATE that moves a row onto another row's key, or makes a row
-    /// ill-typed, is refused with every row as it was (the key rule lived
-    /// on `Table::update` before every row change went through `apply`);
-    /// one that keeps its rows' keys has no way to fail half-way, so it
-    /// takes no undo copy and changes the table in place.
+    /// ill-typed, is refused with every row and the version as they were
+    /// (the key rule lived on `Table::update` before every row change went
+    /// through `apply`); one that succeeds changes the table in place —
+    /// the journal keeps rows, not a copy of the table.
     #[test]
     fn update_to_conflicting_key_rejected() {
         let db = db_with_vendor();
@@ -1606,8 +1667,8 @@ mod tests {
         let key = [Value::str("Amazon"), Value::str("P1")];
         let refused = |assignment: (usize, Value)| {
             let err = db.update_by_key("vendor", &key, &[assignment]).unwrap_err();
-            let t = db.table("vendor").unwrap();
-            assert!(Arc::ptr_eq(&t.0, &start), "the table it started from");
+            let seen = |t: &Table| (t.version(), t.iter().cloned().collect::<Vec<_>>());
+            assert_eq!(seen(&db.table("vendor").unwrap()), seen(&start));
             err
         };
         assert!(matches!(

@@ -19,10 +19,11 @@
 //!
 //! **What a clone costs.** `Table::clone` bumps one refcount per tree and
 //! touches no row, however large the table: that is what publishing a read
-//! snapshot, or keeping the pre-statement table for rollback, pays. The
-//! first write after a clone copies the root-to-leaf path it walks in each
-//! tree (3 nodes at 4 096 rows) and shares every other node with the
-//! clone; a write to a table nobody cloned mutates in place. O(log n) is
+//! snapshot pays. The first write after a clone copies the root-to-leaf
+//! path it walks in each tree (3 nodes at 4 096 rows) and shares every
+//! other node with the clone; a write to a table nobody cloned mutates in
+//! place. A failed statement's rollback holds no clone: the statement
+//! journal keeps the rows it changed (`Database::statement`). O(log n) is
 //! not free, though: copying a node clones every key and bumps every row
 //! in it, so a keyed delete + insert on a 16 384-row table with one index
 //! measured 9 µs right after a clone against 2 µs in place — a clone is
@@ -92,6 +93,12 @@ impl Table {
     /// test (an unchanged version keeps the last image file).
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    /// Set the version back to `version`: a failed statement's rollback,
+    /// once it has put back the rows the table held at that version.
+    pub(crate) fn restore_version(&mut self, version: u64) {
+        self.version = version;
     }
 
     /// Add an index on one column (no-op if already present).

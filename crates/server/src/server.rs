@@ -21,8 +21,8 @@
 //!   buffering unboundedly. Within a decoded window, runs of ≥ 2
 //!   consecutive `INSERT`s into one table coalesce into a single
 //!   [`Session::execute_batch`] call (one transition table, one cascade —
-//!   counted as `pipelined_batches`); a coalesced run succeeds or fails
-//!   as a unit, exactly as if the client had sent one multi-row `INSERT`.
+//!   counted as `pipelined_batches`); a coalesced run is one statement
+//!   and succeeds or fails as a unit, cascade included.
 //! * **Graceful shutdown** ([`ServerHandle::shutdown`]): in-flight
 //!   statements complete, every decoded-but-unexecuted frame is answered
 //!   with a retriable `ShuttingDown` error, connections close, workers
@@ -496,9 +496,8 @@ fn process_window(
                             write_frame(writer, &encode_result(r))?;
                         }
                     }
-                    // A coalesced run fails as a unit — the same
-                    // observable as one multi-row INSERT failing — so
-                    // every frame of the run reports the error.
+                    // A coalesced run is one statement and fails as a
+                    // unit, so every frame of the run reports the error.
                     Err(e) => {
                         let payload = encode_statement_error(&e);
                         for _ in i..j {

@@ -22,7 +22,7 @@ use std::thread;
 
 use common::{all_modes, Log, CATALOG_VIEW, SETUP, TRIGGERS};
 use proptest::prelude::*;
-use quark_core::relational::{Database, Value};
+use quark_core::relational::{Database, Error, Row, Value};
 use quark_core::storage::SyncMode;
 use quark_core::{Footprint, Mode, Session, SessionPool, StatementResult};
 
@@ -76,6 +76,19 @@ fn dump(session: &Session) -> Vec<StatementResult> {
     .iter()
     .map(|s| session.execute(s).expect("dump"))
     .collect()
+}
+
+/// Both base tables as the authoritative state holds them, versions
+/// included — what a reader of [`Session::database`] sees.
+fn memory(session: &Session) -> Vec<(u64, Vec<Row>)> {
+    let db = session.database();
+    ["product", "vendor"]
+        .iter()
+        .map(|name| {
+            let t = db.table(name).expect("table");
+            (t.version(), t.iter().cloned().collect())
+        })
+        .collect()
 }
 
 /// Rendered firings, comparable across systems. Sorted: relative order
@@ -211,12 +224,19 @@ const WATCH_TRIGGER: &str =
     "CREATE TRIGGER Audit AFTER Update ON view('watched')/item DO audit(NEW_NODE)";
 
 /// Register the opaque `audit` action: one `audit` row per firing, numbered
-/// by the table's size so a recovered system continues the sequence.
+/// by the table's size so a recovered system continues the sequence. It
+/// refuses a `watch` price above 1 000 — after writing its row, so a
+/// refused statement has a cascade write to roll back.
 fn arm_audit(session: &Session) {
     session
         .register_action("audit", |db, call| {
             let seq = db.table("audit")?.len() as i64;
-            db.insert_row("audit", vec![Value::Int(seq), Value::str(&call.trigger)])
+            db.insert_row("audit", vec![Value::Int(seq), Value::str(&call.trigger)])?;
+            let limit = Value::Double(1000.0);
+            if db.table("watch")?.iter().any(|r| r[2] > limit) {
+                return Err(Error::Plan("audit: price above 1000".into()));
+            }
+            Ok(())
         })
         .expect("register audit");
 }
@@ -312,8 +332,8 @@ fn failed_multi_row_insert_leaves_no_trace() {
 }
 
 /// A panic in the middle of a trigger cascade: the panicking statement
-/// never reaches its commit record, so recovery lands exactly on the
-/// boundary *before* it — partial in-memory effects are not durable.
+/// is rolled back and never reaches its commit record, so memory, the
+/// snapshot and recovery all land exactly on the boundary *before* it.
 #[test]
 fn mid_cascade_panic_loses_only_the_panicking_statement() {
     let dir = tmp_dir("panic");
@@ -339,6 +359,7 @@ fn mid_cascade_panic_loses_only_the_panicking_statement() {
         .execute("UPDATE vendor SET price = 75.0 WHERE vid = 'Amazon' AND pid = 'P1'")
         .expect("committed update");
     let committed = dump(&session);
+    let in_memory = memory(&session);
 
     // ...then a statement whose cascade dies half-way through.
     panic_flag.store(true, Ordering::SeqCst);
@@ -350,6 +371,8 @@ fn mid_cascade_panic_loses_only_the_panicking_statement() {
     })
     .join();
     assert!(crashed.is_err(), "injected panic must propagate");
+    assert_eq!(memory(&session), in_memory, "memory is rolled back");
+    assert_eq!(dump(&session), committed, "the snapshot never saw it");
     drop(session); // crash the process state too: no checkpoint
 
     let session = open(&dir, Mode::Grouped, SyncMode::Always);
@@ -662,6 +685,9 @@ enum Op {
     Rename(usize, usize),
     /// Reprice watch row id: the opaque-action shape (see [`WATCH_SETUP`]).
     Watch(usize, u32),
+    /// Give watch row id a price above 1 000, which its cascade's `audit`
+    /// action refuses: the statement fails (see [`arm_audit`]).
+    Fail(usize),
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -670,6 +696,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0..3usize, 0..3usize).prop_map(|(v, p)| Op::DropVendor(v, p)),
         (0..3usize, 0..4usize).prop_map(|(p, n)| Op::Rename(p, n)),
         (0..3usize, 1..400u32).prop_map(|(id, c)| Op::Watch(id, c)),
+        (0..3usize).prop_map(Op::Fail),
     ]
 }
 
@@ -702,13 +729,15 @@ fn statement_for(db: &Database, op: &Op) -> String {
             "UPDATE watch SET price = {:?} WHERE id = {id}",
             *cents as f64 / 2.0
         ),
+        Op::Fail(id) => format!("UPDATE watch SET price = 9999.0 WHERE id = {id}"),
     }
 }
 
 proptest! {
     // Deterministic in CI; sweep PROPTEST_SEED manually for wider hunts.
+    // Nightly raises the case count through PROPTEST_CASES.
     #![proptest_config(ProptestConfig {
-        cases: 6,
+        cases: std::env::var("PROPTEST_CASES").ok().and_then(|c| c.parse().ok()).unwrap_or(6),
         rng_seed: Some(0x1cde_2005_0007),
         ..ProptestConfig::default()
     })]
@@ -716,7 +745,9 @@ proptest! {
     /// Crash-and-recover after **every** statement of a random stream, in
     /// every translation mode: each recovered prefix is differentially
     /// identical to the in-memory oracle, firings included, and the
-    /// recovered session keeps executing the rest of the stream.
+    /// recovered session keeps executing the rest of the stream. A
+    /// statement whose cascade fails errs on both sides and changes
+    /// neither.
     #[test]
     fn recovery_lands_on_every_statement_boundary(
         ops in proptest::collection::vec(op_strategy(), 1..7)
@@ -735,9 +766,14 @@ proptest! {
 
             for op in &ops {
                 let stmt = statement_for(&oracle.database(), op);
-                let a = session.execute(&stmt).expect("durable");
-                let b = oracle.execute(&stmt).expect("oracle");
-                prop_assert_eq!(a, b, "{:?}: result mismatch on `{}`", mode, &stmt);
+                let watched = dump_watch(&oracle);
+                let a = session.execute(&stmt).map_err(|e| e.to_string());
+                let b = oracle.execute(&stmt).map_err(|e| e.to_string());
+                prop_assert_eq!(&a, &b, "{:?}: result mismatch on `{}`", mode, &stmt);
+                prop_assert_eq!(a.is_err(), matches!(op, Op::Fail(_)), "{:?}: `{}`", mode, &stmt);
+                if a.is_err() {
+                    prop_assert_eq!(dump_watch(&oracle), watched, "{:?}: `{}` left a trace", mode, &stmt);
+                }
                 prop_assert_eq!(firings(&log), firings(&oracle_log),
                     "{:?}: firings diverge on `{}`", mode, &stmt);
 

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use common::{all_modes, catalog_system, node_param, update_price, Log};
 use quark_core::relational::expr::{Expr, ScalarFunc};
 use quark_core::relational::plan::JoinKind;
-use quark_core::relational::Database;
+use quark_core::relational::{Database, Error, Row, Value};
 use quark_core::storage::SyncMode;
 use quark_core::xqgm::fixtures::{minprice_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
@@ -506,5 +506,161 @@ fn failed_create_trigger_leaves_no_trace() {
         assert!(leaked.is_empty(), "{mode:?}: {leaked:?}");
         drop(session);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// How [`failed_statement_leaves_no_trace`] makes its statement fail.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Fault {
+    /// `notify` returns an error on its second firing.
+    ActionErr,
+    /// `notify` panics on its second firing.
+    ActionPanic,
+    /// `echo` inserts into the table it watches until the cascade-depth
+    /// cap stops it.
+    DepthCap,
+    /// A multi-row `INSERT` hits a duplicate key on its second row.
+    DuplicateKey,
+}
+
+/// The statement that fails under each fault.
+fn failing_statement(fault: Fault) -> &'static str {
+    match fault {
+        // Changes two `catalog` products, so `Watch` fires twice.
+        Fault::ActionErr | Fault::ActionPanic => "UPDATE vendor SET price = price + 1.0",
+        Fault::DepthCap => "INSERT INTO ping VALUES (0)",
+        Fault::DuplicateKey => {
+            "INSERT INTO vendor VALUES ('Newegg', 'P1', 90.0), ('Amazon', 'P1', 1.0)"
+        }
+    }
+}
+
+const FAULT_TABLES: [&str; 4] = ["product", "vendor", "sink", "ping"];
+
+/// A durable catalog system plus a `pings` view over `ping`. `Watch`
+/// calls `notify`, which writes one `sink` row per firing and then fails
+/// as `fault` says on the second; `Echo` calls `echo`, which inserts the
+/// next `ping` row and so fires `Echo` again.
+fn fault_system(dir: &std::path::Path, mode: Mode, fault: Fault) -> Session {
+    let session = quark_xquery::open_session_with(dir, mode, SyncMode::Never).unwrap();
+    for s in common::SETUP {
+        session.execute(s).unwrap();
+    }
+    session.execute(common::CATALOG_VIEW).unwrap();
+    session
+        .execute("CREATE TABLE sink (n INT PRIMARY KEY)")
+        .unwrap();
+    session
+        .execute("CREATE TABLE ping (n INT PRIMARY KEY)")
+        .unwrap();
+    session
+        .execute(
+            r#"create view pings as {
+              <pings>{
+                for $p in view("default")/ping/row
+                return <p n={$p/n}><n>{$p/n}</n></p>
+              }</pings>
+            }"#,
+        )
+        .unwrap();
+    session
+        .register_action_with_writes("notify", ["sink"], move |db, _call| {
+            let n = db.table("sink")?.len();
+            db.insert_row("sink", vec![Value::Int(n as i64)])?;
+            match (n, fault) {
+                (1, Fault::ActionErr) => Err(Error::Plan("injected action error".into())),
+                (1, Fault::ActionPanic) => panic!("injected action panic"),
+                _ => Ok(()),
+            }
+        })
+        .unwrap();
+    session
+        .register_action_with_writes("echo", ["ping"], |db, _call| {
+            let n = db.table("ping")?.len();
+            db.insert_row("ping", vec![Value::Int(n as i64)])
+        })
+        .unwrap();
+    session
+        .execute("CREATE TRIGGER Watch AFTER Update ON view('catalog')/product DO notify(NEW_NODE)")
+        .unwrap();
+    session
+        .execute("CREATE TRIGGER Echo AFTER Insert ON view('pings')/p DO echo(NEW_NODE)")
+        .unwrap();
+    session
+}
+
+/// Every row and version of the fault tables, as the authoritative state
+/// holds them.
+fn memory(session: &Session) -> Vec<(u64, Vec<Row>)> {
+    let db = session.database();
+    FAULT_TABLES
+        .iter()
+        .map(|name| {
+            let t = db.table(name).unwrap();
+            (t.version(), t.iter().cloned().collect())
+        })
+        .collect()
+}
+
+/// The fault tables as a reader sees them: one `SELECT` each.
+fn selected(session: &Session) -> Vec<StatementResult> {
+    FAULT_TABLES
+        .iter()
+        .map(|t| session.execute(&format!("SELECT * FROM {t}")).unwrap())
+        .collect()
+}
+
+/// A statement that fails anywhere in its cascade — an action's error or
+/// panic on its second firing, the cascade-depth cap, a duplicate key
+/// part-way through a multi-row `INSERT` — leaves no trace, in every
+/// mode: memory (rows and table versions), a snapshot `SELECT`, the WAL
+/// byte count and a reopened durable directory all equal the
+/// pre-statement state.
+#[test]
+fn failed_statement_leaves_no_trace() {
+    let faults = [
+        Fault::ActionErr,
+        Fault::ActionPanic,
+        Fault::DepthCap,
+        Fault::DuplicateKey,
+    ];
+    for mode in all_modes() {
+        for fault in faults {
+            let dir = std::env::temp_dir().join(format!(
+                "quark-failed-statement-{mode:?}-{fault:?}-{}",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            let session = fault_system(&dir, mode, fault);
+            let (before, seen_before) = (memory(&session), selected(&session));
+            let wal_before = session.quark().stats().wal_bytes_written;
+
+            let statement = failing_statement(fault);
+            if fault == Fault::ActionPanic {
+                let victim = session.fork();
+                let unwound = std::thread::spawn(move || victim.execute(statement)).join();
+                assert!(unwound.is_err(), "{mode:?}: the panic propagates");
+            } else {
+                let err = session.execute(statement).unwrap_err().to_string();
+                let expected = match fault {
+                    Fault::ActionErr => "injected action error",
+                    Fault::DepthCap => "nesting limit",
+                    _ => "duplicate",
+                };
+                assert!(err.contains(expected), "{mode:?} {fault:?}: {err}");
+            }
+
+            let at = format!("{mode:?} {fault:?}");
+            assert_eq!(memory(&session), before, "{at}: memory");
+            assert_eq!(selected(&session), seen_before, "{at}: snapshot");
+            let wal_after = session.quark().stats().wal_bytes_written;
+            assert_eq!(wal_after, wal_before, "{at}: WAL bytes");
+            drop(session); // crash: no close, no final checkpoint
+
+            let session = quark_xquery::open_session_with(&dir, mode, SyncMode::Never).unwrap();
+            assert_eq!(selected(&session), seen_before, "{at}: reopened");
+            drop(session);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
