@@ -28,10 +28,12 @@ pub enum AkSide {
 }
 
 impl AkSide {
-    fn source(self, pruned: bool) -> TableSource {
+    /// The side's transition table, pruned (Appendix F, Definition 8):
+    /// always sound, and required for the injective-view optimization.
+    fn source(self) -> TableSource {
         match self {
-            AkSide::Delta => TableSource::Delta { pruned },
-            AkSide::Nabla => TableSource::Nabla { pruned },
+            AkSide::Delta => TableSource::Delta { pruned: true },
+            AkSide::Nabla => TableSource::Nabla { pruned: true },
         }
     }
 }
@@ -51,22 +53,6 @@ pub struct AkResult {
     pub cols_in_ak: Vec<usize>,
 }
 
-/// Options for affected-key construction.
-#[derive(Debug, Clone, Copy)]
-pub struct AkOptions {
-    /// Use pruned transition tables (Appendix F, Definition 8). Always
-    /// sound; required for the injective-view optimization.
-    pub pruned_transitions: bool,
-}
-
-impl Default for AkOptions {
-    fn default() -> Self {
-        AkOptions {
-            pruned_transitions: true,
-        }
-    }
-}
-
 /// `CreateAKGraph(O, T, dT)`: build the affected-keys subgraph for the
 /// operator `root` w.r.t. statement transitions on `table`. Returns `None`
 /// when the subtree cannot be affected (line 8 of Fig. 8).
@@ -79,10 +65,9 @@ pub fn create_ak_graph(
     root: OpId,
     table: &str,
     side: AkSide,
-    options: AkOptions,
     db: &Database,
 ) -> Result<Option<AkResult>> {
-    build(kg, root, table, side, options, db)
+    build(kg, root, table, side, db)
 }
 
 fn build(
@@ -90,7 +75,6 @@ fn build(
     id: OpId,
     table: &str,
     side: AkSide,
-    options: AkOptions,
     db: &Database,
 ) -> Result<Option<AkResult>> {
     let op = kg.graph.op(id).clone();
@@ -105,7 +89,7 @@ fn build(
             let schema = table.schema();
             let pk = schema.primary_key.clone();
             let names: Vec<String> = pk.iter().map(|&c| schema.columns[c].name.clone()).collect();
-            let trans = kg.table_from(t.clone(), side.source(options.pruned_transitions), db)?;
+            let trans = kg.table_from(t.clone(), side.source(), db)?;
             let ak = kg.project(trans, pk.iter().map(|&c| Expr::col(c)).collect(), names);
             let n = pk.len();
             Ok(Some(AkResult {
@@ -119,7 +103,7 @@ fn build(
         // affected-keys operator and projects the affected group keys.
         OpKind::GroupBy { group_cols, .. } => {
             let input = op.inputs[0];
-            let Some(inner) = build(kg, input, table, side, options, db)? else {
+            let Some(inner) = build(kg, input, table, side, db)? else {
                 return Ok(None);
             };
             let pairs: Vec<(usize, usize)> = inner
@@ -140,9 +124,9 @@ fn build(
         }
 
         // Lines 19-21: Select and Project propagate.
-        OpKind::Select { .. } => build(kg, op.inputs[0], table, side, options, db),
+        OpKind::Select { .. } => build(kg, op.inputs[0], table, side, db),
         OpKind::Project { exprs, .. } => {
-            let Some(inner) = build(kg, op.inputs[0], table, side, options, db)? else {
+            let Some(inner) = build(kg, op.inputs[0], table, side, db)? else {
                 return Ok(None);
             };
             // Map each input key column to its output position. Keys are
@@ -175,8 +159,8 @@ fn build(
             }
             let (l, r) = (op.inputs[0], op.inputs[1]);
             let left_arity = kg.graph.arity(l, db)?;
-            let la = build(kg, l, table, side, options, db)?;
-            let ra = build(kg, r, table, side, options, db)?;
+            let la = build(kg, l, table, side, db)?;
+            let ra = build(kg, r, table, side, db)?;
             match (la, ra) {
                 (None, None) => Ok(None),
                 // Lines 33-34: one affected input — propagate its (partial)
@@ -236,7 +220,7 @@ fn build(
         OpKind::Union => {
             let mut branches = Vec::new();
             for &i in &op.inputs {
-                if let Some(a) = build(kg, i, table, side, options, db)? {
+                if let Some(a) = build(kg, i, table, side, db)? {
                     branches.push(a);
                 }
             }
@@ -305,16 +289,9 @@ mod tests {
     #[test]
     fn nested_predicate_counterexample_yields_affected_key() {
         let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(
-            &mut kg,
-            root,
-            "vendor",
-            AkSide::Delta,
-            AkOptions::default(),
-            &db,
-        )
-        .unwrap()
-        .expect("vendor affects the view");
+        let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+            .unwrap()
+            .expect("vendor affects the view");
 
         // Apply the insert: Amazon starts selling P2 at 500.
         db.load(
@@ -352,16 +329,9 @@ mod tests {
     #[test]
     fn vendor_update_flags_one_group() {
         let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(
-            &mut kg,
-            root,
-            "vendor",
-            AkSide::Delta,
-            AkOptions::default(),
-            &db,
-        )
-        .unwrap()
-        .unwrap();
+        let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+            .unwrap()
+            .unwrap();
         db.update_by_key(
             "vendor",
             &[Value::str("Amazon"), Value::str("P1")],
@@ -394,16 +364,9 @@ mod tests {
     #[test]
     fn pruned_transitions_suppress_noop_updates() {
         let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(
-            &mut kg,
-            root,
-            "vendor",
-            AkSide::Delta,
-            AkOptions::default(),
-            &db,
-        )
-        .unwrap()
-        .unwrap();
+        let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+            .unwrap()
+            .unwrap();
         let same = row([Value::str("Amazon"), Value::str("P1"), Value::Double(100.0)]);
         let trans = transitions("vendor", Event::Update, vec![same.clone()], vec![same]);
         let plan = Compiler::new(&kg.graph, &db).compile(ak.op).unwrap();
@@ -416,15 +379,7 @@ mod tests {
     #[test]
     fn unrelated_table_yields_none() {
         let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(
-            &mut kg,
-            root,
-            "no_such_table",
-            AkSide::Delta,
-            AkOptions::default(),
-            &db,
-        )
-        .unwrap();
+        let ak = create_ak_graph(&mut kg, root, "no_such_table", AkSide::Delta, &db).unwrap();
         assert!(ak.is_none());
     }
 
@@ -433,16 +388,9 @@ mod tests {
     fn nabla_side_uses_old_graph() {
         let (db, mut kg, root) = setup();
         let old_root = kg.old_version(root, "vendor");
-        let ak = create_ak_graph(
-            &mut kg,
-            old_root,
-            "vendor",
-            AkSide::Nabla,
-            AkOptions::default(),
-            &db,
-        )
-        .unwrap()
-        .unwrap();
+        let ak = create_ak_graph(&mut kg, old_root, "vendor", AkSide::Nabla, &db)
+            .unwrap()
+            .unwrap();
 
         // Delete Buy.com/P2: ∇ identifies "LCD 19" against the old state.
         let key = [Value::str("Buy.com"), Value::str("P2")];
@@ -460,16 +408,9 @@ mod tests {
     #[test]
     fn product_update_side() {
         let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(
-            &mut kg,
-            root,
-            "product",
-            AkSide::Delta,
-            AkOptions::default(),
-            &db,
-        )
-        .unwrap()
-        .unwrap();
+        let ak = create_ak_graph(&mut kg, root, "product", AkSide::Delta, &db)
+            .unwrap()
+            .unwrap();
         db.update_by_key("product", &[Value::str("P2")], &[(2, Value::str("LG"))])
             .unwrap();
         let trans = transitions(

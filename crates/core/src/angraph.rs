@@ -41,15 +41,13 @@ use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef};
 use quark_relational::{ColumnType, Database, Result, Value};
 use quark_xqgm::{AggCompensation, Compiler, Driver, Graph, KeyedGraph, OpId, OpKind, TableSource};
 
-use crate::akgraph::{create_ak_graph, AkOptions, AkResult, AkSide};
+use crate::akgraph::{create_ak_graph, AkResult, AkSide};
 use crate::inject::{is_injective, skeleton, SkeletonMap};
 use crate::spec::{PathGraph, XmlEvent};
 
 /// Translation options (which paper optimizations are active).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AnOptions {
-    /// Pruned transition tables (Appendix F, Def. 8).
-    pub pruned_transitions: bool,
     /// Elide the `OLD ≠ NEW` check for injective views (Theorem 3).
     pub injective_opt: bool,
     /// Evaluate skeleton graphs for sides whose node value is unused and
@@ -63,7 +61,6 @@ pub struct AnOptions {
 impl Default for AnOptions {
     fn default() -> Self {
         AnOptions {
-            pruned_transitions: true,
             injective_opt: true,
             use_skeletons: true,
             agg_compensation: true,
@@ -134,9 +131,6 @@ pub fn build_affected(
 ) -> Result<Option<AffectedNodePlan>> {
     let root = pg.root;
     let key = pg.key().to_vec();
-    let ak_opts = AkOptions {
-        pruned_transitions: opts.pruned_transitions,
-    };
 
     // ---------- Phase A: graph construction ----------
     let injective = is_injective(&pg.kg, root, table, db)?;
@@ -162,12 +156,12 @@ pub fn build_affected(
 
     let recipes = match &skel_old {
         Some((_, mirror)) if opts.agg_compensation && (may_skel_old || may_skel_new) => {
-            compensation_recipes(&mut pg.kg, mirror, table, opts.pruned_transitions)
+            compensation_recipes(&mut pg.kg, mirror, table)
         }
         _ => Vec::new(),
     };
 
-    let (aks, ak_key) = key_graphs(&mut pg.kg, root, skel.as_ref(), &key, table, ak_opts, db)?;
+    let (aks, ak_key) = key_graphs(&mut pg.kg, root, skel.as_ref(), &key, table, db)?;
     if aks.iter().all(Option::is_none) {
         return Ok(None);
     }
@@ -230,7 +224,6 @@ fn key_graphs(
     skel: Option<&(OpId, SkeletonMap)>,
     key: &[usize],
     table: &str,
-    opts: AkOptions,
     db: &Database,
 ) -> Result<(KeyGraphs, Vec<usize>)> {
     let (root, key) = skel
@@ -242,7 +235,7 @@ fn key_graphs(
         .iter_mut()
         .zip([(root, AkSide::Delta), (old_root, AkSide::Nabla)])
     {
-        *slot = create_ak_graph(kg, side_root, table, side, opts, db)?.map(|ak| (ak, side_root));
+        *slot = create_ak_graph(kg, side_root, table, side, db)?.map(|ak| (ak, side_root));
     }
     Ok((sides, key))
 }
@@ -261,7 +254,6 @@ fn compensation_recipes(
     kg: &mut KeyedGraph,
     mirror: &HashMap<OpId, OpId>,
     table: &str,
-    pruned: bool,
 ) -> Vec<(OpId, AggCompensation)> {
     let reads = |id: OpId| mirror.get(&id).is_some_and(|&old| old != id);
     let mut recipes = Vec::new();
@@ -283,8 +275,8 @@ fn compensation_recipes(
             .iter()
             .position(|a| matches!(a.func, AggFunc::CountStar));
         let input = op.inputs[0];
-        let delta_input = kg.variant_with_source(input, table, TableSource::Delta { pruned });
-        let nabla_input = kg.variant_with_source(input, table, TableSource::Nabla { pruned });
+        let delta_input = kg.variant_with_source(input, table, TableSource::Delta { pruned: true });
+        let nabla_input = kg.variant_with_source(input, table, TableSource::Nabla { pruned: true });
         recipes.push((
             gb_old,
             AggCompensation {
@@ -685,7 +677,7 @@ mod tests {
             .count();
         assert_eq!(mirrored, 2, "both group-bys read t2");
 
-        let recipes = compensation_recipes(&mut kg, &mirror, "t2", true);
+        let recipes = compensation_recipes(&mut kg, &mirror, "t2");
         let [(old_op, recipe)] = recipes.as_slice() else {
             panic!("expected one recipe, got {}", recipes.len());
         };
@@ -752,16 +744,7 @@ mod tests {
             let key = kg.key(root).to_vec();
             let skel = skeleton(&mut kg, root, &db).unwrap();
             for table in tables {
-                let (aks, _) = key_graphs(
-                    &mut kg,
-                    root,
-                    skel.as_ref(),
-                    &key,
-                    table,
-                    AkOptions::default(),
-                    &db,
-                )
-                .unwrap();
+                let (aks, _) = key_graphs(&mut kg, root, skel.as_ref(), &key, table, &db).unwrap();
                 assert!(
                     aks.iter().all(Option::is_some),
                     "{table} affects both sides"
@@ -785,7 +768,7 @@ mod tests {
     ) -> [(AkResult, OpId); 2] {
         let old_root = kg.old_version(root, table);
         [(root, AkSide::Delta), (old_root, AkSide::Nabla)].map(|(side_root, side)| {
-            let ak = create_ak_graph(kg, side_root, table, side, AkOptions::default(), db)
+            let ak = create_ak_graph(kg, side_root, table, side, db)
                 .unwrap()
                 .expect("table affects the view");
             (ak, side_root)

@@ -7,10 +7,11 @@
 //! What round-trips: the translation mode and options, every registered
 //! view (anchor path graphs via [`quark_xqgm::wire`]), every trigger group
 //! — constants sets, members, and the generated SQL triggers with their
-//! compiled plans — the XML-trigger registry, and the compile cache. What
-//! does *not*: action **functions** are closures and must be re-registered
-//! by the application after reopening (handlers resolve actions by name at
-//! firing time, so order doesn't matter until the first firing).
+//! compiled plans — and the XML-trigger registry. Each group's plans are
+//! written once, inside its SQL triggers. What does *not*: action
+//! **functions** are closures and must be re-registered by the application
+//! after reopening (handlers resolve actions by name at firing time, so
+//! order doesn't matter until the first firing).
 //!
 //! Decoding **re-arms** each group: the SQL-trigger handlers are rebuilt
 //! from their persisted plan/residual/source-event ingredients and
@@ -31,16 +32,17 @@ use quark_relational::wire::{Dec, Decode, Enc, Encode, WireTag};
 use quark_relational::{Error, Result, Value};
 use quark_xqgm::wire::{decode_graph, encode_graph};
 
-use crate::angraph::{AffectedLayout, AffectedNodePlan, AnOptions};
+use crate::angraph::AnOptions;
 use crate::condition::{CondValue, Condition, NodePath, NodeRef, Step};
 use crate::events::SourceEvent;
 use crate::session::ObjectKind;
 use crate::spec::{ActionParam, PathGraph, XmlView};
 
-use super::{CacheEntry, Group, Member, Mode, Quark, SqlTriggerMeta, TriggerRecord};
+use super::{Group, Member, Mode, Quark, SqlTriggerMeta, TriggerRecord};
 
-/// Blob format version; bumped on any layout change.
-const VERSION: u8 = 1;
+/// Blob format version; bumped on any layout change. A blob of any other
+/// version is refused by name: no reader of an older layout is kept.
+const VERSION: u8 = 2;
 
 fn bad(msg: &str) -> Error {
     Error::Storage(format!("core decode: {msg}"))
@@ -75,7 +77,7 @@ impl WireTag for ObjectKind {
 }
 
 // ---------------------------------------------------------------------
-// Conditions, action parameters, source events, layouts
+// Conditions, action parameters, source events
 // ---------------------------------------------------------------------
 
 impl Encode for Step {
@@ -255,44 +257,6 @@ impl Decode for SourceEvent {
     }
 }
 
-impl Encode for AffectedLayout {
-    fn encode(&self, enc: &mut Enc) {
-        enc.put(&self.key_len);
-        enc.put(&self.old_node);
-        enc.put(&self.new_node);
-        enc.put(&self.old_attrs);
-        enc.put(&self.new_attrs);
-    }
-}
-
-impl Decode for AffectedLayout {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(AffectedLayout {
-            key_len: dec.get()?,
-            old_node: dec.get()?,
-            new_node: dec.get()?,
-            old_attrs: dec.get()?,
-            new_attrs: dec.get()?,
-        })
-    }
-}
-
-impl Encode for AffectedNodePlan {
-    fn encode(&self, enc: &mut Enc) {
-        enc.put(&self.plan);
-        enc.put(&self.layout);
-    }
-}
-
-impl Decode for AffectedNodePlan {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(AffectedNodePlan {
-            plan: dec.get()?,
-            layout: dec.get()?,
-        })
-    }
-}
-
 // ---------------------------------------------------------------------
 // Views, groups, registries
 // ---------------------------------------------------------------------
@@ -380,7 +344,6 @@ impl Encode for Group {
         enc.put(&self.sql_triggers);
         enc.put(&self.footprint);
         enc.put(&self.trigger_count);
-        enc.put(&self.cache_key);
     }
 }
 
@@ -403,7 +366,6 @@ impl Decode for Group {
             sql_triggers: dec.get()?,
             footprint: dec.get()?,
             trigger_count: dec.get()?,
-            cache_key: dec.get()?,
         };
         if !ordered || !wide {
             return Err(bad("constants sets out of order or of the wrong width"));
@@ -424,22 +386,6 @@ impl Decode for TriggerRecord {
         Ok(TriggerRecord {
             group_signature: dec.get()?,
             set_id: dec.get()?,
-        })
-    }
-}
-
-impl Encode for CacheEntry {
-    fn encode(&self, enc: &mut Enc) {
-        enc.put(&self.refs);
-        enc.put(&self.plans);
-    }
-}
-
-impl Decode for CacheEntry {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(CacheEntry {
-            refs: dec.get()?,
-            plans: dec.get()?,
         })
     }
 }
@@ -475,22 +421,13 @@ pub(crate) fn encode_core(q: &Quark) -> Result<Vec<u8>> {
     enc.u8(VERSION);
     enc.tag(q.mode);
     let o = q.options;
-    enc.bool(o.pruned_transitions);
     enc.bool(o.injective_opt);
     enc.bool(o.use_skeletons);
     enc.bool(o.agg_compensation);
     enc.u64(q.group_counter as u64);
-    // The *external* schema generation: what cache keys embed. The raw
-    // database counter does not survive recovery (the rebuilt database
-    // re-counts only the surviving DDL), so the external generation is the
-    // durable clock and `internal_ddl` is re-based against it on decode.
-    enc.i64(q.external_generation());
-    enc.u64(q.compile_cache_hits);
-    enc.bool(q.compile_cache_enabled);
     enc.put(&by_name(&q.views));
     enc.put(&by_name(&q.groups));
     enc.put(&*q.triggers);
-    enc.put(&*q.compile_cache);
     enc.into_bytes()
 }
 
@@ -505,15 +442,11 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
     }
     q.mode = dec.tag()?;
     q.options = AnOptions {
-        pruned_transitions: dec.bool()?,
         injective_opt: dec.bool()?,
         use_skeletons: dec.bool()?,
         agg_compensation: dec.bool()?,
     };
     q.group_counter = dec.u64()? as usize;
-    let external_gen = dec.i64()?;
-    q.compile_cache_hits = dec.u64()?;
-    q.compile_cache_enabled = dec.bool()?;
 
     let db = &q.db;
     let views = dec.seq(|dec, _| {
@@ -542,7 +475,6 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
     q.views = keyed(views, |v| &v.name)?;
     q.groups = keyed(dec.get()?, |g: &Group| &g.signature)?;
     q.triggers = Arc::new(dec.get()?);
-    q.compile_cache = Arc::new(dec.get()?);
     dec.finish()?;
 
     // Re-arm: rebuild each handler from its persisted ingredients and
@@ -550,12 +482,6 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
     for g in by_name(&q.groups) {
         super::translate::install(&mut q.db, &q.actions, g)?;
     }
-
-    // All recovery DDL has run (tables and indexes in `Quark::open`, the
-    // trigger re-arms above don't bump the generation): re-base the
-    // internal-DDL offset so the external generation continues from the
-    // persisted value and persisted cache keys keep matching.
-    q.internal_ddl = q.db.schema_generation() as i64 - external_gen;
     Ok(())
 }
 
@@ -581,8 +507,8 @@ mod tests {
     }
 
     /// A grouped system with two triggers in one group (two constants
-    /// sets) — exercises views, constants tables, members, sql triggers
-    /// and the compile cache.
+    /// sets) — exercises views, constants tables, members and sql
+    /// triggers.
     fn demo() -> Quark {
         let db = quark_xqgm::fixtures::product_vendor_db();
         let pg = catalog_path(&db);
@@ -635,7 +561,6 @@ mod tests {
         assert_eq!(q2.xml_trigger_count(), 2);
         assert_eq!(q2.group_count(), 1);
         assert_eq!(q2.sql_trigger_count(), q.sql_trigger_count());
-        assert_eq!(q2.compile_cache_len(), q.compile_cache_len());
         assert_eq!(q2.translations(), 0, "re-arming must not translate");
         // The re-armed artifacts render identically.
         assert_eq!(
@@ -675,24 +600,28 @@ mod tests {
         // plans run and fire as they did.
         assert_eq!(
             (blob_a.len(), quark_storage::crc::crc32(&blob_a)),
-            (33_609, 0x9ac8_276c),
+            (29_241, 0xf980_0ab1),
             "core blob bytes changed"
         );
     }
 
+    /// Any version byte but [`VERSION`] is refused by name, 1 included.
     #[test]
     fn unknown_version_is_rejected() {
         let q = demo();
-        let mut blob = encode_core(&q).unwrap();
-        blob[0] = 99;
         let mut db = q.database().clone();
         let names: Vec<String> = db.triggers().map(|t| t.name.clone()).collect();
         for name in names {
             db.drop_trigger(&name).unwrap();
         }
-        let mut q2 = Quark::new(db, Mode::Grouped);
-        let err = decode_core(&mut q2, &blob).unwrap_err();
-        assert!(err.to_string().contains("version"), "{err}");
+        for version in [1, 99] {
+            let mut blob = encode_core(&q).unwrap();
+            blob[0] = version;
+            let mut q2 = Quark::new(db.clone(), Mode::Grouped);
+            let err = decode_core(&mut q2, &blob).unwrap_err();
+            let expected = format!("unsupported core-blob version {version}");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
     }
 
     /// View and anchor counts larger than the bytes left are refused by
@@ -701,8 +630,8 @@ mod tests {
     fn oversized_counts_are_refused_before_reserving() {
         let q = demo();
         let blob = encode_core(&q).unwrap();
-        // version, mode, four option flags, three 8-byte counters, one flag.
-        let views = 1 + 1 + 4 + 3 * 8 + 1;
+        // version, mode, three option flags, the 8-byte group counter.
+        let views = 1 + 1 + 3 + 8;
         let anchors = views + 4 + 4 + "catalog".len();
         for count in [views, anchors] {
             let mut blob = blob.clone();

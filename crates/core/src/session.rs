@@ -473,8 +473,7 @@ impl Session {
     }
 
     /// A new handle onto the same system. Forks share everything: the
-    /// write lock, the trigger corpus, the compile cache, and the
-    /// published read snapshot.
+    /// write lock, the trigger corpus and the published read snapshot.
     pub fn fork(&self) -> Session {
         Session {
             shared: Arc::clone(&self.shared),
@@ -564,9 +563,8 @@ impl Session {
     ///
     /// A global commit is also the durable commit point for everything the
     /// write-ahead log does not cover: when a storage engine is attached,
-    /// the whole system (schema, data, views, trigger groups, compile
-    /// cache) is checkpointed before the call returns, and the WAL is
-    /// truncated. Global writes are rare, so paying a full checkpoint
+    /// the whole system (schema, data, views, trigger groups) is
+    /// checkpointed before the call returns, and the WAL is truncated. Global writes are rare, so paying a full checkpoint
     /// keeps the recovery protocol redo-only over base-table DML.
     fn with_write<R>(&self, f: impl FnOnce(&mut Quark) -> R) -> Result<R, Error> {
         let mut guard = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
@@ -751,7 +749,6 @@ impl Session {
             Statement::Stats => {
                 let quark = self.quark();
                 let mut counters = quark.stats().rows();
-                counters.push(("compile_cache_hits", quark.compile_cache_hits()));
                 counters.push(("translations", quark.translations()));
                 drop(quark);
                 counters.sort_by_key(|&(name, _)| name);

@@ -15,9 +15,9 @@
 //! is structurally similar to an existing group (§5.1) skips translation
 //! entirely: it only inserts its constants into the group's *constants
 //! table* — which is why trigger creation cost amortizes and why firing
-//! cost is independent of the number of XML triggers (Fig. 17). Groups
-//! hold references on the compile-cache entries their plans came from;
-//! an entry is evicted with its last group.
+//! cost is independent of the number of XML triggers (Fig. 17). Grouping
+//! is the only sharing: every new group, and in UNGROUPED mode every
+//! trigger, is translated from its view.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
@@ -26,7 +26,7 @@ use quark_relational::expr::Expr;
 use quark_relational::plan::PlanRef;
 use quark_relational::{Database, Error, Result, Value};
 
-use crate::angraph::{AffectedNodePlan, AnOptions};
+use crate::angraph::AnOptions;
 use crate::condition::Condition;
 use crate::events::SourceEvent;
 use crate::spec::{ActionParam, PathGraph, TriggerSpec, XmlView};
@@ -37,8 +37,8 @@ use crate::spec::{ActionParam, PathGraph, TriggerSpec, XmlView};
 mod translate;
 
 /// Serialization of the view/trigger layer (the storage catalog's "core
-/// blob"). A child module so it can reach this module's private group and
-/// cache structures.
+/// blob"). A child module so it can reach this module's private group
+/// structures.
 #[path = "persist.rs"]
 pub(crate) mod persist;
 
@@ -141,8 +141,6 @@ struct Group {
     /// unions it into any write statement that can fire this group.
     footprint: BTreeSet<String>,
     trigger_count: usize,
-    /// Compile-cache entry this group holds a reference on.
-    cache_key: Option<String>,
 }
 
 impl Group {
@@ -163,19 +161,6 @@ impl Group {
         }
         Some(writes)
     }
-}
-
-/// One compile-cache entry: the affected-node plan per source table for one
-/// (view structure, event, needs, options, schema generation) signature.
-#[derive(Clone)]
-struct CacheEntry {
-    /// `None` = the table cannot affect the monitored path.
-    plans: HashMap<String, Option<AffectedNodePlan>>,
-    /// Live groups holding a reference; the entry is evicted at zero.
-    /// (Schema changes need no sweep: the key embeds the external schema
-    /// generation, so entries built against an older schema simply stop
-    /// matching and die with their groups.)
-    refs: usize,
 }
 
 #[derive(Clone)]
@@ -207,8 +192,8 @@ struct SqlTriggerMeta {
 /// inspection and programmatic access.
 ///
 /// `Clone` produces a consistent copy of the whole system — tables,
-/// trigger registrations, views, groups and compile cache (plans are
-/// `Arc`-shared, so the copy is shallow where it can be). The session
+/// trigger registrations, views and groups (plans are `Arc`-shared, so the
+/// copy is shallow where it can be). The session
 /// layer clones under its write lock to publish immutable read snapshots
 /// for concurrent `SELECT`/`EXPLAIN`/`MATERIALIZE`. The action registry
 /// and group membership tables are reference-shared with the original
@@ -228,20 +213,8 @@ pub struct Quark {
     mode: Mode,
     options: AnOptions,
     group_counter: usize,
-    /// Per-system compile cache (see the module docs).
-    compile_cache: Arc<HashMap<String, CacheEntry>>,
-    compile_cache_enabled: bool,
-    compile_cache_hits: u64,
-    /// Schema-generation bumps caused by this system's own bookkeeping DDL
-    /// (constants tables and their indexes). Subtracting them from the
-    /// database's counter yields the *external* generation, which is stable
-    /// across group creation and therefore usable as a cache-key component.
-    /// Signed: recovery re-bases it so the external generation continues
-    /// from the persisted value even though the rebuilt database's raw
-    /// counter restarts from the recovery DDL count.
-    internal_ddl: i64,
-    /// Count of actual delta-graph translations (`build_affected` runs for
-    /// a new group). Warm restarts assert this stays zero: every group is
+    /// Groups translated since this system was created or opened: one per
+    /// new group. Warm restarts assert this stays zero: every group is
     /// re-armed from its persisted rendering, never re-translated.
     translations: u64,
     /// Durable-storage engine, attached by [`Quark::open`]. `None` for an
@@ -266,10 +239,6 @@ impl Quark {
             mode,
             options,
             group_counter: 0,
-            compile_cache: Arc::new(HashMap::new()),
-            compile_cache_enabled: true,
-            compile_cache_hits: 0,
-            internal_ddl: 0,
             translations: 0,
             storage: None,
         }
@@ -281,9 +250,9 @@ impl Quark {
     /// an existing one is recovered to its last committed statement
     /// boundary: base tables are rebuilt from the checkpointed table images,
     /// the committed WAL tail is replayed on top (torn or corrupt trailing
-    /// records are discarded), and every registered view, trigger group and
-    /// compile-cache entry is re-armed from its persisted rendering — no
-    /// view is re-translated (see [`Quark::translations`]).
+    /// records are discarded), and every registered view and trigger group
+    /// is re-armed from its persisted rendering — no view is re-translated
+    /// (see [`Quark::translations`]).
     ///
     /// Action *functions* are closures and cannot be persisted; re-register
     /// them after opening ([`Quark::register_action`]). Triggers fire lazily
@@ -353,8 +322,8 @@ impl Quark {
     }
 
     /// Checkpoint the durable store (no-op without one): every table is
-    /// written to its image file, the full view/trigger/compile-cache state
-    /// is serialized into the catalog, and the WAL is truncated. The caller
+    /// written to its image file, the full view/trigger state is serialized
+    /// into the catalog, and the WAL is truncated. The caller
     /// must be at a statement boundary (the session layer checkpoints at
     /// global commits).
     pub fn checkpoint(&self) -> Result<()> {
@@ -495,37 +464,19 @@ impl Quark {
         stats
     }
 
-    /// How many delta-graph translations (`build_affected` runs) this
-    /// system has performed. Zero after a warm restart: recovered groups
-    /// are re-armed from their persisted renderings, not re-translated.
+    /// How many trigger groups this system has translated since it was
+    /// created or opened: one per new group (`build_affected` once per
+    /// source table), so N UNGROUPED triggers cost N. Zero after a warm
+    /// restart: recovered groups are re-armed from their persisted
+    /// renderings, not re-translated.
     pub fn translations(&self) -> u64 {
         self.translations
     }
 
-    /// Number of live compile-cache entries (each referenced by ≥ 1 group).
-    pub fn compile_cache_len(&self) -> usize {
-        self.compile_cache.len()
-    }
-
-    /// How many new-group translations were served from the compile cache.
+    /// Always 0: nothing serves a translation but the translator. Kept
+    /// because `quarkbench` reads it.
     pub fn compile_cache_hits(&self) -> u64 {
-        self.compile_cache_hits
-    }
-
-    /// Enable or disable the compile cache (on by default). Differential
-    /// tests compare a caching system against an uncached one; disabling
-    /// also clears existing entries so no stale plan can be served, and
-    /// releases every group's cache reference — otherwise a group dropped
-    /// after re-enabling would decrement a *recreated* entry it never
-    /// referenced and evict it from under its live users.
-    pub fn set_compile_cache_enabled(&mut self, enabled: bool) {
-        self.compile_cache_enabled = enabled;
-        if !enabled {
-            Arc::make_mut(&mut self.compile_cache).clear();
-            for group in Arc::make_mut(&mut self.groups).values_mut() {
-                group.cache_key = None;
-            }
-        }
+        0
     }
 
     /// Create an XML trigger: the paper's `CREATE TRIGGER … AFTER Event ON
@@ -547,8 +498,6 @@ impl Quark {
             let cx = translate::Context {
                 db: &self.db,
                 options: self.options,
-                cache: self.compile_cache_enabled.then_some(&*self.compile_cache),
-                generation: self.external_generation(),
                 group_id: self.group_counter,
             };
             let new = translate::translate_group(
@@ -565,38 +514,19 @@ impl Quark {
     }
 
     /// Commit a translated group with no members: create its constants
-    /// table, install its SQL triggers, take its compile-cache reference
-    /// and register it.
+    /// table, install its SQL triggers and register it.
     fn commit_group(&mut self, new: translate::NewGroup) -> Result<()> {
-        let mut group = new.group;
-        // The constants table's DDL is internal bookkeeping: count the
-        // schema-generation bumps so the compile cache can key on the
-        // *external* generation, which stays put across group creation.
+        let group = new.group;
         if let Some(schema) = new.constants {
             let name = schema.name.clone();
             self.db.create_table(schema)?;
-            self.internal_ddl += 1;
             for i in 0..group.n_consts {
                 self.db.create_index(&name, &format!("c{i}"))?;
-                self.internal_ddl += 1;
             }
         }
         translate::install(&mut self.db, &self.actions, &group)?;
         self.group_counter += 1;
-        if new.cache_hit {
-            self.compile_cache_hits += 1;
-        } else {
-            self.translations += 1;
-        }
-        if self.compile_cache_enabled {
-            let plans = new.plans;
-            let cache = Arc::make_mut(&mut self.compile_cache);
-            cache
-                .entry(new.cache_key.clone())
-                .or_insert(CacheEntry { plans, refs: 0 })
-                .refs += 1;
-            group.cache_key = Some(new.cache_key);
-        }
+        self.translations += 1;
         Arc::make_mut(&mut self.groups).insert(group.signature.clone(), group);
         Ok(())
     }
@@ -648,13 +578,6 @@ impl Quark {
         Ok(())
     }
 
-    /// The database's schema generation minus this system's own
-    /// bookkeeping DDL: stable across group creation, so compile-cache
-    /// keys embed it and the core blob persists it.
-    fn external_generation(&self) -> i64 {
-        self.db.schema_generation() as i64 - self.internal_ddl
-    }
-
     /// Drop an XML trigger. The group's SQL triggers are removed once the
     /// last member leaves; when the last member of a *set* leaves a
     /// still-live group, the set's constants-table row is removed so it
@@ -690,19 +613,6 @@ impl Quark {
             }
             if let Some(ct) = &group.constants_table {
                 self.db.drop_table(ct)?;
-                self.internal_ddl += 1;
-            }
-            // Release the group's compile-cache reference; the entry is
-            // evicted with its last group, so a dropped group's plans can
-            // never be resurrected.
-            if let Some(key) = &group.cache_key {
-                let cache = Arc::make_mut(&mut self.compile_cache);
-                if let Some(entry) = cache.get_mut(key) {
-                    entry.refs -= 1;
-                    if entry.refs == 0 {
-                        cache.remove(key);
-                    }
-                }
             }
         } else if remove_set {
             let ct = {

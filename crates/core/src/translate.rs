@@ -14,9 +14,8 @@
 //!    ([`source_events`], §3.3, Appendix C), then one affected-node plan per
 //!    source *table* (`CreateANGraph`, Fig. 12 — `build_affected` does not
 //!    depend on the relational event, so a table's INSERT/UPDATE/DELETE
-//!    share it), taken from the compile cache when an equal
-//!    [`cache_signature`] was translated before ([`canonical_graph`] makes
-//!    the signature independent of arena ids);
+//!    share it). Every new group is translated from its view: grouping is
+//!    the only work shared between triggers, as in the paper;
 //! 3. [`attach_condition`] — trigger pushdown (Figs. 14–16): the constants
 //!    table is joined to the affected nodes, probed through its index on a
 //!    `path = const` equality over a single-valued path ([`join_key`],
@@ -41,19 +40,14 @@ use quark_relational::{
 use crate::angraph::{build_affected, AffectedNodePlan, AnOptions, Needs, SideNeeds};
 use crate::condition::{compile_value, CondLayout, CondValue, Condition, NodeRef};
 use crate::events::{source_events, SourceEvent};
-use crate::spec::{Action, ActionParam, PathGraph, TriggerSpec, XmlEvent};
+use crate::spec::{Action, ActionParam, PathGraph, TriggerSpec};
 
-use super::{ActionCall, ActionRegistry, CacheEntry, Group, Member, Members, Mode, SqlTriggerMeta};
+use super::{ActionCall, ActionRegistry, Group, Member, Members, Mode, SqlTriggerMeta};
 
 /// The system state a translation reads.
 pub(super) struct Context<'a> {
     pub db: &'a Database,
     pub options: AnOptions,
-    /// `None` when the compile cache is disabled.
-    pub cache: Option<&'a HashMap<String, CacheEntry>>,
-    /// The external schema generation (see `Quark::external_generation`),
-    /// a compile-cache key component.
-    pub generation: i64,
     /// Id of the group being translated: it names the constants table and
     /// the SQL triggers.
     pub group_id: usize,
@@ -67,12 +61,6 @@ pub(super) struct NewGroup {
     /// The constants table to create, when the condition has constants
     /// and the mode groups.
     pub constants: Option<TableSchema>,
-    pub cache_key: String,
-    /// The affected-node plan per source table (`None` = the table cannot
-    /// affect the monitored path).
-    pub plans: HashMap<String, Option<AffectedNodePlan>>,
-    /// Whether `plans` came from the compile cache.
-    pub cache_hit: bool,
 }
 
 /// The group a trigger belongs to (§5.1): its signature, its condition
@@ -114,34 +102,24 @@ pub(super) fn translate_group(
     // Event pushdown on the composed path graph.
     let events = source_events(&template.kg.graph, template.root, spec.event, cx.db)?;
 
-    let cache_key = cache_signature(template, spec.event, needs, cx.options, cx.generation);
-    let (plans, cache_hit) = match cx.cache.and_then(|cache| cache.get(&cache_key)) {
-        Some(entry) => (entry.plans.clone(), true),
-        None => {
-            // One shared arena for every table's delta graphs: the
-            // hash-consed graph reuses each (operator, source-variant)
-            // subplan by reference instead of recloning the template per
-            // source-event combination.
-            let mut pg = template.clone();
-            let mut built: HashMap<String, Option<AffectedNodePlan>> = HashMap::new();
-            for src in &events {
-                if !built.contains_key(&src.table) {
-                    let plan =
-                        build_affected(&mut pg, &src.table, spec.event, needs, cx.options, cx.db)?;
-                    built.insert(src.table.clone(), plan);
-                }
-            }
-            (built, false)
-        }
-    };
-
-    // Stack the group-specific condition/constants join once per table.
-    let mut stacked: HashMap<&str, (String, PlanRef, Option<Condition>)> = HashMap::new();
-    for (table, affected) in &plans {
-        if let Some(affected) = affected {
-            let ct = constants_table.as_deref();
-            let (plan, residual) = attach_condition(affected, cond, ct, consts.len(), cx.db)?;
-            stacked.insert(table, (plan.explain(), plan, residual));
+    // One affected-node plan per source table, with the group-specific
+    // condition/constants join stacked on it (`None`: the table cannot
+    // affect the monitored path). One shared arena for every table's delta
+    // graphs: the hash-consed graph reuses each (operator, source-variant)
+    // subplan by reference instead of recloning the template per
+    // source-event combination.
+    let mut pg = template.clone();
+    let ct = constants_table.as_deref();
+    let mut stacked: HashMap<String, Option<(String, PlanRef, Option<Condition>)>> = HashMap::new();
+    for src in &events {
+        if !stacked.contains_key(&src.table) {
+            let affected =
+                build_affected(&mut pg, &src.table, spec.event, needs, cx.options, cx.db)?;
+            let plan = affected
+                .map(|affected| attach_condition(&affected, cond, ct, consts.len(), cx.db))
+                .transpose()?
+                .map(|(plan, residual)| (plan.explain(), plan, residual));
+            stacked.insert(src.table.clone(), plan);
         }
     }
 
@@ -149,7 +127,7 @@ pub(super) fn translate_group(
     let sql_triggers = events
         .into_iter()
         .filter_map(|src| {
-            let (plan, plan_ref, residual) = stacked.get(src.table.as_str())?.clone();
+            let (plan, plan_ref, residual) = stacked.get(&src.table)?.clone()?;
             Some(SqlTriggerMeta {
                 name: format!("__quark_g{}_{}_{}", cx.group_id, src.table, src.event),
                 table: src.table.clone(),
@@ -167,8 +145,8 @@ pub(super) fn translate_group(
     // deduplicates on subplan identity), plus the constants table the
     // generated triggers join on every firing.
     let mut footprint: BTreeSet<String> = BTreeSet::new();
-    for (table, (_, plan, _)) in &stacked {
-        footprint.insert(table.to_string());
+    for (table, (_, plan, _)) in stacked.iter().filter_map(|(t, p)| Some((t, p.as_ref()?))) {
+        footprint.insert(table.clone());
         footprint.extend(plan.table_footprint());
     }
     footprint.extend(constants_table.iter().cloned());
@@ -184,12 +162,8 @@ pub(super) fn translate_group(
             sql_triggers,
             footprint,
             trigger_count: 0,
-            cache_key: None,
         },
         constants,
-        cache_key,
-        plans,
-        cache_hit,
     })
 }
 
@@ -223,66 +197,6 @@ fn constants_schema(group_id: usize, consts: &[Value]) -> Result<TableSchema> {
         columns.push(ColumnDef::new(format!("c{i}"), ty));
     }
     TableSchema::new(format!("__quark_const_{group_id}"), columns, &["set_id"])
-}
-
-/// Canonical signature of one translation input: an id-independent
-/// serialization of the monitored path graph plus everything else
-/// `build_affected` depends on. Structurally equal views under different
-/// names produce equal signatures — and share compiled plans.
-fn cache_signature(
-    template: &PathGraph,
-    event: XmlEvent,
-    needs: Needs,
-    o: AnOptions,
-    gen: i64,
-) -> String {
-    use std::fmt::Write;
-    let mut sig = String::new();
-    let mut seq: HashMap<usize, usize> = HashMap::new();
-    canonical_graph(&template.kg, template.root, &mut seq, &mut sig);
-    let mut attrs: Vec<(&String, &usize)> = template.attr_cols.iter().collect();
-    attrs.sort();
-    let _ = write!(
-        sig,
-        "|node={} attrs={attrs:?} key={:?} event={event:?} needs=({},{}) \
-         opts=({},{},{},{}) gen={gen}",
-        template.node_col,
-        template.key(),
-        needs.old.node,
-        needs.new.node,
-        o.pruned_transitions,
-        o.injective_opt,
-        o.use_skeletons,
-        o.agg_compensation,
-    );
-    sig
-}
-
-/// Serialize the subgraph under `id` with DFS-order numbering, so two
-/// isomorphic graphs built in the same operator order — e.g. two arenas
-/// produced by registering the same view definition twice — serialize
-/// identically regardless of their arena ids. Shared nodes print once and
-/// are back-referenced by sequence number, keeping the output linear in
-/// the DAG size.
-fn canonical_graph(
-    kg: &quark_xqgm::KeyedGraph,
-    id: quark_xqgm::OpId,
-    seq: &mut HashMap<usize, usize>,
-    out: &mut String,
-) {
-    use std::fmt::Write;
-    if let Some(&n) = seq.get(&id) {
-        let _ = write!(out, "#{n};");
-        return;
-    }
-    let n = seq.len();
-    seq.insert(id, n);
-    let op = kg.graph.op(id);
-    let _ = write!(out, "[{n}:{:?}(", op.kind);
-    for &i in &op.inputs {
-        canonical_graph(kg, i, seq, out);
-    }
-    let _ = write!(out, ")]");
 }
 
 fn shape_of(action: &Action) -> Vec<String> {
@@ -501,7 +415,7 @@ fn make_handler(
 mod tests {
     use super::*;
     use crate::condition::NodePath;
-    use crate::spec::Action;
+    use crate::spec::{Action, XmlEvent};
 
     /// The catalog's `NotifyP1` trigger translates from a borrowed database
     /// alone: one SQL trigger per source event, each probing the constants
@@ -535,14 +449,11 @@ mod tests {
         let cx = Context {
             db: &db,
             options: AnOptions::default(),
-            cache: None,
-            generation: 0,
             group_id: 7,
         };
         let new =
             translate_group(&cx, &spec, &template, signature.clone(), &cond, &consts).unwrap();
 
-        assert!(!new.cache_hit);
         assert_eq!(
             new.constants.map(|s| s.name).as_deref(),
             Some("__quark_const_7")

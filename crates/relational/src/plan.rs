@@ -230,7 +230,8 @@ pub struct PhysicalPlan {
 /// The slot is invisible to the node's value, like
 /// `quark_xml::Serialized`: equality, `Debug` and the node-table codec
 /// ignore it, and a clone starts empty. Living in the node, it is shared by
-/// every trigger that shares the node through the compile cache.
+/// the SQL triggers that run the node's plan: one trigger group's triggers
+/// on one table.
 #[derive(Default)]
 pub(crate) struct ReuseSlot(pub(crate) Mutex<HashMap<ExactRow, Row>>);
 

@@ -175,13 +175,15 @@ impl PartialOrd for Value {
 }
 
 /// Map an `f64` to a totally ordered integer key (IEEE-754 total order),
-/// normalizing NaN and negative zero.
+/// normalizing NaN and negative zero. A negative double's magnitude bits
+/// are flipped, so a larger magnitude maps lower and the sign bit keeps
+/// every negative below every positive.
 fn total_f64(f: f64) -> i64 {
     let f = if f.is_nan() { f64::NAN } else { f }; // canonical NaN
     let f = if f == 0.0 { 0.0 } else { f }; // -0.0 -> +0.0
     let bits = f.to_bits() as i64;
     if bits < 0 {
-        i64::MIN ^ bits
+        bits ^ i64::MAX
     } else {
         bits
     }
@@ -381,6 +383,25 @@ mod tests {
         assert_eq!(Value::Double(0.0), Value::Double(-0.0));
         assert_eq!(h(&Value::Double(0.0)), h(&Value::Double(-0.0)));
         assert_eq!(Value::Double(f64::NAN), Value::Double(f64::NAN));
+    }
+
+    /// Negative doubles order below zero by magnitude, and no negative
+    /// equals its absolute value: −2.0 < −1.0 < −0.0 == 0.0 < 1.0, with
+    /// `Hash` agreeing with `Eq` across `Int` and `Double`.
+    #[test]
+    fn negative_doubles_order_below_zero() {
+        let d = Value::Double;
+        assert!(d(-2.0) < d(-1.0));
+        assert!(d(-1.0) < d(-0.0));
+        assert_eq!(d(-0.0), d(0.0));
+        assert!(d(0.0) < d(1.0));
+        assert_ne!(Value::Double(-1.0), Value::Double(1.0));
+        assert_ne!(Value::Int(-1), Value::Double(1.0));
+        assert!(Value::Int(-1) < Value::Double(-0.5));
+        assert_eq!(Value::Int(-1), Value::Double(-1.0));
+        assert_eq!(h(&Value::Int(-1)), h(&Value::Double(-1.0)));
+        assert_ne!(h(&Value::Int(-1)), h(&Value::Double(1.0)));
+        assert_eq!(h(&Value::Double(-0.0)), h(&Value::Int(0)));
     }
 
     /// Equal values render equally: both zeros are `0`, and a whole double

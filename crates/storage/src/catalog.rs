@@ -44,7 +44,7 @@ pub struct Catalog {
     pub wal_seq: u64,
     /// All tables in creation order.
     pub tables: Vec<TableEntry>,
-    /// Opaque engine-layer state (views, triggers, compile cache).
+    /// Opaque engine-layer state (views, triggers, trigger groups).
     pub core_blob: Option<Vec<u8>>,
 }
 

@@ -59,7 +59,7 @@ pub struct Recovered {
     /// Committed post-checkpoint statements, in commit order, to replay
     /// with [`Database::apply_redo`].
     pub redo_batches: Vec<Vec<RedoOp>>,
-    /// The engine layers' opaque state (views, triggers, compile cache),
+    /// The engine layers' opaque state (views, triggers, trigger groups),
     /// `None` for a database created before any checkpoint.
     pub core_blob: Option<Vec<u8>>,
 }

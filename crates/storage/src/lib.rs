@@ -14,8 +14,8 @@
 //!   replaced, never modified, when the table changes,
 //! * a [**catalog**](catalog) replaced atomically at each checkpoint,
 //!   carrying table schemas, secondary-index columns, image ids, and an
-//!   opaque blob in which the engine layers persist views, trigger
-//!   groups, and the compile cache,
+//!   opaque blob in which the engine layers persist views, triggers and
+//!   trigger groups,
 //! * an [**engine**](engine) combining them: redo-only ARIES-style
 //!   recovery (only committed statement boundaries are ever logged, so
 //!   there is nothing to undo) and shadow-root checkpoints that truncate

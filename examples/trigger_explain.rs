@@ -8,7 +8,7 @@
 //! cargo run --example trigger_explain
 //! ```
 
-use quark_core::akgraph::{create_ak_graph, AkOptions, AkSide};
+use quark_core::akgraph::{create_ak_graph, AkSide};
 use quark_core::angraph::{build_affected, AnOptions, Needs, SideNeeds};
 use quark_core::relational::{row, Value};
 use quark_core::spec::XmlEvent;
@@ -32,16 +32,9 @@ fn main() {
     );
 
     // --- Figures 9-11: the affected-keys graph for ΔVENDOR ----------
-    let ak = create_ak_graph(
-        &mut kg,
-        root,
-        "vendor",
-        AkSide::Delta,
-        AkOptions::default(),
-        &db,
-    )
-    .expect("akgraph")
-    .expect("vendor affects the view");
+    let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+        .expect("akgraph")
+        .expect("vendor affects the view");
     println!("== G_Δkey for UPDATE on vendor (Figure 11) ==");
     println!("{}", kg.graph.explain(ak.op, &db));
     println!(

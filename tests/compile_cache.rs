@@ -1,21 +1,21 @@
-//! The per-system compile cache: memoized trigger translation must be
-//! observationally identical to a fresh uncached compile (same `EXPLAIN
-//! TRIGGER` rendering, same SQL-trigger and constants-row counts, same
-//! firing results in all three modes), entries must be shared across
-//! structurally equal views, and dropping the last group of an entry must
-//! evict it — recreation recompiles instead of resurrecting dropped plans.
+//! Trigger translation without a compile cache: every new group is
+//! translated from its own view, so a group recreated after a full drop
+//! is translated afresh, structurally equal views translate to the same
+//! plans without sharing them, and N UNGROUPED triggers cost N
+//! translations. No plan is ever served from a memo
+//! (`compile_cache_hits` stays 0).
 
 mod common;
 
-use common::{all_modes, catalog_system, update_price, Log};
+use common::{catalog_system, update_price, Log};
 use quark_core::relational::Database;
 use quark_core::{Mode, Session, StatementResult};
 
 /// `EXPLAIN TRIGGER` text with the group-specific identifiers (group ids in
-/// generated trigger names, constants-table suffixes, member/set counters)
-/// masked, leaving exactly the translation structure: SQL trigger events,
-/// tables, and compiled plans.
-fn normalized_explain(session: &mut Session, trigger: &str) -> String {
+/// generated trigger names, constants-table suffixes) and the given view
+/// name masked, leaving exactly the translation structure: SQL trigger
+/// events, tables, and compiled plans.
+fn normalized_explain(session: &mut Session, trigger: &str, view: &str) -> String {
     let StatementResult::Explain(text) = session
         .execute(&format!("EXPLAIN TRIGGER {trigger}"))
         .unwrap()
@@ -32,7 +32,7 @@ fn normalized_explain(session: &mut Session, trigger: &str) -> String {
         {
             continue;
         }
-        out.push_str(&mask_ids(line));
+        out.push_str(&mask_ids(&line.replace(view, "VIEW")));
         out.push('\n');
     }
     out
@@ -65,8 +65,7 @@ fn mask_ids(line: &str) -> String {
 }
 
 /// A trigger whose action shape differs from `notify(NEW_NODE)` — it forms
-/// a separate group in every mode but shares the (view, event, needs)
-/// compile-cache signature.
+/// a separate group in every mode.
 fn other_shape_trigger(name: &str, watched: &str) -> String {
     format!(
         "create trigger {name} after update on view('catalog')/product \
@@ -81,120 +80,10 @@ fn base_trigger(name: &str, watched: &str) -> String {
     )
 }
 
-/// The cache-hit translation must render exactly like the cold one: the
-/// second group's plans are the cached plans of the first, re-dressed with
-/// its own constants table.
-#[test]
-fn cache_hit_translation_renders_identically() {
-    for mode in all_modes() {
-        let (mut session, _log) = catalog_system(mode);
-        session.execute(&base_trigger("Cold", "CRT 15")).unwrap();
-        assert_eq!(session.quark().compile_cache_hits(), 0, "{mode:?}");
-        session
-            .execute(&other_shape_trigger("Warm", "CRT 15"))
-            .unwrap();
-        assert_eq!(
-            session.quark().compile_cache_hits(),
-            1,
-            "{mode:?}: second group should reuse the compiled plans"
-        );
-        let cold = normalized_explain(&mut session, "Cold");
-        let warm = normalized_explain(&mut session, "Warm");
-        assert_eq!(cold, warm, "{mode:?}: cached translation diverged");
-    }
-}
-
-/// Differential check: a caching system and a cache-disabled system run the
-/// same statement sequence and must agree on every observable — firings,
-/// SQL-trigger counts, constants rows, and `EXPLAIN TRIGGER` output.
-#[test]
-fn memoized_compile_is_observationally_identical_to_uncached() {
-    for mode in all_modes() {
-        let (mut cached, cached_log) = catalog_system(mode);
-        let (mut uncached, uncached_log) = catalog_system(mode);
-        uncached.quark_mut().set_compile_cache_enabled(false);
-
-        let triggers = [
-            base_trigger("T0", "CRT 15"),
-            other_shape_trigger("T1", "CRT 15"),
-            base_trigger("T2", "LCD 19"),
-            other_shape_trigger("T3", "LCD 19"),
-        ];
-        for t in &triggers {
-            cached.execute(t).unwrap();
-            uncached.execute(t).unwrap();
-        }
-        assert!(
-            cached.quark().compile_cache_hits() > 0,
-            "{mode:?}: differential run never exercised the cache"
-        );
-        assert_eq!(uncached.quark().compile_cache_hits(), 0, "{mode:?}");
-        assert_eq!(
-            cached.quark().sql_trigger_count(),
-            uncached.quark().sql_trigger_count(),
-            "{mode:?}"
-        );
-        assert_eq!(
-            cached.quark().constants_row_count(),
-            uncached.quark().constants_row_count(),
-            "{mode:?}"
-        );
-
-        // A deterministic pseudo-random statement mix (keyed updates,
-        // inserts, deletes) — both systems must fire identically after
-        // every statement.
-        let vendors = [
-            ("Amazon", "P1"),
-            ("Bestbuy", "P1"),
-            ("Circuitcity", "P1"),
-            ("Amazon", "P3"),
-            ("Buy.com", "P2"),
-            ("PriceGrabber", "P2"),
-        ];
-        let mut state = 0x5eed_cafe_u64;
-        for step in 0..40 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let pick = (state >> 33) as usize;
-            let stmt = match pick % 5 {
-                0..=2 => {
-                    let (vid, pid) = vendors[pick % vendors.len()];
-                    let price = 40.0 + (pick % 200) as f64;
-                    format!(
-                        "UPDATE vendor SET price = {price:?} \
-                         WHERE vid = '{vid}' AND pid = '{pid}'"
-                    )
-                }
-                3 => format!(
-                    "INSERT INTO vendor VALUES ('Newegg{step}', 'P1', {:?})",
-                    90.0 + (pick % 50) as f64
-                ),
-                _ => format!("DELETE FROM vendor WHERE vid = 'Newegg{}'", step.max(1) - 1),
-            };
-            let a = cached.execute(&stmt).unwrap();
-            let b = uncached.execute(&stmt).unwrap();
-            assert_eq!(a, b, "{mode:?} step {step}: {stmt}");
-            assert_eq!(
-                cached_log.take(),
-                uncached_log.take(),
-                "{mode:?} step {step}: firings diverged after {stmt}"
-            );
-        }
-
-        for name in ["T0", "T1", "T2", "T3"] {
-            assert_eq!(
-                normalized_explain(&mut cached, name),
-                normalized_explain(&mut uncached, name),
-                "{mode:?}: EXPLAIN TRIGGER {name} diverged"
-            );
-        }
-    }
-}
-
-/// Lifecycle: the compile cache holds one reference per live group, drops
-/// the entry with its last group, and recreation after a full drop
-/// recompiles (a cache *miss*) instead of resurrecting dropped plans.
+/// Lifecycle: each new group is one translation, joining an existing
+/// group is none, and recreation after the last group is dropped
+/// translates afresh — nothing of the dropped group survives to be
+/// reused — and the recreated trigger fires.
 #[test]
 fn drop_recreate_evicts_compile_cache() {
     for mode in [Mode::Grouped, Mode::GroupedAgg] {
@@ -204,65 +93,32 @@ fn drop_recreate_evicts_compile_cache() {
         session
             .execute(&other_shape_trigger("C", "CRT 15"))
             .unwrap(); // 2nd group
-        assert_eq!(session.quark().compile_cache_len(), 1, "{mode:?}");
-        assert_eq!(session.quark().compile_cache_hits(), 1, "{mode:?}");
+        assert_eq!(session.quark().group_count(), 2, "{mode:?}");
+        assert_eq!(session.quark().translations(), 2, "{mode:?}");
 
-        // Dropping one group keeps the entry alive for the other.
         session.execute("DROP TRIGGER C").unwrap();
-        assert_eq!(session.quark().compile_cache_len(), 1, "{mode:?}");
-
-        // Dropping one member of the surviving group keeps it too.
         session.execute("DROP TRIGGER A").unwrap();
-        assert_eq!(session.quark().compile_cache_len(), 1, "{mode:?}");
-
-        // The last member's drop evicts the entry.
         session.execute("DROP TRIGGER B").unwrap();
         assert_eq!(session.quark().group_count(), 0, "{mode:?}");
-        assert_eq!(
-            session.quark().compile_cache_len(),
-            0,
-            "{mode:?}: entry must die with its last group"
-        );
+        assert_eq!(session.quark().sql_trigger_count(), 0, "{mode:?}");
 
-        // Recreation recompiles: hit counter stays put, and the fresh
-        // trigger observably works.
-        let hits_before = session.quark().compile_cache_hits();
+        // Recreation translates: the counter moves, no memo serves it,
+        // and the fresh trigger observably works.
         session.execute(&base_trigger("A2", "CRT 15")).unwrap();
         assert_eq!(
-            session.quark().compile_cache_hits(),
-            hits_before,
-            "{mode:?}: recreation must not be served from a dropped entry"
+            session.quark().translations(),
+            3,
+            "{mode:?}: recreation must translate afresh"
         );
-        assert_eq!(session.quark().compile_cache_len(), 1, "{mode:?}");
+        assert_eq!(session.quark().compile_cache_hits(), 0, "{mode:?}");
         update_price(&mut session, "Amazon", "P1", 55.0).unwrap();
         assert_eq!(log.take().len(), 1, "{mode:?}: recreated trigger fires");
     }
 }
 
-/// Disabling the cache must release every group's entry reference: a group
-/// created before the disable would otherwise decrement — and wrongly
-/// evict — an entry recreated after re-enabling.
-#[test]
-fn disabling_cache_releases_group_references() {
-    let (session, _log) = catalog_system(Mode::Grouped);
-    session.execute(&base_trigger("A", "CRT 15")).unwrap();
-    session.quark_mut().set_compile_cache_enabled(false);
-    assert_eq!(session.quark().compile_cache_len(), 0);
-    session.quark_mut().set_compile_cache_enabled(true);
-    session
-        .execute(&other_shape_trigger("B", "CRT 15"))
-        .unwrap();
-    assert_eq!(session.quark().compile_cache_len(), 1);
-
-    // A holds no reference on B's entry; dropping it must not evict.
-    session.execute("DROP TRIGGER A").unwrap();
-    assert_eq!(session.quark().compile_cache_len(), 1);
-    session.execute("DROP TRIGGER B").unwrap();
-    assert_eq!(session.quark().compile_cache_len(), 0);
-}
-
-/// Ungrouped mode gives every trigger its own group; the compile cache is
-/// what keeps the N-th identical trigger from re-deriving the delta graphs.
+/// Ungrouped mode gives every trigger its own group, and every group is
+/// translated: five identical triggers cost five translations, and all
+/// five fire.
 #[test]
 fn ungrouped_triggers_share_compiled_plans() {
     let (mut session, log) = catalog_system(Mode::Ungrouped);
@@ -272,18 +128,19 @@ fn ungrouped_triggers_share_compiled_plans() {
             .unwrap();
     }
     assert_eq!(session.quark().group_count(), 5);
-    assert_eq!(session.quark().compile_cache_len(), 1);
-    assert_eq!(session.quark().compile_cache_hits(), 4);
+    assert_eq!(session.quark().translations(), 5);
+    assert_eq!(session.quark().compile_cache_hits(), 0);
     update_price(&mut session, "Amazon", "P1", 66.0).unwrap();
     assert_eq!(log.take().len(), 5, "all five copies fire");
 }
 
 /// Two views registered under different names but with identical structure
-/// share one compile-cache entry (the signature is canonical, not
-/// name-based).
+/// are translated separately, to the same plans: with the view name and
+/// group ids masked, their triggers' `EXPLAIN TRIGGER` renderings agree,
+/// and both fire on the same base change.
 #[test]
 fn structurally_equal_views_share_cache_entries() {
-    let session = quark_xquery::session(Database::new(), Mode::GroupedAgg);
+    let mut session = quark_xquery::session(Database::new(), Mode::GroupedAgg);
     for stmt in [
         "CREATE TABLE customer (cid INT PRIMARY KEY, name TEXT)",
         "CREATE TABLE orders (oid INT PRIMARY KEY, cid INT, total DOUBLE)",
@@ -328,19 +185,25 @@ fn structurally_equal_views_share_cache_entries() {
              where OLD_NODE/@name = 'ada' do notify(NEW_NODE)",
         )
         .unwrap();
-    assert_eq!(session.quark().compile_cache_hits(), 0);
     session
         .execute(
             "create trigger OnMirror after update on view('mirror')/customer \
              where OLD_NODE/@name = 'ada' do notify(NEW_NODE)",
         )
         .unwrap();
+    assert_eq!(session.quark().group_count(), 2);
     assert_eq!(
-        session.quark().compile_cache_hits(),
-        1,
-        "structurally equal view must hit the cache"
+        session.quark().translations(),
+        2,
+        "each view's trigger is translated from its own view"
     );
-    assert_eq!(session.quark().compile_cache_len(), 1);
+    assert_eq!(session.quark().compile_cache_hits(), 0);
+    let accounts = normalized_explain(&mut session, "OnAccounts", "accounts");
+    assert_eq!(
+        accounts,
+        normalized_explain(&mut session, "OnMirror", "mirror"),
+        "structurally equal views must translate to the same plans"
+    );
 
     // Both views' triggers fire on the same base change.
     session

@@ -4,10 +4,10 @@
 //!
 //! The contract under test (see README "Durability & recovery"): a
 //! recovered system is identical to the crashed one *at its last
-//! committed statement boundary* — tables, views, trigger groups and the
-//! compile cache all come back, trigger groups re-arm with **zero**
-//! re-translations, and a torn or corrupt WAL tail costs exactly the
-//! statements whose commit records it destroyed, never more.
+//! committed statement boundary* — tables, views and trigger groups all
+//! come back, trigger groups re-arm with **zero** re-translations, and a
+//! torn or corrupt WAL tail costs exactly the statements whose commit
+//! records it destroyed, never more.
 //!
 //! Dropping a durable session without `close()` is crash-equivalent (no
 //! final checkpoint runs), so `drop` + reopen simulates `kill -9` for
@@ -110,8 +110,10 @@ fn open(dir: &Path, mode: Mode, sync: SyncMode) -> Session {
     quark_xquery::open_session_with(dir, mode, sync).expect("open durable session")
 }
 
-/// Warm restart: everything comes back — tables, the view, both triggers,
-/// the compile cache — and nothing is re-translated.
+/// Warm restart: everything comes back — tables, the view, both triggers
+/// and their groups — and nothing is re-translated. A trigger created
+/// after the restart joins its recovered group in the grouped modes and
+/// is translated on its own, once, in UNGROUPED.
 #[test]
 fn warm_restart_recovers_everything_without_retranslation() {
     for mode in all_modes() {
@@ -146,19 +148,21 @@ fn warm_restart_recovers_everything_without_retranslation() {
             .expect("post-restart update");
         assert_eq!(log.len(), 1, "{mode:?}: re-armed trigger must fire");
 
-        // The compile cache came back warm too: a structurally identical
-        // new trigger costs zero translations.
         session
             .execute(
                 "CREATE TRIGGER NotifyP3 AFTER Update ON view('catalog')/product \
-                 WHERE OLD_NODE/@name = 'OLED 42' DO notify(NEW_NODE)",
+                 WHERE OLD_NODE/@name = 'LCD 19' DO notify(NEW_NODE)",
             )
             .expect("new trigger");
         assert_eq!(
             session.quark().translations(),
-            0,
-            "{mode:?}: persisted compile cache must absorb the new trigger"
+            u64::from(mode == Mode::Ungrouped),
+            "{mode:?}: a new trigger joins its recovered group, or is its own"
         );
+        session
+            .execute("UPDATE vendor SET price = 190.0 WHERE vid = 'Buy.com' AND pid = 'P2'")
+            .expect("update under the new trigger");
+        assert_eq!(log.len(), 2, "{mode:?}: the new trigger fires");
         session.close().expect("close");
         let _ = std::fs::remove_dir_all(&dir);
     }

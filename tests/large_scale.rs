@@ -239,9 +239,9 @@ fn work_per_update(mode: Mode, triggers: usize) -> (u64, u64, u64) {
 /// The shape of Fig. 17 and of the §6 compile-time table, on counters
 /// (wall-clock versions: `figures fig17|compile`). Grouped translation
 /// makes the work per update independent of the number of installed
-/// triggers; ungrouped work grows with it. And only the first trigger of a
-/// shape is translated: the rest join its group, or — ungrouped, one group
-/// each — take their plans from the compile cache.
+/// triggers; ungrouped work grows with it. Translation follows the groups:
+/// grouped, only the first trigger of a shape is translated and the rest
+/// join its group; ungrouped, every trigger is a group and translates.
 #[test]
 fn work_per_update_is_flat_in_trigger_count_only_when_grouped() {
     for mode in [Mode::Grouped, Mode::GroupedAgg] {
@@ -256,20 +256,17 @@ fn work_per_update_is_flat_in_trigger_count_only_when_grouped() {
     assert_eq!(many.0, 10 * few.0, "one SQL trigger set per XML trigger");
     assert!(many.1 > 5 * few.1, "probes {few:?} -> {many:?}");
 
-    for (mode, cache_hits) in [(Mode::Grouped, 0), (Mode::Ungrouped, 99)] {
+    for (mode, translations) in [(Mode::Grouped, 1), (Mode::Ungrouped, 100)] {
         let mut spec = WorkloadSpec::quick(mode);
-        (spec.triggers, spec.satisfied) = (1, 1);
-        let first = build(spec).expect("workload").quark().translations();
-        spec.triggers = 100;
+        (spec.triggers, spec.satisfied) = (100, 1);
         let workload = build(spec).expect("workload");
         let quark = workload.quark();
-        assert!(first > 0);
         assert_eq!(
             quark.translations(),
-            first,
-            "{mode:?}: 99 more translate nothing"
+            translations,
+            "{mode:?}: one per group"
         );
-        assert_eq!(quark.compile_cache_hits(), cache_hits, "{mode:?}");
+        assert_eq!(quark.compile_cache_hits(), 0, "{mode:?}");
     }
 }
 
@@ -569,12 +566,11 @@ fn consecutive_leaf_updates_share_the_unchanged_leaf_elements() {
     assert!(fresh[0].to_xml().contains("<price>3.5</price>"));
 }
 
-/// `Mode::Ungrouped` gives every XML trigger its own SQL triggers, but the
-/// compile cache hands them one affected-node plan, so they execute one
-/// leaf constructor node and share its reuse slot: after the first trigger
-/// rebuilds the changed leaf, the other nine take all 64 rows.
+/// `Mode::Ungrouped` translates every XML trigger on its own, so each has
+/// its own leaf constructor node and reuse slot: each of the ten rebuilds
+/// the changed leaf and takes the other 63 rows from its own last firing.
 #[test]
-fn ungrouped_triggers_share_one_constructor_node() {
+fn ungrouped_triggers_reuse_their_own_constructor_rows() {
     let mut spec = WorkloadSpec::quick(Mode::Ungrouped);
     (spec.depth, spec.leaf_count, spec.fanout) = (3, 1024, 64);
     (spec.triggers, spec.satisfied) = (10, 2);
@@ -584,10 +580,7 @@ fn ungrouped_triggers_share_one_constructor_node() {
     workload.one_update().expect("measured update");
     let after = workload.quark().stats();
     assert_eq!(after.triggers_fired - before.triggers_fired, 10);
-    assert_eq!(
-        after.build_cache_hits - before.build_cache_hits,
-        63 + 9 * 64
-    );
+    assert_eq!(after.build_cache_hits - before.build_cache_hits, 10 * 63);
 }
 
 /// A session over the Figure-2 catalog with `triggers` grouped XML triggers

@@ -139,6 +139,34 @@ fn integer_above_2_pow_53_in_a_double_column_changes_neither_the_view_nor_the_fi
     }
 }
 
+/// `−1.0 ≠ 1.0`: an UPDATE that negates a price changes the node, so it
+/// fires once and the view renders the negative price.
+#[test]
+fn negating_a_price_fires_and_changes_the_view() {
+    for mode in all_modes() {
+        let (mut session, log) = catalog_system(mode);
+        session
+            .execute(
+                "create trigger All after update on view('catalog')/product do notify(NEW_NODE)",
+            )
+            .unwrap();
+        update_price(&mut session, "Amazon", "P1", 1.0).unwrap();
+        assert_eq!(log.take().len(), 1, "{mode:?}");
+        update_price(&mut session, "Amazon", "P1", -1.0).unwrap();
+        let firings = log.take();
+        assert_eq!(firings.len(), 1, "{mode:?}: −1.0 differs from 1.0");
+        assert!(
+            node_param(&firings[0])
+                .to_xml()
+                .contains("<price>-1</price>"),
+            "{mode:?}"
+        );
+        let view = catalog_xml(&session);
+        assert!(view.contains("<price>-1</price>"), "{mode:?}: {view}");
+        assert!(!view.contains("<price>1</price>"), "{mode:?}: {view}");
+    }
+}
+
 /// Conditions with nested step predicates cannot be pushed relationally and
 /// fall back to value-space evaluation; results must be identical.
 #[test]
@@ -310,7 +338,8 @@ fn watch(name: &str, product: &str) -> String {
 }
 
 /// Creating, dropping and recreating triggers returns SQL-trigger and
-/// constants-row counts to baseline in every mode.
+/// constants-row counts to baseline in every mode, and a group recreated
+/// after all its triggers were dropped is translated afresh and fires.
 #[test]
 fn drop_recreate_round_trip_restores_baseline() {
     for mode in all_modes() {
@@ -320,12 +349,21 @@ fn drop_recreate_round_trip_restores_baseline() {
         assert_eq!(baseline_sql, 0, "{mode:?}");
         assert_eq!(baseline_consts, 0, "{mode:?}");
 
+        let mut first_round = None;
         for round in 0..3 {
             session.execute(&watch("A", "CRT 15")).unwrap();
             session.execute(&watch("B", "LCD 19")).unwrap();
             let with_sql = session.quark().sql_trigger_count();
             let with_consts = session.quark().constants_row_count();
             assert!(with_sql > 0, "{mode:?} round {round}");
+            assert_eq!(
+                *first_round.get_or_insert((with_sql, with_consts)),
+                (with_sql, with_consts),
+                "{mode:?} round {round}: recreation changed the counts"
+            );
+            update_price(&mut session, "Amazon", "P1", 50.0 + round as f64).unwrap();
+            let fired: Vec<String> = log.take().into_iter().map(|f| f.0).collect();
+            assert_eq!(fired, ["A"], "{mode:?} round {round}");
             session.execute("DROP TRIGGER A").unwrap();
             session.execute("DROP TRIGGER B").unwrap();
             assert_eq!(
@@ -339,9 +377,6 @@ fn drop_recreate_round_trip_restores_baseline() {
                 "{mode:?} round {round}: constants rows leaked"
             );
             assert_eq!(session.quark().xml_trigger_count(), 0, "{mode:?}");
-            // Recreate in the next round must translate from scratch and
-            // still produce the same counts.
-            let _ = (with_sql, with_consts);
         }
 
         // After the final drop nothing fires.

@@ -52,18 +52,27 @@ fn system(mode: Mode) -> (Session, FiringLog) {
     (session, log)
 }
 
+/// The same trigger on `accounts` and on `mirror`, a structurally equal
+/// view under another name: each is its own group, translated from its
+/// own view, and each fires on the one base change.
 #[test]
 fn parsed_trigger_with_attr_condition_fires() {
     for mode in [Mode::Ungrouped, Mode::Grouped, Mode::GroupedAgg] {
         let (session, log) = system(mode);
         session
-            .execute(
-                r#"CREATE TRIGGER AdaWatch AFTER UPDATE
-                   ON view('accounts')/customer
-                   WHERE OLD_NODE/@name = 'ada'
-                   DO alert(NEW_NODE)"#,
-            )
+            .execute(&VIEW.replace("view accounts", "view mirror"))
             .unwrap();
+        for (name, view) in [("AdaWatch", "accounts"), ("MirrorWatch", "mirror")] {
+            session
+                .execute(&format!(
+                    "CREATE TRIGGER {name} AFTER UPDATE
+                     ON view('{view}')/customer
+                     WHERE OLD_NODE/@name = 'ada'
+                     DO alert(NEW_NODE)"
+                ))
+                .unwrap();
+        }
+        assert_eq!(session.quark().translations(), 2, "{mode:?}");
         // Ada's order total changes: fires.
         session
             .execute("UPDATE orders SET total = 99.0 WHERE oid = 10")
@@ -72,10 +81,14 @@ fn parsed_trigger_with_attr_condition_fires() {
         session
             .execute("UPDATE orders SET total = 1.0 WHERE oid = 12")
             .unwrap();
-        let entries = std::mem::take(&mut *log.lock().unwrap());
-        assert_eq!(entries.len(), 1, "{mode:?}: {entries:?}");
-        assert!(entries[0].1.contains("name=\"ada\""), "{mode:?}");
-        assert!(entries[0].1.contains("<total>99</total>"), "{mode:?}");
+        let mut entries = std::mem::take(&mut *log.lock().unwrap());
+        entries.sort();
+        let names: Vec<&str> = entries.iter().map(|(t, _)| t.as_str()).collect();
+        assert_eq!(names, ["AdaWatch", "MirrorWatch"], "{mode:?}: {entries:?}");
+        for (_, node) in &entries {
+            assert!(node.contains("name=\"ada\""), "{mode:?}");
+            assert!(node.contains("<total>99</total>"), "{mode:?}");
+        }
     }
 }
 
