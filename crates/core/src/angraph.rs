@@ -488,7 +488,7 @@ fn comparable(a: Option<ColumnType>, b: Option<ColumnType>) -> bool {
 /// The distinct rows of `plan` projected onto `cols`.
 fn distinct_cols(plan: PlanRef, cols: &[usize]) -> PlanRef {
     let exprs = cols.iter().map(|&c| Expr::col(c)).collect();
-    let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![plan]).into_ref();
+    let projected = PhysicalPlan::project(exprs, plan).into_ref();
     PhysicalPlan::new(PlanOp::Distinct, vec![projected]).into_ref()
 }
 
@@ -648,7 +648,7 @@ fn assemble(
         }
     }
 
-    let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![plan]).into_ref();
+    let projected = PhysicalPlan::project(exprs, plan).into_ref();
     AffectedNodePlan {
         plan: projected,
         layout,
@@ -881,6 +881,6 @@ mod tests {
             }
         }
         let crc = quark_storage::crc::crc32(text.as_bytes());
-        assert_eq!((text.len(), crc), (39_080, 0x034a_1bfd), "{text}");
+        assert_eq!((text.len(), crc), (36_292, 0xa64d_ddcb), "{text}");
     }
 }

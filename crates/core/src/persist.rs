@@ -600,7 +600,7 @@ mod tests {
         // plans run and fire as they did.
         assert_eq!(
             (blob_a.len(), quark_storage::crc::crc32(&blob_a)),
-            (29_241, 0xf980_0ab1),
+            (27_537, 0x63ce_435f),
             "core blob bytes changed"
         );
     }

@@ -291,7 +291,7 @@ fn attach_condition(
     // Final projection [set_id, old, new, params…], sorted by set id.
     let mut exprs = vec![set_expr, old_expr, new_expr];
     exprs.extend(params.into_iter().map(Expr::col));
-    let projected = PhysicalPlan::new(PlanOp::Project { exprs }, vec![filtered]).into_ref();
+    let projected = PhysicalPlan::project(exprs, filtered).into_ref();
     let keys = vec![SortKey::asc(0)];
     let sorted = PhysicalPlan::new(PlanOp::Sort { keys }, vec![projected]).into_ref();
     Ok((sorted, residual))

@@ -6,12 +6,17 @@
 //! within one [`ExecContext`], so a plan that reuses `AffectedKeys` in four
 //! places (like Fig. 16 of the paper) computes it once. Nothing else
 //! outlives the context, with one exception: in a firing (transition
-//! tables present), an XML-constructing `Project` keeps its output rows in
-//! its node's reuse slot (`plan::ReuseSlot`), and the next firing takes
-//! the rows of unchanged input rows from there instead of building their
-//! elements again. The slot's lock is only ever tried: an execution that
-//! finds it held evaluates without it. Every other node reads its inputs
-//! afresh.
+//! tables present), an XML-constructing `Project` keeps its input and
+//! output rows in its node's reuse slot (`plan::ReuseSlot`), and the next
+//! firing, walking its input rows alongside them, takes the rows of
+//! unchanged input rows from there instead of building their elements
+//! again. The slot's lock is only ever tried: an execution that finds it
+//! held evaluates without it. Every other node reads its inputs afresh.
+//!
+//! Joins and aggregates look their keys up by borrowed slice: a hash join
+//! probes with one reused key buffer, an aggregate copies a key only for
+//! a group it has not seen, and an `Old`-epoch index probe checks Δ keys
+//! against the stored keys it walks.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
@@ -20,7 +25,7 @@ use std::sync::Arc;
 use crate::expr::{eval_all, AggState, Expr};
 use crate::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::value::{ExactRow, Row, Value};
-use crate::{Counter, Database, Error, Event, Result, TransitionTables};
+use crate::{Counter, Database, Error, Event, Result, TableSchema, TransitionTables};
 
 /// Shared, memoized result of one plan node.
 pub type RowsRef = Arc<Vec<Row>>;
@@ -204,34 +209,39 @@ fn append(row: &Row, value: Value) -> Row {
 }
 
 /// `Project` through a constructor's reuse slot (`plan::ReuseSlot`),
-/// holding `last`, the rows of the slot's last execution: an input row
-/// exactly equal to one of them gets that output row back, any other row
-/// is evaluated, and a row holding XML is evaluated and not kept.
-/// Afterwards `last` holds this execution's rows only, so the slot never
-/// keeps more than one firing materialized.
+/// holding `last`, the `(input, output)` rows of the slot's last
+/// execution. The walk keeps a position in `last`: an input row exactly
+/// equal to the input there, or to the one after it (a row deleted since),
+/// gets that output row back and moves the position past it; any other row
+/// (changed or inserted) is evaluated and leaves the position where it is;
+/// a row holding XML is evaluated and not kept. Afterwards `last` holds
+/// this execution's rows only, so the slot never keeps more than one
+/// firing materialized.
 fn project_reusing(
     exprs: &[Expr],
     rows: &[Row],
-    last: &mut HashMap<ExactRow, Row>,
+    last: &mut Vec<(Row, Row)>,
     db: &Database,
 ) -> Result<Vec<Row>> {
-    let mut previous = std::mem::replace(last, HashMap::with_capacity(rows.len()));
-    let mut hits = 0;
+    let previous = std::mem::replace(last, Vec::with_capacity(rows.len()));
+    let (mut at, mut hits) = (0, 0);
     let mut out = Vec::with_capacity(rows.len());
     for r in rows {
         if r.iter().any(|v| matches!(v, Value::Xml(_))) {
             out.push(eval_all(exprs, r)?);
             continue;
         }
-        let key = ExactRow(Arc::clone(r));
-        let row = match previous.remove(&key) {
-            Some(kept) => {
+        let kept =
+            (at..previous.len().min(at + 2)).find(|&i| ExactRow(&previous[i].0) == ExactRow(r));
+        let row = match kept {
+            Some(i) => {
+                at = i + 1;
                 hits += 1;
-                kept
+                Arc::clone(&previous[i].1)
             }
             None => eval_all(exprs, r)?,
         };
-        last.insert(key, Arc::clone(&row));
+        last.push((Arc::clone(r), Arc::clone(&row)));
         out.push(row);
     }
     db.bump(Counter::BuildCacheHits, hits);
@@ -287,12 +297,23 @@ fn scan_table(table: &str, epoch: TableEpoch, ctx: &ExecContext<'_>) -> Result<V
     Ok(out)
 }
 
-fn key_values(exprs: &[Expr], row: &[Value]) -> Result<Box<[Value]>> {
-    let mut out = Vec::with_capacity(exprs.len());
+/// Evaluate `exprs` over `row` into `buf`, replacing its contents: one
+/// buffer serves every row of a probe or grouping loop.
+fn key_into(buf: &mut Vec<Value>, exprs: &[Expr], row: &[Value]) -> Result<()> {
+    buf.clear();
     for e in exprs {
-        out.push(e.eval(row)?);
+        buf.push(e.eval(row)?);
     }
-    Ok(out.into())
+    Ok(())
+}
+
+/// Compare two rows of `schema`'s table by primary key, as their
+/// `key_of` tuples compare.
+fn cmp_by_key(schema: &TableSchema, a: &[Value], b: &[Value]) -> std::cmp::Ordering {
+    (schema.primary_key.iter())
+        .map(|&c| a[c].cmp(&b[c]))
+        .find(|o| o.is_ne())
+        .unwrap_or(std::cmp::Ordering::Equal)
 }
 
 fn concat(left: &[Value], right: &[Value]) -> Row {
@@ -318,10 +339,12 @@ fn hash_join(
     // Build on the right, probe from the left (generated plans put the
     // small transition-derived side on the left).
     let rrows = execute(right, ctx)?;
+    let mut key = Vec::with_capacity(right_keys.len());
     let mut build: BuildSide = HashMap::with_capacity(rrows.len());
     for r in rrows.iter() {
+        key_into(&mut key, right_keys, r)?;
         build
-            .entry(key_values(right_keys, r)?)
+            .entry(key.as_slice().into())
             .or_default()
             .push(Arc::clone(r));
     }
@@ -329,8 +352,8 @@ fn hash_join(
     let null_fill = nulls(right_arity);
     let mut out = Vec::new();
     for l in lrows.iter() {
-        let key = key_values(left_keys, l)?;
-        let matches = build.get(&key).map(|v| v.as_slice());
+        key_into(&mut key, left_keys, l)?;
+        let matches = build.get(key.as_slice()).map(|v| v.as_slice());
         emit_joined(l, matches, &null_fill, kind, filter, &mut out)?;
     }
     Ok(out)
@@ -400,57 +423,47 @@ fn index_join(
 
     // For the Old epoch, the probe must see the pre-statement state:
     // current matches minus Δ-keyed rows, plus matching ∇ rows.
-    type KeySet = HashSet<Box<[Value]>>;
-    type RowsByKey = HashMap<Box<[Value]>, Vec<Row>>;
-    let (delta_keys, nabla_by_probe): (KeySet, RowsByKey) = if epoch == TableEpoch::Old {
-        let delta_keys = ctx
-            .delta_rows(table)
-            .iter()
-            .map(|r| schema.key_of(r))
-            .collect();
-        let mut by_probe: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
+    let mut delta_keys: HashSet<Box<[Value]>> = HashSet::new();
+    let mut nabla_by_probe: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
+    if epoch == TableEpoch::Old {
+        delta_keys.extend(ctx.delta_rows(table).iter().map(|r| schema.key_of(r)));
         for r in ctx.nabla_rows(table) {
             let k: Box<[Value]> = probe_cols.iter().map(|&c| r[c].clone()).collect();
-            by_probe.entry(k).or_default().push(Arc::clone(r));
+            nabla_by_probe.entry(k).or_default().push(Arc::clone(r));
         }
-        (delta_keys, by_probe)
-    } else {
-        (HashSet::new(), HashMap::new())
-    };
+    }
 
     let null_fill = nulls(inner_arity);
+    let mut probe_vals = Vec::with_capacity(probe.len());
+    let mut matched: Vec<Row> = Vec::new();
     let mut out = Vec::new();
     for l in orows.iter() {
-        let mut probe_vals = Vec::with_capacity(probe.len());
+        probe_vals.clear();
         for (_, e) in probe {
             probe_vals.push(e.eval(l)?);
         }
         ctx.db.bump(Counter::IndexProbes, 1);
-        // Collect matching inner rows for this probe. Probes yield rows in
-        // primary-key order already (ordered storage / ordered index
-        // buckets); only the Old-epoch reconstruction, which splices in ∇
-        // rows, still needs a deterministic re-sort.
-        let mut matched: Vec<Row> = Vec::new();
-        let current = if is_pk_probe {
-            t.get(&probe_vals).into_iter().collect()
-        } else {
-            t.index_lookup(probe_cols[0], &probe_vals[0])?
-        };
-        match epoch {
-            TableEpoch::Current => matched.extend(current.into_iter().cloned()),
-            TableEpoch::Old => {
-                matched.extend(
-                    current
-                        .into_iter()
-                        .filter(|r| !delta_keys.contains(&schema.key_of(r)))
-                        .cloned(),
-                );
-                let pk: Box<[Value]> = probe_vals.clone().into_boxed_slice();
-                if let Some(extra) = nabla_by_probe.get(&pk) {
-                    matched.extend(extra.iter().cloned());
+        // Probes yield rows in primary-key order (ordered storage / ordered
+        // index buckets), each checked against the Δ keys by its stored
+        // key (a primary-key probe's key is the probe itself). Only ∇ rows
+        // spliced into the Old-epoch reconstruction need a re-sort.
+        matched.clear();
+        if is_pk_probe {
+            if let Some(r) = t.get(&probe_vals) {
+                if !delta_keys.contains(probe_vals.as_slice()) {
+                    matched.push(Arc::clone(r));
                 }
-                matched.sort_by_cached_key(|r| schema.key_of(r));
             }
+        } else {
+            for (key, r) in t.index_entries(probe_cols[0], &probe_vals[0])? {
+                if !delta_keys.contains(key) {
+                    matched.push(Arc::clone(r));
+                }
+            }
+        }
+        if let Some(extra) = nabla_by_probe.get(probe_vals.as_slice()) {
+            matched.extend(extra.iter().cloned());
+            matched.sort_by(|a, b| cmp_by_key(schema, a, b));
         }
         emit_joined(l, Some(&matched), &null_fill, kind, filter, &mut out)?;
     }
@@ -480,21 +493,25 @@ fn aggregate(
     group_exprs: &[Expr],
     aggs: &[crate::expr::AggExpr],
 ) -> Result<Vec<Row>> {
-    // Preserve first-seen group order so aggXMLFrag output is deterministic.
-    let mut order: Vec<Box<[Value]>> = Vec::new();
-    let mut groups: HashMap<Box<[Value]>, Vec<AggState>> = HashMap::new();
+    // Groups are kept in first-seen order, so aggXMLFrag output is
+    // deterministic; rows look their group up by borrowed key, and only a
+    // new group copies its key.
+    let mut numbers: HashMap<Box<[Value]>, usize> = HashMap::new();
+    let mut groups: Vec<(Box<[Value]>, Vec<AggState>)> = Vec::new();
+    let mut key = Vec::with_capacity(group_exprs.len());
     for r in rows {
-        let key = key_values(group_exprs, r)?;
-        let states = match groups.get_mut(&key) {
-            Some(s) => s,
+        key_into(&mut key, group_exprs, r)?;
+        let n = match numbers.get(key.as_slice()) {
+            Some(&n) => n,
             None => {
-                order.push(key.clone());
-                groups
-                    .entry(key.clone())
-                    .or_insert_with(|| aggs.iter().map(|a| AggState::new(&a.func)).collect())
+                let owned: Box<[Value]> = key.as_slice().into();
+                numbers.insert(owned.clone(), groups.len());
+                let states = aggs.iter().map(|a| AggState::new(&a.func)).collect();
+                groups.push((owned, states));
+                groups.len() - 1
             }
         };
-        for (state, agg) in states.iter_mut().zip(aggs) {
+        for (state, agg) in groups[n].1.iter_mut().zip(aggs) {
             match &agg.arg {
                 None => state.update(None)?,
                 Some(e) => {
@@ -513,17 +530,12 @@ fn aggregate(
             .collect();
         return Ok(vec![row]);
     }
-    let mut out = Vec::with_capacity(order.len());
-    for key in order {
-        let states = groups.remove(&key).expect("group recorded in order list");
-        let row: Row = key
-            .iter()
-            .cloned()
+    let rows = groups.into_iter().map(|(key, states)| {
+        (key.iter().cloned())
             .chain(states.into_iter().map(AggState::finish))
-            .collect();
-        out.push(row);
-    }
-    Ok(out)
+            .collect()
+    });
+    Ok(rows.collect())
 }
 
 fn sort_rows(rows: &[Row], keys: &[SortKey]) -> Result<Vec<Row>> {

@@ -719,6 +719,170 @@ fn counters_separate_scans_from_probes() {
     assert_eq!(after_probe.rows_scanned, after_scan.rows_scanned);
 }
 
+/// Rows of `arity` columns (tests' outer inputs and group-by inputs).
+fn values(arity: usize, rows: Vec<Row>) -> PlanRef {
+    PhysicalPlan::new(PlanOp::Values { arity, rows }, vec![]).into_ref()
+}
+
+fn index_join(input: PlanRef, table: &str, epoch: TableEpoch, col: usize) -> PlanRef {
+    let op = PlanOp::IndexJoin {
+        table: table.into(),
+        epoch,
+        probe: vec![(col, Expr::col(0))],
+        kind: JoinKind::Inner,
+        filter: None,
+    };
+    PhysicalPlan::new(op, vec![input]).into_ref()
+}
+
+/// `PhysicalPlan::project` over a column-only `Project` builds one node
+/// over the grandchild that returns what the literal chain returns, over a
+/// scan and over an `IndexJoin`.
+#[test]
+fn fused_project_chain_returns_the_literal_chains_rows() {
+    let db = setup();
+    let price_plus_one = Expr::bin(BinOp::Add, Expr::col(0), Expr::lit(1.0));
+    let outer = vec![Expr::col(1), price_plus_one, xml_wrap("v", Expr::col(1))];
+    let scan_input = scan("vendor").into_ref();
+    let join_input = index_join(
+        values(1, vec![row([Value::str("P1")]), row([Value::str("P3")])]),
+        "vendor",
+        TableEpoch::Current,
+        1,
+    );
+    for (input, cols) in [(scan_input, [2, 0]), (join_input, [3, 1])] {
+        let inner = project(Arc::clone(&input), cols.map(Expr::col).to_vec());
+        let literal = project(Arc::clone(&inner), outer.clone());
+        let fused = PhysicalPlan::project(outer.clone(), inner).into_ref();
+        assert!(Arc::ptr_eq(&fused.inputs[0], &input), "{fused:?}");
+        let rows = execute_query(&db, &fused).unwrap();
+        assert!(!rows.is_empty());
+        assert_eq!(rows, execute_query(&db, &literal).unwrap());
+    }
+}
+
+/// A `Project` over a `Project` that computes anything but columns, or
+/// that reads a column the inner one lacks, stays two nodes.
+#[test]
+fn project_over_a_computing_project_stays_unfused() {
+    let inner = project(
+        scan("vendor").into_ref(),
+        vec![
+            Expr::col(0),
+            Expr::bin(BinOp::Mul, Expr::col(2), Expr::lit(2.0)),
+        ],
+    );
+    let outer = PhysicalPlan::project(vec![Expr::col(1)], Arc::clone(&inner));
+    assert!(Arc::ptr_eq(&outer.inputs[0], &inner));
+    let columns = project(scan("vendor").into_ref(), vec![Expr::col(0)]);
+    let outer = PhysicalPlan::project(vec![Expr::col(1)], Arc::clone(&columns));
+    assert!(Arc::ptr_eq(&outer.inputs[0], &columns));
+}
+
+/// The Old-epoch probe's rows come in primary-key order, on a table keyed
+/// by one column (`product`, probed by its `mfr` index and by key) and by
+/// two (`vendor`, probed by its `pid` index): with a ∇ row spliced into
+/// the probe, and with Δ rows only left out.
+#[test]
+fn old_epoch_probe_returns_primary_key_order() {
+    let mut db = setup();
+    db.create_index("product", "mfr").unwrap();
+    let keys = |rows: &[Row], cols: &[usize]| -> Vec<Vec<Value>> {
+        let key = |r: &Row| cols.iter().map(|&c| r[c].clone()).collect();
+        rows.iter().map(key).collect()
+    };
+    let probe = |table: &str, col: usize, value: &str, trans| {
+        let plan = index_join(
+            values(1, vec![row([Value::str(value)])]),
+            table,
+            TableEpoch::Old,
+            col,
+        );
+        execute_with_transitions(&db, &plan, trans).unwrap()
+    };
+
+    // P1's maker moves from Samsung to LG: the ∇ row sorts before P2.
+    let old = row([
+        Value::str("P1"),
+        Value::str("CRT 15"),
+        Value::str("Samsung"),
+    ]);
+    let new = row([Value::str("P1"), Value::str("CRT 15"), Value::str("LG")]);
+    db.update_by_key("product", &[Value::str("P1")], &[(2, Value::str("LG"))])
+        .unwrap();
+    let trans = transitions("product", Event::Update, vec![new], vec![old.clone()]);
+    let samsung = probe("product", 2, "Samsung", &trans);
+    assert_eq!(
+        keys(&samsung, &[1]),
+        [[Value::str("P1")], [Value::str("P2")]]
+    );
+    assert_eq!(samsung[0][1..], old[..]);
+    assert_eq!(probe("product", 2, "LG", &trans), []);
+    let by_key = probe("product", 0, "P1", &trans);
+    assert_eq!(by_key.len(), 1);
+    assert_eq!(by_key[0][1..], old[..]);
+
+    // An INSERT of P0 (Samsung): Δ only, no re-sort, P0 left out.
+    db.load(
+        "product",
+        vec![vec![
+            Value::str("P0"),
+            Value::str("TV"),
+            Value::str("Samsung"),
+        ]],
+    )
+    .unwrap();
+    let p0 = row([Value::str("P0"), Value::str("TV"), Value::str("Samsung")]);
+    let trans = transitions("product", Event::Insert, vec![p0], vec![]);
+    let samsung = probe("product", 2, "Samsung", &trans);
+    assert_eq!(keys(&samsung, &[1]), [[Value::str("P2")]]);
+
+    // Amazon's P1 price changes: its old row is spliced back in front of
+    // Bestbuy, by the (vid, pid) key.
+    let old = row([Value::str("Amazon"), Value::str("P1"), Value::Double(100.0)]);
+    let new = row([Value::str("Amazon"), Value::str("P1"), Value::Double(75.0)]);
+    let key = [Value::str("Amazon"), Value::str("P1")];
+    db.update_by_key("vendor", &key, &[(2, Value::Double(75.0))])
+        .unwrap();
+    let trans = transitions("vendor", Event::Update, vec![new], vec![old.clone()]);
+    let p1 = probe("vendor", 1, "P1", &trans);
+    let vids = ["Amazon", "Bestbuy", "Circuitcity"].map(|v| vec![Value::str(v), Value::str("P1")]);
+    assert_eq!(keys(&p1, &[1, 2]), vids);
+    assert_eq!(p1[0][1..], old[..]);
+    // No ∇ row joins P2's probe.
+    let p2 = probe("vendor", 1, "P2", &trans);
+    let vids = ["Bestbuy", "Buy.com"].map(|v| vec![Value::str(v), Value::str("P2")]);
+    assert_eq!(keys(&p2, &[1, 2]), vids);
+
+    // An INSERT of (Aardvark, P2): Δ only, left out of P2's probe.
+    let aardvark = vec![Value::str("Aardvark"), Value::str("P2"), Value::Double(1.0)];
+    db.load("vendor", vec![aardvark.clone()]).unwrap();
+    let trans = transitions("vendor", Event::Insert, vec![row(aardvark)], vec![]);
+    assert_eq!(keys(&probe("vendor", 1, "P2", &trans), &[1, 2]), vids);
+}
+
+/// Groups come out in the order their first row came in, not in key or
+/// hash order.
+#[test]
+fn hash_aggregate_keeps_first_seen_group_order() {
+    let db = setup();
+    let input = ["c", "a", "c", "b", "a", "d", "c"]
+        .map(|k| row([Value::str(k)]))
+        .to_vec();
+    let plan = PhysicalPlan::new(
+        PlanOp::HashAggregate {
+            group_exprs: vec![Expr::col(0)],
+            aggs: vec![AggExpr::count_star()],
+        },
+        vec![values(1, input)],
+    )
+    .into_ref();
+    let expected = [("c", 3), ("a", 2), ("b", 1), ("d", 1)]
+        .map(|(k, n)| row([Value::str(k), Value::Int(n)]))
+        .to_vec();
+    assert_eq!(execute_query(&db, &plan).unwrap(), expected);
+}
+
 // ---------------------------------------------------------------------
 // Constructor reuse across firings (`plan::ReuseSlot`)
 // ---------------------------------------------------------------------
@@ -752,6 +916,12 @@ fn fire(db: &Database, plan: &PlanRef, prices: &[Value]) -> (Vec<Row>, u64) {
     let delta = (prices.iter().enumerate())
         .map(|(i, p)| row([Value::str(format!("v{i}")), Value::str("P1"), p.clone()]))
         .collect();
+    fire_rows(db, plan, delta)
+}
+
+/// One firing of `plan` whose Δvendor rows are `delta`, and the rows it
+/// took from a reuse slot.
+fn fire_rows(db: &Database, plan: &PlanRef, delta: Vec<Row>) -> (Vec<Row>, u64) {
     let trans = transitions("vendor", Event::Update, delta, vec![]);
     let before = db.stats().build_cache_hits;
     let rows = execute_with_transitions(db, plan, &trans).unwrap();
@@ -892,4 +1062,95 @@ fn a_held_reuse_slot_falls_back_to_plain_evaluation() {
     drop(held);
     let (_, hits) = fire(&db, &plan, &prices);
     assert_eq!(hits, 2);
+}
+
+/// A constructor built over a column-only `Project` is fused into one node
+/// over the grandchild, keeps its reuse slot there, and reuses across
+/// firings.
+#[test]
+fn fused_constructor_keeps_its_reuse_slot() {
+    let db = setup();
+    let delta = Arc::clone(&price_elements().inputs[0]);
+    let columns = project(Arc::clone(&delta), vec![Expr::col(2), Expr::col(0)]);
+    let exprs = vec![Expr::col(1), xml_wrap("price", Expr::col(0))];
+    let plan = PhysicalPlan::project(exprs, columns).into_ref();
+    assert!(Arc::ptr_eq(&plan.inputs[0], &delta));
+    assert!(plan.reuse.is_some());
+    let prices = [Value::Double(1.0), Value::Double(2.0)];
+    let (first, hits) = fire(&db, &plan, &prices);
+    assert_eq!(hits, 0);
+    let (second, hits) = fire(&db, &plan, &prices);
+    assert_eq!(hits, 2);
+    assert!(Arc::ptr_eq(&first[1], &second[1]));
+    assert_eq!(xml(&second[1][1]).to_xml(), "<price>2</price>");
+}
+
+/// Six Δvendor rows `v0`…`v5`, the `i`-th priced `i`.
+fn six_vendors() -> Vec<Row> {
+    (0..6)
+        .map(|i| {
+            row([
+                Value::str(format!("v{i}")),
+                Value::str("P1"),
+                Value::Double(f64::from(i)),
+            ])
+        })
+        .collect()
+}
+
+/// Fire `edit` through `plan` (whose slot holds some earlier firing) and
+/// through a fresh constructor: both outputs must be equal. Returns the
+/// hits.
+fn fire_and_compare(db: &Database, plan: &PlanRef, edit: Vec<Row>) -> u64 {
+    let (expected, none) = fire_rows(db, &price_elements(), edit.clone());
+    assert_eq!(none, 0);
+    let (out, hits) = fire_rows(db, plan, edit);
+    assert_eq!(out, expected);
+    hits
+}
+
+/// The slot is matched by walking the last firing's rows with one row of
+/// look-ahead: one changed, inserted or deleted row, at any position,
+/// leaves every other row's hit.
+#[test]
+fn reuse_walk_keeps_every_other_hit_around_one_edit() {
+    let db = setup();
+    let plan = price_elements();
+    let base = six_vendors();
+    let other = |i: usize| {
+        row([
+            Value::str(format!("x{i}")),
+            Value::str("P1"),
+            Value::Double(9.0),
+        ])
+    };
+    for at in 0..=base.len() {
+        let mut inserted = base.clone();
+        inserted.insert(at, other(at));
+        let mut edits = vec![(inserted, 6)];
+        if at < base.len() {
+            let mut changed = base.clone();
+            changed[at] = other(at);
+            let mut deleted = base.clone();
+            deleted.remove(at);
+            edits.extend([(changed, 5), (deleted, 5)]);
+        }
+        for (edit, expected) in edits {
+            fire_rows(&db, &plan, base.clone());
+            assert_eq!(fire_and_compare(&db, &plan, edit), expected, "at {at}");
+        }
+    }
+}
+
+/// Reordered rows lose hits, never correctness: a reversed firing builds
+/// the same rows, and the walk's look-ahead meets only the one row where
+/// the two orders cross (`v1`, after `v5`…`v2` missed at `v0`).
+#[test]
+fn reversed_input_loses_its_hits_but_not_its_rows() {
+    let db = setup();
+    let plan = price_elements();
+    fire_rows(&db, &plan, six_vendors());
+    let reversed = six_vendors().into_iter().rev().collect();
+    assert_eq!(fire_and_compare(&db, &plan, reversed), 1);
+    assert_eq!(slot_len(&plan), 6);
 }

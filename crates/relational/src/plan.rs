@@ -13,7 +13,7 @@ use std::fmt::{self, Write as _};
 use std::sync::{Arc, Mutex};
 
 use crate::expr::{AggExpr, Expr, ScalarFunc};
-use crate::value::{ExactRow, Row};
+use crate::value::Row;
 use crate::{Database, Error, Result};
 
 /// Shared plan handle; sharing a node means its result is computed once per
@@ -217,15 +217,18 @@ pub struct PhysicalPlan {
     pub(crate) reuse: Option<Box<ReuseSlot>>,
 }
 
-/// The output rows of an XML-constructing `Project` (one whose expressions
-/// hold an element constructor) in its last firing, keyed by exact input
-/// row. A projection's output is a pure function of its input row, and XML
-/// nodes never change once built, so when an input row comes back in the
-/// next firing the executor hands out last time's output row by `Arc`
-/// clone instead of building its elements again (see `exec`'s `Project`
-/// arm). A leaf
-/// UPDATE of the benchmark hierarchy projects the 64 leaves of its top
-/// element; 63 of them are unchanged since the last firing.
+/// The rows of an XML-constructing `Project` (one whose expressions hold
+/// an element constructor) in its last firing: `(input, output)` pairs in
+/// input order. A projection's output is a pure function of its input row,
+/// and XML nodes never change once built, so when an input row comes back
+/// in the next firing the executor hands out last time's output row by
+/// `Arc` clone instead of building its elements again (see `exec`'s
+/// `Project` arm). It finds them by walking the two firings' rows side by
+/// side with one row of look-ahead, not by hashing: a firing's rows come in
+/// the order of the last one's, so one changed, inserted or deleted row
+/// costs nothing extra, and reordered rows lose hits, never correctness.
+/// A leaf UPDATE of the benchmark hierarchy projects the 64 leaves of its
+/// top element; 63 of them are unchanged since the last firing.
 ///
 /// The slot is invisible to the node's value, like
 /// `quark_xml::Serialized`: equality, `Debug` and the node-table codec
@@ -233,7 +236,7 @@ pub struct PhysicalPlan {
 /// the SQL triggers that run the node's plan: one trigger group's triggers
 /// on one table.
 #[derive(Default)]
-pub(crate) struct ReuseSlot(pub(crate) Mutex<HashMap<ExactRow, Row>>);
+pub(crate) struct ReuseSlot(pub(crate) Mutex<Vec<(Row, Row)>>);
 
 impl Clone for ReuseSlot {
     fn clone(&self) -> Self {
@@ -306,6 +309,33 @@ impl PhysicalPlan {
             _ => None,
         };
         Ok(PhysicalPlan { op, inputs, reuse })
+    }
+
+    /// A `Project` of `exprs` over `input`, fused with `input` when that is
+    /// itself a `Project` of columns only: the two compose into one node
+    /// over the grandchild, which saves a row copy per row. A fused
+    /// constructor keeps its reuse slot, keyed on the grandchild's rows.
+    /// Only pure column selections fuse, so no expression is evaluated
+    /// twice or skipped. Plan builders call this; [`Self::new`] and the
+    /// node-table decoder build exactly the node they are given.
+    pub fn project(exprs: Vec<Expr>, input: PlanRef) -> Self {
+        if let PlanOp::Project { exprs: inner } = &input.op {
+            let cols: Option<Vec<usize>> = (inner.iter())
+                .map(|e| match e {
+                    Expr::Col(c) => Some(*c),
+                    _ => None,
+                })
+                .collect();
+            let mut used = Vec::new();
+            exprs.iter().for_each(|e| e.columns(&mut used));
+            if let Some(cols) = cols.filter(|cols| used.iter().all(|&c| c < cols.len())) {
+                let exprs = (exprs.iter())
+                    .map(|e| e.remap_columns(&|c| cols[c]))
+                    .collect();
+                return Self::new(PlanOp::Project { exprs }, input.inputs.clone());
+            }
+        }
+        Self::new(PlanOp::Project { exprs }, vec![input])
     }
 
     /// Wrap into a shared handle.

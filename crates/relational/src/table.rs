@@ -145,17 +145,30 @@ impl Table {
     /// Rows whose `column` equals `value`, via the secondary index, in
     /// primary-key order.
     pub fn index_lookup(&self, column: usize, value: &Value) -> Result<Vec<&Row>> {
+        Ok(self
+            .index_entries(column, value)?
+            .map(|(_, row)| row)
+            .collect())
+    }
+
+    /// [`Self::index_lookup`] as `(primary key, row)` pairs, the stored key
+    /// handed out like [`Self::entries`] does.
+    pub fn index_entries(
+        &self,
+        column: usize,
+        value: &Value,
+    ) -> Result<impl Iterator<Item = (&Key, &Row)>> {
         let index = self
             .secondary
             .get(&column)
             .ok_or_else(|| Error::Plan(format!("no index on {}.{}", self.schema.name, column)))?;
         // The empty key sorts before every primary key: the lower bound of
         // `value`'s entries.
+        let from = (value.clone(), Key::default());
         Ok(index
-            .range_from(&(value.clone(), Key::default()))
-            .take_while(|((v, _), _)| v == value)
-            .map(|(_, row)| row)
-            .collect())
+            .range_from(&from)
+            .take_while(move |((v, _), _)| *v == from.0)
+            .map(|((_, key), row)| (key, row)))
     }
 
     /// Insert a row; fails on duplicate primary key. An `Int` in a DOUBLE

@@ -299,11 +299,11 @@ pub fn row(values: impl IntoIterator<Item = Value>) -> Row {
 /// grouping equality: the variant, an `f64`'s bits and a string's bytes
 /// must all match (an XML value matches only its own node). Under `Eq`,
 /// `Int(2^53 + 1) = Double(2^53)` and `0.0 = −0.0`, yet the first pair
-/// renders differently; a key that decides what a row renders to needs
-/// this equality.
-pub(crate) struct ExactRow(pub(crate) Row);
+/// renders differently; a constructor's reuse slot, which hands a row
+/// what it rendered to last time, needs this equality.
+pub(crate) struct ExactRow<'a>(pub(crate) &'a [Value]);
 
-impl PartialEq for ExactRow {
+impl PartialEq for ExactRow<'_> {
     fn eq(&self, other: &Self) -> bool {
         use Value::*;
         self.0.len() == other.0.len()
@@ -319,23 +319,7 @@ impl PartialEq for ExactRow {
     }
 }
 
-impl Eq for ExactRow {}
-
-impl Hash for ExactRow {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.0.len().hash(state);
-        for v in self.0.iter() {
-            match v {
-                Value::Null => 0u8.hash(state),
-                Value::Bool(b) => (1u8, b).hash(state),
-                Value::Int(i) => (2u8, i).hash(state),
-                Value::Double(d) => (3u8, d.to_bits()).hash(state),
-                Value::Str(s) => (4u8, &**s).hash(state),
-                Value::Xml(x) => (5u8, Arc::as_ptr(x)).hash(state),
-            }
-        }
-    }
-}
+impl Eq for ExactRow<'_> {}
 
 #[cfg(test)]
 mod tests {

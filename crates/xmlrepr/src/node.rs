@@ -44,9 +44,15 @@ pub enum XmlNode {
 /// `Serialized` equals every other and hashes to nothing (so `XmlNode`
 /// keeps its derived equality and hashing), and a clone starts empty.
 ///
+/// Writing a parent fills the cache of each child element that another
+/// owner holds too (`Arc::strong_count > 1`, such as a constructor's reuse
+/// slot in the executor) and copies the child's string from it, so a
+/// subtree that recurs in many trees is written once. A child only its
+/// parent holds is written inline and its cache stays empty.
+///
 /// Memory: 24 bytes per node (`XmlNode` grows from 72 to 96 bytes, so text
-/// nodes pay it too), plus the string of a node that was itself
-/// serialized — writing a parent does not fill its children.
+/// nodes pay it too), plus the string of a node that was serialized itself
+/// or as a shared child.
 #[derive(Default)]
 pub struct Serialized(OnceLock<Box<str>>);
 
@@ -175,17 +181,27 @@ impl XmlNode {
     /// Serialize to a compact single-line XML string. An element is written
     /// once; later calls copy its cached string ([`Serialized`]).
     pub fn to_xml(&self) -> String {
-        let write = || {
-            let mut buf = String::new();
-            crate::serialize::write_node(self, &mut buf, None, 0);
-            buf
-        };
+        match self.compact_cached() {
+            Some(xml) => xml.to_string(),
+            None => self.write_compact(),
+        }
+    }
+
+    /// An element's compact serialization from its [`Serialized`] cache,
+    /// written on first use; `None` for a text node.
+    pub(crate) fn compact_cached(&self) -> Option<&str> {
         match self {
             XmlNode::Element { serialized, .. } => {
-                serialized.0.get_or_init(|| write().into()).to_string()
+                Some(serialized.0.get_or_init(|| self.write_compact().into()))
             }
-            XmlNode::Text(_) => write(),
+            XmlNode::Text(_) => None,
         }
+    }
+
+    fn write_compact(&self) -> String {
+        let mut buf = String::new();
+        crate::serialize::write_node(self, &mut buf, None, 0);
+        buf
     }
 
     /// Serialize with 2-space indentation, for human consumption.
@@ -325,5 +341,57 @@ mod tests {
             node.to_xml();
         }
         assert_eq!(text("a<b").to_xml(), "a&lt;b");
+    }
+
+    fn is_cached(node: &XmlNode) -> bool {
+        match node {
+            XmlNode::Element { serialized, .. } => serialized.0.get().is_some(),
+            XmlNode::Text(_) => false,
+        }
+    }
+
+    /// A top element over one leaf another owner holds too (`kept`, as a
+    /// reuse slot holds it) and one leaf only the top holds.
+    fn top_with_a_shared_leaf() -> (XmlNodeRef, XmlNodeRef) {
+        let kept = element(
+            "e2",
+            vec![("id".into(), "1".into())],
+            vec![element("v", vec![], vec![text("a&b")])],
+        );
+        let fresh = element("e2", vec![("id".into(), "2".into())], vec![text("c")]);
+        let top = element("e0", vec![], vec![Arc::clone(&kept), fresh]);
+        (top, kept)
+    }
+
+    /// The first `to_xml` of a tree fills the cache of each child element
+    /// another owner holds, and of no other node below the root.
+    #[test]
+    fn first_to_xml_fills_the_caches_of_shared_children_only() {
+        let (top, kept) = top_with_a_shared_leaf();
+        assert!(!is_cached(&top) && !is_cached(&kept));
+        let xml = top.to_xml();
+        assert_eq!(
+            xml,
+            r#"<e0><e2 id="1"><v>a&amp;b</v></e2><e2 id="2">c</e2></e0>"#
+        );
+        assert!(is_cached(&top) && is_cached(&kept));
+        assert!(!is_cached(&top.children()[1]), "held by its parent only");
+        assert!(!is_cached(&kept.children()[0]), "held by its parent only");
+        assert_eq!(kept.to_xml(), r#"<e2 id="1"><v>a&amp;b</v></e2>"#);
+        // A second tree over the same leaf copies its string.
+        let other = element("e0", vec![], vec![kept]);
+        assert_eq!(other.to_xml(), r#"<e0><e2 id="1"><v>a&amp;b</v></e2></e0>"#);
+    }
+
+    /// Pretty output never reads the caches: it is the same before and
+    /// after the compact serialization filled them.
+    #[test]
+    fn pretty_output_of_shared_children_is_unchanged() {
+        let (top, _kept) = top_with_a_shared_leaf();
+        let pretty = "<e0>\n  <e2 id=\"1\">\n    <v>a&amp;b</v>\n  </e2>\n  \
+                      <e2 id=\"2\">c</e2>\n</e0>\n";
+        assert_eq!(top.to_pretty_xml(), pretty);
+        top.to_xml();
+        assert_eq!(top.to_pretty_xml(), pretty);
     }
 }

@@ -1,39 +1,50 @@
 //! XML serialization with correct escaping.
 //!
-//! The constant-space tagger in `quark-core` appends to an output `String`
-//! through these helpers as it streams over sorted-outer-union rows, so they
-//! are written against a plain `&mut String` rather than `io::Write`.
+//! Everything is written against one plain `&mut String`, so a parent
+//! appends its children's text into its own buffer.
+
+use std::sync::Arc;
 
 use crate::node::XmlNode;
 
 /// Append `text` to `buf`, escaping the five predefined XML entities as
 /// needed for character data (`<`, `>`, `&`).
-pub(crate) fn escape_text(text: &str, buf: &mut String) {
-    for ch in text.chars() {
-        match ch {
-            '<' => buf.push_str("&lt;"),
-            '>' => buf.push_str("&gt;"),
-            '&' => buf.push_str("&amp;"),
-            _ => buf.push(ch),
-        }
-    }
+fn escape_text(text: &str, buf: &mut String) {
+    escape(text, false, buf);
 }
 
 /// Append `value` to `buf`, escaped for a double-quoted attribute value.
-pub(crate) fn escape_attr(value: &str, buf: &mut String) {
-    for ch in value.chars() {
-        match ch {
-            '<' => buf.push_str("&lt;"),
-            '>' => buf.push_str("&gt;"),
-            '&' => buf.push_str("&amp;"),
-            '"' => buf.push_str("&quot;"),
-            _ => buf.push(ch),
-        }
+fn escape_attr(value: &str, buf: &mut String) {
+    escape(value, true, buf);
+}
+
+/// Append `s` to `buf` with `<`, `>`, `&` (and `"` if `quot`) replaced by
+/// their entities. The runs between them are pushed whole, so a value with
+/// nothing to escape is one copy. The escaped characters are ASCII, so
+/// every split falls on a character boundary.
+fn escape(s: &str, quot: bool, buf: &mut String) {
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let entity = match b {
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'&' => "&amp;",
+            b'"' if quot => "&quot;",
+            _ => continue,
+        };
+        buf.push_str(&s[start..i]);
+        buf.push_str(entity);
+        start = i + 1;
     }
+    buf.push_str(&s[start..]);
 }
 
 /// Write `node` into `buf`. `indent = Some(width)` produces pretty output;
-/// `None` produces a compact single line.
+/// `None` produces a compact single line, in which a child element that
+/// another owner holds too (`Arc::strong_count > 1`: a constructor's reuse
+/// slot, another tree) is copied from its own cached serialization,
+/// written on first use ([`crate::Serialized`]). A child only its parent
+/// holds is written inline and keeps no string.
 pub(crate) fn write_node(node: &XmlNode, buf: &mut String, indent: Option<usize>, depth: usize) {
     match node {
         XmlNode::Text(t) => {
@@ -73,7 +84,15 @@ pub(crate) fn write_node(node: &XmlNode, buf: &mut String, indent: Option<usize>
             } else {
                 newline(buf, indent);
                 for child in children {
-                    write_node(child, buf, indent, depth + 1);
+                    let cached = if indent.is_none() && Arc::strong_count(child) > 1 {
+                        child.compact_cached()
+                    } else {
+                        None
+                    };
+                    match cached {
+                        Some(xml) => buf.push_str(xml),
+                        None => write_node(child, buf, indent, depth + 1),
+                    }
                 }
                 pad(buf, indent, depth);
             }

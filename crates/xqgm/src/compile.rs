@@ -159,10 +159,7 @@ impl<'a> Compiler<'a> {
     /// allocation (and thereby one restricted-memo key).
     fn driver_over(&mut self, plan: &PlanRef, cols: &[usize]) -> Driver {
         let exprs = cols.iter().map(|&c| Expr::col(c)).collect();
-        let projected = self.intern(PhysicalPlan::new(
-            PlanOp::Project { exprs },
-            vec![Arc::clone(plan)],
-        ));
+        let projected = self.intern(PhysicalPlan::project(exprs, Arc::clone(plan)));
         let distinct = self.intern(PhysicalPlan::new(PlanOp::Distinct, vec![projected]));
         Driver {
             plan: distinct,
@@ -201,12 +198,7 @@ impl<'a> Compiler<'a> {
             }
             OpKind::Project { exprs, .. } => {
                 let input = self.compile(op.inputs[0])?;
-                self.intern(PhysicalPlan::new(
-                    PlanOp::Project {
-                        exprs: exprs.clone(),
-                    },
-                    vec![input],
-                ))
+                self.intern(PhysicalPlan::project(exprs.clone(), input))
             }
             OpKind::Join { kind, predicate } => {
                 if let Some(plan) =
@@ -388,10 +380,7 @@ impl<'a> Compiler<'a> {
                             let exprs = (0..table_arity)
                                 .map(|c| Expr::col(driver_arity + c))
                                 .collect();
-                            return Ok(self.intern(PhysicalPlan::new(
-                                PlanOp::Project { exprs },
-                                vec![joined],
-                            )));
+                            return Ok(self.intern(PhysicalPlan::project(exprs, joined)));
                         }
                         self.fallback_semi(id, cols, driver)
                     }
@@ -420,12 +409,7 @@ impl<'a> Compiler<'a> {
                     }
                 }
                 let input = self.compile_restricted(op.inputs[0], &mapped, driver)?;
-                Ok(self.intern(PhysicalPlan::new(
-                    PlanOp::Project {
-                        exprs: exprs.clone(),
-                    },
-                    vec![input],
-                )))
+                Ok(self.intern(PhysicalPlan::project(exprs.clone(), input)))
             }
             OpKind::GroupBy {
                 group_cols, aggs, ..
@@ -525,19 +509,9 @@ impl<'a> Compiler<'a> {
 
         let new_rows = self.compile_restricted(recipe.new_op, cols, driver)?;
         let delta_input = self.compile(recipe.delta_input)?;
-        let delta_rows = self.intern(PhysicalPlan::new(
-            PlanOp::Project {
-                exprs: branch_exprs(true),
-            },
-            vec![delta_input],
-        ));
+        let delta_rows = self.intern(PhysicalPlan::project(branch_exprs(true), delta_input));
         let nabla_input = self.compile(recipe.nabla_input)?;
-        let nabla_rows = self.intern(PhysicalPlan::new(
-            PlanOp::Project {
-                exprs: branch_exprs(false),
-            },
-            vec![nabla_input],
-        ));
+        let nabla_rows = self.intern(PhysicalPlan::project(branch_exprs(false), nabla_input));
 
         let union = self.intern(PhysicalPlan::new(
             PlanOp::UnionAll,
@@ -638,7 +612,7 @@ impl<'a> Compiler<'a> {
                 .map(|c| Expr::col(right_arity + c))
                 .chain((0..right_arity).map(Expr::col))
                 .collect();
-            return Ok(self.intern(PhysicalPlan::new(PlanOp::Project { exprs }, vec![joined])));
+            return Ok(self.intern(PhysicalPlan::project(exprs, joined)));
         }
 
         if kind == JoinKind::Inner {

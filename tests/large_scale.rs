@@ -439,9 +439,10 @@ fn chain_view_trigger_plans_keep_their_distinct_node_counts() {
     // `Distinct(Project(AK))`, not the whole view restricted and compiled
     // a second time (each count was 54–56 nodes higher with the join-back).
     // A DELETE's NEW side is only its anti-join partner, so it is a
-    // skeleton although the trigger reads NEW_NODE: `t0` DELETE has 45
-    // nodes, not the 54 of a full NEW side.
-    let expected = [46, 54, 45, 107, 106, 106, 135, 134, 134, 146, 146, 146];
+    // skeleton although the trigger reads NEW_NODE: `t0` DELETE has 42
+    // nodes, not the 51 of a full NEW side. A `Project` over a column-only
+    // `Project` is built fused (`PhysicalPlan::project`).
+    let expected = [43, 51, 42, 101, 100, 100, 125, 124, 124, 134, 134, 134];
     assert_eq!(counts, expected, "UPDATE/INSERT/DELETE on t0..t3");
 }
 
@@ -452,7 +453,9 @@ fn chain_view_trigger_plans_keep_their_distinct_node_counts() {
 /// `t1` by parent and `t0` by key once each, for the NEW side (the OLD
 /// skeleton shares the `t1` probe). Joining the partial keys back with the
 /// view instead puts three of each in the plan and costs 46 index probes
-/// per firing, not 26.
+/// per firing, not 26. Every `Project` over a column-only `Project` is
+/// built fused (`PhysicalPlan::project`): the plan has 86 distinct nodes,
+/// 31 of them `Project`s (94 and 39 built literally).
 #[test]
 fn bench_leaf_update_completes_its_affected_keys_without_a_join_back() {
     let mut spec = WorkloadSpec::quick(Mode::Grouped);
@@ -473,6 +476,14 @@ fn bench_leaf_update_completes_its_affected_keys_without_a_join_back() {
     let count = |needle: &str| plan.matches(needle).count();
     assert_eq!(count("-> t1[Current] probe cols [1]"), 1, "{plan}");
     assert_eq!(count("-> t0["), 1, "{plan}");
+    // One operator line per distinct node: later references to a shared
+    // node render as `[shared N] (see above)`.
+    let nodes: Vec<&str> = (plan.lines().skip(1))
+        .map(str::trim_start)
+        .filter(|line| !line.is_empty() && !line.starts_with("[shared"))
+        .collect();
+    let projects = nodes.iter().filter(|l| l.starts_with("Project ")).count();
+    assert_eq!((nodes.len(), projects), (86, 31), "{plan}");
 
     workload.one_update().expect("warm-up");
     let before = workload.quark().stats();
@@ -680,7 +691,7 @@ fn bench_hierarchy_explain_is_pinned() {
     let crc = quark_core::storage::crc::crc32(text.as_bytes());
     assert_eq!(
         (text.len(), crc),
-        (1_958_037, 0x00b4_e97e),
+        (1_816_705, 0x731c_7ee9),
         "EXPLAIN text changed"
     );
 }
