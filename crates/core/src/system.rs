@@ -114,7 +114,6 @@ pub enum Footprint {
 }
 
 /// Per-trigger bookkeeping shared with SQL-trigger handlers.
-#[derive(Clone)]
 struct Member {
     trigger: String,
     function: String,

@@ -42,7 +42,7 @@ use crate::condition::{compile_value, CondLayout, CondValue, Condition, NodeRef}
 use crate::events::{source_events, SourceEvent};
 use crate::spec::{Action, ActionParam, PathGraph, TriggerSpec};
 
-use super::{ActionCall, ActionRegistry, Group, Member, Members, Mode, SqlTriggerMeta};
+use super::{ActionCall, ActionFn, ActionRegistry, Group, Members, Mode, SqlTriggerMeta};
 
 /// The system state a translation reads.
 pub(super) struct Context<'a> {
@@ -375,22 +375,34 @@ fn make_handler(
                     continue;
                 }
             }
-            let firing: Vec<Member> = members
-                .lock()
-                .expect("members")
-                .get(&set_id)
-                .cloned()
-                .unwrap_or_default();
-            for m in firing {
-                let f = actions
-                    .lock()
-                    .expect("actions")
-                    .get(&m.function)
-                    .map(|e| Arc::clone(&e.f))
-                    .ok_or_else(|| Error::Plan(format!("unregistered action `{}`", m.function)))?;
-                let call = ActionCall {
-                    trigger: m.trigger.clone(),
-                    params: m
+            // Resolve the row's calls under both locks, each distinct
+            // action once, then run them with neither held: an action's
+            // cascade may fire this handler again. An unregistered action
+            // fails the row before any of its actions runs. The registry
+            // is locked before the members, the order every other holder
+            // of both keeps (`Group::declared_writes`).
+            let (fns, calls) = {
+                let registry = actions.lock().expect("actions");
+                let members = members.lock().expect("members");
+                let Some(firing) = members.get(&set_id) else {
+                    continue;
+                };
+                let mut names: Vec<&str> = Vec::new();
+                let mut fns: Vec<ActionFn> = Vec::new();
+                let mut calls = Vec::with_capacity(firing.len());
+                for m in firing {
+                    let at = match names.iter().position(|n| *n == m.function) {
+                        Some(at) => at,
+                        None => {
+                            let entry = registry.get(&m.function).ok_or_else(|| {
+                                Error::Plan(format!("unregistered action `{}`", m.function))
+                            })?;
+                            names.push(&m.function);
+                            fns.push(Arc::clone(&entry.f));
+                            fns.len() - 1
+                        }
+                    };
+                    let params = m
                         .params
                         .iter()
                         .map(|p| match p {
@@ -402,9 +414,17 @@ fn make_handler(
                             }
                             ActionParam::Const(v) => v.clone(),
                         })
-                        .collect(),
-                };
-                f(db, &call)?;
+                        .collect();
+                    let call = ActionCall {
+                        trigger: m.trigger.clone(),
+                        params,
+                    };
+                    calls.push((at, call));
+                }
+                (fns, calls)
+            };
+            for (at, call) in &calls {
+                fns[*at](db, call)?;
             }
         }
         Ok(())

@@ -989,7 +989,7 @@ impl Database {
             let affected = old.len().max(inserted.len());
             if let Some(event) = event {
                 self.bump(Counter::Statements, 1);
-                if affected > 0 {
+                if affected > 0 && self.listeners(&schema.name, event).next().is_some() {
                     self.after_statement(TransitionTables {
                         table: schema.name.clone(),
                         event,
@@ -1007,16 +1007,20 @@ impl Database {
     // Trigger dispatch
     // ------------------------------------------------------------------
 
-    fn after_statement(&self, trans: TransitionTables) -> Result<()> {
-        let matching: Vec<Arc<SqlTrigger>> = self
-            .triggers
+    /// The SQL triggers that fire on `event` against `table`, in creation
+    /// order. A statement with none builds no transition tables.
+    fn listeners<'a>(
+        &'a self,
+        table: &'a str,
+        event: Event,
+    ) -> impl Iterator<Item = &'a Arc<SqlTrigger>> + 'a {
+        self.triggers
             .iter()
-            .filter(|t| t.table == trans.table && t.event == trans.event)
-            .cloned()
-            .collect();
-        if matching.is_empty() {
-            return Ok(());
-        }
+            .filter(move |t| t.table == table && t.event == event)
+    }
+
+    /// Fire the statement's listeners; there is at least one.
+    fn after_statement(&self, trans: TransitionTables) -> Result<()> {
         let admitted = self.journal(|j| {
             j.depth += 1;
             j.depth <= MAX_TRIGGER_DEPTH
@@ -1024,7 +1028,7 @@ impl Database {
         // A panicking body skips the decrement, but the panic unwinds
         // through the outermost statement, which drops the journal.
         let fired = if admitted {
-            matching.iter().try_for_each(|t| {
+            self.listeners(&trans.table, trans.event).try_for_each(|t| {
                 self.bump(Counter::TriggersFired, 1);
                 (t.body)(self, &trans)
             })

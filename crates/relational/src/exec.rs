@@ -4,7 +4,9 @@
 //! plus (optionally) the transition tables of the statement being
 //! processed. Results of shared subplans are memoized by node identity
 //! within one [`ExecContext`], so a plan that reuses `AffectedKeys` in four
-//! places (like Fig. 16 of the paper) computes it once. Nothing else
+//! places (like Fig. 16 of the paper) computes it once. Only a node held
+//! by more than one `Arc` goes through the memo: one that its single
+//! parent alone holds runs once because its parent does. Nothing else
 //! outlives the context, with one exception: in a firing (transition
 //! tables present), an XML-constructing `Project` keeps its input and
 //! output rows in its node's reuse slot (`plan::ReuseSlot`), and the next
@@ -78,6 +80,14 @@ impl<'a> ExecContext<'a> {
 
 /// Execute a plan, memoizing shared nodes within this context.
 pub fn execute(plan: &PlanRef, ctx: &ExecContext<'_>) -> Result<RowsRef> {
+    // Only a node held more than once can be reached twice. A node that
+    // its one parent alone holds runs at most once per context, because
+    // its parent does; so it skips the memo. Either answer is correct
+    // (memoizing is only an optimization), so a count that races with a
+    // clone elsewhere costs at most a lookup.
+    if Arc::strong_count(plan) == 1 {
+        return Ok(Arc::new(run(plan, ctx)?));
+    }
     let key = Arc::as_ptr(plan) as usize;
     if let Some(hit) = ctx.memo.borrow().get(&key) {
         return Ok(Arc::clone(hit));

@@ -628,6 +628,65 @@ fn shared_subplans_execute_once() {
     assert!(Arc::ptr_eq(&first, &second));
 }
 
+/// `Project [vid, price] ← IndexJoin vendor by pid ← Values [P1, P2]`:
+/// two probes, five rows, each node held by its parent alone.
+fn probe_chain() -> PlanRef {
+    let outer = values(1, vec![row([Value::str("P1")]), row([Value::str("P2")])]);
+    project(
+        index_join(outer, "vendor", TableEpoch::Current, 1),
+        vec![Expr::col(1), Expr::col(3)],
+    )
+}
+
+/// One firing of `plan` (an UPDATE of vendor with no transition rows):
+/// its row count and the index probes it made.
+fn probes_per_firing(db: &Database, plan: &PlanRef) -> (usize, u64) {
+    let trans = transitions("vendor", Event::Update, vec![], vec![]);
+    let before = db.stats().index_probes;
+    let rows = execute_with_transitions(db, plan, &trans).unwrap();
+    (rows.len(), db.stats().index_probes - before)
+}
+
+/// A subplan two parents reach runs once per firing: its probes are
+/// counted once although its rows are delivered twice.
+#[test]
+fn a_subplan_referenced_twice_runs_once_per_firing() {
+    let db = setup();
+    let shared = probe_chain();
+    let plan = PhysicalPlan::new(
+        PlanOp::UnionAll,
+        vec![Arc::clone(&shared), Arc::clone(&shared)],
+    )
+    .into_ref();
+    drop(shared);
+    assert_eq!(Arc::strong_count(&plan.inputs[0]), 2);
+    for _ in 0..2 {
+        assert_eq!(probes_per_firing(&db, &plan), (10, 2));
+    }
+}
+
+/// A chain of nodes each held only by its parent skips the memo and
+/// still runs each node once.
+#[test]
+fn a_chain_of_single_parent_nodes_runs_each_node_once() {
+    let db = setup();
+    let plan = PhysicalPlan::new(
+        PlanOp::Filter {
+            predicate: Expr::bin(BinOp::Gt, Expr::col(1), Expr::lit(110.0)),
+        },
+        vec![probe_chain()],
+    )
+    .into_ref();
+    let mut node = &plan;
+    while let Some(input) = node.inputs.first() {
+        assert_eq!(Arc::strong_count(input), 1);
+        node = input;
+    }
+    for _ in 0..2 {
+        assert_eq!(probes_per_firing(&db, &plan), (4, 2));
+    }
+}
+
 #[test]
 fn nested_loop_cross_product() {
     let db = setup();

@@ -112,6 +112,14 @@ impl Enc {
         Enc::default()
     }
 
+    /// Fresh empty encoder with room for `bytes` bytes.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Enc {
+            buf: Vec::with_capacity(bytes),
+            failed: None,
+        }
+    }
+
     /// Consume the encoder, returning the bytes written, or the reason a
     /// value put into it has no encoding.
     pub fn into_bytes(self) -> Result<Vec<u8>> {

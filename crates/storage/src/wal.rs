@@ -17,6 +17,13 @@
 //! [`Wal::open`] then cuts the segment back to that boundary, so no later
 //! commit lands behind damaged bytes that the next replay cannot cross.
 //!
+//! An append writes its two frames from one buffer: the batch payload is
+//! encoded behind a reserved frame header and checksummed where it lies.
+//! A write that fails part-way is cut back off the segment before the
+//! error returns; if that cut fails too, the log refuses every later
+//! append (until a reopen trims the tear), so no acknowledged record ever
+//! lands behind bytes replay stops at.
+//!
 //! Segments rotate at [`SEGMENT_LIMIT`] bytes (checked at commit
 //! boundaries, so one statement never spans segments' commit framing).
 //! Checkpointing truncates the log by starting a fresh segment sequence;
@@ -24,7 +31,7 @@
 //! before the checkpoint are simply never replayed.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
 use quark_relational::wire::{Dec, Enc};
@@ -49,17 +56,48 @@ pub const SEGMENT_LIMIT: u64 = 1 << 20;
 const KIND_BATCH: u8 = 1;
 const KIND_COMMIT: u8 = 2;
 
+/// The file a [`Wal`] appends to: [`File`] in every build; tests put a
+/// writer in front of it that fails on demand.
+pub trait SegmentFile: Write + Sized {
+    /// Cut the file back to its first `len` bytes.
+    fn set_len(&self, len: u64) -> io::Result<()>;
+    /// Force the bytes written so far to stable storage.
+    fn sync_data(&self) -> io::Result<()>;
+    /// A writer of this kind over `file`, the next live segment.
+    fn next_segment(&self, file: File) -> Self;
+}
+
+impl SegmentFile for File {
+    fn set_len(&self, len: u64) -> io::Result<()> {
+        File::set_len(self, len)
+    }
+
+    fn sync_data(&self) -> io::Result<()> {
+        File::sync_data(self)
+    }
+
+    fn next_segment(&self, file: File) -> File {
+        file
+    }
+}
+
 /// Append half of the log: owns the live segment file.
 #[derive(Debug)]
-pub struct Wal {
+pub struct Wal<F = File> {
     dir: PathBuf,
     seq: u64,
     /// Oldest segment that may still exist on disk; truncation removes
     /// `[oldest, new_seq)` instead of probing every number since 0.
     oldest: u64,
-    file: File,
+    file: F,
     segment_bytes: u64,
     next_lsn: u64,
+    /// Bytes of the last statement appended: the next one's buffer is
+    /// sized from it.
+    last_append: usize,
+    /// Why the live segment may end in a tear that could not be cut off.
+    /// Set, it refuses every append: one would land behind the tear.
+    torn: Option<String>,
 }
 
 /// What one [`Wal::append_statement`] call did, for the engine's counters.
@@ -89,8 +127,16 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("{seq:010}.wal"))
 }
 
-fn io_err(what: &str, e: std::io::Error) -> Error {
+fn io_err(what: &str, e: io::Error) -> Error {
     Error::Storage(format!("{what}: {e}"))
+}
+
+/// Fill in the length and checksum of the frame that starts at `at` and
+/// whose payload runs to the end of `buf`.
+fn seal(buf: &mut [u8], at: usize) {
+    let (head, payload) = buf[at..].split_at_mut(8);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
 }
 
 /// Open (creating if absent) segment `seq` for appending after its first
@@ -134,93 +180,9 @@ impl Wal {
             file: open_segment(dir, seq, clean_len)?,
             segment_bytes: clean_len,
             next_lsn,
+            last_append: 0,
+            torn: None,
         })
-    }
-
-    /// The segment currently being appended to.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The LSN the next record will carry.
-    pub fn next_lsn(&self) -> u64 {
-        self.next_lsn
-    }
-
-    fn frame(&mut self, kind: u8, body: &[u8]) -> Vec<u8> {
-        let mut payload = Vec::with_capacity(9 + body.len());
-        payload.push(kind);
-        payload.extend_from_slice(&self.next_lsn.to_le_bytes());
-        payload.extend_from_slice(body);
-        self.next_lsn += 1;
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        frame
-    }
-
-    /// Append one statement's redo ops as a batch record followed by a
-    /// commit record, and rotate the segment if it outgrew
-    /// [`SEGMENT_LIMIT`].
-    ///
-    /// **Does not make the commit durable.** The per-commit `fsync` of
-    /// `SyncMode::Always` is the engine's group committer's job (see
-    /// `StorageEngine::log_statement`), which calls [`Wal::sync`] once for
-    /// every commit record appended since the last sync. The one fsync
-    /// issued *here* is the rotation edge in `Always` mode: the outgoing
-    /// segment is synced before the live file moves on, so closed segments
-    /// are always durable and the group committer only ever needs to sync
-    /// the live one.
-    pub fn append_statement(&mut self, ops: &[RedoOp], sync: SyncMode) -> Result<Append> {
-        let mut enc = Enc::new();
-        enc.put(ops);
-        let body = enc.into_bytes()?;
-        let mut buf = self.frame(KIND_BATCH, &body);
-        buf.extend_from_slice(&self.frame(KIND_COMMIT, &[]));
-        self.file
-            .write_all(&buf)
-            .map_err(|e| io_err("append wal record", e))?;
-        self.segment_bytes += buf.len() as u64;
-        let mut fsyncs = 0;
-        if self.segment_bytes >= SEGMENT_LIMIT {
-            if sync == SyncMode::Always {
-                self.sync()?;
-                fsyncs = 1;
-            }
-            self.start_segment(self.seq + 1)?;
-        }
-        Ok(Append {
-            bytes: buf.len() as u64,
-            fsyncs,
-        })
-    }
-
-    /// Force everything appended to the live segment to stable storage.
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_data().map_err(|e| io_err("fsync wal", e))
-    }
-
-    /// Make an empty segment `seq` the live one.
-    fn start_segment(&mut self, seq: u64) -> Result<()> {
-        self.file = open_segment(&self.dir, seq, 0)?;
-        self.seq = seq;
-        self.segment_bytes = 0;
-        Ok(())
-    }
-
-    /// Start a fresh segment sequence after a checkpoint: segments before
-    /// `new_seq` are deleted (the table images already reflect them) and
-    /// an empty segment `new_seq` becomes the live one.
-    pub fn truncate_to(&mut self, new_seq: u64) -> Result<()> {
-        for seq in self.oldest..new_seq {
-            let path = segment_path(&self.dir, seq);
-            if path.exists() {
-                fs::remove_file(&path).map_err(|e| io_err("remove wal segment", e))?;
-            }
-        }
-        self.oldest = new_seq;
-        self.start_segment(new_seq)
     }
 
     /// Replay every committed statement from segment `from_seq` onward.
@@ -300,10 +262,126 @@ impl Wal {
     }
 }
 
+impl<F: SegmentFile> Wal<F> {
+    /// Replace the segment writer, keeping the log's position: how tests
+    /// put a failing writer under a log opened on disk.
+    #[cfg(test)]
+    fn with_file<G>(self, wrap: impl FnOnce(F) -> G) -> Wal<G> {
+        Wal {
+            dir: self.dir,
+            seq: self.seq,
+            oldest: self.oldest,
+            file: wrap(self.file),
+            segment_bytes: self.segment_bytes,
+            next_lsn: self.next_lsn,
+            last_append: self.last_append,
+            torn: self.torn,
+        }
+    }
+
+    /// The segment currently being appended to.
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
+    /// The LSN the next record will carry.
+    pub fn next_lsn(&self) -> u64 {
+        self.next_lsn
+    }
+
+    /// Append one statement's redo ops as a batch record followed by a
+    /// commit record, and rotate the segment if it outgrew
+    /// [`SEGMENT_LIMIT`].
+    ///
+    /// A failed write leaves the segment as it was: the bytes that reached
+    /// it are cut off again before the error returns. If that cut fails,
+    /// this and every later append fails, until a reopen trims the tear.
+    ///
+    /// **Does not make the commit durable.** The per-commit `fsync` of
+    /// `SyncMode::Always` is the engine's group committer's job (see
+    /// `StorageEngine::log_statement`), which calls [`Wal::sync`] once for
+    /// every commit record appended since the last sync. The one fsync
+    /// issued *here* is the rotation edge in `Always` mode: the outgoing
+    /// segment is synced before the live file moves on, so closed segments
+    /// are always durable and the group committer only ever needs to sync
+    /// the live one.
+    pub fn append_statement(&mut self, ops: &[RedoOp], sync: SyncMode) -> Result<Append> {
+        if let Some(why) = &self.torn {
+            return Err(Error::Storage(format!(
+                "wal refuses appends behind a tear it could not cut off: {why}"
+            )));
+        }
+        // Both frames in one buffer: the batch payload is encoded behind
+        // its reserved frame header and checksummed in place.
+        let lsn = self.next_lsn;
+        let mut enc = Enc::with_capacity(self.last_append);
+        enc.u64(0); // frame length and checksum, sealed below
+        enc.u8(KIND_BATCH);
+        enc.u64(lsn);
+        enc.put(ops);
+        let mut buf = enc.into_bytes()?;
+        seal(&mut buf, 0);
+        let commit = buf.len();
+        buf.extend_from_slice(&[0; 8]);
+        buf.push(KIND_COMMIT);
+        buf.extend_from_slice(&(lsn + 1).to_le_bytes());
+        seal(&mut buf, commit);
+        if let Err(e) = self.file.write_all(&buf) {
+            if let Err(cut) = self.file.set_len(self.segment_bytes) {
+                self.torn = Some(format!("{e}; cutting it off failed: {cut}"));
+            }
+            return Err(io_err("append wal record", e));
+        }
+        self.next_lsn = lsn + 2;
+        self.last_append = buf.len();
+        self.segment_bytes += buf.len() as u64;
+        let mut fsyncs = 0;
+        if self.segment_bytes >= SEGMENT_LIMIT {
+            if sync == SyncMode::Always {
+                self.sync()?;
+                fsyncs = 1;
+            }
+            self.start_segment(self.seq + 1)?;
+        }
+        Ok(Append {
+            bytes: buf.len() as u64,
+            fsyncs,
+        })
+    }
+
+    /// Force everything appended to the live segment to stable storage.
+    pub fn sync(&mut self) -> Result<()> {
+        self.file.sync_data().map_err(|e| io_err("fsync wal", e))
+    }
+
+    /// Make an empty segment `seq` the live one.
+    fn start_segment(&mut self, seq: u64) -> Result<()> {
+        self.file = self.file.next_segment(open_segment(&self.dir, seq, 0)?);
+        self.seq = seq;
+        self.segment_bytes = 0;
+        Ok(())
+    }
+
+    /// Start a fresh segment sequence after a checkpoint: segments before
+    /// `new_seq` are deleted (the table images already reflect them) and
+    /// an empty segment `new_seq` becomes the live one.
+    pub fn truncate_to(&mut self, new_seq: u64) -> Result<()> {
+        for seq in self.oldest..new_seq {
+            let path = segment_path(&self.dir, seq);
+            if path.exists() {
+                fs::remove_file(&path).map_err(|e| io_err("remove wal segment", e))?;
+            }
+        }
+        self.oldest = new_seq;
+        self.start_segment(new_seq)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use quark_relational::{row, Value};
+    use std::sync::{Arc, Mutex};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -464,5 +542,150 @@ mod tests {
         assert!(!segment_path(&dir, 0).exists() && !segment_path(&dir, 1).exists());
         assert!(segment_path(&dir, 2).exists());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A statement sequence whose records cover every record length mod 8
+    /// and a few kilobytes (strings of growing length, rows of growing
+    /// count), so both the eight-byte words and the bytewise tail of the
+    /// checksum are on every path.
+    fn varied_statements() -> Vec<Vec<RedoOp>> {
+        (0..24)
+            .map(|i| {
+                (0..=i % 5)
+                    .map(|j| RedoOp::Put {
+                        table: format!("t{}", i % 3),
+                        row: row([
+                            Value::Int(i * 10 + j),
+                            Value::str("x".repeat((i * 37 + j) as usize)),
+                        ]),
+                    })
+                    .chain((i % 4 == 3).then(|| RedoOp::Del {
+                        table: "t0".into(),
+                        key: vec![Value::Int(i)],
+                    }))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Golden bytes of a segment written by a fixed statement sequence:
+    /// the same as the bytewise checksum and the two-copy framing wrote.
+    #[test]
+    fn segment_bytes_of_a_fixed_statement_sequence_are_pinned() {
+        let dir = tmp_dir("golden");
+        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+        let statements = varied_statements();
+        for ops in &statements {
+            wal.append_statement(ops, SyncMode::Never).unwrap();
+        }
+        let data = fs::read(segment_path(&dir, 0)).unwrap();
+        assert_eq!((data.len(), fnv1a(&data)), (33_582, 0x140f_f4c0_a886_a4c1));
+        assert_eq!(Wal::replay(&dir, 0).unwrap().batches, statements);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// What the next write and trim of a [`Faulty`] segment do.
+    #[derive(Debug, Default)]
+    struct Faults {
+        /// Fail the next write after this many of its bytes reach the
+        /// file: a short write, then a full disk (`Some(0)`: no byte).
+        write: Option<usize>,
+        /// Fail every trim.
+        trim: bool,
+    }
+
+    /// A segment file that fails as its shared [`Faults`] say.
+    #[derive(Debug)]
+    struct Faulty {
+        file: File,
+        faults: Arc<Mutex<Faults>>,
+    }
+
+    impl Write for Faulty {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut faults = self.faults.lock().unwrap();
+            match faults.write.take() {
+                None => self.file.write(buf),
+                Some(0) => Err(io::ErrorKind::StorageFull.into()),
+                Some(n) => {
+                    let n = n.min(buf.len());
+                    self.file.write_all(&buf[..n])?;
+                    faults.write = Some(0);
+                    Ok(n)
+                }
+            }
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.file.flush()
+        }
+    }
+
+    impl SegmentFile for Faulty {
+        fn set_len(&self, len: u64) -> io::Result<()> {
+            if self.faults.lock().unwrap().trim {
+                return Err(io::Error::other("trim refused"));
+            }
+            self.file.set_len(len)
+        }
+
+        fn sync_data(&self) -> io::Result<()> {
+            self.file.sync_data()
+        }
+
+        fn next_segment(&self, file: File) -> Faulty {
+            Faulty {
+                file,
+                faults: Arc::clone(&self.faults),
+            }
+        }
+    }
+
+    /// A write that fails part-way (a short write, then a full disk) or
+    /// at once (`ENOSPC`) leaves the segment as before it, so the next
+    /// statements are acknowledged and replay; if the tear cannot be cut
+    /// off, every later append is refused instead of landing behind it.
+    /// Either way a reopen replays exactly the acknowledged statements and
+    /// appends after them again.
+    #[test]
+    fn a_failed_append_leaves_no_tear_behind_acknowledged_records() {
+        let arms = [
+            ("short write", Some(20), false),
+            ("ENOSPC", Some(0), false),
+            ("short write, failed trim", Some(20), true),
+        ];
+        for (arm, write, trim) in arms {
+            let dir = tmp_dir("tear");
+            let faults = Arc::new(Mutex::new(Faults::default()));
+            let mut wal = Wal::open(&dir, 0, 0, 1).unwrap().with_file(|file| Faulty {
+                file,
+                faults: Arc::clone(&faults),
+            });
+            let mut acknowledged = Vec::new();
+            let mut append = |wal: &mut Wal<Faulty>, v| {
+                let ops = vec![put("t", v)];
+                let ok = wal.append_statement(&ops, SyncMode::Never).is_ok();
+                if ok {
+                    acknowledged.push(ops);
+                }
+                ok
+            };
+            assert!(append(&mut wal, 1), "{arm}");
+            *faults.lock().unwrap() = Faults { write, trim };
+            assert!(!append(&mut wal, 2), "{arm}: the failing append");
+            faults.lock().unwrap().trim = false;
+            assert_eq!(append(&mut wal, 3), !trim, "{arm}");
+            assert_eq!(append(&mut wal, 4), !trim, "{arm}");
+            drop(wal);
+
+            let replay = Wal::replay(&dir, 0).unwrap();
+            assert_eq!(replay.batches, acknowledged, "{arm}");
+            let mut wal = Wal::open(&dir, 0, replay.clean_len, replay.next_lsn).unwrap();
+            wal.append_statement(&[put("t", 5)], SyncMode::Never)
+                .unwrap();
+            acknowledged.push(vec![put("t", 5)]);
+            assert_eq!(Wal::replay(&dir, 0).unwrap().batches, acknowledged, "{arm}");
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

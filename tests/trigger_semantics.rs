@@ -291,6 +291,99 @@ fn unregistered_action_errors_at_fire_time() {
     assert!(err.to_string().contains("no_such_fn"), "{err}");
 }
 
+/// The vendor table as a reader and as the authoritative state see it.
+fn vendor_state(session: &Session) -> (StatementResult, u64) {
+    let selected = session.execute("SELECT * FROM vendor").unwrap();
+    (
+        selected,
+        session.database().table("vendor").unwrap().version(),
+    )
+}
+
+/// An unregistered action among a set's members fails the row before any
+/// action of it runs: the registered member ahead of it is not called,
+/// and the statement leaves the table as it was.
+#[test]
+fn unregistered_action_fails_the_row_before_any_of_its_actions_runs() {
+    for mode in [Mode::Grouped, Mode::GroupedAgg] {
+        let (mut session, log) = catalog_system(mode);
+        session
+            .execute(
+                "create trigger Good after update on view('catalog')/product do notify(NEW_NODE)",
+            )
+            .unwrap();
+        session
+            .execute("create trigger Bad after update on view('catalog')/product do no_such_fn(NEW_NODE)")
+            .unwrap();
+        let before = vendor_state(&session);
+        let err = update_price(&mut session, "Amazon", "P1", 75.0).unwrap_err();
+        assert!(
+            err.to_string().contains("unregistered action `no_such_fn`"),
+            "{mode:?}: {err}"
+        );
+        assert_eq!(log.len(), 0, "{mode:?}: an action of the failed row ran");
+        assert_eq!(vendor_state(&session), before, "{mode:?}");
+    }
+}
+
+/// One set whose members call two different actions calls them in member
+/// order, each member once.
+#[test]
+fn one_set_calls_two_actions_in_member_order() {
+    for mode in [Mode::Grouped, Mode::GroupedAgg] {
+        let (mut session, log) = catalog_system(mode);
+        let sink = log.clone();
+        session
+            .register_action("ping", move |_db: &Database, call| {
+                let trigger = format!("ping {}", call.trigger);
+                sink.0.lock().unwrap().push((trigger, call.params.clone()));
+                Ok(())
+            })
+            .unwrap();
+        for (name, action) in [("T1", "notify"), ("T2", "ping"), ("T3", "notify")] {
+            session
+                .execute(&format!(
+                    "create trigger {name} after update on view('catalog')/product do {action}(NEW_NODE)"
+                ))
+                .unwrap();
+        }
+        assert_eq!(session.quark().group_count(), 1, "{mode:?}");
+        update_price(&mut session, "Amazon", "P1", 75.0).unwrap();
+        let called: Vec<String> = log.take().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(called, ["T1", "ping T2", "T3"], "{mode:?}");
+    }
+}
+
+/// Actions are looked up when a trigger fires, not when it is created: an
+/// action registered between two firings is called by the second.
+#[test]
+fn an_action_registered_between_two_firings_is_called_by_the_second() {
+    for mode in all_modes() {
+        let (mut session, log) = catalog_system(mode);
+        session
+            .execute(
+                "create trigger Late after update on view('catalog')/product do later(NEW_NODE)",
+            )
+            .unwrap();
+        let err = update_price(&mut session, "Amazon", "P1", 75.0).unwrap_err();
+        assert!(
+            err.to_string().contains("unregistered action `later`"),
+            "{mode:?}: {err}"
+        );
+        let sink = log.clone();
+        session
+            .register_action("later", move |_db: &Database, call| {
+                let firing = (call.trigger.clone(), call.params.clone());
+                sink.0.lock().unwrap().push(firing);
+                Ok(())
+            })
+            .unwrap();
+        update_price(&mut session, "Amazon", "P1", 75.0).unwrap();
+        let called: Vec<String> = log.take().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(called, ["Late"], "{mode:?}");
+    }
+}
+
 /// Triggers on unknown views or anchors are rejected at creation.
 #[test]
 fn unknown_view_or_anchor_rejected() {
