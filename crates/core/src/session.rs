@@ -58,7 +58,8 @@
 //!   `INSERT` — its changes are undone while its latches are still held,
 //!   and nothing is logged or published ([`Database::statement`]). A
 //!   statement that succeeds appends its redo to the write-ahead log as
-//!   one batch plus a commit record.
+//!   one frame before its journal closes; if that append fails, the
+//!   statement is undone the same way and returns the error.
 //! * **Global writes** — DDL, trigger creation/drop, action registration
 //!   and the `quark_mut`/`database_mut` escape hatches: whatever can
 //!   change schema, trigger topology or the action registry — take the
@@ -107,7 +108,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use quark_relational::sql::{self, SqlOutcome, Statement};
-use quark_relational::{Counter, Database, Error, Result, Value};
+use quark_relational::{Counter, Database, Error, RedoOp, Result, Value};
 use quark_xml::XmlNodeRef;
 
 use crate::latch::LatchManager;
@@ -812,10 +813,11 @@ impl Session {
 
     /// Execute one data-change statement — the one DML path of the module
     /// docs: latch the statement's [`Footprint`] under the *shared* level-1
-    /// lock, run statement and cascade as one [`Database::statement`], and
-    /// only if it succeeds, log and fold; a failed statement has already
-    /// been undone, so its error is returned with nothing logged or
-    /// folded. An unbounded footprint
+    /// lock; run statement and cascade as one [`Database::statement`]
+    /// whose commit step appends its redo to the WAL; and only if both
+    /// succeed, fold. A statement that fails, or whose append fails, has
+    /// already been undone, so its error is returned with nothing logged
+    /// or folded. An unbounded footprint
     /// ([`Footprint::Global`]) latches **every table exclusive**, which
     /// covers whatever an opaque body does: it only ever receives
     /// `&Database`, and every catalog change needs `&mut` (i.e. global
@@ -841,18 +843,16 @@ impl Session {
         db.bump(Counter::LatchExclusiveAcquisitions, latch.exclusive_count());
         // Under the `footprint-oracle` feature, a table access outside
         // `write` ∪ `read` is a proven hole in the static analysis and
-        // bumps `footprint_violations`.
-        let (outcome, redo) = db.statement(&write, &read, || sql::execute_dml(db, stmt))?;
-        // One WAL batch closed by a commit record: the statement boundary
-        // is the durability boundary.
-        let logged = match state.storage() {
-            Some(engine) => engine.log_statement(&redo.ops()),
-            None => Ok(()),
-        };
+        // bumps `footprint_violations`. The statement's redo is appended
+        // to the WAL as one frame while the statement can still be undone:
+        // the statement boundary is the durability boundary.
+        let log = state
+            .storage()
+            .map(|wal| move |ops: &[RedoOp]| Ok(wal.log_statement(ops)?));
+        let outcome = db.statement(&write, &read, || sql::execute_dml(db, stmt), log)?;
         // Only the write set can have changed, so only it is folded;
         // shared-latched read tables are untouched.
         self.shared.commit_tables(&state, &write);
-        logged?;
         Ok(outcome)
     }
 

@@ -465,7 +465,6 @@ mod tests {
         };
         let (signature, cond, consts) = group_key(&spec, Mode::Grouped);
         assert_eq!(consts, [Value::str("CRT 15")]);
-        let generation = db.schema_generation();
         let cx = Context {
             db: &db,
             options: AnOptions::default(),
@@ -509,7 +508,6 @@ mod tests {
         let footprint: Vec<&str> = group.footprint.iter().map(String::as_str).collect();
         assert_eq!(footprint, ["__quark_const_7", "product", "vendor"]);
 
-        assert_eq!(db.schema_generation(), generation);
         assert_eq!(db.trigger_count(), 0);
         assert!(db.table("__quark_const_7").is_err());
     }

@@ -8,8 +8,9 @@
 //! post-statement database state, and may itself execute statements (e.g.
 //! the benchmark action inserts into a temporary table); cascades are capped
 //! at a DB2-like nesting depth of 16. A statement is atomic, cascade
-//! included: its row changes are journaled as they happen, become its redo
-//! if it succeeds and are undone if it fails ([`Database::statement`]).
+//! included: its row changes are journaled as they happen, handed to its
+//! commit step as its redo if it succeeds, and undone if it or its commit
+//! step fails ([`Database::statement`]).
 
 use std::cell::RefCell;
 use std::collections::hash_map::Entry;
@@ -146,7 +147,7 @@ pub struct Stats {
     /// `fsync` calls issued by the write-ahead log.
     pub wal_fsyncs: u64,
     /// Group-commit fsync batches: one per `fsync` the WAL's group
-    /// committer issued on behalf of every commit record appended (but not
+    /// committer issued on behalf of every WAL frame appended (but not
     /// yet durable) at that moment. Under concurrent writers this stays
     /// below the committed-statement count — the whole point of group
     /// commit.
@@ -277,7 +278,6 @@ pub struct Database {
     /// crosses threads, but one thread may drive several database
     /// instances (oracle shadow clones), so the journal is keyed on both.
     db_id: u64,
-    schema_generation: u64,
     /// Indexed by [`Counter`]. Bumped during statement and plan execution,
     /// where only `&Database` is available, hence relaxed atomics.
     counters: [AtomicU64; COUNTERS],
@@ -290,7 +290,6 @@ impl Default for Database {
             triggers: Arc::new(Vec::new()),
             trigger_names: Arc::new(std::collections::HashSet::new()),
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
-            schema_generation: 0,
             counters: Default::default(),
         }
     }
@@ -310,7 +309,6 @@ impl Clone for Database {
             triggers: Arc::clone(&self.triggers),
             trigger_names: Arc::clone(&self.trigger_names),
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
-            schema_generation: self.schema_generation,
             counters: std::array::from_fn(|i| {
                 AtomicU64::new(self.counters[i].load(Ordering::Relaxed))
             }),
@@ -397,27 +395,32 @@ fn redo_op(schema: &TableSchema, put: bool, row: &Row) -> RedoOp {
     }
 }
 
-/// A committed statement's row changes, cascade included (see
-/// [`Database::statement`]): what the write-ahead log records.
-pub struct Redo(Journal);
-
-impl Redo {
+impl Journal {
     /// The changes as physical redo operations: per `apply`, its removed
     /// rows by key, then its added rows — the order it made them in, so
     /// key-reshuffling updates replay correctly.
-    pub fn ops(&self) -> Vec<RedoOp> {
-        let Journal { applies, rows, .. } = &self.0;
-        let op = |(a, put, row): &(usize, bool, Row)| redo_op(&applies[*a].0, *put, row);
-        rows.iter().map(op).collect()
+    fn redo(&self) -> Vec<RedoOp> {
+        let op = |(a, put, row): &(usize, bool, Row)| redo_op(&self.applies[*a].0, *put, row);
+        self.rows.iter().map(op).collect()
     }
 }
 
 /// Puts back every change made since `mark` — `(applies, rows)` lengths,
 /// or `None` for the outermost statement, which also closes the journal —
-/// when dropped: on an `Err` and during a panic alike, unless forgotten.
+/// when dropped: on an `Err` and during a panic alike, unless kept.
 struct Rollback<'a> {
     db: &'a Database,
     mark: Option<(usize, usize)>,
+}
+
+impl Rollback<'_> {
+    /// Keep the statement's changes, closing the journal if it opened it.
+    fn keep(self) {
+        if self.mark.is_none() {
+            JOURNALS.with(|m| m.borrow_mut().remove(&self.db.db_id));
+        }
+        std::mem::forget(self);
+    }
 }
 
 impl Drop for Rollback<'_> {
@@ -498,7 +501,6 @@ impl Database {
         }
         self.tables
             .insert(schema.name.clone(), new_cell(Arc::new(Table::new(schema))));
-        self.schema_generation += 1;
         Ok(())
     }
 
@@ -507,8 +509,6 @@ impl Database {
         let mut t = self.table_write(table)?;
         let col = t.schema().col(column)?;
         t.create_index(col);
-        drop(t);
-        self.schema_generation += 1;
         Ok(())
     }
 
@@ -522,15 +522,7 @@ impl Database {
             names.remove(&t.name);
         }
         Arc::make_mut(&mut self.triggers).retain(|t| t.table != table);
-        self.schema_generation += 1;
         Ok(())
-    }
-
-    /// Monotonic counter bumped by every schema change (table/index
-    /// creation, table drop). Compiled-plan caches key on it so plans built
-    /// against an older schema are never reused once the schema moves.
-    pub fn schema_generation(&self) -> u64 {
-        self.schema_generation
     }
 
     /// Snapshot of the execution counters: statement/trigger counts plus
@@ -584,17 +576,19 @@ impl Database {
 
     /// Run `f` as one statement, cascade included, recording every row
     /// change in this thread's journal for this database as it happens.
-    /// On `Ok` the journal becomes the statement's [`Redo`]. On `Err` or a
-    /// panic — an action's error, the cascade-depth cap, a duplicate key
-    /// part-way through a multi-row `INSERT` — it is replayed backward,
-    /// leaving every table as the statement found it, version included,
-    /// with nothing to log or publish. Every data-change entry point runs
-    /// itself this way, so a raw [`Database`] caller's statements are
-    /// atomic too.
+    /// On `Ok`, the commit step, if there is one, receives the statement's
+    /// changes as physical redo ops while they can still be undone (a
+    /// durable session appends them to the write-ahead log here). On an
+    /// `Err` or a panic — from `f` (an action's error, the cascade-depth
+    /// cap, a duplicate key part-way through a multi-row `INSERT`) or from
+    /// `commit` — the journal is replayed backward, leaving every table as
+    /// the statement found it, version included, with nothing to publish.
+    /// Every data-change entry point runs itself this way, with no commit
+    /// step, so a raw [`Database`] caller's statements are atomic too.
     ///
     /// A statement started while one is open here — a cascade's own —
-    /// joins it and returns an empty [`Redo`]; if it fails, it puts back
-    /// only its own changes, before its error reaches the trigger body.
+    /// joins it and never calls `commit`; if it fails, it puts back only
+    /// its own changes, before its error reaches the trigger body.
     ///
     /// `write` and `read` are the tables the caller latched exclusive and
     /// shared. Under the `footprint-oracle` feature every table access in
@@ -606,21 +600,25 @@ impl Database {
         write: &BTreeSet<String>,
         read: &BTreeSet<String>,
         f: impl FnOnce() -> Result<T, E>,
-    ) -> Result<(T, Redo), E> {
-        self.journaled(f, || Journal {
+        commit: Option<impl FnOnce(&[RedoOp]) -> Result<(), E>>,
+    ) -> Result<T, E> {
+        let rollback = self.begin(|| Journal {
             #[cfg(feature = "footprint-oracle")]
             footprint: Some((write.clone(), read.clone())),
             ..Journal::default()
-        })
+        });
+        let out = f()?;
+        if let (None, Some(commit)) = (rollback.mark, commit) {
+            commit(&self.journal(|j| j.redo()))?;
+        }
+        rollback.keep();
+        Ok(out)
     }
 
-    /// [`Database::statement`], opening the journal `fresh` builds when
-    /// none is open.
-    fn journaled<T, E>(
-        &self,
-        f: impl FnOnce() -> Result<T, E>,
-        fresh: impl FnOnce() -> Journal,
-    ) -> Result<(T, Redo), E> {
+    /// Open this thread's journal for this database — the one `fresh`
+    /// builds — or join the one already open, and arm the rollback of
+    /// every change made from here on.
+    fn begin(&self, fresh: impl FnOnce() -> Journal) -> Rollback<'_> {
         let mark = JOURNALS.with(|m| match m.borrow_mut().entry(self.db_id) {
             Entry::Occupied(open) => Some((open.get().applies.len(), open.get().rows.len())),
             Entry::Vacant(slot) => {
@@ -628,14 +626,7 @@ impl Database {
                 None
             }
         });
-        let rollback = Rollback { db: self, mark };
-        let out = f()?;
-        std::mem::forget(rollback);
-        let redo = match mark {
-            None => JOURNALS.with(|m| m.borrow_mut().remove(&self.db_id)),
-            Some(_) => None,
-        };
-        Ok((out, Redo(redo.unwrap_or_default())))
+        Rollback { db: self, mark }
     }
 
     /// Run `edit` on this thread's open journal for this database.
@@ -1000,7 +991,10 @@ impl Database {
             }
             Ok(affected)
         };
-        Ok(self.journaled(body, Journal::default)?.0)
+        let rollback = self.begin(Journal::default);
+        let affected = body()?;
+        rollback.keep();
+        Ok(affected)
     }
 
     // ------------------------------------------------------------------
@@ -1377,14 +1371,17 @@ mod tests {
         assert_eq!(observe(&db), start, "undone on a panic");
 
         *mode.lock().unwrap() = "swallow";
-        let (_, redo) = db
-            .statement(&latched(&["vendor", "log"]), &BTreeSet::new(), || {
-                update(4.0)
-            })
+        let mut redo = Vec::new();
+        let keep = |ops: &[RedoOp]| {
+            redo = ops.to_vec();
+            Ok(())
+        };
+        let all = latched(&["vendor", "log"]);
+        db.statement(&all, &BTreeSet::new(), || update(4.0), Some(keep))
             .unwrap();
         let log: Vec<Row> = db.table("log").unwrap().iter().cloned().collect();
         assert_eq!(log, [0, 1].map(|n| crate::row(vec![Value::Int(n)])));
-        let ops: Vec<(&str, String)> = (redo.ops().into_iter())
+        let ops: Vec<(&str, String)> = (redo.into_iter())
             .map(|op| match op {
                 RedoOp::Del { table, .. } => ("Del", table),
                 RedoOp::Put { table, .. } => ("Put", table),
@@ -1392,6 +1389,77 @@ mod tests {
             .collect();
         let logged = [("Del", "vendor"), ("Put", "vendor"), ("Put", "log")];
         assert_eq!(ops, logged.map(|(op, t)| (op, t.to_string())));
+    }
+
+    /// A statement whose commit step fails — by an `Err` or by a panic —
+    /// is undone whole, its cascade's writes and every version included;
+    /// the statements of a cascade join the open one and never reach a
+    /// commit step of their own.
+    #[test]
+    fn a_failed_commit_step_undoes_the_statement_and_its_cascade() {
+        let mut db = db_with_vendor();
+        db.create_table(
+            TableSchema::new("log", vec![ColumnDef::new("n", ColumnType::Int)], &["n"]).unwrap(),
+        )
+        .unwrap();
+        db.load("vendor", vec![vrow("a", "P1", 1.0)]).unwrap();
+        let joined_commits = Arc::new(Mutex::new(0));
+        let joined = Arc::clone(&joined_commits);
+        db.create_trigger(SqlTrigger {
+            name: "t".into(),
+            table: "vendor".into(),
+            event: Event::Update,
+            body: Arc::new(move |db, _| {
+                let n = db.table("log")?.len() as i64;
+                let insert = || db.insert_row("log", vec![Value::Int(n)]);
+                let commit = |_: &[RedoOp]| {
+                    *joined.lock().unwrap() += 1;
+                    Ok(())
+                };
+                db.statement(&latched(&["log"]), &BTreeSet::new(), insert, Some(commit))
+            }),
+        })
+        .unwrap();
+        let observe = |db: &Database| {
+            ["vendor", "log"].map(|name| {
+                let t = db.table(name).unwrap();
+                (t.version(), t.iter().cloned().collect::<Vec<_>>())
+            })
+        };
+        let (all, none) = (latched(&["vendor", "log"]), BTreeSet::new());
+        let key = [Value::str("a"), Value::str("P1")];
+        let update = |price: f64| db.update_by_key("vendor", &key, &[(2, Value::Double(price))]);
+        let start = observe(&db);
+
+        let full = Error::Storage("disk full".into());
+        let refuse = |ops: &[RedoOp]| {
+            assert_eq!(ops.len(), 3, "the update's Del and Put, the cascade's Put");
+            Err(full.clone())
+        };
+        let refused = db.statement(&all, &none, || update(2.0), Some(refuse));
+        assert_eq!(refused, Err(full));
+        assert_eq!(observe(&db), start, "undone on a commit error");
+        let panics = |_: &[RedoOp]| panic!("injected");
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            db.statement(&all, &none, || update(3.0), Some(panics))
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(observe(&db), start, "undone on a commit panic");
+
+        let mut logged = 0;
+        let count = |ops: &[RedoOp]| {
+            logged = ops.len();
+            Ok(())
+        };
+        db.statement(&all, &none, || update(4.0), Some(count))
+            .unwrap();
+        assert_eq!(logged, 3);
+        assert_eq!(db.table("log").unwrap().len(), 1);
+        assert_eq!(
+            *joined_commits.lock().unwrap(),
+            0,
+            "joined statements never commit"
+        );
     }
 
     #[test]
@@ -1642,16 +1710,19 @@ mod tests {
             assert_eq!(db.stats().statements, before, "not counted");
         }
         assert_eq!(*fired.lock().unwrap(), 0, "no trigger fired");
-        let (_, redo) = db
-            .statement(&latched(&["vendor"]), &BTreeSet::new(), || {
-                db.insert("vendor", vec![vrow("d", "P2", 4.0)])
-            })
+        let mut redo = Vec::new();
+        let insert = || db.insert("vendor", vec![vrow("d", "P2", 4.0)]);
+        let keep = |ops: &[RedoOp]| {
+            redo = ops.to_vec();
+            Ok(())
+        };
+        db.statement(&latched(&["vendor"]), &BTreeSet::new(), insert, Some(keep))
             .unwrap();
         let put = RedoOp::Put {
             table: "vendor".into(),
             row: crate::row(vrow("d", "P2", 4.0)),
         };
-        assert_eq!(redo.ops(), vec![put], "nothing else logged");
+        assert_eq!(redo, vec![put], "nothing else logged");
     }
 
     /// An UPDATE that moves a row onto another row's key, or makes a row

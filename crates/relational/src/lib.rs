@@ -42,7 +42,7 @@ pub mod wire;
 #[cfg(feature = "footprint-oracle")]
 pub use database::FootprintTolerance;
 pub use database::{
-    Counter, Database, Event, NativeTriggerFn, Redo, SqlTrigger, Stats, TransitionTables,
+    Counter, Database, Event, NativeTriggerFn, SqlTrigger, Stats, TransitionTables,
 };
 pub use error::{Error, Result};
 pub use schema::{ColumnDef, RowSet, TableSchema};

@@ -8,11 +8,13 @@
 //! +----------------+----------------+------------------------+
 //! ```
 //!
-//! where `crc` is the CRC-32 (IEEE) of the payload — the same checksum the
-//! write-ahead log uses, so a flipped bit anywhere in a frame is caught
-//! before the payload is interpreted. `len` is bounded by the server's
-//! configured maximum frame size; an oversized header is rejected *before*
-//! buffering, so a malicious length cannot make the server allocate.
+//! where `crc` is the CRC-32 (IEEE) of the payload: the write-ahead log's
+//! frame, sealed and peeled by the same two functions
+//! ([`quark_core::storage::frame`]), so a flipped bit anywhere in a frame
+//! is caught before the payload is interpreted. `len` is bounded by the
+//! server's configured maximum frame size; an oversized header is rejected
+//! *before* buffering, so a malicious length cannot make the server
+//! allocate.
 //!
 //! Payloads go through the same codec as everything persisted
 //! ([`quark_core::relational::wire`], whose module docs state the rules
@@ -42,11 +44,10 @@ use std::io::{self, Write};
 
 use quark_core::relational::wire::{Dec, Enc, WireTag};
 use quark_core::relational::{self, Row, Value};
-use quark_core::storage::crc::crc32;
+use quark_core::storage::frame::{self, Peeled};
 use quark_core::{AnalysisReport, ObjectKind, Span, StatementError, StatementResult};
 
-/// Frame header: payload length + payload CRC, 4 bytes each.
-pub const HEADER_LEN: usize = 8;
+pub use quark_core::storage::frame::HEADER_LEN;
 
 /// Default maximum payload size (16 MiB).
 pub const MAX_FRAME_DEFAULT: usize = 16 * 1024 * 1024;
@@ -191,8 +192,7 @@ fn payload(enc: Enc) -> Vec<u8> {
 
 /// Write one frame: header (length + CRC) followed by the payload.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    w.write_all(&frame::seal(payload))?;
     w.write_all(payload)
 }
 
@@ -211,26 +211,15 @@ pub enum Framing {
 /// and CRC mismatches are [`Framing::Bad`] — a stream that has lost frame
 /// alignment cannot be resynchronized, only closed.
 pub fn decode_frame(buf: &mut Vec<u8>, max_frame: usize) -> Framing {
-    if buf.len() < HEADER_LEN {
-        return Framing::Need;
+    match frame::peel(buf, max_frame) {
+        Peeled::Need => Framing::Need,
+        Peeled::Bad(msg) => Framing::Bad(msg),
+        Peeled::Frame { payload, len } => {
+            let payload = payload.to_vec();
+            buf.drain(..len);
+            Framing::Frame(payload)
+        }
     }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > max_frame {
-        return Framing::Bad(format!("frame of {len} bytes exceeds maximum {max_frame}"));
-    }
-    if buf.len() < HEADER_LEN + len {
-        return Framing::Need;
-    }
-    let want = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-    let payload: Vec<u8> = buf[HEADER_LEN..HEADER_LEN + len].to_vec();
-    buf.drain(..HEADER_LEN + len);
-    let got = crc32(&payload);
-    if got != want {
-        return Framing::Bad(format!(
-            "frame checksum mismatch (got {got:#010x}, header says {want:#010x})"
-        ));
-    }
-    Framing::Frame(payload)
 }
 
 // ----------------------------------------------------------------------

@@ -1,11 +1,11 @@
 //! The durable catalog: the root record of a checkpointed database image.
 //!
-//! `catalog.bin` names everything else: the checkpoint LSN, the active WAL
-//! segment (anything earlier is pre-checkpoint garbage), one entry per
-//! table (schema, secondary-index columns, the id of the image file
-//! holding its row stream), and an opaque **core blob** — the engine
-//! layers above serialize their own state (views, trigger groups, compile
-//! cache) into it without the storage layer knowing its shape.
+//! `catalog.bin` names everything else: the active WAL segment (anything
+//! earlier is pre-checkpoint garbage), one entry per table (schema,
+//! secondary-index columns, the id of the image file holding its row
+//! stream), and an opaque **core blob** — the engine
+//! layers above serialize their own state (views, triggers, trigger
+//! groups) into it without the storage layer knowing its shape.
 //!
 //! The catalog is replaced atomically (`framed::publish`): written to
 //! `catalog.tmp`, fsynced, renamed over `catalog.bin`. A crash
@@ -21,7 +21,9 @@ use quark_relational::{Error, Result, TableSchema};
 use crate::framed;
 
 const MAGIC: &[u8; 4] = b"QRKC";
-const VERSION: u32 = 2;
+/// Covers the WAL layout too, so a directory of another version is
+/// refused by number: no reader of an older layout is kept.
+const VERSION: u32 = 3;
 
 /// One table's durable metadata.
 #[derive(Debug, Clone)]
@@ -38,8 +40,6 @@ pub struct TableEntry {
 /// The decoded catalog.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    /// LSN of the checkpoint that wrote this catalog.
-    pub checkpoint_lsn: u64,
     /// First WAL segment that postdates the checkpoint.
     pub wal_seq: u64,
     /// All tables in creation order.
@@ -74,16 +74,17 @@ impl Catalog {
             return Ok(None);
         };
         let mut dec = Dec::new(&payload);
-        if dec.u32()? != VERSION {
-            return Err(Error::Storage("unsupported catalog version".into()));
+        let version = dec.u32()?;
+        if version != VERSION {
+            return Err(Error::Storage(format!(
+                "unsupported catalog version {version}"
+            )));
         }
-        let checkpoint_lsn = dec.u64()?;
         let wal_seq = dec.u64()?;
         let tables = dec.get()?;
         let core_blob = dec.bool()?.then(|| dec.bytes()).transpose()?;
         dec.finish()?;
         Ok(Some(Catalog {
-            checkpoint_lsn,
             wal_seq,
             tables,
             core_blob,
@@ -95,7 +96,6 @@ impl Catalog {
     pub fn save(&self, path: &Path, sync: bool) -> Result<()> {
         let mut enc = Enc::new();
         enc.u32(VERSION);
-        enc.u64(self.checkpoint_lsn);
         enc.u64(self.wal_seq);
         enc.put(&self.tables);
         enc.bool(self.core_blob.is_some());
@@ -135,7 +135,6 @@ mod tests {
         )
         .unwrap();
         Catalog {
-            checkpoint_lsn: 42,
             wal_seq: 3,
             tables: vec![TableEntry {
                 schema,
@@ -150,15 +149,15 @@ mod tests {
     fn round_trips_through_disk() {
         let path = tmp_file("roundtrip");
         sample().save(&path, false).unwrap();
-        // Golden bytes of the file (magic, CRC, version-2 payload): a
-        // catalog written by an earlier build must keep loading.
+        // Golden bytes of the file (magic, CRC, version-3 payload): a
+        // catalog written by an earlier build of this version must keep
+        // loading. 8 bytes below version 2, which held the checkpoint's LSN.
         let data = std::fs::read(&path).unwrap();
         let fnv = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((data.len(), fnv), (98, 0xf35d_5d0c_f660_4008));
+        assert_eq!((data.len(), fnv), (90, 0xac10_b96a_7746_a374));
         let back = Catalog::load(&path).unwrap().unwrap();
-        assert_eq!(back.checkpoint_lsn, 42);
         assert_eq!(back.wal_seq, 3);
         assert_eq!(back.tables.len(), 1);
         assert_eq!(back.tables[0].schema.name, "vendor");
@@ -174,16 +173,22 @@ mod tests {
         assert!(Catalog::load(&path).unwrap().is_none());
     }
 
+    /// Version 1 is the paged-store layout, version 2 the two-record WAL
+    /// with LSNs; both are refused by number.
     #[test]
     fn other_catalog_versions_are_rejected() {
         let path = tmp_file("version");
-        let mut enc = Enc::new();
-        enc.u32(1); // the paged-store layout this version replaced
-        framed::publish(&path, MAGIC, &enc.into_bytes().unwrap(), false).unwrap();
-        assert!(matches!(
-            Catalog::load(&path),
-            Err(Error::Storage(m)) if m.contains("unsupported catalog version")
-        ));
+        for version in [1, 2] {
+            let mut enc = Enc::new();
+            enc.u32(version);
+            enc.u64(42); // version 2's checkpoint LSN
+            enc.u64(3);
+            framed::publish(&path, MAGIC, &enc.into_bytes().unwrap(), false).unwrap();
+            assert!(matches!(
+                Catalog::load(&path),
+                Err(Error::Storage(m)) if m == format!("unsupported catalog version {version}")
+            ));
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -194,7 +199,6 @@ mod tests {
         let path = tmp_file("counts");
         let header = |enc: &mut Enc, tables: u32| {
             enc.u32(VERSION);
-            enc.u64(42); // checkpoint LSN
             enc.u64(3); // WAL segment
             enc.u32(tables);
         };

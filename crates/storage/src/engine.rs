@@ -4,9 +4,10 @@
 //! them together.
 //!
 //! **Logging.** Every latched statement (with its full trigger cascade)
-//! becomes one WAL batch + commit record pair via [`StorageEngine::
-//! log_statement`]. Redo ops are physical and idempotent, so replay never
-//! re-fires triggers — cascade effects are already in the batch.
+//! becomes one WAL frame via [`StorageEngine::log_statement`], called
+//! while the statement can still be undone: an `Err` means no byte of it
+//! was appended. Redo ops are physical and idempotent, so replay never
+//! re-fires triggers — cascade effects are already in the frame.
 //!
 //! **Checkpointing.** [`StorageEngine::checkpoint`] writes a complete
 //! image: dirty tables (per-table version changed since the last
@@ -21,8 +22,8 @@
 //! **Recovery.** [`StorageEngine::open`] loads the catalog, reads every
 //! table's image back into rows (verifying its CRC), unlinks image files
 //! the catalog does not name (left by a crash before the rename), and
-//! replays committed WAL batches (ARIES redo-only: there is nothing to
-//! undo, because only committed statement boundaries are ever logged).
+//! replays the WAL's whole frames (ARIES redo-only: there is nothing to
+//! undo, because a statement is logged whole or not at all).
 //! The caller rebuilds the in-memory database from the returned
 //! [`Recovered`] image.
 
@@ -56,8 +57,8 @@ pub struct RecoveredTable {
 pub struct Recovered {
     /// Tables as of the last checkpoint.
     pub tables: Vec<RecoveredTable>,
-    /// Committed post-checkpoint statements, in commit order, to replay
-    /// with [`Database::apply_redo`].
+    /// Post-checkpoint statements, in log order, to replay with
+    /// [`Database::apply_redo`].
     pub redo_batches: Vec<Vec<RedoOp>>,
     /// The engine layers' opaque state (views, triggers, trigger groups),
     /// `None` for a database created before any checkpoint.
@@ -84,15 +85,15 @@ fn image_path(dir: &Path, id: u64) -> PathBuf {
 /// How long a group-commit leader waits for sibling commits to finish
 /// appending before it fsyncs, when at least one other `log_statement`
 /// call is in flight. Negligible next to a real-disk `fsync`, but enough
-/// for concurrently-latched writers to pile their commit records into one
-/// sync even on fast storage. A lone writer never pays it.
+/// for concurrently-latched writers to pile their frames into one sync
+/// even on fast storage. A lone writer never pays it.
 const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(200);
 
 /// Group-commit bookkeeping (see [`StorageEngine::log_statement`]).
 ///
-/// Tickets are commit-record sequence numbers: `appended` counts commit
-/// records fully written to the live segment (bumped under the WAL lock,
-/// so a ticket never names a partially-written record), `synced` is the
+/// Tickets are frame sequence numbers: `appended` counts frames fully
+/// written to the live segment (bumped under the WAL lock, so a ticket
+/// never names a partially-written frame), `synced` is the
 /// highest ticket known durable. The leader flag makes fsyncs single-file:
 /// one caller syncs on behalf of every ticket appended at that moment,
 /// the rest wait on the condvar until `synced` covers them.
@@ -101,10 +102,21 @@ struct GcState {
     appended: u64,
     synced: u64,
     leader: bool,
-    /// A failed fsync poisons the committer: durability of every
-    /// in-flight commit is unknown, so all current and future callers
-    /// error out rather than acknowledge.
+    /// A failed fsync poisons the committer: durability of every frame it
+    /// covered is unknown, so those callers error out rather than
+    /// acknowledge, and every later append is refused before it writes a
+    /// byte. Set under the WAL lock, so no frame lands behind the failure.
     poison: Option<String>,
+}
+
+impl GcState {
+    /// `Err` once a failed fsync has poisoned the group committer.
+    fn refuse_if_poisoned(&self) -> Result<()> {
+        match &self.poison {
+            Some(msg) => Err(Error::Storage(format!("wal group commit failed: {msg}"))),
+            None => Ok(()),
+        }
+    }
 }
 
 /// Handle to one durable database directory.
@@ -180,8 +192,7 @@ impl StorageEngine {
         }
         let wal_dir = dir.join("wal");
         let replay = Wal::replay(&wal_dir, catalog.wal_seq)?;
-        let next_lsn = replay.next_lsn.max(catalog.checkpoint_lsn + 1);
-        let wal = Wal::open(&wal_dir, replay.last_seq, replay.clean_len, next_lsn)?;
+        let wal = Wal::open(&wal_dir, replay.last_seq, replay.clean_len)?;
         let engine = StorageEngine {
             dir: dir.to_path_buf(),
             sync,
@@ -206,19 +217,23 @@ impl StorageEngine {
         ))
     }
 
-    /// Append one committed statement's redo ops to the WAL. Statements
-    /// with no data effects are not logged.
+    /// Append one statement's redo ops to the WAL as one frame. Statements
+    /// with no data effects are not logged. An `Err` from the append means
+    /// no byte of the statement is in the log.
     ///
-    /// In `SyncMode::Always` durability is **group-committed**: the batch
-    /// and commit records are appended under the WAL lock, but the fsync
-    /// is handed to a leader–follower committer — whoever finds no sync
-    /// in flight becomes leader and issues one `fsync` covering *every*
-    /// commit record fully appended at that moment; the rest wait until
-    /// the durable ticket passes theirs. The call never returns before
-    /// this statement's commit record is durable, so the acknowledgment
-    /// semantics of `Always` are unchanged — only the fsync count drops:
-    /// under concurrent writers `wal_fsyncs` stays below the committed-
-    /// statement count (each such sync bumps `group_commit_batches`).
+    /// In `SyncMode::Always` durability is **group-committed**: the frame
+    /// is appended under the WAL lock, but the fsync is handed to a
+    /// leader–follower committer — whoever finds no sync in flight becomes
+    /// leader and issues one `fsync` covering *every* frame fully appended
+    /// at that moment; the rest wait until the durable ticket passes
+    /// theirs. The call never returns `Ok` before this statement's frame
+    /// is durable, so the acknowledgment semantics of `Always` are
+    /// unchanged — only the fsync count drops: under concurrent writers
+    /// `wal_fsyncs` stays below the committed-statement count (each such
+    /// sync bumps `group_commit_batches`). A failed fsync returns `Err`
+    /// for every frame it covered, although those frames may be durable,
+    /// and poisons the engine: every later call fails before appending,
+    /// so no data change is accepted until a reopen's replay decides.
     pub fn log_statement(&self, ops: &[RedoOp]) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
@@ -237,32 +252,32 @@ impl StorageEngine {
     }
 
     /// The `SyncMode::Always` path of [`StorageEngine::log_statement`]:
-    /// append, then drive or ride the group committer until this commit
-    /// record is durable.
+    /// append, then drive or ride the group committer until this frame is
+    /// durable.
     ///
     /// Lock order is WAL → group-commit state, everywhere: tickets are
     /// handed out under both (so `appended` only ever counts fully-written
-    /// commit records), and the leader holds the WAL lock across its
-    /// `fsync` (so the cover it reads equals what is physically in the
-    /// live segment — rotation already synced any older segment).
+    /// frames), and the leader holds the WAL lock across its `fsync` and
+    /// its verdict (so the cover it reads equals what is physically in the
+    /// live segment — rotation already synced any older segment — and no
+    /// append slips in between a failed fsync and the poison).
     fn commit_durably(&self, ops: &[RedoOp]) -> Result<()> {
         let ticket = {
             let mut wal = self.wal.lock().expect("wal poisoned");
+            let mut gc = self.gc.lock().expect("group commit poisoned");
+            gc.refuse_if_poisoned()?;
             let info = wal.append_statement(ops, self.sync)?;
             self.wal_bytes.fetch_add(info.bytes, Ordering::Relaxed);
             self.wal_fsyncs.fetch_add(info.fsyncs, Ordering::Relaxed);
-            let mut gc = self.gc.lock().expect("group commit poisoned");
             gc.appended += 1;
             gc.appended
         };
         let mut gc = self.gc.lock().expect("group commit poisoned");
         loop {
-            if let Some(msg) = &gc.poison {
-                return Err(Error::Storage(format!("wal group commit failed: {msg}")));
-            }
             if gc.synced >= ticket {
                 return Ok(());
             }
+            gc.refuse_if_poisoned()?;
             if gc.leader {
                 // Bounded wait: re-check on a timeout so a leader lost to
                 // a panic can be replaced instead of wedging followers.
@@ -280,26 +295,21 @@ impl StorageEngine {
             if self.active_commits.load(Ordering::Relaxed) > 1 {
                 std::thread::sleep(GROUP_COMMIT_WINDOW);
             }
-            let synced = {
-                let mut wal = self.wal.lock().expect("wal poisoned");
-                let cover = self.gc.lock().expect("group commit poisoned").appended;
-                wal.sync().map(|()| cover)
-            };
+            let mut wal = self.wal.lock().expect("wal poisoned");
+            let cover = self.gc.lock().expect("group commit poisoned").appended;
+            let synced = wal.sync();
             gc = self.gc.lock().expect("group commit poisoned");
+            drop(wal);
             gc.leader = false;
             match synced {
-                Ok(cover) => {
+                Ok(()) => {
                     gc.synced = gc.synced.max(cover);
                     self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
                     self.group_commit_batches.fetch_add(1, Ordering::Relaxed);
-                    self.gc_synced.notify_all();
                 }
-                Err(e) => {
-                    gc.poison = Some(e.to_string());
-                    self.gc_synced.notify_all();
-                    return Err(e);
-                }
+                Err(e) => gc.poison = Some(e.to_string()),
             }
+            self.gc_synced.notify_all();
         }
     }
 
@@ -309,7 +319,6 @@ impl StorageEngine {
     pub fn checkpoint(&self, db: &Database, core_blob: Vec<u8>) -> Result<()> {
         let mut store = self.store.lock().expect("store poisoned");
         let mut wal = self.wal.lock().expect("wal poisoned");
-        let checkpoint_lsn = wal.next_lsn();
         let sync = self.sync == SyncMode::Always;
 
         // Ids grow, so a new image never overwrites one the durable
@@ -345,7 +354,6 @@ impl StorageEngine {
 
         let new_seq = wal.seq() + 1;
         let catalog = Catalog {
-            checkpoint_lsn,
             wal_seq: new_seq,
             tables: stored.values().map(|t| t.entry.clone()).collect(),
             core_blob: Some(core_blob),

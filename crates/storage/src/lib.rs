@@ -6,9 +6,9 @@
 //! its durability; this crate supplies the equivalent from scratch, with
 //! no dependencies beyond [`quark_relational`] and the standard library:
 //!
-//! * a [**write-ahead log**](wal) of statement-granular, CRC-framed redo
-//!   records — one batch + commit pair per latched statement and its
-//!   whole trigger cascade, fsync policy selectable per database,
+//! * a [**write-ahead log**](wal) of statement-granular redo records —
+//!   one [frame](frame) per latched statement and its whole trigger
+//!   cascade, fsync policy selectable per database,
 //! * **table images** — one immutable, CRC-framed file per non-empty
 //!   table per checkpoint (`tables/<id>.img`), read whole at open and
 //!   replaced, never modified, when the table changes,
@@ -17,9 +17,8 @@
 //!   opaque blob in which the engine layers persist views, triggers and
 //!   trigger groups,
 //! * an [**engine**](engine) combining them: redo-only ARIES-style
-//!   recovery (only committed statement boundaries are ever logged, so
-//!   there is nothing to undo) and shadow-root checkpoints that truncate
-//!   the log.
+//!   recovery (a statement is logged whole or not at all, so there is
+//!   nothing to undo) and shadow-root checkpoints that truncate the log.
 //!
 //! Everything trigger- and XML-specific stays in the layers above: this
 //! crate moves bytes, not semantics. The `quark-core` crate decides what
@@ -30,6 +29,7 @@
 pub mod catalog;
 pub mod crc;
 pub mod engine;
+pub mod frame;
 mod framed;
 pub mod wal;
 

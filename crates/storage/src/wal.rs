@@ -1,34 +1,29 @@
-//! Write-ahead log: statement-granular redo records with CRC framing.
+//! Write-ahead log: one CRC frame of redo per statement.
 //!
-//! The log is a sequence of segment files `wal/<seq>.wal`. Each record is
-//! framed as `[len: u32 LE][crc: u32 LE][payload]` where `crc` covers the
-//! payload and the payload is `[kind: u8][lsn: u64][body]`:
+//! The log is a sequence of segment files `wal/<seq>.wal`, each a run of
+//! [frames](crate::frame), `[len: u32 LE][crc: u32 LE][payload]`. A
+//! payload is the redo ops of one statement and its whole trigger
+//! cascade, encoded with [`quark_relational::wire`]. A frame goes out in
+//! one `write_all` from one buffer, so its own length and checksum tell a
+//! whole statement from a torn one, and no commit record is needed.
+//! Replay returns every whole frame and stops at the first damaged one (a
+//! torn header or payload, a checksum mismatch, a payload that does not
+//! decode), landing exactly on the last whole statement. [`Wal::open`]
+//! then cuts the segment back to it, so no later statement lands behind
+//! damaged bytes that the next replay cannot cross.
 //!
-//! * kind 1 — **batch**: the redo ops of one statement (and its full
-//!   trigger cascade), encoded with [`quark_relational::wire`].
-//! * kind 2 — **commit**: a statement boundary. Empty body.
+//! An append that returns `Err` has added no byte to the log. A rotation
+//! that is due runs before anything is written, and a write that fails
+//! part-way is cut back off the segment before the error returns. If that
+//! cut fails too, the log refuses every later append (until a reopen trims
+//! the tear), so no acknowledged record ever lands behind bytes replay
+//! stops at; the torn frame itself never replays.
 //!
-//! The engine writes one batch record followed by one commit record per
-//! latched statement, so recovery only ever replays complete statement
-//! effects: replay buffers batch records and promotes them to the
-//! committed list when it sees the commit record. A torn or corrupt tail
-//! (truncated frame, CRC mismatch, batch without commit) is discarded,
-//! landing recovery exactly on the last committed statement boundary.
-//! [`Wal::open`] then cuts the segment back to that boundary, so no later
-//! commit lands behind damaged bytes that the next replay cannot cross.
-//!
-//! An append writes its two frames from one buffer: the batch payload is
-//! encoded behind a reserved frame header and checksummed where it lies.
-//! A write that fails part-way is cut back off the segment before the
-//! error returns; if that cut fails too, the log refuses every later
-//! append (until a reopen trims the tear), so no acknowledged record ever
-//! lands behind bytes replay stops at.
-//!
-//! Segments rotate at [`SEGMENT_LIMIT`] bytes (checked at commit
-//! boundaries, so one statement never spans segments' commit framing).
-//! Checkpointing truncates the log by starting a fresh segment sequence;
-//! the catalog records the active start segment, so stale segments from
-//! before the checkpoint are simply never replayed.
+//! Segments rotate at [`SEGMENT_LIMIT`] bytes: the first append that finds
+//! the live segment full starts the next one, so a statement never spans
+//! segments. Checkpointing truncates the log by starting a fresh segment
+//! sequence; the catalog records the active start segment, so stale
+//! segments from before the checkpoint are simply never replayed.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -37,12 +32,12 @@ use std::path::{Path, PathBuf};
 use quark_relational::wire::{Dec, Enc};
 use quark_relational::{Error, RedoOp, Result};
 
-use crate::crc::crc32;
+use crate::frame::{self, Peeled, HEADER_LEN};
 
 /// When the log forces bytes to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncMode {
-    /// `fsync` after every commit record — survives machine crashes.
+    /// `fsync` after every statement — survives machine crashes.
     Always,
     /// Never `fsync`; the OS flushes lazily. Survives process kills (the
     /// page cache lives on), not power loss. The mode for tests and for
@@ -50,11 +45,8 @@ pub enum SyncMode {
     Never,
 }
 
-/// Rotate to a new segment once the current one exceeds this many bytes.
+/// Rotate to a new segment once the current one reaches this many bytes.
 pub const SEGMENT_LIMIT: u64 = 1 << 20;
-
-const KIND_BATCH: u8 = 1;
-const KIND_COMMIT: u8 = 2;
 
 /// The file a [`Wal`] appends to: [`File`] in every build; tests put a
 /// writer in front of it that fails on demand.
@@ -91,7 +83,6 @@ pub struct Wal<F = File> {
     oldest: u64,
     file: F,
     segment_bytes: u64,
-    next_lsn: u64,
     /// Bytes of the last statement appended: the next one's buffer is
     /// sized from it.
     last_append: usize,
@@ -103,7 +94,7 @@ pub struct Wal<F = File> {
 /// What one [`Wal::append_statement`] call did, for the engine's counters.
 #[derive(Debug, Clone, Copy)]
 pub struct Append {
-    /// Bytes appended (frames included).
+    /// Bytes appended (frame header included).
     pub bytes: u64,
     /// Number of `fsync` calls issued.
     pub fsyncs: u64,
@@ -112,14 +103,12 @@ pub struct Append {
 /// Result of replaying the log from a segment sequence number.
 #[derive(Debug)]
 pub struct Replay {
-    /// Redo ops of each committed statement, in commit order.
+    /// Redo ops of each whole statement, in log order.
     pub batches: Vec<Vec<RedoOp>>,
-    /// First LSN not seen in the log.
-    pub next_lsn: u64,
     /// The segment replay stopped in (where appends should resume).
     pub last_seq: u64,
-    /// Length of the prefix of segment `last_seq` ending on its last commit
-    /// record; [`Wal::open`] cuts off the torn or uncommitted rest.
+    /// Length of the prefix of segment `last_seq` ending on its last whole
+    /// frame; [`Wal::open`] cuts off the damaged rest.
     pub clean_len: u64,
 }
 
@@ -131,12 +120,12 @@ fn io_err(what: &str, e: io::Error) -> Error {
     Error::Storage(format!("{what}: {e}"))
 }
 
-/// Fill in the length and checksum of the frame that starts at `at` and
-/// whose payload runs to the end of `buf`.
-fn seal(buf: &mut [u8], at: usize) {
-    let (head, payload) = buf[at..].split_at_mut(8);
-    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+/// The redo ops a frame's payload holds.
+fn decode_batch(payload: &[u8]) -> Result<Vec<RedoOp>> {
+    let mut dec = Dec::new(payload);
+    let ops = dec.get()?;
+    dec.finish()?;
+    Ok(ops)
 }
 
 /// Open (creating if absent) segment `seq` for appending after its first
@@ -155,10 +144,9 @@ fn open_segment(dir: &Path, seq: u64, len: u64) -> Result<File> {
 impl Wal {
     /// Resume appending to segment `seq` where [`Wal::replay`] ended: the
     /// segment is cut back to its first `clean_len` bytes and every later
-    /// segment is removed, so the log on disk is exactly the committed
-    /// statements replay returned (`0, 0` for a fresh log). `next_lsn` is
-    /// the first LSN to hand out.
-    pub fn open(dir: &Path, seq: u64, clean_len: u64, next_lsn: u64) -> Result<Wal> {
+    /// segment is removed, so the log on disk is exactly the statements
+    /// replay returned (`0, 0` for a fresh log).
+    pub fn open(dir: &Path, seq: u64, clean_len: u64) -> Result<Wal> {
         fs::create_dir_all(dir).map_err(|e| io_err("create wal dir", e))?;
         // Segment numbers on disk are contiguous. Walk down to the oldest
         // (below `seq` only when a crash cut the last truncation short)
@@ -179,83 +167,39 @@ impl Wal {
             oldest,
             file: open_segment(dir, seq, clean_len)?,
             segment_bytes: clean_len,
-            next_lsn,
             last_append: 0,
             torn: None,
         })
     }
 
-    /// Replay every committed statement from segment `from_seq` onward.
-    /// Stops (discarding the rest) at the first torn or corrupt frame.
+    /// Replay every whole statement from segment `from_seq` onward. Stops
+    /// (discarding the rest) at the first damaged frame: nothing after a
+    /// tear, in this segment or a later one, is known to be whole.
     pub fn replay(dir: &Path, from_seq: u64) -> Result<Replay> {
         let mut batches = Vec::new();
-        let mut pending: Vec<Vec<RedoOp>> = Vec::new();
-        let mut next_lsn = 1u64;
         let mut seq = from_seq;
-        let mut last_seq = from_seq;
-        let mut clean_len = 0;
-        loop {
-            let path = segment_path(dir, seq);
-            let Ok(mut file) = File::open(&path) else {
-                break;
-            };
+        let (mut last_seq, mut clean_len) = (from_seq, 0);
+        while let Ok(mut file) = File::open(segment_path(dir, seq)) {
             last_seq = seq;
             let mut data = Vec::new();
             file.read_to_end(&mut data)
                 .map_err(|e| io_err("read wal segment", e))?;
-            let mut pos = 0usize;
-            clean_len = 0;
-            let clean = loop {
-                if pos == data.len() {
-                    // A segment is only ever left behind at a commit
-                    // boundary (rotation follows a commit), so a trailing
-                    // batch without its commit is a tear like any other.
-                    break pending.is_empty();
-                }
-                if pos + 8 > data.len() {
-                    break false; // torn frame header
-                }
-                let len = u32::from_le_bytes(data[pos..pos + 4].try_into().unwrap()) as usize;
-                let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().unwrap());
-                if pos + 8 + len > data.len() {
-                    break false; // torn payload
-                }
-                let payload = &data[pos + 8..pos + 8 + len];
-                if crc32(payload) != crc || len < 9 {
-                    break false; // corrupt record
-                }
-                let kind = payload[0];
-                let lsn = u64::from_le_bytes(payload[1..9].try_into().unwrap());
-                next_lsn = next_lsn.max(lsn + 1);
-                pos += 8 + len;
-                match kind {
-                    KIND_BATCH => {
-                        let mut dec = Dec::new(&payload[9..]);
-                        let Ok(ops) = dec.get() else {
-                            break false;
-                        };
-                        if dec.finish().is_err() {
-                            break false;
-                        }
-                        pending.push(ops);
-                    }
-                    KIND_COMMIT => {
-                        batches.append(&mut pending);
-                        clean_len = pos as u64;
-                    }
-                    _ => break false, // unknown record kind
-                }
-            };
-            if !clean {
-                // A damaged segment ends replay: anything after the tear
-                // (in this or later segments) is not known committed.
+            let mut pos = 0;
+            while let Peeled::Frame { payload, len } = frame::peel(&data[pos..], usize::MAX) {
+                let Ok(ops) = decode_batch(payload) else {
+                    break;
+                };
+                batches.push(ops);
+                pos += len;
+            }
+            clean_len = pos as u64;
+            if pos < data.len() {
                 break;
             }
             seq += 1;
         }
         Ok(Replay {
             batches,
-            next_lsn,
             last_seq,
             clean_len,
         })
@@ -273,7 +217,6 @@ impl<F: SegmentFile> Wal<F> {
             oldest: self.oldest,
             file: wrap(self.file),
             segment_bytes: self.segment_bytes,
-            next_lsn: self.next_lsn,
             last_append: self.last_append,
             torn: self.torn,
         }
@@ -284,57 +227,29 @@ impl<F: SegmentFile> Wal<F> {
         self.seq
     }
 
-    /// The LSN the next record will carry.
-    pub fn next_lsn(&self) -> u64 {
-        self.next_lsn
-    }
-
-    /// Append one statement's redo ops as a batch record followed by a
-    /// commit record, and rotate the segment if it outgrew
-    /// [`SEGMENT_LIMIT`].
+    /// Append one statement's redo ops as one frame, first rotating to a
+    /// new segment if the live one has reached [`SEGMENT_LIMIT`].
     ///
-    /// A failed write leaves the segment as it was: the bytes that reached
-    /// it are cut off again before the error returns. If that cut fails,
-    /// this and every later append fails, until a reopen trims the tear.
+    /// An `Err` means no byte of this statement is in the log: a failed
+    /// rotation returns before anything is written, and the bytes of a
+    /// failed write are cut off again before the error returns. If that
+    /// cut fails, this and every later append fails, until a reopen trims
+    /// the tear.
     ///
-    /// **Does not make the commit durable.** The per-commit `fsync` of
-    /// `SyncMode::Always` is the engine's group committer's job (see
+    /// **Does not make the statement durable.** The per-statement `fsync`
+    /// of `SyncMode::Always` is the engine's group committer's job (see
     /// `StorageEngine::log_statement`), which calls [`Wal::sync`] once for
-    /// every commit record appended since the last sync. The one fsync
-    /// issued *here* is the rotation edge in `Always` mode: the outgoing
-    /// segment is synced before the live file moves on, so closed segments
-    /// are always durable and the group committer only ever needs to sync
-    /// the live one.
+    /// every frame appended since the last sync. The one fsync issued
+    /// *here* is the rotation edge in `Always` mode: the outgoing segment
+    /// is synced before the live file moves on, so closed segments are
+    /// always durable and the group committer only ever needs to sync the
+    /// live one.
     pub fn append_statement(&mut self, ops: &[RedoOp], sync: SyncMode) -> Result<Append> {
         if let Some(why) = &self.torn {
             return Err(Error::Storage(format!(
                 "wal refuses appends behind a tear it could not cut off: {why}"
             )));
         }
-        // Both frames in one buffer: the batch payload is encoded behind
-        // its reserved frame header and checksummed in place.
-        let lsn = self.next_lsn;
-        let mut enc = Enc::with_capacity(self.last_append);
-        enc.u64(0); // frame length and checksum, sealed below
-        enc.u8(KIND_BATCH);
-        enc.u64(lsn);
-        enc.put(ops);
-        let mut buf = enc.into_bytes()?;
-        seal(&mut buf, 0);
-        let commit = buf.len();
-        buf.extend_from_slice(&[0; 8]);
-        buf.push(KIND_COMMIT);
-        buf.extend_from_slice(&(lsn + 1).to_le_bytes());
-        seal(&mut buf, commit);
-        if let Err(e) = self.file.write_all(&buf) {
-            if let Err(cut) = self.file.set_len(self.segment_bytes) {
-                self.torn = Some(format!("{e}; cutting it off failed: {cut}"));
-            }
-            return Err(io_err("append wal record", e));
-        }
-        self.next_lsn = lsn + 2;
-        self.last_append = buf.len();
-        self.segment_bytes += buf.len() as u64;
         let mut fsyncs = 0;
         if self.segment_bytes >= SEGMENT_LIMIT {
             if sync == SyncMode::Always {
@@ -343,6 +258,22 @@ impl<F: SegmentFile> Wal<F> {
             }
             self.start_segment(self.seq + 1)?;
         }
+        // The payload is encoded behind its reserved frame header and
+        // sealed where it lies.
+        let mut enc = Enc::with_capacity(self.last_append);
+        enc.u64(0); // the frame header
+        enc.put(ops);
+        let mut buf = enc.into_bytes()?;
+        let head = frame::seal(&buf[HEADER_LEN..]);
+        buf[..HEADER_LEN].copy_from_slice(&head);
+        if let Err(e) = self.file.write_all(&buf) {
+            if let Err(cut) = self.file.set_len(self.segment_bytes) {
+                self.torn = Some(format!("{e}; cutting it off failed: {cut}"));
+            }
+            return Err(io_err("append wal record", e));
+        }
+        self.last_append = buf.len();
+        self.segment_bytes += buf.len() as u64;
         Ok(Append {
             bytes: buf.len() as u64,
             fsyncs,
@@ -408,7 +339,7 @@ mod tests {
     #[test]
     fn committed_statements_replay_in_order() {
         let dir = tmp_dir("order");
-        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.append_statement(&[put("t", 2), put("t", 3)], SyncMode::Never)
@@ -417,25 +348,26 @@ mod tests {
         assert_eq!(replay.batches.len(), 2);
         assert_eq!(replay.batches[0], vec![put("t", 1)]);
         assert_eq!(replay.batches[1], vec![put("t", 2), put("t", 3)]);
-        assert_eq!(replay.next_lsn, wal.next_lsn());
-        // Golden bytes of the segment (frame header, kind, LSN, redo batch,
-        // commit record): what a directory written by an earlier build holds.
+        // Golden bytes of the segment (per statement: frame header, redo
+        // batch). 26 bytes per statement below the two-record layout of
+        // catalog version 2, which added a 17-byte commit frame and a kind
+        // byte and an 8-byte LSN in front of each batch.
         let data = fs::read(segment_path(&dir, 0)).unwrap();
-        assert_eq!((data.len(), fnv1a(&data)), (151, 0xe3c5_def8_93aa_398b));
+        assert_eq!((data.len(), fnv1a(&data)), (99, 0x3015_240c_5f59_3029));
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn torn_tail_discards_only_the_last_statement() {
         let dir = tmp_dir("torn");
-        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.append_statement(&[put("t", 2)], SyncMode::Never)
             .unwrap();
         drop(wal);
-        // Chop a few bytes off the end: the second statement's commit (or
-        // batch) record is torn.
+        // Chop a few bytes off the end: the second statement's frame is
+        // torn.
         let path = segment_path(&dir, 0);
         let data = fs::read(&path).unwrap();
         fs::write(&path, &data[..data.len() - 5]).unwrap();
@@ -448,7 +380,7 @@ mod tests {
     #[test]
     fn corrupt_byte_in_tail_detected_by_crc() {
         let dir = tmp_dir("crc");
-        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.append_statement(&[put("t", 2)], SyncMode::Never)
@@ -465,19 +397,23 @@ mod tests {
     }
 
     /// The lost-acknowledged-write scenario: a lone torn statement, then a
-    /// reopen that appends. Without trimming, the new commit would sit
+    /// reopen that appends. Without trimming, the new statement would sit
     /// behind the tear and the next replay would never reach it.
     #[test]
     fn reopening_after_a_tear_trims_it_so_later_commits_replay() {
         type Damage = fn(&mut Vec<u8>);
         let damages: [Damage; 3] = [
-            |data| data.truncate(data.len() - 5),     // torn commit record
-            |data| *data.last_mut().unwrap() ^= 0x40, // corrupt commit record
-            |data| data.truncate(data.len() - 17),    // intact batch, no commit
+            |data| data.truncate(data.len() - 5),     // torn payload
+            |data| *data.last_mut().unwrap() ^= 0x40, // corrupt payload
+            |data| {
+                // A length header that runs past the end of the segment.
+                let len = data.len() as u32;
+                data[..4].copy_from_slice(&len.to_le_bytes());
+            },
         ];
         for (i, damage) in damages.into_iter().enumerate() {
             let dir = tmp_dir(&format!("trim{i}"));
-            let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+            let mut wal = Wal::open(&dir, 0, 0).unwrap();
             wal.append_statement(&[put("t", 1)], SyncMode::Never)
                 .unwrap();
             drop(wal);
@@ -491,7 +427,7 @@ mod tests {
             let replay = Wal::replay(&dir, 0).unwrap();
             assert!(replay.batches.is_empty());
             assert_eq!((replay.last_seq, replay.clean_len), (0, 0));
-            let mut wal = Wal::open(&dir, 0, replay.clean_len, replay.next_lsn).unwrap();
+            let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
             assert!(!segment_path(&dir, 1).exists());
             wal.append_statement(&[put("t", 2)], SyncMode::Never)
                 .unwrap();
@@ -505,7 +441,7 @@ mod tests {
     #[test]
     fn rotation_splits_segments_and_replay_spans_them() {
         let dir = tmp_dir("rotate");
-        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
         // Each op is ~30 bytes; push well past SEGMENT_LIMIT to rotate
         // at least once.
         let big: Vec<RedoOp> = (0..2000).map(|i| put("t", i)).collect();
@@ -519,10 +455,45 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A rotation that fails fails its append before a byte is written.
+    /// Here the next segment's path is a directory, which cannot be opened
+    /// for writing (`EISDIR`, root included). The live segment keeps its
+    /// length and replay finds only the acknowledged statements; once the
+    /// path is free, the next append rotates and is acknowledged.
+    #[test]
+    fn a_failed_rotation_writes_nothing() {
+        let dir = tmp_dir("rotation");
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
+        fs::create_dir(segment_path(&dir, 1)).unwrap();
+        let segment_len = || fs::metadata(segment_path(&dir, 0)).unwrap().len();
+        let big: Vec<RedoOp> = (0..2000).map(|i| put("t", i)).collect();
+        let mut acknowledged = 0;
+        loop {
+            let before = segment_len();
+            if wal.append_statement(&big, SyncMode::Always).is_err() {
+                assert!(before >= SEGMENT_LIMIT, "only the rotation can fail");
+                assert_eq!(segment_len(), before, "the failing append wrote nothing");
+                break;
+            }
+            acknowledged += 1;
+            assert!(acknowledged < 100, "rotation never came due");
+        }
+        assert_eq!(wal.seq(), 0);
+        fs::remove_dir(segment_path(&dir, 1)).unwrap();
+        assert_eq!(Wal::replay(&dir, 0).unwrap().batches.len(), acknowledged);
+        wal.append_statement(&big, SyncMode::Always).unwrap();
+        assert_eq!(wal.seq(), 1);
+        assert_eq!(
+            Wal::replay(&dir, 0).unwrap().batches.len(),
+            acknowledged + 1
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn truncate_to_starts_a_fresh_sequence() {
         let dir = tmp_dir("trunc");
-        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
         wal.append_statement(&[put("t", 1)], SyncMode::Never)
             .unwrap();
         wal.truncate_to(1).unwrap();
@@ -537,7 +508,7 @@ mod tests {
         // crash left below the live one) and the next truncation takes it.
         drop(wal);
         fs::write(segment_path(&dir, 0), b"left by a crash").unwrap();
-        let mut wal = Wal::open(&dir, 1, replay.clean_len, replay.next_lsn).unwrap();
+        let mut wal = Wal::open(&dir, 1, replay.clean_len).unwrap();
         wal.truncate_to(2).unwrap();
         assert!(!segment_path(&dir, 0).exists() && !segment_path(&dir, 1).exists());
         assert!(segment_path(&dir, 2).exists());
@@ -568,18 +539,20 @@ mod tests {
             .collect()
     }
 
-    /// Golden bytes of a segment written by a fixed statement sequence:
-    /// the same as the bytewise checksum and the two-copy framing wrote.
+    /// Golden bytes of a segment written by a fixed statement sequence.
+    /// 24 statements × 26 bytes below the two-record layout of catalog
+    /// version 2 (a 17-byte commit frame, and a kind byte and an 8-byte
+    /// LSN in front of each batch, per statement).
     #[test]
     fn segment_bytes_of_a_fixed_statement_sequence_are_pinned() {
         let dir = tmp_dir("golden");
-        let mut wal = Wal::open(&dir, 0, 0, 1).unwrap();
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
         let statements = varied_statements();
         for ops in &statements {
             wal.append_statement(ops, SyncMode::Never).unwrap();
         }
         let data = fs::read(segment_path(&dir, 0)).unwrap();
-        assert_eq!((data.len(), fnv1a(&data)), (33_582, 0x140f_f4c0_a886_a4c1));
+        assert_eq!((data.len(), fnv1a(&data)), (32_958, 0x9f16_567e_a6f2_5e1f));
         assert_eq!(Wal::replay(&dir, 0).unwrap().batches, statements);
         let _ = fs::remove_dir_all(&dir);
     }
@@ -657,7 +630,7 @@ mod tests {
         for (arm, write, trim) in arms {
             let dir = tmp_dir("tear");
             let faults = Arc::new(Mutex::new(Faults::default()));
-            let mut wal = Wal::open(&dir, 0, 0, 1).unwrap().with_file(|file| Faulty {
+            let mut wal = Wal::open(&dir, 0, 0).unwrap().with_file(|file| Faulty {
                 file,
                 faults: Arc::clone(&faults),
             });
@@ -680,7 +653,7 @@ mod tests {
 
             let replay = Wal::replay(&dir, 0).unwrap();
             assert_eq!(replay.batches, acknowledged, "{arm}");
-            let mut wal = Wal::open(&dir, 0, replay.clean_len, replay.next_lsn).unwrap();
+            let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
             wal.append_statement(&[put("t", 5)], SyncMode::Never)
                 .unwrap();
             acknowledged.push(vec![put("t", 5)]);

@@ -247,7 +247,6 @@ fn catalog(scratch: &Path) -> Format {
     )
     .unwrap();
     let catalog = Catalog {
-        checkpoint_lsn: 42,
         wal_seq: 3,
         tables: vec![TableEntry {
             schema,

@@ -6,8 +6,9 @@
 //! recovered system is identical to the crashed one *at its last
 //! committed statement boundary* — tables, views and trigger groups all
 //! come back, trigger groups re-arm with **zero** re-translations, and a
-//! torn or corrupt WAL tail costs exactly the statements whose commit
-//! records it destroyed, never more.
+//! torn or corrupt WAL tail costs exactly the statements whose frames it
+//! destroyed, never more, and a statement whose append fails leaves no
+//! trace.
 //!
 //! Dropping a durable session without `close()` is crash-equivalent (no
 //! final checkpoint runs), so `drop` + reopen simulates `kill -9` for
@@ -336,7 +337,7 @@ fn failed_multi_row_insert_leaves_no_trace() {
 }
 
 /// A panic in the middle of a trigger cascade: the panicking statement
-/// is rolled back and never reaches its commit record, so memory, the
+/// is rolled back and never reaches the WAL, so memory, the
 /// snapshot and recovery all land exactly on the boundary *before* it.
 #[test]
 fn mid_cascade_panic_loses_only_the_panicking_statement() {
@@ -522,6 +523,86 @@ fn commits_after_recovering_a_lone_damaged_statement_survive_the_next_crash() {
     }
 }
 
+/// Copy the directory tree `from` to `to`, leaving `skip` out.
+fn copy_tree(from: &Path, to: &Path, skip: &Path) {
+    std::fs::create_dir_all(to).expect("create copy");
+    for entry in std::fs::read_dir(from).expect("list") {
+        let path = entry.expect("entry").path();
+        let target = to.join(path.file_name().expect("name"));
+        if path == skip {
+            continue;
+        } else if path.is_dir() {
+            copy_tree(&path, &target, skip);
+        } else {
+            std::fs::copy(&path, &target).expect("copy file");
+        }
+    }
+}
+
+/// A statement whose WAL append fails leaves no trace: memory, the
+/// snapshot and a reopened copy of the directory all hold the state
+/// before it. The append fails at a rotation: a directory sits where the
+/// next segment's file would go, and nobody can open it for writing
+/// (`EISDIR`, root included). Once the path is free, the next statement
+/// is acknowledged, and a crash-reopen finds every acknowledged row and
+/// not the failed one.
+#[test]
+fn a_failed_wal_append_leaves_no_trace() {
+    let dir = tmp_dir("append-err");
+    let log = Log::default();
+    let session = open(&dir, Mode::Grouped, SyncMode::Always);
+    install(&session, &log);
+    let live = newest_wal_segment(&dir);
+    let seq: u64 = (live.file_stem().and_then(|s| s.to_str()))
+        .and_then(|s| s.parse().ok())
+        .expect("segment number");
+    let blocker = live.with_file_name(format!("{:010}.wal", seq + 1));
+    std::fs::create_dir(&blocker).expect("block the next segment");
+
+    // About 64 KiB a row: the 1 MiB segment fills after some 16 rows, and
+    // the append that finds it full must rotate first.
+    let vid = |i: usize| format!("{}{i}", "v".repeat(64 << 10));
+    let insert = |i: usize| format!("INSERT INTO vendor VALUES ('{}', 'P9', 1.0)", vid(i));
+    let mut acked = 0;
+    let (err, in_memory, snapshot) = loop {
+        let (in_memory, snapshot) = (memory(&session), dump(&session));
+        match session.execute(&insert(acked)) {
+            Ok(_) => acked += 1,
+            Err(e) => break (e, in_memory, snapshot),
+        }
+        assert!(acked < 64, "the segment never filled");
+    };
+    assert!(err.to_string().contains("open wal segment"), "{err}");
+    // `assert!`, not `assert_eq!`: the states hold megabytes of text.
+    assert!(memory(&session) == in_memory, "memory");
+    assert!(dump(&session) == snapshot, "snapshot");
+    let copy = tmp_dir("append-err-copy");
+    copy_tree(&dir, &copy, &blocker);
+    let reopened = open(&copy, Mode::Grouped, SyncMode::Always);
+    assert!(dump(&reopened) == snapshot, "reopened copy");
+    drop(reopened);
+    let _ = std::fs::remove_dir_all(&copy);
+
+    std::fs::remove_dir(&blocker).expect("free the path");
+    session.execute(&insert(acked + 1)).expect("acknowledged");
+    drop(session); // crash: no close, no final checkpoint
+    let session = open(&dir, Mode::Grouped, SyncMode::Always);
+    let mut recovered: Vec<String> = (memory(&session).pop().expect("vendor").1)
+        .iter()
+        .filter(|row| row[1] == Value::str("P9"))
+        .map(|row| row[0].to_string())
+        .collect();
+    let mut expected: Vec<String> = (0..acked).chain([acked + 1]).map(vid).collect();
+    recovered.sort();
+    expected.sort();
+    assert!(
+        recovered == expected,
+        "acknowledged rows, not the failed one"
+    );
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// `STATS` through the front door: sorted counter rows, including the
 /// storage counters — and, with `SyncMode::Always`, proof that commits
 /// actually fsync.
@@ -595,10 +676,10 @@ fn stats_statement_reports_storage_counters() {
 }
 
 /// Group commit at the session layer: concurrent `SyncMode::Always`
-/// writers on disjoint tables have their commit records coalesced into
+/// writers on disjoint tables have their WAL frames coalesced into
 /// shared fsyncs — strictly fewer fsyncs than committed statements — and
 /// every acknowledged statement still survives a crash. The `Always`
-/// contract is untouched (no ack before its commit record is durable);
+/// contract is untouched (no ack before its frame is durable);
 /// only the fsync *count* changes.
 #[test]
 fn concurrent_always_writers_share_fsyncs_and_recover() {

@@ -566,21 +566,16 @@ const OUTER_TRIGGER: &str = "create trigger Outer after update on view('outer')/
      where OLD_NODE/@name = 'CRT 15' do notify(NEW_NODE)";
 
 /// What a failed `CREATE TRIGGER` must leave as it found it.
-fn trigger_state(session: &Session) -> (Vec<String>, u64, usize, usize) {
+fn trigger_state(session: &Session) -> (Vec<String>, usize, usize) {
     let quark = session.quark();
     let db = quark.database();
     let mut tables: Vec<String> = db.table_names().map(str::to_string).collect();
     tables.sort();
-    (
-        tables,
-        db.schema_generation(),
-        quark.group_count(),
-        quark.sql_trigger_count(),
-    )
+    (tables, quark.group_count(), quark.sql_trigger_count())
 }
 
 /// A `CREATE TRIGGER` that fails in translation changes nothing: no
-/// constants table, no schema-generation bump, no group, no SQL trigger,
+/// constants table, no group, no SQL trigger,
 /// and no group id used up, so the next trigger translates exactly as on
 /// a system that never saw the failure. A durable session's reopen finds
 /// no constants table either.
