@@ -366,8 +366,8 @@ impl Drop for QuarkWrite<'_> {
         // Conservatively assume the holder mutated something.
         self.shared.commit_global(&self.guard);
         // Best-effort durable point (Drop cannot report): a failed
-        // checkpoint leaves the previous one intact, and the next
-        // statement-path commit retries and surfaces the error.
+        // checkpoint makes the log refuse, so the next write surfaces the
+        // error, and a reopen's replay decides what the directory holds.
         let _ = self.guard.checkpoint();
     }
 }
@@ -452,6 +452,9 @@ impl Session {
     ///
     /// Dropping a session *without* `close` is crash-equivalent, not
     /// lossy: every committed statement is already in the WAL.
+    ///
+    /// `Err` once a storage failure made the log refuse; a reopen still
+    /// recovers every acknowledged statement.
     ///
     /// # Panics
     ///

@@ -174,8 +174,9 @@ impl ServerHandle {
         self.drain();
         let pool = self.pool.take().expect("pool present until shutdown");
         // Statement-boundary durable point: the guard's drop commits in
-        // global mode and checkpoints (best effort; `close` surfaces
-        // checkpoint errors for callers that need them).
+        // global mode and checkpoints (best effort: a log that refuses
+        // fails it, and `close` surfaces that error for callers that need
+        // it).
         drop(pool.session().quark_mut());
         pool
     }

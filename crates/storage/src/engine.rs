@@ -13,11 +13,17 @@
 //! image: dirty tables (per-table version changed since the last
 //! checkpoint) get a fresh image file under an unused id, clean tables
 //! keep theirs, the engine layers' opaque core blob is rewritten, and the
-//! WAL is truncated. The ordering is shadow-root safe: new images are
-//! written (and fsynced) beside the old ones, the new catalog is renamed
-//! into place, the WAL is truncated, and only then are the images the new
-//! catalog no longer names unlinked — a crash at any point leaves the old
-//! or the new catalog with every image it names.
+//! WAL is truncated: a checkpoint is the only thing that starts a new
+//! segment. The ordering is shadow-root safe: new images are written (and
+//! fsynced) beside the old ones, the new catalog is renamed into place,
+//! the WAL is truncated, and only then are the images the new catalog no
+//! longer names unlinked — a crash at any point leaves the old or the new
+//! catalog with every image it names.
+//!
+//! **Failures.** The [`Wal`] holds the engine's one refusal: a tear that
+//! cannot be cut off, a failed fsync or a failed checkpoint step sets it,
+//! and every later append, sync and checkpoint fails before it touches a
+//! file, until a reopen's replay decides what the directory holds.
 //!
 //! **Recovery.** [`StorageEngine::open`] loads the catalog, reads every
 //! table's image back into rows (verifying its CRC), unlinks image files
@@ -102,21 +108,6 @@ struct GcState {
     appended: u64,
     synced: u64,
     leader: bool,
-    /// A failed fsync poisons the committer: durability of every frame it
-    /// covered is unknown, so those callers error out rather than
-    /// acknowledge, and every later append is refused before it writes a
-    /// byte. Set under the WAL lock, so no frame lands behind the failure.
-    poison: Option<String>,
-}
-
-impl GcState {
-    /// `Err` once a failed fsync has poisoned the group committer.
-    fn refuse_if_poisoned(&self) -> Result<()> {
-        match &self.poison {
-            Some(msg) => Err(Error::Storage(format!("wal group commit failed: {msg}"))),
-            None => Ok(()),
-        }
-    }
 }
 
 /// Handle to one durable database directory.
@@ -133,8 +124,8 @@ pub struct StorageEngine {
     /// the gather window when somebody else is committing.
     active_commits: AtomicU64,
     wal_bytes: AtomicU64,
+    /// Group-commit syncs of the WAL, the only ones it gets.
     wal_fsyncs: AtomicU64,
-    group_commit_batches: AtomicU64,
     checkpoints: AtomicU64,
     recovery_ms: AtomicU64,
 }
@@ -203,7 +194,6 @@ impl StorageEngine {
             active_commits: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
             wal_fsyncs: AtomicU64::new(0),
-            group_commit_batches: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             recovery_ms: AtomicU64::new(0),
         };
@@ -230,19 +220,18 @@ impl StorageEngine {
     /// is durable, so the acknowledgment semantics of `Always` are
     /// unchanged — only the fsync count drops: under concurrent writers
     /// `wal_fsyncs` stays below the committed-statement count (each such
-    /// sync bumps `group_commit_batches`). A failed fsync returns `Err`
-    /// for every frame it covered, although those frames may be durable,
-    /// and poisons the engine: every later call fails before appending,
-    /// so no data change is accepted until a reopen's replay decides.
+    /// sync is one group-commit batch). A failed fsync returns `Err` for
+    /// every frame it covered, although those frames may be durable, and
+    /// makes the log refuse: every later call fails before appending, so
+    /// no data change is accepted until a reopen's replay decides.
     pub fn log_statement(&self, ops: &[RedoOp]) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
         if self.sync == SyncMode::Never {
             let mut wal = self.wal.lock().expect("wal poisoned");
-            let info = wal.append_statement(ops, self.sync)?;
-            self.wal_bytes.fetch_add(info.bytes, Ordering::Relaxed);
-            self.wal_fsyncs.fetch_add(info.fsyncs, Ordering::Relaxed);
+            let bytes = wal.append_statement(ops)?;
+            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
             return Ok(());
         }
         self.active_commits.fetch_add(1, Ordering::Relaxed);
@@ -257,18 +246,16 @@ impl StorageEngine {
     ///
     /// Lock order is WAL → group-commit state, everywhere: tickets are
     /// handed out under both (so `appended` only ever counts fully-written
-    /// frames), and the leader holds the WAL lock across its `fsync` and
-    /// its verdict (so the cover it reads equals what is physically in the
-    /// live segment — rotation already synced any older segment — and no
-    /// append slips in between a failed fsync and the poison).
+    /// frames), and the leader holds the WAL lock across its `fsync`, so
+    /// the cover it reads is what the live segment holds, and a failed sync
+    /// makes the [`Wal`] refuse before any append slips in. A follower that
+    /// no sync covered then leads, and its refused sync is its `Err`.
     fn commit_durably(&self, ops: &[RedoOp]) -> Result<()> {
         let ticket = {
             let mut wal = self.wal.lock().expect("wal poisoned");
+            let bytes = wal.append_statement(ops)?;
+            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
             let mut gc = self.gc.lock().expect("group commit poisoned");
-            gc.refuse_if_poisoned()?;
-            let info = wal.append_statement(ops, self.sync)?;
-            self.wal_bytes.fetch_add(info.bytes, Ordering::Relaxed);
-            self.wal_fsyncs.fetch_add(info.fsyncs, Ordering::Relaxed);
             gc.appended += 1;
             gc.appended
         };
@@ -277,7 +264,6 @@ impl StorageEngine {
             if gc.synced >= ticket {
                 return Ok(());
             }
-            gc.refuse_if_poisoned()?;
             if gc.leader {
                 // Bounded wait: re-check on a timeout so a leader lost to
                 // a panic can be replaced instead of wedging followers.
@@ -301,24 +287,37 @@ impl StorageEngine {
             gc = self.gc.lock().expect("group commit poisoned");
             drop(wal);
             gc.leader = false;
-            match synced {
-                Ok(()) => {
-                    gc.synced = gc.synced.max(cover);
-                    self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-                    self.group_commit_batches.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e) => gc.poison = Some(e.to_string()),
+            if synced.is_ok() {
+                gc.synced = gc.synced.max(cover);
+                self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
             }
             self.gc_synced.notify_all();
+            synced?;
         }
     }
 
     /// Write a complete checkpoint of `db` (plus the engine layers'
     /// `core_blob`) and truncate the WAL. Tables whose version is
     /// unchanged since the last checkpoint keep their image file.
+    /// Fails before it touches a file once the log refuses; a failed step
+    /// makes it refuse, as `db` is then ahead of a directory that may hold
+    /// the old catalog or the new one.
     pub fn checkpoint(&self, db: &Database, core_blob: Vec<u8>) -> Result<()> {
         let mut store = self.store.lock().expect("store poisoned");
         let mut wal = self.wal.lock().expect("wal poisoned");
+        wal.check()?;
+        self.write_checkpoint(&mut store, &mut wal, db, core_blob)
+            .inspect_err(|e| wal.refuse(e))
+    }
+
+    /// The steps of [`StorageEngine::checkpoint`], in shadow-root order.
+    fn write_checkpoint(
+        &self,
+        store: &mut BTreeMap<String, StoredTable>,
+        wal: &mut Wal,
+        db: &Database,
+        core_blob: Vec<u8>,
+    ) -> Result<()> {
         let sync = self.sync == SyncMode::Always;
 
         // Ids grow, so a new image never overwrites one the durable
@@ -359,7 +358,7 @@ impl StorageEngine {
             core_blob: Some(core_blob),
         };
         catalog.save(&self.dir.join("catalog.bin"), sync)?;
-        let replaced = std::mem::replace(&mut *store, stored);
+        let replaced = std::mem::replace(store, stored);
         wal.truncate_to(new_seq)?;
         // Images of rewritten and dropped tables are unlinked only now that
         // the catalog naming their successors is durable (shadow-root
@@ -379,15 +378,15 @@ impl StorageEngine {
         self.wal_bytes.load(Ordering::Relaxed)
     }
 
-    /// `fsync` calls issued for WAL commits.
+    /// `fsync` calls issued for WAL commits: one per group-commit batch.
     pub fn wal_fsyncs(&self) -> u64 {
         self.wal_fsyncs.load(Ordering::Relaxed)
     }
 
-    /// Group-commit fsync batches issued (one per leader sync; under
-    /// concurrent writers this is fewer than the statements it covered).
+    /// Group-commit fsync batches issued: [`StorageEngine::wal_fsyncs`],
+    /// as the leader's sync is the only one the WAL gets.
     pub fn group_commit_batches(&self) -> u64 {
-        self.group_commit_batches.load(Ordering::Relaxed)
+        self.wal_fsyncs()
     }
 
     /// Checkpoints completed since open.

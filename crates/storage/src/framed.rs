@@ -4,7 +4,9 @@
 //! whole and never modified afterwards. The catalog and every table image
 //! are published through [`publish`], so the checkpoint path has exactly
 //! one place that creates, checksums, fsyncs and renames a file — and one
-//! place to inject write failures into.
+//! place to inject write failures into. Every failure of a step, the
+//! directory fsync included, is an `Err`: a checkpoint may delete the log
+//! segments a catalog replaces only once its rename is known durable.
 
 use std::fs::{self, File};
 use std::io::Write;
@@ -22,7 +24,8 @@ fn io_err(what: &str, path: &Path, e: std::io::Error) -> Error {
 /// `.tmp` file, fsync it, rename it over `path`, and fsync the directory
 /// so the rename itself is durable (the two fsyncs only when `sync` is
 /// set). A crash at any point leaves `path` either absent/unchanged or
-/// complete — never partial.
+/// complete — never partial. An `Err` after the rename leaves the new
+/// file in place, but not known to be durable.
 pub(crate) fn publish(path: &Path, magic: &[u8], payload: &[u8], sync: bool) -> Result<()> {
     let tmp = path.with_extension("tmp");
     let mut head = magic.to_vec();
@@ -37,9 +40,12 @@ pub(crate) fn publish(path: &Path, magic: &[u8], payload: &[u8], sync: bool) -> 
     drop(file);
     fs::rename(&tmp, path).map_err(|e| io_err("rename", &tmp, e))?;
     if sync {
-        if let Some(Ok(dir)) = path.parent().map(File::open) {
-            let _ = dir.sync_data();
-        }
+        let dir = (path.parent())
+            .filter(|dir| !dir.as_os_str().is_empty())
+            .unwrap_or(Path::new("."));
+        File::open(dir)
+            .and_then(|dir| dir.sync_data())
+            .map_err(|e| io_err("fsync", dir, e))?;
     }
     Ok(())
 }

@@ -12,19 +12,24 @@
 //! then cuts the segment back to it, so no later statement lands behind
 //! damaged bytes that the next replay cannot cross.
 //!
-//! An append that returns `Err` has added no byte to the log. A rotation
-//! that is due runs before anything is written, and a write that fails
-//! part-way is cut back off the segment before the error returns. If that
-//! cut fails too, the log refuses every later append (until a reopen trims
-//! the tear), so no acknowledged record ever lands behind bytes replay
-//! stops at; the torn frame itself never replays.
+//! An append that returns `Err` has added no byte to the log: a write that
+//! fails part-way is cut back off the segment before the error returns.
 //!
-//! Segments rotate at [`SEGMENT_LIMIT`] bytes: the first append that finds
-//! the live segment full starts the next one, so a statement never spans
-//! segments. Checkpointing truncates the log by starting a fresh segment
-//! sequence; the catalog records the active start segment, so stale
-//! segments from before the checkpoint are simply never replayed.
+//! **One sticky refusal.** A failure that leaves what the log holds on disk
+//! unknown (a cut that fails after a failed write, a failed [`Wal::sync`],
+//! a failed [`Wal::truncate_to`] or any checkpoint step the engine saw
+//! fail) makes the log refuse every later append, sync and segment switch
+//! before it touches a file, until a reopen's replay decides. It is never
+//! lifted in place: a failed `fsync` may have dropped the pages it was to
+//! write, so a later one that succeeds proves nothing about them (Rebello
+//! et al., "Can Applications Recover from fsync Failures?", ATC 2020).
+//!
+//! **Segments.** Only a checkpoint starts a segment ([`Wal::truncate_to`]),
+//! so the log since a checkpoint is one segment. Replay and [`Wal::open`]
+//! still walk consecutive segments, as a directory written when segments
+//! rotated at a fixed size can hold several.
 
+use std::fmt::Display;
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -45,9 +50,6 @@ pub enum SyncMode {
     Never,
 }
 
-/// Rotate to a new segment once the current one reaches this many bytes.
-pub const SEGMENT_LIMIT: u64 = 1 << 20;
-
 /// The file a [`Wal`] appends to: [`File`] in every build; tests put a
 /// writer in front of it that fails on demand.
 pub trait SegmentFile: Write + Sized {
@@ -55,8 +57,6 @@ pub trait SegmentFile: Write + Sized {
     fn set_len(&self, len: u64) -> io::Result<()>;
     /// Force the bytes written so far to stable storage.
     fn sync_data(&self) -> io::Result<()>;
-    /// A writer of this kind over `file`, the next live segment.
-    fn next_segment(&self, file: File) -> Self;
 }
 
 impl SegmentFile for File {
@@ -66,10 +66,6 @@ impl SegmentFile for File {
 
     fn sync_data(&self) -> io::Result<()> {
         File::sync_data(self)
-    }
-
-    fn next_segment(&self, file: File) -> File {
-        file
     }
 }
 
@@ -86,18 +82,9 @@ pub struct Wal<F = File> {
     /// Bytes of the last statement appended: the next one's buffer is
     /// sized from it.
     last_append: usize,
-    /// Why the live segment may end in a tear that could not be cut off.
-    /// Set, it refuses every append: one would land behind the tear.
-    torn: Option<String>,
-}
-
-/// What one [`Wal::append_statement`] call did, for the engine's counters.
-#[derive(Debug, Clone, Copy)]
-pub struct Append {
-    /// Bytes appended (frame header included).
-    pub bytes: u64,
-    /// Number of `fsync` calls issued.
-    pub fsyncs: u64,
+    /// Why the log refuses every append, sync and segment switch: the
+    /// first storage failure that left its state on disk unknown.
+    refused: Option<String>,
 }
 
 /// Result of replaying the log from a segment sequence number.
@@ -145,7 +132,8 @@ impl Wal {
     /// Resume appending to segment `seq` where [`Wal::replay`] ended: the
     /// segment is cut back to its first `clean_len` bytes and every later
     /// segment is removed, so the log on disk is exactly the statements
-    /// replay returned (`0, 0` for a fresh log).
+    /// replay returned (`0, 0` for a fresh log). A reopened log starts
+    /// with no refusal.
     pub fn open(dir: &Path, seq: u64, clean_len: u64) -> Result<Wal> {
         fs::create_dir_all(dir).map_err(|e| io_err("create wal dir", e))?;
         // Segment numbers on disk are contiguous. Walk down to the oldest
@@ -168,7 +156,7 @@ impl Wal {
             file: open_segment(dir, seq, clean_len)?,
             segment_bytes: clean_len,
             last_append: 0,
-            torn: None,
+            refused: None,
         })
     }
 
@@ -204,60 +192,65 @@ impl Wal {
             clean_len,
         })
     }
+
+    /// Start a fresh segment sequence after a checkpoint: an empty segment
+    /// `new_seq` becomes the live one, and the segments before it are
+    /// deleted (the table images already reflect them). The only way a
+    /// segment is started; a failure refuses.
+    pub fn truncate_to(&mut self, new_seq: u64) -> Result<()> {
+        self.check()?;
+        self.switch_to(new_seq).inspect_err(|e| self.refuse(e))
+    }
+
+    fn switch_to(&mut self, new_seq: u64) -> Result<()> {
+        self.file = open_segment(&self.dir, new_seq, 0)?;
+        self.seq = new_seq;
+        self.segment_bytes = 0;
+        for seq in self.oldest..new_seq {
+            let path = segment_path(&self.dir, seq);
+            if path.exists() {
+                fs::remove_file(&path).map_err(|e| io_err("remove wal segment", e))?;
+            }
+        }
+        self.oldest = new_seq;
+        Ok(())
+    }
 }
 
 impl<F: SegmentFile> Wal<F> {
-    /// Replace the segment writer, keeping the log's position: how tests
-    /// put a failing writer under a log opened on disk.
-    #[cfg(test)]
-    fn with_file<G>(self, wrap: impl FnOnce(F) -> G) -> Wal<G> {
-        Wal {
-            dir: self.dir,
-            seq: self.seq,
-            oldest: self.oldest,
-            file: wrap(self.file),
-            segment_bytes: self.segment_bytes,
-            last_append: self.last_append,
-            torn: self.torn,
-        }
-    }
-
     /// The segment currently being appended to.
     pub fn seq(&self) -> u64 {
         self.seq
     }
 
-    /// Append one statement's redo ops as one frame, first rotating to a
-    /// new segment if the live one has reached [`SEGMENT_LIMIT`].
-    ///
-    /// An `Err` means no byte of this statement is in the log: a failed
-    /// rotation returns before anything is written, and the bytes of a
-    /// failed write are cut off again before the error returns. If that
-    /// cut fails, this and every later append fails, until a reopen trims
-    /// the tear.
-    ///
-    /// **Does not make the statement durable.** The per-statement `fsync`
-    /// of `SyncMode::Always` is the engine's group committer's job (see
-    /// `StorageEngine::log_statement`), which calls [`Wal::sync`] once for
-    /// every frame appended since the last sync. The one fsync issued
-    /// *here* is the rotation edge in `Always` mode: the outgoing segment
-    /// is synced before the live file moves on, so closed segments are
-    /// always durable and the group committer only ever needs to sync the
-    /// live one.
-    pub fn append_statement(&mut self, ops: &[RedoOp], sync: SyncMode) -> Result<Append> {
-        if let Some(why) = &self.torn {
-            return Err(Error::Storage(format!(
-                "wal refuses appends behind a tear it could not cut off: {why}"
-            )));
+    /// `Err` once the log refuses: called before any file is touched.
+    pub(crate) fn check(&self) -> Result<()> {
+        match &self.refused {
+            Some(why) => Err(Error::Storage(format!(
+                "wal refuses writes until the database is reopened: {why}"
+            ))),
+            None => Ok(()),
         }
-        let mut fsyncs = 0;
-        if self.segment_bytes >= SEGMENT_LIMIT {
-            if sync == SyncMode::Always {
-                self.sync()?;
-                fsyncs = 1;
-            }
-            self.start_segment(self.seq + 1)?;
-        }
+    }
+
+    /// Refuse every later append, sync and segment switch, because `why`
+    /// left the log's state on disk unknown. The first reason is kept.
+    pub(crate) fn refuse(&mut self, why: impl Display) {
+        self.refused.get_or_insert_with(|| why.to_string());
+    }
+
+    /// Append one statement's redo ops as one frame; returns the bytes
+    /// appended, frame header included.
+    ///
+    /// An `Err` means no byte of this statement is in the log: the bytes
+    /// of a failed write are cut off again before the error returns. If
+    /// that cut fails, the log refuses.
+    ///
+    /// **Does not make the statement durable.** That is [`Wal::sync`]'s
+    /// job, which the engine's group committer calls once for every frame
+    /// appended since the last sync (see `StorageEngine::log_statement`).
+    pub fn append_statement(&mut self, ops: &[RedoOp]) -> Result<u64> {
+        self.check()?;
         // The payload is encoded behind its reserved frame header and
         // sealed where it lies.
         let mut enc = Enc::with_capacity(self.last_append);
@@ -268,43 +261,23 @@ impl<F: SegmentFile> Wal<F> {
         buf[..HEADER_LEN].copy_from_slice(&head);
         if let Err(e) = self.file.write_all(&buf) {
             if let Err(cut) = self.file.set_len(self.segment_bytes) {
-                self.torn = Some(format!("{e}; cutting it off failed: {cut}"));
+                self.refuse(format!("a torn append ({e}) could not be cut off: {cut}"));
             }
             return Err(io_err("append wal record", e));
         }
         self.last_append = buf.len();
         self.segment_bytes += buf.len() as u64;
-        Ok(Append {
-            bytes: buf.len() as u64,
-            fsyncs,
-        })
+        Ok(buf.len() as u64)
     }
 
     /// Force everything appended to the live segment to stable storage.
+    /// A failure refuses: the frames it covered may or may not be durable.
     pub fn sync(&mut self) -> Result<()> {
-        self.file.sync_data().map_err(|e| io_err("fsync wal", e))
-    }
-
-    /// Make an empty segment `seq` the live one.
-    fn start_segment(&mut self, seq: u64) -> Result<()> {
-        self.file = self.file.next_segment(open_segment(&self.dir, seq, 0)?);
-        self.seq = seq;
-        self.segment_bytes = 0;
-        Ok(())
-    }
-
-    /// Start a fresh segment sequence after a checkpoint: segments before
-    /// `new_seq` are deleted (the table images already reflect them) and
-    /// an empty segment `new_seq` becomes the live one.
-    pub fn truncate_to(&mut self, new_seq: u64) -> Result<()> {
-        for seq in self.oldest..new_seq {
-            let path = segment_path(&self.dir, seq);
-            if path.exists() {
-                fs::remove_file(&path).map_err(|e| io_err("remove wal segment", e))?;
-            }
-        }
-        self.oldest = new_seq;
-        self.start_segment(new_seq)
+        self.check()?;
+        self.file.sync_data().map_err(|e| {
+            self.refuse(format!("fsync failed: {e}"));
+            io_err("fsync wal", e)
+        })
     }
 }
 
@@ -340,10 +313,8 @@ mod tests {
     fn committed_statements_replay_in_order() {
         let dir = tmp_dir("order");
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
-        wal.append_statement(&[put("t", 1)], SyncMode::Never)
-            .unwrap();
-        wal.append_statement(&[put("t", 2), put("t", 3)], SyncMode::Never)
-            .unwrap();
+        wal.append_statement(&[put("t", 1)]).unwrap();
+        wal.append_statement(&[put("t", 2), put("t", 3)]).unwrap();
         let replay = Wal::replay(&dir, 0).unwrap();
         assert_eq!(replay.batches.len(), 2);
         assert_eq!(replay.batches[0], vec![put("t", 1)]);
@@ -361,10 +332,8 @@ mod tests {
     fn torn_tail_discards_only_the_last_statement() {
         let dir = tmp_dir("torn");
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
-        wal.append_statement(&[put("t", 1)], SyncMode::Never)
-            .unwrap();
-        wal.append_statement(&[put("t", 2)], SyncMode::Never)
-            .unwrap();
+        wal.append_statement(&[put("t", 1)]).unwrap();
+        wal.append_statement(&[put("t", 2)]).unwrap();
         drop(wal);
         // Chop a few bytes off the end: the second statement's frame is
         // torn.
@@ -381,10 +350,8 @@ mod tests {
     fn corrupt_byte_in_tail_detected_by_crc() {
         let dir = tmp_dir("crc");
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
-        wal.append_statement(&[put("t", 1)], SyncMode::Never)
-            .unwrap();
-        wal.append_statement(&[put("t", 2)], SyncMode::Never)
-            .unwrap();
+        wal.append_statement(&[put("t", 1)]).unwrap();
+        wal.append_statement(&[put("t", 2)]).unwrap();
         drop(wal);
         let path = segment_path(&dir, 0);
         let mut data = fs::read(&path).unwrap();
@@ -414,8 +381,7 @@ mod tests {
         for (i, damage) in damages.into_iter().enumerate() {
             let dir = tmp_dir(&format!("trim{i}"));
             let mut wal = Wal::open(&dir, 0, 0).unwrap();
-            wal.append_statement(&[put("t", 1)], SyncMode::Never)
-                .unwrap();
+            wal.append_statement(&[put("t", 1)]).unwrap();
             drop(wal);
             let path = segment_path(&dir, 0);
             let mut data = fs::read(&path).unwrap();
@@ -429,8 +395,7 @@ mod tests {
             assert_eq!((replay.last_seq, replay.clean_len), (0, 0));
             let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
             assert!(!segment_path(&dir, 1).exists());
-            wal.append_statement(&[put("t", 2)], SyncMode::Never)
-                .unwrap();
+            wal.append_statement(&[put("t", 2)]).unwrap();
             let replay = Wal::replay(&dir, 0).unwrap();
             assert_eq!(replay.batches, vec![vec![put("t", 2)]], "damage {i}");
             assert_eq!(replay.clean_len, fs::metadata(&path).unwrap().len());
@@ -438,55 +403,64 @@ mod tests {
         }
     }
 
+    /// A directory written when segments rotated at a fixed size holds
+    /// several consecutive segments. Replay reads them all in order, a
+    /// reopen resumes in the last one, and the next checkpoint's
+    /// truncation removes every one below the new segment.
     #[test]
-    fn rotation_splits_segments_and_replay_spans_them() {
-        let dir = tmp_dir("rotate");
+    fn replay_spans_consecutive_segments() {
+        let dir = tmp_dir("segments");
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
-        // Each op is ~30 bytes; push well past SEGMENT_LIMIT to rotate
-        // at least once.
-        let big: Vec<RedoOp> = (0..2000).map(|i| put("t", i)).collect();
-        for _ in 0..40 {
-            wal.append_statement(&big, SyncMode::Never).unwrap();
-        }
-        assert!(wal.seq() > 0, "expected at least one rotation");
+        wal.append_statement(&[put("t", 1)]).unwrap();
+        wal.append_statement(&[put("t", 2)]).unwrap();
+        drop(wal);
+        let mut wal = Wal::open(&dir, 1, 0).unwrap();
+        wal.append_statement(&[put("t", 3)]).unwrap();
+        drop(wal);
+
         let replay = Wal::replay(&dir, 0).unwrap();
-        assert_eq!(replay.batches.len(), 40);
-        assert_eq!(replay.last_seq, wal.seq());
+        let statements: Vec<Vec<RedoOp>> = (1..=3).map(|v| vec![put("t", v)]).collect();
+        assert_eq!(replay.batches, statements);
+        assert_eq!(replay.last_seq, 1);
+        let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
+        wal.append_statement(&[put("t", 4)]).unwrap();
+        assert_eq!(wal.seq(), 1, "an append never starts a segment");
+        assert_eq!(Wal::replay(&dir, 0).unwrap().batches.len(), 4);
+        wal.truncate_to(2).unwrap();
+        assert!(!segment_path(&dir, 0).exists() && !segment_path(&dir, 1).exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A rotation that fails fails its append before a byte is written.
-    /// Here the next segment's path is a directory, which cannot be opened
-    /// for writing (`EISDIR`, root included). The live segment keeps its
-    /// length and replay finds only the acknowledged statements; once the
-    /// path is free, the next append rotates and is acknowledged.
+    /// A segment switch that fails (here a directory sits at the new
+    /// segment's path, which nobody can open for writing: `EISDIR`, root
+    /// included) refuses every later append, sync and switch, even once the
+    /// path is free: the checkpoint's catalog may already name the new
+    /// segment, so a frame appended to the old one would be acknowledged
+    /// and never replayed. Replay returns exactly the acknowledged
+    /// statements, and a reopened log accepts appends again.
     #[test]
-    fn a_failed_rotation_writes_nothing() {
-        let dir = tmp_dir("rotation");
+    fn a_failed_segment_switch_refuses_later_appends() {
+        let dir = tmp_dir("switch");
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
+        wal.append_statement(&[put("t", 1)]).unwrap();
         fs::create_dir(segment_path(&dir, 1)).unwrap();
-        let segment_len = || fs::metadata(segment_path(&dir, 0)).unwrap().len();
-        let big: Vec<RedoOp> = (0..2000).map(|i| put("t", i)).collect();
-        let mut acknowledged = 0;
-        loop {
-            let before = segment_len();
-            if wal.append_statement(&big, SyncMode::Always).is_err() {
-                assert!(before >= SEGMENT_LIMIT, "only the rotation can fail");
-                assert_eq!(segment_len(), before, "the failing append wrote nothing");
-                break;
-            }
-            acknowledged += 1;
-            assert!(acknowledged < 100, "rotation never came due");
-        }
-        assert_eq!(wal.seq(), 0);
+        assert!(wal.truncate_to(1).is_err());
         fs::remove_dir(segment_path(&dir, 1)).unwrap();
-        assert_eq!(Wal::replay(&dir, 0).unwrap().batches.len(), acknowledged);
-        wal.append_statement(&big, SyncMode::Always).unwrap();
-        assert_eq!(wal.seq(), 1);
-        assert_eq!(
-            Wal::replay(&dir, 0).unwrap().batches.len(),
-            acknowledged + 1
+        assert!(wal.append_statement(&[put("t", 2)]).is_err());
+        assert!(wal.sync().is_err());
+        assert!(wal.truncate_to(1).is_err());
+        assert!(
+            !segment_path(&dir, 1).exists(),
+            "a refused switch touches no file"
         );
+        drop(wal);
+
+        let replay = Wal::replay(&dir, 0).unwrap();
+        assert_eq!(replay.batches, vec![vec![put("t", 1)]]);
+        let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
+        wal.append_statement(&[put("t", 3)]).unwrap();
+        let replay = Wal::replay(&dir, 0).unwrap();
+        assert_eq!(replay.batches, vec![vec![put("t", 1)], vec![put("t", 3)]]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -494,14 +468,12 @@ mod tests {
     fn truncate_to_starts_a_fresh_sequence() {
         let dir = tmp_dir("trunc");
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
-        wal.append_statement(&[put("t", 1)], SyncMode::Never)
-            .unwrap();
+        wal.append_statement(&[put("t", 1)]).unwrap();
         wal.truncate_to(1).unwrap();
         let replay = Wal::replay(&dir, 1).unwrap();
         assert!(replay.batches.is_empty());
         assert!(!segment_path(&dir, 0).exists());
-        wal.append_statement(&[put("t", 2)], SyncMode::Always)
-            .unwrap();
+        wal.append_statement(&[put("t", 2)]).unwrap();
         let replay = Wal::replay(&dir, 1).unwrap();
         assert_eq!(replay.batches, vec![vec![put("t", 2)]]);
         // A reopened log finds its oldest segment on disk (here one a
@@ -549,7 +521,7 @@ mod tests {
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
         let statements = varied_statements();
         for ops in &statements {
-            wal.append_statement(ops, SyncMode::Never).unwrap();
+            wal.append_statement(ops).unwrap();
         }
         let data = fs::read(segment_path(&dir, 0)).unwrap();
         assert_eq!((data.len(), fnv1a(&data)), (32_958, 0x9f16_567e_a6f2_5e1f));
@@ -557,7 +529,7 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// What the next write and trim of a [`Faulty`] segment do.
+    /// What the next write, trim and sync of a [`Faulty`] segment do.
     #[derive(Debug, Default)]
     struct Faults {
         /// Fail the next write after this many of its bytes reach the
@@ -565,6 +537,10 @@ mod tests {
         write: Option<usize>,
         /// Fail every trim.
         trim: bool,
+        /// Fail every sync.
+        sync: bool,
+        /// Syncs that reached the file, failed ones included.
+        syncs: usize,
     }
 
     /// A segment file that fails as its shared [`Faults`] say.
@@ -603,15 +579,33 @@ mod tests {
         }
 
         fn sync_data(&self) -> io::Result<()> {
+            let mut faults = self.faults.lock().unwrap();
+            faults.syncs += 1;
+            if faults.sync {
+                return Err(io::Error::other("fsync refused"));
+            }
             self.file.sync_data()
         }
+    }
 
-        fn next_segment(&self, file: File) -> Faulty {
-            Faulty {
-                file,
-                faults: Arc::clone(&self.faults),
-            }
-        }
+    /// A log over a [`Faulty`] writer in a fresh directory, and its faults.
+    fn faulty_wal(dir: &Path) -> (Wal<Faulty>, Arc<Mutex<Faults>>) {
+        let faults = Arc::new(Mutex::new(Faults::default()));
+        let wal = Wal::open(dir, 0, 0).unwrap();
+        let file = Faulty {
+            file: wal.file,
+            faults: Arc::clone(&faults),
+        };
+        let wal = Wal {
+            dir: wal.dir,
+            seq: wal.seq,
+            oldest: wal.oldest,
+            file,
+            segment_bytes: wal.segment_bytes,
+            last_append: wal.last_append,
+            refused: wal.refused,
+        };
+        (wal, faults)
     }
 
     /// A write that fails part-way (a short write, then a full disk) or
@@ -629,22 +623,22 @@ mod tests {
         ];
         for (arm, write, trim) in arms {
             let dir = tmp_dir("tear");
-            let faults = Arc::new(Mutex::new(Faults::default()));
-            let mut wal = Wal::open(&dir, 0, 0).unwrap().with_file(|file| Faulty {
-                file,
-                faults: Arc::clone(&faults),
-            });
+            let (mut wal, faults) = faulty_wal(&dir);
             let mut acknowledged = Vec::new();
             let mut append = |wal: &mut Wal<Faulty>, v| {
                 let ops = vec![put("t", v)];
-                let ok = wal.append_statement(&ops, SyncMode::Never).is_ok();
+                let ok = wal.append_statement(&ops).is_ok();
                 if ok {
                     acknowledged.push(ops);
                 }
                 ok
             };
             assert!(append(&mut wal, 1), "{arm}");
-            *faults.lock().unwrap() = Faults { write, trim };
+            *faults.lock().unwrap() = Faults {
+                write,
+                trim,
+                ..Faults::default()
+            };
             assert!(!append(&mut wal, 2), "{arm}: the failing append");
             faults.lock().unwrap().trim = false;
             assert_eq!(append(&mut wal, 3), !trim, "{arm}");
@@ -654,11 +648,45 @@ mod tests {
             let replay = Wal::replay(&dir, 0).unwrap();
             assert_eq!(replay.batches, acknowledged, "{arm}");
             let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
-            wal.append_statement(&[put("t", 5)], SyncMode::Never)
-                .unwrap();
+            wal.append_statement(&[put("t", 5)]).unwrap();
             acknowledged.push(vec![put("t", 5)]);
             assert_eq!(Wal::replay(&dir, 0).unwrap().batches, acknowledged, "{arm}");
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A failed sync refuses every later append and sync, even once the
+    /// device would take them again, and neither reaches the file: the
+    /// frames the failed sync covered may or may not be durable, and a
+    /// later sync that succeeds proves nothing about pages the failed one
+    /// dropped. Replay returns every frame appended before it, and a
+    /// reopened log appends and syncs again.
+    #[test]
+    fn a_failed_sync_refuses_later_appends_and_syncs() {
+        let dir = tmp_dir("sync");
+        let (mut wal, faults) = faulty_wal(&dir);
+        wal.append_statement(&[put("t", 1)]).unwrap();
+        wal.sync().unwrap();
+        wal.append_statement(&[put("t", 2)]).unwrap();
+        faults.lock().unwrap().sync = true;
+        assert!(wal.sync().is_err());
+        faults.lock().unwrap().sync = false;
+        let len = fs::metadata(segment_path(&dir, 0)).unwrap().len();
+        assert!(wal.append_statement(&[put("t", 3)]).is_err());
+        assert!(wal.sync().is_err());
+        assert_eq!(fs::metadata(segment_path(&dir, 0)).unwrap().len(), len);
+        assert_eq!(
+            faults.lock().unwrap().syncs,
+            2,
+            "a refused sync reached the file"
+        );
+        drop(wal);
+
+        let replay = Wal::replay(&dir, 0).unwrap();
+        assert_eq!(replay.batches, vec![vec![put("t", 1)], vec![put("t", 2)]]);
+        let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
+        wal.append_statement(&[put("t", 4)]).unwrap();
+        wal.sync().unwrap();
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,8 @@
 //! come back, trigger groups re-arm with **zero** re-translations, and a
 //! torn or corrupt WAL tail costs exactly the statements whose frames it
 //! destroyed, never more, and a statement whose append fails leaves no
-//! trace.
+//! trace. After a storage failure (here a checkpoint that fails) the log
+//! refuses every write until a reopen, which loses no acknowledged one.
 //!
 //! Dropping a durable session without `close()` is crash-equivalent (no
 //! final checkpoint runs), so `drop` + reopen simulates `kill -9` for
@@ -539,68 +540,148 @@ fn copy_tree(from: &Path, to: &Path, skip: &Path) {
     }
 }
 
+/// Where the WAL's next segment goes: the next checkpoint starts it.
+fn next_wal_segment(dir: &Path) -> PathBuf {
+    let live = newest_wal_segment(dir);
+    let seq: u64 = (live.file_stem().and_then(|s| s.to_str()))
+        .and_then(|s| s.parse().ok())
+        .expect("segment number");
+    live.with_file_name(format!("{:010}.wal", seq + 1))
+}
+
+/// Fail the next checkpoint: a directory sits at `path`, and nobody can
+/// open it for writing (`EISDIR`, root included). A global write
+/// checkpoints, so `CREATE TABLE` returns the failure.
+fn fail_a_checkpoint_at(session: &Session, path: &Path) {
+    std::fs::create_dir(path).expect("block the path");
+    session
+        .execute("CREATE TABLE extra (id INT PRIMARY KEY)")
+        .expect_err("the checkpoint fails");
+}
+
+/// The rows of both base tables, without table versions: what a reopen
+/// must bring back.
+fn rows(session: &Session) -> Vec<Vec<Row>> {
+    memory(session).into_iter().map(|(_, rows)| rows).collect()
+}
+
 /// A statement whose WAL append fails leaves no trace: memory, the
 /// snapshot and a reopened copy of the directory all hold the state
-/// before it. The append fails at a rotation: a directory sits where the
-/// next segment's file would go, and nobody can open it for writing
-/// (`EISDIR`, root included). Once the path is free, the next statement
-/// is acknowledged, and a crash-reopen finds every acknowledged row and
-/// not the failed one.
+/// before it. The append fails because the log refuses: a checkpoint
+/// failed before it, at the path of the WAL segment it would start. The
+/// log refuses until a reopen, even once the path is free; after a
+/// crash-reopen the next statement is acknowledged, and the directory
+/// holds every acknowledged row and not the failed ones.
 #[test]
 fn a_failed_wal_append_leaves_no_trace() {
     let dir = tmp_dir("append-err");
     let log = Log::default();
     let session = open(&dir, Mode::Grouped, SyncMode::Always);
     install(&session, &log);
-    let live = newest_wal_segment(&dir);
-    let seq: u64 = (live.file_stem().and_then(|s| s.to_str()))
-        .and_then(|s| s.parse().ok())
-        .expect("segment number");
-    let blocker = live.with_file_name(format!("{:010}.wal", seq + 1));
-    std::fs::create_dir(&blocker).expect("block the next segment");
-
-    // About 64 KiB a row: the 1 MiB segment fills after some 16 rows, and
-    // the append that finds it full must rotate first.
-    let vid = |i: usize| format!("{}{i}", "v".repeat(64 << 10));
+    let vid = |i: usize| format!("v{i}");
     let insert = |i: usize| format!("INSERT INTO vendor VALUES ('{}', 'P9', 1.0)", vid(i));
-    let mut acked = 0;
-    let (err, in_memory, snapshot) = loop {
-        let (in_memory, snapshot) = (memory(&session), dump(&session));
-        match session.execute(&insert(acked)) {
-            Ok(_) => acked += 1,
-            Err(e) => break (e, in_memory, snapshot),
-        }
-        assert!(acked < 64, "the segment never filled");
-    };
+    for i in 0..3 {
+        session.execute(&insert(i)).expect("acknowledged");
+    }
+    let blocker = next_wal_segment(&dir);
+    fail_a_checkpoint_at(&session, &blocker);
+
+    let (in_memory, snapshot) = (memory(&session), dump(&session));
+    let err = session.execute(&insert(3)).expect_err("refused");
     assert!(err.to_string().contains("open wal segment"), "{err}");
-    // `assert!`, not `assert_eq!`: the states hold megabytes of text.
-    assert!(memory(&session) == in_memory, "memory");
-    assert!(dump(&session) == snapshot, "snapshot");
+    assert_eq!(memory(&session), in_memory, "memory");
+    assert_eq!(dump(&session), snapshot, "snapshot");
     let copy = tmp_dir("append-err-copy");
     copy_tree(&dir, &copy, &blocker);
     let reopened = open(&copy, Mode::Grouped, SyncMode::Always);
-    assert!(dump(&reopened) == snapshot, "reopened copy");
+    assert_eq!(dump(&reopened), snapshot, "reopened copy");
     drop(reopened);
     let _ = std::fs::remove_dir_all(&copy);
 
     std::fs::remove_dir(&blocker).expect("free the path");
-    session.execute(&insert(acked + 1)).expect("acknowledged");
+    session
+        .execute(&insert(4))
+        .expect_err("refused until reopen");
     drop(session); // crash: no close, no final checkpoint
     let session = open(&dir, Mode::Grouped, SyncMode::Always);
-    let mut recovered: Vec<String> = (memory(&session).pop().expect("vendor").1)
+    arm(&session, &log);
+    session
+        .execute(&insert(5))
+        .expect("acknowledged after reopen");
+    drop(session); // crash again
+    let session = open(&dir, Mode::Grouped, SyncMode::Always);
+    let recovered: Vec<String> = (memory(&session).pop().expect("vendor").1)
         .iter()
         .filter(|row| row[1] == Value::str("P9"))
         .map(|row| row[0].to_string())
         .collect();
-    let mut expected: Vec<String> = (0..acked).chain([acked + 1]).map(vid).collect();
-    recovered.sort();
-    expected.sort();
-    assert!(
-        recovered == expected,
-        "acknowledged rows, not the failed one"
+    let expected: Vec<String> = [0, 1, 2, 5].into_iter().map(vid).collect();
+    assert_eq!(
+        recovered, expected,
+        "acknowledged rows, not the failed ones"
     );
     drop(session);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A global write whose checkpoint fails returns `Err`, and the log then
+/// refuses every later write until a reopen. Were a later `INSERT`
+/// acknowledged, it would land in a segment the published catalog no
+/// longer replays (the checkpoint failed at the segment it would start),
+/// or name a table the catalog on disk does not have (it failed at
+/// `catalog.tmp`), and a reopen would lose it or not open at all. Once
+/// the path is free, a crash-reopen holds every row acknowledged before
+/// the failed checkpoint and none after, and writes are acknowledged
+/// again. The failed `CREATE TABLE` itself has an unknown outcome: if
+/// `extra` comes back, it is empty.
+#[test]
+fn a_failed_checkpoint_refuses_every_later_write() {
+    type Blocked = fn(&Path) -> PathBuf;
+    let arms: [(&str, Blocked); 2] = [
+        ("next wal segment", next_wal_segment),
+        ("catalog.tmp", |dir| dir.join("catalog.tmp")),
+    ];
+    for (arm_name, blocked) in arms {
+        let dir = tmp_dir("checkpoint-err");
+        let log = Log::default();
+        let session = open(&dir, Mode::Grouped, SyncMode::Always);
+        install(&session, &log);
+        session
+            .execute("INSERT INTO vendor VALUES ('Newegg', 'P1', 90.0)")
+            .expect("acknowledged before the failed checkpoint");
+        let acknowledged = rows(&session);
+        let blocker = blocked(&dir);
+        fail_a_checkpoint_at(&session, &blocker);
+
+        let (in_memory, snapshot) = (memory(&session), dump(&session));
+        for insert in [
+            "INSERT INTO vendor VALUES ('Walmart', 'P2', 1.0)",
+            "INSERT INTO extra VALUES (1)",
+        ] {
+            let err = session.execute(insert).expect_err(arm_name);
+            assert!(err.to_string().contains("refuses"), "{arm_name}: {err}");
+        }
+        assert_eq!(memory(&session), in_memory, "{arm_name}: memory");
+        assert_eq!(dump(&session), snapshot, "{arm_name}: snapshot");
+
+        std::fs::remove_dir(&blocker).expect("free the path");
+        drop(session); // crash: no close, no final checkpoint
+        let session = open(&dir, Mode::Grouped, SyncMode::Always);
+        assert_eq!(rows(&session), acknowledged, "{arm_name}: recovered rows");
+        if let Ok(StatementResult::Rows { rows, .. }) = session.execute("SELECT * FROM extra") {
+            assert!(rows.is_empty(), "{arm_name}: a refused row came back");
+        }
+        arm(&session, &log);
+        session
+            .execute("INSERT INTO vendor VALUES ('Walmart', 'P2', 1.0)")
+            .expect("acknowledged after reopen");
+        let acknowledged = rows(&session);
+        drop(session); // crash again
+        let session = open(&dir, Mode::Grouped, SyncMode::Always);
+        assert_eq!(rows(&session), acknowledged, "{arm_name}: after reopen");
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// `STATS` through the front door: sorted counter rows, including the
