@@ -658,68 +658,63 @@ impl Session {
     /// client having sent one multi-row `INSERT`. (Statement-*count*
     /// observables do change: triggers see one Δ per run.)
     ///
-    /// Returns one [`StatementResult`] per input statement — a coalesced
-    /// `INSERT` reports the rows *it* contributed. All statements are
-    /// parsed up front (a parse error fails the batch before anything
-    /// runs); an execution error aborts the batch at that statement,
-    /// which leaves no trace (a coalesced run fails whole), and leaves
-    /// earlier statements committed.
+    /// Returns one result per input statement, in order — a coalesced
+    /// `INSERT` reports the rows *it* contributed. Each statement is parsed
+    /// on its own: one that does not parse fails alone and joins no run.
+    /// A coalesced run is one statement, so it fails as a unit, leaving no
+    /// trace, and each of its members reports the error. A failure never
+    /// stops the batch: every later statement still runs. The network
+    /// front door hands each pipelined window of frames to this call, so
+    /// both doors answer a statement list alike.
     pub fn execute_batch<'t>(
         &self,
         statements: impl IntoIterator<Item = &'t str>,
-    ) -> Result<Vec<StatementResult>, StatementError> {
-        let mut parsed: Vec<Result<Statement, &'t str>> = Vec::new();
-        for text in statements {
-            // Frontend statements (CREATE VIEW / CREATE TRIGGER) are not
-            // part of the relational grammar; route them through
-            // `execute` unchanged.
-            if frontend_statement(text).is_some() {
-                parsed.push(Err(text));
-            } else {
-                parsed.push(Ok(sql::parse(text)?));
+    ) -> Vec<Result<StatementResult, StatementError>> {
+        // Frontend statements (CREATE VIEW / CREATE TRIGGER) are not part
+        // of the relational grammar (`None`); they go through `execute`.
+        let parse = |text: &'t str| {
+            (
+                text,
+                frontend_statement(text).is_none().then(|| sql::parse(text)),
+            )
+        };
+        let mut todo = statements.into_iter().map(parse).peekable();
+        let mut results = Vec::new();
+        while let Some((text, parsed)) = todo.next() {
+            let Some(Ok(Statement::Insert { table, mut rows })) = parsed else {
+                results.push(match parsed {
+                    None => self.execute(text),
+                    Some(Ok(stmt)) => self.execute_parsed(&stmt),
+                    Some(Err(e)) => Err(e),
+                });
+                continue;
+            };
+            // The maximal run of INSERTs into `table` starting here.
+            let mut counts = vec![rows.len()];
+            while let Some((_, Some(Ok(Statement::Insert { rows: more, .. })))) = todo.next_if(
+                |(_, next)| matches!(next, Some(Ok(Statement::Insert { table: t, .. })) if *t == table),
+            ) {
+                counts.push(more.len());
+                rows.extend(more);
+            }
+            let outcome = self.execute_parsed(&Statement::Insert { table, rows });
+            match (counts.len(), outcome) {
+                (1, outcome) => results.push(outcome),
+                (n, Ok(_)) => {
+                    let db = self.database();
+                    db.bump(Counter::BatchedStatements, n as u64);
+                    db.bump(Counter::PipelinedBatches, 1);
+                    results.extend(
+                        counts
+                            .into_iter()
+                            .map(StatementResult::RowsAffected)
+                            .map(Ok),
+                    );
+                }
+                (n, Err(e)) => results.extend(std::iter::repeat_n(Err(e), n)),
             }
         }
-        let mut results = Vec::with_capacity(parsed.len());
-        let mut i = 0;
-        while i < parsed.len() {
-            // A run of ≥ 2 consecutive INSERTs into one table coalesces.
-            if let Ok(Statement::Insert { table, .. }) = &parsed[i] {
-                let mut end = i + 1;
-                while matches!(&parsed[end..], [Ok(Statement::Insert { table: t, .. }), ..]
-                    if t == table)
-                {
-                    end += 1;
-                }
-                if end - i >= 2 {
-                    let mut merged = Vec::new();
-                    let mut counts = Vec::with_capacity(end - i);
-                    for stmt in &parsed[i..end] {
-                        let Ok(Statement::Insert { rows, .. }) = stmt else {
-                            unreachable!("run membership checked above");
-                        };
-                        counts.push(rows.len());
-                        merged.extend(rows.iter().cloned());
-                    }
-                    let batched = Statement::Insert {
-                        table: table.clone(),
-                        rows: merged,
-                    };
-                    self.execute_parsed(&batched)?;
-                    self.quark()
-                        .database()
-                        .bump(Counter::BatchedStatements, (end - i) as u64);
-                    results.extend(counts.into_iter().map(StatementResult::RowsAffected));
-                    i = end;
-                    continue;
-                }
-            }
-            results.push(match &parsed[i] {
-                Ok(stmt) => self.execute_parsed(stmt)?,
-                Err(text) => self.execute(text)?,
-            });
-            i += 1;
-        }
-        Ok(results)
+        results
     }
 
     /// Route one parsed statement (see [`Session::execute`]).
@@ -820,7 +815,9 @@ impl Session {
     /// whose commit step appends its redo to the WAL; and only if both
     /// succeed, fold. A statement that fails, or whose append fails, has
     /// already been undone, so its error is returned with nothing logged
-    /// or folded. An unbounded footprint
+    /// or folded. A write that leaves the log at
+    /// [`CHECKPOINT_LOG_BYTES`] checkpoints once it has let its latches
+    /// go. An unbounded footprint
     /// ([`Footprint::Global`]) latches **every table exclusive**, which
     /// covers whatever an opaque body does: it only ever receives
     /// `&Database`, and every catalog change needs `&mut` (i.e. global
@@ -856,6 +853,19 @@ impl Session {
         // Only the write set can have changed, so only it is folded;
         // shared-latched read tables are untouched.
         self.shared.commit_tables(&state, &write);
+        let log_full = log_is_full(&state);
+        drop(latch);
+        drop(state);
+        if log_full {
+            // A checkpoint needs a statement boundary: the exclusive level.
+            // Another writer may have checkpointed while this one waited.
+            let state = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
+            if log_is_full(&state) {
+                // Best effort: this write's `Ok` stands, and a failure makes
+                // the log refuse, so the next write reports it.
+                let _ = state.checkpoint();
+            }
+        }
         Ok(outcome)
     }
 
@@ -878,6 +888,19 @@ impl Session {
             }
         }
     }
+}
+
+/// Length of the live WAL segment at which a latched write checkpoints
+/// after it commits. Between global writes nothing else checkpoints, and
+/// recovery reads the whole segment into memory, so this bounds both the
+/// log on disk and the replay.
+pub const CHECKPOINT_LOG_BYTES: u64 = 128 << 20;
+
+/// Whether `quark`'s live WAL segment has reached [`CHECKPOINT_LOG_BYTES`].
+fn log_is_full(quark: &Quark) -> bool {
+    quark
+        .storage()
+        .is_some_and(|s| s.wal_segment_bytes() >= CHECKPOINT_LOG_BYTES)
 }
 
 /// `CREATE VIEW` / `CREATE TRIGGER` — the statements the session frontend

@@ -324,7 +324,8 @@ impl Quark {
     /// written to its image file, the full view/trigger state is serialized
     /// into the catalog, and the WAL is truncated. The caller
     /// must be at a statement boundary (the session layer checkpoints at
-    /// global commits).
+    /// global commits, and once the log reaches
+    /// [`CHECKPOINT_LOG_BYTES`](crate::session::CHECKPOINT_LOG_BYTES)).
     pub fn checkpoint(&self) -> Result<()> {
         let Some(engine) = &self.storage else {
             return Ok(());

@@ -131,11 +131,13 @@ pub struct Stats {
     /// frames, unknown tags, and admission rejections when the worker
     /// pool's accept queue was full.
     pub frames_rejected: u64,
-    /// Pipelined same-table `INSERT` runs the server coalesced into one
-    /// `Session::execute_batch` call (one per coalesced run).
+    /// Runs of ≥ 2 same-table `INSERT`s that `Session::execute_batch`
+    /// coalesced into one statement and committed (one per run), whichever
+    /// door — in process or a pipelined server window — the batch came
+    /// through.
     pub pipelined_batches: u64,
-    /// Times a connection's pipeline window filled and the server stopped
-    /// reading from the socket until in-flight statements drained —
+    /// Times a connection's pipeline window filled, so the server left the
+    /// rest of the stream unread until the window executed —
     /// explicit backpressure instead of unbounded buffering.
     pub backpressure_stalls: u64,
     /// Connections currently being served by the worker pool (a gauge,

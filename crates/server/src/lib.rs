@@ -25,13 +25,15 @@
 //!
 //! # Pipelining and backpressure
 //!
-//! Clients may stream frames without waiting. The server gathers up to a
-//! configured window of decoded frames per connection, then *stops
-//! reading the socket* until the window drains — TCP flow control pushes
-//! back on the client rather than the server buffering without bound.
-//! Inside a window, consecutive `INSERT`s into the same table coalesce
-//! into one batched statement (one transition table, one trigger
-//! cascade), which is where the wire path recovers the in-process
+//! Clients may stream frames without waiting. The server takes the
+//! complete frames already buffered on a connection, up to a configured
+//! window, and reads the socket again only once they have executed — TCP
+//! flow control pushes back on the client rather than the server
+//! buffering without bound. Each window is one
+//! [`Session::execute_batch`](quark_core::Session::execute_batch) call, so
+//! consecutive `INSERT`s into the same table coalesce into one batched
+//! statement (one transition table, one trigger cascade) exactly as they
+//! do in process, which is where the wire path recovers the in-process
 //! batched-ingest speedup.
 //!
 //! # Quick start

@@ -13,7 +13,7 @@
 //!   deadlock against the server's own backpressure (both sides writing,
 //!   neither reading). Per-statement outcomes come back positionally.
 
-use std::io::{self, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -74,14 +74,14 @@ impl From<io::Error> for ClientError {
 /// `[base_delay, 3 × previous_delay]`, capped at
 /// [`max_delay`](RetryPolicy::max_delay) — so a fleet of clients rejected
 /// by the same `Busy` burst does not reconnect in lockstep and re-create
-/// the burst. [`delay_for`](RetryPolicy::delay_for) remains the
-/// deterministic doubling schedule: it is the jitter's upper envelope and
-/// what callers needing reproducible timing can use directly.
+/// the burst.
 #[derive(Debug, Clone, Copy)]
 pub struct RetryPolicy {
     /// Total connection attempts (≥ 1); the first carries no delay.
     pub attempts: u32,
-    /// Delay before the second attempt; doubles per subsequent attempt.
+    /// Floor of every retry delay: the jittered schedule draws each delay
+    /// from `[base_delay, 3 × previous]`, the first one's previous being
+    /// `base_delay` itself.
     pub base_delay: Duration,
     /// Ceiling on the per-attempt delay.
     pub max_delay: Duration,
@@ -98,16 +98,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Deterministic backoff before retry number `attempt` (0-based):
-    /// `base_delay` doubled `attempt` times, capped at `max_delay`. The
-    /// upper envelope of the jittered schedule.
-    pub fn delay_for(&self, attempt: u32) -> Duration {
-        let factor = 1u32.checked_shl(attempt.min(16)).unwrap_or(u32::MAX);
-        self.base_delay
-            .checked_mul(factor)
-            .map_or(self.max_delay, |d| d.min(self.max_delay))
-    }
-
     /// Start a jittered delay sequence (one per retry loop).
     fn jitter(&self) -> Jitter {
         Jitter {
@@ -162,7 +152,7 @@ fn rng_seed() -> u64 {
 
 /// A blocking connection to a quark server.
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    stream: TcpStream,
     writer: BufWriter<TcpStream>,
     buf: Vec<u8>,
     max_frame: usize,
@@ -173,10 +163,9 @@ impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = BufReader::new(stream.try_clone()?);
         Ok(Client {
-            reader,
-            writer: BufWriter::new(stream),
+            writer: BufWriter::new(stream.try_clone()?),
+            stream,
             buf: Vec::new(),
             max_frame: MAX_FRAME_DEFAULT,
         })
@@ -195,7 +184,7 @@ impl Client {
                 Framing::Need => {}
             }
             let mut scratch = [0u8; 16 * 1024];
-            let n = self.reader.read(&mut scratch)?;
+            let n = self.stream.read(&mut scratch)?;
             if n == 0 {
                 return if self.buf.is_empty() {
                     Err(ClientError::Closed)

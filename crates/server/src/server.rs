@@ -13,22 +13,25 @@
 //!   scales writers by footprint (per-table latches), so worker count —
 //!   not lock splitting — is the only knob here.
 //! * **Per-connection pipelining**: a client may stream many request
-//!   frames without waiting. The worker decodes up to
-//!   [`ServerConfig::max_pipeline`] frames ahead of execution; when the
-//!   window fills it *stops reading the socket* (counted as a
-//!   `backpressure_stalls`) until the in-flight statements drain, so TCP
-//!   flow control pushes back on the client instead of the server
-//!   buffering unboundedly. Within a decoded window, runs of ≥ 2
-//!   consecutive `INSERT`s into one table coalesce into a single
-//!   [`Session::execute_batch`] call (one transition table, one cascade —
-//!   counted as `pipelined_batches`); a coalesced run is one statement
-//!   and succeeds or fails as a unit, cascade included.
-//! * **Graceful shutdown** ([`ServerHandle::shutdown`]): in-flight
-//!   statements complete, every decoded-but-unexecuted frame is answered
-//!   with a retriable `ShuttingDown` error, connections close, workers
-//!   join, and the session pool is checkpointed so the WAL closes at a
-//!   statement boundary ([`ServerHandle::close`] additionally consumes
-//!   the pool via [`Session::close`]).
+//!   frames without waiting. The worker takes every complete frame
+//!   already buffered, up to [`ServerConfig::max_pipeline`], as one
+//!   window and hands it to one [`Session::execute_batch`] call, which
+//!   alone decides what coalesces: runs of ≥ 2 consecutive `INSERT`s into
+//!   one table become one statement (one transition table, one cascade),
+//!   which succeeds or fails as a unit, and every other statement,
+//!   malformed ones included, is answered on its own — as if it had
+//!   been executed in process. The socket is read only when no complete
+//!   frame is buffered, so a full window (counted as a
+//!   `backpressure_stalls`) leaves the rest in the kernel until it has
+//!   executed, and TCP flow control pushes back on the client instead of
+//!   the server buffering unboundedly.
+//! * **Graceful shutdown** ([`ServerHandle::shutdown`]): shutdown is
+//!   checked between windows, so the window in flight completes; every
+//!   frame behind it, buffered or still in the socket, is answered with a
+//!   retriable `ShuttingDown` error, connections close, workers join, and
+//!   the session pool is checkpointed so the WAL closes at a statement
+//!   boundary ([`ServerHandle::close`] additionally consumes the pool via
+//!   [`Session::close`]).
 
 use std::io::{self, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -55,9 +58,10 @@ pub struct ServerConfig {
     /// connections beyond `workers + accept_queue` are busy-rejected.
     /// Default 8.
     pub accept_queue: usize,
-    /// Per-connection pipeline window: how many decoded request frames may
-    /// be queued ahead of execution before the server stops reading the
-    /// socket. Default 64.
+    /// Per-connection pipeline window: the most request frames one
+    /// [`Session::execute_batch`] call takes. The socket is not read while
+    /// complete frames are buffered, so a client streaming faster than a
+    /// window executes is pushed back by TCP. Default 64.
     pub max_pipeline: usize,
 }
 
@@ -165,11 +169,11 @@ impl ServerHandle {
         }
     }
 
-    /// Graceful shutdown: stop accepting, let in-flight statements finish,
-    /// answer queued frames with retriable `ShuttingDown` errors, join
-    /// every thread, then force a global commit + checkpoint so a durable
-    /// pool's WAL closes at a statement boundary. Returns the pool for
-    /// continued in-process use.
+    /// Graceful shutdown: stop accepting, let each connection's window in
+    /// flight finish, answer every frame behind it with a retriable
+    /// `ShuttingDown` error, join every thread, then force a global commit
+    /// and checkpoint so a durable pool's WAL closes at a statement
+    /// boundary. Returns the pool for continued in-process use.
     pub fn shutdown(mut self) -> SessionPool {
         self.drain();
         let pool = self.pool.take().expect("pool present until shutdown");
@@ -284,107 +288,11 @@ fn worker_loop(
     }
 }
 
-/// What ended one gather round on a connection.
-enum GatherEnd {
-    /// Frames decoded (or nothing arrived yet); keep serving.
-    More,
-    /// The pipeline window filled; the socket is deliberately not being
-    /// read until this window drains.
-    Stalled,
-    /// Clean close: EOF on a frame boundary.
-    Eof,
-    /// EOF mid-frame: the peer died (or lied about the length).
-    TornEof,
-    /// Framing violation (oversized header, CRC mismatch).
-    Bad(String),
-    /// Shutdown was signaled while waiting for traffic.
-    ShuttingDown,
-    /// Unrecoverable socket error.
-    Io,
-}
-
-/// Read until at least one complete frame is buffered (or the connection
-/// ends), then opportunistically drain every already-available frame up to
-/// the pipeline window — the pipelining heart: statements a client
-/// streamed back-to-back arrive here as one window and become candidates
-/// for batch coalescing.
-fn gather_frames(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    shutdown: &AtomicBool,
-    config: &ServerConfig,
-) -> (Vec<Vec<u8>>, GatherEnd) {
-    let mut frames: Vec<Vec<u8>> = Vec::new();
-    let mut scratch = [0u8; 64 * 1024];
-    loop {
-        // Drain complete frames out of the buffer first.
-        while frames.len() < config.max_pipeline {
-            match decode_frame(buf, MAX_FRAME_DEFAULT) {
-                Framing::Frame(p) => frames.push(p),
-                Framing::Need => break,
-                Framing::Bad(msg) => return (frames, GatherEnd::Bad(msg)),
-            }
-        }
-        if frames.len() >= config.max_pipeline {
-            return (frames, GatherEnd::Stalled);
-        }
-        if frames.is_empty() {
-            // Nothing to execute yet: block (bounded by the poll interval
-            // so shutdown stays responsive).
-            if shutdown.load(Ordering::Acquire) {
-                return (frames, GatherEnd::ShuttingDown);
-            }
-            match stream.read(&mut scratch) {
-                Ok(0) => {
-                    let end = if buf.is_empty() {
-                        GatherEnd::Eof
-                    } else {
-                        GatherEnd::TornEof
-                    };
-                    return (frames, end);
-                }
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-                Err(_) => return (frames, GatherEnd::Io),
-            }
-        } else {
-            // Already have work: top the window up without blocking.
-            if stream.set_nonblocking(true).is_err() {
-                return (frames, GatherEnd::More);
-            }
-            let outcome = stream.read(&mut scratch);
-            let _ = stream.set_nonblocking(false);
-            match outcome {
-                Ok(0) => {
-                    // Note the EOF for *after* this window executes: the
-                    // frames in hand still deserve responses. The next
-                    // gather round re-observes the EOF.
-                    return (frames, GatherEnd::More);
-                }
-                Ok(n) => buf.extend_from_slice(&scratch[..n]),
-                Err(_) => return (frames, GatherEnd::More),
-            }
-        }
-    }
-}
-
-/// First target table of an `INSERT INTO <table> …` statement, by a cheap
-/// textual sniff — the coalescing pre-check. (The SQL grammar proper runs
-/// inside `execute`/`execute_batch`; a false positive here merely routes a
-/// malformed statement through `execute_batch`, which reports the same
-/// parse error the direct path would.)
-fn insert_target(stmt: &str) -> Option<&str> {
-    let mut words = stmt.split_whitespace();
-    if !words.next()?.eq_ignore_ascii_case("insert") {
-        return None;
-    }
-    if !words.next()?.eq_ignore_ascii_case("into") {
-        return None;
-    }
-    let table = words.next()?.split('(').next()?;
-    (!table.is_empty()).then_some(table)
-}
-
+/// Serve one connection until it closes, the peer breaks the protocol, or
+/// shutdown is signaled. Each pass takes every complete frame already
+/// buffered, up to the pipeline window, and hands the window to one
+/// [`Session::execute_batch`] call, answering each frame in order; only
+/// when no complete frame is buffered does it read the socket.
 fn serve_connection(
     session: &Session,
     mut stream: TcpStream,
@@ -395,153 +303,79 @@ fn serve_connection(
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut buf: Vec<u8> = Vec::new();
+    let mut scratch = [0u8; 64 * 1024];
+    let max_pipeline = config.max_pipeline.max(1);
     loop {
-        let (frames, end) = gather_frames(&mut stream, &mut buf, shutdown, config);
-        if matches!(end, GatherEnd::Stalled) {
-            session.database().bump(Counter::BackpressureStalls, 1);
-        }
-        if !frames.is_empty() && !process_window(session, &mut writer, frames, shutdown)? {
-            return Ok(()); // protocol error or shutdown mid-window; closed politely
-        }
-        match end {
-            GatherEnd::More | GatherEnd::Stalled => {}
-            GatherEnd::Eof | GatherEnd::Io => return Ok(()),
-            GatherEnd::TornEof => {
-                session.database().bump(Counter::FramesRejected, 1);
-                return Ok(());
-            }
-            GatherEnd::Bad(msg) => {
-                session.database().bump(Counter::FramesRejected, 1);
-                write_frame(
-                    &mut writer,
-                    &encode_error(WireErrorKind::Protocol, &msg, None),
-                )?;
-                writer.flush()?;
-                return Ok(());
-            }
-            GatherEnd::ShuttingDown => {
-                // Courtesy drain: frames the client already sent (buffered
-                // locally or sitting in the socket) get a retriable
-                // refusal instead of a silent close, so a pipelining
-                // client knows its tail never executed.
-                if stream.set_nonblocking(true).is_ok() {
-                    let mut scratch = [0u8; 64 * 1024];
-                    while let Ok(n) = stream.read(&mut scratch) {
-                        if n == 0 {
-                            break;
-                        }
-                        buf.extend_from_slice(&scratch[..n]);
-                    }
-                }
-                let payload = encode_error(WireErrorKind::ShuttingDown, REFUSED, None);
-                while let Framing::Frame(_) = decode_frame(&mut buf, MAX_FRAME_DEFAULT) {
-                    write_frame(&mut writer, &payload)?;
-                }
-                writer.flush()?;
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// Execute one gathered window in order, writing one response frame per
-/// request frame. Returns `Ok(false)` when the connection must close
-/// (request-level protocol violation, or shutdown drained the tail).
-fn process_window(
-    session: &Session,
-    writer: &mut BufWriter<TcpStream>,
-    frames: Vec<Vec<u8>>,
-    shutdown: &AtomicBool,
-) -> io::Result<bool> {
-    // Decode the whole window first; a malformed request payload closes
-    // the connection, but only after every earlier frame got its answer.
-    let mut stmts: Vec<String> = Vec::with_capacity(frames.len());
-    let mut violation: Option<String> = None;
-    for payload in &frames {
-        match decode_request(payload) {
-            Ok(Request::Execute(text)) => stmts.push(text),
-            Err(msg) => {
-                violation = Some(msg);
-                break;
-            }
-        }
-    }
-    session
-        .database()
-        .bump(Counter::FramesReceived, stmts.len() as u64);
-
-    let mut i = 0;
-    let mut drained = false;
-    while i < stmts.len() {
         if shutdown.load(Ordering::Acquire) {
-            // In-flight statements (everything before `i`) completed and
-            // responded; the queued tail gets a retriable refusal.
-            let payload = encode_error(WireErrorKind::ShuttingDown, REFUSED, None);
-            for _ in i..stmts.len() {
-                write_frame(writer, &payload)?;
-            }
-            drained = true;
-            break;
-        }
-        // Coalesce a maximal run of ≥ 2 consecutive INSERTs into one table.
-        if let Some(table) = insert_target(&stmts[i]) {
-            let mut j = i + 1;
-            while j < stmts.len() && insert_target(&stmts[j]) == Some(table) {
-                j += 1;
-            }
-            if j - i >= 2 {
-                match session.execute_batch(stmts[i..j].iter().map(|s| s.as_str())) {
-                    Ok(results) => {
-                        session.database().bump(Counter::PipelinedBatches, 1);
-                        for r in &results {
-                            write_frame(writer, &encode_result(r))?;
-                        }
-                    }
-                    // A coalesced run is one statement and fails as a
-                    // unit, so every frame of the run reports the error.
-                    Err(e) => {
-                        let payload = encode_statement_error(&e);
-                        for _ in i..j {
-                            write_frame(writer, &payload)?;
-                        }
-                    }
+            // Frames the client already sent (buffered here or sitting in
+            // the socket) get a retriable refusal instead of a silent
+            // close, so a pipelining client knows its tail never executed.
+            if stream.set_nonblocking(true).is_ok() {
+                while let Ok(n @ 1..) = stream.read(&mut scratch) {
+                    buf.extend_from_slice(&scratch[..n]);
                 }
-                i = j;
-                continue;
+            }
+            let payload = encode_error(WireErrorKind::ShuttingDown, REFUSED, None);
+            while let Framing::Frame(_) = decode_frame(&mut buf, MAX_FRAME_DEFAULT) {
+                write_frame(&mut writer, &payload)?;
+            }
+            return writer.flush();
+        }
+        // A violation (a bad frame or request payload) closes the
+        // connection, but only after every frame before it is answered.
+        let mut window: Vec<String> = Vec::new();
+        let mut violation = None;
+        while window.len() < max_pipeline && violation.is_none() {
+            match decode_frame(&mut buf, MAX_FRAME_DEFAULT) {
+                Framing::Frame(payload) => match decode_request(&payload) {
+                    Ok(Request::Execute(text)) => window.push(text),
+                    Err(msg) => violation = Some(msg),
+                },
+                Framing::Need => break,
+                Framing::Bad(msg) => violation = Some(msg),
             }
         }
-        match session.execute(&stmts[i]) {
-            Ok(r) => write_frame(writer, &encode_result(&r))?,
-            Err(e) => write_frame(writer, &encode_statement_error(&e))?,
+        if window.is_empty() && violation.is_none() {
+            // Nothing to execute: block (bounded by the poll interval so
+            // shutdown stays responsive).
+            match stream.read(&mut scratch) {
+                Ok(0) => {
+                    // EOF mid-frame: the peer died (or lied about the length).
+                    if !buf.is_empty() {
+                        session.database().bump(Counter::FramesRejected, 1);
+                    }
+                    return Ok(());
+                }
+                Ok(n) => buf.extend_from_slice(&scratch[..n]),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+                Err(e) => return Err(e),
+            }
+            continue;
         }
-        i += 1;
-    }
-
-    if let Some(msg) = violation {
-        session.database().bump(Counter::FramesRejected, 1);
-        write_frame(writer, &encode_error(WireErrorKind::Protocol, &msg, None))?;
+        {
+            let db = session.database();
+            db.bump(Counter::FramesReceived, window.len() as u64);
+            if window.len() == max_pipeline {
+                // The window is full: the socket is not read again until it
+                // has executed, so TCP flow control pushes back.
+                db.bump(Counter::BackpressureStalls, 1);
+            }
+        }
+        for result in session.execute_batch(window.iter().map(String::as_str)) {
+            let payload = match result {
+                Ok(r) => encode_result(&r),
+                Err(e) => encode_statement_error(&e),
+            };
+            write_frame(&mut writer, &payload)?;
+        }
+        if let Some(msg) = violation {
+            session.database().bump(Counter::FramesRejected, 1);
+            write_frame(
+                &mut writer,
+                &encode_error(WireErrorKind::Protocol, &msg, None),
+            )?;
+            return writer.flush();
+        }
         writer.flush()?;
-        return Ok(false);
-    }
-    writer.flush()?;
-    Ok(!drained)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn insert_target_sniffs_tables() {
-        assert_eq!(insert_target("INSERT INTO t VALUES (1)"), Some("t"));
-        assert_eq!(
-            insert_target("insert into t2(a, b) values (1, 2)"),
-            Some("t2")
-        );
-        assert_eq!(insert_target("  INSERT   INTO   t  VALUES (1)"), Some("t"));
-        assert_eq!(insert_target("UPDATE t SET a = 1"), None);
-        assert_eq!(insert_target("SELECT a FROM t"), None);
-        assert_eq!(insert_target("INSERT"), None);
-        assert_eq!(insert_target("INSERT INTO"), None);
     }
 }

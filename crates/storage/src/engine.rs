@@ -124,6 +124,9 @@ pub struct StorageEngine {
     /// the gather window when somebody else is committing.
     active_commits: AtomicU64,
     wal_bytes: AtomicU64,
+    /// Length of the live WAL segment, mirrored out of the WAL lock:
+    /// changed only under it, read without it.
+    segment_bytes: AtomicU64,
     /// Group-commit syncs of the WAL, the only ones it gets.
     wal_fsyncs: AtomicU64,
     checkpoints: AtomicU64,
@@ -193,6 +196,7 @@ impl StorageEngine {
             gc_synced: Condvar::new(),
             active_commits: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
+            segment_bytes: AtomicU64::new(replay.clean_len),
             wal_fsyncs: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
             recovery_ms: AtomicU64::new(0),
@@ -232,6 +236,7 @@ impl StorageEngine {
             let mut wal = self.wal.lock().expect("wal poisoned");
             let bytes = wal.append_statement(ops)?;
             self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.segment_bytes.fetch_add(bytes, Ordering::Relaxed);
             return Ok(());
         }
         self.active_commits.fetch_add(1, Ordering::Relaxed);
@@ -255,6 +260,7 @@ impl StorageEngine {
             let mut wal = self.wal.lock().expect("wal poisoned");
             let bytes = wal.append_statement(ops)?;
             self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+            self.segment_bytes.fetch_add(bytes, Ordering::Relaxed);
             let mut gc = self.gc.lock().expect("group commit poisoned");
             gc.appended += 1;
             gc.appended
@@ -360,6 +366,7 @@ impl StorageEngine {
         catalog.save(&self.dir.join("catalog.bin"), sync)?;
         let replaced = std::mem::replace(store, stored);
         wal.truncate_to(new_seq)?;
+        self.segment_bytes.store(0, Ordering::Relaxed);
         // Images of rewritten and dropped tables are unlinked only now that
         // the catalog naming their successors is durable (shadow-root
         // rule). A failed unlink leaves garbage the next `open` sweeps.
@@ -376,6 +383,11 @@ impl StorageEngine {
     /// Bytes appended to the WAL since this engine was opened.
     pub fn wal_bytes_written(&self) -> u64 {
         self.wal_bytes.load(Ordering::Relaxed)
+    }
+
+    /// Bytes in the live WAL segment: what a crash-reopen would replay.
+    pub fn wal_segment_bytes(&self) -> u64 {
+        self.segment_bytes.load(Ordering::Relaxed)
     }
 
     /// `fsync` calls issued for WAL commits: one per group-commit batch.

@@ -25,6 +25,7 @@ use std::thread;
 use common::{all_modes, Log, CATALOG_VIEW, SETUP, TRIGGERS};
 use proptest::prelude::*;
 use quark_core::relational::{Database, Error, Row, Value};
+use quark_core::session::CHECKPOINT_LOG_BYTES;
 use quark_core::storage::SyncMode;
 use quark_core::{Footprint, Mode, Session, SessionPool, StatementResult};
 
@@ -321,12 +322,15 @@ fn failed_multi_row_insert_leaves_no_trace() {
             .execute("INSERT INTO vendor VALUES ('Newegg', 'P1', 90.0), ('Amazon', 'P1', 1.0)")
             .expect_err("duplicate key");
         assert!(err.to_string().contains("duplicate"), "{mode:?}: {err}");
-        session
-            .execute_batch([
-                "INSERT INTO vendor VALUES ('Newegg', 'P1', 90.0)",
-                "INSERT INTO vendor VALUES ('Amazon', 'P1', 1.0)",
-            ])
-            .expect_err("duplicate key in a coalesced run");
+        let run = session.execute_batch([
+            "INSERT INTO vendor VALUES ('Newegg', 'P1', 90.0)",
+            "INSERT INTO vendor VALUES ('Amazon', 'P1', 1.0)",
+        ]);
+        assert_eq!(run.len(), 2, "{mode:?}: one result per statement");
+        for r in run {
+            let err = r.expect_err("duplicate key in a coalesced run");
+            assert!(err.to_string().contains("duplicate"), "{mode:?}: {err}");
+        }
         assert_eq!(dump(&session), before, "{mode:?}: no row stays");
         assert_eq!(firings(&log), vec![], "{mode:?}: no trigger fired");
         drop(session); // crash: no close, no final checkpoint
@@ -753,6 +757,54 @@ fn stats_statement_reports_storage_counters() {
         rows.iter().any(|r| r[0] == Value::str("recovery_ms")),
         "recovery_ms must be reported"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The log is bounded without any global write: the latched write that
+/// takes the live WAL segment to `CHECKPOINT_LOG_BYTES` checkpoints after
+/// it commits, and a crash-reopen still holds the last acknowledged
+/// write.
+#[test]
+fn a_full_log_checkpoints_without_a_global_write() {
+    const PAYLOAD: usize = 1 << 20;
+    let dir = tmp_dir("log-bound");
+    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("open");
+    for s in [
+        "CREATE TABLE doc (id INT PRIMARY KEY, body TEXT)",
+        "INSERT INTO doc VALUES (0, '')",
+    ] {
+        session.execute(s).expect("setup");
+    }
+    let checkpoints = |s: &Session| s.quark().stats().checkpoints;
+    let before = checkpoints(&session);
+    let mut body = String::new();
+    for i in 0..CHECKPOINT_LOG_BYTES as usize / PAYLOAD + 12 {
+        body = format!("{i:08}").repeat(PAYLOAD / 8);
+        session
+            .execute(&format!("UPDATE doc SET body = '{body}' WHERE id = 0"))
+            .expect("update");
+    }
+    assert!(
+        checkpoints(&session) > before,
+        "a full log checkpoints with no global write"
+    );
+    let segment = session
+        .quark()
+        .storage()
+        .expect("durable")
+        .wal_segment_bytes();
+    assert!(segment < CHECKPOINT_LOG_BYTES, "live segment: {segment} B");
+    drop(session); // crash: no close, no final checkpoint
+
+    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("reopen");
+    let StatementResult::Rows { rows, .. } = session
+        .execute("SELECT body FROM doc WHERE id = 0")
+        .expect("select")
+    else {
+        panic!("expected rows");
+    };
+    assert!(rows[0][0] == Value::str(&body), "the last write survives");
+    drop(session);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

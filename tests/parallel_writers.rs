@@ -588,9 +588,11 @@ fn execute_batch_coalesces_and_preserves_semantics() {
     // Batched execution.
     let (batched, batched_log) = insert_system();
     let before = batched.quark().stats();
-    let results = batched
+    let results: Vec<StatementResult> = batched
         .execute_batch(batch.iter().map(String::as_str))
-        .expect("batch");
+        .into_iter()
+        .map(|r| r.expect("batch statement"))
+        .collect();
     let after = batched.quark().stats();
 
     // One result per input statement, each INSERT reporting its own row.

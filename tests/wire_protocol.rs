@@ -19,9 +19,12 @@ use quark_bench::{build_sharded, ShardSpec, ShardedWorkload};
 use quark_core::relational::{Stats, Value};
 use quark_core::storage::SyncMode;
 use quark_core::{Mode, ObjectKind, Session, SessionPool};
-use quark_server::protocol::{encode_request, write_frame};
+use quark_server::protocol::{
+    decode_response, encode_request, encode_result, encode_statement_error, write_frame,
+};
 use quark_server::{
-    Client, ClientError, RetryPolicy, Server, ServerConfig, ServerHandle, WireErrorKind, WireResult,
+    Client, ClientError, RetryPolicy, Server, ServerConfig, ServerHandle, WireError, WireErrorKind,
+    WireResult,
 };
 
 // ---------------------------------------------------------------------
@@ -441,6 +444,93 @@ fn pipelined_inserts_coalesce_into_batched_statements() {
     server.shutdown();
 }
 
+/// A malformed statement pipelined between two valid `INSERT`s into its
+/// table fails alone, with its own parse error and span: the `INSERT`s on
+/// either side commit, as they would sent one at a time. The outcome of a
+/// statement does not depend on how TCP split the stream into windows.
+#[test]
+fn pipelined_malformed_insert_fails_alone() {
+    let server = sharded_server(1, ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .execute("CREATE TABLE pw (id INT PRIMARY KEY, v TEXT)")
+        .expect("create");
+    let malformed = "INSERT INTO pw VALUES (2,";
+    let mut burst = raw_execute_frame("INSERT INTO pw VALUES (1, 'a')");
+    burst.extend_from_slice(&raw_execute_frame(malformed));
+    burst.extend_from_slice(&raw_execute_frame("INSERT INTO pw VALUES (3, 'c')"));
+    client.send_raw(&burst).expect("burst");
+    let responses: Vec<_> = (0..3)
+        .map(|_| client.read_response().expect("burst response"))
+        .collect();
+    assert_eq!(responses[0], Ok(WireResult::RowsAffected(1)));
+    assert_eq!(responses[2], Ok(WireResult::RowsAffected(1)));
+    let alone = server.session().execute(malformed).expect_err("malformed");
+    assert!(alone.span().is_some(), "{alone}");
+    let err = responses[1]
+        .clone()
+        .expect_err("the malformed INSERT fails");
+    assert_eq!(err.kind, WireErrorKind::Parse);
+    assert_eq!(
+        Err(err),
+        decode_response(&encode_statement_error(&alone)).expect("well-formed"),
+        "its own error and span"
+    );
+
+    let WireResult::Rows { rows, .. } = client.execute("SELECT id FROM pw").expect("select") else {
+        panic!("expected rows");
+    };
+    let ids: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
+    assert_eq!(
+        ids,
+        vec![Value::Int(1), Value::Int(3)],
+        "exactly the valid rows"
+    );
+    server.shutdown();
+}
+
+/// One pipelined burst answers a statement list exactly as in-process
+/// [`Session::execute_batch`] does on a twin system: the same coalesced
+/// run, the same per-statement errors, every later statement still run.
+#[test]
+fn pipelined_window_answers_like_in_process_execute_batch() {
+    const CREATE: &str = "CREATE TABLE pp (id INT PRIMARY KEY, v TEXT)";
+    let stmts = [
+        "INSERT INTO pp VALUES (1, 'a')",
+        "INSERT INTO pp VALUES (2, 'b')",
+        "UPDATE no_such_table SET v = 'x' WHERE id = 1",
+        "INSERT INTO pp VALUES (3,",
+        "INSERT INTO pp VALUES (4, 'd')",
+        "SELECT id, v FROM pp",
+    ];
+    let ShardedWorkload { session: twin, .. } =
+        build_sharded(ShardSpec::quick(1, Mode::Grouped)).expect("twin workload");
+    twin.execute(CREATE).expect("twin create");
+    let expected: Vec<Result<WireResult, WireError>> = twin
+        .execute_batch(stmts)
+        .iter()
+        .map(|r| {
+            let payload = match r {
+                Ok(r) => encode_result(r),
+                Err(e) => encode_statement_error(e),
+            };
+            decode_response(&payload).expect("well-formed response")
+        })
+        .collect();
+    assert!(expected[2].is_err() && expected[3].is_err(), "{expected:?}");
+
+    let server = sharded_server(1, ServerConfig::default());
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client.execute(CREATE).expect("create");
+    let burst: Vec<u8> = stmts.iter().flat_map(|s| raw_execute_frame(s)).collect();
+    client.send_raw(&burst).expect("burst");
+    for (i, want) in expected.iter().enumerate() {
+        let got = client.read_response().expect("burst response");
+        assert_eq!(&got, want, "statement {i}: {}", stmts[i]);
+    }
+    server.shutdown();
+}
+
 /// When the client streams faster than statements execute, the pipeline
 /// window fills and the server deliberately stops reading the socket
 /// (counted), instead of buffering without bound. Nothing is lost.
@@ -660,10 +750,10 @@ fn adversarial_bytes_never_panic_or_hang_the_server() {
 // Graceful shutdown and durable recovery
 // ---------------------------------------------------------------------
 
-/// Shutdown during a pipelined stream: the in-flight statement completes
-/// and commits, every queued frame is answered with a retriable
+/// Shutdown during a pipelined stream: the window in flight completes
+/// and commits, every frame behind it is answered with a retriable
 /// `ShuttingDown` error, the WAL closes at a statement boundary, and a
-/// warm restart recovers exactly the successful prefix with zero
+/// warm restart recovers exactly the completed window with zero
 /// re-translations.
 #[test]
 fn graceful_shutdown_drains_in_flight_and_restarts_cleanly() {
@@ -722,11 +812,17 @@ fn graceful_shutdown_drains_in_flight_and_restarts_cleanly() {
     )
     .expect("start server");
 
-    // One burst: a trigger-firing UPDATE (which will park in the gate)
-    // followed by alternating-table INSERTs — alternation defeats
-    // coalescing, so the tail is executed (or drained) per statement.
-    let mut burst =
-        raw_execute_frame("UPDATE vendor SET price = 150.0 WHERE vid = 'Amazon' AND pid = 'P1'");
+    // A trigger-firing UPDATE, which parks in the gate as a window of its
+    // own; the INSERT tail follows only once it is in flight.
+    let mut client = Client::connect(server.addr()).expect("connect");
+    client
+        .send_raw(&raw_execute_frame(
+            "UPDATE vendor SET price = 150.0 WHERE vid = 'Amazon' AND pid = 'P1'",
+        ))
+        .expect("send the UPDATE");
+    entered_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the UPDATE must reach the gated trigger action");
     let mut tail = Vec::new();
     for i in 0..8 {
         let stmt = if i % 2 == 0 {
@@ -734,54 +830,37 @@ fn graceful_shutdown_drains_in_flight_and_restarts_cleanly() {
         } else {
             format!("INSERT INTO vendor VALUES ('V{i}', 'P2', 10.0)")
         };
-        tail.push(stmt.clone());
-        burst.extend_from_slice(&raw_execute_frame(&stmt));
+        tail.extend_from_slice(&raw_execute_frame(&stmt));
     }
-    let mut client = Client::connect(server.addr()).expect("connect");
-    client.send_raw(&burst).expect("send burst");
-
-    entered_rx
-        .recv_timeout(Duration::from_secs(30))
-        .expect("the UPDATE must reach the gated trigger action");
-    // Statement 1 is now provably in flight. Start the shutdown, give the
-    // flag a moment to land, then let the statement finish.
+    client.send_raw(&tail).expect("send the tail");
+    // Start the shutdown, give the flag a moment to land, then let the
+    // window in flight finish.
     let shutdown_thread = thread::spawn(move || server.shutdown());
     thread::sleep(Duration::from_millis(200));
     release_tx.send(()).expect("release the gate");
     let pool = shutdown_thread.join().expect("shutdown");
 
-    // The client saw: the in-flight UPDATE's success, then only retriable
-    // ShuttingDown refusals (successes form a strict prefix).
+    // The client saw the in-flight UPDATE's success, then a retriable
+    // ShuttingDown refusal for every frame of the tail.
     let responses = client.drain_until_close();
-    assert!(!responses.is_empty(), "at least the UPDATE is answered");
+    assert_eq!(responses.len(), 9, "every frame is answered: {responses:?}");
     assert!(
         matches!(&responses[0], Ok(WireResult::RowsAffected(1))),
         "the in-flight statement completes: {:?}",
         responses[0]
     );
-    let successes: Vec<usize> = responses
-        .iter()
-        .enumerate()
-        .filter_map(|(i, r)| r.is_ok().then_some(i))
-        .collect();
-    assert_eq!(
-        successes,
-        (0..successes.len()).collect::<Vec<_>>(),
-        "successes must form a prefix of the pipeline"
-    );
-    for r in &responses[successes.len()..] {
+    for r in &responses[1..] {
         match r {
             Err(e) => assert!(
                 e.kind == WireErrorKind::ShuttingDown && e.kind.is_retriable(),
-                "drained tail must be retriable: {e:?}"
+                "the tail must be refused as retriable: {e:?}"
             ),
-            ok => panic!("non-prefix success: {ok:?}"),
+            ok => panic!("a tail frame executed during shutdown: {ok:?}"),
         }
     }
-    let applied_tail = successes.len().saturating_sub(1);
 
     // Clean close at a statement boundary, then warm restart: zero
-    // re-translations, and exactly the successful prefix is durable.
+    // re-translations, and exactly the completed window is durable.
     pool.into_session().close().expect("close");
     let session =
         quark_xquery::open_session_with(&dir, Mode::Grouped, SyncMode::Always).expect("reopen");
@@ -797,20 +876,8 @@ fn graceful_shutdown_drains_in_flight_and_restarts_cleanly() {
             .map(|t| t.len())
             .unwrap_or(0)
     };
-    let expected_products = 2 + tail[..applied_tail]
-        .iter()
-        .filter(|s| s.contains("product"))
-        .count();
-    let expected_vendors = 2 + tail[..applied_tail]
-        .iter()
-        .filter(|s| s.contains("vendor"))
-        .count();
-    assert_eq!(
-        count("product"),
-        expected_products,
-        "recovered product rows"
-    );
-    assert_eq!(count("vendor"), expected_vendors, "recovered vendor rows");
+    assert_eq!(count("product"), 2, "recovered product rows");
+    assert_eq!(count("vendor"), 2, "recovered vendor rows");
     let price = session
         .database()
         .table("vendor")
