@@ -34,10 +34,9 @@
 //!    write↔read overlap): the expected-parallelism report for a workload.
 //!
 //! A child module of [`system`](super) (like `persist`) so it can walk the
-//! private group registry. The static claim is dynamically cross-checked
-//! by the `footprint-oracle` feature of `quark-relational`, which asserts
-//! at run time that every table access is covered by the installed latch
-//! scope.
+//! private group registry. The static claim is enforced at run time as
+//! well: `quark-relational` refuses every table access outside the
+//! statement's latched footprint with `Error::OutsideFootprint`.
 
 use std::collections::BTreeSet;
 
@@ -572,9 +571,9 @@ impl Quark {
     /// Test hook: corrupt the recorded footprint of the group owning XML
     /// trigger `trigger` by removing `table` from it, simulating an
     /// under-declared footprint. Returns `true` if the table was present.
-    /// The static pass must then report a soundness error, and — under the
-    /// `footprint-oracle` feature — executing a write that fires the group
-    /// must bump `footprint_violations`.
+    /// The static pass must then report a soundness error, and executing
+    /// a write that fires the group must fail with
+    /// `Error::OutsideFootprint` and bump `footprint_violations`.
     #[doc(hidden)]
     pub fn tamper_footprint_for_test(&mut self, trigger: &str, table: &str) -> bool {
         let Some(record) = self.triggers.get(trigger) else {

@@ -549,7 +549,8 @@ impl Session {
     }
 
     /// Register an action declaring the tables it may write (delegates to
-    /// [`Quark::register_action_with_writes`]).
+    /// [`Quark::register_action_with_writes`]). The declaration is
+    /// enforced: a write outside it fails its statement.
     pub fn register_action_with_writes(
         &self,
         name: impl Into<String>,
@@ -841,11 +842,11 @@ impl Session {
         db.bump(Counter::LatchWaits, latch.waits());
         db.bump(Counter::LatchSharedAcquisitions, latch.shared_count());
         db.bump(Counter::LatchExclusiveAcquisitions, latch.exclusive_count());
-        // Under the `footprint-oracle` feature, a table access outside
-        // `write` ∪ `read` is a proven hole in the static analysis and
-        // bumps `footprint_violations`. The statement's redo is appended
-        // to the WAL as one frame while the statement can still be undone:
-        // the statement boundary is the durability boundary.
+        // A table access outside `write` ∪ `read` — an action breaking its
+        // declared writes, or a hole in the static analysis — fails the
+        // statement and bumps `footprint_violations`. The statement's redo
+        // is appended to the WAL as one frame while the statement can still
+        // be undone: the statement boundary is the durability boundary.
         let log = state
             .storage()
             .map(|wal| move |ops: &[RedoOp]| Ok(wal.log_statement(ops)?));

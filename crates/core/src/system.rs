@@ -405,8 +405,9 @@ impl Quark {
     /// whose cascades reach only declared actions keep a bounded
     /// [`Footprint`] and can run in parallel with disjoint writers; an
     /// undeclared action ([`Quark::register_action`]) makes such writes
-    /// latch every table instead. The declaration is a *promise*: writing
-    /// outside it is not checked.
+    /// latch every table instead. The declaration is enforced: a write
+    /// outside it is refused with `Error::OutsideFootprint`, which fails
+    /// and undoes the statement that fired the action.
     pub fn register_action_with_writes(
         &mut self,
         name: impl Into<String>,

@@ -158,13 +158,12 @@ pub struct Stats {
     pub checkpoints: u64,
     /// Wall-clock milliseconds the last recovery (warm open) took.
     pub recovery_ms: u64,
-    /// Table accesses the `footprint-oracle` feature caught outside the
-    /// session's latched footprint — a write to a table not latched
-    /// exclusive, or a read of a table not latched at all. Always present
-    /// so `STATS` output is feature-independent; only ever bumped when the
-    /// crate is built with `--features footprint-oracle`, and **must stay
-    /// zero**: a nonzero value is a proven data race in the footprint
-    /// analysis.
+    /// Table accesses refused because they fell outside the statement's
+    /// latched footprint — a write to a table not latched exclusive, or a
+    /// read of a table not latched at all. The access did not happen: its
+    /// statement failed with [`Error::OutsideFootprint`] and was undone.
+    /// Nonzero means an action broke its declared write set or the
+    /// footprint analysis has a hole.
     pub footprint_violations: u64,
 }
 
@@ -375,7 +374,6 @@ struct Journal {
     rows: Vec<(usize, bool, Row)>,
     /// The `(write, read)` tables a session statement latched, checked on
     /// every table access; `None` for a raw [`Database`] caller.
-    #[cfg(feature = "footprint-oracle")]
     footprint: Option<(BTreeSet<String>, BTreeSet<String>)>,
 }
 
@@ -449,29 +447,6 @@ impl Drop for Rollback<'_> {
         if self.mark.is_some() {
             JOURNALS.with(|m| m.borrow_mut().insert(db.db_id, j));
         }
-    }
-}
-
-#[cfg(feature = "footprint-oracle")]
-thread_local! {
-    /// When nonzero, an oracle violation bumps the counter but does not
-    /// panic — the escape hatch tests use to *observe* an intentional
-    /// violation (see [`Database::tolerate_footprint_violations`]).
-    static ORACLE_TOLERANCE: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// RAII handle suppressing the oracle's panic-on-violation on this thread
-/// while alive (the `footprint_violations` counter still counts). Obtained
-/// from [`Database::tolerate_footprint_violations`].
-#[cfg(feature = "footprint-oracle")]
-pub struct FootprintTolerance {
-    _private: (),
-}
-
-#[cfg(feature = "footprint-oracle")]
-impl Drop for FootprintTolerance {
-    fn drop(&mut self) {
-        ORACLE_TOLERANCE.with(|c| c.set(c.get() - 1));
     }
 }
 
@@ -593,10 +568,10 @@ impl Database {
     /// its own changes, before its error reaches the trigger body.
     ///
     /// `write` and `read` are the tables the caller latched exclusive and
-    /// shared. Under the `footprint-oracle` feature every table access in
-    /// `f` must be covered by them (a mutation by `write`), which checks
-    /// the session layer's latch claim at run time.
-    #[allow(unused_variables)]
+    /// shared. Every table access in `f` must be covered by them (a
+    /// mutation by `write`): one that is not fails with
+    /// [`Error::OutsideFootprint`] before it touches the table, so the
+    /// statement fails and is undone like any other.
     pub fn statement<T, E>(
         &self,
         write: &BTreeSet<String>,
@@ -605,7 +580,6 @@ impl Database {
         commit: Option<impl FnOnce(&[RedoOp]) -> Result<(), E>>,
     ) -> Result<T, E> {
         let rollback = self.begin(|| Journal {
-            #[cfg(feature = "footprint-oracle")]
             footprint: Some((write.clone(), read.clone())),
             ..Journal::default()
         });
@@ -636,28 +610,15 @@ impl Database {
         JOURNALS.with(|m| edit(m.borrow_mut().get_mut(&self.db_id).expect("in a statement")))
     }
 
-    /// Suppress the oracle's panic-on-violation on the calling thread
-    /// while the returned guard lives — the `footprint_violations`
-    /// counter still counts, so a test can provoke an intentional
-    /// violation and assert it was detected without unwinding.
-    #[cfg(feature = "footprint-oracle")]
-    pub fn tolerate_footprint_violations() -> FootprintTolerance {
-        ORACLE_TOLERANCE.with(|c| c.set(c.get() + 1));
-        FootprintTolerance { _private: () }
-    }
-
-    /// Assert that accessing `name` (mutating or reading) is covered by
-    /// the footprint of the statement open on this thread for this
-    /// database instance. Outside a session statement — programmatic
-    /// access, oracle shadow clones, recovery replay, a rollback — nothing
-    /// is checked; nor is a table that does not exist (the access fails
-    /// with `UnknownTable`, and no footprint — not even an unbounded
-    /// statement's "every table" — can name it).
-    #[cfg(feature = "footprint-oracle")]
-    fn oracle_check(&self, name: &str, mutating: bool) {
-        if !self.tables.contains_key(name) {
-            return;
-        }
+    /// Refuse accessing the existing table `name` (mutating or reading)
+    /// unless the footprint of the statement open on this thread for this
+    /// database instance covers it: a miss bumps `footprint_violations`
+    /// and fails with [`Error::OutsideFootprint`]. Outside a session
+    /// statement — programmatic access, oracle shadow clones, recovery
+    /// replay, a rollback — nothing is checked. A table that does not
+    /// exist is `UnknownTable` before this runs: no footprint — not even
+    /// an unbounded statement's "every table" — can name it.
+    fn check_access(&self, name: &str, mutating: bool) -> Result<()> {
         let covered = JOURNALS.with(|m| {
             let journal = m.borrow();
             match journal.get(&self.db_id).and_then(|j| j.footprint.as_ref()) {
@@ -665,20 +626,15 @@ impl Database {
                 Some((write, read)) => write.contains(name) || (!mutating && read.contains(name)),
             }
         });
-        if !covered {
-            self.bump(Counter::FootprintViolations, 1);
-            if ORACLE_TOLERANCE.with(|c| c.get()) == 0 {
-                panic!(
-                    "footprint oracle: {} of table `{name}` outside the latched footprint",
-                    if mutating { "mutation" } else { "read" }
-                );
-            }
+        if covered {
+            return Ok(());
         }
+        self.bump(Counter::FootprintViolations, 1);
+        Err(Error::OutsideFootprint {
+            table: name.to_string(),
+            write: mutating,
+        })
     }
-
-    #[cfg(not(feature = "footprint-oracle"))]
-    #[inline(always)]
-    fn oracle_check(&self, _name: &str, _mutating: bool) {}
 
     // ------------------------------------------------------------------
     // Redo replay (recovery, and a failed statement's rollback)
@@ -710,13 +666,13 @@ impl Database {
     /// lifetime. Uncontended in practice: concurrent access to the *same*
     /// table's slot only happens when a raw [`Database`] reference is read
     /// while a latched writer runs (reads through the session surface use
-    /// published snapshots, which are separate instances).
+    /// published snapshots, which are separate instances). Inside a
+    /// session statement, a table outside its latched footprint is
+    /// refused with [`Error::OutsideFootprint`].
     pub fn table(&self, name: &str) -> Result<TableRef<'_>> {
-        self.oracle_check(name, false);
-        self.tables
-            .get(name)
-            .map(|cell| TableRef(cell.read().unwrap_or_else(|e| e.into_inner())))
-            .ok_or_else(|| Error::UnknownTable(name.to_string()))
+        let cell = self.cell(name)?;
+        self.check_access(name, false)?;
+        Ok(TableRef(cell.read().unwrap_or_else(|e| e.into_inner())))
     }
 
     /// Exclusive table access, copy-on-write: a table still shared with a
@@ -726,10 +682,15 @@ impl Database {
     /// between whole *statements* on the same table is the session latch
     /// manager's job; this latch only protects the slot itself.
     fn table_write(&self, name: &str) -> Result<TableWrite<'_>> {
-        self.oracle_check(name, true);
+        let cell = self.cell(name)?;
+        self.check_access(name, true)?;
+        Ok(TableWrite(cell.write().unwrap_or_else(|e| e.into_inner())))
+    }
+
+    /// The slot of table `name`.
+    fn cell(&self, name: &str) -> Result<&TableCell> {
         self.tables
             .get(name)
-            .map(|cell| TableWrite(cell.write().unwrap_or_else(|e| e.into_inner())))
             .ok_or_else(|| Error::UnknownTable(name.to_string()))
     }
 
@@ -1391,6 +1352,54 @@ mod tests {
             .collect();
         let logged = [("Del", "vendor"), ("Put", "vendor"), ("Put", "log")];
         assert_eq!(ops, logged.map(|(op, t)| (op, t.to_string())));
+    }
+
+    /// Inside a statement, a table outside its footprint is refused before
+    /// it is touched — a read unless latched at all, a write unless
+    /// latched exclusive — and the statement is undone without reaching
+    /// its commit step; a missing table is `UnknownTable`, not a
+    /// violation, and a raw caller is not checked.
+    #[test]
+    fn an_access_outside_the_footprint_fails_the_statement() {
+        let mut db = db_with_vendor();
+        db.create_table(
+            TableSchema::new("log", vec![ColumnDef::new("n", ColumnType::Int)], &["n"]).unwrap(),
+        )
+        .unwrap();
+        db.load("vendor", vec![vrow("a", "P1", 1.0)]).unwrap();
+        db.create_trigger(SqlTrigger {
+            name: "t".into(),
+            table: "vendor".into(),
+            event: Event::Update,
+            body: Arc::new(|db, _| {
+                let n = db.table("log")?.len() as i64;
+                db.insert_row("log", vec![Value::Int(n)])?;
+                db.table("nowhere").map(|_| ())
+            }),
+        })
+        .unwrap();
+        let key = [Value::str("a"), Value::str("P1")];
+        let update = || db.update_by_key("vendor", &key, &[(2, Value::Double(2.0))]);
+        let never = |_: &[RedoOp]| -> Result<()> { panic!("a refused statement commits") };
+        let start = db.table("vendor").unwrap().version();
+        let outside = |table: &str, write| Error::OutsideFootprint {
+            table: table.into(),
+            write,
+        };
+        let (vendor, log) = (latched(&["vendor"]), latched(&["log"]));
+        let none = BTreeSet::new();
+        let read = db.statement(&vendor, &none, update, Some(never));
+        assert_eq!(read, Err(outside("log", false)));
+        let write = db.statement(&vendor, &log, update, Some(never));
+        assert_eq!(write, Err(outside("log", true)));
+        assert_eq!(db.stats().footprint_violations, 2);
+        assert_eq!(db.table("vendor").unwrap().version(), start, "undone");
+        assert!(db.table("log").unwrap().is_empty(), "no row; a raw read");
+
+        let both = latched(&["vendor", "log"]);
+        let missing = db.statement(&both, &none, update, Some(never));
+        assert_eq!(missing, Err(Error::UnknownTable("nowhere".into())));
+        assert_eq!(db.stats().footprint_violations, 2);
     }
 
     /// A statement whose commit step fails — by an `Err` or by a panic —

@@ -57,6 +57,15 @@ pub enum Error {
     /// Durable-storage failure: I/O error, corrupt file, or a value that
     /// cannot be serialized.
     Storage(String),
+    /// A statement touched a table outside the footprint it latched: an
+    /// action broke its declared write set, or the footprint analysis
+    /// has a hole. The access was refused and the statement undone.
+    OutsideFootprint {
+        /// The table refused.
+        table: String,
+        /// `true` for a write, `false` for a read.
+        write: bool,
+    },
 }
 
 impl fmt::Display for Error {
@@ -99,6 +108,11 @@ impl fmt::Display for Error {
             Error::Eval(m) => write!(f, "evaluation error: {m}"),
             Error::Plan(m) => write!(f, "plan error: {m}"),
             Error::Storage(m) => write!(f, "storage error: {m}"),
+            Error::OutsideFootprint { table, write } => write!(
+                f,
+                "table `{table}` {} outside the statement's latched footprint",
+                if *write { "written" } else { "read" }
+            ),
         }
     }
 }

@@ -39,8 +39,6 @@ mod table;
 mod value;
 pub mod wire;
 
-#[cfg(feature = "footprint-oracle")]
-pub use database::FootprintTolerance;
 pub use database::{
     Counter, Database, Event, NativeTriggerFn, SqlTrigger, Stats, TransitionTables,
 };

@@ -114,8 +114,8 @@ fn opaque_shard(session: &Session, gate: impl Fn() + Send + Sync + 'static) {
 /// in flight no other writer — however disjoint — completes a statement,
 /// the waiters show up as latch conflicts, and since the shards are still
 /// disjoint in what they touch, the final state equals a serial replay
-/// with no update or firing lost. Under `--features footprint-oracle` the
-/// opaque cascade is checked against its scope, the whole table set.
+/// with no update or firing lost. The opaque cascade's table accesses
+/// are checked against its scope, the whole table set.
 #[test]
 fn opaque_shard_serializes_against_disjoint_writers_and_matches_serial_replay() {
     const WRITERS: usize = 3;

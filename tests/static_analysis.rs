@@ -3,13 +3,13 @@
 //! the `write_footprint` degradation edge cases counter-asserted by the
 //! analyzer's independent recomputation — and the dual-catch guarantee
 //! that an under-declared footprint is caught by the static pass *and*
-//! (under the `footprint-oracle` feature) by the runtime oracle.
+//! refused at run time.
 
 use std::sync::Arc;
 
 use quark_bench::{build, build_sharded, build_shared_read, ShardSpec, WorkloadSpec};
-use quark_core::relational::{Event, SqlTrigger, Value};
-use quark_core::{AnalysisReport, Footprint, Mode, Session, StatementResult};
+use quark_core::relational::{Error, Event, SqlTrigger, Value};
+use quark_core::{AnalysisReport, Footprint, Mode, Session, StatementError, StatementResult};
 use quark_xquery::viewtree::{LevelSpec, TopBinding, ViewSpec};
 
 /// Run `ANALYZE TRIGGERS` through the statement surface.
@@ -222,8 +222,8 @@ fn bench_corpora_write_footprints_are_pinned() {
 }
 
 /// The `footprint_violations` counter is part of `STATS` and stays zero
-/// on a sound program (it can only move under the `footprint-oracle`
-/// feature, and then only on a proven soundness hole).
+/// on a sound program (it only moves when an access outside a latched
+/// footprint is refused).
 #[test]
 fn stats_expose_the_violation_counter() {
     let mut workload = build(WorkloadSpec::quick(Mode::Grouped)).expect("bench workload");
@@ -431,33 +431,36 @@ fn tampered_footprint_is_caught_statically() {
     );
 }
 
-/// The same under-declared footprint must also be caught by the **runtime**
-/// oracle: executing a write that fires the group makes the cascade read
-/// `hub` outside the latched scope, which bumps `footprint_violations`.
-#[cfg(feature = "footprint-oracle")]
+/// `err` is the refusal of an access to `table` outside the latched
+/// footprint, a write if `write`.
+fn is_outside_footprint(err: &StatementError, table: &str, write: bool) -> bool {
+    matches!(err, StatementError::Db(Error::OutsideFootprint { table: t, write: w })
+        if t == table && *w == write)
+}
+
+/// The same under-declared footprint must also be caught at **run time**:
+/// executing a write that fires the group makes the cascade read `hub`
+/// outside the latched scope, which is refused, fails the statement and
+/// bumps `footprint_violations`.
 #[test]
 fn tampered_footprint_is_caught_by_the_runtime_oracle() {
-    use quark_core::relational::Database;
     let session = shared_read_fixture();
     assert!(session
         .quark_mut()
         .tamper_footprint_for_test("sr0_t0", "hub"));
     assert_eq!(session.database().stats().footprint_violations, 0);
-    // Tolerate instead of panicking so the violation is observable.
-    let _tol = Database::tolerate_footprint_violations();
-    session
+    let before = session.execute("SELECT * FROM m0").unwrap();
+    let err = session
         .execute("UPDATE m0 SET price = 7.5 WHERE id = 0")
-        .expect("the update itself still executes");
-    assert!(
-        session.database().stats().footprint_violations > 0,
-        "the oracle must flag the un-latched `hub` read"
-    );
+        .expect_err("the un-latched `hub` read fails the update");
+    assert!(is_outside_footprint(&err, "hub", false), "{err}");
+    assert!(session.database().stats().footprint_violations > 0);
+    assert_eq!(session.execute("SELECT * FROM m0").unwrap(), before);
 }
 
 /// Runtime-only catch: an action that *declares* writes `{declared}` but
 /// actually writes `undeclared` is invisible to the static pass (closures
-/// cannot be inspected), but the oracle catches the out-of-scope write.
-#[cfg(feature = "footprint-oracle")]
+/// cannot be inspected), but its out-of-scope write is refused.
 #[test]
 fn under_declared_action_write_is_caught_by_the_runtime_oracle() {
     use quark_core::relational::Database;
@@ -480,20 +483,23 @@ fn under_declared_action_write_is_caught_by_the_runtime_oracle() {
              where OLD_NODE/@name = 'watched_0' do lies(NEW_NODE)",
         )
         .unwrap();
-    let _tol = Database::tolerate_footprint_violations();
-    session
+    let err = session
         .execute("UPDATE watched SET price = 2.0 WHERE id = 0")
-        .expect("update executes");
-    assert!(
-        session.database().stats().footprint_violations > 0,
-        "the oracle must flag the undeclared `undeclared` write"
-    );
+        .expect_err("the undeclared write fails the update");
+    assert!(is_outside_footprint(&err, "undeclared", true), "{err}");
+    assert!(session.database().stats().footprint_violations > 0);
+    let StatementResult::Rows { rows, .. } = session
+        .execute("SELECT * FROM undeclared WHERE id = 99")
+        .unwrap()
+    else {
+        panic!("expected rows")
+    };
+    assert!(rows.is_empty(), "{rows:?}");
 }
 
 /// An unbounded statement's scope is every table that *exists*. A body
 /// probing one that does not gets `UnknownTable`, as it always did — not a
 /// violation: nothing can be raced on a table that is not there.
-#[cfg(feature = "footprint-oracle")]
 #[test]
 fn opaque_body_probing_a_missing_table_is_an_error_not_a_violation() {
     let session = quark_xquery::session(quark_core::relational::Database::new(), Mode::Grouped);

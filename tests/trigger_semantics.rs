@@ -14,7 +14,7 @@ use quark_core::relational::{Database, Error, Row, Value};
 use quark_core::storage::SyncMode;
 use quark_core::xqgm::fixtures::{minprice_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
-use quark_core::{Mode, PathGraph, Quark, Session, StatementResult, XmlView};
+use quark_core::{Mode, PathGraph, Quark, Session, StatementError, StatementResult, XmlView};
 use quark_xquery::XQueryFrontend;
 
 fn minprice_system(mode: Mode) -> (Session, Log) {
@@ -786,4 +786,66 @@ fn failed_statement_leaves_no_trace() {
             let _ = std::fs::remove_dir_all(&dir);
         }
     }
+}
+
+/// An action declared to write nothing that inserts into `audit` during a
+/// `vendor` UPDATE is refused at the `audit` write — outside the latched
+/// footprint (write `vendor`, read `product` and the constants table) —
+/// and its statement fails and is undone: no `audit` row, the old price,
+/// one violation counted. Durably, the WAL does not grow and a reopen
+/// without `close` shows the pre-statement state.
+#[test]
+fn a_write_outside_the_declared_footprint_fails_the_statement() {
+    let dir = std::env::temp_dir().join(format!("quark-outside-footprint-{}", std::process::id()));
+    for durable in [false, true] {
+        let _ = std::fs::remove_dir_all(&dir);
+        let session = if durable {
+            quark_xquery::open_session_with(&dir, Mode::Grouped, SyncMode::Never).unwrap()
+        } else {
+            quark_xquery::session(Database::new(), Mode::Grouped)
+        };
+        for s in common::SETUP {
+            session.execute(s).unwrap();
+        }
+        session.execute(common::CATALOG_VIEW).unwrap();
+        session
+            .execute("CREATE TABLE audit (n INT PRIMARY KEY)")
+            .unwrap();
+        session
+            .register_action_with_writes("sneaky", [] as [&str; 0], |db, _call| {
+                db.insert_row("audit", vec![Value::Int(1)])
+            })
+            .unwrap();
+        session
+            .execute(
+                "CREATE TRIGGER Sneak AFTER Update ON view('catalog')/product DO sneaky(NEW_NODE)",
+            )
+            .unwrap();
+        let tables = |s: &Session| {
+            ["vendor", "audit"].map(|t| s.execute(&format!("SELECT * FROM {t}")).unwrap())
+        };
+        let (before, wal_before) = (tables(&session), session.quark().stats().wal_bytes_written);
+
+        let err = session
+            .execute("UPDATE vendor SET price = 75.0 WHERE vid = 'Amazon' AND pid = 'P1'")
+            .unwrap_err();
+        let refused = Error::OutsideFootprint {
+            table: "audit".into(),
+            write: true,
+        };
+        assert_eq!(err, StatementError::Db(refused), "durable: {durable}");
+        assert_eq!(tables(&session), before, "durable: {durable}");
+        assert!(session.database().table("audit").unwrap().is_empty());
+        assert_eq!(session.database().stats().footprint_violations, 1);
+        let wal_after = session.quark().stats().wal_bytes_written;
+        assert_eq!(wal_after, wal_before, "durable: {durable}");
+        drop(session); // crash: no close, no final checkpoint
+
+        if durable {
+            let session =
+                quark_xquery::open_session_with(&dir, Mode::Grouped, SyncMode::Never).unwrap();
+            assert_eq!(tables(&session), before, "reopened");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
