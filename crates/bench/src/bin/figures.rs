@@ -33,13 +33,15 @@ struct Args {
 }
 
 /// One measurement: `figure` / `series` identify the curve, `x` the point
-/// on it (with `x_label` naming the axis), `ms` the measured value.
+/// on it (with `x_label` naming the axis), `ms` the measured value, and
+/// `peak_rss_mb` the peak RSS of a process that did nothing else.
 struct Entry {
     figure: &'static str,
     series: String,
     x_label: &'static str,
     x: f64,
     ms: f64,
+    peak_rss_mb: Option<f64>,
 }
 
 #[derive(Default)]
@@ -55,44 +57,34 @@ impl Report {
         x_label: &'static str,
         x: f64,
         ms: f64,
-    ) {
+    ) -> &mut Entry {
         self.entries.push(Entry {
             figure,
             series: series.into(),
             x_label,
             x,
             ms,
+            peak_rss_mb: None,
         });
+        self.entries.last_mut().expect("just pushed")
     }
 
-    /// Render as JSON (no external deps; all strings here are plain ASCII
-    /// identifiers, escaped defensively anyway).
+    /// Render as JSON (no external deps). Strings are written `{:?}`-quoted,
+    /// which is JSON for the plain ASCII names used here.
     fn to_json(&self, args: &Args) -> String {
-        fn esc(s: &str) -> String {
-            s.chars()
-                .flat_map(|c| match c {
-                    '"' => "\\\"".chars().collect::<Vec<_>>(),
-                    '\\' => "\\\\".chars().collect(),
-                    c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                    c => vec![c],
-                })
-                .collect()
-        }
-        let mut out = String::from("{\n");
-        out.push_str("  \"bench\": \"figures\",\n");
-        out.push_str(&format!("  \"which\": \"{}\",\n", esc(&args.which)));
-        out.push_str(&format!("  \"quick\": {},\n", args.quick));
-        out.push_str(&format!("  \"updates\": {},\n", args.updates));
-        out.push_str("  \"entries\": [\n");
+        let mut out = format!(
+            "{{\n  \"bench\": \"figures\",\n  \"which\": {:?},\n  \"quick\": {},\n  \
+             \"updates\": {},\n  \"entries\": [\n",
+            args.which, args.quick, args.updates
+        );
         for (i, e) in self.entries.iter().enumerate() {
             let sep = if i + 1 == self.entries.len() { "" } else { "," };
+            let rss = e
+                .peak_rss_mb
+                .map_or(String::new(), |mb| format!(", \"peak_rss_mb\": {mb:.3}"));
             out.push_str(&format!(
-                "    {{\"figure\": \"{}\", \"series\": \"{}\", \"{}\": {}, \"ms\": {:.6}}}{sep}\n",
-                esc(e.figure),
-                esc(&e.series),
-                e.x_label,
-                e.x,
-                e.ms
+                "    {{\"figure\": {:?}, \"series\": {:?}, \"{}\": {}, \"ms\": {:.6}{rss}}}{sep}\n",
+                e.figure, e.series, e.x_label, e.x, e.ms
             ));
         }
         out.push_str("  ]\n}\n");
@@ -111,6 +103,9 @@ Usage: figures [fig17|fig18|fig22|fig23|fig24|compile|cardinality|restart|ablati
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
+    if let ["reopen-probe", dir] = &argv.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        return reopen_probe(dir);
+    }
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         println!("{USAGE}");
         return;
@@ -484,16 +479,12 @@ fn cardinality(args: &Args, report: &mut Report) {
 /// the last checkpoint, reopen, and re-arm everything from the persisted
 /// catalog — zero re-translations (asserted), so the warm curve is pure
 /// page-load + redo + re-arm cost and should stay well under the cold
-/// one at every WAL length.
+/// one at every WAL length. The reopen runs in a fresh child process
+/// ([`reopen_probe`]), so its peak RSS is the reopen's own. Without
+/// `--quick`, a last point logs ≈ 100 MiB of keyed `UPDATE`s of 1 KiB
+/// `note` rows, near the log bound at which a write checkpoints.
 fn restart_sweep(args: &Args, report: &mut Report) {
     use quark_core::storage::SyncMode;
-
-    fn tmp_dir(n: usize) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("quark-figures-restart-{}-{n}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     const CATALOG_VIEW: &str = r#"
         create view catalog as {
@@ -507,95 +498,120 @@ fn restart_sweep(args: &Args, report: &mut Report) {
             </product>
           }</catalog>
         }"#;
+    const SCHEMA: [&str; 3] = [
+        "CREATE TABLE product (pid TEXT PRIMARY KEY, pname TEXT, mfr TEXT)",
+        "CREATE TABLE vendor (vid TEXT, pid TEXT, price DOUBLE, PRIMARY KEY (vid, pid))",
+        CATALOG_VIEW,
+    ];
     const TRIGGERS: usize = 32;
     const PRODUCTS: usize = 64;
+    const NOTES: usize = 1000;
 
-    let wal_lengths: &[usize] = if args.quick {
-        &[0, 64, 256]
+    // `None` is the large point: `note` updates until the log holds 100 MiB.
+    let points: &[Option<usize>] = if args.quick {
+        &[Some(0), Some(64), Some(256)]
     } else {
-        &[0, 256, 1024, 4096]
+        &[Some(0), Some(256), Some(1024), Some(4096), None]
     };
 
     println!("\n== Restart: durable open, cold vs warm, vs WAL length ==");
     println!("   products={PRODUCTS} triggers={TRIGGERS} sync=Never");
     println!(
-        "{:<12} {:>16} {:>16}",
-        "wal stmts", "COLD-OPEN (ms)", "WARM-OPEN (ms)"
+        "{:<12} {:>10} {:>16} {:>16} {:>20}",
+        "wal stmts", "log (MiB)", "COLD-OPEN (ms)", "WARM-OPEN (ms)", "WARM peak RSS (MiB)"
     );
 
-    for (i, &k) in wal_lengths.iter().enumerate() {
-        let dir = tmp_dir(i);
+    for (i, &point) in points.iter().enumerate() {
+        let dir =
+            std::env::temp_dir().join(format!("quark-figures-restart-{}-{i}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
 
         // Cold: everything from scratch, translation included.
         let t0 = Instant::now();
         let session = quark_xquery::open_session_with(&dir, Mode::Grouped, SyncMode::Never)
             .expect("open fresh durable session");
-        session
-            .execute("CREATE TABLE product (pid TEXT PRIMARY KEY, pname TEXT, mfr TEXT)")
-            .expect("schema");
-        session
-            .execute(
-                "CREATE TABLE vendor (vid TEXT, pid TEXT, price DOUBLE, \
-                 PRIMARY KEY (vid, pid))",
-            )
-            .expect("schema");
-        session.execute(CATALOG_VIEW).expect("view");
+        let run = |sql: String| session.execute(&sql).map(drop).expect(&sql);
+        SCHEMA.into_iter().for_each(|sql| run(sql.into()));
         session
             .register_action_with_writes("notify", Vec::<String>::new(), |_, _| Ok(()))
             .expect("action");
-        for p in 0..PRODUCTS {
-            session
-                .execute(&format!(
-                    "INSERT INTO product VALUES ('P{p}', 'N{}', 'M')",
-                    p % TRIGGERS
-                ))
-                .expect("insert product");
-            session
-                .execute(&format!(
-                    "INSERT INTO vendor VALUES ('V0', 'P{p}', 10.0), ('V1', 'P{p}', 12.0)"
-                ))
-                .expect("insert vendors");
+        for (p, n) in (0..PRODUCTS).map(|p| (p, p % TRIGGERS)) {
+            run(format!("INSERT INTO product VALUES ('P{p}', 'N{n}', 'M')"));
+            run(format!(
+                "INSERT INTO vendor VALUES ('V0', 'P{p}', 10.0), ('V1', 'P{p}', 12.0)"
+            ));
         }
         for t in 0..TRIGGERS {
-            session
-                .execute(&format!(
-                    "CREATE TRIGGER T{t} AFTER Update ON view('catalog')/product \
-                     WHERE OLD_NODE/@name = 'N{t}' DO notify(NEW_NODE)"
-                ))
-                .expect("trigger");
+            run(format!(
+                "CREATE TRIGGER T{t} AFTER Update ON view('catalog')/product \
+                 WHERE OLD_NODE/@name = 'N{t}' DO notify(NEW_NODE)"
+            ));
         }
         let cold = t0.elapsed();
 
         // Grow the WAL: k footprint-latched statements since the last
         // checkpoint (the trigger DDL above checkpointed and truncated).
-        for u in 0..k {
-            session
-                .execute(&format!(
-                    "UPDATE vendor SET price = {}.5 WHERE vid = 'V0' AND pid = 'P{}'",
-                    u % 97,
-                    u % PRODUCTS
-                ))
-                .expect("wal update");
+        if point.is_none() {
+            run("CREATE TABLE note (id INT PRIMARY KEY, body TEXT)".into());
+            let body = "n".repeat(1024);
+            (0..NOTES).for_each(|n| run(format!("INSERT INTO note VALUES ({n}, '{body}')")));
         }
+        let log_bytes = || (session.quark().storage()).map_or(0, |s| s.wal_segment_bytes());
+        let mut k = 0;
+        while point.map_or(log_bytes() < 100 << 20, |n| k < n) {
+            let (price, p, note) = (k % 97, k % PRODUCTS, k % NOTES);
+            run(match point {
+                Some(_) => {
+                    format!("UPDATE vendor SET price = {price}.5 WHERE vid = 'V0' AND pid = 'P{p}'")
+                }
+                None => format!("UPDATE note SET body = '{k:0>1024}' WHERE id = {note}"),
+            });
+            k += 1;
+        }
+        let log_mib = log_bytes() as f64 / f64::from(1 << 20);
         drop(session); // crash: no close, no final checkpoint
 
-        // Warm: recovery only.
-        let t1 = Instant::now();
-        let session = quark_xquery::open_session_with(&dir, Mode::Grouped, SyncMode::Never)
-            .expect("reopen durable session");
-        let warm = t1.elapsed();
-        assert_eq!(
-            session.quark().translations(),
-            0,
-            "warm restart must not re-translate"
-        );
-        drop(session);
+        // Warm: recovery only, in a process that does nothing else.
+        let probe = std::process::Command::new(std::env::current_exe().expect("own executable"))
+            .arg("reopen-probe")
+            .arg(&dir)
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .expect("start the reopen probe");
         let _ = std::fs::remove_dir_all(&dir);
+        let stdout = String::from_utf8_lossy(&probe.stdout);
+        let mut fields = stdout.split_whitespace().map(|f| f.parse::<f64>().ok());
+        let warm = fields.next().flatten().expect("the reopen probe failed");
+        let rss = fields.next().flatten().map(|kib| kib / 1024.0);
 
-        println!("{k:<12} {:>16.3} {:>16.3}", ms(cold), ms(warm));
+        let shown = rss.map_or("n/a".to_string(), |mb| format!("{mb:.1}"));
+        println!(
+            "{k:<12} {log_mib:>10.2} {:>16.3} {warm:>16.3} {shown:>20}",
+            ms(cold)
+        );
         report.push("restart", "COLD-OPEN", "wal_stmts", k as f64, ms(cold));
-        report.push("restart", "WARM-OPEN", "wal_stmts", k as f64, ms(warm));
+        report
+            .push("restart", "WARM-OPEN", "wal_stmts", k as f64, warm)
+            .peak_rss_mb = rss;
     }
+}
+
+/// `figures reopen-probe DIR`, which [`restart_sweep`] runs in a child
+/// process: reopen durable directory `dir` and print the reopen's
+/// milliseconds and this process's peak RSS in KiB (`VmHWM`; `-` without
+/// `/proc`).
+fn reopen_probe(dir: &str) {
+    let start = Instant::now();
+    let sync = quark_core::storage::SyncMode::Never;
+    let session =
+        quark_xquery::open_session_with(dir, Mode::Grouped, sync).expect("reopen durable session");
+    let reopen = ms(start.elapsed());
+    let translations = session.quark().translations();
+    assert_eq!(translations, 0, "warm restart must not re-translate");
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let hwm = status.lines().find_map(|l| l.strip_prefix("VmHWM:"));
+    let kib = hwm.map_or("-", |kib| kib.trim_end_matches("kB").trim());
+    println!("{reopen} {kib}");
 }
 
 /// Repository ablations: the §1 materialization strawman, and the

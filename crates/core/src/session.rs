@@ -108,7 +108,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use quark_relational::sql::{self, SqlOutcome, Statement};
-use quark_relational::{Counter, Database, Error, RedoOp, Result, Value};
+use quark_relational::{Counter, Database, Error, Latched, RedoOp, Result, Value};
 use quark_xml::XmlNodeRef;
 
 use crate::latch::LatchManager;
@@ -231,9 +231,9 @@ struct Shared {
     published: Mutex<Option<Arc<Quark>>>,
     /// Memoized per-target-table footprints. Valid between global writes:
     /// only trigger DDL, schema DDL, action registration or raw database
-    /// access can change a footprint, and all of those take the global
-    /// mode, which clears this cache at commit.
-    footprints: Mutex<HashMap<String, Footprint>>,
+    /// access can change a footprint or the table list, and all of those
+    /// take the global mode, which clears this cache at commit.
+    footprints: Mutex<HashMap<String, Latched>>,
 }
 
 impl Shared {
@@ -828,14 +828,9 @@ impl Session {
     fn execute_dml(&self, table: &str, stmt: &Statement) -> Result<SqlOutcome, StatementError> {
         let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
         let db = state.database();
-        let (write, read) = match self.footprint_of(&state, table) {
-            Footprint::Tables { write, read } => (write, read),
-            Footprint::Global => (
-                db.table_names().map(String::from).collect(),
-                BTreeSet::new(),
-            ),
-        };
-        let latch = self.shared.latches.acquire(&read, &write);
+        let footprint = self.footprint_of(&state, table);
+        let (write, read) = &*footprint;
+        let latch = self.shared.latches.acquire(read, write);
         if latch.contended() {
             db.bump(Counter::LatchConflicts, 1);
         }
@@ -850,10 +845,10 @@ impl Session {
         let log = state
             .storage()
             .map(|wal| move |ops: &[RedoOp]| Ok(wal.log_statement(ops)?));
-        let outcome = db.statement(&write, &read, || sql::execute_dml(db, stmt), log)?;
+        let outcome = db.statement(&footprint, || sql::execute_dml(db, stmt), log)?;
         // Only the write set can have changed, so only it is folded;
         // shared-latched read tables are untouched.
-        self.shared.commit_tables(&state, &write);
+        self.shared.commit_tables(&state, write);
         let log_full = log_is_full(&state);
         drop(latch);
         drop(state);
@@ -870,31 +865,36 @@ impl Session {
         Ok(outcome)
     }
 
-    /// Memoized [`Quark::write_footprint`]. The cache is cleared by every
-    /// global commit, which is the only way trigger topology, schema or
-    /// the action registry — everything the footprint depends on — can
-    /// change.
-    fn footprint_of(&self, state: &Quark, table: &str) -> Footprint {
+    /// Memoized [`Quark::write_footprint`] (see `Shared::footprints`), as
+    /// the `(write, read)` tables to latch: [`Footprint::Global`] becomes
+    /// every table, written, once, when it is memoized. A hit clones no
+    /// table-name set.
+    fn footprint_of(&self, state: &Quark, table: &str) -> Latched {
         let mut cache = self
             .shared
             .footprints
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        match cache.get(table) {
-            Some(fp) => fp.clone(),
-            None => {
-                let fp = state.write_footprint(table);
-                cache.insert(table.to_string(), fp.clone());
-                fp
-            }
+        if let Some(footprint) = cache.get(table) {
+            return Arc::clone(footprint);
         }
+        let footprint = Arc::new(match state.write_footprint(table) {
+            Footprint::Tables { write, read } => (write, read),
+            Footprint::Global => {
+                let every = state.database().table_names().map(String::from);
+                (every.collect(), BTreeSet::new())
+            }
+        });
+        cache.insert(table.to_string(), Arc::clone(&footprint));
+        footprint
     }
 }
 
 /// Length of the live WAL segment at which a latched write checkpoints
-/// after it commits. Between global writes nothing else checkpoints, and
-/// recovery reads the whole segment into memory, so this bounds both the
-/// log on disk and the replay.
+/// after it commits. Between global writes nothing else checkpoints, so
+/// this bounds the log on disk and the time a reopen spends replaying it.
+/// It does not bound recovery's memory: replay streams the log one frame
+/// at a time.
 pub const CHECKPOINT_LOG_BYTES: u64 = 128 << 20;
 
 /// Whether `quark`'s live WAL segment has reached [`CHECKPOINT_LOG_BYTES`].

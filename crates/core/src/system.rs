@@ -248,10 +248,12 @@ impl Quark {
     /// A fresh directory starts an empty system with durability attached;
     /// an existing one is recovered to its last committed statement
     /// boundary: base tables are rebuilt from the checkpointed table images,
-    /// the committed WAL tail is replayed on top (torn or corrupt trailing
-    /// records are discarded), and every registered view and trigger group
-    /// is re-armed from its persisted rendering — no view is re-translated
-    /// (see [`Quark::translations`]).
+    /// the committed WAL tail is applied on top one statement at a time, so
+    /// the log is never held in memory (torn or corrupt trailing records are
+    /// discarded), and every registered view and trigger group is re-armed
+    /// from its persisted rendering — no view is re-translated (see
+    /// [`Quark::translations`]). A replayed log is then folded into a
+    /// checkpoint, so the next open replays nothing.
     ///
     /// Action *functions* are closures and cannot be persisted; re-register
     /// them after opening ([`Quark::register_action`]). Triggers fire lazily
@@ -274,37 +276,22 @@ impl Quark {
         sync: quark_storage::SyncMode,
     ) -> Result<Self> {
         let start = std::time::Instant::now();
-        let (engine, recovered) = quark_storage::StorageEngine::open(path.as_ref(), sync)?;
-
-        // Rebuild the relational layer: checkpointed tables, then the
-        // committed WAL tail on top.
-        let mut db = Database::new();
-        for t in &recovered.tables {
-            db.create_table(t.schema.clone())?;
-            for &col in &t.indexes {
-                let column = t.schema.columns[col].name.clone();
-                db.create_index(&t.schema.name, &column)?;
-            }
-            if !t.rows.is_empty() {
-                let rows = t.rows.iter().map(|r| r.to_vec()).collect();
-                db.load(&t.schema.name, rows)?;
-            }
-        }
-        for batch in &recovered.redo_batches {
-            db.apply_redo(batch)?;
-        }
+        // The storage engine rebuilds the relational layer: checkpointed
+        // tables, then the committed WAL tail on top.
+        let (engine, (db, core_blob)) = quark_storage::StorageEngine::open(path.as_ref(), sync)?;
 
         // Rebuild the view/trigger layer from the persisted core blob.
-        let fresh = recovered.core_blob.is_none();
+        let fresh = core_blob.is_none();
         let mut quark = Quark::new(db, mode);
-        if let Some(blob) = &recovered.core_blob {
-            persist::decode_core(&mut quark, blob)?;
+        if let Some(blob) = core_blob {
+            persist::decode_core(&mut quark, &blob)?;
         }
 
-        quark.storage = Some(Arc::new(engine));
         // Fold a replayed WAL tail (or a fresh directory) into a checkpoint
         // immediately, so reopening is idempotent and the log stays short.
-        if fresh || !recovered.redo_batches.is_empty() {
+        let replayed = engine.replayed_frames() > 0;
+        quark.storage = Some(Arc::new(engine));
+        if fresh || replayed {
             quark.checkpoint()?;
         }
         quark

@@ -372,10 +372,14 @@ struct Journal {
     /// Every row an `apply` removed (`false`) or added (`true`), in the
     /// order it changed, with the index of its `apply`.
     rows: Vec<(usize, bool, Row)>,
-    /// The `(write, read)` tables a session statement latched, checked on
-    /// every table access; `None` for a raw [`Database`] caller.
-    footprint: Option<(BTreeSet<String>, BTreeSet<String>)>,
+    /// The tables a session statement latched, checked on every table
+    /// access; `None` for a raw [`Database`] caller.
+    footprint: Option<Latched>,
 }
+
+/// The `(write, read)` tables a session statement latched, exclusive and
+/// shared. Shared, so a memoized footprint reaches the journal uncopied.
+pub type Latched = Arc<(BTreeSet<String>, BTreeSet<String>)>;
 
 /// `Put` `row` into `schema`'s table, or `Del` it by key. Replayed in
 /// journal order, a statement's row changes are its redo; with `put`
@@ -567,20 +571,19 @@ impl Database {
     /// joins it and never calls `commit`; if it fails, it puts back only
     /// its own changes, before its error reaches the trigger body.
     ///
-    /// `write` and `read` are the tables the caller latched exclusive and
-    /// shared. Every table access in `f` must be covered by them (a
-    /// mutation by `write`): one that is not fails with
+    /// `footprint` holds the `(write, read)` tables the caller latched
+    /// exclusive and shared. Every table access in `f` must be covered by
+    /// them (a mutation by `write`): one that is not fails with
     /// [`Error::OutsideFootprint`] before it touches the table, so the
     /// statement fails and is undone like any other.
     pub fn statement<T, E>(
         &self,
-        write: &BTreeSet<String>,
-        read: &BTreeSet<String>,
+        footprint: &Latched,
         f: impl FnOnce() -> Result<T, E>,
         commit: Option<impl FnOnce(&[RedoOp]) -> Result<(), E>>,
     ) -> Result<T, E> {
         let rollback = self.begin(|| Journal {
-            footprint: Some((write.clone(), read.clone())),
+            footprint: Some(Arc::clone(footprint)),
             ..Journal::default()
         });
         let out = f()?;
@@ -621,7 +624,10 @@ impl Database {
     fn check_access(&self, name: &str, mutating: bool) -> Result<()> {
         let covered = JOURNALS.with(|m| {
             let journal = m.borrow();
-            match journal.get(&self.db_id).and_then(|j| j.footprint.as_ref()) {
+            match journal
+                .get(&self.db_id)
+                .and_then(|j| j.footprint.as_deref())
+            {
                 None => true,
                 Some((write, read)) => write.contains(name) || (!mutating && read.contains(name)),
             }
@@ -1112,9 +1118,10 @@ mod tests {
         vec![Value::str(vid), Value::str(pid), Value::Double(price)]
     }
 
-    /// A statement footprint naming `tables`.
-    fn latched(tables: &[&str]) -> BTreeSet<String> {
-        tables.iter().map(|t| t.to_string()).collect()
+    /// A statement footprint writing `write` and reading `read`.
+    fn latched(write: &[&str], read: &[&str]) -> Latched {
+        let set = |tables: &[&str]| tables.iter().map(|t| t.to_string()).collect();
+        Arc::new((set(write), set(read)))
     }
 
     /// `SELECT * FROM table WHERE pred`, with the index probes and the
@@ -1339,9 +1346,8 @@ mod tests {
             redo = ops.to_vec();
             Ok(())
         };
-        let all = latched(&["vendor", "log"]);
-        db.statement(&all, &BTreeSet::new(), || update(4.0), Some(keep))
-            .unwrap();
+        let all = latched(&["vendor", "log"], &[]);
+        db.statement(&all, || update(4.0), Some(keep)).unwrap();
         let log: Vec<Row> = db.table("log").unwrap().iter().cloned().collect();
         assert_eq!(log, [0, 1].map(|n| crate::row(vec![Value::Int(n)])));
         let ops: Vec<(&str, String)> = (redo.into_iter())
@@ -1386,18 +1392,16 @@ mod tests {
             table: table.into(),
             write,
         };
-        let (vendor, log) = (latched(&["vendor"]), latched(&["log"]));
-        let none = BTreeSet::new();
-        let read = db.statement(&vendor, &none, update, Some(never));
+        let read = db.statement(&latched(&["vendor"], &[]), update, Some(never));
         assert_eq!(read, Err(outside("log", false)));
-        let write = db.statement(&vendor, &log, update, Some(never));
+        let write = db.statement(&latched(&["vendor"], &["log"]), update, Some(never));
         assert_eq!(write, Err(outside("log", true)));
         assert_eq!(db.stats().footprint_violations, 2);
         assert_eq!(db.table("vendor").unwrap().version(), start, "undone");
         assert!(db.table("log").unwrap().is_empty(), "no row; a raw read");
 
-        let both = latched(&["vendor", "log"]);
-        let missing = db.statement(&both, &none, update, Some(never));
+        let both = latched(&["vendor", "log"], &[]);
+        let missing = db.statement(&both, update, Some(never));
         assert_eq!(missing, Err(Error::UnknownTable("nowhere".into())));
         assert_eq!(db.stats().footprint_violations, 2);
     }
@@ -1427,7 +1431,7 @@ mod tests {
                     *joined.lock().unwrap() += 1;
                     Ok(())
                 };
-                db.statement(&latched(&["log"]), &BTreeSet::new(), insert, Some(commit))
+                db.statement(&latched(&["log"], &[]), insert, Some(commit))
             }),
         })
         .unwrap();
@@ -1437,7 +1441,7 @@ mod tests {
                 (t.version(), t.iter().cloned().collect::<Vec<_>>())
             })
         };
-        let (all, none) = (latched(&["vendor", "log"]), BTreeSet::new());
+        let all = latched(&["vendor", "log"], &[]);
         let key = [Value::str("a"), Value::str("P1")];
         let update = |price: f64| db.update_by_key("vendor", &key, &[(2, Value::Double(price))]);
         let start = observe(&db);
@@ -1447,12 +1451,12 @@ mod tests {
             assert_eq!(ops.len(), 3, "the update's Del and Put, the cascade's Put");
             Err(full.clone())
         };
-        let refused = db.statement(&all, &none, || update(2.0), Some(refuse));
+        let refused = db.statement(&all, || update(2.0), Some(refuse));
         assert_eq!(refused, Err(full));
         assert_eq!(observe(&db), start, "undone on a commit error");
         let panics = |_: &[RedoOp]| panic!("injected");
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            db.statement(&all, &none, || update(3.0), Some(panics))
+            db.statement(&all, || update(3.0), Some(panics))
         }));
         assert!(unwound.is_err());
         assert_eq!(observe(&db), start, "undone on a commit panic");
@@ -1462,8 +1466,7 @@ mod tests {
             logged = ops.len();
             Ok(())
         };
-        db.statement(&all, &none, || update(4.0), Some(count))
-            .unwrap();
+        db.statement(&all, || update(4.0), Some(count)).unwrap();
         assert_eq!(logged, 3);
         assert_eq!(db.table("log").unwrap().len(), 1);
         assert_eq!(
@@ -1727,7 +1730,7 @@ mod tests {
             redo = ops.to_vec();
             Ok(())
         };
-        db.statement(&latched(&["vendor"]), &BTreeSet::new(), insert, Some(keep))
+        db.statement(&latched(&["vendor"], &[]), insert, Some(keep))
             .unwrap();
         let put = RedoOp::Put {
             table: "vendor".into(),

@@ -40,7 +40,7 @@ mod value;
 pub mod wire;
 
 pub use database::{
-    Counter, Database, Event, NativeTriggerFn, SqlTrigger, Stats, TransitionTables,
+    Counter, Database, Event, Latched, NativeTriggerFn, SqlTrigger, Stats, TransitionTables,
 };
 pub use error::{Error, Result};
 pub use schema::{ColumnDef, RowSet, TableSchema};

@@ -199,6 +199,14 @@ impl<'a> Dec<'a> {
         Dec { buf, pos: 0 }
     }
 
+    /// Decode one `T` that fills `buf` exactly.
+    pub fn whole<T: Decode>(buf: &'a [u8]) -> Result<T> {
+        let mut dec = Dec::new(buf);
+        let value = dec.get()?;
+        dec.finish()?;
+        Ok(value)
+    }
+
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos

@@ -25,13 +25,13 @@
 //! and every later append, sync and checkpoint fails before it touches a
 //! file, until a reopen's replay decides what the directory holds.
 //!
-//! **Recovery.** [`StorageEngine::open`] loads the catalog, reads every
-//! table's image back into rows (verifying its CRC), unlinks image files
-//! the catalog does not name (left by a crash before the rename), and
-//! replays the WAL's whole frames (ARIES redo-only: there is nothing to
+//! **Recovery.** [`StorageEngine::open`] is the one reader of what
+//! `checkpoint` writes: it loads the catalog, creates each table with its
+//! indexes and loads its image (CRC-verified, dropped before the next is
+//! read), unlinks image files the catalog does not name (left by a crash
+//! before the rename), and streams the WAL's whole frames into the
+//! rebuilt [`Database`] one at a time (ARIES redo-only: there is nothing to
 //! undo, because a statement is logged whole or not at all).
-//! The caller rebuilds the in-memory database from the returned
-//! [`Recovered`] image.
 
 use std::collections::{BTreeMap, HashSet};
 use std::fs;
@@ -41,35 +41,17 @@ use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
 use quark_relational::wire::{Dec, Enc};
-use quark_relational::{Database, Error, RedoOp, Result, Row, Table, TableSchema};
+use quark_relational::{Database, Error, RedoOp, Result, Table, Value};
 
 use crate::catalog::{Catalog, TableEntry};
 use crate::framed;
 use crate::wal::{SyncMode, Wal};
 
-/// One table reconstructed from the checkpoint image.
-#[derive(Debug)]
-pub struct RecoveredTable {
-    /// The table schema.
-    pub schema: TableSchema,
-    /// Columns whose secondary indices must be rebuilt.
-    pub indexes: Vec<usize>,
-    /// Rows as of the checkpoint (pre-WAL-replay).
-    pub rows: Vec<Row>,
-}
-
-/// Everything [`StorageEngine::open`] reconstructs from disk.
-#[derive(Debug)]
-pub struct Recovered {
-    /// Tables as of the last checkpoint.
-    pub tables: Vec<RecoveredTable>,
-    /// Post-checkpoint statements, in log order, to replay with
-    /// [`Database::apply_redo`].
-    pub redo_batches: Vec<Vec<RedoOp>>,
-    /// The engine layers' opaque state (views, triggers, trigger groups),
-    /// `None` for a database created before any checkpoint.
-    pub core_blob: Option<Vec<u8>>,
-}
+/// What [`StorageEngine::open`] rebuilds beside the engine: the database
+/// and the engine layers' core blob (views, triggers, trigger groups),
+/// `None` before the first checkpoint. A pair, so `let (engine, _) =`
+/// callers that only want a fresh engine stay as they are.
+pub type Rebuilt = (Database, Option<Vec<u8>>);
 
 /// One entry of the durable catalog as this engine last wrote or read it.
 #[derive(Debug)]
@@ -130,6 +112,8 @@ pub struct StorageEngine {
     /// Group-commit syncs of the WAL, the only ones it gets.
     wal_fsyncs: AtomicU64,
     checkpoints: AtomicU64,
+    /// WAL frames `open` applied on top of the checkpoint.
+    replayed_frames: u64,
     recovery_ms: AtomicU64,
 }
 
@@ -139,41 +123,35 @@ fn encode_rows(table: &Table) -> Result<Vec<u8>> {
     enc.into_bytes()
 }
 
-fn decode_rows(bytes: &[u8]) -> Result<Vec<Row>> {
-    let mut dec = Dec::new(bytes);
-    let rows = dec.get()?;
-    dec.finish()?;
-    Ok(rows)
-}
-
 impl StorageEngine {
-    /// Open (creating if needed) the database directory and reconstruct
-    /// the last durable image: checkpointed tables plus committed WAL
-    /// batches. `sync` governs all subsequent logging and checkpointing.
-    pub fn open(dir: &Path, sync: SyncMode) -> Result<(StorageEngine, Recovered)> {
+    /// Open (creating if needed) the database directory and rebuild its
+    /// last durable state: each checkpointed table, then every whole WAL
+    /// frame applied on top (see [`Wal::replay`]). A frame that does not
+    /// apply fails the open and cuts nothing. `sync` governs all later
+    /// logging and checkpointing.
+    pub fn open(dir: &Path, sync: SyncMode) -> Result<(StorageEngine, Rebuilt)> {
         let images = dir.join("tables");
         fs::create_dir_all(&images)
             .map_err(|e| Error::Storage(format!("create database dir: {e}")))?;
         let catalog = Catalog::load(&dir.join("catalog.bin"))?.unwrap_or_default();
-        let mut tables = Vec::with_capacity(catalog.tables.len());
+        let mut db = Database::new();
         let mut stored = BTreeMap::new();
         let mut live = HashSet::new();
         for entry in catalog.tables {
-            let mut rows = Vec::new();
+            let name = &entry.schema.name;
+            db.create_table(entry.schema.clone())?;
+            for &col in &entry.indexes {
+                db.create_index(name, &entry.schema.columns[col].name)?;
+            }
             if let Some(id) = entry.image {
                 let path = image_path(dir, id);
                 let image = framed::load(&path, &[])?
                     .ok_or_else(|| Error::Storage(format!("{} is missing", path.display())))?;
-                rows = decode_rows(&image)?;
+                db.load(name, Dec::whole::<Vec<Vec<Value>>>(&image)?)?;
                 live.insert(path);
             }
-            tables.push(RecoveredTable {
-                schema: entry.schema.clone(),
-                indexes: entry.indexes.clone(),
-                rows,
-            });
             let version = None;
-            stored.insert(entry.schema.name.clone(), StoredTable { version, entry });
+            stored.insert(name.clone(), StoredTable { version, entry });
         }
         // Whatever else sits under `tables/` was written by a checkpoint
         // that crashed before its catalog rename: garbage, not state.
@@ -185,7 +163,7 @@ impl StorageEngine {
             }
         }
         let wal_dir = dir.join("wal");
-        let replay = Wal::replay(&wal_dir, catalog.wal_seq)?;
+        let replay = Wal::replay(&wal_dir, catalog.wal_seq, |ops| db.apply_redo(ops))?;
         let wal = Wal::open(&wal_dir, replay.last_seq, replay.clean_len)?;
         let engine = StorageEngine {
             dir: dir.to_path_buf(),
@@ -199,16 +177,10 @@ impl StorageEngine {
             segment_bytes: AtomicU64::new(replay.clean_len),
             wal_fsyncs: AtomicU64::new(0),
             checkpoints: AtomicU64::new(0),
+            replayed_frames: replay.frames,
             recovery_ms: AtomicU64::new(0),
         };
-        Ok((
-            engine,
-            Recovered {
-                tables,
-                redo_batches: replay.batches,
-                core_blob: catalog.core_blob,
-            },
-        ))
+        Ok((engine, (db, catalog.core_blob)))
     }
 
     /// Append one statement's redo ops to the WAL as one frame. Statements
@@ -406,6 +378,12 @@ impl StorageEngine {
         self.checkpoints.load(Ordering::Relaxed)
     }
 
+    /// WAL frames [`StorageEngine::open`] replayed: statements a crash
+    /// left after the last checkpoint.
+    pub fn replayed_frames(&self) -> u64 {
+        self.replayed_frames
+    }
+
     /// Wall-clock milliseconds the last recovery took (stored by the
     /// layer that drives recovery).
     pub fn recovery_ms(&self) -> u64 {
@@ -421,7 +399,7 @@ impl StorageEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quark_relational::{row, ColumnDef, ColumnType, Value};
+    use quark_relational::{row, ColumnDef, ColumnType, TableSchema};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::AtomicU64;
@@ -445,6 +423,15 @@ mod tests {
         .unwrap()
     }
 
+    /// Every row of `table`, in key order.
+    fn rows_of(db: &Database, table: &str) -> Vec<Vec<Value>> {
+        db.table(table)
+            .unwrap()
+            .iter()
+            .map(|r| r.to_vec())
+            .collect()
+    }
+
     fn fresh_db() -> Database {
         let mut db = Database::new();
         db.create_table(vendor_schema()).unwrap();
@@ -455,9 +442,9 @@ mod tests {
     #[test]
     fn checkpoint_then_open_restores_tables_and_blob() {
         let dir = tmp_dir("basic");
-        let (engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert!(recovered.tables.is_empty());
-        assert!(recovered.core_blob.is_none());
+        let (engine, (db, blob)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(db.table_names().count(), 0);
+        assert!(blob.is_none());
 
         let db = fresh_db();
         db.insert(
@@ -477,14 +464,15 @@ mod tests {
         });
         assert_eq!((image.len(), fnv), (57, 0x7173_939c_e3ca_86e1));
 
-        let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert_eq!(recovered.tables.len(), 1);
-        let t = &recovered.tables[0];
-        assert_eq!(t.schema.name, "vendor");
-        assert_eq!(t.indexes, vec![1]);
-        assert_eq!(t.rows.len(), 2);
-        assert!(recovered.redo_batches.is_empty());
-        assert_eq!(recovered.core_blob.as_deref(), Some(&[7u8, 7, 7][..]));
+        let (engine, (db, blob)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(db.table_names().collect::<Vec<_>>(), ["vendor"]);
+        let t = db.table("vendor").unwrap();
+        assert_eq!(t.schema(), &vendor_schema());
+        assert_eq!(t.indexed_columns(), vec![1]);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.index_lookup(1, &Value::Double(12.0)).unwrap().len(), 1);
+        assert_eq!(engine.replayed_frames(), 0);
+        assert_eq!(blob.as_deref(), Some(&[7u8, 7, 7][..]));
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -502,10 +490,13 @@ mod tests {
         assert!(engine.wal_bytes_written() > 0);
         drop(engine);
 
-        let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert_eq!(recovered.redo_batches, vec![ops]);
-        // The checkpoint image itself has no rows yet.
-        assert!(recovered.tables[0].rows.is_empty());
+        // The checkpoint image has no rows: the one row is the replayed
+        // statement's.
+        assert!(image_files(&dir).is_empty());
+        let (engine, (db, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(engine.replayed_frames(), 1);
+        let amazon = vec![Value::str("Amazon"), Value::Double(10.0)];
+        assert_eq!(rows_of(&db, "vendor"), vec![amazon]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -553,13 +544,8 @@ mod tests {
         engine.checkpoint(&db, Vec::new()).unwrap();
         drop(engine);
         assert!(fs::metadata(&image_files(&dir)[0]).unwrap().len() > 1 << 20);
-        let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        let got: Vec<Vec<Value>> = recovered.tables[0]
-            .rows
-            .iter()
-            .map(|r| r.to_vec())
-            .collect();
-        assert_eq!(got, rows);
+        let (_engine, (db, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(rows_of(&db, "vendor"), rows);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -613,10 +599,10 @@ mod tests {
         fs::write(dir.join("tables").join("0000009999.tmp"), b"torn").unwrap();
         fs::write(dir.join("catalog.tmp"), b"torn catalog").unwrap();
 
-        let (engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert_eq!(recovered.tables.len(), 1);
-        assert_eq!(recovered.tables[0].rows.len(), 1);
-        assert_eq!(recovered.core_blob.as_deref(), Some(&[1u8, 2, 3][..]));
+        let (engine, (recovered, blob)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(recovered.table_names().count(), 1);
+        assert_eq!(recovered.table("vendor").unwrap().len(), 1);
+        assert_eq!(blob.as_deref(), Some(&[1u8, 2, 3][..]));
         assert_eq!(image_files(&dir), named, "orphans must be removed");
         // The stale tmp does not get in the next checkpoint's way.
         engine.checkpoint(&db, vec![4]).unwrap();
@@ -662,8 +648,8 @@ mod tests {
 
         // After a restart remembered versions are void: everything is
         // rewritten once, under ids no live file uses.
-        let (engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert_eq!(recovered.tables.len(), 2);
+        let (engine, (recovered, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(recovered.table_names().count(), 2);
         engine.checkpoint(&db, Vec::new()).unwrap();
         assert!(image_of(&engine, "vendor") > product2);
         assert_eq!(image_files(&dir).len(), 2);
@@ -692,10 +678,44 @@ mod tests {
         engine.checkpoint(&db, Vec::new()).unwrap();
         assert!(image_files(&dir).is_empty());
         drop(engine);
-        let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert_eq!(recovered.tables.len(), 1);
-        assert_eq!(recovered.tables[0].schema.name, "product");
-        assert!(recovered.tables[0].rows.is_empty());
+        let (_engine, (db, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(db.table_names().collect::<Vec<_>>(), ["product"]);
+        assert!(db.table("product").unwrap().is_empty());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A whole frame that does not apply (its `Put` names a table the
+    /// catalog lacks) fails the open instead of being cut as a tear, which
+    /// would drop it and every acknowledged frame behind it.
+    #[test]
+    fn a_frame_that_does_not_apply_fails_open_and_cuts_nothing() {
+        let dir = tmp_dir("apply");
+        let (engine, _) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        engine.checkpoint(&fresh_db(), Vec::new()).unwrap();
+        let put = |table: &str| RedoOp::Put {
+            table: table.into(),
+            row: row([Value::str("Amazon"), Value::Double(10.0)]),
+        };
+        engine.log_statement(&[put("ghost")]).unwrap();
+        engine.log_statement(&[put("vendor")]).unwrap();
+        drop(engine);
+        let log = || {
+            let mut files: Vec<_> = fs::read_dir(dir.join("wal"))
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .collect();
+            files.sort();
+            files
+                .into_iter()
+                .map(|f| fs::read(f).unwrap())
+                .collect::<Vec<_>>()
+        };
+        let before = log();
+        assert!(matches!(
+            StorageEngine::open(&dir, SyncMode::Never),
+            Err(Error::UnknownTable(t)) if t == "ghost"
+        ));
+        assert_eq!(log(), before, "the log is unchanged");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -716,11 +736,20 @@ mod tests {
     #[test]
     fn concurrent_commits_coalesce_fsyncs() {
         use std::sync::{Arc, Barrier};
-        let dir = tmp_dir("group");
-        let (engine, _) = StorageEngine::open(&dir, SyncMode::Always).unwrap();
-        let engine = Arc::new(engine);
         const THREADS: u64 = 4;
         const STMTS: u64 = 50;
+        let dir = tmp_dir("group");
+        let (engine, (mut db, _)) = StorageEngine::open(&dir, SyncMode::Always).unwrap();
+        for t in 0..THREADS {
+            let columns = vec![
+                ColumnDef::new("k", ColumnType::Int),
+                ColumnDef::new("v", ColumnType::Str),
+            ];
+            db.create_table(TableSchema::new(format!("t{t}"), columns, &["k"]).unwrap())
+                .unwrap();
+        }
+        engine.checkpoint(&db, Vec::new()).unwrap();
+        let engine = Arc::new(engine);
         let barrier = Arc::new(Barrier::new(THREADS as usize));
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
@@ -751,8 +780,11 @@ mod tests {
         assert!(engine.group_commit_batches() <= engine.wal_fsyncs());
         drop(engine);
         // Every acknowledged statement must be on disk.
-        let (_engine, recovered) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
-        assert_eq!(recovered.redo_batches.len(), committed as usize);
+        let (engine, (db, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(engine.replayed_frames(), committed);
+        for t in 0..THREADS {
+            assert_eq!(db.table(&format!("t{t}")).unwrap().len(), STMTS as usize);
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,19 +1,12 @@
 //! Write-ahead log: one CRC frame of redo per statement.
 //!
 //! The log is a sequence of segment files `wal/<seq>.wal`, each a run of
-//! [frames](crate::frame), `[len: u32 LE][crc: u32 LE][payload]`. A
-//! payload is the redo ops of one statement and its whole trigger
-//! cascade, encoded with [`quark_relational::wire`]. A frame goes out in
-//! one `write_all` from one buffer, so its own length and checksum tell a
-//! whole statement from a torn one, and no commit record is needed.
-//! Replay returns every whole frame and stops at the first damaged one (a
-//! torn header or payload, a checksum mismatch, a payload that does not
-//! decode), landing exactly on the last whole statement. [`Wal::open`]
-//! then cuts the segment back to it, so no later statement lands behind
-//! damaged bytes that the next replay cannot cross.
-//!
-//! An append that returns `Err` has added no byte to the log: a write that
-//! fails part-way is cut back off the segment before the error returns.
+//! [frames](crate::frame), one per statement and its whole trigger cascade
+//! (redo ops encoded with [`quark_relational::wire`], written in one
+//! `write_all`): a frame's own length and checksum tell a whole statement
+//! from a torn one, so no commit record is needed. [`Wal::replay`] stops
+//! at the first damaged frame and [`Wal::open`] cuts the segment back to
+//! it, so no later statement lands behind bytes replay cannot cross.
 //!
 //! **One sticky refusal.** A failure that leaves what the log holds on disk
 //! unknown (a cut that fails after a failed write, a failed [`Wal::sync`],
@@ -24,10 +17,9 @@
 //! write, so a later one that succeeds proves nothing about them (Rebello
 //! et al., "Can Applications Recover from fsync Failures?", ATC 2020).
 //!
-//! **Segments.** Only a checkpoint starts a segment ([`Wal::truncate_to`]),
-//! so the log since a checkpoint is one segment. Replay and [`Wal::open`]
-//! still walk consecutive segments, as a directory written when segments
-//! rotated at a fixed size can hold several.
+//! **Segments.** Only a checkpoint starts a segment ([`Wal::truncate_to`]).
+//! Replay and [`Wal::open`] still walk consecutive segments: a directory
+//! written when segments rotated at a fixed size can hold several.
 
 use std::fmt::Display;
 use std::fs::{self, File, OpenOptions};
@@ -79,23 +71,24 @@ pub struct Wal<F = File> {
     oldest: u64,
     file: F,
     segment_bytes: u64,
-    /// Bytes of the last statement appended: the next one's buffer is
-    /// sized from it.
+    /// Bytes of the last frame appended, which size the next one's buffer.
     last_append: usize,
     /// Why the log refuses every append, sync and segment switch: the
     /// first storage failure that left its state on disk unknown.
     refused: Option<String>,
 }
 
+/// Bytes [`Wal::replay`] reads at a time (a longer frame grows its buffer).
+const REPLAY_READ: u64 = 1 << 16;
+
 /// Result of replaying the log from a segment sequence number.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Replay {
-    /// Redo ops of each whole statement, in log order.
-    pub batches: Vec<Vec<RedoOp>>,
+    /// Whole statements handed to the caller, in log order.
+    pub frames: u64,
     /// The segment replay stopped in (where appends should resume).
     pub last_seq: u64,
-    /// Length of the prefix of segment `last_seq` ending on its last whole
-    /// frame; [`Wal::open`] cuts off the damaged rest.
+    /// Bytes of segment `last_seq` up to its last whole frame.
     pub clean_len: u64,
 }
 
@@ -105,14 +98,6 @@ fn segment_path(dir: &Path, seq: u64) -> PathBuf {
 
 fn io_err(what: &str, e: io::Error) -> Error {
     Error::Storage(format!("{what}: {e}"))
-}
-
-/// The redo ops a frame's payload holds.
-fn decode_batch(payload: &[u8]) -> Result<Vec<RedoOp>> {
-    let mut dec = Dec::new(payload);
-    let ops = dec.get()?;
-    dec.finish()?;
-    Ok(ops)
 }
 
 /// Open (creating if absent) segment `seq` for appending after its first
@@ -132,7 +117,7 @@ impl Wal {
     /// Resume appending to segment `seq` where [`Wal::replay`] ended: the
     /// segment is cut back to its first `clean_len` bytes and every later
     /// segment is removed, so the log on disk is exactly the statements
-    /// replay returned (`0, 0` for a fresh log). A reopened log starts
+    /// replay applied (`0, 0` for a fresh log). A reopened log starts
     /// with no refusal.
     pub fn open(dir: &Path, seq: u64, clean_len: u64) -> Result<Wal> {
         fs::create_dir_all(dir).map_err(|e| io_err("create wal dir", e))?;
@@ -160,37 +145,53 @@ impl Wal {
         })
     }
 
-    /// Replay every whole statement from segment `from_seq` onward. Stops
-    /// (discarding the rest) at the first damaged frame: nothing after a
-    /// tear, in this segment or a later one, is known to be whole.
-    pub fn replay(dir: &Path, from_seq: u64) -> Result<Replay> {
-        let mut batches = Vec::new();
+    /// Replay each whole statement from segment `from_seq` on, in order:
+    /// a frame is decoded, handed to `apply` and dropped before the next.
+    /// * A frame that is torn, fails its checksum or does not decode is a
+    ///   tear: replay stops there, as nothing after it is known to be whole.
+    /// * An `Err` of `apply` is replay's `Err`, never a tear: cutting a whole
+    ///   frame off would drop acknowledged statements.
+    /// * A header claiming more than its segment has left is a tear before
+    ///   any payload is read: reads come in fixed chunks, never header-sized.
+    pub fn replay(
+        dir: &Path,
+        from_seq: u64,
+        mut apply: impl FnMut(&[RedoOp]) -> Result<()>,
+    ) -> Result<Replay> {
+        let mut out = Replay {
+            last_seq: from_seq,
+            ..Replay::default()
+        };
         let mut seq = from_seq;
-        let (mut last_seq, mut clean_len) = (from_seq, 0);
-        while let Ok(mut file) = File::open(segment_path(dir, seq)) {
-            last_seq = seq;
-            let mut data = Vec::new();
-            file.read_to_end(&mut data)
-                .map_err(|e| io_err("read wal segment", e))?;
-            let mut pos = 0;
-            while let Peeled::Frame { payload, len } = frame::peel(&data[pos..], usize::MAX) {
-                let Ok(ops) = decode_batch(payload) else {
-                    break;
-                };
-                batches.push(ops);
-                pos += len;
-            }
-            clean_len = pos as u64;
-            if pos < data.len() {
-                break;
+        'segments: while let Ok(mut file) = File::open(segment_path(dir, seq)) {
+            let size = file.metadata().map_err(|e| io_err("stat wal segment", e))?;
+            (out.last_seq, out.clean_len) = (seq, 0);
+            // One read buffer: `buf[start..]` is the segment from `clean_len`.
+            let (mut buf, mut start, mut eof) = (Vec::new(), 0, false);
+            loop {
+                let left = size.len().saturating_sub(out.clean_len);
+                match frame::peel(&buf[start..], usize::try_from(left).unwrap_or(usize::MAX)) {
+                    Peeled::Frame { payload, len } => {
+                        match Dec::whole::<Vec<RedoOp>>(payload) {
+                            Ok(ops) => apply(&ops)?,
+                            Err(_) => break 'segments,
+                        }
+                        (out.frames, out.clean_len) = (out.frames + 1, out.clean_len + len as u64);
+                        start += len;
+                    }
+                    Peeled::Need if !eof => {
+                        buf.drain(..start);
+                        start = 0;
+                        let read = (&mut file).take(REPLAY_READ).read_to_end(&mut buf);
+                        eof = read.map_err(|e| io_err("read wal segment", e))? == 0;
+                    }
+                    Peeled::Need if start == buf.len() => break,
+                    Peeled::Need | Peeled::Bad(_) => break 'segments,
+                }
             }
             seq += 1;
         }
-        Ok(Replay {
-            batches,
-            last_seq,
-            clean_len,
-        })
+        Ok(out)
     }
 
     /// Start a fresh segment sequence after a checkpoint: an empty segment
@@ -206,8 +207,7 @@ impl Wal {
         self.file = open_segment(&self.dir, new_seq, 0)?;
         self.seq = new_seq;
         self.segment_bytes = 0;
-        for seq in self.oldest..new_seq {
-            let path = segment_path(&self.dir, seq);
+        for path in (self.oldest..new_seq).map(|s| segment_path(&self.dir, s)) {
             if path.exists() {
                 fs::remove_file(&path).map_err(|e| io_err("remove wal segment", e))?;
             }
@@ -303,6 +303,19 @@ mod tests {
         }
     }
 
+    /// Replay from segment `from_seq`, collecting the statements handed
+    /// over.
+    fn replayed(dir: &Path, from_seq: u64) -> (Vec<Vec<RedoOp>>, Replay) {
+        let mut batches = Vec::new();
+        let replay = Wal::replay(dir, from_seq, |ops| {
+            batches.push(ops.to_vec());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(replay.frames, batches.len() as u64);
+        (batches, replay)
+    }
+
     fn fnv1a(bytes: &[u8]) -> u64 {
         bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
@@ -315,10 +328,10 @@ mod tests {
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
         wal.append_statement(&[put("t", 1)]).unwrap();
         wal.append_statement(&[put("t", 2), put("t", 3)]).unwrap();
-        let replay = Wal::replay(&dir, 0).unwrap();
-        assert_eq!(replay.batches.len(), 2);
-        assert_eq!(replay.batches[0], vec![put("t", 1)]);
-        assert_eq!(replay.batches[1], vec![put("t", 2), put("t", 3)]);
+        let (batches, _) = replayed(&dir, 0);
+        assert_eq!(batches.len(), 2);
+        assert_eq!(batches[0], vec![put("t", 1)]);
+        assert_eq!(batches[1], vec![put("t", 2), put("t", 3)]);
         // Golden bytes of the segment (per statement: frame header, redo
         // batch). 26 bytes per statement below the two-record layout of
         // catalog version 2, which added a 17-byte commit frame and a kind
@@ -340,9 +353,9 @@ mod tests {
         let path = segment_path(&dir, 0);
         let data = fs::read(&path).unwrap();
         fs::write(&path, &data[..data.len() - 5]).unwrap();
-        let replay = Wal::replay(&dir, 0).unwrap();
-        assert_eq!(replay.batches.len(), 1);
-        assert_eq!(replay.batches[0], vec![put("t", 1)]);
+        let (batches, _) = replayed(&dir, 0);
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0], vec![put("t", 1)]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -358,8 +371,8 @@ mod tests {
         let n = data.len();
         data[n - 3] ^= 0xFF; // flip a bit inside the final record
         fs::write(&path, &data).unwrap();
-        let replay = Wal::replay(&dir, 0).unwrap();
-        assert_eq!(replay.batches.len(), 1);
+        let (batches, _) = replayed(&dir, 0);
+        assert_eq!(batches.len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -369,7 +382,7 @@ mod tests {
     #[test]
     fn reopening_after_a_tear_trims_it_so_later_commits_replay() {
         type Damage = fn(&mut Vec<u8>);
-        let damages: [Damage; 3] = [
+        let damages: [Damage; 4] = [
             |data| data.truncate(data.len() - 5),     // torn payload
             |data| *data.last_mut().unwrap() ^= 0x40, // corrupt payload
             |data| {
@@ -377,6 +390,9 @@ mod tests {
                 let len = data.len() as u32;
                 data[..4].copy_from_slice(&len.to_le_bytes());
             },
+            // The largest length a header can claim: refused against the
+            // bytes the segment has left, before anything is buffered.
+            |data| data[..4].copy_from_slice(&u32::MAX.to_le_bytes()),
         ];
         for (i, damage) in damages.into_iter().enumerate() {
             let dir = tmp_dir(&format!("trim{i}"));
@@ -390,17 +406,61 @@ mod tests {
             // A stale later segment must not survive the reopen either.
             fs::write(segment_path(&dir, 1), b"stale").unwrap();
 
-            let replay = Wal::replay(&dir, 0).unwrap();
-            assert!(replay.batches.is_empty());
+            let (batches, replay) = replayed(&dir, 0);
+            assert!(batches.is_empty());
             assert_eq!((replay.last_seq, replay.clean_len), (0, 0));
             let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
             assert!(!segment_path(&dir, 1).exists());
             wal.append_statement(&[put("t", 2)]).unwrap();
-            let replay = Wal::replay(&dir, 0).unwrap();
-            assert_eq!(replay.batches, vec![vec![put("t", 2)]], "damage {i}");
+            let (batches, replay) = replayed(&dir, 0);
+            assert_eq!(batches, vec![vec![put("t", 2)]], "damage {i}");
             assert_eq!(replay.clean_len, fs::metadata(&path).unwrap().len());
             let _ = fs::remove_dir_all(&dir);
         }
+    }
+
+    /// A segment several read buffers long, with frames that straddle a
+    /// buffer boundary and one frame longer than a buffer, replays exactly
+    /// the appended statements, and its clean length is the file's; torn
+    /// at the end, it replays all but the last.
+    #[test]
+    fn a_segment_longer_than_the_read_buffer_replays_whole() {
+        let dir = tmp_dir("refill");
+        let mut wal = Wal::open(&dir, 0, 0).unwrap();
+        let statements: Vec<Vec<RedoOp>> = (0..300)
+            .map(|i| {
+                let body = if i == 150 {
+                    3 * REPLAY_READ as usize
+                } else {
+                    100 + i * 37 % 1500
+                };
+                let row = row([Value::Int(i as i64), Value::str("x".repeat(body))]);
+                vec![RedoOp::Put {
+                    table: "t".into(),
+                    row,
+                }]
+            })
+            .collect();
+        let mut ends = vec![0];
+        for ops in &statements {
+            ends.push(ends.last().unwrap() + wal.append_statement(ops).unwrap());
+        }
+        drop(wal);
+        let buffer = |at: u64| at / REPLAY_READ;
+        let straddling = ends.windows(2).filter(|w| buffer(w[0]) < buffer(w[1] - 1));
+        assert!(straddling.count() > 3, "frames cross buffer boundaries");
+        assert!(ends.windows(2).any(|w| w[1] - w[0] > 2 * REPLAY_READ));
+
+        let (batches, replay) = replayed(&dir, 0);
+        assert_eq!(batches, statements);
+        assert_eq!(replay.clean_len, *ends.last().unwrap());
+        let path = segment_path(&dir, 0);
+        let data = fs::read(&path).unwrap();
+        fs::write(&path, &data[..data.len() - 5]).unwrap();
+        let (batches, replay) = replayed(&dir, 0);
+        assert_eq!(batches, statements[..statements.len() - 1]);
+        assert_eq!(replay.clean_len, ends[ends.len() - 2]);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// A directory written when segments rotated at a fixed size holds
@@ -418,14 +478,14 @@ mod tests {
         wal.append_statement(&[put("t", 3)]).unwrap();
         drop(wal);
 
-        let replay = Wal::replay(&dir, 0).unwrap();
+        let (batches, replay) = replayed(&dir, 0);
         let statements: Vec<Vec<RedoOp>> = (1..=3).map(|v| vec![put("t", v)]).collect();
-        assert_eq!(replay.batches, statements);
+        assert_eq!(batches, statements);
         assert_eq!(replay.last_seq, 1);
         let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
         wal.append_statement(&[put("t", 4)]).unwrap();
         assert_eq!(wal.seq(), 1, "an append never starts a segment");
-        assert_eq!(Wal::replay(&dir, 0).unwrap().batches.len(), 4);
+        assert_eq!(replayed(&dir, 0).0.len(), 4);
         wal.truncate_to(2).unwrap();
         assert!(!segment_path(&dir, 0).exists() && !segment_path(&dir, 1).exists());
         let _ = fs::remove_dir_all(&dir);
@@ -455,12 +515,12 @@ mod tests {
         );
         drop(wal);
 
-        let replay = Wal::replay(&dir, 0).unwrap();
-        assert_eq!(replay.batches, vec![vec![put("t", 1)]]);
+        let (batches, replay) = replayed(&dir, 0);
+        assert_eq!(batches, vec![vec![put("t", 1)]]);
         let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
         wal.append_statement(&[put("t", 3)]).unwrap();
-        let replay = Wal::replay(&dir, 0).unwrap();
-        assert_eq!(replay.batches, vec![vec![put("t", 1)], vec![put("t", 3)]]);
+        let (batches, _) = replayed(&dir, 0);
+        assert_eq!(batches, vec![vec![put("t", 1)], vec![put("t", 3)]]);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -470,12 +530,12 @@ mod tests {
         let mut wal = Wal::open(&dir, 0, 0).unwrap();
         wal.append_statement(&[put("t", 1)]).unwrap();
         wal.truncate_to(1).unwrap();
-        let replay = Wal::replay(&dir, 1).unwrap();
-        assert!(replay.batches.is_empty());
+        let (batches, _) = replayed(&dir, 1);
+        assert!(batches.is_empty());
         assert!(!segment_path(&dir, 0).exists());
         wal.append_statement(&[put("t", 2)]).unwrap();
-        let replay = Wal::replay(&dir, 1).unwrap();
-        assert_eq!(replay.batches, vec![vec![put("t", 2)]]);
+        let (batches, replay) = replayed(&dir, 1);
+        assert_eq!(batches, vec![vec![put("t", 2)]]);
         // A reopened log finds its oldest segment on disk (here one a
         // crash left below the live one) and the next truncation takes it.
         drop(wal);
@@ -525,7 +585,7 @@ mod tests {
         }
         let data = fs::read(segment_path(&dir, 0)).unwrap();
         assert_eq!((data.len(), fnv1a(&data)), (32_958, 0x9f16_567e_a6f2_5e1f));
-        assert_eq!(Wal::replay(&dir, 0).unwrap().batches, statements);
+        assert_eq!(replayed(&dir, 0).0, statements);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -645,12 +705,12 @@ mod tests {
             assert_eq!(append(&mut wal, 4), !trim, "{arm}");
             drop(wal);
 
-            let replay = Wal::replay(&dir, 0).unwrap();
-            assert_eq!(replay.batches, acknowledged, "{arm}");
+            let (batches, replay) = replayed(&dir, 0);
+            assert_eq!(batches, acknowledged, "{arm}");
             let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
             wal.append_statement(&[put("t", 5)]).unwrap();
             acknowledged.push(vec![put("t", 5)]);
-            assert_eq!(Wal::replay(&dir, 0).unwrap().batches, acknowledged, "{arm}");
+            assert_eq!(replayed(&dir, 0).0, acknowledged, "{arm}");
             let _ = fs::remove_dir_all(&dir);
         }
     }
@@ -682,8 +742,8 @@ mod tests {
         );
         drop(wal);
 
-        let replay = Wal::replay(&dir, 0).unwrap();
-        assert_eq!(replay.batches, vec![vec![put("t", 1)], vec![put("t", 2)]]);
+        let (batches, replay) = replayed(&dir, 0);
+        assert_eq!(batches, vec![vec![put("t", 1)], vec![put("t", 2)]]);
         let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
         wal.append_statement(&[put("t", 4)]).unwrap();
         wal.sync().unwrap();
