@@ -148,11 +148,11 @@ pub struct Stats {
     pub wal_bytes_written: u64,
     /// `fsync` calls issued by the write-ahead log.
     pub wal_fsyncs: u64,
-    /// Group-commit fsync batches: one per `fsync` the WAL's group
-    /// committer issued on behalf of every WAL frame appended (but not
-    /// yet durable) at that moment. Under concurrent writers this stays
-    /// below the committed-statement count — the whole point of group
-    /// commit.
+    /// Group-commit fsync batches: one per `fsync` of the WAL, each
+    /// covering every WAL frame appended (but not yet durable) at that
+    /// moment, so a commit whose frame an earlier fsync covered issues
+    /// none. Under concurrent writers this stays below the
+    /// committed-statement count — the whole point of group commit.
     pub group_commit_batches: u64,
     /// Checkpoints taken by the storage engine.
     pub checkpoints: u64,

@@ -1,7 +1,7 @@
 //! The durable catalog: the root record of a checkpointed database image.
 //!
-//! `catalog.bin` names everything else: the active WAL segment (anything
-//! earlier is pre-checkpoint garbage), one entry per table (schema,
+//! `catalog.bin` names everything else: the live WAL segment (any other
+//! is garbage), one entry per table (schema,
 //! secondary-index columns, the id of the image file holding its row
 //! stream), and an opaque **core blob** — the engine
 //! layers above serialize their own state (views, triggers, trigger
@@ -22,8 +22,9 @@ use crate::framed;
 
 const MAGIC: &[u8; 4] = b"QRKC";
 /// Covers the WAL layout too, so a directory of another version is
-/// refused by number: no reader of an older layout is kept.
-const VERSION: u32 = 3;
+/// refused by number: no reader of an older layout is kept. Version 4
+/// replays one segment; a version-3 directory may hold several.
+const VERSION: u32 = 4;
 
 /// One table's durable metadata.
 #[derive(Debug, Clone)]
@@ -40,7 +41,7 @@ pub struct TableEntry {
 /// The decoded catalog.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    /// First WAL segment that postdates the checkpoint.
+    /// The WAL segment started after the checkpoint: the one replay reads.
     pub wal_seq: u64,
     /// All tables in creation order.
     pub tables: Vec<TableEntry>,
@@ -149,14 +150,15 @@ mod tests {
     fn round_trips_through_disk() {
         let path = tmp_file("roundtrip");
         sample().save(&path, false).unwrap();
-        // Golden bytes of the file (magic, CRC, version-3 payload): a
+        // Golden bytes of the file (magic, CRC, version-4 payload): a
         // catalog written by an earlier build of this version must keep
-        // loading. 8 bytes below version 2, which held the checkpoint's LSN.
+        // loading. 8 bytes below version 2, which held the checkpoint's LSN;
+        // version 3 differs only in the version field.
         let data = std::fs::read(&path).unwrap();
         let fnv = data.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
             (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
         });
-        assert_eq!((data.len(), fnv), (90, 0xac10_b96a_7746_a374));
+        assert_eq!((data.len(), fnv), (90, 0xabbf_f3a7_6919_ea30));
         let back = Catalog::load(&path).unwrap().unwrap();
         assert_eq!(back.wal_seq, 3);
         assert_eq!(back.tables.len(), 1);
@@ -174,11 +176,12 @@ mod tests {
     }
 
     /// Version 1 is the paged-store layout, version 2 the two-record WAL
-    /// with LSNs; both are refused by number.
+    /// with LSNs, version 3 the log whose segments rotated at a fixed size;
+    /// all are refused by number.
     #[test]
     fn other_catalog_versions_are_rejected() {
         let path = tmp_file("version");
-        for version in [1, 2] {
+        for version in [1, 2, 3] {
             let mut enc = Enc::new();
             enc.u32(version);
             enc.u64(42); // version 2's checkpoint LSN

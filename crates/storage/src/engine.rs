@@ -10,15 +10,17 @@
 //! re-fires triggers — cascade effects are already in the frame.
 //!
 //! **Checkpointing.** [`StorageEngine::checkpoint`] writes a complete
-//! image: dirty tables (per-table version changed since the last
-//! checkpoint) get a fresh image file under an unused id, clean tables
-//! keep theirs, the engine layers' opaque core blob is rewritten, and the
-//! WAL is truncated: a checkpoint is the only thing that starts a new
-//! segment. The ordering is shadow-root safe: new images are written (and
-//! fsynced) beside the old ones, the new catalog is renamed into place,
-//! the WAL is truncated, and only then are the images the new catalog no
-//! longer names unlinked — a crash at any point leaves the old or the new
-//! catalog with every image it names.
+//! image: dirty tables get a fresh image file under an unused id, clean
+//! tables keep theirs, the engine layers' opaque core blob is rewritten,
+//! and the WAL is truncated: a checkpoint is the only thing that starts a
+//! new segment, and it deletes the one it leaves. A table is clean while
+//! it is the very table (same schema `Arc`) at the same version as when
+//! its image was written, or loaded by `open` before replay. The ordering
+//! is shadow-root safe: new images are written (and fsynced) beside the
+//! old ones, the new catalog is renamed into place, the WAL is truncated,
+//! and only then are the images the new catalog no longer names unlinked
+//! — a crash at any point leaves the old or the new catalog with every
+//! image it names.
 //!
 //! **Failures.** The [`Wal`] holds the engine's one refusal: a tear that
 //! cannot be cut off, a failed fsync or a failed checkpoint step sets it,
@@ -37,11 +39,11 @@ use std::collections::{BTreeMap, HashSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use quark_relational::wire::{Dec, Enc};
-use quark_relational::{Database, Error, RedoOp, Result, Table, Value};
+use quark_relational::{Database, Error, RedoOp, Result, Table, TableSchema, Value};
 
 use crate::catalog::{Catalog, TableEntry};
 use crate::framed;
@@ -53,44 +55,44 @@ use crate::wal::{SyncMode, Wal};
 /// callers that only want a fresh engine stay as they are.
 pub type Rebuilt = (Database, Option<Vec<u8>>);
 
-/// One entry of the durable catalog as this engine last wrote or read it.
+/// One entry of the durable catalog, stamped with the table as it stood
+/// when its image was written or loaded.
 #[derive(Debug)]
 struct StoredTable {
-    /// The in-memory table version at the last checkpoint **this engine
-    /// performed**. `None` right after open: persisted version counters
-    /// are meaningless across a restart (a recovered `Database` restarts
-    /// its counters, so a stale equality could keep a dirty table's old
-    /// image and lose its WAL-truncated changes), so the first checkpoint
-    /// rewrites every table once.
-    version: Option<u64>,
+    /// The table's schema `Arc`. Held, so its address is never reused: a
+    /// table dropped and re-created has another, however equal its schema
+    /// (and a version that restarted at 0).
+    schema: Arc<TableSchema>,
+    version: u64,
     entry: TableEntry,
+}
+
+impl StoredTable {
+    fn stamp(table: &Table, entry: TableEntry) -> StoredTable {
+        let (schema, version) = (table.schema_ref(), table.version());
+        StoredTable {
+            schema,
+            version,
+            entry,
+        }
+    }
+
+    /// `true` while `table` is the stamped table at the stamped version.
+    fn is_clean(&self, table: &Table) -> bool {
+        std::ptr::eq(self.schema.as_ref(), table.schema()) && self.version == table.version()
+    }
 }
 
 fn image_path(dir: &Path, id: u64) -> PathBuf {
     dir.join("tables").join(format!("{id:010}.img"))
 }
 
-/// How long a group-commit leader waits for sibling commits to finish
+/// How long a durable commit waits for sibling commits to finish
 /// appending before it fsyncs, when at least one other `log_statement`
 /// call is in flight. Negligible next to a real-disk `fsync`, but enough
 /// for concurrently-latched writers to pile their frames into one sync
 /// even on fast storage. A lone writer never pays it.
 const GROUP_COMMIT_WINDOW: Duration = Duration::from_micros(200);
-
-/// Group-commit bookkeeping (see [`StorageEngine::log_statement`]).
-///
-/// Tickets are frame sequence numbers: `appended` counts frames fully
-/// written to the live segment (bumped under the WAL lock, so a ticket
-/// never names a partially-written frame), `synced` is the
-/// highest ticket known durable. The leader flag makes fsyncs single-file:
-/// one caller syncs on behalf of every ticket appended at that moment,
-/// the rest wait on the condvar until `synced` covers them.
-#[derive(Debug, Default)]
-struct GcState {
-    appended: u64,
-    synced: u64,
-    leader: bool,
-}
 
 /// Handle to one durable database directory.
 #[derive(Debug)]
@@ -100,10 +102,8 @@ pub struct StorageEngine {
     wal: Mutex<Wal>,
     /// Mirror of the durable catalog's table entries, by table name.
     store: Mutex<BTreeMap<String, StoredTable>>,
-    gc: Mutex<GcState>,
-    gc_synced: Condvar,
-    /// `log_statement` calls currently in flight — the leader only pays
-    /// the gather window when somebody else is committing.
+    /// `SyncMode::Always` `log_statement` calls in flight: a commit only
+    /// pays the gather window when somebody else is committing.
     active_commits: AtomicU64,
     wal_bytes: AtomicU64,
     /// Length of the live WAL segment, mirrored out of the WAL lock:
@@ -138,20 +138,22 @@ impl StorageEngine {
         let mut stored = BTreeMap::new();
         let mut live = HashSet::new();
         for entry in catalog.tables {
-            let name = &entry.schema.name;
+            let name = entry.schema.name.clone();
             db.create_table(entry.schema.clone())?;
             for &col in &entry.indexes {
-                db.create_index(name, &entry.schema.columns[col].name)?;
+                db.create_index(&name, &entry.schema.columns[col].name)?;
             }
             if let Some(id) = entry.image {
                 let path = image_path(dir, id);
                 let image = framed::load(&path, &[])?
                     .ok_or_else(|| Error::Storage(format!("{} is missing", path.display())))?;
-                db.load(name, Dec::whole::<Vec<Vec<Value>>>(&image)?)?;
+                db.load(&name, Dec::whole::<Vec<Vec<Value>>>(&image)?)?;
                 live.insert(path);
             }
-            let version = None;
-            stored.insert(name.clone(), StoredTable { version, entry });
+            // Stamped before replay: a table the log does not touch keeps
+            // its image through the next checkpoint.
+            let t = db.table(&name)?;
+            stored.insert(name, StoredTable::stamp(&t, entry));
         }
         // Whatever else sits under `tables/` was written by a checkpoint
         // that crashed before its catalog rename: garbage, not state.
@@ -164,14 +166,12 @@ impl StorageEngine {
         }
         let wal_dir = dir.join("wal");
         let replay = Wal::replay(&wal_dir, catalog.wal_seq, |ops| db.apply_redo(ops))?;
-        let wal = Wal::open(&wal_dir, replay.last_seq, replay.clean_len)?;
+        let wal = Wal::open(&wal_dir, catalog.wal_seq, replay.clean_len)?;
         let engine = StorageEngine {
             dir: dir.to_path_buf(),
             sync,
             wal: Mutex::new(wal),
             store: Mutex::new(stored),
-            gc: Mutex::new(GcState::default()),
-            gc_synced: Condvar::new(),
             active_commits: AtomicU64::new(0),
             wal_bytes: AtomicU64::new(0),
             segment_bytes: AtomicU64::new(replay.clean_len),
@@ -185,98 +185,55 @@ impl StorageEngine {
 
     /// Append one statement's redo ops to the WAL as one frame. Statements
     /// with no data effects are not logged. An `Err` from the append means
-    /// no byte of the statement is in the log.
+    /// no byte of the statement is in the log. In `SyncMode::Never` the
+    /// call returns once the frame is appended: one WAL lock per statement.
     ///
-    /// In `SyncMode::Always` durability is **group-committed**: the frame
-    /// is appended under the WAL lock, but the fsync is handed to a
-    /// leader–follower committer — whoever finds no sync in flight becomes
-    /// leader and issues one `fsync` covering *every* frame fully appended
-    /// at that moment; the rest wait until the durable ticket passes
-    /// theirs. The call never returns `Ok` before this statement's frame
+    /// In `SyncMode::Always` durability is **group-committed**: after the
+    /// append (and a short gather window when other commits are in flight,
+    /// so their frames join), the call locks the WAL again and fsyncs only
+    /// if no other commit's fsync covered its frame meanwhile (see
+    /// [`Wal::sync`]). It never returns `Ok` before this statement's frame
     /// is durable, so the acknowledgment semantics of `Always` are
     /// unchanged — only the fsync count drops: under concurrent writers
-    /// `wal_fsyncs` stays below the committed-statement count (each such
-    /// sync is one group-commit batch). A failed fsync returns `Err` for
-    /// every frame it covered, although those frames may be durable, and
-    /// makes the log refuse: every later call fails before appending, so
-    /// no data change is accepted until a reopen's replay decides.
+    /// `wal_fsyncs` stays below the committed-statement count. A failed
+    /// fsync returns `Err` for every frame it covered that was not yet
+    /// acknowledged, although those frames may be durable, and makes the
+    /// log refuse: every later call fails before appending, so no data
+    /// change is accepted until a reopen's replay decides.
     pub fn log_statement(&self, ops: &[RedoOp]) -> Result<()> {
         if ops.is_empty() {
             return Ok(());
         }
         if self.sync == SyncMode::Never {
-            let mut wal = self.wal.lock().expect("wal poisoned");
-            let bytes = wal.append_statement(ops)?;
-            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.segment_bytes.fetch_add(bytes, Ordering::Relaxed);
-            return Ok(());
+            return self.append(ops).map(drop);
         }
         self.active_commits.fetch_add(1, Ordering::Relaxed);
-        let result = self.commit_durably(ops);
+        let result = self.append(ops).and_then(|ticket| {
+            if self.active_commits.load(Ordering::Relaxed) > 1 {
+                std::thread::sleep(GROUP_COMMIT_WINDOW);
+            }
+            if self.wal.lock().expect("wal poisoned").sync(ticket)? {
+                self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
+            }
+            Ok(())
+        });
         self.active_commits.fetch_sub(1, Ordering::Relaxed);
         result
     }
 
-    /// The `SyncMode::Always` path of [`StorageEngine::log_statement`]:
-    /// append, then drive or ride the group committer until this frame is
-    /// durable.
-    ///
-    /// Lock order is WAL → group-commit state, everywhere: tickets are
-    /// handed out under both (so `appended` only ever counts fully-written
-    /// frames), and the leader holds the WAL lock across its `fsync`, so
-    /// the cover it reads is what the live segment holds, and a failed sync
-    /// makes the [`Wal`] refuse before any append slips in. A follower that
-    /// no sync covered then leads, and its refused sync is its `Err`.
-    fn commit_durably(&self, ops: &[RedoOp]) -> Result<()> {
-        let ticket = {
-            let mut wal = self.wal.lock().expect("wal poisoned");
-            let bytes = wal.append_statement(ops)?;
-            self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
-            self.segment_bytes.fetch_add(bytes, Ordering::Relaxed);
-            let mut gc = self.gc.lock().expect("group commit poisoned");
-            gc.appended += 1;
-            gc.appended
-        };
-        let mut gc = self.gc.lock().expect("group commit poisoned");
-        loop {
-            if gc.synced >= ticket {
-                return Ok(());
-            }
-            if gc.leader {
-                // Bounded wait: re-check on a timeout so a leader lost to
-                // a panic can be replaced instead of wedging followers.
-                let (g, _) = self
-                    .gc_synced
-                    .wait_timeout(gc, Duration::from_millis(10))
-                    .expect("group commit poisoned");
-                gc = g;
-                continue;
-            }
-            gc.leader = true;
-            drop(gc);
-            // Gather window: with sibling commits in flight, give them a
-            // beat to finish appending so one fsync covers them too.
-            if self.active_commits.load(Ordering::Relaxed) > 1 {
-                std::thread::sleep(GROUP_COMMIT_WINDOW);
-            }
-            let mut wal = self.wal.lock().expect("wal poisoned");
-            let cover = self.gc.lock().expect("group commit poisoned").appended;
-            let synced = wal.sync();
-            gc = self.gc.lock().expect("group commit poisoned");
-            drop(wal);
-            gc.leader = false;
-            if synced.is_ok() {
-                gc.synced = gc.synced.max(cover);
-                self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-            }
-            self.gc_synced.notify_all();
-            synced?;
-        }
+    /// Append `ops` as one frame under the WAL lock; returns its ticket.
+    fn append(&self, ops: &[RedoOp]) -> Result<u64> {
+        let mut wal = self.wal.lock().expect("wal poisoned");
+        let bytes = wal.append_statement(ops)?;
+        self.wal_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.segment_bytes.fetch_add(bytes, Ordering::Relaxed);
+        Ok(wal.appended())
     }
 
     /// Write a complete checkpoint of `db` (plus the engine layers'
-    /// `core_blob`) and truncate the WAL. Tables whose version is
-    /// unchanged since the last checkpoint keep their image file.
+    /// `core_blob`) and truncate the WAL. A table keeps its image file
+    /// while it is the same table at the same version as when the image
+    /// was written or loaded; every other non-empty table gets a new one.
     /// Fails before it touches a file once the log refuses; a failed step
     /// makes it refuse, as `db` is then ahead of a directory that may hold
     /// the old catalog or the new one.
@@ -307,26 +264,22 @@ impl StorageEngine {
         let mut stored = BTreeMap::new();
         for name in names {
             let t = db.table(name)?;
-            let version = Some(t.version());
             let mut entry = TableEntry {
                 schema: t.schema().clone(),
                 indexes: t.indexed_columns(),
                 image: None,
             };
             match store.get(name) {
-                Some(s) if s.version == version && s.entry.schema == entry.schema => {
-                    entry.image = s.entry.image;
-                }
+                Some(s) if s.is_clean(&t) => entry.image = s.entry.image,
                 _ if t.is_empty() => {}
                 _ => {
                     let bytes = encode_rows(&t)?;
-                    drop(t);
                     framed::publish(&image_path(&self.dir, next_image), &[], &bytes, sync)?;
                     entry.image = Some(next_image);
                     next_image += 1;
                 }
             }
-            stored.insert(name.to_string(), StoredTable { version, entry });
+            stored.insert(name.to_string(), StoredTable::stamp(&t, entry));
         }
 
         let new_seq = wal.seq() + 1;
@@ -368,7 +321,7 @@ impl StorageEngine {
     }
 
     /// Group-commit fsync batches issued: [`StorageEngine::wal_fsyncs`],
-    /// as the leader's sync is the only one the WAL gets.
+    /// as each fsync covers every frame appended before it.
     pub fn group_commit_batches(&self) -> u64 {
         self.wal_fsyncs()
     }
@@ -646,13 +599,62 @@ mod tests {
         assert_eq!(engine.checkpoints(), 2);
         drop(engine);
 
-        // After a restart remembered versions are void: everything is
-        // rewritten once, under ids no live file uses.
+        // Another `Database`'s tables are rewritten, under ids no live file
+        // uses.
         let (engine, (recovered, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
         assert_eq!(recovered.table_names().count(), 2);
         engine.checkpoint(&db, Vec::new()).unwrap();
         assert!(image_of(&engine, "vendor") > product2);
         assert_eq!(image_files(&dir).len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A crash-reopen whose replay touches one of two tables keeps the
+    /// other's image through the checkpoint that folds the replay in (the
+    /// one `Quark::open_with` takes): `open` stamps each table as its image
+    /// loads, before replay.
+    #[test]
+    fn a_table_replay_does_not_touch_keeps_its_image() {
+        let dir = tmp_dir("replay-clean");
+        let (engine, _) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        let mut db = fresh_db();
+        db.create_table(product_schema()).unwrap();
+        db.insert(
+            "vendor",
+            vec![vec![Value::str("Amazon"), Value::Double(10.0)]],
+        )
+        .unwrap();
+        db.insert("product", vec![vec![Value::str("P1"), Value::str("CRT")]])
+            .unwrap();
+        engine.checkpoint(&db, Vec::new()).unwrap();
+        assert_eq!(
+            image_files(&dir),
+            [image_path(&dir, 0), image_path(&dir, 1)]
+        );
+        let vendor = image_of(&engine, "vendor");
+        let put = RedoOp::Put {
+            table: "product".into(),
+            row: row([Value::str("P2"), Value::str("LCD")]),
+        };
+        engine.log_statement(&[put]).unwrap();
+        drop(engine); // crash
+
+        let (engine, (recovered, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(engine.replayed_frames(), 1);
+        engine.checkpoint(&recovered, Vec::new()).unwrap();
+        assert_eq!(
+            image_of(&engine, "vendor"),
+            vendor,
+            "untouched table rewritten"
+        );
+        assert_eq!(
+            image_files(&dir),
+            [image_path(&dir, 1), image_path(&dir, 2)]
+        );
+        drop(engine);
+        let (_engine, (reopened, _)) = StorageEngine::open(&dir, SyncMode::Never).unwrap();
+        assert_eq!(rows_of(&reopened, "product").len(), 2);
+        assert_eq!(rows_of(&reopened, "vendor").len(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -1,6 +1,6 @@
 //! Write-ahead log: one CRC frame of redo per statement.
 //!
-//! The log is a sequence of segment files `wal/<seq>.wal`, each a run of
+//! The log is one live segment file `wal/<seq>.wal`, a run of
 //! [frames](crate::frame), one per statement and its whole trigger cascade
 //! (redo ops encoded with [`quark_relational::wire`], written in one
 //! `write_all`): a frame's own length and checksum tell a whole statement
@@ -17,9 +17,14 @@
 //! write, so a later one that succeeds proves nothing about them (Rebello
 //! et al., "Can Applications Recover from fsync Failures?", ATC 2020).
 //!
-//! **Segments.** Only a checkpoint starts a segment ([`Wal::truncate_to`]).
-//! Replay and [`Wal::open`] still walk consecutive segments: a directory
-//! written when segments rotated at a fixed size can hold several.
+//! **Group commit.** A frame's ticket is the number of frames appended up
+//! to it; a successful [`Wal::sync`] covers every frame appended so far,
+//! so a ticket at or below that watermark needs no fsync of its own.
+//!
+//! **One live segment.** Only a checkpoint starts a segment
+//! ([`Wal::truncate_to`]) and removes the one it leaves; replay reads the
+//! segment the catalog names, and [`Wal::open`] sweeps every other `*.wal`
+//! file (a crash or a failed unlink can leave one behind).
 
 use std::fmt::Display;
 use std::fs::{self, File, OpenOptions};
@@ -66,13 +71,15 @@ impl SegmentFile for File {
 pub struct Wal<F = File> {
     dir: PathBuf,
     seq: u64,
-    /// Oldest segment that may still exist on disk; truncation removes
-    /// `[oldest, new_seq)` instead of probing every number since 0.
-    oldest: u64,
     file: F,
     segment_bytes: u64,
     /// Bytes of the last frame appended, which size the next one's buffer.
     last_append: usize,
+    /// Frames appended since open: the ticket of the last one.
+    appended: u64,
+    /// `appended` at the last successful sync: every ticket at or below it
+    /// is durable.
+    synced: u64,
     /// Why the log refuses every append, sync and segment switch: the
     /// first storage failure that left its state on disk unknown.
     refused: Option<String>,
@@ -81,14 +88,12 @@ pub struct Wal<F = File> {
 /// Bytes [`Wal::replay`] reads at a time (a longer frame grows its buffer).
 const REPLAY_READ: u64 = 1 << 16;
 
-/// Result of replaying the log from a segment sequence number.
+/// Result of replaying the live segment.
 #[derive(Debug, Default)]
 pub struct Replay {
     /// Whole statements handed to the caller, in log order.
     pub frames: u64,
-    /// The segment replay stopped in (where appends should resume).
-    pub last_seq: u64,
-    /// Bytes of segment `last_seq` up to its last whole frame.
+    /// Bytes up to the segment's last whole frame: where appends resume.
     pub clean_len: u64,
 }
 
@@ -115,104 +120,89 @@ fn open_segment(dir: &Path, seq: u64, len: u64) -> Result<File> {
 
 impl Wal {
     /// Resume appending to segment `seq` where [`Wal::replay`] ended: the
-    /// segment is cut back to its first `clean_len` bytes and every later
+    /// segment is cut back to its first `clean_len` bytes and every other
     /// segment is removed, so the log on disk is exactly the statements
     /// replay applied (`0, 0` for a fresh log). A reopened log starts
     /// with no refusal.
     pub fn open(dir: &Path, seq: u64, clean_len: u64) -> Result<Wal> {
         fs::create_dir_all(dir).map_err(|e| io_err("create wal dir", e))?;
-        // Segment numbers on disk are contiguous. Walk down to the oldest
-        // (below `seq` only when a crash cut the last truncation short)
-        // and remove the ones above, which replay never reached.
-        let mut oldest = seq;
-        while oldest > 0 && segment_path(dir, oldest - 1).exists() {
-            oldest -= 1;
-        }
-        let mut stale = seq + 1;
-        while segment_path(dir, stale).exists() {
-            fs::remove_file(segment_path(dir, stale))
-                .map_err(|e| io_err("remove stale wal segment", e))?;
-            stale += 1;
+        let file = open_segment(dir, seq, clean_len)?;
+        // Replay never reads another segment: garbage, not state. A failed
+        // unlink leaves it for the next open.
+        let live = segment_path(dir, seq);
+        let listing = fs::read_dir(dir).map_err(|e| io_err("list wal dir", e))?;
+        for path in listing.flatten().map(|entry| entry.path()) {
+            if path != live && path.extension().is_some_and(|x| x == "wal") {
+                let _ = fs::remove_file(path);
+            }
         }
         Ok(Wal {
             dir: dir.to_path_buf(),
             seq,
-            oldest,
-            file: open_segment(dir, seq, clean_len)?,
+            file,
             segment_bytes: clean_len,
             last_append: 0,
+            appended: 0,
+            synced: 0,
             refused: None,
         })
     }
 
-    /// Replay each whole statement from segment `from_seq` on, in order:
-    /// a frame is decoded, handed to `apply` and dropped before the next.
+    /// Replay each whole statement of segment `seq`, in order: a frame is
+    /// decoded, handed to `apply` and dropped before the next.
     /// * A frame that is torn, fails its checksum or does not decode is a
     ///   tear: replay stops there, as nothing after it is known to be whole.
     /// * An `Err` of `apply` is replay's `Err`, never a tear: cutting a whole
     ///   frame off would drop acknowledged statements.
-    /// * A header claiming more than its segment has left is a tear before
+    /// * A header claiming more than the segment has left is a tear before
     ///   any payload is read: reads come in fixed chunks, never header-sized.
     pub fn replay(
         dir: &Path,
-        from_seq: u64,
+        seq: u64,
         mut apply: impl FnMut(&[RedoOp]) -> Result<()>,
     ) -> Result<Replay> {
-        let mut out = Replay {
-            last_seq: from_seq,
-            ..Replay::default()
+        let mut out = Replay::default();
+        let Ok(mut file) = File::open(segment_path(dir, seq)) else {
+            return Ok(out);
         };
-        let mut seq = from_seq;
-        'segments: while let Ok(mut file) = File::open(segment_path(dir, seq)) {
-            let size = file.metadata().map_err(|e| io_err("stat wal segment", e))?;
-            (out.last_seq, out.clean_len) = (seq, 0);
-            // One read buffer: `buf[start..]` is the segment from `clean_len`.
-            let (mut buf, mut start, mut eof) = (Vec::new(), 0, false);
-            loop {
-                let left = size.len().saturating_sub(out.clean_len);
-                match frame::peel(&buf[start..], usize::try_from(left).unwrap_or(usize::MAX)) {
-                    Peeled::Frame { payload, len } => {
-                        match Dec::whole::<Vec<RedoOp>>(payload) {
-                            Ok(ops) => apply(&ops)?,
-                            Err(_) => break 'segments,
-                        }
-                        (out.frames, out.clean_len) = (out.frames + 1, out.clean_len + len as u64);
-                        start += len;
-                    }
-                    Peeled::Need if !eof => {
-                        buf.drain(..start);
-                        start = 0;
-                        let read = (&mut file).take(REPLAY_READ).read_to_end(&mut buf);
-                        eof = read.map_err(|e| io_err("read wal segment", e))? == 0;
-                    }
-                    Peeled::Need if start == buf.len() => break,
-                    Peeled::Need | Peeled::Bad(_) => break 'segments,
+        let size = file.metadata().map_err(|e| io_err("stat wal segment", e))?;
+        // One read buffer: `buf[start..]` is the segment from `clean_len`.
+        let (mut buf, mut start, mut eof) = (Vec::new(), 0, false);
+        loop {
+            let left = size.len().saturating_sub(out.clean_len);
+            match frame::peel(&buf[start..], usize::try_from(left).unwrap_or(usize::MAX)) {
+                Peeled::Frame { payload, len } => {
+                    let Ok(ops) = Dec::whole::<Vec<RedoOp>>(payload) else {
+                        break;
+                    };
+                    apply(&ops)?;
+                    (out.frames, out.clean_len) = (out.frames + 1, out.clean_len + len as u64);
+                    start += len;
                 }
+                Peeled::Need if !eof => {
+                    buf.drain(..start);
+                    start = 0;
+                    let read = (&mut file).take(REPLAY_READ).read_to_end(&mut buf);
+                    eof = read.map_err(|e| io_err("read wal segment", e))? == 0;
+                }
+                Peeled::Need | Peeled::Bad(_) => break,
             }
-            seq += 1;
         }
         Ok(out)
     }
 
-    /// Start a fresh segment sequence after a checkpoint: an empty segment
-    /// `new_seq` becomes the live one, and the segments before it are
-    /// deleted (the table images already reflect them). The only way a
+    /// Start segment `new_seq`, above the live one, after a checkpoint:
+    /// it becomes the live segment, empty, and the segment it replaces is
+    /// deleted (the table images already reflect it). The only way a
     /// segment is started; a failure refuses.
     pub fn truncate_to(&mut self, new_seq: u64) -> Result<()> {
+        assert!(new_seq > self.seq, "a checkpoint starts a later segment");
         self.check()?;
-        self.switch_to(new_seq).inspect_err(|e| self.refuse(e))
-    }
-
-    fn switch_to(&mut self, new_seq: u64) -> Result<()> {
-        self.file = open_segment(&self.dir, new_seq, 0)?;
-        self.seq = new_seq;
+        self.file = open_segment(&self.dir, new_seq, 0).inspect_err(|e| self.refuse(e))?;
+        let old = std::mem::replace(&mut self.seq, new_seq);
         self.segment_bytes = 0;
-        for path in (self.oldest..new_seq).map(|s| segment_path(&self.dir, s)) {
-            if path.exists() {
-                fs::remove_file(&path).map_err(|e| io_err("remove wal segment", e))?;
-            }
-        }
-        self.oldest = new_seq;
+        // A failed unlink leaves garbage the next open sweeps.
+        let _ = fs::remove_file(segment_path(&self.dir, old));
         Ok(())
     }
 }
@@ -221,6 +211,11 @@ impl<F: SegmentFile> Wal<F> {
     /// The segment currently being appended to.
     pub fn seq(&self) -> u64 {
         self.seq
+    }
+
+    /// Frames appended since open: the last one's ticket.
+    pub fn appended(&self) -> u64 {
+        self.appended
     }
 
     /// `Err` once the log refuses: called before any file is touched.
@@ -240,15 +235,15 @@ impl<F: SegmentFile> Wal<F> {
     }
 
     /// Append one statement's redo ops as one frame; returns the bytes
-    /// appended, frame header included.
+    /// appended, frame header included. Its ticket is [`Wal::appended`].
     ///
     /// An `Err` means no byte of this statement is in the log: the bytes
     /// of a failed write are cut off again before the error returns. If
     /// that cut fails, the log refuses.
     ///
     /// **Does not make the statement durable.** That is [`Wal::sync`]'s
-    /// job, which the engine's group committer calls once for every frame
-    /// appended since the last sync (see `StorageEngine::log_statement`).
+    /// job, which the engine calls at the frame's ticket (see
+    /// `StorageEngine::log_statement`).
     pub fn append_statement(&mut self, ops: &[RedoOp]) -> Result<u64> {
         self.check()?;
         // The payload is encoded behind its reserved frame header and
@@ -267,17 +262,26 @@ impl<F: SegmentFile> Wal<F> {
         }
         self.last_append = buf.len();
         self.segment_bytes += buf.len() as u64;
+        self.appended += 1;
         Ok(buf.len() as u64)
     }
 
-    /// Force everything appended to the live segment to stable storage.
-    /// A failure refuses: the frames it covered may or may not be durable.
-    pub fn sync(&mut self) -> Result<()> {
+    /// Make every frame up to `ticket` durable. `Ok(false)`: an earlier
+    /// sync already covered it and no fsync was issued; `Ok(true)`: this
+    /// call forced everything appended so far to stable storage. A failed
+    /// fsync refuses and leaves the watermark where it was: the frames it
+    /// covered may or may not be durable.
+    pub fn sync(&mut self, ticket: u64) -> Result<bool> {
+        if ticket <= self.synced {
+            return Ok(false);
+        }
         self.check()?;
         self.file.sync_data().map_err(|e| {
             self.refuse(format!("fsync failed: {e}"));
             io_err("fsync wal", e)
-        })
+        })?;
+        self.synced = self.appended;
+        Ok(true)
     }
 }
 
@@ -303,11 +307,10 @@ mod tests {
         }
     }
 
-    /// Replay from segment `from_seq`, collecting the statements handed
-    /// over.
-    fn replayed(dir: &Path, from_seq: u64) -> (Vec<Vec<RedoOp>>, Replay) {
+    /// Replay segment `seq`, collecting the statements handed over.
+    fn replayed(dir: &Path, seq: u64) -> (Vec<Vec<RedoOp>>, Replay) {
         let mut batches = Vec::new();
-        let replay = Wal::replay(dir, from_seq, |ops| {
+        let replay = Wal::replay(dir, seq, |ops| {
             batches.push(ops.to_vec());
             Ok(())
         })
@@ -408,7 +411,7 @@ mod tests {
 
             let (batches, replay) = replayed(&dir, 0);
             assert!(batches.is_empty());
-            assert_eq!((replay.last_seq, replay.clean_len), (0, 0));
+            assert_eq!(replay.clean_len, 0);
             let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
             assert!(!segment_path(&dir, 1).exists());
             wal.append_statement(&[put("t", 2)]).unwrap();
@@ -463,34 +466,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A directory written when segments rotated at a fixed size holds
-    /// several consecutive segments. Replay reads them all in order, a
-    /// reopen resumes in the last one, and the next checkpoint's
-    /// truncation removes every one below the new segment.
-    #[test]
-    fn replay_spans_consecutive_segments() {
-        let dir = tmp_dir("segments");
-        let mut wal = Wal::open(&dir, 0, 0).unwrap();
-        wal.append_statement(&[put("t", 1)]).unwrap();
-        wal.append_statement(&[put("t", 2)]).unwrap();
-        drop(wal);
-        let mut wal = Wal::open(&dir, 1, 0).unwrap();
-        wal.append_statement(&[put("t", 3)]).unwrap();
-        drop(wal);
-
-        let (batches, replay) = replayed(&dir, 0);
-        let statements: Vec<Vec<RedoOp>> = (1..=3).map(|v| vec![put("t", v)]).collect();
-        assert_eq!(batches, statements);
-        assert_eq!(replay.last_seq, 1);
-        let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
-        wal.append_statement(&[put("t", 4)]).unwrap();
-        assert_eq!(wal.seq(), 1, "an append never starts a segment");
-        assert_eq!(replayed(&dir, 0).0.len(), 4);
-        wal.truncate_to(2).unwrap();
-        assert!(!segment_path(&dir, 0).exists() && !segment_path(&dir, 1).exists());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
     /// A segment switch that fails (here a directory sits at the new
     /// segment's path, which nobody can open for writing: `EISDIR`, root
     /// included) refuses every later append, sync and switch, even once the
@@ -507,7 +482,7 @@ mod tests {
         assert!(wal.truncate_to(1).is_err());
         fs::remove_dir(segment_path(&dir, 1)).unwrap();
         assert!(wal.append_statement(&[put("t", 2)]).is_err());
-        assert!(wal.sync().is_err());
+        assert!(wal.sync(wal.appended()).is_err());
         assert!(wal.truncate_to(1).is_err());
         assert!(
             !segment_path(&dir, 1).exists(),
@@ -517,7 +492,7 @@ mod tests {
 
         let (batches, replay) = replayed(&dir, 0);
         assert_eq!(batches, vec![vec![put("t", 1)]]);
-        let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
+        let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
         wal.append_statement(&[put("t", 3)]).unwrap();
         let (batches, _) = replayed(&dir, 0);
         assert_eq!(batches, vec![vec![put("t", 1)], vec![put("t", 3)]]);
@@ -536,13 +511,15 @@ mod tests {
         wal.append_statement(&[put("t", 2)]).unwrap();
         let (batches, replay) = replayed(&dir, 1);
         assert_eq!(batches, vec![vec![put("t", 2)]]);
-        // A reopened log finds its oldest segment on disk (here one a
-        // crash left below the live one) and the next truncation takes it.
+        // A segment a crash left below the live one: a reopen removes it,
+        // and the next truncation takes the live one.
         drop(wal);
         fs::write(segment_path(&dir, 0), b"left by a crash").unwrap();
         let mut wal = Wal::open(&dir, 1, replay.clean_len).unwrap();
+        assert!(!segment_path(&dir, 0).exists());
+        assert_eq!(replayed(&dir, 1).0, vec![vec![put("t", 2)]]);
         wal.truncate_to(2).unwrap();
-        assert!(!segment_path(&dir, 0).exists() && !segment_path(&dir, 1).exists());
+        assert!(!segment_path(&dir, 1).exists());
         assert!(segment_path(&dir, 2).exists());
         let _ = fs::remove_dir_all(&dir);
     }
@@ -659,10 +636,11 @@ mod tests {
         let wal = Wal {
             dir: wal.dir,
             seq: wal.seq,
-            oldest: wal.oldest,
             file,
             segment_bytes: wal.segment_bytes,
             last_append: wal.last_append,
+            appended: wal.appended,
+            synced: wal.synced,
             refused: wal.refused,
         };
         (wal, faults)
@@ -726,14 +704,14 @@ mod tests {
         let dir = tmp_dir("sync");
         let (mut wal, faults) = faulty_wal(&dir);
         wal.append_statement(&[put("t", 1)]).unwrap();
-        wal.sync().unwrap();
+        assert!(wal.sync(wal.appended()).unwrap());
         wal.append_statement(&[put("t", 2)]).unwrap();
         faults.lock().unwrap().sync = true;
-        assert!(wal.sync().is_err());
+        assert!(wal.sync(wal.appended()).is_err());
         faults.lock().unwrap().sync = false;
         let len = fs::metadata(segment_path(&dir, 0)).unwrap().len();
         assert!(wal.append_statement(&[put("t", 3)]).is_err());
-        assert!(wal.sync().is_err());
+        assert!(wal.sync(wal.appended()).is_err());
         assert_eq!(fs::metadata(segment_path(&dir, 0)).unwrap().len(), len);
         assert_eq!(
             faults.lock().unwrap().syncs,
@@ -744,9 +722,48 @@ mod tests {
 
         let (batches, replay) = replayed(&dir, 0);
         assert_eq!(batches, vec![vec![put("t", 1)], vec![put("t", 2)]]);
-        let mut wal = Wal::open(&dir, replay.last_seq, replay.clean_len).unwrap();
+        let mut wal = Wal::open(&dir, 0, replay.clean_len).unwrap();
         wal.append_statement(&[put("t", 4)]).unwrap();
-        wal.sync().unwrap();
+        assert!(wal.sync(wal.appended()).unwrap());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The group-commit watermark at the injectable seam. A successful
+    /// sync covers every frame appended before it: a ticket at or below
+    /// the watermark takes no fsync, one above it does. A failed sync
+    /// leaves the watermark where it was, so the ticket it failed for is
+    /// not covered, and the next sync at that ticket is refused without
+    /// reaching the file; a ticket the watermark covers still needs none.
+    #[test]
+    fn a_sync_covers_every_frame_appended_before_it() {
+        let dir = tmp_dir("watermark");
+        let (mut wal, faults) = faulty_wal(&dir);
+        let syncs = || faults.lock().unwrap().syncs;
+        let mut tickets = Vec::new();
+        for v in 1..=3 {
+            wal.append_statement(&[put("t", v)]).unwrap();
+            tickets.push(wal.appended());
+        }
+        assert_eq!(tickets, [1, 2, 3]);
+        assert!(wal.sync(tickets[1]).unwrap(), "an uncovered ticket syncs");
+        assert_eq!(syncs(), 1);
+        for &ticket in &tickets {
+            assert!(!wal.sync(ticket).unwrap(), "ticket {ticket} is covered");
+        }
+        assert_eq!(syncs(), 1, "a covered ticket takes no fsync");
+
+        wal.append_statement(&[put("t", 4)]).unwrap();
+        let ticket = wal.appended();
+        faults.lock().unwrap().sync = true;
+        assert!(wal.sync(ticket).is_err());
+        faults.lock().unwrap().sync = false;
+        assert_eq!(syncs(), 2);
+        assert!(
+            wal.sync(ticket).is_err(),
+            "the failed ticket stays uncovered"
+        );
+        assert_eq!(syncs(), 2, "a refused sync reached the file");
+        assert!(!wal.sync(tickets[2]).unwrap(), "the watermark stands");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -808,6 +808,45 @@ fn a_full_log_checkpoints_without_a_global_write() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A table dropped and re-created with the same schema is a new table:
+/// changed as often as its predecessor was, it has the same version, yet
+/// the checkpoint that acknowledges it must write its rows, not keep the
+/// predecessor's image. A reopen holds the new rows only.
+#[test]
+fn a_recreated_table_reopens_with_its_own_rows() {
+    let dir = tmp_dir("recreate");
+    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("open");
+    session
+        .execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
+        .expect("create");
+    let fill = |db: &Database, ids: [i64; 2], v: &str| {
+        for id in ids {
+            db.insert("t", vec![vec![Value::Int(id), Value::str(v)]])
+                .expect("insert");
+        }
+    };
+    fill(&session.database_mut(), [1, 2], "old"); // the guard checkpoints
+    {
+        let mut db = session.database_mut();
+        let schema = db.table("t").expect("t").schema().clone();
+        db.drop_table("t").expect("drop");
+        db.create_table(schema).expect("re-create");
+        fill(&db, [7, 8], "new");
+    }
+    session.close().expect("close");
+
+    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("reopen");
+    let StatementResult::Rows { rows, .. } = session.execute("SELECT * FROM t").expect("select")
+    else {
+        panic!("expected rows");
+    };
+    let rows: Vec<Vec<Value>> = rows.iter().map(|r| r.to_vec()).collect();
+    let new = |id| vec![Value::Int(id), Value::str("new")];
+    assert_eq!(rows, [new(7), new(8)], "the dropped rows came back");
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Group commit at the session layer: concurrent `SyncMode::Always`
 /// writers on disjoint tables have their WAL frames coalesced into
 /// shared fsyncs — strictly fewer fsyncs than committed statements — and
