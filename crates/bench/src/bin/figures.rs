@@ -533,7 +533,7 @@ fn restart_sweep(args: &Args, report: &mut Report) {
         let run = |sql: String| session.execute(&sql).map(drop).expect(&sql);
         SCHEMA.into_iter().for_each(|sql| run(sql.into()));
         session
-            .register_action_with_writes("notify", Vec::<String>::new(), |_, _| Ok(()))
+            .register_action("notify", |_, _| Ok(()))
             .expect("action");
         for (p, n) in (0..PRODUCTS).map(|p| (p, p % TRIGGERS)) {
             run(format!("INSERT INTO product VALUES ('P{p}', 'N{n}', 'M')"));

@@ -201,9 +201,9 @@ pub fn build(spec: WorkloadSpec) -> Result<Workload> {
     session.execute("CREATE TABLE __temp (seq INT PRIMARY KEY, content TEXT)")?;
     let full = spec.full_action;
     let counter = std::sync::Arc::new(std::sync::Mutex::new(0i64));
-    // Declared write set: lets the workload's updates keep a bounded
-    // footprint and latch only the tables they touch instead of every
-    // table of the database.
+    // Declared write set: the action inserts into `__temp`, which the
+    // workload's updates then latch exclusive; an undeclared write would
+    // fail the statement.
     session.register_action_with_writes("insertTemp", ["__temp"], move |db, call| {
         let mut c = counter.lock().expect("temp counter");
         *c += 1;

@@ -20,8 +20,8 @@
 //!    of the same closure's groups, recomputed from their plans. A table a
 //!    plan can touch that the latch analysis misses is an **error** (a
 //!    silent data race); a table latched but unreachable is a **warning**
-//!    (needless serialization). An unbounded closure (opaque action, raw
-//!    SQL trigger) claims nothing: the session latches every table for it.
+//!    (needless serialization). An unbounded closure (a raw SQL trigger)
+//!    claims nothing: the session latches every table for it.
 //! 2. **Cascade termination** — the trigger dependency graph (group →
 //!    tables written → groups affected) is checked for cycles. A cycle
 //!    whose writes can only change what reachable groups *read* — never a
@@ -48,8 +48,7 @@ pub enum Severity {
     /// The latch analysis misses a table a compiled plan can touch: a
     /// write admitted under this footprint is a potential data race.
     Error,
-    /// Harmless but wasteful or unanalyzable: a needlessly latched table,
-    /// or an opaque action forcing global serialization.
+    /// Harmless but wasteful: a needlessly latched table.
     Warning,
 }
 
@@ -81,10 +80,9 @@ pub struct GroupFacts {
     /// The read footprint recorded at translation time — what the session
     /// latches shared when this group can fire.
     pub recorded_footprint: BTreeSet<String>,
-    /// Union of the member actions' declared write sets; `None` if any
-    /// member action is unregistered or undeclared (opaque — the session
-    /// serializes such writes globally).
-    pub declared_writes: Option<BTreeSet<String>>,
+    /// Union of the member actions' declared write sets (an action
+    /// registered without one writes nothing).
+    pub declared_writes: BTreeSet<String>,
 }
 
 /// One cycle in the trigger dependency graph (a strongly connected
@@ -141,7 +139,7 @@ pub struct AnalysisReport {
     /// Soundness errors — **must be zero**; each one is a table a compiled
     /// plan can touch that the latch-time footprint misses.
     pub errors: u64,
-    /// Soundness warnings (needless latches, opaque actions).
+    /// Soundness warnings (needless latches).
     pub warnings: u64,
     /// Cycles classified provably bounded.
     pub cycles_bounded: u64,
@@ -185,15 +183,10 @@ impl TriggerAnalysis {
             self.groups.len()
         );
         for g in &self.groups {
-            let writes = match &g.declared_writes {
-                Some(w) if w.is_empty() => "{}".to_string(),
-                Some(w) => format!("{w:?}"),
-                None => "global (opaque action)".to_string(),
-            };
             let _ = writeln!(
                 out,
-                "  group {}: triggers on {:?}, reads {:?}, writes {writes}",
-                g.label, g.trigger_tables, g.plan_reads
+                "  group {}: triggers on {:?}, reads {:?}, writes {:?}",
+                g.label, g.trigger_tables, g.plan_reads, g.declared_writes
             );
         }
         let errors = self.findings_of(Severity::Error).count();
@@ -251,16 +244,13 @@ impl TriggerAnalysis {
 /// *firing* subgraph (`G → H` only when `G` writes a table actually
 /// bearing `H`'s SQL triggers, which is what makes a cascade continue):
 /// if the cycle disappears, it is provably bounded — writes around the
-/// loop perturb view contents but cannot re-fire. Opaque groups (no
-/// declared write set) contribute no edges; they are reported as
-/// warnings by the soundness pass and serialize globally at run time.
+/// loop perturb view contents but cannot re-fire.
 pub fn detect_cycles(facts: &[GroupFacts]) -> Vec<Cycle> {
     let n = facts.len();
-    let writes = |i: usize| facts[i].declared_writes.as_ref();
     let mut affect: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut firing: Vec<Vec<bool>> = vec![vec![false; n]; n];
     for i in 0..n {
-        let Some(w) = writes(i) else { continue };
+        let w = &facts[i].declared_writes;
         for (j, g) in facts.iter().enumerate() {
             let fires = !w.is_disjoint(&g.trigger_tables);
             let affects = fires || !w.is_disjoint(&g.plan_reads);
@@ -383,42 +373,36 @@ fn sccs(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 /// unordered pair. A pair commutes when the two groups' effective write
 /// sets (trigger-bearing tables — the DML targets — plus declared cascade
 /// writes) are disjoint *and* neither write set intersects the other's
-/// read set. Opaque groups never commute: they serialize globally.
+/// read set.
 pub fn conflict_pairs(facts: &[GroupFacts]) -> Vec<PairReport> {
-    let eff_writes = |g: &GroupFacts| -> Option<BTreeSet<String>> {
+    let eff_writes = |g: &GroupFacts| -> BTreeSet<String> {
         g.declared_writes
-            .as_ref()
-            .map(|w| w.union(&g.trigger_tables).cloned().collect())
+            .union(&g.trigger_tables)
+            .cloned()
+            .collect()
     };
     let mut out = Vec::new();
     for i in 0..facts.len() {
         for j in i + 1..facts.len() {
             let (a, b) = (&facts[i], &facts[j]);
-            let report = match (eff_writes(a), eff_writes(b)) {
-                (Some(wa), Some(wb)) => {
-                    let ww: Vec<&String> = wa.intersection(&wb).collect();
-                    let wr: Vec<&String> = wa.intersection(&b.plan_reads).collect();
-                    let rw: Vec<&String> = wb.intersection(&a.plan_reads).collect();
-                    if !ww.is_empty() {
-                        (false, format!("write/write overlap on {ww:?}"))
-                    } else if !wr.is_empty() {
-                        (
-                            false,
-                            format!("{}'s writes hit {}'s reads: {wr:?}", a.label, b.label),
-                        )
-                    } else if !rw.is_empty() {
-                        (
-                            false,
-                            format!("{}'s writes hit {}'s reads: {rw:?}", b.label, a.label),
-                        )
-                    } else {
-                        (true, "disjoint writes, no write/read overlap".into())
-                    }
-                }
-                _ => (
+            let (wa, wb) = (eff_writes(a), eff_writes(b));
+            let ww: Vec<&String> = wa.intersection(&wb).collect();
+            let wr: Vec<&String> = wa.intersection(&b.plan_reads).collect();
+            let rw: Vec<&String> = wb.intersection(&a.plan_reads).collect();
+            let report = if !ww.is_empty() {
+                (false, format!("write/write overlap on {ww:?}"))
+            } else if !wr.is_empty() {
+                (
                     false,
-                    "opaque action write set forces global serialization".into(),
-                ),
+                    format!("{}'s writes hit {}'s reads: {wr:?}", a.label, b.label),
+                )
+            } else if !rw.is_empty() {
+                (
+                    false,
+                    format!("{}'s writes hit {}'s reads: {rw:?}", b.label, a.label),
+                )
+            } else {
+                (true, "disjoint writes, no write/read overlap".into())
             };
             out.push(PairReport {
                 a: a.label.clone(),
@@ -511,15 +495,6 @@ impl Quark {
                     ),
                 });
             }
-            if g.declared_writes.is_none() {
-                findings.push(Finding {
-                    severity: Severity::Warning,
-                    subject: format!("group {}", g.label),
-                    message: "member action has no declared write set; writes \
-                              firing this group serialize in global mode"
-                        .into(),
-                });
-            }
         }
     }
 
@@ -605,33 +580,28 @@ mod tests {
         names.iter().map(|s| s.to_string()).collect()
     }
 
-    fn facts(
-        label: &str,
-        triggers: &[&str],
-        reads: &[&str],
-        writes: Option<&[&str]>,
-    ) -> GroupFacts {
+    fn facts(label: &str, triggers: &[&str], reads: &[&str], writes: &[&str]) -> GroupFacts {
         GroupFacts {
             label: label.into(),
             trigger_tables: set(triggers),
             plan_reads: set(reads),
             recorded_footprint: set(reads),
-            declared_writes: writes.map(set),
+            declared_writes: set(writes),
         }
     }
 
     #[test]
     fn acyclic_program_has_no_cycles() {
         let f = [
-            facts("A", &["a"], &["a"], Some(&["log_a"])),
-            facts("B", &["b"], &["b"], Some(&["log_b"])),
+            facts("A", &["a"], &["a"], &["log_a"]),
+            facts("B", &["b"], &["b"], &["log_b"]),
         ];
         assert!(detect_cycles(&f).is_empty());
     }
 
     #[test]
     fn refiring_self_loop_is_potentially_non_terminating() {
-        let f = [facts("A", &["a"], &["a"], Some(&["a"]))];
+        let f = [facts("A", &["a"], &["a"], &["a"])];
         let cycles = detect_cycles(&f);
         assert_eq!(cycles.len(), 1);
         assert!(!cycles[0].bounded);
@@ -643,7 +613,7 @@ mod tests {
         // A's cascade writes a table its plans *read* (a join side) but
         // that bears no trigger of A: the view contents move, the cascade
         // cannot re-fire.
-        let f = [facts("A", &["a"], &["a", "side"], Some(&["side"]))];
+        let f = [facts("A", &["a"], &["a", "side"], &["side"])];
         let cycles = detect_cycles(&f);
         assert_eq!(cycles.len(), 1);
         assert!(cycles[0].bounded, "no firing edge: {:?}", cycles[0]);
@@ -652,8 +622,8 @@ mod tests {
     #[test]
     fn two_group_ping_pong_is_one_unbounded_cycle() {
         let f = [
-            facts("A", &["a"], &["a"], Some(&["b"])),
-            facts("B", &["b"], &["b"], Some(&["a"])),
+            facts("A", &["a"], &["a"], &["b"]),
+            facts("B", &["b"], &["b"], &["a"]),
         ];
         let cycles = detect_cycles(&f);
         assert_eq!(cycles.len(), 1);
@@ -666,8 +636,8 @@ mod tests {
         // A writes a table B reads; B writes a table A reads; neither
         // write lands on a trigger-bearing table.
         let f = [
-            facts("A", &["a"], &["a", "rb"], Some(&["ra"])),
-            facts("B", &["b"], &["b", "ra"], Some(&["rb"])),
+            facts("A", &["a"], &["a", "rb"], &["ra"]),
+            facts("B", &["b"], &["b", "ra"], &["rb"]),
         ];
         let cycles = detect_cycles(&f);
         assert_eq!(cycles.len(), 1);
@@ -675,18 +645,12 @@ mod tests {
     }
 
     #[test]
-    fn opaque_groups_contribute_no_edges() {
-        let f = [facts("A", &["a"], &["a"], None)];
-        assert!(detect_cycles(&f).is_empty());
-    }
-
-    #[test]
     fn commutativity_matrix_classifies_pairs() {
         let f = [
-            facts("A", &["a"], &["a"], Some(&["log_a"])),
-            facts("B", &["b"], &["b"], Some(&["log_b"])),
-            facts("C", &["c"], &["c", "a"], Some(&["log_c"])),
-            facts("O", &["o"], &["o"], None),
+            facts("A", &["a"], &["a"], &["log_a"]),
+            facts("B", &["b"], &["b"], &["log_b"]),
+            facts("C", &["c"], &["c", "a"], &["log_c"]),
+            facts("D", &["d"], &["d"], &["log_a"]),
         ];
         let pairs = conflict_pairs(&f);
         assert_eq!(pairs.len(), 6);
@@ -701,6 +665,10 @@ mod tests {
             !find("A", "C").commutes,
             "A writes nothing C reads, but A's trigger table `a` is C's read"
         );
-        assert!(!find("A", "O").commutes, "opaque never commutes");
+        assert!(
+            !find("A", "D").commutes,
+            "A and D both write `log_a`: {:?}",
+            find("A", "D")
+        );
     }
 }

@@ -38,7 +38,9 @@
 //! cycle.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+
+use quark_relational::Latched;
 
 /// How one table is currently held.
 #[derive(Debug)]
@@ -74,22 +76,20 @@ impl LatchManager {
         Self::default()
     }
 
-    /// Block until every table in `write` is completely free and every
-    /// table in `read` has no exclusive holder — and no *older* parked
-    /// writer wants any of them (see the module docs' writer priority) —
-    /// then latch `write` tables exclusive and `read` tables shared, all
-    /// in one critical section.
+    /// Block until every table in `footprint`'s `write` set is completely
+    /// free and every table in its `read` set has no exclusive holder —
+    /// and no *older* parked writer wants any of them (see the module
+    /// docs' writer priority) — then latch `write` tables exclusive and
+    /// `read` tables shared, all in one critical section. The guard keeps
+    /// the `Arc`, not a copy of the sets.
     ///
     /// A table named in both sets is treated as `write` (the caller's
     /// footprint analysis keeps the sets disjoint, but exclusive must win
     /// if they ever overlap). Contention is reported on the returned
     /// guard: [`LatchGuard::contended`] is true if any wanted table was
     /// busy on arrival, [`LatchGuard::waits`] counts the blocking waits.
-    pub fn acquire<'a>(
-        &'a self,
-        read: &BTreeSet<String>,
-        write: &BTreeSet<String>,
-    ) -> LatchGuard<'a> {
+    pub fn acquire<'a>(&'a self, footprint: &Latched) -> LatchGuard<'a> {
+        let (write, read) = &**footprint;
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         let ticket = state.next_ticket;
         state.next_ticket += 1;
@@ -134,10 +134,7 @@ impl LatchManager {
         for t in write {
             state.held.insert(t.clone(), Hold::Exclusive);
         }
-        for t in read {
-            if write.contains(t) {
-                continue;
-            }
+        for t in shared_only(footprint) {
             match state.held.get_mut(t) {
                 Some(Hold::Shared(n)) => *n += 1,
                 _ => {
@@ -148,12 +145,7 @@ impl LatchManager {
         drop(state);
         LatchGuard {
             latches: self,
-            read: read
-                .iter()
-                .filter(|t| !write.contains(*t))
-                .cloned()
-                .collect(),
-            write: write.clone(),
+            footprint: Arc::clone(footprint),
             waits,
         }
     }
@@ -165,13 +157,19 @@ impl std::fmt::Debug for LatchManager {
     }
 }
 
+/// The tables of `footprint` latched shared: its `read` set less the
+/// tables it also writes.
+fn shared_only(footprint: &Latched) -> impl Iterator<Item = &String> {
+    let (write, read) = &**footprint;
+    read.iter().filter(move |t| !write.contains(*t))
+}
+
 /// Releases its tables and wakes all waiters on drop — including during a
 /// panic unwind, so a trigger body that panics mid-cascade cannot wedge
 /// other writers' footprints.
 pub struct LatchGuard<'a> {
     latches: &'a LatchManager,
-    read: BTreeSet<String>,
-    write: BTreeSet<String>,
+    footprint: Latched,
     waits: u64,
 }
 
@@ -188,22 +186,22 @@ impl LatchGuard<'_> {
 
     /// Tables held shared by this guard.
     pub fn shared_count(&self) -> u64 {
-        self.read.len() as u64
+        shared_only(&self.footprint).count() as u64
     }
 
     /// Tables held exclusive by this guard.
     pub fn exclusive_count(&self) -> u64 {
-        self.write.len() as u64
+        self.footprint.0.len() as u64
     }
 }
 
 impl Drop for LatchGuard<'_> {
     fn drop(&mut self) {
         let mut state = self.latches.state.lock().unwrap_or_else(|e| e.into_inner());
-        for t in &self.write {
+        for t in &self.footprint.0 {
             state.held.remove(t);
         }
-        for t in &self.read {
+        for t in shared_only(&self.footprint) {
             match state.held.get_mut(t) {
                 Some(Hold::Shared(n)) if *n > 1 => *n -= 1,
                 _ => {
@@ -228,11 +226,16 @@ mod tests {
         names.iter().map(|s| s.to_string()).collect()
     }
 
+    /// The footprint that reads `read` and writes `write`.
+    fn latched(read: &[&str], write: &[&str]) -> Latched {
+        Arc::new((set(write), set(read)))
+    }
+
     #[test]
     fn shared_holders_coexist() {
         let m = LatchManager::new();
-        let a = m.acquire(&set(&["t"]), &set(&[]));
-        let b = m.acquire(&set(&["t"]), &set(&[]));
+        let a = m.acquire(&latched(&["t"], &[]));
+        let b = m.acquire(&latched(&["t"], &[]));
         assert!(!a.contended());
         assert!(!b.contended());
         assert_eq!(a.shared_count(), 1);
@@ -242,13 +245,13 @@ mod tests {
     #[test]
     fn exclusive_blocks_until_readers_drain() {
         let m = Arc::new(LatchManager::new());
-        let reader = m.acquire(&set(&["t"]), &set(&[]));
+        let reader = m.acquire(&latched(&["t"], &[]));
         let writer_in = Arc::new(AtomicBool::new(false));
         let t = {
             let m = Arc::clone(&m);
             let flag = Arc::clone(&writer_in);
             thread::spawn(move || {
-                let g = m.acquire(&set(&[]), &set(&["t"]));
+                let g = m.acquire(&latched(&[], &["t"]));
                 flag.store(true, Ordering::SeqCst);
                 assert!(g.contended());
             })
@@ -271,7 +274,7 @@ mod tests {
         // writer, and admit the writer first once the original reader
         // drains.
         let m = Arc::new(LatchManager::new());
-        let first_reader = m.acquire(&set(&["hub"]), &set(&[]));
+        let first_reader = m.acquire(&latched(&["hub"], &[]));
         let writer_in = Arc::new(AtomicBool::new(false));
         let late_reader_in = Arc::new(AtomicBool::new(false));
         let writer = {
@@ -279,7 +282,7 @@ mod tests {
             let writer_in = Arc::clone(&writer_in);
             let late_reader_in = Arc::clone(&late_reader_in);
             thread::spawn(move || {
-                let g = m.acquire(&set(&[]), &set(&["hub"]));
+                let g = m.acquire(&latched(&[], &["hub"]));
                 assert!(
                     !late_reader_in.load(Ordering::SeqCst),
                     "a reader that arrived after the parked writer overtook it"
@@ -296,7 +299,7 @@ mod tests {
                 let writer_in = Arc::clone(&writer_in);
                 let late_reader_in = Arc::clone(&late_reader_in);
                 thread::spawn(move || {
-                    let _g = m.acquire(&set(&["hub"]), &set(&[]));
+                    let _g = m.acquire(&latched(&["hub"], &[]));
                     assert!(
                         writer_in.load(Ordering::SeqCst),
                         "late reader admitted before the older parked writer"
@@ -322,12 +325,12 @@ mod tests {
     #[test]
     fn overlapping_read_write_request_takes_exclusive() {
         let m = LatchManager::new();
-        let g = m.acquire(&set(&["t", "u"]), &set(&["t"]));
+        let g = m.acquire(&latched(&["t", "u"], &["t"]));
         assert_eq!(g.exclusive_count(), 1);
         assert_eq!(g.shared_count(), 1); // `u` only — `t` promoted to write
         drop(g);
         // Everything released: an exclusive take of both must not block.
-        let g2 = m.acquire(&set(&[]), &set(&["t", "u"]));
+        let g2 = m.acquire(&latched(&[], &["t", "u"]));
         assert!(!g2.contended());
     }
 
@@ -374,26 +377,28 @@ mod tests {
                                     read.insert(name);
                                 }
                             }
-                            let _g = mgr.acquire(&read, &write);
-                            for t in &write {
+                            let footprint: Latched = Arc::new((write, read));
+                            let _g = mgr.acquire(&footprint);
+                            let (write, read) = &*footprint;
+                            for t in write {
                                 let idx: usize = t[1..].parse().unwrap();
                                 // Odd while "writing": a second exclusive
                                 // holder or a concurrent reader would see it.
                                 let prev = cells[idx].fetch_add(1, Ordering::SeqCst);
                                 assert!(prev.is_multiple_of(2), "two exclusive holders on {t}");
                             }
-                            for t in &read {
+                            for t in read {
                                 let idx: usize = t[1..].parse().unwrap();
                                 let v = cells[idx].load(Ordering::SeqCst);
                                 assert!(v.is_multiple_of(2), "reader saw torn write on {t}");
                             }
                             std::thread::yield_now();
-                            for t in &read {
+                            for t in read {
                                 let idx: usize = t[1..].parse().unwrap();
                                 let v = cells[idx].load(Ordering::SeqCst);
                                 assert!(v.is_multiple_of(2), "reader saw torn write on {t}");
                             }
-                            for t in &write {
+                            for t in write {
                                 let idx: usize = t[1..].parse().unwrap();
                                 let prev = cells[idx].fetch_add(1, Ordering::SeqCst);
                                 assert!(prev % 2 == 1, "write counter desynced on {t}");

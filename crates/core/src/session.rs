@@ -45,10 +45,11 @@
 //!   constants tables, join build sides the firing only scans) latches
 //!   **shared**. Writers with disjoint write sets run in parallel even
 //!   when their read sets overlap; a writer mutating a table other
-//!   cascades read still serializes against them. A statement whose
-//!   cascade can reach an opaque body (a raw SQL trigger, or an action
-//!   registered without a declared write set) has no bounded footprint
-//!   and latches **every table exclusive** instead: it serializes against
+//!   cascades read still serializes against them. Every action declares
+//!   its write set (empty for [`Session::register_action`]), so only a
+//!   statement whose cascade can reach a raw SQL trigger — a closure
+//!   installed on the database directly — has no bounded footprint; it
+//!   latches **every table exclusive** instead and serializes against
 //!   every other writer, on the same path. Latch admission is
 //!   all-or-nothing — a writer waits holding *no* latches until its whole
 //!   footprint is admissible — so the hierarchy is deadlock-free by
@@ -535,11 +536,11 @@ impl Session {
     }
 
     /// Register an action function callable from trigger DO clauses
-    /// (delegates to [`Quark::register_action`]). The action's write set
-    /// is undeclared, so any DML whose cascade can reach it latches every
-    /// table and serializes against all other writers; declare the writes
-    /// with [`Session::register_action_with_writes`] to let such writers
-    /// run in parallel with disjoint ones.
+    /// (delegates to [`Quark::register_action`]). The action writes no
+    /// table, so DML whose cascade can reach it keeps its bounded footprint
+    /// and runs in parallel with disjoint writers; a table write from its
+    /// body fails the statement. An action that writes tables declares
+    /// them with [`Session::register_action_with_writes`].
     pub fn register_action(
         &self,
         name: impl Into<String>,
@@ -820,7 +821,7 @@ impl Session {
     /// [`CHECKPOINT_LOG_BYTES`] checkpoints once it has let its latches
     /// go. An unbounded footprint
     /// ([`Footprint::Global`]) latches **every table exclusive**, which
-    /// covers whatever an opaque body does: it only ever receives
+    /// covers whatever a raw SQL trigger's body does: it only ever receives
     /// `&Database`, and every catalog change needs `&mut` (i.e. global
     /// mode). All-or-nothing admission makes that writer drain and
     /// exclude every other one — exact single-writer semantics — and its
@@ -829,8 +830,7 @@ impl Session {
         let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
         let db = state.database();
         let footprint = self.footprint_of(&state, table);
-        let (write, read) = &*footprint;
-        let latch = self.shared.latches.acquire(read, write);
+        let latch = self.shared.latches.acquire(&footprint);
         if latch.contended() {
             db.bump(Counter::LatchConflicts, 1);
         }
@@ -848,7 +848,7 @@ impl Session {
         let outcome = db.statement(&footprint, || sql::execute_dml(db, stmt), log)?;
         // Only the write set can have changed, so only it is folded;
         // shared-latched read tables are untouched.
-        self.shared.commit_tables(&state, write);
+        self.shared.commit_tables(&state, &footprint.0);
         let log_full = log_is_full(&state);
         drop(latch);
         drop(state);

@@ -77,11 +77,11 @@ pub type ActionFn = Arc<dyn Fn(&Database, &ActionCall) -> Result<()> + Send + Sy
 #[derive(Clone)]
 struct ActionEntry {
     f: ActionFn,
-    /// Tables the action may write, if declared
-    /// ([`Quark::register_action_with_writes`]). `None` means the body is
-    /// opaque: any write whose cascade can reach this action has an
-    /// unbounded footprint ([`Footprint::Global`]).
-    writes: Option<BTreeSet<String>>,
+    /// Tables the action may write: empty for [`Quark::register_action`],
+    /// the declared set for [`Quark::register_action_with_writes`]. The
+    /// footprint of a write that can reach the action latches them
+    /// exclusive, and a write outside them fails its statement.
+    writes: BTreeSet<String>,
 }
 
 type ActionRegistry = Arc<Mutex<HashMap<String, ActionEntry>>>;
@@ -107,9 +107,10 @@ pub enum Footprint {
         /// Tables the cascade only scans while firing — latched shared.
         read: BTreeSet<String>,
     },
-    /// Not statically boundable: a raw SQL trigger (opaque body) or an
-    /// action without a declared write set is reachable, so the session
-    /// latches every table of the database exclusive for the write.
+    /// Not statically boundable: a raw SQL trigger — one installed on the
+    /// database directly, not generated for a trigger group — is
+    /// reachable, and its body may touch any table, so the session latches
+    /// every table of the database exclusive for the write.
     Global,
 }
 
@@ -143,22 +144,24 @@ struct Group {
 }
 
 impl Group {
-    /// Union of the member actions' declared write sets; `None` if any
-    /// member action is unregistered or undeclared (opaque). Distinct
-    /// action names first: a group's 10 000 members mostly share one
-    /// action, which then costs one registry lookup and one set union.
-    fn declared_writes(&self, actions: &HashMap<String, ActionEntry>) -> Option<BTreeSet<String>> {
+    /// Union of the member actions' declared write sets. An unregistered
+    /// action adds nothing: a firing that reaches it fails its statement,
+    /// and registering it is a global write, which drops every memoized
+    /// footprint. Distinct action names first: a group's 10 000 members
+    /// mostly share one action, which then costs one registry lookup and
+    /// one set union.
+    fn declared_writes(&self, actions: &HashMap<String, ActionEntry>) -> BTreeSet<String> {
         let members = self.members.lock().expect("members");
         let functions: BTreeSet<&str> = members
             .values()
             .flatten()
             .map(|m| m.function.as_str())
             .collect();
-        let mut writes = BTreeSet::new();
-        for function in functions {
-            writes.extend(actions.get(function)?.writes.as_ref()?.iter().cloned());
-        }
-        Some(writes)
+        functions
+            .into_iter()
+            .filter_map(|function| actions.get(function))
+            .flat_map(|entry| entry.writes.iter().cloned())
+            .collect()
     }
 }
 
@@ -376,46 +379,46 @@ impl Quark {
             .ok_or_else(|| Error::Plan(format!("view `{view}` has no element `{anchor}`")))
     }
 
-    /// Register an action function callable from trigger DO clauses.
-    /// Duplicate registrations are rejected with [`Error::ActionExists`]
-    /// (silently replacing a closure that installed triggers still
-    /// reference would change their behavior behind their back).
+    /// Register an action function callable from trigger DO clauses. The
+    /// action writes no table: it is [`Quark::register_action_with_writes`]
+    /// with an empty write set, so a write whose cascade can reach it keeps
+    /// a bounded [`Footprint`], and a table write from its body fails the
+    /// statement that fired it with `Error::OutsideFootprint`.
     pub fn register_action(
         &mut self,
         name: impl Into<String>,
         f: impl Fn(&Database, &ActionCall) -> Result<()> + Send + Sync + 'static,
     ) -> Result<()> {
-        self.insert_action(name.into(), Arc::new(f), None)
+        self.register_action_with_writes(name, [] as [&str; 0], f)
     }
 
-    /// Register an action that declares the tables it may write. Writes
-    /// whose cascades reach only declared actions keep a bounded
-    /// [`Footprint`] and can run in parallel with disjoint writers; an
-    /// undeclared action ([`Quark::register_action`]) makes such writes
-    /// latch every table instead. The declaration is enforced: a write
+    /// Register an action that declares the tables it may write. A write
+    /// whose cascade can reach the action latches them exclusive, on top
+    /// of its own [`Footprint`]. The declaration is enforced: a write
     /// outside it is refused with `Error::OutsideFootprint`, which fails
-    /// and undoes the statement that fired the action.
+    /// and undoes the statement that fired the action. Duplicate
+    /// registrations are rejected with [`Error::ActionExists`] (silently
+    /// replacing a closure that installed triggers still reference would
+    /// change their behavior behind their back).
     pub fn register_action_with_writes(
         &mut self,
         name: impl Into<String>,
         writes: impl IntoIterator<Item = impl Into<String>>,
         f: impl Fn(&Database, &ActionCall) -> Result<()> + Send + Sync + 'static,
     ) -> Result<()> {
-        let writes = writes.into_iter().map(Into::into).collect();
-        self.insert_action(name.into(), Arc::new(f), Some(writes))
-    }
-
-    fn insert_action(
-        &mut self,
-        name: String,
-        f: ActionFn,
-        writes: Option<BTreeSet<String>>,
-    ) -> Result<()> {
+        let name = name.into();
         let mut registry = self.actions.lock().expect("action registry");
         if registry.contains_key(&name) {
             return Err(Error::ActionExists(name));
         }
-        registry.insert(name, ActionEntry { f, writes });
+        let writes = writes.into_iter().map(Into::into).collect();
+        registry.insert(
+            name,
+            ActionEntry {
+                f: Arc::new(f),
+                writes,
+            },
+        );
         Ok(())
     }
 
@@ -664,11 +667,8 @@ impl Quark {
             "read footprint: {:?} (latched shared)",
             group.footprint
         );
-        let writes = match group.declared_writes(&self.actions.lock().expect("action registry")) {
-            Some(ws) => format!("{ws:?} (latched exclusive)"),
-            None => "global (member action has no declared write set)".to_string(),
-        };
-        let _ = writeln!(out, "write footprint: {writes}");
+        let writes = group.declared_writes(&self.actions.lock().expect("action registry"));
+        let _ = writeln!(out, "write footprint: {writes:?} (latched exclusive)");
         let _ = writeln!(out, "SQL triggers ({}):", group.sql_triggers.len());
         for t in &group.sql_triggers {
             let _ = writeln!(out, "  {} AFTER {} ON {}", t.name, t.event, t.table);
@@ -693,9 +693,8 @@ impl Quark {
     /// What a write to `target` can set off: every table the cascade can
     /// *mutate* — the target plus declared action write sets, chased
     /// because writes fire further triggers — and every group it can fire
-    /// on the way. `None` as soon as anything opaque is reachable: a raw SQL
-    /// trigger installed directly on the database (an arbitrary closure) or
-    /// a group with an undeclared member action.
+    /// on the way. `None` as soon as a raw SQL trigger — one installed
+    /// directly on the database, an arbitrary closure — is reachable.
     fn cascade_closure(&self, target: &str) -> Option<(BTreeSet<String>, Vec<&Group>)> {
         // Group-generated SQL triggers are transparent: map them back to
         // their groups. Anything else on a reachable table is opaque.
@@ -715,7 +714,7 @@ impl Quark {
             for trig in self.db.triggers().filter(|tr| tr.table == t) {
                 let group = *group_of.get(trig.name.as_str())?;
                 if reached.insert(&group.signature, group).is_none() {
-                    queue.extend(group.declared_writes(&actions)?);
+                    queue.extend(group.declared_writes(&actions));
                 }
             }
         }

@@ -22,7 +22,7 @@ use std::time::Duration;
 use common::catalog_path;
 use quark_core::relational::{Database, Event, SqlTrigger, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
-use quark_core::{Mode, Quark, Session, SessionPool, StatementResult, XmlView};
+use quark_core::{Footprint, Mode, Quark, Session, SessionPool, StatementResult, XmlView};
 use quark_xquery::XQueryFrontend;
 
 /// Number of statements the writer executes.
@@ -39,7 +39,8 @@ type Observation = (String, usize, usize, usize);
 /// the trigger's action inserts into `audit1`; SQL triggers chain the
 /// insert into `audit2` and then `audit3`. All three audits move *inside*
 /// the firing statement, so any mid-statement read would catch them out
-/// of step.
+/// of step. The action declares `audit1`; the raw chain triggers declare
+/// nothing, so a write to `vendor` has an unbounded footprint.
 fn cascade_system() -> Session {
     let db = product_vendor_db();
     let pg = catalog_path(&db);
@@ -70,7 +71,7 @@ fn cascade_system() -> Session {
         }
     }
     session
-        .register_action("audit", |db, _call| {
+        .register_action_with_writes("audit", ["audit1"], |db, _call| {
             let seq = db.table("audit1").map(|t| t.len()).unwrap_or(0) as i64;
             db.insert_row("audit1", vec![Value::Int(seq)])
         })
@@ -90,6 +91,7 @@ fn cascade_system() -> Session {
             ))
             .expect("xml trigger");
     }
+    assert_eq!(session.quark().write_footprint("vendor"), Footprint::Global);
     session
 }
 

@@ -24,7 +24,7 @@ use std::thread;
 
 use common::{all_modes, Log, CATALOG_VIEW, SETUP, TRIGGERS};
 use proptest::prelude::*;
-use quark_core::relational::{Database, Error, Row, Value};
+use quark_core::relational::{Database, Error, Event, Row, SqlTrigger, Value};
 use quark_core::session::CHECKPOINT_LOG_BYTES;
 use quark_core::storage::SyncMode;
 use quark_core::{Footprint, Mode, Session, SessionPool, StatementResult};
@@ -211,41 +211,42 @@ fn crashed_session_recovers_to_last_committed_boundary() {
     }
 }
 
-/// The opaque-action shape, as statements: a `watch` table behind a flat
-/// view whose trigger calls `audit` — an action registered *without* a
-/// declared write set (see [`arm_audit`]) that itself inserts into a
-/// second table. A write to `watch` therefore has an unbounded footprint.
+/// The opaque shape, as statements: a `watch` table whose raw SQL trigger
+/// (see [`arm_audit`]) inserts into a second table, `audit`. Nothing
+/// declares what a raw trigger's body touches, so a write to `watch` has
+/// an unbounded footprint.
 const WATCH_SETUP: &[&str] = &[
     "CREATE TABLE watch (id INT PRIMARY KEY, name TEXT, price DOUBLE)",
     "CREATE TABLE audit (seq INT PRIMARY KEY, trigger TEXT)",
     "INSERT INTO watch VALUES (0, 'w0', 1.0), (1, 'w1', 1.0), (2, 'w2', 1.0)",
-    r#"create view watched as {
-      <watched>{
-        for $w in view("default")/watch/row
-        return <item name={$w/name}><price>{$w/price}</price></item>
-      }</watched>
-    }"#,
 ];
 
-const WATCH_TRIGGER: &str =
-    "CREATE TRIGGER Audit AFTER Update ON view('watched')/item DO audit(NEW_NODE)";
-
-/// Register the opaque `audit` action: one `audit` row per firing, numbered
-/// by the table's size so a recovered system continues the sequence. It
-/// refuses a `watch` price above 1 000 — after writing its row, so a
-/// refused statement has a cascade write to roll back.
+/// Install the raw SQL trigger `audit` on `watch`: one `audit` row per
+/// updated `watch` row, numbered by the table's size so a recovered system
+/// continues the sequence. It refuses a `watch` price above 1 000 — after
+/// writing its rows, so a refused statement has a cascade write to roll
+/// back. Like an action closure, a raw trigger is process-local and must
+/// be installed again after every reopen.
 fn arm_audit(session: &Session) {
     session
-        .register_action("audit", |db, call| {
-            let seq = db.table("audit")?.len() as i64;
-            db.insert_row("audit", vec![Value::Int(seq), Value::str(&call.trigger)])?;
-            let limit = Value::Double(1000.0);
-            if db.table("watch")?.iter().any(|r| r[2] > limit) {
-                return Err(Error::Plan("audit: price above 1000".into()));
-            }
-            Ok(())
+        .database_mut()
+        .create_trigger(SqlTrigger {
+            name: "audit".into(),
+            table: "watch".into(),
+            event: Event::Update,
+            body: Arc::new(|db, trans| {
+                for _ in &trans.inserted {
+                    let seq = db.table("audit")?.len() as i64;
+                    db.insert_row("audit", vec![Value::Int(seq), Value::str("audit")])?;
+                }
+                let limit = Value::Double(1000.0);
+                if db.table("watch")?.iter().any(|r| r[2] > limit) {
+                    return Err(Error::Plan("audit: price above 1000".into()));
+                }
+                Ok(())
+            }),
         })
-        .expect("register audit");
+        .expect("install audit");
 }
 
 fn install_watch(session: &Session) {
@@ -253,7 +254,6 @@ fn install_watch(session: &Session) {
         session.execute(s).expect("watch setup");
     }
     arm_audit(session);
-    session.execute(WATCH_TRIGGER).expect("create trigger");
 }
 
 fn dump_watch(session: &Session) -> Vec<StatementResult> {
@@ -263,9 +263,9 @@ fn dump_watch(session: &Session) -> Vec<StatementResult> {
         .collect()
 }
 
-/// DML with an unbounded footprint commits like any other DML: through
-/// the WAL, never by checkpoint — and a crash recovers the statement's
-/// own rows *and* the rows its opaque action wrote.
+/// DML with an unbounded footprint — it fires a raw SQL trigger — commits
+/// like any other DML: through the WAL, never by checkpoint — and a crash
+/// recovers the statement's own rows *and* the rows the trigger wrote.
 #[test]
 fn opaque_action_dml_commits_through_the_wal_and_recovers() {
     const N: usize = 5;
@@ -940,10 +940,10 @@ enum Op {
     DropVendor(usize, usize),
     /// Rename product pid (cycling through a name pool).
     Rename(usize, usize),
-    /// Reprice watch row id: the opaque-action shape (see [`WATCH_SETUP`]).
+    /// Reprice watch row id: the opaque shape (see [`WATCH_SETUP`]).
     Watch(usize, u32),
-    /// Give watch row id a price above 1 000, which its cascade's `audit`
-    /// action refuses: the statement fails (see [`arm_audit`]).
+    /// Give watch row id a price above 1 000, which its raw `audit`
+    /// trigger refuses: the statement fails (see [`arm_audit`]).
     Fail(usize),
 }
 

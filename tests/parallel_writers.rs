@@ -4,19 +4,23 @@
 //! The contract under test (see README § Concurrency model): writers whose
 //! trigger footprints are pairwise disjoint run in parallel and produce a
 //! final state identical to *some* serial order of the same statements;
-//! writers with overlapping footprints serialize on the contended latches
-//! without losing updates; a writer with an unbounded footprint latches
-//! every table and so serializes against all of them, on the same path; a
-//! panic inside a trigger cascade — bounded footprint or not — must not
-//! wedge the system for other writers; and `Session::execute_batch`
-//! coalescing is semantically exact at statement-trigger granularity.
+//! an action registered with `register_action` writes no table, so its
+//! cascade never holds a disjoint writer up; writers with overlapping
+//! footprints serialize on the contended latches without losing updates;
+//! a writer with an unbounded footprint — one that can reach a raw SQL
+//! trigger — latches every table and so serializes against all of them,
+//! on the same path; a panic inside a trigger cascade — bounded footprint
+//! or not — must not wedge the system for other writers; and
+//! `Session::execute_batch` coalescing is semantically exact at
+//! statement-trigger granularity.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier, Mutex};
 use std::thread;
+use std::time::Duration;
 
 use quark_bench::{build_sharded, build_shared_read, ShardSpec};
-use quark_core::relational::{Database, Row, Value};
+use quark_core::relational::{Database, Event, Row, SqlTrigger, Value};
 use quark_core::{ActionCall, Footprint, Mode, Session, SessionPool, StatementResult};
 use quark_xquery::viewtree::{LevelSpec, TopBinding, ViewSpec};
 
@@ -95,27 +99,29 @@ fn disjoint_writers_match_serial_replay() {
 }
 
 /// The disjoint-shard corpus plus one **opaque** shard: table `mo`, whose
-/// trigger's action is registered without a write set and appends to
-/// `audito` after calling `gate` (inside the cascade, latches held).
+/// raw SQL trigger appends to `audito` after calling `gate` (inside the
+/// cascade, latches held). Nothing declares what a raw trigger's body
+/// touches, so a write to `mo` has an unbounded footprint.
 fn opaque_shard(session: &Session, gate: impl Fn() + Send + Sync + 'static) {
     session
         .execute("CREATE TABLE audito (seq INT PRIMARY KEY, trigger TEXT)")
         .expect("create audit table");
-    action_shard(session, "mo", false, move |db, call| {
+    raw_shard(session, "mo", move |db| {
         gate();
         let seq = db.table("audito")?.len() as i64;
-        db.insert_row("audito", vec![Value::Int(seq), Value::str(&call.trigger)])
+        db.insert_row("audito", vec![Value::Int(seq), Value::str("raw_mo")])
     });
     assert_eq!(session.quark().write_footprint("mo"), Footprint::Global);
 }
 
-/// A writer with an unbounded footprint runs on the same latched path as
-/// everyone else, holding *every* table exclusive: while its cascade is
+/// A writer with an unbounded footprint — its write fires a raw SQL
+/// trigger — runs on the same latched path as everyone else, holding
+/// *every* table exclusive: while its cascade is
 /// in flight no other writer — however disjoint — completes a statement,
 /// the waiters show up as latch conflicts, and since the shards are still
 /// disjoint in what they touch, the final state equals a serial replay
-/// with no update or firing lost. The opaque cascade's table accesses
-/// are checked against its scope, the whole table set.
+/// with no update or firing lost. The raw trigger's table accesses are
+/// checked against its scope, the whole table set.
 #[test]
 fn opaque_shard_serializes_against_disjoint_writers_and_matches_serial_replay() {
     const WRITERS: usize = 3;
@@ -363,17 +369,8 @@ fn overlapping_writers_serialize_without_losing_updates() {
     );
 }
 
-/// A one-table shard `name` (a `hot` and a `cold` row) behind a flat view,
-/// whose trigger on the hot row calls `body`. `declared` picks the shape
-/// of the footprint: a declared (empty) write set keeps it bounded, so
-/// the writer latches its own tables only; an undeclared action makes it
-/// unbounded, so the writer latches every table.
-fn action_shard(
-    session: &Session,
-    name: &str,
-    declared: bool,
-    body: impl Fn(&Database, &ActionCall) -> quark_core::relational::Result<()> + Send + Sync + 'static,
-) {
+/// A one-table shard `name`: a `hot` and a `cold` row.
+fn shard_table(session: &Session, name: &str) {
     session
         .execute(&format!(
             "CREATE TABLE {name} (id INT PRIMARY KEY, name TEXT, price DOUBLE)"
@@ -384,6 +381,38 @@ fn action_shard(
             "INSERT INTO {name} VALUES (0, 'hot', 1.0), (1, 'cold', 2.0)"
         ))
         .expect("seed rows");
+}
+
+/// A [`shard_table`] whose raw SQL trigger runs `body` after every
+/// `UPDATE`: the footprint of a write to it is unbounded, so the writer
+/// latches every table.
+fn raw_shard(
+    session: &Session,
+    name: &str,
+    body: impl Fn(&Database) -> quark_core::relational::Result<()> + Send + Sync + 'static,
+) {
+    shard_table(session, name);
+    session
+        .database_mut()
+        .create_trigger(SqlTrigger {
+            name: format!("raw_{name}"),
+            table: name.into(),
+            event: Event::Update,
+            body: Arc::new(move |db, _| body(db)),
+        })
+        .expect("raw trigger");
+}
+
+/// A [`shard_table`] behind a flat view, whose trigger on the hot row
+/// calls `body`, registered with `register_action`: it writes no table, so
+/// the footprint of a write to the shard is bounded and the writer
+/// latches its own tables only.
+fn action_shard(
+    session: &Session,
+    name: &str,
+    body: impl Fn(&Database, &ActionCall) -> quark_core::relational::Result<()> + Send + Sync + 'static,
+) {
+    shard_table(session, name);
     let view = ViewSpec {
         name: format!("v_{name}"),
         root_element: "doc".into(),
@@ -401,15 +430,9 @@ fn action_shard(
     let xml_view = view.build(&session.database()).expect("build view");
     session.quark_mut().register_view(xml_view);
     let action = format!("act_{name}");
-    if declared {
-        session
-            .register_action_with_writes(action.clone(), Vec::<String>::new(), body)
-            .expect("register declared action");
-    } else {
-        session
-            .register_action(action.clone(), body)
-            .expect("register action");
-    }
+    session
+        .register_action(action.clone(), body)
+        .expect("register action");
     session
         .execute(&format!(
             "create trigger tg_{name} after update on view('v_{name}')/item \
@@ -423,18 +446,80 @@ fn action_shard(
 fn panicky_shard(
     session: &Session,
     name: &str,
-    declared: bool,
     panic_flag: Arc<AtomicBool>,
     log: Arc<Mutex<Vec<String>>>,
 ) {
     let tag = name.to_string();
-    action_shard(session, name, declared, move |_db, _call| {
+    action_shard(session, name, move |_db, _call| {
         if panic_flag.load(Ordering::SeqCst) {
             panic!("injected cascade panic in {tag}");
         }
         log.lock().expect("log").push(tag.clone());
         Ok(())
     });
+}
+
+/// An action registered with `register_action` declares an empty write
+/// set, so its cascade holds only its own shard's latches: while writer
+/// A's action is parked inside its cascade, a writer on a disjoint view
+/// still completes. The bound is a 5 s channel timeout, not a wall-clock
+/// assertion.
+#[test]
+fn default_action_parked_in_its_cascade_admits_a_disjoint_writer() {
+    let session = quark_xquery::session(Default::default(), Mode::Grouped);
+    let (inside_tx, inside_rx) = mpsc::channel();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let park = Mutex::new(Some((inside_tx, release_rx)));
+    action_shard(&session, "da", move |_db, _call| {
+        if let Some((inside, release)) = park.lock().expect("gate").take() {
+            inside.send(()).expect("report in");
+            release.recv().expect("released");
+        }
+        Ok(())
+    });
+    action_shard(&session, "db", |_db, _call| Ok(()));
+    for name in ["da", "db"] {
+        let footprint = session.quark().write_footprint(name);
+        assert!(
+            matches!(&footprint, Footprint::Tables { write, .. } if write.len() == 1),
+            "`{name}`: {footprint:?}"
+        );
+    }
+    let pool = SessionPool::new(session);
+
+    let parked = {
+        let session = pool.session();
+        thread::spawn(move || {
+            session
+                .execute("UPDATE da SET price = 9.0 WHERE id = 0")
+                .expect("parked write")
+        })
+    };
+    inside_rx.recv().expect("da's cascade in flight");
+    let (done_tx, done_rx) = mpsc::channel();
+    let disjoint = {
+        let session = pool.session();
+        thread::spawn(move || {
+            let result = session.execute("UPDATE db SET price = 9.0 WHERE id = 0");
+            done_tx.send(result).expect("report done");
+        })
+    };
+    let result = done_rx.recv_timeout(Duration::from_secs(5));
+    release_tx.send(()).expect("release da's cascade");
+    let result = result.expect("a disjoint writer waited on a parked default action");
+    assert_eq!(
+        result.expect("disjoint write"),
+        StatementResult::RowsAffected(1)
+    );
+    disjoint.join().expect("disjoint writer");
+    assert_eq!(
+        parked.join().expect("parked writer"),
+        StatementResult::RowsAffected(1)
+    );
+    let session = pool.session();
+    let stats = session.quark().stats();
+    assert_eq!(stats.latch_conflicts, 0, "{stats:?}");
+    assert_eq!(stats.footprint_violations, 0, "{stats:?}");
 }
 
 /// A panic inside a *latched* cascade (bounded footprint, shared lock
@@ -447,11 +532,10 @@ fn panicking_latched_cascade_does_not_wedge_other_writers() {
     let session = quark_xquery::session(Default::default(), Mode::Grouped);
     let flag = Arc::new(AtomicBool::new(false));
     let log = Arc::new(Mutex::new(Vec::new()));
-    panicky_shard(&session, "pa", true, Arc::clone(&flag), Arc::clone(&log));
+    panicky_shard(&session, "pa", Arc::clone(&flag), Arc::clone(&log));
     panicky_shard(
         &session,
         "pb",
-        true,
         Arc::new(AtomicBool::new(false)),
         Arc::clone(&log),
     );
@@ -488,8 +572,8 @@ fn panicking_latched_cascade_does_not_wedge_other_writers() {
     assert_eq!(rows[0][0], Value::Double(4.0));
 }
 
-/// A panic inside an *unbounded* cascade — every table latched exclusive
-/// under the shared level-1 lock — unwinds through the latch guard like
+/// A panic inside an *unbounded* cascade — a raw SQL trigger's, every
+/// table latched exclusive under the shared level-1 lock — unwinds through the latch guard like
 /// any other latched writer's: all the latches come back, nothing is
 /// poisoned (a shared `RwLock` guard does not poison), and the system
 /// keeps accepting statements, reads included.
@@ -498,8 +582,16 @@ fn panicking_unbounded_cascade_releases_every_latch() {
     let session = quark_xquery::session(Default::default(), Mode::Grouped);
     let flag = Arc::new(AtomicBool::new(false));
     let log = Arc::new(Mutex::new(Vec::new()));
-    // Undeclared action ⇒ unbounded footprint ⇒ every table latched.
-    panicky_shard(&session, "pg", false, Arc::clone(&flag), Arc::clone(&log));
+    // Raw SQL trigger ⇒ unbounded footprint ⇒ every table latched.
+    let (panic_flag, sink) = (Arc::clone(&flag), Arc::clone(&log));
+    raw_shard(&session, "pg", move |_db| {
+        if panic_flag.load(Ordering::SeqCst) {
+            panic!("injected cascade panic in pg");
+        }
+        sink.lock().expect("log").push("pg".to_string());
+        Ok(())
+    });
+    assert_eq!(session.quark().write_footprint("pg"), Footprint::Global);
     let pool = SessionPool::new(session);
 
     flag.store(true, Ordering::SeqCst);

@@ -186,12 +186,12 @@ fn explain_variant_renders_translation_artifacts() {
     assert!(text.contains("__quark_g"), "{text}");
     assert!(text.contains("TransitionScan"), "{text}");
     // The declared latch footprint is part of the rendering: the read set
-    // covers the view's base tables, and `notify` is registered without a
-    // declared write set, so the write side reports global.
+    // covers the view's base tables, and `notify` is registered with
+    // `register_action`, which declares that it writes nothing.
     assert!(text.contains("read footprint: {"), "{text}");
     assert!(text.contains("\"product\""), "{text}");
     assert!(
-        text.contains("write footprint: global (member action has no declared write set)"),
+        text.contains("write footprint: {} (latched exclusive)"),
         "{text}"
     );
     // Unknown triggers are a Db error.

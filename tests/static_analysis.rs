@@ -244,30 +244,30 @@ fn stats_expose_the_violation_counter() {
 // analyzer's independent recomputation.
 // ---------------------------------------------------------------------
 
-/// An action registered without a declared write set is opaque: the latch
-/// analysis must degrade to global mode, and the analyzer must agree
-/// (warning, not error — both sides serialize).
+/// An action registered with `register_action` writes no table: a write
+/// that can fire it keeps a bounded footprint — its target exclusive, the
+/// group's reads shared — and the analyzer agrees, with no warning.
 #[test]
-fn opaque_action_degrades_to_global_and_analyzer_agrees() {
+fn default_action_keeps_a_bounded_footprint_and_no_warning() {
     let session = quark_xquery::session(quark_core::relational::Database::new(), Mode::Grouped);
     create_table(&session, "src");
     register_flat_view(&session, "v", "src");
-    session.register_action("opaque", |_, _| Ok(())).unwrap();
+    session.register_action("notify", |_, _| Ok(())).unwrap();
     session
         .execute(
             "create trigger T after update on view('v')/item \
-             where OLD_NODE/@name = 'src_0' do opaque(NEW_NODE)",
+             where OLD_NODE/@name = 'src_0' do notify(NEW_NODE)",
         )
         .unwrap();
-    assert_eq!(session.quark().write_footprint("src"), Footprint::Global);
+    let footprint = session.quark().write_footprint("src");
+    let Footprint::Tables { write, .. } = &footprint else {
+        panic!("unbounded: {footprint:?}")
+    };
+    assert_eq!(write, &["src".to_string()].into());
     let report = analyze(&session);
     assert_eq!(report.errors, 0, "{}", report.text);
-    assert!(report.warnings >= 1, "{}", report.text);
-    assert!(
-        report.text.contains("no declared write set"),
-        "{}",
-        report.text
-    );
+    assert_eq!(report.warnings, 0, "{}", report.text);
+    assert!(report.text.contains("writes {}"), "{}", report.text);
 }
 
 /// A raw SQL trigger installed directly on the database is an arbitrary
@@ -497,23 +497,26 @@ fn under_declared_action_write_is_caught_by_the_runtime_oracle() {
     assert!(rows.is_empty(), "{rows:?}");
 }
 
-/// An unbounded statement's scope is every table that *exists*. A body
-/// probing one that does not gets `UnknownTable`, as it always did — not a
-/// violation: nothing can be raced on a table that is not there.
+/// An unbounded statement's scope is every table that *exists*. A raw SQL
+/// trigger probing one that does not gets `UnknownTable`, as it always did
+/// — not a violation: nothing can be raced on a table that is not there.
 #[test]
 fn opaque_body_probing_a_missing_table_is_an_error_not_a_violation() {
     let session = quark_xquery::session(quark_core::relational::Database::new(), Mode::Grouped);
     create_table(&session, "src");
-    register_flat_view(&session, "v", "src");
     session
-        .register_action("probe", |db, _| db.table("nowhere").map(|_| ()))
+        .database_mut()
+        .create_trigger(SqlTrigger {
+            name: "probe".into(),
+            table: "src".into(),
+            event: Event::Update,
+            body: Arc::new(|db, _| db.table("nowhere").map(|_| ())),
+        })
         .unwrap();
-    session
-        .execute("create trigger P after update on view('v')/item do probe(NEW_NODE)")
-        .unwrap();
+    assert_eq!(session.quark().write_footprint("src"), Footprint::Global);
     let err = session
         .execute("UPDATE src SET price = 2.0 WHERE id = 0")
-        .expect_err("the action's probe fails");
+        .expect_err("the trigger's probe fails");
     assert!(err.to_string().contains("nowhere"), "{err}");
     assert_eq!(session.database().stats().footprint_violations, 0);
 }

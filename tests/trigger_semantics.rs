@@ -14,7 +14,9 @@ use quark_core::relational::{Database, Error, Row, Value};
 use quark_core::storage::SyncMode;
 use quark_core::xqgm::fixtures::{minprice_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
-use quark_core::{Mode, PathGraph, Quark, Session, StatementError, StatementResult, XmlView};
+use quark_core::{
+    ActionCall, Mode, PathGraph, Quark, Session, StatementError, StatementResult, XmlView,
+};
 use quark_xquery::XQueryFrontend;
 
 fn minprice_system(mode: Mode) -> (Session, Log) {
@@ -793,11 +795,16 @@ fn failed_statement_leaves_no_trace() {
 /// footprint (write `vendor`, read `product` and the constants table) —
 /// and its statement fails and is undone: no `audit` row, the old price,
 /// one violation counted. Durably, the WAL does not grow and a reopen
-/// without `close` shows the pre-statement state.
+/// without `close` shows the pre-statement state. `register_action`
+/// declares the same empty write set as `register_action_with_writes`
+/// with none, so both arms are refused alike.
 #[test]
 fn a_write_outside_the_declared_footprint_fails_the_statement() {
     let dir = std::env::temp_dir().join(format!("quark-outside-footprint-{}", std::process::id()));
-    for durable in [false, true] {
+    let arms = [false, true]
+        .into_iter()
+        .flat_map(|d| [(d, false), (d, true)]);
+    for (durable, default) in arms {
         let _ = std::fs::remove_dir_all(&dir);
         let session = if durable {
             quark_xquery::open_session_with(&dir, Mode::Grouped, SyncMode::Never).unwrap()
@@ -811,11 +818,15 @@ fn a_write_outside_the_declared_footprint_fails_the_statement() {
         session
             .execute("CREATE TABLE audit (n INT PRIMARY KEY)")
             .unwrap();
-        session
-            .register_action_with_writes("sneaky", [] as [&str; 0], |db, _call| {
-                db.insert_row("audit", vec![Value::Int(1)])
-            })
-            .unwrap();
+        let sneaky =
+            |db: &Database, _call: &ActionCall| db.insert_row("audit", vec![Value::Int(1)]);
+        if default {
+            session.register_action("sneaky", sneaky).unwrap();
+        } else {
+            session
+                .register_action_with_writes("sneaky", [] as [&str; 0], sneaky)
+                .unwrap();
+        }
         session
             .execute(
                 "CREATE TRIGGER Sneak AFTER Update ON view('catalog')/product DO sneaky(NEW_NODE)",
@@ -833,18 +844,19 @@ fn a_write_outside_the_declared_footprint_fails_the_statement() {
             table: "audit".into(),
             write: true,
         };
-        assert_eq!(err, StatementError::Db(refused), "durable: {durable}");
-        assert_eq!(tables(&session), before, "durable: {durable}");
+        let at = format!("durable: {durable}, register_action: {default}");
+        assert_eq!(err, StatementError::Db(refused), "{at}");
+        assert_eq!(tables(&session), before, "{at}");
         assert!(session.database().table("audit").unwrap().is_empty());
         assert_eq!(session.database().stats().footprint_violations, 1);
         let wal_after = session.quark().stats().wal_bytes_written;
-        assert_eq!(wal_after, wal_before, "durable: {durable}");
+        assert_eq!(wal_after, wal_before, "{at}");
         drop(session); // crash: no close, no final checkpoint
 
         if durable {
             let session =
                 quark_xquery::open_session_with(&dir, Mode::Grouped, SyncMode::Never).unwrap();
-            assert_eq!(tables(&session), before, "reopened");
+            assert_eq!(tables(&session), before, "reopened, {at}");
         }
     }
     let _ = std::fs::remove_dir_all(&dir);
