@@ -5,11 +5,11 @@
 //!   statement (no translation, no affected-key computation). Its cost
 //!   grows with the database, which is the paper's motivation for the
 //!   unmaterialized architecture.
-//! * Option toggles on the translated system (injective-check elision,
-//!   skeleton sides) are exercised through
-//!   [`quark_core::Quark::set_options`] by the harness. Switching skeletons
-//!   off makes the OLD/NEW node sides full; the affected-key graphs stay
-//!   on the skeleton, because they need only keys.
+//!
+//! The translated system has no option toggles: its one setting is the
+//! [`Mode`], so the harness compares GROUPED with GROUPED-AGG by building
+//! the same workload in each mode. Skeleton sides and the injective
+//! guard elision apply wherever the view and the trigger's needs allow.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};

@@ -21,7 +21,7 @@
 
 use std::time::{Duration, Instant};
 
-use quark_bench::{build, trigger_statement, watched_name, WorkloadSpec};
+use quark_bench::{build, WorkloadSpec};
 use quark_core::Mode;
 
 struct Args {
@@ -614,8 +614,8 @@ fn reopen_probe(dir: &str) {
     println!("{reopen} {kib}");
 }
 
-/// Repository ablations: the §1 materialization strawman, and the
-/// Appendix-F optimizations toggled off.
+/// Repository ablations: the §1 materialization strawman, and GROUPED
+/// against GROUPED-AGG on the same workload.
 fn ablations(args: &Args, report: &mut Report) {
     let mut spec = base_spec(args, Mode::GroupedAgg);
     spec.full_action = false;
@@ -644,61 +644,19 @@ fn ablations(args: &Args, report: &mut Report) {
         report.push("ablations", "GROUPED-AGG", "leaves", n as f64, ms(avg));
     }
 
-    // Appendix-F toggles: injective elision + skeletons off.
+    // GROUPED vs GROUPED-AGG: the one switch the mode leaves, old-aggregate
+    // compensation (§5.2).
     println!("\n{:<34} {:>16}", "variant", "avg/update (ms)");
-    type Variant<'a> = (&'a str, Box<dyn Fn(&mut quark_core::AnOptions)>);
-    let variants: Vec<Variant> = vec![
-        ("all optimizations (GROUPED-AGG)", Box::new(|_| {})),
-        (
-            "no agg compensation (GROUPED)",
-            Box::new(|o| o.agg_compensation = false),
-        ),
-        (
-            "no skeletons (full old/new sides)",
-            Box::new(|o| {
-                o.agg_compensation = false;
-                o.use_skeletons = false;
-            }),
-        ),
-        (
-            "no injective elision",
-            Box::new(|o| {
-                o.agg_compensation = false;
-                o.use_skeletons = false;
-                o.injective_opt = false;
-            }),
-        ),
+    let variants = [
+        ("all optimizations (GROUPED-AGG)", Mode::GroupedAgg),
+        ("no agg compensation (GROUPED)", Mode::Grouped),
     ];
-    for (i, (name, tweak)) in variants.into_iter().enumerate() {
+    for (i, (name, mode)) in variants.into_iter().enumerate() {
         let mut s = spec;
-        s.mode = Mode::GroupedAgg;
-        // Build with default options, then adjust before installing
-        // triggers: rebuild with the tweak applied via a custom path.
-        let mut w = build_with_options(s, &tweak);
+        s.mode = mode;
+        let mut w = build(s).expect("workload");
         let avg = w.measure(args.updates).expect("measure");
         println!("{name:<34} {:>16.3}", ms(avg));
         report.push("ablations", name.to_string(), "variant", i as f64, ms(avg));
     }
-}
-
-/// Build a workload with modified translation options. Options must be in
-/// place before triggers are created, so install the trigger set through
-/// the session after tweaking.
-fn build_with_options(
-    spec: WorkloadSpec,
-    tweak: &dyn Fn(&mut quark_core::AnOptions),
-) -> quark_bench::Workload {
-    let mut zero = spec;
-    zero.triggers = 0;
-    zero.satisfied = 0;
-    let w = build(zero).expect("workload");
-    let mut options = w.session.quark().options();
-    tweak(&mut options);
-    w.session.quark_mut().set_options(options);
-    // Install the real triggers now that options are set.
-    for i in 0..spec.triggers {
-        let stmt = trigger_statement(&format!("ab_{i}"), &watched_name(&spec, i));
-        w.session.execute(&stmt).expect("trigger");
-    }
-    w
 }

@@ -120,8 +120,8 @@ fn table_name(i: usize) -> String {
 }
 
 /// The `CREATE TRIGGER` statement for bench trigger `name` watching
-/// `watched` (shared with the ablation harness so both install identical
-/// triggers).
+/// `watched` (shared with the `quarkbench` load generator so both install
+/// identical triggers).
 pub fn trigger_statement(name: &str, watched: &str) -> String {
     format!(
         "create trigger {name} after update on view('bench')/e0 \

@@ -44,29 +44,7 @@ use quark_xqgm::{AggCompensation, Compiler, Driver, Graph, KeyedGraph, OpId, OpK
 use crate::akgraph::{create_ak_graph, AkResult, AkSide};
 use crate::inject::{is_injective, skeleton, SkeletonMap};
 use crate::spec::{PathGraph, XmlEvent};
-
-/// Translation options (which paper optimizations are active).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AnOptions {
-    /// Elide the `OLD ≠ NEW` check for injective views (Theorem 3).
-    pub injective_opt: bool,
-    /// Evaluate skeleton graphs for sides whose node value is unused and
-    /// for anti-join partner sides. (The affected-key graphs use the
-    /// skeleton under every setting: they need only keys.)
-    pub use_skeletons: bool,
-    /// GROUPED-AGG: compensate old aggregates from new ones (§5.2).
-    pub agg_compensation: bool,
-}
-
-impl Default for AnOptions {
-    fn default() -> Self {
-        AnOptions {
-            injective_opt: true,
-            use_skeletons: true,
-            agg_compensation: true,
-        }
-    }
-}
+use crate::system::Mode;
 
 /// What each side of the affected-node pair must supply.
 #[derive(Debug, Clone, Copy, Default)]
@@ -119,14 +97,15 @@ struct SidePlan {
     attr_cols: HashMap<String, usize>,
 }
 
-/// Build the affected-node plan. Returns `None` when `table` cannot affect
-/// the path graph at all.
+/// Build the affected-node plan under translation mode `mode`: only
+/// [`Mode::GroupedAgg`] changes it, by compensating old aggregates.
+/// Returns `None` when `table` cannot affect the path graph at all.
 pub fn build_affected(
     pg: &mut PathGraph,
     table: &str,
     event: XmlEvent,
     needs: Needs,
-    opts: AnOptions,
+    mode: Mode,
     db: &Database,
 ) -> Result<Option<AffectedNodePlan>> {
     let root = pg.root;
@@ -139,9 +118,7 @@ pub fn build_affected(
     // an anti-join partner (INSERT's OLD, DELETE's NEW side) reads only
     // keys, whatever the trigger reads.
     let may_skel = |side: SideNeeds, partner: bool| {
-        opts.use_skeletons
-            && (partner
-                || !side.node && (event != XmlEvent::Update || (injective && opts.injective_opt)))
+        partner || !side.node && (event != XmlEvent::Update || injective)
     };
     let may_skel_old = may_skel(needs.old, event == XmlEvent::Insert);
     let may_skel_new = may_skel(needs.new, event == XmlEvent::Delete);
@@ -155,7 +132,7 @@ pub fn build_affected(
         .map(|(skel_root, _)| pg.kg.old_version_mapped(*skel_root, table));
 
     let recipes = match &skel_old {
-        Some((_, mirror)) if opts.agg_compensation && (may_skel_old || may_skel_new) => {
+        Some((_, mirror)) if mode == Mode::GroupedAgg && (may_skel_old || may_skel_new) => {
             compensation_recipes(&mut pg.kg, mirror, table)
         }
         _ => Vec::new(),
@@ -200,13 +177,7 @@ pub fn build_affected(
     let new_side = build_side(&mut compiler, pg, root, new_skel, &key, &driver, db)?;
     let old_side = build_side(&mut compiler, pg, old_root, old_skel, &key, &driver, db)?;
 
-    Ok(Some(assemble(
-        event,
-        new_side,
-        old_side,
-        &key,
-        injective && opts.injective_opt,
-    )))
+    Ok(Some(assemble(event, new_side, old_side, &key, injective)))
 }
 
 /// The Δ and ∇ affected keys, each with the root it ran over (`None`: the
@@ -872,8 +843,8 @@ mod tests {
                         old: SideNeeds { node: old_node },
                         new: SideNeeds { node: true },
                     };
-                    let opts = AnOptions::default();
-                    let affected = build_affected(&mut pg.clone(), table, event, needs, opts, &db)
+                    let mode = Mode::GroupedAgg;
+                    let affected = build_affected(&mut pg.clone(), table, event, needs, mode, &db)
                         .unwrap()
                         .expect("table affects the view");
                     text += &affected.plan.explain();

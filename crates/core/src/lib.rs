@@ -38,7 +38,7 @@ pub mod spec;
 pub mod system;
 pub mod tagger;
 
-pub use angraph::{AnOptions, Needs, SideNeeds};
+pub use angraph::{Needs, SideNeeds};
 pub use condition::{CondValue, Condition, NodePath, NodeRef, Step};
 pub use latch::{LatchGuard, LatchManager};
 pub use session::{

@@ -4,7 +4,7 @@
 //! impls below, over the one codec in [`quark_relational::wire`] (its
 //! module docs state the rules every format follows).
 //!
-//! What round-trips: the translation mode and options, every registered
+//! What round-trips: the translation mode, every registered
 //! view (anchor path graphs via [`quark_xqgm::wire`]), every trigger group
 //! — constants sets, members, and the generated SQL triggers with their
 //! compiled plans — and the XML-trigger registry. Each group's plans are
@@ -32,7 +32,6 @@ use quark_relational::wire::{Dec, Decode, Enc, Encode, WireTag};
 use quark_relational::{Error, Result, Value};
 use quark_xqgm::wire::{decode_graph, encode_graph};
 
-use crate::angraph::AnOptions;
 use crate::condition::{CondValue, Condition, NodePath, NodeRef, Step};
 use crate::events::SourceEvent;
 use crate::session::ObjectKind;
@@ -42,7 +41,7 @@ use super::{Group, Member, Mode, Quark, SqlTriggerMeta, TriggerRecord};
 
 /// Blob format version; bumped on any layout change. A blob of any other
 /// version is refused by name: no reader of an older layout is kept.
-const VERSION: u8 = 2;
+const VERSION: u8 = 3;
 
 fn bad(msg: &str) -> Error {
     Error::Storage(format!("core decode: {msg}"))
@@ -420,10 +419,6 @@ pub(crate) fn encode_core(q: &Quark) -> Result<Vec<u8>> {
     let mut enc = Enc::new();
     enc.u8(VERSION);
     enc.tag(q.mode);
-    let o = q.options;
-    enc.bool(o.injective_opt);
-    enc.bool(o.use_skeletons);
-    enc.bool(o.agg_compensation);
     enc.u64(q.group_counter as u64);
     enc.put(&by_name(&q.views));
     enc.put(&by_name(&q.groups));
@@ -441,11 +436,6 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
         return Err(bad(&format!("unsupported core-blob version {version}")));
     }
     q.mode = dec.tag()?;
-    q.options = AnOptions {
-        injective_opt: dec.bool()?,
-        use_skeletons: dec.bool()?,
-        agg_compensation: dec.bool()?,
-    };
     q.group_counter = dec.u64()? as usize;
 
     let db = &q.db;
@@ -557,7 +547,6 @@ mod tests {
         let q2 = reopen(&q, &blob);
         // Persisted mode wins over the open-time seed.
         assert_eq!(q2.mode(), Mode::Grouped);
-        assert_eq!(q2.options(), q.options());
         assert_eq!(q2.xml_trigger_count(), 2);
         assert_eq!(q2.group_count(), 1);
         assert_eq!(q2.sql_trigger_count(), q.sql_trigger_count());
@@ -600,12 +589,13 @@ mod tests {
         // plans run and fire as they did.
         assert_eq!(
             (blob_a.len(), quark_storage::crc::crc32(&blob_a)),
-            (27_537, 0x63ce_435f),
+            (27_534, 0xfefa_b230),
             "core blob bytes changed"
         );
     }
 
-    /// Any version byte but [`VERSION`] is refused by name, 1 included.
+    /// Any version byte but [`VERSION`] is refused by name: 1 and 2, the
+    /// retired layouts, included.
     #[test]
     fn unknown_version_is_rejected() {
         let q = demo();
@@ -614,7 +604,7 @@ mod tests {
         for name in names {
             db.drop_trigger(&name).unwrap();
         }
-        for version in [1, 99] {
+        for version in [1, 2, 99] {
             let mut blob = encode_core(&q).unwrap();
             blob[0] = version;
             let mut q2 = Quark::new(db.clone(), Mode::Grouped);
@@ -630,8 +620,8 @@ mod tests {
     fn oversized_counts_are_refused_before_reserving() {
         let q = demo();
         let blob = encode_core(&q).unwrap();
-        // version, mode, three option flags, the 8-byte group counter.
-        let views = 1 + 1 + 3 + 8;
+        // version, mode, the 8-byte group counter.
+        let views = 1 + 1 + 8;
         let anchors = views + 4 + 4 + "catalog".len();
         for count in [views, anchors] {
             let mut blob = blob.clone();

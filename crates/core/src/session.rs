@@ -495,8 +495,8 @@ impl Session {
     }
 
     /// Mutable access to the underlying system — the programmatic escape
-    /// hatch for fixture views ([`Quark::register_view`]) and translation
-    /// options; statements should go through [`Session::execute`]. Holds
+    /// hatch for fixture views ([`Quark::register_view`]); statements
+    /// should go through [`Session::execute`]. Holds
     /// the write lock for the guard's lifetime and invalidates the read
     /// snapshot when dropped.
     pub fn quark_mut(&self) -> QuarkWrite<'_> {
@@ -570,8 +570,9 @@ impl Session {
     /// A global commit is also the durable commit point for everything the
     /// write-ahead log does not cover: when a storage engine is attached,
     /// the whole system (schema, data, views, trigger groups) is
-    /// checkpointed before the call returns, and the WAL is truncated. Global writes are rare, so paying a full checkpoint
-    /// keeps the recovery protocol redo-only over base-table DML.
+    /// checkpointed before the call returns, and the WAL is truncated.
+    /// Global writes are rare, so paying a full checkpoint keeps the
+    /// recovery protocol redo-only over base-table DML.
     fn with_write<R>(&self, f: impl FnOnce(&mut Quark) -> R) -> Result<R, Error> {
         let mut guard = self.shared.state.write().unwrap_or_else(|e| e.into_inner());
         let out = f(&mut guard);

@@ -26,7 +26,6 @@ use quark_relational::expr::Expr;
 use quark_relational::plan::PlanRef;
 use quark_relational::{Database, Error, Result, Value};
 
-use crate::angraph::AnOptions;
 use crate::condition::Condition;
 use crate::events::SourceEvent;
 use crate::spec::{ActionParam, PathGraph, TriggerSpec, XmlView};
@@ -213,7 +212,6 @@ pub struct Quark {
     groups: Arc<HashMap<String, Group>>,
     triggers: Arc<HashMap<String, TriggerRecord>>,
     mode: Mode,
-    options: AnOptions,
     group_counter: usize,
     /// Groups translated since this system was created or opened: one per
     /// new group. Warm restarts assert this stays zero: every group is
@@ -226,12 +224,12 @@ pub struct Quark {
 }
 
 impl Quark {
-    /// Create a system over a database, with the given translation mode.
+    /// Create a system over a database, with the given translation mode:
+    /// the one translation setting. It decides whether triggers share
+    /// groups (§5.1) and whether old aggregates are compensated (§5.2);
+    /// every other optimization applies wherever the view and the
+    /// trigger's needs allow.
     pub fn new(db: Database, mode: Mode) -> Self {
-        let options = AnOptions {
-            agg_compensation: mode == Mode::GroupedAgg,
-            ..AnOptions::default()
-        };
         Quark {
             db,
             views: Arc::new(HashMap::new()),
@@ -239,7 +237,6 @@ impl Quark {
             groups: Arc::new(HashMap::new()),
             triggers: Arc::new(HashMap::new()),
             mode,
-            options,
             group_counter: 0,
             translations: 0,
             storage: None,
@@ -263,8 +260,9 @@ impl Quark {
     /// — an action is resolved by name at firing time — so registration
     /// order does not matter as long as it precedes the first firing.
     ///
-    /// For an existing database the persisted translation mode and options
-    /// are authoritative; `mode` only seeds a fresh one.
+    /// For an existing database the persisted translation mode is
+    /// authoritative: `mode` only seeds a fresh one, and a trigger created
+    /// after the open translates under the persisted mode.
     ///
     /// Durability is fsync-on-commit ([`quark_storage::SyncMode::Always`]);
     /// use [`Quark::open_with`] to trade that for speed in tests.
@@ -342,16 +340,6 @@ impl Quark {
     /// the translated triggers and install their own).
     pub fn into_database(self) -> Database {
         self.db
-    }
-
-    /// Override translation options (ablations).
-    pub fn set_options(&mut self, options: AnOptions) {
-        self.options = options;
-    }
-
-    /// Current translation options.
-    pub fn options(&self) -> AnOptions {
-        self.options
     }
 
     /// Translation mode.
@@ -488,7 +476,7 @@ impl Quark {
         if !self.groups.contains_key(&signature) {
             let cx = translate::Context {
                 db: &self.db,
-                options: self.options,
+                mode: self.mode,
                 group_id: self.group_counter,
             };
             let new = translate::translate_group(

@@ -37,7 +37,7 @@ use quark_relational::{
     Value,
 };
 
-use crate::angraph::{build_affected, AffectedNodePlan, AnOptions, Needs, SideNeeds};
+use crate::angraph::{build_affected, AffectedNodePlan, Needs, SideNeeds};
 use crate::condition::{compile_value, CondLayout, CondValue, Condition, NodeRef};
 use crate::events::{source_events, SourceEvent};
 use crate::spec::{Action, ActionParam, PathGraph, TriggerSpec};
@@ -47,7 +47,7 @@ use super::{ActionCall, ActionFn, ActionRegistry, Group, Members, Mode, SqlTrigg
 /// The system state a translation reads.
 pub(super) struct Context<'a> {
     pub db: &'a Database,
-    pub options: AnOptions,
+    pub mode: Mode,
     /// Id of the group being translated: it names the constants table and
     /// the SQL triggers.
     pub group_id: usize,
@@ -113,8 +113,7 @@ pub(super) fn translate_group(
     let mut stacked: HashMap<String, Option<(String, PlanRef, Option<Condition>)>> = HashMap::new();
     for src in &events {
         if !stacked.contains_key(&src.table) {
-            let affected =
-                build_affected(&mut pg, &src.table, spec.event, needs, cx.options, cx.db)?;
+            let affected = build_affected(&mut pg, &src.table, spec.event, needs, cx.mode, cx.db)?;
             let plan = affected
                 .map(|affected| attach_condition(&affected, cond, ct, consts.len(), cx.db))
                 .transpose()?
@@ -467,7 +466,7 @@ mod tests {
         assert_eq!(consts, [Value::str("CRT 15")]);
         let cx = Context {
             db: &db,
-            options: AnOptions::default(),
+            mode: Mode::Grouped,
             group_id: 7,
         };
         let new =

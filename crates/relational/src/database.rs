@@ -246,11 +246,7 @@ const COUNTERS: usize = Counter::FootprintViolations as usize + 1;
 /// two-level lock hierarchy. Row data sits behind it as a copy-on-write
 /// `Arc<Table>`; catalog changes (create/drop/index) take `&mut Database`
 /// — the global exclusive level — and never race with slot access.
-type TableCell = Arc<RwLock<Arc<Table>>>;
-
-fn new_cell(table: Arc<Table>) -> TableCell {
-    Arc::new(RwLock::new(table))
-}
+type TableCell = RwLock<Arc<Table>>;
 
 /// An in-memory relational database with statement triggers.
 ///
@@ -304,7 +300,7 @@ impl Clone for Database {
                 .iter()
                 .map(|(name, cell)| {
                     let inner = cell.read().unwrap_or_else(|e| e.into_inner());
-                    (name.clone(), new_cell(Arc::clone(&inner)))
+                    (name.clone(), RwLock::new(Arc::clone(&inner)))
                 })
                 .collect(),
             triggers: Arc::clone(&self.triggers),
@@ -480,8 +476,10 @@ impl Database {
         if self.tables.contains_key(&schema.name) {
             return Err(Error::TableExists(schema.name));
         }
-        self.tables
-            .insert(schema.name.clone(), new_cell(Arc::new(Table::new(schema))));
+        self.tables.insert(
+            schema.name.clone(),
+            RwLock::new(Arc::new(Table::new(schema))),
+        );
         Ok(())
     }
 
@@ -714,7 +712,7 @@ impl Database {
             let name = t.as_ref();
             if let Some(src) = from.tables.get(name) {
                 let inner = Arc::clone(&src.read().unwrap_or_else(|e| e.into_inner()));
-                self.tables.insert(name.to_string(), new_cell(inner));
+                self.tables.insert(name.to_string(), RwLock::new(inner));
             }
         }
     }

@@ -9,12 +9,13 @@
 //! ```
 
 use quark_core::akgraph::{create_ak_graph, AkSide};
-use quark_core::angraph::{build_affected, AnOptions, Needs, SideNeeds};
+use quark_core::angraph::{build_affected, Needs, SideNeeds};
 use quark_core::relational::{row, Value};
 use quark_core::spec::XmlEvent;
 use quark_core::tagger::{tag_rows, TagLevel, TaggerPlan};
 use quark_core::xqgm::fixtures::{catalog_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
+use quark_core::Mode;
 
 fn main() {
     let db = product_vendor_db();
@@ -57,7 +58,7 @@ fn main() {
             old: SideNeeds { node: false },
             new: SideNeeds { node: true },
         },
-        AnOptions::default(),
+        Mode::GroupedAgg,
         &db,
     )
     .expect("angraph")

@@ -847,6 +847,76 @@ fn a_recreated_table_reopens_with_its_own_rows() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The benchmark's depth-3 chain schema and view (`chain_view_spec(3)`,
+/// whose leaf group-by GROUPED-AGG compensates), the `notify` action and
+/// one trigger on it.
+fn install_chain(session: &Session) {
+    for i in 0..3 {
+        let parent = if i > 0 { "parent INT, " } else { "" };
+        session
+            .execute(&format!(
+                "CREATE TABLE t{i} (id INT PRIMARY KEY, {parent}name TEXT, price DOUBLE)"
+            ))
+            .expect("create table");
+    }
+    let view = quark_bench::chain_view_spec(3)
+        .build(&session.database())
+        .expect("chain view");
+    session.quark_mut().register_view(view);
+    arm(session, &Log::default());
+    session
+        .execute(
+            "CREATE TRIGGER first AFTER Update ON view('bench')/e0 \
+             WHERE OLD_NODE/@name = 'name_0_0' DO notify(NEW_NODE)",
+        )
+        .expect("first trigger");
+}
+
+/// A trigger of a shape `install_chain`'s does not share, so it forms a
+/// new group, and its `EXPLAIN TRIGGER` text.
+fn new_shape_explain(session: &Session) -> String {
+    session
+        .execute(
+            "CREATE TRIGGER second AFTER Update ON view('bench')/e0 \
+             WHERE NEW_NODE/@name = 'name_0_1' DO notify(NEW_NODE)",
+        )
+        .expect("second trigger");
+    let StatementResult::Explain(text) =
+        session.execute("EXPLAIN TRIGGER second").expect("explain")
+    else {
+        panic!("expected explain text");
+    };
+    text
+}
+
+/// The persisted mode alone decides how a group created after a reopen
+/// is translated: a GROUPED-AGG directory reopened with `Mode::Grouped`
+/// translates a new group exactly as a GROUPED-AGG system that never
+/// closed, old-aggregate compensation included.
+#[test]
+fn a_new_group_after_reopen_translates_under_the_persisted_mode() {
+    let twin = |mode| {
+        let session = quark_xquery::session(Database::new(), mode);
+        install_chain(&session);
+        new_shape_explain(&session)
+    };
+    let (agg, grouped) = (twin(Mode::GroupedAgg), twin(Mode::Grouped));
+    assert_ne!(agg, grouped, "GROUPED-AGG must compensate this plan");
+
+    let dir = tmp_dir("persisted-mode");
+    let session = open(&dir, Mode::GroupedAgg, SyncMode::Never);
+    install_chain(&session);
+    session.close().expect("close");
+
+    let session = open(&dir, Mode::Grouped, SyncMode::Never);
+    assert_eq!(session.quark().mode(), Mode::GroupedAgg);
+    arm(&session, &Log::default());
+    assert_eq!(new_shape_explain(&session), agg);
+    assert_eq!(session.quark().translations(), 1, "one new group");
+    session.close().expect("close");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Group commit at the session layer: concurrent `SyncMode::Always`
 /// writers on disjoint tables have their WAL frames coalesced into
 /// shared fsyncs — strictly fewer fsyncs than committed statements — and

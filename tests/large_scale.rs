@@ -340,7 +340,7 @@ fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
         "t2",
         XmlEvent::Update,
         needs,
-        quark.options(),
+        quark.mode(),
         quark.database(),
     )
     .expect("translation")
@@ -366,16 +366,10 @@ fn bench_chain_update_plan_builds_only_the_delivered_nodes() {
             (XmlEvent::Delete, (7, 2)),
         ] {
             let mut pg = quark.view("bench").expect("bench view").anchors["e0"].clone();
-            let affected = build_affected(
-                &mut pg,
-                table,
-                event,
-                both,
-                quark.options(),
-                quark.database(),
-            )
-            .expect("translation")
-            .expect("every table affects e0");
+            let affected =
+                build_affected(&mut pg, table, event, both, quark.mode(), quark.database())
+                    .expect("translation")
+                    .expect("every table affects e0");
             let built = xml_constructors(&affected.plan);
             assert_eq!(built, expected, "{table} {event:?}");
         }
@@ -420,16 +414,10 @@ fn chain_view_trigger_plans_keep_their_distinct_node_counts() {
     for table in ["t0", "t1", "t2", "t3"] {
         for event in [XmlEvent::Update, XmlEvent::Insert, XmlEvent::Delete] {
             let mut pg = quark.view("bench").expect("bench view").anchors["e0"].clone();
-            let affected = build_affected(
-                &mut pg,
-                table,
-                event,
-                needs,
-                quark.options(),
-                quark.database(),
-            )
-            .expect("translation")
-            .expect("every table affects e0");
+            let affected =
+                build_affected(&mut pg, table, event, needs, quark.mode(), quark.database())
+                    .expect("translation")
+                    .expect("every table affects e0");
             counts.push(distinct_nodes(&affected.plan).len());
         }
     }
