@@ -21,7 +21,6 @@
 //! | [`system`] | §3.2 architecture: registry, trigger lifecycle, footprints |
 //! | `system::translate` (private) | §5.1–5.2 grouping & trigger pushdown (Figs. 12, 14–16) |
 //! | [`session`] | the statement front door (`Session::execute`) |
-//! | [`tagger`] | constant-space sorted-outer-union tagger |
 //! | [`oracle`] | §1's materialization strawman (reference semantics) |
 
 #![warn(missing_docs)]
@@ -36,7 +35,6 @@ pub mod oracle;
 pub mod session;
 pub mod spec;
 pub mod system;
-pub mod tagger;
 
 pub use angraph::{Needs, SideNeeds};
 pub use condition::{CondValue, Condition, NodePath, NodeRef, Step};

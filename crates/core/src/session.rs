@@ -253,7 +253,8 @@ impl Shared {
         // previous + this writer's tables = the boundary state of this
         // commit exactly.
         let mut next = (*previous).clone();
-        next.adopt_tables_from(state, tables.iter());
+        next.database_mut()
+            .adopt_tables_from(state.database(), tables.iter());
         *cell = Some(Arc::new(next));
         // Readers queue on this mutex: whatever `previous` was the last
         // holder of is freed after it is released.
@@ -302,20 +303,9 @@ impl SessionPool {
         SessionPool { root: session }
     }
 
-    /// Open (or create) a durable session pool rooted at `path` (see
-    /// [`Session::open`]).
-    pub fn open(path: impl AsRef<std::path::Path>, mode: crate::system::Mode) -> Result<Self> {
-        Ok(SessionPool::new(Session::open(path, mode)?))
-    }
-
     /// A new handle onto the shared system.
     pub fn session(&self) -> Session {
         self.root.fork()
-    }
-
-    /// `n` handles onto the shared system (e.g. one per worker thread).
-    pub fn sessions(&self, n: usize) -> Vec<Session> {
-        (0..n).map(|_| self.root.fork()).collect()
     }
 
     /// Tear down the pool, returning the underlying session handle.
@@ -424,27 +414,6 @@ impl Session {
     /// Open a session with a frontend handling the XQuery-bodied DDL.
     pub fn with_frontend(quark: Quark, frontend: Box<dyn StatementFrontend>) -> Self {
         Session::build(quark, Some(frontend))
-    }
-
-    /// Open (or create) a **durable** session rooted at directory `path`
-    /// (see [`Quark::open`]): an existing database is recovered to its
-    /// last committed statement boundary with every view and trigger group
-    /// re-armed, and subsequent statements are logged to the write-ahead
-    /// log with fsync-on-commit. No frontend is attached; use
-    /// `quark_xquery::open_session` for the full statement surface.
-    pub fn open(path: impl AsRef<std::path::Path>, mode: crate::system::Mode) -> Result<Self> {
-        Ok(Session::new(Quark::open(path, mode)?))
-    }
-
-    /// [`Session::open`] with an explicit WAL sync mode
-    /// ([`quark_storage::SyncMode::Never`] trades the crash guarantee for
-    /// speed — useful in tests and bulk loads).
-    pub fn open_with(
-        path: impl AsRef<std::path::Path>,
-        mode: crate::system::Mode,
-        sync: quark_storage::SyncMode,
-    ) -> Result<Self> {
-        Ok(Session::new(Quark::open_with(path, mode, sync)?))
     }
 
     /// Flush and tear down: checkpoints the durable store (if one is
@@ -785,6 +754,13 @@ impl Session {
                     name: name.clone(),
                 })
             }
+            Statement::DropTable(name) => {
+                self.with_write(|quark| quark.drop_table(name))??;
+                Ok(StatementResult::Dropped {
+                    kind: ObjectKind::Table,
+                    name: name.clone(),
+                })
+            }
             other => {
                 let outcome =
                     self.with_write(|quark| sql::execute(quark.database_mut(), other))??;
@@ -1048,7 +1024,7 @@ mod tests {
     #[test]
     fn session_pool_hands_out_handles() {
         let pool = SessionPool::new(session());
-        let handles = pool.sessions(3);
+        let handles = [pool.session(), pool.session(), pool.session()];
         handles[0]
             .execute("INSERT INTO vendor VALUES ('Newegg', 'P1', 99.0)")
             .unwrap();

@@ -14,7 +14,6 @@
 
 use std::collections::HashMap;
 
-use quark_relational::expr::Expr;
 use quark_xqgm::{KeyedGraph, OpId};
 
 use crate::condition::Condition;
@@ -109,11 +108,6 @@ impl PathGraph {
     /// Canonical key columns of the monitored nodes.
     pub fn key(&self) -> &[usize] {
         self.kg.key(self.root)
-    }
-
-    /// Expressions projecting the key columns.
-    pub fn key_exprs(&self) -> Vec<Expr> {
-        self.key().iter().map(|&c| Expr::col(c)).collect()
     }
 }
 

@@ -610,6 +610,43 @@ impl Quark {
         Ok(())
     }
 
+    /// Drop a base table — refused, before anything changes, while a
+    /// registered view or an XML trigger's group reads it: a view graph or
+    /// a compiled plan over a missing table could neither fire nor be
+    /// re-armed by a reopen. The error names the first such view (by
+    /// name), else the first such trigger. There is no `DROP VIEW`, so a
+    /// table a view reads stays until [`Quark::database_mut`] drops it.
+    pub fn drop_table(&mut self, name: &str) -> Result<()> {
+        let view = self
+            .views
+            .values()
+            .filter(|v| {
+                v.anchors
+                    .values()
+                    .any(|pg| pg.kg.graph.base_tables(pg.root).iter().any(|t| t == name))
+            })
+            .map(|v| &v.name)
+            .min();
+        let trigger = self
+            .triggers
+            .iter()
+            .filter(|(_, r)| {
+                self.groups
+                    .get(&r.group_signature)
+                    .is_some_and(|g| g.footprint.contains(name))
+            })
+            .map(|(t, _)| t)
+            .min();
+        let user = match (view, trigger) {
+            (Some(v), _) => format!("view `{v}`"),
+            (None, Some(t)) => format!("trigger `{t}`"),
+            (None, None) => return self.db.drop_table(name),
+        };
+        Err(Error::Plan(format!(
+            "cannot drop table `{name}`: {user} reads it"
+        )))
+    }
+
     /// Render the translation artifacts behind an XML trigger: its group,
     /// constants, and every generated SQL trigger with its compiled plan —
     /// the `EXPLAIN TRIGGER` statement of the session surface.
@@ -727,19 +764,6 @@ impl Quark {
             .cloned()
             .collect();
         Footprint::Tables { write, read }
-    }
-
-    /// Replace this system's versions of `tables` with `from`'s current
-    /// ones (a refcount bump per table; see
-    /// [`Database::adopt_tables_from`]). The session layer folds a
-    /// committed writer's footprint into the published read snapshot this
-    /// way instead of re-cloning the whole system.
-    pub fn adopt_tables_from<I, S>(&mut self, from: &Quark, tables: I)
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        self.db.adopt_tables_from(&from.db, tables);
     }
 
     /// Total rows across all live constants tables (leak checks: dropping

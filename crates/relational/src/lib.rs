@@ -23,7 +23,8 @@
 //!   `Session::execute` front door one layer up.
 //!
 //! Everything XML-trigger-specific (XQGM, affected-key computation,
-//! grouping, tagging) lives in the crates layered above.
+//! grouping) lives in the crates layered above; XML construction is the
+//! plan functions of [`expr`] (`XmlElement`, `XmlAgg`).
 
 #![warn(missing_docs)]
 

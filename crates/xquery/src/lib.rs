@@ -51,7 +51,7 @@ pub mod viewtree;
 
 use quark_core::session::{Session, Span, StatementError, StatementFrontend};
 use quark_core::{Mode, Quark};
-use quark_relational::{Database, Error, Result};
+use quark_relational::{Database, Result};
 
 pub use lower::{lower_condition, lower_trigger, lower_view};
 pub use parser::{parse_expr, parse_trigger, parse_view, ParseError};
@@ -107,7 +107,7 @@ pub fn open_session(path: impl AsRef<std::path::Path>, mode: Mode) -> Result<Ses
 }
 
 /// [`open_session`] with an explicit WAL sync mode (see
-/// [`quark_core::Session::open_with`]).
+/// [`Quark::open_with`]).
 pub fn open_session_with(
     path: impl AsRef<std::path::Path>,
     mode: Mode,
@@ -117,24 +117,6 @@ pub fn open_session_with(
         Quark::open_with(path, mode, sync)?,
         Box::new(XQueryFrontend),
     ))
-}
-
-/// Parse, lower, build and register an XQuery view definition
-/// (programmatic form of the `CREATE VIEW` statement).
-pub fn register_view(quark: &mut Quark, text: &str) -> Result<ViewSpec> {
-    let def = parser::parse_view(text).map_err(|e| Error::Plan(e.to_string()))?;
-    let spec = lower::lower_view(&def)?;
-    let view = spec.build(quark.database())?;
-    quark.register_view(view);
-    Ok(spec)
-}
-
-/// Parse, lower and create an XML trigger from `CREATE TRIGGER` syntax
-/// (programmatic form of the statement; prefer [`Session::execute`]).
-pub fn create_trigger(quark: &mut Quark, text: &str) -> Result<()> {
-    let def = parser::parse_trigger(text).map_err(|e| Error::Plan(e.to_string()))?;
-    let spec = lower::lower_trigger(&def)?;
-    quark.create_trigger(spec)
 }
 
 #[cfg(test)]

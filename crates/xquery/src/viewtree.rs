@@ -219,36 +219,6 @@ impl ViewSpec {
         let top = g.project(filtered, exprs, names);
         Ok((top, 0, 1, attr_cols))
     }
-
-    /// Build the whole-document graph (root element wrapping all top
-    /// elements) — used by examples and the materialization baseline.
-    pub fn build_document_graph(&self, db: &Database) -> Result<(Graph, OpId)> {
-        let mut g = Graph::new();
-        let (top_op, _, node_col, _) = match &self.binding {
-            TopBinding::Rows => self.build_chain(&mut g, db)?,
-            TopBinding::GroupBy { column } => self.build_grouped(&mut g, db, column)?,
-        };
-        let agg = g.group_by(
-            top_op,
-            vec![],
-            vec![(
-                AggExpr::over(AggFunc::XmlAgg, Expr::col(node_col)),
-                "all".into(),
-            )],
-        );
-        let root = g.project(
-            agg,
-            vec![Expr::Func(
-                ScalarFunc::XmlElement {
-                    name: self.root_element.clone(),
-                    attrs: vec![],
-                },
-                vec![Expr::col(0)],
-            )],
-            vec![self.root_element.clone()],
-        );
-        Ok((g, root))
-    }
 }
 
 /// Build a row-bound level and its descendants.
@@ -516,19 +486,6 @@ mod tests {
             shop.children_named("sales").next().unwrap().text_content(),
             "5"
         );
-    }
-
-    #[test]
-    fn document_graph_wraps_root_element() {
-        let db = chain_db();
-        let (g, root) = chain_spec().build_document_graph(&db).unwrap();
-        let rows = evaluate(&g, root, &db).unwrap();
-        assert_eq!(rows.len(), 1);
-        let Value::Xml(doc) = &rows[0][0] else {
-            panic!()
-        };
-        assert_eq!(doc.name(), Some("report"));
-        assert_eq!(doc.children_named("region").count(), 1);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Peek inside the translation: prints the artifacts the paper's figures
 //! show — the catalog XQGM (Fig. 5), the affected-keys graph (Figs. 9-11),
-//! the generated trigger plan (the Fig. 16 analog), the sorted-outer-
-//! union tagger at work, and the session-level `EXPLAIN TRIGGER`
-//! statement over a live trigger.
+//! the generated trigger plan (the Fig. 16 analog), and the
+//! session-level `EXPLAIN TRIGGER` statement over a live trigger.
 //!
 //! ```text
 //! cargo run --example trigger_explain
@@ -10,9 +9,7 @@
 
 use quark_core::akgraph::{create_ak_graph, AkSide};
 use quark_core::angraph::{build_affected, Needs, SideNeeds};
-use quark_core::relational::{row, Value};
 use quark_core::spec::XmlEvent;
-use quark_core::tagger::{tag_rows, TagLevel, TaggerPlan};
 use quark_core::xqgm::fixtures::{catalog_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
 use quark_core::Mode;
@@ -66,63 +63,6 @@ fn main() {
     println!("== Generated trigger plan for (vendor, UPDATE) — the Fig. 16 analog ==");
     println!("{}", affected.plan.explain());
     println!("output layout: {:?}\n", affected.layout);
-
-    // --- The constant-space tagger over sorted-outer-union rows ------
-    println!("== Sorted-outer-union rows through the constant-space tagger ==");
-    let plan = TaggerPlan {
-        tag_col: 0,
-        levels: vec![
-            TagLevel {
-                tag: 1,
-                element: "product".into(),
-                parent: None,
-                attrs: vec![("name".into(), 1)],
-                scalar_children: vec![],
-            },
-            TagLevel {
-                tag: 2,
-                element: "vendor".into(),
-                parent: Some(0),
-                attrs: vec![],
-                scalar_children: vec![("vid".into(), 2), ("price".into(), 3)],
-            },
-        ],
-    };
-    let rows = vec![
-        row([
-            Value::Int(1),
-            Value::str("CRT 15"),
-            Value::Null,
-            Value::Null,
-        ]),
-        row([
-            Value::Int(2),
-            Value::Null,
-            Value::str("Amazon"),
-            Value::Double(100.0),
-        ]),
-        row([
-            Value::Int(2),
-            Value::Null,
-            Value::str("Bestbuy"),
-            Value::Double(120.0),
-        ]),
-        row([
-            Value::Int(1),
-            Value::str("LCD 19"),
-            Value::Null,
-            Value::Null,
-        ]),
-        row([
-            Value::Int(2),
-            Value::Null,
-            Value::str("Buy.com"),
-            Value::Double(200.0),
-        ]),
-    ];
-    for node in tag_rows(&plan, &rows).expect("tagger") {
-        println!("{}", node.to_pretty_xml());
-    }
 
     // --- EXPLAIN TRIGGER through the session front door ---------------
     let session = quark_xquery::session(product_vendor_db(), quark_core::Mode::Grouped);

@@ -27,7 +27,7 @@ use proptest::prelude::*;
 use quark_core::relational::{Database, Error, Event, Row, SqlTrigger, Value};
 use quark_core::session::CHECKPOINT_LOG_BYTES;
 use quark_core::storage::SyncMode;
-use quark_core::{Footprint, Mode, Session, SessionPool, StatementResult};
+use quark_core::{Footprint, Mode, ObjectKind, Quark, Session, SessionPool, StatementResult};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::AtomicU64;
@@ -169,6 +169,58 @@ fn warm_restart_recovers_everything_without_retranslation() {
         session.close().expect("close");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// The README's durable entry point, `quark_xquery::open_session` (fsync
+/// on every commit): the quickstart's view and `Notify` trigger, one
+/// written row, a crash (drop without `close`), and a reopen that holds
+/// the row and fires the trigger once the action is re-registered.
+#[test]
+fn open_session_recovers_the_quickstart_after_a_crash() {
+    const NOTIFY: &str = "CREATE TRIGGER Notify AFTER Update ON view('catalog')/product \
+                          WHERE OLD_NODE/@name = 'CRT 15' DO notifySmith(NEW_NODE)";
+    let dir = tmp_dir("open-session");
+    let fired = Log::default();
+    let register = |session: &Session| {
+        let sink = fired.clone();
+        session
+            .register_action("notifySmith", move |_db, call| {
+                sink.0
+                    .lock()
+                    .unwrap()
+                    .push((call.trigger.clone(), call.params.clone()));
+                Ok(())
+            })
+            .expect("register notifySmith");
+    };
+    let session = quark_xquery::open_session(&dir, Mode::Grouped).expect("open");
+    for s in SETUP {
+        session.execute(s).expect("setup");
+    }
+    session.execute(CATALOG_VIEW).expect("create view");
+    register(&session);
+    session.execute(NOTIFY).expect("create trigger");
+    session
+        .execute("INSERT INTO vendor VALUES ('Newegg', 'P2', 230.0)")
+        .expect("insert");
+    drop(session); // crash: no close, no final checkpoint
+
+    let session = quark_xquery::open_session(&dir, Mode::Grouped).expect("reopen");
+    register(&session);
+    let StatementResult::Rows { rows, .. } = session
+        .execute("SELECT price FROM vendor WHERE vid = 'Newegg' AND pid = 'P2'")
+        .expect("select")
+    else {
+        panic!("expected rows");
+    };
+    assert_eq!(rows.len(), 1, "the written row survives the crash");
+    session
+        .execute("UPDATE vendor SET price = 75.0 WHERE vid = 'Amazon' AND pid = 'P1'")
+        .expect("update");
+    let triggers: Vec<String> = fired.take().into_iter().map(|(t, _)| t).collect();
+    assert_eq!(triggers, ["Notify"], "the recovered trigger fires once");
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Crash (drop without `close`) after a committed statement stream: the
@@ -768,7 +820,8 @@ fn stats_statement_reports_storage_counters() {
 fn a_full_log_checkpoints_without_a_global_write() {
     const PAYLOAD: usize = 1 << 20;
     let dir = tmp_dir("log-bound");
-    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("open");
+    let session =
+        Session::new(Quark::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("open"));
     for s in [
         "CREATE TABLE doc (id INT PRIMARY KEY, body TEXT)",
         "INSERT INTO doc VALUES (0, '')",
@@ -796,7 +849,8 @@ fn a_full_log_checkpoints_without_a_global_write() {
     assert!(segment < CHECKPOINT_LOG_BYTES, "live segment: {segment} B");
     drop(session); // crash: no close, no final checkpoint
 
-    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("reopen");
+    let session =
+        Session::new(Quark::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("reopen"));
     let StatementResult::Rows { rows, .. } = session
         .execute("SELECT body FROM doc WHERE id = 0")
         .expect("select")
@@ -815,7 +869,8 @@ fn a_full_log_checkpoints_without_a_global_write() {
 #[test]
 fn a_recreated_table_reopens_with_its_own_rows() {
     let dir = tmp_dir("recreate");
-    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("open");
+    let session =
+        Session::new(Quark::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("open"));
     session
         .execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
         .expect("create");
@@ -835,7 +890,8 @@ fn a_recreated_table_reopens_with_its_own_rows() {
     }
     session.close().expect("close");
 
-    let session = Session::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("reopen");
+    let session =
+        Session::new(Quark::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("reopen"));
     let StatementResult::Rows { rows, .. } = session.execute("SELECT * FROM t").expect("select")
     else {
         panic!("expected rows");
@@ -845,6 +901,81 @@ fn a_recreated_table_reopens_with_its_own_rows() {
     assert_eq!(rows, [new(7), new(8)], "the dropped rows came back");
     drop(session);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `DROP TABLE` of a table a view or a trigger group reads is refused
+/// before anything changes, naming the view (or, for a constants table,
+/// the trigger): the table keeps its rows, `DROP TRIGGER` still works, and
+/// a durable directory reopens with the remaining trigger armed.
+#[test]
+fn drop_table_under_a_view_or_trigger_is_refused() {
+    for durable in [false, true] {
+        let dir = tmp_dir("drop-table");
+        let log = Log::default();
+        let session = if durable {
+            open(&dir, Mode::Grouped, SyncMode::Never)
+        } else {
+            quark_xquery::session(Database::new(), Mode::Grouped)
+        };
+        install(&session, &log);
+        let vendors = |s: &Session| s.execute("SELECT * FROM vendor").expect("select");
+        let before = vendors(&session);
+        let err = session
+            .execute("DROP TABLE vendor")
+            .expect_err("the catalog view reads vendor");
+        assert!(
+            err.to_string().contains("view `catalog`"),
+            "{durable}: {err}"
+        );
+        assert_eq!(
+            vendors(&session),
+            before,
+            "{durable}: vendor keeps its rows"
+        );
+
+        let StatementResult::Explain(text) = session.execute("EXPLAIN TRIGGER NotifyP1").unwrap()
+        else {
+            panic!("expected Explain");
+        };
+        let constants = text
+            .split("in table `")
+            .nth(1)
+            .and_then(|rest| rest.split('`').next())
+            .expect("NotifyP1 has a constants table");
+        let err = session
+            .execute(&format!("DROP TABLE {constants}"))
+            .expect_err("NotifyP1's group reads its constants table");
+        assert!(err.to_string().contains("trigger `NotifyP1`"), "{err}");
+
+        assert_eq!(
+            session
+                .execute("DROP TRIGGER NotifyGone")
+                .expect("drop trigger"),
+            StatementResult::Dropped {
+                kind: ObjectKind::Trigger,
+                name: "NotifyGone".into(),
+            }
+        );
+        let session = if durable {
+            session.close().expect("close");
+            let session = open(&dir, Mode::Grouped, SyncMode::Never);
+            arm(&session, &log);
+            session
+        } else {
+            session
+        };
+        session
+            .execute("UPDATE vendor SET price = 75.0 WHERE vid = 'Amazon' AND pid = 'P1'")
+            .expect("update");
+        let fired: Vec<String> = firings(&log).into_iter().map(|(t, _)| t).collect();
+        assert_eq!(
+            fired,
+            ["NotifyP1"],
+            "{durable}: the remaining trigger fires"
+        );
+        drop(session);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 /// The benchmark's depth-3 chain schema and view (`chain_view_spec(3)`,

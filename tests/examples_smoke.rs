@@ -1,6 +1,6 @@
 //! Smoke test: every example binary builds and exits successfully.
 //!
-//! Runs `cargo run --example <name>` for each of the four examples using
+//! Runs `cargo run --example <name>` for each of the five examples using
 //! the same cargo that is running this test. Cargo's target-directory lock
 //! serializes the inner invocations against the outer build, so this is
 //! safe under parallel test execution (at the cost of briefly waiting for
