@@ -109,8 +109,8 @@ pub struct PairReport {
     /// Second group label.
     pub b: String,
     /// `true` if DML firing the two groups commutes: disjoint write sets
-    /// and no write↔read overlap, so the latch manager admits them in
-    /// parallel and either execution order yields the same state.
+    /// and no write↔read overlap, so their statement latches admit them
+    /// in parallel and either execution order yields the same state.
     pub commutes: bool,
     /// Why (the overlapping tables, or "disjoint").
     pub detail: String,

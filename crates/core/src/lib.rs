@@ -30,7 +30,6 @@ pub mod angraph;
 pub mod condition;
 pub mod events;
 pub mod inject;
-pub mod latch;
 pub mod oracle;
 pub mod session;
 pub mod spec;
@@ -38,7 +37,6 @@ pub mod system;
 
 pub use angraph::{Needs, SideNeeds};
 pub use condition::{CondValue, Condition, NodePath, NodeRef, Step};
-pub use latch::{LatchGuard, LatchManager};
 pub use session::{
     ObjectKind, Session, SessionPool, Span, StatementError, StatementFrontend, StatementResult,
 };

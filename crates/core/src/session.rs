@@ -37,9 +37,10 @@
 //! the statement surface splits in three:
 //!
 //! * **Footprint-latched writes** — every `INSERT`/`UPDATE`/`DELETE` —
-//!   hold the level-1 lock *shared*, acquire the per-table latches of the
-//!   statement's trigger [`Footprint`] and run the whole statement,
-//!   cascade included, under them. The footprint's
+//!   hold the level-1 lock *shared*, take the statement latches of the
+//!   tables in the statement's trigger [`Footprint`]
+//!   ([`Database::latch`]) and run the whole statement, cascade included,
+//!   under them. The footprint's
 //!   *write set* (the target table plus every table a reachable cascade
 //!   can mutate) latches **exclusive**; its *read set* (view sources,
 //!   constants tables, join build sides the firing only scans) latches
@@ -50,10 +51,11 @@
 //!   statement whose cascade can reach a raw SQL trigger — a closure
 //!   installed on the database directly — has no bounded footprint; it
 //!   latches **every table exclusive** instead and serializes against
-//!   every other writer, on the same path. Latch admission is
-//!   all-or-nothing — a writer waits holding *no* latches until its whole
-//!   footprint is admissible — so the hierarchy is deadlock-free by
-//!   construction (see [`crate::latch`]). A statement is atomic, cascade
+//!   every other writer, on the same path. Each table's latch lives in its
+//!   catalog slot, and every writer takes its latches one table at a time
+//!   in name order, so a writer waiting for one table while holding
+//!   others can never close a cycle: the hierarchy is deadlock-free by
+//!   construction. A statement is atomic, cascade
 //!   included: if it fails anywhere — an action's error or panic, the
 //!   cascade-depth cap, a duplicate key part-way through a multi-row
 //!   `INSERT` — its changes are undone while its latches are still held,
@@ -112,7 +114,6 @@ use quark_relational::sql::{self, SqlOutcome, Statement};
 use quark_relational::{Counter, Database, Error, Latched, RedoOp, Result, Value};
 use quark_xml::XmlNodeRef;
 
-use crate::latch::LatchManager;
 use crate::system::analysis::AnalysisReport;
 use crate::system::{ActionCall, Footprint, Quark};
 
@@ -210,19 +211,16 @@ pub trait StatementFrontend: Send + Sync {
 /// the authoritative system behind the two-level lock hierarchy, the
 /// pluggable frontend, and the published read snapshot.
 ///
-/// Lock ordering is `state` → `published` (never the reverse), and the
-/// latch manager only admits writers that can take their *whole* footprint
-/// at once, so the hierarchy cannot deadlock.
+/// Lock ordering is `state` → table latches, in name order
+/// ([`Database::latch`]) → `published` (never the reverse), so the
+/// hierarchy cannot deadlock.
 struct Shared {
     /// Level 1, the authoritative system. DML holds it *shared* (writers'
-    /// mutual exclusion is per-table, via `latches`); global writers —
+    /// mutual exclusion is per table, via the statement latches level 2
+    /// keeps in the database's table slots); global writers —
     /// DDL, trigger DDL, action registration, the `quark_mut` /
     /// `database_mut` escape hatches — hold it exclusively.
     state: RwLock<Quark>,
-    /// Level 2: the per-table latches footprint-scoped writers hold while
-    /// the level-1 lock is only shared — read-set tables shared, write-set
-    /// tables exclusive (see [`crate::latch`]).
-    latches: LatchManager,
     /// Frontend for the XQuery-bodied DDL, shared by all handles.
     frontend: Option<Box<dyn StatementFrontend>>,
     /// The published read snapshot: `None` until the first
@@ -438,7 +436,6 @@ impl Session {
         Session {
             shared: Arc::new(Shared {
                 state: RwLock::new(quark),
-                latches: LatchManager::default(),
                 frontend,
                 published: Mutex::new(None),
                 footprints: Mutex::new(HashMap::new()),
@@ -800,20 +797,14 @@ impl Session {
     /// ([`Footprint::Global`]) latches **every table exclusive**, which
     /// covers whatever a raw SQL trigger's body does: it only ever receives
     /// `&Database`, and every catalog change needs `&mut` (i.e. global
-    /// mode). All-or-nothing admission makes that writer drain and
-    /// exclude every other one — exact single-writer semantics — and its
-    /// ticket keeps it from starving.
+    /// mode). Holding every table's latch, that writer excludes every
+    /// other one — exact single-writer semantics — and, parked on a table,
+    /// it blocks that table's newer readers, so it cannot starve.
     fn execute_dml(&self, table: &str, stmt: &Statement) -> Result<SqlOutcome, StatementError> {
         let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
         let db = state.database();
         let footprint = self.footprint_of(&state, table);
-        let latch = self.shared.latches.acquire(&footprint);
-        if latch.contended() {
-            db.bump(Counter::LatchConflicts, 1);
-        }
-        db.bump(Counter::LatchWaits, latch.waits());
-        db.bump(Counter::LatchSharedAcquisitions, latch.shared_count());
-        db.bump(Counter::LatchExclusiveAcquisitions, latch.exclusive_count());
+        let latch = db.latch(&footprint);
         // A table access outside `write` ∪ `read` — an action breaking its
         // declared writes, or a hole in the static analysis — fails the
         // statement and bumps `footprint_violations`. The statement's redo

@@ -85,10 +85,12 @@ struct ActionEntry {
 
 type ActionRegistry = Arc<Mutex<HashMap<String, ActionEntry>>>;
 
-/// The set of per-table latches a write statement must hold: the
-/// statement's target table plus every table read or written by the
-/// trigger groups its cascade can reach ([`Quark::write_footprint`]),
-/// partitioned by latch mode.
+/// The tables whose statement latches a write statement holds from
+/// admission to commit: its target table plus every table read or
+/// written by the trigger groups its cascade can reach
+/// ([`Quark::write_footprint`]), partitioned by latch mode. Admission
+/// ([`Database::latch`]) takes them one table at a time, in name order,
+/// which keeps concurrent writers deadlock-free.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Footprint {
     /// A statically bounded footprint. `write` holds every table the
@@ -560,51 +562,56 @@ impl Quark {
     /// Drop an XML trigger. The group's SQL triggers are removed once the
     /// last member leaves; when the last member of a *set* leaves a
     /// still-live group, the set's constants-table row is removed so it
-    /// stops joining on every subsequent firing.
+    /// stops joining on every subsequent firing. A drop that fails — say,
+    /// a group SQL trigger already dropped with its table through
+    /// [`Quark::database_mut`] — changes nothing, so it fails the same way
+    /// again.
     pub fn drop_trigger(&mut self, name: &str) -> Result<()> {
-        let record = Arc::make_mut(&mut self.triggers)
-            .remove(name)
+        let record = self
+            .triggers
+            .get(name)
             .ok_or_else(|| Error::UnknownTrigger(name.to_string()))?;
-        let (remove_group, remove_set) = {
-            let group = Arc::make_mut(&mut self.groups)
-                .get_mut(&record.group_signature)
-                .ok_or_else(|| Error::Plan("trigger group missing".into()))?;
-            let mut members = group.members.lock().expect("members");
-            let set_empty = match members.get_mut(&record.set_id) {
-                Some(list) => {
-                    list.retain(|m| m.trigger != name);
-                    list.is_empty()
-                }
-                None => false,
-            };
-            if set_empty {
-                members.remove(&record.set_id);
+        let (signature, set_id) = (record.group_signature.clone(), record.set_id);
+        let group = self
+            .groups
+            .get(&signature)
+            .ok_or_else(|| Error::Plan("trigger group missing".into()))?;
+        let last_member = group.trigger_count == 1;
+        let last_of_set = (group.members.lock().expect("members").get(&set_id))
+            .is_some_and(|list| list.iter().all(|m| m.trigger == name));
+        // Every step that can fail runs before the registry changes, so a
+        // drop that fails leaves the trigger and its group as they were.
+        if last_member {
+            if let Some(t) = (group.sql_triggers.iter()).find(|t| !self.db.has_trigger(&t.name)) {
+                return Err(Error::UnknownTrigger(t.name.clone()));
             }
-            group.trigger_count -= 1;
-            (group.trigger_count == 0, set_empty)
-        };
-        if remove_group {
-            let group = Arc::make_mut(&mut self.groups)
-                .remove(&record.group_signature)
-                .expect("checked");
+            if let Some(ct) = (group.constants_table.as_ref()).filter(|ct| !self.db.has_table(ct)) {
+                return Err(Error::UnknownTable(ct.clone()));
+            }
+        } else if let (true, Some(ct)) = (last_of_set, &group.constants_table) {
+            self.db
+                .unload_where(ct, &Expr::eq(Expr::col(0), Expr::lit(set_id)))?;
+        }
+        Arc::make_mut(&mut self.triggers).remove(name);
+        let groups = Arc::make_mut(&mut self.groups);
+        let group = groups.get_mut(&signature).expect("checked above");
+        group.trigger_count -= 1;
+        let mut members = group.members.lock().expect("members");
+        if last_of_set {
+            members.remove(&set_id);
+            group.sets.retain(|_, id| *id != set_id);
+        } else if let Some(list) = members.get_mut(&set_id) {
+            list.retain(|m| m.trigger != name);
+        }
+        drop(members);
+        if last_member {
+            // Checked above: every one of these exists.
+            let group = groups.remove(&signature).expect("checked above");
             for t in &group.sql_triggers {
                 self.db.drop_trigger(&t.name)?;
             }
             if let Some(ct) = &group.constants_table {
                 self.db.drop_table(ct)?;
-            }
-        } else if remove_set {
-            let ct = {
-                let group = Arc::make_mut(&mut self.groups)
-                    .get_mut(&record.group_signature)
-                    .expect("checked above");
-                group.sets.retain(|_, id| *id != record.set_id);
-                group.constants_table.clone()
-            };
-            if let Some(ct) = ct {
-                let set_id = record.set_id;
-                self.db
-                    .unload_where(&ct, &Expr::eq(Expr::col(0), Expr::lit(set_id)))?;
             }
         }
         Ok(())
@@ -756,7 +763,7 @@ impl Quark {
             return Footprint::Global;
         };
         // A table both scanned and mutated needs the exclusive latch; keep
-        // the sets disjoint so the latch manager sees one mode per table.
+        // the sets disjoint so admission sees one mode per table.
         let read = reached
             .iter()
             .flat_map(|g| &g.footprint)

@@ -18,7 +18,9 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{
+    Arc, LockResult, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError, TryLockResult,
+};
 
 use crate::expr::{BinOp, Expr};
 use crate::schema::TableSchema;
@@ -107,12 +109,13 @@ pub struct Stats {
     /// constructor reuse slot, `plan::ReuseSlot`). There is no miss
     /// counter.
     pub build_cache_hits: u64,
-    /// Footprint-latch acquisitions that had to block because another
-    /// writer held part of the requested footprint (one per blocking wait;
-    /// a single contended acquisition can wait more than once).
+    /// Table latches a session write blocked on at admission because
+    /// another writer held them in a conflicting mode (one per such table;
+    /// a single admission can wait on several).
     pub latch_waits: u64,
-    /// Footprint-latch acquisitions that found at least one requested
-    /// table latched by another writer (one per contended acquisition).
+    /// Session-write admissions that found at least one table of their
+    /// footprint busy (one per admission, however many tables it waited
+    /// on).
     pub latch_conflicts: u64,
     /// Tables latched in **shared** mode by footprint-latched writers (one
     /// per read-set table per acquisition) — the read side of a trigger
@@ -242,21 +245,68 @@ pub enum Counter {
 /// Number of [`Counter`] variants (`FootprintViolations` is the last).
 const COUNTERS: usize = Counter::FootprintViolations as usize + 1;
 
-/// One table's slot in the catalog: the per-table **latch** of the
-/// two-level lock hierarchy. Row data sits behind it as a copy-on-write
-/// `Arc<Table>`; catalog changes (create/drop/index) take `&mut Database`
-/// — the global exclusive level — and never race with slot access.
-type TableCell = RwLock<Arc<Table>>;
+/// One table's slot in the catalog. `latch` is the table's statement
+/// latch, level 2 of the session's lock hierarchy: a session write holds
+/// it from admission to commit ([`Database::latch`]). `table` is the slot
+/// lock each access takes for its own length ([`Database::table`]); row
+/// data sits behind it as a copy-on-write `Arc<Table>`. Catalog changes
+/// (create/drop/index) take `&mut Database` — the global exclusive level
+/// — and never race with either.
+struct TableCell {
+    latch: RwLock<()>,
+    table: RwLock<Arc<Table>>,
+}
+
+impl TableCell {
+    /// A slot holding `table`, with a fresh latch.
+    fn new(table: Arc<Table>) -> Self {
+        TableCell {
+            latch: RwLock::new(()),
+            table: RwLock::new(table),
+        }
+    }
+
+    /// The table's current version (a refcount bump).
+    fn arc(&self) -> Arc<Table> {
+        Arc::clone(&self.table.read().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+/// `lock`'s guard, taken without waiting if `try_lock` got it; otherwise
+/// one more entry in `waits`, and the wait. A latch guards `()`, so its
+/// poison (a panic while it was held) is ignored.
+fn admit<G>(
+    try_lock: TryLockResult<G>,
+    lock: impl FnOnce() -> LockResult<G>,
+    waits: &mut u64,
+) -> G {
+    match try_lock {
+        Ok(guard) => guard,
+        Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+        Err(TryLockError::WouldBlock) => {
+            *waits += 1;
+            lock().unwrap_or_else(|e| e.into_inner())
+        }
+    }
+}
+
+/// The statement latches one session write holds (see
+/// [`Database::latch`]). Dropping it releases them all — during a panic's
+/// unwind too, so a cascade that panics cannot wedge other writers.
+pub struct Latches<'a> {
+    exclusive: Vec<RwLockWriteGuard<'a, ()>>,
+    shared: Vec<RwLockReadGuard<'a, ()>>,
+}
 
 /// An in-memory relational database with statement triggers.
 ///
 /// Every *data-change* entry point takes `&self`: per-table state lives
-/// behind per-table `RwLock` latches (`TableCell`), so writers whose
-/// table footprints are disjoint can run concurrently — the session layer
-/// is responsible for latching a statement's full trigger footprint before
-/// executing it. *Catalog* changes (create/drop table, indexes, trigger
-/// DDL) still take `&mut self`, which the session layer maps to its global
-/// exclusive mode.
+/// behind per-table locks (`TableCell`), so writers whose table
+/// footprints are disjoint can run concurrently — the session layer
+/// latches a statement's full trigger footprint ([`Database::latch`])
+/// before executing it. *Catalog* changes (create/drop table, indexes,
+/// trigger DDL) still take `&mut self`, which the session layer maps to
+/// its global exclusive mode.
 ///
 /// `Clone` copies tables and trigger registrations (triggers share their
 /// bodies); the oracle baseline uses clones as shadow states, and the
@@ -298,10 +348,7 @@ impl Clone for Database {
             tables: self
                 .tables
                 .iter()
-                .map(|(name, cell)| {
-                    let inner = cell.read().unwrap_or_else(|e| e.into_inner());
-                    (name.clone(), RwLock::new(Arc::clone(&inner)))
-                })
+                .map(|(name, cell)| (name.clone(), TableCell::new(cell.arc())))
                 .collect(),
             triggers: Arc::clone(&self.triggers),
             trigger_names: Arc::clone(&self.trigger_names),
@@ -313,8 +360,8 @@ impl Clone for Database {
     }
 }
 
-/// Shared read access to one table, holding its latch for the guard's
-/// lifetime. Dereferences to [`Table`].
+/// Shared read access to one table, holding its slot lock for the
+/// guard's lifetime. Dereferences to [`Table`].
 pub struct TableRef<'a>(RwLockReadGuard<'a, Arc<Table>>);
 
 impl Deref for TableRef<'_> {
@@ -324,9 +371,10 @@ impl Deref for TableRef<'_> {
     }
 }
 
-/// Exclusive write access to one table, holding its latch for the guard's
-/// lifetime. Mutably dereferencing a table still shared with a clone
-/// unshares it ([`Arc::make_mut`]: a refcount bump per tree, no row).
+/// Exclusive write access to one table, holding its slot lock for the
+/// guard's lifetime. Mutably dereferencing a table still shared with a
+/// clone unshares it ([`Arc::make_mut`]: a refcount bump per tree, no
+/// row).
 struct TableWrite<'a>(RwLockWriteGuard<'a, Arc<Table>>);
 
 impl Deref for TableWrite<'_> {
@@ -478,7 +526,7 @@ impl Database {
         }
         self.tables.insert(
             schema.name.clone(),
-            RwLock::new(Arc::new(Table::new(schema))),
+            TableCell::new(Arc::new(Table::new(schema))),
         );
         Ok(())
     }
@@ -536,9 +584,9 @@ impl Database {
         }
     }
 
-    /// Add `n` to one counter. The executor, the session layer's latch
-    /// manager and batcher, and the `quark-server` front door all report
-    /// through here.
+    /// Add `n` to one counter. The executor, statement admission, the
+    /// session layer's batcher and the `quark-server` front door all
+    /// report through here.
     pub fn bump(&self, counter: Counter, n: u64) {
         self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
     }
@@ -550,8 +598,53 @@ impl Database {
     }
 
     // ------------------------------------------------------------------
-    // Statements: one journal each
+    // Statements: one latch set and one journal each
     // ------------------------------------------------------------------
+
+    /// Admit a session write: take the statement latch of every table in
+    /// `footprint`, in name order — exclusive for its `write` set, shared
+    /// for a table it only reads (a table in both is taken once,
+    /// exclusive) — and hold them until the returned guard drops. Every
+    /// writer takes its latches in this one order, so a writer that waits
+    /// for a table while holding others can never close a cycle:
+    /// admission is deadlock-free, one table at a time. A parked writer
+    /// blocks newer readers of its table (std's `RwLock` admits a waiting
+    /// writer before later readers), so a busy read table cannot starve
+    /// it. A name with no table is skipped: a statement that touches it
+    /// fails with [`Error::UnknownTable`], and an action's declared write
+    /// to a table not created yet latches nothing until it exists.
+    ///
+    /// Bumps [`Stats::latch_conflicts`] once if any table was busy,
+    /// [`Stats::latch_waits`] per table it blocked on, and the shared and
+    /// exclusive acquisition counters by the footprint's set sizes.
+    pub fn latch(&self, footprint: &Latched) -> Latches<'_> {
+        let (write, read) = &**footprint;
+        let mut held = Latches {
+            exclusive: Vec::with_capacity(write.len()),
+            shared: Vec::with_capacity(read.len()),
+        };
+        let (mut read_only, mut waits) = (0, 0);
+        for name in write.union(read) {
+            let exclusive = write.contains(name);
+            read_only += u64::from(!exclusive);
+            let Some(cell) = self.tables.get(name) else {
+                continue;
+            };
+            let latch = &cell.latch;
+            if exclusive {
+                let guard = admit(latch.try_write(), || latch.write(), &mut waits);
+                held.exclusive.push(guard);
+            } else {
+                let guard = admit(latch.try_read(), || latch.read(), &mut waits);
+                held.shared.push(guard);
+            }
+        }
+        self.bump(Counter::LatchConflicts, u64::from(waits > 0));
+        self.bump(Counter::LatchWaits, waits);
+        self.bump(Counter::LatchSharedAcquisitions, read_only);
+        self.bump(Counter::LatchExclusiveAcquisitions, write.len() as u64);
+        held
+    }
 
     /// Run `f` as one statement, cascade included, recording every row
     /// change in this thread's journal for this database as it happens.
@@ -666,29 +759,34 @@ impl Database {
         Ok(())
     }
 
-    /// Look up a table, taking its latch in shared mode for the guard's
-    /// lifetime. Uncontended in practice: concurrent access to the *same*
-    /// table's slot only happens when a raw [`Database`] reference is read
-    /// while a latched writer runs (reads through the session surface use
-    /// published snapshots, which are separate instances). Inside a
-    /// session statement, a table outside its latched footprint is
-    /// refused with [`Error::OutsideFootprint`].
+    /// Look up a table, taking its slot lock in shared mode for the
+    /// guard's lifetime. Uncontended in practice: concurrent access to the
+    /// *same* table's slot only happens when a raw [`Database`] reference
+    /// is read while a latched writer runs (reads through the session
+    /// surface use published snapshots, which are separate instances).
+    /// Inside a session statement, a table outside its latched footprint
+    /// is refused with [`Error::OutsideFootprint`].
     pub fn table(&self, name: &str) -> Result<TableRef<'_>> {
         let cell = self.cell(name)?;
         self.check_access(name, false)?;
-        Ok(TableRef(cell.read().unwrap_or_else(|e| e.into_inner())))
+        Ok(TableRef(
+            cell.table.read().unwrap_or_else(|e| e.into_inner()),
+        ))
     }
 
     /// Exclusive table access, copy-on-write: a table still shared with a
     /// clone (a published read snapshot) is unshared on first mutable
     /// dereference and then copies the tree nodes it changes, so writers
     /// never mutate storage a snapshot reader is walking. Mutual exclusion
-    /// between whole *statements* on the same table is the session latch
-    /// manager's job; this latch only protects the slot itself.
+    /// between whole *statements* on the same table is the statement
+    /// latch's job ([`Database::latch`]); this lock only protects the slot
+    /// itself.
     fn table_write(&self, name: &str) -> Result<TableWrite<'_>> {
         let cell = self.cell(name)?;
         self.check_access(name, true)?;
-        Ok(TableWrite(cell.write().unwrap_or_else(|e| e.into_inner())))
+        Ok(TableWrite(
+            cell.table.write().unwrap_or_else(|e| e.into_inner()),
+        ))
     }
 
     /// The slot of table `name`.
@@ -711,8 +809,8 @@ impl Database {
         for t in tables {
             let name = t.as_ref();
             if let Some(src) = from.tables.get(name) {
-                let inner = Arc::clone(&src.read().unwrap_or_else(|e| e.into_inner()));
-                self.tables.insert(name.to_string(), RwLock::new(inner));
+                self.tables
+                    .insert(name.to_string(), TableCell::new(src.arc()));
             }
         }
     }
@@ -749,6 +847,11 @@ impl Database {
         }
         Arc::make_mut(&mut self.triggers).retain(|t| t.name != name);
         Ok(())
+    }
+
+    /// `true` if a SQL trigger named `name` is registered.
+    pub fn has_trigger(&self, name: &str) -> bool {
+        self.trigger_names.contains(name)
     }
 
     /// Number of registered SQL triggers (the paper's scalability axis).
@@ -1092,7 +1195,11 @@ mod tests {
     use crate::plan::{PhysicalPlan, PlanOp, TransitionSide};
     use crate::schema::ColumnDef;
     use crate::value::ColumnType;
+    use proptest::prelude::*;
+    use std::sync::atomic::AtomicBool;
     use std::sync::Mutex;
+    use std::thread;
+    use std::time::Duration;
 
     fn db_with_vendor() -> Database {
         let mut db = Database::new();
@@ -1780,9 +1887,201 @@ mod tests {
         assert_eq!(t.get(&key).unwrap()[2], Value::Double(1.0));
     }
 
+    // ------------------------------------------------------------------
+    // Statement latches (`Database::latch`)
+    // ------------------------------------------------------------------
+
+    /// A database with one `(id INT PRIMARY KEY)` table per name.
+    fn latch_db(names: &[&str]) -> Database {
+        let mut db = Database::new();
+        for name in names {
+            let cols = vec![ColumnDef::new("id", ColumnType::Int)];
+            db.create_table(TableSchema::new(*name, cols, &["id"]).unwrap())
+                .unwrap();
+        }
+        db
+    }
+
+    #[test]
+    fn shared_holders_coexist() {
+        let db = latch_db(&["t"]);
+        let _a = db.latch(&latched(&[], &["t"]));
+        assert_eq!(db.stats().latch_shared_acquisitions, 1);
+        assert_eq!(db.stats().latch_exclusive_acquisitions, 0);
+        let _b = db.latch(&latched(&[], &["t"]));
+        assert_eq!(
+            db.stats().latch_conflicts,
+            0,
+            "a shared holder blocked another"
+        );
+        assert_eq!(db.stats().latch_waits, 0);
+    }
+
+    #[test]
+    fn exclusive_blocks_until_readers_drain() {
+        let db = latch_db(&["t"]);
+        let reader = db.latch(&latched(&[], &["t"]));
+        let writer_in = AtomicBool::new(false);
+        thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let _g = db.latch(&latched(&["t"], &[]));
+                writer_in.store(true, Ordering::SeqCst);
+            });
+            thread::sleep(Duration::from_millis(50));
+            assert!(
+                !writer_in.load(Ordering::SeqCst),
+                "writer admitted past a live reader"
+            );
+            drop(reader);
+            writer.join().unwrap();
+        });
+        assert!(writer_in.load(Ordering::SeqCst));
+        assert_eq!(db.stats().latch_conflicts, 1, "the writer was contended");
+        assert_eq!(db.stats().latch_waits, 1);
+    }
+
+    #[test]
+    fn parked_writer_admits_before_newer_readers() {
+        // Reader-preference starvation scenario: a reader holds `hub`, a
+        // writer parks wanting it exclusive, then more readers arrive.
+        // The newer readers must queue *behind* the parked writer, and the
+        // writer must be admitted first once the original reader drains.
+        let db = latch_db(&["hub"]);
+        let first_reader = db.latch(&latched(&[], &["hub"]));
+        let writer_in = AtomicBool::new(false);
+        let late_reader_in = AtomicBool::new(false);
+        thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let _g = db.latch(&latched(&["hub"], &[]));
+                assert!(
+                    !late_reader_in.load(Ordering::SeqCst),
+                    "a reader that arrived after the parked writer overtook it"
+                );
+                writer_in.store(true, Ordering::SeqCst);
+            });
+            // Let the writer park on `hub`.
+            thread::sleep(Duration::from_millis(50));
+            let late_readers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let _g = db.latch(&latched(&[], &["hub"]));
+                        assert!(
+                            writer_in.load(Ordering::SeqCst),
+                            "late reader admitted before the older parked writer"
+                        );
+                        late_reader_in.store(true, Ordering::SeqCst);
+                    })
+                })
+                .collect();
+            thread::sleep(Duration::from_millis(50));
+            assert!(
+                !writer_in.load(Ordering::SeqCst) && !late_reader_in.load(Ordering::SeqCst),
+                "nobody may pass the live first reader"
+            );
+            drop(first_reader);
+            writer.join().unwrap();
+            for r in late_readers {
+                r.join().unwrap();
+            }
+        });
+        assert!(writer_in.load(Ordering::SeqCst));
+        assert!(late_reader_in.load(Ordering::SeqCst));
+        assert!(db.stats().latch_conflicts >= 1, "the writer was contended");
+    }
+
+    #[test]
+    fn overlapping_read_write_request_takes_exclusive() {
+        let db = latch_db(&["t", "u"]);
+        let g = db.latch(&latched(&["t"], &["t", "u"]));
+        assert_eq!(db.stats().latch_exclusive_acquisitions, 1);
+        assert_eq!(db.stats().latch_shared_acquisitions, 1); // `u` only — `t` promoted to write
+        assert!(db.tables["t"].latch.try_read().is_err(), "`t` held shared");
+        drop(g);
+        // Everything released: an exclusive take of both must not block.
+        let _g2 = db.latch(&latched(&["t", "u"], &[]));
+        assert_eq!(db.stats().latch_conflicts, 0);
+    }
+
+    const LATCH_TABLES: usize = 5;
+
+    /// One thread's worth of admissions: each a list of
+    /// `(table index, is_write)` pairs, deduped write-wins into a footprint.
+    fn thread_plans() -> impl Strategy<Value = Vec<Vec<Vec<(usize, bool)>>>> {
+        let footprint = proptest::collection::vec((0..LATCH_TABLES, any::<bool>()), 0..4usize);
+        let per_thread = proptest::collection::vec(footprint, 1..8usize);
+        proptest::collection::vec(per_thread, 2..5usize)
+    }
+
+    /// The footprint `plan` names: a table both read and written is
+    /// written.
+    fn plan_footprint(plan: &[(usize, bool)]) -> Latched {
+        let mut read = BTreeSet::new();
+        let mut write = BTreeSet::new();
+        for (t, is_write) in plan {
+            let name = format!("t{t}");
+            if *is_write {
+                read.remove(&name);
+                write.insert(name);
+            } else if !write.contains(&name) {
+                read.insert(name);
+            }
+        }
+        Arc::new((write, read))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+        /// Random mixed read/write footprints hammered from many threads.
+        /// Asserts (a) no deadlock — the run completes, (b) no two
+        /// exclusive holders of one table, (c) a reader never observes a
+        /// table mid-write (seqlock-style torn-write check: writers leave
+        /// the per-table counter odd while holding the exclusive latch).
+        #[test]
+        fn mixed_footprints_admit_safely(plan in thread_plans()) {
+            let names: Vec<String> = (0..LATCH_TABLES).map(|t| format!("t{t}")).collect();
+            let db = &latch_db(&names.iter().map(String::as_str).collect::<Vec<_>>());
+            let cells: Vec<AtomicU64> = (0..LATCH_TABLES).map(|_| AtomicU64::new(0)).collect();
+            let cell = |t: &String| &cells[t[1..].parse::<usize>().unwrap()];
+            thread::scope(|s| {
+                for admissions in &plan {
+                    s.spawn(move || {
+                        for fp in admissions {
+                            let footprint = plan_footprint(fp);
+                            let _g = db.latch(&footprint);
+                            let (write, read) = &*footprint;
+                            for t in write {
+                                // Odd while "writing": a second exclusive
+                                // holder or a concurrent reader would see it.
+                                let prev = cell(t).fetch_add(1, Ordering::SeqCst);
+                                assert!(prev.is_multiple_of(2), "two exclusive holders on {t}");
+                            }
+                            for t in read {
+                                let v = cell(t).load(Ordering::SeqCst);
+                                assert!(v.is_multiple_of(2), "reader saw torn write on {t}");
+                            }
+                            thread::yield_now();
+                            for t in read {
+                                let v = cell(t).load(Ordering::SeqCst);
+                                assert!(v.is_multiple_of(2), "reader saw torn write on {t}");
+                            }
+                            for t in write {
+                                let prev = cell(t).fetch_add(1, Ordering::SeqCst);
+                                assert!(prev % 2 == 1, "write counter desynced on {t}");
+                            }
+                        }
+                    });
+                }
+            });
+            // All guards dropped: every cell back to even.
+            for c in &cells {
+                prop_assert!(c.load(Ordering::SeqCst).is_multiple_of(2));
+            }
+        }
+    }
+
     mod selection_proptest {
         use super::*;
-        use proptest::prelude::*;
 
         /// `t(id INT, grp TEXT, x DOUBLE)`: primary key `id` or
         /// `(id, grp)`, optionally a secondary index on `grp` or `x`.

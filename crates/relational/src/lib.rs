@@ -41,7 +41,8 @@ mod value;
 pub mod wire;
 
 pub use database::{
-    Counter, Database, Event, Latched, NativeTriggerFn, SqlTrigger, Stats, TransitionTables,
+    Counter, Database, Event, Latched, Latches, NativeTriggerFn, SqlTrigger, Stats,
+    TransitionTables,
 };
 pub use error::{Error, Result};
 pub use schema::{ColumnDef, RowSet, TableSchema};

@@ -1,6 +1,9 @@
 //! The `Session` front door end to end: every [`StatementResult`] variant,
 //! parse-error spans, and the unified error surface.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+
 use quark_core::relational::{Error, Value};
 use quark_core::{Mode, ObjectKind, Session, StatementError, StatementResult};
 
@@ -251,6 +254,83 @@ fn dropped_variant_for_triggers_and_tables() {
             name: "scratch".into()
         }
     );
+}
+
+#[test]
+fn a_drop_trigger_that_fails_changes_nothing() {
+    let session = catalog_session();
+    session
+        .execute(
+            "CREATE TRIGGER NotifyP1 AFTER Update ON view('catalog')/product \
+                  WHERE OLD_NODE/@name = 'CRT 15' DO notify(NEW_NODE)",
+        )
+        .unwrap();
+    session
+        .execute(
+            "CREATE TRIGGER NotifyGone AFTER Delete ON view('catalog')/product \
+                  DO notify(OLD_NODE)",
+        )
+        .unwrap();
+    // Dropping the table underneath the registry also drops the SQL
+    // triggers installed on it, so the group can no longer be dropped.
+    session.database_mut().drop_table("vendor").unwrap();
+    let first = session.execute("DROP TRIGGER NotifyGone").unwrap_err();
+    assert!(
+        matches!(first, StatementError::Db(Error::UnknownTrigger(ref t)) if t != "NotifyGone"),
+        "{first:?}"
+    );
+    assert_eq!(session.quark().xml_trigger_count(), 2);
+    let second = session.execute("DROP TRIGGER NotifyGone").unwrap_err();
+    assert_eq!(second.to_string(), first.to_string());
+    assert_eq!(session.quark().xml_trigger_count(), 2);
+}
+
+#[test]
+fn admission_skips_a_table_that_does_not_exist() {
+    // A DML target with no table fails in the statement, not at admission.
+    let session = catalog_session();
+    let err = session
+        .execute("UPDATE nosuch SET price = 1.0 WHERE vid = 'Amazon'")
+        .unwrap_err();
+    assert!(
+        matches!(err, StatementError::Db(Error::UnknownTable(ref t)) if t == "nosuch"),
+        "{err:?}"
+    );
+
+    // An action's declared write to a table not created yet: its footprint
+    // names `audit`, which admission skips until `CREATE TABLE` makes it.
+    let session = catalog_session();
+    let fired = Arc::new(AtomicUsize::new(0));
+    let calls = Arc::clone(&fired);
+    session
+        .register_action_with_writes("audit", ["audit"], move |db, _call| {
+            calls.fetch_add(1, Ordering::SeqCst);
+            if db.has_table("audit") {
+                db.insert("audit", vec![vec![Value::Int(1)]])?;
+            }
+            Ok(())
+        })
+        .unwrap();
+    session
+        .execute("create trigger Audit after update on view('catalog')/product do audit()")
+        .unwrap();
+    let update = "UPDATE vendor SET price = 75.0 WHERE vid = 'Amazon' AND pid = 'P1'";
+    assert_eq!(
+        session.execute(update).unwrap(),
+        StatementResult::RowsAffected(1)
+    );
+    assert_eq!(fired.load(Ordering::SeqCst), 1);
+    session
+        .execute("CREATE TABLE audit (id INT PRIMARY KEY)")
+        .unwrap();
+    let update = "UPDATE vendor SET price = 70.0 WHERE vid = 'Amazon' AND pid = 'P1'";
+    session.execute(update).unwrap();
+    let StatementResult::Rows { rows, .. } = session.execute("SELECT id FROM audit").unwrap()
+    else {
+        panic!("SELECT returns rows")
+    };
+    assert_eq!(rows.len(), 1);
+    assert_eq!(rows[0][0], Value::Int(1));
 }
 
 // ---------------------------------------------------------------------
