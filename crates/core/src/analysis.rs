@@ -450,7 +450,6 @@ impl Quark {
                     .map(|m| m.trigger.clone())
                     .collect();
                 members.sort();
-                members.dedup();
                 let label = match members.len() {
                     0 => "<memberless>".to_string(),
                     1..=3 => members.join("+"),
@@ -458,7 +457,9 @@ impl Quark {
                 };
                 GroupFacts {
                     label,
-                    trigger_tables: group.sql_triggers.iter().map(|t| t.table.clone()).collect(),
+                    trigger_tables: (group.sql_triggers.iter())
+                        .map(|t| t.src.table.clone())
+                        .collect(),
                     plan_reads: plan_reads(group),
                     recorded_footprint: group.footprint.clone(),
                     declared_writes: group.declared_writes(&actions),

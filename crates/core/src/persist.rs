@@ -4,14 +4,15 @@
 //! impls below, over the one codec in [`quark_relational::wire`] (its
 //! module docs state the rules every format follows).
 //!
-//! What round-trips: the translation mode, every registered
-//! view (anchor path graphs via [`quark_xqgm::wire`]), every trigger group
-//! — constants sets, members, and the generated SQL triggers with their
-//! compiled plans — and the XML-trigger registry. Each group's plans are
-//! written once, inside its SQL triggers. What does *not*: action
-//! **functions** are closures and must be re-registered by the application
-//! after reopening (handlers resolve actions by name at firing time, so
-//! order doesn't matter until the first firing).
+//! What the blob holds: the mode, every registered view (anchor path
+//! graphs via [`quark_xqgm::wire`]) and every trigger group — signature,
+//! constants-table name, action parameters, next set id, member lists (set
+//! id → trigger and function names), SQL triggers with their compiled
+//! plans, footprint. Each fact is written once: a set's constants are its
+//! constants-table row (in the table's image), and the XML-trigger index is
+//! rebuilt from the member lists ([`trigger_index`]). Action **functions**
+//! are closures and must be re-registered after reopening (handlers
+//! resolve actions by name at firing time).
 //!
 //! Decoding **re-arms** each group: the SQL-trigger handlers are rebuilt
 //! from their persisted plan/residual/source-event ingredients and
@@ -41,7 +42,7 @@ use super::{Group, Member, Mode, Quark, SqlTriggerMeta, TriggerRecord};
 
 /// Blob format version; bumped on any layout change. A blob of any other
 /// version is refused by name: no reader of an older layout is kept.
-const VERSION: u8 = 3;
+const VERSION: u8 = 4;
 
 fn bad(msg: &str) -> Error {
     Error::Storage(format!("core decode: {msg}"))
@@ -280,7 +281,6 @@ impl Encode for Member {
     fn encode(&self, enc: &mut Enc) {
         enc.put(&self.trigger);
         enc.put(&self.function);
-        enc.put(&self.params);
     }
 }
 
@@ -289,7 +289,6 @@ impl Decode for Member {
         Ok(Member {
             trigger: dec.get()?,
             function: dec.get()?,
-            params: dec.get()?,
         })
     }
 }
@@ -297,8 +296,6 @@ impl Decode for Member {
 impl Encode for SqlTriggerMeta {
     fn encode(&self, enc: &mut Enc) {
         enc.put(&self.name);
-        enc.put(&self.table);
-        enc.tag(self.event);
         enc.put(&self.plan);
         enc.put(&self.plan_ref);
         enc.put(&self.residual);
@@ -310,8 +307,6 @@ impl Decode for SqlTriggerMeta {
     fn decode(dec: &mut Dec<'_>) -> Result<Self> {
         let t = SqlTriggerMeta {
             name: dec.get()?,
-            table: dec.get()?,
-            event: dec.tag()?,
             plan: dec.get()?,
             plan_ref: dec.get()?,
             residual: dec.get()?,
@@ -334,57 +329,24 @@ impl Encode for Group {
     fn encode(&self, enc: &mut Enc) {
         enc.put(&self.signature);
         enc.put(&self.constants_table);
-        enc.put(&self.n_consts);
-        let mut sets: Vec<(i64, &Vec<Value>)> = self.sets.iter().map(|(k, &id)| (id, k)).collect();
-        sets.sort_by_key(|&(id, _)| id);
-        enc.put(&sets);
+        enc.put(&self.params);
         enc.put(&self.next_set);
         enc.put(&*self.members.lock().expect("members"));
         enc.put(&self.sql_triggers);
         enc.put(&self.footprint);
-        enc.put(&self.trigger_count);
     }
 }
 
 impl Decode for Group {
     fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        let signature = dec.get()?;
-        let constants_table = dec.get()?;
-        let n_consts: usize = dec.get()?;
-        let by_id: Vec<(i64, Vec<Value>)> = dec.get()?;
-        let ordered = by_id.windows(2).all(|pair| pair[0].0 < pair[1].0);
-        let wide = by_id.iter().all(|(_, k)| k.len() == n_consts);
-        let sets: HashMap<Vec<Value>, i64> = by_id.into_iter().map(|(id, k)| (k, id)).collect();
-        let group = Group {
-            signature,
-            constants_table,
-            n_consts,
-            sets,
+        Ok(Group {
+            signature: dec.get()?,
+            constants_table: dec.get()?,
+            params: dec.get()?,
             next_set: dec.get()?,
             members: Arc::new(Mutex::new(dec.get()?)),
             sql_triggers: dec.get()?,
             footprint: dec.get()?,
-            trigger_count: dec.get()?,
-        };
-        if !ordered || !wide {
-            return Err(bad("constants sets out of order or of the wrong width"));
-        }
-        Ok(group)
-    }
-}
-
-impl Encode for TriggerRecord {
-    fn encode(&self, enc: &mut Enc) {
-        enc.put(&self.group_signature);
-        enc.put(&self.set_id);
-    }
-}
-
-impl Decode for TriggerRecord {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(TriggerRecord {
-            group_signature: dec.get()?,
-            set_id: dec.get()?,
         })
     }
 }
@@ -409,6 +371,41 @@ fn keyed<T>(values: Vec<T>, name: impl Fn(&T) -> &String) -> Result<Arc<HashMap<
     Ok(Arc::new(entries.collect()))
 }
 
+/// The XML-trigger index of `q`'s decoded groups, checked against the
+/// recovered constants tables: each trigger is a member once, of a set
+/// that has a constants row (set 0 in a group without a constants table)
+/// and lies below its group's next set id.
+fn trigger_index(q: &Quark) -> Result<HashMap<String, TriggerRecord>> {
+    let mut index = HashMap::new();
+    for g in q.groups.values() {
+        let constants = (g.constants_table.as_deref())
+            .map(|ct| q.db.table(ct))
+            .transpose()?;
+        for (&set_id, list) in g.members.lock().expect("members").iter() {
+            let has_row = (constants.as_ref())
+                .map_or(set_id == 0, |t| t.get(&[Value::Int(set_id)]).is_some());
+            let fault = [
+                (!has_row, "has no constants row"),
+                (list.is_empty(), "has no member"),
+                (set_id >= g.next_set, "is not below the next set id"),
+            ];
+            if let Some((_, fault)) = fault.into_iter().find(|f| f.0) {
+                return Err(bad(&format!("set {set_id} {fault}")));
+            }
+            for m in list {
+                let record = TriggerRecord {
+                    group_signature: g.signature.clone(),
+                    set_id,
+                };
+                if index.insert(m.trigger.clone(), record).is_some() {
+                    return Err(bad(&format!("trigger `{}` is a member twice", m.trigger)));
+                }
+            }
+        }
+    }
+    Ok(index)
+}
+
 // ---------------------------------------------------------------------
 // The blob
 // ---------------------------------------------------------------------
@@ -422,7 +419,6 @@ pub(crate) fn encode_core(q: &Quark) -> Result<Vec<u8>> {
     enc.u64(q.group_counter as u64);
     enc.put(&by_name(&q.views));
     enc.put(&by_name(&q.groups));
-    enc.put(&*q.triggers);
     enc.into_bytes()
 }
 
@@ -464,8 +460,8 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
     })?;
     q.views = keyed(views, |v| &v.name)?;
     q.groups = keyed(dec.get()?, |g: &Group| &g.signature)?;
-    q.triggers = Arc::new(dec.get()?);
     dec.finish()?;
+    q.triggers = Arc::new(trigger_index(q)?);
 
     // Re-arm: rebuild each handler from its persisted ingredients and
     // install it on the recovered database — no translation runs.
@@ -479,7 +475,7 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
 mod tests {
     use super::*;
     use crate::spec::{Action, TriggerSpec, XmlEvent};
-    use quark_relational::expr::BinOp;
+    use quark_relational::expr::{BinOp, Expr};
     use quark_relational::Database;
 
     fn catalog_path(db: &Database) -> PathGraph {
@@ -496,6 +492,22 @@ mod tests {
         }
     }
 
+    /// Trigger `name` of the demo group: `NEW_NODE/@name = product`,
+    /// calling `notify(NEW_NODE)`.
+    fn watch(name: &str, product: &str) -> TriggerSpec {
+        TriggerSpec {
+            name: name.into(),
+            event: XmlEvent::Update,
+            view: "catalog".into(),
+            anchor: "product".into(),
+            condition: Condition::cmp(NodePath::attr(NodeRef::New, "name"), BinOp::Eq, product),
+            action: Action {
+                function: "notify".into(),
+                params: vec![ActionParam::NewNode],
+            },
+        }
+    }
+
     /// A grouped system with two triggers in one group (two constants
     /// sets) — exercises views, constants tables, members and sql
     /// triggers.
@@ -506,22 +518,7 @@ mod tests {
         q.register_view(XmlView::new("catalog").with_anchor("product", pg));
         q.register_action("notify", |_, _| Ok(())).unwrap();
         for (i, product) in ["P1", "P2"].iter().enumerate() {
-            q.create_trigger(TriggerSpec {
-                name: format!("t{i}"),
-                event: XmlEvent::Update,
-                view: "catalog".into(),
-                anchor: "product".into(),
-                condition: Condition::cmp(
-                    NodePath::attr(NodeRef::New, "name"),
-                    BinOp::Eq,
-                    *product,
-                ),
-                action: Action {
-                    function: "notify".into(),
-                    params: vec![ActionParam::NewNode],
-                },
-            })
-            .unwrap();
+            q.create_trigger(watch(&format!("t{i}"), product)).unwrap();
         }
         q
     }
@@ -529,15 +526,25 @@ mod tests {
     /// Simulate recovery: clone the database (keeping base + constants
     /// tables), strip its triggers, and decode the blob into a fresh
     /// system seeded with the *wrong* mode.
-    fn reopen(q: &Quark, blob: &[u8]) -> Quark {
+    fn try_reopen(q: &Quark, blob: &[u8]) -> Result<Quark> {
         let mut db = q.database().clone();
         let names: Vec<String> = db.triggers().map(|t| t.name.clone()).collect();
         for name in names {
             db.drop_trigger(&name).unwrap();
         }
         let mut q2 = Quark::new(db, Mode::Ungrouped);
-        decode_core(&mut q2, blob).unwrap();
-        q2
+        decode_core(&mut q2, blob)?;
+        Ok(q2)
+    }
+
+    fn reopen(q: &Quark, blob: &[u8]) -> Quark {
+        try_reopen(q, blob).unwrap()
+    }
+
+    /// The demo's one group.
+    fn group(q: &mut Quark) -> &mut Group {
+        let groups = Arc::make_mut(&mut q.groups);
+        groups.values_mut().next().expect("one group")
     }
 
     #[test]
@@ -559,20 +566,82 @@ mod tests {
         // A third structurally similar trigger joins the recovered group
         // without translation (fast path still works after decode).
         let mut q2 = q2;
-        q2.create_trigger(TriggerSpec {
-            name: "t3".into(),
-            event: XmlEvent::Update,
-            view: "catalog".into(),
-            anchor: "product".into(),
-            condition: Condition::cmp(NodePath::attr(NodeRef::New, "name"), BinOp::Eq, "P3"),
-            action: Action {
-                function: "notify".into(),
-                params: vec![ActionParam::NewNode],
-            },
-        })
-        .unwrap();
+        q2.create_trigger(watch("t3", "P3")).unwrap();
         assert_eq!(q2.group_count(), 1);
         assert_eq!(q2.translations(), 0);
+    }
+
+    /// A trigger joining an existing group adds its set id, its trigger
+    /// name and its function name to the blob, and no copy of the
+    /// signature, the action parameters or the constants: those live once,
+    /// in the group and in the constants table.
+    #[test]
+    fn a_joining_trigger_adds_only_its_names_and_set() {
+        let mut q = demo();
+        let before = encode_core(&q).unwrap().len();
+        q.create_trigger(watch("t2", "Zenith 99")).unwrap();
+        let blob = encode_core(&q).unwrap();
+        let name = |s: &str| 4 + s.len();
+        // A new set: its id, its list's count, then the member.
+        let new_set = 8 + 4 + name("t2") + name("notify");
+        assert_eq!(blob.len(), before + new_set);
+        assert!(!blob.windows(9).any(|w| w == b"Zenith 99"));
+
+        // A trigger in an existing set adds the member alone.
+        q.create_trigger(watch("t22", "Zenith 99")).unwrap();
+        let shared = encode_core(&q).unwrap().len();
+        assert_eq!(shared, blob.len() + name("t22") + name("notify"));
+        assert_eq!(q.constants_row_count(), 3);
+        let q2 = reopen(&q, &encode_core(&q).unwrap());
+        assert_eq!(q2.xml_trigger_count(), 4);
+        assert_eq!(
+            q.explain_trigger("t22").unwrap(),
+            q2.explain_trigger("t22").unwrap()
+        );
+    }
+
+    /// The trigger index is rebuilt from the member lists, so a blob whose
+    /// lists name a trigger twice, or put a member in a set with no
+    /// constants row or at or above the next set id, is refused.
+    #[test]
+    fn member_lists_that_break_the_index_are_refused() {
+        let refused = |tamper: &dyn Fn(&mut Quark)| {
+            let mut q = demo();
+            tamper(&mut q);
+            let blob = encode_core(&q).unwrap();
+            let err = try_reopen(&q, &blob).err().expect("refused");
+            err.to_string()
+        };
+        let member = |trigger: &str| Member {
+            trigger: trigger.into(),
+            function: "notify".into(),
+        };
+        let twice = refused(&|q| {
+            let members = Arc::clone(&group(q).members);
+            members
+                .lock()
+                .unwrap()
+                .get_mut(&1)
+                .unwrap()
+                .push(member("t0"));
+        });
+        assert!(twice.contains("trigger `t0` is a member twice"), "{twice}");
+        let no_row = refused(&|q| {
+            let ct = group(q).constants_table.clone().unwrap();
+            let set_1 = Expr::eq(Expr::col(0), Expr::lit(1i64));
+            q.database().unload_where(&ct, &set_1).unwrap();
+        });
+        assert!(no_row.contains("set 1 has no constants row"), "{no_row}");
+        let at_next = refused(&|q| group(q).next_set = 1);
+        assert!(
+            at_next.contains("set 1 is not below the next set id"),
+            "{at_next}"
+        );
+        let empty = refused(&|q| {
+            let members = Arc::clone(&group(q).members);
+            members.lock().unwrap().get_mut(&1).unwrap().clear();
+        });
+        assert!(empty.contains("set 1 has no member"), "{empty}");
     }
 
     #[test]
@@ -589,13 +658,13 @@ mod tests {
         // plans run and fire as they did.
         assert_eq!(
             (blob_a.len(), quark_storage::crc::crc32(&blob_a)),
-            (27_534, 0xfefa_b230),
+            (27_134, 0x2ada_d3c9),
             "core blob bytes changed"
         );
     }
 
-    /// Any version byte but [`VERSION`] is refused by name: 1 and 2, the
-    /// retired layouts, included.
+    /// Any version byte but [`VERSION`] is refused by name: 1, 2 and 3,
+    /// the retired layouts, included.
     #[test]
     fn unknown_version_is_rejected() {
         let q = demo();
@@ -604,7 +673,7 @@ mod tests {
         for name in names {
             db.drop_trigger(&name).unwrap();
         }
-        for version in [1, 2, 99] {
+        for version in [1, 2, 3, 99] {
             let mut blob = encode_core(&q).unwrap();
             blob[0] = version;
             let mut q2 = Quark::new(db.clone(), Mode::Grouped);

@@ -119,21 +119,22 @@ pub enum Footprint {
 struct Member {
     trigger: String,
     function: String,
-    params: Vec<ActionParam>,
 }
 
+/// Constants set id → its member triggers, in creation order.
 type Members = Arc<Mutex<HashMap<i64, Vec<Member>>>>;
 
+/// A trigger group (§5.1). A set's constants are its row of the constants
+/// table (primary key `set_id`, every `c{i}` column indexed); a group
+/// without a constants table has one set, 0.
 #[derive(Clone)]
 struct Group {
     signature: String,
     constants_table: Option<String>,
-    /// Constants per set: every set of a group has the same width (the
-    /// group signature fixes the condition shape).
-    n_consts: usize,
+    /// The action's parameters, taken from the group's first trigger: the
+    /// signature fixes the action's shape, so every member has these.
+    params: Vec<ActionParam>,
     members: Members,
-    /// constants vector → set id
-    sets: HashMap<Vec<Value>, i64>,
     next_set: i64,
     sql_triggers: Vec<SqlTriggerMeta>,
     /// Every base table the group's compiled plans read or write —
@@ -141,7 +142,6 @@ struct Group {
     /// Recorded at translation time; the session's footprint analysis
     /// unions it into any write statement that can fire this group.
     footprint: BTreeSet<String>,
-    trigger_count: usize,
 }
 
 impl Group {
@@ -166,6 +166,8 @@ impl Group {
     }
 }
 
+/// Where an XML trigger is: its group and constants set. Not persisted:
+/// an open rebuilds it from the groups' member lists.
 #[derive(Clone)]
 struct TriggerRecord {
     group_signature: String,
@@ -175,12 +177,11 @@ struct TriggerRecord {
 /// One SQL trigger generated for a group, with its compiled plan rendered
 /// for `EXPLAIN TRIGGER` and the handler ingredients kept for persistence:
 /// re-arming a recovered group rebuilds each handler from `plan_ref` /
-/// `residual` / `src` without re-running translation.
+/// `residual` / `src` without re-running translation. `src` names the
+/// table and event the trigger is installed on.
 #[derive(Clone)]
 struct SqlTriggerMeta {
     name: String,
-    table: String,
-    event: quark_relational::Event,
     plan: String,
     plan_ref: PlanRef,
     residual: Option<Condition>,
@@ -499,9 +500,9 @@ impl Quark {
     fn commit_group(&mut self, new: translate::NewGroup) -> Result<()> {
         let group = new.group;
         if let Some(schema) = new.constants {
-            let name = schema.name.clone();
+            let (name, width) = (schema.name.clone(), schema.columns.len() - 1);
             self.db.create_table(schema)?;
-            for i in 0..group.n_consts {
+            for i in 0..width {
                 self.db.create_index(&name, &format!("c{i}"))?;
             }
         }
@@ -513,7 +514,9 @@ impl Quark {
     }
 
     /// Add a trigger to its group (§5.1): a new constants set adds one
-    /// constants-table row; nothing is recompiled.
+    /// constants-table row; nothing is recompiled. An existing set is found
+    /// through the constants table: a probe of its `c0` index, then the
+    /// rest of the row compared.
     fn join_group(
         &mut self,
         spec: TriggerSpec,
@@ -523,39 +526,41 @@ impl Quark {
         let group = Arc::make_mut(&mut self.groups)
             .get_mut(&signature)
             .expect("the group exists or was just committed");
-        let set_id = match group.sets.get(&consts) {
-            Some(&id) => id,
+        let existing = match &group.constants_table {
+            Some(ct) => {
+                let table = self.db.table(ct)?;
+                let rows = table.index_lookup(1, &consts[0])?;
+                rows.iter().find_map(|row| match &row[0] {
+                    Value::Int(id) if row[1..] == consts[..] => Some(*id),
+                    _ => None,
+                })
+            }
+            // The one set, once the group's first trigger has made it.
+            None => (group.next_set > 0).then_some(0),
+        };
+        let set_id = match existing {
+            Some(id) => id,
             None => {
                 let id = group.next_set;
                 if let Some(ct) = &group.constants_table {
-                    let mut row = vec![Value::Int(id)];
-                    row.extend(consts.iter().cloned());
+                    let row = std::iter::once(Value::Int(id)).chain(consts).collect();
                     self.db.load(ct, vec![row])?;
                 }
                 group.next_set += 1;
-                group.sets.insert(consts, id);
                 id
             }
         };
-        group
-            .members
-            .lock()
-            .expect("members")
-            .entry(set_id)
-            .or_default()
-            .push(Member {
-                trigger: spec.name.clone(),
-                function: spec.action.function,
-                params: spec.action.params,
-            });
-        group.trigger_count += 1;
-        Arc::make_mut(&mut self.triggers).insert(
-            spec.name,
-            TriggerRecord {
-                group_signature: signature,
-                set_id,
-            },
-        );
+        let member = Member {
+            trigger: spec.name.clone(),
+            function: spec.action.function,
+        };
+        let mut members = group.members.lock().expect("members");
+        members.entry(set_id).or_default().push(member);
+        let record = TriggerRecord {
+            group_signature: signature,
+            set_id,
+        };
+        Arc::make_mut(&mut self.triggers).insert(spec.name, record);
         Ok(())
     }
 
@@ -576,11 +581,12 @@ impl Quark {
             .groups
             .get(&signature)
             .ok_or_else(|| Error::Plan("trigger group missing".into()))?;
-        let last_member = group.trigger_count == 1;
-        let last_of_set = (group.members.lock().expect("members").get(&set_id))
-            .is_some_and(|list| list.iter().all(|m| m.trigger == name));
-        // Every step that can fail runs before the registry changes, so a
-        // drop that fails leaves the trigger and its group as they were.
+        let mut members = group.members.lock().expect("members");
+        let last_of_set =
+            (members.get(&set_id)).is_some_and(|l| l.iter().all(|m| m.trigger == name));
+        let last_member = last_of_set && members.len() == 1;
+        // Every step that can fail runs before anything changes, so a drop
+        // that fails leaves the trigger and its group as they were.
         if last_member {
             if let Some(t) = (group.sql_triggers.iter()).find(|t| !self.db.has_trigger(&t.name)) {
                 return Err(Error::UnknownTrigger(t.name.clone()));
@@ -592,21 +598,17 @@ impl Quark {
             self.db
                 .unload_where(ct, &Expr::eq(Expr::col(0), Expr::lit(set_id)))?;
         }
-        Arc::make_mut(&mut self.triggers).remove(name);
-        let groups = Arc::make_mut(&mut self.groups);
-        let group = groups.get_mut(&signature).expect("checked above");
-        group.trigger_count -= 1;
-        let mut members = group.members.lock().expect("members");
         if last_of_set {
             members.remove(&set_id);
-            group.sets.retain(|_, id| *id != set_id);
         } else if let Some(list) = members.get_mut(&set_id) {
             list.retain(|m| m.trigger != name);
         }
         drop(members);
+        Arc::make_mut(&mut self.triggers).remove(name);
         if last_member {
             // Checked above: every one of these exists.
-            let group = groups.remove(&signature).expect("checked above");
+            let group = Arc::make_mut(&mut self.groups).remove(&signature);
+            let group = group.expect("checked above");
             for t in &group.sql_triggers {
                 self.db.drop_trigger(&t.name)?;
             }
@@ -667,24 +669,22 @@ impl Quark {
             .groups
             .get(&record.group_signature)
             .ok_or_else(|| Error::Plan("trigger group missing".into()))?;
+        let members = group.members.lock().expect("members");
+        let (triggers, sets) = (members.values().map(Vec::len).sum::<usize>(), members.len());
+        drop(members);
         let mut out = String::new();
         let _ = writeln!(out, "XML trigger `{name}` (mode {:?})", self.mode);
         let _ = writeln!(
             out,
-            "group: {} member trigger(s), set {} of {}",
-            group.trigger_count,
-            record.set_id,
-            group.sets.len()
+            "group: {triggers} member trigger(s), set {} of {sets}",
+            record.set_id
         );
         match &group.constants_table {
             Some(ct) => {
-                let consts = group
-                    .sets
-                    .iter()
-                    .find(|(_, id)| **id == record.set_id)
-                    .map(|(c, _)| c.clone())
-                    .unwrap_or_default();
-                let rows = self.db.table(ct).map(|t| t.len()).unwrap_or(0);
+                let table = self.db.table(ct).ok();
+                let row = (table.as_ref()).and_then(|t| t.get(&[Value::Int(record.set_id)]));
+                let consts = row.map_or(&[][..], |row| &row[1..]);
+                let rows = table.as_ref().map_or(0, |t| t.len());
                 let _ = writeln!(out, "constants: {consts:?} in table `{ct}` ({rows} row(s))");
             }
             None => {
@@ -703,7 +703,7 @@ impl Quark {
         let _ = writeln!(out, "write footprint: {writes:?} (latched exclusive)");
         let _ = writeln!(out, "SQL triggers ({}):", group.sql_triggers.len());
         for t in &group.sql_triggers {
-            let _ = writeln!(out, "  {} AFTER {} ON {}", t.name, t.event, t.table);
+            let _ = writeln!(out, "  {} AFTER {} ON {}", t.name, t.src.event, t.src.table);
             for line in t.plan.lines() {
                 let _ = writeln!(out, "    {line}");
             }

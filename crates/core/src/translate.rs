@@ -72,12 +72,16 @@ pub(super) fn group_key(spec: &TriggerSpec, mode: Mode) -> (String, Condition, V
         return (signature, spec.condition.clone(), Vec::new());
     }
     let (cond, consts) = spec.condition.extract_constants();
+    // The constants' column types belong to the signature: every set of a
+    // group is one row of its constants table, whose columns have one type.
+    let types: Vec<ColumnType> = consts.iter().map(column_type).collect();
     let signature = format!(
-        "{}|{}|{}|{:?}|{:?}",
+        "{}|{}|{}|{:?}|{:?}|{:?}",
         spec.view,
         spec.anchor,
         spec.event,
         cond,
+        types,
         shape_of(&spec.action)
     );
     (signature, cond, consts)
@@ -129,8 +133,6 @@ pub(super) fn translate_group(
             let (plan, plan_ref, residual) = stacked.get(&src.table)?.clone()?;
             Some(SqlTriggerMeta {
                 name: format!("__quark_g{}_{}_{}", cx.group_id, src.table, src.event),
-                table: src.table.clone(),
-                event: src.event,
                 plan,
                 plan_ref,
                 residual,
@@ -154,13 +156,11 @@ pub(super) fn translate_group(
         group: Group {
             signature,
             constants_table,
-            n_consts: consts.len(),
+            params: spec.action.params.clone(),
             members: Arc::new(Mutex::new(HashMap::new())),
-            sets: HashMap::new(),
             next_set: 0,
             sql_triggers,
             footprint,
-            trigger_count: 0,
         },
         constants,
     })
@@ -180,20 +180,24 @@ fn needs(spec: &TriggerSpec, cond: &Condition, template: &PathGraph) -> Needs {
     }
 }
 
+/// The constants-table column type of a constant.
+fn column_type(v: &Value) -> ColumnType {
+    match v {
+        Value::Int(_) => ColumnType::Int,
+        Value::Double(_) => ColumnType::Double,
+        Value::Bool(_) => ColumnType::Bool,
+        _ => ColumnType::Str,
+    }
+}
+
 /// The constants table of group `group_id`: `set_id` plus one column per
-/// constant, typed after the first constants set. Every constant column is
-/// indexed (see `Quark::create_trigger`) so the generated trigger probes
+/// constant, of the type the group signature fixes. Every constant column
+/// is indexed (see `Quark::commit_group`) so the generated trigger probes
 /// instead of scanning (or hashing) all constants rows.
 fn constants_schema(group_id: usize, consts: &[Value]) -> Result<TableSchema> {
     let mut columns = vec![ColumnDef::new("set_id", ColumnType::Int)];
     for (i, v) in consts.iter().enumerate() {
-        let ty = match v {
-            Value::Int(_) => ColumnType::Int,
-            Value::Double(_) => ColumnType::Double,
-            Value::Bool(_) => ColumnType::Bool,
-            _ => ColumnType::Str,
-        };
-        columns.push(ColumnDef::new(format!("c{i}"), ty));
+        columns.push(ColumnDef::new(format!("c{i}"), column_type(v)));
     }
     TableSchema::new(format!("__quark_const_{group_id}"), columns, &["set_id"])
 }
@@ -327,13 +331,13 @@ pub(super) fn install(db: &mut Database, actions: &ActionRegistry, group: &Group
             t.residual.clone(),
             t.src.clone(),
             Arc::clone(&group.members),
-            group.n_consts,
+            group.params.clone(),
             Arc::clone(actions),
         );
         db.create_trigger(SqlTrigger {
             name: t.name.clone(),
-            table: t.table.clone(),
-            event: t.event,
+            table: t.src.table.clone(),
+            event: t.src.event,
             body,
         })?;
     }
@@ -341,13 +345,14 @@ pub(super) fn install(db: &mut Database, actions: &ActionRegistry, group: &Group
 }
 
 /// Build the SQL-trigger body: relevance check, plan execution,
-/// residual filtering, and action activation.
+/// residual filtering, and action activation of `members`, each called
+/// with the group's action `params`.
 fn make_handler(
     plan: PlanRef,
     residual: Option<Condition>,
     src: SourceEvent,
     members: Members,
-    n_consts: usize,
+    params: Vec<ActionParam>,
     actions: ActionRegistry,
 ) -> Arc<NativeTriggerFn> {
     Arc::new(move |db, trans| {
@@ -360,20 +365,26 @@ fn make_handler(
             let Value::Int(set_id) = row[0] else {
                 return Err(Error::Eval("set_id must be an integer".into()));
             };
-            let old = match &row[1] {
+            // `attach_condition`'s layout: set id, the OLD and NEW nodes (or
+            // NULL), then the constants set.
+            let node = |v: &Value| match v {
                 Value::Xml(x) => Some(x.clone()),
                 _ => None,
             };
-            let new = match &row[2] {
-                Value::Xml(x) => Some(x.clone()),
-                _ => None,
-            };
-            let params: Vec<Value> = row[3..3 + n_consts.min(row.len() - 3)].to_vec();
+            let (old, new) = (node(&row[1]), node(&row[2]));
             if let Some(cond) = &residual {
-                if !cond.eval(old.as_ref(), new.as_ref(), &params)? {
+                if !cond.eval(old.as_ref(), new.as_ref(), &row[3..])? {
                     continue;
                 }
             }
+            let args: Vec<Value> = params
+                .iter()
+                .map(|p| match p {
+                    ActionParam::OldNode => row[1].clone(),
+                    ActionParam::NewNode => row[2].clone(),
+                    ActionParam::Const(v) => v.clone(),
+                })
+                .collect();
             // Resolve the row's calls under both locks, each distinct
             // action once, then run them with neither held: an action's
             // cascade may fire this handler again. An unregistered action
@@ -401,22 +412,9 @@ fn make_handler(
                             fns.len() - 1
                         }
                     };
-                    let params = m
-                        .params
-                        .iter()
-                        .map(|p| match p {
-                            ActionParam::OldNode => {
-                                old.clone().map(Value::Xml).unwrap_or(Value::Null)
-                            }
-                            ActionParam::NewNode => {
-                                new.clone().map(Value::Xml).unwrap_or(Value::Null)
-                            }
-                            ActionParam::Const(v) => v.clone(),
-                        })
-                        .collect();
                     let call = ActionCall {
                         trigger: m.trigger.clone(),
-                        params,
+                        params: args.clone(),
                     };
                     calls.push((at, call));
                 }
@@ -478,11 +476,9 @@ mod tests {
         );
         let group = &new.group;
         assert_eq!(group.signature, signature);
-        assert_eq!(
-            (group.trigger_count, group.next_set, group.n_consts),
-            (0, 0, 1)
-        );
-        assert!(group.sets.is_empty() && group.members.lock().unwrap().is_empty());
+        assert_eq!(group.params, [ActionParam::NewNode]);
+        assert_eq!(group.next_set, 0);
+        assert!(group.members.lock().unwrap().is_empty());
         let mut names: Vec<&str> = group.sql_triggers.iter().map(|t| t.name.as_str()).collect();
         names.sort_unstable();
         assert_eq!(

@@ -8,7 +8,9 @@ use quark_core::relational::{Database, Value};
 use quark_core::xml::XmlNodeRef;
 use quark_core::xqgm::fixtures::{catalog_path_graph, product_vendor_db};
 use quark_core::xqgm::{Graph, KeyedGraph};
-use quark_core::{ActionCall, Mode, PathGraph, Quark, Session, StatementError, XmlView};
+use quark_core::{
+    ActionCall, Mode, PathGraph, Quark, Session, StatementError, StatementResult, XmlView,
+};
 use quark_xquery::XQueryFrontend;
 
 /// One recorded firing: `(trigger name, params)`.
@@ -139,4 +141,18 @@ pub fn update_price(
             "UPDATE vendor SET price = {price:?} WHERE vid = '{vid}' AND pid = '{pid}'"
         ))
         .map(|_| ())
+}
+
+/// The `group:` line of `EXPLAIN TRIGGER trigger`: member count, set id
+/// and set count.
+#[allow(dead_code)]
+pub fn group_line(session: &Session, trigger: &str) -> String {
+    let StatementResult::Explain(text) = session
+        .execute(&format!("EXPLAIN TRIGGER {trigger}"))
+        .expect("explain")
+    else {
+        panic!("expected Explain");
+    };
+    let line = text.lines().find(|l| l.starts_with("group: "));
+    line.expect("a group line").to_string()
 }

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
-use common::{all_modes, Log, CATALOG_VIEW, SETUP, TRIGGERS};
+use common::{all_modes, group_line, Log, CATALOG_VIEW, SETUP, TRIGGERS};
 use proptest::prelude::*;
 use quark_core::relational::{Database, Error, Event, Row, SqlTrigger, Value};
 use quark_core::session::CHECKPOINT_LOG_BYTES;
@@ -166,6 +166,66 @@ fn warm_restart_recovers_everything_without_retranslation() {
             .execute("UPDATE vendor SET price = 190.0 WHERE vid = 'Buy.com' AND pid = 'P2'")
             .expect("update under the new trigger");
         assert_eq!(log.len(), 2, "{mode:?}: the new trigger fires");
+        session.close().expect("close");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A reopened group finds a trigger's constants set through its recovered
+/// constants table: equal constants share the row and one firing row, a
+/// set whose last member left has lost its row, and a trigger re-created
+/// with that set's constants gets a fresh set id.
+#[test]
+fn reopened_groups_find_their_constants_sets_through_the_table() {
+    let watch = |name: &str, product: &str| {
+        format!(
+            "CREATE TRIGGER {name} AFTER Update ON view('catalog')/product \
+             WHERE OLD_NODE/@name = '{product}' DO notify(NEW_NODE)"
+        )
+    };
+    let reopen = |session: Session, dir: &Path, mode, log: &Log| {
+        session.close().expect("close");
+        let session = open(dir, mode, SyncMode::Never);
+        arm(&session, log);
+        session
+    };
+    for mode in [Mode::Grouped, Mode::GroupedAgg] {
+        let dir = tmp_dir("sets");
+        let log = Log::default();
+        let session = open(&dir, mode, SyncMode::Never);
+        // NotifyP1 holds set 0 ('CRT 15'); LCD 19's set 1 loses its row.
+        install(&session, &log);
+        session.execute(&watch("Gone", "LCD 19")).expect("trigger");
+        assert_eq!(session.quark().constants_row_count(), 2, "{mode:?}");
+        session.execute("DROP TRIGGER Gone").expect("drop");
+        let session = reopen(session, &dir, mode, &log);
+        assert_eq!(session.quark().constants_row_count(), 1, "{mode:?}");
+
+        session.execute(&watch("Again", "CRT 15")).expect("trigger");
+        session.execute(&watch("Fresh", "LCD 19")).expect("trigger");
+        let lines = |s: &Session| [group_line(s, "Again"), group_line(s, "Fresh")];
+        let expected = [
+            "group: 3 member trigger(s), set 0 of 2",
+            "group: 3 member trigger(s), set 2 of 2",
+        ];
+        assert_eq!(lines(&session), expected, "{mode:?}");
+        assert_eq!(session.quark().constants_row_count(), 2, "{mode:?}");
+        let session = reopen(session, &dir, mode, &log);
+        assert_eq!(lines(&session), expected, "{mode:?}");
+        assert_eq!(session.quark().translations(), 0, "{mode:?}");
+
+        for (vid, pid, fired) in [
+            ("Amazon", "P1", vec!["Again", "NotifyP1"]),
+            ("Buy.com", "P2", vec!["Fresh"]),
+        ] {
+            session
+                .execute(&format!(
+                    "UPDATE vendor SET price = 55.0 WHERE vid = '{vid}' AND pid = '{pid}'"
+                ))
+                .expect("update");
+            let names: Vec<String> = firings(&log).into_iter().map(|(t, _)| t).collect();
+            assert_eq!(names, fired, "{mode:?}");
+        }
         session.close().expect("close");
         let _ = std::fs::remove_dir_all(&dir);
     }

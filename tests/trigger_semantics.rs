@@ -7,7 +7,7 @@ mod common;
 
 use std::collections::HashMap;
 
-use common::{all_modes, catalog_system, node_param, update_price, Log};
+use common::{all_modes, catalog_system, group_line, node_param, update_price, Log};
 use quark_core::relational::expr::{Expr, ScalarFunc};
 use quark_core::relational::plan::JoinKind;
 use quark_core::relational::{Database, Error, Row, Value};
@@ -481,8 +481,10 @@ fn drop_recreate_round_trip_restores_baseline() {
 }
 
 /// Dropping the last member of a *set* in a still-live group removes its
-/// constants-table row and `sets` entry — stale rows must not keep
-/// joining (and must not resurrect when the set's constant is reused).
+/// constants-table row — stale rows must not keep joining (and must not
+/// resurrect when the set's constant is reused: the set is found through
+/// the constants table, so a trigger re-created with those constants gets
+/// a fresh set id).
 #[test]
 fn dropping_last_set_member_removes_constants_row() {
     let (mut session, log) = catalog_system(Mode::Grouped);
@@ -490,6 +492,10 @@ fn dropping_last_set_member_removes_constants_row() {
     session.execute(&watch("B", "LCD 19")).unwrap();
     assert_eq!(session.quark().group_count(), 1);
     assert_eq!(session.quark().constants_row_count(), 2);
+    assert_eq!(
+        group_line(&session, "B"),
+        "group: 2 member trigger(s), set 1 of 2"
+    );
 
     // B leaves: its set has no members, so its constants row must go.
     session.execute("DROP TRIGGER B").unwrap();
@@ -510,20 +516,34 @@ fn dropping_last_set_member_removes_constants_row() {
     // Rejoining with the same constant gets a fresh row and fires again.
     session.execute(&watch("B2", "LCD 19")).unwrap();
     assert_eq!(session.quark().constants_row_count(), 2);
+    assert_eq!(
+        group_line(&session, "B2"),
+        "group: 2 member trigger(s), set 2 of 2"
+    );
     update_price(&mut session, "Buy.com", "P2", 200.0).unwrap();
     let firings = log.take();
     assert_eq!(firings.len(), 1, "{firings:?}");
     assert_eq!(firings[0].0, "B2");
 }
 
-/// Same-set sharing survives a partial drop: with two triggers on one
-/// constant, dropping one keeps the row (the other still needs it).
+/// Equal constants share one set: one constants row, one firing row that
+/// calls both members in creation order. Same-set sharing survives a
+/// partial drop: dropping one keeps the row (the other still needs it).
 #[test]
 fn shared_set_keeps_row_until_last_member_leaves() {
     let (mut session, log) = catalog_system(Mode::Grouped);
     session.execute(&watch("A", "CRT 15")).unwrap();
     session.execute(&watch("B", "CRT 15")).unwrap();
     assert_eq!(session.quark().constants_row_count(), 1);
+    for trigger in ["A", "B"] {
+        assert_eq!(
+            group_line(&session, trigger),
+            "group: 2 member trigger(s), set 0 of 1"
+        );
+    }
+    update_price(&mut session, "Amazon", "P1", 80.0).unwrap();
+    let fired: Vec<String> = log.take().into_iter().map(|f| f.0).collect();
+    assert_eq!(fired, ["A", "B"]);
     session.execute("DROP TRIGGER A").unwrap();
     assert_eq!(session.quark().constants_row_count(), 1);
     update_price(&mut session, "Amazon", "P1", 75.0).unwrap();
@@ -533,6 +553,56 @@ fn shared_set_keeps_row_until_last_member_leaves() {
     session.execute("DROP TRIGGER B").unwrap();
     assert_eq!(session.quark().sql_trigger_count(), 0);
     assert_eq!(session.quark().constants_row_count(), 0);
+}
+
+/// Whether a grouped trigger can be created does not depend on the
+/// constant types of the triggers already in its group: a constant of
+/// another type forms a group of its own, so no constants row is stored
+/// in a column of another type. In every order both triggers are created,
+/// and they fire as they do UNGROUPED.
+#[test]
+fn constants_of_another_type_do_not_share_a_group() {
+    let orders = [
+        ["'CRT 15'", "5"],
+        ["5", "'CRT 15'"],
+        ["5", "5.5"],
+        ["5.5", "5"],
+    ];
+    let updates = [
+        ("Amazon", "P1", 5.0),
+        ("Amazon", "P2", 5.5),
+        ("Amazon", "P1", 7.0),
+    ];
+    for path in ["OLD_NODE/@name", "NEW_NODE/vendor/price"] {
+        for pair in orders {
+            let run = |mode: Mode| {
+                let (mut session, log) = catalog_system(mode);
+                for (i, constant) in pair.iter().enumerate() {
+                    let trigger = format!(
+                        "create trigger T{i} after update on view('catalog')/product \
+                         where {path} = {constant} do notify(NEW_NODE)"
+                    );
+                    if let Err(e) = session.execute(&trigger) {
+                        panic!("{mode:?}, {path} = {pair:?}: T{i}: {e}");
+                    }
+                }
+                let mut fired = Vec::new();
+                for (vid, pid, price) in updates {
+                    update_price(&mut session, vid, pid, price).unwrap();
+                    let mut round: Vec<String> = (log.take().iter())
+                        .map(|f| format!("{} {}", f.0, node_param(f).to_xml()))
+                        .collect();
+                    round.sort();
+                    fired.push(round);
+                }
+                fired
+            };
+            let expected = run(Mode::Ungrouped);
+            for mode in [Mode::Grouped, Mode::GroupedAgg] {
+                assert_eq!(run(mode), expected, "{mode:?}, {path} = {pair:?}");
+            }
+        }
+    }
 }
 
 /// `view('outer')/product`: products left-outer-joined with their vendors.
