@@ -16,7 +16,7 @@
 
 use quark_relational::expr::Expr;
 use quark_relational::{Database, Error, Result};
-use quark_xqgm::{JoinKind, KeyedGraph, OpId, OpKind, TableSource};
+use quark_xqgm::{Graph, JoinKind, OpId, OpKind, TableSource};
 
 /// Which transition feeds the affected-keys computation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,23 +61,23 @@ pub struct AkResult {
 /// graph (base accesses to `table` switched to the old epoch), matching the
 /// paper's `CreateAKGraph(o_Gold, B_old, ∇B)`.
 pub fn create_ak_graph(
-    kg: &mut KeyedGraph,
+    g: &mut Graph,
     root: OpId,
     table: &str,
     side: AkSide,
     db: &Database,
 ) -> Result<Option<AkResult>> {
-    build(kg, root, table, side, db)
+    build(g, root, table, side, db)
 }
 
 fn build(
-    kg: &mut KeyedGraph,
+    g: &mut Graph,
     id: OpId,
     table: &str,
     side: AkSide,
     db: &Database,
 ) -> Result<Option<AkResult>> {
-    let op = kg.graph.op(id).clone();
+    let op = g.op(id).clone();
     match &op.kind {
         // Lines 3-9: the base case.
         OpKind::Table { table: t, source } => {
@@ -89,8 +89,8 @@ fn build(
             let schema = table.schema();
             let pk = schema.primary_key.clone();
             let names: Vec<String> = pk.iter().map(|&c| schema.columns[c].name.clone()).collect();
-            let trans = kg.table_from(t.clone(), side.source(), db)?;
-            let ak = kg.project(trans, pk.iter().map(|&c| Expr::col(c)).collect(), names);
+            let trans = g.table_from(t.clone(), side.source());
+            let ak = g.project(trans, pk.iter().map(|&c| Expr::col(c)).collect(), names);
             let n = pk.len();
             Ok(Some(AkResult {
                 op: ak,
@@ -103,7 +103,7 @@ fn build(
         // affected-keys operator and projects the affected group keys.
         OpKind::GroupBy { group_cols, .. } => {
             let input = op.inputs[0];
-            let Some(inner) = build(kg, input, table, side, db)? else {
+            let Some(inner) = build(g, input, table, side, db)? else {
                 return Ok(None);
             };
             let pairs: Vec<(usize, usize)> = inner
@@ -112,9 +112,10 @@ fn build(
                 .zip(&inner.cols_in_ak)
                 .map(|(&o, &a)| (o, a))
                 .collect();
-            let joined = kg.equi_join(JoinKind::Inner, input, inner.op, &pairs, db)?;
+            let input_arity = g.arity(input, db)?;
+            let joined = g.equi_join(JoinKind::Inner, input, inner.op, &pairs, input_arity);
             // Distinct group keys of affected input rows = affected groups.
-            let ak = kg.group_by(joined, group_cols.clone(), vec![]);
+            let ak = g.group_by(joined, group_cols.clone(), vec![]);
             let n = group_cols.len();
             Ok(Some(AkResult {
                 op: ak,
@@ -124,9 +125,9 @@ fn build(
         }
 
         // Lines 19-21: Select and Project propagate.
-        OpKind::Select { .. } => build(kg, op.inputs[0], table, side, db),
+        OpKind::Select { .. } => build(g, op.inputs[0], table, side, db),
         OpKind::Project { exprs, .. } => {
-            let Some(inner) = build(kg, op.inputs[0], table, side, db)? else {
+            let Some(inner) = build(g, op.inputs[0], table, side, db)? else {
                 return Ok(None);
             };
             // Map each input key column to its output position. Keys are
@@ -158,9 +159,9 @@ fn build(
                 ));
             }
             let (l, r) = (op.inputs[0], op.inputs[1]);
-            let left_arity = kg.graph.arity(l, db)?;
-            let la = build(kg, l, table, side, db)?;
-            let ra = build(kg, r, table, side, db)?;
+            let left_arity = g.arity(l, db)?;
+            let la = build(g, l, table, side, db)?;
+            let ra = build(g, r, table, side, db)?;
             match (la, ra) {
                 (None, None) => Ok(None),
                 // Lines 33-34: one affected input — propagate its (partial)
@@ -174,12 +175,12 @@ fn build(
                 // Lines 36-39: both inputs affected — union of
                 // cross-products.
                 (Some(a), Some(b)) => {
-                    let a_arity = kg.graph.arity(a.op, db)?;
+                    let a_arity = g.arity(a.op, db)?;
                     let l_arity = left_arity;
 
                     // Ja = Project(K)(Join(A′, R)): affected-left keys ×
                     // all right rows.
-                    let ja_join = kg.join(JoinKind::Inner, a.op, r, None, db)?;
+                    let ja_join = g.join(JoinKind::Inner, a.op, r, None);
                     let ja_exprs: Vec<Expr> = a
                         .cols_in_ak
                         .iter()
@@ -188,19 +189,19 @@ fn build(
                         .collect();
                     let n = ja_exprs.len();
                     let names: Vec<String> = (0..n).map(|i| format!("ak_{i}")).collect();
-                    let ja = kg.project(ja_join, ja_exprs, names.clone());
+                    let ja = g.project(ja_join, ja_exprs, names.clone());
 
                     // Jb = Project(K)(Join(L, B′)).
-                    let jb_join = kg.join(JoinKind::Inner, l, b.op, None, db)?;
+                    let jb_join = g.join(JoinKind::Inner, l, b.op, None);
                     let jb_exprs: Vec<Expr> = a
                         .cols_in_o
                         .iter()
                         .map(|&c| Expr::col(c))
                         .chain(b.cols_in_ak.iter().map(|&c| Expr::col(l_arity + c)))
                         .collect();
-                    let jb = kg.project(jb_join, jb_exprs, names);
+                    let jb = g.project(jb_join, jb_exprs, names);
 
-                    let union = kg.union(vec![ja, jb], db)?;
+                    let union = g.union(vec![ja, jb]);
                     let cols_in_o: Vec<usize> = a
                         .cols_in_o
                         .iter()
@@ -220,7 +221,7 @@ fn build(
         OpKind::Union => {
             let mut branches = Vec::new();
             for &i in &op.inputs {
-                if let Some(a) = build(kg, i, table, side, db)? {
+                if let Some(a) = build(g, i, table, side, db)? {
                     branches.push(a);
                 }
             }
@@ -244,14 +245,14 @@ fn build(
             let projected: Vec<OpId> = branches
                 .iter()
                 .map(|b| {
-                    kg.project(
+                    g.project(
                         b.op,
                         b.cols_in_ak.iter().map(|&c| Expr::col(c)).collect(),
                         names.clone(),
                     )
                 })
                 .collect();
-            let u = kg.union(projected, db)?;
+            let u = g.union(projected);
             let n = cols.len();
             Ok(Some(AkResult {
                 op: u,
@@ -271,16 +272,17 @@ mod tests {
     use super::*;
     use quark_relational::exec::transitions;
     use quark_relational::exec::{execute, ExecContext};
+    use quark_relational::plan::TableEpoch;
     use quark_relational::{row, Event, Value};
     use quark_xqgm::fixtures::{catalog_path_graph, product_vendor_db};
-    use quark_xqgm::{Compiler, Graph};
+    use quark_xqgm::{normalize, Compiler};
 
-    fn setup() -> (quark_relational::Database, KeyedGraph, OpId) {
+    fn setup() -> (quark_relational::Database, Graph, OpId) {
         let db = product_vendor_db();
-        let mut g = Graph::new();
-        let (top, _) = catalog_path_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
-        (db, kg, root)
+        let mut src = Graph::new();
+        let (top, _) = catalog_path_graph(&mut src);
+        let (g, root) = normalize(&src, top, &db).unwrap();
+        (db, g, root)
     }
 
     /// The §4.1 counter-example: inserting one vendor row for P2 must
@@ -288,8 +290,8 @@ mod tests {
     /// table alone yields count = 1 < 2.
     #[test]
     fn nested_predicate_counterexample_yields_affected_key() {
-        let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+        let (db, mut g, root) = setup();
+        let ak = create_ak_graph(&mut g, root, "vendor", AkSide::Delta, &db)
             .unwrap()
             .expect("vendor affects the view");
 
@@ -313,7 +315,7 @@ mod tests {
             ])],
             vec![],
         );
-        let plan = Compiler::new(&kg.graph, &db).compile(ak.op).unwrap();
+        let plan = Compiler::new(&g, &db).compile(ak.op).unwrap();
         let ctx = ExecContext::new(&db, Some(&trans));
         let rows = execute(&plan, &ctx).unwrap();
         let keys: Vec<String> = rows
@@ -322,14 +324,14 @@ mod tests {
             .collect();
         assert_eq!(keys, vec!["LCD 19".to_string()]);
         // The key columns correspond to the path graph's canonical key.
-        assert_eq!(ak.cols_in_o, kg.key(root));
+        assert_eq!(ak.cols_in_o, g.key(root, &db).unwrap());
     }
 
     /// An update to one vendor of "CRT 15" flags exactly that product name.
     #[test]
     fn vendor_update_flags_one_group() {
-        let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+        let (db, mut g, root) = setup();
+        let ak = create_ak_graph(&mut g, root, "vendor", AkSide::Delta, &db)
             .unwrap()
             .unwrap();
         db.update_by_key(
@@ -352,7 +354,7 @@ mod tests {
                 Value::Double(100.0),
             ])],
         );
-        let plan = Compiler::new(&kg.graph, &db).compile(ak.op).unwrap();
+        let plan = Compiler::new(&g, &db).compile(ak.op).unwrap();
         let ctx = ExecContext::new(&db, Some(&trans));
         let rows = execute(&plan, &ctx).unwrap();
         assert_eq!(rows.len(), 1);
@@ -363,13 +365,13 @@ mod tests {
     /// to its current value yields no affected keys (Appendix F).
     #[test]
     fn pruned_transitions_suppress_noop_updates() {
-        let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+        let (db, mut g, root) = setup();
+        let ak = create_ak_graph(&mut g, root, "vendor", AkSide::Delta, &db)
             .unwrap()
             .unwrap();
         let same = row([Value::str("Amazon"), Value::str("P1"), Value::Double(100.0)]);
         let trans = transitions("vendor", Event::Update, vec![same.clone()], vec![same]);
-        let plan = Compiler::new(&kg.graph, &db).compile(ak.op).unwrap();
+        let plan = Compiler::new(&g, &db).compile(ak.op).unwrap();
         let ctx = ExecContext::new(&db, Some(&trans));
         let rows = execute(&plan, &ctx).unwrap();
         assert!(rows.is_empty(), "no-op update produced {rows:?}");
@@ -378,17 +380,18 @@ mod tests {
     /// A table that the path graph never reads yields no AK graph.
     #[test]
     fn unrelated_table_yields_none() {
-        let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(&mut kg, root, "no_such_table", AkSide::Delta, &db).unwrap();
+        let (db, mut g, root) = setup();
+        let ak = create_ak_graph(&mut g, root, "no_such_table", AkSide::Delta, &db).unwrap();
         assert!(ak.is_none());
     }
 
     /// The ∇ side runs over G_old and reads the ∇ transition source.
     #[test]
     fn nabla_side_uses_old_graph() {
-        let (db, mut kg, root) = setup();
-        let old_root = kg.old_version(root, "vendor");
-        let ak = create_ak_graph(&mut kg, old_root, "vendor", AkSide::Nabla, &db)
+        let (db, mut g, root) = setup();
+        let old = TableSource::Base(TableEpoch::Old);
+        let (old_root, _) = g.replace_source(root, "vendor", old);
+        let ak = create_ak_graph(&mut g, old_root, "vendor", AkSide::Nabla, &db)
             .unwrap()
             .unwrap();
 
@@ -397,7 +400,7 @@ mod tests {
         let old_row = db.table("vendor").unwrap().get(&key).unwrap().clone();
         db.delete_by_key("vendor", &key).unwrap();
         let trans = transitions("vendor", Event::Delete, vec![], vec![old_row]);
-        let plan = Compiler::new(&kg.graph, &db).compile(ak.op).unwrap();
+        let plan = Compiler::new(&g, &db).compile(ak.op).unwrap();
         let ctx = ExecContext::new(&db, Some(&trans));
         let rows = execute(&plan, &ctx).unwrap();
         assert_eq!(rows.len(), 1);
@@ -407,8 +410,8 @@ mod tests {
     /// Product-side changes propagate through the left join input.
     #[test]
     fn product_update_side() {
-        let (db, mut kg, root) = setup();
-        let ak = create_ak_graph(&mut kg, root, "product", AkSide::Delta, &db)
+        let (db, mut g, root) = setup();
+        let ak = create_ak_graph(&mut g, root, "product", AkSide::Delta, &db)
             .unwrap()
             .unwrap();
         db.update_by_key("product", &[Value::str("P2")], &[(2, Value::str("LG"))])
@@ -427,7 +430,7 @@ mod tests {
                 Value::str("Samsung"),
             ])],
         );
-        let plan = Compiler::new(&kg.graph, &db).compile(ak.op).unwrap();
+        let plan = Compiler::new(&g, &db).compile(ak.op).unwrap();
         let ctx = ExecContext::new(&db, Some(&trans));
         let rows = execute(&plan, &ctx).unwrap();
         assert_eq!(rows.len(), 1);

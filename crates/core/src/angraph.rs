@@ -37,14 +37,18 @@
 use std::collections::HashMap;
 
 use quark_relational::expr::{AggFunc, BinOp, Expr};
-use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef};
+use quark_relational::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, TableEpoch};
 use quark_relational::{ColumnType, Database, Result, Value};
-use quark_xqgm::{AggCompensation, Compiler, Driver, Graph, KeyedGraph, OpId, OpKind, TableSource};
+use quark_xqgm::{AggCompensation, Compiler, Driver, Graph, OpId, OpKind, TableSource};
 
 use crate::akgraph::{create_ak_graph, AkResult, AkSide};
 use crate::inject::{is_injective, skeleton, SkeletonMap};
 use crate::spec::{PathGraph, XmlEvent};
 use crate::system::Mode;
+
+/// The source `G_old` reads a table from: its state before the firing
+/// statement.
+const OLD: TableSource = TableSource::Base(TableEpoch::Old);
 
 /// What each side of the affected-node pair must supply.
 #[derive(Debug, Clone, Copy, Default)]
@@ -109,10 +113,10 @@ pub fn build_affected(
     db: &Database,
 ) -> Result<Option<AffectedNodePlan>> {
     let root = pg.root;
-    let key = pg.key().to_vec();
+    let key = pg.key(db)?.to_vec();
 
     // ---------- Phase A: graph construction ----------
-    let injective = is_injective(&pg.kg, root, table, db)?;
+    let injective = is_injective(&pg.graph, root, table, db)?;
     // A side whose node nobody reads may be a skeleton. For UPDATE that is
     // only sound when the injective shortcut removes the value comparison;
     // an anti-join partner (INSERT's OLD, DELETE's NEW side) reads only
@@ -123,35 +127,35 @@ pub fn build_affected(
     let may_skel_old = may_skel(needs.old, event == XmlEvent::Insert);
     let may_skel_new = may_skel(needs.new, event == XmlEvent::Delete);
 
-    let skel = skeleton(&mut pg.kg, root, db)?;
-    let old_root = pg.kg.old_version(root, table);
+    let skel = skeleton(&mut pg.graph, root, db)?;
+    let old_root = pg.graph.replace_source(root, table, OLD).0;
     // The skeleton's `G_old` mirror and its operator map; the mirror keeps
     // the skeleton's column map.
     let skel_old: Option<(OpId, HashMap<OpId, OpId>)> = skel
         .as_ref()
-        .map(|(skel_root, _)| pg.kg.old_version_mapped(*skel_root, table));
+        .map(|(skel_root, _)| pg.graph.replace_source(*skel_root, table, OLD));
 
     let recipes = match &skel_old {
         Some((_, mirror)) if mode == Mode::GroupedAgg && (may_skel_old || may_skel_new) => {
-            compensation_recipes(&mut pg.kg, mirror, table)
+            compensation_recipes(&mut pg.graph, mirror, table)
         }
         _ => Vec::new(),
     };
 
-    let (aks, ak_key) = key_graphs(&mut pg.kg, root, skel.as_ref(), &key, table, db)?;
+    let (aks, ak_key) = key_graphs(&mut pg.graph, root, skel.as_ref(), &key, table, db)?;
     if aks.iter().all(Option::is_none) {
         return Ok(None);
     }
 
     // ---------- Phase B: plan assembly ----------
-    let mut compiler = Compiler::new(&pg.kg.graph, db);
+    let mut compiler = Compiler::new(&pg.graph, db);
     for (op, recipe) in recipes {
         compiler.add_compensation(op, recipe);
     }
 
     let mut key_branches: Vec<PlanRef> = Vec::new();
     for (ak, side_root) in aks.iter().flatten() {
-        let completed = complete_key(&pg.kg.graph, ak, *side_root, &ak_key, db)?;
+        let completed = complete_key(&pg.graph, ak, *side_root, &ak_key, db)?;
         key_branches.push(full_key_plan(
             &mut compiler,
             ak,
@@ -190,7 +194,7 @@ type KeyGraphs = [Option<(AkResult, OpId)>; 2];
 /// runs over the skeleton `skel` (§5.2) whenever that keeps every key
 /// column: no element constructor or `aggXMLFrag` enters a key branch.
 fn key_graphs(
-    kg: &mut KeyedGraph,
+    g: &mut Graph,
     root: OpId,
     skel: Option<&(OpId, SkeletonMap)>,
     key: &[usize],
@@ -200,13 +204,13 @@ fn key_graphs(
     let (root, key) = skel
         .and_then(|(skel_root, map)| Some((*skel_root, mapped(map, key)?)))
         .unwrap_or_else(|| (root, key.to_vec()));
-    let old_root = kg.old_version(root, table);
+    let old_root = g.replace_source(root, table, OLD).0;
     let mut sides = [None, None];
     for (slot, (side_root, side)) in sides
         .iter_mut()
         .zip([(root, AkSide::Delta), (old_root, AkSide::Nabla)])
     {
-        *slot = create_ak_graph(kg, side_root, table, side, db)?.map(|ak| (ak, side_root));
+        *slot = create_ak_graph(g, side_root, table, side, db)?.map(|ak| (ak, side_root));
     }
     Ok((sides, key))
 }
@@ -222,7 +226,7 @@ fn key_graphs(
 /// leaf lifting a group over the threshold changes the input by more than
 /// its own Δ/∇ rows, and the compensated old count would be wrong.
 fn compensation_recipes(
-    kg: &mut KeyedGraph,
+    g: &mut Graph,
     mirror: &HashMap<OpId, OpId>,
     table: &str,
 ) -> Vec<(OpId, AggCompensation)> {
@@ -232,22 +236,22 @@ fn compensation_recipes(
         if gb_new == gb_old {
             continue;
         }
-        let op = kg.graph.op(gb_new).clone();
+        let op = g.op(gb_new).clone();
         let OpKind::GroupBy { aggs, .. } = &op.kind else {
             continue;
         };
         let distributive = aggs.iter().all(|a| {
             matches!(a.func, AggFunc::CountStar) || (a.func == AggFunc::Sum && a.arg.is_some())
         });
-        if !distributive || !linear_in(kg, op.inputs[0], table, &reads) {
+        if !distributive || !linear_in(g, op.inputs[0], table, &reads) {
             continue;
         }
         let existence_agg = aggs
             .iter()
             .position(|a| matches!(a.func, AggFunc::CountStar));
         let input = op.inputs[0];
-        let delta_input = kg.variant_with_source(input, table, TableSource::Delta { pruned: true });
-        let nabla_input = kg.variant_with_source(input, table, TableSource::Nabla { pruned: true });
+        let (delta_input, _) = g.replace_source(input, table, TableSource::Delta { pruned: true });
+        let (nabla_input, _) = g.replace_source(input, table, TableSource::Nabla { pruned: true });
         recipes.push((
             gb_old,
             AggCompensation {
@@ -265,17 +269,17 @@ fn compensation_recipes(
 /// Select, Project and inner joins whose other side does not read `table`
 /// (`reads`)? Then `id` over `B_old` is `id` over `B`, minus `id` over `ΔB`,
 /// plus `id` over `∇B`, row for row.
-fn linear_in(kg: &KeyedGraph, id: OpId, table: &str, reads: &dyn Fn(OpId) -> bool) -> bool {
-    let op = kg.graph.op(id);
+fn linear_in(g: &Graph, id: OpId, table: &str, reads: &dyn Fn(OpId) -> bool) -> bool {
+    let op = g.op(id);
     match &op.kind {
         OpKind::Table { table: t, .. } => t == table,
-        OpKind::Select { .. } | OpKind::Project { .. } => linear_in(kg, op.inputs[0], table, reads),
+        OpKind::Select { .. } | OpKind::Project { .. } => linear_in(g, op.inputs[0], table, reads),
         OpKind::Join {
             kind: JoinKind::Inner,
             ..
         } => match (reads(op.inputs[0]), reads(op.inputs[1])) {
-            (true, false) => linear_in(kg, op.inputs[0], table, reads),
-            (false, true) => linear_in(kg, op.inputs[1], table, reads),
+            (true, false) => linear_in(g, op.inputs[0], table, reads),
+            (false, true) => linear_in(g, op.inputs[1], table, reads),
             _ => false,
         },
         _ => false,
@@ -637,29 +641,28 @@ mod tests {
     /// and its `count ≥ 2` selection.
     #[test]
     fn compensation_stops_at_nested_aggregates() {
-        let (db, mut kg, root) = chain_view(3);
-        let (skel, _) = skeleton(&mut kg, root, &db).unwrap().expect("prunable");
-        let (_, mirror) = kg.old_version_mapped(skel, "t2");
-        let is_group_by =
-            |kg: &KeyedGraph, id: OpId| matches!(kg.graph.op(id).kind, OpKind::GroupBy { .. });
+        let (db, mut ng, root) = chain_view(3);
+        let (skel, _) = skeleton(&mut ng, root, &db).unwrap().expect("prunable");
+        let (_, mirror) = ng.replace_source(skel, "t2", OLD);
+        let is_group_by = |ng: &Graph, id: OpId| matches!(ng.op(id).kind, OpKind::GroupBy { .. });
         let mirrored = mirror
             .iter()
-            .filter(|&(&new, &old)| new != old && is_group_by(&kg, new))
+            .filter(|&(&new, &old)| new != old && is_group_by(&ng, new))
             .count();
         assert_eq!(mirrored, 2, "both group-bys read t2");
 
-        let recipes = compensation_recipes(&mut kg, &mirror, "t2");
+        let recipes = compensation_recipes(&mut ng, &mirror, "t2");
         let [(old_op, recipe)] = recipes.as_slice() else {
             panic!("expected one recipe, got {}", recipes.len());
         };
         assert_eq!(*old_op, mirror[&recipe.new_op]);
-        let input = kg.graph.op(recipe.new_op).inputs[0];
-        assert!(matches!(kg.graph.op(input).kind, OpKind::Project { .. }));
-        let base = kg.graph.op(input).inputs[0];
+        let input = ng.op(recipe.new_op).inputs[0];
+        assert!(matches!(ng.op(input).kind, OpKind::Project { .. }));
+        let base = ng.op(input).inputs[0];
         assert!(
-            matches!(&kg.graph.op(base).kind, OpKind::Table { table, .. } if table == "t2"),
+            matches!(&ng.op(base).kind, OpKind::Table { table, .. } if table == "t2"),
             "{:?}",
-            kg.graph.op(base).kind
+            ng.op(base).kind
         );
     }
 
@@ -702,27 +705,27 @@ mod tests {
             let db = product_vendor_db();
             let mut g = Graph::new();
             let (top, _) = catalog_path_graph(&mut g);
-            let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
-            (db, kg, root)
+            let (ng, root) = quark_xqgm::normalize(&g, top, &db).unwrap();
+            (db, ng, root)
         };
-        for ((db, mut kg, root), tables) in [
+        for ((db, mut ng, root), tables) in [
             (chain_view(3), &["t0", "t1", "t2"][..]),
             (catalog, &["product", "vendor"][..]),
         ] {
             let mut full = Vec::new();
-            xml_ops(&kg.graph, root, &mut full);
+            xml_ops(&ng, root, &mut full);
             assert!(!full.is_empty(), "the view builds XML");
-            let key = kg.key(root).to_vec();
-            let skel = skeleton(&mut kg, root, &db).unwrap();
+            let key = ng.key(root, &db).unwrap().to_vec();
+            let skel = skeleton(&mut ng, root, &db).unwrap();
             for table in tables {
-                let (aks, _) = key_graphs(&mut kg, root, skel.as_ref(), &key, table, &db).unwrap();
+                let (aks, _) = key_graphs(&mut ng, root, skel.as_ref(), &key, table, &db).unwrap();
                 assert!(
                     aks.iter().all(Option::is_some),
                     "{table} affects both sides"
                 );
                 for (ak, _) in aks.iter().flatten() {
                     let mut built = Vec::new();
-                    xml_ops(&kg.graph, ak.op, &mut built);
+                    xml_ops(&ng, ak.op, &mut built);
                     assert_eq!(built, [], "{table}");
                 }
             }
@@ -731,15 +734,10 @@ mod tests {
 
     /// The affected keys of `table` over `root` (Δ) and over its `G_old`
     /// mirror (∇), each with the root it completes against.
-    fn both_sides(
-        kg: &mut KeyedGraph,
-        root: OpId,
-        table: &str,
-        db: &Database,
-    ) -> [(AkResult, OpId); 2] {
-        let old_root = kg.old_version(root, table);
+    fn both_sides(ng: &mut Graph, root: OpId, table: &str, db: &Database) -> [(AkResult, OpId); 2] {
+        let old_root = ng.replace_source(root, table, OLD).0;
         [(root, AkSide::Delta), (old_root, AkSide::Nabla)].map(|(side_root, side)| {
-            let ak = create_ak_graph(kg, side_root, table, side, db)
+            let ak = create_ak_graph(ng, side_root, table, side, db)
                 .unwrap()
                 .expect("table affects the view");
             (ak, side_root)
@@ -752,12 +750,12 @@ mod tests {
     /// one affected-keys column read twice, no join-back.
     #[test]
     fn chain_view_completes_both_key_branches() {
-        let (db, mut kg, root) = chain_view(3);
-        let key = kg.key(root).to_vec();
+        let (db, mut ng, root) = chain_view(3);
+        let key = ng.key(root, &db).unwrap().to_vec();
         assert_eq!(key.len(), 2, "{key:?}");
-        for (ak, side_root) in both_sides(&mut kg, root, "t2", &db) {
+        for (ak, side_root) in both_sides(&mut ng, root, "t2", &db) {
             assert_eq!(ak.cols_in_o, [key[1]], "partial key");
-            let completed = complete_key(&kg.graph, &ak, side_root, &key, &db).unwrap();
+            let completed = complete_key(&ng, &ak, side_root, &key, &db).unwrap();
             assert_eq!(completed, Some(vec![ak.cols_in_ak[0]; 2]));
         }
     }
@@ -788,12 +786,12 @@ mod tests {
         let (top, leaf) = (g.table("top"), g.table("leaf"));
         let groups = g.group_by(leaf, vec![1], vec![(AggExpr::count_star(), "cnt".into())]);
         let join = g.equi_join(JoinKind::Inner, top, groups, &[(on, 0)], 3);
-        let (mut kg, root) = KeyedGraph::normalize(&g, join, &db).unwrap();
-        let key = kg.key(root).to_vec();
+        let (mut ng, root) = quark_xqgm::normalize(&g, join, &db).unwrap();
+        let key = ng.key(root, &db).unwrap().to_vec();
         assert_eq!(key, [0, 3]);
-        let completions = both_sides(&mut kg, root, "leaf", &db).map(|(ak, side_root)| {
+        let completions = both_sides(&mut ng, root, "leaf", &db).map(|(ak, side_root)| {
             assert_eq!(ak.cols_in_o, [3], "partial key");
-            complete_key(&kg.graph, &ak, side_root, &key, &db).unwrap()
+            complete_key(&ng, &ak, side_root, &key, &db).unwrap()
         });
         assert_eq!(completions[0], completions[1], "Δ and ∇ agree");
         let [completed, _] = completions;
@@ -827,10 +825,10 @@ mod tests {
         let db = product_vendor_db();
         let mut g = Graph::new();
         let (top, _) = catalog_path_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
+        let (ng, root) = quark_xqgm::normalize(&g, top, &db).unwrap();
         let attr_cols = HashMap::from([("name".to_string(), 0)]);
         let pg = PathGraph {
-            kg,
+            graph: ng,
             root,
             node_col: 1,
             attr_cols,

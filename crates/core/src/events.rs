@@ -306,14 +306,14 @@ mod tests {
     use super::*;
     use quark_relational::{row, Value};
     use quark_xqgm::fixtures::{catalog_path_graph, product_vendor_db};
-    use quark_xqgm::KeyedGraph;
+    use quark_xqgm::normalize;
 
     fn catalog_events(event: XmlEvent) -> Vec<SourceEvent> {
         let db = product_vendor_db();
         let mut g = Graph::new();
         let (top, _) = catalog_path_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
-        source_events(&kg.graph, root, event, &db).unwrap()
+        let (ng, root) = normalize(&g, top, &db).unwrap();
+        source_events(&ng, root, event, &db).unwrap()
     }
 
     /// §3.3's example: UPDATE on `view('catalog')/product` is caused by

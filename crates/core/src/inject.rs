@@ -29,7 +29,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use quark_relational::expr::{AggFunc, Expr, ScalarFunc};
 use quark_relational::{Database, Result};
-use quark_xqgm::{KeyedGraph, OpId, OpKind, TableSource};
+use quark_xqgm::{Graph, OpId, OpKind, TableSource};
 
 /// Outcome of tracing `table`'s columns up through the view.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,8 +50,8 @@ enum Image {
 /// Is the path graph under `root` transitively injective w.r.t. `table`
 /// (§F.2's sufficient conditions)? `false` means UPDATE triggers for
 /// `table` events must keep the explicit `OLD_NODE ≠ NEW_NODE` check.
-pub fn is_injective(kg: &KeyedGraph, root: OpId, table: &str, db: &Database) -> Result<bool> {
-    Ok(matches!(image(kg, root, table, db)?, Image::Cols(_)))
+pub fn is_injective(g: &Graph, root: OpId, table: &str, db: &Database) -> Result<bool> {
+    Ok(matches!(image(g, root, table, db)?, Image::Cols(_)))
 }
 
 /// Carry every tracked column through one operator: `out` maps a column's
@@ -68,9 +68,9 @@ fn survive(
     }
 }
 
-fn image(kg: &KeyedGraph, id: OpId, table: &str, db: &Database) -> Result<Image> {
-    let op = kg.graph.op(id);
-    let input = |i: usize| image(kg, op.inputs[i], table, db);
+fn image(g: &Graph, id: OpId, table: &str, db: &Database) -> Result<Image> {
+    let op = g.op(id);
+    let input = |i: usize| image(g, op.inputs[i], table, db);
     let carried = |e: &Expr, cs: &BTreeSet<usize>| cs.iter().any(|&c| carries_injectively(e, c));
     Ok(match &op.kind {
         OpKind::Table {
@@ -91,7 +91,7 @@ fn image(kg: &KeyedGraph, id: OpId, table: &str, db: &Database) -> Result<Image>
             other => other,
         },
         OpKind::Join { kind, .. } => {
-            let left_arity = kg.graph.arity(op.inputs[0], db)?;
+            let left_arity = g.arity(op.inputs[0], db)?;
             let shift = |r: Vec<BTreeSet<usize>>| -> Vec<BTreeSet<usize>> {
                 r.into_iter()
                     .map(|cs| cs.into_iter().map(|c| c + left_arity).collect())
@@ -134,7 +134,7 @@ fn image(kg: &KeyedGraph, id: OpId, table: &str, db: &Database) -> Result<Image>
             // positions (cf. proof case 4 of Lemma 3).
             let mut common: Option<Vec<BTreeSet<usize>>> = None;
             for &i in &op.inputs {
-                match image(kg, i, table, db)? {
+                match image(g, i, table, db)? {
                     Image::Absent => continue,
                     Image::Broken => return Ok(Image::Broken),
                     Image::Cols(c) => match &common {
@@ -172,17 +172,13 @@ pub type SkeletonMap = Vec<Option<usize>>;
 /// constructors and `aggXMLFrag` disappear. Returns `None` when a
 /// predicate or join depends on a dropped column (the skeleton would
 /// change semantics).
-pub fn skeleton(
-    kg: &mut KeyedGraph,
-    root: OpId,
-    db: &Database,
-) -> Result<Option<(OpId, SkeletonMap)>> {
+pub fn skeleton(g: &mut Graph, root: OpId, db: &Database) -> Result<Option<(OpId, SkeletonMap)>> {
     let mut memo = HashMap::new();
-    build(kg, root, db, &mut memo)
+    build(g, root, db, &mut memo)
 }
 
 fn build(
-    kg: &mut KeyedGraph,
+    g: &mut Graph,
     id: OpId,
     db: &Database,
     memo: &mut HashMap<OpId, Option<(OpId, SkeletonMap)>>,
@@ -190,18 +186,18 @@ fn build(
     if let Some(hit) = memo.get(&id) {
         return Ok(hit.clone());
     }
-    let op = kg.graph.op(id).clone();
+    let op = g.op(id).clone();
     let result: Option<(OpId, SkeletonMap)> = match &op.kind {
         // Base tables carry no XML; share the operator.
         OpKind::Table { table, .. } => {
             let arity = db.table(table)?.schema().arity();
             Some((id, (0..arity).map(Some).collect()))
         }
-        OpKind::Select { predicate } => match build(kg, op.inputs[0], db, memo)? {
+        OpKind::Select { predicate } => match build(g, op.inputs[0], db, memo)? {
             None => None,
-            Some((input, map)) => remap(predicate, &map).map(|pred| (kg.select(input, pred), map)),
+            Some((input, map)) => remap(predicate, &map).map(|pred| (g.select(input, pred), map)),
         },
-        OpKind::Project { exprs, names } => match build(kg, op.inputs[0], db, memo)? {
+        OpKind::Project { exprs, names } => match build(g, op.inputs[0], db, memo)? {
             None => None,
             Some((input, map)) => {
                 let mut out_exprs = Vec::new();
@@ -224,19 +220,19 @@ fn build(
                 if out_exprs.is_empty() {
                     None
                 } else {
-                    Some((kg.project(input, out_exprs, out_names), out_map))
+                    Some((g.project(input, out_exprs, out_names), out_map))
                 }
             }
         },
         OpKind::Join { kind, predicate } => {
-            let left_old_arity = kg.graph.arity(op.inputs[0], db)?;
-            let Some((l, lm)) = build(kg, op.inputs[0], db, memo)? else {
+            let left_old_arity = g.arity(op.inputs[0], db)?;
+            let Some((l, lm)) = build(g, op.inputs[0], db, memo)? else {
                 return Ok(None);
             };
-            let Some((r, rm)) = build(kg, op.inputs[1], db, memo)? else {
+            let Some((r, rm)) = build(g, op.inputs[1], db, memo)? else {
                 return Ok(None);
             };
-            let left_new_arity = kg.graph.arity(l, db)?;
+            let left_new_arity = g.arity(l, db)?;
             let joint_map: SkeletonMap = lm
                 .iter()
                 .cloned()
@@ -256,14 +252,14 @@ fn build(
                 }
             };
             let out_map = if kind.keeps_right() { joint_map } else { lm };
-            Some((kg.join(*kind, l, r, pred, db)?, out_map))
+            Some((g.join(*kind, l, r, pred), out_map))
         }
         OpKind::GroupBy {
             group_cols,
             aggs,
             agg_names,
         } => {
-            match build(kg, op.inputs[0], db, memo)? {
+            match build(g, op.inputs[0], db, memo)? {
                 None => None,
                 Some((input, map)) => {
                     let mut new_groups = Vec::with_capacity(group_cols.len());
@@ -294,7 +290,7 @@ fn build(
                             n.clone(),
                         ));
                     }
-                    Some((kg.group_by(input, new_groups, new_aggs), out_map))
+                    Some((g.group_by(input, new_groups, new_aggs), out_map))
                 }
             }
         }
@@ -302,7 +298,7 @@ fn build(
             let mut inputs = Vec::new();
             let mut common: Option<SkeletonMap> = None;
             for &i in &op.inputs {
-                let Some((ni, m)) = build(kg, i, db, memo)? else {
+                let Some((ni, m)) = build(g, i, db, memo)? else {
                     return Ok(None);
                 };
                 match &common {
@@ -313,7 +309,7 @@ fn build(
                 inputs.push(ni);
             }
             let map = common.unwrap_or_default();
-            Some((kg.union(inputs, db)?, map))
+            Some((g.union(inputs), map))
         }
         OpKind::Unnest { .. } => None,
     };
@@ -328,8 +324,7 @@ fn contains_xml(e: &Expr) -> bool {
             | ScalarFunc::XmlWrap(_)
             | ScalarFunc::XmlAttr(_)
             | ScalarFunc::XmlChildren(_)
-            | ScalarFunc::XmlDescendants(_)
-            | ScalarFunc::XmlString,
+            | ScalarFunc::XmlDescendants(_),
             _,
         ) => true,
         Expr::Func(_, args) => args.iter().any(contains_xml),
@@ -354,16 +349,15 @@ fn remap(e: &Expr, map: &SkeletonMap) -> Option<Expr> {
 pub(crate) mod tests {
     use super::*;
     use quark_xqgm::fixtures::{catalog_path_graph, minprice_path_graph, product_vendor_db};
-    use quark_xqgm::Graph;
 
     fn normalized(
         build_graph: impl Fn(&mut Graph) -> OpId,
-    ) -> (quark_relational::Database, KeyedGraph, OpId) {
+    ) -> (quark_relational::Database, Graph, OpId) {
         let db = product_vendor_db();
         let mut g = Graph::new();
         let top = build_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
-        (db, kg, root)
+        let (ng, root) = quark_xqgm::normalize(&g, top, &db).unwrap();
+        (db, ng, root)
     }
 
     /// The §6.1 benchmark hierarchy `t0 ← t1 ← … ← t{levels-1}` (`t0(id,
@@ -373,7 +367,7 @@ pub(crate) mod tests {
     /// its children's `aggXMLFrag`, the leaf element wrapping every leaf
     /// column, and `count ≥ 2` on the leaf's parent. The path graph's
     /// output is `[id, e0, attr_name]`.
-    pub(crate) fn chain_view(levels: usize) -> (Database, KeyedGraph, OpId) {
+    pub(crate) fn chain_view(levels: usize) -> (Database, Graph, OpId) {
         use quark_relational::expr::{AggExpr, BinOp};
         use quark_relational::{ColumnDef, ColumnType, TableSchema};
         use quark_xqgm::JoinKind;
@@ -446,8 +440,8 @@ pub(crate) mod tests {
         }
         let mut g = Graph::new();
         let top = level(&mut g, 0, levels);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
-        (db, kg, root)
+        let (ng, root) = quark_xqgm::normalize(&g, top, &db).unwrap();
+        (db, ng, root)
     }
 
     /// The benchmark view is injective w.r.t. its leaf table at every depth
@@ -457,10 +451,10 @@ pub(crate) mod tests {
     #[test]
     fn chain_view_injective_wrt_leaf_only() {
         for levels in 2..=4 {
-            let (db, kg, root) = chain_view(levels);
+            let (db, ng, root) = chain_view(levels);
             for i in 0..levels {
                 let leaf = i == levels - 1;
-                let injective = is_injective(&kg, root, &format!("t{i}"), &db).unwrap();
+                let injective = is_injective(&ng, root, &format!("t{i}"), &db).unwrap();
                 assert_eq!(injective, leaf, "depth {levels}, t{i}");
             }
         }
@@ -471,7 +465,7 @@ pub(crate) mod tests {
     /// enough.
     #[test]
     fn column_survives_through_its_element_when_the_bare_copy_drops() {
-        let (db, kg, root) = normalized(|g| {
+        let (db, ng, root) = normalized(|g| {
             let vendor = g.table("vendor"); // vid, pid, price
             let el = Expr::Func(
                 ScalarFunc::XmlElement {
@@ -494,7 +488,7 @@ pub(crate) mod tests {
                 )],
             )
         });
-        assert!(is_injective(&kg, root, "vendor", &db).unwrap());
+        assert!(is_injective(&ng, root, "vendor", &db).unwrap());
     }
 
     /// `vendor v1 JOIN vendor v2 ON v1.pid = v2.pid`: the two sides are
@@ -523,18 +517,18 @@ pub(crate) mod tests {
                 g.project(j, exprs, names)
             })
         };
-        let (db, kg, root) = self_join(&[0]);
-        assert!(!is_injective(&kg, root, "vendor", &db).unwrap());
-        let (db, kg, root) = self_join(&[0, 1]);
-        assert!(is_injective(&kg, root, "vendor", &db).unwrap());
+        let (db, ng, root) = self_join(&[0]);
+        assert!(!is_injective(&ng, root, "vendor", &db).unwrap());
+        let (db, ng, root) = self_join(&[0, 1]);
+        assert!(is_injective(&ng, root, "vendor", &db).unwrap());
     }
 
     /// The chain view's skeleton keeps the key and the `name` attribute and
     /// drops the `e0` element.
     #[test]
     fn chain_skeleton_maps_key_and_attr() {
-        let (db, mut kg, root) = chain_view(3);
-        let (_, map) = skeleton(&mut kg, root, &db).unwrap().expect("prunable");
+        let (db, mut ng, root) = chain_view(3);
+        let (_, map) = skeleton(&mut ng, root, &db).unwrap().expect("prunable");
         assert_eq!(map[0], Some(0));
         assert_eq!(map[1], None);
         assert_eq!(map[2], Some(1));
@@ -545,8 +539,8 @@ pub(crate) mod tests {
     /// aggXMLFrag.
     #[test]
     fn catalog_view_injective_wrt_vendor() {
-        let (db, kg, root) = normalized(|g| catalog_path_graph(g).0);
-        assert!(is_injective(&kg, root, "vendor", &db).unwrap());
+        let (db, ng, root) = normalized(|g| catalog_path_graph(g).0);
+        assert!(is_injective(&ng, root, "vendor", &db).unwrap());
     }
 
     /// product.mfr never reaches the view output, so the view is *not*
@@ -554,30 +548,30 @@ pub(crate) mod tests {
     /// which forces the explicit OLD ≠ NEW check for product events.
     #[test]
     fn catalog_view_not_injective_wrt_product() {
-        let (db, kg, root) = normalized(|g| catalog_path_graph(g).0);
-        assert!(!is_injective(&kg, root, "product", &db).unwrap());
+        let (db, ng, root) = normalized(|g| catalog_path_graph(g).0);
+        assert!(!is_injective(&ng, root, "product", &db).unwrap());
     }
 
     /// The Appendix E.1 min-price view folds prices through min():
     /// not injective w.r.t. vendor.
     #[test]
     fn minprice_view_not_injective_wrt_vendor() {
-        let (db, kg, root) = normalized(minprice_path_graph);
-        assert!(!is_injective(&kg, root, "vendor", &db).unwrap());
+        let (db, ng, root) = normalized(minprice_path_graph);
+        assert!(!is_injective(&ng, root, "vendor", &db).unwrap());
     }
 
     /// Skeleton pruning keeps keys and counts, drops XML construction, and
     /// evaluates to the same qualification rows.
     #[test]
     fn skeleton_preserves_qualification() {
-        let (db, mut kg, root) = normalized(|g| catalog_path_graph(g).0);
-        let (skel_root, map) = skeleton(&mut kg, root, &db).unwrap().expect("prunable");
+        let (db, mut ng, root) = normalized(|g| catalog_path_graph(g).0);
+        let (skel_root, map) = skeleton(&mut ng, root, &db).unwrap().expect("prunable");
         // pname (col 0) survives; the product element (col 1) is dropped.
         assert_eq!(map[0], Some(0));
         assert_eq!(map[1], None);
 
-        let full = quark_xqgm::eval::evaluate(&kg.graph, root, &db).unwrap();
-        let skel = quark_xqgm::eval::evaluate(&kg.graph, skel_root, &db).unwrap();
+        let full = quark_xqgm::eval::evaluate(&ng, root, &db).unwrap();
+        let skel = quark_xqgm::eval::evaluate(&ng, skel_root, &db).unwrap();
         assert_eq!(full.len(), skel.len());
         let mut full_names: Vec<String> = full.iter().map(|r| r[0].to_string()).collect();
         let mut skel_names: Vec<String> = skel.iter().map(|r| r[0].to_string()).collect();
@@ -594,9 +588,9 @@ pub(crate) mod tests {
     /// pruning succeeds and keeps both aggregates.
     #[test]
     fn minprice_skeleton_keeps_scalar_aggregates() {
-        let (db, mut kg, root) = normalized(minprice_path_graph);
-        let (skel_root, _) = skeleton(&mut kg, root, &db).unwrap().expect("prunable");
-        let rows = quark_xqgm::eval::evaluate(&kg.graph, skel_root, &db).unwrap();
+        let (db, mut ng, root) = normalized(minprice_path_graph);
+        let (skel_root, _) = skeleton(&mut ng, root, &db).unwrap().expect("prunable");
+        let rows = quark_xqgm::eval::evaluate(&ng, skel_root, &db).unwrap();
         assert_eq!(rows.len(), 2); // groups "CRT 15" and "LCD 19"
     }
 }

@@ -31,10 +31,11 @@ pub struct ViewChange {
 
 /// Materialize the monitored nodes: canonical key → node value.
 pub fn materialize(pg: &PathGraph, db: &Database) -> Result<HashMap<Vec<Value>, XmlNodeRef>> {
-    let rows = evaluate(&pg.kg.graph, pg.root, db)?;
+    let rows = evaluate(&pg.graph, pg.root, db)?;
+    let key_cols = pg.key(db)?;
     let mut out = HashMap::with_capacity(rows.len());
     for r in rows {
-        let key: Vec<Value> = pg.key().iter().map(|&c| r[c].clone()).collect();
+        let key: Vec<Value> = key_cols.iter().map(|&c| r[c].clone()).collect();
         let Value::Xml(node) = &r[pg.node_col] else {
             return Err(quark_relational::Error::Eval(
                 "path graph node column did not produce XML".into(),
@@ -100,19 +101,19 @@ where
 mod tests {
     use super::*;
     use quark_xqgm::fixtures::{catalog_path_graph, product_vendor_db};
-    use quark_xqgm::{Graph, KeyedGraph};
+    use quark_xqgm::{normalize, Graph};
 
     fn path() -> (Database, PathGraph) {
         let db = product_vendor_db();
         let mut g = Graph::new();
         let (top, _) = catalog_path_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
+        let (graph, root) = normalize(&g, top, &db).unwrap();
         let mut attr_cols = HashMap::new();
         attr_cols.insert("name".to_string(), 0);
         (
             db,
             PathGraph {
-                kg,
+                graph,
                 root,
                 node_col: 1,
                 attr_cols,

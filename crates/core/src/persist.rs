@@ -264,7 +264,7 @@ impl Decode for SourceEvent {
 /// Decoding needs the database (see `decode_core`), so views only encode.
 impl Encode for PathGraph {
     fn encode(&self, enc: &mut Enc) {
-        encode_graph(enc, &self.kg.graph, self.root);
+        encode_graph(enc, &self.graph, self.root);
         enc.put(&self.node_col);
         enc.put(&self.attr_cols);
     }
@@ -440,12 +440,15 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
         let anchors = dec.seq(|dec, _| {
             let anchor: String = dec.get()?;
             let (graph, root) = decode_graph(dec)?;
-            // Persisted graphs are already normalized, so re-deriving keys
-            // is idempotent: no columns are appended and the persisted
-            // node/attr column indices stay valid.
-            let (kg, root) = quark_xqgm::KeyedGraph::normalize(&graph, root, db)?;
+            // Persisted graphs are already normalized, so normalizing
+            // again appends no columns and the persisted node/attr column
+            // indices stay valid; it runs as validation, refusing what a
+            // damaged catalog can hold (a column an input lacks, Union
+            // branches of different widths, an Unnest). Keys are derived
+            // from the graph, not persisted.
+            let (graph, root) = quark_xqgm::normalize(&graph, root, db)?;
             let path = PathGraph {
-                kg,
+                graph,
                 root,
                 node_col: dec.get()?,
                 attr_cols: dec.get()?,
@@ -481,11 +484,11 @@ mod tests {
     fn catalog_path(db: &Database) -> PathGraph {
         let mut g = quark_xqgm::Graph::new();
         let (top, _) = quark_xqgm::fixtures::catalog_path_graph(&mut g);
-        let (kg, root) = quark_xqgm::KeyedGraph::normalize(&g, top, db).expect("normalize");
+        let (graph, root) = quark_xqgm::normalize(&g, top, db).expect("normalize");
         let mut attr_cols = HashMap::new();
         attr_cols.insert("name".to_string(), 0);
         PathGraph {
-            kg,
+            graph,
             root,
             node_col: 1,
             attr_cols,

@@ -14,7 +14,8 @@
 
 use std::collections::HashMap;
 
-use quark_xqgm::{KeyedGraph, OpId};
+use quark_relational::{Database, Result};
+use quark_xqgm::{Graph, OpId};
 
 use crate::condition::Condition;
 
@@ -86,12 +87,12 @@ pub struct TriggerSpec {
 /// graph of Figure 5A.
 ///
 /// Each output row is one monitored node; `node_col` holds the constructed
-/// XML value; `kg.key(root)` holds the canonical key columns
-/// (Definition 1).
+/// XML value; [`PathGraph::key`] names the canonical key columns
+/// (Definition 1), which a graph built by [`quark_xqgm::normalize`] holds.
 #[derive(Debug, Clone)]
 pub struct PathGraph {
-    /// Graph arena (grows during trigger translation).
-    pub kg: KeyedGraph,
+    /// Normalized graph arena (grows during trigger translation).
+    pub graph: Graph,
     /// Top operator of the path graph.
     pub root: OpId,
     /// Output column carrying the monitored node's XML value.
@@ -106,8 +107,8 @@ pub struct PathGraph {
 
 impl PathGraph {
     /// Canonical key columns of the monitored nodes.
-    pub fn key(&self) -> &[usize] {
-        self.kg.key(self.root)
+    pub fn key(&self, db: &Database) -> Result<&[usize]> {
+        self.graph.key(self.root, db)
     }
 }
 
@@ -156,15 +157,15 @@ mod tests {
         let db = quark_xqgm::fixtures::product_vendor_db();
         let mut g = quark_xqgm::Graph::new();
         let (top, _) = quark_xqgm::fixtures::catalog_path_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
+        let (graph, root) = quark_xqgm::normalize(&g, top, &db).unwrap();
         let pg = PathGraph {
-            kg,
+            graph,
             root,
             node_col: 1,
             attr_cols: HashMap::from([("name".to_string(), 0)]),
         };
         let view = XmlView::new("catalog").with_anchor("product", pg);
         assert!(view.anchors.contains_key("product"));
-        assert_eq!(view.anchors["product"].key(), &[0]);
+        assert_eq!(view.anchors["product"].key(&db).unwrap(), &[0]);
     }
 }

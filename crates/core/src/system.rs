@@ -632,7 +632,7 @@ impl Quark {
             .filter(|v| {
                 v.anchors
                     .values()
-                    .any(|pg| pg.kg.graph.base_tables(pg.root).iter().any(|t| t == name))
+                    .any(|pg| pg.graph.base_tables(pg.root).iter().any(|t| t == name))
             })
             .map(|v| &v.name)
             .min();

@@ -104,7 +104,7 @@ pub(super) fn translate_group(
     let constants_table = constants.as_ref().map(|schema| schema.name.clone());
 
     // Event pushdown on the composed path graph.
-    let events = source_events(&template.kg.graph, template.root, spec.event, cx.db)?;
+    let events = source_events(&template.graph, template.root, spec.event, cx.db)?;
 
     // One affected-node plan per source table, with the group-specific
     // condition/constants join stacked on it (`None`: the table cannot
@@ -442,9 +442,9 @@ mod tests {
         let db = quark_xqgm::fixtures::product_vendor_db();
         let mut g = quark_xqgm::Graph::new();
         let (top, _) = quark_xqgm::fixtures::catalog_path_graph(&mut g);
-        let (kg, root) = quark_xqgm::KeyedGraph::normalize(&g, top, &db).unwrap();
+        let (graph, root) = quark_xqgm::normalize(&g, top, &db).unwrap();
         let template = PathGraph {
-            kg,
+            graph,
             root,
             node_col: 1,
             attr_cols: HashMap::from([("name".to_string(), 0)]),

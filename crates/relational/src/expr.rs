@@ -77,12 +77,6 @@ pub enum ScalarFunc {
     /// Number of nodes in an XML value (fragment → child count, element → 1,
     /// NULL → 0). Used for `count()` over already-constructed nodes.
     NodeCount,
-    /// Atomized string value of an XML node (XPath `string()`).
-    XmlString,
-    /// String concatenation of all arguments (NULL → "").
-    Concat,
-    /// First non-NULL argument.
-    Coalesce,
 }
 
 /// A scalar expression evaluated against one row.
@@ -397,22 +391,6 @@ fn eval_func(f: &ScalarFunc, args: Vec<Value>) -> Result<Value> {
             Some(Value::Null) | None => Ok(Value::Int(0)),
             Some(_) => Ok(Value::Int(1)),
         },
-        ScalarFunc::XmlString => match args.first() {
-            Some(Value::Xml(x)) => Ok(Value::str(x.text_content())),
-            Some(Value::Null) | None => Ok(Value::Null),
-            Some(other) => Ok(Value::str(other.to_string())),
-        },
-        ScalarFunc::Concat => {
-            let mut s = String::new();
-            for v in &args {
-                s.push_str(&v.to_string());
-            }
-            Ok(Value::str(s))
-        }
-        ScalarFunc::Coalesce => Ok(args
-            .into_iter()
-            .find(|v| !v.is_null())
-            .unwrap_or(Value::Null)),
     }
 }
 

@@ -717,9 +717,6 @@ impl Encode for ScalarFunc {
                 enc.str(n);
             }
             ScalarFunc::NodeCount => enc.u8(5),
-            ScalarFunc::XmlString => enc.u8(6),
-            ScalarFunc::Concat => enc.u8(7),
-            ScalarFunc::Coalesce => enc.u8(8),
         }
     }
 }
@@ -736,9 +733,6 @@ impl Decode for ScalarFunc {
             3 => ScalarFunc::XmlChildren(dec.str()?),
             4 => ScalarFunc::XmlDescendants(dec.str()?),
             5 => ScalarFunc::NodeCount,
-            6 => ScalarFunc::XmlString,
-            7 => ScalarFunc::Concat,
-            8 => ScalarFunc::Coalesce,
             other => return Err(bad(format!("bad scalar-func tag {other}"))),
         })
     }
@@ -1045,6 +1039,14 @@ mod tests {
         assert!(Dec::new(&[12]).tag::<BinOp>().is_err());
         assert!(Dec::new(&[4]).tag::<JoinKind>().is_err());
         assert!(Dec::new(&[2]).get::<Option<Expr>>().is_err());
+        // `NodeCount` (5) is the last scalar-function tag.
+        assert_eq!(
+            Dec::new(&[5]).get::<ScalarFunc>().unwrap(),
+            ScalarFunc::NodeCount
+        );
+        for tag in 6..=8 {
+            assert!(Dec::new(&[tag]).get::<ScalarFunc>().is_err());
+        }
     }
 
     #[test]

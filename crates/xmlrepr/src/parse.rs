@@ -1,10 +1,10 @@
 //! A small, non-validating XML parser.
 //!
-//! Used by tests (round-trip properties against the serializer) and by
-//! examples that load fixture documents. It supports exactly the output
-//! language of the serializer: elements, attributes, character data, and the
-//! five predefined entities. Doctypes, comments, PIs and namespaces are not
-//! accepted — XML views never produce them.
+//! Used only by this crate's tests (round-trip properties against the
+//! serializer). It supports exactly the output language of the serializer:
+//! elements, attributes, character data, and the five predefined entities.
+//! Doctypes, comments, PIs and namespaces are not accepted — XML views
+//! never produce them.
 
 use std::fmt;
 use std::sync::Arc;

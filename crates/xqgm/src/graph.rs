@@ -16,9 +16,9 @@
 //! the Δ/∇/old-epoch variants that trigger translation derives per source
 //! event share every untouched subtree by construction, and the memo tables
 //! keyed on [`OpId`] (compilation, keys, skeletons) hit across variants.
-//! Per-operator `arity`/`column_names` are memoized for the same reason: a
-//! naive recursive walk revisits shared nodes once per *path*, which is
-//! exponential in view depth.
+//! Per-operator `arity`/`column_names`/`key` are memoized for the same
+//! reason: a naive recursive walk revisits shared nodes once per *path*,
+//! which is exponential in view depth.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -118,11 +118,11 @@ pub struct Operator {
 /// root; trigger translation evaluates several roots over shared subgraphs.
 ///
 /// The arena hash-conses operators (see the module docs) and memoizes
-/// per-operator arity and column names. Both memos resolve table schemas
-/// against the `Database` passed to the *first* call; a graph must only be
-/// used with databases whose referenced tables keep their schemas (the
-/// engine has no `ALTER TABLE`, so this holds for every database the graph
-/// was built against).
+/// per-operator arity, column names and canonical key ([`Graph::key`]).
+/// The memos resolve table schemas against the `Database` passed to the
+/// *first* call; a graph must only be used with databases whose referenced
+/// tables keep their schemas (the engine has no `ALTER TABLE`, so this
+/// holds for every database the graph was built against).
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     ops: Vec<Operator>,
@@ -134,6 +134,8 @@ pub struct Graph {
     arities: Vec<OnceLock<usize>>,
     /// Memoized output column names per operator.
     names: Vec<OnceLock<Vec<String>>>,
+    /// Memoized canonical key per operator.
+    keys: Vec<OnceLock<Vec<usize>>>,
 }
 
 /// Graphs compare by operator content; the intern table and memo caches are
@@ -189,6 +191,7 @@ impl Graph {
         self.hashes.push(h);
         self.arities.push(OnceLock::new());
         self.names.push(OnceLock::new());
+        self.keys.push(OnceLock::new());
         self.intern.entry(h).or_default().push(id);
         id
     }
@@ -378,6 +381,66 @@ impl Graph {
         })
     }
 
+    /// Canonical key columns of `op` in its output coordinates (Definition
+    /// 1), derived from its kind and its inputs' keys as in Table 3:
+    ///
+    /// | operator | canonical key                                         |
+    /// |----------|-------------------------------------------------------|
+    /// | Table    | the relational primary key                            |
+    /// | Select   | the input's key                                       |
+    /// | Project  | the input key columns' positions, empty if one is cut |
+    /// | Join     | the left key, then the shifted right key if kept      |
+    /// | GroupBy  | the grouping columns                                  |
+    /// | Union    | the union of the input keys (identity column mapping) |
+    ///
+    /// Empty means keyless: a Project that drops a key column (normalized
+    /// graphs have none, see [`crate::keys::normalize`]) or an Unnest.
+    /// Memoized per operator.
+    pub fn key(&self, id: OpId, db: &Database) -> Result<&[usize]> {
+        if let Some(hit) = self.keys[id].get() {
+            return Ok(hit);
+        }
+        let key = self.key_uncached(id, db)?;
+        Ok(self.keys[id].get_or_init(|| key))
+    }
+
+    fn key_uncached(&self, id: OpId, db: &Database) -> Result<Vec<usize>> {
+        let op = self.op(id);
+        Ok(match &op.kind {
+            OpKind::Table { table, .. } => db.table(table)?.schema().primary_key.clone(),
+            OpKind::Select { .. } => self.key(op.inputs[0], db)?.to_vec(),
+            OpKind::Project { exprs, .. } => self
+                .key(op.inputs[0], db)?
+                .iter()
+                .map(|&kc| {
+                    exprs
+                        .iter()
+                        .position(|e| matches!(e, Expr::Col(c) if *c == kc))
+                })
+                .collect::<Option<_>>()
+                .unwrap_or_default(),
+            OpKind::Join { kind, .. } => {
+                let mut key = self.key(op.inputs[0], db)?.to_vec();
+                if kind.keeps_right() {
+                    let shift = self.arity(op.inputs[0], db)?;
+                    key.extend(self.key(op.inputs[1], db)?.iter().map(|&c| c + shift));
+                }
+                key
+            }
+            OpKind::GroupBy { group_cols, .. } => (0..group_cols.len()).collect(),
+            OpKind::Union => {
+                let mut key = Vec::new();
+                for &i in &op.inputs {
+                    key.extend_from_slice(self.key(i, db)?);
+                }
+                key.sort_unstable();
+                key.dedup();
+                key
+            }
+            OpKind::Unnest { .. } => Vec::new(),
+        })
+    }
+
     /// Human-readable rendering of the subgraph under `root` (box-numbered
     /// like the paper's figures).
     pub fn explain(&self, root: OpId, db: &Database) -> String {
@@ -460,19 +523,29 @@ impl Graph {
     }
 
     /// Rebuild the subgraph under `root` with every [`TableSource::Base`]
-    /// table access for `table` switched to the `Old` epoch — the paper's
-    /// `G_old`, "identical to G with the sole exception that B is replaced
-    /// by B_old" (§4.2).
-    pub fn old_version(&mut self, root: OpId, table: &str) -> OpId {
-        let mut memo: std::collections::HashMap<OpId, OpId> = std::collections::HashMap::new();
-        self.old_version_rec(root, table, &mut memo)
+    /// access to `table` reading `source` instead, sharing every subtree
+    /// that does not read it. The `Old` epoch gives the paper's `G_old`,
+    /// "identical to G with the sole exception that B is replaced by
+    /// B_old" (§4.2); the Δ/∇ sources feed the GROUPED-AGG compensation
+    /// (Fig. 16's `deltaCount`). Returns the new root and the original →
+    /// rebuilt operator map (identity for shared operators).
+    pub fn replace_source(
+        &mut self,
+        root: OpId,
+        table: &str,
+        source: TableSource,
+    ) -> (OpId, HashMap<OpId, OpId>) {
+        let mut memo = HashMap::new();
+        let new_root = self.replace_source_rec(root, table, source, &mut memo);
+        (new_root, memo)
     }
 
-    fn old_version_rec(
+    fn replace_source_rec(
         &mut self,
         id: OpId,
         table: &str,
-        memo: &mut std::collections::HashMap<OpId, OpId>,
+        source: TableSource,
+        memo: &mut HashMap<OpId, OpId>,
     ) -> OpId {
         if let Some(&m) = memo.get(&id) {
             return m;
@@ -482,12 +555,12 @@ impl Graph {
             OpKind::Table {
                 table: t,
                 source: TableSource::Base(_),
-            } if t == table => self.table_from(t.clone(), TableSource::Base(TableEpoch::Old)),
+            } if t == table => self.table_from(t.clone(), source),
             _ => {
                 let new_inputs: Vec<OpId> = op
                     .inputs
                     .iter()
-                    .map(|&i| self.old_version_rec(i, table, memo))
+                    .map(|&i| self.replace_source_rec(i, table, source, memo))
                     .collect();
                 if new_inputs == op.inputs {
                     id // untouched subtree: share it

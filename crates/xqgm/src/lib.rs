@@ -7,10 +7,10 @@
 //! * the XQGM operator graph (§2.1, Table 1): [`graph::Graph`] with the
 //!   seven operators (Table, Select, Project, Join, GroupBy, Union,
 //!   Unnest) and XML-manipulating functions embedded in expressions;
-//! * canonical keys (Definition 1, Appendix A): [`keys::KeyedGraph`]
-//!   derives each operator's key and normalizes graphs so derivable key
-//!   columns are materialized, plus the Theorem-1 trigger-specifiability
-//!   check;
+//! * canonical keys (Definition 1, Appendix A): [`Graph::key`] derives
+//!   each operator's key, and [`keys::normalize`] rebuilds a graph so
+//!   derivable key columns are materialized, refusing the `Unnest` that
+//!   Theorem 1 rules out;
 //! * compilation to physical plans: [`compile::compile`] for full
 //!   evaluation, and [`compile::compile_restricted`] for evaluation
 //!   semi-joined with a small *affected-keys* driver, pushed down to index
@@ -29,7 +29,7 @@ pub mod wire;
 
 pub use compile::{compile, compile_restricted, AggCompensation, Compiler, Driver};
 pub use graph::{Graph, JoinKind, OpId, OpKind, Operator, TableSource};
-pub use keys::{check_trigger_specifiable, KeyedGraph};
+pub use keys::normalize;
 
 #[cfg(test)]
 mod tests;

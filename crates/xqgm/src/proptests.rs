@@ -12,7 +12,7 @@ use crate::compile::{compile_restricted, Driver};
 use crate::eval::evaluate;
 use crate::fixtures::{catalog_cols, catalog_path_graph, product_vendor_db};
 use crate::graph::Graph;
-use crate::keys::KeyedGraph;
+use crate::keys::normalize;
 
 fn arb_vendor_rows() -> impl Strategy<Value = Vec<(String, String, f64)>> {
     let vids = prop::sample::select(vec!["Amazon", "Bestbuy", "Circuit", "Buy.com", "Filene"]);
@@ -77,7 +77,7 @@ proptest! {
         let db = db_with(&rows);
         let mut g = Graph::new();
         let (top, _) = catalog_path_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).expect("normalize");
+        let (ng, root) = normalize(&g, top, &db).expect("normalize");
 
         let driver_rows: Vec<_> = {
             let mut uniq: Vec<&str> = Vec::new();
@@ -92,13 +92,13 @@ proptest! {
             plan: PhysicalPlan::new(PlanOp::Values { arity: 1, rows: driver_rows.clone() }, vec![]).into_ref(),
             cols: vec![0],
         };
-        let key = kg.key(root).to_vec();
-        let plan = compile_restricted(&kg.graph, root, &key, &driver, &db).expect("compile");
+        let key = ng.key(root, &db).expect("key").to_vec();
+        let plan = compile_restricted(&ng, root, &key, &driver, &db).expect("compile");
         let mut got = execute_query(&db, &plan).expect("execute");
 
         let names_set: std::collections::HashSet<Value> =
             driver_rows.iter().map(|r| r[0].clone()).collect();
-        let mut expected: Vec<_> = evaluate(&kg.graph, root, &db)
+        let mut expected: Vec<_> = evaluate(&ng, root, &db)
             .expect("evaluate")
             .into_iter()
             .filter(|r| names_set.contains(&r[catalog_cols::PNAME]))

@@ -4,15 +4,15 @@ use std::sync::Arc;
 
 use quark_relational::exec::transitions;
 use quark_relational::expr::{AggExpr, Expr};
-use quark_relational::plan::{PhysicalPlan, PlanOp};
+use quark_relational::plan::{PhysicalPlan, PlanOp, TableEpoch};
 use quark_relational::{row, Event, Value};
 use quark_xml::XmlNode;
 
 use crate::compile::{compile_restricted, Compiler, Driver};
 use crate::eval::{evaluate, evaluate_with};
 use crate::fixtures::{catalog_cols, catalog_path_graph, catalog_view_graph, product_vendor_db};
-use crate::graph::{Graph, JoinKind, TableSource};
-use crate::keys::{check_trigger_specifiable, KeyedGraph};
+use crate::graph::{Graph, JoinKind, OpKind, TableSource};
+use crate::keys::normalize;
 
 fn xml_of(v: &Value) -> &XmlNode {
     match v {
@@ -84,27 +84,64 @@ fn nested_predicate_filters_single_vendor_products() {
     assert_eq!(rows.len(), 2);
 }
 
-/// Canonical keys per Appendix A: table → pk, join → concatenation,
-/// group-by → grouping columns, select/project → propagated.
+/// Canonical keys per Appendix A (Table 3): table → pk, select →
+/// propagated, project → the input key's positions, join → concatenation
+/// (left key only for semi joins), group-by → grouping columns, union →
+/// union of the input keys.
 #[test]
 fn canonical_keys_follow_appendix_a() {
     let db = product_vendor_db();
     let mut g = Graph::new();
     let (top, grouped) = catalog_path_graph(&mut g);
-    let (kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
+    // Box 4 keeps only $pname and the vendor element: it drops key columns,
+    // so before normalization it is keyless.
+    let constructed = g.op(grouped).inputs[0];
+    assert!(g.key(constructed, &db).unwrap().is_empty());
+    let (ng, new_top) = normalize(&g, top, &db).unwrap();
 
     // The normalized top Project must expose the $pname key.
-    let key = kg.key(new_top);
-    assert_eq!(key.len(), 1);
-    let names = kg.graph.column_names(new_top, &db).unwrap();
+    let key = ng.key(new_top, &db).unwrap();
+    assert_eq!(key, &[0]);
+    let names = ng.column_names(new_top, &db).unwrap();
     assert_eq!(names[key[0]], "pname");
 
-    // Walk the normalized graph: every op has a key.
-    for (id, _) in kg.graph.iter() {
-        assert!(kg.has_key(id), "op {id} lost its key");
+    // Every operator of the normalized graph has the key Table 3 gives it,
+    // so none is empty.
+    for (id, op) in ng.iter() {
+        let key = ng.key(id, &db).unwrap();
+        assert!(!key.is_empty(), "op {id} lost its key");
+        let expected: &[usize] = match &op.kind {
+            OpKind::Table { table, .. } if table == "product" => &[0],
+            OpKind::Table { .. } => &[0, 1],
+            // [pid, pname, mfr, vid, pid, price]: product pk, then vendor's
+            // (vid, pid) shifted past the product's three columns.
+            OpKind::Join { .. } => &[0, 3, 4],
+            // Box 4 with normalize's appended [pid, vid, pid].
+            OpKind::Project { names, .. } if names.len() == 5 => &[2, 3, 4],
+            OpKind::GroupBy { .. } | OpKind::Select { .. } | OpKind::Project { .. } => &[0],
+            other => panic!("unexpected operator {other:?}"),
+        };
+        assert_eq!(key, expected, "op {id}: {:?}", op.kind);
     }
-    // The group-by in the *source* graph has key = grouping col 0.
-    let _ = grouped; // source-graph ids are remapped; key checked via top
+    let box4 = ng.op(ng.op(ng.op(new_top).inputs[0]).inputs[0]).inputs[0];
+    let names = ng.column_names(box4, &db).unwrap();
+    assert_eq!(names[2..], ["pid", "vid", "pid"]);
+
+    // A semi join keeps only the left key.
+    let product = g.table("product");
+    let vendor = g.table("vendor");
+    let on = Expr::eq(Expr::col(0), Expr::col(4));
+    let semi = g.join(JoinKind::LeftSemi, product, vendor, Some(on));
+    assert_eq!(g.key(semi, &db).unwrap(), &[0]);
+
+    // A union's key is the sorted union of its branches' keys: [pid, pname]
+    // is keyed by 0, [pid, vid] by (vid, pid) = [1, 0].
+    let names = vec!["a".to_string(), "b".to_string()];
+    let p = g.project(product, vec![Expr::col(0), Expr::col(1)], names.clone());
+    let v = g.project(vendor, vec![Expr::col(1), Expr::col(0)], names);
+    assert_eq!(g.key(v, &db).unwrap(), &[1, 0]);
+    let u = g.union(vec![p, v]);
+    assert_eq!(g.key(u, &db).unwrap(), &[0, 1]);
 }
 
 /// Normalization appends derivable key columns dropped by projections
@@ -116,10 +153,10 @@ fn normalization_materializes_dropped_keys() {
     let product = g.table("product");
     // Project away the pid primary key, keeping only mfr.
     let slim = g.project(product, vec![Expr::col(2)], vec!["mfr".into()]);
-    let (kg, new_top) = KeyedGraph::normalize(&g, slim, &db).unwrap();
-    let names = kg.graph.column_names(new_top, &db).unwrap();
+    let (ng, new_top) = normalize(&g, slim, &db).unwrap();
+    let names = ng.column_names(new_top, &db).unwrap();
     assert_eq!(names, vec!["mfr".to_string(), "pid".to_string()]);
-    assert_eq!(kg.key(new_top), &[1]);
+    assert_eq!(ng.key(new_top, &db).unwrap(), &[1]);
 }
 
 /// The union key is the positional union of input keys (Table 3).
@@ -130,24 +167,19 @@ fn union_key_is_positional_union() {
     let a = g.table("vendor");
     let b = g.table("vendor");
     let u = g.union(vec![a, b]);
-    let (kg, new_u) = KeyedGraph::normalize(&g, u, &db).unwrap();
-    assert_eq!(kg.key(new_u), &[0, 1]); // (vid, pid)
+    let (ng, new_u) = normalize(&g, u, &db).unwrap();
+    assert_eq!(ng.key(new_u, &db).unwrap(), &[0, 1]); // (vid, pid)
 }
 
 /// Unnest has no canonical key: normalization rejects it (Theorem 1
-/// requires composition to remove it first), as does the
-/// trigger-specifiability check.
+/// requires composition to remove it first).
 #[test]
 fn unnest_is_not_trigger_specifiable() {
     let db = product_vendor_db();
     let mut g = Graph::new();
-    let mut kg_src = Graph::new();
-    let _ = &mut kg_src;
     let product = g.table("product");
     let unnested = g.unnest(product, Expr::col(1), "x");
-    assert!(KeyedGraph::normalize(&g, unnested, &db).is_err());
-    assert!(check_trigger_specifiable(&g, unnested, &db).is_err());
-    assert!(check_trigger_specifiable(&g, product, &db).is_ok());
+    assert!(normalize(&g, unnested, &db).is_err());
 }
 
 /// A graph decoded from damaged bytes can name a column its input lacks;
@@ -158,13 +190,13 @@ fn normalization_refuses_columns_the_input_lacks() {
     let mut g = Graph::new();
     let product = g.table("product");
     let select = g.select(product, Expr::eq(Expr::col(99), Expr::lit("x")));
-    let err = KeyedGraph::normalize(&g, select, &db).unwrap_err();
+    let err = normalize(&g, select, &db).unwrap_err();
     assert!(err.to_string().contains("names column 99"), "{err}");
     let vendor = g.table("vendor");
     let width = g.arity(product, &db).unwrap() + g.arity(vendor, &db).unwrap();
     let on = Expr::eq(Expr::col(0), Expr::col(width));
     let join = g.join(JoinKind::LeftSemi, product, vendor, Some(on));
-    assert!(KeyedGraph::normalize(&g, join, &db).is_err());
+    assert!(normalize(&g, join, &db).is_err());
 }
 
 /// Unnest still *evaluates* (it is only barred from trigger paths).
@@ -204,7 +236,7 @@ fn restricted_compile_matches_filtered_full_eval() {
     let db = product_vendor_db();
     let mut g = Graph::new();
     let (top, _) = catalog_path_graph(&mut g);
-    let (kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
+    let (ng, new_top) = normalize(&g, top, &db).unwrap();
 
     let driver = Driver {
         plan: PhysicalPlan::new(
@@ -217,8 +249,8 @@ fn restricted_compile_matches_filtered_full_eval() {
         .into_ref(),
         cols: vec![0],
     };
-    let key = kg.key(new_top).to_vec();
-    let plan = compile_restricted(&kg.graph, new_top, &key, &driver, &db).unwrap();
+    let key = ng.key(new_top, &db).unwrap().to_vec();
+    let plan = compile_restricted(&ng, new_top, &key, &driver, &db).unwrap();
 
     // Pushed all the way down: the plan contains index probes and no
     // full table scans.
@@ -227,7 +259,7 @@ fn restricted_compile_matches_filtered_full_eval() {
     assert!(!text.contains("TableScan"), "expected no scans:\n{text}");
 
     let rows = quark_relational::exec::execute_query(&db, &plan).unwrap();
-    let full = evaluate(&kg.graph, new_top, &db).unwrap();
+    let full = evaluate(&ng, new_top, &db).unwrap();
     let expected: Vec<_> = full
         .into_iter()
         .filter(|r| r[catalog_cols::PNAME] == Value::str("CRT 15"))
@@ -245,8 +277,8 @@ fn restricted_memo_compares_drivers_by_structure() {
     let db = product_vendor_db();
     let mut g = Graph::new();
     let (top, _) = catalog_path_graph(&mut g);
-    let (kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
-    let key = kg.key(new_top).to_vec();
+    let (ng, new_top) = normalize(&g, top, &db).unwrap();
+    let key = ng.key(new_top, &db).unwrap().to_vec();
     let driver = |name: &str| Driver {
         plan: PhysicalPlan::new(
             PlanOp::Values {
@@ -258,7 +290,7 @@ fn restricted_memo_compares_drivers_by_structure() {
         .into_ref(),
         cols: vec![0],
     };
-    let mut compiler = Compiler::new(&kg.graph, &db);
+    let mut compiler = Compiler::new(&ng, &db);
     let mut restricted =
         |name| (compiler.compile_restricted(new_top, &key, &driver(name))).unwrap();
     let crt = restricted("CRT 15");
@@ -273,7 +305,7 @@ fn restricted_compile_with_empty_driver_is_empty() {
     let db = product_vendor_db();
     let mut g = Graph::new();
     let (top, _) = catalog_path_graph(&mut g);
-    let (kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
+    let (ng, new_top) = normalize(&g, top, &db).unwrap();
     let driver = Driver {
         plan: PhysicalPlan::new(
             PlanOp::Values {
@@ -285,24 +317,25 @@ fn restricted_compile_with_empty_driver_is_empty() {
         .into_ref(),
         cols: vec![0],
     };
-    let key = kg.key(new_top).to_vec();
-    let plan = compile_restricted(&kg.graph, new_top, &key, &driver, &db).unwrap();
+    let key = ng.key(new_top, &db).unwrap().to_vec();
+    let plan = compile_restricted(&ng, new_top, &key, &driver, &db).unwrap();
     let rows = quark_relational::exec::execute_query(&db, &plan).unwrap();
     assert!(rows.is_empty());
 }
 
-/// `old_version` rewires base accesses of one table to the old epoch; the
-/// mirrored graph evaluates to the pre-statement view.
+/// `replace_source` rewires base accesses of one table to the old epoch;
+/// the mirrored graph evaluates to the pre-statement view.
 #[test]
 fn old_version_graph_sees_pre_statement_state() {
     let db = product_vendor_db();
     let mut g = Graph::new();
     let (top, _) = catalog_path_graph(&mut g);
-    let (mut kg, new_top) = KeyedGraph::normalize(&g, top, &db).unwrap();
-    let old_top = kg.old_version(new_top, "vendor");
+    let (mut ng, new_top) = normalize(&g, top, &db).unwrap();
+    let old = TableSource::Base(TableEpoch::Old);
+    let (old_top, _) = ng.replace_source(new_top, "vendor", old);
     assert_ne!(old_top, new_top);
     // Keys mirrored.
-    assert_eq!(kg.key(old_top), kg.key(new_top));
+    assert_eq!(ng.key(old_top, &db).unwrap(), ng.key(new_top, &db).unwrap());
 
     // Delete Buy.com/P2 -> LCD 19 drops below 2 vendors in the new state.
     let key = [Value::str("Buy.com"), Value::str("P2")];
@@ -310,8 +343,8 @@ fn old_version_graph_sees_pre_statement_state() {
     db.delete_by_key("vendor", &key).unwrap();
     let trans = transitions("vendor", Event::Delete, vec![], vec![old_row]);
 
-    let new_rows = evaluate_with(&kg.graph, new_top, &db, Some(&trans)).unwrap();
-    let old_rows = evaluate_with(&kg.graph, old_top, &db, Some(&trans)).unwrap();
+    let new_rows = evaluate_with(&ng, new_top, &db, Some(&trans)).unwrap();
+    let old_rows = evaluate_with(&ng, old_top, &db, Some(&trans)).unwrap();
     assert_eq!(new_rows.len(), 1, "LCD 19 gone after delete");
     assert_eq!(old_rows.len(), 2, "old state still has LCD 19");
 }
@@ -326,13 +359,12 @@ fn normalization_preserves_sharing() {
     let left = g.select(vendor, Expr::eq(Expr::col(1), Expr::lit("P1")));
     let right = g.select(vendor, Expr::eq(Expr::col(1), Expr::lit("P2")));
     let joined = g.join(JoinKind::Inner, left, right, None);
-    let (kg, new_top) = KeyedGraph::normalize(&g, joined, &db).unwrap();
+    let (ng, new_top) = normalize(&g, joined, &db).unwrap();
     // Count Table ops in the normalized graph: the shared vendor table
     // should appear once.
-    let tables = kg
-        .graph
+    let tables = ng
         .iter()
-        .filter(|(_, op)| matches!(op.kind, crate::graph::OpKind::Table { .. }))
+        .filter(|(_, op)| matches!(op.kind, OpKind::Table { .. }))
         .count();
     assert_eq!(tables, 1);
     let _ = new_top;

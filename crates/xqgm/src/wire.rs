@@ -186,7 +186,7 @@ pub fn decode_graph(dec: &mut Dec) -> Result<(Graph, OpId)> {
 mod tests {
     use super::*;
     use crate::fixtures;
-    use crate::keys::KeyedGraph;
+    use crate::keys::normalize;
 
     fn round_trip(graph: &Graph, root: OpId) -> (Graph, OpId) {
         let mut enc = Enc::new();
@@ -223,19 +223,16 @@ mod tests {
         let db = fixtures::product_vendor_db();
         let mut g = Graph::new();
         let (top, _) = fixtures::catalog_path_graph(&mut g);
-        let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
-        let (decoded, new_root) = round_trip(&kg.graph, root);
+        let (ng, root) = normalize(&g, top, &db).unwrap();
+        let (decoded, new_root) = round_trip(&ng, root);
         // Re-normalizing an already-normalized graph must not add columns
         // (key columns are already materialized), so keys land identically.
-        let (kg2, root2) = KeyedGraph::normalize(&decoded, new_root, &db).unwrap();
-        assert_eq!(kg.key(root), kg2.key(root2));
+        let (ng2, root2) = normalize(&decoded, new_root, &db).unwrap();
+        assert_eq!(ng.key(root, &db).unwrap(), ng2.key(root2, &db).unwrap());
+        assert_eq!(ng.arity(root, &db).unwrap(), ng2.arity(root2, &db).unwrap());
         assert_eq!(
-            kg.graph.arity(root, &db).unwrap(),
-            kg2.graph.arity(root2, &db).unwrap()
-        );
-        assert_eq!(
-            kg.graph.column_names(root, &db).unwrap(),
-            kg2.graph.column_names(root2, &db).unwrap()
+            ng.column_names(root, &db).unwrap(),
+            ng2.column_names(root2, &db).unwrap()
         );
     }
 

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use quark_core::spec::{PathGraph, XmlView};
 use quark_relational::expr::{AggExpr, AggFunc, BinOp, Expr, ScalarFunc};
 use quark_relational::{Database, Error, Result};
-use quark_xqgm::{Graph, JoinKind, KeyedGraph, OpId};
+use quark_xqgm::{normalize, Graph, JoinKind, OpId};
 
 /// How the top level binds to its table.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,8 +67,6 @@ pub struct ViewSpec {
 /// Output of building one level, bottom-up.
 struct LevelOut {
     op: OpId,
-    /// Column with this table's primary-key value.
-    key_col: usize,
     /// Column with this table's parent-fk value (if any).
     fk_col: Option<usize>,
     /// Column with the constructed element.
@@ -91,20 +89,19 @@ impl ViewSpec {
     /// top-level element anchor (the monitorable path `view(name)/element`).
     pub fn build(&self, db: &Database) -> Result<XmlView> {
         let mut g = Graph::new();
-        let (top_op, key_col, node_col, attr_cols) = match &self.binding {
+        let (top_op, node_col, attr_cols) = match &self.binding {
             TopBinding::Rows => self.build_chain(&mut g, db)?,
             TopBinding::GroupBy { column } => self.build_grouped(&mut g, db, column)?,
         };
-        let (kg, root) = KeyedGraph::normalize(&g, top_op, db)?;
+        let (graph, root) = normalize(&g, top_op, db)?;
         // Normalization preserves output column positions (it only appends).
         let pg = PathGraph {
-            kg,
+            graph,
             root,
             node_col,
             attr_cols,
         };
-        debug_assert!(!pg.key().is_empty());
-        let _ = key_col;
+        debug_assert!(pg.key(db).is_ok_and(|key| !key.is_empty()));
         Ok(XmlView::new(self.name.clone()).with_anchor(self.top.element.clone(), pg))
     }
 
@@ -113,7 +110,7 @@ impl ViewSpec {
         &self,
         g: &mut Graph,
         db: &Database,
-    ) -> Result<(OpId, usize, usize, HashMap<String, usize>)> {
+    ) -> Result<(OpId, usize, HashMap<String, usize>)> {
         let out = build_level(g, &self.top, db)?;
         let mut attr_cols = HashMap::new();
         // The top projection is [key, (fk), node, attr values…]; recompute
@@ -121,7 +118,7 @@ impl ViewSpec {
         for (i, (attr, _)) in self.top.attrs.iter().enumerate() {
             attr_cols.insert(attr.clone(), out.node_col + 1 + i);
         }
-        Ok((out.op, out.key_col, out.node_col, attr_cols))
+        Ok((out.op, out.node_col, attr_cols))
     }
 
     /// Catalog-style grouped top (Fig. 3): depth must be 2.
@@ -130,7 +127,7 @@ impl ViewSpec {
         g: &mut Graph,
         db: &Database,
         group_col: &str,
-    ) -> Result<(OpId, usize, usize, HashMap<String, usize>)> {
+    ) -> Result<(OpId, usize, HashMap<String, usize>)> {
         let child = self
             .top
             .child
@@ -217,7 +214,7 @@ impl ViewSpec {
             attr_cols.insert(a.clone(), 2 + i);
         }
         let top = g.project(filtered, exprs, names);
-        Ok((top, 0, 1, attr_cols))
+        Ok((top, 1, attr_cols))
     }
 }
 
@@ -293,7 +290,6 @@ fn build_level(g: &mut Graph, level: &LevelSpec, db: &Database) -> Result<LevelO
     let op = g.project(filtered, exprs, names);
     Ok(LevelOut {
         op,
-        key_col: 0,
         fk_col: fk_col_out,
         node_col,
     })
@@ -473,7 +469,7 @@ mod tests {
         let db = chain_db();
         let view = chain_spec().build(&db).unwrap();
         let pg = &view.anchors["region"];
-        let rows = evaluate(&pg.kg.graph, pg.root, &db).unwrap();
+        let rows = evaluate(&pg.graph, pg.root, &db).unwrap();
         // Only region 1 has ≥ 2 shops.
         assert_eq!(rows.len(), 1);
         let Value::Xml(node) = &rows[0][pg.node_col] else {
@@ -521,7 +517,7 @@ mod tests {
         };
         let view = spec.build(&db).unwrap();
         let pg = &view.anchors["product"];
-        let rows = evaluate(&pg.kg.graph, pg.root, &db).unwrap();
+        let rows = evaluate(&pg.graph, pg.root, &db).unwrap();
         assert_eq!(rows.len(), 2); // CRT 15 (5 vendors) and LCD 19 (2)
         let Value::Xml(node) = &rows[0][pg.node_col] else {
             panic!()

@@ -11,7 +11,7 @@ use quark_core::akgraph::{create_ak_graph, AkSide};
 use quark_core::angraph::{build_affected, Needs, SideNeeds};
 use quark_core::spec::XmlEvent;
 use quark_core::xqgm::fixtures::{catalog_path_graph, product_vendor_db};
-use quark_core::xqgm::{Graph, KeyedGraph};
+use quark_core::xqgm::{normalize, Graph};
 use quark_core::Mode;
 
 fn main() {
@@ -23,18 +23,18 @@ fn main() {
     println!("== Path graph for view('catalog')/product (Figure 5A) ==");
     println!("{}", g.explain(top, &db));
 
-    let (mut kg, root) = KeyedGraph::normalize(&g, top, &db).expect("normalize");
+    let (mut graph, root) = normalize(&g, top, &db).expect("normalize");
     println!(
         "canonical key of the product level: columns {:?}\n",
-        kg.key(root)
+        graph.key(root, &db).expect("key")
     );
 
     // --- Figures 9-11: the affected-keys graph for ΔVENDOR ----------
-    let ak = create_ak_graph(&mut kg, root, "vendor", AkSide::Delta, &db)
+    let ak = create_ak_graph(&mut graph, root, "vendor", AkSide::Delta, &db)
         .expect("akgraph")
         .expect("vendor affects the view");
     println!("== G_Δkey for UPDATE on vendor (Figure 11) ==");
-    println!("{}", kg.graph.explain(ak.op, &db));
+    println!("{}", graph.explain(ak.op, &db));
     println!(
         "invariant join columns: path graph {:?} = affected keys {:?}\n",
         ak.cols_in_o, ak.cols_in_ak
@@ -42,7 +42,7 @@ fn main() {
 
     // --- Figure 16 analog: the generated trigger body ----------------
     let mut pg = quark_core::PathGraph {
-        kg,
+        graph,
         root,
         node_col: 1,
         attr_cols: std::collections::HashMap::from([("name".to_string(), 0)]),

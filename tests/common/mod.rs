@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use quark_core::relational::{Database, Value};
 use quark_core::xml::XmlNodeRef;
 use quark_core::xqgm::fixtures::{catalog_path_graph, product_vendor_db};
-use quark_core::xqgm::{Graph, KeyedGraph};
+use quark_core::xqgm::{normalize, Graph};
 use quark_core::{
     ActionCall, Mode, PathGraph, Quark, Session, StatementError, StatementResult, XmlView,
 };
@@ -78,11 +78,11 @@ pub const TRIGGERS: &[&str] = &[
 pub fn catalog_path(db: &Database) -> PathGraph {
     let mut g = Graph::new();
     let (top, _) = catalog_path_graph(&mut g);
-    let (kg, root) = KeyedGraph::normalize(&g, top, db).expect("normalize");
+    let (graph, root) = normalize(&g, top, db).expect("normalize");
     let mut attr_cols = HashMap::new();
     attr_cols.insert("name".to_string(), 0);
     PathGraph {
-        kg,
+        graph,
         root,
         node_col: 1,
         attr_cols,

@@ -27,7 +27,11 @@ use proptest::prelude::*;
 use quark_core::relational::{Database, Error, Event, Row, SqlTrigger, Value};
 use quark_core::session::CHECKPOINT_LOG_BYTES;
 use quark_core::storage::SyncMode;
-use quark_core::{Footprint, Mode, ObjectKind, Quark, Session, SessionPool, StatementResult};
+use quark_core::xqgm::fixtures::product_vendor_db;
+use quark_core::xqgm::normalize;
+use quark_core::{
+    Footprint, Mode, ObjectKind, PathGraph, Quark, Session, SessionPool, StatementResult,
+};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     use std::sync::atomic::AtomicU64;
@@ -1038,11 +1042,10 @@ fn drop_table_under_a_view_or_trigger_is_refused() {
     }
 }
 
-/// The benchmark's depth-3 chain schema and view (`chain_view_spec(3)`,
-/// whose leaf group-by GROUPED-AGG compensates), the `notify` action and
-/// one trigger on it.
-fn install_chain(session: &Session) {
-    for i in 0..3 {
+/// The benchmark's chain schema of `depth` levels: `t0(id, name, price)`
+/// and `ti(id, parent, name, price)` below it.
+fn create_chain_tables(session: &Session, depth: usize) {
+    for i in 0..depth {
         let parent = if i > 0 { "parent INT, " } else { "" };
         session
             .execute(&format!(
@@ -1050,6 +1053,13 @@ fn install_chain(session: &Session) {
             ))
             .expect("create table");
     }
+}
+
+/// The benchmark's depth-3 chain schema and view (`chain_view_spec(3)`,
+/// whose leaf group-by GROUPED-AGG compensates), the `notify` action and
+/// one trigger on it.
+fn install_chain(session: &Session) {
+    create_chain_tables(session, 3);
     let view = quark_bench::chain_view_spec(3)
         .build(&session.database())
         .expect("chain view");
@@ -1078,6 +1088,36 @@ fn new_shape_explain(session: &Session) -> String {
         panic!("expected explain text");
     };
     text
+}
+
+/// `decode_core` normalizes every persisted path graph again, as
+/// validation, and keeps the persisted `node_col`/`attr_cols`: normalizing
+/// a normalized graph must append no column. It gives back the same arena
+/// and root, so the derived key is the same too. Checked on the catalog
+/// fixture and on every anchor of the benchmark's chain views, depths 2–7.
+#[test]
+fn normalizing_a_persisted_path_graph_again_changes_nothing() {
+    let unchanged = |pg: &PathGraph, db: &Database, what: &str| {
+        let (graph, root) = normalize(&pg.graph, pg.root, db).expect("normalize");
+        assert!(graph == pg.graph, "{what}: the arena changed");
+        assert_eq!(root, pg.root, "{what}");
+        let key = graph.key(root, db).expect("key");
+        assert_eq!(key, pg.key(db).expect("key"), "{what}");
+        assert!(!key.is_empty(), "{what}");
+    };
+    let db = product_vendor_db();
+    unchanged(&common::catalog_path(&db), &db, "catalog");
+    for depth in 2..=7 {
+        let session = quark_xquery::session(Database::new(), Mode::Grouped);
+        create_chain_tables(&session, depth);
+        let db = session.database();
+        let view = quark_bench::chain_view_spec(depth)
+            .build(&db)
+            .expect("chain view");
+        for (anchor, pg) in &view.anchors {
+            unchanged(pg, &db, &format!("depth {depth}, anchor {anchor}"));
+        }
+    }
 }
 
 /// The persisted mode alone decides how a group created after a reopen

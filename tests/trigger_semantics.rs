@@ -13,7 +13,7 @@ use quark_core::relational::plan::JoinKind;
 use quark_core::relational::{Database, Error, Row, Value};
 use quark_core::storage::SyncMode;
 use quark_core::xqgm::fixtures::{minprice_path_graph, product_vendor_db};
-use quark_core::xqgm::{Graph, KeyedGraph};
+use quark_core::xqgm::{normalize, Graph};
 use quark_core::{
     ActionCall, Mode, PathGraph, Quark, Session, StatementError, StatementResult, XmlView,
 };
@@ -23,11 +23,11 @@ fn minprice_system(mode: Mode) -> (Session, Log) {
     let db = product_vendor_db();
     let mut g = Graph::new();
     let top = minprice_path_graph(&mut g);
-    let (kg, root) = KeyedGraph::normalize(&g, top, &db).unwrap();
+    let (graph, root) = normalize(&g, top, &db).unwrap();
     let mut attr_cols = HashMap::new();
     attr_cols.insert("name".to_string(), 0);
     let pg = PathGraph {
-        kg,
+        graph,
         root,
         node_col: 1,
         attr_cols,
@@ -625,9 +625,9 @@ fn outer_join_path(db: &Database) -> PathGraph {
         vec![Expr::col(1), element],
         vec!["pname".into(), "product".into()],
     );
-    let (kg, root) = KeyedGraph::normalize(&g, top, db).unwrap();
+    let (graph, root) = normalize(&g, top, db).unwrap();
     PathGraph {
-        kg,
+        graph,
         root,
         node_col: 1,
         attr_cols: HashMap::from([("name".to_string(), 0)]),
