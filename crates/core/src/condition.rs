@@ -1,24 +1,24 @@
 //! Trigger conditions: Boolean XQuery expressions over `OLD_NODE` /
 //! `NEW_NODE` (§2.2).
 //!
-//! Conditions have three lives in this system:
+//! Conditions have two lives in this system:
 //!
-//! 1. **Value-space evaluation** ([`Condition::eval`]) against materialized
-//!    XML nodes — the reference semantics, used by the oracle and as the
-//!    general fallback.
-//! 2. **Relational compilation** ([`Condition::compile`]) to an [`Expr`]
+//! 1. **Relational compilation** ([`Condition::compile`]) to an [`Expr`]
 //!    over the affected-node row, navigating the already-constructed node
-//!    values with XML functions; attribute paths that the view maps to
-//!    scalar columns compile to direct column references, which is what
-//!    lets the old side skip node construction (§5.2).
-//! 3. **Parameterization** ([`Condition::extract_constants`]) — constants
+//!    values with XML functions. It is total over the language: step
+//!    predicates and comparisons over node sequences compile to
+//!    [`ScalarFunc::XmlFilter`], so every condition is a plan filter and
+//!    nothing in the library evaluates a condition in value space.
+//!    Attribute paths that the view maps to scalar columns compile to
+//!    direct column references, which is what lets the old side skip node
+//!    construction (§5.2).
+//! 2. **Parameterization** ([`Condition::extract_constants`]) — constants
 //!    are replaced by [`CondValue::Param`] placeholders so structurally
 //!    similar triggers share one translation and differ only in rows of a
 //!    constants table (§5.1).
 
 use quark_relational::expr::{BinOp, Expr, ScalarFunc};
 use quark_relational::{Error, Result, Value};
-use quark_xml::XmlNodeRef;
 
 /// Which monitored node a path starts from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -226,72 +226,17 @@ impl Condition {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Value-space evaluation (reference semantics)
-    // ------------------------------------------------------------------
-
-    /// Evaluate against materialized nodes; `params` supplies values for
-    /// [`CondValue::Param`] placeholders.
-    pub fn eval(
-        &self,
-        old: Option<&XmlNodeRef>,
-        new: Option<&XmlNodeRef>,
-        params: &[Value],
-    ) -> Result<bool> {
-        self.eval_ctx(&EvalCtx {
-            old,
-            new,
-            context: None,
-            params,
-        })
-    }
-
-    fn eval_ctx(&self, ctx: &EvalCtx<'_>) -> Result<bool> {
-        match self {
-            Condition::True => Ok(true),
-            Condition::And(a, b) => Ok(a.eval_ctx(ctx)? && b.eval_ctx(ctx)?),
-            Condition::Or(a, b) => Ok(a.eval_ctx(ctx)? || b.eval_ctx(ctx)?),
-            Condition::Not(a) => Ok(!a.eval_ctx(ctx)?),
-            Condition::Exists(p) => Ok(!eval_path(p, ctx)?.is_empty()),
-            Condition::Cmp { left, op, right } => {
-                let lv = eval_value(left, ctx)?;
-                let rv = eval_value(right, ctx)?;
-                // XPath general comparison: existential over both sides.
-                for l in &lv {
-                    for r in &rv {
-                        if let Some(ord) = l.sql_cmp(r) {
-                            let hit = match op {
-                                BinOp::Eq => ord == std::cmp::Ordering::Equal,
-                                BinOp::Ne => ord != std::cmp::Ordering::Equal,
-                                BinOp::Lt => ord == std::cmp::Ordering::Less,
-                                BinOp::Le => ord != std::cmp::Ordering::Greater,
-                                BinOp::Gt => ord == std::cmp::Ordering::Greater,
-                                BinOp::Ge => ord != std::cmp::Ordering::Less,
-                                other => {
-                                    return Err(Error::Eval(format!(
-                                        "non-comparison operator {other} in condition"
-                                    )))
-                                }
-                            };
-                            if hit {
-                                return Ok(true);
-                            }
-                        }
-                    }
-                }
-                Ok(false)
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Relational compilation
-    // ------------------------------------------------------------------
-
     /// Compile to an [`Expr`] over a row. `layout` maps node references and
     /// parameters to row columns. Paths navigate the node-valued columns
     /// with XML functions; single-attribute paths use scalar columns when
     /// the layout provides them.
+    ///
+    /// The expression is true exactly where XPath's reading of the
+    /// condition holds. A comparison is existential over each operand path
+    /// that can select several items (the items are filtered by
+    /// [`ScalarFunc::XmlFilter`] and counted), and a comparison that
+    /// `Value::sql_cmp` cannot order — NULL, NaN, an absent node — does
+    /// not hold, so its negation does.
     pub fn compile(&self, layout: &CondLayout) -> Result<Expr> {
         match self {
             Condition::True => Ok(Expr::lit(true)),
@@ -301,19 +246,32 @@ impl Condition {
                 b.compile(layout)?,
             )),
             Condition::Or(a, b) => Ok(Expr::bin(BinOp::Or, a.compile(layout)?, b.compile(layout)?)),
-            Condition::Not(a) => Ok(Expr::Not(Box::new(a.compile(layout)?))),
-            Condition::Exists(p) => {
-                let nodes = compile_path(p, layout)?;
-                Ok(Expr::bin(
-                    BinOp::Gt,
-                    Expr::Func(ScalarFunc::NodeCount, vec![nodes]),
-                    Expr::lit(0i64),
-                ))
+            // AND and OR may leave an unknown operand unknown: a filter
+            // keeps only what is true. NOT must turn unknown into true.
+            Condition::Not(a) => {
+                let a = a.compile(layout)?;
+                let unknown = Expr::IsNull(Box::new(a.clone()));
+                Ok(Expr::bin(BinOp::Or, Expr::Not(Box::new(a)), unknown))
             }
+            Condition::Exists(p) => Ok(nonempty(compile_path(p.base, &p.steps, layout)?)),
             Condition::Cmp { left, op, right } => {
-                let l = compile_value(left, layout)?;
-                let r = compile_value(right, layout)?;
-                Ok(Expr::bin(*op, l, r))
+                let (l, r) = (operand(left, layout)?, operand(right, layout)?);
+                let cmp = |l, r| Expr::bin(*op, l, r);
+                Ok(match (l, r) {
+                    (Operand::One(l), Operand::One(r)) => cmp(l, r),
+                    (Operand::Each(items, attr), Operand::One(r)) => {
+                        some(items, r, cmp(atom(0, attr), Expr::col(1)))
+                    }
+                    (Operand::One(l), Operand::Each(items, attr)) => {
+                        some(items, l, cmp(Expr::col(1), atom(0, attr)))
+                    }
+                    // Each left item against each right item: the inner
+                    // filter's row is `[right item, left item]`.
+                    (Operand::Each(li, la), Operand::Each(ri, ra)) => {
+                        let inner = some(Expr::col(1), Expr::col(0), cmp(atom(1, la), atom(0, ra)));
+                        some(li, ri, inner)
+                    }
+                })
             }
         }
     }
@@ -338,106 +296,12 @@ fn parameterize_path(p: &NodePath, out: &mut Vec<Value>) -> NodePath {
     }
 }
 
-struct EvalCtx<'a> {
-    old: Option<&'a XmlNodeRef>,
-    new: Option<&'a XmlNodeRef>,
-    context: Option<&'a XmlNodeRef>,
-    params: &'a [Value],
-}
-
-fn eval_value(cv: &CondValue, ctx: &EvalCtx<'_>) -> Result<Vec<Value>> {
-    Ok(match cv {
-        CondValue::Const(v) => vec![v.clone()],
-        CondValue::Param(i) => vec![ctx
-            .params
-            .get(*i)
-            .cloned()
-            .ok_or_else(|| Error::Eval(format!("missing condition parameter {i}")))?],
-        CondValue::Count(p) => vec![Value::Int(eval_path(p, ctx)?.len() as i64)],
-        CondValue::Path(p) => {
-            let items = eval_path(p, ctx)?;
-            items.into_iter().map(PathItem::into_value).collect()
-        }
-    })
-}
-
-/// A path result item: an element node or an attribute string.
-enum PathItem {
-    Node(XmlNodeRef),
-    Atom(String),
-}
-
-impl PathItem {
-    fn into_value(self) -> Value {
-        match self {
-            PathItem::Node(n) => Value::Xml(n),
-            PathItem::Atom(s) => Value::str(s),
-        }
-    }
-}
-
-fn eval_path(p: &NodePath, ctx: &EvalCtx<'_>) -> Result<Vec<PathItem>> {
-    let start = match p.base {
-        NodeRef::Old => ctx.old,
-        NodeRef::New => ctx.new,
-        NodeRef::Context => ctx.context,
-    };
-    let Some(start) = start else {
-        return Ok(vec![]);
-    };
-    let mut current: Vec<XmlNodeRef> = vec![start.clone()];
-    let mut result_atoms: Vec<PathItem> = Vec::new();
-    for (i, step) in p.steps.iter().enumerate() {
-        let last = i + 1 == p.steps.len();
-        match step {
-            Step::Attr(name) => {
-                if !last {
-                    return Err(Error::Eval("attribute step must be last".into()));
-                }
-                for n in &current {
-                    if let Some(v) = n.attr(name) {
-                        result_atoms.push(PathItem::Atom(v.to_string()));
-                    }
-                }
-                return Ok(result_atoms);
-            }
-            Step::Child(name, pred) | Step::Descendant(name, pred) => {
-                let descend = matches!(step, Step::Descendant(..));
-                let mut next = Vec::new();
-                for n in &current {
-                    let selected: Vec<XmlNodeRef> = if descend {
-                        n.descendants_named(name).into_iter().cloned().collect()
-                    } else {
-                        n.children_named(name).cloned().collect()
-                    };
-                    for item in selected {
-                        let keep = match pred {
-                            None => true,
-                            Some(c) => c.eval_ctx(&EvalCtx {
-                                old: ctx.old,
-                                new: ctx.new,
-                                context: Some(&item),
-                                params: ctx.params,
-                            })?,
-                        };
-                        if keep {
-                            next.push(item);
-                        }
-                    }
-                }
-                current = next;
-            }
-        }
-    }
-    Ok(current.into_iter().map(PathItem::Node).collect())
-}
-
 /// Column layout for compiling conditions over affected-node rows.
 #[derive(Debug, Clone, Default)]
 pub struct CondLayout {
-    /// Column with the OLD node value, if constructed.
+    /// Column with the OLD node value; `None` reads `OLD_NODE` as absent.
     pub old_node: Option<usize>,
-    /// Column with the NEW node value, if constructed.
+    /// Column with the NEW node value; `None` reads `NEW_NODE` as absent.
     pub new_node: Option<usize>,
     /// Scalar columns for OLD attributes (`@name` → column).
     pub old_attrs: std::collections::HashMap<String, usize>,
@@ -445,40 +309,77 @@ pub struct CondLayout {
     pub new_attrs: std::collections::HashMap<String, usize>,
     /// Columns for `Param(i)` placeholders (the joined constants row).
     pub params: Vec<usize>,
+    /// Column with the context item (`.`), inside a step predicate;
+    /// `None` (outside one) reads `.` as absent.
+    pub context: Option<usize>,
 }
 
-/// Compile one comparison operand (also grouping's constants-table join key).
-pub(crate) fn compile_value(cv: &CondValue, layout: &CondLayout) -> Result<Expr> {
-    Ok(match cv {
-        CondValue::Const(v) => Expr::Lit(v.clone()),
-        CondValue::Param(i) => Expr::col(
-            *layout
-                .params
-                .get(*i)
-                .ok_or_else(|| Error::Plan(format!("no column for condition param {i}")))?,
-        ),
-        CondValue::Count(p) => Expr::Func(ScalarFunc::NodeCount, vec![compile_path(p, layout)?]),
-        CondValue::Path(p) => {
-            // Comparisons use XPath *existential* semantics over node
-            // sequences; a relational expression compares one value. Only
-            // single-attribute paths (exactly one value per node) compile;
-            // anything deeper is evaluated in value space by the handler.
-            if !matches!(p.steps.as_slice(), [Step::Attr(_)]) {
-                return Err(Error::Plan(
-                    "multi-item path comparison requires value-space evaluation".into(),
-                ));
-            }
-            compile_path(p, layout)?
-        }
-    })
+/// A comparison operand: one value, or the items of a node sequence
+/// (compared each by itself, or by its attribute when the path ends in one).
+enum Operand {
+    One(Expr),
+    Each(Expr, Option<String>),
 }
 
-/// Compile a path to an expression producing a node fragment (or a scalar
-/// for attribute-terminal paths).
-fn compile_path(p: &NodePath, layout: &CondLayout) -> Result<Expr> {
+fn operand(cv: &CondValue, layout: &CondLayout) -> Result<Operand> {
+    let one = |e| Ok(Operand::One(e));
+    match cv {
+        CondValue::Const(v) => one(Expr::Lit(v.clone())),
+        CondValue::Param(i) => match layout.params.get(*i) {
+            Some(&col) => one(Expr::col(col)),
+            None => Err(Error::Plan(format!("no column for condition param {i}"))),
+        },
+        CondValue::Count(p) => one(Expr::Func(
+            ScalarFunc::NodeCount,
+            vec![compile_path(p.base, &p.steps, layout)?],
+        )),
+        CondValue::Path(p) => match p.steps.split_last() {
+            // The node itself, or one attribute of it: one value.
+            None | Some((Step::Attr(_), [])) => one(compile_path(p.base, &p.steps, layout)?),
+            Some((Step::Attr(a), parents)) => Ok(Operand::Each(
+                compile_path(p.base, parents, layout)?,
+                Some(a.clone()),
+            )),
+            Some(_) => Ok(Operand::Each(compile_path(p.base, &p.steps, layout)?, None)),
+        },
+    }
+}
+
+/// The compared value of the item in column `col`.
+fn atom(col: usize, attr: Option<String>) -> Expr {
+    match attr {
+        Some(a) => Expr::Func(ScalarFunc::XmlAttr(a), vec![Expr::col(col)]),
+        None => Expr::col(col),
+    }
+}
+
+/// Does some item of `items` satisfy `predicate`, which reads the item as
+/// column 0 and `arg` as column 1?
+fn some(items: Expr, arg: Expr, predicate: Expr) -> Expr {
+    nonempty(Expr::Func(
+        ScalarFunc::XmlFilter(Box::new(predicate)),
+        vec![items, arg],
+    ))
+}
+
+fn nonempty(nodes: Expr) -> Expr {
+    Expr::bin(
+        BinOp::Gt,
+        Expr::Func(ScalarFunc::NodeCount, vec![nodes]),
+        Expr::lit(0i64),
+    )
+}
+
+/// The column a step predicate reads its context item from while it
+/// compiles; [`filtered`] renumbers it to 0. No row is this wide.
+const ITEM: usize = usize::MAX;
+
+/// Compile a path from `base` to an expression producing a node fragment
+/// (or a scalar for a lone attribute step).
+pub(crate) fn compile_path(base: NodeRef, steps: &[Step], layout: &CondLayout) -> Result<Expr> {
     // Scalar shortcut: BASE/@attr with a mapped column.
-    if let [Step::Attr(a)] = p.steps.as_slice() {
-        let mapped = match p.base {
+    if let [Step::Attr(a)] = steps {
+        let mapped = match base {
             NodeRef::Old => layout.old_attrs.get(a),
             NodeRef::New => layout.new_attrs.get(a),
             NodeRef::Context => None,
@@ -487,41 +388,65 @@ fn compile_path(p: &NodePath, layout: &CondLayout) -> Result<Expr> {
             return Ok(Expr::col(col));
         }
     }
-    let base_col = match p.base {
+    let base_col = match base {
         NodeRef::Old => layout.old_node,
         NodeRef::New => layout.new_node,
-        NodeRef::Context => None,
-    }
-    .ok_or_else(|| {
-        Error::Plan(format!(
-            "condition path on {:?} requires the constructed node, which this layout lacks",
-            p.base
-        ))
-    })?;
+        NodeRef::Context => layout.context,
+    };
+    // No column: an absent node (an INSERT's OLD_NODE, a DELETE's
+    // NEW_NODE), whose paths select nothing.
+    let Some(base_col) = base_col else {
+        return Ok(Expr::lit(Value::Null));
+    };
     let mut expr = Expr::col(base_col);
-    for step in &p.steps {
+    for step in steps {
         expr = match step {
             Step::Attr(a) => Expr::Func(ScalarFunc::XmlAttr(a.clone()), vec![expr]),
-            Step::Child(n, None) => Expr::Func(ScalarFunc::XmlChildren(n.clone()), vec![expr]),
-            Step::Descendant(n, None) => {
-                Expr::Func(ScalarFunc::XmlDescendants(n.clone()), vec![expr])
+            Step::Child(n, pred) => {
+                let items = Expr::Func(ScalarFunc::XmlChildren(n.clone()), vec![expr]);
+                filtered(items, pred.as_deref(), layout)?
             }
-            Step::Child(_, Some(_)) | Step::Descendant(_, Some(_)) => {
-                return Err(Error::Plan(
-                    "step predicates are not relationally compilable; \
-                     evaluate this condition in value space"
-                        .into(),
-                ))
+            Step::Descendant(n, pred) => {
+                let items = Expr::Func(ScalarFunc::XmlDescendants(n.clone()), vec![expr]);
+                filtered(items, pred.as_deref(), layout)?
             }
         };
     }
     Ok(expr)
 }
 
+/// `items`, kept where the step predicate holds. The predicate compiles
+/// with the item in column [`ITEM`]; every other column it reads becomes an
+/// argument of the filter, so the filter's row is `[item, those columns…]`.
+/// A predicate cannot name an enclosing step's item, so nested filters
+/// may all compile against [`ITEM`].
+fn filtered(items: Expr, pred: Option<&Condition>, layout: &CondLayout) -> Result<Expr> {
+    let Some(pred) = pred else {
+        return Ok(items);
+    };
+    let item_layout = CondLayout {
+        context: Some(ITEM),
+        ..layout.clone()
+    };
+    let pred = pred.compile(&item_layout)?;
+    let mut outer = Vec::new();
+    pred.columns(&mut outer);
+    outer.retain(|&c| c != ITEM);
+    outer.sort_unstable();
+    outer.dedup();
+    // `ITEM` is not in `outer`, so it alone lands on column 0.
+    let pred = pred.remap_columns(&|c| outer.binary_search(&c).map_or(0, |at| at + 1));
+    let args = std::iter::once(items).chain(outer.into_iter().map(Expr::col));
+    Ok(Expr::Func(
+        ScalarFunc::XmlFilter(Box::new(pred)),
+        args.collect(),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quark_xml::{element, text};
+    use quark_xml::{element, text, XmlNodeRef};
 
     fn product() -> XmlNodeRef {
         element(
@@ -542,55 +467,78 @@ mod tests {
         )
     }
 
+    /// The layout of the rows below: OLD in column 0, NEW in column 1,
+    /// then the parameters.
+    fn nodes(params: usize) -> CondLayout {
+        CondLayout {
+            old_node: Some(0),
+            new_node: Some(1),
+            params: (2..2 + params).collect(),
+            ..Default::default()
+        }
+    }
+
+    /// Does `cond`, compiled over [`nodes`], hold on a row of `old`, `new`
+    /// and `params`?
+    fn holds(
+        cond: &Condition,
+        old: Option<&XmlNodeRef>,
+        new: Option<&XmlNodeRef>,
+        params: &[Value],
+    ) -> bool {
+        let node = |n: Option<&XmlNodeRef>| n.map_or(Value::Null, |n| Value::Xml(n.clone()));
+        let mut row = vec![node(old), node(new)];
+        row.extend_from_slice(params);
+        let expr = cond.compile(&nodes(params.len())).unwrap();
+        expr.eval(&row).unwrap().is_true()
+    }
+
+    /// `count(NEW_NODE/vendor[./price < bound]) >= 1` — the §5.1 nested
+    /// condition shape.
+    fn cheap_vendor(bound: i64) -> Condition {
+        let pred = Condition::cmp(
+            NodePath::child(NodeRef::Context, "price"),
+            BinOp::Lt,
+            Value::Int(bound),
+        );
+        Condition::count_cmp(
+            NodePath {
+                base: NodeRef::New,
+                steps: vec![Step::Child("vendor".into(), Some(Box::new(pred)))],
+            },
+            BinOp::Ge,
+            Value::Int(1),
+        )
+    }
+
     #[test]
     fn attr_comparison_matches_old_node() {
         let cond = Condition::cmp(NodePath::attr(NodeRef::Old, "name"), BinOp::Eq, "CRT 15");
         let p = product();
-        assert!(cond.eval(Some(&p), None, &[]).unwrap());
+        assert!(holds(&cond, Some(&p), None, &[]));
         let miss = Condition::cmp(NodePath::attr(NodeRef::Old, "name"), BinOp::Eq, "LCD 19");
-        assert!(!miss.eval(Some(&p), None, &[]).unwrap());
+        assert!(!holds(&miss, Some(&p), None, &[]));
     }
 
     #[test]
     fn absent_node_makes_paths_empty() {
         let cond = Condition::cmp(NodePath::attr(NodeRef::Old, "name"), BinOp::Eq, "CRT 15");
-        assert!(!cond.eval(None, Some(&product()), &[]).unwrap());
+        assert!(!holds(&cond, None, Some(&product()), &[]));
+        // Empty, not unknown: the negation holds.
+        assert!(holds(
+            &Condition::Not(Box::new(cond)),
+            None,
+            Some(&product()),
+            &[]
+        ));
     }
 
     #[test]
     fn count_with_step_predicate() {
-        // count(NEW_NODE/vendor[./price < 120]) >= 1 — the §5.1 nested
-        // condition shape.
-        let pred = Condition::cmp(
-            NodePath::child(NodeRef::Context, "price"),
-            BinOp::Lt,
-            Value::Int(120),
-        );
-        let cond = Condition::count_cmp(
-            NodePath {
-                base: NodeRef::New,
-                steps: vec![Step::Child("vendor".into(), Some(Box::new(pred)))],
-            },
-            BinOp::Ge,
-            Value::Int(1),
-        );
         let p = product();
-        assert!(cond.eval(None, Some(&p), &[]).unwrap());
+        assert!(holds(&cheap_vendor(120), None, Some(&p), &[]));
         // Tightening the threshold to < 100 leaves zero vendors.
-        let pred = Condition::cmp(
-            NodePath::child(NodeRef::Context, "price"),
-            BinOp::Lt,
-            Value::Int(100),
-        );
-        let cond = Condition::count_cmp(
-            NodePath {
-                base: NodeRef::New,
-                steps: vec![Step::Child("vendor".into(), Some(Box::new(pred)))],
-            },
-            BinOp::Ge,
-            Value::Int(1),
-        );
-        assert!(!cond.eval(None, Some(&p), &[]).unwrap());
+        assert!(!holds(&cheap_vendor(100), None, Some(&p), &[]));
     }
 
     #[test]
@@ -607,7 +555,7 @@ mod tests {
             BinOp::Eq,
             Value::Int(150),
         );
-        assert!(cond.eval(None, Some(&product()), &[]).unwrap());
+        assert!(holds(&cond, None, Some(&product()), &[]));
     }
 
     #[test]
@@ -644,8 +592,8 @@ mod tests {
         assert_eq!(consts2, vec![Value::str("LCD 19"), Value::Int(5)]);
         // Evaluation honours params.
         let p = product();
-        assert!(sig.eval(Some(&p), Some(&p), &consts).unwrap());
-        assert!(!sig.eval(Some(&p), Some(&p), &consts2).unwrap());
+        assert!(holds(&sig, Some(&p), Some(&p), &consts));
+        assert!(!holds(&sig, Some(&p), Some(&p), &consts2));
     }
 
     #[test]
@@ -674,26 +622,26 @@ mod tests {
         assert!(expr.eval(&row).unwrap().is_true());
     }
 
+    /// A step predicate compiles to a filter whose row is the item, then
+    /// the outer columns it reads: here the parameter in column 5.
     #[test]
-    fn compile_rejects_step_predicates() {
-        let pred = Condition::cmp(
-            NodePath::child(NodeRef::Context, "price"),
-            BinOp::Lt,
-            Value::Int(120),
-        );
-        let cond = Condition::count_cmp(
-            NodePath {
-                base: NodeRef::New,
-                steps: vec![Step::Child("vendor".into(), Some(Box::new(pred)))],
-            },
-            BinOp::Ge,
-            Value::Int(1),
-        );
+    fn compile_filters_step_predicates() {
+        let (sig, consts) = cheap_vendor(120).extract_constants();
         let layout = CondLayout {
             new_node: Some(0),
+            params: vec![5, 6],
             ..Default::default()
         };
-        assert!(cond.compile(&layout).is_err());
+        let expr = sig.compile(&layout).unwrap();
+        let rendered = format!("{expr:?}");
+        assert!(rendered.contains("XmlFilter"), "{rendered}");
+        assert!(rendered.contains("Col(5)"), "{rendered}");
+        let mut row = vec![Value::Xml(product()), Value::Null, Value::Null];
+        row.extend([Value::Null, Value::Null]);
+        row.extend(consts);
+        assert!(expr.eval(&row).unwrap().is_true());
+        row[5] = Value::Int(100);
+        assert!(!expr.eval(&row).unwrap().is_true());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! resolve actions by name at firing time).
 //!
 //! Decoding **re-arms** each group: the SQL-trigger handlers are rebuilt
-//! from their persisted plan/residual/source-event ingredients and
+//! from their persisted plan and source event and
 //! installed on the recovered database through the same function
 //! `CREATE TRIGGER` installs a new group with, so a warm restart performs
 //! zero delta-graph translations ([`Quark::translations`] stays 0). Each
@@ -33,7 +33,6 @@ use quark_relational::wire::{Dec, Decode, Enc, Encode, WireTag};
 use quark_relational::{Error, Result, Value};
 use quark_xqgm::wire::{decode_graph, encode_graph};
 
-use crate::condition::{CondValue, Condition, NodePath, NodeRef, Step};
 use crate::events::SourceEvent;
 use crate::session::ObjectKind;
 use crate::spec::{ActionParam, PathGraph, XmlView};
@@ -42,7 +41,7 @@ use super::{Group, Member, Mode, Quark, SqlTriggerMeta, TriggerRecord};
 
 /// Blob format version; bumped on any layout change. A blob of any other
 /// version is refused by name: no reader of an older layout is kept.
-const VERSION: u8 = 4;
+const VERSION: u8 = 5;
 
 fn bad(msg: &str) -> Error {
     Error::Storage(format!("core decode: {msg}"))
@@ -60,11 +59,6 @@ impl WireTag for Mode {
     ];
 }
 
-impl WireTag for NodeRef {
-    const TAGS: &'static [(Self, u8)] =
-        &[(NodeRef::Old, 0), (NodeRef::New, 1), (NodeRef::Context, 2)];
-}
-
 /// Not part of the blob: the wire protocol's `CREATED`/`DROPPED` frames
 /// carry it, and a tag table lives in the crate that owns the enum.
 impl WireTag for ObjectKind {
@@ -77,143 +71,8 @@ impl WireTag for ObjectKind {
 }
 
 // ---------------------------------------------------------------------
-// Conditions, action parameters, source events
+// Action parameters, source events
 // ---------------------------------------------------------------------
-
-impl Encode for Step {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            Step::Child(name, pred) => {
-                enc.u8(0);
-                enc.put(name);
-                enc.put(pred);
-            }
-            Step::Descendant(name, pred) => {
-                enc.u8(1);
-                enc.put(name);
-                enc.put(pred);
-            }
-            Step::Attr(name) => {
-                enc.u8(2);
-                enc.put(name);
-            }
-        }
-    }
-}
-
-impl Decode for Step {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(match dec.u8()? {
-            0 => Step::Child(dec.get()?, dec.get()?),
-            1 => Step::Descendant(dec.get()?, dec.get()?),
-            2 => Step::Attr(dec.get()?),
-            t => return Err(bad(&format!("unknown path-step tag {t}"))),
-        })
-    }
-}
-
-impl Encode for NodePath {
-    fn encode(&self, enc: &mut Enc) {
-        enc.tag(self.base);
-        enc.put(&self.steps);
-    }
-}
-
-impl Decode for NodePath {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(NodePath {
-            base: dec.tag()?,
-            steps: dec.get()?,
-        })
-    }
-}
-
-impl Encode for CondValue {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            CondValue::Path(p) => {
-                enc.u8(0);
-                enc.put(p);
-            }
-            CondValue::Const(c) => {
-                enc.u8(1);
-                enc.put(c);
-            }
-            CondValue::Param(i) => {
-                enc.u8(2);
-                enc.put(i);
-            }
-            CondValue::Count(p) => {
-                enc.u8(3);
-                enc.put(p);
-            }
-        }
-    }
-}
-
-impl Decode for CondValue {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(match dec.u8()? {
-            0 => CondValue::Path(dec.get()?),
-            1 => CondValue::Const(dec.get()?),
-            2 => CondValue::Param(dec.get()?),
-            3 => CondValue::Count(dec.get()?),
-            t => return Err(bad(&format!("unknown cond-value tag {t}"))),
-        })
-    }
-}
-
-impl Encode for Condition {
-    fn encode(&self, enc: &mut Enc) {
-        match self {
-            Condition::True => {
-                enc.u8(0);
-            }
-            Condition::Cmp { left, op, right } => {
-                enc.u8(1);
-                enc.put(left);
-                enc.tag(*op);
-                enc.put(right);
-            }
-            Condition::Exists(p) => {
-                enc.u8(2);
-                enc.put(p);
-            }
-            Condition::And(a, b) => {
-                enc.u8(3);
-                enc.put(a);
-                enc.put(b);
-            }
-            Condition::Or(a, b) => {
-                enc.u8(4);
-                enc.put(a);
-                enc.put(b);
-            }
-            Condition::Not(a) => {
-                enc.u8(5);
-                enc.put(a);
-            }
-        }
-    }
-}
-
-impl Decode for Condition {
-    fn decode(dec: &mut Dec<'_>) -> Result<Self> {
-        Ok(match dec.u8()? {
-            0 => Condition::True,
-            1 => Condition::Cmp {
-                left: dec.get()?,
-                op: dec.tag()?,
-                right: dec.get()?,
-            },
-            2 => Condition::Exists(dec.get()?),
-            3 => Condition::And(dec.get()?, dec.get()?),
-            4 => Condition::Or(dec.get()?, dec.get()?),
-            5 => Condition::Not(dec.get()?),
-            t => return Err(bad(&format!("unknown condition tag {t}"))),
-        })
-    }
-}
 
 impl Encode for ActionParam {
     fn encode(&self, enc: &mut Enc) {
@@ -298,7 +157,6 @@ impl Encode for SqlTriggerMeta {
         enc.put(&self.name);
         enc.put(&self.plan);
         enc.put(&self.plan_ref);
-        enc.put(&self.residual);
         enc.put(&self.src);
     }
 }
@@ -309,7 +167,6 @@ impl Decode for SqlTriggerMeta {
             name: dec.get()?,
             plan: dec.get()?,
             plan_ref: dec.get()?,
-            residual: dec.get()?,
             src: dec.get()?,
         };
         // Verify the decoded plan against its persisted rendering: a codec
@@ -477,6 +334,7 @@ pub(crate) fn decode_core(q: &mut Quark, bytes: &[u8]) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::{Condition, NodePath, NodeRef};
     use crate::spec::{Action, TriggerSpec, XmlEvent};
     use quark_relational::expr::{BinOp, Expr};
     use quark_relational::Database;
@@ -661,13 +519,14 @@ mod tests {
         // plans run and fire as they did.
         assert_eq!(
             (blob_a.len(), quark_storage::crc::crc32(&blob_a)),
-            (27_134, 0x2ada_d3c9),
+            (27_128, 0xb171_1c0c),
             "core blob bytes changed"
         );
     }
 
-    /// Any version byte but [`VERSION`] is refused by name: 1, 2 and 3,
-    /// the retired layouts, included.
+    /// Any version byte but [`VERSION`] is refused by name: 1 to 4, the
+    /// retired layouts, included (4 still carried an optional condition
+    /// beside each SQL trigger's plan).
     #[test]
     fn unknown_version_is_rejected() {
         let q = demo();
@@ -676,7 +535,7 @@ mod tests {
         for name in names {
             db.drop_trigger(&name).unwrap();
         }
-        for version in [1, 2, 3, 99] {
+        for version in [1, 2, 3, 4, 99] {
             let mut blob = encode_core(&q).unwrap();
             blob[0] = version;
             let mut q2 = Quark::new(db.clone(), Mode::Grouped);

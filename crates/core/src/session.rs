@@ -24,6 +24,11 @@
 //! | `STATS` | [`StatementResult::Rows`] (one `counter`/`value` row each) |
 //! | `ANALYZE TRIGGERS` | [`StatementResult::Analysis`] |
 //!
+//! Tables named with the [`RESERVED_PREFIX`] (`__quark_`) belong to the
+//! engine: a statement that creates, indexes, writes or drops one is
+//! refused, naming the table, before anything changes. `SELECT` may read
+//! them, for observability.
+//!
 //! The XQuery-bodied statements (`CREATE VIEW`, `CREATE TRIGGER`) are
 //! parsed by a pluggable [`StatementFrontend`] so this crate stays below
 //! the XQuery frontend in the layering; `quark-xquery` provides the
@@ -111,7 +116,7 @@ use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use quark_relational::sql::{self, SqlOutcome, Statement};
-use quark_relational::{Counter, Database, Error, Latched, RedoOp, Result, Value};
+use quark_relational::{Counter, Database, Error, Latched, RedoOp, Result, TableSchema, Value};
 use quark_xml::XmlNodeRef;
 
 use crate::system::analysis::AnalysisReport;
@@ -688,6 +693,16 @@ impl Session {
 
     /// Route one parsed statement (see [`Session::execute`]).
     fn execute_parsed(&self, stmt: &Statement) -> Result<StatementResult, StatementError> {
+        // `DROP TABLE` is refused by `Quark::drop_table`, after the check
+        // that names a view or trigger reading the table.
+        if let Statement::CreateTable(TableSchema { name: table, .. })
+        | Statement::CreateIndex { table, .. }
+        | Statement::Insert { table, .. }
+        | Statement::Update { table, .. }
+        | Statement::Delete { table, .. } = stmt
+        {
+            refuse_reserved(table)?;
+        }
         match stmt {
             // ---- read statements: lock-free against the snapshot ------
             Statement::Select {
@@ -856,6 +871,21 @@ impl Session {
         cache.insert(table.to_string(), Arc::clone(&footprint));
         footprint
     }
+}
+
+/// The name prefix of the tables the engine creates for itself (a trigger
+/// group's constants table): no user statement may create, index, write
+/// or drop one.
+pub const RESERVED_PREFIX: &str = "__quark_";
+
+/// Refuse a user statement on a table named with [`RESERVED_PREFIX`].
+pub(crate) fn refuse_reserved(table: &str) -> Result<()> {
+    if table.starts_with(RESERVED_PREFIX) {
+        return Err(Error::Plan(format!(
+            "table `{table}` is reserved: `{RESERVED_PREFIX}` tables belong to the engine"
+        )));
+    }
+    Ok(())
 }
 
 /// Length of the live WAL segment at which a latched write checkpoints

@@ -26,7 +26,6 @@ use quark_relational::expr::Expr;
 use quark_relational::plan::PlanRef;
 use quark_relational::{Database, Error, Result, Value};
 
-use crate::condition::Condition;
 use crate::events::SourceEvent;
 use crate::spec::{ActionParam, PathGraph, TriggerSpec, XmlView};
 
@@ -176,15 +175,14 @@ struct TriggerRecord {
 
 /// One SQL trigger generated for a group, with its compiled plan rendered
 /// for `EXPLAIN TRIGGER` and the handler ingredients kept for persistence:
-/// re-arming a recovered group rebuilds each handler from `plan_ref` /
-/// `residual` / `src` without re-running translation. `src` names the
-/// table and event the trigger is installed on.
+/// re-arming a recovered group rebuilds each handler from `plan_ref` and
+/// `src` without re-running translation. `src` names the table and event
+/// the trigger is installed on.
 #[derive(Clone)]
 struct SqlTriggerMeta {
     name: String,
     plan: String,
     plan_ref: PlanRef,
-    residual: Option<Condition>,
     src: SourceEvent,
 }
 
@@ -623,8 +621,11 @@ impl Quark {
     /// registered view or an XML trigger's group reads it: a view graph or
     /// a compiled plan over a missing table could neither fire nor be
     /// re-armed by a reopen. The error names the first such view (by
-    /// name), else the first such trigger. There is no `DROP VIEW`, so a
-    /// table a view reads stays until [`Quark::database_mut`] drops it.
+    /// name), else the first such trigger. A table named with
+    /// [`RESERVED_PREFIX`](crate::session::RESERVED_PREFIX) is refused too:
+    /// the engine drops its own tables with their group. There is no `DROP
+    /// VIEW`, so a table a view reads stays until [`Quark::database_mut`]
+    /// drops it.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let view = self
             .views
@@ -649,7 +650,10 @@ impl Quark {
         let user = match (view, trigger) {
             (Some(v), _) => format!("view `{v}`"),
             (None, Some(t)) => format!("trigger `{t}`"),
-            (None, None) => return self.db.drop_table(name),
+            (None, None) => {
+                crate::session::refuse_reserved(name)?;
+                return self.db.drop_table(name);
+            }
         };
         Err(Error::Plan(format!(
             "cannot drop table `{name}`: {user} reads it"

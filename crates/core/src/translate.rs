@@ -20,8 +20,8 @@
 //!    table is joined to the affected nodes, probed through its index on a
 //!    `path = const` equality over a single-valued path ([`join_key`],
 //!    Fig. 14's select→join conversion) and scanned otherwise, then the
-//!    condition is applied as a filter, or per row by the handler when it
-//!    does not compile relationally;
+//!    whole condition is applied as the plan's filter (every condition
+//!    compiles; see [`Condition::compile`]);
 //! 4. [`install`] / [`make_handler`] — one statement-level SQL trigger per
 //!    source event, whose body runs the plan over the transition tables and
 //!    activates the actions of every member whose constants set matched.
@@ -38,7 +38,7 @@ use quark_relational::{
 };
 
 use crate::angraph::{build_affected, AffectedNodePlan, Needs, SideNeeds};
-use crate::condition::{compile_value, CondLayout, CondValue, Condition, NodeRef};
+use crate::condition::{compile_path, CondLayout, CondValue, Condition, NodeRef, Step};
 use crate::events::{source_events, SourceEvent};
 use crate::spec::{Action, ActionParam, PathGraph, TriggerSpec};
 
@@ -114,14 +114,14 @@ pub(super) fn translate_group(
     // source-event combination.
     let mut pg = template.clone();
     let ct = constants_table.as_deref();
-    let mut stacked: HashMap<String, Option<(String, PlanRef, Option<Condition>)>> = HashMap::new();
+    let mut stacked: HashMap<String, Option<(String, PlanRef)>> = HashMap::new();
     for src in &events {
         if !stacked.contains_key(&src.table) {
             let affected = build_affected(&mut pg, &src.table, spec.event, needs, cx.mode, cx.db)?;
             let plan = affected
                 .map(|affected| attach_condition(&affected, cond, ct, consts.len(), cx.db))
                 .transpose()?
-                .map(|(plan, residual)| (plan.explain(), plan, residual));
+                .map(|plan| (plan.explain(), plan));
             stacked.insert(src.table.clone(), plan);
         }
     }
@@ -130,12 +130,11 @@ pub(super) fn translate_group(
     let sql_triggers = events
         .into_iter()
         .filter_map(|src| {
-            let (plan, plan_ref, residual) = stacked.get(&src.table)?.clone()?;
+            let (plan, plan_ref) = stacked.get(&src.table)?.clone()?;
             Some(SqlTriggerMeta {
                 name: format!("__quark_g{}_{}_{}", cx.group_id, src.table, src.event),
                 plan,
                 plan_ref,
-                residual,
                 src,
             })
         })
@@ -146,7 +145,7 @@ pub(super) fn translate_group(
     // deduplicates on subplan identity), plus the constants table the
     // generated triggers join on every firing.
     let mut footprint: BTreeSet<String> = BTreeSet::new();
-    for (table, (_, plan, _)) in stacked.iter().filter_map(|(t, p)| Some((t, p.as_ref()?))) {
+    for (table, (_, plan)) in stacked.iter().filter_map(|(t, p)| Some((t, p.as_ref()?))) {
         footprint.insert(table.clone());
         footprint.extend(plan.table_footprint());
     }
@@ -215,16 +214,15 @@ fn shape_of(action: &Action) -> Vec<String> {
 }
 
 /// Stack the condition (and constants join) on top of the affected-node
-/// plan. Output layout: `[set_id, old_node, new_node, c_0 … c_{k-1}]`.
-/// Returns the plan plus a residual condition to evaluate per row in
-/// the handler when relational compilation was not possible.
+/// plan: the compiled condition is the plan's `Filter`. Output layout:
+/// `[set_id, old_node, new_node, c_0 … c_{k-1}]`.
 fn attach_condition(
     affected: &AffectedNodePlan,
     cond: &Condition,
     constants_table: Option<&str>,
     n_consts: usize,
     db: &Database,
-) -> Result<(PlanRef, Option<Condition>)> {
+) -> Result<PlanRef> {
     let affected_arity = affected.plan.arity(db)?;
     let layout = &affected.layout;
     let old_expr = layout
@@ -243,6 +241,7 @@ fn attach_condition(
         old_attrs: layout.old_attrs.clone(),
         new_attrs: layout.new_attrs.clone(),
         params: params.clone(),
+        context: None,
     };
 
     let affected_plan = Arc::clone(&affected.plan);
@@ -282,14 +281,8 @@ fn attach_condition(
         None => (affected_plan, Expr::lit(0i64)),
     };
 
-    // Apply the full condition relationally when possible.
-    let (filtered, residual) = match cond.compile(&cond_layout) {
-        Ok(predicate) => (
-            PhysicalPlan::new(PlanOp::Filter { predicate }, vec![joined]).into_ref(),
-            None,
-        ),
-        Err(_) => (joined, Some(cond.clone())),
-    };
+    let predicate = cond.compile(&cond_layout)?;
+    let filtered = PhysicalPlan::new(PlanOp::Filter { predicate }, vec![joined]).into_ref();
 
     // Final projection [set_id, old, new, params…], sorted by set id.
     let mut exprs = vec![set_expr, old_expr, new_expr];
@@ -297,38 +290,39 @@ fn attach_condition(
     let projected = PhysicalPlan::project(exprs, filtered).into_ref();
     let keys = vec![SortKey::asc(0)];
     let sorted = PhysicalPlan::new(PlanOp::Sort { keys }, vec![projected]).into_ref();
-    Ok((sorted, residual))
+    Ok(sorted)
 }
 
 /// The probe of the constants table's index (Fig. 14's select→join
-/// conversion): the first top-level conjunct `path = Param(i)` whose path
-/// compiles to one value per node, as `(key over the affected row, i)`. A
-/// path through several nodes compares existentially, which one probe key
-/// cannot.
+/// conversion): the first top-level conjunct `BASE/@attr = Param(i)`, whose
+/// path has one value per node, as `(key over the affected row, i)`. Any
+/// other path can select several items and compares existentially, which
+/// one probe key cannot.
 fn join_key(cond: &Condition, layout: &CondLayout) -> Option<(Expr, usize)> {
     match cond {
         Condition::Cmp {
-            left: path @ CondValue::Path(_),
+            left: CondValue::Path(p),
             op: BinOp::Eq,
             right: CondValue::Param(i),
         }
         | Condition::Cmp {
             left: CondValue::Param(i),
             op: BinOp::Eq,
-            right: path @ CondValue::Path(_),
-        } => Some((compile_value(path, layout).ok()?, *i)),
+            right: CondValue::Path(p),
+        } if matches!(p.steps.as_slice(), [Step::Attr(_)]) => {
+            Some((compile_path(p.base, &p.steps, layout).ok()?, *i))
+        }
         Condition::And(a, b) => join_key(a, layout).or_else(|| join_key(b, layout)),
         _ => None,
     }
 }
 
 /// Install `group`'s SQL triggers on `db`, each with a handler built from
-/// its plan, residual and source event.
+/// its plan and source event.
 pub(super) fn install(db: &mut Database, actions: &ActionRegistry, group: &Group) -> Result<()> {
     for t in &group.sql_triggers {
         let body = make_handler(
             Arc::clone(&t.plan_ref),
-            t.residual.clone(),
             t.src.clone(),
             Arc::clone(&group.members),
             group.params.clone(),
@@ -344,12 +338,11 @@ pub(super) fn install(db: &mut Database, actions: &ActionRegistry, group: &Group
     Ok(())
 }
 
-/// Build the SQL-trigger body: relevance check, plan execution,
-/// residual filtering, and action activation of `members`, each called
-/// with the group's action `params`.
+/// Build the SQL-trigger body: relevance check, plan execution (its rows
+/// already satisfy the condition), and action activation of `members`,
+/// each called with the group's action `params`.
 fn make_handler(
     plan: PlanRef,
-    residual: Option<Condition>,
     src: SourceEvent,
     members: Members,
     params: Vec<ActionParam>,
@@ -365,18 +358,8 @@ fn make_handler(
             let Value::Int(set_id) = row[0] else {
                 return Err(Error::Eval("set_id must be an integer".into()));
             };
-            // `attach_condition`'s layout: set id, the OLD and NEW nodes (or
-            // NULL), then the constants set.
-            let node = |v: &Value| match v {
-                Value::Xml(x) => Some(x.clone()),
-                _ => None,
-            };
-            let (old, new) = (node(&row[1]), node(&row[2]));
-            if let Some(cond) = &residual {
-                if !cond.eval(old.as_ref(), new.as_ref(), &row[3..])? {
-                    continue;
-                }
-            }
+            // `attach_condition`'s layout: set id, then the OLD and NEW
+            // nodes (or NULL).
             let args: Vec<Value> = params
                 .iter()
                 .map(|p| match p {
@@ -498,7 +481,6 @@ mod tests {
                 "{}",
                 t.plan
             );
-            assert!(t.residual.is_none(), "{}", t.name);
         }
         let footprint: Vec<&str> = group.footprint.iter().map(String::as_str).collect();
         assert_eq!(footprint, ["__quark_const_7", "product", "vendor"]);

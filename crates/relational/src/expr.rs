@@ -3,8 +3,8 @@
 //! XQGM embeds XML-manipulating functions inside relational operators
 //! (§2.1); the same applies here: [`ScalarFunc::XmlElement`] is the element
 //! constructor, [`AggFunc::XmlAgg`] is `aggXMLFrag()`, and the XML
-//! navigation functions support evaluating trigger conditions that were not
-//! pushed down to pure relational selections.
+//! navigation functions plus [`ScalarFunc::XmlFilter`] evaluate trigger
+//! conditions over the already-constructed nodes of a firing.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -68,15 +68,25 @@ pub enum ScalarFunc {
     },
     /// Wrap a scalar in a named element: `XmlWrap("pid")(v) = <pid>v</pid>`.
     XmlWrap(String),
-    /// Attribute access on an XML value: `@name`.
+    /// Attribute access on an XML value: `@name` — the attribute's string
+    /// (NULL if absent) on an element; on a fragment, per item, a fragment
+    /// of text nodes holding the values of the items that have one.
     XmlAttr(String),
-    /// Child elements with a tag name, as a fragment (`child::name`).
+    /// Child elements with a tag name, as a fragment (`child::name`), per
+    /// item on a fragment.
     XmlChildren(String),
-    /// Descendant elements with a tag name, as a fragment (`descendant::`).
+    /// Descendant elements with a tag name, as a fragment (`descendant::`),
+    /// per item on a fragment.
     XmlDescendants(String),
     /// Number of nodes in an XML value (fragment → child count, element → 1,
     /// NULL → 0). Used for `count()` over already-constructed nodes.
     NodeCount,
+    /// The items of the node sequence in the first argument (a fragment's
+    /// children, or one element) for which the predicate is true, as a
+    /// fragment. The predicate runs over its own row: the item, then the
+    /// remaining arguments — so it reads what it needs of the outer row
+    /// through them, and filters nest.
+    XmlFilter(Box<Expr>),
 }
 
 /// A scalar expression evaluated against one row.
@@ -328,6 +338,15 @@ fn value_to_children(v: &Value, out: &mut Vec<XmlNodeRef>) {
     }
 }
 
+/// The items of a node sequence: a fragment's children, or the node itself.
+fn items(x: &XmlNodeRef) -> &[XmlNodeRef] {
+    if is_fragment(x) {
+        x.children()
+    } else {
+        std::slice::from_ref(x)
+    }
+}
+
 fn eval_func(f: &ScalarFunc, args: Vec<Value>) -> Result<Value> {
     match f {
         ScalarFunc::XmlElement { name, attrs } => {
@@ -356,35 +375,57 @@ fn eval_func(f: &ScalarFunc, args: Vec<Value>) -> Result<Value> {
             Ok(Value::Xml(element(name.clone(), vec![], children)))
         }
         ScalarFunc::XmlAttr(name) => match args.first() {
+            Some(Value::Xml(x)) if is_fragment(x) => Ok(Value::Xml(xml_fragment(
+                x.children()
+                    .iter()
+                    .filter_map(|item| item.attr(name).map(text))
+                    .collect(),
+            ))),
             Some(Value::Xml(x)) => Ok(x.attr(name).map_or(Value::Null, Value::str)),
             Some(Value::Null) | None => Ok(Value::Null),
             Some(other) => Err(Error::Eval(format!("@{name} on non-XML {other:?}"))),
         },
         ScalarFunc::XmlChildren(name) => match args.first() {
-            Some(Value::Xml(x)) => {
-                let base: Vec<XmlNodeRef> = if is_fragment(x) {
-                    // child axis over a sequence: children of each item
-                    x.children()
-                        .iter()
-                        .flat_map(|c| c.children_named(name).cloned().collect::<Vec<_>>())
-                        .collect()
-                } else {
-                    x.children_named(name).cloned().collect()
-                };
-                Ok(Value::Xml(xml_fragment(base)))
-            }
+            Some(Value::Xml(x)) => Ok(Value::Xml(xml_fragment(
+                items(x)
+                    .iter()
+                    .flat_map(|item| item.children_named(name))
+                    .cloned()
+                    .collect(),
+            ))),
             Some(Value::Null) | None => Ok(Value::Null),
             Some(other) => Err(Error::Eval(format!("child::{name} on non-XML {other:?}"))),
         },
         ScalarFunc::XmlDescendants(name) => match args.first() {
             Some(Value::Xml(x)) => Ok(Value::Xml(xml_fragment(
-                x.descendants_named(name).into_iter().cloned().collect(),
+                items(x)
+                    .iter()
+                    .flat_map(|item| item.descendants_named(name))
+                    .cloned()
+                    .collect(),
             ))),
             Some(Value::Null) | None => Ok(Value::Null),
             Some(other) => Err(Error::Eval(format!(
                 "descendant::{name} on non-XML {other:?}"
             ))),
         },
+        ScalarFunc::XmlFilter(predicate) => {
+            let mut args = args.into_iter();
+            let seq = match args.next() {
+                Some(Value::Xml(x)) => x,
+                Some(Value::Null) | None => return Ok(Value::Null),
+                Some(other) => return Err(Error::Eval(format!("filter on non-XML {other:?}"))),
+            };
+            let mut row: Vec<Value> = std::iter::once(Value::Null).chain(args).collect();
+            let mut kept = Vec::new();
+            for item in items(&seq) {
+                row[0] = Value::Xml(Arc::clone(item));
+                if predicate.eval(&row)?.is_true() {
+                    kept.push(Arc::clone(item));
+                }
+            }
+            Ok(Value::Xml(xml_fragment(kept)))
+        }
         ScalarFunc::NodeCount => match args.first() {
             Some(Value::Xml(x)) if is_fragment(x) => Ok(Value::Int(x.children().len() as i64)),
             Some(Value::Xml(_)) => Ok(Value::Int(1)),
@@ -672,6 +713,56 @@ mod tests {
         let kids = Expr::Func(ScalarFunc::XmlChildren("vendor".into()), vec![Expr::col(0)]);
         let count = Expr::Func(ScalarFunc::NodeCount, vec![kids]);
         assert_eq!(count.eval(&[Value::Xml(prod)]).unwrap(), Value::Int(2));
+    }
+
+    /// On a fragment, `@name` and `descendant::` act per item (an item is
+    /// not its own descendant), and `XmlFilter` keeps the items whose
+    /// predicate, over `[item, the remaining arguments…]`, is true.
+    #[test]
+    fn navigation_and_filter_act_per_item() {
+        let vendor = |vid: Option<&str>, price: i64, inner: Vec<XmlNodeRef>| {
+            let attrs = vid.map(|v| ("vid".to_string(), v.to_string()));
+            let mut children = vec![element("price", vec![], vec![text(price.to_string())])];
+            children.extend(inner);
+            element("vendor", attrs.into_iter().collect(), children)
+        };
+        let nested = vendor(None, 5, vec![]);
+        let seq = xml_fragment(vec![
+            vendor(Some("A"), 120, vec![nested]),
+            vendor(None, 90, vec![]),
+        ]);
+        let row = [Value::Xml(seq), Value::Int(100)];
+        let count = |e: Expr| {
+            Expr::Func(ScalarFunc::NodeCount, vec![e])
+                .eval(&row)
+                .unwrap()
+        };
+        let on_seq = |f: ScalarFunc| Expr::Func(f, vec![Expr::col(0)]);
+        assert_eq!(
+            count(on_seq(ScalarFunc::XmlAttr("vid".into()))),
+            Value::Int(1)
+        );
+        assert_eq!(
+            count(on_seq(ScalarFunc::XmlDescendants("vendor".into()))),
+            Value::Int(1)
+        );
+        // Vendors priced over the second argument: the item's price child
+        // against column 1 of the filter's own row.
+        let price = Expr::Func(ScalarFunc::XmlChildren("price".into()), vec![Expr::col(0)]);
+        let over = Expr::bin(BinOp::Gt, price, Expr::col(1));
+        let filter = |arg| {
+            Expr::Func(
+                ScalarFunc::XmlFilter(Box::new(over.clone())),
+                vec![Expr::col(0), arg],
+            )
+        };
+        assert_eq!(count(filter(Expr::col(1))), Value::Int(1));
+        assert_eq!(count(filter(Expr::lit(10i64))), Value::Int(2));
+        let none = Expr::Func(
+            ScalarFunc::XmlFilter(Box::new(over)),
+            vec![Expr::lit(Value::Null)],
+        );
+        assert_eq!(none.eval(&row).unwrap(), Value::Null);
     }
 
     #[test]

@@ -717,6 +717,10 @@ impl Encode for ScalarFunc {
                 enc.str(n);
             }
             ScalarFunc::NodeCount => enc.u8(5),
+            ScalarFunc::XmlFilter(predicate) => {
+                enc.u8(6);
+                enc.put(predicate);
+            }
         }
     }
 }
@@ -733,6 +737,7 @@ impl Decode for ScalarFunc {
             3 => ScalarFunc::XmlChildren(dec.str()?),
             4 => ScalarFunc::XmlDescendants(dec.str()?),
             5 => ScalarFunc::NodeCount,
+            6 => ScalarFunc::XmlFilter(dec.get()?),
             other => return Err(bad(format!("bad scalar-func tag {other}"))),
         })
     }
@@ -1039,12 +1044,21 @@ mod tests {
         assert!(Dec::new(&[12]).tag::<BinOp>().is_err());
         assert!(Dec::new(&[4]).tag::<JoinKind>().is_err());
         assert!(Dec::new(&[2]).get::<Option<Expr>>().is_err());
-        // `NodeCount` (5) is the last scalar-function tag.
+        // `NodeCount` is 5; `XmlFilter` (6), then its predicate, is the
+        // last scalar-function tag.
         assert_eq!(
             Dec::new(&[5]).get::<ScalarFunc>().unwrap(),
             ScalarFunc::NodeCount
         );
-        for tag in 6..=8 {
+        let filter = ScalarFunc::XmlFilter(Box::new(Expr::Col(1)));
+        let mut enc = Enc::new();
+        enc.put(&filter);
+        assert_eq!(enc.into_bytes().unwrap(), [6, 0, 1, 0, 0, 0]);
+        assert_eq!(
+            Dec::new(&[6, 0, 1, 0, 0, 0]).get::<ScalarFunc>().unwrap(),
+            filter
+        );
+        for tag in 7..=9 {
             assert!(Dec::new(&[tag]).get::<ScalarFunc>().is_err());
         }
     }

@@ -13,6 +13,9 @@ use quark_core::{
 };
 use quark_xquery::XQueryFrontend;
 
+#[allow(dead_code)] // each test binary compiles this module; not all use it
+pub mod reference;
+
 /// One recorded firing: `(trigger name, params)`.
 pub type Firing = (String, Vec<Value>);
 

@@ -248,15 +248,17 @@ proptest! {
 // `path = const` conditions whose path has more than one value per node
 // ---------------------------------------------------------------------
 
-/// `(name, event, condition, delivered node)`: triggers whose condition is
-/// one `path = const` equality over a path through the product's vendors.
-/// Grouping turns it into `path = Param`, the pushable equality of a
-/// constants-table join; such a path is no join key (a step predicate does
-/// not compile, and a path through several vendors compares
-/// existentially), so the grouped modes must scan the constants table and
-/// evaluate the condition per row. The view's `<vendor>` has no `vid`
-/// attribute, so `step_attr` never fires; the others compare `<vid>`.
-const PATH_TRIGGERS: [(&str, &str, &str, &str); 5] = [
+/// `(name, event, condition, delivered node)`: triggers whose condition
+/// reads a path through the product's vendors. Most are one `path = const`
+/// equality; grouping turns it into `path = Param`, the pushable equality
+/// of a constants-table join, but such a path is no join key (it can
+/// select several items and compares existentially), so the grouped modes
+/// scan the constants table and filter each row with the compiled
+/// condition, step predicate included. `count_upd` and `exists_ins` count
+/// and test the vendors a step predicate keeps. The view's `<vendor>` has
+/// no `vid` attribute, so `step_attr` never fires; the others compare
+/// `<vid>`.
+const PATH_TRIGGERS: [(&str, &str, &str, &str); 7] = [
     (
         "step_attr",
         "update",
@@ -285,6 +287,18 @@ const PATH_TRIGGERS: [(&str, &str, &str, &str); 5] = [
         "path_upd",
         "update",
         "OLD_NODE/vendor/vid = 'Amazon'",
+        "NEW_NODE",
+    ),
+    (
+        "count_upd",
+        "update",
+        "count(OLD_NODE/vendor[./price > 100]) >= 2",
+        "NEW_NODE",
+    ),
+    (
+        "exists_ins",
+        "insert",
+        "exists(NEW_NODE/vendor[./price > 100])",
         "NEW_NODE",
     ),
 ];
@@ -332,20 +346,27 @@ fn path_observed(log: &Log) -> Vec<(String, String)> {
 }
 
 /// The condition of [`PATH_TRIGGERS`]' `name`, evaluated directly on
-/// `node`: some vendor is Amazon (priced over 100, with a step predicate).
+/// `node`: how many vendors are priced over 100 (the step predicate), or
+/// whether some vendor is Amazon (priced over 100, with the predicate).
 fn path_condition_holds(name: &str, node: &XmlNodeRef) -> bool {
     let child_is = |v: &XmlNodeRef, child: &str, test: &dyn Fn(&str) -> bool| {
         v.children_named(child).any(|c| test(&c.text_content()))
     };
-    node.children_named("vendor").any(|v| {
-        let over_100 = child_is(v, "price", &|p| p.parse::<f64>().is_ok_and(|p| p > 100.0));
-        let amazon = child_is(v, "vid", &|id| id == "Amazon");
-        match name {
-            "step_attr" => over_100 && v.attr("vid") == Some("Amazon"),
-            "path_upd" => amazon,
-            _ => over_100 && amazon,
-        }
-    })
+    let over_100 =
+        |v: &XmlNodeRef| child_is(v, "price", &|p| p.parse::<f64>().is_ok_and(|p| p > 100.0));
+    let mut vendors = node.children_named("vendor");
+    match name {
+        "count_upd" => vendors.filter(|v| over_100(v)).count() >= 2,
+        "exists_ins" => vendors.any(over_100),
+        _ => vendors.any(|v| {
+            let amazon = child_is(v, "vid", &|id| id == "Amazon");
+            match name {
+                "step_attr" => over_100(v) && v.attr("vid") == Some("Amazon"),
+                "path_upd" => amazon,
+                _ => over_100(v) && amazon,
+            }
+        }),
+    }
 }
 
 /// What [`PATH_TRIGGERS`] must record for one oracle change: an INSERT
@@ -368,8 +389,10 @@ fn path_expected(c: &ViewChange) -> Vec<(String, String)> {
 }
 
 proptest! {
+    // Pinned seed and case count; nightly raises the count with
+    // PROPTEST_CASES (the seed stays pinned either way).
     #![proptest_config(ProptestConfig {
-        cases: 32,
+        cases: std::env::var("PROPTEST_CASES").ok().and_then(|c| c.parse().ok()).unwrap_or(32),
         rng_seed: Some(0x1cde_2005_0031),
         ..ProptestConfig::default()
     })]

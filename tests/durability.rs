@@ -1042,6 +1042,59 @@ fn drop_table_under_a_view_or_trigger_is_refused() {
     }
 }
 
+/// The engine's own tables are closed to user statements. A `CREATE TABLE`
+/// that would take the first constants table's name is refused, so the
+/// grouped `NotifyP1` still gets it. A `DELETE`, `INSERT`, `UPDATE` or
+/// `CREATE INDEX` on that table is refused, naming it, before anything
+/// changes: `SELECT` still reads its one row, and the durable directory
+/// reopens with both triggers firing.
+#[test]
+fn statements_on_reserved_tables_are_refused() {
+    let dir = tmp_dir("reserved");
+    let log = Log::default();
+    let session = open(&dir, Mode::Grouped, SyncMode::Never);
+    let refused = |session: &Session, stmt: &str| {
+        let err = session.execute(stmt).expect_err(stmt);
+        assert!(
+            err.to_string()
+                .contains("table `__quark_const_0` is reserved"),
+            "{stmt}: {err}"
+        );
+    };
+    refused(&session, "CREATE TABLE __quark_const_0 (x INT PRIMARY KEY)");
+    install(&session, &log);
+    let constants = |s: &Session| s.execute("SELECT * FROM __quark_const_0").expect("select");
+    let before = constants(&session);
+    let StatementResult::Rows { rows, .. } = &before else {
+        panic!("expected rows");
+    };
+    assert_eq!(rows.len(), 1, "NotifyP1's constants set");
+    for stmt in [
+        "DELETE FROM __quark_const_0 WHERE set_id = 0",
+        "INSERT INTO __quark_const_0 VALUES (7, 'zzz')",
+        "UPDATE __quark_const_0 SET c0 = 'zzz'",
+        "CREATE INDEX ON __quark_const_0 (c0)",
+    ] {
+        refused(&session, stmt);
+    }
+    assert_eq!(constants(&session), before);
+
+    session.close().expect("close");
+    let session = open(&dir, Mode::Grouped, SyncMode::Never);
+    arm(&session, &log);
+    assert_eq!(constants(&session), before);
+    for stmt in [
+        "UPDATE vendor SET price = 75.0 WHERE vid = 'Amazon' AND pid = 'P1'",
+        "DELETE FROM vendor WHERE vid = 'Bestbuy' AND pid = 'P1'",
+    ] {
+        session.execute(stmt).expect(stmt);
+    }
+    let fired: Vec<String> = firings(&log).into_iter().map(|(t, _)| t).collect();
+    assert_eq!(fired, ["NotifyGone", "NotifyP1"], "both triggers fire");
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The benchmark's chain schema of `depth` levels: `t0(id, name, price)`
 /// and `ti(id, parent, name, price)` below it.
 fn create_chain_tables(session: &Session, depth: usize) {

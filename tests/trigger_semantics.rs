@@ -169,8 +169,9 @@ fn negating_a_price_fires_and_changes_the_view() {
     }
 }
 
-/// Conditions with nested step predicates cannot be pushed relationally and
-/// fall back to value-space evaluation; results must be identical.
+/// A condition with a nested step predicate compiles to a plan filter like
+/// any other (the predicate runs once per vendor item), and fires exactly
+/// where the predicate holds for some vendor.
 #[test]
 fn residual_condition_with_step_predicate() {
     for mode in all_modes() {
@@ -192,6 +193,174 @@ fn residual_condition_with_step_predicate() {
         // condition is false.
         update_price(&mut session, "Amazon", "P1", 130.0).unwrap();
         assert_eq!(log.len(), 0, "{mode:?}");
+    }
+}
+
+/// Every condition text of the suite, plus the shapes the compiled path
+/// once got wrong (an attribute and `//` over a node sequence) and the rest
+/// of the language (`every`, `not`, nested predicates, path against path),
+/// compiled by `Condition::compile` over a row holding the nodes and
+/// evaluated by the value-space reference in `tests/common`: both agree on
+/// every pair of fixture nodes, an absent side included, with the
+/// constants inline and as parameters.
+#[test]
+fn compiled_conditions_match_the_reference() {
+    use quark_core::condition::CondLayout;
+    use quark_core::xml::{element, text, XmlNodeRef};
+
+    const CONDITIONS: &[&str] = &[
+        "OLD_NODE/@name = 'CRT 15'",
+        "NEW_NODE/@name = 'OLED 42'",
+        "OLD_NODE/@name = 'ada'",
+        "OLD_NODE/vendor/price < 110",
+        "NEW_NODE/vendor/price > 100.0",
+        "NEW_NODE/vendor/price = 5.5",
+        "count(NEW_NODE/order) >= 3",
+        "count(NEW_NODE/vendor[./price < 110]) >= 1",
+        "some $o in NEW_NODE/order satisfies ./total > 500",
+        "some $v in NEW_NODE/vendor satisfies ./price < 100",
+        "OLD_NODE/vendor[./price > 100]/@vid = 'Amazon'",
+        "OLD_NODE/vendor[./price > 100]/vid = 'Amazon'",
+        "NEW_NODE/vendor[./price > 100]/vid = 'Amazon'",
+        "OLD_NODE/vendor/vid = 'Amazon'",
+        "count(OLD_NODE/vendor[./price > 100]) >= 2",
+        "exists(NEW_NODE/vendor[./price > 100])",
+        "exists(NEW_NODE/order/@oid)",
+        "count(NEW_NODE/order/@oid) >= 2",
+        "NEW_NODE/order/@oid = 10",
+        "count(NEW_NODE/vendor//vendor) >= 2",
+        "NEW_NODE//vendor/@vid = 'Amazon'",
+        "count(NEW_NODE//price) >= 3",
+        "every $v in NEW_NODE/vendor satisfies ./price < 200",
+        "every $v in NEW_NODE/vendor satisfies $v/@vid = 'Amazon'",
+        "not(OLD_NODE/@name = 'CRT 15')",
+        "not(OLD_NODE/vendor/price > 100) or NEW_NODE/@name = 'LCD 19'",
+        "exists(NEW_NODE/vendor[exists(./vendor[./price > 100])])",
+        "NEW_NODE/vendor[./price > 100 and ./vid = 'Amazon']/price < 150",
+        "NEW_NODE/vendor/vid = OLD_NODE/vendor/vid",
+        "NEW_NODE/vendor/price > OLD_NODE/vendor/price",
+        "NEW_NODE/vendor[./price > OLD_NODE/vendor/price]/vid = 'Amazon'",
+        "count(NEW_NODE/vendor) > count(OLD_NODE/vendor)",
+    ];
+
+    let node = |name: &str, attrs: &[(&str, &str)], children: Vec<XmlNodeRef>| {
+        let attrs = attrs.iter().map(|&(k, v)| (k.into(), v.into())).collect();
+        element(name, attrs, children)
+    };
+    let leaf = |name: &str, value: &str| node(name, &[], vec![text(value)]);
+    let (session, _) = catalog_system(Mode::Ungrouped);
+    let StatementResult::Xml(mut fixtures) = session
+        .execute("MATERIALIZE view('catalog')/product")
+        .unwrap()
+    else {
+        panic!("expected XML");
+    };
+    // Children that carry attributes; one vendor lacks `vid`.
+    fixtures.push(node(
+        "customer",
+        &[("name", "ada")],
+        vec![
+            node("order", &[("oid", "10")], vec![leaf("total", "120")]),
+            node("order", &[("oid", "11")], vec![leaf("total", "800")]),
+        ],
+    ));
+    fixtures.push(node(
+        "product",
+        &[("name", "LCD 19")],
+        vec![
+            node(
+                "vendor",
+                &[("vid", "Amazon")],
+                vec![leaf("vid", "Amazon"), leaf("price", "120")],
+            ),
+            node("vendor", &[], vec![leaf("price", "5.5")]),
+        ],
+    ));
+    // A vendor nested in a vendor.
+    fixtures.push(node(
+        "product",
+        &[("name", "CRT 15")],
+        vec![node(
+            "vendor",
+            &[],
+            vec![
+                leaf("vid", "Amazon"),
+                leaf("price", "130"),
+                node("vendor", &[], vec![leaf("price", "101")]),
+            ],
+        )],
+    ));
+    let value = |n: Option<&XmlNodeRef>| n.map_or(Value::Null, |n| Value::Xml(n.clone()));
+    let show = |n: Option<&XmlNodeRef>| n.map_or("()".into(), |n| n.to_xml());
+    let sides: Vec<Option<&XmlNodeRef>> = std::iter::once(None)
+        .chain(fixtures.iter().map(Some))
+        .collect();
+
+    for text in CONDITIONS {
+        let parsed = quark_xquery::parse_expr(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let cond = quark_xquery::lower_condition(&parsed).unwrap_or_else(|e| panic!("{text}: {e}"));
+        let (sig, consts) = cond.extract_constants();
+        let parameterized = [(&cond, &[][..]), (&sig, &consts[..])];
+        // A layout without a side's column (an INSERT's OLD_NODE, a
+        // DELETE's NEW_NODE) reads that side as absent.
+        let columns = [(Some(0), Some(1)), (None, Some(1)), (Some(0), None)];
+        for ((cond, params), (old_node, new_node)) in parameterized
+            .into_iter()
+            .flat_map(|p| columns.map(|c| (p, c)))
+        {
+            let layout = CondLayout {
+                old_node,
+                new_node,
+                params: (2..2 + params.len()).collect(),
+                ..Default::default()
+            };
+            let compiled = cond.compile(&layout).unwrap();
+            for &old in &sides {
+                for &new in &sides {
+                    let old = old.filter(|_| old_node.is_some());
+                    let new = new.filter(|_| new_node.is_some());
+                    let mut row = vec![value(old), value(new)];
+                    row.extend_from_slice(params);
+                    let got = compiled.eval(&row).unwrap().is_true();
+                    let want = common::reference::eval(cond, old, new, params).unwrap();
+                    assert_eq!(
+                        got,
+                        want,
+                        "{text} (params {params:?}) on OLD {} / NEW {}",
+                        show(old),
+                        show(new)
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `OLD_NODE` of an INSERT and `NEW_NODE` of a DELETE are absent: their
+/// paths select nothing, so a comparison on them fails, its negation holds
+/// and a count over them is 0.
+#[test]
+fn paths_on_the_absent_side_select_nothing() {
+    for mode in all_modes() {
+        let (session, log) = catalog_system(mode);
+        for trigger in [
+            "create trigger NotOld after insert on view('catalog')/product \
+             where not(OLD_NODE/@name = 'OLED 42') do notify(NEW_NODE)",
+            "create trigger NoNew after delete on view('catalog')/product \
+             where count(NEW_NODE/vendor) = 0 and not(exists(NEW_NODE/@name)) \
+             do notify(OLD_NODE)",
+        ] {
+            session.execute(trigger).unwrap();
+        }
+        for stmt in [
+            "INSERT INTO product VALUES ('P4', 'OLED 42', 'LG')",
+            "INSERT INTO vendor VALUES ('Amazon', 'P4', 1.0), ('Bestbuy', 'P4', 2.0)",
+            "DELETE FROM vendor WHERE vid = 'Amazon' AND pid = 'P4'",
+        ] {
+            session.execute(stmt).unwrap();
+        }
+        let names: Vec<String> = log.take().into_iter().map(|(t, _)| t).collect();
+        assert_eq!(names, ["NotOld", "NoNew"], "{mode:?}");
     }
 }
 

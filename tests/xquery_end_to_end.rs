@@ -37,8 +37,13 @@ const VIEW: &str = r#"
 type FiringLog = Arc<Mutex<Vec<(String, String)>>>;
 
 fn system(mode: Mode) -> (Session, FiringLog) {
+    system_with(VIEW, mode)
+}
+
+/// The orders session with `view` and a recording `alert` action.
+fn system_with(view: &str, mode: Mode) -> (Session, FiringLog) {
     let session = orders_session(mode);
-    session.execute(VIEW).unwrap();
+    session.execute(view).unwrap();
     let log = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&log);
     session
@@ -89,6 +94,35 @@ fn parsed_trigger_with_attr_condition_fires() {
             assert!(node.contains("name=\"ada\""), "{mode:?}");
             assert!(node.contains("<total>99</total>"), "{mode:?}");
         }
+    }
+}
+
+/// An attribute over a node sequence: `accounts` with `<order oid=…>`.
+/// `exists` and `count` of `NEW_NODE/order/@oid` read every order's
+/// attribute, as does the existential comparison against one order id,
+/// and each fires once on the one update of Ada's order, in every mode.
+#[test]
+fn attribute_over_an_order_sequence_fires() {
+    for mode in [Mode::Ungrouped, Mode::Grouped, Mode::GroupedAgg] {
+        let (session, log) = system_with(&VIEW.replace("<order>", "<order oid={$o/oid}>"), mode);
+        for (name, condition) in [
+            ("HasOid", "exists(NEW_NODE/order/@oid)"),
+            ("TwoOids", "count(NEW_NODE/order/@oid) >= 2"),
+            ("Oid10", "NEW_NODE/order/@oid = 10"),
+        ] {
+            session
+                .execute(&format!(
+                    "CREATE TRIGGER {name} AFTER UPDATE ON view('accounts')/customer \
+                     WHERE {condition} DO alert(NEW_NODE)"
+                ))
+                .unwrap();
+        }
+        session
+            .execute("UPDATE orders SET total = 99.0 WHERE oid = 10")
+            .unwrap();
+        let mut names: Vec<String> = log.lock().unwrap().iter().map(|(t, _)| t.clone()).collect();
+        names.sort();
+        assert_eq!(names, ["HasOid", "Oid10", "TwoOids"], "{mode:?}");
     }
 }
 
