@@ -77,14 +77,16 @@
 //!   `ANALYZE TRIGGERS` —
 //!   run lock-free against an immutable [`Quark`] snapshot behind an
 //!   `Arc`, republished by the *writers* at commit: a latched writer folds
-//!   exactly its write-set tables into the current snapshot (an `Arc`
-//!   swap per table), a global writer republishes a clone of the system.
-//!   Either is refcount bumps — tables are persistent trees, a clone of
-//!   one copies no row — so once the first read has asked for a snapshot
-//!   every commit keeps it current, and a system nobody ever reads from
-//!   publishes nothing. Readers therefore always observe some
-//!   *statement-boundary* state, never a mid-cascade one, and never wait
-//!   for a writer.
+//!   exactly its write-set tables into the current snapshot — an `Arc`
+//!   swap per table, in place while no reader holds the snapshot, else
+//!   into a clone of the system (a cell per table, no row: tables are
+//!   persistent trees), so a held snapshot never changes — and a global
+//!   writer republishes a clone of the system. So once the first
+//!   read has asked for a snapshot every commit keeps it current, and a
+//!   system nobody ever reads from publishes nothing. Readers therefore
+//!   always observe some *statement-boundary* state, never a mid-cascade
+//!   one, and never wait for a writer. A published snapshot's counters
+//!   are not maintained: `STATS` reads the live system's.
 //!
 //! [`Session::execute_batch`] adds batched ingestion on top: consecutive
 //! `INSERT`s into the same table coalesce into one statement, so
@@ -229,9 +231,11 @@ struct Shared {
     /// Frontend for the XQuery-bodied DDL, shared by all handles.
     frontend: Option<Box<dyn StatementFrontend>>,
     /// The published read snapshot: `None` until the first
-    /// [`Session::snapshot`] call builds it, and from then on replaced by
+    /// [`Session::snapshot`] call builds it, and from then on kept by
     /// every commit (see `commit_tables` / `commit_global`), so whenever
-    /// it is there it is the state as of the last commit.
+    /// it is there it is the state as of the last commit. Its `Arc` is
+    /// cloned only under this mutex: `commit_tables` relies on that to
+    /// fold in place.
     published: Mutex<Option<Arc<Quark>>>,
     /// Memoized per-target-table footprints. Valid between global writes:
     /// only trigger DDL, schema DDL, action registration or raw database
@@ -242,26 +246,29 @@ struct Shared {
 
 impl Shared {
     /// Commit a footprint-latched write: if a snapshot is published, fold
-    /// exactly `tables` into it (a system clone plus an `Arc` swap per
-    /// table — refcount bumps, never a row walk). Runs with the level-1
-    /// lock held *shared* and the writer's footprint latches still held,
-    /// so the adopted tables cannot move underneath the fold; commits
-    /// serialize on the `published` mutex.
+    /// exactly `tables` into it, an `Arc` swap per table in its own cells:
+    /// in place if no reader holds it (they take it only under this
+    /// mutex), else into a clone of the system (no row), leaving the
+    /// reader's as it was. Only tables are folded: the snapshot's counters
+    /// are not maintained. Runs with the level-1 lock held *shared* and the
+    /// writer's footprint latches still held, so the adopted tables cannot
+    /// move underneath the fold; commits serialize on the mutex.
     fn commit_tables(&self, state: &Quark, tables: &BTreeSet<String>) {
         let mut cell = self.published.lock().unwrap_or_else(|e| e.into_inner());
         // Taken, so that a panic below leaves no stale snapshot behind:
         // the next read rebuilds it.
-        let Some(previous) = cell.take() else { return };
-        // The previous snapshot contains every commit before this one, so
-        // previous + this writer's tables = the boundary state of this
-        // commit exactly.
-        let mut next = (*previous).clone();
-        next.database_mut()
+        let Some(mut snap) = cell.take() else { return };
+        // The snapshot contains every commit before this one, so snapshot
+        // + this writer's tables = the boundary state of this commit
+        // exactly.
+        let replaced = Arc::make_mut(&mut snap)
+            .database_mut()
             .adopt_tables_from(state.database(), tables.iter());
-        *cell = Some(Arc::new(next));
-        // Readers queue on this mutex: whatever `previous` was the last
-        // holder of is freed after it is released.
+        *cell = Some(snap);
+        // Readers queue on this mutex: the replaced versions are freed
+        // after it is released.
         drop(cell);
+        drop(replaced);
     }
 
     /// Commit a global-mode write: anything may have changed (schema,
@@ -555,7 +562,10 @@ impl Session {
     /// The current read snapshot: the state as of the last commit. The
     /// snapshot is maintained *by the writers* (an `Arc` swap per
     /// committed footprint table), so this is a mutex-protected pointer
-    /// clone, and it never waits for a writer. Only the first call on a
+    /// clone, and it never waits for a writer. It never changes: a commit
+    /// while it is held clones the system to fold around it, so hold it no
+    /// longer than its reads need. Its counters are not maintained; `STATS`
+    /// reads the live system's. Only the first call on a
     /// system builds the snapshot itself: it takes the state lock
     /// **exclusively** (draining in-flight latched writers, so the clone
     /// sits on a statement boundary) and publishes it; every commit after
@@ -594,9 +604,9 @@ impl Session {
     /// `ANALYZE TRIGGERS`) evaluate lock-free against the published
     /// snapshot; writes take the two-level lock hierarchy of the [module
     /// docs](self). `STATS` reads the authoritative system's counters (a
-    /// snapshot's copy stops at the commit that published it): atomic
-    /// loads under the shared level-1 lock, so it waits for DDL but never
-    /// for a latched writer.
+    /// snapshot's copy is not maintained by the commits folded into it):
+    /// atomic loads under the shared level-1 lock, so it waits for DDL but
+    /// never for a latched writer.
     pub fn execute(&self, text: &str) -> Result<StatementResult, StatementError> {
         // The frontend parser sees the text past leading whitespace and
         // `--` comments; its error spans are shifted back into the original.

@@ -195,19 +195,19 @@ struct SqlTriggerMeta {
 ///
 /// `Clone` produces a consistent copy of the whole system — tables,
 /// trigger registrations, views and groups (plans are `Arc`-shared, so the
-/// copy is shallow where it can be). The session
-/// layer clones under its write lock to publish immutable read snapshots
-/// for concurrent `SELECT`/`EXPLAIN`/`MATERIALIZE`. The action registry
-/// and group membership tables are reference-shared with the original
-/// (they are behind `Arc<Mutex<…>>` already); a clone used purely for
-/// reading never touches them mutably.
+/// copy is shallow where it can be: a catalog cell per table, no row). The
+/// session layer clones it to publish a read snapshot, and a latched
+/// commit clones the published one only while a reader holds it. The
+/// action registry and group membership tables are reference-shared with
+/// the original (they are behind `Arc<Mutex<…>>` already); a clone used
+/// purely for reading never touches them mutably.
 #[derive(Clone)]
 pub struct Quark {
     db: Database,
     /// The registries below are `Arc`-shared copy-on-write (mutated via
-    /// `Arc::make_mut` under the session's global exclusive mode), so
-    /// publishing a read snapshot — `Quark::clone` at a write commit —
-    /// costs a refcount bump per registry, not a deep copy.
+    /// `Arc::make_mut` under the session's global exclusive mode), so a
+    /// `Quark::clone` — a published snapshot, or a commit folding around a
+    /// held one — costs a refcount bump per registry, not a deep copy.
     views: Arc<HashMap<String, XmlView>>,
     actions: ActionRegistry,
     groups: Arc<HashMap<String, Group>>,

@@ -312,9 +312,9 @@ pub struct Latches<'a> {
 /// bodies); the oracle baseline uses clones as shadow states, and the
 /// session layer clones to publish concurrent read snapshots. Tables are
 /// **copy-on-write** behind `Arc`, and so are the trees inside them
-/// (see [`Table`]): a clone is a refcount bump per table, and a write
-/// after one copies the tree path it walks — neither publishing a
-/// snapshot nor the next write walks row storage.
+/// (see [`Table`]): a clone is a new catalog cell per table around a
+/// refcount bump, and a write after one copies the tree path it walks —
+/// neither publishing a snapshot nor the next write walks row storage.
 pub struct Database {
     tables: HashMap<String, TableCell>,
     /// `Arc`-shared so publishing a read snapshot clones a pointer, not
@@ -438,7 +438,7 @@ fn redo_op(schema: &TableSchema, put: bool, row: &Row) -> RedoOp {
     } else {
         RedoOp::Del {
             table,
-            key: schema.key_of(row).into_vec(),
+            key: schema.primary_key.iter().map(|&i| row[i].clone()).collect(),
         }
     }
 }
@@ -797,22 +797,25 @@ impl Database {
     }
 
     /// Replace this database's versions of `tables` with `from`'s current
-    /// ones (a refcount bump per table; missing tables are skipped). The
-    /// session layer folds a committed writer's footprint into the
-    /// published snapshot this way — an `Arc` swap per table instead of a
-    /// full-state clone.
-    pub fn adopt_tables_from<I, S>(&mut self, from: &Database, tables: I)
+    /// ones in this database's own cells (a refcount bump per table; a
+    /// table either side lacks is skipped), returning the versions
+    /// replaced. The session layer folds a committed writer's footprint
+    /// into the published snapshot this way, and drops the replaced
+    /// versions once readers can get at the snapshot again.
+    pub fn adopt_tables_from<I, S>(&mut self, from: &Database, tables: I) -> Vec<Arc<Table>>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
+        let mut replaced = Vec::new();
         for t in tables {
             let name = t.as_ref();
-            if let Some(src) = from.tables.get(name) {
-                self.tables
-                    .insert(name.to_string(), TableCell::new(src.arc()));
+            if let (Some(dst), Some(src)) = (self.tables.get_mut(name), from.tables.get(name)) {
+                let slot = dst.table.get_mut().unwrap_or_else(|e| e.into_inner());
+                replaced.push(std::mem::replace(slot, src.arc()));
             }
         }
+        replaced
     }
 
     /// `true` if `name` exists.

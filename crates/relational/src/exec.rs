@@ -27,7 +27,7 @@ use std::sync::Arc;
 use crate::expr::{eval_all, AggState, Expr};
 use crate::plan::{JoinKind, PhysicalPlan, PlanOp, PlanRef, SortKey, TableEpoch, TransitionSide};
 use crate::value::{ExactRow, Row, Value};
-use crate::{Counter, Database, Error, Event, Result, TableSchema, TransitionTables};
+use crate::{Counter, Database, Error, Event, Key, Result, TableSchema, TransitionTables};
 
 /// Shared, memoized result of one plan node.
 pub type RowsRef = Arc<Vec<Row>>;
@@ -276,9 +276,8 @@ fn scan_table(table: &str, epoch: TableEpoch, ctx: &ExecContext<'_>) -> Result<V
             if delta.is_empty() && nabla.is_empty() {
                 t.iter().cloned().collect()
             } else {
-                let delta_keys: HashSet<Box<[Value]>> =
-                    delta.iter().map(|r| schema.key_of(r)).collect();
-                let mut nabla_sorted: Vec<(Box<[Value]>, &Row)> =
+                let delta_keys: HashSet<Key> = delta.iter().map(|r| schema.key_of(r)).collect();
+                let mut nabla_sorted: Vec<(Key, &Row)> =
                     nabla.iter().map(|r| (schema.key_of(r), r)).collect();
                 nabla_sorted.sort_by(|a, b| a.0.cmp(&b.0));
                 let mut out = Vec::with_capacity(t.len() + nabla_sorted.len());
@@ -433,7 +432,7 @@ fn index_join(
 
     // For the Old epoch, the probe must see the pre-statement state:
     // current matches minus Δ-keyed rows, plus matching ∇ rows.
-    let mut delta_keys: HashSet<Box<[Value]>> = HashSet::new();
+    let mut delta_keys: HashSet<Key> = HashSet::new();
     let mut nabla_by_probe: HashMap<Box<[Value]>, Vec<Row>> = HashMap::new();
     if epoch == TableEpoch::Old {
         delta_keys.extend(ctx.delta_rows(table).iter().map(|r| schema.key_of(r)));

@@ -11,7 +11,8 @@
 //!   its path that are still shared (at most `height`, 3 at 4 096 entries)
 //!   and leaves every other node pointer-identical in both maps;
 //! * a write to a map nobody else holds finds every refcount at one and
-//!   mutates in place, like any B-tree.
+//!   mutates in place, like any B-tree. Copying a node clones its keys
+//!   and values: a refcount bump each for a table's `Arc` keys and rows.
 //!
 //! # Invariants (checked after every step of the model test below)
 //!
@@ -115,9 +116,9 @@ impl<K: Ord + Clone, V: Clone> Node<K, V> {
         }
     }
 
-    /// Remove `key` below this node. A child this empties is unlinked; the
-    /// caller unlinks this node in turn if that emptied it.
-    fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    /// Remove `key` below this node, returning its entry. A child this
+    /// empties is unlinked; the caller unlinks this node if it emptied.
+    fn remove<Q>(&mut self, key: &Q) -> Option<(K, V)>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
@@ -127,7 +128,7 @@ impl<K: Ord + Clone, V: Clone> Node<K, V> {
                 let i = entries
                     .binary_search_by(|(k, _)| k.borrow().cmp(key))
                     .ok()?;
-                Some(entries.remove(i).1)
+                Some(entries.remove(i))
             }
             Node::Inner { seps, kids } => {
                 let i = child_for(seps, key);
@@ -200,9 +201,9 @@ impl<K: Ord + Clone, V: Clone> PMap<K, V> {
         old
     }
 
-    /// Remove `key`, returning its value. (A miss on a map that shares
-    /// nodes with a clone still unshares the path it searched.)
-    pub(crate) fn remove<Q>(&mut self, key: &Q) -> Option<V>
+    /// Remove `key`, returning the stored entry. (A miss on a map that
+    /// shares nodes with a clone still unshares the path it searched.)
+    pub(crate) fn remove_entry<Q>(&mut self, key: &Q) -> Option<(K, V)>
     where
         K: Borrow<Q>,
         Q: Ord + ?Sized,
@@ -315,6 +316,23 @@ impl<K, V> PMap<K, V> {
     /// nodes of `other` — what a writer copied or created since the two
     /// were one.
     pub(crate) fn nodes_unshared_with(&self, other: &Self) -> usize {
+        self.unshared_with(other).len()
+    }
+
+    /// The keys held by the nodes [`Self::nodes_unshared_with`] counts:
+    /// the entries and separators of what a writer copied or created.
+    pub(crate) fn keys_unshared_with(&self, other: &Self) -> Vec<&K> {
+        let mut keys = Vec::new();
+        for node in self.unshared_with(other) {
+            match node {
+                Node::Leaf(entries) => keys.extend(entries.iter().map(|(k, _)| k)),
+                Node::Inner { seps, .. } => keys.extend(seps),
+            }
+        }
+        keys
+    }
+
+    fn unshared_with(&self, other: &Self) -> Vec<&Node<K, V>> {
         fn collect<K, V>(
             node: &Arc<Node<K, V>>,
             into: &mut std::collections::HashSet<*const Node<K, V>>,
@@ -324,23 +342,24 @@ impl<K, V> PMap<K, V> {
                 kids.iter().for_each(|kid| collect(kid, into));
             }
         }
-        fn count<K, V>(
-            node: &Arc<Node<K, V>>,
+        fn walk<'a, K, V>(
+            node: &'a Arc<Node<K, V>>,
             theirs: &std::collections::HashSet<*const Node<K, V>>,
-        ) -> usize {
+            into: &mut Vec<&'a Node<K, V>>,
+        ) {
             if theirs.contains(&Arc::as_ptr(node)) {
-                return 0; // and so is everything below it
+                return; // and so is everything below it
             }
-            match &**node {
-                Node::Leaf(_) => 1,
-                Node::Inner { kids, .. } => {
-                    1 + kids.iter().map(|kid| count(kid, theirs)).sum::<usize>()
-                }
+            into.push(node);
+            if let Node::Inner { kids, .. } = &**node {
+                kids.iter().for_each(|kid| walk(kid, theirs, into));
             }
         }
         let mut theirs = std::collections::HashSet::new();
         collect(&other.root, &mut theirs);
-        count(&self.root, &theirs)
+        let mut unshared = Vec::new();
+        walk(&self.root, &theirs, &mut unshared);
+        unshared
     }
 }
 
@@ -391,8 +410,8 @@ mod tests {
 
         fn remove(&mut self, key: i32) {
             assert_eq!(
-                self.map.remove(&key),
-                self.model.remove(&key),
+                self.map.remove_entry(&key),
+                self.model.remove_entry(&key),
                 "remove({key})"
             );
         }
@@ -514,13 +533,13 @@ mod tests {
         let full = map.clone();
         // Front to back, then what is left back to front: every node
         // empties, on either end of its parent.
-        (0..2_500).for_each(|k| assert_eq!(map.remove(&k), Some(k)));
+        (0..2_500).for_each(|k| assert_eq!(map.remove_entry(&k), Some((k, k))));
         (2_500..5_000)
             .rev()
-            .for_each(|k| assert_eq!(map.remove(&k), Some(k)));
+            .for_each(|k| assert_eq!(map.remove_entry(&k), Some((k, k))));
         assert_eq!((map.len(), map.height()), (0, 1));
         assert_eq!(map.iter().next(), None);
-        assert_eq!(map.remove(&7), None);
+        assert_eq!(map.remove_entry(&7), None);
         assert!(full.iter().map(|(k, _)| *k).eq(0..5_000), "clone untouched");
     }
 
@@ -537,7 +556,7 @@ mod tests {
         map.insert(50_000, 0);
         assert_eq!(map.nodes_unshared_with(&snapshot), map.height());
         // The path is now this map's own: writing there again copies nothing.
-        map.remove(&50_001);
+        map.remove_entry(&50_001);
         assert_eq!(map.nodes_unshared_with(&snapshot), map.height());
         assert_eq!(snapshot.get(&50_000), Some(&50_000));
         assert_eq!(snapshot.get(&50_001), Some(&50_001));

@@ -6,6 +6,7 @@
 //! the relational primary key. [`Database::create_table`](crate::Database::create_table)
 //! therefore requires a non-empty primary key.
 
+use crate::table::Key;
 use crate::value::{ColumnType, Row, Value};
 use crate::Error;
 
@@ -84,7 +85,7 @@ impl TableSchema {
     }
 
     /// Extract the primary-key values of a row.
-    pub fn key_of(&self, row: &[Value]) -> Box<[Value]> {
+    pub fn key_of(&self, row: &[Value]) -> Key {
         self.primary_key.iter().map(|&i| row[i].clone()).collect()
     }
 

@@ -24,10 +24,10 @@
 //! other node with the clone; a write to a table nobody cloned mutates in
 //! place. A failed statement's rollback holds no clone: the statement
 //! journal keeps the rows it changed (`Database::statement`). O(log n) is
-//! not free, though: copying a node clones every key and bumps every row
-//! in it, so a keyed delete + insert on a 16 384-row table with one index
-//! measured 9 µs right after a clone against 2 µs in place — a clone is
-//! worth holding only while it is used.
+//! not free, though: copying a node allocates it and bumps a refcount per
+//! key and row in it (both shared `Arc`s), and every clone makes the next
+//! write copy its path again — a clone is worth holding only while it is
+//! used.
 //!
 //! Every mutation bumps a per-table **version**. A checkpoint keeps a
 //! table's image file while its version stands still, and a failed
@@ -41,8 +41,9 @@ use crate::schema::TableSchema;
 use crate::value::{ColumnType, Row, Value};
 use crate::{Error, Result};
 
-/// Primary-key value tuple.
-pub type Key = Box<[Value]>;
+/// Primary-key value tuple, built once per row and shared, like [`Row`],
+/// by the rows tree and every index entry.
+pub type Key = Arc<[Value]>;
 
 /// A stored table: rows in primary-key order plus single-column secondary
 /// indices, all in one persistent B+tree. `clone` is a refcount bump per
@@ -200,9 +201,9 @@ impl Table {
 
     /// Delete by primary key, returning the removed row.
     pub fn delete(&mut self, key: &[Value]) -> Option<Row> {
-        let row = self.rows.remove(key)?;
+        let (key, row) = self.rows.remove_entry(key)?;
         for (&col, index) in &mut self.secondary {
-            index.remove(&(row[col].clone(), Key::from(key)));
+            index.remove_entry(&(row[col].clone(), Arc::clone(&key)));
         }
         self.version += 1;
         Some(row)
@@ -236,7 +237,7 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut t = vendor_table();
         t.insert(v("Amazon", "P1", 100.0)).unwrap();
-        let key: Key = Box::new([Value::str("Amazon"), Value::str("P1")]);
+        let key: Key = Key::from([Value::str("Amazon"), Value::str("P1")]);
         assert_eq!(t.get(&key).unwrap()[2], Value::Double(100.0));
     }
 
@@ -261,14 +262,14 @@ mod tests {
 
         // An update (delete + insert, as `Database::apply` does it) moves
         // a row from P1 to P2.
-        let key: Key = Box::new([Value::str("Amazon"), Value::str("P1")]);
+        let key: Key = Key::from([Value::str("Amazon"), Value::str("P1")]);
         t.delete(&key).unwrap();
         t.insert(v("Amazon", "P2", 100.0)).unwrap();
         assert_eq!(t.index_lookup(1, &Value::str("P1")).unwrap().len(), 1);
         assert_eq!(t.index_lookup(1, &Value::str("P2")).unwrap().len(), 2);
 
         // Delete drops index entries.
-        let key2: Key = Box::new([Value::str("Bestbuy"), Value::str("P1")]);
+        let key2: Key = Key::from([Value::str("Bestbuy"), Value::str("P1")]);
         t.delete(&key2).unwrap();
         assert!(t.index_lookup(1, &Value::str("P1")).unwrap().is_empty());
     }
@@ -326,7 +327,7 @@ mod tests {
         t.insert(v("Amazon", "P1", 1.0)).unwrap();
         let v1 = t.version();
         assert!(v1 > v0);
-        let key: Key = Box::new([Value::str("Amazon"), Value::str("P1")]);
+        let key: Key = Key::from([Value::str("Amazon"), Value::str("P1")]);
         t.delete(&key).unwrap();
         let v2 = t.version();
         assert!(v2 > v1);
@@ -394,6 +395,21 @@ mod tests {
         );
         assert_eq!(snapshot.get(&key).unwrap()[2], Value::Int(0));
         assert_eq!(t.get(&key).unwrap()[2], Value::Int(7));
+
+        // The copied path shares its keys: every key on it but the one
+        // written is the clone's own allocation, in the rows tree and in
+        // the index tree (whose entries share the rows tree's keys).
+        let stored = |k: &[Value]| snapshot.rows.range_from(k).next().unwrap().0;
+        let copied = t.rows.keys_unshared_with(&snapshot.rows);
+        assert!(copied.len() > 1, "{} keys copied", copied.len());
+        for k in copied.into_iter().filter(|k| ***k != key) {
+            assert!(Arc::ptr_eq(k, stored(k)), "rows key {k:?} copied");
+        }
+        let copied = t.secondary[&1].keys_unshared_with(&snapshot.secondary[&1]);
+        assert!(copied.len() > 1, "{} index keys copied", copied.len());
+        for (_, k) in copied.into_iter().filter(|(_, k)| **k != key) {
+            assert!(Arc::ptr_eq(k, stored(k)), "index key {k:?} copied");
+        }
     }
 
     /// A clone is a snapshot: whatever happens to the original, it keeps

@@ -13,14 +13,14 @@
 
 mod common;
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
 use common::catalog_path;
-use quark_core::relational::{Database, Event, SqlTrigger, Value};
+use quark_core::relational::{Database, Event, SqlTrigger, Table, Value};
 use quark_core::xqgm::fixtures::product_vendor_db;
 use quark_core::{Footprint, Mode, Quark, Session, SessionPool, StatementResult, XmlView};
 use quark_xquery::XQueryFrontend;
@@ -325,6 +325,159 @@ fn a_read_after_unobserved_commits_does_not_wait_for_a_latched_writer() {
         rows,
         vec![quark_core::relational::row([Value::Double(52.0)])]
     );
+}
+
+/// Tables in the snapshot-fold tests: a system where a fold that copied
+/// the whole catalog would be a thousand times what the write touched.
+const TABLES: usize = 1_000;
+
+/// `TABLES` tables `t0000`, `t0001`, …, each `(id INT PRIMARY KEY, v INT)`
+/// holding rows 0 and 1 with `v = 0`. No trigger, so an `UPDATE`'s write
+/// set is its own table.
+fn many_tables() -> Session {
+    let session = Session::new(Quark::new(Database::new(), Mode::Grouped));
+    for i in 0..TABLES {
+        session
+            .execute(&format!("CREATE TABLE t{i:04} (id INT PRIMARY KEY, v INT)"))
+            .unwrap();
+        session
+            .execute(&format!("INSERT INTO t{i:04} VALUES (0, 0), (1, 0)"))
+            .unwrap();
+    }
+    session
+}
+
+/// Where each table's storage lives in `db`: the same address in two
+/// snapshots is the same `Table`, shared, not copied.
+fn table_addrs(db: &Database) -> BTreeMap<String, *const Table> {
+    db.table_names()
+        .map(|name| (name.to_string(), &*db.table(name).unwrap() as *const Table))
+        .collect()
+}
+
+/// The tables whose storage differs between two address maps.
+fn moved(before: &BTreeMap<String, *const Table>, after: &Database) -> Vec<String> {
+    let after = table_addrs(after);
+    assert_eq!(after.len(), before.len(), "same catalog");
+    before
+        .iter()
+        .filter(|(name, at)| after[*name] != **at)
+        .map(|(name, _)| name.clone())
+        .collect()
+}
+
+/// `v` of row `id` in `table`, as `snapshot` holds it.
+fn v_of(snapshot: &Quark, table: &str, id: i64) -> Value {
+    snapshot
+        .database()
+        .table(table)
+        .unwrap()
+        .get(&[Value::Int(id)])
+        .unwrap()[1]
+        .clone()
+}
+
+/// A commit folds its write set into a snapshot nobody holds *in place*:
+/// the next read gets the same allocation back, and of its `TABLES`
+/// tables only the written one is a new `Table`. Counted in allocations,
+/// not time: a fold that cloned the system would hand out a new snapshot.
+#[test]
+fn a_commit_folds_into_an_unheld_snapshot_in_place() {
+    let session = many_tables();
+    let first = session.snapshot();
+    let at = Arc::as_ptr(&first);
+    let before = table_addrs(first.database());
+    drop(first);
+
+    session
+        .execute("UPDATE t0007 SET v = 1 WHERE id = 0")
+        .unwrap();
+    let second = session.snapshot();
+    assert!(
+        std::ptr::eq(Arc::as_ptr(&second), at),
+        "the fold cloned a snapshot nobody held"
+    );
+    assert_eq!(moved(&before, second.database()), ["t0007"]);
+    assert_eq!(v_of(&second, "t0007", 0), Value::Int(1));
+    assert_eq!(v_of(&second, "t0008", 0), Value::Int(0));
+}
+
+/// A snapshot a reader holds never changes: a commit meanwhile folds
+/// around it, into a new snapshot that shares every table it did not
+/// write. Then the race the in-place fold must never lose: readers hold
+/// snapshots across a writer's commits on two tables and re-read them,
+/// and each new snapshot is at least as new as the last one.
+#[test]
+fn a_held_snapshot_never_changes_while_commits_fold_around_it() {
+    let session = many_tables();
+    let held = session.snapshot();
+    let before = table_addrs(held.database());
+    for v in 1..=3 {
+        session
+            .execute(&format!("UPDATE t0003 SET v = {v} WHERE id = 1"))
+            .unwrap();
+    }
+    assert_eq!(v_of(&held, "t0003", 1), Value::Int(0), "held rows moved");
+    assert!(
+        moved(&before, held.database()).is_empty(),
+        "held tables moved"
+    );
+    let next = session.snapshot();
+    assert!(
+        !Arc::ptr_eq(&held, &next),
+        "the fold wrote into a held snapshot"
+    );
+    assert_eq!(v_of(&next, "t0003", 1), Value::Int(3));
+    assert_eq!(moved(&before, next.database()), ["t0003"]);
+    drop((held, next));
+
+    // Writes 1..=WRITES to row 0 of t0000, then of t0001: a reader sees
+    // t0001 behind or level with t0000, and never a value go back.
+    let done = Arc::new(AtomicBool::new(false));
+    let readers: Vec<_> = (0..READERS)
+        .map(|_| {
+            let session = session.fork();
+            let done = Arc::clone(&done);
+            thread::spawn(move || {
+                let (mut last, mut checks) = ((0, 0), 0usize);
+                while !done.load(Ordering::Acquire) || checks == 0 {
+                    let snap = session.snapshot();
+                    let read = || {
+                        let v = |t| match v_of(&snap, t, 0) {
+                            Value::Int(v) => v,
+                            other => panic!("{other:?}"),
+                        };
+                        (v("t0000"), v("t0001"))
+                    };
+                    let seen = read();
+                    assert!(seen.1 <= seen.0 && seen.0 <= seen.1 + 1, "torn: {seen:?}");
+                    assert!(
+                        seen.0 >= last.0 && seen.1 >= last.1,
+                        "went back: {last:?} then {seen:?}"
+                    );
+                    thread::yield_now();
+                    assert_eq!(read(), seen, "a held snapshot changed");
+                    last = seen;
+                    checks += 1;
+                }
+                checks
+            })
+        })
+        .collect();
+    for v in 1..=WRITES as i64 {
+        for t in ["t0000", "t0001"] {
+            session
+                .execute(&format!("UPDATE {t} SET v = {v} WHERE id = 0"))
+                .unwrap();
+        }
+        thread::yield_now();
+    }
+    done.store(true, Ordering::Release);
+    for reader in readers {
+        assert!(reader.join().expect("reader") > 0);
+    }
+    let last = session.snapshot();
+    assert_eq!(v_of(&last, "t0001", 0), Value::Int(WRITES as i64));
 }
 
 /// The compile-time gate the CI `-D warnings` check rides on: the whole
