@@ -69,10 +69,10 @@
 //!   one frame before its journal closes; if that append fails, the
 //!   statement is undone the same way and returns the error.
 //! * **Global writes** — DDL, trigger creation/drop, action registration
-//!   and the `quark_mut`/`database_mut` escape hatches: whatever can
-//!   change schema, trigger topology or the action registry — take the
-//!   exclusive level above the latches, draining every in-flight latched
-//!   writer first, and commit by checkpoint.
+//!   and the `quark_mut`/`database_mut` guards: whatever can change schema,
+//!   trigger topology or the action registry — take the exclusive level
+//!   above the latches, draining every in-flight latched writer first, and
+//!   commit by checkpoint.
 //! * **Read statements** — `SELECT`, `EXPLAIN TRIGGER`, `MATERIALIZE`,
 //!   `ANALYZE TRIGGERS` —
 //!   run lock-free against an immutable [`Quark`] snapshot behind an
@@ -85,8 +85,8 @@
 //!   read has asked for a snapshot every commit keeps it current, and a
 //!   system nobody ever reads from publishes nothing. Readers therefore
 //!   always observe some *statement-boundary* state, never a mid-cascade
-//!   one, and never wait for a writer. A published snapshot's counters
-//!   are not maintained: `STATS` reads the live system's.
+//!   one, and never wait for a writer. A published snapshot refuses every
+//!   data change; its reads count in the live system's `STATS`.
 //!
 //! [`Session::execute_batch`] adds batched ingestion on top: consecutive
 //! `INSERT`s into the same table coalesce into one statement, so
@@ -117,8 +117,10 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use quark_relational::sql::{self, SqlOutcome, Statement};
-use quark_relational::{Counter, Database, Error, Latched, RedoOp, Result, TableSchema, Value};
+use quark_relational::sql::{self, Statement};
+use quark_relational::{
+    Counter, Database, Error, Latched, RedoOp, Result, SqlTrigger, TableSchema, Value,
+};
 use quark_xml::XmlNodeRef;
 
 use crate::system::analysis::AnalysisReport;
@@ -226,7 +228,7 @@ struct Shared {
     /// mutual exclusion is per table, via the statement latches level 2
     /// keeps in the database's table slots); global writers —
     /// DDL, trigger DDL, action registration, the `quark_mut` /
-    /// `database_mut` escape hatches — hold it exclusively.
+    /// `database_mut` guards — hold it exclusively.
     state: RwLock<Quark>,
     /// Frontend for the XQuery-bodied DDL, shared by all handles.
     frontend: Option<Box<dyn StatementFrontend>>,
@@ -249,8 +251,7 @@ impl Shared {
     /// exactly `tables` into it, an `Arc` swap per table in its own cells:
     /// in place if no reader holds it (they take it only under this
     /// mutex), else into a clone of the system (no row), leaving the
-    /// reader's as it was. Only tables are folded: the snapshot's counters
-    /// are not maintained. Runs with the level-1 lock held *shared* and the
+    /// reader's as it was. Runs with the level-1 lock held *shared* and the
     /// writer's footprint latches still held, so the adopted tables cannot
     /// move underneath the fold; commits serialize on the mutex.
     fn commit_tables(&self, state: &Quark, tables: &BTreeSet<String>) {
@@ -273,8 +274,8 @@ impl Shared {
 
     /// Commit a global-mode write: anything may have changed (schema,
     /// trigger topology, action registry), so the footprint cache is
-    /// cleared and a published snapshot is replaced by a clone of the
-    /// whole authoritative state. Runs with the level-1 lock held
+    /// cleared and a published snapshot is replaced by a read-only clone of
+    /// the whole authoritative state. Runs with the level-1 lock held
     /// exclusively.
     fn commit_global(&self, state: &Quark) {
         self.footprints
@@ -283,7 +284,7 @@ impl Shared {
             .clear();
         let mut cell = self.published.lock().unwrap_or_else(|e| e.into_inner());
         if cell.take().is_some() {
-            *cell = Some(Arc::new(state.clone()));
+            *cell = Some(Arc::new(state.read_only_clone()));
         }
     }
 }
@@ -384,32 +385,22 @@ impl Deref for DatabaseRead<'_> {
     }
 }
 
-/// Exclusive write guard over the underlying [`Database`]; dropping it
-/// commits in global mode, like [`QuarkWrite`] (see
-/// [`Session::database_mut`]).
-pub struct DatabaseWrite<'a> {
-    guard: RwLockWriteGuard<'a, Quark>,
-    shared: &'a Shared,
-}
+/// Exclusive write guard over the underlying [`Database`] for fixtures:
+/// bulk loads and raw SQL triggers. Dropping it commits in global mode,
+/// as its [`QuarkWrite`] does (see [`Session::database_mut`]).
+pub struct DatabaseWrite<'a>(QuarkWrite<'a>);
 
-impl Deref for DatabaseWrite<'_> {
-    type Target = Database;
-    fn deref(&self) -> &Database {
-        self.guard.database()
+impl DatabaseWrite<'_> {
+    /// Bulk-load rows without firing triggers ([`Database::load`]).
+    pub fn load(&mut self, table: &str, rows: Vec<Vec<Value>>) -> Result<usize> {
+        self.0.database().load(table, rows)
     }
-}
 
-impl DerefMut for DatabaseWrite<'_> {
-    fn deref_mut(&mut self) -> &mut Database {
-        self.guard.database_mut()
-    }
-}
-
-impl Drop for DatabaseWrite<'_> {
-    fn drop(&mut self) {
-        self.shared.commit_global(&self.guard);
-        // Best-effort, as in `QuarkWrite::drop`.
-        let _ = self.guard.checkpoint();
+    /// Install a raw SQL trigger ([`Database::create_trigger`]): nothing
+    /// bounds what its body writes, so a write that can reach it latches
+    /// every table.
+    pub fn create_raw_trigger(&mut self, trigger: SqlTrigger) -> Result<()> {
+        self.0.database_mut().create_trigger(trigger)
     }
 }
 
@@ -490,14 +481,11 @@ impl Session {
         DatabaseRead(self.shared.state.read().unwrap_or_else(|e| e.into_inner()))
     }
 
-    /// Mutable database access (bulk [`Database::load`] of fixture data).
-    /// Holds the write lock for the guard's lifetime and invalidates the
-    /// read snapshot when dropped.
+    /// Fixture access to the database ([`DatabaseWrite`]). Holds the write
+    /// lock for the guard's lifetime and invalidates the read snapshot when
+    /// dropped.
     pub fn database_mut(&self) -> DatabaseWrite<'_> {
-        DatabaseWrite {
-            guard: self.shared.state.write().unwrap_or_else(|e| e.into_inner()),
-            shared: &self.shared,
-        }
+        DatabaseWrite(self.quark_mut())
     }
 
     /// Tear down the session, returning the system.
@@ -564,8 +552,8 @@ impl Session {
     /// committed footprint table), so this is a mutex-protected pointer
     /// clone, and it never waits for a writer. It never changes: a commit
     /// while it is held clones the system to fold around it, so hold it no
-    /// longer than its reads need. Its counters are not maintained; `STATS`
-    /// reads the live system's. Only the first call on a
+    /// longer than its reads need, and its database refuses every data
+    /// change. Only the first call on a
     /// system builds the snapshot itself: it takes the state lock
     /// **exclusively** (draining in-flight latched writers, so the clone
     /// sits on a statement boundary) and publishes it; every commit after
@@ -590,7 +578,7 @@ impl Session {
         let mut cell = published();
         // `get_or_insert_with`: another first reader may have won the race
         // for the state lock.
-        Arc::clone(cell.get_or_insert_with(|| Arc::new(state.clone())))
+        Arc::clone(cell.get_or_insert_with(|| Arc::new(state.read_only_clone())))
     }
 
     /// Parse and execute one statement.
@@ -603,10 +591,9 @@ impl Session {
     /// Read statements (`SELECT`, `EXPLAIN TRIGGER`, `MATERIALIZE`,
     /// `ANALYZE TRIGGERS`) evaluate lock-free against the published
     /// snapshot; writes take the two-level lock hierarchy of the [module
-    /// docs](self). `STATS` reads the authoritative system's counters (a
-    /// snapshot's copy is not maintained by the commits folded into it):
-    /// atomic loads under the shared level-1 lock, so it waits for DDL but
-    /// never for a latched writer.
+    /// docs](self). `STATS` reads the authoritative system's counters, which
+    /// its snapshots share: atomic loads under the shared level-1 lock, so
+    /// it waits for DDL but never for a latched writer.
     pub fn execute(&self, text: &str) -> Result<StatementResult, StatementError> {
         // The frontend parser sees the text past leading whitespace and
         // `--` comments; its error spans are shifted back into the original.
@@ -721,12 +708,8 @@ impl Session {
                 filter,
             } => {
                 let snap = self.snapshot();
-                let outcome = sql::select(snap.database(), table, columns, filter.as_ref())?;
-                let SqlOutcome::Rows { columns, rows } = outcome else {
-                    return Err(StatementError::Db(Error::Plan(
-                        "SELECT produced a non-row outcome".into(),
-                    )));
-                };
+                let (columns, rows) =
+                    sql::select(snap.database(), table, columns, filter.as_ref())?;
                 Ok(StatementResult::Rows { columns, rows })
             }
             Statement::ExplainTrigger(name) => Ok(StatementResult::Explain(
@@ -759,16 +742,24 @@ impl Session {
             // ---- data changes: footprint-latched ----------------------
             Statement::Insert { table, .. }
             | Statement::Update { table, .. }
-            | Statement::Delete { table, .. } => {
-                let outcome = self.execute_dml(table, stmt)?;
-                let SqlOutcome::RowsAffected(n) = outcome else {
-                    return Err(StatementError::Db(Error::Plan(
-                        "DML produced a non-count outcome".into(),
-                    )));
-                };
-                Ok(StatementResult::RowsAffected(n))
-            }
+            | Statement::Delete { table, .. } => Ok(StatementResult::RowsAffected(
+                self.execute_dml(table, stmt)?,
+            )),
             // ---- DDL: global mode -------------------------------------
+            Statement::CreateTable(schema) => {
+                self.with_write(|quark| quark.database_mut().create_table(schema.clone()))??;
+                Ok(StatementResult::Created {
+                    kind: ObjectKind::Table,
+                    name: schema.name.clone(),
+                })
+            }
+            Statement::CreateIndex { table, column } => {
+                self.with_write(|quark| quark.database_mut().create_index(table, column))??;
+                Ok(StatementResult::Created {
+                    kind: ObjectKind::Index,
+                    name: format!("{table}.{column}"),
+                })
+            }
             Statement::DropTrigger(name) => {
                 self.with_write(|quark| quark.drop_trigger(name))??;
                 Ok(StatementResult::Dropped {
@@ -781,30 +772,6 @@ impl Session {
                 Ok(StatementResult::Dropped {
                     kind: ObjectKind::Table,
                     name: name.clone(),
-                })
-            }
-            other => {
-                let outcome =
-                    self.with_write(|quark| sql::execute(quark.database_mut(), other))??;
-                Ok(match outcome {
-                    SqlOutcome::RowsAffected(n) => StatementResult::RowsAffected(n),
-                    SqlOutcome::Rows { columns, rows } => StatementResult::Rows { columns, rows },
-                    SqlOutcome::CreatedTable(name) => StatementResult::Created {
-                        kind: ObjectKind::Table,
-                        name,
-                    },
-                    SqlOutcome::CreatedIndex { table, column } => StatementResult::Created {
-                        kind: ObjectKind::Index,
-                        name: format!("{table}.{column}"),
-                    },
-                    SqlOutcome::DroppedTable(name) => StatementResult::Dropped {
-                        kind: ObjectKind::Table,
-                        name,
-                    },
-                    SqlOutcome::DroppedTrigger(name) => StatementResult::Dropped {
-                        kind: ObjectKind::Trigger,
-                        name,
-                    },
                 })
             }
         }
@@ -825,7 +792,7 @@ impl Session {
     /// mode). Holding every table's latch, that writer excludes every
     /// other one — exact single-writer semantics — and, parked on a table,
     /// it blocks that table's newer readers, so it cannot starve.
-    fn execute_dml(&self, table: &str, stmt: &Statement) -> Result<SqlOutcome, StatementError> {
+    fn execute_dml(&self, table: &str, stmt: &Statement) -> Result<usize, StatementError> {
         let state = self.shared.state.read().unwrap_or_else(|e| e.into_inner());
         let db = state.database();
         let footprint = self.footprint_of(&state, table);

@@ -189,9 +189,8 @@ struct SqlTriggerMeta {
 /// The active XML-view system.
 ///
 /// The relational database is private: statement execution goes through
-/// [`Session::execute`](crate::session::Session::execute) by default, with
-/// [`Quark::database`] / [`Quark::database_mut`] as the escape hatches for
-/// inspection and programmatic access.
+/// [`Session::execute`](crate::session::Session::execute), with
+/// [`Quark::database`] for inspection.
 ///
 /// `Clone` produces a consistent copy of the whole system — tables,
 /// trigger registrations, views and groups (plans are `Arc`-shared, so the
@@ -330,11 +329,24 @@ impl Quark {
         &self.db
     }
 
-    /// Mutable access to the underlying database: the programmatic escape
-    /// hatch for bulk loading and fixture setup. Statements executed
-    /// through it still fire the translated triggers.
-    pub fn database_mut(&mut self) -> &mut Database {
+    /// Mutable access to the underlying database (the session's commit
+    /// fold, DDL and `DatabaseWrite`).
+    pub(crate) fn database_mut(&mut self) -> &mut Database {
         &mut self.db
+    }
+
+    /// A copy of the system whose database refuses every data change
+    /// ([`Database::read_only_clone`]): what the session publishes.
+    pub(crate) fn read_only_clone(&self) -> Quark {
+        Quark {
+            db: self.db.read_only_clone(),
+            views: Arc::clone(&self.views),
+            actions: Arc::clone(&self.actions),
+            groups: Arc::clone(&self.groups),
+            triggers: Arc::clone(&self.triggers),
+            storage: self.storage.clone(),
+            ..*self
+        }
     }
 
     /// Tear down the system, keeping the database (baselines that strip
@@ -566,9 +578,8 @@ impl Quark {
     /// last member leaves; when the last member of a *set* leaves a
     /// still-live group, the set's constants-table row is removed so it
     /// stops joining on every subsequent firing. A drop that fails — say,
-    /// a group SQL trigger already dropped with its table through
-    /// [`Quark::database_mut`] — changes nothing, so it fails the same way
-    /// again.
+    /// a group SQL trigger already gone with its table — changes nothing,
+    /// so it fails the same way again.
     pub fn drop_trigger(&mut self, name: &str) -> Result<()> {
         let record = self
             .triggers
@@ -624,8 +635,7 @@ impl Quark {
     /// name), else the first such trigger. A table named with
     /// [`RESERVED_PREFIX`](crate::session::RESERVED_PREFIX) is refused too:
     /// the engine drops its own tables with their group. There is no `DROP
-    /// VIEW`, so a table a view reads stays until [`Quark::database_mut`]
-    /// drops it.
+    /// VIEW`, so a table a view reads stays.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let view = self
             .views
@@ -658,6 +668,14 @@ impl Quark {
         Err(Error::Plan(format!(
             "cannot drop table `{name}`: {user} reads it"
         )))
+    }
+
+    /// Test hook: drop table `name` and its SQL triggers without
+    /// [`Quark::drop_table`]'s checks, so that dropping an XML trigger
+    /// whose group watched it fails.
+    #[doc(hidden)]
+    pub fn drop_table_unchecked_for_test(&mut self, name: &str) -> Result<()> {
+        self.db.drop_table(name)
     }
 
     /// Render the translation artifacts behind an XML trigger: its group,

@@ -309,8 +309,9 @@ pub struct Latches<'a> {
 /// its global exclusive mode.
 ///
 /// `Clone` copies tables and trigger registrations (triggers share their
-/// bodies); the oracle baseline uses clones as shadow states, and the
-/// session layer clones to publish concurrent read snapshots. Tables are
+/// bodies) and shares the counters; the oracle baseline uses clones as
+/// shadow states, and the session layer publishes concurrent read
+/// snapshots as [read-only clones](Database::read_only_clone). Tables are
 /// **copy-on-write** behind `Arc`, and so are the trees inside them
 /// (see [`Table`]): a clone is a new catalog cell per table around a
 /// refcount bump, and a write after one copies the tree path it walks —
@@ -326,8 +327,11 @@ pub struct Database {
     /// instances (oracle shadow clones), so the journal is keyed on both.
     db_id: u64,
     /// Indexed by [`Counter`]. Bumped during statement and plan execution,
-    /// where only `&Database` is available, hence relaxed atomics.
-    counters: [AtomicU64; COUNTERS],
+    /// where only `&Database` is available, hence relaxed atomics. Shared
+    /// by every clone, so a read on a published snapshot counts in `STATS`.
+    counters: Arc<[AtomicU64; COUNTERS]>,
+    /// Set on a [read-only clone](Database::read_only_clone); clones keep it.
+    read_only: bool,
 }
 
 impl Default for Database {
@@ -338,6 +342,7 @@ impl Default for Database {
             trigger_names: Arc::new(std::collections::HashSet::new()),
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
             counters: Default::default(),
+            read_only: false,
         }
     }
 }
@@ -353,9 +358,8 @@ impl Clone for Database {
             triggers: Arc::clone(&self.triggers),
             trigger_names: Arc::clone(&self.trigger_names),
             db_id: NEXT_DB_ID.fetch_add(1, Ordering::Relaxed),
-            counters: std::array::from_fn(|i| {
-                AtomicU64::new(self.counters[i].load(Ordering::Relaxed))
-            }),
+            counters: Arc::clone(&self.counters),
+            read_only: self.read_only,
         }
     }
 }
@@ -513,6 +517,16 @@ impl Database {
     /// Empty database.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A clone that refuses every data change before anything changes:
+    /// what the session layer publishes as a read snapshot. Its clones
+    /// refuse too; only `&mut` access (the session's commit fold) writes it.
+    pub fn read_only_clone(&self) -> Database {
+        Database {
+            read_only: true,
+            ..self.clone()
+        }
     }
 
     // ------------------------------------------------------------------
@@ -782,6 +796,11 @@ impl Database {
     /// latch's job ([`Database::latch`]); this lock only protects the slot
     /// itself.
     fn table_write(&self, name: &str) -> Result<TableWrite<'_>> {
+        if self.read_only {
+            return Err(Error::Plan(format!(
+                "table `{name}` is in a read-only snapshot"
+            )));
+        }
         let cell = self.cell(name)?;
         self.check_access(name, true)?;
         Ok(TableWrite(

@@ -5,9 +5,10 @@
 //! `CREATE TRIGGER … ON view('v')/path` against XML views, and the system
 //! itself speaks SQL to the underlying RDBMS. This module gives the
 //! embedded engine the same property — `INSERT`/`UPDATE`/`DELETE`/`SELECT`
-//! plus table DDL parsed from text and executed as single statements (each
-//! data change fires AFTER triggers exactly once, like every other
-//! statement API on [`Database`]).
+//! plus table DDL parsed from text. The session layer routes every parsed
+//! statement; this module executes the data changes and `SELECT`s as
+//! single statements (each data change fires AFTER triggers exactly once,
+//! like every other statement API on [`Database`]).
 //!
 //! Errors carry byte [`Span`]s into the statement text so the session layer
 //! can report `parse error at 7..12: unknown column `prices``.
@@ -162,9 +163,9 @@ pub enum SelectCols {
 ///
 /// `CREATE VIEW` and `CREATE TRIGGER` are *not* in this grammar: their
 /// bodies are XQuery and are parsed by the session frontend one layer up.
-/// `MATERIALIZE`/`EXPLAIN TRIGGER`/`DROP TRIGGER` parse here (they are part
-/// of the unified textual surface) but the view-level ones only execute
-/// through a session.
+/// Every statement parses here, but only the session routes them all: this
+/// module executes data changes ([`execute_dml`]) and `SELECT`
+/// ([`select`]) alone.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Statement {
     /// `CREATE TABLE t (col TYPE …, PRIMARY KEY (…))`.
@@ -179,8 +180,7 @@ pub enum Statement {
     },
     /// `DROP TABLE t`.
     DropTable(String),
-    /// `DROP TRIGGER name` (an XML trigger when executed via a session, a
-    /// raw SQL trigger when executed directly against a [`Database`]).
+    /// `DROP TRIGGER name` (an XML trigger).
     DropTrigger(String),
     /// `EXPLAIN TRIGGER name` — session-level only.
     ExplainTrigger(String),
@@ -231,33 +231,6 @@ pub enum Statement {
         /// Row filter.
         filter: Option<SqlExpr>,
     },
-}
-
-/// Result of executing one relational statement.
-#[derive(Debug, Clone, PartialEq)]
-pub enum SqlOutcome {
-    /// Rows changed by INSERT/UPDATE/DELETE.
-    RowsAffected(usize),
-    /// SELECT output, ordered by the table's primary key.
-    Rows {
-        /// Projected column names.
-        columns: Vec<String>,
-        /// Result rows.
-        rows: Vec<Row>,
-    },
-    /// `CREATE TABLE` succeeded.
-    CreatedTable(String),
-    /// `CREATE INDEX` succeeded.
-    CreatedIndex {
-        /// Indexed table.
-        table: String,
-        /// Indexed column.
-        column: String,
-    },
-    /// `DROP TABLE` succeeded.
-    DroppedTable(String),
-    /// `DROP TRIGGER` succeeded.
-    DroppedTrigger(String),
 }
 
 /// Parse one statement.
@@ -331,62 +304,14 @@ pub fn parse(text: &str) -> Result<Statement, StatementError> {
     ))
 }
 
-/// Execute a parsed statement against a database. Session-level statements
-/// ([`Statement::ExplainTrigger`], [`Statement::Materialize`]) are rejected
-/// here — they need the view registry a `Session` holds.
-pub fn execute(db: &mut Database, stmt: &Statement) -> Result<SqlOutcome, StatementError> {
-    match stmt {
-        Statement::CreateTable(schema) => {
-            let name = schema.name.clone();
-            db.create_table(schema.clone())?;
-            Ok(SqlOutcome::CreatedTable(name))
-        }
-        Statement::CreateIndex { table, column } => {
-            db.create_index(table, column)?;
-            Ok(SqlOutcome::CreatedIndex {
-                table: table.clone(),
-                column: column.clone(),
-            })
-        }
-        Statement::DropTable(name) => {
-            db.drop_table(name)?;
-            Ok(SqlOutcome::DroppedTable(name.clone()))
-        }
-        Statement::DropTrigger(name) => {
-            db.drop_trigger(name)?;
-            Ok(SqlOutcome::DroppedTrigger(name.clone()))
-        }
-        Statement::ExplainTrigger(_) | Statement::Materialize { .. } => Err(StatementError::Db(
-            Error::Plan("view-level statement requires a Session".into()),
-        )),
-        Statement::Stats => Err(StatementError::Db(Error::Plan(
-            "STATS requires a Session".into(),
-        ))),
-        Statement::AnalyzeTriggers => Err(StatementError::Db(Error::Plan(
-            "ANALYZE TRIGGERS requires a Session".into(),
-        ))),
-        Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
-            execute_dml(db, stmt)
-        }
-        Statement::Select {
-            table,
-            columns,
-            filter,
-        } => select(db, table, columns, filter.as_ref()),
-    }
-}
-
 /// Execute a data-change statement (`INSERT`/`UPDATE`/`DELETE`) against a
-/// *shared* database reference. This is the entry point for footprint-
-/// latched writers: the session layer acquires the statement's table
-/// latches first, then runs the statement (and its cascade) while holding
-/// only `&Database`. [`execute`] delegates its DML arms here.
-pub fn execute_dml(db: &Database, stmt: &Statement) -> Result<SqlOutcome, StatementError> {
+/// *shared* database reference, returning the number of rows it changed.
+/// This is the entry point for footprint-latched writers: the session
+/// layer acquires the statement's table latches first, then runs the
+/// statement (and its cascade) while holding only `&Database`.
+pub fn execute_dml(db: &Database, stmt: &Statement) -> Result<usize, StatementError> {
     match stmt {
-        Statement::Insert { table, rows } => {
-            let n = db.insert(table, rows.clone())?;
-            Ok(SqlOutcome::RowsAffected(n))
-        }
+        Statement::Insert { table, rows } => Ok(db.insert(table, rows.clone())?),
         Statement::Update {
             table,
             sets,
@@ -404,8 +329,7 @@ pub fn execute_dml(db: &Database, stmt: &Statement) -> Result<SqlOutcome, Statem
                 .as_ref()
                 .map(|f| bind(f, &schema, table))
                 .transpose()?;
-            let n = db.update_expr(table, pred.as_ref(), &assignments)?;
-            Ok(SqlOutcome::RowsAffected(n))
+            Ok(db.update_expr(table, pred.as_ref(), &assignments)?)
         }
         Statement::Delete { table, filter } => {
             let schema = db.table(table)?.schema_ref();
@@ -413,8 +337,7 @@ pub fn execute_dml(db: &Database, stmt: &Statement) -> Result<SqlOutcome, Statem
                 .as_ref()
                 .map(|f| bind(f, &schema, table))
                 .transpose()?;
-            let n = db.delete_expr(table, pred.as_ref())?;
-            Ok(SqlOutcome::RowsAffected(n))
+            Ok(db.delete_expr(table, pred.as_ref())?)
         }
         other => Err(StatementError::Db(Error::Plan(format!(
             "not a data-change statement: {other:?}"
@@ -422,15 +345,16 @@ pub fn execute_dml(db: &Database, stmt: &Statement) -> Result<SqlOutcome, Statem
     }
 }
 
-/// Execute a `SELECT` against a shared database reference. This is the
+/// Execute a `SELECT` against a shared database reference, returning the
+/// projected column names and the rows in primary-key order. This is the
 /// read-only entry point concurrent sessions use to evaluate reads against
-/// an immutable snapshot ([`execute`] delegates here for its `SELECT` arm).
+/// an immutable snapshot.
 pub fn select(
     db: &Database,
     table: &str,
     columns: &SelectCols,
     filter: Option<&SqlExpr>,
-) -> Result<SqlOutcome, StatementError> {
+) -> Result<(Vec<String>, Vec<Row>), StatementError> {
     let t = db.table(table)?;
     let schema = t.schema();
     let pred = filter.map(|f| bind(f, schema, table)).transpose()?;
@@ -456,15 +380,7 @@ pub fn select(
         .iter()
         .map(|r| indices.iter().map(|&i| r[i].clone()).collect::<Row>())
         .collect();
-    Ok(SqlOutcome::Rows {
-        columns: names,
-        rows,
-    })
-}
-
-/// Parse and execute in one call.
-pub fn run(db: &mut Database, text: &str) -> Result<SqlOutcome, StatementError> {
-    execute(db, &parse(text)?)
+    Ok((names, rows))
 }
 
 fn unknown_column(col: &str, table: &str, span: Span) -> StatementError {
@@ -1058,34 +974,57 @@ mod tests {
         db
     }
 
+    /// Parse a `CREATE TABLE` and create it.
+    fn create(db: &mut Database, text: &str) {
+        let Statement::CreateTable(schema) = parse(text).unwrap() else {
+            panic!("not a CREATE TABLE: {text}");
+        };
+        db.create_table(schema).unwrap();
+    }
+
+    /// Parse and execute a data-change statement.
+    fn dml(db: &Database, text: &str) -> Result<usize, StatementError> {
+        execute_dml(db, &parse(text)?)
+    }
+
+    /// Parse and execute a `SELECT`: its column names and rows.
+    fn query(db: &Database, text: &str) -> Result<(Vec<String>, Vec<Row>), StatementError> {
+        let Statement::Select {
+            table,
+            columns,
+            filter,
+        } = parse(text)?
+        else {
+            panic!("not a SELECT: {text}");
+        };
+        select(db, &table, &columns, filter.as_ref())
+    }
+
     #[test]
     fn create_table_with_inline_and_trailing_pk() {
         let mut db = Database::new();
-        run(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT)").unwrap();
+        create(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, name TEXT)");
         assert_eq!(db.table("t").unwrap().schema().primary_key, vec![0]);
-        run(
+        create(
             &mut db,
             "create table u (a text, b text, v double, primary key (a, b));",
-        )
-        .unwrap();
+        );
         assert_eq!(db.table("u").unwrap().schema().primary_key, vec![0, 1]);
     }
 
     #[test]
     fn insert_update_delete_round_trip() {
-        let mut db = vendor_db();
-        let out = run(
-            &mut db,
+        let db = vendor_db();
+        let out = dml(
+            &db,
             "INSERT INTO vendor VALUES ('c', 'P1', 90.0), ('c', 'P2', 95.0)",
-        )
-        .unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(2));
-        let out = run(
-            &mut db,
+        );
+        assert_eq!(out, Ok(2));
+        let out = dml(
+            &db,
             "UPDATE vendor SET price = 75.0 WHERE vid = 'a' AND pid = 'P1'",
-        )
-        .unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(1));
+        );
+        assert_eq!(out, Ok(1));
         assert_eq!(
             db.table("vendor")
                 .unwrap()
@@ -1093,37 +1032,31 @@ mod tests {
                 .unwrap()[2],
             Value::Double(75.0)
         );
-        let out = run(&mut db, "DELETE FROM vendor WHERE pid = 'P2'").unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(2));
+        let out = dml(&db, "DELETE FROM vendor WHERE pid = 'P2'");
+        assert_eq!(out, Ok(2));
         assert_eq!(db.table("vendor").unwrap().len(), 3);
     }
 
     #[test]
     fn keyed_update_uses_probe_and_misses_return_zero() {
-        let mut db = vendor_db();
-        let out = run(
-            &mut db,
+        let db = vendor_db();
+        let out = dml(
+            &db,
             "UPDATE vendor SET price = 1.0 WHERE vid = 'zz' AND pid = 'P9'",
-        )
-        .unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(0));
-        let out = run(
-            &mut db,
-            "DELETE FROM vendor WHERE vid = 'zz' AND pid = 'P9'",
-        )
-        .unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(0));
+        );
+        assert_eq!(out, Ok(0));
+        let out = dml(&db, "DELETE FROM vendor WHERE vid = 'zz' AND pid = 'P9'");
+        assert_eq!(out, Ok(0));
     }
 
     #[test]
     fn arithmetic_update_reads_pre_update_row() {
-        let mut db = vendor_db();
-        let out = run(
-            &mut db,
+        let db = vendor_db();
+        let out = dml(
+            &db,
             "UPDATE vendor SET price = price + 10.0 WHERE pid = 'P1'",
-        )
-        .unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(2));
+        );
+        assert_eq!(out, Ok(2));
         assert_eq!(
             db.table("vendor")
                 .unwrap()
@@ -1136,15 +1069,13 @@ mod tests {
     #[test]
     fn key_shifting_update_applies_simultaneously() {
         let mut db = Database::new();
-        run(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)").unwrap();
-        run(&mut db, "INSERT INTO t VALUES (2, 0), (4, 0), (6, 0)").unwrap();
+        create(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+        dml(&db, "INSERT INTO t VALUES (2, 0), (4, 0), (6, 0)").unwrap();
         // Sequential apply in arbitrary order could hit 2→4 while 4 still
         // exists; simultaneous statement semantics must succeed.
-        let out = run(&mut db, "UPDATE t SET id = id + 2, v = v + 1").unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(3));
-        let SqlOutcome::Rows { rows, .. } = run(&mut db, "SELECT id, v FROM t").unwrap() else {
-            panic!()
-        };
+        let out = dml(&db, "UPDATE t SET id = id + 2, v = v + 1");
+        assert_eq!(out, Ok(3));
+        let (_, rows) = query(&db, "SELECT id, v FROM t").unwrap();
         let ids: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
         assert_eq!(ids, vec![Value::Int(4), Value::Int(6), Value::Int(8)]);
         assert!(rows.iter().all(|r| r[1] == Value::Int(1)));
@@ -1153,8 +1084,8 @@ mod tests {
     #[test]
     fn colliding_key_update_is_atomic() {
         let mut db = Database::new();
-        run(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)").unwrap();
-        run(&mut db, "INSERT INTO t VALUES (1, 0), (2, 0), (3, 0)").unwrap();
+        create(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, v INT)");
+        dml(&db, "INSERT INTO t VALUES (1, 0), (2, 0), (3, 0)").unwrap();
         // Every row maps to id 9: duplicate replacement keys must abort
         // with NO partial changes and NO trigger firings.
         use crate::database::{Event, SqlTrigger};
@@ -1171,15 +1102,13 @@ mod tests {
             }),
         })
         .unwrap();
-        let err = run(&mut db, "UPDATE t SET id = 9, v = 99").unwrap_err();
+        let err = dml(&db, "UPDATE t SET id = 9, v = 99").unwrap_err();
         assert!(matches!(
             err,
             StatementError::Db(Error::DuplicateKey { .. })
         ));
         assert_eq!(*fired.lock().unwrap(), 0, "no partial firing");
-        let SqlOutcome::Rows { rows, .. } = run(&mut db, "SELECT id, v FROM t").unwrap() else {
-            panic!()
-        };
+        let (_, rows) = query(&db, "SELECT id, v FROM t").unwrap();
         let ids: Vec<Value> = rows.iter().map(|r| r[0].clone()).collect();
         assert_eq!(ids, vec![Value::Int(1), Value::Int(2), Value::Int(3)]);
         assert!(rows.iter().all(|r| r[1] == Value::Int(0)), "rolled back");
@@ -1187,35 +1116,28 @@ mod tests {
 
     #[test]
     fn select_projects_and_orders_by_key() {
-        let mut db = vendor_db();
-        let SqlOutcome::Rows { columns, rows } =
-            run(&mut db, "SELECT vid, price FROM vendor WHERE pid = 'P1'").unwrap()
-        else {
-            panic!("expected rows");
-        };
+        let db = vendor_db();
+        let (columns, rows) = query(&db, "SELECT vid, price FROM vendor WHERE pid = 'P1'").unwrap();
         assert_eq!(columns, vec!["vid".to_string(), "price".to_string()]);
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0][0], Value::str("a"));
         assert_eq!(rows[1][0], Value::str("b"));
-        let SqlOutcome::Rows { columns, rows } = run(&mut db, "SELECT * FROM vendor").unwrap()
-        else {
-            panic!("expected rows");
-        };
+        let (columns, rows) = query(&db, "SELECT * FROM vendor").unwrap();
         assert_eq!(columns.len(), 3);
         assert_eq!(rows.len(), 3);
     }
 
     #[test]
     fn parse_errors_carry_spans() {
-        let mut db = vendor_db();
-        let err = run(&mut db, "UPDAT vendor SET price = 1").unwrap_err();
+        let db = vendor_db();
+        let err = dml(&db, "UPDAT vendor SET price = 1").unwrap_err();
         let StatementError::Parse { span, .. } = err else {
             panic!("expected parse error, got {err:?}");
         };
         assert_eq!(span.start, 0);
 
         let text = "UPDATE vendor SET prices = 1";
-        let err = run(&mut db, text).unwrap_err();
+        let err = dml(&db, text).unwrap_err();
         let StatementError::Parse { span, message } = err else {
             panic!("expected parse error");
         };
@@ -1284,22 +1206,19 @@ mod tests {
     #[test]
     fn mismatched_and_null_pk_literals_skip_the_probe_fast_path() {
         let mut db = Database::new();
-        run(&mut db, "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)").unwrap();
-        run(&mut db, "INSERT INTO t VALUES ('5', 1), ('x', 2)").unwrap();
+        create(&mut db, "CREATE TABLE t (id TEXT PRIMARY KEY, v INT)");
+        dml(&db, "INSERT INTO t VALUES ('5', 1), ('x', 2)").unwrap();
         // `id = 5` compares an Int literal to a TEXT key. SQL atomization
         // matches the row '5'; a key probe with Int(5) would miss it and
         // report 0 rows. The statement must take the scan path.
         let before = db.stats();
-        let SqlOutcome::Rows { rows, .. } = run(&mut db, "SELECT v FROM t WHERE id = 5").unwrap()
-        else {
-            panic!()
-        };
+        let (_, rows) = query(&db, "SELECT v FROM t WHERE id = 5").unwrap();
         assert_eq!(rows, vec![crate::row([Value::Int(1)])]);
         let after = db.stats();
         assert_eq!(after.index_probes, before.index_probes, "no probe");
         assert_eq!(after.rows_scanned - before.rows_scanned, 2, "scanned");
-        let out = run(&mut db, "UPDATE t SET v = 9 WHERE id = 5").unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(1));
+        let out = dml(&db, "UPDATE t SET v = 9 WHERE id = 5");
+        assert_eq!(out, Ok(1));
         assert_eq!(
             db.table("t").unwrap().get(&[Value::str("5")]).unwrap()[1],
             Value::Int(9)
@@ -1307,21 +1226,17 @@ mod tests {
         // NULL comparisons are unknown for every row: no matches, via the
         // generic path (a probe keyed on NULL asks the index a question
         // SQL semantics never ask).
-        let SqlOutcome::Rows { rows, .. } =
-            run(&mut db, "SELECT * FROM t WHERE id = NULL").unwrap()
-        else {
-            panic!()
-        };
+        let (_, rows) = query(&db, "SELECT * FROM t WHERE id = NULL").unwrap();
         assert!(rows.is_empty());
-        let out = run(&mut db, "DELETE FROM t WHERE id = NULL").unwrap();
-        assert_eq!(out, SqlOutcome::RowsAffected(0));
+        let out = dml(&db, "DELETE FROM t WHERE id = NULL");
+        assert_eq!(out, Ok(0));
         assert_eq!(db.table("t").unwrap().len(), 2);
         // A literal of the key's type is one probe and no scan, for SELECT
         // as for UPDATE and DELETE.
         let before = db.stats();
-        run(&mut db, "SELECT * FROM t WHERE id = 'x'").unwrap();
-        run(&mut db, "UPDATE t SET v = v + 1 WHERE id = 'x'").unwrap();
-        run(&mut db, "DELETE FROM t WHERE 'x' = id").unwrap();
+        query(&db, "SELECT * FROM t WHERE id = 'x'").unwrap();
+        dml(&db, "UPDATE t SET v = v + 1 WHERE id = 'x'").unwrap();
+        dml(&db, "DELETE FROM t WHERE 'x' = id").unwrap();
         let after = db.stats();
         assert_eq!(after.index_probes - before.index_probes, 3);
         assert_eq!(after.rows_scanned, before.rows_scanned);
@@ -1330,10 +1245,10 @@ mod tests {
 
     #[test]
     fn db_errors_pass_through() {
-        let mut db = vendor_db();
-        let err = run(&mut db, "INSERT INTO nosuch VALUES (1)").unwrap_err();
+        let db = vendor_db();
+        let err = dml(&db, "INSERT INTO nosuch VALUES (1)").unwrap_err();
         assert!(matches!(err, StatementError::Db(Error::UnknownTable(_))));
-        let err = run(&mut db, "INSERT INTO vendor VALUES ('a', 'P1', 1.0)").unwrap_err();
+        let err = dml(&db, "INSERT INTO vendor VALUES ('a', 'P1', 1.0)").unwrap_err();
         assert!(matches!(
             err,
             StatementError::Db(Error::DuplicateKey { .. })
@@ -1357,32 +1272,20 @@ mod tests {
             }),
         })
         .unwrap();
-        run(
-            &mut db,
-            "UPDATE vendor SET price = price * 2 WHERE pid = 'P1'",
-        )
-        .unwrap();
+        dml(&db, "UPDATE vendor SET price = price * 2 WHERE pid = 'P1'").unwrap();
         assert_eq!(*firings.lock().unwrap(), vec![2]);
     }
 
     #[test]
     fn null_handling_and_logic() {
         let mut db = Database::new();
-        run(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, v DOUBLE)").unwrap();
-        run(&mut db, "INSERT INTO t VALUES (1, NULL), (2, 5.0)").unwrap();
-        let SqlOutcome::Rows { rows, .. } =
-            run(&mut db, "SELECT id FROM t WHERE v IS NULL").unwrap()
-        else {
-            panic!()
-        };
+        create(&mut db, "CREATE TABLE t (id INT PRIMARY KEY, v DOUBLE)");
+        dml(&db, "INSERT INTO t VALUES (1, NULL), (2, 5.0)").unwrap();
+        let (_, rows) = query(&db, "SELECT id FROM t WHERE v IS NULL").unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0][0], Value::Int(1));
         // NULL comparisons are unknown, not true.
-        let SqlOutcome::Rows { rows, .. } =
-            run(&mut db, "SELECT id FROM t WHERE v < 10 OR v IS NULL").unwrap()
-        else {
-            panic!()
-        };
+        let (_, rows) = query(&db, "SELECT id FROM t WHERE v < 10 OR v IS NULL").unwrap();
         assert_eq!(rows.len(), 2);
     }
 
@@ -1398,28 +1301,20 @@ mod tests {
                 anchor: "product".into()
             }
         );
-        let mut db = Database::new();
-        assert!(matches!(
-            execute(&mut db, &stmt),
-            Err(StatementError::Db(Error::Plan(_)))
-        ));
         let stmt = parse("ANALYZE TRIGGERS").unwrap();
         assert_eq!(stmt, Statement::AnalyzeTriggers);
-        assert!(matches!(
-            execute(&mut db, &stmt),
-            Err(StatementError::Db(Error::Plan(_)))
-        ));
         assert!(parse("ANALYZE").is_err(), "bare ANALYZE is incomplete");
     }
 
     #[test]
     fn drop_table_and_trigger_statements() {
-        let mut db = vendor_db();
         assert_eq!(
-            run(&mut db, "DROP TABLE vendor").unwrap(),
-            SqlOutcome::DroppedTable("vendor".into())
+            parse("DROP TABLE vendor").unwrap(),
+            Statement::DropTable("vendor".into())
         );
-        assert!(!db.has_table("vendor"));
-        assert!(run(&mut db, "DROP TRIGGER nope").is_err());
+        assert_eq!(
+            parse("DROP TRIGGER nope").unwrap(),
+            Statement::DropTrigger("nope".into())
+        );
     }
 }

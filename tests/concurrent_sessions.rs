@@ -56,7 +56,7 @@ fn cascade_system() -> Session {
         let mut db = session.database_mut();
         for (from, to) in [("audit1", "audit2"), ("audit2", "audit3")] {
             let to = to.to_string();
-            db.create_trigger(SqlTrigger {
+            db.create_raw_trigger(SqlTrigger {
                 name: format!("chain_{from}"),
                 table: from.to_string(),
                 event: Event::Insert,
@@ -170,6 +170,10 @@ fn concurrent_readers_observe_only_statement_boundary_states() {
         let legal_sel = legal_selects.clone();
         readers.push(thread::spawn(move || {
             let mut checks = 0usize;
+            // Every other round's snapshot, held across the writer's
+            // commits until the next round, with what it showed then (the
+            // rounds between hold none, so commits fold in place too).
+            let mut held: Option<(Arc<Quark>, Observation)> = None;
             while !done.load(Ordering::Acquire) || checks == 0 {
                 // Raw snapshot: one consistent state across all tables.
                 let snap = session.snapshot();
@@ -178,6 +182,17 @@ fn concurrent_readers_observe_only_statement_boundary_states() {
                     legal_obs.contains(&seen),
                     "reader {r} observed a non-boundary state: {seen:?}"
                 );
+                // A held snapshot never changes, however far the writer
+                // has moved on.
+                if let Some((old, old_seen)) = held.take() {
+                    assert_eq!(
+                        observe(old.database()),
+                        old_seen,
+                        "reader {r}'s held snapshot changed under it"
+                    );
+                } else {
+                    held = Some((Arc::clone(&snap), seen));
+                }
                 // Statement surface: SELECT and MATERIALIZE against the
                 // same published snapshots.
                 if checks.is_multiple_of(3) {

@@ -208,7 +208,7 @@ proptest! {
             // state (identical across systems).
             let expected: BTreeSet<Observed> = changes_of(&pg, &ungrouped.database(), |db| {
                 for s in &stmts {
-                    sql::run(db, s).map_err(Error::from)?;
+                    sql::execute_dml(db, &sql::parse(s)?).map_err(Error::from)?;
                 }
                 Ok(())
             })
@@ -413,7 +413,7 @@ proptest! {
             let stmts = statements_for(&ungrouped.database(), op);
             let mut expected: Vec<(String, String)> = changes_of(&pg, &ungrouped.database(), |db| {
                 for s in &stmts {
-                    sql::run(db, s).map_err(Error::from)?;
+                    sql::execute_dml(db, &sql::parse(s)?).map_err(Error::from)?;
                 }
                 Ok(())
             })
@@ -743,7 +743,7 @@ proptest! {
                 continue;
             };
             let mut expected: ChainObserved = changes_of(&pg, &ungrouped.database(), |db| {
-                sql::run(db, &stmt).map(|_| ()).map_err(Error::from)
+                sql::execute_dml(db, &sql::parse(&stmt)?).map(|_| ()).map_err(Error::from)
             })
             .expect("oracle")
             .into_iter()

@@ -24,9 +24,11 @@ use std::thread;
 
 use common::{all_modes, group_line, Log, CATALOG_VIEW, SETUP, TRIGGERS};
 use proptest::prelude::*;
-use quark_core::relational::{Database, Error, Event, Row, SqlTrigger, Value};
+use quark_core::relational::{
+    ColumnDef, ColumnType, Database, Error, Event, Row, SqlTrigger, TableSchema, Value,
+};
 use quark_core::session::CHECKPOINT_LOG_BYTES;
-use quark_core::storage::SyncMode;
+use quark_core::storage::{StorageEngine, SyncMode};
 use quark_core::xqgm::fixtures::product_vendor_db;
 use quark_core::xqgm::normalize;
 use quark_core::{
@@ -346,7 +348,7 @@ const WATCH_SETUP: &[&str] = &[
 fn arm_audit(session: &Session) {
     session
         .database_mut()
-        .create_trigger(SqlTrigger {
+        .create_raw_trigger(SqlTrigger {
             name: "audit".into(),
             table: "watch".into(),
             event: Event::Update,
@@ -929,41 +931,43 @@ fn a_full_log_checkpoints_without_a_global_write() {
 /// A table dropped and re-created with the same schema is a new table:
 /// changed as often as its predecessor was, it has the same version, yet
 /// the checkpoint that acknowledges it must write its rows, not keep the
-/// predecessor's image. A reopen holds the new rows only.
+/// predecessor's image. A reopen holds the new rows only. Every session
+/// DDL statement checkpoints, so no statement sequence drops and
+/// re-creates a table between two checkpoints: the storage engine is
+/// driven directly.
 #[test]
 fn a_recreated_table_reopens_with_its_own_rows() {
     let dir = tmp_dir("recreate");
-    let session =
-        Session::new(Quark::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("open"));
-    session
-        .execute("CREATE TABLE t (id INT PRIMARY KEY, v TEXT)")
-        .expect("create");
+    let (engine, (mut db, _)) = StorageEngine::open(&dir, SyncMode::Never).expect("open");
+    let columns = vec![
+        ColumnDef::new("id", ColumnType::Int),
+        ColumnDef::new("v", ColumnType::Str),
+    ];
+    let schema = TableSchema::new("t", columns, &["id"]).expect("schema");
     let fill = |db: &Database, ids: [i64; 2], v: &str| {
         for id in ids {
             db.insert("t", vec![vec![Value::Int(id), Value::str(v)]])
                 .expect("insert");
         }
     };
-    fill(&session.database_mut(), [1, 2], "old"); // the guard checkpoints
-    {
-        let mut db = session.database_mut();
-        let schema = db.table("t").expect("t").schema().clone();
-        db.drop_table("t").expect("drop");
-        db.create_table(schema).expect("re-create");
-        fill(&db, [7, 8], "new");
-    }
-    session.close().expect("close");
+    db.create_table(schema.clone()).expect("create");
+    fill(&db, [1, 2], "old");
+    engine.checkpoint(&db, Vec::new()).expect("checkpoint");
+    db.drop_table("t").expect("drop");
+    db.create_table(schema).expect("re-create");
+    fill(&db, [7, 8], "new");
+    engine.checkpoint(&db, Vec::new()).expect("checkpoint");
+    drop(engine);
 
-    let session =
-        Session::new(Quark::open_with(&dir, Mode::Grouped, SyncMode::Never).expect("reopen"));
-    let StatementResult::Rows { rows, .. } = session.execute("SELECT * FROM t").expect("select")
-    else {
-        panic!("expected rows");
-    };
-    let rows: Vec<Vec<Value>> = rows.iter().map(|r| r.to_vec()).collect();
+    let (_, (db, _)) = StorageEngine::open(&dir, SyncMode::Never).expect("reopen");
+    let rows: Vec<Vec<Value>> = db
+        .table("t")
+        .expect("t")
+        .iter()
+        .map(|r| r.to_vec())
+        .collect();
     let new = |id| vec![Value::Int(id), Value::str("new")];
     assert_eq!(rows, [new(7), new(8)], "the dropped rows came back");
-    drop(session);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

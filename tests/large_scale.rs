@@ -154,7 +154,9 @@ fn large_cardinality_matches_oracle_in_all_modes() {
     ];
     for stmt in statements {
         let expected: BTreeSet<Observed> = changes_of(&pg, &ungrouped.database(), |db| {
-            sql::run(db, stmt).map_err(Error::from).map(|_| ())
+            sql::execute_dml(db, &sql::parse(stmt)?)
+                .map_err(Error::from)
+                .map(|_| ())
         })
         .expect("oracle")
         .into_iter()

@@ -394,7 +394,7 @@ fn raw_shard(
     shard_table(session, name);
     session
         .database_mut()
-        .create_trigger(SqlTrigger {
+        .create_raw_trigger(SqlTrigger {
             name: format!("raw_{name}"),
             table: name.into(),
             event: Event::Update,

@@ -4,8 +4,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use quark_core::relational::{Error, Value};
-use quark_core::{Mode, ObjectKind, Session, StatementError, StatementResult};
+use quark_core::relational::{Database, Error, Value};
+use quark_core::{Mode, ObjectKind, Quark, Session, StatementError, StatementResult};
 
 const CATALOG: &str = r#"
     create view catalog as {
@@ -44,9 +44,8 @@ fn stat(session: &Session, counter: &str) -> i64 {
     }
 }
 
-/// `STATS` reads the live counters, not the copy frozen into the read
-/// snapshot when it was first published: every `STATS` sees every
-/// statement committed before it.
+/// `STATS` reads the live counters: every `STATS` sees every statement
+/// committed before it, after a read has published a snapshot too.
 #[test]
 fn stats_follow_the_writes_after_the_first_read() {
     let session = catalog_session();
@@ -68,6 +67,69 @@ fn stats_follow_the_writes_after_the_first_read() {
         stat(&session, "statements") as u64,
         session.quark().stats().statements
     );
+}
+
+/// A session `SELECT` runs on the published snapshot, which shares the
+/// live counters: a full scan of three rows counts three rows scanned, a
+/// keyed read one index probe.
+#[test]
+fn stats_count_the_reads_on_the_snapshot() {
+    let session = Session::new(Quark::new(Database::new(), Mode::Grouped));
+    session
+        .execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)")
+        .unwrap();
+    session
+        .execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        .unwrap();
+    let (scanned, probes) = (
+        stat(&session, "rows_scanned"),
+        stat(&session, "index_probes"),
+    );
+    session.execute("SELECT * FROM t").unwrap();
+    session.execute("SELECT v FROM t WHERE id = 2").unwrap();
+    assert_eq!(stat(&session, "rows_scanned"), scanned + 3);
+    assert_eq!(stat(&session, "index_probes"), probes + 1);
+}
+
+/// Every reader shares the published snapshot, so nothing may write it:
+/// its database refuses each data change before anything changes. The
+/// next `SELECT` and the held snapshot still see the three live rows, and
+/// the snapshots a later fold or global commit publishes refuse too.
+#[test]
+fn a_published_snapshot_cannot_be_written() {
+    let session = Session::new(Quark::new(Database::new(), Mode::Grouped));
+    session
+        .execute("CREATE TABLE t (id INT PRIMARY KEY)")
+        .unwrap();
+    session
+        .execute("INSERT INTO t VALUES (1), (2), (3)")
+        .unwrap();
+    let count = |session: &Session| match session.execute("SELECT * FROM t").unwrap() {
+        StatementResult::Rows { rows, .. } => rows.len(),
+        other => panic!("{other:?}"),
+    };
+    let refuses = |snap: &Quark| {
+        let db = snap.database();
+        let err = db.insert_row("t", vec![Value::Int(4)]).unwrap_err();
+        assert!(err.to_string().contains("read-only snapshot"), "{err}");
+        assert!(db.delete_expr("t", None).is_err());
+        assert!(db.load("t", vec![vec![Value::Int(5)]]).is_err());
+    };
+    let held = session.snapshot();
+    refuses(&held);
+    assert_eq!(count(&session), 3);
+    assert_eq!(held.database().table("t").unwrap().len(), 3);
+    // A write folds around the held snapshot into a clone of it.
+    session.execute("INSERT INTO t VALUES (4)").unwrap();
+    assert_eq!(count(&session), 4);
+    assert_eq!(held.database().table("t").unwrap().len(), 3);
+    refuses(&session.snapshot());
+    // A global write republishes the whole system.
+    session
+        .execute("CREATE TABLE u (id INT PRIMARY KEY)")
+        .unwrap();
+    refuses(&session.snapshot());
+    assert_eq!(count(&session), 4);
 }
 
 #[test]
@@ -273,7 +335,10 @@ fn a_drop_trigger_that_fails_changes_nothing() {
         .unwrap();
     // Dropping the table underneath the registry also drops the SQL
     // triggers installed on it, so the group can no longer be dropped.
-    session.database_mut().drop_table("vendor").unwrap();
+    session
+        .quark_mut()
+        .drop_table_unchecked_for_test("vendor")
+        .unwrap();
     let first = session.execute("DROP TRIGGER NotifyGone").unwrap_err();
     assert!(
         matches!(first, StatementError::Db(Error::UnknownTrigger(ref t)) if t != "NotifyGone"),

@@ -279,7 +279,7 @@ fn raw_sql_trigger_degrades_to_global_and_analyzer_agrees() {
     create_table(&session, "src");
     session
         .database_mut()
-        .create_trigger(SqlTrigger {
+        .create_raw_trigger(SqlTrigger {
             name: "raw".into(),
             table: "src".into(),
             event: Event::Update,
@@ -506,7 +506,7 @@ fn opaque_body_probing_a_missing_table_is_an_error_not_a_violation() {
     create_table(&session, "src");
     session
         .database_mut()
-        .create_trigger(SqlTrigger {
+        .create_raw_trigger(SqlTrigger {
             name: "probe".into(),
             table: "src".into(),
             event: Event::Update,
